@@ -99,7 +99,7 @@ pub struct EvalJob {
 }
 
 /// The outcome of one submitted job, plus its provenance.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EvalOutcome {
     /// The simulation outcome — identical to a standalone
     /// [`simulate_compiled`] call with the same inputs.
@@ -291,7 +291,7 @@ impl EvalService {
     /// simulations are written back to the store.
     pub fn drain(&mut self) -> Vec<EvalOutcome> {
         let drain_t0 = Instant::now();
-        let jobs = std::mem::take(&mut self.pending);
+        let mut jobs = std::mem::take(&mut self.pending);
         let _drain_span = telemetry::span_with(
             "service",
             "service.drain",
@@ -310,6 +310,14 @@ impl EvalService {
         self.stats.coalesced += (jobs.len() - groups.len()) as u64;
         telemetry::count("service.executed_groups", groups.len() as u64);
         telemetry::count("service.coalesced", (jobs.len() - groups.len()) as u64);
+        // Only a group's representative is ever read again (dispatch and
+        // retry): give the other members' input images back now rather
+        // than holding every duplicate until the drain returns.
+        for g in &groups {
+            for &m in g.members.iter().filter(|&&m| m != g.rep) {
+                release_input(&mut jobs[m]);
+            }
+        }
 
         // Phase 1: store lookups. Hits fill their whole group; misses
         // (and typed store failures, degraded to warnings) queue for
@@ -328,15 +336,19 @@ impl EvalService {
                 telemetry::count("service.store_warnings", g.warnings.len() as u64);
                 let wall = drain_t0.elapsed().as_micros() as u64;
                 self.record_job_wall(wall, g.members.len());
-                fill_group(&mut outcomes, &g, || EvalOutcome {
-                    outcome: Ok(hit.result.clone()),
-                    mem: hit.mem.clone(),
+                // Served: the submitted image is dead, and the decoded
+                // entry moves into the outcome.
+                release_input(&mut jobs[g.rep]);
+                let served = EvalOutcome {
+                    outcome: Ok(hit.result),
+                    mem: hit.mem,
                     from_store: true,
                     attempts: 0,
                     coalesced: false,
-                    store_warnings: g.warnings.clone(),
+                    store_warnings: std::mem::take(&mut g.warnings),
                     wall_us: wall,
-                });
+                };
+                fill_group(&mut outcomes, &g, served);
             } else {
                 self.stats.recomputed += 1;
                 telemetry::count("service.recomputed", 1);
@@ -402,15 +414,16 @@ impl EvalService {
                 telemetry::count("service.store_warnings", g.warnings.len() as u64);
                 let wall = drain_t0.elapsed().as_micros() as u64;
                 self.record_job_wall(wall, g.members.len());
-                fill_group(&mut outcomes, &g, || EvalOutcome {
-                    outcome: outcome.clone(),
-                    mem: mem.clone(),
+                let ran = EvalOutcome {
+                    outcome,
+                    mem,
                     from_store: false,
                     attempts,
                     coalesced: false,
-                    store_warnings: g.warnings.clone(),
+                    store_warnings: std::mem::take(&mut g.warnings),
                     wall_us: wall,
-                });
+                };
+                fill_group(&mut outcomes, &g, ran);
             }
         }
         outcomes
@@ -590,20 +603,29 @@ impl EvalService {
 }
 
 /// Exact input equality — the collision guard behind key-based dedup.
-/// `SimConfig` holds an `f64` and nested plans without `PartialEq`, so it
-/// is compared through its (complete) `Debug` rendering.
 fn jobs_identical(a: &EvalJob, b: &EvalJob) -> bool {
-    a.args == b.args && a.mem == b.mem && format!("{:?}", a.cfg) == format!("{:?}", b.cfg)
+    a.args == b.args && a.mem == b.mem && a.cfg == b.cfg
 }
 
-/// Store `make()` at every member slot of `g`, marking non-reps
-/// coalesced.
-fn fill_group(outcomes: &mut [Option<EvalOutcome>], g: &Group, make: impl Fn() -> EvalOutcome) {
-    for &m in &g.members {
-        let mut o = make();
-        o.coalesced = m != g.rep;
-        outcomes[m] = Some(o);
+/// Drop a job's input memory image (the job stays in place so
+/// submission indices hold).
+fn release_input(job: &mut EvalJob) {
+    job.mem = Memory {
+        objects: Vec::new(),
+        bases: Vec::new(),
+    };
+}
+
+/// Store `rep` at the representative's slot of `g` and a copy, marked
+/// coalesced, at every other member's.
+fn fill_group(outcomes: &mut [Option<EvalOutcome>], g: &Group, rep: EvalOutcome) {
+    for &m in g.members.iter().filter(|&&m| m != g.rep) {
+        outcomes[m] = Some(EvalOutcome {
+            coalesced: true,
+            ..rep.clone()
+        });
     }
+    outcomes[g.rep] = Some(rep);
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ impl fmt::Display for TaskId {
 }
 
 /// An argument-or-constant expression used in a loop bound specification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArgExpr {
     /// The task's `n`-th argument.
     Arg(u32),
@@ -25,7 +25,7 @@ pub enum ArgExpr {
 }
 
 /// Canonical loop bounds of a loop task: `for (i = lo; i < hi; i += step)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LoopSpec {
     /// Lower bound.
     pub lo: ArgExpr,
@@ -36,7 +36,7 @@ pub struct LoopSpec {
 }
 
 /// What a task block is.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum TaskKind {
     /// A straight dataflow region: one dataflow instance per invocation
     /// (Cilk spawned bodies, function bodies).
@@ -62,7 +62,7 @@ impl TaskKind {
 
 /// An asynchronous task block (§3.2): a closure-like execution block with a
 /// hardware issue queue and `tiles` replicated execution units (Pass 2).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct TaskBlock {
     /// Debug name.
     pub name: String,
@@ -85,7 +85,7 @@ pub struct TaskBlock {
 }
 
 /// Zero-trip fallback source for a loop task's result.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub enum ResultInit {
     /// The task's `n`-th argument.
     Arg(u32),
@@ -110,7 +110,7 @@ impl TaskBlock {
 }
 
 /// A `<||>` spawn/sync connection between a parent and child task (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskConnection {
     /// Parent (spawner).
     pub parent: TaskId,
@@ -123,7 +123,7 @@ pub struct TaskConnection {
 
 /// A `<==>` request/response connection from a task's junction to a
 /// hardware structure (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemConnection {
     /// The task whose junction connects.
     pub task: TaskId,
@@ -135,7 +135,7 @@ pub struct MemConnection {
 
 /// The whole accelerator: a structural, concurrent graph of task blocks,
 /// hardware structures, and connections.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Accelerator {
     /// Accelerator (workload) name.
     pub name: String,

@@ -18,7 +18,8 @@
 //!   port-sorted input-edge lists and reverse-topological node order the
 //!   schedulers need, static-node masks, and resolved issue-queue depths;
 //! * memory-connection maps (structure → client junctions);
-//! * a stable splitmix64-based content hash over the canonical form,
+//! * a stable splitmix64-based content hash over the graph's derived
+//!   structural `Hash` (every field, in arena order; floats by bits),
 //!   which keys the process-local compile cache ([`compile_cached`]) and
 //!   backs the pass-idempotence and artifact-determinism gates.
 //!
@@ -35,7 +36,7 @@ use crate::verify::{verify_accelerator, GraphError};
 use muir_mir::instr::BinOp;
 use muir_mir::value::Value;
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
+use std::hash::Hash as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Dense micro-op opcode: what a node *does*, reduced to a `u8` so the
@@ -539,7 +540,8 @@ impl CompiledAccel {
         &self.accel
     }
 
-    /// The stable content hash of the canonical form (the cache key).
+    /// The stable structural content hash of the sealed graph (the cache
+    /// key).
     pub fn content_hash(&self) -> u64 {
         self.hash
     }
@@ -659,12 +661,29 @@ fn mix(word: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Streams bytes into a splitmix64-based fold, 8 bytes per absorption.
+/// Streams bytes into a splitmix64-based fold, one 64-bit word per
+/// absorption.
 ///
 /// This is the repo's one stable content-hash primitive: the compile
 /// cache, the persistent store's payload checksums (`muir-store`), and
 /// the memoization keys over `SimConfig`/`SimResult` all fold through it,
 /// so every layer agrees on what "same content" means.
+///
+/// The digest is a function of the *byte stream* alone — bytes are packed
+/// little-endian into words in arrival order — so how a caller splits its
+/// pushes never changes the result, and every entry point below
+/// ([`push`](Self::push), [`push_u64`](Self::push_u64), the
+/// [`std::hash::Hasher`] `write_*` methods) moves whole words with two
+/// shifts instead of looping over bytes.
+///
+/// It implements [`std::hash::Hasher`] so typed data is hashed
+/// *structurally*: `#[derive(Hash)]` on a type visits every field (and
+/// picks up new ones automatically), enum discriminants and lengths
+/// arrive through `write_isize`/`write_usize`, which are widened to 64
+/// bits so the digest does not depend on the host's pointer width, and
+/// fixed-width integers are absorbed little-endian. Floats have no
+/// `Hash`; their owners hash `to_bits()`, so distinct NaN payloads and
+/// `0.0`/`-0.0` hash distinct.
 pub struct ContentHasher {
     state: u64,
     pending: u64,
@@ -694,19 +713,39 @@ impl ContentHasher {
         self.state = mix(self.state ^ word);
     }
 
+    /// Absorb the low `n` bytes (1..=8) of `v`, little-endian. The bytes
+    /// of `v` above `n` must be zero.
+    #[inline]
+    fn push_le(&mut self, v: u64, n: u32) {
+        debug_assert!((1..=8).contains(&n) && (n == 8 || v >> (8 * n) == 0));
+        let have = self.npending;
+        self.pending |= v << (8 * have);
+        let total = have + n;
+        if total >= 8 {
+            let word = self.pending;
+            self.absorb(word);
+            // The `8 - have` low bytes of `v` completed the word; the
+            // rest (none when the hasher was word-aligned) carry over.
+            self.pending = if have == 0 { 0 } else { v >> (8 * (8 - have)) };
+            self.npending = total - 8;
+        } else {
+            self.npending = total;
+        }
+        self.len += u64::from(n);
+    }
+
     /// Absorb raw bytes (little-endian packed into 64-bit words).
     pub fn push(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.pending |= u64::from(b) << (8 * self.npending);
-            self.npending += 1;
-            if self.npending == 8 {
-                let w = self.pending;
-                self.pending = 0;
-                self.npending = 0;
-                self.absorb(w);
-            }
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.push_le(u64::from_le_bytes(w.try_into().expect("8 bytes")), 8);
         }
-        self.len += bytes.len() as u64;
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..rest.len()].copy_from_slice(rest);
+            self.push_le(u64::from_le_bytes(buf), rest.len() as u32);
+        }
     }
 
     /// Absorb a `u64` as 8 little-endian bytes. Canonical-encoding
@@ -714,7 +753,7 @@ impl ContentHasher {
     /// simulator's config/job/result hashes, the μopt `PassConfig`
     /// dedup hash, the store's result keys).
     pub fn push_u64(&mut self, v: u64) {
-        self.push(&v.to_le_bytes());
+        self.push_le(v, 8);
     }
 
     /// Absorb a length-prefixed string. The prefix makes the encoding
@@ -731,38 +770,70 @@ impl ContentHasher {
         self.push_u64(v.to_bits());
     }
 
+    /// The digest of everything absorbed so far: the partial word is
+    /// flushed and the total length bound in, so prefixes never collide
+    /// with their extensions.
+    fn digest(&self) -> u64 {
+        mix(mix(self.state ^ self.pending) ^ self.len)
+    }
+
     /// Finalize: flush the partial word and bind the total length.
-    pub fn finish(mut self) -> u64 {
-        // Flush the partial word and bind the total length so prefixes
-        // never collide with their extensions.
-        let tail = self.pending;
-        self.absorb(tail);
-        let len = self.len;
-        self.absorb(len);
-        self.state
+    pub fn finish(self) -> u64 {
+        self.digest()
     }
 }
 
-impl std::fmt::Write for ContentHasher {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.push(s.as_bytes());
-        Ok(())
+impl std::hash::Hasher for ContentHasher {
+    fn finish(&self) -> u64 {
+        self.digest()
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.push(bytes);
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.push_le(u64::from(v), 1);
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.push_le(u64::from(v), 2);
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.push_le(u64::from(v), 4);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.push_le(v, 8);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.push_le(v as u64, 8);
+    }
+
+    // The fixed-width signed `write_i*` defaults forward to the unsigned
+    // method of the same width; `isize` is sign-extended here (its default
+    // would zero-extend through `write_usize` on a 32-bit host).
+    fn write_isize(&mut self, v: isize) {
+        self.push_le(v as i64 as u64, 8);
     }
 }
 
-/// The stable content hash of an accelerator's canonical form.
+/// The stable content hash of an accelerator.
 ///
-/// The canonical form is the graph's full structural rendering — every
-/// task, node, edge, junction, structure, connection, and parameter, in
-/// arena order — so two accelerators hash equal iff they are structurally
-/// identical (`Accelerator` equality). Used as the compile-cache key and
-/// by the pass-idempotence and artifact-determinism gates.
+/// The hash is the derived structural [`Hash`] of the graph folded
+/// through [`ContentHasher`]: every task, node, edge, junction,
+/// structure, connection, and parameter, in arena order, with every
+/// variable-length field length-prefixed — so two accelerators hash equal
+/// iff they are structurally identical (`Accelerator` equality, except
+/// that float constants compare by bit pattern). Because the impls are
+/// derived, a field added to any graph type is covered without touching
+/// this function. Used as the compile-cache key, the store's artifact
+/// address, and by the pass-idempotence and artifact-determinism gates.
 pub fn content_hash(acc: &Accelerator) -> u64 {
     let mut h = ContentHasher::new();
-    // `Debug` over the arena-ordered structs is a total, deterministic
-    // rendering of every semantic field, and tracks field additions
-    // automatically (a hand-rolled field visitor would silently go stale).
-    let _ = write!(h, "{acc:?}");
+    acc.hash(&mut h);
     h.finish()
 }
 
@@ -842,6 +913,269 @@ mod tests {
         let mut other = tiny_acc();
         other.task_mut(crate::accel::TaskId(0)).tiles = 4;
         assert_ne!(content_hash(&acc), content_hash(&other));
+    }
+
+    /// The byte-at-a-time fold `ContentHasher` started as, kept as the
+    /// reference the word-at-a-time absorber must match bit for bit:
+    /// envelope checksums in existing store files were written by it.
+    fn bytewise_reference(bytes: &[u8]) -> u64 {
+        let mut state = 0x5ea1_0000_c0de_0001u64;
+        let (mut pending, mut npending) = (0u64, 0u32);
+        for &b in bytes {
+            pending |= u64::from(b) << (8 * npending);
+            npending += 1;
+            if npending == 8 {
+                state = mix(state ^ pending);
+                (pending, npending) = (0, 0);
+            }
+        }
+        state = mix(state ^ pending);
+        mix(state ^ bytes.len() as u64)
+    }
+
+    #[test]
+    fn chunked_push_matches_bytewise_reference_at_any_split() {
+        use std::hash::Hasher;
+        let mut rng = crate::rng::SplitMix64::new(0xc0ffee);
+        for _ in 0..200 {
+            let len = rng.below(70) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let want = bytewise_reference(&bytes);
+
+            let mut whole = ContentHasher::new();
+            whole.push(&bytes);
+            assert_eq!(whole.finish(), want, "one push of {len} bytes");
+
+            // Random split points, each piece through a random entry
+            // point that fits it.
+            let mut split = ContentHasher::new();
+            let mut rest = &bytes[..];
+            while !rest.is_empty() {
+                let n = 1 + rng.below(rest.len().min(19) as u64) as usize;
+                let (piece, tail) = rest.split_at(n);
+                match (n, rng.below(2)) {
+                    (1, 0) => split.write_u8(piece[0]),
+                    (2, 0) => split.write_u16(u16::from_le_bytes(piece.try_into().unwrap())),
+                    (4, 0) => split.write_u32(u32::from_le_bytes(piece.try_into().unwrap())),
+                    (8, 0) => split.push_u64(u64::from_le_bytes(piece.try_into().unwrap())),
+                    _ => split.push(piece),
+                }
+                rest = tail;
+            }
+            assert_eq!(Hasher::finish(&split), want, "trait finish, {len} bytes");
+            assert_eq!(split.finish(), want, "split pushes of {len} bytes");
+        }
+    }
+
+    #[test]
+    fn hasher_widens_pointer_sized_writes_to_64_bits() {
+        use std::hash::Hasher as _;
+        let mut a = ContentHasher::new();
+        a.write_usize(7);
+        a.write_isize(-2);
+        let mut b = ContentHasher::new();
+        b.push_u64(7);
+        b.push_u64(-2i64 as u64);
+        assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn adjacent_strings_do_not_collide_with_their_concatenation() {
+        let pushed = |a: &str, b: &str| {
+            let mut h = ContentHasher::new();
+            h.push_str(a);
+            h.push_str(b);
+            h.finish()
+        };
+        assert_ne!(pushed("ab", "c"), pushed("a", "bc"));
+        // The derived route: `str::hash` terminates each string.
+        let derived = |pair: (&str, &str)| {
+            let mut h = ContentHasher::new();
+            pair.hash(&mut h);
+            h.finish()
+        };
+        assert_ne!(derived(("ab", "c")), derived(("a", "bc")));
+    }
+
+    /// A small accelerator that populates every kind of graph field: a
+    /// loop task with a junction, a structure serving an object, and both
+    /// connection kinds.
+    fn field_acc() -> Accelerator {
+        use crate::accel::{ArgExpr, LoopSpec, ResultInit};
+        use crate::dataflow::Junction;
+        use crate::structure::Structure;
+        use muir_mir::instr::MemObjId;
+
+        let mut acc = tiny_acc();
+        let mut spad = Structure::scratchpad("spad", 64);
+        spad.serve(MemObjId(0));
+        let sid = acc.add_structure(spad);
+        let mut body = TaskBlock::new(
+            "body",
+            TaskKind::Loop {
+                spec: LoopSpec {
+                    lo: ArgExpr::Const(0),
+                    hi: ArgExpr::Arg(0),
+                    step: 1,
+                },
+                serial: false,
+            },
+        );
+        body.num_args = 1;
+        body.num_results = 1;
+        body.loop_result_inits = vec![Some(ResultInit::Const(ConstVal::F32(0.5)))];
+        let df = &mut body.dataflow;
+        let j = df.add_junction(Junction::new(sid, 1, 1));
+        let iv = df.add_node(Node::new("i", NodeKind::IndVar, Type::I64));
+        let ld = df.add_node(Node::new(
+            "ld",
+            NodeKind::Load {
+                obj: MemObjId(0),
+                junction: j,
+                predicated: false,
+            },
+            Type::I64,
+        ));
+        let out = df.add_node(Node::new("out", NodeKind::Output, Type::I64));
+        df.connect(iv, 0, ld, 0);
+        df.connect(ld, 0, out, 0);
+        df.register_reader(j, ld);
+        let child = acc.add_task(body);
+        acc.connect_tasks(acc.root, child, 2);
+        acc.connect_mem(child, j, sid);
+        acc.object_info = vec![(64, true)];
+        acc
+    }
+
+    /// One mutation per semantic field of the graph: each must move
+    /// `content_hash`. The impls are derived, so this table is what goes
+    /// red if a field is ever skipped (a manual impl, a `#[..(skip)]`).
+    #[test]
+    fn content_hash_sees_every_semantic_field() {
+        use crate::accel::{ArgExpr, ResultInit};
+        use crate::dataflow::{Arbitration, NodeId};
+        use crate::structure::StructureKind;
+        use muir_mir::instr::MemObjId;
+
+        type Mutator = (&'static str, fn(&mut Accelerator));
+        let mutators: &[Mutator] = &[
+            ("name", |a| a.name.push('x')),
+            ("root", |a| a.root = TaskId(1)),
+            ("object_info.len", |a| a.object_info[0].0 += 1),
+            ("object_info.read_only", |a| a.object_info[0].1 = false),
+            ("task.name", |a| a.tasks[1].name.push('x')),
+            ("task.tiles", |a| a.tasks[1].tiles = 4),
+            ("task.queue_depth", |a| a.tasks[1].queue_depth += 1),
+            ("task.num_args", |a| a.tasks[1].num_args += 1),
+            ("task.num_results", |a| a.tasks[1].num_results += 1),
+            ("task.kind", |a| a.tasks[1].kind = TaskKind::Region),
+            ("task.loop.serial", |a| {
+                let TaskKind::Loop { serial, .. } = &mut a.tasks[1].kind else {
+                    unreachable!()
+                };
+                *serial = true;
+            }),
+            ("task.loop.spec.hi", |a| {
+                let TaskKind::Loop { spec, .. } = &mut a.tasks[1].kind else {
+                    unreachable!()
+                };
+                spec.hi = ArgExpr::Const(0);
+            }),
+            ("task.loop.spec.step", |a| {
+                let TaskKind::Loop { spec, .. } = &mut a.tasks[1].kind else {
+                    unreachable!()
+                };
+                spec.step = 2;
+            }),
+            ("task.loop_result_inits", |a| {
+                a.tasks[1].loop_result_inits[0] = Some(ResultInit::Const(ConstVal::F32(-0.5)));
+            }),
+            ("node.name", |a| a.tasks[1].dataflow.nodes[1].name.push('x')),
+            ("node.kind", |a| {
+                a.tasks[0].dataflow.nodes[2].kind = NodeKind::Compute(OpKind::Bin(BinOp::Sub));
+            }),
+            ("node.kind.const", |a| {
+                a.tasks[0].dataflow.nodes[0].kind = NodeKind::Const(ConstVal::Int(9));
+            }),
+            ("node.kind.load.predicated", |a| {
+                let NodeKind::Load { predicated, .. } = &mut a.tasks[1].dataflow.nodes[1].kind
+                else {
+                    unreachable!()
+                };
+                *predicated = true;
+            }),
+            ("node.ty", |a| a.tasks[1].dataflow.nodes[1].ty = Type::I32),
+            ("edge.src_port", |a| {
+                a.tasks[1].dataflow.edges[0].src_port = 1
+            }),
+            ("edge.dst_port", |a| {
+                a.tasks[1].dataflow.edges[0].dst_port = 1
+            }),
+            ("edge.dst", |a| a.tasks[1].dataflow.edges[0].dst = NodeId(2)),
+            ("edge.kind", |a| {
+                a.tasks[1].dataflow.edges[0].kind = EdgeKind::Order;
+            }),
+            ("edge.buffering", |a| {
+                a.tasks[1].dataflow.edges[0].buffering = Buffering::Fifo(4);
+            }),
+            ("junction.read_ports", |a| {
+                a.tasks[1].dataflow.junctions[0].read_ports = 2;
+            }),
+            ("junction.write_ports", |a| {
+                a.tasks[1].dataflow.junctions[0].write_ports = 2;
+            }),
+            ("junction.arbitration", |a| {
+                a.tasks[1].dataflow.junctions[0].arbitration = Arbitration::FixedPriority;
+            }),
+            ("junction.readers", |a| {
+                a.tasks[1].dataflow.junctions[0].readers.clear();
+            }),
+            ("structure.name", |a| a.structures[0].name.push('x')),
+            ("structure.kind", |a| {
+                a.structures[0].kind = StructureKind::Dram {
+                    latency: 1,
+                    elems_per_cycle: 1,
+                };
+            }),
+            ("structure.banks", |a| {
+                let StructureKind::Scratchpad { banks, .. } = &mut a.structures[0].kind else {
+                    unreachable!()
+                };
+                *banks = 4;
+            }),
+            ("structure.objects", |a| {
+                a.structures[0].objects.push(MemObjId(1));
+            }),
+            ("connections", |a| a.task_conns[0].queue_depth = 8),
+        ];
+        let base = field_acc();
+        let h = content_hash(&base);
+        let mut seen = vec![h];
+        for (what, mutate) in mutators {
+            let mut acc = base.clone();
+            mutate(&mut acc);
+            let got = content_hash(&acc);
+            assert!(!seen.contains(&got), "{what}: hash did not move");
+            seen.push(got);
+        }
+        // Moving a `<==>` connection, and moving an element between two
+        // adjacent lists without changing their concatenation.
+        let mut acc = base.clone();
+        acc.mem_conns[0].task = TaskId(0);
+        assert_ne!(content_hash(&acc), h, "mem_conns");
+        let mut acc = base.clone();
+        let j = &mut acc.tasks[1].dataflow.junctions[0];
+        j.writers = std::mem::take(&mut j.readers);
+        assert_ne!(content_hash(&acc), h, "readers vs writers");
+    }
+
+    /// Pinned value: nothing checked in depends on it, but a toolchain
+    /// change to what `#[derive(Hash)]` feeds the hasher (or an edit to
+    /// the fold) would orphan every persistent store's artifact and
+    /// result keys — that should be a visible event, not a silent one.
+    #[test]
+    fn content_hash_of_the_tiny_fixture_is_pinned() {
+        assert_eq!(content_hash(&tiny_acc()), 0x8f49a3a8bc9ea5b6);
     }
 
     #[test]

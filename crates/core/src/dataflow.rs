@@ -30,7 +30,7 @@ impl fmt::Display for JunctionId {
 /// flow-control, and buffering can be inserted or removed without affecting
 /// correctness (§3.1). The default is a 1-deep handshake register; the
 /// task-queueing pass (Pass 1) widens inter-task edges to FIFOs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Buffering {
     /// Single pipeline register with handshake (default).
     Handshake,
@@ -49,7 +49,7 @@ impl Buffering {
 }
 
 /// Data vs feedback classification of an edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// Ordinary forward dataflow.
     Data,
@@ -64,7 +64,7 @@ pub enum EdgeKind {
 }
 
 /// A polymorphic 1-1 connection between a producer port and a consumer port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Edge {
     /// Producer node.
     pub src: NodeId,
@@ -81,7 +81,7 @@ pub struct Edge {
 }
 
 /// Arbitration policy of a junction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Arbitration {
     /// Rotating priority (default).
     #[default]
@@ -94,7 +94,7 @@ pub enum Arbitration {
 /// task's distributed memory nodes reach a scratchpad or cache (§3.4). The
 /// physical network it lowers to (bus, tree) is a parameter; `read_ports` /
 /// `write_ports` bound how many requests it accepts per cycle.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Junction {
     /// The structure this junction connects to.
     pub structure: StructureId,
@@ -125,7 +125,7 @@ impl Junction {
 }
 
 /// A task block's internal pipelined dataflow.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Hash)]
 pub struct Dataflow {
     /// Node arena; [`NodeId`] indexes into this.
     pub nodes: Vec<Node>,

@@ -308,4 +308,14 @@ mod tests {
         assert_ne!(checksum(b"abc"), checksum(b"abcd"));
         assert_ne!(checksum(b""), checksum(b"\0"));
     }
+
+    #[test]
+    fn checksum_of_a_fixed_payload_is_pinned() {
+        // Values computed by the byte-at-a-time `ContentHasher` that wrote
+        // every existing store file: if these move, those files stop
+        // opening (`E-STORE-CHECKSUM`) — bump `FORMAT_VERSION` instead.
+        let payload: Vec<u8> = (0u8..=90).collect();
+        assert_eq!(checksum(&payload), 0xa123_84f4_b989_2e11);
+        assert_eq!(checksum(b"abc"), 0xc8a2_731f_ffe3_e5a3);
+    }
 }

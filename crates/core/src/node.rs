@@ -10,7 +10,7 @@ use std::fmt;
 /// op kind instantiates scalar, vector, or tensor function units depending
 /// on the node's [`Type`]; the RTL backend infers physical wire widths from
 /// the type (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub enum OpKind {
     /// Binary arithmetic/logic.
     Bin(BinOp),
@@ -65,7 +65,7 @@ impl fmt::Display for OpKind {
 }
 
 /// Input source of a step inside a fused node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FusedInput {
     /// The fused node's external input port `n`.
     External(u16),
@@ -74,7 +74,7 @@ pub enum FusedInput {
 }
 
 /// One operation inside a fused node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct FusedStep {
     /// The operation.
     pub op: OpKind,
@@ -87,7 +87,7 @@ pub struct FusedStep {
 /// Evaluation plan of a fused node: a mini-DAG of ops executed as one
 /// (deeper) pipeline stage group, eliminating the interior ready/valid
 /// handshakes and pipeline registers (§6.1, Figure 10).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct FusedPlan {
     /// Number of external input ports.
     pub arity: u16,
@@ -106,7 +106,7 @@ impl FusedPlan {
 /// combinational, multi-cycle internally-pipelined, and non-deterministic
 /// transit — are distinguished by [`crate::hw::op_timing`] over these
 /// kinds).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum NodeKind {
     /// Delivers the task's `index`-th argument each invocation (live-in
     /// buffer, §3.5).
@@ -203,7 +203,7 @@ impl NodeKind {
 }
 
 /// A node in a task's dataflow.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Node {
     /// Debug name.
     pub name: String,

@@ -16,7 +16,7 @@ impl fmt::Display for StructureId {
 }
 
 /// The kind and parameters of a hardware structure.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum StructureKind {
     /// A software-managed (DMA-filled) local RAM. Access latency is fixed;
     /// banking and ports bound per-cycle throughput (Pass 4). The optional
@@ -84,7 +84,7 @@ impl StructureKind {
 }
 
 /// A hardware structure instance and the address spaces it serves.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Structure {
     /// Debug name.
     pub name: String,

@@ -112,6 +112,9 @@ pub(crate) struct Frontend<'m> {
     placement: Vec<StructureId>,
     /// Natural loops per function.
     loops: Vec<Rc<Vec<NaturalLoop>>>,
+    /// CFG predecessor map per function, computed once: every block of
+    /// every scope consults it for its predicate.
+    preds: Vec<Rc<Vec<Vec<BlockId>>>>,
     /// Whole-function memory footprints (reads, writes).
     func_fps: Vec<(BTreeSet<MemObjId>, BTreeSet<MemObjId>)>,
 }
@@ -177,6 +180,11 @@ impl<'m> Frontend<'m> {
             .iter()
             .map(|f| Rc::new(natural_loops(f)))
             .collect::<Vec<_>>();
+        let preds = module
+            .functions
+            .iter()
+            .map(|f| Rc::new(f.predecessors()))
+            .collect();
         let func_fps = compute_function_footprints(module);
         Ok(Frontend {
             module,
@@ -184,6 +192,7 @@ impl<'m> Frontend<'m> {
             acc,
             placement,
             loops,
+            preds,
             func_fps,
         })
     }
@@ -206,6 +215,7 @@ impl<'m> Frontend<'m> {
         let module = self.module;
         let f = module.function(fid);
         let loops = Rc::clone(&self.loops[fid.0 as usize]);
+        let preds = Rc::clone(&self.preds[fid.0 as usize]);
 
         // Reserve the task id so children can connect to it.
         let tid = self
@@ -303,6 +313,7 @@ impl<'m> Frontend<'m> {
             tid,
             kind: kind.clone(),
             loops: Rc::clone(&loops),
+            preds,
             entry,
             t_blocks,
             scope_blocks: scope_blocks.clone(),
@@ -392,6 +403,7 @@ struct ScopeBuilder<'a, 'm> {
     tid: TaskId,
     kind: ScopeKind,
     loops: Rc<Vec<NaturalLoop>>,
+    preds: Rc<Vec<Vec<BlockId>>>,
     entry: BlockId,
     /// Blocks lowered inline in this task.
     t_blocks: BTreeSet<BlockId>,
@@ -584,9 +596,8 @@ impl ScopeBuilder<'_, '_> {
         if let Some(p) = self.block_pred_cache.get(&b) {
             return *p;
         }
-        let preds = self.f.predecessors();
         let mut contributions: Vec<Pred> = Vec::new();
-        for p in preds[b.0 as usize].clone() {
+        for &p in &self.preds[b.0 as usize] {
             let key = if self.t_blocks.contains(&p) {
                 (p, b)
             } else if let Some((li, _)) = self

@@ -8,6 +8,7 @@
 use crate::types::{TensorShape, Type};
 use crate::value::Value;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Index of an instruction within its [`crate::module::Function`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -59,6 +60,19 @@ pub enum ConstVal {
     Int(i64),
     /// Float immediate.
     F32(f32),
+}
+
+/// Variant tag, then the payload's exact bits: floats hash by `to_bits`,
+/// so a content hash tells NaN payloads apart, and `0.0` from `-0.0`.
+impl Hash for ConstVal {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match *self {
+            ConstVal::Bool(b) => b.hash(state),
+            ConstVal::Int(v) => v.hash(state),
+            ConstVal::F32(v) => v.to_bits().hash(state),
+        }
+    }
 }
 
 impl ConstVal {

@@ -38,7 +38,7 @@ fn ierr(msg: impl Into<String>) -> InterpError {
 
 /// Flat program memory: one `Vec<Value>` per memory object, plus the flat
 /// global base address of each object (used for trace addresses).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Memory {
     /// Contents per memory object, zero-initialised.
     pub objects: Vec<Vec<Value>>,

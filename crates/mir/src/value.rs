@@ -2,6 +2,7 @@
 
 use crate::types::{ScalarType, TensorShape, Type};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A dynamic runtime value: scalar, vector, or tensor tile.
 ///
@@ -123,6 +124,41 @@ impl Value {
             Value::Vector(_) | Value::Tensor { .. } => {
                 panic!("bits() is only defined on scalar values")
             }
+        }
+    }
+}
+
+/// The structural walk behind every content hash over runtime data (job,
+/// result, and end-state hashes): a one-byte variant tag, then the
+/// payload's exact bits. Floats hash by `to_bits`, so NaN payloads and
+/// `0.0`/`-0.0` stay distinct; vectors and tensors are length-prefixed
+/// and a tensor binds its shape, so no two distinct values — or sequences
+/// of values — produce the same byte stream.
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            Value::Bool(b) => {
+                state.write_u8(0);
+                state.write_u8(u8::from(*b));
+            }
+            Value::Int(v) => {
+                state.write_u8(1);
+                state.write_i64(*v);
+            }
+            Value::F32(v) => {
+                state.write_u8(2);
+                state.write_u32(v.to_bits());
+            }
+            Value::Vector(v) => {
+                state.write_u8(3);
+                v.hash(state);
+            }
+            Value::Tensor { shape, data } => {
+                state.write_u8(4);
+                shape.hash(state);
+                data.hash(state);
+            }
+            Value::Poison => state.write_u8(5),
         }
     }
 }

@@ -6,6 +6,14 @@
 //! use the same splitmix64 fold ([`muir_core::ContentHasher`]) as the
 //! compile cache, so "same bytes" means the same thing at every layer.
 //!
+//! Everything here is hashed **structurally, by bits**: integers as
+//! little-endian words, and runtime data through the one structural walk
+//! `muir-mir` gives [`Value`] and [`Memory`] (`impl Hash`: variant tag +
+//! exact bits, length-prefixed vectors/tensors/objects, tensor shape
+//! bound). Nothing is rendered to text, so two jobs whose memories differ
+//! only in a NaN payload or in the sign of a zero get different keys —
+//! the store codec preserves those bits, and a warm hit must too.
+//!
 //! Two normalization rules keep the keys honest:
 //!
 //! * **scheduler, threads, and exec mode are excluded** from
@@ -17,18 +25,17 @@
 //! * **`sched_visits` is excluded** from [`result_hash`]: it counts
 //!   simulator effort, not hardware behaviour, and legitimately differs
 //!   between schedulers.
+//!
+//! The domain tags of the three data-carrying hashes are one 64-bit word
+//! each and are at `-v2`: `-v1` hashed the `Debug` text of each value. Results a `-v1` build wrote to
+//! a store sit under keys no `-v2` build computes — orphaned, never
+//! mis-served.
 
 use crate::{SimConfig, SimResult};
 use muir_core::ContentHasher;
 use muir_mir::interp::Memory;
 use muir_mir::value::Value;
-
-fn push_value(h: &mut ContentHasher, v: &Value) {
-    // Debug on Value renders f32 via shortest-round-trip, so distinct bit
-    // patterns of interest (other than NaN payloads) stay distinct and the
-    // rendering is deterministic.
-    h.push_str(&format!("{v:?}"));
-}
+use std::hash::Hash as _;
 
 /// Hash the parts of a [`SimConfig`] that can affect simulation
 /// observables. Scheduler choice, thread count, and exec mode are
@@ -61,23 +68,10 @@ pub fn config_hash(cfg: &SimConfig) -> u64 {
 /// never collide onto one memoized result.
 pub fn job_hash(cfg: &SimConfig, args: &[Value], mem: &Memory) -> u64 {
     let mut h = ContentHasher::new();
-    h.push_str("job-v1");
+    h.push(b"job-v2\0\0");
     h.push_u64(config_hash(cfg));
-    h.push_u64(args.len() as u64);
-    for a in args {
-        push_value(&mut h, a);
-    }
-    h.push_u64(mem.bases.len() as u64);
-    for b in &mem.bases {
-        h.push_u64(*b);
-    }
-    h.push_u64(mem.objects.len() as u64);
-    for obj in &mem.objects {
-        h.push_u64(obj.len() as u64);
-        for v in obj {
-            push_value(&mut h, v);
-        }
-    }
+    args.hash(&mut h);
+    mem.hash(&mut h);
     h.finish()
 }
 
@@ -86,12 +80,9 @@ pub fn job_hash(cfg: &SimConfig, args: &[Value], mem: &Memory) -> u64 {
 /// excluded (simulator-effort / observability artifacts, not behaviour).
 pub fn result_hash(r: &SimResult) -> u64 {
     let mut h = ContentHasher::new();
-    h.push_str("res-v1");
+    h.push(b"res-v2\0\0");
     h.push_u64(r.cycles);
-    h.push_u64(r.results.len() as u64);
-    for v in &r.results {
-        push_value(&mut h, v);
-    }
+    r.results.hash(&mut h);
     let s = &r.stats;
     h.push_u64(s.cycles);
     h.push_u64(s.fires);
@@ -128,19 +119,9 @@ pub fn result_hash(r: &SimResult) -> u64 {
 /// compares across cold / warm / post-fault runs.
 pub fn end_state_hash(r: &SimResult, mem: &Memory) -> u64 {
     let mut h = ContentHasher::new();
-    h.push_str("end-v1");
+    h.push(b"end-v2\0\0");
     h.push_u64(result_hash(r));
-    h.push_u64(mem.bases.len() as u64);
-    for b in &mem.bases {
-        h.push_u64(*b);
-    }
-    h.push_u64(mem.objects.len() as u64);
-    for obj in &mem.objects {
-        h.push_u64(obj.len() as u64);
-        for v in obj {
-            push_value(&mut h, v);
-        }
-    }
+    mem.hash(&mut h);
     h.finish()
 }
 
@@ -210,6 +191,135 @@ mod tests {
             bases: vec![0],
         };
         assert_ne!(job_hash(&cfg, &[], &mem2), h, "memory");
+    }
+
+    fn mem_of(objects: Vec<Vec<Value>>) -> Memory {
+        let bases = (0..objects.len() as u64).collect();
+        Memory { objects, bases }
+    }
+
+    fn result_of(results: Vec<Value>) -> SimResult {
+        SimResult {
+            cycles: 10,
+            results,
+            stats: crate::SimStats::default(),
+            profile: None,
+            trace: None,
+        }
+    }
+
+    /// Float bits are the identity, not their rendering: every NaN prints
+    /// as `NaN`, so text hashing gave two such jobs one result key.
+    #[test]
+    fn hashes_tell_nan_payloads_and_zero_signs_apart() {
+        let cfg = SimConfig::default();
+        let pairs = [
+            (f32::from_bits(0x7fc0_0001), f32::from_bits(0x7fc0_0002)),
+            (0.0f32, -0.0f32),
+        ];
+        for (a, b) in pairs {
+            let (a, b) = (Value::F32(a), Value::F32(b));
+            let empty = mem_of(vec![]);
+            assert_ne!(
+                job_hash(&cfg, std::slice::from_ref(&a), &empty),
+                job_hash(&cfg, std::slice::from_ref(&b), &empty),
+                "args: {a:?} vs {b:?}"
+            );
+            let (ma, mb) = (mem_of(vec![vec![a.clone()]]), mem_of(vec![vec![b.clone()]]));
+            assert_ne!(
+                job_hash(&cfg, &[], &ma),
+                job_hash(&cfg, &[], &mb),
+                "memory: {a:?} vs {b:?}"
+            );
+            let r = result_of(vec![]);
+            assert_ne!(
+                end_state_hash(&r, &ma),
+                end_state_hash(&r, &mb),
+                "end memory: {a:?} vs {b:?}"
+            );
+            assert_ne!(
+                end_state_hash(&result_of(vec![a.clone()]), &empty),
+                end_state_hash(&result_of(vec![b.clone()]), &empty),
+                "results: {a:?} vs {b:?}"
+            );
+        }
+    }
+
+    /// No two distinct inputs may flatten to the same byte stream.
+    #[test]
+    fn structural_walk_is_prefix_free() {
+        use muir_mir::types::TensorShape;
+        let cfg = SimConfig::default();
+        let ints = |v: &[i64]| v.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>();
+        let distinct = |a: &Memory, b: &Memory, what: &str| {
+            assert_ne!(job_hash(&cfg, &[], a), job_hash(&cfg, &[], b), "{what}");
+            let r = result_of(vec![]);
+            assert_ne!(end_state_hash(&r, a), end_state_hash(&r, b), "{what}");
+        };
+        // The same elements split differently across objects.
+        let mut a = mem_of(vec![ints(&[1]), ints(&[2, 3])]);
+        let mut b = mem_of(vec![ints(&[1, 2]), ints(&[3])]);
+        distinct(&a, &b, "object boundaries");
+        // ... and the same objects at different bases.
+        b = a.clone();
+        b.bases[1] += 1;
+        distinct(&a, &b, "bases");
+        // A vector and a tensor over the same data; a tensor and its
+        // transpose shape.
+        let data = ints(&[1, 2, 3, 4, 5, 6]);
+        let tensor = |rows, cols| Value::Tensor {
+            shape: TensorShape::new(rows, cols),
+            data: data.clone(),
+        };
+        a = mem_of(vec![vec![Value::Vector(data.clone())]]);
+        b = mem_of(vec![vec![tensor(2, 3)]]);
+        distinct(&a, &b, "vector vs tensor");
+        a = mem_of(vec![vec![tensor(3, 2)]]);
+        distinct(&a, &b, "2x3 vs 3x2");
+        // Two vectors against their concatenation, and an argument
+        // against a memory element.
+        a = mem_of(vec![vec![
+            Value::Vector(ints(&[1])),
+            Value::Vector(ints(&[2, 3])),
+        ]]);
+        b = mem_of(vec![vec![
+            Value::Vector(ints(&[1, 2])),
+            Value::Vector(ints(&[3])),
+        ]]);
+        distinct(&a, &b, "vector boundaries");
+        assert_ne!(
+            job_hash(&cfg, &ints(&[7]), &mem_of(vec![vec![]])),
+            job_hash(&cfg, &[], &mem_of(vec![ints(&[7])])),
+            "args vs memory"
+        );
+        // Scalars of different kinds with the same numeric payload.
+        let kinds = [Value::Bool(true), Value::Int(1), Value::Poison];
+        for (i, x) in kinds.iter().enumerate() {
+            for y in &kinds[i + 1..] {
+                distinct(
+                    &mem_of(vec![vec![x.clone()]]),
+                    &mem_of(vec![vec![y.clone()]]),
+                    "scalar kinds",
+                );
+            }
+        }
+    }
+
+    /// Pinned value: a change to the fold, to `impl Hash for Value`, or to
+    /// what the toolchain's `derive(Hash)`/`Vec::hash` feed the hasher
+    /// orphans every result in every persistent store. That should show
+    /// up here (and come with a tag bump), not as a silently cold store.
+    #[test]
+    fn job_hash_of_a_fixed_job_is_pinned() {
+        let mem = mem_of(vec![
+            vec![Value::F32(1.5), Value::F32(-0.0)],
+            vec![Value::Int(-3), Value::Bool(true), Value::Poison],
+        ]);
+        let args = [Value::Int(42), Value::Vector(vec![Value::F32(2.0)])];
+        assert_eq!(
+            job_hash(&SimConfig::default(), &args, &mem),
+            0xa80479f88a277912
+        );
     }
 
     #[test]

@@ -115,7 +115,7 @@ pub enum ExecMode {
 }
 
 /// Simulation parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Hard cycle limit.
     pub max_cycles: u64,

@@ -220,6 +220,18 @@ fn parse_value(tok: &str) -> Result<Value, DecodeError> {
     Ok(v)
 }
 
+/// Parse a counted token list into a vector of exactly that size.
+/// (Collecting through `Result` has no size hint and grows by doubling;
+/// a decoded memory image lives as long as the outcome that carries it,
+/// so the slack would too.)
+fn parse_values(toks: &[&str]) -> Result<Vec<Value>, DecodeError> {
+    let mut vals = Vec::with_capacity(toks.len());
+    for tok in toks {
+        vals.push(parse_value(tok)?);
+    }
+    Ok(vals)
+}
+
 // ---- line-oriented record ----
 
 struct Lines<'a> {
@@ -350,10 +362,7 @@ pub fn decode_eval(payload: &[u8]) -> Result<StoredEval, DecodeError> {
         cycles_fields.first().ok_or("cycles line missing value")?,
         "cycles",
     )?;
-    let results = counted(&lines.fields("results")?, "results")?
-        .iter()
-        .map(|t| parse_value(t))
-        .collect::<Result<Vec<Value>, _>>()?;
+    let results = parse_values(&counted(&lines.fields("results")?, "results")?)?;
     let stat_fields = lines.fields("stats")?;
     let stat_nums = parse_u64s(&stat_fields, "stats")?;
     if stat_nums.len() != 4 {
@@ -412,11 +421,7 @@ pub fn decode_eval(payload: &[u8]) -> Result<StoredEval, DecodeError> {
     )? as usize;
     let mut objects = Vec::with_capacity(nobjects);
     for _ in 0..nobjects {
-        let obj = counted(&lines.fields("obj")?, "obj")?
-            .iter()
-            .map(|t| parse_value(t))
-            .collect::<Result<Vec<Value>, _>>()?;
-        objects.push(obj);
+        objects.push(parse_values(&counted(&lines.fields("obj")?, "obj")?)?);
     }
     Ok(StoredEval {
         result: SimResult {

@@ -57,6 +57,60 @@ fn result_round_trip_is_identity() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// Two jobs whose memories differ only in a NaN payload are different
+/// jobs: the codec preserves the bits, so the keys must too, or a warm
+/// hit hands one job the other's end state.
+#[test]
+fn jobs_differing_only_in_nan_payload_get_their_own_results() {
+    use muir_sim::end_state_hash;
+
+    let root = test_root("nan");
+    let mut m = Module::new("double-beside-floats");
+    let a = m.add_mem_object("a", ScalarType::I32, 16);
+    let f = m.add_mem_object("f", ScalarType::F32, 2);
+    let mut b = FunctionBuilder::new("main", &[]).with_mem(&m);
+    b.for_loop(0, ValueRef::int(16), 1, |b, i| {
+        let v = b.load(a, i);
+        let w = b.add(v, v);
+        b.store(a, i, w);
+    });
+    b.ret(None);
+    m.add_function(b.finish());
+    let acc = translate(&m, &FrontendConfig::default()).unwrap();
+    let comp = CompiledAccel::compile_cached(&acc).unwrap();
+    let cfg = SimConfig::default();
+
+    let mut store = Store::open(&root);
+    let mut cold = Vec::new();
+    for bits in [0x7fc0_0001u32, 0x7fc0_0002] {
+        let mut mem = Memory::from_module(&m);
+        mem.init_i64(a, &[1; 16]);
+        mem.objects[f.0 as usize][0] = Value::F32(f32::from_bits(bits));
+        let key = ResultKey::new(&comp, &cfg, &[], &mem);
+        let result = simulate_compiled(&comp, &mut mem, &[], &cfg).unwrap();
+        let end = end_state_hash(&result, &mem);
+        store.put_result(key, &StoredEval { result, mem }).unwrap();
+        cold.push((key, bits, end));
+    }
+    assert_ne!(cold[0].0, cold[1].0, "distinct keys");
+    assert_ne!(
+        store.result_path(cold[0].0),
+        store.result_path(cold[1].0),
+        "distinct result files"
+    );
+    assert_ne!(cold[0].2, cold[1].2, "distinct end states");
+    for (key, bits, end) in cold {
+        let warm = store.get_result(key).unwrap().expect("warm hit");
+        assert_eq!(end_state_hash(&warm.result, &warm.mem), end, "{bits:#x}");
+        let Value::F32(got) = warm.mem.objects[f.0 as usize][0] else {
+            panic!("f32 slot");
+        };
+        assert_eq!(got.to_bits(), bits, "payload survives the round trip");
+    }
+    assert_eq!(store.stats().result_puts, 2);
+    let _ = fs::remove_dir_all(&root);
+}
+
 #[test]
 fn torn_write_is_quarantined_and_recoverable() {
     let root = test_root("torn");

@@ -21,7 +21,10 @@
 # scripts/trace_schema.json and scripts/metrics_schema.json), and the
 # DSE smoke gate (a 2-workload seeded sweep through the eval service,
 # run cold@1-thread then warm@2-threads over one store: the reports
-# must validate against scripts/dse_schema.json and byte-match). Each
+# must validate against scripts/dse_schema.json and byte-match), and the
+# benchmark gate (the hash functions render no text; the benchmark
+# crate's own tests, then `benchmark/run.sh --smoke`, so an API or
+# hash-contract change that breaks the benchmark fails here first). Each
 # tool-dependent stage is skipped (not failed) when its tool is
 # missing, so the script works in minimal containers.
 set -eu
@@ -91,5 +94,20 @@ cargo run --release -q -p muir-bench --bin experiments -- dse \
     --store target/dse-check/store --out target/dse-check/warm.json
 cmp target/dse-check/cold.json target/dse-check/warm.json
 echo "dse reports byte-identical across threads 1/2 and cold/warm store"
+
+echo "== hashing is structural (no Debug/format! rendering in the hash functions) =="
+# The non-test part of the sim hashing module, and ContentHasher +
+# content_hash in the core crate.
+if {
+    sed '/^#\[cfg(test)\]/,$d' crates/sim/src/hashing.rs
+    sed -n '/^pub struct ContentHasher/,/^pub fn reverse_topo/p' crates/core/src/compiled.rs
+} | grep -nE ':#?\?\}|format!|write!\(|to_string\('; then
+    echo "check.sh: a hash function renders text (lines above)" >&2
+    exit 1
+fi
+
+echo "== benchmark crate (own tests + smoke run of all five workloads) =="
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke
 
 echo "check.sh: OK"
