@@ -938,10 +938,9 @@ fn profile(name: &str, outdir: &str) {
 }
 
 /// `bench [--quick] [out.json]`: the scheduler benchmark gate. First run
-/// the four-way differential suite (plain, traced, and seeded fault-plan
-/// modes; every scheduler x exec mode vs the Dense+Interp oracle —
-/// Parallel@2 in quick mode, the full 1/2/4/8 thread sweep otherwise)
-/// over the selected workload set, then time every scheduler, measure `simulate_batch`
+/// the differential suite (plain, traced, and seeded fault-plan modes;
+/// Dense/Ready x Interp/MicroOp vs the Dense+Interp oracle) over the
+/// selected workload set, then time both schedulers, measure `simulate_batch`
 /// multi-run throughput scaling, and write `BENCH_sim.json`,
 /// schema-validated by the same dependency-free JSON parser the trace
 /// gate uses. Exits non-zero on any divergence, schema violation, or if
@@ -949,7 +948,7 @@ fn profile(name: &str, outdir: &str) {
 fn bench(quick: bool, out: &str) {
     use muir_bench::sched;
     hdr(&format!(
-        "Scheduler benchmark: Dense vs Ready vs Parallel ({} set)",
+        "Scheduler benchmark: Dense vs Ready ({} set)",
         if quick { "quick" } else { "full" }
     ));
     let ws: Vec<workloads::Workload> = if quick {
@@ -961,20 +960,14 @@ fn bench(quick: bool, out: &str) {
         workloads::all()
     };
     for (i, w) in ws.iter().enumerate() {
-        let r = if quick {
-            sched::check_workload(w, i)
-        } else {
-            sched::check_workload_full(w, i)
-        };
-        if let Err(e) = r {
+        if let Err(e) = sched::check_workload(w, i) {
             eprintln!("scheduler divergence: {e}");
             std::process::exit(1);
         }
     }
     println!(
-        "differential: {} workloads x {{plain, traced, faulted}} x {{interp, uop}} x {{dense, ready, parallel@{}}} bit-identical",
-        ws.len(),
-        if quick { "2".to_string() } else { "1/2/4/8".to_string() }
+        "differential: {} workloads x {{plain, traced, faulted}} x {{interp, uop}} x {{dense, ready}} bit-identical",
+        ws.len()
     );
 
     let reps = if quick { 2 } else { 3 };
@@ -1009,8 +1002,8 @@ fn bench(quick: bool, out: &str) {
 }
 
 /// `fuzz [--tensor] [--graphs N] [--seed S]`: the seeded fuzzer gates.
-/// Without `--tensor`, every generated μIR graph is run under Dense,
-/// Ready, and Parallel at 1/2/4/8 planning threads in plain, traced, and
+/// Without `--tensor`, every generated μIR graph is run under Dense and
+/// Ready with both firing interpreters in plain, traced, and
 /// seeded-fault modes; any divergence (or disagreement with the reference
 /// interpreter) fails with a shrunk `(seed, size)` reproduction line.
 /// With `--tensor`, seeded tensor-op graphs are lowered through the
@@ -1031,7 +1024,7 @@ fn fuzz(seed: u64, graphs: u64, tensor: bool) {
         return;
     }
     hdr(&format!(
-        "Scheduler fuzz: {graphs} seeded graphs (seed 0x{seed:x}) x 3 schedulers x 3 modes"
+        "Scheduler fuzz: {graphs} seeded graphs (seed 0x{seed:x}) x 2 schedulers x 2 exec modes x 3 modes"
     ));
     match muir_bench::testgen::run_seeds(seed, graphs) {
         Ok(()) => println!("fuzz: {graphs} graphs bit-identical across schedulers"),

@@ -55,8 +55,13 @@ pub struct DseParams {
     /// Candidates per workload (clamped to the space size, ≥ 1; the
     /// all-baseline config is always candidate 0).
     pub budget: u64,
-    /// Worker threads for batched simulation. Affects wall time only —
-    /// never report bytes (determinism contract rule 2).
+    /// Worker threads handed to each artifact group's `EvalService`.
+    /// Inert today: `explore` drains one service per group, every member
+    /// of a group submits the same job, and identical jobs coalesce into
+    /// one simulation — so no two simulations ever run side by side
+    /// (ROADMAP follow-ups has the measured cost of evaluating groups
+    /// concurrently instead). Never affects report bytes (determinism
+    /// contract rule 2).
     pub threads: usize,
 }
 

@@ -1,16 +1,15 @@
 //! Scheduler differential harness: the oracle and the wall-time benchmark
 //! behind `experiments bench` / `BENCH_sim.json`.
 //!
-//! The cycle engine has three phase-4 schedulers (`SchedulerKind`): the
-//! original dense scanner, the event-driven ready-set scheduler
-//! (DESIGN.md §9), and the tile-parallel plan/commit scheduler
-//! (DESIGN.md §10) — each runnable under two firing interpreters
-//! (`ExecMode`, DESIGN.md §14): the `NodeKind` interpreter and the
-//! compiled micro-op stream. Their contract is *bit-identical observable
-//! behaviour* — cycles, results, `SimStats` (minus the simulator-effort
-//! counter `sched_visits`), trace streams, and even typed errors — at any
-//! thread count. This module checks that contract over real workloads
-//! (including seeded fault plans and tracing), measures what each
+//! The cycle engine has two phase-4 schedulers (`SchedulerKind`): the
+//! original dense scanner, kept as the oracle, and the event-driven
+//! ready-set scheduler (DESIGN.md §9) — each runnable under two firing
+//! interpreters (`ExecMode`, DESIGN.md §14): the `NodeKind` interpreter
+//! and the compiled micro-op stream. Their contract is *bit-identical
+//! observable behaviour* — cycles, results, `SimStats` (minus the
+//! simulator-effort counter `sched_visits`), trace streams, and even
+//! typed errors. This module checks that contract over real workloads
+//! (including seeded fault plans and tracing), measures what the ready
 //! scheduler buys in simulator wall-time, and measures multi-run
 //! throughput scaling through `muir_sim::simulate_batch`.
 
@@ -68,27 +67,14 @@ pub fn run_under(
     faults: &FaultPlan,
     tracing: bool,
 ) -> RunOutcome {
-    run_under_with(w, scheduler, 1, faults, tracing)
+    run_under_exec(w, scheduler, faults, tracing, ExecMode::default())
 }
 
-/// [`run_under`] with an explicit planning thread count (meaningful only
-/// under [`SchedulerKind::Parallel`]).
-pub fn run_under_with(
-    w: &Workload,
-    scheduler: SchedulerKind,
-    threads: u32,
-    faults: &FaultPlan,
-    tracing: bool,
-) -> RunOutcome {
-    run_under_exec(w, scheduler, threads, faults, tracing, ExecMode::default())
-}
-
-/// [`run_under_with`] with an explicit firing interpreter (`Interp` walks
+/// [`run_under`] with an explicit firing interpreter (`Interp` walks
 /// `NodeKind`, `MicroOp` dispatches the compiled micro-op stream).
 pub fn run_under_exec(
     w: &Workload,
     scheduler: SchedulerKind,
-    threads: u32,
     faults: &FaultPlan,
     tracing: bool,
     exec: ExecMode,
@@ -104,8 +90,7 @@ pub fn run_under_exec(
         scheduler,
         exec,
         ..SimConfig::default()
-    }
-    .with_threads(threads);
+    };
     let mut mem = w.fresh_memory();
     match simulate(&acc, &mut mem, &[], &cfg) {
         Ok(r) => RunOutcome::Ok {
@@ -200,88 +185,29 @@ pub fn diff_fault_plan(w: &Workload, i: usize) -> FaultPlan {
 
 /// Differentially check one workload against the dense interpreter oracle
 /// in all three stress modes (plain, tracing on, seeded single-event fault
-/// plan), across the full scheduler × exec-mode grid: Dense under the
-/// micro-op engine, Ready under both firing interpreters, Parallel under
-/// the micro-op engine at each of `threads` (which exercises epoch commit
-/// whenever `t > 1` and faults are off), and Parallel under the node-kind
-/// interpreter at 2 threads.
+/// plan), across the whole scheduler × exec-mode grid: Dense under the
+/// micro-op engine and Ready under both firing interpreters.
 ///
 /// # Errors
 /// The first divergence found, naming the failing configuration.
-pub fn check_workload_threads(w: &Workload, i: usize, threads: &[u32]) -> Result<(), String> {
+pub fn check_workload(w: &Workload, i: usize) -> Result<(), String> {
     let none = FaultPlan::none();
     let fault_plan = diff_fault_plan(w, i);
     let modes: [(&FaultPlan, bool); 3] = [(&none, false), (&none, true), (&fault_plan, false)];
     for (faults, tracing) in modes {
-        let dense = run_under_exec(
-            w,
-            SchedulerKind::Dense,
-            1,
-            faults,
-            tracing,
-            ExecMode::Interp,
-        );
+        let dense = run_under_exec(w, SchedulerKind::Dense, faults, tracing, ExecMode::Interp);
         let covers = [
-            ("dense+uop", SchedulerKind::Dense, 1, ExecMode::MicroOp),
-            ("ready+interp", SchedulerKind::Ready, 1, ExecMode::Interp),
-            ("ready+uop", SchedulerKind::Ready, 1, ExecMode::MicroOp),
-            (
-                "parallel+interp@2",
-                SchedulerKind::Parallel,
-                2,
-                ExecMode::Interp,
-            ),
+            ("dense+uop", SchedulerKind::Dense, ExecMode::MicroOp),
+            ("ready+interp", SchedulerKind::Ready, ExecMode::Interp),
+            ("ready+uop", SchedulerKind::Ready, ExecMode::MicroOp),
         ];
-        for (label, sched, t, exec) in covers {
-            let other = run_under_exec(w, sched, t, faults, tracing, exec);
+        for (label, sched, exec) in covers {
+            let other = run_under_exec(w, sched, faults, tracing, exec);
             diff_outcomes(w, &dense, label, &other, faults, tracing)?;
-        }
-        for &t in threads {
-            let par = run_under_exec(
-                w,
-                SchedulerKind::Parallel,
-                t,
-                faults,
-                tracing,
-                ExecMode::MicroOp,
-            );
-            diff_outcomes(
-                w,
-                &dense,
-                &format!("parallel+uop@{t}"),
-                &par,
-                faults,
-                tracing,
-            )?;
         }
     }
     Ok(())
 }
-
-/// Differentially check one workload in all three stress modes: plain,
-/// tracing on, and a seeded single-event fault plan — the exec-mode grid
-/// plus Parallel@2 under the micro-op engine, against the dense
-/// interpreter oracle (the quick CI shape).
-///
-/// # Errors
-/// The first divergence found (see [`check_workload_threads`]).
-pub fn check_workload(w: &Workload, i: usize) -> Result<(), String> {
-    check_workload_threads(w, i, &[2])
-}
-
-/// The full four-way differential: Dense vs Ready vs Parallel vs the
-/// micro-op execution path, with Parallel at 1, 2, 4, and 8 planning
-/// threads, in every stress mode.
-///
-/// # Errors
-/// The first divergence found (see [`check_workload_threads`]).
-pub fn check_workload_full(w: &Workload, i: usize) -> Result<(), String> {
-    check_workload_threads(w, i, &[1, 2, 4, 8])
-}
-
-/// The planning thread counts every per-thread sweep (differential and
-/// benchmark) covers.
-pub const THREAD_SWEEP: [u32; 4] = [1, 2, 4, 8];
 
 /// One row of `BENCH_sim.json`: wall-time under every scheduler for the
 /// same workload, with the differential invariant re-asserted.
@@ -295,9 +221,6 @@ pub struct BenchRow {
     pub dense_ms: f64,
     /// Best-of-N wall-time under the ready scheduler, milliseconds.
     pub ready_ms: f64,
-    /// Best-of-N wall-time under the parallel scheduler at each of
-    /// [`THREAD_SWEEP`] planning threads, milliseconds.
-    pub par_ms: [f64; THREAD_SWEEP.len()],
     /// `try_fire` visits per simulated cycle, dense.
     pub dense_visits_per_cycle: f64,
     /// `try_fire` visits per simulated cycle, ready.
@@ -328,14 +251,12 @@ impl BenchRow {
 /// scheduler-independent noise), returning (ms, cycles, visits).
 /// Sub-~25 ms workloads get extra reps — a single timer-tick or cache
 /// hiccup on a 3 ms run otherwise swings the ratio by several percent.
-fn time_under(w: &Workload, scheduler: SchedulerKind, threads: u32, reps: u32) -> (f64, u64, u64) {
+fn time_under(w: &Workload, scheduler: SchedulerKind, reps: u32) -> (f64, u64, u64) {
     let acc = baseline(w);
     // Compile once outside the timed region: the steady-state numbers
     // measure the engine, not lowering or cache probes.
     let comp = crate::sealed(w, &acc);
-    let cfg = SimConfig::default()
-        .with_scheduler(scheduler)
-        .with_threads(threads);
+    let cfg = SimConfig::default().with_scheduler(scheduler);
     let mut best = f64::INFINITY;
     let mut cycles = 0;
     let mut visits = 0;
@@ -361,36 +282,25 @@ fn time_under(w: &Workload, scheduler: SchedulerKind, threads: u32, reps: u32) -
     (best, cycles, visits)
 }
 
-/// Benchmark one workload under every scheduler (best of `reps`),
+/// Benchmark one workload under both schedulers (best of `reps`),
 /// asserting the cycle counts agree.
 ///
 /// # Panics
 /// Panics if any run fails or the schedulers disagree on cycles.
 pub fn bench_workload(w: &Workload, reps: u32) -> BenchRow {
-    let (dense_ms, dense_cycles, dense_visits) = time_under(w, SchedulerKind::Dense, 1, reps);
-    let (ready_ms, ready_cycles, ready_visits) = time_under(w, SchedulerKind::Ready, 1, reps);
+    let (dense_ms, dense_cycles, dense_visits) = time_under(w, SchedulerKind::Dense, reps);
+    let (ready_ms, ready_cycles, ready_visits) = time_under(w, SchedulerKind::Ready, reps);
     assert_eq!(
         dense_cycles, ready_cycles,
         "{}: schedulers disagree on cycle count",
         w.name
     );
-    let mut par_ms = [0.0; THREAD_SWEEP.len()];
-    for (slot, &t) in par_ms.iter_mut().zip(&THREAD_SWEEP) {
-        let (ms, cycles, _) = time_under(w, SchedulerKind::Parallel, t, reps);
-        assert_eq!(
-            dense_cycles, cycles,
-            "{}: parallel@{t} disagrees on cycle count",
-            w.name
-        );
-        *slot = ms;
-    }
     let per = |v: u64| v as f64 / dense_cycles.max(1) as f64;
     BenchRow {
         workload: w.name.to_string(),
         cycles: dense_cycles,
         dense_ms,
         ready_ms,
-        par_ms,
         dense_visits_per_cycle: per(dense_visits),
         ready_visits_per_cycle: per(ready_visits),
     }
@@ -421,7 +331,7 @@ impl BatchPoint {
 
 /// Measure multi-run throughput scaling: `reps_per_workload` independent
 /// jobs of every quick-set workload, batched per accelerator through
-/// `simulate_batch` at each of [`THREAD_SWEEP`] thread counts. Every job's
+/// `simulate_batch` at 1, 2, 4 and 8 worker threads. Every job's
 /// results are asserted identical across thread counts (completion order
 /// may differ; outputs may not).
 ///
@@ -653,8 +563,8 @@ pub fn bench_json(
     store: &StoreBench,
 ) -> String {
     let mut out = String::from("{\n  \"bench\": \"sim-scheduler\",\n  \"unit\": \"ms\",\n");
-    // The host's CPU budget: parallel-scheduler and batch speedups are
-    // meaningless without it (a 1-CPU CI runner legitimately reports ~1x).
+    // The host's CPU budget: batch speedups are meaningless without it
+    // (a 1-CPU CI runner legitimately reports ~1x).
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     out.push_str(&format!(
@@ -664,18 +574,13 @@ pub fn bench_json(
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"cycles\": {}, \"dense_ms\": {:.4}, \
-             \"ready_ms\": {:.4}, \"par1_ms\": {:.4}, \"par2_ms\": {:.4}, \
-             \"par4_ms\": {:.4}, \"par8_ms\": {:.4}, \"speedup\": {:.4}, \
+             \"ready_ms\": {:.4}, \"speedup\": {:.4}, \
              \"ready_cycles_per_sec\": {:.1}, \
              \"dense_visits_per_cycle\": {:.2}, \"ready_visits_per_cycle\": {:.2}}}{}\n",
             r.workload,
             r.cycles,
             r.dense_ms,
             r.ready_ms,
-            r.par_ms[0],
-            r.par_ms[1],
-            r.par_ms[2],
-            r.par_ms[3],
             r.speedup(),
             r.ready_cycles_per_sec(),
             r.dense_visits_per_cycle,
@@ -744,7 +649,7 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
         Some(Json::Num(v)) if v.is_finite() && *v >= 1.0 => {}
         other => {
             return Err(format!(
-                "missing `host_cpus` (needed to interpret parallel speedups), got {}",
+                "missing `host_cpus` (needed to interpret batch speedups), got {}",
                 other.map_or("nothing", Json::type_name)
             ))
         }
@@ -767,10 +672,6 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
             "cycles",
             "dense_ms",
             "ready_ms",
-            "par1_ms",
-            "par2_ms",
-            "par4_ms",
-            "par8_ms",
             "speedup",
             "ready_cycles_per_sec",
             "dense_visits_per_cycle",
@@ -884,30 +785,16 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
 /// Render the benchmark table for the terminal.
 pub fn render_rows(rows: &[BenchRow]) -> String {
     let mut out = format!(
-        "{:>10} {:>12} {:>10} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9}\n",
-        "Bench",
-        "cycles",
-        "dense ms",
-        "ready ms",
-        "par@1",
-        "par@2",
-        "par@4",
-        "par@8",
-        "speedup",
-        "visits/c",
-        "(ready)"
+        "{:>10} {:>12} {:>10} {:>10} {:>8} {:>9} {:>9}\n",
+        "Bench", "cycles", "dense ms", "ready ms", "speedup", "visits/c", "(ready)"
     );
     for r in rows {
         out.push_str(&format!(
-            "{:>10} {:>12} {:>10.3} {:>10.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>7.2}x {:>9.1} {:>9.2}\n",
+            "{:>10} {:>12} {:>10.3} {:>10.3} {:>7.2}x {:>9.1} {:>9.2}\n",
             r.workload,
             r.cycles,
             r.dense_ms,
             r.ready_ms,
-            r.par_ms[0],
-            r.par_ms[1],
-            r.par_ms[2],
-            r.par_ms[3],
             r.speedup(),
             r.dense_visits_per_cycle,
             r.ready_visits_per_cycle,

@@ -4,10 +4,10 @@
 //! `gen_case` derives a complete test case — a verifier-clean module, its
 //! input data, the μopt passes to apply, and the simulation dimensions —
 //! from a single `splitmix64` seed, so every case is reproducible from
-//! two integers (`seed`, `size`). `check_case` runs the case under every
-//! scheduler (`Dense`, `Ready`, `Parallel` at 1/2/4/8 planning threads)
-//! and both firing interpreters (`Interp` and the compiled `MicroOp`
-//! stream) in plain, traced, and seeded-fault modes, demanding
+//! two integers (`seed`, `size`). `check_case` runs the case under both
+//! schedulers (`Dense`, `Ready`) and both firing interpreters (`Interp`
+//! and the compiled `MicroOp` stream) in plain, traced, and seeded-fault
+//! modes, demanding
 //! bit-identical observables and — on fault-free completions —
 //! word-for-word agreement with the `muir-mir` reference interpreter.
 //!
@@ -288,7 +288,6 @@ fn run_case(
     case: &GenCase,
     comp: &muir_core::compiled::CompiledAccel,
     scheduler: SchedulerKind,
-    threads: u32,
     exec: ExecMode,
     faults: &FaultPlan,
     tracing: bool,
@@ -303,7 +302,6 @@ fn run_case(
         ..case.cfg.clone()
     }
     .with_scheduler(scheduler)
-    .with_threads(threads)
     .with_exec(exec);
     let mut mem = case.fresh_memory();
     match muir_sim::simulate_compiled(comp, &mut mem, &[], &cfg) {
@@ -326,7 +324,7 @@ fn run_case(
 /// configuration and the case's reproduction line.
 pub fn check_case(case: &GenCase) -> Result<(), String> {
     let acc = case.build();
-    // Compile once for all 27 scheduler/exec/mode/thread configurations below.
+    // Compile once for all 12 scheduler/exec/mode configurations below.
     // A graph the verifier rejects is a generator bug, reported the same
     // way a failing dense run was before sealing existed.
     let comp = muir_core::compiled::CompiledAccel::compile_cached(&acc).map_err(|e| {
@@ -354,7 +352,6 @@ pub fn check_case(case: &GenCase) -> Result<(), String> {
             case,
             &comp,
             SchedulerKind::Dense,
-            1,
             ExecMode::Interp,
             faults,
             tracing,
@@ -378,42 +375,17 @@ pub fn check_case(case: &GenCase) -> Result<(), String> {
             }
         }
         // Every other scheduler × exec combination must match the oracle
-        // bit for bit: both firing interpreters under both single-thread
-        // schedulers, the interpreted parallel path, and the micro-op
-        // parallel path (which engages epoch commit) at every thread count.
-        let covers: [(&str, SchedulerKind, u32, ExecMode); 4] = [
-            ("dense+uop", SchedulerKind::Dense, 1, ExecMode::MicroOp),
-            ("ready+interp", SchedulerKind::Ready, 1, ExecMode::Interp),
-            ("ready+uop", SchedulerKind::Ready, 1, ExecMode::MicroOp),
-            (
-                "parallel+interp@2",
-                SchedulerKind::Parallel,
-                2,
-                ExecMode::Interp,
-            ),
+        // bit for bit.
+        let covers: [(&str, SchedulerKind, ExecMode); 3] = [
+            ("dense+uop", SchedulerKind::Dense, ExecMode::MicroOp),
+            ("ready+interp", SchedulerKind::Ready, ExecMode::Interp),
+            ("ready+uop", SchedulerKind::Ready, ExecMode::MicroOp),
         ];
-        for (label, scheduler, threads, exec) in covers {
-            let other = run_case(case, &comp, scheduler, threads, exec, faults, tracing);
+        for (label, scheduler, exec) in covers {
+            let other = run_case(case, &comp, scheduler, exec, faults, tracing);
             if dense != other {
                 return Err(format!(
                     "{} [{mode}]: {label} diverged from dense",
-                    case.desc
-                ));
-            }
-        }
-        for threads in [1u32, 2, 4, 8] {
-            let par = run_case(
-                case,
-                &comp,
-                SchedulerKind::Parallel,
-                threads,
-                ExecMode::MicroOp,
-                faults,
-                tracing,
-            );
-            if dense != par {
-                return Err(format!(
-                    "{} [{mode}]: parallel+uop@{threads} diverged from dense",
                     case.desc
                 ));
             }
@@ -533,7 +505,6 @@ fn run_tensor(
     case: &TensorCase,
     comp: &muir_core::compiled::CompiledAccel,
     scheduler: SchedulerKind,
-    threads: u32,
     exec: ExecMode,
     tracing: bool,
 ) -> Obs {
@@ -546,7 +517,6 @@ fn run_tensor(
         ..case.cfg.clone()
     }
     .with_scheduler(scheduler)
-    .with_threads(threads)
     .with_exec(exec);
     let mut mem = case.fresh_memory();
     match muir_sim::simulate_compiled(comp, &mut mem, &[], &cfg) {
@@ -606,14 +576,7 @@ pub fn check_tensor_case(case: &TensorCase) -> Result<(), String> {
         .map_err(|e| format!("{}: compile: {e}", case.desc))?;
     for tracing in [false, true] {
         let mode = if tracing { "traced" } else { "plain" };
-        let dense = run_tensor(
-            case,
-            &comp,
-            SchedulerKind::Dense,
-            1,
-            ExecMode::Interp,
-            tracing,
-        );
+        let dense = run_tensor(case, &comp, SchedulerKind::Dense, ExecMode::Interp, tracing);
         if let Obs::Err(e) = &dense {
             return Err(format!("{} [{mode}]: dense run failed: {e}", case.desc));
         }
@@ -628,31 +591,13 @@ pub fn check_tensor_case(case: &TensorCase) -> Result<(), String> {
                 }
             }
         }
-        let covers: [(&str, SchedulerKind, u32, ExecMode); 6] = [
-            ("dense+uop", SchedulerKind::Dense, 1, ExecMode::MicroOp),
-            ("ready+interp", SchedulerKind::Ready, 1, ExecMode::Interp),
-            ("ready+uop", SchedulerKind::Ready, 1, ExecMode::MicroOp),
-            (
-                "parallel+interp@2",
-                SchedulerKind::Parallel,
-                2,
-                ExecMode::Interp,
-            ),
-            (
-                "parallel+uop@2",
-                SchedulerKind::Parallel,
-                2,
-                ExecMode::MicroOp,
-            ),
-            (
-                "parallel+uop@8",
-                SchedulerKind::Parallel,
-                8,
-                ExecMode::MicroOp,
-            ),
+        let covers: [(&str, SchedulerKind, ExecMode); 3] = [
+            ("dense+uop", SchedulerKind::Dense, ExecMode::MicroOp),
+            ("ready+interp", SchedulerKind::Ready, ExecMode::Interp),
+            ("ready+uop", SchedulerKind::Ready, ExecMode::MicroOp),
         ];
-        for (label, scheduler, threads, exec) in covers {
-            let other = run_tensor(case, &comp, scheduler, threads, exec, tracing);
+        for (label, scheduler, exec) in covers {
+            let other = run_tensor(case, &comp, scheduler, exec, tracing);
             if dense != other {
                 return Err(format!(
                     "{} [{mode}]: {label} diverged from dense",

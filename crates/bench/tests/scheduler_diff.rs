@@ -1,15 +1,14 @@
-//! Differential property tests: every scheduler must be observably
-//! indistinguishable from the dense per-cycle scanner — same cycle count,
-//! same results, same `SimStats` (minus the scheduler-private visit
-//! counter), same trace stream, same typed errors — in plain, traced, and
-//! fault-injected runs, at every planning thread count.
+//! Differential property tests: every scheduler × exec-mode combination
+//! must be observably indistinguishable from the dense per-cycle scanner
+//! under the node-kind interpreter — same cycle count, same results, same
+//! `SimStats` (minus the scheduler-private visit counter), same trace
+//! stream, same typed errors — in plain, traced, and fault-injected runs.
 //!
-//! Two corpora: the 21 real workloads (full 1/2/4/8-thread sweep), and a
-//! seeded fuzz corpus of ≥200 generated μIR graphs (`testgen`), each run
-//! under all three schedulers in all three modes with shrink-by-seed
-//! reporting.
+//! Two corpora: the 24 registry workloads, and a seeded fuzz corpus of
+//! ≥200 generated μIR graphs (`testgen`), each run under Dense/Ready ×
+//! Interp/MicroOp in all three modes with shrink-by-seed reporting.
 
-use muir_bench::sched::check_workload_full;
+use muir_bench::sched::check_workload;
 use muir_bench::testgen;
 use muir_workloads::all;
 
@@ -17,7 +16,7 @@ use muir_workloads::all;
 fn every_scheduler_matches_dense_on_every_workload() {
     let mut failures = Vec::new();
     for (i, w) in all().iter().enumerate() {
-        if let Err(e) = check_workload_full(w, i) {
+        if let Err(e) = check_workload(w, i) {
             failures.push(format!("{}: {e}", w.name));
         }
     }

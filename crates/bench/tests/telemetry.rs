@@ -1,7 +1,7 @@
 //! The zero-perturbation guard for the telemetry layer: with the global
 //! registry enabled, every workload must produce **bit-identical**
 //! observables to the disabled run — cycle counts, end-state hashes
-//! (results + final memory image) under all three schedulers, and the
+//! (results + final memory image) under both schedulers, and the
 //! exact Chrome-trace bytes of a traced run. Telemetry may only observe.
 //!
 //! This lives in its own integration-test binary on purpose: it toggles
@@ -24,18 +24,11 @@ struct Fingerprint {
 
 fn fingerprint(comp: &CompiledAccel, w: &muir_workloads::Workload) -> Fingerprint {
     let mut plain = Vec::new();
-    for kind in [
-        SchedulerKind::Dense,
-        SchedulerKind::Ready,
-        SchedulerKind::Parallel,
-    ] {
-        let mut cfg = SimConfig {
+    for kind in [SchedulerKind::Dense, SchedulerKind::Ready] {
+        let cfg = SimConfig {
             scheduler: kind,
             ..SimConfig::default()
         };
-        if kind == SchedulerKind::Parallel {
-            cfg.threads = 2;
-        }
         let mut mem = w.fresh_memory();
         let r = simulate_compiled(comp, &mut mem, &[], &cfg)
             .unwrap_or_else(|e| panic!("{}: {kind:?}: {e}", w.name));

@@ -20,7 +20,7 @@ use crate::error::{
     BufferSuggestion, ChannelState, DeadlockReport, FaultKind, StuckTile, WaitEdge,
 };
 use crate::fault::{Ecc, FaultClass, Injector};
-use crate::memory::{DramModel, MemRequest, StructModel};
+use crate::memory::{DramModel, MemRequest, MemResponse, StructModel};
 use crate::trace::{Observer, SimProfile, StallReason, Trace};
 use crate::{SchedulerKind, SimConfig, SimError, SimStats};
 use muir_core::accel::{Accelerator, ArgExpr, ResultInit, TaskKind};
@@ -37,37 +37,6 @@ use muir_mir::interp::{eval_bin, eval_cmp, eval_tensor, eval_un, Memory};
 use muir_mir::value::Value;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
-
-#[path = "parallel.rs"]
-pub(crate) mod parallel;
-
-/// Multiply-shift hasher for `req_map`. Its keys are monotone request
-/// ids, so DoS-resistant SipHash (the `HashMap` default, which showed up
-/// in cycle-path profiles) buys nothing here.
-#[derive(Debug, Default)]
-struct ReqHasher(u64);
-
-impl Hasher for ReqHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        // Fibonacci multiply, then fold the high bits down: hashbrown
-        // takes its control byte from the top and its bucket from the
-        // bottom, so both halves must mix.
-        let h = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-}
 
 /// Fault classes injected at the engine's ready/valid edges (the rest are
 /// owned by the memory models).
@@ -78,14 +47,13 @@ const ENGINE_FAULTS: [FaultClass; 4] = [
     FaultClass::StuckHandshake,
 ];
 
-/// SoA token storage for one invocation: per-edge power-of-two ring
-/// slices over shared value/instance/visibility arrays, replacing the
-/// old `Vec<VecDeque<Tok>>` (DESIGN.md §14). A firing's pops and pushes
-/// touch contiguous arrays instead of chasing N deque allocations, and
-/// the visibility test is a single `u64` compare (`u64::MAX` = still in
-/// the producer's pipeline, anything else = the delivery cycle).
+/// Token storage for one invocation: one power-of-two ring per edge over
+/// a shared token array (DESIGN.md §14). A visit reads one [`Ring`] record
+/// and one [`Token`] per edge it tests, and the visibility test is a
+/// single `u64` compare (`u64::MAX` = still in the producer's pipeline,
+/// anything else = the delivery cycle).
 ///
-/// Rings are sized once from the compiled capacity table
+/// Rings are sized once from the resolved capacity table
 /// (`ElabTask::cap`): capacity plus slack for the in-flight push of the
 /// current firing, rounded up to a power of two so wraparound is a mask.
 /// Fault injection can duplicate tokens past any static bound, so
@@ -93,17 +61,44 @@ const ENGINE_FAULTS: [FaultClass; 4] = [
 /// (`grow`, cold by construction).
 #[derive(Debug, Default)]
 struct TokenArena {
-    vals: Vec<Value>,
-    inst: Vec<u64>,
-    /// Visibility cycle per slot; `u64::MAX` while the token is in flight.
-    vis: Vec<u64>,
-    base: Vec<u32>,
-    mask: Vec<u32>,
-    head: Vec<u32>,
-    qlen: Vec<u32>,
-    /// Per-edge count of visible (delivered, unconsumed) tokens, kept in
-    /// lockstep so the output-space gate is an O(1) read.
-    visn: Vec<u32>,
+    rings: Vec<Ring>,
+    toks: Vec<Token>,
+}
+
+/// One edge's ring over `TokenArena::toks[base..=base + mask]`.
+#[derive(Debug, Clone, Copy)]
+struct Ring {
+    base: u32,
+    mask: u32,
+    head: u32,
+    len: u32,
+    /// Visible (delivered, unconsumed) tokens, kept in lockstep so the
+    /// output-space gate is an O(1) read.
+    visible: u32,
+}
+
+impl Ring {
+    /// Index into the token array of the `i`-th queued token.
+    #[inline]
+    fn slot(&self, i: u32) -> usize {
+        (self.base + (self.head.wrapping_add(i) & self.mask)) as usize
+    }
+}
+
+#[derive(Debug)]
+struct Token {
+    inst: u64,
+    /// Visibility cycle; `u64::MAX` while the token is in flight.
+    vis: u64,
+    val: Value,
+}
+
+impl Token {
+    const EMPTY: Token = Token {
+        inst: 0,
+        vis: u64::MAX,
+        val: Value::Poison,
+    };
 }
 
 impl TokenArena {
@@ -118,21 +113,17 @@ impl TokenArena {
     fn with_caps(caps: &[u32]) -> TokenArena {
         let mut a = TokenArena::default();
         let total: usize = caps.iter().map(|&c| Self::ring_cap(c) as usize).sum();
-        a.vals.reserve_exact(total);
-        a.inst.reserve_exact(total);
-        a.vis.reserve_exact(total);
+        a.toks.reserve_exact(total);
         for &c in caps {
             let rc = Self::ring_cap(c);
-            a.base.push(a.vals.len() as u32);
-            a.mask.push(rc - 1);
-            a.head.push(0);
-            a.qlen.push(0);
-            a.visn.push(0);
-            for _ in 0..rc {
-                a.vals.push(Value::Poison);
-                a.inst.push(0);
-                a.vis.push(u64::MAX);
-            }
+            a.rings.push(Ring {
+                base: a.toks.len() as u32,
+                mask: rc - 1,
+                head: 0,
+                len: 0,
+                visible: 0,
+            });
+            a.toks.extend((0..rc).map(|_| Token::EMPTY));
         }
         a
     }
@@ -140,81 +131,66 @@ impl TokenArena {
     /// Reset for reuse by the next invocation: drop held values, zero the
     /// bookkeeping. Ring geometry is task-constant, so no reallocation.
     fn clear(&mut self) {
-        for e in 0..self.qlen.len() {
-            for i in 0..self.qlen[e] {
-                let s = self.slot(e, i);
-                self.vals[s] = Value::Poison;
+        for r in &mut self.rings {
+            for i in 0..r.len {
+                self.toks[r.slot(i)].val = Value::Poison;
             }
-            self.head[e] = 0;
-            self.qlen[e] = 0;
-            self.visn[e] = 0;
+            r.head = 0;
+            r.len = 0;
+            r.visible = 0;
         }
     }
 
     #[inline]
-    fn slot(&self, e: usize, i: u32) -> usize {
-        (self.base[e] + ((self.head[e].wrapping_add(i)) & self.mask[e])) as usize
-    }
-
-    #[inline]
     fn len(&self, e: usize) -> u32 {
-        self.qlen[e]
+        self.rings[e].len
     }
 
     /// Visible (delivered, unconsumed) tokens on edge `e`.
     #[inline]
     fn visible(&self, e: usize) -> u32 {
-        self.visn[e]
-    }
-
-    /// All per-edge visible counts (seeds the parallel planner's scratch).
-    fn visible_counts(&self) -> &[u32] {
-        &self.visn
+        self.rings[e].visible
     }
 
     /// The front token's (instance, visibility cycle), if any.
     #[inline]
     fn front(&self, e: usize) -> Option<(u64, u64)> {
-        if self.qlen[e] == 0 {
+        let r = &self.rings[e];
+        if r.len == 0 {
             return None;
         }
-        let s = self.slot(e, 0);
-        Some((self.inst[s], self.vis[s]))
-    }
-
-    /// The front token's value in place (planner precompute reads it
-    /// without consuming).
-    fn front_value(&self, e: usize) -> Option<&Value> {
-        if self.qlen[e] == 0 {
-            return None;
-        }
-        Some(&self.vals[self.slot(e, 0)])
+        let t = &self.toks[r.slot(0)];
+        Some((t.inst, t.vis))
     }
 
     /// Push a token, invisible until its producer's completion event.
-    fn push(&mut self, e: usize, instance: u64, value: Value) {
-        if self.qlen[e] > self.mask[e] {
+    #[inline]
+    fn push(&mut self, e: usize, inst: u64, val: Value) {
+        if self.rings[e].len > self.rings[e].mask {
             self.grow(e);
         }
-        let s = self.slot(e, self.qlen[e]);
-        self.vals[s] = value;
-        self.inst[s] = instance;
-        self.vis[s] = u64::MAX;
-        self.qlen[e] += 1;
+        let r = &mut self.rings[e];
+        self.toks[r.slot(r.len)] = Token {
+            inst,
+            vis: u64::MAX,
+            val,
+        };
+        r.len += 1;
     }
 
     /// Pop the front token's value. Callers guarantee non-empty (the input
     /// gate ran first); the value is moved out, not cloned.
+    #[inline]
     fn pop(&mut self, e: usize) -> Value {
-        debug_assert!(self.qlen[e] > 0, "pop on empty edge e{e}");
-        let s = self.slot(e, 0);
-        let v = std::mem::replace(&mut self.vals[s], Value::Poison);
-        if self.vis[s] != u64::MAX {
-            self.visn[e] -= 1;
+        let r = &mut self.rings[e];
+        debug_assert!(r.len > 0, "pop on empty edge e{e}");
+        let t = &mut self.toks[r.slot(0)];
+        if t.vis != u64::MAX {
+            r.visible -= 1;
         }
-        self.head[e] = (self.head[e] + 1) & self.mask[e];
-        self.qlen[e] -= 1;
-        v
+        r.head = (r.head + 1) & r.mask;
+        r.len -= 1;
+        std::mem::replace(&mut t.val, Value::Poison)
     }
 
     /// Reverse-scan edge `e` marking instance `instance`'s in-flight
@@ -222,24 +198,23 @@ impl TokenArena {
     /// given (call replies). Tokens are pushed in instance order, so the
     /// scan stops at the first older instance.
     fn reveal(&mut self, e: usize, instance: u64, cycle: u64, patch: Option<&Value>) {
-        let mut marked = 0u32;
-        for i in (0..self.qlen[e]).rev() {
-            let s = self.slot(e, i);
-            if self.inst[s] > instance {
+        let r = &mut self.rings[e];
+        for i in (0..r.len).rev() {
+            let t = &mut self.toks[r.slot(i)];
+            if t.inst > instance {
                 continue;
             }
-            if self.inst[s] < instance {
+            if t.inst < instance {
                 break;
             }
-            if self.vis[s] == u64::MAX {
+            if t.vis == u64::MAX {
                 if let Some(p) = patch {
-                    self.vals[s] = p.clone();
+                    t.val = p.clone();
                 }
-                self.vis[s] = cycle;
-                marked += 1;
+                t.vis = cycle;
+                r.visible += 1;
             }
         }
-        self.visn[e] += marked;
     }
 
     /// Relocate edge `e`'s ring to a doubled slice appended to the arena
@@ -247,55 +222,141 @@ impl TokenArena {
     /// only when fault injection overfills a ring past its slack).
     #[cold]
     fn grow(&mut self, e: usize) {
-        let old_cap = self.mask[e] + 1;
-        let new_cap = old_cap * 2;
-        let new_base = self.vals.len() as u32;
-        for i in 0..new_cap {
-            if i < self.qlen[e] {
-                let s = self.slot(e, i); // old geometry until fields update
-                let v = std::mem::replace(&mut self.vals[s], Value::Poison);
-                let inst = self.inst[s];
-                let vis = self.vis[s];
-                self.vals.push(v);
-                self.inst.push(inst);
-                self.vis.push(vis);
+        let old = self.rings[e];
+        let new_base = self.toks.len() as u32;
+        for i in 0..2 * (old.mask + 1) {
+            let t = if i < old.len {
+                std::mem::replace(&mut self.toks[old.slot(i)], Token::EMPTY)
             } else {
-                self.vals.push(Value::Poison);
-                self.inst.push(0);
-                self.vis.push(u64::MAX);
-            }
+                Token::EMPTY
+            };
+            self.toks.push(t);
         }
-        self.base[e] = new_base;
-        self.mask[e] = new_cap - 1;
-        self.head[e] = 0;
+        self.rings[e] = Ring {
+            base: new_base,
+            mask: 2 * (old.mask + 1) - 1,
+            head: 0,
+            ..old
+        };
     }
 }
 
-/// Where a blocking call's response must be delivered.
-#[derive(Debug, Clone)]
-struct ReplyTo {
-    task: usize,
-    tile: usize,
+/// Which firing a completion belongs to. One record serves completion
+/// events, in-flight memory requests and blocking-call replies alike.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    task: u32,
+    tile: u32,
+    node: u32,
     uid: u64,
-    node: usize,
     instance: u64,
 }
 
 /// A queued task invocation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Invocation {
     uid: u64,
     args: Vec<Value>,
-    reply: Option<ReplyTo>,
+    reply: Option<Site>,
     spawn_parent: Option<(usize, u64)>,
+}
+
+/// [`NodeState::queued`] bit: the node sits in [`ReadySet::next`].
+const IN_NEXT: u8 = 1;
+/// [`NodeState::queued`] bit: the node sits in [`ReadySet::future`].
+const IN_FUTURE: u8 = 2;
+/// [`NodeState::queued`] bit: the node sits in [`ReadySet::adm`].
+const IN_ADM: u8 = 4;
+
+/// Everything a visit reads or writes about one node of one invocation,
+/// in one record (one cache line per visit instead of six vectors).
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeState {
+    /// Instances fired so far (= the next instance to fire).
+    fired: u64,
+    /// Earliest cycle of the next firing (initiation interval).
+    ready_at: u64,
+    /// In-flight (issued, not yet completed) firings — the databox entries
+    /// of §3.4 for memory nodes, pipeline occupancy for function units.
+    pending: u32,
+    /// Ready-set membership (`IN_NEXT | IN_FUTURE | IN_ADM`), so each node
+    /// appears at most once per container.
+    queued: u8,
+}
+
+/// The per-run constants of one node: timing and databox bound depend on
+/// the `SimConfig`, scan position and staticness on the sealed graph.
+#[derive(Debug, Clone, Copy)]
+struct NodeInfo {
+    latency: u32,
+    ii: u32,
+    /// Bound on in-flight firings (`cfg.databox_entries` for memory
+    /// transit nodes; effectively unbounded for pipelined function units).
+    max_pending: u32,
+    /// Position in the consumers-first scan order.
+    pos: u32,
+    is_static: bool,
+}
+
+/// Ready-set state of one invocation for [`SchedulerKind::Ready`]
+/// (unused under `Dense`).
+#[derive(Debug)]
+struct ReadySet {
+    /// Candidates for the current cycle as a bitset over *scan positions*
+    /// (not node ids), drained lowest-position-first so visitation mirrors
+    /// the dense order. Same-cycle wakes always land at positions ahead of
+    /// the drain point (`scan`), so the forward word walk never misses one.
+    cur_bits: Vec<u64>,
+    /// Candidates for the next cycle.
+    next: Vec<u32>,
+    /// Nodes asleep until a known later cycle (`ready_at` after a firing
+    /// with II > 1): (wake cycle, scan position, node).
+    future: BinaryHeap<Reverse<(u64, u32, u32)>>,
+    /// Nodes blocked on the instance gate (`fired == admitted`), woken by
+    /// the next admission. Registered at gate failure and when a firing
+    /// exhausts the admitted window, so admission wakes are O(waiters)
+    /// instead of a scan over every node.
+    adm: Vec<u32>,
+    /// Scan position this tile's pass has reached in the current cycle;
+    /// -1 outside the pass. Phases 1–3 run before any tile is scanned and
+    /// no firing wakes a node of another tile, so this one number decides
+    /// whether a wake can still be served this cycle.
+    scan: i64,
+}
+
+impl ReadySet {
+    fn sized(n: usize) -> ReadySet {
+        ReadySet {
+            cur_bits: vec![0; n.div_ceil(64).max(1)],
+            next: Vec::new(),
+            future: BinaryHeap::new(),
+            adm: Vec::new(),
+            scan: -1,
+        }
+    }
+
+    /// Drop all membership (stale candidates of a retired invocation must
+    /// not leak into the next one; the `queued` bits reset with the nodes).
+    fn clear(&mut self) {
+        self.cur_bits.fill(0);
+        self.next.clear();
+        self.future.clear();
+        self.adm.clear();
+        self.scan = -1;
+    }
+
+    /// Insert scan position `pos` into the current-cycle set.
+    fn mark_cur(&mut self, pos: u32) {
+        self.cur_bits[(pos / 64) as usize] |= 1u64 << (pos % 64);
+    }
 }
 
 /// Per-invocation runtime state on one execution tile.
 #[derive(Debug)]
-pub(crate) struct ActiveInv {
+struct ActiveInv {
     uid: u64,
     args: Vec<Value>,
-    reply: Option<ReplyTo>,
+    reply: Option<Site>,
     spawn_parent: Option<(usize, u64)>,
     trip: u64,
     lo: i64,
@@ -303,41 +364,204 @@ pub(crate) struct ActiveInv {
     serial: bool,
     admitted: u64,
     completed: u64,
-    fired: Vec<u64>,
-    ready_at: Vec<u64>,
-    /// In-flight (issued, not yet completed) firings per node — the
-    /// databox entries of §3.4 for memory nodes, pipeline occupancy for
-    /// function units.
-    pending: Vec<u32>,
-    /// SoA token rings, one per edge (replaces the old per-edge deques).
+    /// Activation cycle (`Ready` accounts tile-busy cycles at retirement).
+    since: u64,
+    nodes: Vec<NodeState>,
+    /// Token rings, one per edge.
     arena: TokenArena,
     /// Remaining completions per in-flight instance, front = instance
     /// `completed`. Instances are admitted and retired strictly in order,
-    /// so a ring indexed by `instance - completed` replaces the old
-    /// per-fire `HashMap` (hashing showed up hot in both schedulers).
+    /// so a ring indexed by `instance - completed` needs no hashing.
     outstanding: VecDeque<u32>,
     spawns_outstanding: u32,
     last_output: Vec<Value>,
     /// Internal accumulator registers of `FusedAcc` units.
     acc_state: Vec<Option<Value>>,
+    ready: ReadySet,
+}
+
+/// Outcome of [`ActiveInv::input_gate`].
+enum InputGate {
+    Pass,
+    /// This edge has no visible front token (`InputEmpty`).
+    Empty(usize),
+    /// In-order delivery is the latency-insensitive contract; a visible
+    /// front token of the wrong instance means a token was dropped or
+    /// duplicated upstream (a detected hardware fault).
+    Misordered {
+        edge: usize,
+        want: u64,
+        found: u64,
+        feedback: bool,
+    },
+}
+
+impl ActiveInv {
+    fn new(nnodes: usize, caps: &[u32]) -> ActiveInv {
+        ActiveInv {
+            uid: 0,
+            args: Vec::new(),
+            reply: None,
+            spawn_parent: None,
+            trip: 0,
+            lo: 0,
+            step: 1,
+            serial: false,
+            admitted: 0,
+            completed: 0,
+            since: 0,
+            nodes: vec![NodeState::default(); nnodes],
+            arena: TokenArena::with_caps(caps),
+            outstanding: VecDeque::new(),
+            spawns_outstanding: 0,
+            last_output: Vec::new(),
+            acc_state: vec![None; nnodes],
+            ready: ReadySet::sized(nnodes),
+        }
+    }
+
+    /// Back to the just-built state, keeping every allocation: the vectors
+    /// have task-constant shapes, so reactivating a pooled shell is a
+    /// clear, not a malloc.
+    fn reset(&mut self) {
+        self.admitted = 0;
+        self.completed = 0;
+        self.nodes.fill(NodeState::default());
+        self.arena.clear();
+        self.outstanding.clear();
+        self.spawns_outstanding = 0;
+        self.last_output.clear();
+        self.acc_state.fill(None);
+        self.ready.clear();
+    }
+
+    /// Whether a new instance could be admitted this cycle (the dense
+    /// scheduler checks this every cycle; the ready scheduler must tick
+    /// the tile in every cycle in which it would succeed).
+    fn can_admit(&self, window: u64) -> bool {
+        self.admitted < self.trip
+            && if self.serial {
+                self.completed == self.admitted
+            } else {
+                self.admitted - self.completed < window
+            }
+    }
+
+    fn is_complete(&self) -> bool {
+        self.admitted == self.trip
+            && self.completed == self.trip
+            && self.outstanding.is_empty()
+            && self.spawns_outstanding == 0
+    }
+
+    /// Ready-scheduler wake: (re)insert `node` as a firing candidate and
+    /// return the cycle in which the tile must be ticked for it. A wake is
+    /// a *hint* — `try_fire` re-checks every gate — so a spurious wake
+    /// costs a visit, never correctness; a *missed* wake is the only bug
+    /// class. Placement keeps dense-order semantics: a node the current
+    /// scan can still reach this cycle goes in `cur`, anything else in
+    /// `next`; nodes throttled by `ready_at` (II) sleep in `future`.
+    ///
+    /// A visit that fails the II gate is not repeated, so no container may
+    /// deliver a node before its `ready_at`. `next` is emptied by the
+    /// tile's next pass, which is next cycle's only once this cycle's has
+    /// begun draining (`scan >= 0`); before that it is this cycle's.
+    fn wake(&mut self, info: &[NodeInfo], node: usize, cycle: u64) -> u64 {
+        let ns = &mut self.nodes[node];
+        let rs = &mut self.ready;
+        let pos = info[node].pos;
+        let draining = rs.scan >= 0;
+        if ns.ready_at > cycle + u64::from(draining) {
+            if ns.queued & IN_FUTURE == 0 {
+                ns.queued |= IN_FUTURE;
+                rs.future.push(Reverse((ns.ready_at, pos, node as u32)));
+            }
+            return ns.ready_at;
+        }
+        if ns.ready_at <= cycle && i64::from(pos) > rs.scan {
+            rs.mark_cur(pos);
+            return cycle;
+        }
+        // Mid-drain and behind the scan, or due exactly next cycle (II = 1
+        // after a firing): `next` spares the heap a push/pop pair.
+        if ns.queued & IN_NEXT == 0 {
+            ns.queued |= IN_NEXT;
+            rs.next.push(node as u32);
+        }
+        cycle + 1
+    }
+
+    /// The input gate of `uop` for instance `k`: every token input must
+    /// carry a visible token of the right instance. Edges are tested in
+    /// the interpreter's visit order — data slots in port order, then the
+    /// dynamic order-in edges — and the first one that fails decides.
+    fn input_gate(&self, ct: &CompiledTask, uop: &MicroOp, k: u64, cycle: u64) -> InputGate {
+        let token = |edge: usize, want: u64, feedback: bool| match self.arena.front(edge) {
+            Some((found, vis)) if vis <= cycle => {
+                (found != want).then_some(InputGate::Misordered {
+                    edge,
+                    want,
+                    found,
+                    feedback,
+                })
+            }
+            _ => Some(InputGate::Empty(edge)),
+        };
+        for &s in &ct.in_slots[uop.slot0 as usize..][..uop.nin as usize] {
+            let edge = (s & SLOT_PAYLOAD) as usize;
+            let failed = match s & SLOT_TAG {
+                SLOT_ARG | SLOT_CONST => None,
+                // Feedback: required from instance 1 on, carrying the
+                // previous instance's token.
+                SLOT_FEEDBACK if k == 0 => None,
+                SLOT_FEEDBACK => token(edge, k - 1, true),
+                _ => token(edge, k, false),
+            };
+            if let Some(failed) = failed {
+                return failed;
+            }
+        }
+        for &e in &ct.edge_refs[uop.ebase as usize..][..uop.nord as usize] {
+            if let Some(failed) = token(e as usize, k, false) {
+                return failed;
+            }
+        }
+        InputGate::Pass
+    }
+
+    /// Park `node` until the next admission opens its instance.
+    fn park_adm(&mut self, node: usize) {
+        let ns = &mut self.nodes[node];
+        if ns.queued & IN_ADM == 0 {
+            ns.queued |= IN_ADM;
+            self.ready.adm.push(node as u32);
+        }
+    }
+
+    /// After this tile's pass at `cycle` (the current set is drained): the
+    /// next cycle in which ticking the tile is not a dense no-op.
+    fn due_after_pass(&self, cycle: u64, window: u64) -> u64 {
+        if self.can_admit(window) || !self.ready.next.is_empty() {
+            cycle + 1
+        } else {
+            self.ready
+                .future
+                .peek()
+                .map_or(u64::MAX, |&Reverse((at, _, _))| at)
+        }
+    }
 }
 
 /// Per-run view of one task: the sealed graph-derived tables from the
 /// [`CompiledTask`] (shared, never rebuilt) plus the few
 /// configuration-dependent vectors that genuinely vary per `SimConfig`.
 /// `Deref` exposes the compiled tables (`order`, `in_data`, `outs`,
-/// `is_static`, `pos`, `queue_cap`, …) directly, so the schedulers read
-/// them exactly as before the artifact refactor.
+/// `queue_cap`, …) directly.
 #[derive(Debug)]
-pub(crate) struct ElabTask<'a> {
-    /// The sealed per-task tables (adjacency, scan order, static masks).
+struct ElabTask<'a> {
+    /// The sealed per-task tables (adjacency, scan order, micro-ops).
     ct: &'a CompiledTask,
-    /// Per node timing (depends on `cfg.period_ns`).
-    timing: Vec<hw::Timing>,
-    /// Per node bound on in-flight firings (databox entries for memory
-    /// transit nodes; effectively unbounded for pipelined function units).
-    /// Depends on `cfg.databox_entries`.
-    max_pending: Vec<u32>,
+    info: Vec<NodeInfo>,
     /// Per edge resolved token capacity: explicit FIFO depth, or
     /// `cfg.elastic_depth` for handshake connections.
     cap: Vec<u32>,
@@ -352,118 +576,29 @@ impl std::ops::Deref for ElabTask<'_> {
 }
 
 #[derive(Debug)]
-pub(crate) struct TaskState {
+struct TaskState {
     queue: VecDeque<Invocation>,
-    tiles: Vec<Option<ActiveInv>>,
-    invocations: u64,
+    /// Boxed so a tile pass can lift its invocation out of the engine (and
+    /// put it back) by moving one pointer.
+    tiles: Vec<Option<Box<ActiveInv>>>,
     busy_cycles: u64,
     /// Indices of free tiles, min-first so dispatch picks the same tile the
     /// dense `position(|t| t.is_none())` scan would (tile choice is
     /// observable through traces and error sites).
     free_tiles: BinaryHeap<Reverse<usize>>,
-    /// Retired `ActiveInv` shells recycled across invocations: their
-    /// `fired/ready_at/pending/edge_q/acc_state` vectors have
-    /// task-constant shapes, so reactivation is a clear, not a malloc.
-    pool: Vec<ActiveInv>,
+    /// Retired `ActiveInv` shells recycled across invocations (boxed like
+    /// the tiles they move in and out of).
+    #[allow(clippy::vec_box)]
+    pool: Vec<Box<ActiveInv>>,
     /// Ready-scheduler wake list: `TaskCall` sites (task, tile, node)
     /// blocked on this task's full issue queue, woken when dispatch pops.
     queue_waiters: Vec<(u32, u32, u32)>,
 }
 
-/// Where the dense-order scan currently stands, for deciding whether a
-/// wake can still be serviced this cycle (the dense scan visits each
-/// (tile, position) exactly once per cycle, in ascending order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PassPoint {
-    /// Phases 1–3: no tile processed yet; every wake is same-cycle.
-    Before,
-    /// Phase 4, inside tile (task, tile) at scan position `pos` (-1 while
-    /// in admission, before the scan starts).
-    At(usize, usize, i64),
-    /// Phase 4 finished: every wake targets the next cycle.
-    After,
-}
-
-/// Per-tile ready-set state for [`SchedulerKind::Ready`]. Membership is
-/// tracked with dense boolean side-tables so each node appears at most
-/// once per container.
-#[derive(Debug, Default)]
-struct ReadyTile {
-    /// Candidates for the current cycle as a bitset over *scan positions*
-    /// (not node ids), drained lowest-position-first so visitation mirrors
-    /// the dense order. Same-cycle wakes always land at positions ahead of
-    /// the drain point (the `PassPoint` rule), so the forward word walk
-    /// never misses one.
-    cur_bits: Vec<u64>,
-    /// Number of set bits in `cur_bits` (cheap emptiness probe for the
-    /// idle-skip check).
-    cur_n: u32,
-    /// Candidates for the next processed cycle.
-    next: Vec<u32>,
-    in_next: Vec<bool>,
-    /// Nodes asleep until a known future cycle (`ready_at` after a firing
-    /// with II > 1): (wake cycle, scan position, node).
-    future: BinaryHeap<Reverse<(u64, u32, u32)>>,
-    in_future: Vec<bool>,
-    /// Nodes blocked on the instance gate (`fired == admitted`), woken by
-    /// the next admission. Registered at gate failure and when a firing
-    /// exhausts the admitted window, so admission wakes are O(waiters)
-    /// instead of a scan over every node.
-    adm: Vec<u32>,
-    in_adm: Vec<bool>,
-}
-
-impl ReadyTile {
-    fn sized(n: usize) -> ReadyTile {
-        ReadyTile {
-            cur_bits: vec![0; n.div_ceil(64).max(1)],
-            cur_n: 0,
-            next: Vec::new(),
-            in_next: vec![false; n],
-            future: BinaryHeap::new(),
-            in_future: vec![false; n],
-            adm: Vec::new(),
-            in_adm: vec![false; n],
-        }
-    }
-
-    /// Drop all membership (the tile's invocation retired; stale
-    /// candidates must not leak into the next invocation).
-    fn clear(&mut self) {
-        self.cur_bits.iter_mut().for_each(|w| *w = 0);
-        self.cur_n = 0;
-        self.next.clear();
-        self.in_next.iter_mut().for_each(|b| *b = false);
-        self.future.clear();
-        self.in_future.iter_mut().for_each(|b| *b = false);
-        self.adm.clear();
-        self.in_adm.iter_mut().for_each(|b| *b = false);
-    }
-
-    /// Insert scan position `pos` into the current-cycle set.
-    fn mark_cur(&mut self, pos: u32) {
-        let (w, b) = ((pos / 64) as usize, pos % 64);
-        let bit = 1u64 << b;
-        if self.cur_bits[w] & bit == 0 {
-            self.cur_bits[w] |= bit;
-            self.cur_n += 1;
-        }
-    }
-}
-
 #[derive(Debug)]
 enum Ev {
-    NodeDone {
-        task: usize,
-        tile: usize,
-        uid: u64,
-        node: usize,
-        instance: u64,
-    },
-    Reply {
-        to: ReplyTo,
-        results: Vec<Value>,
-    },
+    NodeDone(Site),
+    Reply { to: Site, results: Vec<Value> },
 }
 
 /// Calendar-queue horizon: events due within this many cycles of *now* go
@@ -475,7 +610,7 @@ enum Ev {
 const EV_HORIZON: u64 = 256;
 
 /// A scheduled event in the *far* min-heap, ordered by (cycle, insertion
-/// seq). Replay order across both queues is identical to the old pure-heap
+/// seq). Replay order across both queues is identical to a pure-heap
 /// design: a far event is by definition pushed at least [`EV_HORIZON`]
 /// cycles before it is due, while a near event with the same due cycle is
 /// pushed strictly later — so draining due far events before the ring
@@ -504,15 +639,6 @@ impl Ord for EvAt {
     }
 }
 
-#[derive(Debug, Clone)]
-struct MemPending {
-    task: usize,
-    tile: usize,
-    uid: u64,
-    node: usize,
-    instance: u64,
-}
-
 /// The simulator.
 pub struct Engine<'a> {
     acc: &'a Accelerator,
@@ -530,8 +656,13 @@ pub struct Engine<'a> {
     /// Total events pending across both queues.
     ev_count: usize,
     ev_seq: u64,
-    req_map: HashMap<u64, MemPending, BuildHasherDefault<ReqHasher>>,
-    next_req: u64,
+    /// In-flight memory requests. Ids are handed out densely, so the slot
+    /// of request `id` is `id - req_base`; answered requests at the front
+    /// are popped, which keeps the ring as long as the oldest one pending.
+    reqs: VecDeque<Option<Site>>,
+    req_base: u64,
+    /// Reused response buffer for `StructModel::tick`.
+    mem_resp: Vec<MemResponse>,
     next_uid: u64,
     cycle: u64,
     last_progress: u64,
@@ -544,38 +675,33 @@ pub struct Engine<'a> {
     /// (epoch, reads, writes) at `junction_base[ti] + tk*njunctions + j`.
     junction_slab: Vec<(u64, u32, u32)>,
     junction_base: Vec<usize>,
-    /// Ready-scheduler state, indexed [task][tile].
-    ready: Vec<Vec<ReadyTile>>,
+    /// Global tile ids in dense (task, tile) order: tile `tk` of task `ti`
+    /// is `tile_base[ti] + tk`, and `tile_ids` maps back.
+    tile_base: Vec<usize>,
+    tile_ids: Vec<(u32, u32)>,
+    /// The tile-work invariant (`Ready` only, DESIGN.md §9): ticking tile
+    /// `g` in any cycle before `tile_due[g]` is a dense no-op — no
+    /// admission, no candidate, no due sleeper. `u64::MAX` for a free tile
+    /// and for an occupied one that only an event can give work. Every
+    /// wake and every admission-relevant retirement lowers it; the tile's
+    /// own pass recomputes it.
+    tile_due: Vec<u64>,
+    /// `min(tile_due)` as of the end of the last phase 4.
+    next_due: u64,
+    /// Tiles with a global id below this have had their phase-4 slot in
+    /// the current cycle (0 during phases 1–3).
+    scan_g: usize,
+    /// Set by every queue push and every tile retirement: the only two
+    /// things that can make a dispatch possible. `Ready` runs phase 3 and
+    /// refuses to skip cycles only while it is set.
+    dispatch_hint: bool,
     /// True when the event-driven scheduler drives phase 4. Tracing forces
     /// the dense visitation (stall attribution *is* a per-cycle scan), so
     /// this is `Ready` and not tracing.
     use_ready: bool,
-    /// True when the tile-parallel plan/commit scheduler drives phase 4
-    /// (`Parallel` and not tracing, same rationale as `use_ready`).
-    use_parallel: bool,
-    /// Worker pool for the parallel plan phase (`None` at one thread; the
-    /// plans are then computed inline, which by construction yields the
-    /// same plans workers would).
-    pool: Option<parallel::Pool>,
-    /// Reused (task, tile) list of active tiles for the parallel phase.
-    par_active: Vec<(u32, u32)>,
-    /// Reused per-tile plans, index-aligned with `par_active`.
-    par_plans: Vec<parallel::TilePlan>,
-    /// The main thread's plan/commit scratch (shared with pool workers'
-    /// private copies).
-    par_ws: parallel::WorkerScratch,
-    /// Reused epoch-commit job list (local tiles with work this cycle).
-    par_commit_items: Vec<parallel::CommitItem>,
-    /// Reused epoch-commit outputs, index-aligned with `par_commit_items`.
-    par_commit_outs: Vec<parallel::CommitOut>,
-    /// Maps `par_active` index → `par_commit_items` index (-1 = committed
-    /// sequentially at merge).
-    par_commit_map: Vec<i32>,
     /// True when firings execute from the compiled micro-op stream
     /// ([`crate::ExecMode::MicroOp`]) instead of the `NodeKind` interpreter.
     use_uop: bool,
-    pass_point: PassPoint,
-    wake_scratch: Vec<u32>,
     /// Reused input-slot buffer for `try_fire` (fires are the hot path;
     /// a fresh `Vec` per fire was measurable allocator churn).
     slot_scratch: Vec<Option<Value>>,
@@ -583,6 +709,9 @@ pub struct Engine<'a> {
     val_scratch: Vec<Value>,
     /// Reused output-value buffer for `try_fire`, same rationale.
     out_scratch: Vec<Value>,
+    /// Emptied argument and result vectors, handed back out to the next
+    /// `TaskCall` firing or invocation result.
+    spare: Vec<Vec<Value>>,
     faults: Injector,
     faults_on: bool,
     /// Nodes whose output handshake was stuck by fault injection:
@@ -607,19 +736,26 @@ impl<'a> Engine<'a> {
             .iter()
             .enumerate()
             .map(|(ti, ct)| {
-                let df = &acc.tasks[ti].dataflow;
-                let timing: Vec<hw::Timing> = df
+                let info: Vec<NodeInfo> = acc.tasks[ti]
+                    .dataflow
                     .nodes
                     .iter()
-                    .map(|nd| hw::node_timing(&nd.kind, nd.ty, cfg.period_ns))
-                    .collect();
-                let max_pending: Vec<u32> = df
-                    .nodes
-                    .iter()
-                    .map(|nd| match nd.kind {
-                        NodeKind::Load { .. } | NodeKind::Store { .. } => cfg.databox_entries,
-                        NodeKind::TaskCall { .. } => 16,
-                        _ => u32::MAX,
+                    .enumerate()
+                    .map(|(n, nd)| {
+                        let timing = hw::node_timing(&nd.kind, nd.ty, cfg.period_ns);
+                        NodeInfo {
+                            latency: timing.latency,
+                            ii: timing.ii,
+                            max_pending: match nd.kind {
+                                NodeKind::Load { .. } | NodeKind::Store { .. } => {
+                                    cfg.databox_entries
+                                }
+                                NodeKind::TaskCall { .. } => 16,
+                                _ => u32::MAX,
+                            },
+                            pos: ct.pos[n],
+                            is_static: ct.is_static[n],
+                        }
                     })
                     .collect();
                 let cap: Vec<u32> = ct
@@ -633,12 +769,7 @@ impl<'a> Engine<'a> {
                         }
                     })
                     .collect();
-                ElabTask {
-                    ct,
-                    timing,
-                    max_pending,
-                    cap,
-                }
+                ElabTask { ct, info, cap }
             })
             .collect();
         let tasks: Vec<TaskState> = acc
@@ -649,7 +780,6 @@ impl<'a> Engine<'a> {
                 TaskState {
                     queue: VecDeque::new(),
                     tiles: (0..ntiles).map(|_| None).collect(),
-                    invocations: 0,
                     busy_cycles: 0,
                     free_tiles: (0..ntiles).map(Reverse).collect(),
                     pool: Vec::new(),
@@ -675,24 +805,14 @@ impl<'a> Engine<'a> {
         // (task, tile, junction), laid out contiguously per task.
         let mut junction_base = Vec::with_capacity(ntasks);
         let mut slab_len = 0usize;
+        let mut tile_base = Vec::with_capacity(ntasks);
+        let mut tile_ids = Vec::new();
         for (ti, e) in elab.iter().enumerate() {
             junction_base.push(slab_len);
             slab_len += tasks[ti].tiles.len() * e.njunctions;
+            tile_base.push(tile_ids.len());
+            tile_ids.extend((0..tasks[ti].tiles.len()).map(|tk| (ti as u32, tk as u32)));
         }
-        let ready: Vec<Vec<ReadyTile>> = elab
-            .iter()
-            .enumerate()
-            .map(|(ti, e)| {
-                (0..tasks[ti].tiles.len())
-                    .map(|_| ReadyTile::sized(e.is_static.len()))
-                    .collect()
-            })
-            .collect();
-        let use_ready = cfg.scheduler == SchedulerKind::Ready && obs.is_none();
-        let use_parallel = cfg.scheduler == SchedulerKind::Parallel && obs.is_none();
-        let total_tiles: usize = tasks.iter().map(|t| t.tiles.len()).sum();
-        let pool = (use_parallel && cfg.threads > 1)
-            .then(|| parallel::Pool::new(cfg.threads as usize - 1, total_tiles));
         Engine {
             acc,
             cfg,
@@ -706,8 +826,9 @@ impl<'a> Engine<'a> {
             ev_far: BinaryHeap::new(),
             ev_count: 0,
             ev_seq: 0,
-            req_map: HashMap::default(),
-            next_req: 1,
+            reqs: VecDeque::new(),
+            req_base: 1,
+            mem_resp: Vec::new(),
             next_uid: 1,
             cycle: 0,
             last_progress: 0,
@@ -717,22 +838,18 @@ impl<'a> Engine<'a> {
             task_invocations: vec![0; ntasks],
             junction_slab: vec![(u64::MAX, 0, 0); slab_len],
             junction_base,
-            ready,
-            use_ready,
-            use_parallel,
-            pool,
-            par_active: Vec::new(),
-            par_plans: Vec::new(),
-            par_ws: parallel::WorkerScratch::default(),
-            par_commit_items: Vec::new(),
-            par_commit_outs: Vec::new(),
-            par_commit_map: Vec::new(),
+            tile_base,
+            tile_due: vec![u64::MAX; tile_ids.len()],
+            tile_ids,
+            next_due: u64::MAX,
+            scan_g: 0,
+            dispatch_hint: false,
+            use_ready: cfg.scheduler == SchedulerKind::Ready && obs.is_none(),
             use_uop: cfg.exec == crate::ExecMode::MicroOp,
-            pass_point: PassPoint::Before,
-            wake_scratch: Vec::new(),
             slot_scratch: Vec::new(),
             val_scratch: Vec::new(),
             out_scratch: Vec::new(),
+            spare: Vec::new(),
             faults,
             faults_on,
             stuck: HashSet::new(),
@@ -785,6 +902,7 @@ impl<'a> Engine<'a> {
             reply: None,
             spawn_parent: None,
         });
+        self.dispatch_hint = true;
         self.cycle = fill_delay;
         self.last_progress = fill_delay;
         while self.root_result.is_none() {
@@ -847,11 +965,26 @@ impl<'a> Engine<'a> {
             faults.merge(&s.fault_counts());
         }
         faults.merge(&self.dram.fault_counts());
+        let task_busy_cycles = self
+            .tasks
+            .iter()
+            .map(|t| {
+                // `Ready` books a tile's busy cycles when it retires; tiles
+                // still occupied now have been busy since their activation.
+                let open: u64 = t
+                    .tiles
+                    .iter()
+                    .flatten()
+                    .map(|inv| self.cycle - inv.since)
+                    .sum();
+                t.busy_cycles + if self.use_ready { open } else { 0 }
+            })
+            .collect();
         SimStats {
             cycles,
             fires: self.fires,
             task_invocations: self.task_invocations.clone(),
-            task_busy_cycles: self.tasks.iter().map(|t| t.busy_cycles).collect(),
+            task_busy_cycles,
             struct_stats: self.structs.iter().map(|s| s.stats).collect(),
             dram_fills: self.dram.fills,
             faults,
@@ -878,7 +1011,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Cycle of the earliest scheduled event. O(1) for the far heap plus a
-    /// bounded ring scan; only the idle-skip paths call this, never the
+    /// bounded ring scan; only the idle-skip path calls this, never the
     /// per-cycle hot loop.
     fn next_event_cycle(&self) -> Option<u64> {
         if self.ev_count == 0 {
@@ -906,97 +1039,47 @@ impl<'a> Engine<'a> {
         slot
     }
 
-    /// Ready-scheduler wake: (re)insert `node` as a firing candidate on
-    /// (task, tile). A wake is a *hint* — `try_fire` re-checks every gate —
-    /// so spurious wakes cost a visit, never correctness; a *missed* wake
-    /// is the only bug class. Placement keeps dense-order semantics: a
-    /// node the current scan could still reach this cycle goes in `cur`,
-    /// anything else in `next`; nodes throttled by `ready_at` (II) sleep
-    /// in `future` until their cycle.
-    fn wake(&mut self, ti: usize, tk: usize, node: usize) {
-        if !self.use_ready || self.elab[ti].is_static[node] {
-            return;
-        }
-        if self.faults_on && self.stuck.contains(&(ti, tk, node)) {
-            return; // a stuck handshake never fires again
-        }
-        let Some(inv) = self.tasks[ti].tiles[tk].as_ref() else {
-            return;
-        };
-        let pos = self.elab[ti].pos[node];
-        let ready_at = inv.ready_at[node];
-        let rt = &mut self.ready[ti][tk];
-        if ready_at > self.cycle {
-            // II-throttled. The overwhelmingly common case is II = 1
-            // (`ready_at == cycle + 1`), which is exactly what `next`
-            // means — spare the future-heap a push/pop pair.
-            if ready_at == self.cycle + 1 {
-                if !rt.in_next[node] {
-                    rt.in_next[node] = true;
-                    rt.next.push(node as u32);
-                }
-            } else if !rt.in_future[node] {
-                rt.in_future[node] = true;
-                rt.future.push(Reverse((ready_at, pos, node as u32)));
-            }
-            return;
-        }
-        let same_cycle = match self.pass_point {
-            PassPoint::Before => true,
-            PassPoint::At(cti, ctk, cpos) => {
-                ((ti, tk) > (cti, ctk)) || ((ti, tk) == (cti, ctk) && i64::from(pos) > cpos)
-            }
-            PassPoint::After => false,
-        };
-        if same_cycle {
-            rt.mark_cur(pos);
-        } else if !rt.in_next[node] {
-            rt.in_next[node] = true;
-            rt.next.push(node as u32);
-        }
+    /// Record request `id` (the next dense id) as in flight for `site`.
+    fn track_request(&mut self, site: Site) -> u64 {
+        let id = self.req_base + self.reqs.len() as u64;
+        self.reqs.push_back(Some(site));
+        id
     }
 
-    /// Whether the tile's invocation could admit a new instance this cycle
-    /// (the dense scheduler checks this every cycle; the ready scheduler
-    /// must not skip a cycle in which it would succeed).
-    fn can_admit(&self, inv: &ActiveInv) -> bool {
-        inv.admitted < inv.trip
-            && if inv.serial {
-                inv.completed == inv.admitted
-            } else {
-                inv.admitted - inv.completed < self.cfg.window
-            }
+    /// The firing request `id` belongs to, if it is still in flight.
+    fn answer_request(&mut self, id: u64) -> Option<Site> {
+        let idx = usize::try_from(id.checked_sub(self.req_base)?).ok()?;
+        let site = self.reqs.get_mut(idx)?.take();
+        while let Some(None) = self.reqs.front() {
+            self.reqs.pop_front();
+            self.req_base += 1;
+        }
+        site
+    }
+
+    /// Wake `node` on another tile (dispatch freeing a queue slot is the
+    /// one cross-tile wake; it runs in phase 3, before any tile's pass).
+    fn wake_tile(&mut self, ti: usize, tk: usize, node: usize) {
+        if let Some(inv) = self.tasks[ti].tiles[tk].as_deref_mut() {
+            let due = inv.wake(&self.elab[ti].info, node, self.cycle);
+            let g = self.tile_base[ti] + tk;
+            self.tile_due[g] = self.tile_due[g].min(due);
+        }
     }
 
     /// Idle-cycle skip: when provably nothing can happen at the current
-    /// cycle — no dispatch, no admission, no ready candidate, quiescent
-    /// memory, no due event — jump straight to the earliest cycle at which
-    /// something *can*, capped at the deadlock deadline and cycle limit so
-    /// watchdog errors fire at exactly the dense scheduler's cycle. Each
-    /// skipped cycle is a no-op under dense semantics (empty banks tick to
-    /// nothing, every `try_fire` would gate out), except tile-busy
-    /// accounting, which is applied in bulk.
+    /// cycle — no dispatch, no tile with work, quiescent memory, no due
+    /// event — jump straight to the earliest cycle at which something
+    /// *can*, capped at the deadlock deadline and cycle limit so watchdog
+    /// errors fire at exactly the dense scheduler's cycle. Each skipped
+    /// cycle is a no-op under dense semantics (empty banks tick to
+    /// nothing, every `try_fire` would gate out).
     fn maybe_skip_idle(&mut self) {
         let cycle = self.cycle;
-        let mut earliest = u64::MAX;
-        for (ti, t) in self.tasks.iter().enumerate() {
-            if !t.queue.is_empty() && !t.free_tiles.is_empty() {
-                return; // dispatch would happen now
-            }
-            for (tk, tile) in t.tiles.iter().enumerate() {
-                let Some(inv) = tile else { continue };
-                if self.can_admit(inv) {
-                    return;
-                }
-                let rt = &self.ready[ti][tk];
-                if rt.cur_n != 0 || !rt.next.is_empty() {
-                    return; // candidates due this cycle
-                }
-                if let Some(&Reverse((at, _, _))) = rt.future.peek() {
-                    earliest = earliest.min(at);
-                }
-            }
+        if self.next_due <= cycle || self.dispatch_hint {
+            return;
         }
+        let mut earliest = self.next_due;
         for s in &self.structs {
             match s.next_activity(cycle) {
                 Some(at) if at <= cycle => return, // must tick now
@@ -1014,15 +1097,9 @@ impl<'a> Engine<'a> {
         // `cycle - last_progress > deadlock_cycles`) or the hard limit.
         let deadline = (self.last_progress + self.cfg.deadlock_cycles).saturating_add(1);
         let target = earliest.min(deadline).min(self.cfg.max_cycles);
-        if target <= cycle {
-            return;
+        if target > cycle {
+            self.cycle = target;
         }
-        let skipped = target - cycle;
-        for t in &mut self.tasks {
-            let active = t.tiles.iter().filter(|x| x.is_some()).count() as u64;
-            t.busy_cycles += active * skipped;
-        }
-        self.cycle = target;
     }
 
     /// Walk the blocked-channel wait-for graph and diagnose the stall.
@@ -1038,7 +1115,7 @@ impl<'a> Engine<'a> {
         let mut vertices: Vec<V> = Vec::new();
         let mut waits: HashMap<V, Vec<W>> = HashMap::new();
         let mut report = DeadlockReport {
-            mem_outstanding: self.req_map.len() as u32,
+            mem_outstanding: self.reqs.iter().flatten().count() as u32,
             stuck_nodes: {
                 let mut sn: Vec<(u32, u32)> = self
                     .stuck
@@ -1072,7 +1149,7 @@ impl<'a> Engine<'a> {
                     if self.elab[ti].is_static[node] || self.stuck.contains(&(ti, tk, node)) {
                         continue;
                     }
-                    let k = inv.fired[node];
+                    let k = inv.nodes[node].fired;
                     if k >= inv.admitted {
                         continue; // waiting for admission, not a channel
                     }
@@ -1164,20 +1241,17 @@ impl<'a> Engine<'a> {
         self.elab[ti].cap[ei] as usize
     }
 
-    /// A typed `Fault` error located at a node interface.
+    /// A typed `Fault` error located at a node interface of invocation
+    /// `uid`.
     fn fault_err(
         &self,
         ti: usize,
-        tk: usize,
         node: usize,
+        uid: u64,
         instance: u64,
         kind: FaultKind,
         detail: String,
     ) -> SimError {
-        let uid = self.tasks[ti].tiles[tk]
-            .as_ref()
-            .map(|i| i.uid)
-            .unwrap_or(0);
         SimError::Fault {
             cycle: self.cycle,
             task: ti as u32,
@@ -1196,6 +1270,43 @@ impl<'a> Engine<'a> {
         u
     }
 
+    /// Hand an emptied vector back for the next `TaskCall` or result.
+    fn recycle(&mut self, mut v: Vec<Value>) {
+        if v.capacity() > 0 {
+            v.clear();
+            self.spare.push(v);
+        }
+    }
+
+    /// Queue an invocation of `child` for the `TaskCall` firing at `site`,
+    /// moving the call's first `nargs` input values into the argument
+    /// vector. A blocking call gets its reply at `site`; a spawn only
+    /// names its parent.
+    fn issue_call(
+        &mut self,
+        site: Site,
+        child: usize,
+        nargs: usize,
+        spawn: bool,
+        values: &mut Vec<Value>,
+    ) {
+        let mut args = self.spare.pop().unwrap_or_default();
+        args.extend(values.drain(..nargs));
+        let (reply, spawn_parent) = if spawn {
+            (None, Some((site.task as usize, site.uid)))
+        } else {
+            (Some(site), None)
+        };
+        let uid = self.fresh_uid();
+        self.tasks[child].queue.push_back(Invocation {
+            uid,
+            args,
+            reply,
+            spawn_parent,
+        });
+        self.dispatch_hint = true;
+    }
+
     /// Record a blocked firing opportunity at `site = (task, tile, node)`
     /// and yield the cycle. Pure observation: no engine state changes.
     fn note_stall(
@@ -1211,30 +1322,9 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Deliver one scheduled event to its completion handler.
-    fn dispatch_event(&mut self, ev: Ev) -> Result<(), SimError> {
-        match ev {
-            Ev::NodeDone {
-                task,
-                tile,
-                uid,
-                node,
-                instance,
-            } => self.node_done(task, tile, uid, node, instance, None),
-            Ev::Reply { to, results } => self.node_done(
-                to.task,
-                to.tile,
-                to.uid,
-                to.node,
-                to.instance,
-                Some(results),
-            ),
-        }
-    }
-
     fn step(&mut self) -> Result<(), SimError> {
         let cycle = self.cycle;
-        self.pass_point = PassPoint::Before;
+        self.scan_g = 0;
         // Phase 1: scheduled events, in (cycle, push-order) order. Due far
         // events drain first — each was pushed ≥ EV_HORIZON cycles ago, so
         // it precedes every near event due this cycle in push order.
@@ -1256,348 +1346,94 @@ impl<'a> Engine<'a> {
             self.ev_near[slot] = bucket;
         }
         // Phase 2: memory responses.
+        let mut responses = std::mem::take(&mut self.mem_resp);
         for si in 0..self.structs.len() {
-            let responses = {
-                let (head, tail) = self.structs.split_at_mut(si);
-                let _ = head;
-                let model = &mut tail[0];
-                let dram = if Some(si) == self.dram_idx {
-                    None
-                } else {
-                    Some(&mut self.dram)
-                };
-                model.tick(cycle, dram)
-            };
-            for r in responses {
-                if let Some(p) = self.req_map.remove(&r.id) {
+            let dram = (Some(si) != self.dram_idx).then_some(&mut self.dram);
+            self.structs[si].tick(cycle, dram, &mut responses);
+            for r in responses.drain(..) {
+                if let Some(p) = self.answer_request(r.id) {
                     if let Some(obs) = self.obs.as_mut() {
                         obs.mem_resp(cycle, si, r.id);
                     }
                     if r.ecc == Ecc::Uncorrectable {
                         return Err(self.fault_err(
-                            p.task,
-                            p.tile,
-                            p.node,
+                            p.task as usize,
+                            p.node as usize,
+                            self.tasks[p.task as usize].tiles[p.tile as usize]
+                                .as_ref()
+                                .map_or(0, |i| i.uid),
                             p.instance,
                             FaultKind::EccUncorrectable,
                             format!("memory response for request {} (structure {si})", r.id),
                         ));
                     }
-                    self.node_done(p.task, p.tile, p.uid, p.node, p.instance, None)?;
+                    self.node_done(p, None)?;
                 }
             }
         }
+        self.mem_resp = responses;
         // Phase 3: dispatch queued invocations onto free tiles (min-index
-        // first, matching the old linear `is_none()` scan).
-        for ti in 0..self.tasks.len() {
-            while !self.tasks[ti].queue.is_empty() {
-                let Some(&Reverse(free)) = self.tasks[ti].free_tiles.peek() else {
-                    break;
-                };
-                self.tasks[ti].free_tiles.pop();
-                let invq = self.tasks[ti].queue.pop_front().expect("checked");
-                if self.use_ready && !self.tasks[ti].queue_waiters.is_empty() {
-                    // A queue slot freed: blocked TaskCall sites may retry.
-                    let waiters = std::mem::take(&mut self.tasks[ti].queue_waiters);
-                    for (wti, wtk, wnode) in &waiters {
-                        self.wake(*wti as usize, *wtk as usize, *wnode as usize);
+        // first, matching a linear `is_none()` scan). Only a queue push or
+        // a retirement can make a dispatch possible, so `Ready` looks only
+        // after one; the dense oracle looks every cycle.
+        if self.dispatch_hint || !self.use_ready {
+            self.dispatch_hint = false;
+            for ti in 0..self.tasks.len() {
+                while !self.tasks[ti].queue.is_empty() {
+                    let Some(Reverse(free)) = self.tasks[ti].free_tiles.pop() else {
+                        break;
+                    };
+                    let invq = self.tasks[ti].queue.pop_front().expect("checked");
+                    if self.use_ready && !self.tasks[ti].queue_waiters.is_empty() {
+                        // A queue slot freed: blocked TaskCall sites may retry.
+                        let mut waiters = std::mem::take(&mut self.tasks[ti].queue_waiters);
+                        for (wti, wtk, wnode) in waiters.drain(..) {
+                            self.wake_tile(wti as usize, wtk as usize, wnode as usize);
+                        }
+                        self.tasks[ti].queue_waiters = waiters;
                     }
+                    let uid = invq.uid;
+                    self.activate(ti, free, invq).map_err(|e| {
+                        e.at_site(cycle, ti as u32, &self.acc.tasks[ti].name, None, Some(uid))
+                    })?;
                 }
-                let uid = invq.uid;
-                self.activate(ti, free, invq).map_err(|e| {
-                    e.at_site(cycle, ti as u32, &self.acc.tasks[ti].name, None, Some(uid))
-                })?;
             }
         }
-        // Phase 4: admissions + node firing (consumers-first order).
-        let mut par_outcome = None;
-        if self.use_parallel {
-            par_outcome = Some(self.phase4_parallel()?);
+        // Phase 4: admissions + node firing (consumers-first order), tiles
+        // in dense order. `Ready` ticks only the tiles that are due; for
+        // every other tile the tick would admit nothing, promote nothing
+        // and visit nothing (the tile-work invariant on `tile_due`).
+        if self.use_ready {
+            let mut next_due = u64::MAX;
+            for g in 0..self.tile_due.len() {
+                if self.tile_due[g] <= cycle {
+                    self.scan_g = g + 1;
+                    let (ti, tk) = self.tile_ids[g];
+                    self.tile_tick(ti as usize, tk as usize)?;
+                }
+                next_due = next_due.min(self.tile_due[g]);
+            }
+            self.next_due = next_due;
         } else {
             for ti in 0..self.tasks.len() {
                 for tk in 0..self.tasks[ti].tiles.len() {
                     if self.tasks[ti].tiles[tk].is_some() {
                         self.tasks[ti].busy_cycles += 1;
-                        if self.use_ready {
-                            self.tile_tick_ready(ti, tk)?;
-                        } else {
-                            self.tile_tick(ti, tk)?;
-                        }
-                        self.check_invocation_complete(ti, tk)?;
+                        self.tile_tick(ti, tk)?;
                     }
                 }
             }
         }
-        self.pass_point = PassPoint::After;
         self.cycle += 1;
-        if let Some((shortfall, min_ready)) = par_outcome {
-            self.parallel_skip_idle(shortfall, min_ready);
-        }
         Ok(())
     }
 
-    /// Phase 4 under [`SchedulerKind::Parallel`]: a two-phase cycle.
-    ///
-    /// *Plan* (parallel, read-only): each active tile independently computes
-    /// a [`parallel::TilePlan`] — an admission prediction and a candidate
-    /// list that is a provable superset of the nodes the dense scan would
-    /// fire, in dense scan order (see `parallel.rs` for the gate-by-gate
-    /// argument). Tiles share no mutable state, so any sharding across the
-    /// worker pool yields identical plans.
-    ///
-    /// *Commit*: tiles whose plan is **local** (every candidate a pure
-    /// micro-op with in-order tokens) are committed in parallel on the
-    /// worker pool (`parallel::commit_local`), with their engine-global
-    /// effects — fire/visit counters, progress, completion events —
-    /// buffered per tile and merged below in dense tile order, which
-    /// reproduces the sequential commit bit-for-bit (DESIGN.md §14). All
-    /// other tiles replay their candidates through `try_fire` at their
-    /// dense slot in the merge, re-checking every gate. Either way the
-    /// commit's gate-passing visits are exactly the dense scan's, so every
-    /// global side effect — fault-RNG rolls, event sequence numbers,
-    /// memory request ids, junction budgets — happens in exactly the dense
-    /// order, which is what makes the scheduler bit-identical at any
-    /// thread count (DESIGN.md §10).
-    ///
-    /// Epoch commit is enabled only under the micro-op exec mode with
-    /// fault injection off (token-fault RNG draws must stay in dense
-    /// order) and an actual pool to shard across.
-    ///
-    /// Returns `(shortfall, min_ready)` for the post-commit idle skip:
-    /// `shortfall` is set when some candidate did not fire (its blocker may
-    /// clear by pure time advance, e.g. a junction budget refresh, so the
-    /// next cycle cannot be skipped), and `min_ready` is the earliest
-    /// known future wake (II throttles) observed while planning/committing.
-    fn phase4_parallel(&mut self) -> Result<(bool, u64), SimError> {
-        let cycle = self.cycle;
-        let mut active = std::mem::take(&mut self.par_active);
-        active.clear();
-        for (ti, t) in self.tasks.iter().enumerate() {
-            for (tk, tile) in t.tiles.iter().enumerate() {
-                if tile.is_some() {
-                    active.push((ti as u32, tk as u32));
-                }
-            }
+    /// Deliver one scheduled event to its completion handler.
+    fn dispatch_event(&mut self, ev: Ev) -> Result<(), SimError> {
+        match ev {
+            Ev::NodeDone(site) => self.node_done(site, None),
+            Ev::Reply { to, results } => self.node_done(to, Some(results)),
         }
-        let n = active.len();
-        let mut plans = std::mem::take(&mut self.par_plans);
-        if plans.len() < n {
-            plans.resize_with(n, parallel::TilePlan::default);
-        }
-        let use_epoch = self.use_uop && !self.faults_on && self.pool.is_some();
-        {
-            let ctx = parallel::PlanCtx {
-                acc: self.acc,
-                elab: &self.elab,
-                tasks: &self.tasks,
-                stuck: &self.stuck,
-                faults_on: self.faults_on,
-                cycle,
-                window: self.cfg.window,
-                skip_pre: use_epoch,
-            };
-            match &self.pool {
-                // Engaging workers for a single tile only adds handoff
-                // latency; the inline path computes the very same plan.
-                Some(pool) if n >= 2 => {
-                    pool.plan(&ctx, &active, &mut plans[..n], &mut self.par_ws);
-                }
-                _ => {
-                    for (i, &(ti, tk)) in active.iter().enumerate() {
-                        parallel::plan_tile(
-                            &ctx,
-                            ti as usize,
-                            tk as usize,
-                            &mut self.par_ws,
-                            &mut plans[i],
-                        );
-                    }
-                }
-            }
-        }
-        // Epoch commit, phase A: shard the local tiles' commits across the
-        // pool, buffering their global effects. A tile qualifies when its
-        // plan is local and non-trivial; trivial (no-admit, no-candidate)
-        // tiles have nothing to commit. Every item built here is still
-        // alive at the merge: mid-merge retirement (a child's completion
-        // cascading into its spawn parent) requires the parent tile to have
-        // drained all its work, which forces an empty plan — skipped here.
-        let mut items = std::mem::take(&mut self.par_commit_items);
-        let mut outs = std::mem::take(&mut self.par_commit_outs);
-        let mut map = std::mem::take(&mut self.par_commit_map);
-        items.clear();
-        map.clear();
-        map.resize(n, -1);
-        if use_epoch {
-            for (i, &(ti, tk)) in active.iter().enumerate() {
-                let (ti, tk) = (ti as usize, tk as usize);
-                if !plans[i].local || (!plans[i].admit && plans[i].cands.is_empty()) {
-                    continue;
-                }
-                let Some(inv) = self.tasks[ti].tiles[tk].as_mut() else {
-                    continue;
-                };
-                map[i] = items.len() as i32;
-                items.push(parallel::CommitItem {
-                    ti: ti as u32,
-                    inv: std::ptr::from_mut(inv),
-                    plan: &plans[i],
-                });
-            }
-            if outs.len() < items.len() {
-                outs.resize_with(items.len(), parallel::CommitOut::default);
-            }
-            let ctx = parallel::CommitCtx {
-                elab: &self.elab,
-                cycle,
-                window: self.cfg.window,
-            };
-            parallel::EPOCH_TILE_COMMITS
-                .fetch_add(items.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            let pool = self.pool.as_ref().expect("use_epoch implies pool");
-            if items.len() >= 2 {
-                pool.commit(&ctx, &items, &mut outs[..items.len()], &mut self.par_ws);
-            } else {
-                for (j, item) in items.iter().enumerate() {
-                    parallel::commit_item(&ctx, item, &mut outs[j], &mut self.par_ws);
-                }
-            }
-        }
-        // Merge / sequential commit, in dense tile order.
-        let mut shortfall = false;
-        let mut min_ready = u64::MAX;
-        for (i, &(ti, tk)) in active.iter().enumerate().take(n) {
-            let (ti, tk) = (ti as usize, tk as usize);
-            if self.tasks[ti].tiles[tk].is_none() {
-                // Retired earlier this phase (a child's completion released
-                // its spawn parent); the dense scan would skip it too.
-                continue;
-            }
-            self.tasks[ti].busy_cycles += 1;
-            let mi = map[i];
-            if mi >= 0 {
-                // Epoch-committed in phase A: merge its buffered effects
-                // here, in the tile's dense slot, so event sequence numbers
-                // and counters match the sequential commit bit-for-bit.
-                let out = &mut outs[mi as usize];
-                self.sched_visits += out.visits;
-                self.fires += out.fires;
-                if out.progressed {
-                    self.last_progress = cycle;
-                }
-                shortfall |= out.shortfall;
-                min_ready = min_ready.min(out.min_ready);
-                let uid = self.tasks[ti].tiles[tk].as_ref().map(|v| v.uid);
-                for (at, node, instance) in out.events.drain(..) {
-                    self.schedule(
-                        at,
-                        Ev::NodeDone {
-                            task: ti,
-                            tile: tk,
-                            uid: uid.unwrap_or(0),
-                            node: node as usize,
-                            instance,
-                        },
-                    );
-                }
-                if let Some((node, err)) = out.err.take() {
-                    return Err(err.at_site(
-                        cycle,
-                        ti as u32,
-                        &self.acc.tasks[ti].name,
-                        Some(node),
-                        uid,
-                    ));
-                }
-            } else {
-                let admitted = self.admit(ti, tk);
-                debug_assert_eq!(
-                    admitted.is_some(),
-                    plans[i].admit,
-                    "plan admission prediction diverged"
-                );
-                let uid = self.tasks[ti].tiles[tk].as_ref().map(|v| v.uid);
-                for c in 0..plans[i].cands.len() {
-                    let pos = plans[i].cands[c].pos as usize;
-                    let pre = plans[i].cands[c].pre.take();
-                    let node = self.elab[ti].order[pos];
-                    let before = self.fires;
-                    self.try_fire(ti, tk, node, pre).map_err(|e| {
-                        e.at_site(
-                            cycle,
-                            ti as u32,
-                            &self.acc.tasks[ti].name,
-                            Some(node as u32),
-                            uid,
-                        )
-                    })?;
-                    if self.fires == before {
-                        shortfall = true;
-                    } else if let Some(inv) = self.tasks[ti].tiles[tk].as_ref() {
-                        if inv.fired[node] < inv.admitted {
-                            min_ready = min_ready.min(inv.ready_at[node]);
-                        }
-                    }
-                }
-            }
-            min_ready = min_ready.min(plans[i].next_wake);
-            self.check_invocation_complete(ti, tk)?;
-        }
-        self.par_active = active;
-        self.par_plans = plans;
-        self.par_commit_items = items;
-        self.par_commit_outs = outs;
-        self.par_commit_map = map;
-        Ok((shortfall, min_ready))
-    }
-
-    /// Post-commit idle skip for the parallel scheduler, the counterpart of
-    /// [`Engine::maybe_skip_idle`]: when the cycle just committed proves
-    /// nothing can happen until a known future cycle — every candidate
-    /// fired, no dispatch or admission is possible, memory and the event
-    /// heap are quiescent — jump there, capped at the watchdog deadline and
-    /// cycle limit so errors fire at exactly the dense scheduler's cycle.
-    fn parallel_skip_idle(&mut self, shortfall: bool, min_ready: u64) {
-        if shortfall || self.root_result.is_some() {
-            return;
-        }
-        let cycle = self.cycle;
-        let mut earliest = min_ready;
-        for t in &self.tasks {
-            if !t.queue.is_empty() && !t.free_tiles.is_empty() {
-                return; // dispatch would happen now
-            }
-            for tile in &t.tiles {
-                let Some(inv) = tile else { continue };
-                if self.can_admit(inv) {
-                    return;
-                }
-            }
-        }
-        for s in &self.structs {
-            match s.next_activity(cycle) {
-                Some(at) if at <= cycle => return, // must tick now
-                Some(at) => earliest = earliest.min(at),
-                None => {}
-            }
-        }
-        if let Some(at) = self.next_event_cycle() {
-            if at <= cycle {
-                return;
-            }
-            earliest = earliest.min(at);
-        }
-        let deadline = (self.last_progress + self.cfg.deadlock_cycles).saturating_add(1);
-        let target = earliest.min(deadline).min(self.cfg.max_cycles);
-        if target <= cycle {
-            return;
-        }
-        let skipped = target - cycle;
-        for t in &mut self.tasks {
-            let active = t.tiles.iter().filter(|x| x.is_some()).count() as u64;
-            t.busy_cycles += active * skipped;
-        }
-        self.cycle = target;
     }
 
     fn activate(&mut self, ti: usize, tile: usize, inv: Invocation) -> Result<(), SimError> {
@@ -1625,55 +1461,31 @@ impl<'a> Engine<'a> {
                 (trip, lo, spec.step, *serial)
             }
         };
-        let nnodes = task.dataflow.nodes.len();
-        self.tasks[ti].invocations += 1;
         self.task_invocations[ti] += 1;
-        // Recycle a retired shell when one is pooled: its vectors already
-        // have this task's shapes, so reactivation allocates nothing.
-        let active = match self.tasks[ti].pool.pop() {
+        let mut a = match self.tasks[ti].pool.pop() {
             Some(mut a) => {
-                a.uid = inv.uid;
-                a.args = inv.args;
-                a.reply = inv.reply;
-                a.spawn_parent = inv.spawn_parent;
-                a.trip = trip;
-                a.lo = lo;
-                a.step = step;
-                a.serial = serial;
-                a.admitted = 0;
-                a.completed = 0;
-                a.fired.iter_mut().for_each(|x| *x = 0);
-                a.ready_at.iter_mut().for_each(|x| *x = 0);
-                a.pending.iter_mut().for_each(|x| *x = 0);
-                a.arena.clear();
-                a.outstanding.clear();
-                a.spawns_outstanding = 0;
-                a.last_output.clear();
-                a.acc_state.iter_mut().for_each(|x| *x = None);
+                a.reset();
                 a
             }
-            None => ActiveInv {
-                uid: inv.uid,
-                args: inv.args,
-                reply: inv.reply,
-                spawn_parent: inv.spawn_parent,
-                trip,
-                lo,
-                step,
-                serial,
-                admitted: 0,
-                completed: 0,
-                fired: vec![0; nnodes],
-                ready_at: vec![0; nnodes],
-                pending: vec![0; nnodes],
-                arena: TokenArena::with_caps(&self.elab[ti].cap),
-                outstanding: VecDeque::new(),
-                spawns_outstanding: 0,
-                last_output: Vec::new(),
-                acc_state: vec![None; nnodes],
-            },
+            None => Box::new(ActiveInv::new(
+                task.dataflow.nodes.len(),
+                &self.elab[ti].cap,
+            )),
         };
-        self.tasks[ti].tiles[tile] = Some(active);
+        let old_args = std::mem::replace(&mut a.args, inv.args);
+        self.recycle(old_args);
+        a.uid = inv.uid;
+        a.reply = inv.reply;
+        a.spawn_parent = inv.spawn_parent;
+        a.trip = trip;
+        a.lo = lo;
+        a.step = step;
+        a.serial = serial;
+        a.since = self.cycle;
+        self.tasks[ti].tiles[tile] = Some(a);
+        // Due at once: to admit instance 0, or — a zero-trip loop admits
+        // nothing — for the completion check that follows the tile's pass.
+        self.tile_due[self.tile_base[ti] + tile] = self.cycle;
         self.last_progress = self.cycle;
         Ok(())
     }
@@ -1693,140 +1505,119 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// One tile's phase-4 slot: admission, the scheduler's candidate walk,
+    /// the completion check. The invocation is lifted out of the engine
+    /// for the walk, so every firing works on one `&mut ActiveInv` next to
+    /// `&mut self` instead of re-deriving it from (task, tile).
     fn tile_tick(&mut self, ti: usize, tk: usize) -> Result<(), SimError> {
-        let cycle = self.cycle;
-        self.admit(ti, tk);
-        // Node firing in consumers-first order.
-        let uid = self.tasks[ti].tiles[tk].as_ref().map(|i| i.uid);
-        for pos in 0..self.elab[ti].order.len() {
-            let node = self.elab[ti].order[pos];
-            self.try_fire(ti, tk, node, None).map_err(|e| {
-                e.at_site(
-                    cycle,
-                    ti as u32,
-                    &self.acc.tasks[ti].name,
-                    Some(node as u32),
-                    uid,
-                )
-            })?;
-        }
-        Ok(())
+        let Some(mut inv) = self.tasks[ti].tiles[tk].take() else {
+            return Ok(());
+        };
+        let walked = if self.use_ready {
+            let r = self.ready_pass(ti, tk, &mut inv);
+            self.tile_due[self.tile_base[ti] + tk] =
+                inv.due_after_pass(self.cycle, self.cfg.window);
+            r
+        } else {
+            self.dense_pass(ti, tk, &mut inv)
+        };
+        self.tasks[ti].tiles[tk] = Some(inv);
+        walked?;
+        self.check_invocation_complete(ti, tk)
     }
 
     /// Admission: at most one new instance per cycle. Returns the admitted
     /// instance number, if any.
-    fn admit(&mut self, ti: usize, tk: usize) -> Option<u64> {
-        let cycle = self.cycle;
-        let inv = self.tasks[ti].tiles[tk].as_mut().expect("active");
-        let can = inv.admitted < inv.trip
-            && if inv.serial {
-                inv.completed == inv.admitted
-            } else {
-                inv.admitted - inv.completed < self.cfg.window
-            };
-        if !can {
+    fn admit(&mut self, ti: usize, inv: &mut ActiveInv) -> Option<u64> {
+        if !inv.can_admit(self.cfg.window) {
             return None;
         }
         let k = inv.admitted;
         inv.admitted += 1;
-        let dc = self.elab[ti].dynamic_count;
         debug_assert_eq!(k, inv.completed + inv.outstanding.len() as u64);
-        inv.outstanding.push_back(dc);
-        self.last_progress = cycle;
+        inv.outstanding.push_back(self.elab[ti].dynamic_count);
+        self.last_progress = self.cycle;
         Some(k)
     }
 
-    /// Ready-scheduler tile pass: admission, then fire only the woken
-    /// candidates, in ascending scan position — exactly the subsequence of
-    /// the dense scan that would have fired or stalled for a cause.
-    fn tile_tick_ready(&mut self, ti: usize, tk: usize) -> Result<(), SimError> {
+    /// The dense oracle's walk: every node, consumers first, every cycle.
+    fn dense_pass(&mut self, ti: usize, tk: usize, inv: &mut ActiveInv) -> Result<(), SimError> {
+        self.admit(ti, inv);
+        let order: &[usize] = &self.elab[ti].ct.order;
+        for &node in order {
+            self.try_fire(ti, tk, inv, node)?;
+        }
+        Ok(())
+    }
+
+    /// The ready scheduler's walk: fire only the woken candidates, in
+    /// ascending scan position — exactly the subsequence of the dense scan
+    /// that would have fired or stalled for a cause.
+    fn ready_pass(&mut self, ti: usize, tk: usize, inv: &mut ActiveInv) -> Result<(), SimError> {
         let cycle = self.cycle;
-        self.pass_point = PassPoint::At(ti, tk, -1);
-        if let Some(k) = self.admit(ti, tk) {
-            // Admission opened instance `k`: nodes whose next firing is
-            // instance `k` may now have work (their input tokens can
-            // predate admission — elastic edges run ahead).
-            let mut scratch = std::mem::take(&mut self.wake_scratch);
-            scratch.clear();
-            if k == 0 {
-                // Seeding: every dynamic node's next firing is instance 0.
-                let is_static = &self.elab[ti].is_static;
-                for (node, &st) in is_static.iter().enumerate() {
-                    if !st {
-                        scratch.push(node as u32);
+        let admitted = self.admit(ti, inv);
+        let info = &self.elab[ti].info;
+        match admitted {
+            // Seeding: every dynamic node's next firing is instance 0.
+            Some(0) => {
+                for (node, ni) in info.iter().enumerate() {
+                    if !ni.is_static {
+                        inv.wake(info, node, cycle);
                     }
                 }
-            } else {
-                // Only parked admission waiters can be unblocked by a later
-                // admission (anything else is gated by tokens or II, which
-                // carry their own wakes).
-                let rt = &mut self.ready[ti][tk];
-                scratch.append(&mut rt.adm);
-                for &node in &scratch {
-                    rt.in_adm[node as usize] = false;
+            }
+            // Only parked admission waiters can be unblocked by a later
+            // admission (anything else is gated by tokens or II, which
+            // carry their own wakes). Their tokens can predate admission —
+            // elastic edges run ahead.
+            Some(_) => {
+                let mut adm = std::mem::take(&mut inv.ready.adm);
+                for node in adm.drain(..) {
+                    inv.nodes[node as usize].queued &= !IN_ADM;
+                    inv.wake(info, node as usize, cycle);
                 }
+                inv.ready.adm = adm;
             }
-            for &node in &scratch {
-                self.wake(ti, tk, node as usize);
-            }
-            self.wake_scratch = scratch;
+            None => {}
         }
         // Promote due sleepers and deferred candidates into this cycle's
         // set. (`next` entries were deferred from an earlier point of the
         // scan; `future` entries reached their `ready_at`.)
-        {
-            let elab = &self.elab[ti];
-            let rt = &mut self.ready[ti][tk];
-            while let Some(&Reverse((at, pos, node))) = rt.future.peek() {
-                if at > cycle {
-                    break;
-                }
-                rt.future.pop();
-                rt.in_future[node as usize] = false;
-                rt.mark_cur(pos);
+        while let Some(&Reverse((at, pos, node))) = inv.ready.future.peek() {
+            if at > cycle {
+                break;
             }
-            while let Some(node) = rt.next.pop() {
-                rt.in_next[node as usize] = false;
-                rt.mark_cur(elab.pos[node as usize]);
-            }
+            inv.ready.future.pop();
+            inv.nodes[node as usize].queued &= !IN_FUTURE;
+            inv.ready.mark_cur(pos);
         }
-        let uid = self.tasks[ti].tiles[tk].as_ref().map(|i| i.uid);
+        while let Some(node) = inv.ready.next.pop() {
+            inv.nodes[node as usize].queued &= !IN_NEXT;
+            inv.ready.mark_cur(info[node as usize].pos);
+        }
         // Drain the bitset lowest-position-first. The word is re-read after
         // every visit: a same-cycle wake from inside `try_fire` can only
         // set a bit ahead of the drain point, which this forward walk will
-        // still reach. `order` is re-indexed per visit rather than cloned
-        // out of its `Arc` up front — the refcount pair costs more than the
-        // handful of per-visit loads on low-activity cycles.
+        // still reach.
+        let order: &[usize] = &self.elab[ti].ct.order;
         let mut wi = 0;
-        while wi < self.ready[ti][tk].cur_bits.len() {
-            let word = self.ready[ti][tk].cur_bits[wi];
+        while wi < inv.ready.cur_bits.len() {
+            let word = inv.ready.cur_bits[wi];
             if word == 0 {
                 wi += 1;
                 continue;
             }
-            let bit = word.trailing_zeros();
-            let rt = &mut self.ready[ti][tk];
-            rt.cur_bits[wi] &= !(1u64 << bit);
-            rt.cur_n -= 1;
-            let pos = wi as u32 * 64 + bit;
-            let node = self.elab[ti].order[pos as usize] as u32;
-            self.pass_point = PassPoint::At(ti, tk, i64::from(pos));
-            self.try_fire(ti, tk, node as usize, None).map_err(|e| {
-                e.at_site(cycle, ti as u32, &self.acc.tasks[ti].name, Some(node), uid)
-            })?;
+            inv.ready.cur_bits[wi] = word & (word - 1);
+            let pos = wi * 64 + word.trailing_zeros() as usize;
+            inv.ready.scan = pos as i64;
+            self.try_fire(ti, tk, inv, order[pos])?;
         }
-        self.pass_point = PassPoint::At(ti, tk, i64::MAX);
+        inv.ready.scan = -1;
         Ok(())
     }
 
-    /// Attempt to fire `node` on (task, tile), re-checking every gate.
-    ///
-    /// `pre` is an optional precomputed output value from the parallel plan
-    /// phase: `(instance, value)` for a pure `Compute`/`Fused` node whose
-    /// inputs were frozen when planned. It is a pure optimization — the
-    /// value is used only when the instance matches, and recomputing it
-    /// here would yield the identical value (the dense and ready callers
-    /// always pass `None`).
+    /// Attempt to fire `node` of the invocation on (task, tile),
+    /// re-checking every gate.
     ///
     /// Dispatches on [`crate::ExecMode`]: the micro-op fast path executes
     /// the compiled [`MicroOp`] stream, the interpreter walks the structure
@@ -1837,14 +1628,23 @@ impl<'a> Engine<'a> {
         &mut self,
         ti: usize,
         tk: usize,
+        inv: &mut ActiveInv,
         node: usize,
-        pre: Option<(u64, Value)>,
     ) -> Result<(), SimError> {
-        if self.use_uop {
-            self.try_fire_uop(ti, tk, node, pre)
+        let r = if self.use_uop {
+            self.try_fire_uop(ti, tk, inv, node)
         } else {
-            self.try_fire_interp(ti, tk, node, pre)
-        }
+            self.try_fire_interp(ti, tk, inv, node)
+        };
+        r.map_err(|e| {
+            e.at_site(
+                self.cycle,
+                ti as u32,
+                &self.acc.tasks[ti].name,
+                Some(node as u32),
+                Some(inv.uid),
+            )
+        })
     }
 
     /// The `NodeKind` interpreter path (the differential oracle).
@@ -1852,8 +1652,8 @@ impl<'a> Engine<'a> {
         &mut self,
         ti: usize,
         tk: usize,
+        inv: &mut ActiveInv,
         node: usize,
-        pre: Option<(u64, Value)>,
     ) -> Result<(), SimError> {
         let cycle = self.cycle;
         let df = &self.acc.tasks[ti].dataflow;
@@ -1864,44 +1664,30 @@ impl<'a> Engine<'a> {
         if self.faults_on && self.stuck.contains(&(ti, tk, node)) {
             // Output handshake stuck: valid never asserts again. Attribute
             // the hold only while the node actually has instances to fire.
-            let has_work = self.tasks[ti].tiles[tk]
-                .as_ref()
-                .is_some_and(|inv| inv.fired[node] < inv.admitted);
-            if has_work {
+            if inv.nodes[node].fired < inv.admitted {
                 return self.note_stall((ti, tk, node), StallReason::FaultHold, None, None);
             }
             return Ok(());
         }
-        // Gather facts without holding a mutable borrow.
-        let (k, instance_gated, ok_basic) = {
-            let inv = self.tasks[ti].tiles[tk].as_ref().expect("active");
-            let k = inv.fired[node];
-            (
-                k,
-                k >= inv.admitted,
-                k < inv.admitted && cycle >= inv.ready_at[node],
-            )
-        };
-        if !ok_basic {
-            if self.use_ready && instance_gated {
+        let k = inv.nodes[node].fired;
+        if k >= inv.admitted {
+            if self.use_ready {
                 // Blocked on the instance gate: only the next admission can
                 // open instance `k`, so park on the admission-waiter list.
-                let rt = &mut self.ready[ti][tk];
-                if !rt.in_adm[node] {
-                    rt.in_adm[node] = true;
-                    rt.adm.push(node as u32);
-                }
+                inv.park_adm(node);
             }
+            return Ok(());
+        }
+        if cycle < inv.nodes[node].ready_at {
             return Ok(());
         }
         let kind = &df.nodes[node].kind;
         let is_merge = matches!(kind, NodeKind::Merge);
 
         // Check inputs.
-        let in_data = Arc::clone(&self.elab[ti].in_data[node]);
-        let in_order = Arc::clone(&self.elab[ti].in_order[node]);
+        let ct = self.elab[ti].ct;
+        let (in_data, in_order) = (&ct.in_data[node], &ct.in_order[node]);
         {
-            let inv = self.tasks[ti].tiles[tk].as_ref().expect("active");
             for &ei in in_data.iter().chain(in_order.iter()) {
                 let e = &df.edges[ei];
                 if self.elab[ti].is_static[e.src.0 as usize] {
@@ -1918,8 +1704,8 @@ impl<'a> Engine<'a> {
                             if inst != k - 1 {
                                 return Err(self.fault_err(
                                     ti,
-                                    tk,
                                     node,
+                                    inv.uid,
                                     k,
                                     FaultKind::TokenMisorder,
                                     format!(
@@ -1948,8 +1734,8 @@ impl<'a> Engine<'a> {
                         if inst != k {
                             return Err(self.fault_err(
                                 ti,
-                                tk,
                                 node,
+                                inv.uid,
                                 k,
                                 FaultKind::TokenMisorder,
                                 format!("edge e{ei}: expected instance {k}, found {inst}"),
@@ -1969,7 +1755,7 @@ impl<'a> Engine<'a> {
             // In-flight bound (databox entries / pipeline occupancy). For
             // memory transit points a full databox means every entry is
             // waiting on the structure behind the junction.
-            if inv.pending[node] >= self.elab[ti].max_pending[node] {
+            if inv.nodes[node].pending >= self.elab[ti].info[node].max_pending {
                 let (reason, sid) = match kind {
                     NodeKind::Load { junction, .. } | NodeKind::Store { junction, .. } => (
                         StallReason::MemoryWait,
@@ -2027,7 +1813,9 @@ impl<'a> Engine<'a> {
             };
             if lost {
                 // Port budgets refresh every cycle: retry next cycle.
-                self.wake(ti, tk, node);
+                if self.use_ready {
+                    inv.wake(&self.elab[ti].info, node, cycle);
+                }
                 return self.note_stall(
                     (ti, tk, node),
                     StallReason::ArbitrationLoss,
@@ -2044,21 +1832,17 @@ impl<'a> Engine<'a> {
             return self.note_stall((ti, tk, node), StallReason::FaultHold, None, None);
         }
 
-        // --- Fire -----------------------------------------------------------
-        // Scratch buffers are taken out of `self` and restored on *every*
-        // path — success or error — so a failed firing can never leak a
-        // drained buffer (the old inline body leaked them on eval errors).
+        // --- Fire (buffers restored on every path, success or error) --------
         let mut slots = std::mem::take(&mut self.slot_scratch);
         let mut values = std::mem::take(&mut self.val_scratch);
         let mut out_values = std::mem::take(&mut self.out_scratch);
         let r = self.fire_interp(
             ti,
             tk,
+            inv,
             node,
             k,
             is_merge,
-            mem_plan,
-            pre,
             &mut slots,
             &mut values,
             &mut out_values,
@@ -2081,11 +1865,10 @@ impl<'a> Engine<'a> {
         &mut self,
         ti: usize,
         tk: usize,
+        inv: &mut ActiveInv,
         node: usize,
         k: u64,
         is_merge: bool,
-        mem_plan: Option<(usize, bool)>,
-        pre: Option<(u64, Value)>,
         slots: &mut Vec<Option<Value>>,
         values: &mut Vec<Value>,
         out_values: &mut Vec<Value>,
@@ -2098,17 +1881,15 @@ impl<'a> Engine<'a> {
         let in_order = &ct.in_order[node];
         // Collect input values (consume tokens).
         {
-            // Static reads first (immutable), then token pops (mutable).
+            // Static reads first, then token pops.
             slots.clear();
             slots.resize(in_data.len(), None);
             for (i, &ei) in in_data.iter().enumerate() {
                 let e = &df.edges[ei];
                 if self.elab[ti].is_static[e.src.0 as usize] {
-                    let inv = self.tasks[ti].tiles[tk].as_ref().expect("active");
                     slots[i] = Some(self.static_value(ti, inv, e.src.0 as usize)?);
                 }
             }
-            let inv = self.tasks[ti].tiles[tk].as_mut().expect("active");
             for (i, &ei) in in_data.iter().enumerate() {
                 if slots[i].is_some() {
                     continue;
@@ -2155,21 +1936,25 @@ impl<'a> Engine<'a> {
                     continue; // no token was consumed at instance 0
                 }
                 let cap = self.edge_capacity(ti, ei);
-                let visible = self.tasks[ti].tiles[tk]
-                    .as_ref()
-                    .map_or(0, |inv| inv.arena.visible(ei) as usize);
+                let visible = inv.arena.visible(ei) as usize;
                 if visible + 1 >= cap {
-                    self.wake(ti, tk, src);
+                    inv.wake(&self.elab[ti].info, src, cycle);
                 }
             }
         }
 
-        let timing = self.elab[ti].timing[node];
-        let mut completion_at = Some(cycle + timing.latency as u64);
+        let ni = self.elab[ti].info[node];
+        let site = Site {
+            task: ti as u32,
+            tile: tk as u32,
+            node: node as u32,
+            uid: inv.uid,
+            instance: k,
+        };
+        let mut completion_at = Some(cycle + ni.latency as u64);
 
         match kind {
             NodeKind::IndVar => {
-                let inv = self.tasks[ti].tiles[tk].as_ref().expect("active");
                 out_values.push(Value::Int(inv.lo + k as i64 * inv.step));
             }
             NodeKind::Merge => {
@@ -2186,29 +1971,23 @@ impl<'a> Engine<'a> {
                 let base = if k == 0 {
                     values[0].clone()
                 } else {
-                    self.tasks[ti].tiles[tk].as_ref().expect("active").acc_state[node]
+                    inv.acc_state[node]
                         .clone()
                         .ok_or_else(|| SimError::eval("accumulator state missing"))?
                 };
                 let r = eval_op(*op, &[base, values[1].clone()])?;
-                let inv = self.tasks[ti].tiles[tk].as_mut().expect("active");
                 inv.acc_state[node] = Some(r.clone());
                 out_values.push(r);
             }
-            NodeKind::Compute(op) => match pre {
-                Some((pk, v)) if pk == k => out_values.push(v),
-                _ => out_values.push(eval_op(*op, values)?),
-            },
-            NodeKind::Fused(plan) => match pre {
-                Some((pk, v)) if pk == k => out_values.push(v),
-                _ => out_values.push(eval_fused(plan, values)?),
-            },
+            NodeKind::Compute(op) => out_values.push(eval_op(*op, values)?),
+            NodeKind::Fused(plan) => out_values.push(eval_fused(plan, values)?),
             NodeKind::Output => {
-                let inv = self.tasks[ti].tiles[tk].as_mut().expect("active");
-                inv.last_output = values.clone();
+                inv.last_output.clone_from(values);
             }
             NodeKind::Load {
-                obj, predicated, ..
+                obj,
+                junction,
+                predicated,
             } => {
                 let active = !*predicated
                     || values
@@ -2243,39 +2022,16 @@ impl<'a> Engine<'a> {
                         }
                         out_values.push(Value::assemble(ty, slots));
                     }
-                    let id = self.next_req;
-                    self.next_req += 1;
-                    let (j, _) =
-                        mem_plan.ok_or_else(|| SimError::eval("load without junction plan"))?;
-                    let sid = df.junctions[j].structure.0 as usize;
-                    if let Some(obs) = self.obs.as_mut() {
-                        let bank = (base % self.structs[sid].bank_count().max(1) as u64) as u32;
-                        obs.mem_req(cycle, sid, id, bank, n as u32, false);
-                    }
-                    self.structs[sid].submit(MemRequest {
-                        id,
-                        base,
-                        n,
-                        is_write: false,
-                    });
-                    self.req_map.insert(
-                        id,
-                        MemPending {
-                            task: ti,
-                            tile: tk,
-                            uid: self.tasks[ti].tiles[tk].as_ref().expect("active").uid,
-                            node,
-                            instance: k,
-                        },
-                    );
-                    completion_at = None; // completes on memory response
-                    self.jslot(ti, tk, j).1 += 1;
+                    self.issue_mem(site, junction.0 as usize, base, n, false);
+                    completion_at = None; // completes on the memory response
                 } else {
                     out_values.push(Value::Poison);
                 }
             }
             NodeKind::Store {
-                obj, predicated, ..
+                obj,
+                junction,
+                predicated,
             } => {
                 let active = !*predicated
                     || values
@@ -2311,33 +2067,8 @@ impl<'a> Engine<'a> {
                             1
                         }
                     };
-                    let id = self.next_req;
-                    self.next_req += 1;
-                    let (j, _) =
-                        mem_plan.ok_or_else(|| SimError::eval("store without junction plan"))?;
-                    let sid = df.junctions[j].structure.0 as usize;
-                    if let Some(obs) = self.obs.as_mut() {
-                        let bank = (base % self.structs[sid].bank_count().max(1) as u64) as u32;
-                        obs.mem_req(cycle, sid, id, bank, n as u32, true);
-                    }
-                    self.structs[sid].submit(MemRequest {
-                        id,
-                        base,
-                        n,
-                        is_write: true,
-                    });
-                    self.req_map.insert(
-                        id,
-                        MemPending {
-                            task: ti,
-                            tile: tk,
-                            uid: self.tasks[ti].tiles[tk].as_ref().expect("active").uid,
-                            node,
-                            instance: k,
-                        },
-                    );
-                    completion_at = None;
-                    self.jslot(ti, tk, j).2 += 1;
+                    self.issue_mem(site, junction.0 as usize, base, n, true);
+                    completion_at = None; // completes on the memory response
                 }
             }
             NodeKind::TaskCall {
@@ -2354,32 +2085,12 @@ impl<'a> Engine<'a> {
                         .map(|v| !v.is_poison() && v.as_bool())
                         .unwrap_or(true);
                 if active {
-                    let args: Vec<Value> = values[..nargs].to_vec();
-                    let uid = self.fresh_uid();
-                    let me_uid = self.tasks[ti].tiles[tk].as_ref().expect("active").uid;
-                    if *spawn {
-                        self.tasks[child].queue.push_back(Invocation {
-                            uid,
-                            args,
-                            reply: None,
-                            spawn_parent: Some((ti, me_uid)),
-                        });
-                        let inv = self.tasks[ti].tiles[tk].as_mut().expect("active");
+                    let spawn = *spawn;
+                    self.issue_call(site, child, nargs, spawn, values);
+                    if spawn {
                         inv.spawns_outstanding += 1;
                         out_values.resize(nres.max(1), Value::Int(0));
                     } else {
-                        self.tasks[child].queue.push_back(Invocation {
-                            uid,
-                            args,
-                            reply: Some(ReplyTo {
-                                task: ti,
-                                tile: tk,
-                                uid: me_uid,
-                                node,
-                                instance: k,
-                            }),
-                            spawn_parent: None,
-                        });
                         out_values.resize(nres.max(1), Value::Poison); // patched by reply
                         completion_at = None;
                     }
@@ -2395,7 +2106,6 @@ impl<'a> Engine<'a> {
         // long, a bit-flip corrupts the data lines.
         {
             let outs = &ct.outs[node];
-            let inv = self.tasks[ti].tiles[tk].as_mut().expect("active");
             for &ei in outs.iter() {
                 let e = &df.edges[ei];
                 let mut value = match e.kind {
@@ -2422,46 +2132,8 @@ impl<'a> Engine<'a> {
                     obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), true);
                 }
             }
-            inv.fired[node] = k + 1;
-            inv.ready_at[node] = cycle + timing.ii as u64;
-            inv.pending[node] += 1;
         }
-        self.fires += 1;
-        if let Some(obs) = self.obs.as_mut() {
-            obs.fire(cycle, (ti, tk, node), k);
-        }
-        self.last_progress = cycle;
-        if self.use_ready {
-            // More instances to fire: sleep until the initiation interval
-            // elapses. An exhausted window parks on the admission-waiter
-            // list instead — nodes with all-static inputs (IndVar, Const
-            // fan-ins) get no token wakes, so this is their only path back.
-            let more = self.tasks[ti].tiles[tk]
-                .as_ref()
-                .is_some_and(|inv| inv.fired[node] < inv.admitted);
-            if more {
-                self.wake(ti, tk, node);
-            } else if self.tasks[ti].tiles[tk].is_some() {
-                let rt = &mut self.ready[ti][tk];
-                if !rt.in_adm[node] {
-                    rt.in_adm[node] = true;
-                    rt.adm.push(node as u32);
-                }
-            }
-        }
-        if let Some(at) = completion_at {
-            let uid = self.tasks[ti].tiles[tk].as_ref().expect("active").uid;
-            self.schedule(
-                at.max(cycle + 1),
-                Ev::NodeDone {
-                    task: ti,
-                    tile: tk,
-                    uid,
-                    node,
-                    instance: k,
-                },
-            );
-        }
+        self.book_firing(inv, site, ni, completion_at);
         Ok(())
     }
 
@@ -2470,167 +2142,81 @@ impl<'a> Engine<'a> {
     /// compiled [`MicroOp`] stream — dispatch is a jump on a dense `u8`
     /// opcode over pre-resolved slot/edge index ranges instead of a
     /// `NodeKind` match with per-fire field destructuring (DESIGN.md §14).
-    #[allow(clippy::too_many_lines)]
     fn try_fire_uop(
         &mut self,
         ti: usize,
         tk: usize,
+        inv: &mut ActiveInv,
         node: usize,
-        pre: Option<(u64, Value)>,
     ) -> Result<(), SimError> {
         let cycle = self.cycle;
         let df = &self.acc.tasks[ti].dataflow;
         self.sched_visits += 1;
         let ct = self.elab[ti].ct;
-        let uop = ct.uops[node];
+        let uop = &ct.uops[node];
         if matches!(uop.kind, UopKind::Static) {
             return Ok(());
         }
-        if self.faults_on && self.stuck.contains(&(ti, tk, node)) {
-            let has_work = self.tasks[ti].tiles[tk]
-                .as_ref()
-                .is_some_and(|inv| inv.fired[node] < inv.admitted);
-            if has_work {
-                return self.note_stall((ti, tk, node), StallReason::FaultHold, None, None);
+        let site = (ti, tk, node);
+        let ns = inv.nodes[node];
+        let k = ns.fired;
+        if self.faults_on && self.stuck.contains(&site) {
+            if k < inv.admitted {
+                return self.note_stall(site, StallReason::FaultHold, None, None);
             }
             return Ok(());
         }
-        let (k, instance_gated, ok_basic) = {
-            let inv = self.tasks[ti].tiles[tk].as_ref().expect("active");
-            let k = inv.fired[node];
-            (
-                k,
-                k >= inv.admitted,
-                k < inv.admitted && cycle >= inv.ready_at[node],
-            )
-        };
-        if !ok_basic {
-            if self.use_ready && instance_gated {
-                let rt = &mut self.ready[ti][tk];
-                if !rt.in_adm[node] {
-                    rt.in_adm[node] = true;
-                    rt.adm.push(node as u32);
-                }
+        if k >= inv.admitted {
+            if self.use_ready {
+                inv.park_adm(node);
             }
             return Ok(());
         }
-        let slots = &ct.in_slots[uop.slot0 as usize..uop.slot0 as usize + uop.nin as usize];
-        let erefs = &ct.edge_refs
-            [uop.ebase as usize..uop.ebase as usize + uop.nord as usize + uop.nout as usize];
-
-        // Check inputs (slot run = data edges in port order, then the
-        // dynamic order-in edges — the interpreter's visit order).
-        {
-            let inv = self.tasks[ti].tiles[tk].as_ref().expect("active");
-            for &s in slots {
-                let ei = (s & SLOT_PAYLOAD) as usize;
-                match s & SLOT_TAG {
-                    SLOT_ARG | SLOT_CONST => {}
-                    SLOT_FEEDBACK => {
-                        // Feedback: required from instance 1 on, carrying
-                        // the previous instance's token.
-                        if k == 0 {
-                            continue;
-                        }
-                        match inv.arena.front(ei) {
-                            Some((inst, vis)) if vis <= cycle => {
-                                if inst != k - 1 {
-                                    return Err(self.fault_err(
-                                        ti,
-                                        tk,
-                                        node,
-                                        k,
-                                        FaultKind::TokenMisorder,
-                                        format!(
-                                            "feedback edge e{ei}: expected instance {}, found {inst}",
-                                            k - 1,
-                                        ),
-                                    ));
-                                }
-                            }
-                            _ => {
-                                return self.note_stall(
-                                    (ti, tk, node),
-                                    StallReason::InputEmpty,
-                                    Some(ei),
-                                    None,
-                                )
-                            }
-                        }
-                    }
-                    _ => match inv.arena.front(ei) {
-                        Some((inst, vis)) if vis <= cycle => {
-                            if inst != k {
-                                return Err(self.fault_err(
-                                    ti,
-                                    tk,
-                                    node,
-                                    k,
-                                    FaultKind::TokenMisorder,
-                                    format!("edge e{ei}: expected instance {k}, found {inst}"),
-                                ));
-                            }
-                        }
-                        _ => {
-                            return self.note_stall(
-                                (ti, tk, node),
-                                StallReason::InputEmpty,
-                                Some(ei),
-                                None,
-                            )
-                        }
-                    },
-                }
+        if cycle < ns.ready_at {
+            return Ok(());
+        }
+        match inv.input_gate(ct, uop, k, cycle) {
+            InputGate::Pass => {}
+            InputGate::Empty(ei) => {
+                return self.note_stall(site, StallReason::InputEmpty, Some(ei), None)
             }
-            for &er in &erefs[..uop.nord as usize] {
-                let ei = er as usize;
-                match inv.arena.front(ei) {
-                    Some((inst, vis)) if vis <= cycle => {
-                        if inst != k {
-                            return Err(self.fault_err(
-                                ti,
-                                tk,
-                                node,
-                                k,
-                                FaultKind::TokenMisorder,
-                                format!("edge e{ei}: expected instance {k}, found {inst}"),
-                            ));
-                        }
-                    }
-                    _ => {
-                        return self.note_stall(
-                            (ti, tk, node),
-                            StallReason::InputEmpty,
-                            Some(ei),
-                            None,
-                        )
-                    }
-                }
+            InputGate::Misordered {
+                edge,
+                want,
+                found,
+                feedback,
+            } => {
+                let feedback = if feedback { "feedback " } else { "" };
+                return Err(self.fault_err(
+                    ti,
+                    node,
+                    inv.uid,
+                    k,
+                    FaultKind::TokenMisorder,
+                    format!("{feedback}edge e{edge}: expected instance {want}, found {found}"),
+                ));
             }
-            // In-flight bound (databox entries / pipeline occupancy).
-            if inv.pending[node] >= self.elab[ti].max_pending[node] {
-                let (reason, sid) = match uop.kind {
-                    UopKind::Load | UopKind::Store => (
-                        StallReason::MemoryWait,
-                        Some(df.junctions[uop.b as usize].structure.0 as usize),
-                    ),
-                    _ => (StallReason::OutputFull, None),
-                };
-                return self.note_stall((ti, tk, node), reason, None, sid);
-            }
-            // Output space (visible tokens only).
-            for &er in &erefs[uop.nord as usize..] {
-                let ei = er as usize;
-                let cap = self.edge_capacity(ti, ei);
-                if inv.arena.visible(ei) as usize >= cap {
-                    return self.note_stall(
-                        (ti, tk, node),
-                        StallReason::OutputFull,
-                        Some(ei),
-                        None,
-                    );
-                }
-            }
+        }
+        // In-flight bound (databox entries / pipeline occupancy).
+        let et = &self.elab[ti];
+        if ns.pending >= et.info[node].max_pending {
+            let (reason, sid) = match uop.kind {
+                UopKind::Load | UopKind::Store => (
+                    StallReason::MemoryWait,
+                    Some(df.junctions[uop.b as usize].structure.0 as usize),
+                ),
+                _ => (StallReason::OutputFull, None),
+            };
+            return self.note_stall(site, reason, None, sid);
+        }
+        // Output space (visible tokens only).
+        let outs = &ct.edge_refs[(uop.ebase + u32::from(uop.nord)) as usize..][..uop.nout as usize];
+        let full = outs
+            .iter()
+            .map(|&e| e as usize)
+            .find(|&ei| inv.arena.visible(ei) >= et.cap[ei]);
+        if let Some(ei) = full {
+            return self.note_stall(site, StallReason::OutputFull, Some(ei), None);
         }
         // Memory/call-specific admission checks (junction ports, queues).
         let mut mem_plan: Option<(usize, bool)> = None; // (junction, is_write)
@@ -2661,7 +2247,9 @@ impl<'a> Engine<'a> {
                 budget.1 >= jn.read_ports
             };
             if lost {
-                self.wake(ti, tk, node);
+                if self.use_ready {
+                    inv.wake(&self.elab[ti].info, node, cycle);
+                }
                 return self.note_stall(
                     (ti, tk, node),
                     StallReason::ArbitrationLoss,
@@ -2678,17 +2266,7 @@ impl<'a> Engine<'a> {
         // --- Fire (buffers restored on every path, success or error) --------
         let mut values = std::mem::take(&mut self.val_scratch);
         let mut out_values = std::mem::take(&mut self.out_scratch);
-        let r = self.fire_uop(
-            ti,
-            tk,
-            node,
-            uop,
-            k,
-            mem_plan,
-            pre,
-            &mut values,
-            &mut out_values,
-        );
+        let r = self.fire_uop(ti, tk, inv, node, uop, k, &mut values, &mut out_values);
         values.clear();
         out_values.clear();
         self.val_scratch = values;
@@ -2704,24 +2282,21 @@ impl<'a> Engine<'a> {
         &mut self,
         ti: usize,
         tk: usize,
+        inv: &mut ActiveInv,
         node: usize,
-        uop: MicroOp,
+        uop: &MicroOp,
         k: u64,
-        mem_plan: Option<(usize, bool)>,
-        pre: Option<(u64, Value)>,
         values: &mut Vec<Value>,
         out_values: &mut Vec<Value>,
     ) -> Result<(), SimError> {
         let cycle = self.cycle;
         let df = &self.acc.tasks[ti].dataflow;
         let ct = self.elab[ti].ct;
-        let slots = &ct.in_slots[uop.slot0 as usize..uop.slot0 as usize + uop.nin as usize];
-        let erefs = &ct.edge_refs
-            [uop.ebase as usize..uop.ebase as usize + uop.nord as usize + uop.nout as usize];
+        let slots = &ct.in_slots[uop.slot0 as usize..][..uop.nin as usize];
+        let erefs = &ct.edge_refs[uop.ebase as usize..][..uop.nord as usize + uop.nout as usize];
         // Collect input values (consume tokens) straight into `values` —
         // each slot is self-describing, so no staging buffer is needed.
         {
-            let inv = self.tasks[ti].tiles[tk].as_mut().expect("active");
             for &s in slots {
                 let p = (s & SLOT_PAYLOAD) as usize;
                 match s & SLOT_TAG {
@@ -2763,66 +2338,55 @@ impl<'a> Engine<'a> {
                     _ => {}
                 }
                 let cap = self.edge_capacity(ti, ei);
-                let visible = self.tasks[ti].tiles[tk]
-                    .as_ref()
-                    .map_or(0, |inv| inv.arena.visible(ei) as usize);
+                let visible = inv.arena.visible(ei) as usize;
                 if visible + 1 >= cap {
-                    self.wake(ti, tk, ct.edge_meta[ei].src as usize);
+                    inv.wake(&self.elab[ti].info, ct.edge_meta[ei].src as usize, cycle);
                 }
             }
             for &er in &erefs[..uop.nord as usize] {
                 let ei = er as usize;
                 let cap = self.edge_capacity(ti, ei);
-                let visible = self.tasks[ti].tiles[tk]
-                    .as_ref()
-                    .map_or(0, |inv| inv.arena.visible(ei) as usize);
+                let visible = inv.arena.visible(ei) as usize;
                 if visible + 1 >= cap {
-                    self.wake(ti, tk, ct.edge_meta[ei].src as usize);
+                    inv.wake(&self.elab[ti].info, ct.edge_meta[ei].src as usize, cycle);
                 }
             }
         }
 
-        let timing = self.elab[ti].timing[node];
-        let mut completion_at = Some(cycle + timing.latency as u64);
+        let ni = self.elab[ti].info[node];
+        let site = Site {
+            task: ti as u32,
+            tile: tk as u32,
+            node: node as u32,
+            uid: inv.uid,
+            instance: k,
+        };
+        let mut completion_at = Some(cycle + ni.latency as u64);
 
         match uop.kind {
             UopKind::IndVar => {
-                let inv = self.tasks[ti].tiles[tk].as_ref().expect("active");
                 out_values.push(Value::Int(inv.lo + k as i64 * inv.step));
             }
             UopKind::Merge => {
                 // Port 0 = init (instance 0), port 1 = feedback.
-                let v = if k == 0 {
-                    values[0].clone()
-                } else {
-                    values[1].clone()
-                };
-                out_values.push(v);
+                out_values.push(values.swap_remove(usize::from(k != 0)));
             }
             UopKind::FusedAcc => {
                 let base = if k == 0 {
                     values[0].clone()
                 } else {
-                    self.tasks[ti].tiles[tk].as_ref().expect("active").acc_state[node]
+                    inv.acc_state[node]
                         .clone()
                         .ok_or_else(|| SimError::eval("accumulator state missing"))?
                 };
                 let r = eval_op(uop.op, &[base, values[1].clone()])?;
-                let inv = self.tasks[ti].tiles[tk].as_mut().expect("active");
                 inv.acc_state[node] = Some(r.clone());
                 out_values.push(r);
             }
-            UopKind::Compute => match pre {
-                Some((pk, v)) if pk == k => out_values.push(v),
-                _ => out_values.push(eval_op(uop.op, values)?),
-            },
-            UopKind::Fused => match pre {
-                Some((pk, v)) if pk == k => out_values.push(v),
-                _ => out_values.push(eval_fused(&ct.fused_plans[uop.a as usize], values)?),
-            },
+            UopKind::Compute => out_values.push(eval_op(uop.op, values)?),
+            UopKind::Fused => out_values.push(eval_fused(&ct.fused_plans[uop.a as usize], values)?),
             UopKind::Output => {
-                let inv = self.tasks[ti].tiles[tk].as_mut().expect("active");
-                inv.last_output = values.clone();
+                inv.last_output.clone_from(values);
             }
             UopKind::Load => {
                 let active = uop.flags & UOP_PREDICATED == 0
@@ -2856,33 +2420,8 @@ impl<'a> Engine<'a> {
                         }
                         out_values.push(Value::assemble(ty, slots));
                     }
-                    let id = self.next_req;
-                    self.next_req += 1;
-                    let (j, _) =
-                        mem_plan.ok_or_else(|| SimError::eval("load without junction plan"))?;
-                    let sid = df.junctions[j].structure.0 as usize;
-                    if let Some(obs) = self.obs.as_mut() {
-                        let bank = (base % self.structs[sid].bank_count().max(1) as u64) as u32;
-                        obs.mem_req(cycle, sid, id, bank, n as u32, false);
-                    }
-                    self.structs[sid].submit(MemRequest {
-                        id,
-                        base,
-                        n,
-                        is_write: false,
-                    });
-                    self.req_map.insert(
-                        id,
-                        MemPending {
-                            task: ti,
-                            tile: tk,
-                            uid: self.tasks[ti].tiles[tk].as_ref().expect("active").uid,
-                            node,
-                            instance: k,
-                        },
-                    );
-                    completion_at = None; // completes on memory response
-                    self.jslot(ti, tk, j).1 += 1;
+                    self.issue_mem(site, uop.b as usize, base, n, false);
+                    completion_at = None; // completes on the memory response
                 } else {
                     out_values.push(Value::Poison);
                 }
@@ -2899,7 +2438,7 @@ impl<'a> Engine<'a> {
                     if idx < 0 {
                         return Err(SimError::eval(format!("negative store index {idx}")));
                     }
-                    let v = values[1].clone();
+                    let v = std::mem::replace(&mut values[1], Value::Poison);
                     if v.is_poison() {
                         return Err(SimError::eval(format!("poison stored to {obj:?}")));
                     }
@@ -2922,33 +2461,8 @@ impl<'a> Engine<'a> {
                             1
                         }
                     };
-                    let id = self.next_req;
-                    self.next_req += 1;
-                    let (j, _) =
-                        mem_plan.ok_or_else(|| SimError::eval("store without junction plan"))?;
-                    let sid = df.junctions[j].structure.0 as usize;
-                    if let Some(obs) = self.obs.as_mut() {
-                        let bank = (base % self.structs[sid].bank_count().max(1) as u64) as u32;
-                        obs.mem_req(cycle, sid, id, bank, n as u32, true);
-                    }
-                    self.structs[sid].submit(MemRequest {
-                        id,
-                        base,
-                        n,
-                        is_write: true,
-                    });
-                    self.req_map.insert(
-                        id,
-                        MemPending {
-                            task: ti,
-                            tile: tk,
-                            uid: self.tasks[ti].tiles[tk].as_ref().expect("active").uid,
-                            node,
-                            instance: k,
-                        },
-                    );
-                    completion_at = None;
-                    self.jslot(ti, tk, j).2 += 1;
+                    self.issue_mem(site, uop.b as usize, base, n, true);
+                    completion_at = None; // completes on the memory response
                 }
             }
             UopKind::TaskCall => {
@@ -2961,32 +2475,12 @@ impl<'a> Engine<'a> {
                         .map(|v| !v.is_poison() && v.as_bool())
                         .unwrap_or(true);
                 if active {
-                    let args: Vec<Value> = values[..nargs].to_vec();
-                    let uid = self.fresh_uid();
-                    let me_uid = self.tasks[ti].tiles[tk].as_ref().expect("active").uid;
-                    if uop.flags & UOP_SPAWN != 0 {
-                        self.tasks[child].queue.push_back(Invocation {
-                            uid,
-                            args,
-                            reply: None,
-                            spawn_parent: Some((ti, me_uid)),
-                        });
-                        let inv = self.tasks[ti].tiles[tk].as_mut().expect("active");
+                    let spawn = uop.flags & UOP_SPAWN != 0;
+                    self.issue_call(site, child, nargs, spawn, values);
+                    if spawn {
                         inv.spawns_outstanding += 1;
                         out_values.resize(nres.max(1), Value::Int(0));
                     } else {
-                        self.tasks[child].queue.push_back(Invocation {
-                            uid,
-                            args,
-                            reply: Some(ReplyTo {
-                                task: ti,
-                                tile: tk,
-                                uid: me_uid,
-                                node,
-                                instance: k,
-                            }),
-                            spawn_parent: None,
-                        });
                         out_values.resize(nres.max(1), Value::Poison); // patched by reply
                         completion_at = None;
                     }
@@ -2999,17 +2493,19 @@ impl<'a> Engine<'a> {
 
         // Push pending tokens on out edges (fault injection point).
         {
-            let inv = self.tasks[ti].tiles[tk].as_mut().expect("active");
-            for &er in &erefs[uop.nord as usize..] {
+            let outs = &erefs[uop.nord as usize..];
+            for (i, &er) in outs.iter().enumerate() {
                 let ei = er as usize;
                 let m = ct.edge_meta[ei];
                 let mut value = if m.is_order {
                     Value::Bool(true)
                 } else {
-                    out_values
-                        .get(m.src_port as usize)
-                        .cloned()
-                        .unwrap_or(Value::Bool(true))
+                    match out_values.get_mut(m.src_port as usize) {
+                        // The last edge takes the value itself.
+                        Some(v) if i + 1 == outs.len() => std::mem::replace(v, Value::Poison),
+                        Some(v) => v.clone(),
+                        None => Value::Bool(true),
+                    }
                 };
                 if self.faults_on {
                     if self.faults.roll(FaultClass::TokenDrop) {
@@ -3028,154 +2524,186 @@ impl<'a> Engine<'a> {
                     obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), true);
                 }
             }
-            inv.fired[node] = k + 1;
-            inv.ready_at[node] = cycle + timing.ii as u64;
-            inv.pending[node] += 1;
         }
+        self.book_firing(inv, site, ni, completion_at);
+        Ok(())
+    }
+
+    /// Send the typed access of the firing at `site` — `n` elements from
+    /// flat address `base` — through junction `j` to the structure behind
+    /// it, spending one of the junction's ports for this cycle.
+    fn issue_mem(&mut self, site: Site, j: usize, base: u64, n: u64, is_write: bool) {
+        let (ti, tk) = (site.task as usize, site.tile as usize);
+        let sid = self.acc.tasks[ti].dataflow.junctions[j].structure.0 as usize;
+        let id = self.track_request(site);
+        if let Some(obs) = self.obs.as_mut() {
+            let bank = (base % self.structs[sid].bank_count().max(1) as u64) as u32;
+            obs.mem_req(self.cycle, sid, id, bank, n as u32, is_write);
+        }
+        self.structs[sid].submit(MemRequest {
+            id,
+            base,
+            n,
+            is_write,
+        });
+        let budget = self.jslot(ti, tk, j);
+        if is_write {
+            budget.2 += 1;
+        } else {
+            budget.1 += 1;
+        }
+    }
+
+    /// Book the firing at `site` (both exec modes end here): advance the
+    /// node, count the firing, queue the node's next visit and its
+    /// completion event.
+    fn book_firing(
+        &mut self,
+        inv: &mut ActiveInv,
+        site: Site,
+        ni: NodeInfo,
+        completion_at: Option<u64>,
+    ) {
+        let cycle = self.cycle;
+        let (ti, node, k) = (site.task as usize, site.node as usize, site.instance);
+        let ns = &mut inv.nodes[node];
+        ns.fired = k + 1;
+        ns.ready_at = cycle + u64::from(ni.ii);
+        ns.pending += 1;
         self.fires += 1;
         if let Some(obs) = self.obs.as_mut() {
-            obs.fire(cycle, (ti, tk, node), k);
+            obs.fire(cycle, (ti, site.tile as usize, node), k);
         }
         self.last_progress = cycle;
         if self.use_ready {
-            let more = self.tasks[ti].tiles[tk]
-                .as_ref()
-                .is_some_and(|inv| inv.fired[node] < inv.admitted);
-            if more {
-                self.wake(ti, tk, node);
-            } else if self.tasks[ti].tiles[tk].is_some() {
-                let rt = &mut self.ready[ti][tk];
-                if !rt.in_adm[node] {
-                    rt.in_adm[node] = true;
-                    rt.adm.push(node as u32);
-                }
+            if k + 1 < inv.admitted {
+                // More instances to fire: sleep until the initiation
+                // interval elapses.
+                inv.wake(&self.elab[ti].info, node, cycle);
+            } else {
+                // Window exhausted: only the next admission opens instance
+                // `k + 1`. Nodes with all-static inputs (IndVar, Const
+                // fan-ins) get no token wakes, so this is their only path
+                // back.
+                inv.park_adm(node);
             }
         }
         if let Some(at) = completion_at {
-            let uid = self.tasks[ti].tiles[tk].as_ref().expect("active").uid;
-            self.schedule(
-                at.max(cycle + 1),
-                Ev::NodeDone {
-                    task: ti,
-                    tile: tk,
-                    uid,
-                    node,
-                    instance: k,
-                },
-            );
+            self.schedule(at.max(cycle + 1), Ev::NodeDone(site));
         }
-        Ok(())
     }
 
     /// A node's firing completed: make its tokens visible (patching values
     /// for call replies) and advance instance/invocation completion.
-    fn node_done(
-        &mut self,
-        ti: usize,
-        tk: usize,
-        uid: u64,
-        node: usize,
-        instance: u64,
-        reply_values: Option<Vec<Value>>,
-    ) -> Result<(), SimError> {
+    fn node_done(&mut self, site: Site, reply_values: Option<Vec<Value>>) -> Result<(), SimError> {
         let cycle = self.cycle;
+        let (ti, tk, node) = (site.task as usize, site.tile as usize, site.node as usize);
         let df = &self.acc.tasks[ti].dataflow;
-        let ct = self.elab[ti].ct;
-        let was_at_cap;
-        {
-            let Some(inv) = self.tasks[ti].tiles[tk].as_mut() else {
-                return Ok(()); // stale
-            };
-            if inv.uid != uid {
-                return Ok(()); // stale
-            }
-            for &ei in ct.outs[node].iter() {
-                // All matching tokens become visible (normally exactly one;
-                // an injected duplicate shares the completion pulse),
-                // patching call-reply values onto data edges.
-                let m = &ct.edge_meta[ei];
-                let patch = reply_values.as_ref().and_then(|rv| {
-                    if m.is_order {
-                        None
-                    } else {
-                        rv.get(m.src_port as usize)
-                    }
-                });
-                inv.arena.reveal(ei, instance, cycle, patch);
-            }
-            was_at_cap = inv.pending[node] >= self.elab[ti].max_pending[node];
-            inv.pending[node] = inv.pending[node].saturating_sub(1);
-            let task_name = &self.acc.tasks[ti].name;
-            let slot = instance
-                .checked_sub(inv.completed)
-                .and_then(|d| usize::try_from(d).ok())
-                .and_then(|d| inv.outstanding.get_mut(d))
-                .ok_or_else(|| SimError::EvalError {
-                    cycle,
-                    task: Some(ti as u32),
-                    task_name: task_name.clone(),
-                    node: Some(node as u32),
-                    invocation: Some(uid),
-                    detail: format!("completion for unknown instance {instance}"),
-                })?;
-            *slot = slot.saturating_sub(1);
-            // In-order instance retirement.
-            while inv.outstanding.front() == Some(&0) {
-                inv.outstanding.pop_front();
-                inv.completed += 1;
-            }
+        let et = &self.elab[ti];
+        let ct = et.ct;
+        let Some(inv) = self.tasks[ti].tiles[tk].as_deref_mut() else {
+            return Ok(()); // stale
+        };
+        if inv.uid != site.uid {
+            return Ok(()); // stale
+        }
+        for &ei in ct.outs[node].iter() {
+            // All matching tokens become visible (normally exactly one;
+            // an injected duplicate shares the completion pulse),
+            // patching call-reply values onto data edges.
+            let m = &ct.edge_meta[ei];
+            let patch = reply_values.as_ref().and_then(|rv| {
+                if m.is_order {
+                    None
+                } else {
+                    rv.get(m.src_port as usize)
+                }
+            });
+            inv.arena.reveal(ei, site.instance, cycle, patch);
+        }
+        let ns = &mut inv.nodes[node];
+        let was_at_cap = ns.pending >= et.info[node].max_pending;
+        ns.pending = ns.pending.saturating_sub(1);
+        let slot = site
+            .instance
+            .checked_sub(inv.completed)
+            .and_then(|d| usize::try_from(d).ok())
+            .and_then(|d| inv.outstanding.get_mut(d))
+            .ok_or_else(|| SimError::EvalError {
+                cycle,
+                task: Some(site.task),
+                task_name: self.acc.tasks[ti].name.clone(),
+                node: Some(site.node),
+                invocation: Some(site.uid),
+                detail: format!("completion for unknown instance {}", site.instance),
+            })?;
+        *slot = slot.saturating_sub(1);
+        // In-order instance retirement.
+        while inv.outstanding.front() == Some(&0) {
+            inv.outstanding.pop_front();
+            inv.completed += 1;
         }
         self.last_progress = cycle;
         if self.use_ready {
             // Tokens just became visible: their consumers may fire. The
             // node itself needs a wake only when this retirement freed a
             // *saturated* pipeline/databox slot — that is the one firing
-            // gate a completion changes (retirement order feeds admission,
-            // which is re-checked every tile tick regardless).
+            // gate a completion changes. A retired instance can also open
+            // the admission window, which makes the tile due by itself.
+            let mut due = if inv.can_admit(self.cfg.window) {
+                cycle
+            } else {
+                u64::MAX
+            };
             for &ei in ct.outs[node].iter() {
-                self.wake(ti, tk, df.edges[ei].dst.0 as usize);
+                due = due.min(inv.wake(&et.info, df.edges[ei].dst.0 as usize, cycle));
             }
             if was_at_cap {
-                self.wake(ti, tk, node);
+                due = due.min(inv.wake(&et.info, node, cycle));
             }
+            let g = self.tile_base[ti] + tk;
+            self.tile_due[g] = self.tile_due[g].min(due);
+        }
+        if let Some(rv) = reply_values {
+            self.recycle(rv);
         }
         self.check_invocation_complete(ti, tk)
     }
 
     fn check_invocation_complete(&mut self, ti: usize, tk: usize) -> Result<(), SimError> {
-        let done = {
-            let Some(inv) = self.tasks[ti].tiles[tk].as_ref() else {
-                return Ok(());
-            };
-            inv.admitted == inv.trip
-                && inv.completed == inv.trip
-                && inv.outstanding.is_empty()
-                && inv.spawns_outstanding == 0
-        };
-        if !done {
+        let slot = &mut self.tasks[ti].tiles[tk];
+        if !slot.as_deref().is_some_and(ActiveInv::is_complete) {
             return Ok(());
         }
-        let Some(inv) = self.tasks[ti].tiles[tk].take() else {
-            return Ok(());
-        };
+        let inv = slot.take().expect("checked");
+        let g = self.tile_base[ti] + tk;
+        self.tile_due[g] = u64::MAX;
+        if self.use_ready {
+            // Busy since activation, this cycle included iff the dense scan
+            // has already been past this tile's slot (it counts a tile when
+            // it visits it).
+            self.tasks[ti].busy_cycles += self.cycle - inv.since + u64::from(g < self.scan_g);
+        }
         self.tasks[ti].free_tiles.push(Reverse(tk));
-        self.ready[ti][tk].clear();
+        self.dispatch_hint = true;
         let task = &self.acc.tasks[ti];
         // Results: the last Output firing's values, or zero-trip fallbacks.
-        let results: Vec<Value> = if inv.trip == 0 {
-            (0..task.num_results as usize)
-                .map(|r| match task.loop_result_inits.get(r).and_then(|x| *x) {
+        let mut results = self.spare.pop().unwrap_or_default();
+        if inv.trip == 0 {
+            results.extend((0..task.num_results as usize).map(|r| {
+                match task.loop_result_inits.get(r).and_then(|x| *x) {
                     Some(ResultInit::Arg(a)) => {
                         inv.args.get(a as usize).cloned().unwrap_or(Value::Poison)
                     }
                     Some(ResultInit::Const(c)) => c.to_value(),
                     None => Value::Poison,
-                })
-                .collect()
+                }
+            }));
         } else {
-            inv.last_output.clone()
-        };
+            results.clone_from(&inv.last_output);
+        }
         if let Some((ptask, puid)) = inv.spawn_parent {
+            self.recycle(results);
             // Sync bookkeeping: find the parent invocation and release it.
             for pinv in self.tasks[ptask].tiles.iter_mut().flatten() {
                 if pinv.uid == puid {
@@ -3188,9 +2716,9 @@ impl<'a> Engine<'a> {
             for pt in 0..ptiles {
                 self.check_invocation_complete(ptask, pt)?;
             }
-        } else if let Some(reply) = inv.reply.clone() {
+        } else if let Some(to) = inv.reply {
             let at = self.cycle + 1;
-            self.schedule(at, Ev::Reply { to: reply, results });
+            self.schedule(at, Ev::Reply { to, results });
         } else {
             self.root_result = Some(results);
         }

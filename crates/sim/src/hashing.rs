@@ -16,12 +16,11 @@
 //!
 //! Two normalization rules keep the keys honest:
 //!
-//! * **scheduler, threads, and exec mode are excluded** from
-//!   [`config_hash`]: the determinism contract (DESIGN.md §9–§10, §14)
-//!   guarantees bit-identical observables across `Dense`/`Ready`/
-//!   `Parallel` at any thread count and across the `Interp`/`MicroOp`
-//!   firing interpreters, so a result computed under one combination is
-//!   a valid warm hit for any other;
+//! * **scheduler and exec mode are excluded** from [`config_hash`]: the
+//!   determinism contract (DESIGN.md §9–§10, §14) guarantees
+//!   bit-identical observables across `Dense`/`Ready` and across the
+//!   `Interp`/`MicroOp` firing interpreters, so a result computed under
+//!   one combination is a valid warm hit for any other;
 //! * **`sched_visits` is excluded** from [`result_hash`]: it counts
 //!   simulator effort, not hardware behaviour, and legitimately differs
 //!   between schedulers.
@@ -38,7 +37,7 @@ use muir_mir::value::Value;
 use std::hash::Hash as _;
 
 /// Hash the parts of a [`SimConfig`] that can affect simulation
-/// observables. Scheduler choice, thread count, and exec mode are
+/// observables. Scheduler choice and exec mode are
 /// deliberately excluded (see module docs); tracing is excluded too
 /// because traces are never stored — the store layer refuses tracing
 /// configs instead.
@@ -131,23 +130,13 @@ mod tests {
     use crate::{ExecMode, SchedulerKind};
 
     #[test]
-    fn config_hash_ignores_scheduler_and_threads() {
+    fn config_hash_ignores_scheduler_and_exec_mode() {
         let base = SimConfig::default();
         let h = config_hash(&base);
-        for sched in [
-            SchedulerKind::Dense,
-            SchedulerKind::Ready,
-            SchedulerKind::Parallel,
-        ] {
-            for threads in [1, 2, 8] {
-                for exec in [ExecMode::Interp, ExecMode::MicroOp] {
-                    let cfg = base
-                        .clone()
-                        .with_scheduler(sched)
-                        .with_threads(threads)
-                        .with_exec(exec);
-                    assert_eq!(config_hash(&cfg), h, "{sched:?} @ {threads} / {exec:?}");
-                }
+        for sched in [SchedulerKind::Dense, SchedulerKind::Ready] {
+            for exec in [ExecMode::Interp, ExecMode::MicroOp] {
+                let cfg = base.clone().with_scheduler(sched).with_exec(exec);
+                assert_eq!(config_hash(&cfg), h, "{sched:?} / {exec:?}");
             }
         }
     }

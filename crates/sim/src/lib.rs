@@ -42,6 +42,8 @@
 //! assert!(r.cycles > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod engine;
 pub mod error;
 pub mod fault;
@@ -75,8 +77,8 @@ use muir_mir::value::Value;
 /// skips cycles in which provably nothing can happen (see DESIGN.md §9).
 ///
 /// With tracing enabled the engine always uses the dense visitation order
-/// (stall attribution is inherently a per-cycle scan), so `Ready` or
-/// `Parallel` + tracing still yields bit-identical trace streams.
+/// (stall attribution is inherently a per-cycle scan), so `Ready` +
+/// tracing still yields bit-identical trace streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// Poll every node of every active tile each cycle (the original
@@ -85,12 +87,6 @@ pub enum SchedulerKind {
     /// Event-driven ready sets + idle-cycle skipping.
     #[default]
     Ready,
-    /// Two-phase plan/commit cycle: tiles are planned in parallel across a
-    /// fixed worker pool ([`SimConfig::threads`]), then committed
-    /// sequentially in tile-index order so every observable — cycles,
-    /// results, stats, fault behaviour, traces — is bit-identical to
-    /// `Dense`/`Ready` at any thread count (DESIGN.md §10).
-    Parallel,
 }
 
 /// Which firing interpreter executes a node once the scheduler selects it.
@@ -141,10 +137,6 @@ pub struct SimConfig {
     /// Phase-4 scheduling strategy (identical observable behaviour; only
     /// simulator wall-time differs).
     pub scheduler: SchedulerKind,
-    /// Worker threads for [`SchedulerKind::Parallel`] planning (ignored by
-    /// the other schedulers; `1` = plan inline on the simulation thread).
-    /// Never affects simulation results — only wall time.
-    pub threads: u32,
     /// Firing interpreter (identical observable behaviour; only simulator
     /// wall-time differs).
     pub exec: ExecMode,
@@ -162,7 +154,6 @@ impl Default for SimConfig {
             faults: FaultPlan::none(),
             trace: TraceConfig::default(),
             scheduler: SchedulerKind::default(),
-            threads: 1,
             exec: ExecMode::default(),
         }
     }
@@ -173,14 +164,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// The same configuration with a different planning thread count
-    /// (meaningful only under [`SchedulerKind::Parallel`]; clamped to ≥ 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: u32) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -307,15 +290,6 @@ impl std::fmt::Display for SimStats {
         }
         Ok(())
     }
-}
-
-/// Process-wide count of tile commits dispatched through the parallel
-/// scheduler's epoch path (DESIGN.md §14). Engagement diagnostics only —
-/// monotone across runs, never part of [`SimStats`] or any hash. The
-/// `check.sh` gate reads it to prove epoch commit actually engages under
-/// `Parallel` at ≥2 threads with the micro-op interpreter.
-pub fn epoch_tile_commits() -> u64 {
-    engine::parallel::EPOCH_TILE_COMMITS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Bridge one completed run's aggregate statistics into the global

@@ -248,8 +248,10 @@ impl StructModel {
         }
     }
 
-    /// Advance one cycle; returns completions whose data is valid *now*.
-    pub fn tick(&mut self, cycle: u64, dram: Option<&mut DramModel>) -> Vec<MemResponse> {
+    /// Advance one cycle, appending to `out` the completions whose data is
+    /// valid *now*, oldest first. The buffer is the caller's, so a tick
+    /// allocates nothing.
+    pub fn tick(&mut self, cycle: u64, dram: Option<&mut DramModel>, out: &mut Vec<MemResponse>) {
         // Idle fast path. `submit` records the `outstanding` entry before it
         // queues any bank/fill transaction, so an empty `outstanding` implies
         // the banks and fill queue are empty too; with `done` also empty the
@@ -257,57 +259,34 @@ impl StructModel {
         // no ECC draws). Structures spend most cycles idle, and the engine
         // ticks every structure every cycle, so this is the common case.
         if self.outstanding.is_empty() && self.done.is_empty() {
-            return Vec::new();
+            return;
         }
-        // Copy the scalar parameters out instead of cloning the whole
-        // `StructureKind` every cycle (this runs per structure per cycle).
-        enum Tick {
-            Spad(u32, u32),
-            Cache(u32, u32),
-            Dram(u32, u32),
-        }
-        let t = match &self.kind {
+        match self.kind {
             StructureKind::Scratchpad {
                 ports_per_bank,
                 latency,
                 ..
-            } => Tick::Spad(*ports_per_bank, *latency),
+            } => self.tick_spad(cycle, ports_per_bank, latency),
             StructureKind::Cache {
                 line_elems,
                 hit_latency,
                 ..
-            } => Tick::Cache(*line_elems, *hit_latency),
+            } => self.tick_cache(cycle, line_elems, hit_latency, dram),
             StructureKind::Dram {
                 latency,
                 elems_per_cycle,
-            } => Tick::Dram(*latency, *elems_per_cycle),
-        };
-        match t {
-            Tick::Spad(ports_per_bank, latency) => self.tick_spad(cycle, ports_per_bank, latency),
-            Tick::Cache(line_elems, hit_latency) => {
-                self.tick_cache(cycle, line_elems, hit_latency, dram);
-            }
-            Tick::Dram(latency, elems_per_cycle) => {
-                self.tick_raw_dram(cycle, latency, elems_per_cycle);
-            }
+            } => self.tick_raw_dram(cycle, latency, elems_per_cycle),
         }
-        // Fast path: nothing matured this cycle (the overwhelmingly common
-        // case) — `Vec::new()` does not allocate.
-        if self.done.iter().all(|r| r.at > cycle) {
-            return Vec::new();
-        }
-        // One allocation, not `partition`'s two; `retain` keeps both the
-        // matured and the still-pending responses in original order.
-        let mut ready = Vec::new();
+        // `retain` keeps both the matured and the still-pending responses
+        // in original order.
         self.done.retain(|r| {
             if r.at <= cycle {
-                ready.push(*r);
+                out.push(*r);
                 false
             } else {
                 true
             }
         });
-        ready
     }
 
     fn retire_elem(&mut self, req: ReqId, at: u64) {
@@ -561,6 +540,13 @@ mod tests {
     use super::*;
     use muir_core::structure::Structure;
 
+    /// One tick into a fresh buffer.
+    fn tick(m: &mut StructModel, cycle: u64, dram: Option<&mut DramModel>) -> Vec<MemResponse> {
+        let mut out = Vec::new();
+        m.tick(cycle, dram, &mut out);
+        out
+    }
+
     fn spad(banks: u32, ports: u32) -> StructModel {
         let mut s = Structure::scratchpad("s", 1024);
         if let StructureKind::Scratchpad {
@@ -584,9 +570,9 @@ mod tests {
             n: 1,
             is_write: false,
         });
-        let r = m.tick(0, None);
+        let r = tick(&mut m, 0, None);
         assert_eq!(r.len(), 0, "latency 1: response valid next cycle");
-        let r = m.tick(1, None);
+        let r = tick(&mut m, 1, None);
         assert_eq!(
             r,
             vec![MemResponse {
@@ -608,9 +594,9 @@ mod tests {
             n: 4,
             is_write: false,
         });
-        let r = m.tick(0, None);
+        let r = tick(&mut m, 0, None);
         assert!(r.is_empty());
-        let r = m.tick(1, None);
+        let r = tick(&mut m, 1, None);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].id, 7);
     }
@@ -627,7 +613,7 @@ mod tests {
         });
         let mut done_at = None;
         for c in 0..10 {
-            for r in m.tick(c, None) {
+            for r in tick(&mut m, c, None) {
                 done_at = Some(r.at);
             }
         }
@@ -650,7 +636,7 @@ mod tests {
                 is_write: false,
             });
             for c in 0..100 {
-                if let Some(r) = m.tick(c, None).first() {
+                if let Some(r) = tick(&mut m, c, None).first() {
                     return r.at;
                 }
             }
@@ -671,7 +657,7 @@ mod tests {
         });
         let mut first_done = None;
         for c in 0..200 {
-            for r in cache.tick(c, Some(&mut dram)) {
+            for r in tick(&mut cache, c, Some(&mut dram)) {
                 first_done.get_or_insert(r.at);
             }
             if first_done.is_some() {
@@ -691,7 +677,7 @@ mod tests {
         let start = miss_time + 1;
         let mut second_done = None;
         for c in start..start + 50 {
-            for r in cache.tick(c, Some(&mut dram)) {
+            for r in tick(&mut cache, c, Some(&mut dram)) {
                 second_done.get_or_insert(r.at);
             }
             if second_done.is_some() {
@@ -733,7 +719,7 @@ mod tests {
                 is_write: true,
             });
             for c in 0..500 {
-                if !cache.tick(c, Some(&mut dram)).is_empty() {
+                if !tick(&mut cache, c, Some(&mut dram)).is_empty() {
                     break;
                 }
             }

@@ -1142,7 +1142,7 @@ fn tracing_never_perturbs_the_simulation() {
 
 /// A multi-tile workload (spawned region replicated 4×) that exercises
 /// dispatch, spawn completion, and junction arbitration — the paths where
-/// a parallel-plan bug would show up as divergence.
+/// a scheduler bug would show up as divergence.
 fn tiled_workload() -> (Module, muir_mir::instr::MemObjId, Accelerator) {
     let mut m = Module::new("ptiles");
     let a = m.add_mem_object("a", ScalarType::I32, 256);
@@ -1186,7 +1186,7 @@ fn observables(
 }
 
 #[test]
-fn parallel_scheduler_matches_dense_on_tiled_workload() {
+fn ready_scheduler_matches_dense_on_tiled_workload() {
     let (m, a, acc) = tiled_workload();
     let run = |cfg: SimConfig| {
         let mut mem = Memory::from_module(&m);
@@ -1194,17 +1194,9 @@ fn parallel_scheduler_matches_dense_on_tiled_workload() {
         (observables(&r, &mem), mem.read_i64(a))
     };
     let base = SimConfig::default();
-    let (dense, dense_a) = run(base.clone().with_scheduler(SchedulerKind::Dense));
-    let (ready, _) = run(base.clone().with_scheduler(SchedulerKind::Ready));
+    let dense = run(base.clone().with_scheduler(SchedulerKind::Dense));
+    let ready = run(base.with_scheduler(SchedulerKind::Ready));
     assert_eq!(dense, ready, "ready vs dense");
-    for threads in [1u32, 2, 4, 8] {
-        let (par, par_a) = run(base
-            .clone()
-            .with_scheduler(SchedulerKind::Parallel)
-            .with_threads(threads));
-        assert_eq!(dense, par, "parallel@{threads} vs dense");
-        assert_eq!(dense_a, par_a, "parallel@{threads}: output array differs");
-    }
 }
 
 #[test]
@@ -1232,11 +1224,7 @@ fn uop_exec_matches_interp_exec_everywhere() {
             .clone()
             .with_scheduler(SchedulerKind::Dense)
             .with_exec(ExecMode::Interp));
-        for sched in [
-            SchedulerKind::Dense,
-            SchedulerKind::Ready,
-            SchedulerKind::Parallel,
-        ] {
+        for sched in [SchedulerKind::Dense, SchedulerKind::Ready] {
             for exec in [ExecMode::Interp, ExecMode::MicroOp] {
                 let got = run(base.clone().with_scheduler(sched).with_exec(exec));
                 assert_eq!(oracle, got, "{sched:?}+{exec:?} vs dense+interp");
@@ -1246,37 +1234,7 @@ fn uop_exec_matches_interp_exec_everywhere() {
 }
 
 #[test]
-fn epoch_commit_engages_at_two_threads() {
-    // The epoch path (DESIGN.md §14) requires MicroOp exec + a worker pool
-    // + no fault plan; the tiled workload keeps several independent tiles
-    // active, so local-tile commits must actually shard. Matching dense is
-    // necessary but not sufficient — this proves the optimized path *ran*.
-    let (m, a, acc) = tiled_workload();
-    let run = |cfg: SimConfig| {
-        let mut mem = Memory::from_module(&m);
-        let r = simulate(&acc, &mut mem, &[], &cfg).expect("simulate");
-        (observables(&r, &mem), mem.read_i64(a))
-    };
-    let base = SimConfig::default();
-    let dense = run(base.clone().with_scheduler(SchedulerKind::Dense));
-    let before = crate::epoch_tile_commits();
-    let par = run(base
-        .clone()
-        .with_scheduler(SchedulerKind::Parallel)
-        .with_threads(2)
-        .with_exec(ExecMode::MicroOp));
-    assert_eq!(dense, par, "parallel+uop@2 vs dense");
-    // The counter is global and monotone, so concurrent tests can only
-    // inflate the delta — a zero delta still proves *this* run (and every
-    // concurrent one) bypassed the epoch path.
-    assert!(
-        crate::epoch_tile_commits() > before,
-        "epoch commit never engaged on a multi-tile workload at 2 threads"
-    );
-}
-
-#[test]
-fn parallel_scheduler_matches_dense_under_faults() {
+fn ready_scheduler_matches_dense_under_faults() {
     // Seeded fault injection draws from one global RNG stream whose order
     // is visit order — the sharpest determinism probe we have.
     let (m, _a, acc) = tiled_workload();
@@ -1295,7 +1253,7 @@ fn parallel_scheduler_matches_dense_under_faults() {
             },
         ],
     };
-    let run = |scheduler: SchedulerKind, threads: u32| {
+    let run = |scheduler: SchedulerKind, exec: ExecMode| {
         let cfg = SimConfig {
             faults: plan.clone(),
             deadlock_cycles: 20_000,
@@ -1303,7 +1261,7 @@ fn parallel_scheduler_matches_dense_under_faults() {
             ..SimConfig::default()
         }
         .with_scheduler(scheduler)
-        .with_threads(threads);
+        .with_exec(exec);
         let mut mem = Memory::from_module(&m);
         let r = simulate(&acc, &mut mem, &[], &cfg);
         match r {
@@ -1311,54 +1269,52 @@ fn parallel_scheduler_matches_dense_under_faults() {
             Err(e) => (format!("err: {e}"), None),
         }
     };
-    let dense = run(SchedulerKind::Dense, 1);
-    for threads in [1u32, 2, 4, 8] {
-        let par = run(SchedulerKind::Parallel, threads);
-        assert_eq!(dense, par, "faulted parallel@{threads} vs dense");
+    let dense = run(SchedulerKind::Dense, ExecMode::Interp);
+    for exec in [ExecMode::Interp, ExecMode::MicroOp] {
+        let ready = run(SchedulerKind::Ready, exec);
+        assert_eq!(dense, ready, "faulted ready+{exec:?} vs dense");
     }
 }
 
 #[test]
-fn parallel_with_tracing_is_bit_identical_to_dense_trace() {
-    // Tracing forces the dense visitation order (like `Ready`), so the
-    // trace streams must match event for event.
+fn ready_with_tracing_is_bit_identical_to_dense_trace() {
+    // Tracing forces the dense visitation order, so the trace streams
+    // must match event for event.
     let (m, _a, acc) = tiled_workload();
     let run = |scheduler: SchedulerKind| {
         let cfg = SimConfig {
             trace: crate::TraceConfig::on(),
             ..SimConfig::default()
         }
-        .with_scheduler(scheduler)
-        .with_threads(4);
+        .with_scheduler(scheduler);
         let mut mem = Memory::from_module(&m);
         let r = simulate(&acc, &mut mem, &[], &cfg).expect("simulate");
         (observables(&r, &mem), r.trace.expect("traced").events)
     };
     let (dense, dense_ev) = run(SchedulerKind::Dense);
-    let (par, par_ev) = run(SchedulerKind::Parallel);
-    assert_eq!(dense, par, "traced parallel vs dense");
-    assert_eq!(dense_ev, par_ev, "trace event streams differ");
+    let (ready, ready_ev) = run(SchedulerKind::Ready);
+    assert_eq!(dense, ready, "traced ready vs dense");
+    assert_eq!(dense_ev, ready_ev, "trace event streams differ");
 }
 
 #[test]
 fn simulate_batch_matches_standalone_runs_in_order() {
     let (m, a, acc) = tiled_workload();
-    // Jobs differ in memory image, scheduler, and thread count.
+    // Jobs differ in memory image, scheduler, and exec mode.
     let scheds = [
-        (SchedulerKind::Dense, 1u32),
-        (SchedulerKind::Ready, 1),
-        (SchedulerKind::Parallel, 1),
-        (SchedulerKind::Parallel, 2),
-        (SchedulerKind::Parallel, 4),
+        (SchedulerKind::Dense, ExecMode::Interp),
+        (SchedulerKind::Dense, ExecMode::MicroOp),
+        (SchedulerKind::Ready, ExecMode::Interp),
+        (SchedulerKind::Ready, ExecMode::MicroOp),
     ];
     let mut jobs = Vec::new();
-    for (j, &(s, t)) in scheds.iter().enumerate() {
+    for (j, &(s, x)) in scheds.iter().enumerate() {
         let mut mem = Memory::from_module(&m);
         mem.init_i64(a, &vec![j as i64; 256]);
         jobs.push(crate::BatchJob {
             args: Vec::new(),
             mem,
-            cfg: SimConfig::default().with_scheduler(s).with_threads(t),
+            cfg: SimConfig::default().with_scheduler(s).with_exec(x),
         });
     }
     for threads in [1usize, 2, 4] {

@@ -5,18 +5,18 @@
 # pipeline -> hash unchanged), the store determinism gate (cold/warm/
 # post-fault over the full workload suite), the storage fault campaign
 # (4 injected fault classes x plain/sim-faulted differential), the
-# seeded graph-fuzz smoke (30 graphs, every scheduler x exec mode at
-# 1/2/4/8 threads), the tensor-lowering differential gate (text-parsed
-# vs API-built GEMM/CONV-shaped graphs bit-identical in cycles and
-# end-state hash, numerics matching the hand-built workloads), the
+# seeded graph-fuzz smoke (30 graphs, Dense/Ready x Interp/MicroOp),
+# the tensor-lowering differential gate (text-parsed vs API-built
+# GEMM/CONV-shaped graphs bit-identical in cycles and end-state hash,
+# numerics matching the hand-built workloads), the
 # tensor-graph fuzz smoke (seeded frontend graphs through parse ->
-# lower -> seal -> sim), the micro-op differential + epoch-commit
-# engagement gate (Dense+Interp oracle vs MicroOp under every
-# scheduler; epoch commit must actually engage at 2 threads), the
-# scheduler benchmark gate (four-way differential @2 threads +
-# BENCH_sim.json), the telemetry
-# zero-perturbation guard (metrics on vs off bit-identical on every
-# workload), and the metrics gate (one instrumented GEMM capture whose
+# lower -> seal -> sim), the scheduler x exec-mode differential
+# (Dense+Interp oracle vs Dense/Ready x Interp/MicroOp, plain, traced
+# and faulted), the one-scheduler-hot-path gate (no `unsafe` and no
+# `SchedulerKind::Parallel` under crates/sim/src), the scheduler
+# benchmark gate (the same differential on the quick set +
+# BENCH_sim.json), the telemetry zero-perturbation guard (metrics on vs
+# off bit-identical on every workload), and the metrics gate (one instrumented GEMM capture whose
 # merged trace and registry snapshot must validate against
 # scripts/trace_schema.json and scripts/metrics_schema.json), and the
 # DSE smoke gate (a 2-workload seeded sweep through the eval service,
@@ -71,11 +71,17 @@ cargo run --release -q -p muir-bench --bin experiments -- tensor --gate
 echo "== tensor-graph fuzz smoke (10 seeded graphs through the frontend) =="
 cargo run --release -q -p muir-bench --bin experiments -- fuzz --tensor --graphs 10 --seed 0x7e50
 
-echo "== micro-op differential + epoch-commit engagement @2 threads =="
-cargo test --release -q -p muir-sim --lib epoch_commit_engages_at_two_threads
+echo "== Dense/Ready x Interp/MicroOp differential (tiled workload, plain/traced/faulted) =="
 cargo test --release -q -p muir-sim --lib uop
+cargo test --release -q -p muir-sim --lib ready_
 
-echo "== scheduler bench gate (four-way differential @2 threads + BENCH_sim.json) =="
+echo "== one scheduler hot path (no unsafe, no Parallel in crates/sim/src) =="
+if grep -rnE 'unsafe|SchedulerKind::Parallel' crates/sim/src | grep -v 'forbid(unsafe_code)'; then
+    echo "check.sh: crates/sim/src must stay free of unsafe code and of a Parallel scheduler (lines above)" >&2
+    exit 1
+fi
+
+echo "== scheduler bench gate (Dense/Ready x Interp/MicroOp differential + BENCH_sim.json) =="
 cargo run --release -q -p muir-bench --bin experiments -- bench --quick BENCH_sim.json
 
 echo "== telemetry zero-perturbation guard (metrics on == off, all workloads) =="

@@ -328,15 +328,14 @@ fn scratchpad_conserves_transactions() {
                 is_write: false,
             });
         }
-        let mut done = Vec::new();
+        let mut responses = Vec::new();
         for c in 0..10_000 {
-            for r in model.tick(c, None) {
-                done.push(r.id);
-            }
-            if done.len() == addrs.len() {
+            model.tick(c, None, &mut responses);
+            if responses.len() == addrs.len() {
                 break;
             }
         }
+        let mut done: Vec<u64> = responses.iter().map(|r| r.id).collect();
         done.sort_unstable();
         let expect: Vec<u64> = (1..=addrs.len() as u64).collect();
         assert_eq!(done, expect, "case {case}");
@@ -388,11 +387,11 @@ fn single_token_drop_is_never_silent() {
 }
 
 /// Every scheduler computes the same thing: random loop programs run under
-/// Dense, Ready, and Parallel (at 1/2/4/8 planning threads) must agree on
+/// Dense and Ready, each with both firing interpreters, must agree on
 /// cycles, results, and memory — and all must match the interpreter.
 #[test]
 fn schedulers_agree_on_random_programs() {
-    use muir::sim::SchedulerKind;
+    use muir::sim::{ExecMode, SchedulerKind};
     for case in 0..12u64 {
         let mut g = Gen::new(0x3a11 + case);
         let ops = random_ops(&mut g);
@@ -406,23 +405,26 @@ fn schedulers_agree_on_random_programs() {
         Interp::new(&m).run_main(&mut ref_mem, &[]).unwrap();
         let expect = ref_mem.read_i64(out);
 
-        let run = |scheduler: SchedulerKind, threads: u32| {
+        let run = |scheduler: SchedulerKind, exec: ExecMode| {
             let mut mem = Memory::from_module(&m);
             mem.init_i64(a, &data);
             let cfg = SimConfig::default()
                 .with_scheduler(scheduler)
-                .with_threads(threads);
+                .with_exec(exec);
             let r = simulate(&acc, &mut mem, &[], &cfg).unwrap();
             (r.cycles, r.stats.fires, mem.read_i64(out))
         };
-        let dense = run(SchedulerKind::Dense, 1);
+        let dense = run(SchedulerKind::Dense, ExecMode::Interp);
         assert_eq!(dense.2, expect, "case {case}: dense vs interpreter");
-        assert_eq!(dense, run(SchedulerKind::Ready, 1), "case {case}: ready");
-        for threads in [1, 2, 4, 8] {
+        for (scheduler, exec) in [
+            (SchedulerKind::Dense, ExecMode::MicroOp),
+            (SchedulerKind::Ready, ExecMode::Interp),
+            (SchedulerKind::Ready, ExecMode::MicroOp),
+        ] {
             assert_eq!(
                 dense,
-                run(SchedulerKind::Parallel, threads),
-                "case {case}: parallel@{threads}"
+                run(scheduler, exec),
+                "case {case}: {scheduler:?}+{exec:?}"
             );
         }
     }
