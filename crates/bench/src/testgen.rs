@@ -334,6 +334,10 @@ pub fn check_case(case: &GenCase) -> Result<(), String> {
             muir_sim::SimError::GraphRejected { source: e }
         )
     })?;
+    // The seal-time lowering of this seed's μopt mix, checked table by
+    // table before any simulation.
+    muir_sim::reference::check_lowering(&comp)
+        .map_err(|e| format!("{}: lowering: {e}", case.desc))?;
     let mut ref_mem = case.fresh_memory();
     Interp::new(&case.module)
         .run_main(&mut ref_mem, &[])
@@ -574,6 +578,8 @@ pub fn check_tensor_case(case: &TensorCase) -> Result<(), String> {
         .map_err(|e| format!("{}: translate: {e}", case.desc))?;
     let comp = muir_core::compiled::CompiledAccel::compile_cached(&acc)
         .map_err(|e| format!("{}: compile: {e}", case.desc))?;
+    muir_sim::reference::check_lowering(&comp)
+        .map_err(|e| format!("{}: lowering: {e}", case.desc))?;
     for tracing in [false, true] {
         let mode = if tracing { "traced" } else { "plain" };
         let dense = run_tensor(case, &comp, SchedulerKind::Dense, ExecMode::Interp, tracing);

@@ -15,22 +15,28 @@
 //! The engine is *functional*: nodes compute real values (via the `mir`
 //! evaluators) and loads/stores access a real memory image, so every run is
 //! checked against the reference interpreter.
+//!
+//! The firing rules are written once: [`Engine::try_fire`] is the gate and
+//! [`Engine::fire`] the body, both reading the per-task [`Code`] tables.
+//! [`crate::ExecMode`] only chooses where those tables come from — the
+//! sealed artifact, or [`crate::reference::lower`]'s re-derivation from the
+//! graph — once, in [`Engine::new`].
 
 use crate::error::{
     BufferSuggestion, ChannelState, DeadlockReport, FaultKind, StuckTile, WaitEdge,
 };
 use crate::fault::{Ecc, FaultClass, Injector};
 use crate::memory::{DramModel, MemRequest, MemResponse, StructModel};
+use crate::reference::TaskTables;
 use crate::trace::{Observer, SimProfile, StallReason, Trace};
 use crate::{SchedulerKind, SimConfig, SimError, SimStats};
 use muir_core::accel::{Accelerator, ArgExpr, ResultInit, TaskKind};
 use muir_core::compiled::{
-    CompiledAccel, CompiledTask, MicroOp, UopKind, SLOT_ARG, SLOT_CONST, SLOT_FEEDBACK,
+    CompiledAccel, CompiledTask, EdgeMeta, MicroOp, UopKind, SLOT_ARG, SLOT_CONST, SLOT_FEEDBACK,
     SLOT_PAYLOAD, SLOT_TAG, UOP_PREDICATED, UOP_SPAWN,
 };
-use muir_core::dataflow::EdgeKind;
 use muir_core::hw;
-use muir_core::node::{FusedInput, NodeKind, OpKind};
+use muir_core::node::{FusedInput, FusedPlan, NodeKind, OpKind};
 use muir_core::structure::StructureKind;
 use muir_mir::instr::{BinOp, MemObjId};
 use muir_mir::interp::{eval_bin, eval_cmp, eval_tensor, eval_un, Memory};
@@ -493,9 +499,9 @@ impl ActiveInv {
 
     /// The input gate of `uop` for instance `k`: every token input must
     /// carry a visible token of the right instance. Edges are tested in
-    /// the interpreter's visit order — data slots in port order, then the
-    /// dynamic order-in edges — and the first one that fails decides.
-    fn input_gate(&self, ct: &CompiledTask, uop: &MicroOp, k: u64, cycle: u64) -> InputGate {
+    /// a fixed order — data slots in port order, then the dynamic
+    /// order-in edges — and the first one that fails decides.
+    fn input_gate(&self, code: Code<'_>, uop: &MicroOp, k: u64, cycle: u64) -> InputGate {
         let token = |edge: usize, want: u64, feedback: bool| match self.arena.front(edge) {
             Some((found, vis)) if vis <= cycle => {
                 (found != want).then_some(InputGate::Misordered {
@@ -507,7 +513,7 @@ impl ActiveInv {
             }
             _ => Some(InputGate::Empty(edge)),
         };
-        for &s in &ct.in_slots[uop.slot0 as usize..][..uop.nin as usize] {
+        for &s in &code.in_slots[uop.slot0 as usize..][..uop.nin as usize] {
             let edge = (s & SLOT_PAYLOAD) as usize;
             let failed = match s & SLOT_TAG {
                 SLOT_ARG | SLOT_CONST => None,
@@ -521,7 +527,7 @@ impl ActiveInv {
                 return failed;
             }
         }
-        for &e in &ct.edge_refs[uop.ebase as usize..][..uop.nord as usize] {
+        for &e in &code.edge_refs[uop.ebase as usize..][..uop.nord as usize] {
             if let Some(failed) = token(e as usize, k, false) {
                 return failed;
             }
@@ -552,15 +558,50 @@ impl ActiveInv {
     }
 }
 
+/// The six tables a firing reads: one [`MicroOp`] per node and the pools
+/// its index fields point into. Borrowed from the sealed artifact
+/// ([`Code::sealed`]) or from the reference lowering
+/// ([`TaskTables::view`]); the firing code cannot tell which.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Code<'a> {
+    pub(crate) uops: &'a [MicroOp],
+    pub(crate) in_slots: &'a [u32],
+    pub(crate) edge_refs: &'a [u32],
+    pub(crate) consts: &'a [Value],
+    pub(crate) fused_plans: &'a [FusedPlan],
+    pub(crate) edge_meta: &'a [EdgeMeta],
+}
+
+impl<'a> Code<'a> {
+    /// The tables `seal()` lowered into the artifact.
+    pub(crate) fn sealed(ct: &'a CompiledTask) -> Code<'a> {
+        Code {
+            uops: &ct.uops,
+            in_slots: &ct.in_slots,
+            edge_refs: &ct.edge_refs,
+            consts: &ct.consts,
+            fused_plans: &ct.fused_plans,
+            edge_meta: &ct.edge_meta,
+        }
+    }
+
+    /// The out edges of `uop`'s node.
+    fn outs(&self, uop: &MicroOp) -> &'a [u32] {
+        &self.edge_refs[(uop.ebase + u32::from(uop.nord)) as usize..][..uop.nout as usize]
+    }
+}
+
 /// Per-run view of one task: the sealed graph-derived tables from the
 /// [`CompiledTask`] (shared, never rebuilt) plus the few
 /// configuration-dependent vectors that genuinely vary per `SimConfig`.
-/// `Deref` exposes the compiled tables (`order`, `in_data`, `outs`,
-/// `queue_cap`, …) directly.
+/// `Deref` exposes the compiled structure tables (`order`, `in_data`,
+/// `outs`, `queue_cap`, …) directly.
 #[derive(Debug)]
 struct ElabTask<'a> {
-    /// The sealed per-task tables (adjacency, scan order, micro-ops).
+    /// The sealed per-task structure tables (adjacency, scan order).
     ct: &'a CompiledTask,
+    /// What firings execute from.
+    code: Code<'a>,
     info: Vec<NodeInfo>,
     /// Per edge resolved token capacity: explicit FIFO depth, or
     /// `cfg.elastic_depth` for handshake connections.
@@ -699,13 +740,8 @@ pub struct Engine<'a> {
     /// the dense visitation (stall attribution *is* a per-cycle scan), so
     /// this is `Ready` and not tracing.
     use_ready: bool,
-    /// True when firings execute from the compiled micro-op stream
-    /// ([`crate::ExecMode::MicroOp`]) instead of the `NodeKind` interpreter.
-    use_uop: bool,
-    /// Reused input-slot buffer for `try_fire` (fires are the hot path;
+    /// Reused input-value buffer for `try_fire` (fires are the hot path;
     /// a fresh `Vec` per fire was measurable allocator churn).
-    slot_scratch: Vec<Option<Value>>,
-    /// Reused input-value buffer for `try_fire`, same rationale.
     val_scratch: Vec<Value>,
     /// Reused output-value buffer for `try_fire`, same rationale.
     out_scratch: Vec<Value>,
@@ -728,8 +764,15 @@ impl<'a> Engine<'a> {
     /// tables come straight from the [`CompiledAccel`] (built exactly
     /// once per graph); only the configuration-dependent vectors —
     /// node timing and databox bounds — are computed here, so a batch
-    /// of N runs pays one compile instead of N elaborations.
-    pub fn new(comp: &'a CompiledAccel, mem: &'a mut Memory, cfg: &'a SimConfig) -> Engine<'a> {
+    /// of N runs pays one compile instead of N elaborations. Firings
+    /// execute from `reference` (one entry per task) when given, from the
+    /// artifact's own lowering otherwise.
+    pub fn new(
+        comp: &'a CompiledAccel,
+        reference: Option<&'a [TaskTables]>,
+        mem: &'a mut Memory,
+        cfg: &'a SimConfig,
+    ) -> Engine<'a> {
         let acc = comp.accel();
         let elab: Vec<ElabTask<'a>> = comp
             .tasks()
@@ -758,7 +801,8 @@ impl<'a> Engine<'a> {
                         }
                     })
                     .collect();
-                let cap: Vec<u32> = ct
+                let code = reference.map_or(Code::sealed(ct), |r| r[ti].view());
+                let cap: Vec<u32> = code
                     .edge_meta
                     .iter()
                     .map(|m| {
@@ -769,7 +813,12 @@ impl<'a> Engine<'a> {
                         }
                     })
                     .collect();
-                ElabTask { ct, info, cap }
+                ElabTask {
+                    ct,
+                    code,
+                    info,
+                    cap,
+                }
             })
             .collect();
         let tasks: Vec<TaskState> = acc
@@ -845,8 +894,6 @@ impl<'a> Engine<'a> {
             scan_g: 0,
             dispatch_hint: false,
             use_ready: cfg.scheduler == SchedulerKind::Ready && obs.is_none(),
-            use_uop: cfg.exec == crate::ExecMode::MicroOp,
-            slot_scratch: Vec::new(),
             val_scratch: Vec::new(),
             out_scratch: Vec::new(),
             spare: Vec::new(),
@@ -1490,21 +1537,6 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Static value of an Input/Const node for the given invocation.
-    fn static_value(&self, ti: usize, inv: &ActiveInv, node: usize) -> Result<Value, SimError> {
-        match &self.acc.tasks[ti].dataflow.nodes[node].kind {
-            NodeKind::Input { index } => inv
-                .args
-                .get(*index as usize)
-                .cloned()
-                .ok_or_else(|| SimError::eval(format!("missing argument {index}"))),
-            NodeKind::Const(c) => Ok(c.to_value()),
-            other => Err(SimError::eval(format!(
-                "static read of dynamic node {other:?}"
-            ))),
-        }
-    }
-
     /// One tile's phase-4 slot: admission, the scheduler's candidate walk,
     /// the completion check. The invocation is lifted out of the engine
     /// for the walk, so every firing works on one `&mut ActiveInv` next to
@@ -1617,38 +1649,11 @@ impl<'a> Engine<'a> {
     }
 
     /// Attempt to fire `node` of the invocation on (task, tile),
-    /// re-checking every gate.
-    ///
-    /// Dispatches on [`crate::ExecMode`]: the micro-op fast path executes
-    /// the compiled [`MicroOp`] stream, the interpreter walks the structure
-    /// tables and matches on `NodeKind`. Gate order, side-effect order, and
-    /// every observable are bit-identical between the two (DESIGN.md §14).
-    #[inline]
+    /// re-checking every gate in a fixed order: static, stuck handshake,
+    /// instance admission, initiation interval, input tokens, in-flight
+    /// bound, output space, junction ports / child queue. The one gate
+    /// function of both [`crate::ExecMode`]s (DESIGN.md §14).
     fn try_fire(
-        &mut self,
-        ti: usize,
-        tk: usize,
-        inv: &mut ActiveInv,
-        node: usize,
-    ) -> Result<(), SimError> {
-        let r = if self.use_uop {
-            self.try_fire_uop(ti, tk, inv, node)
-        } else {
-            self.try_fire_interp(ti, tk, inv, node)
-        };
-        r.map_err(|e| {
-            e.at_site(
-                self.cycle,
-                ti as u32,
-                &self.acc.tasks[ti].name,
-                Some(node as u32),
-                Some(inv.uid),
-            )
-        })
-    }
-
-    /// The `NodeKind` interpreter path (the differential oracle).
-    fn try_fire_interp(
         &mut self,
         ti: usize,
         tk: usize,
@@ -1658,18 +1663,22 @@ impl<'a> Engine<'a> {
         let cycle = self.cycle;
         let df = &self.acc.tasks[ti].dataflow;
         self.sched_visits += 1;
-        if self.elab[ti].is_static[node] {
+        let code = self.elab[ti].code;
+        let uop = &code.uops[node];
+        if matches!(uop.kind, UopKind::Static) {
             return Ok(());
         }
-        if self.faults_on && self.stuck.contains(&(ti, tk, node)) {
+        let site = (ti, tk, node);
+        let ns = inv.nodes[node];
+        let k = ns.fired;
+        if self.faults_on && self.stuck.contains(&site) {
             // Output handshake stuck: valid never asserts again. Attribute
             // the hold only while the node actually has instances to fire.
-            if inv.nodes[node].fired < inv.admitted {
-                return self.note_stall((ti, tk, node), StallReason::FaultHold, None, None);
+            if k < inv.admitted {
+                return self.note_stall(site, StallReason::FaultHold, None, None);
             }
             return Ok(());
         }
-        let k = inv.nodes[node].fired;
         if k >= inv.admitted {
             if self.use_ready {
                 // Blocked on the instance gate: only the next admission can
@@ -1678,504 +1687,10 @@ impl<'a> Engine<'a> {
             }
             return Ok(());
         }
-        if cycle < inv.nodes[node].ready_at {
-            return Ok(());
-        }
-        let kind = &df.nodes[node].kind;
-        let is_merge = matches!(kind, NodeKind::Merge);
-
-        // Check inputs.
-        let ct = self.elab[ti].ct;
-        let (in_data, in_order) = (&ct.in_data[node], &ct.in_order[node]);
-        {
-            for &ei in in_data.iter().chain(in_order.iter()) {
-                let e = &df.edges[ei];
-                if self.elab[ti].is_static[e.src.0 as usize] {
-                    continue;
-                }
-                if is_merge && e.dst_port == 1 {
-                    // Feedback: required from instance 1 on, carrying the
-                    // previous instance's token.
-                    if k == 0 {
-                        continue;
-                    }
-                    match inv.arena.front(ei) {
-                        Some((inst, vis)) if vis <= cycle => {
-                            if inst != k - 1 {
-                                return Err(self.fault_err(
-                                    ti,
-                                    node,
-                                    inv.uid,
-                                    k,
-                                    FaultKind::TokenMisorder,
-                                    format!(
-                                        "feedback edge e{ei}: expected instance {}, found {inst}",
-                                        k - 1,
-                                    ),
-                                ));
-                            }
-                        }
-                        _ => {
-                            return self.note_stall(
-                                (ti, tk, node),
-                                StallReason::InputEmpty,
-                                Some(ei),
-                                None,
-                            )
-                        }
-                    }
-                    continue;
-                }
-                match inv.arena.front(ei) {
-                    Some((inst, vis)) if vis <= cycle => {
-                        // In-order delivery is the latency-insensitive
-                        // contract; a mismatch means a token was dropped or
-                        // duplicated upstream (a detected hardware fault).
-                        if inst != k {
-                            return Err(self.fault_err(
-                                ti,
-                                node,
-                                inv.uid,
-                                k,
-                                FaultKind::TokenMisorder,
-                                format!("edge e{ei}: expected instance {k}, found {inst}"),
-                            ));
-                        }
-                    }
-                    _ => {
-                        return self.note_stall(
-                            (ti, tk, node),
-                            StallReason::InputEmpty,
-                            Some(ei),
-                            None,
-                        )
-                    }
-                }
-            }
-            // In-flight bound (databox entries / pipeline occupancy). For
-            // memory transit points a full databox means every entry is
-            // waiting on the structure behind the junction.
-            if inv.nodes[node].pending >= self.elab[ti].info[node].max_pending {
-                let (reason, sid) = match kind {
-                    NodeKind::Load { junction, .. } | NodeKind::Store { junction, .. } => (
-                        StallReason::MemoryWait,
-                        Some(df.junctions[junction.0 as usize].structure.0 as usize),
-                    ),
-                    _ => (StallReason::OutputFull, None),
-                };
-                return self.note_stall((ti, tk, node), reason, None, sid);
-            }
-            // Output space: only *visible* (delivered, unconsumed) tokens
-            // occupy the edge register; in-flight results live in the
-            // producer's internal pipeline.
-            for &ei in self.elab[ti].outs[node].iter() {
-                let cap = self.edge_capacity(ti, ei);
-                let visible = inv.arena.visible(ei) as usize;
-                if visible >= cap {
-                    return self.note_stall(
-                        (ti, tk, node),
-                        StallReason::OutputFull,
-                        Some(ei),
-                        None,
-                    );
-                }
-            }
-        }
-        // Memory/call-specific admission checks (junction ports, queues).
-        let mut mem_plan: Option<(usize, bool)> = None; // (junction, is_write)
-        match kind {
-            NodeKind::Load { junction, .. } => mem_plan = Some((junction.0 as usize, false)),
-            NodeKind::Store { junction, .. } => mem_plan = Some((junction.0 as usize, true)),
-            NodeKind::TaskCall { callee, .. } => {
-                let child = callee.0 as usize;
-                let cap = self.elab[child].queue_cap;
-                if self.tasks[child].queue.len() >= cap {
-                    // Downstream issue queue full: backpressure, not memory.
-                    // Retry when the child's dispatcher pops a slot.
-                    if self.use_ready {
-                        self.tasks[child]
-                            .queue_waiters
-                            .push((ti as u32, tk as u32, node as u32));
-                    }
-                    return self.note_stall((ti, tk, node), StallReason::OutputFull, None, None);
-                }
-            }
-            _ => {}
-        }
-        if let Some((j, is_write)) = mem_plan {
-            let jn = &df.junctions[j];
-            let sid = jn.structure.0 as usize;
-            let budget = *self.jslot(ti, tk, j);
-            let lost = if is_write {
-                budget.2 >= jn.write_ports
-            } else {
-                budget.1 >= jn.read_ports
-            };
-            if lost {
-                // Port budgets refresh every cycle: retry next cycle.
-                if self.use_ready {
-                    inv.wake(&self.elab[ti].info, node, cycle);
-                }
-                return self.note_stall(
-                    (ti, tk, node),
-                    StallReason::ArbitrationLoss,
-                    None,
-                    Some(sid),
-                );
-            }
-        }
-
-        // Every admission check passed: this is a real firing opportunity,
-        // which is the injection point for a stuck output handshake.
-        if self.faults_on && self.faults.roll(FaultClass::StuckHandshake) {
-            self.stuck.insert((ti, tk, node));
-            return self.note_stall((ti, tk, node), StallReason::FaultHold, None, None);
-        }
-
-        // --- Fire (buffers restored on every path, success or error) --------
-        let mut slots = std::mem::take(&mut self.slot_scratch);
-        let mut values = std::mem::take(&mut self.val_scratch);
-        let mut out_values = std::mem::take(&mut self.out_scratch);
-        let r = self.fire_interp(
-            ti,
-            tk,
-            inv,
-            node,
-            k,
-            is_merge,
-            &mut slots,
-            &mut values,
-            &mut out_values,
-        );
-        slots.clear();
-        values.clear();
-        out_values.clear();
-        self.slot_scratch = slots;
-        self.val_scratch = values;
-        self.out_scratch = out_values;
-        r
-    }
-
-    /// The interpreter's firing body: consume tokens, evaluate, push
-    /// outputs, account. Callers have verified every gate; buffer
-    /// ownership (and restore-on-error) stays with
-    /// [`Engine::try_fire_interp`].
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    fn fire_interp(
-        &mut self,
-        ti: usize,
-        tk: usize,
-        inv: &mut ActiveInv,
-        node: usize,
-        k: u64,
-        is_merge: bool,
-        slots: &mut Vec<Option<Value>>,
-        values: &mut Vec<Value>,
-        out_values: &mut Vec<Value>,
-    ) -> Result<(), SimError> {
-        let cycle = self.cycle;
-        let df = &self.acc.tasks[ti].dataflow;
-        let ct = self.elab[ti].ct;
-        let kind = &df.nodes[node].kind;
-        let in_data = &ct.in_data[node];
-        let in_order = &ct.in_order[node];
-        // Collect input values (consume tokens).
-        {
-            // Static reads first, then token pops.
-            slots.clear();
-            slots.resize(in_data.len(), None);
-            for (i, &ei) in in_data.iter().enumerate() {
-                let e = &df.edges[ei];
-                if self.elab[ti].is_static[e.src.0 as usize] {
-                    slots[i] = Some(self.static_value(ti, inv, e.src.0 as usize)?);
-                }
-            }
-            for (i, &ei) in in_data.iter().enumerate() {
-                if slots[i].is_some() {
-                    continue;
-                }
-                let e = &df.edges[ei];
-                if is_merge && e.dst_port == 1 && k == 0 {
-                    slots[i] = Some(Value::Poison); // unused at instance 0
-                    continue;
-                }
-                if inv.arena.len(ei) == 0 {
-                    return Err(SimError::eval(format!("missing token on edge e{ei}")));
-                }
-                slots[i] = Some(inv.arena.pop(ei));
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), false);
-                }
-            }
-            for &ei in in_order.iter() {
-                let e = &df.edges[ei];
-                if self.elab[ti].is_static[e.src.0 as usize] {
-                    continue;
-                }
-                inv.arena.pop(ei);
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), false);
-                }
-            }
-            for s in slots.drain(..) {
-                values.push(s.ok_or_else(|| SimError::eval("input slot not filled"))?);
-            }
-        }
-        if self.use_ready {
-            // A consumed token freed a slot on its edge — but that only
-            // unblocks the producer if the edge was *full* before the pop
-            // (the visible count is the producer's output-space gate; no
-            // other firing gate reads this edge). Post-pop, "was full"
-            // means `visible + 1 >= capacity`.
-            for &ei in in_data.iter().chain(in_order.iter()) {
-                let src = df.edges[ei].src.0 as usize;
-                if self.elab[ti].is_static[src] {
-                    continue;
-                }
-                if is_merge && df.edges[ei].dst_port == 1 && k == 0 {
-                    continue; // no token was consumed at instance 0
-                }
-                let cap = self.edge_capacity(ti, ei);
-                let visible = inv.arena.visible(ei) as usize;
-                if visible + 1 >= cap {
-                    inv.wake(&self.elab[ti].info, src, cycle);
-                }
-            }
-        }
-
-        let ni = self.elab[ti].info[node];
-        let site = Site {
-            task: ti as u32,
-            tile: tk as u32,
-            node: node as u32,
-            uid: inv.uid,
-            instance: k,
-        };
-        let mut completion_at = Some(cycle + ni.latency as u64);
-
-        match kind {
-            NodeKind::IndVar => {
-                out_values.push(Value::Int(inv.lo + k as i64 * inv.step));
-            }
-            NodeKind::Merge => {
-                // Port 0 = init (instance 0), port 1 = feedback.
-                let v = if k == 0 {
-                    values[0].clone()
-                } else {
-                    values[1].clone()
-                };
-                out_values.push(v);
-            }
-            NodeKind::FusedAcc { op } => {
-                // Self-accumulating unit: port 0 = init, port 1 = operand.
-                let base = if k == 0 {
-                    values[0].clone()
-                } else {
-                    inv.acc_state[node]
-                        .clone()
-                        .ok_or_else(|| SimError::eval("accumulator state missing"))?
-                };
-                let r = eval_op(*op, &[base, values[1].clone()])?;
-                inv.acc_state[node] = Some(r.clone());
-                out_values.push(r);
-            }
-            NodeKind::Compute(op) => out_values.push(eval_op(*op, values)?),
-            NodeKind::Fused(plan) => out_values.push(eval_fused(plan, values)?),
-            NodeKind::Output => {
-                inv.last_output.clone_from(values);
-            }
-            NodeKind::Load {
-                obj,
-                junction,
-                predicated,
-            } => {
-                let active = !*predicated
-                    || values
-                        .last()
-                        .map(|v| !v.is_poison() && v.as_bool())
-                        .unwrap_or(true);
-                if active {
-                    let idx = values[0].as_int();
-                    if idx < 0 {
-                        return Err(SimError::eval(format!("negative load index {idx}")));
-                    }
-                    let ty = df.nodes[node].ty;
-                    let n = ty.elems() as u64;
-                    let base = self.mem.flat_addr(*obj, idx as u64);
-                    if !ty.is_composite() {
-                        // Scalar: no slot buffer needed. (1×1 tensor tiles
-                        // still assemble — downstream tensor ops need the
-                        // aggregate wrapper.)
-                        out_values.push(
-                            self.mem
-                                .read(*obj, idx as u64)
-                                .map_err(|e| SimError::eval(e.to_string()))?,
-                        );
-                    } else {
-                        let mut slots = Vec::with_capacity(n as usize);
-                        for kk in 0..n {
-                            slots.push(
-                                self.mem
-                                    .read(*obj, idx as u64 + kk)
-                                    .map_err(|e| SimError::eval(e.to_string()))?,
-                            );
-                        }
-                        out_values.push(Value::assemble(ty, slots));
-                    }
-                    self.issue_mem(site, junction.0 as usize, base, n, false);
-                    completion_at = None; // completes on the memory response
-                } else {
-                    out_values.push(Value::Poison);
-                }
-            }
-            NodeKind::Store {
-                obj,
-                junction,
-                predicated,
-            } => {
-                let active = !*predicated
-                    || values
-                        .last()
-                        .map(|v| !v.is_poison() && v.as_bool())
-                        .unwrap_or(true);
-                if active {
-                    let idx = values[0].as_int();
-                    if idx < 0 {
-                        return Err(SimError::eval(format!("negative store index {idx}")));
-                    }
-                    let v = values[1].clone();
-                    if v.is_poison() {
-                        return Err(SimError::eval(format!("poison stored to {obj:?}")));
-                    }
-                    let base = self.mem.flat_addr(*obj, idx as u64);
-                    let n = match &v {
-                        // Scalar: write directly, no flatten buffer.
-                        Value::Vector(_) | Value::Tensor { .. } => {
-                            let slots = v.flatten();
-                            let n = slots.len() as u64;
-                            for (kk, s) in slots.into_iter().enumerate() {
-                                self.mem
-                                    .write(*obj, idx as u64 + kk as u64, s)
-                                    .map_err(|e| SimError::eval(e.to_string()))?;
-                            }
-                            n
-                        }
-                        _ => {
-                            self.mem
-                                .write(*obj, idx as u64, v)
-                                .map_err(|e| SimError::eval(e.to_string()))?;
-                            1
-                        }
-                    };
-                    self.issue_mem(site, junction.0 as usize, base, n, true);
-                    completion_at = None; // completes on the memory response
-                }
-            }
-            NodeKind::TaskCall {
-                callee,
-                predicated,
-                spawn,
-            } => {
-                let child = callee.0 as usize;
-                let nargs = self.acc.tasks[child].num_args as usize;
-                let nres = self.acc.tasks[child].num_results as usize;
-                let active = !*predicated
-                    || values
-                        .get(nargs)
-                        .map(|v| !v.is_poison() && v.as_bool())
-                        .unwrap_or(true);
-                if active {
-                    let spawn = *spawn;
-                    self.issue_call(site, child, nargs, spawn, values);
-                    if spawn {
-                        inv.spawns_outstanding += 1;
-                        out_values.resize(nres.max(1), Value::Int(0));
-                    } else {
-                        out_values.resize(nres.max(1), Value::Poison); // patched by reply
-                        completion_at = None;
-                    }
-                } else {
-                    out_values.resize(nres.max(1), Value::Poison);
-                }
-            }
-            NodeKind::Input { .. } | NodeKind::Const(_) => unreachable!("static"),
-        }
-
-        // Push pending tokens on out edges. Ready/valid faults inject here:
-        // a drop loses the valid pulse, a dup holds it one transfer too
-        // long, a bit-flip corrupts the data lines.
-        {
-            let outs = &ct.outs[node];
-            for &ei in outs.iter() {
-                let e = &df.edges[ei];
-                let mut value = match e.kind {
-                    EdgeKind::Order => Value::Bool(true),
-                    _ => out_values
-                        .get(e.src_port as usize)
-                        .cloned()
-                        .unwrap_or(Value::Bool(true)),
-                };
-                if self.faults_on {
-                    if self.faults.roll(FaultClass::TokenDrop) {
-                        continue; // token lost on the wire
-                    }
-                    if self.faults.roll(FaultClass::TokenBitFlip) {
-                        let bit = self.faults.below(32) as u32;
-                        value = flip_bit(&value, bit);
-                    }
-                    if self.faults.roll(FaultClass::TokenDup) {
-                        inv.arena.push(ei, k, value.clone());
-                    }
-                }
-                inv.arena.push(ei, k, value);
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), true);
-                }
-            }
-        }
-        self.book_firing(inv, site, ni, completion_at);
-        Ok(())
-    }
-
-    /// The micro-op fast path: identical gate order, side effects, errors,
-    /// and trace events to [`Engine::try_fire_interp`], but driven by the
-    /// compiled [`MicroOp`] stream — dispatch is a jump on a dense `u8`
-    /// opcode over pre-resolved slot/edge index ranges instead of a
-    /// `NodeKind` match with per-fire field destructuring (DESIGN.md §14).
-    fn try_fire_uop(
-        &mut self,
-        ti: usize,
-        tk: usize,
-        inv: &mut ActiveInv,
-        node: usize,
-    ) -> Result<(), SimError> {
-        let cycle = self.cycle;
-        let df = &self.acc.tasks[ti].dataflow;
-        self.sched_visits += 1;
-        let ct = self.elab[ti].ct;
-        let uop = &ct.uops[node];
-        if matches!(uop.kind, UopKind::Static) {
-            return Ok(());
-        }
-        let site = (ti, tk, node);
-        let ns = inv.nodes[node];
-        let k = ns.fired;
-        if self.faults_on && self.stuck.contains(&site) {
-            if k < inv.admitted {
-                return self.note_stall(site, StallReason::FaultHold, None, None);
-            }
-            return Ok(());
-        }
-        if k >= inv.admitted {
-            if self.use_ready {
-                inv.park_adm(node);
-            }
-            return Ok(());
-        }
         if cycle < ns.ready_at {
             return Ok(());
         }
-        match inv.input_gate(ct, uop, k, cycle) {
+        match inv.input_gate(code, uop, k, cycle) {
             InputGate::Pass => {}
             InputGate::Empty(ei) => {
                 return self.note_stall(site, StallReason::InputEmpty, Some(ei), None)
@@ -2197,7 +1712,9 @@ impl<'a> Engine<'a> {
                 ));
             }
         }
-        // In-flight bound (databox entries / pipeline occupancy).
+        // In-flight bound (databox entries / pipeline occupancy). For
+        // memory transit points a full databox means every entry is
+        // waiting on the structure behind the junction.
         let et = &self.elab[ti];
         if ns.pending >= et.info[node].max_pending {
             let (reason, sid) = match uop.kind {
@@ -2209,9 +1726,11 @@ impl<'a> Engine<'a> {
             };
             return self.note_stall(site, reason, None, sid);
         }
-        // Output space (visible tokens only).
-        let outs = &ct.edge_refs[(uop.ebase + u32::from(uop.nord)) as usize..][..uop.nout as usize];
-        let full = outs
+        // Output space: only *visible* (delivered, unconsumed) tokens
+        // occupy the edge register; in-flight results live in the
+        // producer's internal pipeline.
+        let full = code
+            .outs(uop)
             .iter()
             .map(|&e| e as usize)
             .find(|&ei| inv.arena.visible(ei) >= et.cap[ei]);
@@ -2227,12 +1746,14 @@ impl<'a> Engine<'a> {
                 let child = uop.a as usize;
                 let cap = self.elab[child].queue_cap;
                 if self.tasks[child].queue.len() >= cap {
+                    // Downstream issue queue full: backpressure, not memory.
+                    // Retry when the child's dispatcher pops a slot.
                     if self.use_ready {
                         self.tasks[child]
                             .queue_waiters
                             .push((ti as u32, tk as u32, node as u32));
                     }
-                    return self.note_stall((ti, tk, node), StallReason::OutputFull, None, None);
+                    return self.note_stall(site, StallReason::OutputFull, None, None);
                 }
             }
             _ => {}
@@ -2247,38 +1768,41 @@ impl<'a> Engine<'a> {
                 budget.1 >= jn.read_ports
             };
             if lost {
+                // Port budgets refresh every cycle: retry next cycle.
                 if self.use_ready {
                     inv.wake(&self.elab[ti].info, node, cycle);
                 }
-                return self.note_stall(
-                    (ti, tk, node),
-                    StallReason::ArbitrationLoss,
-                    None,
-                    Some(sid),
-                );
+                return self.note_stall(site, StallReason::ArbitrationLoss, None, Some(sid));
             }
         }
+        // Every admission check passed: this is a real firing opportunity,
+        // which is the injection point for a stuck output handshake.
         if self.faults_on && self.faults.roll(FaultClass::StuckHandshake) {
-            self.stuck.insert((ti, tk, node));
-            return self.note_stall((ti, tk, node), StallReason::FaultHold, None, None);
+            self.stuck.insert(site);
+            return self.note_stall(site, StallReason::FaultHold, None, None);
         }
 
         // --- Fire (buffers restored on every path, success or error) --------
         let mut values = std::mem::take(&mut self.val_scratch);
         let mut out_values = std::mem::take(&mut self.out_scratch);
-        let r = self.fire_uop(ti, tk, inv, node, uop, k, &mut values, &mut out_values);
+        let r = self.fire(ti, tk, inv, node, uop, k, &mut values, &mut out_values);
         values.clear();
         out_values.clear();
         self.val_scratch = values;
         self.out_scratch = out_values;
-        r
+        // The body's evaluation errors are context-free; locate them here.
+        r.map_err(|e| {
+            let name = &self.acc.tasks[ti].name;
+            e.at_site(cycle, ti as u32, name, Some(node as u32), Some(inv.uid))
+        })
     }
 
-    /// The micro-op firing body: gather inputs from packed slots, evaluate
-    /// by dense opcode, push outputs over the pre-resolved edge range.
-    /// Side-effect order is bit-identical to [`Engine::fire_interp`].
+    /// The firing body: consume tokens, evaluate by dense opcode, push
+    /// outputs over the pre-resolved edge range, account. Callers have
+    /// verified every gate; buffer ownership (and restore-on-error) stays
+    /// with [`Engine::try_fire`].
     #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    fn fire_uop(
+    fn fire(
         &mut self,
         ti: usize,
         tk: usize,
@@ -2291,66 +1815,46 @@ impl<'a> Engine<'a> {
     ) -> Result<(), SimError> {
         let cycle = self.cycle;
         let df = &self.acc.tasks[ti].dataflow;
-        let ct = self.elab[ti].ct;
-        let slots = &ct.in_slots[uop.slot0 as usize..][..uop.nin as usize];
-        let erefs = &ct.edge_refs[uop.ebase as usize..][..uop.nord as usize + uop.nout as usize];
-        // Collect input values (consume tokens) straight into `values` —
-        // each slot is self-describing, so no staging buffer is needed.
-        {
-            for &s in slots {
-                let p = (s & SLOT_PAYLOAD) as usize;
-                match s & SLOT_TAG {
-                    SLOT_ARG => values.push(
-                        inv.args
-                            .get(p)
-                            .cloned()
-                            .ok_or_else(|| SimError::eval(format!("missing argument {p}")))?,
-                    ),
-                    SLOT_CONST => values.push(ct.consts[p].clone()),
-                    SLOT_FEEDBACK if k == 0 => values.push(Value::Poison), // unused at instance 0
-                    _ => {
-                        if inv.arena.len(p) == 0 {
-                            return Err(SimError::eval(format!("missing token on edge e{p}")));
-                        }
-                        values.push(inv.arena.pop(p));
-                        if let Some(obs) = self.obs.as_mut() {
-                            obs.edge_delta(cycle, ti, p, inv.arena.len(p), false);
-                        }
-                    }
-                }
+        let code = self.elab[ti].code;
+        let slots = &code.in_slots[uop.slot0 as usize..][..uop.nin as usize];
+        let erefs = &code.edge_refs[uop.ebase as usize..][..uop.nord as usize + uop.nout as usize];
+        // Consume the front token of an input edge. That frees a slot on the
+        // edge — which only unblocks the producer if the edge was *full*
+        // before the pop (the visible count is the producer's output-space
+        // gate; no other firing gate reads this edge). Post-pop, "was full"
+        // means `visible + 1 >= capacity`.
+        let (et, obs, use_ready) = (&self.elab[ti], &mut self.obs, self.use_ready);
+        let mut pop = |inv: &mut ActiveInv, ei: usize| {
+            let v = inv.arena.pop(ei);
+            if let Some(obs) = obs.as_mut() {
+                obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), false);
             }
-            for &er in &erefs[..uop.nord as usize] {
-                let ei = er as usize;
-                inv.arena.pop(ei);
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), false);
+            if use_ready && inv.arena.visible(ei) + 1 >= et.cap[ei] {
+                inv.wake(&et.info, code.edge_meta[ei].src as usize, cycle);
+            }
+            v
+        };
+        // Collect input values straight into `values` — each slot is
+        // self-describing, so no staging buffer is needed.
+        for &s in slots {
+            let p = (s & SLOT_PAYLOAD) as usize;
+            match s & SLOT_TAG {
+                SLOT_ARG => values.push(
+                    inv.args
+                        .get(p)
+                        .cloned()
+                        .ok_or_else(|| SimError::eval(format!("missing argument {p}")))?,
+                ),
+                SLOT_CONST => values.push(code.consts[p].clone()),
+                SLOT_FEEDBACK if k == 0 => values.push(Value::Poison), // unused at instance 0
+                _ if inv.arena.len(p) == 0 => {
+                    return Err(SimError::eval(format!("missing token on edge e{p}")));
                 }
+                _ => values.push(pop(inv, p)),
             }
         }
-        if self.use_ready {
-            // A consumed token freed a slot: wake the producer if the edge
-            // was full before the pop (see `fire_interp`).
-            for &s in slots {
-                let ei = (s & SLOT_PAYLOAD) as usize;
-                match s & SLOT_TAG {
-                    SLOT_ARG | SLOT_CONST => continue,
-                    SLOT_FEEDBACK if k == 0 => continue,
-                    _ => {}
-                }
-                let cap = self.edge_capacity(ti, ei);
-                let visible = inv.arena.visible(ei) as usize;
-                if visible + 1 >= cap {
-                    inv.wake(&self.elab[ti].info, ct.edge_meta[ei].src as usize, cycle);
-                }
-            }
-            for &er in &erefs[..uop.nord as usize] {
-                let ei = er as usize;
-                let cap = self.edge_capacity(ti, ei);
-                let visible = inv.arena.visible(ei) as usize;
-                if visible + 1 >= cap {
-                    inv.wake(&self.elab[ti].info, ct.edge_meta[ei].src as usize, cycle);
-                }
-            }
+        for &er in &erefs[..uop.nord as usize] {
+            pop(inv, er as usize);
         }
 
         let ni = self.elab[ti].info[node];
@@ -2362,6 +1866,18 @@ impl<'a> Engine<'a> {
             instance: k,
         };
         let mut completion_at = Some(cycle + ni.latency as u64);
+        // A predicated op is active unless its predicate input is false
+        // or poison.
+        let active = |pred: Option<&Value>| {
+            uop.flags & UOP_PREDICATED == 0 || pred.is_none_or(|v| !v.is_poison() && v.as_bool())
+        };
+        // The element index of a memory access: poison (a squashed
+        // division upstream) and negative indices are typed errors.
+        let index = |v: &Value, what: &str| match v.as_int_checked() {
+            None => Err(SimError::eval(format!("poison {what} index"))),
+            Some(idx) if idx < 0 => Err(SimError::eval(format!("negative {what} index {idx}"))),
+            Some(idx) => Ok(idx as u64),
+        };
 
         match uop.kind {
             UopKind::IndVar => {
@@ -2372,6 +1888,7 @@ impl<'a> Engine<'a> {
                 out_values.push(values.swap_remove(usize::from(k != 0)));
             }
             UopKind::FusedAcc => {
+                // Self-accumulating unit: port 0 = init, port 1 = operand.
                 let base = if k == 0 {
                     values[0].clone()
                 } else {
@@ -2384,29 +1901,26 @@ impl<'a> Engine<'a> {
                 out_values.push(r);
             }
             UopKind::Compute => out_values.push(eval_op(uop.op, values)?),
-            UopKind::Fused => out_values.push(eval_fused(&ct.fused_plans[uop.a as usize], values)?),
+            UopKind::Fused => {
+                out_values.push(eval_fused(&code.fused_plans[uop.a as usize], values)?)
+            }
             UopKind::Output => {
                 inv.last_output.clone_from(values);
             }
             UopKind::Load => {
-                let active = uop.flags & UOP_PREDICATED == 0
-                    || values
-                        .last()
-                        .map(|v| !v.is_poison() && v.as_bool())
-                        .unwrap_or(true);
-                if active {
+                if active(values.last()) {
                     let obj = MemObjId(uop.a);
-                    let idx = values[0].as_int();
-                    if idx < 0 {
-                        return Err(SimError::eval(format!("negative load index {idx}")));
-                    }
+                    let idx = index(&values[0], "load")?;
                     let ty = df.nodes[node].ty;
                     let n = ty.elems() as u64;
-                    let base = self.mem.flat_addr(obj, idx as u64);
+                    let base = self.mem.flat_addr(obj, idx);
                     if !ty.is_composite() {
+                        // Scalar: no slot buffer needed. (1×1 tensor tiles
+                        // still assemble — downstream tensor ops need the
+                        // aggregate wrapper.)
                         out_values.push(
                             self.mem
-                                .read(obj, idx as u64)
+                                .read(obj, idx)
                                 .map_err(|e| SimError::eval(e.to_string()))?,
                         );
                     } else {
@@ -2414,7 +1928,7 @@ impl<'a> Engine<'a> {
                         for kk in 0..n {
                             slots.push(
                                 self.mem
-                                    .read(obj, idx as u64 + kk)
+                                    .read(obj, idx + kk)
                                     .map_err(|e| SimError::eval(e.to_string()))?,
                             );
                         }
@@ -2427,36 +1941,29 @@ impl<'a> Engine<'a> {
                 }
             }
             UopKind::Store => {
-                let active = uop.flags & UOP_PREDICATED == 0
-                    || values
-                        .last()
-                        .map(|v| !v.is_poison() && v.as_bool())
-                        .unwrap_or(true);
-                if active {
+                if active(values.last()) {
                     let obj = MemObjId(uop.a);
-                    let idx = values[0].as_int();
-                    if idx < 0 {
-                        return Err(SimError::eval(format!("negative store index {idx}")));
-                    }
+                    let idx = index(&values[0], "store")?;
                     let v = std::mem::replace(&mut values[1], Value::Poison);
                     if v.is_poison() {
                         return Err(SimError::eval(format!("poison stored to {obj:?}")));
                     }
-                    let base = self.mem.flat_addr(obj, idx as u64);
+                    let base = self.mem.flat_addr(obj, idx);
                     let n = match &v {
                         Value::Vector(_) | Value::Tensor { .. } => {
                             let slots = v.flatten();
                             let n = slots.len() as u64;
                             for (kk, s) in slots.into_iter().enumerate() {
                                 self.mem
-                                    .write(obj, idx as u64 + kk as u64, s)
+                                    .write(obj, idx + kk as u64, s)
                                     .map_err(|e| SimError::eval(e.to_string()))?;
                             }
                             n
                         }
+                        // Scalar: write directly, no flatten buffer.
                         _ => {
                             self.mem
-                                .write(obj, idx as u64, v)
+                                .write(obj, idx, v)
                                 .map_err(|e| SimError::eval(e.to_string()))?;
                             1
                         }
@@ -2469,60 +1976,54 @@ impl<'a> Engine<'a> {
                 let child = uop.a as usize;
                 let nargs = (uop.b >> 16) as usize;
                 let nres = (uop.b & 0xffff) as usize;
-                let active = uop.flags & UOP_PREDICATED == 0
-                    || values
-                        .get(nargs)
-                        .map(|v| !v.is_poison() && v.as_bool())
-                        .unwrap_or(true);
-                if active {
+                let mut result = Value::Poison; // squashed, or patched by the reply
+                if active(values.get(nargs)) {
                     let spawn = uop.flags & UOP_SPAWN != 0;
                     self.issue_call(site, child, nargs, spawn, values);
                     if spawn {
                         inv.spawns_outstanding += 1;
-                        out_values.resize(nres.max(1), Value::Int(0));
+                        result = Value::Int(0);
                     } else {
-                        out_values.resize(nres.max(1), Value::Poison); // patched by reply
                         completion_at = None;
                     }
-                } else {
-                    out_values.resize(nres.max(1), Value::Poison);
                 }
+                out_values.resize(nres.max(1), result);
             }
             UopKind::Static => unreachable!("static"),
         }
 
-        // Push pending tokens on out edges (fault injection point).
-        {
-            let outs = &erefs[uop.nord as usize..];
-            for (i, &er) in outs.iter().enumerate() {
-                let ei = er as usize;
-                let m = ct.edge_meta[ei];
-                let mut value = if m.is_order {
-                    Value::Bool(true)
-                } else {
-                    match out_values.get_mut(m.src_port as usize) {
-                        // The last edge takes the value itself.
-                        Some(v) if i + 1 == outs.len() => std::mem::replace(v, Value::Poison),
-                        Some(v) => v.clone(),
-                        None => Value::Bool(true),
-                    }
-                };
-                if self.faults_on {
-                    if self.faults.roll(FaultClass::TokenDrop) {
-                        continue; // token lost on the wire
-                    }
-                    if self.faults.roll(FaultClass::TokenBitFlip) {
-                        let bit = self.faults.below(32) as u32;
-                        value = flip_bit(&value, bit);
-                    }
-                    if self.faults.roll(FaultClass::TokenDup) {
-                        inv.arena.push(ei, k, value.clone());
-                    }
+        // Push pending tokens on out edges. Ready/valid faults inject here:
+        // a drop loses the valid pulse, a dup holds it one transfer too
+        // long, a bit-flip corrupts the data lines.
+        let outs = &erefs[uop.nord as usize..];
+        for (i, &er) in outs.iter().enumerate() {
+            let ei = er as usize;
+            let m = code.edge_meta[ei];
+            let mut value = if m.is_order {
+                Value::Bool(true)
+            } else {
+                match out_values.get_mut(m.src_port as usize) {
+                    // The last edge takes the value itself.
+                    Some(v) if i + 1 == outs.len() => std::mem::replace(v, Value::Poison),
+                    Some(v) => v.clone(),
+                    None => Value::Bool(true),
                 }
-                inv.arena.push(ei, k, value);
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), true);
+            };
+            if self.faults_on {
+                if self.faults.roll(FaultClass::TokenDrop) {
+                    continue; // token lost on the wire
                 }
+                if self.faults.roll(FaultClass::TokenBitFlip) {
+                    let bit = self.faults.below(32) as u32;
+                    value = flip_bit(&value, bit);
+                }
+                if self.faults.roll(FaultClass::TokenDup) {
+                    inv.arena.push(ei, k, value.clone());
+                }
+            }
+            inv.arena.push(ei, k, value);
+            if let Some(obs) = self.obs.as_mut() {
+                obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), true);
             }
         }
         self.book_firing(inv, site, ni, completion_at);
@@ -2554,9 +2055,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Book the firing at `site` (both exec modes end here): advance the
-    /// node, count the firing, queue the node's next visit and its
-    /// completion event.
+    /// Book the firing at `site`: advance the node, count the firing,
+    /// queue the node's next visit and its completion event.
     fn book_firing(
         &mut self,
         inv: &mut ActiveInv,
@@ -2600,18 +2100,18 @@ impl<'a> Engine<'a> {
         let (ti, tk, node) = (site.task as usize, site.tile as usize, site.node as usize);
         let df = &self.acc.tasks[ti].dataflow;
         let et = &self.elab[ti];
-        let ct = et.ct;
+        let outs = et.code.outs(&et.code.uops[node]);
         let Some(inv) = self.tasks[ti].tiles[tk].as_deref_mut() else {
             return Ok(()); // stale
         };
         if inv.uid != site.uid {
             return Ok(()); // stale
         }
-        for &ei in ct.outs[node].iter() {
+        for &ei in outs {
             // All matching tokens become visible (normally exactly one;
             // an injected duplicate shares the completion pulse),
             // patching call-reply values onto data edges.
-            let m = &ct.edge_meta[ei];
+            let m = &et.code.edge_meta[ei as usize];
             let patch = reply_values.as_ref().and_then(|rv| {
                 if m.is_order {
                     None
@@ -2619,7 +2119,7 @@ impl<'a> Engine<'a> {
                     rv.get(m.src_port as usize)
                 }
             });
-            inv.arena.reveal(ei, site.instance, cycle, patch);
+            inv.arena.reveal(ei as usize, site.instance, cycle, patch);
         }
         let ns = &mut inv.nodes[node];
         let was_at_cap = ns.pending >= et.info[node].max_pending;
@@ -2655,8 +2155,8 @@ impl<'a> Engine<'a> {
             } else {
                 u64::MAX
             };
-            for &ei in ct.outs[node].iter() {
-                due = due.min(inv.wake(&et.info, df.edges[ei].dst.0 as usize, cycle));
+            for &ei in outs {
+                due = due.min(inv.wake(&et.info, df.edges[ei as usize].dst.0 as usize, cycle));
             }
             if was_at_cap {
                 due = due.min(inv.wake(&et.info, node, cycle));
@@ -2782,9 +2282,6 @@ fn find_wait_cycle(vertices: &[V], waits: &HashMap<V, Vec<W>>) -> Vec<WaitEdge> 
     Vec::new()
 }
 
-/// Consumers-before-producers order over forward edges, so that a consumer
-/// freeing a 1-deep edge this cycle lets its producer refire this cycle
-/// (sustaining II=1 through handshake chains).
 /// Evaluate a compute op on runtime values.
 fn eval_op(op: OpKind, values: &[Value]) -> Result<Value, SimError> {
     let r = match op {

@@ -49,6 +49,7 @@ pub mod error;
 pub mod fault;
 pub mod hashing;
 pub mod memory;
+pub mod reference;
 pub mod trace;
 
 pub use error::{
@@ -89,21 +90,21 @@ pub enum SchedulerKind {
     Ready,
 }
 
-/// Which firing interpreter executes a node once the scheduler selects it.
+/// Which micro-op tables the firing code executes from.
 ///
-/// Orthogonal to [`SchedulerKind`]: the scheduler decides *which* nodes to
-/// visit each cycle, the exec mode decides *how* a visit is executed. Both
-/// modes implement the same execution model and are bit-identical in every
-/// observable (cycles, results, stats, fault behaviour, traces) — re-proven
-/// by the four-way differential suites in `muir-bench` (DESIGN.md §14).
+/// There is one gate function and one firing body (DESIGN.md §14); the
+/// mode only picks, once per run, the tables they read. Orthogonal to
+/// [`SchedulerKind`], and bit-identical in every observable (cycles,
+/// results, stats, fault behaviour, traces) unless the seal-time lowering
+/// is wrong — which is what the Interp-vs-MicroOp differentials test, and
+/// what [`reference::check_lowering`] tests without a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Walk the structure tables and `match` on `NodeKind` per firing (the
-    /// original interpreter; kept alive as the differential oracle).
+    /// The reference: tables re-derived from the sealed graph by
+    /// [`mod@reference`] at the start of the run, reading nothing
+    /// `seal()` lowered.
     Interp,
-    /// Drive firings from the compiled artifact's flat [`MicroOp`] stream:
-    /// a dense `u8` opcode dispatch over pre-resolved input slots and edge
-    /// ranges (DESIGN.md §14).
+    /// The sealed artifact's own [`MicroOp`] stream (DESIGN.md §14).
     ///
     /// [`MicroOp`]: muir_core::compiled::MicroOp
     #[default]
@@ -137,8 +138,8 @@ pub struct SimConfig {
     /// Phase-4 scheduling strategy (identical observable behaviour; only
     /// simulator wall-time differs).
     pub scheduler: SchedulerKind,
-    /// Firing interpreter (identical observable behaviour; only simulator
-    /// wall-time differs).
+    /// Source of the firing tables (identical observable behaviour; only
+    /// simulator wall-time differs).
     pub exec: ExecMode,
 }
 
@@ -167,7 +168,7 @@ impl SimConfig {
         self
     }
 
-    /// The same configuration with a different firing interpreter.
+    /// The same configuration with a different source of firing tables.
     #[must_use]
     pub fn with_exec(mut self, exec: ExecMode) -> Self {
         self.exec = exec;
@@ -387,7 +388,8 @@ pub fn simulate_compiled(
     args: &[Value],
     cfg: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    let engine = engine::Engine::new(comp, mem, cfg);
+    let reference = (cfg.exec == ExecMode::Interp).then(|| reference::lower(comp.accel()));
+    let engine = engine::Engine::new(comp, reference.as_deref(), mem, cfg);
     let (cycles, results, stats, observed) = engine.run(args)?;
     let (profile, trace) = match observed {
         Some((p, t)) => (Some(p), Some(t)),

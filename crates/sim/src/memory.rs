@@ -357,10 +357,12 @@ impl StructModel {
         if let Some(dram) = dram {
             for txn in victims {
                 let ready = dram.fetch_line(cycle, line_elems);
-                self.dram_fills.push_back((ready, txn));
+                // Behind every fill due no later: the queue stays ordered by
+                // readiness, ties in arrival order, even when a DRAM-timeout
+                // fault makes `fetch_line` non-monotonic.
+                let at = self.dram_fills.partition_point(|(r, _)| *r <= ready);
+                self.dram_fills.insert(at, (ready, txn));
             }
-            // Keep fills sorted by readiness (DRAM returns in order anyway).
-            self.dram_fills.make_contiguous().sort_by_key(|(r, _)| *r);
         } else {
             // No DRAM behind this cache: treat as hit after a long latency.
             for txn in victims {

@@ -1382,3 +1382,109 @@ fn simulate_batch_rejects_corrupt_graph_per_job() {
         _ => unreachable!(),
     }
 }
+
+#[test]
+fn poison_memory_index_is_a_typed_error_not_a_panic() {
+    // `5 / a[0]` with `a[0] == 0` is squashed to poison by the divider;
+    // using it as a load index is an evaluation error, under every
+    // scheduler and exec mode.
+    let mut m = Module::new("poison_idx");
+    let a = m.add_mem_object("a", ScalarType::I32, 4);
+    let mut b = FunctionBuilder::new("main", &[]).with_mem(&m);
+    let z = b.load(a, ValueRef::int(0));
+    let q = b.div(ValueRef::int(5), z);
+    let v = b.load(a, q);
+    b.store(a, ValueRef::int(1), v);
+    b.ret(None);
+    m.add_function(b.finish());
+    let acc = translate(&m, &FrontendConfig::default()).expect("translate");
+    for sched in [SchedulerKind::Dense, SchedulerKind::Ready] {
+        for exec in [ExecMode::Interp, ExecMode::MicroOp] {
+            let cfg = SimConfig::default().with_scheduler(sched).with_exec(exec);
+            let mut mem = Memory::from_module(&m);
+            let err = simulate(&acc, &mut mem, &[], &cfg).expect_err("poison index");
+            assert_eq!(err.code(), "E-SIM-EVAL", "{sched:?}+{exec:?}: {err}");
+            assert!(err.to_string().contains("poison load index"), "{err}");
+        }
+    }
+}
+
+#[test]
+fn lowering_comparator_sees_every_field() {
+    use crate::reference::{lower, same_tables, TaskTables};
+    use muir_core::compiled::{
+        MicroOp, UopKind, SLOT_FEEDBACK, SLOT_TAG, SLOT_TOKEN, UOP_PREDICATED,
+    };
+    // An accumulator loop (merge feedback) whose body stores under a
+    // predicate and loads the stored object back (order edge).
+    let mut m = Module::new("mutants");
+    let a = m.add_mem_object("a", ScalarType::I32, 16);
+    let mut b = FunctionBuilder::new("main", &[]).with_mem(&m);
+    let accs = b.for_loop_acc(
+        ValueRef::int(0),
+        ValueRef::int(16),
+        1,
+        &[(ValueRef::int(0), Type::I64)],
+        |b, i, accs| {
+            let c = b.icmp(CmpPred::Lt, i, ValueRef::int(8));
+            b.if_then(c, |b| b.store(a, i, ValueRef::int(7)));
+            let v = b.load(a, i);
+            vec![b.add(accs[0], v)]
+        },
+    );
+    b.store(a, ValueRef::int(0), accs[0]);
+    b.ret(None);
+    m.add_function(b.finish());
+    let acc = translate(&m, &FrontendConfig::default()).expect("translate");
+    let comp = muir_core::compiled::CompiledAccel::compile(&acc).expect("seal");
+    crate::reference::check_lowering(&comp).expect("sealed lowering matches the reference");
+
+    let good = lower(&acc);
+    // Apply `mutate` at the first node (of any task) that `site` accepts
+    // and return the comparator's verdict on that task.
+    let verdict = |site: &dyn Fn(&TaskTables, &MicroOp) -> bool,
+                   mutate: &dyn Fn(&mut TaskTables, usize)| {
+        for (ti, t) in good.iter().enumerate() {
+            if let Some(n) = t.uops.iter().position(|u| site(t, u)) {
+                let mut bad = t.clone();
+                mutate(&mut bad, n);
+                return same_tables(good[ti].view(), bad.view()).expect_err("mutant accepted");
+            }
+        }
+        panic!("no node to mutate");
+    };
+    let is_mem = |u: &MicroOp| matches!(u.kind, UopKind::Load | UopKind::Store);
+    let feedback = |t: &TaskTables, u: &MicroOp| {
+        let run = &t.in_slots[u.slot0 as usize..][..u.nin as usize];
+        run.iter().any(|s| s & SLOT_TAG == SLOT_FEEDBACK)
+    };
+    let dropped_order_in = verdict(&|_, u| u.nord > 0, &|t, n| {
+        t.uops[n].nord -= 1;
+        t.uops[n].ebase += 1;
+    });
+    assert!(dropped_order_in.contains("nord"), "{dropped_order_in}");
+    let token_for_feedback = verdict(&feedback, &|t, n| {
+        let u = t.uops[n];
+        for s in &mut t.in_slots[u.slot0 as usize..][..u.nin as usize] {
+            if *s & SLOT_TAG == SLOT_FEEDBACK {
+                *s = (*s & !SLOT_TAG) | SLOT_TOKEN;
+            }
+        }
+    });
+    assert!(
+        token_for_feedback.contains("in_slots"),
+        "{token_for_feedback}"
+    );
+    let wrong_junction = verdict(&|_, u| is_mem(u), &|t, n| t.uops[n].b += 1);
+    assert!(wrong_junction.contains(": b differs"), "{wrong_junction}");
+    let unpredicated = verdict(&|_, u| u.flags & UOP_PREDICATED != 0, &|t, n| {
+        t.uops[n].flags &= !UOP_PREDICATED;
+    });
+    assert!(unpredicated.contains("flags"), "{unpredicated}");
+    let swapped_port = verdict(&|_, u| u.nout > 0, &|t, n| {
+        let u = t.uops[n];
+        let e = t.edge_refs[(u.ebase + u32::from(u.nord)) as usize];
+        t.edge_meta[e as usize].src_port ^= 1;
+    });
+    assert!(swapped_port.contains("src_port"), "{swapped_port}");
+}

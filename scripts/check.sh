@@ -12,8 +12,10 @@
 # tensor-graph fuzz smoke (seeded frontend graphs through parse ->
 # lower -> seal -> sim), the scheduler x exec-mode differential
 # (Dense+Interp oracle vs Dense/Ready x Interp/MicroOp, plain, traced
-# and faulted), the one-scheduler-hot-path gate (no `unsafe` and no
-# `SchedulerKind::Parallel` under crates/sim/src), the scheduler
+# and faulted), the one-hot-path gate (under crates/sim/src: no `unsafe`,
+# no `SchedulerKind::Parallel`, no second firing body — one `fn try_fire`
+# and one `fn fire` in engine.rs — and a reference lowering that reads
+# none of the artifact's lowered tables outside `check_lowering`), the scheduler
 # benchmark gate (the same differential on the quick set +
 # BENCH_sim.json), the telemetry zero-perturbation guard (metrics on vs
 # off bit-identical on every workload), and the metrics gate (one instrumented GEMM capture whose
@@ -75,9 +77,24 @@ echo "== Dense/Ready x Interp/MicroOp differential (tiled workload, plain/traced
 cargo test --release -q -p muir-sim --lib uop
 cargo test --release -q -p muir-sim --lib ready_
 
-echo "== one scheduler hot path (no unsafe, no Parallel in crates/sim/src) =="
-if grep -rnE 'unsafe|SchedulerKind::Parallel' crates/sim/src | grep -v 'forbid(unsafe_code)'; then
-    echo "check.sh: crates/sim/src must stay free of unsafe code and of a Parallel scheduler (lines above)" >&2
+echo "== one hot path (crates/sim/src: no unsafe, no Parallel, one firing body) =="
+if grep -rnE 'unsafe|SchedulerKind::Parallel|try_fire_interp|fire_interp|use_uop|slot_scratch' crates/sim/src |
+    grep -v 'forbid(unsafe_code)'; then
+    echo "check.sh: crates/sim/src must stay free of unsafe code, of a Parallel scheduler and of a second firing body (lines above)" >&2
+    exit 1
+fi
+for f in try_fire fire; do
+    n=$(grep -cE "^ *fn $f" crates/sim/src/engine.rs || true)
+    if [ "$n" != 1 ]; then
+        echo "check.sh: engine.rs must define exactly one \`fn $f…\` (found $n)" >&2
+        exit 1
+    fi
+done
+# The reference lowering starts from the graph: only `check_lowering`
+# may look at the sealed tables it is compared with.
+if sed -e '/^#\[cfg(test)\]/,$d' -e '/^pub fn check_lowering/,/^}/d' crates/sim/src/reference.rs |
+    grep -nE 'CompiledTask|\.in_data|\.in_order|\.outs'; then
+    echo "check.sh: reference.rs reads the artifact's lowered tables outside check_lowering (lines above)" >&2
     exit 1
 fi
 
