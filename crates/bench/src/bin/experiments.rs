@@ -4,7 +4,7 @@
 //! cargo run --release -p muir-bench --bin experiments [all|fig1|table2|fig9|
 //!     table3|fig11|fig12|fig15|fig16|fig17|fig18|table4|faults|--selftest|
 //!     profile <workload> [outdir]|trace-schema [schema.json]|
-//!     bench [--quick] [out.json]|fuzz [--tensor] [--graphs N] [--seed S]|
+//!     fuzz [--tensor] [--graphs N] [--seed S]|
 //!     tensor <file>|--builtin <name>|--gate|
 //!     soak <workload> [reps]|
 //!     dse [--workload W]...|--all [--seed S] [--budget N] [--threads T]
@@ -44,6 +44,27 @@ use muir_uopt::PassManager;
 use muir_workloads as workloads;
 use muir_workloads::by_name;
 
+const FUZZ_USAGE: &str = "usage: experiments fuzz [--tensor] [--graphs N] [--seed S]";
+const DSE_USAGE: &str = "usage: experiments dse [--workload W]... | --all [--seed S] \
+                         [--budget N] [--threads T] [--out PATH] [--store DIR]";
+
+/// The number after `flag` in `rest`, if the flag and a value are there:
+/// decimal when all digits, otherwise hex (with or without `0x`). A value
+/// that is neither prints `usage` and exits 2.
+fn num_after(rest: &[String], flag: &str, usage: &str) -> Option<u64> {
+    let v = rest.get(rest.iter().position(|a| a == flag)? + 1)?;
+    let digits = v.trim_start_matches("0x");
+    let radix = if digits.chars().all(|c| c.is_ascii_digit()) {
+        10
+    } else {
+        16
+    };
+    Some(u64::from_str_radix(digits, radix).unwrap_or_else(|e| {
+        eprintln!("bad {flag} value `{v}`: {e}\n{usage}");
+        std::process::exit(2);
+    }))
+}
+
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
     if which == "--selftest" {
@@ -61,36 +82,9 @@ fn main() {
         profile(&name, &outdir);
         return;
     }
-    if which == "bench" {
-        let rest: Vec<String> = std::env::args().skip(2).collect();
-        let quick = rest.iter().any(|a| a == "--quick");
-        let out = rest
-            .iter()
-            .find(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_sim.json".to_string());
-        bench(quick, &out);
-        return;
-    }
     if which == "fuzz" {
         let rest: Vec<String> = std::env::args().skip(2).collect();
-        let arg_after = |flag: &str| {
-            rest.iter()
-                .position(|a| a == flag)
-                .and_then(|p| rest.get(p + 1))
-                .map(|v| {
-                    let v = v.trim_start_matches("0x");
-                    u64::from_str_radix(
-                        v,
-                        if v.chars().all(|c| c.is_ascii_digit()) {
-                            10
-                        } else {
-                            16
-                        },
-                    )
-                    .unwrap_or_else(|e| panic!("bad {flag} value: {e}"))
-                })
-        };
+        let arg_after = |flag: &str| num_after(&rest, flag, FUZZ_USAGE);
         let tensor = rest.iter().any(|a| a == "--tensor");
         let graphs = arg_after("--graphs").unwrap_or(if tensor { 50 } else { 200 });
         let seed = arg_after("--seed").unwrap_or(if tensor { 0x7e50 } else { 0xf022 });
@@ -176,23 +170,7 @@ fn main() {
     }
     if which == "dse" {
         let rest: Vec<String> = std::env::args().skip(2).collect();
-        let arg_after = |flag: &str| {
-            rest.iter()
-                .position(|a| a == flag)
-                .and_then(|p| rest.get(p + 1))
-                .map(|v| {
-                    let v = v.trim_start_matches("0x");
-                    u64::from_str_radix(
-                        v,
-                        if v.chars().all(|c| c.is_ascii_digit()) {
-                            10
-                        } else {
-                            16
-                        },
-                    )
-                    .unwrap_or_else(|e| panic!("bad {flag} value: {e}"))
-                })
-        };
+        let arg_after = |flag: &str| num_after(&rest, flag, DSE_USAGE);
         let str_after = |flag: &str| {
             rest.iter()
                 .position(|a| a == flag)
@@ -217,10 +195,7 @@ fn main() {
                 .collect();
         }
         if names.is_empty() {
-            eprintln!(
-                "usage: experiments dse [--workload W]... | --all [--seed S] \
-                 [--budget N] [--threads T] [--out PATH] [--store DIR]"
-            );
+            eprintln!("{DSE_USAGE}");
             std::process::exit(2);
         }
         let params = muir_bench::dse::DseParams {
@@ -908,19 +883,6 @@ fn profile(name: &str, outdir: &str) {
         art.cycles_untraced, art.cycles_optimized
     );
 
-    hdr("Scheduler cost: Dense scan vs Ready set (untraced baseline)");
-    let w = by_name(name).expect("workload exists: profile_workload ran it");
-    let row = muir_bench::sched::bench_workload(&w, 3);
-    println!(
-        "wall-time: {:.3} ms dense / {:.3} ms ready ({:.2}x); \
-         try_fire visits per cycle: {:.1} dense / {:.2} ready",
-        row.dense_ms,
-        row.ready_ms,
-        row.speedup(),
-        row.dense_visits_per_cycle,
-        row.ready_visits_per_cycle
-    );
-
     let dir = std::path::Path::new(outdir);
     std::fs::create_dir_all(dir).expect("create profile output directory");
     let json_path = dir.join("trace.json");
@@ -935,70 +897,6 @@ fn profile(name: &str, outdir: &str) {
         art.profile.events_dropped
     );
     println!("open trace.json in ui.perfetto.dev or chrome://tracing; trace.vcd in gtkwave");
-}
-
-/// `bench [--quick] [out.json]`: the scheduler benchmark gate. First run
-/// the differential suite (plain, traced, and seeded fault-plan modes;
-/// Dense/Ready x Interp/MicroOp vs the Dense+Interp oracle) over the
-/// selected workload set, then time both schedulers, measure `simulate_batch`
-/// multi-run throughput scaling, and write `BENCH_sim.json`,
-/// schema-validated by the same dependency-free JSON parser the trace
-/// gate uses. Exits non-zero on any divergence, schema violation, or if
-/// Ready is slower than Dense in aggregate.
-fn bench(quick: bool, out: &str) {
-    use muir_bench::sched;
-    hdr(&format!(
-        "Scheduler benchmark: Dense vs Ready ({} set)",
-        if quick { "quick" } else { "full" }
-    ));
-    let ws: Vec<workloads::Workload> = if quick {
-        sched::QUICK_SET
-            .iter()
-            .map(|n| by_name(n).expect("quick-set workload"))
-            .collect()
-    } else {
-        workloads::all()
-    };
-    for (i, w) in ws.iter().enumerate() {
-        if let Err(e) = sched::check_workload(w, i) {
-            eprintln!("scheduler divergence: {e}");
-            std::process::exit(1);
-        }
-    }
-    println!(
-        "differential: {} workloads x {{plain, traced, faulted}} x {{interp, uop}} x {{dense, ready}} bit-identical",
-        ws.len()
-    );
-
-    let reps = if quick { 2 } else { 3 };
-    let rows: Vec<sched::BenchRow> = ws.iter().map(|w| sched::bench_workload(w, reps)).collect();
-    print!("{}", sched::render_rows(&rows));
-
-    hdr("Batch throughput: simulate_batch over the quick set");
-    let batch = sched::bench_batch(4, if quick { 1 } else { 2 });
-    print!("{}", sched::render_batch(&batch));
-
-    hdr("Sealing cost: one compile per batch (amortized across N runs)");
-    let compile = sched::measure_compile();
-    print!("{}", sched::render_compile(&compile));
-
-    hdr("Store cold/warm: persistent result store over the quick set");
-    let store = sched::bench_store();
-    print!("{}", sched::render_store(&store));
-
-    let json = sched::bench_json(&rows, &batch, &compile, &store);
-    if let Err(e) = sched::validate_bench_json(&json) {
-        eprintln!("BENCH_sim.json schema violation: {e}");
-        std::process::exit(1);
-    }
-    std::fs::write(out, &json).unwrap_or_else(|e| panic!("cannot write `{out}`: {e}"));
-    println!("wrote {out}");
-
-    let g = sched::geomean_speedup(&rows);
-    if g < 1.0 {
-        eprintln!("FAIL: Ready scheduler is slower than Dense (geomean {g:.2}x < 1.00x)");
-        std::process::exit(1);
-    }
 }
 
 /// `fuzz [--tensor] [--graphs N] [--seed S]`: the seeded fuzzer gates.

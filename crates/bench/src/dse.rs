@@ -33,9 +33,9 @@
 //! a `budget`-point sweep typically simulates far fewer than `budget`
 //! designs.
 
-use crate::profile::{parse_json, Json};
 use crate::service::{EvalJob, EvalOutcome, EvalService, ServiceConfig};
 use muir_core::compiled::CompiledAccel;
+use muir_core::json::{self, check_fields, Json, Writer};
 use muir_core::telemetry;
 use muir_core::ContentHasher;
 use muir_rtl::cost::{estimate, Tech};
@@ -360,58 +360,36 @@ fn hex(v: u64) -> String {
 /// (schema `muir-dse-v1`, validated by [`validate_dse_json`]). Purely a
 /// function of its arguments — the determinism gate byte-compares this.
 pub fn report_json(params: &DseParams, results: &[WorkloadFront]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"muir-dse-v1\",\n");
-    out.push_str(&format!("  \"seed\": \"{}\",\n", hex(params.seed)));
-    out.push_str(&format!("  \"budget\": {},\n", params.budget));
-    out.push_str(&format!(
-        "  \"space_size\": {},\n",
-        PassSpace::full().size()
-    ));
-    out.push_str("  \"workloads\": [\n");
-    for (wi, w) in results.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": {:?},\n", w.name));
-        out.push_str("      \"candidates\": [\n");
-        for (ci, c) in w.candidates.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"index\": {}, \"config\": {:?}, \"config_hash\": \"{}\", \
-                 \"artifact\": \"{}\", \"cycles\": {}, \"area_score\": {}, \
-                 \"fmax_mhz\": {:.1}, \"power_mw\": {:.1}, \"end_state\": \"{}\", \
-                 \"dominated\": {}}}{}\n",
-                c.index,
-                c.config.to_string(),
-                hex(c.config_hash),
-                hex(c.artifact),
-                c.cycles,
-                c.area_score,
-                c.fmax_mhz,
-                c.power_mw,
-                hex(c.end_state),
-                c.dominated,
-                if ci + 1 < w.candidates.len() { "," } else { "" },
-            ));
+    let mut out = Writer::new();
+    out.obj_lines().key("schema").str("muir-dse-v1");
+    out.key("seed").str(&hex(params.seed));
+    out.key("budget").uint(params.budget);
+    out.key("space_size").uint(PassSpace::full().size());
+    out.key("workloads").arr_lines();
+    for w in results {
+        out.obj_lines().key("name").str(&w.name);
+        out.key("candidates").arr_lines();
+        for c in &w.candidates {
+            out.obj().key("index").uint(c.index);
+            out.key("config").str(&c.config.to_string());
+            out.key("config_hash").str(&hex(c.config_hash));
+            out.key("artifact").str(&hex(c.artifact));
+            out.key("cycles").uint(c.cycles);
+            out.key("area_score").uint(c.area_score);
+            out.key("fmax_mhz").fixed(c.fmax_mhz, 1);
+            out.key("power_mw").fixed(c.power_mw, 1);
+            out.key("end_state").str(&hex(c.end_state));
+            out.key("dominated").bool(c.dominated).end();
         }
-        out.push_str("      ],\n");
-        out.push_str("      \"front\": [\n");
-        for (fi, f) in w.front.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"cycles\": {}, \"area_score\": {}}}{}\n",
-                f.0,
-                f.1,
-                if fi + 1 < w.front.len() { "," } else { "" },
-            ));
+        out.end().key("front").arr_lines();
+        for f in &w.front {
+            out.obj().key("cycles").uint(f.0);
+            out.key("area_score").uint(f.1).end();
         }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if wi + 1 < results.len() { "," } else { "" }
-        ));
+        out.end().end();
     }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    out.end().end();
+    out.finish()
 }
 
 /// What [`validate_dse_json`] checked.
@@ -426,25 +404,6 @@ pub struct DseSummary {
     /// Workloads whose front has ≥ 3 points (the acceptance bar counts
     /// these).
     pub nontrivial_fronts: usize,
-}
-
-fn require_fields(obj: &Json, spec: &Json, what: &str) -> Result<(), String> {
-    let Json::Obj(fields) = spec else {
-        return Err(format!("schema `{what}` must be an object"));
-    };
-    for (key, ty) in fields {
-        let want = ty.as_str().ok_or("schema types must be strings")?;
-        let got = obj
-            .get(key)
-            .ok_or_else(|| format!("{what} missing `{key}`"))?;
-        if got.type_name() != want {
-            return Err(format!(
-                "{what} `{key}`: expected {want}, got {}",
-                got.type_name()
-            ));
-        }
-    }
-    Ok(())
 }
 
 fn as_pair(p: &Json, what: &str) -> Result<(u64, u64), String> {
@@ -467,13 +426,13 @@ fn as_pair(p: &Json, what: &str) -> Result<(u64, u64), String> {
 /// # Errors
 /// The first violation, with enough context to locate it.
 pub fn validate_dse_json(report: &str, schema: &str) -> Result<DseSummary, String> {
-    let schema = parse_json(schema).map_err(|e| format!("schema is not valid JSON: {e}"))?;
-    let report = parse_json(report).map_err(|e| format!("report is not valid JSON: {e}"))?;
+    let schema = json::parse(schema).map_err(|e| format!("schema is not valid JSON: {e}"))?;
+    let report = json::parse(report).map_err(|e| format!("report is not valid JSON: {e}"))?;
 
     let top = schema
         .get("top_required")
         .ok_or("schema missing `top_required`")?;
-    require_fields(&report, top, "report")?;
+    check_fields(&report, top, "report")?;
     match report.get("schema").and_then(Json::as_str) {
         Some("muir-dse-v1") => {}
         other => return Err(format!("report schema tag {other:?}, want `muir-dse-v1`")),
@@ -497,7 +456,7 @@ pub fn validate_dse_json(report: &str, schema: &str) -> Result<DseSummary, Strin
         ..DseSummary::default()
     };
     for w in workloads {
-        require_fields(w, w_req, "workload")?;
+        check_fields(w, w_req, "workload")?;
         let name = w.get("name").and_then(Json::as_str).unwrap_or("?");
         let Some(Json::Arr(cands)) = w.get("candidates") else {
             return Err(format!("{name}: `candidates` is not an array"));
@@ -508,13 +467,13 @@ pub fn validate_dse_json(report: &str, schema: &str) -> Result<DseSummary, Strin
         let mut points = Vec::with_capacity(cands.len());
         let mut flagged = Vec::with_capacity(cands.len());
         for (i, c) in cands.iter().enumerate() {
-            require_fields(c, c_req, &format!("{name} candidate {i}"))?;
+            check_fields(c, c_req, format_args!("{name} candidate {i}"))?;
             points.push(as_pair(c, &format!("{name} candidate {i}"))?);
             flagged.push(matches!(c.get("dominated"), Some(Json::Bool(true))));
         }
         let mut fpts = Vec::with_capacity(front.len());
         for (i, f) in front.iter().enumerate() {
-            require_fields(f, f_req, &format!("{name} front point {i}"))?;
+            check_fields(f, f_req, format_args!("{name} front point {i}"))?;
             fpts.push(as_pair(f, &format!("{name} front point {i}"))?);
         }
         // Semantic gate: the declared front must BE the Pareto front of

@@ -4,12 +4,13 @@
 //! user which μopt transform to reach for next.
 //!
 //! Also home to the golden-trace schema validator used by CI
-//! (`experiments trace-schema`): a dependency-free JSON parser plus a
-//! checked-in schema (`scripts/trace_schema.json`) that pins the
+//! (`experiments trace-schema`): a checked-in schema
+//! (`scripts/trace_schema.json`, read through `muir_core::json`) pins the
 //! trace-event fields Perfetto needs, so an exporter regression fails the
 //! build rather than silently producing an unloadable trace.
 
 use crate::{baseline, full_stack, optimized};
+use muir_core::json::{self, check_fields, Json};
 use muir_sim::{simulate, BottleneckReport, SimConfig, SimProfile, Trace, TraceConfig};
 use muir_workloads::by_name;
 
@@ -82,222 +83,6 @@ pub fn profile_workload(name: &str) -> ProfileArtifacts {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON parser (no external crates) + trace-schema validation
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (parsed as f64).
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object (insertion order preserved).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Type name used by the schema (`"object"`, `"array"`, …).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "boolean",
-            Json::Num(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
-        }
-    }
-
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// String payload, if a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one JSON document.
-///
-/// # Errors
-/// A message naming the byte offset of the first syntax error.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {pos}", c as char))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    Json::Str(s) => s,
-                    other => return Err(format!("object key must be a string, got {other:?}")),
-                };
-                expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
-                fields.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*pos) {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b'b') => s.push('\u{8}'),
-                            Some(b'f') => s.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = b
-                                    .get(*pos + 1..*pos + 5)
-                                    .ok_or_else(|| "truncated \\u escape".to_string())?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                *pos += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        // Copy the full UTF-8 sequence starting at c.
-                        let len = match c {
-                            0x00..=0x7f => 1,
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            _ => 4,
-                        };
-                        let chunk = b
-                            .get(*pos..*pos + len)
-                            .ok_or_else(|| "truncated utf-8".to_string())?;
-                        s.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                        *pos += len;
-                    }
-                }
-            }
-        }
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number `{text}` at byte {start}"))
-        }
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
 /// What the validator checked.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ValidationSummary {
@@ -318,27 +103,13 @@ pub struct ValidationSummary {
 /// # Errors
 /// The first schema violation, with enough context to locate the event.
 pub fn validate_trace_json(trace: &str, schema: &str) -> Result<ValidationSummary, String> {
-    let schema = parse_json(schema).map_err(|e| format!("schema is not valid JSON: {e}"))?;
-    let trace = parse_json(trace).map_err(|e| format!("trace is not valid JSON: {e}"))?;
+    let schema = json::parse(schema).map_err(|e| format!("schema is not valid JSON: {e}"))?;
+    let trace = json::parse(trace).map_err(|e| format!("trace is not valid JSON: {e}"))?;
 
     let top_req = schema
         .get("top_required")
         .ok_or("schema missing `top_required`")?;
-    let Json::Obj(top_fields) = top_req else {
-        return Err("`top_required` must be an object".to_string());
-    };
-    for (key, ty) in top_fields {
-        let want = ty.as_str().ok_or("schema types must be strings")?;
-        let got = trace
-            .get(key)
-            .ok_or_else(|| format!("trace missing top-level `{key}`"))?;
-        if got.type_name() != want {
-            return Err(format!(
-                "top-level `{key}`: expected {want}, got {}",
-                got.type_name()
-            ));
-        }
-    }
+    check_fields(&trace, top_req, "trace")?;
 
     let ev_req = schema
         .get("event_required")
@@ -372,21 +143,10 @@ pub fn validate_trace_json(trace: &str, schema: &str) -> Result<ValidationSummar
             "C" => summary.counter_events += 1,
             _ => {}
         }
-        let Some(Json::Obj(required)) = ev_req.get(ph) else {
+        let Some(required) = ev_req.get(ph) else {
             return Err(format!("event {i}: schema does not allow ph `{ph}`"));
         };
-        for (key, ty) in required {
-            let want = ty.as_str().ok_or("schema types must be strings")?;
-            let got = ev
-                .get(key)
-                .ok_or_else(|| format!("event {i} (ph {ph}) missing `{key}`"))?;
-            if got.type_name() != want {
-                return Err(format!(
-                    "event {i} (ph {ph}) `{key}`: expected {want}, got {}",
-                    got.type_name()
-                ));
-            }
-        }
+        check_fields(ev, required, format_args!("event {i} (ph {ph})"))?;
         if let (Some(allowed), Some(cat)) = (&cat_allowed, ev.get("cat").and_then(Json::as_str)) {
             if !allowed.contains(&cat) {
                 return Err(format!("event {i}: cat `{cat}` not in `cat_allowed`"));
@@ -436,24 +196,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parser_round_trips_structures() {
-        let j = parse_json(r#"{"a":[1,2.5,-3e2],"b":{"c":"x\ny"},"d":true,"e":null}"#).unwrap();
-        assert_eq!(j.get("d"), Some(&Json::Bool(true)));
-        assert_eq!(j.get("e"), Some(&Json::Null));
-        let Some(Json::Arr(a)) = j.get("a") else {
-            panic!("a missing")
-        };
-        assert_eq!(a[2], Json::Num(-300.0));
-        assert_eq!(
-            j.get("b").and_then(|b| b.get("c")).and_then(Json::as_str),
-            Some("x\ny")
-        );
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{} extra").is_err());
-    }
-
-    #[test]
     fn golden_trace_validates_against_checked_in_schema() {
         let schema = include_str!("../../../scripts/trace_schema.json");
         let trace = golden_trace_json();
@@ -491,7 +233,7 @@ mod tests {
     fn validator_rejects_wrong_shapes() {
         let schema = include_str!("../../../scripts/trace_schema.json");
         let e = validate_trace_json(r#"{"traceEvents":[]}"#, schema).unwrap_err();
-        assert!(e.contains("missing top-level"), "{e}");
+        assert!(e.contains("trace missing `displayTimeUnit`"), "{e}");
         let e = validate_trace_json(
             r#"{"traceEvents":[{"ph":"Z"}],"displayTimeUnit":"ms","otherData":{}}"#,
             schema,

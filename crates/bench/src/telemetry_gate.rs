@@ -3,9 +3,9 @@
 //! the unified stats report (one printer for `CacheStats` +
 //! `StoreStats` + `ServiceStats`, rendered from the registry).
 
-use crate::profile::{parse_json, Json};
 use crate::service::ServiceStats;
 use muir_core::compiled::CacheStats;
+use muir_core::json::{self, check_fields, Json, Writer};
 use muir_core::telemetry::{self, Snapshot, SpanRec};
 use muir_sim::Trace;
 use muir_store::StoreStats;
@@ -21,10 +21,12 @@ pub const SERVICE_PID: u32 = 2000;
 /// memory lifetimes) on their usual task/memory tracks, time-shifted so
 /// the sim timeline starts under its enclosing `service.simulate` span.
 pub fn merged_chrome_json(spans: &[SpanRec], trace: Option<&Trace>) -> String {
-    let mut evs: Vec<String> = vec![format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{SERVICE_PID},\"args\":{{\"name\":\"service\"}}}}"
-    )];
-    evs.extend(telemetry::chrome_span_events(spans, SERVICE_PID));
+    let mut w = Writer::new();
+    w.obj_lines().key("traceEvents").arr_lines();
+    w.obj().key("name").str("process_name").key("ph").str("M");
+    w.key("pid").uint(SERVICE_PID);
+    w.key("args").obj().key("name").str("service").end().end();
+    telemetry::chrome_span_events(spans, SERVICE_PID, &mut w);
     if let Some(t) = trace {
         // Anchor cycle 0 at the first simulate span (1 cycle = 1 µs, so
         // the sim events nest under the span that ran them).
@@ -34,12 +36,14 @@ pub fn merged_chrome_json(spans: &[SpanRec], trace: Option<&Trace>) -> String {
             .map(|s| s.start_us)
             .min()
             .unwrap_or(0);
-        evs.extend(t.chrome_events(offset));
+        t.chrome_events(offset, &mut w);
     }
-    format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"generator\":\"muir-telemetry\",\"timebase\":\"1 cycle = 1us; spans in wall-clock us\"}}}}\n",
-        evs.join(",\n")
-    )
+    w.end().key("displayTimeUnit").str("ms");
+    w.key("otherData").obj();
+    w.key("generator").str("muir-telemetry");
+    let timebase = "1 cycle = 1us; spans in wall-clock us";
+    w.key("timebase").str(timebase).end().end();
+    w.finish()
 }
 
 /// What the metrics validator checked.
@@ -53,25 +57,6 @@ pub struct MetricsSummary {
     pub histograms: usize,
     /// Total histogram observations.
     pub observations: u64,
-}
-
-fn check_fields(entry: &Json, required: &Json, what: &str, i: usize) -> Result<(), String> {
-    let Json::Obj(fields) = required else {
-        return Err(format!("schema `{what}_required` must be an object"));
-    };
-    for (key, ty) in fields {
-        let want = ty.as_str().ok_or("schema types must be strings")?;
-        let got = entry
-            .get(key)
-            .ok_or_else(|| format!("{what} {i} missing `{key}`"))?;
-        if got.type_name() != want {
-            return Err(format!(
-                "{what} {i} `{key}`: expected {want}, got {}",
-                got.type_name()
-            ));
-        }
-    }
-    Ok(())
 }
 
 fn num_array(v: &Json, what: &str, i: usize, key: &str) -> Result<Vec<u64>, String> {
@@ -96,27 +81,13 @@ fn num_array(v: &Json, what: &str, i: usize, key: &str) -> Result<Vec<u64>, Stri
 /// # Errors
 /// The first violation, with enough context to locate the entry.
 pub fn validate_metrics_json(snapshot: &str, schema: &str) -> Result<MetricsSummary, String> {
-    let schema = parse_json(schema).map_err(|e| format!("schema is not valid JSON: {e}"))?;
-    let snap = parse_json(snapshot).map_err(|e| format!("snapshot is not valid JSON: {e}"))?;
+    let schema = json::parse(schema).map_err(|e| format!("schema is not valid JSON: {e}"))?;
+    let snap = json::parse(snapshot).map_err(|e| format!("snapshot is not valid JSON: {e}"))?;
 
     let top_req = schema
         .get("top_required")
         .ok_or("schema missing `top_required`")?;
-    let Json::Obj(top_fields) = top_req else {
-        return Err("`top_required` must be an object".to_string());
-    };
-    for (key, ty) in top_fields {
-        let want = ty.as_str().ok_or("schema types must be strings")?;
-        let got = snap
-            .get(key)
-            .ok_or_else(|| format!("snapshot missing top-level `{key}`"))?;
-        if got.type_name() != want {
-            return Err(format!(
-                "top-level `{key}`: expected {want}, got {}",
-                got.type_name()
-            ));
-        }
-    }
+    check_fields(&snap, top_req, "snapshot")?;
 
     let mut summary = MetricsSummary::default();
     let mut tallies = [0usize; 3];
@@ -136,7 +107,7 @@ pub fn validate_metrics_json(snapshot: &str, schema: &str) -> Result<MetricsSumm
         };
         tallies[slot] = entries.len();
         for (i, entry) in entries.iter().enumerate() {
-            check_fields(entry, required, section, i)?;
+            check_fields(entry, required, format_args!("{section} {i}"))?;
         }
     }
     [summary.counters, summary.gauges, summary.histograms] = tallies;

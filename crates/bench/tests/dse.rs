@@ -234,7 +234,7 @@ fn schema_accepts_wellformed_reports_and_rejects_corruption() {
     assert_eq!(s.nontrivial_fronts, 0, "2-point front is trivial");
 
     // A dropped front point is a semantic violation, not just a shape one.
-    let missing_front = good.replace("        {\"cycles\": 50, \"area_score\": 20},\n", "");
+    let missing_front = good.replace("        {\"cycles\":50,\"area_score\":20},\n", "");
     let err = validate_dse_json(&missing_front, &schema()).unwrap_err();
     assert!(err.contains("not the Pareto front"), "{err}");
 
@@ -245,7 +245,7 @@ fn schema_accepts_wellformed_reports_and_rejects_corruption() {
     assert!(err.contains("dominated=false"), "{err}");
 
     // A missing required candidate field is a shape violation.
-    let shapeless = good.replace("\"end_state\": \"0x0000000000002000\", ", "");
+    let shapeless = good.replace("\"end_state\":\"0x0000000000002000\",", "");
     let err = validate_dse_json(&shapeless, &schema()).unwrap_err();
     assert!(err.contains("missing `end_state`"), "{err}");
 }

@@ -27,6 +27,7 @@ pub mod dataflow;
 pub mod dot;
 pub mod envelope;
 pub mod hw;
+pub mod json;
 pub mod node;
 pub mod printer;
 pub mod rng;

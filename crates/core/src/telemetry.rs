@@ -21,6 +21,7 @@
 //! call checks it first, so a disabled registry costs one predictable
 //! branch on the hot path and allocates nothing.
 
+use crate::json::Writer;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -360,43 +361,21 @@ pub fn spans() -> Vec<SpanRec> {
     registry().lock().expect("telemetry registry").spans.clone()
 }
 
-/// Render spans as Chrome/Perfetto `ph:"X"` complete-duration events
-/// under process `pid` (one JSON object per string, no trailing commas —
-/// the caller joins them into a `traceEvents` array). Sorted by start
-/// time so nesting renders deterministically.
-pub fn chrome_span_events(spans: &[SpanRec], pid: u32) -> Vec<String> {
+/// Write spans as Chrome/Perfetto `ph:"X"` complete-duration events
+/// under process `pid`, as elements of the array open in `w` (the
+/// `traceEvents` of whichever document the caller is building). Sorted by
+/// start time so nesting renders deterministically.
+pub fn chrome_span_events(spans: &[SpanRec], pid: u32, w: &mut Writer) {
     let mut sorted: Vec<&SpanRec> = spans.iter().collect();
     sorted.sort_by_key(|s| (s.start_us, std::cmp::Reverse(s.dur_us)));
-    sorted
-        .iter()
-        .map(|s| {
-            format!(
-                r#"{{"name":"{}","cat":"{}","ph":"X","ts":{},"dur":{},"pid":{},"tid":{},"args":{{"detail":"{}","depth":{}}}}}"#,
-                esc(s.name),
-                esc(s.cat),
-                s.start_us,
-                s.dur_us.max(1),
-                pid,
-                s.tid,
-                esc(&s.detail),
-                s.depth
-            )
-        })
-        .collect()
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    for s in sorted {
+        w.obj().key("name").str(s.name).key("cat").str(s.cat);
+        w.key("ph").str("X").key("ts").uint(s.start_us);
+        w.key("dur").uint(s.dur_us.max(1));
+        w.key("pid").uint(pid).key("tid").uint(s.tid);
+        w.key("args").obj().key("detail").str(&s.detail);
+        w.key("depth").uint(s.depth).end().end();
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -515,48 +494,31 @@ impl Snapshot {
     /// JSON snapshot exposition (validated against
     /// `scripts/metrics_schema.json` by the CI gate).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"version\": {SNAPSHOT_VERSION},\n  \"generator\": \"muir-telemetry\",\n"
-        ));
-        out.push_str("  \"counters\": [");
-        let cs: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(n, v)| format!("{{\"name\":\"{}\",\"value\":{v}}}", esc(n)))
-            .collect();
-        out.push_str(&cs.join(","));
-        out.push_str("],\n  \"gauges\": [");
-        let gs: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(n, v)| format!("{{\"name\":\"{}\",\"value\":{v}}}", esc(n)))
-            .collect();
-        out.push_str(&gs.join(","));
-        out.push_str("],\n  \"histograms\": [");
-        let hs: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|h| {
-                format!(
-                    "{{\"name\":\"{}\",\"bounds\":{},\"counts\":{},\"sum\":{},\"count\":{}}}",
-                    esc(&h.name),
-                    json_u64_array(&h.bounds),
-                    json_u64_array(&h.counts),
-                    h.sum,
-                    h.count
-                )
-            })
-            .collect();
-        out.push_str(&hs.join(","));
-        out.push_str("]\n}\n");
-        out
+        let mut w = Writer::new();
+        w.obj_lines().key("version").uint(SNAPSHOT_VERSION);
+        w.key("generator").str("muir-telemetry");
+        for (section, values) in [("counters", &self.counters), ("gauges", &self.gauges)] {
+            w.key(section).arr();
+            for (n, v) in values {
+                w.obj().key("name").str(n).key("value").uint(*v).end();
+            }
+            w.end();
+        }
+        w.key("histograms").arr();
+        for h in &self.histograms {
+            w.obj().key("name").str(&h.name);
+            for (key, values) in [("bounds", &h.bounds), ("counts", &h.counts)] {
+                w.key(key).arr();
+                for v in values {
+                    w.uint(*v);
+                }
+                w.end();
+            }
+            w.key("sum").uint(h.sum).key("count").uint(h.count).end();
+        }
+        w.end().end();
+        w.finish()
     }
-}
-
-fn json_u64_array(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(","))
 }
 
 fn prom_name(name: &str) -> String {
@@ -652,9 +614,13 @@ mod tests {
         assert_eq!(inner.depth, outer.depth + 1);
         assert_eq!(inner.tid, outer.tid);
         assert!(inner.start_us >= outer.start_us);
-        let events = chrome_span_events(&all, 2000);
+        let mut w = Writer::new();
+        w.arr_lines();
+        chrome_span_events(&all, 2000, &mut w);
+        w.end();
+        let events = w.finish();
         assert!(events
-            .iter()
+            .lines()
             .any(|e| e.contains("test.span.inner") && e.contains("detail \\\"quoted\\\"")));
     }
 

@@ -23,6 +23,7 @@
 
 use crate::memory::StructStats;
 use muir_core::accel::Accelerator;
+use muir_core::json::Writer;
 use muir_core::rng::SplitMix64;
 use muir_core::structure::StructureKind;
 use std::collections::{HashMap, VecDeque};
@@ -894,22 +895,6 @@ impl Observer {
 // Exporters
 // ---------------------------------------------------------------------------
 
-/// Escape a string for embedding in a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Process id offset used for memory-structure tracks in the Chrome trace
 /// (task tracks use the plain task index).
 pub const MEM_PID_BASE: u32 = 1000;
@@ -923,42 +908,34 @@ impl Trace {
     /// (request lifetimes); channel occupancies as counter tracks.
     /// Timebase: 1 cycle = 1 µs on the viewer's axis.
     pub fn to_chrome_json(&self) -> String {
-        format!(
-            "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"generator\":\"muir-sim\",\"timebase\":\"1 cycle = 1us\",\"droppedEvents\":{}}}}}\n",
-            self.chrome_events(0).join(",\n"),
-            self.dropped
-        )
+        let mut w = Writer::new();
+        w.obj_lines().key("traceEvents").arr_lines();
+        self.chrome_events(0, &mut w);
+        w.end().key("displayTimeUnit").str("ms");
+        w.key("otherData").obj().key("generator").str("muir-sim");
+        w.key("timebase").str("1 cycle = 1us");
+        w.key("droppedEvents").uint(self.dropped).end().end();
+        w.finish()
     }
 
-    /// The raw Chrome event fragments of [`Trace::to_chrome_json`] (one
-    /// JSON object per string), with every timestamp shifted by
-    /// `ts_offset` microseconds. Callers merging the sim trace with other
-    /// event sources (the telemetry span log) join the fragments into one
+    /// Write the Chrome events of [`Trace::to_chrome_json`] as elements of
+    /// the array open in `w`, with every timestamp shifted by `ts_offset`
+    /// microseconds. Callers merging the sim trace with other event
+    /// sources (the telemetry span log) write them all into one
     /// `traceEvents` array; `ts_offset` places the sim timeline under its
     /// enclosing wall-clock span.
-    pub fn chrome_events(&self, ts_offset: u64) -> Vec<String> {
+    pub fn chrome_events(&self, ts_offset: u64, w: &mut Writer) {
         let off = ts_offset;
-        let mut evs: Vec<String> = Vec::new();
         // Metadata: humane process/thread names.
         for (ti, name) in self.meta.task_names.iter().enumerate() {
-            evs.push(format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{ti},\"args\":{{\"name\":\"task:{}\"}}}}",
-                esc(name)
-            ));
+            name_event(w, "process_name", ti as u32, None, &format!("task:{name}"));
             for (ni, nname) in self.meta.node_names[ti].iter().enumerate() {
-                evs.push(format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{ti},\"tid\":{ni},\"args\":{{\"name\":\"{}\"}}}}",
-                    esc(nname)
-                ));
+                name_event(w, "thread_name", ti as u32, Some(ni as u32), nname);
             }
         }
         for (si, name) in self.meta.struct_names.iter().enumerate() {
-            evs.push(format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"args\":{{\"name\":\"mem:{} ({})\"}}}}",
-                MEM_PID_BASE + si as u32,
-                esc(name),
-                esc(&self.meta.struct_kinds[si])
-            ));
+            let label = format!("mem:{name} ({})", self.meta.struct_kinds[si]);
+            name_event(w, "process_name", MEM_PID_BASE + si as u32, None, &label);
         }
         // Pair memory request/response events into lifetimes.
         let mut open_reqs: HashMap<(u32, u64), (u64, u32, u32, bool)> = HashMap::new();
@@ -973,11 +950,10 @@ impl Trace {
                     instance,
                 } => {
                     let dur = self.meta.node_latency[task as usize][node as usize].max(1);
-                    let ts = cycle + off;
-                    evs.push(format!(
-                        "{{\"name\":\"{}\",\"cat\":\"fire\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{task},\"tid\":{node},\"args\":{{\"instance\":{instance},\"tile\":{tile}}}}}",
-                        esc(&self.meta.node_names[task as usize][node as usize]),
-                    ));
+                    let name = &self.meta.node_names[task as usize][node as usize];
+                    begin_x_event(w, name, "fire", cycle + off, dur.into(), task, node);
+                    w.key("instance").uint(instance).key("tile").uint(tile);
+                    w.end().end();
                 }
                 TraceEvent::Stall {
                     cycle,
@@ -987,16 +963,12 @@ impl Trace {
                     edge,
                     ..
                 } => {
-                    let extra = match edge {
-                        Some(e) => format!(",\"edge\":{e}"),
-                        None => String::new(),
-                    };
-                    let ts = cycle + off;
-                    evs.push(format!(
-                        "{{\"name\":\"{}\",\"cat\":\"stall\",\"ph\":\"X\",\"ts\":{ts},\"dur\":1,\"pid\":{task},\"tid\":{node},\"args\":{{\"reason\":\"{}\"{extra}}}}}",
-                        reason.name(),
-                        reason.name(),
-                    ));
+                    begin_x_event(w, reason.name(), "stall", cycle + off, 1, task, node);
+                    w.key("reason").str(reason.name());
+                    if let Some(e) = edge {
+                        w.key("edge").uint(e);
+                    }
+                    w.end().end();
                 }
                 TraceEvent::Enq {
                     cycle,
@@ -1010,11 +982,10 @@ impl Trace {
                     edge,
                     occ,
                 } => {
-                    let ts = cycle + off;
-                    evs.push(format!(
-                        "{{\"name\":\"{}\",\"cat\":\"chan\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{task},\"args\":{{\"occ\":{occ}}}}}",
-                        esc(&self.meta.edge_label(task, edge)),
-                    ));
+                    w.obj().key("name").str(&self.meta.edge_label(task, edge));
+                    w.key("cat").str("chan").key("ph").str("C");
+                    w.key("ts").uint(cycle + off).key("pid").uint(task);
+                    w.key("args").obj().key("occ").uint(occ).end().end();
                 }
                 TraceEvent::MemReq {
                     cycle,
@@ -1036,7 +1007,8 @@ impl Trace {
                     let (start, bank, elems, is_write) = open_reqs
                         .remove(&(structure, id))
                         .unwrap_or((cycle.saturating_sub(1), 0, 0, false));
-                    evs.push(mem_x_event(
+                    mem_x_event(
+                        w,
                         structure,
                         id,
                         start + off,
@@ -1044,7 +1016,7 @@ impl Trace {
                         bank,
                         elems,
                         is_write,
-                    ));
+                    );
                 }
             }
         }
@@ -1053,7 +1025,8 @@ impl Trace {
         let mut rest: Vec<((u32, u64), (u64, u32, u32, bool))> = open_reqs.into_iter().collect();
         rest.sort_unstable_by_key(|&(k, _)| k);
         for ((structure, id), (start, bank, elems, is_write)) in rest {
-            evs.push(mem_x_event(
+            mem_x_event(
+                w,
                 structure,
                 id,
                 start + off,
@@ -1061,9 +1034,8 @@ impl Trace {
                 bank,
                 elems,
                 is_write,
-            ));
+            );
         }
-        evs
     }
 
     /// Export as a VCD waveform: per-channel occupancy (8-bit) and valid
@@ -1236,7 +1208,32 @@ impl Trace {
     }
 }
 
+/// One `ph:"M"` metadata event naming process `pid` (or its thread `tid`).
+fn name_event(w: &mut Writer, what: &str, pid: u32, tid: Option<u32>, name: &str) {
+    w.obj().key("name").str(what).key("ph").str("M");
+    w.key("pid").uint(pid);
+    if let Some(tid) = tid {
+        w.key("tid").uint(tid);
+    }
+    w.key("args").obj().key("name").str(name).end().end();
+}
+
+/// Open a `ph:"X"` complete event and its `args` object; the caller
+/// writes the args and closes both.
+fn begin_x_event(w: &mut Writer, name: &str, cat: &str, ts: u64, dur: u64, pid: u32, tid: u32) {
+    w.obj().key("name").str(name).key("cat").str(cat);
+    w.key("ph").str("X").key("ts").uint(ts).key("dur").uint(dur);
+    w.key("pid")
+        .uint(pid)
+        .key("tid")
+        .uint(tid)
+        .key("args")
+        .obj();
+}
+
+#[allow(clippy::too_many_arguments)]
 fn mem_x_event(
+    w: &mut Writer,
     structure: u32,
     id: u64,
     start: u64,
@@ -1244,13 +1241,11 @@ fn mem_x_event(
     bank: u32,
     elems: u32,
     is_write: bool,
-) -> String {
+) {
     let dur = end.saturating_sub(start).max(1);
-    format!(
-        "{{\"name\":\"{}\",\"cat\":\"mem\",\"ph\":\"X\",\"ts\":{start},\"dur\":{dur},\"pid\":{},\"tid\":{bank},\"args\":{{\"req\":{id},\"elems\":{elems}}}}}",
-        if is_write { "store" } else { "load" },
-        MEM_PID_BASE + structure,
-    )
+    let name = if is_write { "store" } else { "load" };
+    begin_x_event(w, name, "mem", start, dur, MEM_PID_BASE + structure, bank);
+    w.key("req").uint(id).key("elems").uint(elems).end().end();
 }
 
 /// Short printable VCD identifier for signal `n`.
@@ -1341,7 +1336,8 @@ mod tests {
     #[test]
     fn chrome_export_has_tracks_and_lifetimes() {
         let json = tiny_trace().to_chrome_json();
-        assert!(json.starts_with("{\"traceEvents\":["));
+        let doc = muir_core::json::parse(&json).expect("well-formed JSON");
+        assert_eq!(doc.get("traceEvents").map(|e| e.type_name()), Some("array"));
         assert!(json.contains("\"ph\":\"M\""), "metadata names present");
         assert!(json.contains("\"ph\":\"X\""), "complete events present");
         assert!(json.contains("\"ph\":\"C\""), "counter events present");

@@ -164,7 +164,7 @@ impl Prng {
 
 /// One registry row: the single source of truth tying a paper name to
 /// its family tag and builder. Every suite that enumerates workloads
-/// (differential tests, the bit-identity matrix, BENCH_sim.json, DSE)
+/// (differential tests, the bit-identity matrix, the benchmark, DSE)
 /// iterates this table, so a new family joins them all by construction.
 #[derive(Debug, Clone, Copy)]
 pub struct RegistryEntry {

@@ -12,23 +12,27 @@
 # tensor-graph fuzz smoke (seeded frontend graphs through parse ->
 # lower -> seal -> sim), the scheduler x exec-mode differential
 # (Dense+Interp oracle vs Dense/Ready x Interp/MicroOp, plain, traced
-# and faulted), the one-hot-path gate (under crates/sim/src: no `unsafe`,
+# and faulted: a tiled workload in muir-sim, then all 24 registry
+# workloads), the one-hot-path gate (under crates/sim/src: no `unsafe`,
 # no `SchedulerKind::Parallel`, no second firing body — one `fn try_fire`
 # and one `fn fire` in engine.rs — and a reference lowering that reads
-# none of the artifact's lowered tables outside `check_lowering`), the scheduler
-# benchmark gate (the same differential on the quick set +
-# BENCH_sim.json), the telemetry zero-perturbation guard (metrics on vs
-# off bit-identical on every workload), and the metrics gate (one instrumented GEMM capture whose
+# none of the artifact's lowered tables outside `check_lowering`), the
+# one-JSON-module gate (under crates/: string escaping and the `json_*`
+# helpers live in crates/core/src/json.rs only, and the retired second
+# scoreboard is named by no source, script or manifest), the telemetry
+# zero-perturbation guard (metrics on vs off bit-identical on every
+# workload), the metrics gate (one instrumented GEMM capture whose
 # merged trace and registry snapshot must validate against
-# scripts/trace_schema.json and scripts/metrics_schema.json), and the
+# scripts/trace_schema.json and scripts/metrics_schema.json), the
 # DSE smoke gate (a 2-workload seeded sweep through the eval service,
 # run cold@1-thread then warm@2-threads over one store: the reports
 # must validate against scripts/dse_schema.json and byte-match), and the
 # benchmark gate (the hash functions render no text; the benchmark
 # crate's own tests, then `benchmark/run.sh --smoke`, so an API or
-# hash-contract change that breaks the benchmark fails here first). Each
-# tool-dependent stage is skipped (not failed) when its tool is
-# missing, so the script works in minimal containers.
+# hash-contract change that breaks the benchmark fails here first). Host
+# time is measured by `benchmark/` alone. Each tool-dependent stage is
+# skipped (not failed) when its tool is missing, so the script works in
+# minimal containers.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -98,8 +102,19 @@ if sed -e '/^#\[cfg(test)\]/,$d' -e '/^pub fn check_lowering/,/^}/d' crates/sim/
     exit 1
 fi
 
-echo "== scheduler bench gate (Dense/Ready x Interp/MicroOp differential + BENCH_sim.json) =="
-cargo run --release -q -p muir-bench --bin experiments -- bench --quick BENCH_sim.json
+echo "== Dense/Ready x Interp/MicroOp differential (24 registry workloads, plain/traced/faulted) =="
+cargo test --release -q -p muir-bench --test scheduler_diff every_scheduler_matches_dense_on_every_workload
+
+echo "== one JSON module (crates/: one escaper, no second scoreboard) =="
+if grep -rnE 'fn (esc|json_)' crates --include='*.rs' | grep -v '^crates/core/src/json\.rs:'; then
+    echo "check.sh: JSON escaping and writing belong to crates/core/src/json.rs alone (lines above)" >&2
+    exit 1
+fi
+# The pattern is split so that this script does not match itself.
+if grep -rn 'BENCH''_sim' crates scripts Cargo.toml benchmark/Cargo.toml; then
+    echo "check.sh: the retired second scoreboard is still named (lines above); host time is benchmark/'s" >&2
+    exit 1
+fi
 
 echo "== telemetry zero-perturbation guard (metrics on == off, all workloads) =="
 cargo test --release -q -p muir-bench --test telemetry

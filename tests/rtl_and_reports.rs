@@ -1,9 +1,18 @@
 //! Integration tests for Stage 3 artefacts across all 21 benchmarks:
 //! Chisel emission, textual/GraphViz dumps, FIRRTL-level lowering, and the
-//! synthesis cost model — plus the §5.2 pipeline-depth observation.
+//! synthesis cost model — plus the §5.2 pipeline-depth observation, and
+//! the JSON reports: the one writer/parser pair round-trips any string,
+//! and each schema gate accepts its golden document and rejects a broken
+//! one through the shared required-fields checker.
 
+use muir::bench::dse::{report_json, validate_dse_json, Candidate, DseParams, WorkloadFront};
+use muir::bench::profile::{golden_trace_json, validate_trace_json};
+use muir::bench::telemetry_gate::validate_metrics_json;
+use muir::core::json::{self, Json, Writer};
 use muir::core::printer::print_accelerator;
+use muir::core::rng::SplitMix64;
 use muir::core::stats::{graph_stats, pipeline_depth};
+use muir::core::telemetry::{HistSnapshot, Snapshot};
 use muir::core::CompiledAccel;
 use muir::frontend::{translate, FrontendConfig};
 use muir::rtl::circuit::lower_to_circuit;
@@ -144,4 +153,117 @@ fn table2_relative_trends_hold() {
     let a_stencil = estimate(&seal(&stencil), Tech::FpgaArria10);
     let a_relu = estimate(&seal(&relu), Tech::FpgaArria10);
     assert!(a_stencil.alms > 3 * a_relu.alms);
+}
+
+/// A name no exporter may mangle: DEL (Rust's `{:?}` renders it `\u{7f}`,
+/// which is not JSON), a quote, a backslash and a newline.
+const HOSTILE_NAME: &str = "W\u{7f}\"\\\n";
+
+#[test]
+fn any_string_survives_write_then_parse() {
+    let mut rng = SplitMix64::new(0x15_0e5c);
+    for case in 0..1000 {
+        let s: String = (0..rng.below(24))
+            .map(|_| match rng.below(8) {
+                0 => '"',
+                1 => '\\',
+                2 => char::from_u32(rng.below(0x20) as u32).unwrap(),
+                3 => char::from_u32(0x1_0000 + rng.below(0x10_0000) as u32).unwrap(),
+                4 => ['\u{7f}', '\u{2028}', '\u{fffd}', '/'][rng.below(4) as usize],
+                // Uniform over all scalars; a surrogate draw has no char.
+                _ => char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('u'),
+            })
+            .collect();
+        let mut w = Writer::new();
+        w.obj().key(&s).str(&s).end();
+        let text = w.finish();
+        assert_eq!(
+            json::parse(&text),
+            Ok(Json::Obj(vec![(s.clone(), Json::Str(s.clone()))])),
+            "case {case}: {s:?} written as {text}"
+        );
+    }
+}
+
+#[test]
+fn schema_gates_accept_their_golden_and_reject_a_broken_one() {
+    let snapshot = Snapshot {
+        counters: vec![(HOSTILE_NAME.to_string(), 3)],
+        gauges: vec![("g".to_string(), 0)],
+        histograms: vec![HistSnapshot {
+            name: "h".to_string(),
+            bounds: vec![1, 10],
+            counts: vec![2, 0, 1],
+            sum: 14,
+            count: 3,
+        }],
+    };
+    let point = |cycles, area_score, dominated| Candidate {
+        index: cycles,
+        config: muir::uopt::config::PassConfig::baseline(),
+        config_hash: 1,
+        artifact: 2,
+        cycles,
+        area_score,
+        fmax_mhz: 250.0,
+        power_mw: 12.5,
+        end_state: 3,
+        dominated,
+    };
+    let front = WorkloadFront {
+        name: HOSTILE_NAME.to_string(),
+        candidates: vec![point(10, 5, false), point(20, 9, true)],
+        front: vec![(10, 5)],
+    };
+    let report = report_json(&DseParams::default(), &[front]);
+    // The hostile name reads back as written.
+    let parsed = json::parse(&report).expect("report_json emits JSON");
+    let Some(Json::Arr(ws)) = parsed.get("workloads") else {
+        panic!("no workloads in {report}")
+    };
+    assert_eq!(ws[0].get("name").and_then(Json::as_str), Some(HOSTILE_NAME));
+
+    type Validate = fn(&str, &str) -> Result<(), String>;
+    // (golden document, schema, validator, a required field and its type)
+    let gates: [(String, &str, Validate, &str, &str); 3] = [
+        (
+            golden_trace_json(),
+            include_str!("../scripts/trace_schema.json"),
+            |d, s| validate_trace_json(d, s).map(drop),
+            "dur",
+            "number",
+        ),
+        (
+            snapshot.to_json(),
+            include_str!("../scripts/metrics_schema.json"),
+            |d, s| validate_metrics_json(d, s).map(drop),
+            "sum",
+            "number",
+        ),
+        (
+            report,
+            include_str!("../scripts/dse_schema.json"),
+            |d, s| validate_dse_json(d, s).map(drop),
+            "fmax_mhz",
+            "number",
+        ),
+    ];
+    for (golden, schema, validate, field, ty) in gates {
+        assert_eq!(validate(&golden, schema), Ok(()), "golden for `{field}`");
+        // The document loses the field (its key is renamed) ...
+        let quoted = format!("\"{field}\"");
+        assert!(golden.contains(&quoted), "golden has no `{field}`");
+        let broken = golden.replacen(&quoted, &format!("\"{field}_\""), 1);
+        let e = validate(&broken, schema).unwrap_err();
+        assert!(e.ends_with(&format!("missing `{field}`")), "{e}");
+        // ... or the schema asks for another type than the one written.
+        let entry = format!("\"{field}\": \"{ty}\"");
+        assert!(schema.contains(&entry), "schema has no `{entry}`");
+        let other = schema.replacen(&entry, &format!("\"{field}\": \"null\""), 1);
+        let e = validate(&golden, &other).unwrap_err();
+        assert!(
+            e.ends_with(&format!("`{field}`: expected null, got {ty}")),
+            "{e}"
+        );
+    }
 }
