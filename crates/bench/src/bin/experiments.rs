@@ -32,7 +32,7 @@
 
 use muir_bench::{
     baseline, fig11_point, fig12_sweep, fig15_point, fig16_sweep, fig18_point, fig9_point,
-    full_stack, localization_point, optimized, run_verified,
+    full_stack, localization_point, optimized, run_verified, verified_cycles,
 };
 use muir_core::stats::graph_stats;
 use muir_rtl::circuit::{
@@ -130,8 +130,7 @@ fn main() {
             .and_then(|s| s.parse().ok())
             .unwrap_or(50);
         let w = by_name(&name).expect("workload");
-        let acc = baseline(&w);
-        let comp = muir_core::compiled::CompiledAccel::compile_cached(&acc).unwrap();
+        let comp = muir_bench::sealed(&w, &baseline(&w));
         let cfg = muir_sim::SimConfig::default();
         let mut total = 0u64;
         for _ in 0..reps {
@@ -268,13 +267,12 @@ fn main() {
 }
 
 /// Per-workload sealing report plus the artifact-determinism gate:
-/// compile every workload twice (identical hash, identical artifact
-/// tables), run a no-op pass pipeline (hash unchanged), and report
-/// lowering time, artifact size, micro-op stream footprint, and the
-/// process-wide compile-cache hit rate. `scripts/check.sh` runs this as
-/// a hard gate.
+/// compile every workload twice (identical hash and artifact size), run
+/// a no-op pass pipeline (hash unchanged), and report lowering time,
+/// artifact size and micro-op stream footprint. `scripts/check.sh` runs
+/// this as a hard gate.
 fn compile_stats() {
-    use muir_core::compiled::{cache_stats, CompiledAccel};
+    use muir_core::compiled::CompiledAccel;
     hdr("Compile stats: sealed-artifact lowering time / size / determinism");
     println!(
         "{:>10} | {:>12} {:>10} {:>9} {:>6} {:>9} | determinism",
@@ -285,12 +283,12 @@ fn compile_stats() {
         let t0 = std::time::Instant::now();
         let first = CompiledAccel::compile(&acc).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let lower_us = t0.elapsed().as_secs_f64() * 1e6;
-        // Gate 1: compile twice -> identical content hash.
+        // Gate 1: compile twice -> identical content hash and size.
         let second = CompiledAccel::compile(&acc).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert_eq!(
-            first.content_hash(),
-            second.content_hash(),
-            "{}: recompile changed the content hash",
+            (first.content_hash(), first.size_bytes()),
+            (second.content_hash(), second.size_bytes()),
+            "{}: recompile changed the artifact",
             w.name
         );
         // Gate 2: a no-op pass pipeline leaves the hash unchanged.
@@ -301,14 +299,6 @@ fn compile_stats() {
             first.content_hash(),
             muir_core::content_hash(&acc),
             "{}: empty pipeline changed the content hash",
-            w.name
-        );
-        // Cached compiles of the same content must share one artifact.
-        let a = CompiledAccel::compile_cached(&acc).unwrap();
-        let b = CompiledAccel::compile_cached(&acc).unwrap();
-        assert!(
-            std::sync::Arc::ptr_eq(&a, &b),
-            "{}: cache returned distinct artifacts for identical content",
             w.name
         );
         // The micro-op stream footprint: what the flat-dispatch engine
@@ -325,18 +315,7 @@ fn compile_stats() {
             uop_bytes as f64 / 1024.0
         );
     }
-    let cs = cache_stats();
-    println!(
-        "\ncompile cache: {} hits / {} misses ({:.0}% hit rate), \
-         {} entries resident / {} capacity, {} evicted",
-        cs.hits,
-        cs.misses,
-        cs.hit_rate() * 100.0,
-        cs.entries,
-        cs.capacity,
-        cs.evictions
-    );
-    println!("determinism gates: OK (2x compile + no-op pipeline on all workloads)");
+    println!("\ndeterminism gates: OK (2x compile + no-op pipeline on all workloads)");
 }
 
 /// `dse [--workload W]...|--all [--seed S] [--budget N] [--threads T]
@@ -431,7 +410,6 @@ fn dse(names: &[String], params: &muir_bench::dse::DseParams, store: Option<&str
 /// divergence or missed hit exits non-zero.
 fn serve(root: &str) {
     use muir_bench::service::{EvalJob, EvalService, ServiceConfig};
-    use muir_core::compiled::CompiledAccel;
     use muir_store::{Store, StoreFaultClass, StoreFaultPlan};
 
     hdr("Eval service: cold / warm / post-fault determinism over the workload suite");
@@ -453,8 +431,7 @@ fn serve(root: &str) {
     );
     for w in workloads::all() {
         let acc = baseline(&w);
-        let comp =
-            CompiledAccel::compile_cached(&acc).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let comp = std::sync::Arc::new(muir_bench::sealed(&w, &acc));
         let job = EvalJob {
             cfg: muir_sim::SimConfig::default(),
             args: vec![],
@@ -592,7 +569,6 @@ fn store_stats(root: &str) {
 fn metrics(name: &str, outdir: &str) {
     use muir_bench::service::{EvalJob, EvalService, RetryPolicy, ServiceConfig};
     use muir_bench::telemetry_gate as gate;
-    use muir_core::compiled::{cache_stats, CompiledAccel};
     use muir_core::telemetry;
     use muir_store::Store;
 
@@ -620,7 +596,7 @@ fn metrics(name: &str, outdir: &str) {
 
     // Cold drain: dedup (two identical jobs), a traced job for the merged
     // export, first-touch compile, sharded simulation, store writeback.
-    let comp = CompiledAccel::compile_cached(&acc).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let comp = std::sync::Arc::new(muir_bench::sealed(&w, &acc));
     let store_root = outroot.join("store");
     let mut svc = EvalService::new(
         comp.clone(),
@@ -696,11 +672,7 @@ fn metrics(name: &str, outdir: &str) {
 
     // Snapshot: mirror the authoritative structs into `stats.*` gauges,
     // write the JSON exposition, and gate it on the schema.
-    gate::mirror_stats(
-        &cache_stats(),
-        Some(&warm_svc.store_stats()),
-        Some(&svc.stats()),
-    );
+    gate::mirror_stats(Some(&warm_svc.store_stats()), Some(&svc.stats()));
     let snap = telemetry::snapshot();
     let json = snap.to_json();
     let metrics_path = outroot.join("metrics.json");
@@ -735,7 +707,7 @@ fn metrics(name: &str, outdir: &str) {
     // (the bit-identity side is pinned by the determinism guard test).
     hdr("Telemetry overhead (cold drain, fresh store, mean of 3)");
     let run_cold = |tag: &str| -> f64 {
-        let comp = CompiledAccel::compile_cached(&acc).expect("compiles");
+        let comp = std::sync::Arc::new(muir_bench::sealed(&w, &acc));
         let dir = outroot.join(format!("store-{tag}"));
         let mut svc = EvalService::new(comp, Some(Store::open(&dir)), ServiceConfig::default());
         svc.submit(plain());
@@ -755,13 +727,12 @@ fn metrics(name: &str, outdir: &str) {
     );
 }
 
-/// `stats`: the unified cache/store/service/sim report — one printer
+/// `stats`: the unified store/service/sim report — one printer
 /// reading the telemetry registry, fed by the authoritative stats
 /// structs after a short instrumented workload run.
 fn stats_report() {
     use muir_bench::service::{EvalJob, EvalService, ServiceConfig};
     use muir_bench::telemetry_gate as gate;
-    use muir_core::compiled::{cache_stats, CompiledAccel};
     use muir_core::telemetry;
     use muir_store::Store;
 
@@ -772,12 +743,7 @@ fn stats_report() {
     let _ = std::fs::remove_dir_all(root);
 
     let w = by_name("GEMM").expect("GEMM in suite");
-    let acc = baseline(&w);
-    // A second artifact plus a repeat compile for cache hit/miss traffic.
-    let spmv = baseline(&by_name("SPMV").expect("SPMV in suite"));
-    let _ = CompiledAccel::compile_cached(&spmv).expect("compiles");
-    let comp = CompiledAccel::compile_cached(&acc).expect("compiles");
-    let _ = CompiledAccel::compile_cached(&acc).expect("compiles");
+    let comp = std::sync::Arc::new(muir_bench::sealed(&w, &baseline(&w)));
 
     let job = EvalJob {
         cfg: muir_sim::SimConfig::default(),
@@ -790,7 +756,7 @@ fn stats_report() {
     svc.drain(); // cold: dedup + simulate + writeback
     svc.submit(job);
     svc.drain(); // warm: served from the store
-    gate::mirror_stats(&cache_stats(), Some(&svc.store_stats()), Some(&svc.stats()));
+    gate::mirror_stats(Some(&svc.store_stats()), Some(&svc.stats()));
     telemetry::set_enabled(false);
     print!("{}", gate::render_unified(&telemetry::snapshot()));
 }
@@ -900,13 +866,13 @@ fn profile(name: &str, outdir: &str) {
 }
 
 /// `fuzz [--tensor] [--graphs N] [--seed S]`: the seeded fuzzer gates.
-/// Without `--tensor`, every generated μIR graph is run under Dense and
-/// Ready with both firing interpreters in plain, traced, and
-/// seeded-fault modes; any divergence (or disagreement with the reference
-/// interpreter) fails with a shrunk `(seed, size)` reproduction line.
-/// With `--tensor`, seeded tensor-op graphs are lowered through the
-/// frontend and checked the same way (graph eval vs mir interp vs every
-/// scheduler x exec mode).
+/// Without `--tensor`, every generated μIR graph is sealed once, its
+/// tables held to the reference lowering, and run under Dense and Ready
+/// in plain, traced, and seeded-fault modes; any divergence (or
+/// disagreement with the reference interpreter) fails with a shrunk
+/// `(seed, size)` reproduction line. With `--tensor`, seeded tensor-op
+/// graphs are lowered through the frontend and checked the same way
+/// (graph eval vs mir interp vs both schedulers).
 fn fuzz(seed: u64, graphs: u64, tensor: bool) {
     if tensor {
         hdr(&format!(
@@ -922,7 +888,7 @@ fn fuzz(seed: u64, graphs: u64, tensor: bool) {
         return;
     }
     hdr(&format!(
-        "Scheduler fuzz: {graphs} seeded graphs (seed 0x{seed:x}) x 2 schedulers x 2 exec modes x 3 modes"
+        "Scheduler fuzz: {graphs} seeded graphs (seed 0x{seed:x}) x check_lowering + 2 schedulers x 3 modes"
     ));
     match muir_bench::testgen::run_seeds(seed, graphs) {
         Ok(()) => println!("fuzz: {graphs} graphs bit-identical across schedulers"),
@@ -984,8 +950,7 @@ fn tensor_run(text: &str) {
             std::process::exit(1);
         }
     };
-    let acc = baseline(&w);
-    let r = run_verified(&w, &acc); // sim vs mir reference interpreter
+    let r = run_verified(&w, &muir_bench::sealed(&w, &baseline(&w))); // sim vs mir reference interpreter
     let inputs: Vec<Vec<f32>> = w
         .inits
         .iter()
@@ -1055,9 +1020,10 @@ fn tensor_gate() {
                     outputs: vec![low.output],
                     module: low.module,
                 };
-                let acc = baseline(&w);
+                let comp = muir_bench::sealed(&w, &baseline(&w));
                 let mut mem = w.fresh_memory();
-                let r = muir_sim::simulate(&acc, &mut mem, &[], &muir_sim::SimConfig::default())
+                let cfg = muir_sim::SimConfig::default();
+                let r = muir_sim::simulate_compiled(&comp, &mut mem, &[], &cfg)
                     .unwrap_or_else(|e| panic!("{tag}: {e}"));
                 let out = mem.read_f32(w.outputs[0]);
                 let mut h = muir_core::ContentHasher::new();
@@ -1327,10 +1293,9 @@ fn fig17() {
     ];
     for name in names {
         let w = by_name(name).unwrap();
-        let acc = baseline(&w);
-        let base = run_verified(&w, &acc).cycles;
+        let base = verified_cycles(&w, &baseline(&w));
         let (opt_acc, _) = optimized(&w, &full_stack(w.class));
-        let opt = run_verified(&w, &opt_acc).cycles;
+        let opt = verified_cycles(&w, &opt_acc);
         println!(
             "{:>10}: {:.3}   ({} -> {} cycles, {:.2}x)",
             name,

@@ -22,7 +22,10 @@
 
 use std::fmt;
 
-use muir_sim::{simulate, FaultClass, FaultPlan, FaultSpec, SimConfig, SimError};
+use muir_sim::{
+    simulate_batch_compiled, simulate_compiled, FaultClass, FaultPlan, FaultSpec, SimConfig,
+    SimError,
+};
 use muir_workloads::by_name;
 
 /// How a single injected-fault run ended, relative to the reference.
@@ -63,9 +66,7 @@ pub struct CaseResult {
     pub outcome: Outcome,
     /// Stable error code when the run errored.
     pub code: Option<&'static str>,
-    /// Full human-readable error text when the run errored. For a
-    /// `GraphRejected` case this carries the verifier's actual finding
-    /// (site + message), not just the `E-SIM-GRAPH` bucket — the code is
+    /// Full human-readable error text when the run errored — the code is
     /// for counting, the detail is for debugging the cell.
     pub detail: Option<String>,
     /// Faults the simulator recorded injecting.
@@ -161,17 +162,18 @@ fn case_seed(workload: &str, class: FaultClass, replica: u32) -> u64 {
 /// Run one injected-fault case and classify it against the reference.
 ///
 /// # Panics
-/// Panics if the workload name is unknown or the fault-free reference
-/// itself fails (campaign preconditions, not fault outcomes).
+/// Panics if the workload name is unknown, or its baseline fails to seal
+/// or the fault-free reference itself fails (campaign preconditions, not
+/// fault outcomes).
 pub fn run_case(workload: &str, class: FaultClass, seed: u64) -> CaseResult {
     let w = by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}"));
     let ref_mem = w
         .run_reference()
         .unwrap_or_else(|e| panic!("{workload}: reference: {e}"));
-    let acc = crate::baseline(&w);
+    let comp = crate::sealed(&w, &crate::baseline(&w));
     let mut mem = w.fresh_memory();
     let cfg = case_cfg(class, seed);
-    let r = simulate(&acc, &mut mem, &[], &cfg);
+    let r = simulate_compiled(&comp, &mut mem, &[], &cfg);
     classify(
         workload,
         class,
@@ -275,7 +277,7 @@ pub fn run_campaign(workloads: &[&str], classes: &[FaultClass], replicas: u32) -
 }
 
 /// [`run_campaign`] with the cases of each workload batched through
-/// [`muir_sim::simulate_batch`] on `threads` worker threads. The report
+/// [`simulate_batch_compiled`] on `threads` worker threads. The report
 /// is byte-identical to the sequential campaign's — each case is an
 /// independent simulation with its own seed, memory image, and
 /// configuration, so only wall time changes.
@@ -294,7 +296,7 @@ pub fn run_campaign_with_threads(
         let ref_mem = w
             .run_reference()
             .unwrap_or_else(|e| panic!("{name}: reference: {e}"));
-        let acc = crate::baseline(&w);
+        let comp = crate::sealed(&w, &crate::baseline(&w));
         // Same (class, replica) order as the sequential triple loop.
         let coords: Vec<(FaultClass, u64)> = classes
             .iter()
@@ -308,7 +310,7 @@ pub fn run_campaign_with_threads(
                 cfg: case_cfg(class, seed),
             })
             .collect();
-        let runs = muir_sim::simulate_batch(&acc, jobs, threads);
+        let runs = simulate_batch_compiled(&comp, jobs, threads);
         for (&(class, seed), run) in coords.iter().zip(runs) {
             let case = classify(
                 name,

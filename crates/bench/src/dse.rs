@@ -193,23 +193,30 @@ pub fn explore(
     };
     telemetry::count("dse.candidates", indices.len() as u64);
 
-    // Lower every sampled config to a sealed artifact and group the
-    // candidates by artifact content hash (BTreeMap: deterministic
-    // evaluation order). Configs whose passes are no-ops on this
-    // workload collapse onto the baseline artifact here.
+    // Run every sampled config's pipeline on a copy of the one baseline
+    // translation and group the candidates by content hash (BTreeMap:
+    // deterministic evaluation order), sealing a graph the first time its
+    // hash is seen. Configs whose passes are no-ops on this workload
+    // collapse onto the baseline artifact here.
     let mut groups: BTreeMap<u64, (Arc<CompiledAccel>, Vec<usize>)> = BTreeMap::new();
     let mut lowered: Vec<(u64, PassConfig, u64)> = Vec::with_capacity(indices.len());
     {
         let _s = telemetry::span("dse", "dse.lower");
+        let base = crate::baseline(w);
         for (slot, &i) in indices.iter().enumerate() {
             let cfg = space.nth(i);
-            let (acc, _) = crate::optimized(w, &cfg.pipeline());
-            let comp = CompiledAccel::compile_cached(&acc)
+            let mut acc = base.clone();
+            cfg.pipeline()
+                .run(&mut acc)
                 .unwrap_or_else(|e| panic!("{} candidate {i}: {e}", w.name));
-            let art = comp.content_hash();
+            let art = muir_core::content_hash(&acc);
             groups
                 .entry(art)
-                .or_insert_with(|| (comp, Vec::new()))
+                .or_insert_with(|| {
+                    let comp = CompiledAccel::compile(&acc)
+                        .unwrap_or_else(|e| panic!("{} candidate {i}: {e}", w.name));
+                    (Arc::new(comp), Vec::new())
+                })
                 .1
                 .push(slot);
             lowered.push((i, cfg, art));

@@ -1,10 +1,9 @@
 //! `muir-bench` — the experiment harness regenerating every table and
 //! figure of the paper's evaluation (§5–§7).
 //!
-//! The `experiments` binary prints each table/figure's rows; the Criterion
-//! benches under `benches/` time representative kernels of the same
-//! experiments. See `EXPERIMENTS.md` at the repository root for the
-//! paper-vs-measured record.
+//! The `experiments` binary prints each table/figure's rows. See
+//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
+//! record; host time is measured by `benchmark/` alone.
 
 pub mod campaign;
 pub mod dse;
@@ -20,7 +19,7 @@ use muir_core::accel::Accelerator;
 use muir_core::compiled::CompiledAccel;
 use muir_frontend::{translate, FrontendConfig};
 use muir_rtl::cost::{estimate, CostEstimate, Tech};
-use muir_sim::{simulate, SimConfig, SimResult};
+use muir_sim::{simulate_compiled, SimConfig, SimResult};
 use muir_uopt::passes::{
     CacheBanking, ExecutionTiling, LowerTensors, MemoryLocalization, OpFusion, ScratchpadBanking,
     TaskFilter, TaskQueueing,
@@ -36,17 +35,28 @@ pub fn baseline(w: &Workload) -> Accelerator {
     translate(&w.module, &FrontendConfig::default()).unwrap_or_else(|e| panic!("{}: {e}", w.name))
 }
 
-/// Simulate `acc` on the workload's inputs and verify outputs against the
-/// reference interpreter.
+/// Seal a workload's accelerator: verify and lower it once. Every figure
+/// helper below seals once and hands the same artifact to the simulator
+/// and to the cost model.
+///
+/// # Panics
+/// Panics if the graph fails verification (workloads and the pass stacks
+/// applied to them are all known-good).
+pub fn sealed(w: &Workload, acc: &Accelerator) -> CompiledAccel {
+    CompiledAccel::compile(acc).unwrap_or_else(|e| panic!("{}: {e}", w.name))
+}
+
+/// Simulate the sealed accelerator on the workload's inputs and verify
+/// outputs against the reference interpreter.
 ///
 /// # Panics
 /// Panics on simulation failure or output mismatch.
-pub fn run_verified(w: &Workload, acc: &Accelerator) -> SimResult {
+pub fn run_verified(w: &Workload, comp: &CompiledAccel) -> SimResult {
     let ref_mem = w
         .run_reference()
         .unwrap_or_else(|e| panic!("{}: {e}", w.name));
     let mut mem = w.fresh_memory();
-    let r = simulate(acc, &mut mem, &[], &SimConfig::default())
+    let r = simulate_compiled(comp, &mut mem, &[], &SimConfig::default())
         .unwrap_or_else(|e| panic!("{}: {e}", w.name));
     assert!(
         w.outputs_match(&ref_mem, &mem),
@@ -54,6 +64,15 @@ pub fn run_verified(w: &Workload, acc: &Accelerator) -> SimResult {
         w.name
     );
     r
+}
+
+/// Cycles of `acc` on the workload's inputs, verified against the
+/// reference interpreter: seal, then [`run_verified`].
+///
+/// # Panics
+/// Panics on verification or simulation failure, or output mismatch.
+pub fn verified_cycles(w: &Workload, acc: &Accelerator) -> u64 {
+    run_verified(w, &sealed(w, acc)).cycles
 }
 
 /// Apply a pass pipeline to a fresh baseline of `w`.
@@ -108,21 +127,14 @@ pub fn best_stack(class: Class) -> PassManager {
     }
 }
 
-/// Seal a workload's accelerator through the compile cache; since
-/// `run_verified`/`simulate` compile the same graph, estimating cost after
-/// a simulation reuses the artifact instead of re-lowering.
-pub fn sealed(w: &Workload, acc: &Accelerator) -> std::sync::Arc<CompiledAccel> {
-    CompiledAccel::compile_cached(acc).unwrap_or_else(|e| panic!("{}: {e}", w.name))
-}
-
 /// Execution time in microseconds at the estimated FPGA clock.
 pub fn exec_time_us(cycles: u64, cost: &CostEstimate) -> f64 {
     cycles as f64 / cost.fmax_mhz
 }
 
-/// Baseline μIR execution time (µs) on the FPGA clock.
-pub fn uir_time_us(w: &Workload, acc: &Accelerator, cycles: u64) -> f64 {
-    exec_time_us(cycles, &estimate(&sealed(w, acc), Tech::FpgaArria10))
+/// μIR execution time (µs) of a sealed accelerator on the FPGA clock.
+pub fn uir_time_us(comp: &CompiledAccel, cycles: u64) -> f64 {
+    exec_time_us(cycles, &estimate(comp, Tech::FpgaArria10))
 }
 
 /// The HLS comparison result for Figure 9: `(uir_time, hls_time)` in µs.
@@ -134,9 +146,9 @@ pub fn uir_time_us(w: &Workload, acc: &Accelerator, cycles: u64) -> f64 {
 /// # Panics
 /// Panics on simulation/interpretation failure.
 pub fn fig9_point(w: &Workload) -> (f64, f64) {
-    let acc = baseline(w);
-    let r = run_verified(w, &acc);
-    let uir_cost = estimate(&sealed(w, &acc), Tech::FpgaArria10);
+    let comp = sealed(w, &baseline(w));
+    let r = run_verified(w, &comp);
+    let uir_cost = estimate(&comp, Tech::FpgaArria10);
     let uir_time = exec_time_us(r.cycles, &uir_cost);
 
     let streaming = matches!(w.name, "FFT" | "DENSE8" | "DENSE16");
@@ -160,8 +172,8 @@ pub fn fig9_point(w: &Workload) -> (f64, f64) {
 /// Panics on simulation failure.
 pub fn fig18_point(w: &Workload) -> (f64, f64) {
     let (acc, _) = optimized(w, &best_stack(w.class));
-    let r = run_verified(w, &acc);
-    let t_acc = uir_time_us(w, &acc, r.cycles);
+    let comp = sealed(w, &acc);
+    let t_acc = uir_time_us(&comp, run_verified(w, &comp).cycles);
     let mut mem = w.fresh_memory();
     let cpu = CpuModel::default()
         .run(&w.module, &mut mem)
@@ -189,7 +201,7 @@ pub fn fig12_sweep(w: &Workload) -> Vec<(u32, u64)> {
                     filter: TaskFilter::Spawned,
                 });
             let (acc, _) = optimized(w, &pm);
-            (t, run_verified(w, &acc).cycles)
+            (t, verified_cycles(w, &acc))
         })
         .collect()
 }
@@ -204,7 +216,7 @@ pub fn fig16_sweep(w: &Workload) -> Vec<(u32, u64)> {
         .map(|banks| {
             let pm = PassManager::new().with(CacheBanking { banks });
             let (acc, _) = optimized(w, &pm);
-            (banks, run_verified(w, &acc).cycles)
+            (banks, verified_cycles(w, &acc))
         })
         .collect()
 }
@@ -214,10 +226,9 @@ pub fn fig16_sweep(w: &Workload) -> Vec<(u32, u64)> {
 /// # Panics
 /// Panics on simulation failure.
 pub fn fig11_point(w: &Workload) -> (u64, u64) {
-    let acc = baseline(w);
-    let base = run_verified(w, &acc).cycles;
+    let base = verified_cycles(w, &baseline(w));
     let (fused, _) = optimized(w, &PassManager::new().with(OpFusion::default()));
-    let opt = run_verified(w, &fused).cycles;
+    let opt = verified_cycles(w, &fused);
     (base, opt)
 }
 
@@ -237,9 +248,9 @@ pub fn fig15_point(pair: &(Workload, Workload)) -> (u64, u64) {
         .with(MemoryLocalization::default())
         .with(OpFusion::default());
     let (tensor_acc, _) = optimized(&pair.0, &pm);
-    let t = run_verified(&pair.0, &tensor_acc).cycles;
+    let t = verified_cycles(&pair.0, &tensor_acc);
     let (scalar_acc, _) = optimized(&pair.1, &pm);
-    let s = run_verified(&pair.1, &scalar_acc).cycles;
+    let s = verified_cycles(&pair.1, &scalar_acc);
     (t, s)
 }
 
@@ -252,12 +263,12 @@ pub fn fig15_point(pair: &(Workload, Workload)) -> (u64, u64) {
 pub fn fig15_lowering_ablation(w: &Workload) -> (u64, u64) {
     let native_pm = PassManager::new().with(MemoryLocalization::default());
     let (native, _) = optimized(w, &native_pm);
-    let n = run_verified(w, &native).cycles;
+    let n = verified_cycles(w, &native);
     let lowered_pm = PassManager::new()
         .with(LowerTensors)
         .with(MemoryLocalization::default());
     let (lowered, _) = optimized(w, &lowered_pm);
-    let l = run_verified(w, &lowered).cycles;
+    let l = verified_cycles(w, &lowered);
     (n, l)
 }
 
@@ -266,10 +277,9 @@ pub fn fig15_lowering_ablation(w: &Workload) -> (u64, u64) {
 /// # Panics
 /// Panics on simulation failure.
 pub fn localization_point(w: &Workload) -> (u64, u64) {
-    let acc = baseline(w);
-    let base = run_verified(w, &acc).cycles;
+    let base = verified_cycles(w, &baseline(w));
     let (local, _) = optimized(w, &PassManager::new().with(MemoryLocalization::default()));
-    let opt = run_verified(w, &local).cycles;
+    let opt = verified_cycles(w, &local);
     (base, opt)
 }
 
@@ -287,7 +297,7 @@ pub fn ablation_queue_depth(w: &Workload, depths: &[u32]) -> Vec<(u32, u64)> {
                 .with(ExecutionTiling::spawned(4))
                 .with(TaskQueueing::all(d));
             let (acc, _) = optimized(w, &pm);
-            (d, run_verified(w, &acc).cycles)
+            (d, verified_cycles(w, &acc))
         })
         .collect()
 }
@@ -303,8 +313,9 @@ pub fn ablation_fusion_period(w: &Workload, periods_ns: &[f64]) -> Vec<(f64, u64
         .map(|&p| {
             let pm = PassManager::new().with(OpFusion::with_period(p));
             let (acc, _) = optimized(w, &pm);
-            let cycles = run_verified(w, &acc).cycles;
-            let fmax = estimate(&sealed(w, &acc), Tech::FpgaArria10).fmax_mhz;
+            let comp = sealed(w, &acc);
+            let cycles = run_verified(w, &comp).cycles;
+            let fmax = estimate(&comp, Tech::FpgaArria10).fmax_mhz;
             (p, cycles, fmax)
         })
         .collect()
@@ -323,7 +334,7 @@ pub fn ablation_spad_banking(w: &Workload, banks: &[u32]) -> Vec<(u32, u64)> {
                 .with(MemoryLocalization::default())
                 .with(ScratchpadBanking { banks: b });
             let (acc, _) = optimized(w, &pm);
-            (b, run_verified(w, &acc).cycles)
+            (b, verified_cycles(w, &acc))
         })
         .collect()
 }
@@ -335,7 +346,7 @@ pub fn ablation_spad_banking(w: &Workload, banks: &[u32]) -> Vec<(u32, u64)> {
 /// # Panics
 /// Panics on simulation failure.
 pub fn ablation_sim_buffers(w: &Workload, points: &[(u32, u32)]) -> Vec<(u32, u32, u64)> {
-    let acc = baseline(w);
+    let comp = sealed(w, &baseline(w));
     let ref_mem = w.run_reference().expect("reference");
     points
         .iter()
@@ -346,7 +357,7 @@ pub fn ablation_sim_buffers(w: &Workload, points: &[(u32, u32)]) -> Vec<(u32, u3
                 ..SimConfig::default()
             };
             let mut mem = w.fresh_memory();
-            let r = simulate(&acc, &mut mem, &[], &cfg).expect("simulate");
+            let r = simulate_compiled(&comp, &mut mem, &[], &cfg).expect("simulate");
             assert!(
                 w.outputs_match(&ref_mem, &mem),
                 "{}: buffering changed results",

@@ -9,9 +9,10 @@
 //! trace-event fields Perfetto needs, so an exporter regression fails the
 //! build rather than silently producing an unloadable trace.
 
-use crate::{baseline, full_stack, optimized};
+use crate::{baseline, full_stack, optimized, sealed};
+use muir_core::compiled::CompiledAccel;
 use muir_core::json::{self, check_fields, Json};
-use muir_sim::{simulate, BottleneckReport, SimConfig, SimProfile, Trace, TraceConfig};
+use muir_sim::{simulate_compiled, BottleneckReport, SimConfig, SimProfile, Trace, TraceConfig};
 use muir_workloads::by_name;
 
 /// Everything `bench profile` produced for one workload.
@@ -46,10 +47,10 @@ pub fn profile_workload(name: &str) -> ProfileArtifacts {
     let canonical = name.to_uppercase();
     let w = by_name(&canonical)
         .unwrap_or_else(|| panic!("unknown workload `{name}` (try e.g. GEMM, SAXPY, FFT)"));
-    let acc = baseline(&w);
+    let comp = sealed(&w, &baseline(&w));
 
     let mut mem = w.fresh_memory();
-    let untraced = simulate(&acc, &mut mem, &[], &SimConfig::default())
+    let untraced = simulate_compiled(&comp, &mut mem, &[], &SimConfig::default())
         .unwrap_or_else(|e| panic!("{canonical}: {e}"));
 
     let cfg = SimConfig {
@@ -57,7 +58,8 @@ pub fn profile_workload(name: &str) -> ProfileArtifacts {
         ..SimConfig::default()
     };
     let mut mem = w.fresh_memory();
-    let traced = simulate(&acc, &mut mem, &[], &cfg).unwrap_or_else(|e| panic!("{canonical}: {e}"));
+    let traced = simulate_compiled(&comp, &mut mem, &[], &cfg)
+        .unwrap_or_else(|e| panic!("{canonical}: {e}"));
     assert_eq!(
         untraced.cycles, traced.cycles,
         "{canonical}: tracing perturbed the simulation"
@@ -68,7 +70,7 @@ pub fn profile_workload(name: &str) -> ProfileArtifacts {
 
     let (opt_acc, pass_report) = optimized(&w, &full_stack(w.class));
     let mut mem = w.fresh_memory();
-    let opt = simulate(&opt_acc, &mut mem, &[], &SimConfig::default())
+    let opt = simulate_compiled(&sealed(&w, &opt_acc), &mut mem, &[], &SimConfig::default())
         .unwrap_or_else(|e| panic!("{canonical}: {e}"));
 
     ProfileArtifacts {
@@ -187,7 +189,8 @@ pub fn golden_trace_json() -> String {
         trace: TraceConfig::on(),
         ..SimConfig::default()
     };
-    let r = simulate(&acc, &mut mem, &[], &cfg).expect("golden module simulates");
+    let comp = CompiledAccel::compile(&acc).expect("golden module seals");
+    let r = simulate_compiled(&comp, &mut mem, &[], &cfg).expect("golden module simulates");
     r.trace.expect("tracing was enabled").to_chrome_json()
 }
 

@@ -3,19 +3,21 @@
 //!
 //! The cycle engine has two phase-4 schedulers (`SchedulerKind`): the
 //! original dense scanner, kept as the oracle, and the event-driven
-//! ready-set scheduler (DESIGN.md §9) — each runnable under two firing
-//! interpreters (`ExecMode`, DESIGN.md §14): the `NodeKind` interpreter
-//! and the compiled micro-op stream. Their contract is *bit-identical
-//! observable behaviour* — cycles, results, `SimStats` (minus the
-//! simulator-effort counter `sched_visits`), trace streams, and even
-//! typed errors. This module checks that contract over real workloads
-//! (including seeded fault plans and tracing). What the ready scheduler
-//! buys in host time is the benchmark's question (`benchmark/`,
+//! ready-set scheduler (DESIGN.md §9), both executing the one firing body
+//! over the sealed micro-op stream (DESIGN.md §14). Their contract is
+//! *bit-identical observable behaviour* — cycles, results, `SimStats`
+//! (minus the simulator-effort counter `sched_visits`), trace streams,
+//! and even typed errors. This module checks that contract over real
+//! workloads (including seeded fault plans and tracing), and holds each
+//! artifact it simulates to the reference lowering first. What the ready
+//! scheduler buys in host time is the benchmark's question (`benchmark/`,
 //! `sim.<W>.ns_per_fire`), not this module's.
 
-use crate::baseline;
+use crate::{baseline, sealed};
+use muir_core::compiled::CompiledAccel;
+use muir_sim::reference::check_lowering;
 use muir_sim::{
-    simulate, ExecMode, FaultClass, FaultPlan, SchedulerKind, SimConfig, SimStats, TraceConfig,
+    simulate_compiled, FaultClass, FaultPlan, SchedulerKind, SimConfig, SimStats, TraceConfig,
 };
 use muir_workloads::Workload;
 
@@ -56,27 +58,15 @@ pub fn stats_fingerprint(s: &SimStats) -> String {
     )
 }
 
-/// Run `w`'s baseline accelerator under one scheduler and flatten the
+/// Run `w`'s sealed accelerator under one scheduler and flatten the
 /// outcome. `faults`/`tracing` select the stress mode.
 pub fn run_under(
     w: &Workload,
+    comp: &CompiledAccel,
     scheduler: SchedulerKind,
     faults: &FaultPlan,
     tracing: bool,
 ) -> RunOutcome {
-    run_under_exec(w, scheduler, faults, tracing, ExecMode::default())
-}
-
-/// [`run_under`] with an explicit firing interpreter (`Interp` walks
-/// `NodeKind`, `MicroOp` dispatches the compiled micro-op stream).
-pub fn run_under_exec(
-    w: &Workload,
-    scheduler: SchedulerKind,
-    faults: &FaultPlan,
-    tracing: bool,
-    exec: ExecMode,
-) -> RunOutcome {
-    let acc = baseline(w);
     let cfg = SimConfig {
         faults: faults.clone(),
         trace: if tracing {
@@ -85,11 +75,10 @@ pub fn run_under_exec(
             TraceConfig::default()
         },
         scheduler,
-        exec,
         ..SimConfig::default()
     };
     let mut mem = w.fresh_memory();
-    match simulate(&acc, &mut mem, &[], &cfg) {
+    match simulate_compiled(comp, &mut mem, &[], &cfg) {
         Ok(r) => RunOutcome::Ok {
             cycles: r.cycles,
             results: format!("{:?}", r.results),
@@ -100,29 +89,17 @@ pub fn run_under_exec(
     }
 }
 
-/// Differentially run `w` under Dense and Ready; returns an error message
-/// naming the first divergence, if any.
-///
-/// # Errors
-/// Any observable difference: cycles, results, stats, trace stream, or
-/// error text.
-pub fn check_equivalence(w: &Workload, faults: &FaultPlan, tracing: bool) -> Result<(), String> {
-    let dense = run_under(w, SchedulerKind::Dense, faults, tracing);
-    let ready = run_under(w, SchedulerKind::Ready, faults, tracing);
-    diff_outcomes(w, &dense, "ready", &ready, faults, tracing)
-}
-
-/// Compare `other` against the dense oracle; `Err` renders a focused diff
-/// naming the first divergent field and the failing configuration.
+/// Compare the ready run against the dense oracle; `Err` renders a
+/// focused diff naming the first divergent field and the failing
+/// configuration.
 fn diff_outcomes(
     w: &Workload,
     dense: &RunOutcome,
-    label: &str,
-    other: &RunOutcome,
+    ready: &RunOutcome,
     faults: &FaultPlan,
     tracing: bool,
 ) -> Result<(), String> {
-    if dense == other {
+    if dense == ready {
         return Ok(());
     }
     // Render a focused diff rather than two page-long Debug dumps.
@@ -130,7 +107,7 @@ fn diff_outcomes(
         RunOutcome::Ok { cycles, .. } => format!("Ok(cycles={cycles})"),
         RunOutcome::Err(e) => format!("Err({e})"),
     };
-    let field = match (dense, other) {
+    let field = match (dense, ready) {
         (
             RunOutcome::Ok {
                 cycles: c1,
@@ -146,22 +123,22 @@ fn diff_outcomes(
             },
         ) => {
             if c1 != c2 {
-                format!("cycles: dense={c1} {label}={c2}")
+                format!("cycles: dense={c1} ready={c2}")
             } else if r1 != r2 {
                 "results differ".to_string()
             } else if s1 != s2 {
-                format!("stats: dense[{s1}] {label}[{s2}]")
+                format!("stats: dense[{s1}] ready[{s2}]")
             } else if t1 != t2 {
                 "trace streams differ".to_string()
             } else {
                 "unknown field".to_string()
             }
         }
-        _ => format!("dense={} {label}={}", describe(dense), describe(other)),
+        _ => format!("dense={} ready={}", describe(dense), describe(ready)),
     };
     let fault_mode = if faults.specs.is_empty() { "off" } else { "on" };
     Err(format!(
-        "{} (faults={fault_mode}, tracing={tracing}, vs {label}): {field}",
+        "{} (faults={fault_mode}, tracing={tracing}): {field}",
         w.name
     ))
 }
@@ -180,28 +157,22 @@ pub fn diff_fault_plan(w: &Workload, i: usize) -> FaultPlan {
     FaultPlan::single(FaultClass::ALL[i % FaultClass::ALL.len()], h)
 }
 
-/// Differentially check one workload against the dense interpreter oracle
-/// in all three stress modes (plain, tracing on, seeded single-event fault
-/// plan), across the whole scheduler × exec-mode grid: Dense under the
-/// micro-op engine and Ready under both firing interpreters.
+/// Differentially check one workload: its sealed baseline's tables
+/// against the reference lowering, then Ready against the dense oracle in
+/// all three stress modes (plain, tracing on, seeded single-event fault
+/// plan) over that same artifact.
 ///
 /// # Errors
 /// The first divergence found, naming the failing configuration.
 pub fn check_workload(w: &Workload, i: usize) -> Result<(), String> {
+    let comp = sealed(w, &baseline(w));
+    check_lowering(&comp).map_err(|e| format!("{}: lowering: {e}", w.name))?;
     let none = FaultPlan::none();
     let fault_plan = diff_fault_plan(w, i);
-    let modes: [(&FaultPlan, bool); 3] = [(&none, false), (&none, true), (&fault_plan, false)];
-    for (faults, tracing) in modes {
-        let dense = run_under_exec(w, SchedulerKind::Dense, faults, tracing, ExecMode::Interp);
-        let covers = [
-            ("dense+uop", SchedulerKind::Dense, ExecMode::MicroOp),
-            ("ready+interp", SchedulerKind::Ready, ExecMode::Interp),
-            ("ready+uop", SchedulerKind::Ready, ExecMode::MicroOp),
-        ];
-        for (label, sched, exec) in covers {
-            let other = run_under_exec(w, sched, faults, tracing, exec);
-            diff_outcomes(w, &dense, label, &other, faults, tracing)?;
-        }
+    for (faults, tracing) in [(&none, false), (&none, true), (&fault_plan, false)] {
+        let dense = run_under(w, &comp, SchedulerKind::Dense, faults, tracing);
+        let ready = run_under(w, &comp, SchedulerKind::Ready, faults, tracing);
+        diff_outcomes(w, &dense, &ready, faults, tracing)?;
     }
     Ok(())
 }

@@ -644,7 +644,7 @@ mod tests {
     /// A deterministic small case compiled for service tests.
     fn sample(seed: u64) -> (Arc<CompiledAccel>, EvalJob) {
         let case = gen_case(seed, 1);
-        let comp = CompiledAccel::compile_cached(&case.build()).unwrap();
+        let comp = Arc::new(CompiledAccel::compile(&case.build()).unwrap());
         let job = EvalJob {
             cfg: case.cfg.clone(),
             args: vec![],
@@ -763,7 +763,7 @@ mod tests {
 
         let w = tensorgraph::mt_infer();
         let acc = crate::baseline(&w);
-        let comp = CompiledAccel::compile_cached(&acc).unwrap();
+        let comp = Arc::new(CompiledAccel::compile(&acc).unwrap());
         let xobj = w.inits[0].0;
 
         // Eight tenants: per-tenant activations X, shared banked weights W.

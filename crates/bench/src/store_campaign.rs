@@ -26,6 +26,7 @@ use muir_sim::FaultPlan;
 use muir_store::{Store, StoreFaultClass, StoreFaultPlan};
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// One (storage-fault class × sim mode) campaign cell.
 #[derive(Debug)]
@@ -129,10 +130,10 @@ fn warning_code(w: &str) -> Option<&str> {
 
 /// The campaign's job set for one cell: the same compiled case evaluated
 /// at three pipeline-window design points (three distinct store keys).
-fn cell_jobs(seed: u64, sim_faulted: bool) -> (std::sync::Arc<CompiledAccel>, Vec<EvalJob>) {
+fn cell_jobs(seed: u64, sim_faulted: bool) -> (Arc<CompiledAccel>, Vec<EvalJob>) {
     let case = gen_case(seed, 1);
     let acc = case.build();
-    let comp = CompiledAccel::compile_cached(&acc).expect("generated cases compile");
+    let comp = Arc::new(CompiledAccel::compile(&acc).expect("generated cases compile"));
     let jobs = [8u64, 16, 32]
         .iter()
         .map(|&window| {
@@ -249,7 +250,7 @@ mod tests {
         for i in 0..50u64 {
             let seed = SplitMix64::salted(0x0b5e_55ed, i).next_u64();
             let case = gen_case(seed, 1);
-            let comp = CompiledAccel::compile_cached(&case.build()).unwrap();
+            let comp = CompiledAccel::compile(&case.build()).unwrap();
             let mut mem = case.fresh_memory();
             let result = simulate_compiled(&comp, &mut mem, &[], &case.cfg)
                 .unwrap_or_else(|e| panic!("{}: fault-free case must complete: {e}", case.desc));

@@ -1,10 +1,9 @@
 //! Telemetry surfacing: the merged service+sim Perfetto export, the
 //! dependency-free metrics-snapshot validator behind the CI gate, and
-//! the unified stats report (one printer for `CacheStats` +
-//! `StoreStats` + `ServiceStats`, rendered from the registry).
+//! the unified stats report (one printer for `StoreStats` +
+//! `ServiceStats`, rendered from the registry).
 
 use crate::service::ServiceStats;
-use muir_core::compiled::CacheStats;
 use muir_core::json::{self, check_fields, Json, Writer};
 use muir_core::telemetry::{self, Snapshot, SpanRec};
 use muir_sim::Trace;
@@ -144,17 +143,12 @@ pub fn validate_metrics_json(snapshot: &str, schema: &str) -> Result<MetricsSumm
     Ok(summary)
 }
 
-/// Mirror the three layers' authoritative stats structs into the
-/// registry as `stats.*` gauges, so the unified report (and any metrics
+/// Mirror the store's and the service's authoritative stats structs into
+/// the registry as `stats.*` gauges, so the unified report (and any metrics
 /// consumer) reads one source. Telemetry must be enabled — gauge writes
 /// are no-ops otherwise.
-pub fn mirror_stats(cache: &CacheStats, store: Option<&StoreStats>, svc: Option<&ServiceStats>) {
+pub fn mirror_stats(store: Option<&StoreStats>, svc: Option<&ServiceStats>) {
     let g = telemetry::gauge_set;
-    g("stats.cache.hits", cache.hits);
-    g("stats.cache.misses", cache.misses);
-    g("stats.cache.entries", cache.entries as u64);
-    g("stats.cache.evictions", cache.evictions);
-    g("stats.cache.capacity", cache.capacity as u64);
     if let Some(s) = store {
         g("stats.store.artifact_puts", s.artifact_puts);
         g("stats.store.result_puts", s.result_puts);
@@ -185,27 +179,13 @@ pub fn mirror_stats(cache: &CacheStats, store: Option<&StoreStats>, svc: Option<
     }
 }
 
-/// The combined stats report: compile cache + store + service + sim in
+/// The combined stats report: store + service + sim in
 /// one rendering, read back from the registry snapshot (the `stats.*`
 /// gauges written by [`mirror_stats`] plus the live `sim.*` counters).
 pub fn render_unified(snap: &Snapshot) -> String {
     let g = |name: &str| snap.gauge(name);
     let c = |name: &str| snap.counter(name);
     let mut out = String::from("== unified stats ==\n");
-    let lookups = g("stats.cache.hits") + g("stats.cache.misses");
-    out.push_str(&format!(
-        "compile cache: {} hits / {} misses ({:.1}% hit rate), {} evictions, {}/{} entries\n",
-        g("stats.cache.hits"),
-        g("stats.cache.misses"),
-        if lookups == 0 {
-            0.0
-        } else {
-            100.0 * g("stats.cache.hits") as f64 / lookups as f64
-        },
-        g("stats.cache.evictions"),
-        g("stats.cache.entries"),
-        g("stats.cache.capacity"),
-    ));
     out.push_str(&format!(
         "store: {} result hits / {} misses, {} result puts, {} artifact puts, \
          {} put errors, {} corrupt, {} quarantined{}\n",

@@ -4,12 +4,12 @@
 //! `gen_case` derives a complete test case — a verifier-clean module, its
 //! input data, the μopt passes to apply, and the simulation dimensions —
 //! from a single `splitmix64` seed, so every case is reproducible from
-//! two integers (`seed`, `size`). `check_case` runs the case under both
-//! schedulers (`Dense`, `Ready`) and both firing interpreters (`Interp`
-//! and the compiled `MicroOp` stream) in plain, traced, and seeded-fault
-//! modes, demanding
-//! bit-identical observables and — on fault-free completions —
-//! word-for-word agreement with the `muir-mir` reference interpreter.
+//! two integers (`seed`, `size`). `check_case` seals the case once, holds
+//! the sealed tables to the reference lowering, and runs the artifact
+//! under both schedulers (`Dense`, `Ready`) in plain, traced, and
+//! seeded-fault modes, demanding bit-identical observables and — on
+//! fault-free completions — word-for-word agreement with the `muir-mir`
+//! reference interpreter.
 //!
 //! Shrinking is by seed: the generator's `size` knob bounds trip counts,
 //! op-chain depth, and structural features, so a failure at the default
@@ -23,7 +23,7 @@ use muir_mir::instr::{CmpPred, MemObjId, ValueRef};
 use muir_mir::interp::{Interp, Memory};
 use muir_mir::module::Module;
 use muir_mir::types::{ScalarType, Type};
-use muir_sim::{ExecMode, FaultClass, FaultPlan, SchedulerKind, SimConfig, TraceConfig};
+use muir_sim::{FaultClass, FaultPlan, SchedulerKind, SimConfig, TraceConfig};
 use muir_uopt::passes::{
     ExecutionTiling, MemoryLocalization, OpFusion, ScratchpadBanking, TaskFilter,
 };
@@ -288,7 +288,6 @@ fn run_case(
     case: &GenCase,
     comp: &muir_core::compiled::CompiledAccel,
     scheduler: SchedulerKind,
-    exec: ExecMode,
     faults: &FaultPlan,
     tracing: bool,
 ) -> Obs {
@@ -301,8 +300,7 @@ fn run_case(
         },
         ..case.cfg.clone()
     }
-    .with_scheduler(scheduler)
-    .with_exec(exec);
+    .with_scheduler(scheduler);
     let mut mem = case.fresh_memory();
     match muir_sim::simulate_compiled(comp, &mut mem, &[], &cfg) {
         Ok(r) => Obs::Ok {
@@ -316,7 +314,7 @@ fn run_case(
     }
 }
 
-/// Differentially check one generated case under every scheduler and
+/// Differentially check one generated case under both schedulers and every
 /// stress mode.
 ///
 /// # Errors
@@ -324,16 +322,10 @@ fn run_case(
 /// configuration and the case's reproduction line.
 pub fn check_case(case: &GenCase) -> Result<(), String> {
     let acc = case.build();
-    // Compile once for all 12 scheduler/exec/mode configurations below.
-    // A graph the verifier rejects is a generator bug, reported the same
-    // way a failing dense run was before sealing existed.
-    let comp = muir_core::compiled::CompiledAccel::compile_cached(&acc).map_err(|e| {
-        format!(
-            "{} [plain]: dense run failed: {}",
-            case.desc,
-            muir_sim::SimError::GraphRejected { source: e }
-        )
-    })?;
+    // Seal once for all six scheduler/mode runs below. A graph the
+    // verifier rejects is a generator bug.
+    let comp = muir_core::compiled::CompiledAccel::compile(&acc)
+        .map_err(|e| format!("{}: seal: {e}", case.desc))?;
     // The seal-time lowering of this seed's μopt mix, checked table by
     // table before any simulation.
     muir_sim::reference::check_lowering(&comp)
@@ -351,15 +343,8 @@ pub fn check_case(case: &GenCase) -> Result<(), String> {
         ("faulted", &fault_plan, false),
     ];
     for (mode, faults, tracing) in modes {
-        // The oracle: dense scheduler, interpreted firing path.
-        let dense = run_case(
-            case,
-            &comp,
-            SchedulerKind::Dense,
-            ExecMode::Interp,
-            faults,
-            tracing,
-        );
+        // The oracle: the dense scheduler.
+        let dense = run_case(case, &comp, SchedulerKind::Dense, faults, tracing);
         // Fault-free completions must match the interpreter word for word.
         if let Obs::Ok { mem, .. } = &dense {
             if faults.specs.is_empty() && mem.read_i64(case.out) != ref_mem.read_i64(case.out) {
@@ -378,21 +363,9 @@ pub fn check_case(case: &GenCase) -> Result<(), String> {
                 return Err(format!("{} [{mode}]: dense run failed: {e}", case.desc));
             }
         }
-        // Every other scheduler × exec combination must match the oracle
-        // bit for bit.
-        let covers: [(&str, SchedulerKind, ExecMode); 3] = [
-            ("dense+uop", SchedulerKind::Dense, ExecMode::MicroOp),
-            ("ready+interp", SchedulerKind::Ready, ExecMode::Interp),
-            ("ready+uop", SchedulerKind::Ready, ExecMode::MicroOp),
-        ];
-        for (label, scheduler, exec) in covers {
-            let other = run_case(case, &comp, scheduler, exec, faults, tracing);
-            if dense != other {
-                return Err(format!(
-                    "{} [{mode}]: {label} diverged from dense",
-                    case.desc
-                ));
-            }
+        // The ready scheduler must match the oracle bit for bit.
+        if dense != run_case(case, &comp, SchedulerKind::Ready, faults, tracing) {
+            return Err(format!("{} [{mode}]: ready diverged from dense", case.desc));
         }
     }
     Ok(())
@@ -509,7 +482,6 @@ fn run_tensor(
     case: &TensorCase,
     comp: &muir_core::compiled::CompiledAccel,
     scheduler: SchedulerKind,
-    exec: ExecMode,
     tracing: bool,
 ) -> Obs {
     let cfg = SimConfig {
@@ -520,8 +492,7 @@ fn run_tensor(
         },
         ..case.cfg.clone()
     }
-    .with_scheduler(scheduler)
-    .with_exec(exec);
+    .with_scheduler(scheduler);
     let mut mem = case.fresh_memory();
     match muir_sim::simulate_compiled(comp, &mut mem, &[], &cfg) {
         Ok(r) => Obs::Ok {
@@ -537,8 +508,8 @@ fn run_tensor(
 
 /// Differentially check one tensor-graph case: the graph-level
 /// evaluator, the `muir-mir` interpreter over the lowered module, and
-/// every scheduler × firing-interpreter combination must agree (the
-/// simulator matrix bit for bit, the two reference layers to float
+/// the sealed artifact under both schedulers must agree (the two
+/// simulator runs bit for bit, the two reference layers to float
 /// tolerance — chunked dot products reassociate).
 ///
 /// # Errors
@@ -573,16 +544,17 @@ pub fn check_tensor_case(case: &TensorCase) -> Result<(), String> {
             ));
         }
     }
-    // Layer 2: the simulator matrix, bit-identical to the dense oracle.
+    // Layer 2: the sealed artifact — tables held to the reference
+    // lowering, then Ready bit-identical to the dense oracle.
     let acc = translate(&case.lowered.module, &FrontendConfig::default())
         .map_err(|e| format!("{}: translate: {e}", case.desc))?;
-    let comp = muir_core::compiled::CompiledAccel::compile_cached(&acc)
-        .map_err(|e| format!("{}: compile: {e}", case.desc))?;
+    let comp = muir_core::compiled::CompiledAccel::compile(&acc)
+        .map_err(|e| format!("{}: seal: {e}", case.desc))?;
     muir_sim::reference::check_lowering(&comp)
         .map_err(|e| format!("{}: lowering: {e}", case.desc))?;
     for tracing in [false, true] {
         let mode = if tracing { "traced" } else { "plain" };
-        let dense = run_tensor(case, &comp, SchedulerKind::Dense, ExecMode::Interp, tracing);
+        let dense = run_tensor(case, &comp, SchedulerKind::Dense, tracing);
         if let Obs::Err(e) = &dense {
             return Err(format!("{} [{mode}]: dense run failed: {e}", case.desc));
         }
@@ -597,19 +569,8 @@ pub fn check_tensor_case(case: &TensorCase) -> Result<(), String> {
                 }
             }
         }
-        let covers: [(&str, SchedulerKind, ExecMode); 3] = [
-            ("dense+uop", SchedulerKind::Dense, ExecMode::MicroOp),
-            ("ready+interp", SchedulerKind::Ready, ExecMode::Interp),
-            ("ready+uop", SchedulerKind::Ready, ExecMode::MicroOp),
-        ];
-        for (label, scheduler, exec) in covers {
-            let other = run_tensor(case, &comp, scheduler, exec, tracing);
-            if dense != other {
-                return Err(format!(
-                    "{} [{mode}]: {label} diverged from dense",
-                    case.desc
-                ));
-            }
+        if dense != run_tensor(case, &comp, SchedulerKind::Ready, tracing) {
+            return Err(format!("{} [{mode}]: ready diverged from dense", case.desc));
         }
     }
     Ok(())

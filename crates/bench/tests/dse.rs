@@ -133,7 +133,7 @@ fn candidates_are_honest_against_cold_simulation() {
         let cfg = space.nth(c.index);
         assert_eq!(cfg.config_hash(), c.config_hash, "index {} config", c.index);
         let (acc, _) = muir_bench::optimized(&w, &cfg.pipeline());
-        let comp = muir_core::compiled::CompiledAccel::compile_cached(&acc).expect("verifies");
+        let comp = muir_core::compiled::CompiledAccel::compile(&acc).expect("verifies");
         assert_eq!(
             comp.content_hash(),
             c.artifact,

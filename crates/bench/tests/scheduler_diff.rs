@@ -1,12 +1,13 @@
-//! Differential property tests: every scheduler × exec-mode combination
-//! must be observably indistinguishable from the dense per-cycle scanner
-//! under the node-kind interpreter — same cycle count, same results, same
-//! `SimStats` (minus the scheduler-private visit counter), same trace
-//! stream, same typed errors — in plain, traced, and fault-injected runs.
+//! Differential property tests: the ready scheduler must be observably
+//! indistinguishable from the dense per-cycle scanner — same cycle count,
+//! same results, same `SimStats` (minus the scheduler-private visit
+//! counter), same trace stream, same typed errors — in plain, traced, and
+//! fault-injected runs, over one sealed artifact whose micro-op tables are
+//! first held to the reference lowering (`check_lowering`).
 //!
 //! Two corpora: the 24 registry workloads, and a seeded fuzz corpus of
-//! ≥200 generated μIR graphs (`testgen`), each run under Dense/Ready ×
-//! Interp/MicroOp in all three modes with shrink-by-seed reporting.
+//! ≥200 generated μIR graphs (`testgen`), each run under Dense and Ready
+//! in all three modes with shrink-by-seed reporting.
 
 use muir_bench::sched::check_workload;
 use muir_bench::testgen;

@@ -53,8 +53,8 @@ fn metrics_on_and_off_are_bit_identical_on_every_workload() {
     let mut failures = Vec::new();
     for w in all() {
         let acc = baseline(&w);
-        let comp = CompiledAccel::compile_cached(&acc)
-            .unwrap_or_else(|e| panic!("{}: compile: {e}", w.name));
+        let comp =
+            CompiledAccel::compile(&acc).unwrap_or_else(|e| panic!("{}: compile: {e}", w.name));
 
         telemetry::set_enabled(false);
         let off = fingerprint(&comp, &w);

@@ -20,8 +20,8 @@
 //! * memory-connection maps (structure → client junctions);
 //! * a stable splitmix64-based content hash over the graph's derived
 //!   structural `Hash` (every field, in arena order; floats by bits),
-//!   which keys the process-local compile cache ([`compile_cached`]) and
-//!   backs the pass-idempotence and artifact-determinism gates.
+//!   which addresses the artifact in the persistent store and backs the
+//!   pass-idempotence and artifact-determinism gates.
 //!
 //! Sealing performs verification exactly once: a `CompiledAccel` can only
 //! be constructed from a graph that passed
@@ -35,9 +35,8 @@ use crate::telemetry;
 use crate::verify::{verify_accelerator, GraphError};
 use muir_mir::instr::BinOp;
 use muir_mir::value::Value;
-use std::collections::{HashMap, VecDeque};
 use std::hash::Hash as _;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Dense micro-op opcode: what a node *does*, reduced to a `u8` so the
 /// simulator's fire path dispatches through a branch-predictable jump
@@ -441,6 +440,7 @@ impl CompiledAccel {
     /// # Errors
     /// The graph's first structural violation, if any.
     pub fn compile(acc: &Accelerator) -> Result<CompiledAccel, GraphError> {
+        let _span = telemetry::span("compile", "compile.lower");
         verify_accelerator(acc)?;
         let hash = content_hash(acc);
         let t0 = telemetry::enabled().then(std::time::Instant::now);
@@ -478,70 +478,14 @@ impl CompiledAccel {
         })
     }
 
-    /// Compile through the process-local content-addressed cache:
-    /// repeated bench/fuzz/campaign invocations on the same graph hit
-    /// instead of re-verifying and re-lowering. Hits are confirmed by
-    /// full structural equality, so a 64-bit hash collision degrades to a
-    /// miss, never to a wrong artifact.
-    ///
-    /// # Errors
-    /// The graph's first structural violation, if any (never cached).
-    pub fn compile_cached(acc: &Accelerator) -> Result<Arc<CompiledAccel>, GraphError> {
-        let hash = content_hash(acc);
-        let cache = cache();
-        {
-            let mut c = cache.lock().expect("compile cache");
-            let hit = c
-                .map
-                .get(&hash)
-                .filter(|hit| hit.accel == *acc)
-                .map(Arc::clone);
-            if let Some(hit) = hit {
-                c.hits += 1;
-                telemetry::count("compile.cache.hits", 1);
-                return Ok(hit);
-            }
-            c.misses += 1;
-            telemetry::count("compile.cache.misses", 1);
-        }
-        let compiled = {
-            let _span = telemetry::span("compile", "compile.lower");
-            let t0 = telemetry::enabled().then(std::time::Instant::now);
-            let compiled = Arc::new(CompiledAccel::compile(acc)?);
-            if let Some(t0) = t0 {
-                telemetry::observe(
-                    "compile.lower_us",
-                    &telemetry::US_BUCKETS,
-                    t0.elapsed().as_micros() as u64,
-                );
-            }
-            compiled
-        };
-        let mut c = cache.lock().expect("compile cache");
-        if !c.map.contains_key(&hash) {
-            if c.map.len() >= c.cap {
-                // Evict the oldest insertion: fuzz/campaign streams touch
-                // thousands of distinct graphs and must not pin them all.
-                if let Some(old) = c.fifo.pop_front() {
-                    c.map.remove(&old);
-                    c.evictions += 1;
-                    telemetry::count("compile.cache.evictions", 1);
-                }
-            }
-            c.map.insert(hash, Arc::clone(&compiled));
-            c.fifo.push_back(hash);
-        }
-        Ok(compiled)
-    }
-
     /// The sealed graph. Consumers read it immutably; re-walking this
     /// borrow is free of re-verification.
     pub fn accel(&self) -> &Accelerator {
         &self.accel
     }
 
-    /// The stable structural content hash of the sealed graph (the cache
-    /// key).
+    /// The stable structural content hash of the sealed graph (the
+    /// store's artifact address).
     pub fn content_hash(&self) -> u64 {
         self.hash
     }
@@ -576,82 +520,6 @@ impl CompiledAccel {
     }
 }
 
-/// Default capacity of the process-local compile cache (overridable via
-/// the `MUIR_COMPILE_CACHE_CAP` environment variable, read once at first
-/// use; invalid or zero values fall back to the default).
-pub const DEFAULT_CACHE_CAP: usize = 64;
-
-fn cache_cap_from_env() -> usize {
-    std::env::var("MUIR_COMPILE_CACHE_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&cap| cap > 0)
-        .unwrap_or(DEFAULT_CACHE_CAP)
-}
-
-struct Cache {
-    map: HashMap<u64, Arc<CompiledAccel>>,
-    fifo: VecDeque<u64>,
-    cap: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-fn cache() -> &'static Mutex<Cache> {
-    static CACHE: OnceLock<Mutex<Cache>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(Cache {
-            map: HashMap::new(),
-            fifo: VecDeque::new(),
-            cap: cache_cap_from_env(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        })
-    })
-}
-
-/// Lifetime statistics of the process-local compile cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to compile.
-    pub misses: u64,
-    /// Artifacts currently resident.
-    pub entries: usize,
-    /// Artifacts evicted to stay within `capacity`.
-    pub evictions: u64,
-    /// Configured capacity (`MUIR_COMPILE_CACHE_CAP`, default
-    /// [`DEFAULT_CACHE_CAP`]).
-    pub capacity: usize,
-}
-
-impl CacheStats {
-    /// Hit fraction in `[0, 1]` (0 when no lookups happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Snapshot the compile cache's hit/miss/eviction counters.
-pub fn cache_stats() -> CacheStats {
-    let c = cache().lock().expect("compile cache");
-    CacheStats {
-        hits: c.hits,
-        misses: c.misses,
-        entries: c.map.len(),
-        evictions: c.evictions,
-        capacity: c.cap,
-    }
-}
-
 /// splitmix64 finalizer: the statistically-mixed core of
 /// [`crate::rng::SplitMix64`], reused here as a hash combinator.
 fn mix(word: u64) -> u64 {
@@ -664,8 +532,8 @@ fn mix(word: u64) -> u64 {
 /// Streams bytes into a splitmix64-based fold, one 64-bit word per
 /// absorption.
 ///
-/// This is the repo's one stable content-hash primitive: the compile
-/// cache, the persistent store's payload checksums (`muir-store`), and
+/// This is the repo's one stable content-hash primitive: artifact
+/// addresses, the persistent store's payload checksums (`muir-store`), and
 /// the memoization keys over `SimConfig`/`SimResult` all fold through it,
 /// so every layer agrees on what "same content" means.
 ///
@@ -829,8 +697,9 @@ impl std::hash::Hasher for ContentHasher {
 /// iff they are structurally identical (`Accelerator` equality, except
 /// that float constants compare by bit pattern). Because the impls are
 /// derived, a field added to any graph type is covered without touching
-/// this function. Used as the compile-cache key, the store's artifact
-/// address, and by the pass-idempotence and artifact-determinism gates.
+/// this function. Used as the store's artifact address, as the DSE's
+/// candidate-grouping key, and by the pass-idempotence and
+/// artifact-determinism gates.
 pub fn content_hash(acc: &Accelerator) -> u64 {
     let mut h = ContentHasher::new();
     acc.hash(&mut h);
@@ -1236,26 +1105,15 @@ mod tests {
         assert!(ct.uop_bytes() > 0);
     }
 
+    /// Sealing has no hidden state: two seals of one graph agree (their
+    /// tables are compared by `muir_sim::reference` in that crate's tests).
     #[test]
-    fn cache_hits_on_identical_content() {
-        let acc = tiny_acc();
-        let before = cache_stats();
-        let a = CompiledAccel::compile_cached(&acc).unwrap();
-        let b = CompiledAccel::compile_cached(&acc.clone()).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        let after = cache_stats();
-        assert!(after.hits > before.hits);
-        assert!(after.entries >= 1);
-    }
-
-    #[test]
-    fn cache_rejects_invalid_graphs() {
-        let mut bad = tiny_acc();
-        bad.name = "cache-invalid".into();
-        bad.tasks[0]
-            .dataflow
-            .add_node(Node::new("bad", NodeKind::Output, Type::BOOL));
-        assert!(CompiledAccel::compile_cached(&bad).is_err());
-        assert!(CompiledAccel::compile_cached(&bad).is_err());
+    fn two_compiles_of_one_graph_agree() {
+        let acc = field_acc();
+        let a = CompiledAccel::compile(&acc).unwrap();
+        let b = CompiledAccel::compile(&acc.clone()).unwrap();
+        assert_eq!(a.content_hash(), b.content_hash());
+        assert_eq!(a.size_bytes(), b.size_bytes());
+        assert_eq!(a.accel(), b.accel());
     }
 }

@@ -146,7 +146,7 @@ impl fmt::Display for EnvelopeError {
 impl std::error::Error for EnvelopeError {}
 
 /// splitmix64 fold checksum of a payload (the same primitive as the
-/// compile cache's content hash, so "same bytes" means the same thing
+/// artifact content hash, so "same bytes" means the same thing
 /// everywhere).
 pub fn checksum(payload: &[u8]) -> u64 {
     let mut h = ContentHasher::new();

@@ -1,7 +1,7 @@
 //! Cross-layer telemetry: a process-global metrics registry and a
 //! hierarchical wall-clock span recorder (DESIGN.md §13).
 //!
-//! Every layer of the stack — compile cache, persistent store, eval
+//! Every layer of the stack — sealing, persistent store, eval
 //! service, simulator — records into one registry of named **counters**,
 //! **gauges**, and fixed-bucket **histograms**, and wraps its phases in
 //! RAII **spans**. The registry renders two expositions:

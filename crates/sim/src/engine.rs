@@ -17,28 +17,27 @@
 //! checked against the reference interpreter.
 //!
 //! The firing rules are written once: [`Engine::try_fire`] is the gate and
-//! [`Engine::fire`] the body, both reading the per-task [`Code`] tables.
-//! [`crate::ExecMode`] only chooses where those tables come from — the
-//! sealed artifact, or [`crate::reference::lower`]'s re-derivation from the
-//! graph — once, in [`Engine::new`].
+//! [`Engine::fire`] the body, both reading the sealed [`CompiledTask`]'s
+//! micro-op stream and pools directly. [`crate::reference`] re-derives
+//! those tables from the graph and compares them with the sealed ones; it
+//! is a test oracle, not a second way to run.
 
 use crate::error::{
     BufferSuggestion, ChannelState, DeadlockReport, FaultKind, StuckTile, WaitEdge,
 };
 use crate::fault::{Ecc, FaultClass, Injector};
 use crate::memory::{DramModel, MemRequest, MemResponse, StructModel};
-use crate::reference::TaskTables;
 use crate::trace::{Observer, SimProfile, StallReason, Trace};
 use crate::{SchedulerKind, SimConfig, SimError, SimStats};
 use muir_core::accel::{Accelerator, ArgExpr, ResultInit, TaskKind};
 use muir_core::compiled::{
-    CompiledAccel, CompiledTask, EdgeMeta, MicroOp, UopKind, SLOT_ARG, SLOT_CONST, SLOT_FEEDBACK,
+    CompiledAccel, CompiledTask, MicroOp, UopKind, SLOT_ARG, SLOT_CONST, SLOT_FEEDBACK,
     SLOT_PAYLOAD, SLOT_TAG, UOP_PREDICATED, UOP_SPAWN,
 };
 use muir_core::hw;
-use muir_core::node::{FusedInput, FusedPlan, NodeKind, OpKind};
+use muir_core::node::{FusedInput, NodeKind, OpKind};
 use muir_core::structure::StructureKind;
-use muir_mir::instr::{BinOp, MemObjId};
+use muir_mir::instr::{BinOp, CastOp, MemObjId};
 use muir_mir::interp::{eval_bin, eval_cmp, eval_tensor, eval_un, Memory};
 use muir_mir::value::Value;
 use std::cmp::Reverse;
@@ -501,7 +500,7 @@ impl ActiveInv {
     /// carry a visible token of the right instance. Edges are tested in
     /// a fixed order — data slots in port order, then the dynamic
     /// order-in edges — and the first one that fails decides.
-    fn input_gate(&self, code: Code<'_>, uop: &MicroOp, k: u64, cycle: u64) -> InputGate {
+    fn input_gate(&self, ct: &CompiledTask, uop: &MicroOp, k: u64, cycle: u64) -> InputGate {
         let token = |edge: usize, want: u64, feedback: bool| match self.arena.front(edge) {
             Some((found, vis)) if vis <= cycle => {
                 (found != want).then_some(InputGate::Misordered {
@@ -513,7 +512,7 @@ impl ActiveInv {
             }
             _ => Some(InputGate::Empty(edge)),
         };
-        for &s in &code.in_slots[uop.slot0 as usize..][..uop.nin as usize] {
+        for &s in &ct.in_slots[uop.slot0 as usize..][..uop.nin as usize] {
             let edge = (s & SLOT_PAYLOAD) as usize;
             let failed = match s & SLOT_TAG {
                 SLOT_ARG | SLOT_CONST => None,
@@ -527,7 +526,7 @@ impl ActiveInv {
                 return failed;
             }
         }
-        for &e in &code.edge_refs[uop.ebase as usize..][..uop.nord as usize] {
+        for &e in &ct.edge_refs[uop.ebase as usize..][..uop.nord as usize] {
             if let Some(failed) = token(e as usize, k, false) {
                 return failed;
             }
@@ -558,50 +557,21 @@ impl ActiveInv {
     }
 }
 
-/// The six tables a firing reads: one [`MicroOp`] per node and the pools
-/// its index fields point into. Borrowed from the sealed artifact
-/// ([`Code::sealed`]) or from the reference lowering
-/// ([`TaskTables::view`]); the firing code cannot tell which.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Code<'a> {
-    pub(crate) uops: &'a [MicroOp],
-    pub(crate) in_slots: &'a [u32],
-    pub(crate) edge_refs: &'a [u32],
-    pub(crate) consts: &'a [Value],
-    pub(crate) fused_plans: &'a [FusedPlan],
-    pub(crate) edge_meta: &'a [EdgeMeta],
-}
-
-impl<'a> Code<'a> {
-    /// The tables `seal()` lowered into the artifact.
-    pub(crate) fn sealed(ct: &'a CompiledTask) -> Code<'a> {
-        Code {
-            uops: &ct.uops,
-            in_slots: &ct.in_slots,
-            edge_refs: &ct.edge_refs,
-            consts: &ct.consts,
-            fused_plans: &ct.fused_plans,
-            edge_meta: &ct.edge_meta,
-        }
-    }
-
-    /// The out edges of `uop`'s node.
-    fn outs(&self, uop: &MicroOp) -> &'a [u32] {
-        &self.edge_refs[(uop.ebase + u32::from(uop.nord)) as usize..][..uop.nout as usize]
-    }
+/// The out edges of `uop`'s node.
+fn out_edges<'a>(ct: &'a CompiledTask, uop: &MicroOp) -> &'a [u32] {
+    &ct.edge_refs[(uop.ebase + u32::from(uop.nord)) as usize..][..uop.nout as usize]
 }
 
 /// Per-run view of one task: the sealed graph-derived tables from the
 /// [`CompiledTask`] (shared, never rebuilt) plus the few
 /// configuration-dependent vectors that genuinely vary per `SimConfig`.
-/// `Deref` exposes the compiled structure tables (`order`, `in_data`,
-/// `outs`, `queue_cap`, …) directly.
+/// `Deref` exposes the compiled tables (`order`, `uops`, `in_slots`,
+/// `queue_cap`, …) directly.
 #[derive(Debug)]
 struct ElabTask<'a> {
-    /// The sealed per-task structure tables (adjacency, scan order).
+    /// The sealed per-task tables: adjacency, scan order, and the micro-op
+    /// stream firings execute from.
     ct: &'a CompiledTask,
-    /// What firings execute from.
-    code: Code<'a>,
     info: Vec<NodeInfo>,
     /// Per edge resolved token capacity: explicit FIFO depth, or
     /// `cfg.elastic_depth` for handshake connections.
@@ -764,15 +734,8 @@ impl<'a> Engine<'a> {
     /// tables come straight from the [`CompiledAccel`] (built exactly
     /// once per graph); only the configuration-dependent vectors —
     /// node timing and databox bounds — are computed here, so a batch
-    /// of N runs pays one compile instead of N elaborations. Firings
-    /// execute from `reference` (one entry per task) when given, from the
-    /// artifact's own lowering otherwise.
-    pub fn new(
-        comp: &'a CompiledAccel,
-        reference: Option<&'a [TaskTables]>,
-        mem: &'a mut Memory,
-        cfg: &'a SimConfig,
-    ) -> Engine<'a> {
+    /// of N runs pays one compile instead of N elaborations.
+    pub fn new(comp: &'a CompiledAccel, mem: &'a mut Memory, cfg: &'a SimConfig) -> Engine<'a> {
         let acc = comp.accel();
         let elab: Vec<ElabTask<'a>> = comp
             .tasks()
@@ -801,8 +764,7 @@ impl<'a> Engine<'a> {
                         }
                     })
                     .collect();
-                let code = reference.map_or(Code::sealed(ct), |r| r[ti].view());
-                let cap: Vec<u32> = code
+                let cap: Vec<u32> = ct
                     .edge_meta
                     .iter()
                     .map(|m| {
@@ -813,12 +775,7 @@ impl<'a> Engine<'a> {
                         }
                     })
                     .collect();
-                ElabTask {
-                    ct,
-                    code,
-                    info,
-                    cap,
-                }
+                ElabTask { ct, info, cap }
             })
             .collect();
         let tasks: Vec<TaskState> = acc
@@ -1491,11 +1448,16 @@ impl<'a> Engine<'a> {
                 let eval = |e: &ArgExpr| -> Result<i64, SimError> {
                     match e {
                         ArgExpr::Const(k) => Ok(*k),
-                        ArgExpr::Arg(a) => {
-                            inv.args.get(*a as usize).map(Value::as_int).ok_or_else(|| {
+                        ArgExpr::Arg(a) => inv
+                            .args
+                            .get(*a as usize)
+                            .ok_or_else(|| {
                                 SimError::eval(format!("loop bound argument {a} missing"))
-                            })
-                        }
+                            })?
+                            .as_int_checked()
+                            .ok_or_else(|| {
+                                SimError::eval(format!("non-integer loop bound argument {a}"))
+                            }),
                     }
                 };
                 let lo = eval(&spec.lo)?;
@@ -1652,7 +1614,7 @@ impl<'a> Engine<'a> {
     /// re-checking every gate in a fixed order: static, stuck handshake,
     /// instance admission, initiation interval, input tokens, in-flight
     /// bound, output space, junction ports / child queue. The one gate
-    /// function of both [`crate::ExecMode`]s (DESIGN.md §14).
+    /// function (DESIGN.md §14).
     fn try_fire(
         &mut self,
         ti: usize,
@@ -1663,8 +1625,8 @@ impl<'a> Engine<'a> {
         let cycle = self.cycle;
         let df = &self.acc.tasks[ti].dataflow;
         self.sched_visits += 1;
-        let code = self.elab[ti].code;
-        let uop = &code.uops[node];
+        let ct = self.elab[ti].ct;
+        let uop = &ct.uops[node];
         if matches!(uop.kind, UopKind::Static) {
             return Ok(());
         }
@@ -1690,7 +1652,7 @@ impl<'a> Engine<'a> {
         if cycle < ns.ready_at {
             return Ok(());
         }
-        match inv.input_gate(code, uop, k, cycle) {
+        match inv.input_gate(ct, uop, k, cycle) {
             InputGate::Pass => {}
             InputGate::Empty(ei) => {
                 return self.note_stall(site, StallReason::InputEmpty, Some(ei), None)
@@ -1729,8 +1691,7 @@ impl<'a> Engine<'a> {
         // Output space: only *visible* (delivered, unconsumed) tokens
         // occupy the edge register; in-flight results live in the
         // producer's internal pipeline.
-        let full = code
-            .outs(uop)
+        let full = out_edges(ct, uop)
             .iter()
             .map(|&e| e as usize)
             .find(|&ei| inv.arena.visible(ei) >= et.cap[ei]);
@@ -1815,9 +1776,9 @@ impl<'a> Engine<'a> {
     ) -> Result<(), SimError> {
         let cycle = self.cycle;
         let df = &self.acc.tasks[ti].dataflow;
-        let code = self.elab[ti].code;
-        let slots = &code.in_slots[uop.slot0 as usize..][..uop.nin as usize];
-        let erefs = &code.edge_refs[uop.ebase as usize..][..uop.nord as usize + uop.nout as usize];
+        let ct = self.elab[ti].ct;
+        let slots = &ct.in_slots[uop.slot0 as usize..][..uop.nin as usize];
+        let erefs = &ct.edge_refs[uop.ebase as usize..][..uop.nord as usize + uop.nout as usize];
         // Consume the front token of an input edge. That frees a slot on the
         // edge — which only unblocks the producer if the edge was *full*
         // before the pop (the visible count is the producer's output-space
@@ -1830,7 +1791,7 @@ impl<'a> Engine<'a> {
                 obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), false);
             }
             if use_ready && inv.arena.visible(ei) + 1 >= et.cap[ei] {
-                inv.wake(&et.info, code.edge_meta[ei].src as usize, cycle);
+                inv.wake(&et.info, ct.edge_meta[ei].src as usize, cycle);
             }
             v
         };
@@ -1845,7 +1806,7 @@ impl<'a> Engine<'a> {
                         .cloned()
                         .ok_or_else(|| SimError::eval(format!("missing argument {p}")))?,
                 ),
-                SLOT_CONST => values.push(code.consts[p].clone()),
+                SLOT_CONST => values.push(ct.consts[p].clone()),
                 SLOT_FEEDBACK if k == 0 => values.push(Value::Poison), // unused at instance 0
                 _ if inv.arena.len(p) == 0 => {
                     return Err(SimError::eval(format!("missing token on edge e{p}")));
@@ -1868,8 +1829,11 @@ impl<'a> Engine<'a> {
         let mut completion_at = Some(cycle + ni.latency as u64);
         // A predicated op is active unless its predicate input is false
         // or poison.
-        let active = |pred: Option<&Value>| {
-            uop.flags & UOP_PREDICATED == 0 || pred.is_none_or(|v| !v.is_poison() && v.as_bool())
+        let active = |pred: Option<&Value>| match pred {
+            Some(v) if uop.flags & UOP_PREDICATED != 0 => {
+                v.truth("predicate").map(|t| t == Some(true))
+            }
+            _ => Ok(true),
         };
         // The element index of a memory access: poison (a squashed
         // division upstream) and negative indices are typed errors.
@@ -1901,14 +1865,12 @@ impl<'a> Engine<'a> {
                 out_values.push(r);
             }
             UopKind::Compute => out_values.push(eval_op(uop.op, values)?),
-            UopKind::Fused => {
-                out_values.push(eval_fused(&code.fused_plans[uop.a as usize], values)?)
-            }
+            UopKind::Fused => out_values.push(eval_fused(&ct.fused_plans[uop.a as usize], values)?),
             UopKind::Output => {
                 inv.last_output.clone_from(values);
             }
             UopKind::Load => {
-                if active(values.last()) {
+                if active(values.last())? {
                     let obj = MemObjId(uop.a);
                     let idx = index(&values[0], "load")?;
                     let ty = df.nodes[node].ty;
@@ -1941,7 +1903,7 @@ impl<'a> Engine<'a> {
                 }
             }
             UopKind::Store => {
-                if active(values.last()) {
+                if active(values.last())? {
                     let obj = MemObjId(uop.a);
                     let idx = index(&values[0], "store")?;
                     let v = std::mem::replace(&mut values[1], Value::Poison);
@@ -1977,7 +1939,7 @@ impl<'a> Engine<'a> {
                 let nargs = (uop.b >> 16) as usize;
                 let nres = (uop.b & 0xffff) as usize;
                 let mut result = Value::Poison; // squashed, or patched by the reply
-                if active(values.get(nargs)) {
+                if active(values.get(nargs))? {
                     let spawn = uop.flags & UOP_SPAWN != 0;
                     self.issue_call(site, child, nargs, spawn, values);
                     if spawn {
@@ -1998,7 +1960,7 @@ impl<'a> Engine<'a> {
         let outs = &erefs[uop.nord as usize..];
         for (i, &er) in outs.iter().enumerate() {
             let ei = er as usize;
-            let m = code.edge_meta[ei];
+            let m = ct.edge_meta[ei];
             let mut value = if m.is_order {
                 Value::Bool(true)
             } else {
@@ -2100,7 +2062,7 @@ impl<'a> Engine<'a> {
         let (ti, tk, node) = (site.task as usize, site.tile as usize, site.node as usize);
         let df = &self.acc.tasks[ti].dataflow;
         let et = &self.elab[ti];
-        let outs = et.code.outs(&et.code.uops[node]);
+        let outs = out_edges(et.ct, &et.uops[node]);
         let Some(inv) = self.tasks[ti].tiles[tk].as_deref_mut() else {
             return Ok(()); // stale
         };
@@ -2111,7 +2073,7 @@ impl<'a> Engine<'a> {
             // All matching tokens become visible (normally exactly one;
             // an injected duplicate shares the completion pulse),
             // patching call-reply values onto data edges.
-            let m = &et.code.edge_meta[ei as usize];
+            let m = &et.edge_meta[ei as usize];
             let patch = reply_values.as_ref().and_then(|rv| {
                 if m.is_order {
                     None
@@ -2295,31 +2257,21 @@ fn eval_op(op: OpKind, values: &[Value]) -> Result<Value, SimError> {
         }
         OpKind::Un(u) => eval_un(u, &values[0]),
         OpKind::Cmp(p) => eval_cmp(p, &values[0], &values[1]),
-        OpKind::Select => {
-            if values[0].is_poison() {
-                Value::Poison
-            } else if values[0].as_bool() {
-                values[1].clone()
-            } else {
-                values[2].clone()
-            }
-        }
-        OpKind::Cast(c) => match c {
-            muir_mir::instr::CastOp::SiToFp => {
-                if values[0].is_poison() {
-                    Value::Poison
-                } else {
-                    Value::F32(values[0].as_int() as f32)
-                }
-            }
-            muir_mir::instr::CastOp::FpToSi => {
-                if values[0].is_poison() {
-                    Value::Poison
-                } else {
-                    Value::Int(values[0].as_f32() as i64)
-                }
-            }
-            muir_mir::instr::CastOp::IntResize => values[0].clone(),
+        OpKind::Select => match values[0].truth("select condition")? {
+            None => Value::Poison,
+            Some(true) => values[1].clone(),
+            Some(false) => values[2].clone(),
+        },
+        OpKind::Cast(c) => match (c, &values[0]) {
+            (_, Value::Poison) => Value::Poison,
+            (CastOp::SiToFp, v) => Value::F32(
+                v.as_int_checked()
+                    .ok_or_else(|| SimError::eval("non-integer cast operand"))?
+                    as f32,
+            ),
+            (CastOp::FpToSi, Value::F32(f)) => Value::Int(*f as i64),
+            (CastOp::FpToSi, _) => return Err(SimError::eval("non-float cast operand")),
+            (CastOp::IntResize, v) => v.clone(),
         },
         OpKind::Tensor(t, _) => {
             if values.iter().any(Value::is_poison) {
@@ -2380,9 +2332,13 @@ fn flip_bit(v: &Value, bit: u32) -> Value {
     }
 }
 
-/// Poison-tolerant integer view.
+/// Non-panicking scalar views: a token's dynamic type is input-reachable
+/// (root arguments are untyped), so a mismatch is an error, not a bug.
 trait ValueExt {
     fn as_int_checked(&self) -> Option<i64>;
+    /// The truth value of a predicate-like input: `None` for poison, an
+    /// evaluation error naming `what` for anything not boolean or integer.
+    fn truth(&self, what: &str) -> Result<Option<bool>, SimError>;
 }
 
 impl ValueExt for Value {
@@ -2391,6 +2347,15 @@ impl ValueExt for Value {
             Value::Int(v) => Some(*v),
             Value::Bool(b) => Some(*b as i64),
             _ => None,
+        }
+    }
+
+    fn truth(&self, what: &str) -> Result<Option<bool>, SimError> {
+        match self {
+            Value::Poison => Ok(None),
+            Value::Bool(b) => Ok(Some(*b)),
+            Value::Int(v) => Ok(Some(*v != 0)),
+            _ => Err(SimError::eval(format!("non-boolean {what}"))),
         }
     }
 }

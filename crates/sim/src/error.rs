@@ -9,7 +9,6 @@
 //! the transformation that caused it, plus a stable error code for
 //! campaign-level bucketing.
 
-use muir_core::verify::GraphError;
 use std::fmt;
 
 /// What kind of hardware fault a [`SimError::Fault`] reports.
@@ -196,12 +195,6 @@ impl fmt::Display for DeadlockReport {
 /// can bucket outcomes without string-matching the human-readable message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
-    /// The accelerator graph failed structural verification before any
-    /// cycle was simulated.
-    GraphRejected {
-        /// The verifier's finding.
-        source: GraphError,
-    },
     /// No progress for longer than `SimConfig::deadlock_cycles`.
     Deadlock {
         /// Cycle at which the watchdog gave up.
@@ -255,7 +248,6 @@ impl SimError {
     /// Stable machine-readable error code.
     pub fn code(&self) -> &'static str {
         match self {
-            SimError::GraphRejected { .. } => "E-SIM-GRAPH",
             SimError::Deadlock { .. } => "E-SIM-DEADLOCK",
             SimError::CycleLimitExhausted { .. } => "E-SIM-LIMIT",
             SimError::Fault { .. } => "E-SIM-FAULT",
@@ -322,7 +314,6 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}] ", self.code())?;
         match self {
-            SimError::GraphRejected { source } => write!(f, "graph rejected: {source}"),
             SimError::Deadlock { cycle, report } => {
                 write!(f, "deadlock at cycle {cycle}: {report}")
             }
@@ -367,14 +358,7 @@ impl fmt::Display for SimError {
     }
 }
 
-impl std::error::Error for SimError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SimError::GraphRejected { source } => Some(source),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for SimError {}
 
 #[cfg(test)]
 mod tests {
@@ -383,12 +367,6 @@ mod tests {
     #[test]
     fn codes_are_stable_and_distinct() {
         let errs = [
-            SimError::GraphRejected {
-                source: GraphError {
-                    at: "t".into(),
-                    message: "m".into(),
-                },
-            },
             SimError::Deadlock {
                 cycle: 1,
                 report: Box::new(DeadlockReport::default()),
@@ -420,12 +398,6 @@ mod tests {
     fn only_cycle_limit_is_transient() {
         assert!(SimError::CycleLimitExhausted { limit: 10 }.is_transient());
         let permanent = [
-            SimError::GraphRejected {
-                source: GraphError {
-                    at: "t".into(),
-                    message: "m".into(),
-                },
-            },
             SimError::Deadlock {
                 cycle: 1,
                 report: Box::new(DeadlockReport::default()),

@@ -4,7 +4,8 @@
 //! `(hash(artifact), hash(job))` and proves determinism by comparing
 //! `hash(end state)` across cold, warm, and post-fault runs. Both sides
 //! use the same splitmix64 fold ([`muir_core::ContentHasher`]) as the
-//! compile cache, so "same bytes" means the same thing at every layer.
+//! artifact's content hash, so "same bytes" means the same thing at every
+//! layer.
 //!
 //! Everything here is hashed **structurally, by bits**: integers as
 //! little-endian words, and runtime data through the one structural walk
@@ -16,11 +17,10 @@
 //!
 //! Two normalization rules keep the keys honest:
 //!
-//! * **scheduler and exec mode are excluded** from [`config_hash`]: the
-//!   determinism contract (DESIGN.md §9–§10, §14) guarantees
-//!   bit-identical observables across `Dense`/`Ready` and across the
-//!   `Interp`/`MicroOp` firing interpreters, so a result computed under
-//!   one combination is a valid warm hit for any other;
+//! * **the scheduler is excluded** from [`config_hash`]: the determinism
+//!   contract (DESIGN.md §9–§10) guarantees bit-identical observables
+//!   across `Dense`/`Ready`, so a result computed under one is a valid
+//!   warm hit for the other;
 //! * **`sched_visits` is excluded** from [`result_hash`]: it counts
 //!   simulator effort, not hardware behaviour, and legitimately differs
 //!   between schedulers.
@@ -37,8 +37,8 @@ use muir_mir::value::Value;
 use std::hash::Hash as _;
 
 /// Hash the parts of a [`SimConfig`] that can affect simulation
-/// observables. Scheduler choice and exec mode are
-/// deliberately excluded (see module docs); tracing is excluded too
+/// observables. Scheduler choice is deliberately excluded (see module
+/// docs); tracing is excluded too
 /// because traces are never stored — the store layer refuses tracing
 /// configs instead.
 pub fn config_hash(cfg: &SimConfig) -> u64 {
@@ -127,17 +127,15 @@ pub fn end_state_hash(r: &SimResult, mem: &Memory) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExecMode, SchedulerKind};
+    use crate::SchedulerKind;
 
     #[test]
-    fn config_hash_ignores_scheduler_and_exec_mode() {
+    fn config_hash_ignores_scheduler() {
         let base = SimConfig::default();
         let h = config_hash(&base);
         for sched in [SchedulerKind::Dense, SchedulerKind::Ready] {
-            for exec in [ExecMode::Interp, ExecMode::MicroOp] {
-                let cfg = base.clone().with_scheduler(sched).with_exec(exec);
-                assert_eq!(config_hash(&cfg), h, "{sched:?} / {exec:?}");
-            }
+            let cfg = base.clone().with_scheduler(sched);
+            assert_eq!(config_hash(&cfg), h, "{sched:?}");
         }
     }
 

@@ -21,7 +21,8 @@
 //! use muir_mir::types::ScalarType;
 //! use muir_mir::instr::ValueRef;
 //! use muir_mir::interp::Memory;
-//! use muir_sim::{simulate, SimConfig};
+//! use muir_core::CompiledAccel;
+//! use muir_sim::{simulate_compiled, SimConfig};
 //!
 //! let mut m = Module::new("double");
 //! let a = m.add_mem_object("a", ScalarType::I32, 16);
@@ -35,9 +36,11 @@
 //! m.add_function(b.finish());
 //!
 //! let acc = translate(&m, &FrontendConfig::default()).unwrap();
+//! // Seal once (verify + lower); the sealed artifact is what runs.
+//! let comp = CompiledAccel::compile(&acc).unwrap();
 //! let mut mem = Memory::from_module(&m);
 //! mem.init_i64(a, &[1; 16]);
-//! let r = simulate(&acc, &mut mem, &[], &SimConfig::default()).unwrap();
+//! let r = simulate_compiled(&comp, &mut mem, &[], &SimConfig::default()).unwrap();
 //! assert_eq!(mem.read_i64(a), vec![2; 16]);
 //! assert!(r.cycles > 0);
 //! ```
@@ -63,7 +66,6 @@ pub use trace::{
     StallReason, StructProfile, Trace, TraceConfig, TraceEvent, TraceMeta,
 };
 
-use muir_core::accel::Accelerator;
 use muir_core::compiled::CompiledAccel;
 use muir_mir::interp::Memory;
 use muir_mir::value::Value;
@@ -88,27 +90,6 @@ pub enum SchedulerKind {
     /// Event-driven ready sets + idle-cycle skipping.
     #[default]
     Ready,
-}
-
-/// Which micro-op tables the firing code executes from.
-///
-/// There is one gate function and one firing body (DESIGN.md §14); the
-/// mode only picks, once per run, the tables they read. Orthogonal to
-/// [`SchedulerKind`], and bit-identical in every observable (cycles,
-/// results, stats, fault behaviour, traces) unless the seal-time lowering
-/// is wrong — which is what the Interp-vs-MicroOp differentials test, and
-/// what [`reference::check_lowering`] tests without a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// The reference: tables re-derived from the sealed graph by
-    /// [`mod@reference`] at the start of the run, reading nothing
-    /// `seal()` lowered.
-    Interp,
-    /// The sealed artifact's own [`MicroOp`] stream (DESIGN.md §14).
-    ///
-    /// [`MicroOp`]: muir_core::compiled::MicroOp
-    #[default]
-    MicroOp,
 }
 
 /// Simulation parameters.
@@ -138,9 +119,6 @@ pub struct SimConfig {
     /// Phase-4 scheduling strategy (identical observable behaviour; only
     /// simulator wall-time differs).
     pub scheduler: SchedulerKind,
-    /// Source of the firing tables (identical observable behaviour; only
-    /// simulator wall-time differs).
-    pub exec: ExecMode,
 }
 
 impl Default for SimConfig {
@@ -155,7 +133,6 @@ impl Default for SimConfig {
             faults: FaultPlan::none(),
             trace: TraceConfig::default(),
             scheduler: SchedulerKind::default(),
-            exec: ExecMode::default(),
         }
     }
 }
@@ -165,13 +142,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// The same configuration with a different source of firing tables.
-    #[must_use]
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
         self
     }
 }
@@ -350,46 +320,23 @@ pub struct SimResult {
     pub trace: Option<Trace>,
 }
 
-/// Simulate the accelerator's root task once against `mem`.
-///
-/// Compilation goes through the process-local content-addressed cache
-/// ([`CompiledAccel::compile_cached`]): the first call on a graph
-/// verifies and lowers it, repeat calls (bench loops, campaigns, fuzz
-/// reruns) reuse the sealed artifact. Callers holding a
-/// [`CompiledAccel`] already should use [`simulate_compiled`].
-///
-/// # Errors
-/// Graph rejection (verification failure at compile), deadlock,
-/// cycle-limit exhaustion, or a functional fault (e.g. an out-of-bounds
-/// access on a non-predicated path).
-pub fn simulate(
-    acc: &Accelerator,
-    mem: &mut Memory,
-    args: &[Value],
-    cfg: &SimConfig,
-) -> Result<SimResult, SimError> {
-    // A malformed graph (dangling port, unregistered junction client, …)
-    // would otherwise surface as a confusing mid-run fault or deadlock;
-    // compile() verifies before sealing.
-    let comp =
-        CompiledAccel::compile_cached(acc).map_err(|source| SimError::GraphRejected { source })?;
-    simulate_compiled(&comp, mem, args, cfg)
-}
-
-/// Run one simulation of a sealed accelerator artifact. This is the
-/// no-recompile hot path shared by [`simulate`], [`simulate_batch`], and
-/// every multi-run harness.
+/// Simulate the root task of a sealed accelerator artifact once against
+/// `mem`. The artifact ([`CompiledAccel::compile`]) is the only thing the
+/// simulator accepts: sealing verifies and lowers the graph exactly once,
+/// so no run re-checks or re-derives anything, and a malformed graph is
+/// rejected there with a `GraphError` instead of surfacing as a confusing
+/// mid-run fault or deadlock.
 ///
 /// # Errors
-/// Deadlock, cycle-limit exhaustion, or a functional fault.
+/// Deadlock, cycle-limit exhaustion, or a functional fault (e.g. an
+/// out-of-bounds access on a non-predicated path).
 pub fn simulate_compiled(
     comp: &CompiledAccel,
     mem: &mut Memory,
     args: &[Value],
     cfg: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    let reference = (cfg.exec == ExecMode::Interp).then(|| reference::lower(comp.accel()));
-    let engine = engine::Engine::new(comp, reference.as_deref(), mem, cfg);
+    let engine = engine::Engine::new(comp, mem, cfg);
     let (cycles, results, stats, observed) = engine.run(args)?;
     let (profile, trace) = match observed {
         Some((p, t)) => (Some(p), Some(t)),
@@ -404,7 +351,7 @@ pub fn simulate_compiled(
     })
 }
 
-/// One independent simulation in a [`simulate_batch`] call: the root
+/// One independent simulation in a [`simulate_batch_compiled`] call: the root
 /// arguments, the private memory image the run mutates, and the full
 /// simulation configuration (schedulers/faults/tracing may differ per job).
 #[derive(Debug, Clone)]
@@ -418,47 +365,28 @@ pub struct BatchJob {
     pub cfg: SimConfig,
 }
 
-/// Outcome of one [`BatchJob`]: exactly what a standalone [`simulate`] call
-/// with the same inputs produces, plus the final memory image.
+/// Outcome of one [`BatchJob`]: exactly what a standalone
+/// [`simulate_compiled`] call with the same inputs produces, plus the final
+/// memory image.
 #[derive(Debug)]
 pub struct BatchRun {
-    /// The simulation outcome (identical to a standalone [`simulate`]).
+    /// The simulation outcome (identical to a standalone
+    /// [`simulate_compiled`]).
     pub outcome: Result<SimResult, SimError>,
     /// The job's memory image after the run.
     pub mem: Memory,
 }
 
-/// Run many independent simulations of one accelerator concurrently.
+/// Run many independent simulations of one sealed accelerator
+/// concurrently.
 ///
-/// The graph is compiled once (through the content-addressed cache) and
-/// the sealed [`CompiledAccel`] is shared immutably across workers; each
-/// job gets its own memory image and engine, so every run is
-/// bit-identical to a standalone [`simulate`] call with the same inputs
-/// regardless of `threads` or completion order. A batch of N jobs pays
-/// one verify+lower, not N. Results come back index-aligned with `jobs`.
-/// This is the throughput path for campaign/fuzz/bench workloads:
-/// multi-run scaling comes from running whole simulations side by side,
-/// not from threading inside one run.
-pub fn simulate_batch(acc: &Accelerator, jobs: Vec<BatchJob>, threads: usize) -> Vec<BatchRun> {
-    match CompiledAccel::compile_cached(acc) {
-        Ok(comp) => simulate_batch_compiled(&comp, jobs, threads),
-        Err(source) => {
-            // Every job gets the same `GraphRejected` outcome a standalone
-            // `simulate` call on this graph would produce.
-            jobs.into_iter()
-                .map(|j| BatchRun {
-                    outcome: Err(SimError::GraphRejected {
-                        source: source.clone(),
-                    }),
-                    mem: j.mem,
-                })
-                .collect()
-        }
-    }
-}
-
-/// [`simulate_batch`] over an already-sealed artifact: no verify, no
-/// lowering, no cache probe — jobs go straight to engines.
+/// The artifact is shared immutably across workers; each job gets its own
+/// memory image and engine, so every run is bit-identical to a standalone
+/// [`simulate_compiled`] call with the same inputs regardless of `threads`
+/// or completion order. Results come back index-aligned with `jobs`. This
+/// is the throughput path for campaign/fuzz/DSE workloads: multi-run
+/// scaling comes from running whole simulations side by side, not from
+/// threading inside one run.
 pub fn simulate_batch_compiled(
     comp: &CompiledAccel,
     jobs: Vec<BatchJob>,

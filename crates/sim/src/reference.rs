@@ -1,15 +1,16 @@
-//! The reference lowering behind [`crate::ExecMode::Interp`]: the tables a
-//! firing reads, re-derived from the sealed graph alone.
+//! The reference lowering: the tables a firing reads, re-derived from the
+//! sealed graph alone, and the comparator that holds the sealed tables to
+//! them.
 //!
 //! `lower` is a deliberately plain walk over `df.nodes`, `df.edges` and
 //! `NodeKind`. It reads nothing `seal()` lowered — not the micro-op
 //! stream and its pools, and not the adjacency lists they were built from
-//! — so running the one firing body over these tables and over the
-//! artifact's differentially tests the seal-time lowering from an
-//! independent starting point, and [`check_lowering`] compares the two
-//! table sets directly, without a simulation.
+//! — so [`check_lowering`] tests the seal-time lowering from an
+//! independent starting point, field by field, without a simulation. The
+//! engine has one firing body and executes the sealed tables only; equal
+//! tables under one body mean equal behaviour on every input, which is why
+//! no differential runs the derived tables (DESIGN.md §14).
 
-use crate::engine::Code;
 use muir_core::accel::Accelerator;
 use muir_core::compiled::{
     CompiledAccel, EdgeMeta, MicroOp, UopKind, SLOT_ARG, SLOT_CONST, SLOT_FEEDBACK, SLOT_PAYLOAD,
@@ -20,6 +21,19 @@ use muir_core::node::{FusedPlan, NodeKind, OpKind};
 use muir_mir::instr::BinOp;
 use muir_mir::value::Value;
 use std::fmt::Display;
+
+/// The six tables a firing reads, borrowed: one [`MicroOp`] per node and
+/// the pools its index fields point into. The comparator's argument type,
+/// so it cannot tell a sealed task from a re-derived one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Code<'a> {
+    pub(crate) uops: &'a [MicroOp],
+    pub(crate) in_slots: &'a [u32],
+    pub(crate) edge_refs: &'a [u32],
+    pub(crate) consts: &'a [Value],
+    pub(crate) fused_plans: &'a [FusedPlan],
+    pub(crate) edge_meta: &'a [EdgeMeta],
+}
 
 /// One task's re-derived firing tables (field for field what
 /// [`Code`] borrows).
@@ -172,7 +186,15 @@ pub fn check_lowering(comp: &CompiledAccel) -> Result<(), String> {
     let acc = comp.accel();
     let derived = lower(acc);
     for (ti, (ct, re)) in comp.tasks().iter().zip(&derived).enumerate() {
-        same_tables(Code::sealed(ct), re.view())
+        let sealed = Code {
+            uops: &ct.uops,
+            in_slots: &ct.in_slots,
+            edge_refs: &ct.edge_refs,
+            consts: &ct.consts,
+            fused_plans: &ct.fused_plans,
+            edge_meta: &ct.edge_meta,
+        };
+        same_tables(sealed, re.view())
             .map_err(|e| format!("task {ti} ({}) {e}", acc.tasks[ti].name))?;
     }
     Ok(())

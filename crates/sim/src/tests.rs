@@ -2,11 +2,14 @@
 //! the reference interpreter, and first-order timing behaviours are
 //! checked (pipelining, serialization, banking, tiling, contention).
 
+use crate::reference::check_lowering;
 use crate::{
-    simulate, ChannelState, ExecMode, FaultClass, FaultKind, FaultPlan, FaultSpec, SchedulerKind,
-    SimConfig, SimError,
+    simulate_batch_compiled, simulate_compiled, ChannelState, FaultClass, FaultKind, FaultPlan,
+    FaultSpec, SchedulerKind, SimConfig, SimError, SimResult,
 };
 use muir_core::accel::Accelerator;
+use muir_core::compiled::CompiledAccel;
+use muir_core::node::{Node, NodeKind};
 use muir_core::structure::StructureKind;
 use muir_frontend::{translate, FrontendConfig};
 use muir_mir::builder::FunctionBuilder;
@@ -15,6 +18,18 @@ use muir_mir::interp::{Interp, Memory};
 use muir_mir::module::Module;
 use muir_mir::types::{ScalarType, TensorShape, Type};
 use muir_mir::value::Value;
+
+/// Seal `acc` and run it once: most tests here simulate a graph a single
+/// time, so the seal has no one to share with.
+fn seal_and_run(
+    acc: &Accelerator,
+    mem: &mut Memory,
+    args: &[Value],
+    cfg: &SimConfig,
+) -> Result<SimResult, SimError> {
+    let comp = CompiledAccel::compile(acc).expect("seal");
+    simulate_compiled(&comp, mem, args, cfg)
+}
 
 fn run_both(m: &Module, inits: &[(muir_mir::instr::MemObjId, Vec<i64>)]) -> (Memory, Memory, u64) {
     let acc = translate(m, &FrontendConfig::default()).expect("translate");
@@ -33,7 +48,7 @@ fn run_both_on(
         sim_mem.init_i64(*obj, data);
     }
     Interp::new(m).run_main(&mut ref_mem, &[]).expect("interp");
-    let r = simulate(acc, &mut sim_mem, &[], &SimConfig::default()).expect("simulate");
+    let r = seal_and_run(acc, &mut sim_mem, &[], &SimConfig::default()).expect("simulate");
     (ref_mem, sim_mem, r.cycles)
 }
 
@@ -386,7 +401,7 @@ fn cache_structures_record_hits_and_misses() {
     m.add_function(b.finish());
     let acc = translate(&m, &FrontendConfig::default()).unwrap();
     let mut mem = Memory::from_module(&m);
-    let r = simulate(&acc, &mut mem, &[], &SimConfig::default()).unwrap();
+    let r = seal_and_run(&acc, &mut mem, &[], &SimConfig::default()).unwrap();
     assert!(r.stats.cache_misses() > 0, "cold cache must miss");
     assert!(
         r.stats.cache_hits() > r.stats.cache_misses(),
@@ -407,7 +422,7 @@ fn stats_are_populated() {
     m.add_function(b.finish());
     let acc = translate(&m, &FrontendConfig::default()).unwrap();
     let mut mem = Memory::from_module(&m);
-    let r = simulate(&acc, &mut mem, &[], &SimConfig::default()).unwrap();
+    let r = seal_and_run(&acc, &mut mem, &[], &SimConfig::default()).unwrap();
     assert!(r.stats.fires > 16);
     assert_eq!(r.stats.task_invocations.iter().sum::<u64>(), 2); // root + loop
     assert_eq!(r.stats.task_invocations.len(), acc.tasks.len());
@@ -430,7 +445,7 @@ fn dynamic_bound_via_args() {
     Interp::new(&m)
         .run_main(&mut ref_mem, &[Value::Int(10)])
         .unwrap();
-    simulate(&acc, &mut mem, &[Value::Int(10)], &SimConfig::default()).unwrap();
+    seal_and_run(&acc, &mut mem, &[Value::Int(10)], &SimConfig::default()).unwrap();
     assert_eq!(ref_mem.objects, mem.objects);
     assert_eq!(mem.read_i64(a)[9], 9);
     assert_eq!(mem.read_i64(a)[10], 0);
@@ -472,7 +487,7 @@ fn cycle_limit_is_enforced() {
         max_cycles: 10,
         ..SimConfig::default()
     };
-    let e = simulate(&acc, &mut mem, &[], &cfg).unwrap_err();
+    let e = seal_and_run(&acc, &mut mem, &[], &cfg).unwrap_err();
     assert!(
         matches!(e, SimError::CycleLimitExhausted { limit: 10 }),
         "{e}"
@@ -482,9 +497,7 @@ fn cycle_limit_is_enforced() {
 }
 
 #[test]
-fn corrupted_graph_is_rejected_up_front() {
-    // Remove the loop task's Output in-edge source token path by cutting
-    // the store's address edge: the instance can never complete.
+fn corrupted_graph_is_rejected_at_seal() {
     let mut m = Module::new("dead");
     let a = m.add_mem_object("a", ScalarType::I32, 8);
     let mut b = FunctionBuilder::new("main", &[]).with_mem(&m);
@@ -493,30 +506,26 @@ fn corrupted_graph_is_rejected_up_front() {
     });
     b.ret(None);
     m.add_function(b.finish());
-    let mut acc = translate(&m, &FrontendConfig::default()).unwrap();
-    // Cut one data edge feeding the store in the loop task.
-    let lp = acc
-        .task_ids()
-        .find(|&t| acc.task(t).kind.is_loop())
-        .unwrap();
-    let df = &mut acc.task_mut(lp).dataflow;
-    let store = df
-        .node_ids()
-        .find(|&n| matches!(df.node(n).kind, muir_core::node::NodeKind::Store { .. }))
-        .unwrap();
-    let pos = df.edges.iter().position(|e| e.dst == store).unwrap();
-    df.edges.remove(pos);
-    let mut mem = Memory::from_module(&m);
-    let cfg = SimConfig {
-        deadlock_cycles: 500,
-        ..SimConfig::default()
-    };
-    let e = simulate(&acc, &mut mem, &[], &cfg).unwrap_err();
-    // The up-front structural check rejects the corrupted graph cleanly.
-    assert!(matches!(e, SimError::GraphRejected { .. }), "{e}");
-    assert_eq!(e.code(), "E-SIM-GRAPH");
-    assert!(e.to_string().contains("graph rejected"), "{e}");
-    assert!(e.to_string().contains("unconnected"), "{e}");
+    let looped = translate(&m, &FrontendConfig::default()).unwrap();
+    let (_, _, tiled) = tiled_workload();
+    for mut acc in [looped, tiled] {
+        // Cut one data edge feeding a store, leaving its port unconnected.
+        let is_store = |k: &NodeKind| matches!(k, NodeKind::Store { .. });
+        let t = acc
+            .task_ids()
+            .find(|&t| acc.task(t).dataflow.nodes.iter().any(|n| is_store(&n.kind)))
+            .expect("a task with a store");
+        let df = &mut acc.task_mut(t).dataflow;
+        let store = df.node_ids().find(|&n| is_store(&df.node(n).kind)).unwrap();
+        let pos = df.edges.iter().position(|e| e.dst == store).unwrap();
+        df.edges.remove(pos);
+        // Sealing is the up-front structural check: the corrupted graph
+        // never becomes something the simulator accepts, and the error
+        // carries the verifier's finding (site and message).
+        let e = CompiledAccel::compile(&acc).unwrap_err();
+        assert!(!e.at.is_empty(), "verify error names a site");
+        assert!(e.message.contains("unconnected"), "{e}");
+    }
 }
 
 #[test]
@@ -539,7 +548,7 @@ fn narrow_window_serializes_iterations() {
             window,
             ..SimConfig::default()
         };
-        simulate(&acc, &mut mem, &[], &cfg).unwrap().cycles
+        seal_and_run(&acc, &mut mem, &[], &cfg).unwrap().cycles
     };
     let narrow = run(1);
     let wide = run(64);
@@ -558,7 +567,7 @@ fn task_busy_cycles_track_occupancy() {
     m.add_function(b.finish());
     let acc = translate(&m, &FrontendConfig::default()).unwrap();
     let mut mem = Memory::from_module(&m);
-    let r = simulate(&acc, &mut mem, &[], &SimConfig::default()).unwrap();
+    let r = seal_and_run(&acc, &mut mem, &[], &SimConfig::default()).unwrap();
     // The loop task is busy for most of the run; the root the whole run.
     let busy = &r.stats.task_busy_cycles;
     assert_eq!(busy.len(), acc.tasks.len());
@@ -596,7 +605,7 @@ fn order_cycle_deadlock_is_detected() {
         deadlock_cycles: 2_000,
         ..SimConfig::default()
     };
-    let e = simulate(&acc, &mut mem, &[], &cfg).unwrap_err();
+    let e = seal_and_run(&acc, &mut mem, &[], &cfg).unwrap_err();
     let SimError::Deadlock { report, .. } = &e else {
         panic!("want Deadlock, got {e}")
     };
@@ -658,7 +667,7 @@ fn run_with_plan(plan: FaultPlan) -> (Result<crate::SimResult, SimError>, Vec<i6
         faults: plan,
         ..SimConfig::default()
     };
-    let r = simulate(&acc, &mut mem, &[], &cfg);
+    let r = seal_and_run(&acc, &mut mem, &[], &cfg);
     let got = mem.read_i64(a);
     (r, got, expected)
 }
@@ -718,7 +727,7 @@ fn underbuffered_edge_deadlocks_and_suggestion_fixes_it() {
         deadlock_cycles: 2_000,
         ..SimConfig::default()
     };
-    let e = simulate(&acc, &mut mem, &[], &cfg).unwrap_err();
+    let e = seal_and_run(&acc, &mut mem, &[], &cfg).unwrap_err();
     let SimError::Deadlock { report, .. } = &e else {
         panic!("want Deadlock, got {e}")
     };
@@ -748,7 +757,7 @@ fn underbuffered_edge_deadlocks_and_suggestion_fixes_it() {
     df.edges[sugg.edge as usize].buffering = muir_core::dataflow::Buffering::Fifo(sugg.depth);
     let mut mem = Memory::from_module(&m);
     mem.init_i64(a, &(0..32).map(|x| x * 2).collect::<Vec<_>>());
-    let r = simulate(&acc, &mut mem, &[], &SimConfig::default()).expect("fixed run completes");
+    let r = seal_and_run(&acc, &mut mem, &[], &SimConfig::default()).expect("fixed run completes");
     assert!(r.cycles > 0);
     assert_eq!(
         mem.read_i64(a),
@@ -800,7 +809,7 @@ fn idle_skip_never_outruns_the_deadlock_watchdog() {
             ..SimConfig::default()
         }
         .with_scheduler(kind);
-        simulate(&acc, &mut mem, &[], &cfg).unwrap_err()
+        seal_and_run(&acc, &mut mem, &[], &cfg).unwrap_err()
     };
     let (dense, ready) = (run(SchedulerKind::Dense), run(SchedulerKind::Ready));
     let SimError::Deadlock { cycle: dc, .. } = dense else {
@@ -1004,7 +1013,7 @@ fn stall_attribution_blames_the_channel_deadlock_diagnosis_would_bump() {
         trace: crate::TraceConfig::on(),
         ..SimConfig::default()
     };
-    let r = simulate(&acc, &mut mem, &[], &cfg).expect("squeezed-but-live run completes");
+    let r = seal_and_run(&acc, &mut mem, &[], &cfg).expect("squeezed-but-live run completes");
     assert_eq!(mem.read_i64(a), expected, "still functionally correct");
 
     let profile = r.profile.expect("tracing was on");
@@ -1054,7 +1063,7 @@ fn stall_attribution_blames_the_channel_deadlock_diagnosis_would_bump() {
         deadlock_cycles: 2_000,
         ..SimConfig::default()
     };
-    let e = simulate(&acc0, &mut mem, &[], &cfg0).unwrap_err();
+    let e = seal_and_run(&acc0, &mut mem, &[], &cfg0).unwrap_err();
     let SimError::Deadlock { report, .. } = &e else {
         panic!("want Deadlock, got {e}")
     };
@@ -1099,7 +1108,7 @@ fn tracing_never_perturbs_the_simulation() {
             trace,
             ..SimConfig::default()
         };
-        let r = simulate(&acc, &mut mem, &[], &cfg).expect("run completes");
+        let r = seal_and_run(&acc, &mut mem, &[], &cfg).expect("run completes");
         (r, mem.read_i64(a))
     };
 
@@ -1187,29 +1196,16 @@ fn observables(
 
 #[test]
 fn ready_scheduler_matches_dense_on_tiled_workload() {
+    // The scheduler differential on the richest in-crate workload, plain
+    // and under a single bit flip, over one sealed artifact whose tables
+    // are first held to the reference lowering. The cross-workload version
+    // of this sweep lives in muir-bench's differential suites.
     let (m, a, acc) = tiled_workload();
+    let comp = CompiledAccel::compile(&acc).expect("seal");
+    check_lowering(&comp).expect("sealed lowering matches the reference");
     let run = |cfg: SimConfig| {
         let mut mem = Memory::from_module(&m);
-        let r = simulate(&acc, &mut mem, &[], &cfg).expect("simulate");
-        (observables(&r, &mem), mem.read_i64(a))
-    };
-    let base = SimConfig::default();
-    let dense = run(base.clone().with_scheduler(SchedulerKind::Dense));
-    let ready = run(base.with_scheduler(SchedulerKind::Ready));
-    assert_eq!(dense, ready, "ready vs dense");
-}
-
-#[test]
-fn uop_exec_matches_interp_exec_everywhere() {
-    // Exec-mode differential on the richest in-crate workload: the flat
-    // micro-op dispatch (the default) and the NodeKind interpreter (the
-    // oracle) must be bit-identical under every scheduler, plain and
-    // faulted. The cross-workload version of this sweep lives in
-    // muir-bench's four-way differential suites.
-    let (m, a, acc) = tiled_workload();
-    let run = |cfg: SimConfig| {
-        let mut mem = Memory::from_module(&m);
-        let r = simulate(&acc, &mut mem, &[], &cfg).expect("simulate");
+        let r = simulate_compiled(&comp, &mut mem, &[], &cfg).expect("simulate");
         (observables(&r, &mem), mem.read_i64(a))
     };
     for faults in [
@@ -1220,16 +1216,9 @@ fn uop_exec_matches_interp_exec_everywhere() {
             faults,
             ..SimConfig::default()
         };
-        let oracle = run(base
-            .clone()
-            .with_scheduler(SchedulerKind::Dense)
-            .with_exec(ExecMode::Interp));
-        for sched in [SchedulerKind::Dense, SchedulerKind::Ready] {
-            for exec in [ExecMode::Interp, ExecMode::MicroOp] {
-                let got = run(base.clone().with_scheduler(sched).with_exec(exec));
-                assert_eq!(oracle, got, "{sched:?}+{exec:?} vs dense+interp");
-            }
-        }
+        let dense = run(base.clone().with_scheduler(SchedulerKind::Dense));
+        let ready = run(base.with_scheduler(SchedulerKind::Ready));
+        assert_eq!(dense, ready, "ready vs dense");
     }
 }
 
@@ -1253,27 +1242,26 @@ fn ready_scheduler_matches_dense_under_faults() {
             },
         ],
     };
-    let run = |scheduler: SchedulerKind, exec: ExecMode| {
+    let run = |scheduler: SchedulerKind| {
         let cfg = SimConfig {
             faults: plan.clone(),
             deadlock_cycles: 20_000,
             max_cycles: 5_000_000,
             ..SimConfig::default()
         }
-        .with_scheduler(scheduler)
-        .with_exec(exec);
+        .with_scheduler(scheduler);
         let mut mem = Memory::from_module(&m);
-        let r = simulate(&acc, &mut mem, &[], &cfg);
+        let r = seal_and_run(&acc, &mut mem, &[], &cfg);
         match r {
             Ok(r) => (format!("{:?}", r.stats.faults), Some(observables(&r, &mem))),
             Err(e) => (format!("err: {e}"), None),
         }
     };
-    let dense = run(SchedulerKind::Dense, ExecMode::Interp);
-    for exec in [ExecMode::Interp, ExecMode::MicroOp] {
-        let ready = run(SchedulerKind::Ready, exec);
-        assert_eq!(dense, ready, "faulted ready+{exec:?} vs dense");
-    }
+    assert_eq!(
+        run(SchedulerKind::Dense),
+        run(SchedulerKind::Ready),
+        "faulted ready vs dense"
+    );
 }
 
 #[test]
@@ -1288,7 +1276,7 @@ fn ready_with_tracing_is_bit_identical_to_dense_trace() {
         }
         .with_scheduler(scheduler);
         let mut mem = Memory::from_module(&m);
-        let r = simulate(&acc, &mut mem, &[], &cfg).expect("simulate");
+        let r = seal_and_run(&acc, &mut mem, &[], &cfg).expect("simulate");
         (observables(&r, &mem), r.trace.expect("traced").events)
     };
     let (dense, dense_ev) = run(SchedulerKind::Dense);
@@ -1300,29 +1288,25 @@ fn ready_with_tracing_is_bit_identical_to_dense_trace() {
 #[test]
 fn simulate_batch_matches_standalone_runs_in_order() {
     let (m, a, acc) = tiled_workload();
-    // Jobs differ in memory image, scheduler, and exec mode.
-    let scheds = [
-        (SchedulerKind::Dense, ExecMode::Interp),
-        (SchedulerKind::Dense, ExecMode::MicroOp),
-        (SchedulerKind::Ready, ExecMode::Interp),
-        (SchedulerKind::Ready, ExecMode::MicroOp),
-    ];
+    let comp = CompiledAccel::compile(&acc).expect("seal");
+    // Jobs differ in memory image and scheduler.
     let mut jobs = Vec::new();
-    for (j, &(s, x)) in scheds.iter().enumerate() {
+    for j in 0..4usize {
         let mut mem = Memory::from_module(&m);
         mem.init_i64(a, &vec![j as i64; 256]);
+        let sched = [SchedulerKind::Dense, SchedulerKind::Ready][j % 2];
         jobs.push(crate::BatchJob {
             args: Vec::new(),
             mem,
-            cfg: SimConfig::default().with_scheduler(s).with_exec(x),
+            cfg: SimConfig::default().with_scheduler(sched),
         });
     }
     for threads in [1usize, 2, 4] {
-        let runs = crate::simulate_batch(&acc, jobs.clone(), threads);
+        let runs = simulate_batch_compiled(&comp, jobs.clone(), threads);
         assert_eq!(runs.len(), jobs.len());
         for (j, (job, run)) in jobs.iter().zip(&runs).enumerate() {
             let mut mem = job.mem.clone();
-            let solo = simulate(&acc, &mut mem, &job.args, &job.cfg).expect("standalone");
+            let solo = simulate_compiled(&comp, &mut mem, &job.args, &job.cfg).expect("standalone");
             let batch = run.outcome.as_ref().expect("batch run");
             assert_eq!(
                 observables(&solo, &mem),
@@ -1334,60 +1318,10 @@ fn simulate_batch_matches_standalone_runs_in_order() {
 }
 
 #[test]
-fn simulate_batch_rejects_corrupt_graph_per_job() {
-    let (m, _a, mut acc) = tiled_workload();
-    // Corrupt the graph the same way `corrupted_graph_is_rejected_up_front`
-    // does: cut a data edge feeding a store, leaving its port unconnected.
-    let t = acc
-        .task_ids()
-        .find(|&t| {
-            acc.task(t).dataflow.node_ids().any(|n| {
-                matches!(
-                    acc.task(t).dataflow.node(n).kind,
-                    muir_core::node::NodeKind::Store { .. }
-                )
-            })
-        })
-        .expect("a task with a store");
-    let df = &mut acc.task_mut(t).dataflow;
-    let store = df
-        .node_ids()
-        .find(|&n| matches!(df.node(n).kind, muir_core::node::NodeKind::Store { .. }))
-        .unwrap();
-    let pos = df.edges.iter().position(|e| e.dst == store).unwrap();
-    df.edges.remove(pos);
-    let jobs = vec![crate::BatchJob {
-        args: Vec::new(),
-        mem: Memory::from_module(&m),
-        cfg: SimConfig::default(),
-    }];
-    let runs = crate::simulate_batch(&acc, jobs, 2);
-    let err = match &runs[0].outcome {
-        Err(e @ SimError::GraphRejected { .. }) => e,
-        other => panic!(
-            "corrupt graph must reject, got {:?}",
-            other.as_ref().map(|r| r.cycles)
-        ),
-    };
-    // The batch mapping must carry the verifier's actual finding — the
-    // failure site and message — not just the E-SIM-GRAPH bucket.
-    let rendered = err.to_string();
-    assert_eq!(err.code(), "E-SIM-GRAPH");
-    assert!(rendered.contains("unconnected"), "{rendered}");
-    match err {
-        SimError::GraphRejected { source } => {
-            assert!(!source.at.is_empty(), "verify error names a site");
-            assert!(!source.message.is_empty(), "verify error carries text");
-        }
-        _ => unreachable!(),
-    }
-}
-
-#[test]
 fn poison_memory_index_is_a_typed_error_not_a_panic() {
     // `5 / a[0]` with `a[0] == 0` is squashed to poison by the divider;
-    // using it as a load index is an evaluation error, under every
-    // scheduler and exec mode.
+    // using it as a load index is an evaluation error, under both
+    // schedulers.
     let mut m = Module::new("poison_idx");
     let a = m.add_mem_object("a", ScalarType::I32, 4);
     let mut b = FunctionBuilder::new("main", &[]).with_mem(&m);
@@ -1398,23 +1332,87 @@ fn poison_memory_index_is_a_typed_error_not_a_panic() {
     b.ret(None);
     m.add_function(b.finish());
     let acc = translate(&m, &FrontendConfig::default()).expect("translate");
+    expect_eval_error(&m, &acc, &[], "poison load index");
+}
+
+/// `acc` on `args` must end in an `E-SIM-EVAL` error mentioning `what`,
+/// under both schedulers.
+fn expect_eval_error(m: &Module, acc: &Accelerator, args: &[Value], what: &str) {
+    let comp = CompiledAccel::compile(acc).expect("seal");
     for sched in [SchedulerKind::Dense, SchedulerKind::Ready] {
-        for exec in [ExecMode::Interp, ExecMode::MicroOp] {
-            let cfg = SimConfig::default().with_scheduler(sched).with_exec(exec);
-            let mut mem = Memory::from_module(&m);
-            let err = simulate(&acc, &mut mem, &[], &cfg).expect_err("poison index");
-            assert_eq!(err.code(), "E-SIM-EVAL", "{sched:?}+{exec:?}: {err}");
-            assert!(err.to_string().contains("poison load index"), "{err}");
-        }
+        let cfg = SimConfig::default().with_scheduler(sched);
+        let mut mem = Memory::from_module(m);
+        let err = simulate_compiled(&comp, &mut mem, args, &cfg).expect_err(what);
+        assert_eq!(err.code(), "E-SIM-EVAL", "{sched:?}: {err}");
+        assert!(err.to_string().contains(what), "{sched:?}: {err}");
     }
+}
+
+/// Root arguments are untyped at the door, so a token's dynamic type is
+/// input-reachable: each of these used to panic inside `Value::as_bool` /
+/// `Value::as_int`.
+#[test]
+fn mistyped_arguments_are_typed_errors_not_panics() {
+    let bad = [Value::F32(1.5)];
+    let build = |params: &[Type],
+                 body: &dyn Fn(&mut FunctionBuilder, muir_mir::instr::MemObjId)| {
+        let mut m = Module::new("mistyped");
+        let a = m.add_mem_object("a", ScalarType::F32, 8);
+        let mut b = FunctionBuilder::new("main", params).with_mem(&m);
+        body(&mut b, a);
+        b.ret(None);
+        m.add_function(b.finish());
+        let acc = translate(&m, &FrontendConfig::default()).expect("translate");
+        (m, acc)
+    };
+    // The gate of a predicated store. (The frontend also feeds every
+    // branch condition to a `not`, whose evaluator would see the value
+    // first, so the predicate is wired to the argument by hand.)
+    let (m, mut acc) = build(&[Type::BOOL], &|b, a| {
+        b.store(a, ValueRef::int(0), ValueRef::f32(1.0));
+    });
+    let root = acc.root;
+    let df = &mut acc.task_mut(root).dataflow;
+    let store = df
+        .node_ids()
+        .find(|&n| matches!(df.node(n).kind, NodeKind::Store { .. }))
+        .unwrap();
+    let NodeKind::Store { predicated, .. } = &mut df.node_mut(store).kind else {
+        unreachable!()
+    };
+    *predicated = true;
+    let p = df.add_node(Node::new("p", NodeKind::Input { index: 0 }, Type::BOOL));
+    df.connect(p, 0, store, 2);
+    expect_eval_error(&m, &acc, &bad, "non-boolean predicate");
+    // A select condition.
+    let (m, acc) = build(&[Type::BOOL], &|b, a| {
+        let v = b.select(b.arg(0), ValueRef::f32(1.0), ValueRef::f32(2.0));
+        b.store(a, ValueRef::int(0), v);
+    });
+    expect_eval_error(&m, &acc, &bad, "non-boolean select condition");
+    // An int-to-float cast operand.
+    let (m, acc) = build(&[Type::I64], &|b, a| {
+        let v = b.sitofp(b.arg(0));
+        b.store(a, ValueRef::int(0), v);
+    });
+    expect_eval_error(&m, &acc, &bad, "non-integer cast operand");
+    // A loop bound evaluated at activation.
+    let (m, acc) = build(&[Type::I64], &|b, a| {
+        let n = b.arg(0);
+        b.for_loop(0, n, 1, |b, i| b.store(a, i, ValueRef::f32(0.0)));
+    });
+    expect_eval_error(&m, &acc, &bad, "non-integer loop bound argument");
 }
 
 #[test]
 fn lowering_comparator_sees_every_field() {
     use crate::reference::{lower, same_tables, TaskTables};
     use muir_core::compiled::{
-        MicroOp, UopKind, SLOT_FEEDBACK, SLOT_TAG, SLOT_TOKEN, UOP_PREDICATED,
+        MicroOp, UopKind, SLOT_CONST, SLOT_FEEDBACK, SLOT_PAYLOAD, SLOT_TAG, SLOT_TOKEN,
+        UOP_PREDICATED,
     };
+    use muir_core::node::{FusedInput, FusedPlan, FusedStep, OpKind};
+    use muir_mir::instr::BinOp;
     // An accumulator loop (merge feedback) whose body stores under a
     // predicate and loads the stored object back (order edge).
     let mut m = Module::new("mutants");
@@ -1442,49 +1440,152 @@ fn lowering_comparator_sees_every_field() {
     let good = lower(&acc);
     // Apply `mutate` at the first node (of any task) that `site` accepts
     // and return the comparator's verdict on that task.
-    let verdict = |site: &dyn Fn(&TaskTables, &MicroOp) -> bool,
-                   mutate: &dyn Fn(&mut TaskTables, usize)| {
-        for (ti, t) in good.iter().enumerate() {
+    type Site<'a> = &'a dyn Fn(&TaskTables, &MicroOp) -> bool;
+    type Mutate<'a> = &'a dyn Fn(&mut TaskTables, usize);
+    let verdict = |site: Site, mutate: Mutate| {
+        for t in &good {
             if let Some(n) = t.uops.iter().position(|u| site(t, u)) {
                 let mut bad = t.clone();
                 mutate(&mut bad, n);
-                return same_tables(good[ti].view(), bad.view()).expect_err("mutant accepted");
+                return same_tables(t.view(), bad.view()).expect_err("mutant accepted");
             }
         }
         panic!("no node to mutate");
     };
-    let is_mem = |u: &MicroOp| matches!(u.kind, UopKind::Load | UopKind::Store);
-    let feedback = |t: &TaskTables, u: &MicroOp| {
-        let run = &t.in_slots[u.slot0 as usize..][..u.nin as usize];
-        run.iter().any(|s| s & SLOT_TAG == SLOT_FEEDBACK)
-    };
-    let dropped_order_in = verdict(&|_, u| u.nord > 0, &|t, n| {
-        t.uops[n].nord -= 1;
-        t.uops[n].ebase += 1;
-    });
-    assert!(dropped_order_in.contains("nord"), "{dropped_order_in}");
-    let token_for_feedback = verdict(&feedback, &|t, n| {
+    fn slots(t: &mut TaskTables, n: usize) -> &mut [u32] {
         let u = t.uops[n];
-        for s in &mut t.in_slots[u.slot0 as usize..][..u.nin as usize] {
-            if *s & SLOT_TAG == SLOT_FEEDBACK {
-                *s = (*s & !SLOT_TAG) | SLOT_TOKEN;
-            }
+        &mut t.in_slots[u.slot0 as usize..][..u.nin as usize]
+    }
+    fn first_out(t: &TaskTables, n: usize) -> usize {
+        let u = t.uops[n];
+        t.edge_refs[(u.ebase + u32::from(u.nord)) as usize] as usize
+    }
+    let has_slot = |tag: u32| {
+        move |t: &TaskTables, u: &MicroOp| {
+            let run = &t.in_slots[u.slot0 as usize..][..u.nin as usize];
+            run.iter().any(|s| s & SLOT_TAG == tag)
         }
-    });
-    assert!(
-        token_for_feedback.contains("in_slots"),
-        "{token_for_feedback}"
+    };
+    let (token, constant, feedback) = (
+        has_slot(SLOT_TOKEN),
+        has_slot(SLOT_CONST),
+        has_slot(SLOT_FEEDBACK),
     );
-    let wrong_junction = verdict(&|_, u| is_mem(u), &|t, n| t.uops[n].b += 1);
-    assert!(wrong_junction.contains(": b differs"), "{wrong_junction}");
-    let unpredicated = verdict(&|_, u| u.flags & UOP_PREDICATED != 0, &|t, n| {
-        t.uops[n].flags &= !UOP_PREDICATED;
-    });
-    assert!(unpredicated.contains("flags"), "{unpredicated}");
-    let swapped_port = verdict(&|_, u| u.nout > 0, &|t, n| {
-        let u = t.uops[n];
-        let e = t.edge_refs[(u.ebase + u32::from(u.nord)) as usize];
-        t.edge_meta[e as usize].src_port ^= 1;
-    });
-    assert!(swapped_port.contains("src_port"), "{swapped_port}");
+    let add = OpKind::Bin(BinOp::Add);
+    let is_add = |u: &MicroOp| u.kind == UopKind::Compute && u.op == add;
+    let is_mem = |u: &MicroOp| matches!(u.kind, UopKind::Load | UopKind::Store);
+    // One mutant per field a firing reads (DESIGN.md §14 has the audit):
+    // every `MicroOp` field, each pool through the index that reaches it,
+    // every `EdgeMeta` field. The expected text is the field the comparator
+    // must name.
+    let mutants: [(&str, Site, Mutate); 17] = [
+        ("kind", &|_, u| is_add(u), &|t, n| {
+            t.uops[n].kind = UopKind::FusedAcc;
+        }),
+        ("flags", &|_, u| u.flags & UOP_PREDICATED != 0, &|t, n| {
+            t.uops[n].flags &= !UOP_PREDICATED;
+        }),
+        ("nin", &|_, u| u.nin > 0, &|t, n| t.uops[n].nin -= 1),
+        ("nord", &|_, u| u.nord > 0, &|t, n| {
+            t.uops[n].nord -= 1;
+            t.uops[n].ebase += 1;
+        }),
+        ("nout", &|_, u| u.nout > 0, &|t, n| t.uops[n].nout -= 1),
+        (": op differs", &|_, u| is_add(u), &|t, n| {
+            t.uops[n].op = OpKind::Bin(BinOp::Sub);
+        }),
+        (": a differs", &|_, u| is_mem(u), &|t, n| t.uops[n].a += 1),
+        (": b differs", &|_, u| is_mem(u), &|t, n| t.uops[n].b += 1),
+        (
+            ": b differs",
+            &|_, u| u.kind == UopKind::TaskCall,
+            &|t, n| t.uops[n].b += 1 << 16,
+        ),
+        ("in_slots", &feedback, &|t, n| {
+            for s in slots(t, n) {
+                if *s & SLOT_TAG == SLOT_FEEDBACK {
+                    *s = (*s & !SLOT_TAG) | SLOT_TOKEN;
+                }
+            }
+        }),
+        ("in_slots", &token, &|t, n| {
+            let s = slots(t, n);
+            let i = s.iter().position(|s| s & SLOT_TAG == SLOT_TOKEN).unwrap();
+            s[i] ^= 1;
+        }),
+        ("in_slots", &constant, &|t, n| {
+            let s = slots(t, n);
+            let i = s.iter().position(|s| s & SLOT_TAG == SLOT_CONST).unwrap();
+            let p = (s[i] & SLOT_PAYLOAD) as usize;
+            t.consts[p] = Value::Int(t.consts[p].as_int() + 1);
+        }),
+        ("edge_refs", &|_, u| u.nout > 0, &|t, n| {
+            let u = t.uops[n];
+            t.edge_refs[(u.ebase + u32::from(u.nord)) as usize] ^= 1;
+        }),
+        (" src differs", &|_, u| u.nout > 0, &|t, n| {
+            let e = first_out(t, n);
+            t.edge_meta[e].src ^= 1;
+        }),
+        ("src_port", &|_, u| u.nout > 0, &|t, n| {
+            let e = first_out(t, n);
+            t.edge_meta[e].src_port ^= 1;
+        }),
+        ("is_order", &|_, u| u.nout > 0, &|t, n| {
+            let e = first_out(t, n);
+            t.edge_meta[e].is_order ^= true;
+        }),
+        ("fifo", &|_, u| u.nout > 0, &|t, n| {
+            let e = first_out(t, n);
+            t.edge_meta[e].fifo ^= 1;
+        }),
+    ];
+    for (want, site, mutate) in mutants {
+        let got = verdict(site, mutate);
+        assert!(got.contains(want), "want `{want}`, got `{got}`");
+    }
+    // Fused plans are compared by value, not by pool index: give one node
+    // a plan on both sides, then change one step's op on one of them.
+    let (t, n) = good
+        .iter()
+        .find_map(|t| Some((t, t.uops.iter().position(is_add)?)))
+        .expect("an add");
+    let mut fused = t.clone();
+    fused.uops[n].kind = UopKind::Fused;
+    fused.uops[n].a = 0;
+    fused.fused_plans = vec![FusedPlan {
+        arity: 2,
+        steps: vec![FusedStep {
+            op: add,
+            ty: Type::I64,
+            inputs: vec![FusedInput::External(0), FusedInput::External(1)],
+        }],
+    }];
+    same_tables(fused.view(), fused.view()).expect("equal plans");
+    let mut other = fused.clone();
+    other.fused_plans[0].steps[0].op = OpKind::Bin(BinOp::Sub);
+    let plan = same_tables(fused.view(), other.view()).expect_err("mutant accepted");
+    assert!(plan.contains("fused plan"), "{plan}");
+}
+
+/// Sealing has no hidden state: two seals of one graph agree table for
+/// table (hash and `size_bytes` are compared in `muir-core`).
+#[test]
+fn two_compiles_of_one_graph_agree_in_tables() {
+    let (_, _, acc) = tiled_workload();
+    let a = CompiledAccel::compile(&acc).expect("seal");
+    let b = CompiledAccel::compile(&acc.clone()).expect("seal");
+    fn view(t: &muir_core::compiled::CompiledTask) -> crate::reference::Code<'_> {
+        crate::reference::Code {
+            uops: &t.uops,
+            in_slots: &t.in_slots,
+            edge_refs: &t.edge_refs,
+            consts: &t.consts,
+            fused_plans: &t.fused_plans,
+            edge_meta: &t.edge_meta,
+        }
+    }
+    for (x, y) in a.tasks().iter().zip(b.tasks()) {
+        crate::reference::same_tables(view(x), view(y)).expect("same tables");
+    }
 }

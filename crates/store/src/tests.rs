@@ -19,7 +19,7 @@ fn test_root(tag: &str) -> PathBuf {
 
 /// A small real accelerator (the doubling loop from the sim docs) plus a
 /// fresh memory image and a completed evaluation to store.
-fn sample_eval() -> (std::sync::Arc<CompiledAccel>, SimConfig, StoredEval) {
+fn sample_eval() -> (CompiledAccel, SimConfig, StoredEval) {
     let mut m = Module::new("double");
     let a = m.add_mem_object("a", ScalarType::I32, 16);
     let mut b = FunctionBuilder::new("main", &[]).with_mem(&m);
@@ -31,7 +31,7 @@ fn sample_eval() -> (std::sync::Arc<CompiledAccel>, SimConfig, StoredEval) {
     b.ret(None);
     m.add_function(b.finish());
     let acc = translate(&m, &FrontendConfig::default()).unwrap();
-    let comp = CompiledAccel::compile_cached(&acc).unwrap();
+    let comp = CompiledAccel::compile(&acc).unwrap();
     let mut mem = Memory::from_module(&m);
     mem.init_i64(a, &[1; 16]);
     let cfg = SimConfig::default();
@@ -77,7 +77,7 @@ fn jobs_differing_only_in_nan_payload_get_their_own_results() {
     b.ret(None);
     m.add_function(b.finish());
     let acc = translate(&m, &FrontendConfig::default()).unwrap();
-    let comp = CompiledAccel::compile_cached(&acc).unwrap();
+    let comp = CompiledAccel::compile(&acc).unwrap();
     let cfg = SimConfig::default();
 
     let mut store = Store::open(&root);

@@ -219,19 +219,13 @@ impl PassManager {
     /// everything downstream consumes the sealed artifact, never the
     /// mutable graph.
     ///
-    /// Lowering goes through the process-local compile cache, so sealing
-    /// the same graph content twice returns the same `Arc`.
-    ///
     /// # Errors
     /// The first pass failure, or a verification failure (reported under
     /// the pseudo-pass name `<seal>` when the final lowering rejects the
     /// graph).
-    pub fn seal(
-        &self,
-        acc: &mut Accelerator,
-    ) -> Result<(std::sync::Arc<CompiledAccel>, PassReport), PassError> {
+    pub fn seal(&self, acc: &mut Accelerator) -> Result<(CompiledAccel, PassReport), PassError> {
         let report = self.run(acc)?;
-        let comp = CompiledAccel::compile_cached(acc).map_err(|e| PassError {
+        let comp = CompiledAccel::compile(acc).map_err(|e| PassError {
             pass: "<seal>".to_string(),
             message: format!("graph rejected at seal: {e}"),
         })?;
@@ -338,9 +332,7 @@ mod tests {
         let (comp, report) = pm.seal(&mut acc).unwrap();
         assert_eq!(report.deltas.len(), 1);
         assert_eq!(comp.content_hash(), muir_core::content_hash(&acc));
-        // Sealing the same content again hits the compile cache.
-        let (again, _) = pm.seal(&mut acc).unwrap();
-        assert!(std::sync::Arc::ptr_eq(&comp, &again));
+        assert_eq!(comp.accel(), &acc);
     }
 
     #[test]

@@ -731,7 +731,7 @@ mod tests {
     use crate::PassManager;
     use muir_frontend::{translate, FrontendConfig};
     use muir_mir::interp::Memory;
-    use muir_sim::{simulate, SimConfig};
+    use muir_sim::{simulate_compiled, SimConfig};
     use muir_workloads as workloads;
 
     fn lower_and_check(name: &str) -> (u64, u64) {
@@ -745,15 +745,9 @@ mod tests {
             .with(LowerTensors)
             .run(&mut lowered)
             .unwrap();
-        PassManager::new()
-            .with(crate::passes::MemoryLocalization::default())
-            .run(&mut acc)
-            .unwrap();
-        PassManager::new()
-            .with(crate::passes::MemoryLocalization::default())
-            .run(&mut lowered)
-            .unwrap();
-        let acc = acc;
+        let localize = PassManager::new().with(crate::passes::MemoryLocalization::default());
+        let (native_comp, _) = localize.seal(&mut acc).unwrap();
+        let (lowered_comp, _) = localize.seal(&mut lowered).unwrap();
         assert!(report.total().nodes > 0, "{name}: nothing lowered?");
         // No tensor-typed nodes remain.
         for t in &lowered.tasks {
@@ -768,13 +762,13 @@ mod tests {
         // Functional equivalence of both variants.
         let ref_mem = w.run_reference().unwrap();
         let mut m1 = w.fresh_memory();
-        let r1 = simulate(&acc, &mut m1, &[], &SimConfig::default()).unwrap();
+        let r1 = simulate_compiled(&native_comp, &mut m1, &[], &SimConfig::default()).unwrap();
         assert!(
             w.outputs_match(&ref_mem, &m1),
             "{name}: native tensor sim wrong"
         );
         let mut m2: Memory = w.fresh_memory();
-        let r2 = simulate(&lowered, &mut m2, &[], &SimConfig::default()).unwrap();
+        let r2 = simulate_compiled(&lowered_comp, &mut m2, &[], &SimConfig::default()).unwrap();
         assert!(w.outputs_match(&ref_mem, &m2), "{name}: lowered sim wrong");
         (r1.cycles, r2.cycles)
     }
@@ -825,9 +819,10 @@ mod tests {
             }
         }
         let run = |acc: &_| {
+            let comp = muir_core::CompiledAccel::compile(acc).unwrap();
             let mut mem = Memory::from_module(&m);
             mem.init_f32(a, &[1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0]);
-            simulate(acc, &mut mem, &[], &SimConfig::default()).unwrap();
+            simulate_compiled(&comp, &mut mem, &[], &SimConfig::default()).unwrap();
             mem.read_f32(o)
         };
         let (native, low) = (run(&acc), run(&lowered));

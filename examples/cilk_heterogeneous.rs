@@ -12,6 +12,7 @@
 //! Run with: `cargo run --release --example cilk_heterogeneous`
 
 use muir::core::stats::graph_stats;
+use muir::core::CompiledAccel;
 use muir::frontend::{translate, FrontendConfig};
 use muir::mir::builder::FunctionBuilder;
 use muir::mir::instr::{CmpPred, TensorOp, ValueRef};
@@ -19,7 +20,7 @@ use muir::mir::interp::{Interp, Memory};
 use muir::mir::module::Module;
 use muir::mir::types::{ScalarType, TensorShape};
 use muir::rtl::emit_chisel;
-use muir::sim::{simulate, SimConfig};
+use muir::sim::{simulate_compiled, SimConfig};
 use muir::uopt::passes::{
     ExecutionTiling, MemoryLocalization, OpFusion, ScratchpadBanking, TaskQueueing,
 };
@@ -66,10 +67,10 @@ fn build() -> Module {
     m
 }
 
-fn run(m: &Module, acc: &muir::core::Accelerator) -> u64 {
+fn run(m: &Module, comp: &CompiledAccel) -> u64 {
     let mut mem = Memory::from_module(m);
     init(m, &mut mem);
-    let r = simulate(acc, &mut mem, &[], &SimConfig::default()).expect("simulate");
+    let r = simulate_compiled(comp, &mut mem, &[], &SimConfig::default()).expect("simulate");
     // Verify against software.
     let mut ref_mem = Memory::from_module(m);
     init(m, &mut ref_mem);
@@ -100,7 +101,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "Figure 4 accelerator: {} task blocks, {} nodes, {} edges, pipeline depth {}",
         s.tasks, s.nodes, s.edges, s.pipeline_depth
     );
-    let mut cycles = run(&m, &acc);
+    // Seal (verify + lower) once per design point: the sealed artifact is
+    // what the simulator runs and what the RTL emitter reads.
+    let mut comp = CompiledAccel::compile(&acc)?;
+    let mut cycles = run(&m, &comp);
     println!("{:<28} {:>8} cycles", "baseline", cycles);
 
     // Figure 8's pass sequence, one at a time.
@@ -123,8 +127,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (label, pass) in passes {
         let mut pm = PassManager::new();
         pm.push(pass);
-        pm.run(&mut acc)?;
-        let c = run(&m, &acc);
+        (comp, _) = pm.seal(&mut acc)?;
+        let c = run(&m, &comp);
         println!(
             "{label:<28} {c:>8} cycles ({:.2}x)",
             cycles as f64 / c as f64
@@ -133,7 +137,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n--- auto-generated Chisel (top level) ---");
-    let comp = muir::core::CompiledAccel::compile_cached(&acc)?;
     let rtl = emit_chisel(&comp);
     let top = rtl.find("class Accelerator").unwrap_or(0);
     for line in rtl[top..].lines().take(30) {

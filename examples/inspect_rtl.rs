@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         circ.total_elements(),
         circ.total_elements() as f64 / s.total_elements() as f64
     );
-    let comp = muir::core::CompiledAccel::compile_cached(&acc).expect("workloads verify");
+    let comp = muir::core::CompiledAccel::compile(&acc).expect("workloads verify");
     let f = estimate(&comp, Tech::FpgaArria10);
     let a = estimate(&comp, Tech::Asic28);
     println!(

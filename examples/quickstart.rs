@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use muir::core::CompiledAccel;
 use muir::frontend::{translate, FrontendConfig};
 use muir::mir::builder::FunctionBuilder;
 use muir::mir::instr::ValueRef;
@@ -16,7 +17,7 @@ use muir::mir::interp::{Interp, Memory};
 use muir::mir::module::Module;
 use muir::mir::types::ScalarType;
 use muir::rtl::emit_chisel;
-use muir::sim::{simulate, SimConfig};
+use muir::sim::{simulate_compiled, SimConfig};
 use muir::uopt::passes::{MemoryLocalization, OpFusion};
 use muir::uopt::PassManager;
 
@@ -43,14 +44,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         acc.structures.len()
     );
 
-    // 3. Simulate and verify against the interpreter.
+    // 3. Seal (verify + lower once), simulate the sealed artifact, and
+    //    verify against the interpreter.
     let mut ref_mem = Memory::from_module(&module);
     ref_mem.init_i64(x, &(0..256).collect::<Vec<_>>());
     Interp::new(&module).run_main(&mut ref_mem, &[])?;
 
     let mut mem = Memory::from_module(&module);
     mem.init_i64(x, &(0..256).collect::<Vec<_>>());
-    let base = simulate(&acc, &mut mem, &[], &SimConfig::default())?;
+    let baseline = CompiledAccel::compile(&acc)?;
+    let base = simulate_compiled(&baseline, &mut mem, &[], &SimConfig::default())?;
     assert_eq!(
         ref_mem.read_i64(y),
         mem.read_i64(y),
@@ -74,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("sealed artifact {:016x}", comp.content_hash());
     let mut mem = Memory::from_module(&module);
     mem.init_i64(x, &(0..256).collect::<Vec<_>>());
-    let opt = muir::sim::simulate_compiled(&comp, &mut mem, &[], &SimConfig::default())?;
+    let opt = simulate_compiled(&comp, &mut mem, &[], &SimConfig::default())?;
     assert_eq!(ref_mem.read_i64(y), mem.read_i64(y));
     println!(
         "optimized: {} cycles ({:.2}x)",

@@ -5,18 +5,21 @@
 # pipeline -> hash unchanged), the store determinism gate (cold/warm/
 # post-fault over the full workload suite), the storage fault campaign
 # (4 injected fault classes x plain/sim-faulted differential), the
-# seeded graph-fuzz smoke (30 graphs, Dense/Ready x Interp/MicroOp),
+# seeded graph-fuzz smoke (30 graphs, check_lowering + Dense/Ready),
 # the tensor-lowering differential gate (text-parsed vs API-built
 # GEMM/CONV-shaped graphs bit-identical in cycles and end-state hash,
 # numerics matching the hand-built workloads), the
 # tensor-graph fuzz smoke (seeded frontend graphs through parse ->
-# lower -> seal -> sim), the scheduler x exec-mode differential
-# (Dense+Interp oracle vs Dense/Ready x Interp/MicroOp, plain, traced
-# and faulted: a tiled workload in muir-sim, then all 24 registry
-# workloads), the one-hot-path gate (under crates/sim/src: no `unsafe`,
-# no `SchedulerKind::Parallel`, no second firing body — one `fn try_fire`
-# and one `fn fire` in engine.rs — and a reference lowering that reads
-# none of the artifact's lowered tables outside `check_lowering`), the
+# lower -> seal -> sim), the scheduler differential (sealed tables held
+# to the reference lowering, then Ready vs the Dense oracle over the same
+# artifact, plain, traced and faulted: a tiled workload in muir-sim, then
+# all 24 registry workloads), the one-hot-path gate (under crates/sim/src:
+# no `unsafe`, no `SchedulerKind::Parallel`, no second firing body — one
+# `fn try_fire` and one `fn fire` in engine.rs — and a reference lowering
+# that reads none of the artifact's lowered tables outside
+# `check_lowering`), the one-front-door gate (the simulator accepts sealed
+# artifacts only: no exec-mode switch, no uncompiled simulate wrappers and
+# no process-local compile cache under crates/ src/ tests/ examples/), the
 # one-JSON-module gate (under crates/: string escaping and the `json_*`
 # helpers live in crates/core/src/json.rs only, and the retired second
 # scoreboard is named by no source, script or manifest), the telemetry
@@ -68,7 +71,7 @@ cargo run --release -q -p muir-bench --bin experiments -- serve target/store-che
 echo "== storage fault campaign (4 classes x plain/sim-faulted) =="
 cargo run --release -q -p muir-bench --bin experiments -- store-campaign target/store-campaign-check
 
-echo "== graph-fuzz smoke (30 seeded graphs, all schedulers x exec modes) =="
+echo "== graph-fuzz smoke (30 seeded graphs, check_lowering + Dense/Ready x plain/traced/faulted) =="
 cargo run --release -q -p muir-bench --bin experiments -- fuzz --graphs 30 --seed 0xc1
 
 echo "== tensor-lowering differential gate (frontend vs hand-built GEMM/CONV) =="
@@ -77,9 +80,9 @@ cargo run --release -q -p muir-bench --bin experiments -- tensor --gate
 echo "== tensor-graph fuzz smoke (10 seeded graphs through the frontend) =="
 cargo run --release -q -p muir-bench --bin experiments -- fuzz --tensor --graphs 10 --seed 0x7e50
 
-echo "== Dense/Ready x Interp/MicroOp differential (tiled workload, plain/traced/faulted) =="
-cargo test --release -q -p muir-sim --lib uop
+echo "== check_lowering + Dense/Ready differential (tiled workload, plain/traced/faulted) =="
 cargo test --release -q -p muir-sim --lib ready_
+cargo test --release -q -p muir-sim --lib lowering_comparator_sees_every_field
 
 echo "== one hot path (crates/sim/src: no unsafe, no Parallel, one firing body) =="
 if grep -rnE 'unsafe|SchedulerKind::Parallel|try_fire_interp|fire_interp|use_uop|slot_scratch' crates/sim/src |
@@ -102,7 +105,14 @@ if sed -e '/^#\[cfg(test)\]/,$d' -e '/^pub fn check_lowering/,/^}/d' crates/sim/
     exit 1
 fi
 
-echo "== Dense/Ready x Interp/MicroOp differential (24 registry workloads, plain/traced/faulted) =="
+echo "== one front door (sealed artifacts only: no exec mode, no uncompiled simulate, no compile cache) =="
+if grep -rnE 'ExecMode|with_exec|compile_cached|cache_stats|CacheStats|MUIR_COMPILE_CACHE_CAP|pub fn simulate(_batch)?\(' \
+    crates src tests examples; then
+    echo "check.sh: muir-sim has one door — CompiledAccel::compile, then simulate_compiled / simulate_batch_compiled (lines above)" >&2
+    exit 1
+fi
+
+echo "== check_lowering + Dense/Ready differential (24 registry workloads, plain/traced/faulted) =="
 cargo test --release -q -p muir-bench --test scheduler_diff every_scheduler_matches_dense_on_every_workload
 
 echo "== one JSON module (crates/: one escaper, no second scoreboard) =="

@@ -3,8 +3,9 @@
 //! the simulated accelerator's output memory must match the reference
 //! interpreter on all output objects.
 
+use muir::core::CompiledAccel;
 use muir::frontend::{translate, FrontendConfig};
-use muir::sim::{simulate, SimConfig};
+use muir::sim::{simulate_compiled, SimConfig};
 use muir::workloads;
 
 #[test]
@@ -25,8 +26,9 @@ fn every_workload_simulates_correctly() {
         let ref_mem = w
             .run_reference()
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let comp = CompiledAccel::compile(&acc).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let mut sim_mem = w.fresh_memory();
-        let r = simulate(&acc, &mut sim_mem, &[], &SimConfig::default())
+        let r = simulate_compiled(&comp, &mut sim_mem, &[], &SimConfig::default())
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert!(
             w.outputs_match(&ref_mem, &sim_mem),

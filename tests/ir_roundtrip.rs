@@ -2,11 +2,12 @@
 //! print → parse → verify → interpret → translate → simulate, and check
 //! that nothing changed.
 
+use muir::core::CompiledAccel;
 use muir::frontend::{translate, FrontendConfig};
 use muir::mir::interp::Interp;
 use muir::mir::parser::parse_module;
 use muir::mir::printer::print_module;
-use muir::sim::{simulate, SimConfig};
+use muir::sim::{simulate_compiled, SimConfig};
 use muir::workloads;
 
 #[test]
@@ -47,8 +48,9 @@ fn parsed_programs_translate_and_simulate() {
         let acc =
             translate(&m2, &FrontendConfig::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
         let ref_mem = w.run_reference().unwrap();
+        let comp = CompiledAccel::compile(&acc).unwrap_or_else(|e| panic!("{name}: {e}"));
         let mut mem = w.fresh_memory();
-        simulate(&acc, &mut mem, &[], &SimConfig::default())
+        simulate_compiled(&comp, &mut mem, &[], &SimConfig::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             w.outputs_match(&ref_mem, &mem),

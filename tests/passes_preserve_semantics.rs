@@ -2,8 +2,9 @@
 //! accelerator computes — the composability property (§1, novelty iv) the
 //! latency-agnostic interfaces are supposed to guarantee.
 
+use muir::core::CompiledAccel;
 use muir::frontend::{translate, FrontendConfig};
-use muir::sim::{simulate, SimConfig};
+use muir::sim::{simulate_compiled, SimConfig};
 use muir::uopt::passes::{
     CacheBanking, Cse, ExecutionTiling, MemoryLocalization, OpFusion, ScratchpadBanking, Simplify,
     TaskQueueing,
@@ -30,18 +31,19 @@ fn full_pass_stack_preserves_all_workloads() {
         let mut acc = translate(&w.module, &FrontendConfig::default())
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let baseline_cycles = {
+            let comp = CompiledAccel::compile(&acc).unwrap_or_else(|e| panic!("{}: {e}", w.name));
             let mut mem = w.fresh_memory();
-            simulate(&acc, &mut mem, &[], &SimConfig::default())
+            simulate_compiled(&comp, &mut mem, &[], &SimConfig::default())
                 .unwrap_or_else(|e| panic!("{} baseline: {e}", w.name))
                 .cycles
         };
-        let report = full_stack()
-            .run(&mut acc)
+        let (comp, report) = full_stack()
+            .seal(&mut acc)
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert!(!report.deltas.is_empty());
         let ref_mem = w.run_reference().unwrap();
         let mut mem = w.fresh_memory();
-        let r = simulate(&acc, &mut mem, &[], &SimConfig::default())
+        let r = simulate_compiled(&comp, &mut mem, &[], &SimConfig::default())
             .unwrap_or_else(|e| panic!("{} optimized: {e}", w.name));
         assert!(
             w.outputs_match(&ref_mem, &mem),
@@ -64,10 +66,13 @@ fn tensor_lowering_preserves_tensor_workloads() {
     for name in ["RELU[T]", "2MM[T]", "CONV[T]"] {
         let w = workloads::by_name(name).unwrap();
         let mut acc = translate(&w.module, &FrontendConfig::default()).unwrap();
-        PassManager::new().with(LowerTensors).run(&mut acc).unwrap();
+        let (comp, _) = PassManager::new()
+            .with(LowerTensors)
+            .seal(&mut acc)
+            .unwrap();
         let ref_mem = w.run_reference().unwrap();
         let mut mem = w.fresh_memory();
-        simulate(&acc, &mut mem, &[], &SimConfig::default())
+        simulate_compiled(&comp, &mut mem, &[], &SimConfig::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             w.outputs_match(&ref_mem, &mem),
@@ -100,10 +105,10 @@ fn individual_passes_preserve_a_representative_mix() {
     for (name, pm) in cases {
         let w = workloads::by_name(name).unwrap();
         let mut acc = translate(&w.module, &FrontendConfig::default()).unwrap();
-        pm.run(&mut acc).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (comp, _) = pm.seal(&mut acc).unwrap_or_else(|e| panic!("{name}: {e}"));
         let ref_mem = w.run_reference().unwrap();
         let mut mem = w.fresh_memory();
-        simulate(&acc, &mut mem, &[], &SimConfig::default())
+        simulate_compiled(&comp, &mut mem, &[], &SimConfig::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             w.outputs_match(&ref_mem, &mem),

@@ -8,15 +8,30 @@
 //! * affine address analysis is consistent with concrete evaluation;
 //! * the memory models never lose or duplicate transactions.
 
+use muir::core::{Accelerator, CompiledAccel};
 use muir::frontend::{translate, FrontendConfig};
 use muir::mir::builder::FunctionBuilder;
 use muir::mir::instr::{CmpPred, ValueRef};
 use muir::mir::interp::{Interp, Memory};
 use muir::mir::module::Module;
 use muir::mir::types::{ScalarType, Type};
-use muir::sim::{simulate, SimConfig};
+use muir::mir::value::Value;
+use muir::sim::reference::check_lowering;
+use muir::sim::{simulate_compiled, SimConfig, SimError, SimResult};
 use muir::uopt::passes::{MemoryLocalization, OpFusion, ScratchpadBanking};
 use muir::uopt::PassManager;
+
+/// Seal `acc` and run it once (each case here simulates its graph a single
+/// time, so the seal has no one to share with).
+fn seal_and_run(
+    acc: &Accelerator,
+    mem: &mut Memory,
+    args: &[Value],
+    cfg: &SimConfig,
+) -> Result<SimResult, SimError> {
+    let comp = CompiledAccel::compile(acc).expect("seal");
+    simulate_compiled(&comp, mem, args, cfg)
+}
 
 /// Deterministic splitmix64 stream: the test-local stand-in for a property
 /// testing framework's generator.
@@ -132,7 +147,7 @@ fn simulated_accelerator_matches_interpreter() {
 
         let mut sim_mem = Memory::from_module(&m);
         sim_mem.init_i64(a, &data);
-        simulate(&acc, &mut sim_mem, &[], &SimConfig::default()).unwrap();
+        seal_and_run(&acc, &mut sim_mem, &[], &SimConfig::default()).unwrap();
         assert_eq!(
             ref_mem.read_i64(out),
             sim_mem.read_i64(out),
@@ -165,7 +180,7 @@ fn passes_preserve_random_programs() {
 
         let mut sim_mem = Memory::from_module(&m);
         sim_mem.init_i64(a, &data);
-        simulate(&acc, &mut sim_mem, &[], &SimConfig::default()).unwrap();
+        seal_and_run(&acc, &mut sim_mem, &[], &SimConfig::default()).unwrap();
         assert_eq!(
             ref_mem.read_i64(out),
             sim_mem.read_i64(out),
@@ -206,7 +221,7 @@ fn predication_matches_interpreter() {
         Interp::new(&m).run_main(&mut ref_mem, &[]).unwrap();
         let mut sim_mem = Memory::from_module(&m);
         sim_mem.init_i64(a, &data);
-        simulate(&acc, &mut sim_mem, &[], &SimConfig::default()).unwrap();
+        seal_and_run(&acc, &mut sim_mem, &[], &SimConfig::default()).unwrap();
         assert_eq!(ref_mem.read_i64(out), sim_mem.read_i64(out), "case {case}");
     }
 }
@@ -242,7 +257,7 @@ fn reductions_match_interpreter() {
         let expect: i64 = init + data.iter().sum::<i64>();
         let mut sim_mem = Memory::from_module(&m);
         sim_mem.init_i64(a, &data);
-        simulate(&acc_graph, &mut sim_mem, &[], &SimConfig::default()).unwrap();
+        seal_and_run(&acc_graph, &mut sim_mem, &[], &SimConfig::default()).unwrap();
         assert_eq!(sim_mem.read_i64(out)[0], expect, "case {case}");
 
         // And with the accumulator re-timed into a FusedAcc unit.
@@ -253,7 +268,7 @@ fn reductions_match_interpreter() {
             .unwrap();
         let mut sim_mem2 = Memory::from_module(&m);
         sim_mem2.init_i64(a, &data);
-        simulate(&fused, &mut sim_mem2, &[], &SimConfig::default()).unwrap();
+        seal_and_run(&fused, &mut sim_mem2, &[], &SimConfig::default()).unwrap();
         assert_eq!(sim_mem2.read_i64(out)[0], expect, "case {case} (fused)");
     }
 }
@@ -370,7 +385,7 @@ fn single_token_drop_is_never_silent() {
             faults: FaultPlan::single(FaultClass::TokenDrop, 0xfa17 + case),
             ..SimConfig::default()
         };
-        match simulate(&acc, &mut sim_mem, &[], &cfg) {
+        match seal_and_run(&acc, &mut sim_mem, &[], &cfg) {
             Err(SimError::Fault { .. })
             | Err(SimError::Deadlock { .. })
             | Err(SimError::CycleLimitExhausted { .. }) => {}
@@ -386,12 +401,12 @@ fn single_token_drop_is_never_silent() {
     }
 }
 
-/// Every scheduler computes the same thing: random loop programs run under
-/// Dense and Ready, each with both firing interpreters, must agree on
-/// cycles, results, and memory — and all must match the interpreter.
+/// Both schedulers compute the same thing: random loop programs, sealed
+/// once and held to the reference lowering, run under Dense and Ready must
+/// agree on cycles, results, and memory — and match the interpreter.
 #[test]
 fn schedulers_agree_on_random_programs() {
-    use muir::sim::{ExecMode, SchedulerKind};
+    use muir::sim::SchedulerKind;
     for case in 0..12u64 {
         let mut g = Gen::new(0x3a11 + case);
         let ops = random_ops(&mut g);
@@ -399,33 +414,23 @@ fn schedulers_agree_on_random_programs() {
         let n = data.len() as i64;
         let (m, a, out) = random_loop_module(&ops, n);
         let acc = translate(&m, &FrontendConfig::default()).unwrap();
+        let comp = CompiledAccel::compile(&acc).unwrap();
+        check_lowering(&comp).unwrap_or_else(|e| panic!("case {case}: lowering: {e}"));
 
         let mut ref_mem = Memory::from_module(&m);
         ref_mem.init_i64(a, &data);
         Interp::new(&m).run_main(&mut ref_mem, &[]).unwrap();
         let expect = ref_mem.read_i64(out);
 
-        let run = |scheduler: SchedulerKind, exec: ExecMode| {
+        let run = |scheduler: SchedulerKind| {
             let mut mem = Memory::from_module(&m);
             mem.init_i64(a, &data);
-            let cfg = SimConfig::default()
-                .with_scheduler(scheduler)
-                .with_exec(exec);
-            let r = simulate(&acc, &mut mem, &[], &cfg).unwrap();
+            let cfg = SimConfig::default().with_scheduler(scheduler);
+            let r = simulate_compiled(&comp, &mut mem, &[], &cfg).unwrap();
             (r.cycles, r.stats.fires, mem.read_i64(out))
         };
-        let dense = run(SchedulerKind::Dense, ExecMode::Interp);
+        let dense = run(SchedulerKind::Dense);
         assert_eq!(dense.2, expect, "case {case}: dense vs interpreter");
-        for (scheduler, exec) in [
-            (SchedulerKind::Dense, ExecMode::MicroOp),
-            (SchedulerKind::Ready, ExecMode::Interp),
-            (SchedulerKind::Ready, ExecMode::MicroOp),
-        ] {
-            assert_eq!(
-                dense,
-                run(scheduler, exec),
-                "case {case}: {scheduler:?}+{exec:?}"
-            );
-        }
+        assert_eq!(dense, run(SchedulerKind::Ready), "case {case}: ready");
     }
 }

@@ -12,14 +12,16 @@
 
 use muir::bench::baseline;
 use muir::core::accel::{Accelerator, TaskKind};
+use muir::core::CompiledAccel;
 use muir::frontend::{translate, FrontendConfig};
 use muir::mir::builder::FunctionBuilder;
 use muir::mir::instr::ValueRef;
 use muir::mir::interp::{Interp, Memory};
 use muir::mir::module::Module;
 use muir::mir::types::ScalarType;
+use muir::sim::reference::check_lowering;
 use muir::sim::{
-    end_state_hash, simulate, ExecMode, SchedulerKind, SimConfig, SimResult, TraceConfig,
+    end_state_hash, simulate_compiled, SchedulerKind, SimConfig, SimResult, TraceConfig,
 };
 use muir::workloads;
 
@@ -37,16 +39,19 @@ fn shown(r: SimResult, mem: &Memory) -> Shown {
     )
 }
 
-/// `Ready` under both firing interpreters against the `Dense` oracle,
-/// plain and traced, and the oracle's memory against the interpreter's.
+/// `Ready` against the `Dense` oracle over one sealed artifact (its tables
+/// held to the reference lowering first), plain and traced, and the
+/// oracle's memory against the interpreter's.
 fn ready_matches_dense(name: &str, m: &Module, acc: &Accelerator, init: &dyn Fn(&mut Memory)) {
+    let comp = CompiledAccel::compile(acc).unwrap_or_else(|e| panic!("{name}: seal: {e}"));
+    check_lowering(&comp).unwrap_or_else(|e| panic!("{name}: lowering: {e}"));
     let mut want = Memory::from_module(m);
     init(&mut want);
     Interp::new(m)
         .run_main(&mut want, &[])
         .expect("interpreter");
     for traced in [false, true] {
-        let run = |scheduler: SchedulerKind, exec: ExecMode| {
+        let run = |scheduler: SchedulerKind| {
             let cfg = SimConfig {
                 trace: if traced {
                     TraceConfig::on()
@@ -55,20 +60,17 @@ fn ready_matches_dense(name: &str, m: &Module, acc: &Accelerator, init: &dyn Fn(
                 },
                 ..SimConfig::default()
             }
-            .with_scheduler(scheduler)
-            .with_exec(exec);
+            .with_scheduler(scheduler);
             let mut mem = Memory::from_module(m);
             init(&mut mem);
-            let r = simulate(acc, &mut mem, &[], &cfg)
-                .unwrap_or_else(|e| panic!("{name}: {scheduler:?}+{exec:?}: {e}"));
+            let r = simulate_compiled(&comp, &mut mem, &[], &cfg)
+                .unwrap_or_else(|e| panic!("{name}: {scheduler:?}: {e}"));
             (shown(r, &mem), mem)
         };
-        let (dense, mem) = run(SchedulerKind::Dense, ExecMode::Interp);
+        let (dense, mem) = run(SchedulerKind::Dense);
         assert_eq!(mem, want, "{name}: dense vs the interpreter");
-        for exec in [ExecMode::Interp, ExecMode::MicroOp] {
-            let (ready, _) = run(SchedulerKind::Ready, exec);
-            assert_eq!(dense, ready, "{name}: ready+{exec:?} (traced: {traced})");
-        }
+        let (ready, _) = run(SchedulerKind::Ready);
+        assert_eq!(dense, ready, "{name}: ready (traced: {traced})");
     }
 }
 
@@ -188,8 +190,9 @@ fn ready_scheduler_effort_stays_bounded() {
         ("ATTN", 5_645, 3_478),
     ] {
         let w = workloads::by_name(name).expect("registry workload");
+        let comp = CompiledAccel::compile(&baseline(&w)).expect("seal");
         let mut mem = w.fresh_memory();
-        let r = simulate(&baseline(&w), &mut mem, &[], &SimConfig::default())
+        let r = simulate_compiled(&comp, &mut mem, &[], &SimConfig::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(r.stats.fires, fires, "{name}: firings");
         assert!(
