@@ -610,10 +610,7 @@ fn jobs_identical(a: &EvalJob, b: &EvalJob) -> bool {
 /// Drop a job's input memory image (the job stays in place so
 /// submission indices hold).
 fn release_input(job: &mut EvalJob) {
-    job.mem = Memory {
-        objects: Vec::new(),
-        bases: Vec::new(),
-    };
+    job.mem = Memory::default();
 }
 
 /// Store `rep` at the representative's slot of `g` and a copy, marked
@@ -770,11 +767,7 @@ mod tests {
         let mems: Vec<Memory> = (0..8u64)
             .map(|t| {
                 let mut mem = w.fresh_memory();
-                mem.objects[xobj.0 as usize] = Prng::new(0x3e7a + t)
-                    .f32_vec(64)
-                    .into_iter()
-                    .map(Value::F32)
-                    .collect();
+                mem.init_f32(xobj, &Prng::new(0x3e7a + t).f32_vec(64));
                 mem
             })
             .collect();
@@ -831,6 +824,35 @@ mod tests {
         for t in 0..mems.len() {
             assert_eq!(out[t].end_state(), out1[t].end_state(), "tenant {t}");
         }
+    }
+
+    /// Images compare by bits, so a job is identical to its resubmission
+    /// even when its inputs hold a NaN (which `f32` equality never
+    /// matches with itself), while a different NaN payload is a
+    /// different job.
+    #[test]
+    fn identical_nan_bearing_jobs_coalesce() {
+        let w = muir_workloads::tensorgraph::mt_infer();
+        let comp = Arc::new(CompiledAccel::compile(&crate::baseline(&w)).unwrap());
+        let job = |nan_bits: u32| {
+            let mut mem = w.fresh_memory();
+            let nan = Value::F32(f32::from_bits(nan_bits));
+            mem.write(w.inits[0].0, 5, nan).unwrap();
+            EvalJob {
+                cfg: SimConfig::default(),
+                args: vec![],
+                mem,
+            }
+        };
+        let mut svc = EvalService::new(comp, None, ServiceConfig::default());
+        for bits in [0x7fc0_0001, 0x7fc0_0001, 0x7fc0_0002] {
+            svc.submit(job(bits));
+        }
+        let out = svc.drain();
+        let s = svc.stats();
+        assert_eq!((s.submitted, s.executed_groups, s.coalesced), (3, 2, 1));
+        assert!(out[1].coalesced && !out[2].coalesced);
+        assert_eq!(out[0].end_state(), out[1].end_state());
     }
 
     #[test]

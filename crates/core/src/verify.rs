@@ -6,10 +6,10 @@
 //! consistent junction bookkeeping, well-formed task hierarchy, and memory
 //! objects homed on exactly one structure.
 
-use crate::accel::{Accelerator, TaskId, TaskKind};
-use crate::dataflow::{Dataflow, EdgeKind, NodeId};
-use crate::node::NodeKind;
-use std::collections::{HashMap, HashSet};
+use crate::accel::{Accelerator, TaskBlock, TaskId, TaskKind};
+use crate::dataflow::{EdgeKind, NodeId};
+use crate::node::{Node, NodeKind};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A μIR graph verification failure.
@@ -127,27 +127,29 @@ pub fn verify_accelerator(acc: &Accelerator) -> Result<(), GraphError> {
             ));
         }
     }
-    // Per-task dataflow checks.
+    // Per-task dataflow checks; the location string is built only for a
+    // task that fails them.
     for t in acc.task_ids() {
-        verify_task(acc, t)?;
+        verify_task(acc, t)
+            .map_err(|message| gerr(format!("{} ({})", t, acc.task(t).name), message))?;
     }
     Ok(())
 }
 
-fn verify_task(acc: &Accelerator, tid: TaskId) -> Result<(), GraphError> {
+/// The first violation in task `tid`, as its message.
+fn verify_task(acc: &Accelerator, tid: TaskId) -> Result<(), String> {
     let task = acc.task(tid);
-    let at = format!("{} ({})", tid, task.name);
     let df = &task.dataflow;
-    verify_dataflow_ports(acc, tid, df, &at)?;
+    verify_dataflow_ports(acc, task)?;
 
     // Loop tasks need an IndVar; region tasks must not have one.
     let has_iv = df.indvar_node().is_some();
     match (&task.kind, has_iv) {
         (TaskKind::Loop { .. }, false) => {
-            return Err(gerr(&at, "loop task without IndVar node"));
+            return Err("loop task without IndVar node".to_string());
         }
         (TaskKind::Region, true) => {
-            return Err(gerr(&at, "region task with IndVar node"));
+            return Err("region task with IndVar node".to_string());
         }
         _ => {}
     }
@@ -157,10 +159,7 @@ fn verify_task(acc: &Accelerator, tid: TaskId) -> Result<(), GraphError> {
         .filter(|&n| matches!(df.node(n).kind, NodeKind::Output))
         .count();
     if outputs != 1 {
-        return Err(gerr(
-            &at,
-            format!("expected exactly one Output node, found {outputs}"),
-        ));
+        return Err(format!("expected exactly one Output node, found {outputs}"));
     }
     // Junction bookkeeping matches node registrations, and every mem node's
     // junction serves its object.
@@ -170,17 +169,14 @@ fn verify_task(acc: &Accelerator, tid: TaskId) -> Result<(), GraphError> {
                 let j = df
                     .junctions
                     .get(junction.0 as usize)
-                    .ok_or_else(|| gerr(&at, format!("{n}: missing junction {junction}")))?;
+                    .ok_or_else(|| format!("{n}: missing junction {junction}"))?;
                 if !j.readers.contains(&n) {
-                    return Err(gerr(
-                        &at,
-                        format!("{n} not registered as reader on {junction}"),
-                    ));
+                    return Err(format!("{n} not registered as reader on {junction}"));
                 }
                 if !acc.structure(j.structure).serves(*obj) {
-                    return Err(gerr(
-                        &at,
-                        format!("{n}: structure {} does not serve {obj}", j.structure),
+                    return Err(format!(
+                        "{n}: structure {} does not serve {obj}",
+                        j.structure
                     ));
                 }
             }
@@ -188,29 +184,25 @@ fn verify_task(acc: &Accelerator, tid: TaskId) -> Result<(), GraphError> {
                 let j = df
                     .junctions
                     .get(junction.0 as usize)
-                    .ok_or_else(|| gerr(&at, format!("{n}: missing junction {junction}")))?;
+                    .ok_or_else(|| format!("{n}: missing junction {junction}"))?;
                 if !j.writers.contains(&n) {
-                    return Err(gerr(
-                        &at,
-                        format!("{n} not registered as writer on {junction}"),
-                    ));
+                    return Err(format!("{n} not registered as writer on {junction}"));
                 }
                 if !acc.structure(j.structure).serves(*obj) {
-                    return Err(gerr(
-                        &at,
-                        format!("{n}: structure {} does not serve {obj}", j.structure),
+                    return Err(format!(
+                        "{n}: structure {} does not serve {obj}",
+                        j.structure
                     ));
                 }
             }
             NodeKind::TaskCall { callee, .. } => {
                 if callee.0 as usize >= acc.tasks.len() {
-                    return Err(gerr(&at, format!("{n}: call to missing task {callee}")));
+                    return Err(format!("{n}: call to missing task {callee}"));
                 }
                 // Calls must follow the task hierarchy.
                 if acc.parent(*callee) != Some(tid) {
-                    return Err(gerr(
-                        &at,
-                        format!("{n}: task call to {callee} without <||> connection"),
+                    return Err(format!(
+                        "{n}: task call to {callee} without <||> connection"
                     ));
                 }
             }
@@ -220,89 +212,93 @@ fn verify_task(acc: &Accelerator, tid: TaskId) -> Result<(), GraphError> {
     Ok(())
 }
 
-fn verify_dataflow_ports(
-    acc: &Accelerator,
-    tid: TaskId,
-    df: &Dataflow,
-    at: &str,
-) -> Result<(), GraphError> {
-    let task = acc.task(tid);
-    let nnodes = df.nodes.len() as u32;
-    let mut in_filled: HashMap<(NodeId, u16), u32> = HashMap::new();
+/// Port wiring of one task's dataflow: every data input port driven by
+/// exactly one edge, feedback edges entering Merge port 1 and only there,
+/// no node registered twice on a junction. Dense tables indexed by node,
+/// so the first violation reported is the first in edge order for a
+/// misplaced edge and in (node, port) order for a port — the same one on
+/// every run.
+fn verify_dataflow_ports(acc: &Accelerator, task: &TaskBlock) -> Result<(), String> {
+    let df = &task.dataflow;
+    let nnodes = df.nodes.len();
+    let arity = |node: &Node| match &node.kind {
+        NodeKind::Output => task.num_results as usize,
+        // A missing callee is `verify_task`'s to report.
+        NodeKind::TaskCall { callee, .. } => {
+            let callee = acc.tasks.get(callee.0 as usize);
+            node.input_arity(callee.map_or(0, |t| t.num_args as usize))
+        }
+        _ => node.input_arity(0),
+    };
+    // Node `n` owns the ports `first[n]..first[n + 1]` of one flat table:
+    // as many as its arity, or as the highest port an edge names.
+    let mut width: Vec<usize> = df.nodes.iter().map(arity).collect();
+    let mut feedback_in = vec![false; nnodes];
     for e in &df.edges {
-        if e.src.0 >= nnodes || e.dst.0 >= nnodes {
-            return Err(gerr(at, "edge references missing node"));
+        let dst = e.dst.0 as usize;
+        if e.src.0 as usize >= nnodes || dst >= nnodes {
+            return Err("edge references missing node".to_string());
         }
         if e.kind == EdgeKind::Order {
             // Token-only ordering edges are exempt from port accounting.
             continue;
         }
-        *in_filled.entry((e.dst, e.dst_port)).or_insert(0) += 1;
-        // Feedback edges only enter Merge port 1.
-        if e.kind == EdgeKind::Feedback
-            && !(matches!(df.node(e.dst).kind, NodeKind::Merge) && e.dst_port == 1)
-        {
-            return Err(gerr(
-                at,
-                format!("feedback edge must enter a Merge port 1, enters {}", e.dst),
-            ));
-        }
-    }
-    for ((n, p), count) in &in_filled {
-        if *count != 1 {
-            return Err(gerr(
-                at,
-                format!("{n} input port {p} driven by {count} edges"),
-            ));
-        }
-    }
-    for n in df.node_ids() {
-        let node = df.node(n);
-        let arity = match &node.kind {
-            NodeKind::Output => task.num_results as usize,
-            NodeKind::TaskCall {
-                callee, predicated, ..
-            } => acc.task(*callee).num_args as usize + usize::from(*predicated),
-            other => {
-                let _ = other;
-                node.input_arity(0)
-            }
-        };
-        for p in 0..arity {
-            if !in_filled.contains_key(&(n, p as u16)) {
-                return Err(gerr(
-                    at,
-                    format!("{n} ({}) input port {p} unconnected", node.name),
+        width[dst] = width[dst].max(e.dst_port as usize + 1);
+        if e.kind == EdgeKind::Feedback {
+            // Feedback edges only enter Merge port 1.
+            if !(matches!(df.nodes[dst].kind, NodeKind::Merge) && e.dst_port == 1) {
+                return Err(format!(
+                    "feedback edge must enter a Merge port 1, enters {}",
+                    e.dst
                 ));
             }
+            feedback_in[dst] = true;
+        }
+    }
+    let mut first = Vec::with_capacity(nnodes + 1);
+    let mut total = 0;
+    for w in width {
+        first.push(total);
+        total += w;
+    }
+    first.push(total);
+    let mut drivers = vec![0u32; total];
+    for e in df.edges.iter().filter(|e| e.kind != EdgeKind::Order) {
+        drivers[first[e.dst.0 as usize] + e.dst_port as usize] += 1;
+    }
+    if let Some(i) = drivers.iter().position(|&count| count > 1) {
+        // The owner is the last node whose ports start at or before `i`.
+        let n = first.partition_point(|&f| f <= i) - 1;
+        return Err(format!(
+            "{} input port {} driven by {} edges",
+            NodeId(n as u32),
+            i - first[n],
+            drivers[i]
+        ));
+    }
+    for (n, node) in df.nodes.iter().enumerate() {
+        let id = NodeId(n as u32);
+        let ports = &drivers[first[n]..][..arity(node)];
+        if let Some(p) = ports.iter().position(|&count| count == 0) {
+            return Err(format!("{id} ({}) input port {p} unconnected", node.name));
         }
         // Merge nodes: port 1 must be a feedback edge.
-        if matches!(node.kind, NodeKind::Merge) {
-            let fb_ok = df
-                .edges
-                .iter()
-                .any(|e| e.dst == n && e.dst_port == 1 && e.kind == EdgeKind::Feedback);
-            if !fb_ok {
-                return Err(gerr(
-                    at,
-                    format!("{n}: merge port 1 is not a feedback edge"),
-                ));
-            }
+        if matches!(node.kind, NodeKind::Merge) && !feedback_in[n] {
+            return Err(format!("{id}: merge port 1 is not a feedback edge"));
         }
     }
-    // No duplicate junction registrations.
+    // No duplicate junction registrations: the last junction each node
+    // was seen on.
+    let mut seen_on = vec![usize::MAX; nnodes];
     for (ji, j) in df.junctions.iter().enumerate() {
-        let mut seen = HashSet::new();
         for n in j.readers.iter().chain(&j.writers) {
-            if !seen.insert(*n) {
-                return Err(gerr(
-                    at,
-                    format!("node {n} registered twice on junction j{ji}"),
-                ));
+            let seen = seen_on
+                .get_mut(n.0 as usize)
+                .ok_or_else(|| format!("junction j{ji} references missing node"))?;
+            if *seen == ji {
+                return Err(format!("node {n} registered twice on junction j{ji}"));
             }
-            if n.0 >= nnodes {
-                return Err(gerr(at, format!("junction j{ji} references missing node")));
-            }
+            *seen = ji;
         }
     }
     Ok(())
@@ -311,9 +307,8 @@ fn verify_dataflow_ports(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accel::TaskBlock;
     use crate::dataflow::Junction;
-    use crate::node::{Node, OpKind};
+    use crate::node::OpKind;
     use crate::structure::Structure;
     use muir_mir::instr::{BinOp, ConstVal, MemObjId};
     use muir_mir::types::Type;
@@ -391,6 +386,58 @@ mod tests {
         df.connect(NodeId(1), 0, NodeId(2), 1);
         let e = verify_accelerator(&acc).unwrap_err();
         assert!(e.message.contains("driven by 2"), "{e}");
+    }
+
+    /// Which violation is "first" is a property of the graph, not of a
+    /// hash seed: with two doubly-driven ports the lower (node, port) is
+    /// reported, whatever the edge order, on every run.
+    #[test]
+    fn first_double_driven_port_is_the_lowest() {
+        let mut acc = valid_accel();
+        let df = &mut acc.tasks[0].dataflow;
+        df.connect(NodeId(0), 0, NodeId(3), 1);
+        df.connect(NodeId(0), 0, NodeId(3), 0);
+        df.connect(NodeId(1), 0, NodeId(2), 1);
+        df.connect(NodeId(1), 0, NodeId(2), 1);
+        for run in 0..100 {
+            let e = verify_accelerator(&acc).unwrap_err();
+            assert_eq!(
+                e.message,
+                format!("{} input port 1 driven by 3 edges", NodeId(2)),
+                "run {run}"
+            );
+            assert_eq!(e.at, format!("{} (main)", TaskId(0)));
+        }
+    }
+
+    #[test]
+    fn misplaced_feedback_and_missing_merge_feedback_caught() {
+        let mut acc = valid_accel();
+        let df = &mut acc.tasks[0].dataflow;
+        let m = df.add_node(Node::new("m", NodeKind::Merge, Type::I64));
+        df.connect(NodeId(0), 0, m, 0);
+        df.connect(NodeId(2), 0, m, 1);
+        let e = verify_accelerator(&acc).unwrap_err();
+        assert!(e.message.contains("merge port 1 is not a feedback"), "{e}");
+        let df = &mut acc.tasks[0].dataflow;
+        df.edges.last_mut().unwrap().kind = EdgeKind::Feedback;
+        verify_accelerator(&acc).unwrap();
+        let df = &mut acc.tasks[0].dataflow;
+        df.edges.last_mut().unwrap().dst_port = 0;
+        let e = verify_accelerator(&acc).unwrap_err();
+        assert!(e.message.contains("feedback edge must enter"), "{e}");
+    }
+
+    #[test]
+    fn double_junction_registration_caught() {
+        let mut acc = valid_accel();
+        let j = &mut acc.tasks[0].dataflow.junctions[0];
+        j.readers.push(NodeId(3));
+        let e = verify_accelerator(&acc).unwrap_err();
+        assert!(e.message.contains("registered twice on junction j0"), "{e}");
+        acc.tasks[0].dataflow.junctions[0].readers[0] = NodeId(99);
+        let e = verify_accelerator(&acc).unwrap_err();
+        assert!(e.message.contains("j0 references missing node"), "{e}");
     }
 
     #[test]

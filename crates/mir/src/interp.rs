@@ -7,11 +7,11 @@
 //! a dynamic trace for the CPU timing baseline.
 
 use crate::instr::{
-    BinOp, BlockId, CastOp, CmpPred, ConstVal, InstrId, MemObjId, Op, TensorOp, UnOp, ValueRef,
+    BinOp, BlockId, CastOp, CmpPred, ConstVal, InstrId, Op, TensorOp, UnOp, ValueRef,
 };
+pub use crate::memory::Memory;
 use crate::module::{Function, Module};
 use crate::trace::{NullSink, OpClass, TraceEvent, TraceSink};
-use crate::types::Type;
 use crate::value::Value;
 use std::fmt;
 
@@ -30,105 +30,9 @@ impl fmt::Display for InterpError {
 
 impl std::error::Error for InterpError {}
 
-fn ierr(msg: impl Into<String>) -> InterpError {
+pub(crate) fn ierr(msg: impl Into<String>) -> InterpError {
     InterpError {
         message: msg.into(),
-    }
-}
-
-/// Flat program memory: one `Vec<Value>` per memory object, plus the flat
-/// global base address of each object (used for trace addresses).
-#[derive(Debug, Clone, PartialEq, Hash)]
-pub struct Memory {
-    /// Contents per memory object, zero-initialised.
-    pub objects: Vec<Vec<Value>>,
-    /// Flat global base element-address per object.
-    pub bases: Vec<u64>,
-}
-
-impl Memory {
-    /// Allocate zeroed memory for every object in the module.
-    pub fn from_module(m: &Module) -> Memory {
-        let mut bases = Vec::with_capacity(m.mem_objects.len());
-        let mut next = 0u64;
-        let mut objects = Vec::with_capacity(m.mem_objects.len());
-        for obj in &m.mem_objects {
-            bases.push(next);
-            next += obj.len;
-            objects.push(vec![Value::zero(Type::Scalar(obj.elem)); obj.len as usize]);
-        }
-        Memory { objects, bases }
-    }
-
-    /// Read one element slot.
-    ///
-    /// # Errors
-    /// Out-of-bounds access.
-    pub fn read(&self, obj: MemObjId, idx: u64) -> Result<Value, InterpError> {
-        self.objects
-            .get(obj.0 as usize)
-            .and_then(|o| o.get(idx as usize))
-            .cloned()
-            .ok_or_else(|| ierr(format!("load out of bounds: {obj}[{idx}]")))
-    }
-
-    /// Write one element slot.
-    ///
-    /// # Errors
-    /// Out-of-bounds access.
-    pub fn write(&mut self, obj: MemObjId, idx: u64, v: Value) -> Result<(), InterpError> {
-        let slot = self
-            .objects
-            .get_mut(obj.0 as usize)
-            .and_then(|o| o.get_mut(idx as usize))
-            .ok_or_else(|| ierr(format!("store out of bounds: {obj}[{idx}]")))?;
-        *slot = v;
-        Ok(())
-    }
-
-    /// Bulk-initialise an object from f32 data.
-    pub fn init_f32(&mut self, obj: MemObjId, data: &[f32]) {
-        for (i, &v) in data.iter().enumerate() {
-            self.objects[obj.0 as usize][i] = Value::F32(v);
-        }
-    }
-
-    /// Bulk-initialise an object from i64 data.
-    pub fn init_i64(&mut self, obj: MemObjId, data: &[i64]) {
-        for (i, &v) in data.iter().enumerate() {
-            self.objects[obj.0 as usize][i] = Value::Int(v);
-        }
-    }
-
-    /// Snapshot an object as f32s.
-    pub fn read_f32(&self, obj: MemObjId) -> Vec<f32> {
-        self.objects[obj.0 as usize]
-            .iter()
-            .map(|v| match v {
-                Value::F32(f) => *f,
-                Value::Int(i) => *i as f32,
-                Value::Bool(b) => *b as i64 as f32,
-                other => panic!("non-scalar in memory: {other:?}"),
-            })
-            .collect()
-    }
-
-    /// Snapshot an object as i64s.
-    pub fn read_i64(&self, obj: MemObjId) -> Vec<i64> {
-        self.objects[obj.0 as usize]
-            .iter()
-            .map(|v| match v {
-                Value::Int(i) => *i,
-                Value::F32(f) => *f as i64,
-                Value::Bool(b) => *b as i64,
-                other => panic!("non-scalar in memory: {other:?}"),
-            })
-            .collect()
-    }
-
-    /// Flat global element address of `obj[idx]`.
-    pub fn flat_addr(&self, obj: MemObjId, idx: u64) -> u64 {
-        self.bases[obj.0 as usize] + idx
     }
 }
 
@@ -540,18 +444,15 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                             return Err(ierr(format!("{iid}: negative load index")));
                         }
                         let ty = instr.ty.ok_or_else(|| ierr("untyped load"))?;
-                        let n = ty.elems() as u64;
-                        let mut slots = Vec::with_capacity(n as usize);
-                        for k in 0..n {
-                            let a = idx as u64 + k;
-                            slots.push(memory.read(*obj, a)?);
+                        let v = memory.load(*obj, idx as u64, ty)?;
+                        for a in (idx as u64..).take(ty.elems() as usize) {
                             self.sink.event(TraceEvent::mem(
                                 OpClass::Load,
                                 *obj,
                                 memory.flat_addr(*obj, a),
                             ));
                         }
-                        frame.values[iid.0 as usize] = Some(Value::assemble(ty, slots));
+                        frame.values[iid.0 as usize] = Some(v);
                     }
                     Op::Store { obj } => {
                         let idx = frame.get(&instr.operands[0])?.as_int();
@@ -559,9 +460,8 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                             return Err(ierr(format!("{iid}: negative store index")));
                         }
                         let v = frame.get(&instr.operands[1])?;
-                        for (k, slot) in v.flatten().into_iter().enumerate() {
-                            let a = idx as u64 + k as u64;
-                            memory.write(*obj, a, slot)?;
+                        let n = memory.store(*obj, idx as u64, &v)?;
+                        for a in (idx as u64..).take(n as usize) {
                             self.sink.event(TraceEvent::mem(
                                 OpClass::Store,
                                 *obj,
@@ -681,7 +581,7 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::trace::CountingSink;
-    use crate::types::{ScalarType, TensorShape};
+    use crate::types::{ScalarType, TensorShape, Type};
 
     #[test]
     fn straight_line_arithmetic() {

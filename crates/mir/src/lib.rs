@@ -18,6 +18,9 @@
 //! * a reference [`interp`]reter: the functional golden model that all
 //!   simulated accelerators are verified against, and the dynamic-trace
 //!   source for the ARM-A9-class CPU timing baseline,
+//! * the [`memory`] image both run against: one typed 64-bit word buffer
+//!   per memory object, converted to and from [`Value`] only at a load
+//!   or store,
 //! * [`analysis`] passes: dominators, natural loops, live-ins, affine
 //!   address and loop-carried dependence analysis.
 //!
@@ -50,6 +53,7 @@ pub mod analysis;
 pub mod builder;
 pub mod instr;
 pub mod interp;
+pub mod memory;
 pub mod module;
 pub mod parser;
 pub mod printer;

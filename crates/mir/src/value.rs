@@ -86,46 +86,6 @@ impl Value {
     pub fn is_poison(&self) -> bool {
         matches!(self, Value::Poison)
     }
-
-    /// Flatten into scalar element slots (memory representation).
-    pub fn flatten(&self) -> Vec<Value> {
-        match self {
-            Value::Vector(v) => v.clone(),
-            Value::Tensor { data, .. } => data.clone(),
-            other => vec![other.clone()],
-        }
-    }
-
-    /// Reassemble a value of type `ty` from flattened element slots.
-    ///
-    /// # Panics
-    /// Panics if `slots` does not contain exactly `ty.elems()` elements.
-    pub fn assemble(ty: Type, slots: Vec<Value>) -> Value {
-        assert_eq!(
-            slots.len() as u32,
-            ty.elems(),
-            "slot count mismatch for {ty}"
-        );
-        match ty {
-            Type::Scalar(_) => slots.into_iter().next().expect("one slot"),
-            Type::Vector { .. } => Value::Vector(slots),
-            Type::Tensor { shape, .. } => Value::Tensor { shape, data: slots },
-        }
-    }
-
-    /// Bit pattern used when checking output memories for equality. Floats
-    /// compare by approximate equality elsewhere; this is for integers.
-    pub fn bits(&self) -> u64 {
-        match self {
-            Value::Bool(b) => *b as u64,
-            Value::Int(v) => *v as u64,
-            Value::F32(v) => v.to_bits() as u64,
-            Value::Poison => u64::MAX,
-            Value::Vector(_) | Value::Tensor { .. } => {
-                panic!("bits() is only defined on scalar values")
-            }
-        }
-    }
 }
 
 /// The structural walk behind every content hash over runtime data (job,
@@ -207,21 +167,7 @@ mod tests {
             elem: ScalarType::F32,
             shape: TensorShape::new(2, 2),
         });
-        assert_eq!(t.flatten().len(), 4);
-    }
-
-    #[test]
-    fn flatten_roundtrip() {
-        let ty = Type::Tensor {
-            elem: ScalarType::I32,
-            shape: TensorShape::new(2, 2),
-        };
-        let v = Value::Tensor {
-            shape: TensorShape::new(2, 2),
-            data: vec![Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(4)],
-        };
-        let back = Value::assemble(ty, v.flatten());
-        assert_eq!(v, back);
+        assert!(matches!(t, Value::Tensor { data, .. } if data == vec![Value::F32(0.0); 4]));
     }
 
     #[test]
@@ -232,12 +178,6 @@ mod tests {
         assert!(Value::Int(3).as_bool());
         assert!(!Value::Bool(false).as_bool());
         assert!(Value::Poison.is_poison());
-    }
-
-    #[test]
-    #[should_panic]
-    fn assemble_wrong_count() {
-        Value::assemble(Type::I32, vec![Value::Int(1), Value::Int(2)]);
     }
 
     #[test]

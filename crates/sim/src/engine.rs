@@ -1874,29 +1874,13 @@ impl<'a> Engine<'a> {
                     let obj = MemObjId(uop.a);
                     let idx = index(&values[0], "load")?;
                     let ty = df.nodes[node].ty;
-                    let n = ty.elems() as u64;
                     let base = self.mem.flat_addr(obj, idx);
-                    if !ty.is_composite() {
-                        // Scalar: no slot buffer needed. (1×1 tensor tiles
-                        // still assemble — downstream tensor ops need the
-                        // aggregate wrapper.)
-                        out_values.push(
-                            self.mem
-                                .read(obj, idx)
-                                .map_err(|e| SimError::eval(e.to_string()))?,
-                        );
-                    } else {
-                        let mut slots = Vec::with_capacity(n as usize);
-                        for kk in 0..n {
-                            slots.push(
-                                self.mem
-                                    .read(obj, idx + kk)
-                                    .map_err(|e| SimError::eval(e.to_string()))?,
-                            );
-                        }
-                        out_values.push(Value::assemble(ty, slots));
-                    }
-                    self.issue_mem(site, uop.b as usize, base, n, false);
+                    out_values.push(
+                        self.mem
+                            .load(obj, idx, ty)
+                            .map_err(|e| SimError::eval(e.to_string()))?,
+                    );
+                    self.issue_mem(site, uop.b as usize, base, u64::from(ty.elems()), false);
                     completion_at = None; // completes on the memory response
                 } else {
                     out_values.push(Value::Poison);
@@ -1906,30 +1890,14 @@ impl<'a> Engine<'a> {
                 if active(values.last())? {
                     let obj = MemObjId(uop.a);
                     let idx = index(&values[0], "store")?;
-                    let v = std::mem::replace(&mut values[1], Value::Poison);
-                    if v.is_poison() {
+                    if values[1].is_poison() {
                         return Err(SimError::eval(format!("poison stored to {obj:?}")));
                     }
                     let base = self.mem.flat_addr(obj, idx);
-                    let n = match &v {
-                        Value::Vector(_) | Value::Tensor { .. } => {
-                            let slots = v.flatten();
-                            let n = slots.len() as u64;
-                            for (kk, s) in slots.into_iter().enumerate() {
-                                self.mem
-                                    .write(obj, idx + kk as u64, s)
-                                    .map_err(|e| SimError::eval(e.to_string()))?;
-                            }
-                            n
-                        }
-                        // Scalar: write directly, no flatten buffer.
-                        _ => {
-                            self.mem
-                                .write(obj, idx, v)
-                                .map_err(|e| SimError::eval(e.to_string()))?;
-                            1
-                        }
-                    };
+                    let n = self
+                        .mem
+                        .store(obj, idx, &values[1])
+                        .map_err(|e| SimError::eval(e.to_string()))?;
                     self.issue_mem(site, uop.b as usize, base, n, true);
                     completion_at = None; // completes on the memory response
                 }

@@ -128,6 +128,7 @@ pub fn end_state_hash(r: &SimResult, mem: &Memory) -> u64 {
 mod tests {
     use super::*;
     use crate::SchedulerKind;
+    use muir_mir::memory::{ElemKind, ObjectImage};
 
     #[test]
     fn config_hash_ignores_scheduler() {
@@ -166,23 +167,27 @@ mod tests {
     #[test]
     fn job_hash_sees_args_and_memory() {
         let cfg = SimConfig::default();
-        let mem = Memory {
-            objects: vec![],
-            bases: vec![],
-        };
+        let mem = Memory::default();
         let h = job_hash(&cfg, &[], &mem);
         assert_eq!(job_hash(&cfg, &[], &mem), h, "deterministic");
         assert_ne!(job_hash(&cfg, &[Value::Int(1)], &mem), h, "args");
-        let mem2 = Memory {
-            objects: vec![vec![Value::Int(7)]],
-            bases: vec![0],
-        };
+        let mem2 = mem_of(vec![int_image(&[7])]);
         assert_ne!(job_hash(&cfg, &[], &mem2), h, "memory");
     }
 
-    fn mem_of(objects: Vec<Vec<Value>>) -> Memory {
+    fn mem_of(objects: Vec<ObjectImage>) -> Memory {
         let bases = (0..objects.len() as u64).collect();
         Memory { objects, bases }
+    }
+
+    fn int_image(data: &[i64]) -> ObjectImage {
+        let words = data.iter().map(|&i| i as u64).collect();
+        ObjectImage::from_words(ElemKind::Int, words).unwrap()
+    }
+
+    fn f32_image(data: &[f32]) -> ObjectImage {
+        let words = data.iter().map(|f| u64::from(f.to_bits())).collect();
+        ObjectImage::from_words(ElemKind::F32, words).unwrap()
     }
 
     fn result_of(results: Vec<Value>) -> SimResult {
@@ -205,6 +210,7 @@ mod tests {
             (0.0f32, -0.0f32),
         ];
         for (a, b) in pairs {
+            let (ma, mb) = (mem_of(vec![f32_image(&[a])]), mem_of(vec![f32_image(&[b])]));
             let (a, b) = (Value::F32(a), Value::F32(b));
             let empty = mem_of(vec![]);
             assert_ne!(
@@ -212,7 +218,6 @@ mod tests {
                 job_hash(&cfg, std::slice::from_ref(&b), &empty),
                 "args: {a:?} vs {b:?}"
             );
-            let (ma, mb) = (mem_of(vec![vec![a.clone()]]), mem_of(vec![vec![b.clone()]]));
             assert_ne!(
                 job_hash(&cfg, &[], &ma),
                 job_hash(&cfg, &[], &mb),
@@ -244,68 +249,85 @@ mod tests {
             assert_ne!(end_state_hash(&r, a), end_state_hash(&r, b), "{what}");
         };
         // The same elements split differently across objects.
-        let mut a = mem_of(vec![ints(&[1]), ints(&[2, 3])]);
-        let mut b = mem_of(vec![ints(&[1, 2]), ints(&[3])]);
+        let a = mem_of(vec![int_image(&[1]), int_image(&[2, 3])]);
+        let mut b = mem_of(vec![int_image(&[1, 2]), int_image(&[3])]);
         distinct(&a, &b, "object boundaries");
         // ... and the same objects at different bases.
         b = a.clone();
         b.bases[1] += 1;
         distinct(&a, &b, "bases");
-        // A vector and a tensor over the same data; a tensor and its
-        // transpose shape.
+        // Composites travel as arguments and results: a vector and a
+        // tensor over the same data; a tensor and its transpose shape;
+        // two vectors against their concatenation.
+        let empty = mem_of(vec![]);
+        let distinct_args = |a: &[Value], b: &[Value], what: &str| {
+            assert_ne!(
+                job_hash(&cfg, a, &empty),
+                job_hash(&cfg, b, &empty),
+                "{what}"
+            );
+            assert_ne!(
+                end_state_hash(&result_of(a.to_vec()), &empty),
+                end_state_hash(&result_of(b.to_vec()), &empty),
+                "{what}"
+            );
+        };
         let data = ints(&[1, 2, 3, 4, 5, 6]);
         let tensor = |rows, cols| Value::Tensor {
             shape: TensorShape::new(rows, cols),
             data: data.clone(),
         };
-        a = mem_of(vec![vec![Value::Vector(data.clone())]]);
-        b = mem_of(vec![vec![tensor(2, 3)]]);
-        distinct(&a, &b, "vector vs tensor");
-        a = mem_of(vec![vec![tensor(3, 2)]]);
-        distinct(&a, &b, "2x3 vs 3x2");
-        // Two vectors against their concatenation, and an argument
-        // against a memory element.
-        a = mem_of(vec![vec![
-            Value::Vector(ints(&[1])),
-            Value::Vector(ints(&[2, 3])),
-        ]]);
-        b = mem_of(vec![vec![
-            Value::Vector(ints(&[1, 2])),
-            Value::Vector(ints(&[3])),
-        ]]);
-        distinct(&a, &b, "vector boundaries");
+        distinct_args(
+            &[Value::Vector(data.clone())],
+            &[tensor(2, 3)],
+            "vector vs tensor",
+        );
+        distinct_args(&[tensor(3, 2)], &[tensor(2, 3)], "2x3 vs 3x2");
+        distinct_args(
+            &[Value::Vector(ints(&[1])), Value::Vector(ints(&[2, 3]))],
+            &[Value::Vector(ints(&[1, 2])), Value::Vector(ints(&[3]))],
+            "vector boundaries",
+        );
+        // An argument against a memory element.
         assert_ne!(
-            job_hash(&cfg, &ints(&[7]), &mem_of(vec![vec![]])),
-            job_hash(&cfg, &[], &mem_of(vec![ints(&[7])])),
+            job_hash(&cfg, &ints(&[7]), &mem_of(vec![int_image(&[])])),
+            job_hash(&cfg, &[], &mem_of(vec![int_image(&[7])])),
             "args vs memory"
         );
         // Scalars of different kinds with the same numeric payload.
-        let kinds = [Value::Bool(true), Value::Int(1), Value::Poison];
-        for (i, x) in kinds.iter().enumerate() {
-            for y in &kinds[i + 1..] {
-                distinct(
-                    &mem_of(vec![vec![x.clone()]]),
-                    &mem_of(vec![vec![y.clone()]]),
-                    "scalar kinds",
-                );
+        let kinds = [ElemKind::Bool, ElemKind::Int, ElemKind::F32];
+        for (i, &x) in kinds.iter().enumerate() {
+            for &y in &kinds[i + 1..] {
+                let one = |kind| mem_of(vec![ObjectImage::from_words(kind, vec![1]).unwrap()]);
+                distinct(&one(x), &one(y), "scalar kinds");
             }
         }
+        distinct_args(&[Value::Bool(true)], &[Value::Poison], "bool vs poison");
+        distinct_args(&[Value::Int(1)], &[Value::Poison], "int vs poison");
     }
 
-    /// Pinned value: a change to the fold, to `impl Hash for Value`, or to
-    /// what the toolchain's `derive(Hash)`/`Vec::hash` feed the hasher
-    /// orphans every result in every persistent store. That should show
-    /// up here (and come with a tag bump), not as a silently cold store.
+    /// Pinned value: a change to the fold, to `impl Hash for Value` or
+    /// `ObjectImage`, or to what the toolchain's `derive(Hash)`/`Vec::hash`
+    /// feed the hasher orphans every result in every persistent store.
+    /// That should show up here (and come with a tag bump), not as a
+    /// silently cold store. The value was computed by the last build whose
+    /// images were `Vec<Value>`, over the same elements.
     #[test]
     fn job_hash_of_a_fixed_job_is_pinned() {
         let mem = mem_of(vec![
-            vec![Value::F32(1.5), Value::F32(-0.0)],
-            vec![Value::Int(-3), Value::Bool(true), Value::Poison],
+            f32_image(&[1.5, -0.0]),
+            int_image(&[-3, i64::MIN]),
+            ObjectImage::from_words(ElemKind::Bool, vec![1, 0]).unwrap(),
         ]);
-        let args = [Value::Int(42), Value::Vector(vec![Value::F32(2.0)])];
+        let args = [
+            Value::Int(42),
+            Value::Vector(vec![Value::F32(2.0)]),
+            Value::Bool(true),
+            Value::Poison,
+        ];
         assert_eq!(
             job_hash(&SimConfig::default(), &args, &mem),
-            0xa80479f88a277912
+            0x101e4b3712aa8edb
         );
     }
 

@@ -1404,6 +1404,45 @@ fn mistyped_arguments_are_typed_errors_not_panics() {
     expect_eval_error(&m, &acc, &bad, "non-integer loop bound argument");
 }
 
+/// A memory object holds scalars of its declared kind and nothing else:
+/// a mistyped root argument stored to it is one typed error — the
+/// interpreter's, word for word — under both schedulers, where it used
+/// to be a silent store of the wrong variant.
+#[test]
+fn a_value_the_object_cannot_hold_is_the_same_typed_error_everywhere() {
+    let mut m = Module::new("misfit");
+    let a = m.add_mem_object("a", ScalarType::I32, 8);
+    let mut b = FunctionBuilder::new("main", &[Type::I32]).with_mem(&m);
+    b.store(a, ValueRef::int(3), b.arg(0));
+    b.ret(None);
+    m.add_function(b.finish());
+    let acc = translate(&m, &FrontendConfig::default()).expect("translate");
+    let lanes = vec![Value::Int(1), Value::Int(2)];
+    for (bad, what) in [
+        (Value::F32(1.5), "store of 1.5 to @mem0, which holds int"),
+        (Value::Bool(true), "store of true to @mem0, which holds int"),
+        (
+            Value::Vector(vec![Value::Vector(lanes)]),
+            "store of <1, 2> to @mem0, which holds int",
+        ),
+    ] {
+        let mut mem = Memory::from_module(&m);
+        let err = Interp::new(&m)
+            .run_main(&mut mem, std::slice::from_ref(&bad))
+            .expect_err(what);
+        assert_eq!(err.message, what);
+        assert_eq!(mem, Memory::from_module(&m), "nothing stored");
+        expect_eval_error(&m, &acc, &[bad], what);
+    }
+    // Poison keeps the engine's own, earlier message; the interpreter
+    // reports it through the same memory check as the rest.
+    expect_eval_error(&m, &acc, &[Value::Poison], "poison stored to");
+    let err = Interp::new(&m)
+        .run_main(&mut Memory::from_module(&m), &[Value::Poison])
+        .unwrap_err();
+    assert_eq!(err.message, "store of poison to @mem0, which holds int");
+}
+
 #[test]
 fn lowering_comparator_sees_every_field() {
     use crate::reference::{lower, same_tables, TaskTables};

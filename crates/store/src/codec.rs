@@ -20,8 +20,17 @@
 //! v(tok;tok)     vector
 //! t2x3(tok;...)  tensor tile, row-major
 //! ```
+//!
+//! The `results` line carries [`Value`]s and may use every token. An
+//! `obj` line is one memory object — `obj <n>` then `n` scalar tokens —
+//! and is written from, and parsed straight into, the object's words
+//! ([`ObjectImage`]): no `Value` is built per element. The three scalar
+//! tokens are the three word kinds, so the line's first token names the
+//! object's kind; a count that does not match, a second kind on the same
+//! line, and a poison or composite token are all decode failures.
 
 use muir_mir::interp::Memory;
+use muir_mir::memory::{ElemKind, ObjectImage};
 use muir_mir::types::TensorShape;
 use muir_mir::value::Value;
 use muir_sim::{FaultCounts, SimResult, SimStats, StructStats};
@@ -299,6 +308,121 @@ fn put_value_list(out: &mut String, key: &str, vals: &[Value]) {
     out.push('\n');
 }
 
+/// One memory object as `obj <n> <tok>…`: the tokens [`put_value`] writes
+/// for the same scalars, straight from the words.
+fn put_obj(out: &mut String, obj: &ObjectImage) {
+    let words = obj.words();
+    let _ = write!(out, "obj {}", words.len());
+    match obj.kind() {
+        ElemKind::Bool => {
+            for &w in words {
+                out.push_str(if w != 0 { " b1" } else { " b0" });
+            }
+        }
+        ElemKind::Int => {
+            for &w in words {
+                let _ = write!(out, " i{}", w as i64);
+            }
+        }
+        ElemKind::F32 => {
+            for &w in words {
+                let _ = write!(out, " f{:08x}", w as u32);
+            }
+        }
+    }
+    out.push('\n');
+}
+
+/// A decimal `i64` (`-?[0-9]+`), accumulated negatively so that
+/// `i64::MIN` fits; `None` on anything else, overflow included.
+fn parse_i64(text: &[u8]) -> Option<i64> {
+    let (negative, digits) = match text.split_first()? {
+        (b'-', rest) => (true, rest),
+        _ => (false, text),
+    };
+    let mut acc = 0i64;
+    for &d in digits {
+        let d = d.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        acc = acc.checked_mul(10)?.checked_sub(i64::from(d))?;
+    }
+    match (digits.is_empty(), negative) {
+        (true, _) => None,
+        (false, true) => Some(acc),
+        (false, false) => acc.checked_neg(),
+    }
+}
+
+/// One scalar token as the word it stores and the kind that reads it.
+fn take_word(tok: &[u8]) -> Option<(ElemKind, u64)> {
+    let (&tag, body) = tok.split_first()?;
+    match tag {
+        b'b' => match body {
+            b"0" => Some((ElemKind::Bool, 0)),
+            b"1" => Some((ElemKind::Bool, 1)),
+            _ => None,
+        },
+        b'i' => Some((ElemKind::Int, parse_i64(body)? as u64)),
+        b'f' if body.len() == 8 => {
+            let mut bits = 0;
+            for &b in body {
+                bits = bits << 4 | u64::from((b as char).to_digit(16)?);
+            }
+            Some((ElemKind::F32, bits))
+        }
+        _ => None,
+    }
+}
+
+/// Parse an `obj` line straight into an object's words.
+fn take_obj(line: &str, lineno: usize) -> Result<ObjectImage, DecodeError> {
+    let mut toks = line.as_bytes().split(|&b| b == b' ');
+    if toks.next() != Some(b"obj") {
+        return Err(format!("line {lineno}: expected an \"obj\" line"));
+    }
+    let n = toks
+        .next()
+        .and_then(|tok| std::str::from_utf8(tok).ok()?.parse::<u64>().ok())
+        .ok_or_else(|| format!("line {lineno}: bad obj count"))?;
+    // A token is at least two bytes and a space, which bounds the count
+    // before anything is allocated for it.
+    if n > line.len() as u64 / 3 {
+        return Err(format!(
+            "line {lineno}: obj declares {n} items it cannot hold"
+        ));
+    }
+    let mut words = Vec::with_capacity(n as usize);
+    let mut kind = ElemKind::Int;
+    for tok in toks {
+        // Rendered on the error paths only.
+        let shown = || String::from_utf8_lossy(tok);
+        let Some((k, w)) = take_word(tok) else {
+            return Err(format!(
+                "line {lineno}: bad scalar token {:?} in obj",
+                shown()
+            ));
+        };
+        if words.is_empty() {
+            kind = k;
+        } else if k != kind {
+            return Err(format!(
+                "line {lineno}: {k} token {:?} in {kind} object",
+                shown()
+            ));
+        }
+        words.push(w);
+    }
+    if words.len() as u64 != n {
+        return Err(format!(
+            "line {lineno}: obj declared {n} items, found {}",
+            words.len()
+        ));
+    }
+    ObjectImage::from_words(kind, words).map_err(|e| format!("line {lineno}: {e}"))
+}
+
 /// Encode a [`StoredEval`] into the store's result payload.
 pub fn encode_eval(eval: &StoredEval) -> Vec<u8> {
     let mut out = String::new();
@@ -337,7 +461,7 @@ pub fn encode_eval(eval: &StoredEval) -> Vec<u8> {
     put_u64_list(&mut out, "bases", &eval.mem.bases);
     let _ = writeln!(out, "objects {}", eval.mem.objects.len());
     for obj in &eval.mem.objects {
-        put_value_list(&mut out, "obj", obj);
+        put_obj(&mut out, obj);
     }
     out.into_bytes()
 }
@@ -419,9 +543,10 @@ pub fn decode_eval(payload: &[u8]) -> Result<StoredEval, DecodeError> {
             .ok_or("objects line missing count")?,
         "objects",
     )? as usize;
-    let mut objects = Vec::with_capacity(nobjects);
+    // Every object takes a line of the text, which bounds the count.
+    let mut objects = Vec::with_capacity(nobjects.min(text.len()));
     for _ in 0..nobjects {
-        objects.push(parse_values(&counted(&lines.fields("obj")?, "obj")?)?);
+        objects.push(take_obj(lines.next("obj")?, lines.lineno)?);
     }
     Ok(StoredEval {
         result: SimResult {
@@ -490,11 +615,13 @@ mod tests {
             },
             mem: Memory {
                 objects: vec![
-                    vec![Value::Int(5), Value::F32(-0.0)],
-                    vec![],
-                    vec![Value::Vector(vec![Value::Bool(false)])],
+                    // 5 and i64::MIN; -0.0 and a NaN with a payload.
+                    ObjectImage::from_words(ElemKind::Int, vec![5, 1 << 63]).unwrap(),
+                    ObjectImage::from_words(ElemKind::F32, vec![0x8000_0000, 0x7fc0_1234]).unwrap(),
+                    ObjectImage::zeroed(ElemKind::F32, 0),
+                    ObjectImage::from_words(ElemKind::Bool, vec![0, 1]).unwrap(),
                 ],
-                bases: vec![0, 2, 2],
+                bases: vec![0, 2, 4, 4],
             },
         }
     }
@@ -504,10 +631,25 @@ mod tests {
         let eval = sample_eval();
         let decoded = decode_eval(&encode_eval(&eval)).unwrap();
         assert_eq!(decoded, eval);
-        // -0.0 == 0.0 under PartialEq; check the bit pattern survived too.
-        match (&decoded.mem.objects[0][1], &eval.mem.objects[0][1]) {
-            (Value::F32(a), Value::F32(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-            other => panic!("unexpected {other:?}"),
+        // Image equality is by bits: -0.0, the NaN payload and every kind
+        // survived (an empty object's kind is the one thing text drops).
+        for (d, e) in decoded.mem.objects.iter().zip(&eval.mem.objects) {
+            assert_eq!(d.words(), e.words());
+            assert!(d.kind() == e.kind() || e.words().is_empty());
+        }
+    }
+
+    /// The `obj` path writes the tokens `put_value` writes for the same
+    /// scalars, so payloads are the bytes they were when images held
+    /// `Value`s.
+    #[test]
+    fn obj_lines_spell_scalars_as_value_tokens_do() {
+        for obj in &sample_eval().mem.objects {
+            let mut line = String::new();
+            put_obj(&mut line, obj);
+            let mut want = String::new();
+            put_value_list(&mut want, "obj", &obj.values().collect::<Vec<_>>());
+            assert_eq!(line, want);
         }
     }
 
@@ -538,6 +680,44 @@ mod tests {
         // Garbled value token.
         let bad = text.replacen("i-7", "q-7", 1);
         assert!(decode_eval(bad.as_bytes()).is_err());
+    }
+
+    /// An `obj` line holds scalars of one kind, as many as it declares.
+    #[test]
+    fn rejects_memory_objects_that_are_not_typed_word_buffers() {
+        let text = String::from_utf8(encode_eval(&sample_eval())).unwrap();
+        assert!(
+            text.contains("\nobj 2 i5 i-9223372036854775808\n"),
+            "{text}"
+        );
+        let mangle = |from: &str, to: &str, why: &str| {
+            assert!(text.contains(from), "{from:?} not in the record");
+            let bad = text.replacen(from, to, 1);
+            let e = decode_eval(bad.as_bytes()).expect_err(why);
+            assert!(e.contains(why), "{e}");
+        };
+        mangle("obj 2 i5", "obj 3 i5", "declared 3 items, found 2");
+        mangle("obj 2 i5", "obj 1 i5", "declared 1 items, found 2");
+        mangle("obj 2 i5", "obj 99999999999 i5", "cannot hold");
+        mangle(
+            "obj 2 b0 b1",
+            "obj 2 b0 i1",
+            "int token \"i1\" in bool object",
+        );
+        mangle("obj 2 i5 ", "obj 2 f00000005 ", "int token");
+        mangle("obj 2 b0 b1", "obj 2 b0 p", "bad scalar token \"p\"");
+        mangle("obj 2 b0 b1", "obj 2 b0 v(b1)", "bad scalar token");
+        mangle("obj 2 b0 b1", "obj 2 b0 t1x1(b1)", "bad scalar token");
+        mangle("obj 2 b0 b1", "obj 2 b0 b2", "bad scalar token");
+        mangle("obj 2 b0 b1", "obj 2 b0  b1", "bad scalar token \"\"");
+        mangle("obj 2 i5", "obj 2 i+5", "bad scalar token");
+        mangle("obj 2 i5", "obj 2 i", "bad scalar token");
+        mangle("obj 2 i5", "obj 2 i9223372036854775808", "bad scalar token");
+        mangle("obj 2 f80000000", "obj 2 f8000000", "bad scalar token");
+        mangle("obj 2 f80000000", "obj 2 f8000000g", "bad scalar token");
+        mangle("obj 2 f80000000", "obj 2 f+0000000", "bad scalar token");
+        mangle("obj 2 i5", "objs 2 i5", "expected an \"obj\" line");
+        mangle("objects 4", "objects 5", "unexpected end of record");
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use error::StoreError;
 pub use fault::{StoreFaultClass, StoreFaultCounts, StoreFaultPlan, StoreFaultSpec};
 
 use fault::Injector;
-use muir_core::envelope::{self, EnvelopeError, PayloadKind, FORMAT_VERSION};
+use muir_core::envelope::{self, EnvelopeError, PayloadKind, FORMAT_VERSION, HEADER_LEN};
 use muir_core::printer::print_accelerator;
 use muir_core::telemetry;
 use muir_core::CompiledAccel;
@@ -103,6 +103,19 @@ pub struct StoreStats {
     /// Whether the store is running disabled (everything degrades to
     /// recompute).
     pub disabled: bool,
+}
+
+/// A validated entry as read: the file's bytes and where the payload sits
+/// in them (decoders borrow it in place).
+struct Entry {
+    bytes: Vec<u8>,
+    payload: std::ops::Range<usize>,
+}
+
+impl Entry {
+    fn payload(&self) -> &[u8] {
+        &self.bytes[self.payload.clone()]
+    }
 }
 
 /// The persistent store. All methods take `&mut self` (stats and the
@@ -278,7 +291,7 @@ impl Store {
         &mut self,
         path: &Path,
         expect: PayloadKind,
-    ) -> Result<Option<Vec<u8>>, StoreError> {
+    ) -> Result<Option<Entry>, StoreError> {
         telemetry::count("store.reads", 1);
         let io_t0 = telemetry::enabled().then(std::time::Instant::now);
         let out = self.read_validated_inner(path, expect);
@@ -296,7 +309,7 @@ impl Store {
         &mut self,
         path: &Path,
         expect: PayloadKind,
-    ) -> Result<Option<Vec<u8>>, StoreError> {
+    ) -> Result<Option<Entry>, StoreError> {
         let mut bytes = match fs::read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -313,7 +326,10 @@ impl Store {
             bytes[bit / 8] ^= 1 << (bit % 8);
         }
         match envelope::open(&bytes) {
-            Ok((kind, payload)) if kind == expect => Ok(Some(payload.to_vec())),
+            Ok((kind, payload)) if kind == expect => {
+                let payload = HEADER_LEN..HEADER_LEN + payload.len();
+                Ok(Some(Entry { bytes, payload }))
+            }
             Ok((kind, _)) => Err(self.quarantine(
                 path,
                 StoreError::Decode {
@@ -420,10 +436,10 @@ impl Store {
     pub fn get_artifact(&mut self, hash: u64) -> Result<Option<String>, StoreError> {
         self.check_enabled()?;
         let path = self.artifact_path(hash);
-        let Some(payload) = self.read_validated(&path, PayloadKind::Artifact)? else {
+        let Some(entry) = self.read_validated(&path, PayloadKind::Artifact)? else {
             return Ok(None);
         };
-        let text = String::from_utf8(payload).map_err(|e| {
+        let text = std::str::from_utf8(entry.payload()).map_err(|e| {
             self.quarantine_missing(&path);
             StoreError::Decode {
                 path: path.display().to_string(),
@@ -486,12 +502,12 @@ impl Store {
     pub fn get_result(&mut self, key: ResultKey) -> Result<Option<StoredEval>, StoreError> {
         self.check_enabled()?;
         let path = self.result_path(key);
-        let Some(payload) = self.read_validated(&path, PayloadKind::SimResult)? else {
+        let Some(entry) = self.read_validated(&path, PayloadKind::SimResult)? else {
             self.stats.result_misses += 1;
             telemetry::count("store.result_misses", 1);
             return Ok(None);
         };
-        match codec::decode_eval(&payload) {
+        match codec::decode_eval(entry.payload()) {
             Ok(eval) => {
                 self.stats.result_hits += 1;
                 telemetry::count("store.result_hits", 1);

@@ -85,7 +85,7 @@ fn jobs_differing_only_in_nan_payload_get_their_own_results() {
     for bits in [0x7fc0_0001u32, 0x7fc0_0002] {
         let mut mem = Memory::from_module(&m);
         mem.init_i64(a, &[1; 16]);
-        mem.objects[f.0 as usize][0] = Value::F32(f32::from_bits(bits));
+        mem.write(f, 0, Value::F32(f32::from_bits(bits))).unwrap();
         let key = ResultKey::new(&comp, &cfg, &[], &mem);
         let result = simulate_compiled(&comp, &mut mem, &[], &cfg).unwrap();
         let end = end_state_hash(&result, &mem);
@@ -102,12 +102,85 @@ fn jobs_differing_only_in_nan_payload_get_their_own_results() {
     for (key, bits, end) in cold {
         let warm = store.get_result(key).unwrap().expect("warm hit");
         assert_eq!(end_state_hash(&warm.result, &warm.mem), end, "{bits:#x}");
-        let Value::F32(got) = warm.mem.objects[f.0 as usize][0] else {
-            panic!("f32 slot");
-        };
-        assert_eq!(got.to_bits(), bits, "payload survives the round trip");
+        let (_, got) = warm.mem.words(f, 0, 1).unwrap();
+        assert_eq!(got, [u64::from(bits)], "payload survives the round trip");
     }
     assert_eq!(store.stats().result_puts, 2);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Cross-commit fixture: the entry the last build whose images were
+/// `Vec<Value>` wrote for MT-INFER (registry inputs, baseline artifact,
+/// `SimConfig::default()`, no arguments), under the key in its file name.
+/// This build serves it, to the end state that build computed, and
+/// writes the same bytes back: stores filled before images were flat
+/// stay warm, and nothing tells the two builds' entries apart.
+#[test]
+fn parent_written_result_is_served_and_re_encoded_byte_identically() {
+    const FIXTURE: &[u8] = include_bytes!("../fixtures/b0d12b6aa501f015-a365652d0b58056d.res");
+    let key = ResultKey {
+        artifact: 0xb0d1_2b6a_a501_f015,
+        job: 0xa365_652d_0b58_056d,
+    };
+    let root = test_root("fixture");
+    let mut store = Store::open(&root);
+    fs::write(store.result_path(key), FIXTURE).unwrap();
+    let eval = store.get_result(key).unwrap().expect("served from store");
+    assert_eq!(
+        muir_sim::end_state_hash(&eval.result, &eval.mem),
+        0x698d_ed9a_ac4e_e284
+    );
+    assert_eq!(
+        eval.mem
+            .objects
+            .iter()
+            .map(|o| o.words().len())
+            .sum::<usize>(),
+        256
+    );
+    let (kind, payload) = envelope::open(FIXTURE).unwrap();
+    assert_eq!(kind, PayloadKind::SimResult);
+    assert_eq!(codec::encode_eval(&eval), payload);
+    // ... and through the write path, envelope included.
+    fs::remove_file(store.result_path(key)).unwrap();
+    store.put_result(key, &eval).unwrap();
+    assert_eq!(fs::read(store.result_path(key)).unwrap(), FIXTURE);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A record that passes the envelope but holds a memory object no typed
+/// word buffer can (two kinds on one line, a poison slot, a composite
+/// slot, a miscounted line) is a typed decode failure: quarantined, then
+/// a clean miss.
+#[test]
+fn untyped_memory_objects_are_decode_errors_and_quarantined() {
+    let root = test_root("untyped");
+    let (comp, cfg, eval) = sample_eval();
+    let key = ResultKey::new(&comp, &cfg, &[], &eval.mem);
+    let mut store = Store::open(&root);
+    let good = String::from_utf8(codec::encode_eval(&eval)).unwrap();
+    assert!(good.contains("\nobj 16 i2 i2 "), "{good}");
+    let bad_lines = [
+        "\nobj 16 b1 i2 ",
+        "\nobj 16 p i2 ",
+        "\nobj 16 v(i2) i2 ",
+        "\nobj 17 i2 i2 ",
+    ];
+    for (n, bad) in bad_lines.into_iter().enumerate() {
+        let payload = good.replacen("\nobj 16 i2 i2 ", bad, 1);
+        let sealed = envelope::seal(PayloadKind::SimResult, payload.as_bytes());
+        fs::write(store.result_path(key), sealed).unwrap();
+        let err = store.get_result(key).unwrap_err();
+        assert_eq!(err.code(), "E-STORE-DECODE", "{bad:?}: {err}");
+        assert_eq!(store.quarantine_len(), 1, "{bad:?}: evidence kept");
+        assert_eq!(store.stats().corrupt_entries, n as u64 + 1);
+        assert!(
+            store.get_result(key).unwrap().is_none(),
+            "{bad:?}: slot empty"
+        );
+    }
+    store.put_result(key, &eval).unwrap();
+    assert_eq!(store.get_result(key).unwrap().unwrap(), eval);
     let _ = fs::remove_dir_all(&root);
 }
 

@@ -24,6 +24,7 @@ pub mod tensorgraph;
 
 use muir_mir::instr::MemObjId;
 use muir_mir::interp::{Interp, InterpError, Memory};
+use muir_mir::memory::ElemKind;
 use muir_mir::module::Module;
 
 /// Benchmark suite classification (Table 2 groups).
@@ -97,26 +98,19 @@ impl Workload {
     /// graph evaluates the same expression tree — but exp/div can differ in
     /// the last ulp between environments).
     pub fn outputs_match(&self, a: &Memory, b: &Memory) -> bool {
-        for &obj in &self.outputs {
+        self.outputs.iter().all(|obj| {
             let (oa, ob) = (&a.objects[obj.0 as usize], &b.objects[obj.0 as usize]);
-            if oa.len() != ob.len() {
-                return false;
+            if oa.kind() != ElemKind::F32 || ob.kind() != ElemKind::F32 {
+                return oa == ob;
             }
-            for (x, y) in oa.iter().zip(ob) {
-                use muir_mir::value::Value;
-                let ok = match (x, y) {
-                    (Value::F32(p), Value::F32(q)) => {
-                        let scale = p.abs().max(q.abs()).max(1.0);
-                        (p - q).abs() <= 1e-4 * scale
-                    }
-                    _ => x == y,
-                };
-                if !ok {
-                    return false;
-                }
-            }
-        }
-        true
+            let (wa, wb) = (oa.words(), ob.words());
+            wa.len() == wb.len()
+                && wa.iter().zip(wb).all(|(&x, &y)| {
+                    let (p, q) = (f32::from_bits(x as u32), f32::from_bits(y as u32));
+                    let scale = p.abs().max(q.abs()).max(1.0);
+                    (p - q).abs() <= 1e-4 * scale
+                })
+        })
     }
 }
 

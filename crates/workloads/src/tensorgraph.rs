@@ -119,7 +119,7 @@ pub fn mt_infer() -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muir_mir::value::Value;
+    use muir_mir::memory::ElemKind;
 
     /// Each family's lowered module must agree with the *graph-level*
     /// reference evaluator on the same inputs — a differential across
@@ -142,13 +142,11 @@ mod tests {
                 .collect();
             let want = g.eval(&inputs).unwrap();
             let mem = w.run_reference().unwrap();
-            let got = &mem.objects[w.outputs[0].0 as usize];
+            let out = &mem.objects[w.outputs[0].0 as usize];
+            assert_eq!(out.kind(), ElemKind::F32, "{}: non-f32 output", w.name);
+            let got = mem.read_f32(w.outputs[0]);
             assert_eq!(got.len(), want.len(), "{}", w.name);
             for (x, y) in want.iter().zip(got) {
-                let y = match y {
-                    Value::F32(v) => *v,
-                    other => panic!("{}: non-f32 output {other:?}", w.name),
-                };
                 let scale = x.abs().max(y.abs()).max(1.0);
                 assert!((x - y).abs() <= 1e-4 * scale, "{}: {x} vs {y}", w.name);
             }

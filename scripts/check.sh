@@ -3,7 +3,8 @@
 # tier-1 test suite, the trace-exporter schema gate, the sealed-artifact
 # determinism gate (compile twice -> identical content hash; no-op pass
 # pipeline -> hash unchanged), the store determinism gate (cold/warm/
-# post-fault over the full workload suite), the storage fault campaign
+# post-fault over the full workload suite, then muir-store's own tests with
+# the entry a pre-flat-image build wrote), the storage fault campaign
 # (4 injected fault classes x plain/sim-faulted differential), the
 # seeded graph-fuzz smoke (30 graphs, check_lowering + Dense/Ready),
 # the tensor-lowering differential gate (text-parsed vs API-built
@@ -20,7 +21,9 @@
 # `check_lowering`), the one-front-door gate (the simulator accepts sealed
 # artifacts only: no exec-mode switch, no uncompiled simulate wrappers and
 # no process-local compile cache under crates/ src/ tests/ examples/), the
-# one-JSON-module gate (under crates/: string escaping and the `json_*`
+# one-memory-image gate (no `Vec<Vec<Value>>` image under crates/ src/ tests/
+# examples/, and the store codec's `obj` path parses straight into words
+# without the `Value`-token helpers), the one-JSON-module gate (under crates/: string escaping and the `json_*`
 # helpers live in crates/core/src/json.rs only, and the retired second
 # scoreboard is named by no source, script or manifest), the telemetry
 # zero-perturbation guard (metrics on vs off bit-identical on every
@@ -65,8 +68,9 @@ cargo run -q -p muir-bench --bin experiments -- trace-schema scripts/trace_schem
 echo "== artifact determinism (compile twice + no-op pipeline, all workloads) =="
 cargo run -q -p muir-bench --bin experiments -- compile-stats
 
-echo "== store determinism gate (cold/warm/post-fault, all workloads) =="
+echo "== store determinism gate (cold/warm/post-fault, all workloads; the parent-written fixture entry) =="
 cargo run --release -q -p muir-bench --bin experiments -- serve target/store-check
+cargo test -q -p muir-store --lib
 
 echo "== storage fault campaign (4 classes x plain/sim-faulted) =="
 cargo run --release -q -p muir-bench --bin experiments -- store-campaign target/store-campaign-check
@@ -109,6 +113,21 @@ echo "== one front door (sealed artifacts only: no exec mode, no uncompiled simu
 if grep -rnE 'ExecMode|with_exec|compile_cached|cache_stats|CacheStats|MUIR_COMPILE_CACHE_CAP|pub fn simulate(_batch)?\(' \
     crates src tests examples; then
     echo "check.sh: muir-sim has one door — CompiledAccel::compile, then simulate_compiled / simulate_batch_compiled (lines above)" >&2
+    exit 1
+fi
+
+echo "== one memory image (typed words; obj lines decode straight into them) =="
+# The engine's pool of recycled argument vectors is not an image.
+if grep -rn 'Vec<Vec<Value>>' crates src tests examples | grep -v '^crates/sim/src/engine.rs:.* spare: '; then
+    echo "check.sh: a memory image is one ObjectImage (kind + Vec<u64>) per object, never a Vec<Value> (lines above)" >&2
+    exit 1
+fi
+# decode_eval's obj path is take_obj and the two parsers under it; the
+# Value-token helpers of the results line stay out of it.
+if ! grep -q 'objects.push(take_obj(' crates/store/src/codec.rs ||
+    sed -n '/^fn parse_i64/,/^\/\/\/ Encode a \[`StoredEval`\]/p' crates/store/src/codec.rs |
+    grep -nE 'parse_values?|counted|Value::'; then
+    echo "check.sh: decode_eval must parse obj lines straight into words (take_obj), building no Value (lines above)" >&2
     exit 1
 fi
 

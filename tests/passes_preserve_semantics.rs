@@ -41,6 +41,13 @@ fn full_pass_stack_preserves_all_workloads() {
             .seal(&mut acc)
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert!(!report.deltas.is_empty());
+        // The manager's size columns are the graph's: the last record
+        // describes the graph the pipeline returned.
+        let (size, last) = (muir::core::stats::graph_stats(&acc), &report.records[8]);
+        assert_eq!(
+            (last.nodes_after, last.edges_after),
+            (size.nodes, size.edges)
+        );
         let ref_mem = w.run_reference().unwrap();
         let mut mem = w.fresh_memory();
         let r = simulate_compiled(&comp, &mut mem, &[], &SimConfig::default())
