@@ -595,7 +595,7 @@ fn metrics(name: &str, outdir: &str) {
     telemetry::reset();
 
     // Cold drain: dedup (two identical jobs), a traced job for the merged
-    // export, first-touch compile, sharded simulation, store writeback.
+    // export, first-touch compile, batched simulation, store writeback.
     let comp = std::sync::Arc::new(muir_bench::sealed(&w, &acc));
     let store_root = outroot.join("store");
     let mut svc = EvalService::new(
@@ -629,10 +629,7 @@ fn metrics(name: &str, outdir: &str) {
     // `E-SIM-LIMIT` and the doubling retry recovers — retry spans.
     let tight = ServiceConfig {
         deadline_cycles: 4,
-        retry: RetryPolicy {
-            max_attempts: 32,
-            ..RetryPolicy::default()
-        },
+        retry: RetryPolicy { max_attempts: 32 },
         ..ServiceConfig::default()
     };
     let mut clip_svc = EvalService::new(comp, None, tight);
@@ -797,8 +794,8 @@ fn selftest() {
         muir_sim::FaultClass::MemEcc,
         muir_sim::FaultClass::DramTimeout,
     ];
-    let a = muir_bench::campaign::run_campaign(&wl, &classes, 2);
-    let b = muir_bench::campaign::run_campaign(&wl, &classes, 2);
+    let a = muir_bench::campaign::run_campaign(&wl, &classes, 2, 1);
+    let b = muir_bench::campaign::run_campaign(&wl, &classes, 2, 1);
     assert_eq!(a, b, "campaign is not deterministic");
     assert_eq!(a.unflagged_corruptions(), 0, "unflagged silent corruption");
     print!("{a}");

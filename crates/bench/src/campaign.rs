@@ -22,10 +22,7 @@
 
 use std::fmt;
 
-use muir_sim::{
-    simulate_batch_compiled, simulate_compiled, FaultClass, FaultPlan, FaultSpec, SimConfig,
-    SimError,
-};
+use muir_sim::{simulate_batch_compiled, FaultClass, FaultPlan, FaultSpec, SimConfig, SimError};
 use muir_workloads::by_name;
 
 /// How a single injected-fault run ended, relative to the reference.
@@ -159,32 +156,6 @@ fn case_seed(workload: &str, class: FaultClass, replica: u32) -> u64 {
     h
 }
 
-/// Run one injected-fault case and classify it against the reference.
-///
-/// # Panics
-/// Panics if the workload name is unknown, or its baseline fails to seal
-/// or the fault-free reference itself fails (campaign preconditions, not
-/// fault outcomes).
-pub fn run_case(workload: &str, class: FaultClass, seed: u64) -> CaseResult {
-    let w = by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}"));
-    let ref_mem = w
-        .run_reference()
-        .unwrap_or_else(|e| panic!("{workload}: reference: {e}"));
-    let comp = crate::sealed(&w, &crate::baseline(&w));
-    let mut mem = w.fresh_memory();
-    let cfg = case_cfg(class, seed);
-    let r = simulate_compiled(&comp, &mut mem, &[], &cfg);
-    classify(
-        workload,
-        class,
-        seed,
-        &w,
-        &ref_mem,
-        r.map(|r| r.stats.faults_injected()),
-        &mem,
-    )
-}
-
 /// The per-case simulation configuration: one seeded single-event fault.
 fn case_cfg(class: FaultClass, seed: u64) -> SimConfig {
     SimConfig {
@@ -204,8 +175,7 @@ fn case_cfg(class: FaultClass, seed: u64) -> SimConfig {
     }
 }
 
-/// Bucket one finished run against the reference (shared by the
-/// sequential and batched campaign paths).
+/// Bucket one finished run against the reference.
 fn classify(
     workload: &str,
     class: FaultClass,
@@ -253,38 +223,18 @@ fn classify(
 }
 
 /// Run the full campaign: `replicas` seeded runs of every fault class on
-/// every named workload. Same arguments → byte-identical report.
+/// every named workload, each workload sealed and its reference computed
+/// once, its cases run as one [`simulate_batch_compiled`] batch on
+/// `threads` worker threads. Each case is an independent simulation with
+/// its own seed, memory image, and configuration, so the same arguments
+/// give a byte-identical report at any thread count — only wall time
+/// changes.
 ///
 /// # Panics
-/// Panics on unknown workload names or reference failures.
-pub fn run_campaign(workloads: &[&str], classes: &[FaultClass], replicas: u32) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    for &name in workloads {
-        for &class in classes {
-            for replica in 0..replicas {
-                let seed = case_seed(name, class, replica);
-                let case = run_case(name, class, seed);
-                assert!(
-                    case.outcome != Outcome::SilentCorruption || case.flagged,
-                    "{name}/{}/{replica}: corrupted completion without a fault flag",
-                    class.name()
-                );
-                report.cases.push(case);
-            }
-        }
-    }
-    report
-}
-
-/// [`run_campaign`] with the cases of each workload batched through
-/// [`simulate_batch_compiled`] on `threads` worker threads. The report
-/// is byte-identical to the sequential campaign's — each case is an
-/// independent simulation with its own seed, memory image, and
-/// configuration, so only wall time changes.
-///
-/// # Panics
-/// Panics on unknown workload names or reference failures.
-pub fn run_campaign_with_threads(
+/// Panics if a workload name is unknown, its baseline fails to seal, or
+/// the fault-free reference itself fails (campaign preconditions, not
+/// fault outcomes).
+pub fn run_campaign(
     workloads: &[&str],
     classes: &[FaultClass],
     replicas: u32,
@@ -297,7 +247,7 @@ pub fn run_campaign_with_threads(
             .run_reference()
             .unwrap_or_else(|e| panic!("{name}: reference: {e}"));
         let comp = crate::sealed(&w, &crate::baseline(&w));
-        // Same (class, replica) order as the sequential triple loop.
+        // Deterministic (class, replica) order.
         let coords: Vec<(FaultClass, u64)> = classes
             .iter()
             .flat_map(|&class| (0..replicas).map(move |r| (class, case_seed(name, class, r))))
@@ -338,7 +288,7 @@ pub fn run_campaign_with_threads(
 /// across the host's cores.
 pub fn default_campaign() -> CampaignReport {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    run_campaign_with_threads(&["SAXPY", "GEMM", "STENCIL"], &FaultClass::ALL, 3, threads)
+    run_campaign(&["SAXPY", "GEMM", "STENCIL"], &FaultClass::ALL, 3, threads)
 }
 
 #[cfg(test)]
@@ -349,8 +299,8 @@ mod tests {
     fn campaign_is_deterministic() {
         let wl = ["SAXPY"];
         let classes = [FaultClass::TokenDrop, FaultClass::MemEcc];
-        let a = run_campaign(&wl, &classes, 2);
-        let b = run_campaign(&wl, &classes, 2);
+        let a = run_campaign(&wl, &classes, 2, 1);
+        let b = run_campaign(&wl, &classes, 2, 1);
         assert_eq!(a, b, "same arguments must reproduce the same report");
         assert_eq!(a.cases.len(), 4);
     }
@@ -371,21 +321,17 @@ mod tests {
 
     #[test]
     fn corrupted_completions_are_always_flagged() {
-        let r = run_campaign(&["SAXPY"], &[FaultClass::TokenBitFlip], 4);
+        let r = run_campaign(&["SAXPY"], &[FaultClass::TokenBitFlip], 4, 1);
         assert_eq!(r.unflagged_corruptions(), 0);
     }
 
     #[test]
-    fn batched_campaign_matches_sequential() {
+    fn thread_count_never_changes_the_report() {
         let wl = ["SAXPY", "GEMM"];
         let classes = [FaultClass::TokenDrop, FaultClass::MemEcc];
-        let sequential = run_campaign(&wl, &classes, 2);
-        for threads in [1usize, 4] {
-            let batched = run_campaign_with_threads(&wl, &classes, 2, threads);
-            assert_eq!(
-                sequential, batched,
-                "batched campaign at {threads} threads diverged"
-            );
-        }
+        let one = run_campaign(&wl, &classes, 2, 1);
+        let four = run_campaign(&wl, &classes, 2, 4);
+        assert_eq!(one, four, "cases, error texts included");
+        assert_eq!(one.to_string(), four.to_string(), "report bytes");
     }
 }

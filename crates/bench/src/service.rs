@@ -1,7 +1,7 @@
 //! Fault-tolerant batch evaluation service over the persistent store.
 //!
 //! [`EvalService`] is a long-lived front end for evaluating design points
-//! of one sealed artifact: a sharded job queue feeding
+//! of one sealed artifact: a job queue feeding
 //! [`muir_sim::simulate_batch_compiled`] workers, with the robustness
 //! ladder wrapped around every evaluation:
 //!
@@ -14,16 +14,16 @@
 //!    the simulator's own cycle-limit watchdog (the engine checks its
 //!    budget every cycle, so a runaway job stops at the deadline and
 //!    surfaces as the *transient* `E-SIM-LIMIT`);
-//! 4. **bounded retry with seeded backoff** — transient failures
+//! 4. **bounded retry** — transient failures
 //!    ([`SimError::is_transient`]) are retried up to a bounded attempt
-//!    count with deterministic exponential backoff; each retry doubles
-//!    the cycle budget up to the job's own `max_cycles`, so a
-//!    deadline-clipped job gets a real second chance;
+//!    count; each retry doubles the cycle budget up to the job's own
+//!    `max_cycles`, so a deadline-clipped job gets a real second chance
+//!    (the simulator is deterministic and in-process: there is nothing to
+//!    back off from);
 //! 5. **degradation** — any store failure is recorded as a typed warning
 //!    (`E-STORE-*`) and the evaluation recomputes in memory; the store
 //!    can never fail a job, only fail to accelerate it.
 
-use muir_core::rng::SplitMix64;
 use muir_core::{telemetry, CompiledAccel};
 use muir_mir::interp::Memory;
 use muir_mir::value::Value;
@@ -41,30 +41,17 @@ use std::time::Instant;
 pub struct RetryPolicy {
     /// Total attempts per job, including the first (≥ 1).
     pub max_attempts: u32,
-    /// Base backoff in milliseconds; retry *k* sleeps roughly
-    /// `base · 2^(k-1)` plus seeded jitter below `base`. 0 disables
-    /// sleeping entirely (tests, CI).
-    pub base_backoff_ms: u64,
-    /// Seed of the jitter stream — backoff schedules are reproducible.
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff_ms: 0,
-            seed: 0x5e91_11ce,
-        }
+        RetryPolicy { max_attempts: 3 }
     }
 }
 
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Queue shards; pending work lands in shard `key.job % shards` and
-    /// each shard is drained as one batch (≥ 1).
-    pub shards: usize,
     /// Worker threads per batch dispatch.
     pub threads: usize,
     /// Per-job deadline as a cycle budget (0 = no deadline). Enforced
@@ -78,7 +65,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            shards: 4,
             threads: 1,
             deadline_cycles: 0,
             retry: RetryPolicy::default(),
@@ -287,7 +273,7 @@ impl EvalService {
 
     /// Evaluate every pending job and return outcomes in submission
     /// order. Identical jobs coalesce; results come from the store when
-    /// possible, from (batched, sharded) simulation otherwise; completed
+    /// possible, from one batched simulation otherwise; completed
     /// simulations are written back to the store.
     pub fn drain(&mut self) -> Vec<EvalOutcome> {
         let drain_t0 = Instant::now();
@@ -356,24 +342,15 @@ impl EvalService {
             }
         }
 
-        // Phase 2: shard the groups that must simulate and drain each
-        // shard as one batch.
-        let nshards = self.config.shards.max(1);
-        let mut shards: Vec<Vec<Group>> = (0..nshards).map(|_| Vec::new()).collect();
-        for g in to_run {
-            let shard = g.key.map_or(g.rep, |k| k.job as usize) % nshards;
-            shards[shard].push(g);
-        }
-        for (si, shard) in shards.into_iter().enumerate() {
-            if shard.is_empty() {
-                continue;
-            }
+        // Phase 2: the groups that must simulate go to the workers as one
+        // batch.
+        if !to_run.is_empty() {
             telemetry::observe(
                 "service.batch_size",
                 &telemetry::COUNT_BUCKETS,
-                shard.len() as u64,
+                to_run.len() as u64,
             );
-            let batch: Vec<BatchJob> = shard
+            let batch: Vec<BatchJob> = to_run
                 .iter()
                 .map(|g| {
                     let job = &jobs[g.rep];
@@ -390,15 +367,15 @@ impl EvalService {
                     "service",
                     "service.simulate",
                     if telemetry::enabled() {
-                        format!("shard {si}: {} groups", batch.len())
+                        format!("{} groups", batch.len())
                     } else {
                         String::new()
                     },
                 );
                 simulate_batch_compiled(&self.comp, batch, self.config.threads)
             };
-            let per_run_wall_s = sim_t0.elapsed().as_secs_f64() / shard.len().max(1) as f64;
-            for (mut g, run) in shard.into_iter().zip(runs) {
+            let per_run_wall_s = sim_t0.elapsed().as_secs_f64() / to_run.len() as f64;
+            for (mut g, run) in to_run.into_iter().zip(runs) {
                 let (outcome, mem, attempts) =
                     self.retry_transient(&jobs[g.rep], run.outcome, run.mem);
                 if let Ok(result) = &outcome {
@@ -483,9 +460,8 @@ impl EvalService {
         c
     }
 
-    /// Bounded retry for transient failures, with deterministic
-    /// exponential backoff and a doubling cycle budget (never past the
-    /// job's own `max_cycles`).
+    /// Bounded retry for transient failures, with a doubling cycle budget
+    /// (never past the job's own `max_cycles`).
     fn retry_transient(
         &mut self,
         job: &EvalJob,
@@ -500,7 +476,6 @@ impl EvalService {
             if !matches!(&outcome, Err(e) if e.is_transient()) {
                 break;
             }
-            self.backoff(attempts, job);
             budget = budget.saturating_mul(2).min(job.cfg.max_cycles.max(1));
             let mut cfg = job.cfg.clone();
             cfg.max_cycles = budget;
@@ -523,19 +498,6 @@ impl EvalService {
             telemetry::count("service.retries", 1);
         }
         (outcome, mem, attempts)
-    }
-
-    /// Sleep the seeded exponential backoff before retry `attempt`
-    /// (no-op when `base_backoff_ms` is 0).
-    fn backoff(&self, attempt: u32, job: &EvalJob) {
-        let base = self.config.retry.base_backoff_ms;
-        if base == 0 {
-            return;
-        }
-        let salt = muir_sim::config_hash(&job.cfg) ^ u64::from(attempt);
-        let jitter = SplitMix64::salted(self.config.retry.seed, salt).below(base + 1);
-        let ms = base.saturating_mul(1 << attempt.min(16)) / 2 + jitter;
-        std::thread::sleep(std::time::Duration::from_millis(ms));
     }
 
     /// Look up a group's memoized result; failures degrade to `None`
@@ -702,10 +664,7 @@ mod tests {
         // attempt bound.
         let cfg = ServiceConfig {
             deadline_cycles: 4,
-            retry: RetryPolicy {
-                max_attempts: 16,
-                ..RetryPolicy::default()
-            },
+            retry: RetryPolicy { max_attempts: 16 },
             ..ServiceConfig::default()
         };
         let mut svc = EvalService::new(comp, None, cfg);
@@ -782,7 +741,6 @@ mod tests {
             None,
             ServiceConfig {
                 threads: 4,
-                shards: 2,
                 ..ServiceConfig::default()
             },
         );

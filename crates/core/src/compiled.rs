@@ -1,10 +1,9 @@
 //! The sealed compilation artifact: [`CompiledAccel`].
 //!
-//! Every consumer of a μIR graph — the cycle simulator, the Chisel
-//! emitter, the cost model — needs the same derived indexes: per-node
-//! adjacency, a feedback-free topological order, queue depths resolved
-//! from the `<||>` connections, junction→structure routing. Before this
-//! module each consumer re-derived them from the mutable
+//! Every run of the cycle simulator needs the same derived tables: each
+//! node's inputs and outputs as dense index ranges, a feedback-free
+//! topological order, queue depths resolved from the `<||>` connections.
+//! Before this module the simulator re-derived them from the mutable
 //! [`Accelerator`] on every use, which meant a batch of N simulations
 //! paid N verifications and N elaborations of the same graph.
 //!
@@ -12,12 +11,13 @@
 //! §11): an immutable, index-dense lowering of a *verified* accelerator,
 //! carrying
 //!
-//! * the owned, frozen graph itself (consumers never re-walk a mutable
-//!   borrow);
-//! * per-task tables ([`CompiledTask`]): CSR in/out adjacency, the
-//!   port-sorted input-edge lists and reverse-topological node order the
-//!   schedulers need, static-node masks, and resolved issue-queue depths;
-//! * memory-connection maps (structure → client junctions);
+//! * the owned, frozen graph itself — what the Chisel emitter, the cost
+//!   model and every analysis read, through [`CompiledAccel::accel`];
+//! * per-task tables ([`CompiledTask`]), read by `muir-sim` alone: the
+//!   micro-op stream with each edge listed once (as an input slot of its
+//!   consumer or an order-in reference, and as an out reference of its
+//!   producer), the reverse-topological scan order and its inverse, the
+//!   dynamic-node count and the resolved issue-queue capacity;
 //! * a stable splitmix64-based content hash over the graph's derived
 //!   structural `Hash` (every field, in arena order; floats by bits),
 //!   which addresses the artifact in the persistent store and backs the
@@ -29,14 +29,13 @@
 //! well-formedness without re-checking.
 
 use crate::accel::{Accelerator, TaskId};
-use crate::dataflow::{Buffering, Dataflow, EdgeIndex, EdgeKind, JunctionId};
+use crate::dataflow::{Buffering, Dataflow, EdgeKind, NodeId};
 use crate::node::{FusedPlan, NodeKind, OpKind};
 use crate::telemetry;
 use crate::verify::{verify_accelerator, GraphError};
 use muir_mir::instr::BinOp;
 use muir_mir::value::Value;
 use std::hash::Hash as _;
-use std::sync::Arc;
 
 /// Dense micro-op opcode: what a node *does*, reduced to a `u8` so the
 /// simulator's fire path dispatches through a branch-predictable jump
@@ -134,39 +133,26 @@ pub struct EdgeMeta {
     pub fifo: u32,
 }
 
-/// Pre-elaborated, immutable tables for one task's dataflow. The fields
-/// are exactly the graph-derived (configuration-independent) state the
-/// simulator previously rebuilt per run; RTL/cost consumers use the CSR
-/// adjacency and the static masks.
-///
-/// Adjacency lists are `Arc<[usize]>` so scheduler hot paths can detach a
-/// cheap O(1) handle instead of cloning a `Vec` per visit.
+/// Pre-elaborated, immutable tables for one task's dataflow: exactly the
+/// graph-derived (configuration-independent) state the simulator would
+/// otherwise rebuild per run, each edge held once. `muir-sim` is the only
+/// reader — its gate, firing body, completion walk and deadlock diagnosis
+/// all walk the same `in_slots`/`edge_refs` ranges — and
+/// `muir_sim::reference::check_lowering` holds every field to the graph.
+/// RTL, cost and analysis consumers read [`CompiledAccel::accel`].
 #[derive(Debug)]
 pub struct CompiledTask {
-    /// Whether each node is static (Input/Const: invocation-constant).
-    pub is_static: Vec<bool>,
-    /// Count of dynamic nodes (each fires once per instance).
+    /// Count of dynamic (non-[`UopKind::Static`]) nodes; each fires once
+    /// per instance.
     pub dynamic_count: u32,
     /// Node processing order: consumers before producers (reverse topo
     /// over forward edges) so single-token edges sustain II=1.
-    pub order: Arc<[usize]>,
+    pub order: Vec<u32>,
     /// Inverse of `order`: `pos[node]` is the node's scan position.
     pub pos: Vec<u32>,
-    /// Per node: indices of incoming data/feedback edges sorted by port.
-    pub in_data: Vec<Arc<[usize]>>,
-    /// Per node: indices of incoming order edges.
-    pub in_order: Vec<Arc<[usize]>>,
-    /// Per node: indices of outgoing (non-static-src) edges.
-    pub outs: Vec<Arc<[usize]>>,
-    /// CSR adjacency over *all* edges (every kind, both directions);
-    /// incoming rows are port-sorted. This is the general-purpose view
-    /// for RTL, cost, and analysis consumers.
-    pub index: EdgeIndex,
-    /// Issue-queue depth contributed by the `<||>` connection feeding
-    /// this task (1 when the task has no parent connection).
-    pub conn_queue_depth: u32,
     /// Total invocation queue capacity: the task's own issue queue plus
-    /// the `<||>` FIFO feeding it.
+    /// the `<||>` FIFO feeding it (1 when the task has no parent
+    /// connection).
     pub queue_cap: usize,
     /// Junction count (sizes the simulator's junction-budget slab).
     pub njunctions: usize,
@@ -174,10 +160,12 @@ pub struct CompiledTask {
     /// record per node; `Static` records are never dispatched.
     pub uops: Vec<MicroOp>,
     /// Packed input slots ([`SLOT_TOKEN`]/[`SLOT_ARG`]/[`SLOT_CONST`]/
-    /// [`SLOT_FEEDBACK`] + payload), one run per node in port order.
+    /// [`SLOT_FEEDBACK`] + payload), one run per node in port order
+    /// (equal ports keep edge order).
     pub in_slots: Vec<u32>,
     /// Per node at [`MicroOp::ebase`]: `nord` dynamic order-in edges
-    /// followed by `nout` out edges.
+    /// followed by `nout` out edges, each run in edge order. Edges out of
+    /// a `Static` node are not listed (their consumers read a slot).
     pub edge_refs: Vec<u32>,
     /// Pre-evaluated `Const` node values, referenced by [`SLOT_CONST`]
     /// slots.
@@ -192,132 +180,106 @@ pub struct CompiledTask {
 }
 
 impl CompiledTask {
-    fn build(acc: &Accelerator, tid: TaskId) -> CompiledTask {
+    /// Lower one task: one walk over a local CSR index of the graph emits
+    /// a [`MicroOp`] per node with its inputs resolved to packed slots,
+    /// its edge lists to index ranges, and its operands decoded out of
+    /// `NodeKind`.
+    fn lower(acc: &Accelerator, tid: TaskId) -> CompiledTask {
         let task = acc.task(tid);
         let df = &task.dataflow;
         let n = df.nodes.len();
-        let is_static: Vec<bool> = df
-            .nodes
-            .iter()
-            .map(|nd| matches!(nd.kind, NodeKind::Input { .. } | NodeKind::Const(_)))
+        let is_static = |node: u32| {
+            matches!(
+                df.nodes[node as usize].kind,
+                NodeKind::Input { .. } | NodeKind::Const(_)
+            )
+        };
+        let order: Vec<u32> = forward_topo(df)
+            .into_iter()
+            .rev()
+            .map(|x| x as u32)
             .collect();
-        let mut in_data = vec![Vec::new(); n];
-        let mut in_order = vec![Vec::new(); n];
-        let mut outs = vec![Vec::new(); n];
-        for (ei, e) in df.edges.iter().enumerate() {
-            match e.kind {
-                EdgeKind::Order => in_order[e.dst.0 as usize].push(ei),
-                _ => in_data[e.dst.0 as usize].push(ei),
-            }
-            if !is_static[e.src.0 as usize] {
-                outs[e.src.0 as usize].push(ei);
-            }
-        }
-        for v in &mut in_data {
-            v.sort_by_key(|&ei| df.edges[ei].dst_port);
-        }
-        let order = reverse_topo(df);
         let mut pos = vec![0u32; n];
         for (p, &node) in order.iter().enumerate() {
-            pos[node] = p as u32;
+            pos[node as usize] = p as u32;
         }
-        let conn_queue_depth = acc
-            .task_conns
-            .iter()
-            .find(|c| c.child == tid)
-            .map(|c| c.queue_depth)
-            .unwrap_or(1);
-        let dynamic_count = is_static.iter().filter(|s| !**s).count() as u32;
-        CompiledTask {
-            is_static,
-            dynamic_count,
-            order: order.into(),
+        // The `<||>` FIFO feeding this task, if a parent connects to it.
+        let feeding = acc.task_conns.iter().find(|c| c.child == tid);
+        let mut ct = CompiledTask {
+            dynamic_count: 0,
+            order,
             pos,
-            in_data: in_data.into_iter().map(Into::into).collect(),
-            in_order: in_order.into_iter().map(Into::into).collect(),
-            outs: outs.into_iter().map(Into::into).collect(),
-            index: df.edge_index(),
-            conn_queue_depth,
-            queue_cap: (task.queue_depth + conn_queue_depth) as usize,
+            queue_cap: (task.queue_depth + feeding.map_or(1, |c| c.queue_depth)) as usize,
             njunctions: df.junctions.len(),
-            uops: Vec::new(),
+            uops: Vec::with_capacity(n),
             in_slots: Vec::new(),
             edge_refs: Vec::new(),
             consts: Vec::new(),
             fused_plans: Vec::new(),
-            edge_meta: Vec::new(),
-        }
-    }
-
-    /// Lower the structure tables into the flat micro-op stream: one
-    /// [`MicroOp`] per node with inputs resolved to packed slots, edge
-    /// lists to index ranges, and operands decoded out of `NodeKind`.
-    fn emit_uops(&mut self, acc: &Accelerator, tid: TaskId) {
-        let df = &acc.task(tid).dataflow;
-        let n = df.nodes.len();
-        self.edge_meta = df
-            .edges
-            .iter()
-            .map(|e| EdgeMeta {
-                src: e.src.0,
-                src_port: e.src_port,
-                is_order: e.kind == EdgeKind::Order,
-                fifo: match e.buffering {
-                    Buffering::Handshake => u32::MAX,
-                    Buffering::Fifo(d) => d,
-                },
-            })
-            .collect();
+            edge_meta: df
+                .edges
+                .iter()
+                .map(|e| EdgeMeta {
+                    src: e.src.0,
+                    src_port: e.src_port,
+                    is_order: e.kind == EdgeKind::Order,
+                    fifo: match e.buffering {
+                        Buffering::Handshake => u32::MAX,
+                        Buffering::Fifo(d) => d,
+                    },
+                })
+                .collect(),
+        };
+        // Incoming rows are sorted by `(dst_port, edge)` — the port order
+        // the slots need, with every order edge (`dst_port == u16::MAX`)
+        // behind the operands in edge order; outgoing rows are in edge
+        // order.
+        let idx = df.edge_index();
         // A placeholder op keeps `MicroOp` `Copy`-able and fixed-size for
         // the opcodes that carry no inline operation.
         let nop = OpKind::Bin(BinOp::Add);
-        let mut uops = Vec::with_capacity(n);
-        for node in 0..n {
-            let nk = &df.nodes[node].kind;
-            let slot0 = self.in_slots.len() as u32;
-            let ebase = self.edge_refs.len() as u32;
-            // Input slots in port order (`in_data` is already port-sorted).
-            for &ei in self.in_data[node].iter() {
-                let e = &df.edges[ei];
-                let src = e.src.0 as usize;
-                let slot = if self.is_static[src] {
-                    match &df.nodes[src].kind {
-                        NodeKind::Input { index } => SLOT_ARG | index,
-                        NodeKind::Const(c) => {
-                            let ci = self.consts.len() as u32;
-                            self.consts.push(c.to_value());
-                            SLOT_CONST | ci
-                        }
-                        _ => unreachable!("static nodes are Input/Const"),
+        for (node, nd) in df.nodes.iter().enumerate() {
+            let id = NodeId(node as u32);
+            let slot0 = ct.in_slots.len() as u32;
+            let ebase = ct.edge_refs.len() as u32;
+            for &ei in idx.ins(id) {
+                let e = &df.edges[ei as usize];
+                if e.kind == EdgeKind::Order {
+                    // Only a dynamic producer ever sends the pulse.
+                    if !is_static(e.src.0) {
+                        ct.edge_refs.push(ei);
                     }
-                } else if matches!(nk, NodeKind::Merge) && e.dst_port == 1 {
-                    SLOT_FEEDBACK | ei as u32
-                } else {
-                    SLOT_TOKEN | ei as u32
-                };
-                self.in_slots.push(slot);
-            }
-            let nin = (self.in_slots.len() as u32 - slot0) as u16;
-            // Dynamic order-in edges first, then out edges.
-            for &ei in self.in_order[node].iter() {
-                if !self.is_static[df.edges[ei].src.0 as usize] {
-                    self.edge_refs.push(ei as u32);
+                    continue;
                 }
+                let slot = match &df.node(e.src).kind {
+                    NodeKind::Input { index } => SLOT_ARG | index,
+                    NodeKind::Const(c) => {
+                        let ci = ct.consts.len() as u32;
+                        ct.consts.push(c.to_value());
+                        SLOT_CONST | ci
+                    }
+                    _ if matches!(nd.kind, NodeKind::Merge) && e.dst_port == 1 => {
+                        SLOT_FEEDBACK | ei
+                    }
+                    _ => SLOT_TOKEN | ei,
+                };
+                ct.in_slots.push(slot);
             }
-            let nord = (self.edge_refs.len() as u32 - ebase) as u16;
-            for &ei in self.outs[node].iter() {
-                self.edge_refs.push(ei as u32);
-            }
-            let nout = self.outs[node].len() as u16;
-            let (kind, flags, a, b, op) = match nk {
+            let nin = (ct.in_slots.len() as u32 - slot0) as u16;
+            let nord = (ct.edge_refs.len() as u32 - ebase) as u16;
+            let dynamic = !is_static(id.0);
+            let outs: &[u32] = if dynamic { idx.outs(id) } else { &[] };
+            ct.edge_refs.extend_from_slice(outs);
+            ct.dynamic_count += u32::from(dynamic);
+            let (kind, flags, a, b, op) = match &nd.kind {
                 NodeKind::Input { .. } | NodeKind::Const(_) => (UopKind::Static, 0, 0, 0, nop),
                 NodeKind::IndVar => (UopKind::IndVar, 0, 0, 0, nop),
                 NodeKind::Merge => (UopKind::Merge, 0, 0, 0, nop),
                 NodeKind::FusedAcc { op } => (UopKind::FusedAcc, 0, 0, 0, *op),
                 NodeKind::Compute(op) => (UopKind::Compute, 0, 0, 0, *op),
                 NodeKind::Fused(plan) => {
-                    let pi = self.fused_plans.len() as u32;
-                    self.fused_plans.push(plan.clone());
+                    let pi = ct.fused_plans.len() as u32;
+                    ct.fused_plans.push(plan.clone());
                     (UopKind::Fused, 0, pi, 0, nop)
                 }
                 NodeKind::Output => (UopKind::Output, 0, 0, 0, nop),
@@ -365,12 +327,12 @@ impl CompiledTask {
                     )
                 }
             };
-            uops.push(MicroOp {
+            ct.uops.push(MicroOp {
                 kind,
                 flags,
                 nin,
                 nord,
-                nout,
+                nout: outs.len() as u16,
                 slot0,
                 ebase,
                 a,
@@ -378,7 +340,7 @@ impl CompiledTask {
                 op,
             });
         }
-        self.uops = uops;
+        ct
     }
 
     /// Number of micro-ops in this task's stream (== node count).
@@ -404,19 +366,7 @@ impl CompiledTask {
 
     /// Approximate heap footprint of this task's tables, in bytes.
     fn size_bytes(&self) -> usize {
-        let adj: usize = self
-            .in_data
-            .iter()
-            .chain(self.in_order.iter())
-            .chain(self.outs.iter())
-            .map(|a| a.len() * size_of::<usize>())
-            .sum();
-        self.is_static.len()
-            + self.order.len() * size_of::<usize>()
-            + self.pos.len() * size_of::<u32>()
-            + adj
-            + self.index.size_bytes()
-            + self.uop_bytes()
+        (self.order.len() + self.pos.len()) * size_of::<u32>() + self.uop_bytes()
     }
 }
 
@@ -427,9 +377,6 @@ pub struct CompiledAccel {
     accel: Accelerator,
     hash: u64,
     tasks: Vec<CompiledTask>,
-    /// Per structure: the `<==>` client junctions reaching it, in
-    /// connection order.
-    mem_clients: Vec<Vec<(TaskId, JunctionId)>>,
 }
 
 impl CompiledAccel {
@@ -442,39 +389,13 @@ impl CompiledAccel {
     pub fn compile(acc: &Accelerator) -> Result<CompiledAccel, GraphError> {
         let _span = telemetry::span("compile", "compile.lower");
         verify_accelerator(acc)?;
-        let hash = content_hash(acc);
-        let t0 = telemetry::enabled().then(std::time::Instant::now);
-        let mut tasks: Vec<CompiledTask> = acc
-            .task_ids()
-            .map(|tid| CompiledTask::build(acc, tid))
-            .collect();
-        let t1 = telemetry::enabled().then(std::time::Instant::now);
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            telemetry::observe(
-                "compile.lower_structure_us",
-                &telemetry::US_BUCKETS,
-                t1.duration_since(t0).as_micros() as u64,
-            );
-        }
-        for (ti, ct) in tasks.iter_mut().enumerate() {
-            ct.emit_uops(acc, TaskId(ti as u32));
-        }
-        if let Some(t1) = t1 {
-            telemetry::observe(
-                "compile.lower_uops_us",
-                &telemetry::US_BUCKETS,
-                t1.elapsed().as_micros() as u64,
-            );
-        }
-        let mut mem_clients = vec![Vec::new(); acc.structures.len()];
-        for mc in &acc.mem_conns {
-            mem_clients[mc.structure.0 as usize].push((mc.task, mc.junction));
-        }
         Ok(CompiledAccel {
             accel: acc.clone(),
-            hash,
-            tasks,
-            mem_clients,
+            hash: content_hash(acc),
+            tasks: acc
+                .task_ids()
+                .map(|tid| CompiledTask::lower(acc, tid))
+                .collect(),
         })
     }
 
@@ -500,23 +421,10 @@ impl CompiledAccel {
         &self.tasks[ti]
     }
 
-    /// The `<==>` client junctions of structure `si`, in connection order.
-    pub fn mem_clients(&self, si: usize) -> &[(TaskId, JunctionId)] {
-        &self.mem_clients[si]
-    }
-
     /// Approximate heap footprint of the artifact's index tables (the
     /// lowering overhead beyond the graph itself), in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.tasks
-            .iter()
-            .map(CompiledTask::size_bytes)
-            .sum::<usize>()
-            + self
-                .mem_clients
-                .iter()
-                .map(|v| v.len() * size_of::<(TaskId, JunctionId)>())
-                .sum::<usize>()
+        self.tasks.iter().map(CompiledTask::size_bytes).sum()
     }
 }
 
@@ -706,15 +614,10 @@ pub fn content_hash(acc: &Accelerator) -> u64 {
     h.finish()
 }
 
-/// Reverse topological order over forward (non-feedback) edges:
-/// consumers before producers. This is the schedulers' scan order (a
+/// Forward topological order over forward (non-feedback) edges. Reversed
+/// — consumers before producers — it is the schedulers' scan order: a
 /// consumer drains its input edge before the producer refills it, so
-/// single-token edges sustain II=1).
-pub fn reverse_topo(df: &Dataflow) -> Vec<usize> {
-    forward_topo(df).into_iter().rev().collect()
-}
-
-/// Forward topological order over forward (non-feedback) edges.
+/// single-token edges sustain II=1.
 pub fn forward_topo(df: &Dataflow) -> Vec<usize> {
     let n = df.nodes.len();
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -738,11 +641,7 @@ pub fn forward_topo(df: &Dataflow) -> Vec<usize> {
         }
     }
     // Any leftover (forward cycle — should not happen) appended for safety.
-    for i in 0..n {
-        if !order.contains(&i) {
-            order.push(i);
-        }
-    }
+    order.extend((0..n).filter(|&i| indeg[i] != 0));
     order
 }
 
@@ -1063,46 +962,38 @@ mod tests {
     }
 
     #[test]
-    fn compiled_tables_match_engine_expectations() {
-        let acc = tiny_acc();
-        let comp = CompiledAccel::compile(&acc).unwrap();
-        let ct = comp.task(0);
-        assert_eq!(ct.is_static, vec![true, true, false, false]);
-        assert_eq!(ct.dynamic_count, 2);
-        // add's inputs are port-sorted; out has a single input.
-        assert_eq!(&*ct.in_data[2], &[0usize, 1]);
-        assert_eq!(&*ct.in_data[3], &[2usize]);
-        // Static sources contribute no `outs` entries.
-        assert!(ct.outs[0].is_empty());
-        assert_eq!(&*ct.outs[2], &[2usize]);
-        // Reverse topo: consumers before producers.
-        let pos_of = |n: usize| ct.order.iter().position(|&x| x == n).unwrap();
-        assert!(pos_of(3) < pos_of(2));
-        assert_eq!(ct.conn_queue_depth, 1);
-    }
-
-    #[test]
-    fn uop_stream_matches_structure_tables() {
+    fn lowered_tables_match_engine_expectations() {
         let acc = tiny_acc();
         let comp = CompiledAccel::compile(&acc).unwrap();
         let ct = comp.task(0);
         assert_eq!(ct.uop_count(), 4);
         assert_eq!(ct.uops[0].kind, UopKind::Static);
+        assert_eq!(ct.dynamic_count, 2);
+        // Static sources list no out edges.
+        assert_eq!(ct.uops[0].nout, 0);
         let add = ct.uops[2];
         assert_eq!(add.kind, UopKind::Compute);
         assert_eq!(add.op, OpKind::Bin(BinOp::Add));
-        // Both inputs are consts, pre-evaluated into the const pool.
+        // Both inputs are consts, pre-evaluated into the const pool, in
+        // port order.
         assert_eq!(add.nin, 2);
         let slots = &ct.in_slots[add.slot0 as usize..(add.slot0 + 2) as usize];
-        assert!(slots.iter().all(|&s| s & SLOT_TAG == SLOT_CONST));
-        assert_eq!(ct.consts.len(), 2);
-        // add has no order inputs and one out edge (edge 2 -> out).
+        assert_eq!(slots, &[SLOT_CONST, SLOT_CONST | 1]);
+        assert_eq!(ct.consts, vec![Value::Int(1), Value::Int(2)]);
+        // add has no order inputs and one out edge (edge 2 -> out), which
+        // is out's single token input.
         assert_eq!((add.nord, add.nout), (0, 1));
         assert_eq!(ct.edge_refs[add.ebase as usize], 2);
+        assert_eq!(ct.in_slots[ct.uops[3].slot0 as usize], SLOT_TOKEN | 2);
         assert_eq!(ct.edge_meta[2].src, 2);
         assert!(!ct.edge_meta[2].is_order);
         assert_eq!(ct.edge_meta[2].fifo, u32::MAX);
         assert!(ct.uop_bytes() > 0);
+        // Reverse topo: consumers before producers; `pos` inverts `order`.
+        assert!(ct.pos[3] < ct.pos[2]);
+        assert!((0..4).all(|p| ct.pos[ct.order[p] as usize] == p as u32));
+        // No `<||>` connection feeds the root: its own queue plus one.
+        assert_eq!(ct.queue_cap, acc.tasks[0].queue_depth as usize + 1);
     }
 
     /// Sealing has no hidden state: two seals of one graph agree (their

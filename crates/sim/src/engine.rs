@@ -39,6 +39,7 @@ use muir_core::node::{FusedInput, NodeKind, OpKind};
 use muir_core::structure::StructureKind;
 use muir_mir::instr::{BinOp, CastOp, MemObjId};
 use muir_mir::interp::{eval_bin, eval_cmp, eval_tensor, eval_un, Memory};
+use muir_mir::types::Type;
 use muir_mir::value::Value;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -290,7 +291,7 @@ struct NodeState {
 }
 
 /// The per-run constants of one node: timing and databox bound depend on
-/// the `SimConfig`, scan position and staticness on the sealed graph.
+/// the `SimConfig`, scan position on the sealed graph.
 #[derive(Debug, Clone, Copy)]
 struct NodeInfo {
     latency: u32,
@@ -300,7 +301,6 @@ struct NodeInfo {
     max_pending: u32,
     /// Position in the consumers-first scan order.
     pos: u32,
-    is_static: bool,
 }
 
 /// Ready-set state of one invocation for [`SchedulerKind::Ready`]
@@ -569,12 +569,19 @@ fn out_edges<'a>(ct: &'a CompiledTask, uop: &MicroOp) -> &'a [u32] {
 /// `queue_cap`, …) directly.
 #[derive(Debug)]
 struct ElabTask<'a> {
-    /// The sealed per-task tables: adjacency, scan order, and the micro-op
-    /// stream firings execute from.
+    /// The sealed per-task tables: scan order and the micro-op stream
+    /// firings execute from.
     ct: &'a CompiledTask,
     info: Vec<NodeInfo>,
     /// Per edge resolved token capacity: explicit FIFO depth, or
-    /// `cfg.elastic_depth` for handshake connections.
+    /// `cfg.elastic_depth` for handshake connections (they act as elastic
+    /// pipelines).
+    ///
+    /// `Fifo(0)` is honored as a genuinely capacity-less channel — the
+    /// hardware a μopt pass would emit if it removed a pipeline register it
+    /// shouldn't have. Such an edge can never carry a token; the producer
+    /// blocks forever and the deadlock diagnosis names the edge and the
+    /// buffer bump that fixes it.
     cap: Vec<u32>,
 }
 
@@ -760,7 +767,6 @@ impl<'a> Engine<'a> {
                                 _ => u32::MAX,
                             },
                             pos: ct.pos[n],
-                            is_static: ct.is_static[n],
                         }
                     })
                     .collect();
@@ -899,6 +905,7 @@ impl<'a> Engine<'a> {
         };
 
         let root = self.acc.root.0 as usize;
+        self.check_root_args(root, args)?;
         let uid = self.fresh_uid();
         self.tasks[root].queue.push_back(Invocation {
             uid,
@@ -937,6 +944,35 @@ impl<'a> Engine<'a> {
             .take()
             .map(|o| o.finish(cycles, &stats.struct_stats));
         Ok((cycles, results, stats, observed))
+    }
+
+    /// The door check on the root invocation: every `Input` node of the
+    /// root task must find an argument of its declared type. Inside the
+    /// graph a token's type follows from the graph; here it is the
+    /// caller's, and the scalar evaluators panic on a kind they do not
+    /// expect.
+    fn check_root_args(&self, root: usize, args: &[Value]) -> Result<(), SimError> {
+        let task = &self.acc.tasks[root];
+        for (n, nd) in task.dataflow.nodes.iter().enumerate() {
+            let NodeKind::Input { index } = nd.kind else {
+                continue;
+            };
+            let detail = match args.get(index as usize) {
+                None => format!("missing argument {index}"),
+                Some(v) if !value_fits(v, nd.ty) => {
+                    format!("argument {index} is {v}, but {} takes {}", nd.name, nd.ty)
+                }
+                Some(_) => continue,
+            };
+            return Err(SimError::eval(detail).at_site(
+                0,
+                root as u32,
+                &task.name,
+                Some(n as u32),
+                None,
+            ));
+        }
+        Ok(())
     }
 
     /// Elements DMA'd into scratchpads before launch (read-only inputs) and
@@ -1133,8 +1169,10 @@ impl<'a> Engine<'a> {
             ..DeadlockReport::default()
         };
         for (ti, t) in self.tasks.iter().enumerate() {
-            let df = &self.acc.tasks[ti].dataflow;
-            let name = &self.acc.tasks[ti].name;
+            let task = &self.acc.tasks[ti];
+            let df = &task.dataflow;
+            let et = &self.elab[ti];
+            let ct = et.ct;
             if !t.queue.is_empty() {
                 report.queued.push((ti as u32, t.queue.len()));
             }
@@ -1142,77 +1180,62 @@ impl<'a> Engine<'a> {
                 let Some(inv) = tile else { continue };
                 report.stuck_tiles.push(StuckTile {
                     task: ti as u32,
-                    task_name: name.clone(),
+                    task_name: task.name.clone(),
                     tile: tk as u32,
                     trip: inv.trip,
                     admitted: inv.admitted,
                     completed: inv.completed,
                     spawns_outstanding: inv.spawns_outstanding,
                 });
-                for node in 0..df.nodes.len() {
-                    if self.elab[ti].is_static[node] || self.stuck.contains(&(ti, tk, node)) {
+                for (node, uop) in ct.uops.iter().enumerate() {
+                    if uop.kind == UopKind::Static || self.stuck.contains(&(ti, tk, node)) {
                         continue;
                     }
                     let k = inv.nodes[node].fired;
                     if k >= inv.admitted {
                         continue; // waiting for admission, not a channel
                     }
-                    let me: V = (ti, tk, node);
+                    // `node` waits on node `on` through channel `ei`.
+                    let wait = |ei: usize, on: u32, state: ChannelState| W {
+                        to: (ti, tk, on as usize),
+                        edge: WaitEdge {
+                            task: ti as u32,
+                            task_name: task.name.clone(),
+                            edge: ei as u32,
+                            src: node as u32,
+                            src_name: df.nodes[node].name.clone(),
+                            dst: on,
+                            dst_name: df.nodes[on as usize].name.clone(),
+                            capacity: et.cap[ei],
+                            state,
+                        },
+                    };
+                    // Empty input channels: waiting on the producer. The
+                    // edges are the input gate's, in its order — token
+                    // slots by port, then the dynamic order-in edges.
+                    let slots = &ct.in_slots[uop.slot0 as usize..][..uop.nin as usize];
+                    let tokens = slots.iter().filter_map(|&s| match s & SLOT_TAG {
+                        SLOT_ARG | SLOT_CONST => None,
+                        SLOT_FEEDBACK if k == 0 => None,
+                        _ => Some(s & SLOT_PAYLOAD),
+                    });
+                    let order_in = &ct.edge_refs[uop.ebase as usize..][..uop.nord as usize];
                     let mut out: Vec<W> = Vec::new();
-                    // Empty input channels: waiting on the producer.
-                    let is_merge = matches!(df.nodes[node].kind, NodeKind::Merge);
-                    for &ei in self.elab[ti].in_data[node]
-                        .iter()
-                        .chain(self.elab[ti].in_order[node].iter())
-                    {
-                        let e = &df.edges[ei];
-                        if self.elab[ti].is_static[e.src.0 as usize] {
-                            continue;
-                        }
-                        if is_merge && e.dst_port == 1 && k == 0 {
-                            continue;
-                        }
-                        let has = inv.arena.front(ei).is_some_and(|(_, vis)| vis <= cycle);
-                        if !has {
-                            out.push(W {
-                                to: (ti, tk, e.src.0 as usize),
-                                edge: WaitEdge {
-                                    task: ti as u32,
-                                    task_name: name.clone(),
-                                    edge: ei as u32,
-                                    src: node as u32,
-                                    src_name: df.nodes[node].name.clone(),
-                                    dst: e.src.0,
-                                    dst_name: df.nodes[e.src.0 as usize].name.clone(),
-                                    capacity: self.edge_capacity(ti, ei) as u32,
-                                    state: ChannelState::Empty,
-                                },
-                            });
+                    for ei in tokens.chain(order_in.iter().copied()) {
+                        let ei = ei as usize;
+                        if inv.arena.front(ei).is_none_or(|(_, vis)| vis > cycle) {
+                            out.push(wait(ei, ct.edge_meta[ei].src, ChannelState::Empty));
                         }
                     }
                     // Full output channels: waiting on the consumer.
-                    for &ei in self.elab[ti].outs[node].iter() {
-                        let e = &df.edges[ei];
-                        let cap = self.edge_capacity(ti, ei);
-                        let visible = inv.arena.visible(ei) as usize;
-                        if visible >= cap {
-                            out.push(W {
-                                to: (ti, tk, e.dst.0 as usize),
-                                edge: WaitEdge {
-                                    task: ti as u32,
-                                    task_name: name.clone(),
-                                    edge: ei as u32,
-                                    src: node as u32,
-                                    src_name: df.nodes[node].name.clone(),
-                                    dst: e.dst.0,
-                                    dst_name: df.nodes[e.dst.0 as usize].name.clone(),
-                                    capacity: cap as u32,
-                                    state: ChannelState::Full,
-                                },
-                            });
+                    for &ei in out_edges(ct, uop) {
+                        let ei = ei as usize;
+                        if inv.arena.visible(ei) >= et.cap[ei] {
+                            out.push(wait(ei, df.edges[ei].dst.0, ChannelState::Full));
                         }
                     }
                     if !out.is_empty() {
+                        let me: V = (ti, tk, node);
                         vertices.push(me);
                         waits.insert(me, out);
                     }
@@ -1231,18 +1254,6 @@ impl<'a> Engine<'a> {
                 depth: w.capacity + 1,
             });
         report
-    }
-
-    /// Token capacity of an edge: explicit FIFOs use their depth; default
-    /// handshake connections act as elastic pipelines.
-    ///
-    /// `Fifo(0)` is honored as a genuinely capacity-less channel — the
-    /// hardware a μopt pass would emit if it removed a pipeline register it
-    /// shouldn't have. Such an edge can never carry a token; the producer
-    /// blocks forever and the deadlock diagnosis names the edge and the
-    /// buffer bump that fixes it.
-    fn edge_capacity(&self, ti: usize, ei: usize) -> usize {
-        self.elab[ti].cap[ei] as usize
     }
 
     /// A typed `Fault` error located at a node interface of invocation
@@ -1537,9 +1548,9 @@ impl<'a> Engine<'a> {
     /// The dense oracle's walk: every node, consumers first, every cycle.
     fn dense_pass(&mut self, ti: usize, tk: usize, inv: &mut ActiveInv) -> Result<(), SimError> {
         self.admit(ti, inv);
-        let order: &[usize] = &self.elab[ti].ct.order;
+        let order: &[u32] = &self.elab[ti].ct.order;
         for &node in order {
-            self.try_fire(ti, tk, inv, node)?;
+            self.try_fire(ti, tk, inv, node as usize)?;
         }
         Ok(())
     }
@@ -1554,8 +1565,8 @@ impl<'a> Engine<'a> {
         match admitted {
             // Seeding: every dynamic node's next firing is instance 0.
             Some(0) => {
-                for (node, ni) in info.iter().enumerate() {
-                    if !ni.is_static {
+                for (node, uop) in self.elab[ti].ct.uops.iter().enumerate() {
+                    if uop.kind != UopKind::Static {
                         inv.wake(info, node, cycle);
                     }
                 }
@@ -1593,7 +1604,7 @@ impl<'a> Engine<'a> {
         // every visit: a same-cycle wake from inside `try_fire` can only
         // set a bit ahead of the drain point, which this forward walk will
         // still reach.
-        let order: &[usize] = &self.elab[ti].ct.order;
+        let order: &[u32] = &self.elab[ti].ct.order;
         let mut wi = 0;
         while wi < inv.ready.cur_bits.len() {
             let word = inv.ready.cur_bits[wi];
@@ -1604,7 +1615,7 @@ impl<'a> Engine<'a> {
             inv.ready.cur_bits[wi] = word & (word - 1);
             let pos = wi * 64 + word.trailing_zeros() as usize;
             inv.ready.scan = pos as i64;
-            self.try_fire(ti, tk, inv, order[pos])?;
+            self.try_fire(ti, tk, inv, order[pos] as usize)?;
         }
         inv.ready.scan = -1;
         Ok(())
@@ -1699,10 +1710,25 @@ impl<'a> Engine<'a> {
             return self.note_stall(site, StallReason::OutputFull, Some(ei), None);
         }
         // Memory/call-specific admission checks (junction ports, queues).
-        let mut mem_plan: Option<(usize, bool)> = None; // (junction, is_write)
         match uop.kind {
-            UopKind::Load => mem_plan = Some((uop.b as usize, false)),
-            UopKind::Store => mem_plan = Some((uop.b as usize, true)),
+            UopKind::Load | UopKind::Store => {
+                let j = uop.b as usize;
+                let jn = &df.junctions[j];
+                let budget = *self.jslot(ti, tk, j);
+                let lost = if uop.kind == UopKind::Store {
+                    budget.2 >= jn.write_ports
+                } else {
+                    budget.1 >= jn.read_ports
+                };
+                if lost {
+                    // Port budgets refresh every cycle: retry next cycle.
+                    if self.use_ready {
+                        inv.wake(&self.elab[ti].info, node, cycle);
+                    }
+                    let sid = jn.structure.0 as usize;
+                    return self.note_stall(site, StallReason::ArbitrationLoss, None, Some(sid));
+                }
+            }
             UopKind::TaskCall => {
                 let child = uop.a as usize;
                 let cap = self.elab[child].queue_cap;
@@ -1718,23 +1744,6 @@ impl<'a> Engine<'a> {
                 }
             }
             _ => {}
-        }
-        if let Some((j, is_write)) = mem_plan {
-            let jn = &df.junctions[j];
-            let sid = jn.structure.0 as usize;
-            let budget = *self.jslot(ti, tk, j);
-            let lost = if is_write {
-                budget.2 >= jn.write_ports
-            } else {
-                budget.1 >= jn.read_ports
-            };
-            if lost {
-                // Port budgets refresh every cycle: retry next cycle.
-                if self.use_ready {
-                    inv.wake(&self.elab[ti].info, node, cycle);
-                }
-                return self.note_stall(site, StallReason::ArbitrationLoss, None, Some(sid));
-            }
         }
         // Every admission check passed: this is a real firing opportunity,
         // which is the injection point for a stuck output handshake.
@@ -2302,6 +2311,26 @@ fn flip_bit(v: &Value, bit: u32) -> Value {
 
 /// Non-panicking scalar views: a token's dynamic type is input-reachable
 /// (root arguments are untyped), so a mismatch is an error, not a bug.
+/// Whether `v` is a value an edge of type `ty` can carry: poison always,
+/// booleans and integers on any integer scalar (the evaluators read either
+/// as the other), floats on `f32`, vectors and tiles of the declared extent
+/// whose lanes fit the element type.
+fn value_fits(v: &Value, ty: Type) -> bool {
+    let lanes_fit = |lanes: &[Value], elem| lanes.iter().all(|l| value_fits(l, Type::Scalar(elem)));
+    match (v, ty) {
+        (Value::Poison, _) => true,
+        (Value::Bool(_) | Value::Int(_), Type::Scalar(s)) => !s.is_float(),
+        (Value::F32(_), Type::Scalar(s)) => s.is_float(),
+        (Value::Vector(l), Type::Vector { elem, lanes }) => {
+            l.len() == usize::from(lanes) && lanes_fit(l, elem)
+        }
+        (Value::Tensor { shape, data }, Type::Tensor { elem, shape: want }) => {
+            *shape == want && data.len() == want.elems() as usize && lanes_fit(data, elem)
+        }
+        _ => false,
+    }
+}
+
 trait ValueExt {
     fn as_int_checked(&self) -> Option<i64>;
     /// The truth value of a predicate-like input: `None` for poison, an

@@ -3,13 +3,15 @@
 //! them.
 //!
 //! `lower` is a deliberately plain walk over `df.nodes`, `df.edges` and
-//! `NodeKind`. It reads nothing `seal()` lowered — not the micro-op
-//! stream and its pools, and not the adjacency lists they were built from
-//! — so [`check_lowering`] tests the seal-time lowering from an
-//! independent starting point, field by field, without a simulation. The
-//! engine has one firing body and executes the sealed tables only; equal
-//! tables under one body mean equal behaviour on every input, which is why
-//! no differential runs the derived tables (DESIGN.md §14).
+//! `NodeKind`. It reads nothing `seal()` lowered and shares no index with
+//! it (the seal walks a CSR adjacency; this buckets the edge arena), so
+//! [`check_lowering`] tests the seal-time lowering from an independent
+//! starting point, field by field, without a simulation: the six tables
+//! through [`same_tables`], the scan order and the per-task scalars
+//! through [`check_schedule`] — between them every field of a sealed task.
+//! The engine has one firing body and executes the sealed tables only;
+//! equal tables under one body mean equal behaviour on every input, which
+//! is why no differential runs the derived tables (DESIGN.md §14).
 
 use muir_core::accel::Accelerator;
 use muir_core::compiled::{
@@ -195,9 +197,62 @@ pub fn check_lowering(comp: &CompiledAccel) -> Result<(), String> {
             edge_meta: &ct.edge_meta,
         };
         same_tables(sealed, re.view())
+            .and_then(|()| {
+                let (dynamic, queue, junctions) = (ct.dynamic_count, ct.queue_cap, ct.njunctions);
+                check_schedule(acc, ti, dynamic, queue, junctions, &ct.order, &ct.pos)
+            })
             .map_err(|e| format!("task {ti} ({}) {e}", acc.tasks[ti].name))?;
     }
     Ok(())
+}
+
+/// Hold what a sealed task carries beside the six tables to task `ti` of
+/// the graph: `dynamic_count`, `queue_cap` and `njunctions` are re-derived
+/// and compared; the scan order is not unique, so it is held to what the
+/// schedulers need of it — `pos` inverts `order` (which makes `order` a
+/// permutation of the nodes) and every forward edge's consumer is scanned
+/// before its producer.
+///
+/// # Errors
+/// `"<field> differs"` for the first field that fails.
+pub(crate) fn check_schedule(
+    acc: &Accelerator,
+    ti: usize,
+    dynamic_count: u32,
+    queue_cap: usize,
+    njunctions: usize,
+    order: &[u32],
+    pos: &[u32],
+) -> Result<(), String> {
+    let task = &acc.tasks[ti];
+    let df = &task.dataflow;
+    let n = df.nodes.len();
+    let is_dynamic = |k: &NodeKind| !matches!(k, NodeKind::Input { .. } | NodeKind::Const(_));
+    let dynamic = df.nodes.iter().filter(|nd| is_dynamic(&nd.kind)).count();
+    // The task's own issue queue plus the `<||>` FIFO feeding it.
+    let feeding = acc.task_conns.iter().find(|c| c.child.0 as usize == ti);
+    let queue = task.queue_depth + feeding.map_or(1, |c| c.queue_depth);
+    let inverse = order.len() == n
+        && pos.len() == n
+        && (order.iter().zip(0u32..)).all(|(&node, p)| pos.get(node as usize) == Some(&p));
+    let fields = [
+        ("dynamic_count", dynamic_count as usize == dynamic),
+        ("queue_cap", queue_cap == queue as usize),
+        ("njunctions", njunctions == df.junctions.len()),
+        ("pos", inverse),
+    ];
+    for (field, same) in fields {
+        same.then_some(()).ok_or(format!("{field} differs"))?;
+    }
+    let consumer_first = |e: &muir_core::dataflow::Edge| {
+        e.kind == EdgeKind::Feedback || pos[e.dst.0 as usize] < pos[e.src.0 as usize]
+    };
+    match df.edges.iter().position(|e| !consumer_first(e)) {
+        Some(ei) => Err(format!(
+            "order differs: edge e{ei} scans its producer first"
+        )),
+        None => Ok(()),
+    }
 }
 
 /// `Err("node n<id>: <field> differs")` at the first field where `sealed`

@@ -31,6 +31,21 @@ fn seal_and_run(
     simulate_compiled(&comp, mem, args, cfg)
 }
 
+/// Run `acc` from `mem` into the deadlock it must end in, under both
+/// schedulers, and hold the error's full text to `want` — the text the
+/// PR 17 build printed for the scenario, wait-edge order included.
+fn pinned_deadlock(acc: &Accelerator, mem: &Memory, cfg: &SimConfig, want: &str) -> SimError {
+    let comp = CompiledAccel::compile(acc).expect("seal");
+    let run = |sched| {
+        let cfg = cfg.clone().with_scheduler(sched);
+        let e = simulate_compiled(&comp, &mut mem.clone(), &[], &cfg).unwrap_err();
+        assert_eq!(e.to_string(), want, "{sched:?}");
+        e
+    };
+    run(SchedulerKind::Dense);
+    run(SchedulerKind::Ready)
+}
+
 fn run_both(m: &Module, inits: &[(muir_mir::instr::MemObjId, Vec<i64>)]) -> (Memory, Memory, u64) {
     let acc = translate(m, &FrontendConfig::default()).expect("translate");
     run_both_on(&acc, m, inits)
@@ -600,12 +615,22 @@ fn order_cycle_deadlock_is_detected() {
     // Mutual ordering: each store waits for the other's completion.
     df.connect_order(stores[0], stores[1]);
     df.connect_order(stores[1], stores[0]);
-    let mut mem = Memory::from_module(&m);
+    let mem = Memory::from_module(&m);
     let cfg = SimConfig {
         deadlock_cycles: 2_000,
         ..SimConfig::default()
     };
-    let e = seal_and_run(&acc, &mut mem, &[], &cfg).unwrap_err();
+    // The order-in path of the diagnosis: both wait edges are order edges.
+    let e = pinned_deadlock(
+        &acc,
+        &mem,
+        &cfg,
+        "[E-SIM-DEADLOCK] deadlock at cycle 2048: blocked-channel cycle: \
+         task 1 (main_loop1) st_4 (n1) -[e5 empty, cap 8]-> st_5 (n2); \
+         task 1 (main_loop1) st_5 (n2) -[e4 empty, cap 8]-> st_4 (n1); \
+         task 0 (main) tile 0: trip 1 admitted 1 completed 0 spawns 0; \
+         task 1 (main_loop1) tile 0: trip 4 admitted 4 completed 0 spawns 0",
+    );
     let SimError::Deadlock { report, .. } = &e else {
         panic!("want Deadlock, got {e}")
     };
@@ -654,10 +679,10 @@ fn fault_workload() -> (Module, muir_mir::instr::MemObjId, Vec<i64>) {
     (m, a, expected)
 }
 
-/// Run the fault workload under `plan`; returns the simulation outcome and
-/// the final memory image of `a`.
-fn run_with_plan(plan: FaultPlan) -> (Result<crate::SimResult, SimError>, Vec<i64>, Vec<i64>) {
-    let (m, a, expected) = fault_workload();
+/// The fault workload sealed-ready: its accelerator, its initial image, and
+/// the configuration that arms `plan`.
+fn fault_case(plan: FaultPlan) -> (Accelerator, Memory, SimConfig) {
+    let (m, a, _) = fault_workload();
     let acc = translate(&m, &FrontendConfig::default()).unwrap();
     let mut mem = Memory::from_module(&m);
     mem.init_i64(a, &(0..32).map(|x| x * 2).collect::<Vec<_>>());
@@ -667,6 +692,14 @@ fn run_with_plan(plan: FaultPlan) -> (Result<crate::SimResult, SimError>, Vec<i6
         faults: plan,
         ..SimConfig::default()
     };
+    (acc, mem, cfg)
+}
+
+/// Run the fault workload under `plan`; returns the simulation outcome and
+/// the final memory image of `a`.
+fn run_with_plan(plan: FaultPlan) -> (Result<crate::SimResult, SimError>, Vec<i64>, Vec<i64>) {
+    let (_, a, expected) = fault_workload();
+    let (acc, mut mem, cfg) = fault_case(plan);
     let r = seal_and_run(&acc, &mut mem, &[], &cfg);
     let got = mem.read_i64(a);
     (r, got, expected)
@@ -727,7 +760,7 @@ fn underbuffered_edge_deadlocks_and_suggestion_fixes_it() {
         deadlock_cycles: 2_000,
         ..SimConfig::default()
     };
-    let e = seal_and_run(&acc, &mut mem, &[], &cfg).unwrap_err();
+    let e = pinned_deadlock(&acc, &mem, &cfg, SQUEEZED_DEADLOCK);
     let SimError::Deadlock { report, .. } = &e else {
         panic!("want Deadlock, got {e}")
     };
@@ -921,8 +954,16 @@ fn uncorrectable_ecc_surfaces_as_typed_fault() {
 
 #[test]
 fn stuck_handshake_is_diagnosed_with_the_stuck_node() {
-    let (r, _, _) = run_with_plan(certain(FaultClass::StuckHandshake, 7));
-    let e = r.expect_err("a stuck output handshake can never complete");
+    // A stuck output handshake can never complete.
+    let (acc, mem, cfg) = fault_case(certain(FaultClass::StuckHandshake, 7));
+    let e = pinned_deadlock(
+        &acc,
+        &mem,
+        &cfg,
+        "[E-SIM-DEADLOCK] deadlock at cycle 5046: no blocked-channel cycle; \
+         task 0 (main) tile 0: trip 1 admitted 1 completed 0 spawns 0; \
+         stuck handshake at task 0 node n0",
+    );
     let SimError::Deadlock { report, .. } = &e else {
         panic!("want Deadlock, got {e}")
     };
@@ -959,6 +1000,16 @@ fn dram_timeout_hangs_are_attributed_to_memory() {
 // ---------------------------------------------------------------------------
 // Observability: stall attribution and the zero-perturbation contract
 // ---------------------------------------------------------------------------
+
+/// What the fault workload deadlocks with once the dynamic data edge into
+/// its store is squeezed to `Fifo(0)` (2 000-cycle watchdog): the squeezed
+/// channel is both links of the wait-for cycle.
+const SQUEEZED_DEADLOCK: &str = "[E-SIM-DEADLOCK] deadlock at cycle 2078: blocked-channel cycle: \
+     task 1 (main_loop1) i (n0) -[e3 full, cap 0]-> st_6 (n2); \
+     task 1 (main_loop1) st_6 (n2) -[e3 empty, cap 0]-> i (n0); \
+     suggestion: grow task 1 edge e3 to Fifo(1); \
+     task 0 (main) tile 0: trip 1 admitted 1 completed 0 spawns 0; \
+     task 1 (main_loop1) tile 0: trip 32 admitted 32 completed 0 spawns 0";
 
 /// The fault workload with one dynamic data edge into the store squeezed
 /// to `Fifo(depth)`; returns the accelerator and the squeezed edge's
@@ -1063,7 +1114,7 @@ fn stall_attribution_blames_the_channel_deadlock_diagnosis_would_bump() {
         deadlock_cycles: 2_000,
         ..SimConfig::default()
     };
-    let e = seal_and_run(&acc0, &mut mem, &[], &cfg0).unwrap_err();
+    let e = pinned_deadlock(&acc0, &mem, &cfg0, SQUEEZED_DEADLOCK);
     let SimError::Deadlock { report, .. } = &e else {
         panic!("want Deadlock, got {e}")
     };
@@ -1348,9 +1399,53 @@ fn expect_eval_error(m: &Module, acc: &Accelerator, args: &[Value], what: &str) 
     }
 }
 
-/// Root arguments are untyped at the door, so a token's dynamic type is
-/// input-reachable: each of these used to panic inside `Value::as_bool` /
-/// `Value::as_int`.
+/// Declare every `Input` node of the root task as `ty`: the graph of a
+/// frontend that mis-typed its parameters. The door check on root arguments
+/// then admits a value of that type, and it reaches operators that expect
+/// another.
+fn retype_root_inputs(acc: &mut Accelerator, ty: Type) {
+    let root = acc.root;
+    for nd in &mut acc.task_mut(root).dataflow.nodes {
+        if matches!(nd.kind, NodeKind::Input { .. }) {
+            nd.ty = ty;
+        }
+    }
+}
+
+/// Root arguments are typed at the door: a value of the wrong scalar kind,
+/// or a missing one, is an evaluation error naming the argument before
+/// cycle 0. It used to travel as a token and panic inside `Value::as_int`
+/// at the `add`.
+#[test]
+fn root_arguments_are_typed_at_the_door() {
+    let mut m = Module::new("door");
+    let a = m.add_mem_object("a", ScalarType::I32, 8);
+    let mut b = FunctionBuilder::new("main", &[Type::I32]).with_mem(&m);
+    let v = b.add(b.arg(0), ValueRef::int(1));
+    b.store(a, ValueRef::int(0), v);
+    b.ret(None);
+    m.add_function(b.finish());
+    let acc = translate(&m, &FrontendConfig::default()).expect("translate");
+    let lanes = Value::Vector(vec![Value::Int(1), Value::Int(2)]);
+    for (bad, shown) in [(Value::F32(1.5), "1.5"), (lanes, "<1, 2>")] {
+        let what = format!("argument 0 is {shown}, but");
+        expect_eval_error(&m, &acc, &[bad], &what);
+    }
+    expect_eval_error(&m, &acc, &[], "missing argument 0");
+    // Booleans and integers read as each other, and poison is a value of
+    // every type: all three pass the door (poison to fail at the store).
+    let comp = CompiledAccel::compile(&acc).expect("seal");
+    for ok in [Value::Int(4), Value::Bool(true)] {
+        let mut mem = Memory::from_module(&m);
+        simulate_compiled(&comp, &mut mem, &[ok], &SimConfig::default()).expect("admitted");
+    }
+    expect_eval_error(&m, &acc, &[Value::Poison], "poison stored to");
+}
+
+/// Behind the door a token's dynamic type is the graph's word, so a graph
+/// that mis-declares its inputs still reaches the operators with a value
+/// they do not expect: each of these used to panic inside `Value::as_bool`
+/// / `Value::as_int`.
 #[test]
 fn mistyped_arguments_are_typed_errors_not_panics() {
     let bad = [Value::F32(1.5)];
@@ -1362,7 +1457,8 @@ fn mistyped_arguments_are_typed_errors_not_panics() {
         body(&mut b, a);
         b.ret(None);
         m.add_function(b.finish());
-        let acc = translate(&m, &FrontendConfig::default()).expect("translate");
+        let mut acc = translate(&m, &FrontendConfig::default()).expect("translate");
+        retype_root_inputs(&mut acc, Type::F32);
         (m, acc)
     };
     // The gate of a predicated store. (The frontend also feeds every
@@ -1381,7 +1477,7 @@ fn mistyped_arguments_are_typed_errors_not_panics() {
         unreachable!()
     };
     *predicated = true;
-    let p = df.add_node(Node::new("p", NodeKind::Input { index: 0 }, Type::BOOL));
+    let p = df.add_node(Node::new("p", NodeKind::Input { index: 0 }, Type::F32));
     df.connect(p, 0, store, 2);
     expect_eval_error(&m, &acc, &bad, "non-boolean predicate");
     // A select condition.
@@ -1405,9 +1501,10 @@ fn mistyped_arguments_are_typed_errors_not_panics() {
 }
 
 /// A memory object holds scalars of its declared kind and nothing else:
-/// a mistyped root argument stored to it is one typed error — the
-/// interpreter's, word for word — under both schedulers, where it used
-/// to be a silent store of the wrong variant.
+/// a value of another kind stored to it — here a root argument whose
+/// `Input` node is declared as whatever the caller passes — is one typed
+/// error, the interpreter's, word for word, under both schedulers, where
+/// it used to be a silent store of the wrong variant.
 #[test]
 fn a_value_the_object_cannot_hold_is_the_same_typed_error_everywhere() {
     let mut m = Module::new("misfit");
@@ -1416,14 +1513,19 @@ fn a_value_the_object_cannot_hold_is_the_same_typed_error_everywhere() {
     b.store(a, ValueRef::int(3), b.arg(0));
     b.ret(None);
     m.add_function(b.finish());
-    let acc = translate(&m, &FrontendConfig::default()).expect("translate");
-    let lanes = vec![Value::Int(1), Value::Int(2)];
-    for (bad, what) in [
-        (Value::F32(1.5), "store of 1.5 to @mem0, which holds int"),
-        (Value::Bool(true), "store of true to @mem0, which holds int"),
+    let mut acc = translate(&m, &FrontendConfig::default()).expect("translate");
+    // (A lane that is itself a vector, the third misfit `Memory::store`
+    // knows, fits no declared type: the door turns it away.)
+    for (bad, declared, what) in [
         (
-            Value::Vector(vec![Value::Vector(lanes)]),
-            "store of <1, 2> to @mem0, which holds int",
+            Value::F32(1.5),
+            Type::F32,
+            "store of 1.5 to @mem0, which holds int",
+        ),
+        (
+            Value::Bool(true),
+            Type::I32,
+            "store of true to @mem0, which holds int",
         ),
     ] {
         let mut mem = Memory::from_module(&m);
@@ -1432,6 +1534,7 @@ fn a_value_the_object_cannot_hold_is_the_same_typed_error_everywhere() {
             .expect_err(what);
         assert_eq!(err.message, what);
         assert_eq!(mem, Memory::from_module(&m), "nothing stored");
+        retype_root_inputs(&mut acc, declared);
         expect_eval_error(&m, &acc, &[bad], what);
     }
     // Poison keeps the engine's own, earlier message; the interpreter
@@ -1605,6 +1708,51 @@ fn lowering_comparator_sees_every_field() {
     other.fused_plans[0].steps[0].op = OpKind::Bin(BinOp::Sub);
     let plan = same_tables(fused.view(), other.view()).expect_err("mutant accepted");
     assert!(plan.contains("fused plan"), "{plan}");
+
+    // What a sealed task carries beside the six tables, one mutant per
+    // field: the scalars are compared, the scan order is held to being a
+    // consumers-first permutation with `pos` its inverse.
+    let ti = acc
+        .task_ids()
+        .position(|t| acc.task(t).kind.is_loop())
+        .expect("the loop task");
+    let ct = comp.task(ti);
+    let e = acc.tasks[ti]
+        .dataflow
+        .edges
+        .iter()
+        .find(|e| e.kind != muir_core::dataflow::EdgeKind::Feedback)
+        .expect("a forward edge");
+    let (src, dst) = (e.src.0 as usize, e.dst.0 as usize);
+    type Sealed = (u32, usize, usize, Vec<u32>, Vec<u32>);
+    type MutateSealed<'a> = &'a dyn Fn(&mut Sealed);
+    let schedule_mutants: [(&str, MutateSealed); 5] = [
+        ("dynamic_count", &|s| s.0 += 1),
+        ("queue_cap", &|s| s.1 += 1),
+        ("njunctions", &|s| s.2 += 1),
+        ("pos", &|s| s.4.swap(src, dst)),
+        // The producer scanned in its consumer's place, consistently.
+        ("order", &|s| {
+            s.3.swap(s.4[src] as usize, s.4[dst] as usize);
+            s.4.swap(src, dst);
+        }),
+    ];
+    let sealed: Sealed = (
+        ct.dynamic_count,
+        ct.queue_cap,
+        ct.njunctions,
+        ct.order.clone(),
+        ct.pos.clone(),
+    );
+    let verdict =
+        |s: &Sealed| crate::reference::check_schedule(&acc, ti, s.0, s.1, s.2, &s.3, &s.4);
+    verdict(&sealed).expect("the sealed schedule holds");
+    for (want, mutate) in schedule_mutants {
+        let mut bad = sealed.clone();
+        mutate(&mut bad);
+        let got = verdict(&bad).expect_err("mutant accepted");
+        assert!(got.starts_with(want), "want `{want}`, got `{got}`");
+    }
 }
 
 /// Sealing has no hidden state: two seals of one graph agree table for

@@ -14,6 +14,7 @@
 
 use crate::{Pass, PassDelta, PassError};
 use muir_core::accel::{Accelerator, ArgExpr, ResultInit, TaskKind};
+use muir_core::compiled::forward_topo;
 use muir_core::dataflow::{Dataflow, EdgeKind, Junction, NodeId};
 use muir_core::node::{Node, NodeKind, OpKind};
 use muir_core::Type;
@@ -693,36 +694,6 @@ fn emit_compute(
             Ok(vec![(nn, 0)])
         }
     }
-}
-
-fn forward_topo(df: &Dataflow) -> Vec<usize> {
-    let n = df.nodes.len();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg = vec![0usize; n];
-    for e in &df.edges {
-        if e.kind == EdgeKind::Feedback {
-            continue;
-        }
-        succs[e.src.0 as usize].push(e.dst.0 as usize);
-        indeg[e.dst.0 as usize] += 1;
-    }
-    let mut work: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(x) = work.pop() {
-        order.push(x);
-        for &s in &succs[x] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                work.push(s);
-            }
-        }
-    }
-    for i in 0..n {
-        if !order.contains(&i) {
-            order.push(i);
-        }
-    }
-    order
 }
 
 #[cfg(test)]

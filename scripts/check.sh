@@ -17,8 +17,10 @@
 # all 24 registry workloads), the one-hot-path gate (under crates/sim/src:
 # no `unsafe`, no `SchedulerKind::Parallel`, no second firing body — one
 # `fn try_fire` and one `fn fire` in engine.rs — and a reference lowering
-# that reads none of the artifact's lowered tables outside
-# `check_lowering`), the one-front-door gate (the simulator accepts sealed
+# that names no `CompiledTask` outside `check_lowering`), the one-adjacency
+# gate (the sealed artifact holds each edge once: the per-node edge lists,
+# the CSR index and the memory-client map stay out of
+# crates/core/src/compiled.rs and crates/sim/src), the one-front-door gate (the simulator accepts sealed
 # artifacts only: no exec-mode switch, no uncompiled simulate wrappers and
 # no process-local compile cache under crates/ src/ tests/ examples/), the
 # one-memory-image gate (no `Vec<Vec<Value>>` image under crates/ src/ tests/
@@ -104,8 +106,15 @@ done
 # The reference lowering starts from the graph: only `check_lowering`
 # may look at the sealed tables it is compared with.
 if sed -e '/^#\[cfg(test)\]/,$d' -e '/^pub fn check_lowering/,/^}/d' crates/sim/src/reference.rs |
-    grep -nE 'CompiledTask|\.in_data|\.in_order|\.outs'; then
+    grep -n 'CompiledTask'; then
     echo "check.sh: reference.rs reads the artifact's lowered tables outside check_lowering (lines above)" >&2
+    exit 1
+fi
+
+echo "== one adjacency (the sealed artifact holds each edge once) =="
+# Whole words: `order_in`, `runs_in_order` and `df.edge_index()` are fine.
+if grep -rnwE 'in_data|in_order|mem_clients|conn_queue_depth|EdgeIndex' crates/core/src/compiled.rs crates/sim/src; then
+    echo "check.sh: a sealed task lists an edge in in_slots/edge_refs and nowhere else; the engine and the oracle walk those (lines above)" >&2
     exit 1
 fi
 
@@ -167,7 +176,7 @@ echo "== hashing is structural (no Debug/format! rendering in the hash functions
 # content_hash in the core crate.
 if {
     sed '/^#\[cfg(test)\]/,$d' crates/sim/src/hashing.rs
-    sed -n '/^pub struct ContentHasher/,/^pub fn reverse_topo/p' crates/core/src/compiled.rs
+    sed -n '/^pub struct ContentHasher/,/^pub fn forward_topo/p' crates/core/src/compiled.rs
 } | grep -nE ':#?\?\}|format!|write!\(|to_string\('; then
     echo "check.sh: a hash function renders text (lines above)" >&2
     exit 1
