@@ -218,8 +218,12 @@ pub fn open(bytes: &[u8]) -> Result<(PayloadKind, &[u8]), EnvelopeError> {
     }
     let tag = le_u32(&bytes[12..16]);
     let kind = PayloadKind::from_tag(tag).ok_or(EnvelopeError::BadKind { tag })?;
-    let len = le_u64(&bytes[16..24]) as usize;
-    let expected_total = HEADER_LEN + len;
+    // The length is whatever the file says: a total that does not fit a
+    // `usize` is longer than any file.
+    let expected_total = usize::try_from(le_u64(&bytes[16..24]))
+        .ok()
+        .and_then(|len| HEADER_LEN.checked_add(len))
+        .unwrap_or(usize::MAX);
     if bytes.len() < expected_total {
         return Err(EnvelopeError::Truncated {
             expected: expected_total,
@@ -249,6 +253,23 @@ mod tests {
         }
         let sealed = seal(PayloadKind::Artifact, b"graph");
         assert_eq!(open(&sealed).unwrap().0, PayloadKind::Artifact);
+    }
+
+    /// A length field no file can satisfy — `HEADER_LEN + len` used to
+    /// wrap and panic slicing `bytes[32..31]` — is truncation like any
+    /// other.
+    #[test]
+    fn a_length_that_overflows_is_truncation() {
+        let mut sealed = seal(PayloadKind::SimResult, b"payload");
+        for len in [u64::MAX, u64::MAX - HEADER_LEN as u64 + 1, 1 << 63] {
+            sealed[16..24].copy_from_slice(&len.to_le_bytes());
+            let found = sealed.len();
+            assert!(
+                matches!(open(&sealed), Err(EnvelopeError::Truncated { found: f, .. }) if f == found),
+                "len {len:#x}: {:?}",
+                open(&sealed)
+            );
+        }
     }
 
     #[test]

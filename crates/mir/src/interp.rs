@@ -6,6 +6,7 @@
 //! serially (Cilk semantics guarantee a valid serial elision), and can emit
 //! a dynamic trace for the CPU timing baseline.
 
+use crate::flat::{self, Word};
 use crate::instr::{
     BinOp, BlockId, CastOp, CmpPred, ConstVal, InstrId, Op, TensorOp, UnOp, ValueRef,
 };
@@ -36,212 +37,58 @@ pub(crate) fn ierr(msg: impl Into<String>) -> InterpError {
     }
 }
 
-/// Evaluate a binary op on scalar values.
+/// `v` as a flat value, a composite's lanes appended to `buf`. (The scalar
+/// evaluators read no lanes: for them `buf` is scratch that stays empty
+/// unless the operand is mistyped.)
+fn flat_word(v: &Value, buf: &mut Vec<u64>) -> Result<Word, InterpError> {
+    Word::from_value(v, buf)
+        .ok_or_else(|| ierr(format!("the lanes of {v} do not share one scalar kind")))
+}
+
+/// `v` read as a branch, select or index operand: an integer, or a boolean
+/// as `0`/`1`.
+fn want_int(v: &Value) -> Result<i64, InterpError> {
+    flat_word(v, &mut Vec::new())?.want_int()
+}
+
+/// Evaluate a binary op on scalar values ([`flat::bin`] at the edge).
 ///
 /// # Errors
 /// Division by zero and type mismatches.
 pub fn eval_bin(op: BinOp, a: &Value, b: &Value) -> Result<Value, InterpError> {
-    if a.is_poison() || b.is_poison() {
-        return Ok(Value::Poison);
-    }
-    Ok(match op {
-        BinOp::Add => Value::Int(a.as_int().wrapping_add(b.as_int())),
-        BinOp::Sub => Value::Int(a.as_int().wrapping_sub(b.as_int())),
-        BinOp::Mul => Value::Int(a.as_int().wrapping_mul(b.as_int())),
-        BinOp::Div => {
-            let d = b.as_int();
-            if d == 0 {
-                return Err(ierr("integer division by zero"));
-            }
-            Value::Int(a.as_int().wrapping_div(d))
-        }
-        BinOp::Rem => {
-            let d = b.as_int();
-            if d == 0 {
-                return Err(ierr("integer remainder by zero"));
-            }
-            Value::Int(a.as_int().wrapping_rem(d))
-        }
-        BinOp::And => Value::Int(a.as_int() & b.as_int()),
-        BinOp::Or => Value::Int(a.as_int() | b.as_int()),
-        BinOp::Xor => Value::Int(a.as_int() ^ b.as_int()),
-        BinOp::Shl => Value::Int(a.as_int().wrapping_shl(b.as_int() as u32 & 63)),
-        BinOp::LShr => Value::Int(((a.as_int() as u64) >> (b.as_int() as u32 & 63)) as i64),
-        BinOp::AShr => Value::Int(a.as_int() >> (b.as_int() as u32 & 63)),
-        BinOp::FAdd => Value::F32(a.as_f32() + b.as_f32()),
-        BinOp::FSub => Value::F32(a.as_f32() - b.as_f32()),
-        BinOp::FMul => Value::F32(a.as_f32() * b.as_f32()),
-        BinOp::FDiv => Value::F32(a.as_f32() / b.as_f32()),
-    })
+    let buf = &mut Vec::new();
+    flat::bin(op, flat_word(a, buf)?, flat_word(b, buf)?).map(|w| w.to_value(&[]))
 }
 
-/// Evaluate a unary op on a scalar value.
-pub fn eval_un(op: UnOp, a: &Value) -> Value {
-    if a.is_poison() {
-        return Value::Poison;
-    }
-    match op {
-        UnOp::FNeg => Value::F32(-a.as_f32()),
-        UnOp::Exp => Value::F32(a.as_f32().exp()),
-        UnOp::Sqrt => Value::F32(a.as_f32().sqrt()),
-        UnOp::Relu => match a {
-            Value::F32(f) => Value::F32(f.max(0.0)),
-            Value::Int(i) => Value::Int((*i).max(0)),
-            other => panic!("relu on {other:?}"),
-        },
-    }
+/// Evaluate a unary op on a scalar value ([`flat::un`] at the edge).
+///
+/// # Errors
+/// Type mismatches.
+pub fn eval_un(op: UnOp, a: &Value) -> Result<Value, InterpError> {
+    flat::un(op, flat_word(a, &mut Vec::new())?).map(|w| w.to_value(&[]))
 }
 
-/// Evaluate a comparison on scalar values.
-pub fn eval_cmp(pred: CmpPred, a: &Value, b: &Value) -> Value {
-    if a.is_poison() || b.is_poison() {
-        return Value::Poison;
-    }
-    let r = match (a, b) {
-        (Value::F32(x), Value::F32(y)) => match pred {
-            CmpPred::Eq => x == y,
-            CmpPred::Ne => x != y,
-            CmpPred::Lt => x < y,
-            CmpPred::Le => x <= y,
-            CmpPred::Gt => x > y,
-            CmpPred::Ge => x >= y,
-        },
-        _ => {
-            let (x, y) = (a.as_int(), b.as_int());
-            match pred {
-                CmpPred::Eq => x == y,
-                CmpPred::Ne => x != y,
-                CmpPred::Lt => x < y,
-                CmpPred::Le => x <= y,
-                CmpPred::Gt => x > y,
-                CmpPred::Ge => x >= y,
-            }
-        }
-    };
-    Value::Bool(r)
+/// Evaluate a comparison on scalar values ([`flat::cmp`] at the edge).
+///
+/// # Errors
+/// Type mismatches.
+pub fn eval_cmp(pred: CmpPred, a: &Value, b: &Value) -> Result<Value, InterpError> {
+    let buf = &mut Vec::new();
+    flat::cmp(pred, flat_word(a, buf)?, flat_word(b, buf)?).map(|w| w.to_value(&[]))
 }
 
-fn scalar_bin_f(
-    a: &Value,
-    b: &Value,
-    is_float: bool,
-    f: BinOp,
-    i: BinOp,
-) -> Result<Value, InterpError> {
-    if is_float {
-        eval_bin(f, a, b)
-    } else {
-        eval_bin(i, a, b)
-    }
-}
-
-/// Evaluate a tensor op. `Conv` and `Reduce` reduce to a scalar;
+/// Evaluate a tensor op ([`flat::tensor`] at the edge, so the simulator's
+/// lane arithmetic is this one's). `Conv` and `Reduce` reduce to a scalar;
 /// `Softmax` keeps the shape but always yields F32 lanes (it routes
 /// through the `exp` unit); others keep shape and element type.
 ///
 /// # Errors
-/// Shape mismatches.
+/// Shape mismatches; lanes of the wrong kind, or not all of one kind.
 pub fn eval_tensor(op: TensorOp, a: &Value, b: Option<&Value>) -> Result<Value, InterpError> {
-    let (shape, da) = match a {
-        Value::Tensor { shape, data } => (*shape, data),
-        other => return Err(ierr(format!("tensor op on non-tensor {other:?}"))),
-    };
-    let is_float = matches!(da.first(), Some(Value::F32(_)));
-    let db = match b {
-        Some(Value::Tensor { shape: sb, data }) => {
-            if *sb != shape {
-                return Err(ierr(format!("tensor shape mismatch {sb} vs {shape}")));
-            }
-            Some(data)
-        }
-        Some(other) => return Err(ierr(format!("tensor op on non-tensor rhs {other:?}"))),
-        None => None,
-    };
-    match op {
-        TensorOp::Add | TensorOp::Mul => {
-            let db = db.ok_or_else(|| ierr("binary tensor op missing rhs"))?;
-            let bo = if op == TensorOp::Add {
-                (BinOp::FAdd, BinOp::Add)
-            } else {
-                (BinOp::FMul, BinOp::Mul)
-            };
-            let data = da
-                .iter()
-                .zip(db)
-                .map(|(x, y)| scalar_bin_f(x, y, is_float, bo.0, bo.1))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Value::Tensor { shape, data })
-        }
-        TensorOp::Relu => Ok(Value::Tensor {
-            shape,
-            data: da.iter().map(|x| eval_un(UnOp::Relu, x)).collect(),
-        }),
-        TensorOp::MatMul => {
-            let db = db.ok_or_else(|| ierr("matmul missing rhs"))?;
-            let (r, c) = (shape.rows as usize, shape.cols as usize);
-            if r != c {
-                return Err(ierr("matmul tiles must be square"));
-            }
-            let mut data = Vec::with_capacity(r * c);
-            for i in 0..r {
-                for j in 0..c {
-                    let mut acc = if is_float {
-                        Value::F32(0.0)
-                    } else {
-                        Value::Int(0)
-                    };
-                    for k in 0..r {
-                        let p = scalar_bin_f(
-                            &da[i * c + k],
-                            &db[k * c + j],
-                            is_float,
-                            BinOp::FMul,
-                            BinOp::Mul,
-                        )?;
-                        acc = scalar_bin_f(&acc, &p, is_float, BinOp::FAdd, BinOp::Add)?;
-                    }
-                    data.push(acc);
-                }
-            }
-            Ok(Value::Tensor { shape, data })
-        }
-        TensorOp::Conv => {
-            let db = db.ok_or_else(|| ierr("conv missing rhs"))?;
-            let mut acc = if is_float {
-                Value::F32(0.0)
-            } else {
-                Value::Int(0)
-            };
-            for (x, y) in da.iter().zip(db) {
-                let p = scalar_bin_f(x, y, is_float, BinOp::FMul, BinOp::Mul)?;
-                acc = scalar_bin_f(&acc, &p, is_float, BinOp::FAdd, BinOp::Add)?;
-            }
-            Ok(acc)
-        }
-        TensorOp::Reduce => {
-            let mut acc = if is_float {
-                Value::F32(0.0)
-            } else {
-                Value::Int(0)
-            };
-            for x in da {
-                acc = scalar_bin_f(&acc, x, is_float, BinOp::FAdd, BinOp::Add)?;
-            }
-            Ok(acc)
-        }
-        TensorOp::Softmax => {
-            let exps: Vec<Value> = da.iter().map(|x| eval_un(UnOp::Exp, x)).collect();
-            let mut sum = Value::F32(0.0);
-            for e in &exps {
-                sum = eval_bin(BinOp::FAdd, &sum, e)?;
-            }
-            let data = exps
-                .iter()
-                .map(|e| eval_bin(BinOp::FDiv, e, &sum))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Value::Tensor { shape, data })
-        }
-    }
+    let (mut buf, mut out) = (Vec::new(), Vec::new());
+    let a = flat_word(a, &mut buf)?;
+    let b = b.map(|b| flat_word(b, &mut buf)).transpose()?;
+    flat::tensor(op, a, b, &buf, &mut out).map(|w| w.to_value(&out))
 }
 
 enum ExecEnd {
@@ -413,33 +260,35 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                             _ => OpClass::FpSpecial,
                         };
                         self.sink.event(TraceEvent::compute(class));
-                        frame.values[iid.0 as usize] = Some(eval_un(*op, &a));
+                        frame.values[iid.0 as usize] = Some(eval_un(*op, &a)?);
                     }
                     Op::Cmp(pred) => {
                         let a = frame.get(&instr.operands[0])?;
                         let b = frame.get(&instr.operands[1])?;
                         self.sink.event(TraceEvent::compute(OpClass::IntAlu));
-                        frame.values[iid.0 as usize] = Some(eval_cmp(*pred, &a, &b));
+                        frame.values[iid.0 as usize] = Some(eval_cmp(*pred, &a, &b)?);
                     }
                     Op::Select => {
                         let c = frame.get(&instr.operands[0])?;
                         let a = frame.get(&instr.operands[1])?;
                         let b = frame.get(&instr.operands[2])?;
                         self.sink.event(TraceEvent::compute(OpClass::IntAlu));
-                        frame.values[iid.0 as usize] = Some(if c.as_bool() { a } else { b });
+                        frame.values[iid.0 as usize] = Some(if want_int(&c)? != 0 { a } else { b });
                     }
                     Op::Cast(op) => {
                         let a = frame.get(&instr.operands[0])?;
                         self.sink.event(TraceEvent::compute(OpClass::IntAlu));
                         let v = match op {
-                            CastOp::SiToFp => Value::F32(a.as_int() as f32),
-                            CastOp::FpToSi => Value::Int(a.as_f32() as i64),
+                            CastOp::SiToFp => Value::F32(want_int(&a)? as f32),
+                            CastOp::FpToSi => {
+                                Value::Int(flat_word(&a, &mut Vec::new())?.want_f32()? as i64)
+                            }
                             CastOp::IntResize => a,
                         };
                         frame.values[iid.0 as usize] = Some(v);
                     }
                     Op::Load { obj } => {
-                        let idx = frame.get(&instr.operands[0])?.as_int();
+                        let idx = want_int(&frame.get(&instr.operands[0])?)?;
                         if idx < 0 {
                             return Err(ierr(format!("{iid}: negative load index")));
                         }
@@ -455,7 +304,7 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                         frame.values[iid.0 as usize] = Some(v);
                     }
                     Op::Store { obj } => {
-                        let idx = frame.get(&instr.operands[0])?.as_int();
+                        let idx = want_int(&frame.get(&instr.operands[0])?)?;
                         if idx < 0 {
                             return Err(ierr(format!("{iid}: negative store index")));
                         }
@@ -527,7 +376,7 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                         let c = frame.get(&instr.operands[0])?;
                         self.sink.event(TraceEvent::compute(OpClass::Branch));
                         prev = Some(cur);
-                        cur = if c.as_bool() { *t } else { *f };
+                        cur = if want_int(&c)? != 0 { *t } else { *f };
                         continue 'blocks;
                     }
                     Op::Ret => {

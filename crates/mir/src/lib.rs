@@ -21,6 +21,9 @@
 //! * the [`memory`] image both run against: one typed 64-bit word buffer
 //!   per memory object, converted to and from [`Value`] only at a load
 //!   or store,
+//! * [`flat`] values — a kind byte and a 64-bit word, composites as lanes
+//!   in a buffer — with the one table of scalar and tile semantics that
+//!   the interpreter's evaluators and the simulator's firings share,
 //! * [`analysis`] passes: dominators, natural loops, live-ins, affine
 //!   address and loop-carried dependence analysis.
 //!
@@ -51,6 +54,7 @@
 
 pub mod analysis;
 pub mod builder;
+pub mod flat;
 pub mod instr;
 pub mod interp;
 pub mod memory;

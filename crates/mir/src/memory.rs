@@ -5,8 +5,10 @@
 //! is a kind tag plus one 64-bit word per element slot — booleans as
 //! `0`/`1`, integers sign-extended, floats by bit pattern. Cloning,
 //! comparing and dropping an image are `memcpy`/`memcmp`/one `free`;
-//! [`Value`] is built only where a token is: in [`Memory::read`],
-//! [`Memory::load`] and their `write`/`store` counterparts.
+//! [`Value`] is built only for a caller that holds one: in
+//! [`Memory::read`], [`Memory::load`] and their `write`/`store`
+//! counterparts. A caller whose values are flat already (the simulator)
+//! reads [`Memory::words`] and writes with [`Memory::store_words`].
 //!
 //! The kind tag is exactly what [`Value`]'s hash tag byte and the store
 //! codec's `b`/`i`/`f` tokens distinguish (the integer *width* lives in
@@ -266,19 +268,57 @@ impl Memory {
     }
 
     fn put(&mut self, obj: MemObjId, idx: u64, lanes: &[Value]) -> Result<(), InterpError> {
-        let Some(o) = self.objects.get_mut(obj.0 as usize) else {
-            return Err(out_of_bounds("store", obj, idx, None));
-        };
-        let kind = o.kind;
-        let Some(slots) = span(idx, lanes.len() as u64).and_then(|s| o.words.get_mut(s)) else {
-            return Err(out_of_bounds("store", obj, idx, Some(o)));
-        };
+        let (kind, slots) = self.slots_mut(obj, idx, lanes.len() as u64)?;
         for (slot, lane) in slots.iter_mut().zip(lanes) {
             *slot = kind
                 .word(lane)
                 .ok_or_else(|| ierr(format!("store of {lane} to {obj}, which holds {kind}")))?;
         }
         Ok(())
+    }
+
+    /// [`Memory::store`] for a value that is already flat: `words`, each
+    /// read as `kind`, go into the slots at `obj[idx..]`.
+    ///
+    /// # Errors
+    /// Out-of-bounds access; an object of another kind. Nothing is written.
+    pub fn store_words(
+        &mut self,
+        obj: MemObjId,
+        idx: u64,
+        kind: ElemKind,
+        words: &[u64],
+    ) -> Result<(), InterpError> {
+        let (holds, slots) = self.slots_mut(obj, idx, words.len() as u64)?;
+        match words.first() {
+            Some(&w) if holds != kind => {
+                let lane = kind.value(w);
+                Err(ierr(format!(
+                    "store of {lane} to {obj}, which holds {holds}"
+                )))
+            }
+            _ => {
+                slots.copy_from_slice(words);
+                Ok(())
+            }
+        }
+    }
+
+    /// The `n` slots at `obj[idx..]` and the kind they hold: the one bounds
+    /// check of a typed store.
+    fn slots_mut(
+        &mut self,
+        obj: MemObjId,
+        idx: u64,
+        n: u64,
+    ) -> Result<(ElemKind, &mut [u64]), InterpError> {
+        let Some(o) = self.objects.get_mut(obj.0 as usize) else {
+            return Err(out_of_bounds("store", obj, idx, None));
+        };
+        match span(idx, n).filter(|s| s.end <= o.words.len()) {
+            Some(s) => Ok((o.kind, &mut o.words[s])),
+            None => Err(out_of_bounds("store", obj, idx, Some(o))),
+        }
     }
 
     fn init(

@@ -14,7 +14,10 @@
 //!
 //! The engine is *functional*: nodes compute real values (via the `mir`
 //! evaluators) and loads/stores access a real memory image, so every run is
-//! checked against the reference interpreter.
+//! checked against the reference interpreter. Inside, a value is flat — a
+//! [`Word`]: a kind byte and 64 bits, a tile's lanes in a word buffer
+//! beside it — and [`Value`] exists at the door only: root arguments in,
+//! results out, and the text of an error.
 //!
 //! The firing rules are written once: [`Engine::try_fire`] is the gate and
 //! [`Engine::fire`] the body, both reading the sealed [`CompiledTask`]'s
@@ -37,8 +40,10 @@ use muir_core::compiled::{
 use muir_core::hw;
 use muir_core::node::{FusedInput, NodeKind, OpKind};
 use muir_core::structure::StructureKind;
+use muir_mir::flat::{self, Form, Kind, Lanes, Word};
 use muir_mir::instr::{BinOp, CastOp, MemObjId};
-use muir_mir::interp::{eval_bin, eval_cmp, eval_tensor, eval_un, Memory};
+use muir_mir::interp::{InterpError, Memory};
+use muir_mir::memory::ElemKind;
 use muir_mir::types::Type;
 use muir_mir::value::Value;
 use std::cmp::Reverse;
@@ -52,6 +57,120 @@ const ENGINE_FAULTS: [FaultClass; 4] = [
     FaultClass::TokenDup,
     FaultClass::StuckHandshake,
 ];
+
+/// Values outside a ring — a firing's inputs and outputs, an invocation's
+/// arguments and results, a task's constants. A composite's lanes live in
+/// the list's own buffer, so moving a list moves its values whole, copying
+/// a value in is a `memcpy`, and `clear` drops everything at once.
+#[derive(Debug, Default)]
+struct Vals {
+    words: Vec<Word>,
+    lanes: Vec<u64>,
+}
+
+impl Vals {
+    fn clear(&mut self) {
+        self.words.clear();
+        self.lanes.clear();
+    }
+
+    /// Append a copy of `w`, whose lanes (if it has any) live in `from`.
+    #[inline]
+    fn push(&mut self, w: Word, from: &[u64]) {
+        // The kind test stays in the caller's loop; the lane copy is a call.
+        let w = match w.kind {
+            Kind::Lanes => w.copy_into(from, &mut self.lanes),
+            _ => w,
+        };
+        self.words.push(w);
+    }
+
+    /// Append the composite whose lanes are `words`, each read as `elem`.
+    fn push_lanes(&mut self, elem: ElemKind, form: Form, words: &[u64]) {
+        let off = self.lanes.len();
+        self.lanes.extend_from_slice(words);
+        self.words.push(Lanes { off: 0, elem, form }.at(off));
+    }
+
+    /// Become a copy of `other`, keeping both allocations.
+    fn copy_from(&mut self, other: &Vals) {
+        self.words.clone_from(&other.words);
+        self.lanes.clone_from(&other.lanes);
+    }
+}
+
+/// The input and output values of the firing under way. One pair serves
+/// the whole run: [`Engine::run`] owns it and lends it down to
+/// [`Engine::fire`], which clears it on the way in.
+#[derive(Debug, Default)]
+struct Scratch {
+    values: Vals,
+    out: Vals,
+}
+
+/// Lane storage for the composite values one invocation holds in its
+/// rings and accumulator registers. The ownership rule: a [`Word`] of kind
+/// `Lanes` stored there owns its region and nobody shares it — fan-out
+/// copies ([`LaneSlab::adopt`]), and whoever removes the word gives the
+/// region back ([`LaneSlab::release`]) for the next value of that length,
+/// so the slab grows to the tokens in flight and stops.
+#[derive(Debug, Default)]
+struct LaneSlab {
+    words: Vec<u64>,
+    /// Released regions, `(length, offsets)`. A task moves tiles of a
+    /// handful of shapes, so the list is short and searched linearly.
+    free: Vec<(u32, Vec<u32>)>,
+}
+
+impl LaneSlab {
+    /// A copy of `w` that this slab owns, its lanes read from `from`. A
+    /// scalar is itself.
+    #[inline]
+    fn adopt(&mut self, w: Word, from: &[u64]) -> Word {
+        match w.as_lanes() {
+            None => w,
+            Some(l) => self.adopt_lanes(l, from),
+        }
+    }
+
+    fn adopt_lanes(&mut self, l: Lanes, from: &[u64]) -> Word {
+        let len = l.len();
+        let reused = self.free.iter_mut().find(|(n, _)| *n as usize == len);
+        let off = match reused.and_then(|(_, offs)| offs.pop()) {
+            Some(off) => off as usize,
+            None => {
+                let off = self.words.len();
+                self.words.resize(off + len, 0);
+                off
+            }
+        };
+        self.words[off..off + len].copy_from_slice(&from[l.range()]);
+        l.at(off)
+    }
+
+    /// Take back the region `w` owns. A scalar owns none.
+    #[inline]
+    fn release(&mut self, w: Word) {
+        if let Some(l) = w.as_lanes() {
+            self.release_lanes(l);
+        }
+    }
+
+    fn release_lanes(&mut self, l: Lanes) {
+        let len = l.len() as u32;
+        match self.free.iter_mut().find(|(n, _)| *n == len) {
+            Some((_, offs)) => offs.push(l.off),
+            None => self.free.push((len, vec![l.off])),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
+        for (_, offs) in &mut self.free {
+            offs.clear();
+        }
+    }
+}
 
 /// Token storage for one invocation: one power-of-two ring per edge over
 /// a shared token array (DESIGN.md §14). A visit reads one [`Ring`] record
@@ -69,6 +188,8 @@ const ENGINE_FAULTS: [FaultClass; 4] = [
 struct TokenArena {
     rings: Vec<Ring>,
     toks: Vec<Token>,
+    /// The lanes of the composite tokens in `toks`.
+    slab: LaneSlab,
 }
 
 /// One edge's ring over `TokenArena::toks[base..=base + mask]`.
@@ -91,19 +212,25 @@ impl Ring {
     }
 }
 
-#[derive(Debug)]
+/// 32 bytes, `Copy`, no drop glue: the kind is dynamic (`and` of two
+/// booleans is an integer, a loop call is typed `i64` whatever it returns),
+/// so it travels with the word instead of being read off the edge.
+#[derive(Debug, Clone, Copy)]
 struct Token {
     inst: u64,
     /// Visibility cycle; `u64::MAX` while the token is in flight.
     vis: u64,
-    val: Value,
+    /// The payload; a composite's lanes are a region of the arena's slab.
+    val: Word,
 }
+
+const _: () = assert!(std::mem::size_of::<Token>() == 32);
 
 impl Token {
     const EMPTY: Token = Token {
         inst: 0,
         vis: u64::MAX,
-        val: Value::Poison,
+        val: Word::POISON,
     };
 }
 
@@ -134,17 +261,16 @@ impl TokenArena {
         a
     }
 
-    /// Reset for reuse by the next invocation: drop held values, zero the
-    /// bookkeeping. Ring geometry is task-constant, so no reallocation.
+    /// Reset for reuse by the next invocation: every ring empty, every
+    /// lane region back with the slab. Ring geometry is task-constant, so
+    /// no reallocation.
     fn clear(&mut self) {
         for r in &mut self.rings {
-            for i in 0..r.len {
-                self.toks[r.slot(i)].val = Value::Poison;
-            }
             r.head = 0;
             r.len = 0;
             r.visible = 0;
         }
+        self.slab.clear();
     }
 
     #[inline]
@@ -169,12 +295,14 @@ impl TokenArena {
         Some((t.inst, t.vis))
     }
 
-    /// Push a token, invisible until its producer's completion event.
+    /// Push a copy of `val` (lanes in `from`), invisible until its
+    /// producer's completion event.
     #[inline]
-    fn push(&mut self, e: usize, inst: u64, val: Value) {
+    fn push(&mut self, e: usize, inst: u64, val: Word, from: &[u64]) {
         if self.rings[e].len > self.rings[e].mask {
             self.grow(e);
         }
+        let val = self.slab.adopt(val, from);
         let r = &mut self.rings[e];
         self.toks[r.slot(r.len)] = Token {
             inst,
@@ -184,26 +312,31 @@ impl TokenArena {
         r.len += 1;
     }
 
-    /// Pop the front token's value. Callers guarantee non-empty (the input
-    /// gate ran first); the value is moved out, not cloned.
+    /// Pop the front token, appending its value to `into` (an order token
+    /// carries none worth keeping). Callers guarantee non-empty: the input
+    /// gate ran first.
     #[inline]
-    fn pop(&mut self, e: usize) -> Value {
+    fn pop(&mut self, e: usize, into: Option<&mut Vals>) {
         let r = &mut self.rings[e];
         debug_assert!(r.len > 0, "pop on empty edge e{e}");
-        let t = &mut self.toks[r.slot(0)];
+        let t = self.toks[r.slot(0)];
         if t.vis != u64::MAX {
             r.visible -= 1;
         }
         r.head = (r.head + 1) & r.mask;
         r.len -= 1;
-        std::mem::replace(&mut t.val, Value::Poison)
+        if let Some(into) = into {
+            into.push(t.val, &self.slab.words);
+        }
+        self.slab.release(t.val);
     }
 
     /// Reverse-scan edge `e` marking instance `instance`'s in-flight
-    /// tokens visible at `cycle`, patching their value from `patch` when
-    /// given (call replies). Tokens are pushed in instance order, so the
-    /// scan stops at the first older instance.
-    fn reveal(&mut self, e: usize, instance: u64, cycle: u64, patch: Option<&Value>) {
+    /// tokens visible at `cycle`, replacing their value with a copy of
+    /// `patch` (a word and the buffer its lanes live in) when given: call
+    /// replies. Tokens are pushed in instance order, so the scan stops at
+    /// the first older instance.
+    fn reveal(&mut self, e: usize, instance: u64, cycle: u64, patch: Option<(Word, &[u64])>) {
         let r = &mut self.rings[e];
         for i in (0..r.len).rev() {
             let t = &mut self.toks[r.slot(i)];
@@ -214,8 +347,9 @@ impl TokenArena {
                 break;
             }
             if t.vis == u64::MAX {
-                if let Some(p) = patch {
-                    t.val = p.clone();
+                if let Some((p, from)) = patch {
+                    self.slab.release(t.val);
+                    t.val = self.slab.adopt(p, from);
                 }
                 t.vis = cycle;
                 r.visible += 1;
@@ -225,14 +359,15 @@ impl TokenArena {
 
     /// Relocate edge `e`'s ring to a doubled slice appended to the arena
     /// (the old slice goes dead — acceptable, because this is reachable
-    /// only when fault injection overfills a ring past its slack).
+    /// only when fault injection overfills a ring past its slack). Tokens
+    /// move as they are: their lane regions stay where they were.
     #[cold]
     fn grow(&mut self, e: usize) {
         let old = self.rings[e];
         let new_base = self.toks.len() as u32;
         for i in 0..2 * (old.mask + 1) {
             let t = if i < old.len {
-                std::mem::replace(&mut self.toks[old.slot(i)], Token::EMPTY)
+                self.toks[old.slot(i)]
             } else {
                 Token::EMPTY
             };
@@ -262,7 +397,7 @@ struct Site {
 #[derive(Debug)]
 struct Invocation {
     uid: u64,
-    args: Vec<Value>,
+    args: Box<Vals>,
     reply: Option<Site>,
     spawn_parent: Option<(usize, u64)>,
 }
@@ -360,7 +495,7 @@ impl ReadySet {
 #[derive(Debug)]
 struct ActiveInv {
     uid: u64,
-    args: Vec<Value>,
+    args: Box<Vals>,
     reply: Option<Site>,
     spawn_parent: Option<(usize, u64)>,
     trip: u64,
@@ -379,9 +514,10 @@ struct ActiveInv {
     /// so a ring indexed by `instance - completed` needs no hashing.
     outstanding: VecDeque<u32>,
     spawns_outstanding: u32,
-    last_output: Vec<Value>,
-    /// Internal accumulator registers of `FusedAcc` units.
-    acc_state: Vec<Option<Value>>,
+    last_output: Vals,
+    /// Internal accumulator registers of `FusedAcc` units; a composite's
+    /// lanes are a region of the arena's slab.
+    acc_state: Vec<Option<Word>>,
     ready: ReadySet,
 }
 
@@ -405,7 +541,7 @@ impl ActiveInv {
     fn new(nnodes: usize, caps: &[u32]) -> ActiveInv {
         ActiveInv {
             uid: 0,
-            args: Vec::new(),
+            args: Box::default(),
             reply: None,
             spawn_parent: None,
             trip: 0,
@@ -419,7 +555,7 @@ impl ActiveInv {
             arena: TokenArena::with_caps(caps),
             outstanding: VecDeque::new(),
             spawns_outstanding: 0,
-            last_output: Vec::new(),
+            last_output: Vals::default(),
             acc_state: vec![None; nnodes],
             ready: ReadySet::sized(nnodes),
         }
@@ -583,6 +719,8 @@ struct ElabTask<'a> {
     /// blocks forever and the deadlock diagnosis names the edge and the
     /// buffer bump that fixes it.
     cap: Vec<u32>,
+    /// The sealed constant pool, decoded once per run.
+    consts: Vals,
 }
 
 impl std::ops::Deref for ElabTask<'_> {
@@ -616,7 +754,12 @@ struct TaskState {
 #[derive(Debug)]
 enum Ev {
     NodeDone(Site),
-    Reply { to: Site, results: Vec<Value> },
+    /// Boxed: one pointer beside the site keeps the common `NodeDone`
+    /// event small, and the box is recycled through `Engine::spare`.
+    Reply {
+        to: Site,
+        results: Box<Vals>,
+    },
 }
 
 /// Calendar-queue horizon: events due within this many cycles of *now* go
@@ -684,7 +827,7 @@ pub struct Engine<'a> {
     next_uid: u64,
     cycle: u64,
     last_progress: u64,
-    root_result: Option<Vec<Value>>,
+    root_result: Option<Box<Vals>>,
     fires: u64,
     sched_visits: u64,
     task_invocations: Vec<u64>,
@@ -717,14 +860,10 @@ pub struct Engine<'a> {
     /// the dense visitation (stall attribution *is* a per-cycle scan), so
     /// this is `Ready` and not tracing.
     use_ready: bool,
-    /// Reused input-value buffer for `try_fire` (fires are the hot path;
-    /// a fresh `Vec` per fire was measurable allocator churn).
-    val_scratch: Vec<Value>,
-    /// Reused output-value buffer for `try_fire`, same rationale.
-    out_scratch: Vec<Value>,
-    /// Emptied argument and result vectors, handed back out to the next
+    /// Emptied argument and result lists, handed back out to the next
     /// `TaskCall` firing or invocation result.
-    spare: Vec<Vec<Value>>,
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<Vals>>,
     faults: Injector,
     faults_on: bool,
     /// Nodes whose output handshake was stuck by fault injection:
@@ -781,7 +920,19 @@ impl<'a> Engine<'a> {
                         }
                     })
                     .collect();
-                ElabTask { ct, info, cap }
+                let mut consts = Vals::default();
+                for c in &ct.consts {
+                    let w = Word::from_value(c, &mut consts.lanes);
+                    consts
+                        .words
+                        .push(w.expect("a sealed constant has a flat form"));
+                }
+                ElabTask {
+                    ct,
+                    info,
+                    cap,
+                    consts,
+                }
             })
             .collect();
         let tasks: Vec<TaskState> = acc
@@ -857,8 +1008,6 @@ impl<'a> Engine<'a> {
             scan_g: 0,
             dispatch_hint: false,
             use_ready: cfg.scheduler == SchedulerKind::Ready && obs.is_none(),
-            val_scratch: Vec::new(),
-            out_scratch: Vec::new(),
             spare: Vec::new(),
             faults,
             faults_on,
@@ -866,6 +1015,10 @@ impl<'a> Engine<'a> {
             obs,
         }
     }
+
+    // ---- the door: root arguments in -----------------------------------
+    // `Value` lists exist between this marker and the next one only
+    // (scripts/check.sh, "one token payload").
 
     /// Run the root task once with `args`; returns (cycles, results, stats,
     /// observability artifacts when tracing was enabled).
@@ -875,7 +1028,7 @@ impl<'a> Engine<'a> {
     /// fault (out-of-bounds access on a live path).
     #[allow(clippy::type_complexity)]
     pub fn run(
-        mut self,
+        &mut self,
         args: &[Value],
     ) -> Result<(u64, Vec<Value>, SimStats, Option<(SimProfile, Trace)>), SimError> {
         // DMA model (§3.2: scratchpads are DMA-managed): streaming the
@@ -905,17 +1058,18 @@ impl<'a> Engine<'a> {
         };
 
         let root = self.acc.root.0 as usize;
-        self.check_root_args(root, args)?;
+        let args = self.admit_root_args(root, args)?;
         let uid = self.fresh_uid();
         self.tasks[root].queue.push_back(Invocation {
             uid,
-            args: args.to_vec(),
+            args,
             reply: None,
             spawn_parent: None,
         });
         self.dispatch_hint = true;
         self.cycle = fill_delay;
         self.last_progress = fill_delay;
+        let mut scratch = Scratch::default();
         while self.root_result.is_none() {
             if self.use_ready {
                 self.maybe_skip_idle();
@@ -931,13 +1085,15 @@ impl<'a> Engine<'a> {
                     report: Box::new(self.diagnose_deadlock()),
                 });
             }
-            self.step()?;
+            self.step(&mut scratch)?;
         }
         // Whatever the dataflow achieved, the run can never beat the AXI
         // channel: all scratchpad streams must cross it once.
         let stream_floor = lat + (fill + drain).div_ceil(bw);
         let cycles = (self.cycle + drain_delay).max(stream_floor);
-        let results = self.root_result.take().unwrap_or_default();
+        let results = self.root_result.take().map_or_else(Vec::new, |r| {
+            r.words.iter().map(|w| w.to_value(&r.lanes)).collect()
+        });
         let stats = self.collect_stats(cycles);
         let observed = self
             .obs
@@ -947,12 +1103,14 @@ impl<'a> Engine<'a> {
     }
 
     /// The door check on the root invocation: every `Input` node of the
-    /// root task must find an argument of its declared type. Inside the
-    /// graph a token's type follows from the graph; here it is the
-    /// caller's, and the scalar evaluators panic on a kind they do not
-    /// expect.
-    fn check_root_args(&self, root: usize, args: &[Value]) -> Result<(), SimError> {
+    /// root task must find an argument of its declared type, and every
+    /// argument must have a flat form. Inside the graph a token's kind
+    /// follows from the graph; here it is the caller's.
+    fn admit_root_args(&self, root: usize, args: &[Value]) -> Result<Box<Vals>, SimError> {
         let task = &self.acc.tasks[root];
+        let at_door = |detail: String, node: Option<u32>| {
+            SimError::eval(detail).at_site(0, root as u32, &task.name, node, None)
+        };
         for (n, nd) in task.dataflow.nodes.iter().enumerate() {
             let NodeKind::Input { index } = nd.kind else {
                 continue;
@@ -964,15 +1122,32 @@ impl<'a> Engine<'a> {
                 }
                 Some(_) => continue,
             };
-            return Err(SimError::eval(detail).at_site(
-                0,
-                root as u32,
-                &task.name,
-                Some(n as u32),
-                None,
-            ));
+            return Err(at_door(detail, Some(n as u32)));
         }
-        Ok(())
+        let mut flat = Box::<Vals>::default();
+        for (i, v) in args.iter().enumerate() {
+            let w = Word::from_value(v, &mut flat.lanes).ok_or_else(|| {
+                let detail = format!("argument {i} is {v}: lanes must be scalars of one kind");
+                at_door(detail, None)
+            })?;
+            flat.words.push(w);
+        }
+        Ok(flat)
+    }
+
+    // ---- the door: results out ------------------------------------------
+
+    /// The largest lane slab and the largest token array among this run's
+    /// invocation shells, live or pooled: `(slab words, ring slots)`.
+    #[cfg(test)]
+    pub(crate) fn slab_high_water(&self) -> (usize, usize) {
+        let shells = self.tasks.iter().flat_map(|t| {
+            let live = t.tiles.iter().flatten();
+            live.chain(&t.pool).map(|inv| &inv.arena)
+        });
+        shells.fold((0, 0), |(words, slots), a| {
+            (words.max(a.slab.words.len()), slots.max(a.toks.len()))
+        })
     }
 
     /// Elements DMA'd into scratchpads before launch (read-only inputs) and
@@ -1285,28 +1460,21 @@ impl<'a> Engine<'a> {
         u
     }
 
-    /// Hand an emptied vector back for the next `TaskCall` or result.
-    fn recycle(&mut self, mut v: Vec<Value>) {
-        if v.capacity() > 0 {
-            v.clear();
-            self.spare.push(v);
-        }
+    /// Hand an emptied list back for the next `TaskCall` or result.
+    fn recycle(&mut self, mut v: Box<Vals>) {
+        v.clear();
+        self.spare.push(v);
     }
 
     /// Queue an invocation of `child` for the `TaskCall` firing at `site`,
-    /// moving the call's first `nargs` input values into the argument
-    /// vector. A blocking call gets its reply at `site`; a spawn only
+    /// copying the call's first `nargs` input values into the argument
+    /// list. A blocking call gets its reply at `site`; a spawn only
     /// names its parent.
-    fn issue_call(
-        &mut self,
-        site: Site,
-        child: usize,
-        nargs: usize,
-        spawn: bool,
-        values: &mut Vec<Value>,
-    ) {
+    fn issue_call(&mut self, site: Site, child: usize, nargs: usize, spawn: bool, values: &Vals) {
         let mut args = self.spare.pop().unwrap_or_default();
-        args.extend(values.drain(..nargs));
+        for &w in &values.words[..nargs] {
+            args.push(w, &values.lanes);
+        }
         let (reply, spawn_parent) = if spawn {
             (None, Some((site.task as usize, site.uid)))
         } else {
@@ -1337,7 +1505,7 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    fn step(&mut self) -> Result<(), SimError> {
+    fn step(&mut self, scratch: &mut Scratch) -> Result<(), SimError> {
         let cycle = self.cycle;
         self.scan_g = 0;
         // Phase 1: scheduled events, in (cycle, push-order) order. Due far
@@ -1424,7 +1592,7 @@ impl<'a> Engine<'a> {
                 if self.tile_due[g] <= cycle {
                     self.scan_g = g + 1;
                     let (ti, tk) = self.tile_ids[g];
-                    self.tile_tick(ti as usize, tk as usize)?;
+                    self.tile_tick(ti as usize, tk as usize, scratch)?;
                 }
                 next_due = next_due.min(self.tile_due[g]);
             }
@@ -1434,7 +1602,7 @@ impl<'a> Engine<'a> {
                 for tk in 0..self.tasks[ti].tiles.len() {
                     if self.tasks[ti].tiles[tk].is_some() {
                         self.tasks[ti].busy_cycles += 1;
-                        self.tile_tick(ti, tk)?;
+                        self.tile_tick(ti, tk, scratch)?;
                     }
                 }
             }
@@ -1461,11 +1629,12 @@ impl<'a> Engine<'a> {
                         ArgExpr::Const(k) => Ok(*k),
                         ArgExpr::Arg(a) => inv
                             .args
+                            .words
                             .get(*a as usize)
                             .ok_or_else(|| {
                                 SimError::eval(format!("loop bound argument {a} missing"))
                             })?
-                            .as_int_checked()
+                            .as_int()
                             .ok_or_else(|| {
                                 SimError::eval(format!("non-integer loop bound argument {a}"))
                             }),
@@ -1514,17 +1683,17 @@ impl<'a> Engine<'a> {
     /// the completion check. The invocation is lifted out of the engine
     /// for the walk, so every firing works on one `&mut ActiveInv` next to
     /// `&mut self` instead of re-deriving it from (task, tile).
-    fn tile_tick(&mut self, ti: usize, tk: usize) -> Result<(), SimError> {
+    fn tile_tick(&mut self, ti: usize, tk: usize, scratch: &mut Scratch) -> Result<(), SimError> {
         let Some(mut inv) = self.tasks[ti].tiles[tk].take() else {
             return Ok(());
         };
         let walked = if self.use_ready {
-            let r = self.ready_pass(ti, tk, &mut inv);
+            let r = self.ready_pass(ti, tk, &mut inv, scratch);
             self.tile_due[self.tile_base[ti] + tk] =
                 inv.due_after_pass(self.cycle, self.cfg.window);
             r
         } else {
-            self.dense_pass(ti, tk, &mut inv)
+            self.dense_pass(ti, tk, &mut inv, scratch)
         };
         self.tasks[ti].tiles[tk] = Some(inv);
         walked?;
@@ -1546,11 +1715,17 @@ impl<'a> Engine<'a> {
     }
 
     /// The dense oracle's walk: every node, consumers first, every cycle.
-    fn dense_pass(&mut self, ti: usize, tk: usize, inv: &mut ActiveInv) -> Result<(), SimError> {
+    fn dense_pass(
+        &mut self,
+        ti: usize,
+        tk: usize,
+        inv: &mut ActiveInv,
+        scratch: &mut Scratch,
+    ) -> Result<(), SimError> {
         self.admit(ti, inv);
         let order: &[u32] = &self.elab[ti].ct.order;
         for &node in order {
-            self.try_fire(ti, tk, inv, node as usize)?;
+            self.try_fire(ti, tk, inv, node as usize, scratch)?;
         }
         Ok(())
     }
@@ -1558,7 +1733,13 @@ impl<'a> Engine<'a> {
     /// The ready scheduler's walk: fire only the woken candidates, in
     /// ascending scan position — exactly the subsequence of the dense scan
     /// that would have fired or stalled for a cause.
-    fn ready_pass(&mut self, ti: usize, tk: usize, inv: &mut ActiveInv) -> Result<(), SimError> {
+    fn ready_pass(
+        &mut self,
+        ti: usize,
+        tk: usize,
+        inv: &mut ActiveInv,
+        scratch: &mut Scratch,
+    ) -> Result<(), SimError> {
         let cycle = self.cycle;
         let admitted = self.admit(ti, inv);
         let info = &self.elab[ti].info;
@@ -1615,7 +1796,7 @@ impl<'a> Engine<'a> {
             inv.ready.cur_bits[wi] = word & (word - 1);
             let pos = wi * 64 + word.trailing_zeros() as usize;
             inv.ready.scan = pos as i64;
-            self.try_fire(ti, tk, inv, order[pos] as usize)?;
+            self.try_fire(ti, tk, inv, order[pos] as usize, scratch)?;
         }
         inv.ready.scan = -1;
         Ok(())
@@ -1632,6 +1813,7 @@ impl<'a> Engine<'a> {
         tk: usize,
         inv: &mut ActiveInv,
         node: usize,
+        scratch: &mut Scratch,
     ) -> Result<(), SimError> {
         let cycle = self.cycle;
         let df = &self.acc.tasks[ti].dataflow;
@@ -1752,15 +1934,8 @@ impl<'a> Engine<'a> {
             return self.note_stall(site, StallReason::FaultHold, None, None);
         }
 
-        // --- Fire (buffers restored on every path, success or error) --------
-        let mut values = std::mem::take(&mut self.val_scratch);
-        let mut out_values = std::mem::take(&mut self.out_scratch);
-        let r = self.fire(ti, tk, inv, node, uop, k, &mut values, &mut out_values);
-        values.clear();
-        out_values.clear();
-        self.val_scratch = values;
-        self.out_scratch = out_values;
         // The body's evaluation errors are context-free; locate them here.
+        let r = self.fire(ti, tk, inv, node, uop, k, scratch);
         r.map_err(|e| {
             let name = &self.acc.tasks[ti].name;
             e.at_site(cycle, ti as u32, name, Some(node as u32), Some(inv.uid))
@@ -1769,8 +1944,7 @@ impl<'a> Engine<'a> {
 
     /// The firing body: consume tokens, evaluate by dense opcode, push
     /// outputs over the pre-resolved edge range, account. Callers have
-    /// verified every gate; buffer ownership (and restore-on-error) stays
-    /// with [`Engine::try_fire`].
+    /// verified every gate.
     #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
     fn fire(
         &mut self,
@@ -1780,9 +1954,14 @@ impl<'a> Engine<'a> {
         node: usize,
         uop: &MicroOp,
         k: u64,
-        values: &mut Vec<Value>,
-        out_values: &mut Vec<Value>,
+        scratch: &mut Scratch,
     ) -> Result<(), SimError> {
+        let Scratch {
+            values,
+            out: out_values,
+        } = scratch;
+        values.clear();
+        out_values.clear();
         let cycle = self.cycle;
         let df = &self.acc.tasks[ti].dataflow;
         let ct = self.elab[ti].ct;
@@ -1794,37 +1973,35 @@ impl<'a> Engine<'a> {
         // gate; no other firing gate reads this edge). Post-pop, "was full"
         // means `visible + 1 >= capacity`.
         let (et, obs, use_ready) = (&self.elab[ti], &mut self.obs, self.use_ready);
-        let mut pop = |inv: &mut ActiveInv, ei: usize| {
-            let v = inv.arena.pop(ei);
+        let mut pop = |inv: &mut ActiveInv, ei: usize, into: Option<&mut Vals>| {
+            inv.arena.pop(ei, into);
             if let Some(obs) = obs.as_mut() {
                 obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), false);
             }
             if use_ready && inv.arena.visible(ei) + 1 >= et.cap[ei] {
                 inv.wake(&et.info, ct.edge_meta[ei].src as usize, cycle);
             }
-            v
         };
         // Collect input values straight into `values` — each slot is
         // self-describing, so no staging buffer is needed.
         for &s in slots {
             let p = (s & SLOT_PAYLOAD) as usize;
             match s & SLOT_TAG {
-                SLOT_ARG => values.push(
-                    inv.args
-                        .get(p)
-                        .cloned()
-                        .ok_or_else(|| SimError::eval(format!("missing argument {p}")))?,
-                ),
-                SLOT_CONST => values.push(ct.consts[p].clone()),
-                SLOT_FEEDBACK if k == 0 => values.push(Value::Poison), // unused at instance 0
+                SLOT_ARG => {
+                    let arg = inv.args.words.get(p);
+                    let arg = arg.ok_or_else(|| SimError::eval(format!("missing argument {p}")))?;
+                    values.push(*arg, &inv.args.lanes);
+                }
+                SLOT_CONST => values.push(et.consts.words[p], &et.consts.lanes),
+                SLOT_FEEDBACK if k == 0 => values.words.push(Word::POISON), // unused at instance 0
                 _ if inv.arena.len(p) == 0 => {
                     return Err(SimError::eval(format!("missing token on edge e{p}")));
                 }
-                _ => values.push(pop(inv, p)),
+                _ => pop(inv, p, Some(&mut *values)),
             }
         }
         for &er in &erefs[..uop.nord as usize] {
-            pop(inv, er as usize);
+            pop(inv, er as usize, None);
         }
 
         let ni = self.elab[ti].info[node];
@@ -1838,15 +2015,15 @@ impl<'a> Engine<'a> {
         let mut completion_at = Some(cycle + ni.latency as u64);
         // A predicated op is active unless its predicate input is false
         // or poison.
-        let active = |pred: Option<&Value>| match pred {
-            Some(v) if uop.flags & UOP_PREDICATED != 0 => {
-                v.truth("predicate").map(|t| t == Some(true))
+        let active = |pred: Option<&Word>| match pred {
+            Some(&v) if uop.flags & UOP_PREDICATED != 0 => {
+                truth(v, "predicate").map(|t| t == Some(true))
             }
             _ => Ok(true),
         };
         // The element index of a memory access: poison (a squashed
         // division upstream) and negative indices are typed errors.
-        let index = |v: &Value, what: &str| match v.as_int_checked() {
+        let index = |v: Word, what: &str| match v.as_int() {
             None => Err(SimError::eval(format!("poison {what} index"))),
             Some(idx) if idx < 0 => Err(SimError::eval(format!("negative {what} index {idx}"))),
             Some(idx) => Ok(idx as u64),
@@ -1854,60 +2031,71 @@ impl<'a> Engine<'a> {
 
         match uop.kind {
             UopKind::IndVar => {
-                out_values.push(Value::Int(inv.lo + k as i64 * inv.step));
+                out_values
+                    .words
+                    .push(Word::int(inv.lo + k as i64 * inv.step));
             }
             UopKind::Merge => {
                 // Port 0 = init (instance 0), port 1 = feedback.
-                out_values.push(values.swap_remove(usize::from(k != 0)));
+                out_values.push(values.words[usize::from(k != 0)], &values.lanes);
             }
             UopKind::FusedAcc => {
                 // Self-accumulating unit: port 0 = init, port 1 = operand.
-                let base = if k == 0 {
-                    values[0].clone()
-                } else {
-                    inv.acc_state[node]
-                        .clone()
-                        .ok_or_else(|| SimError::eval("accumulator state missing"))?
-                };
-                let r = eval_op(uop.op, &[base, values[1].clone()])?;
-                inv.acc_state[node] = Some(r.clone());
-                out_values.push(r);
+                let slab = &mut inv.arena.slab;
+                if k != 0 {
+                    let base = inv.acc_state[node]
+                        .ok_or_else(|| SimError::eval("accumulator state missing"))?;
+                    values.words[0] = base.copy_into(&slab.words, &mut values.lanes);
+                }
+                eval_op(uop.op, &values.words[..2], &values.lanes, out_values)?;
+                if let Some(old) = inv.acc_state[node].take() {
+                    slab.release(old);
+                }
+                inv.acc_state[node] = Some(slab.adopt(out_values.words[0], &out_values.lanes));
             }
-            UopKind::Compute => out_values.push(eval_op(uop.op, values)?),
-            UopKind::Fused => out_values.push(eval_fused(&ct.fused_plans[uop.a as usize], values)?),
-            UopKind::Output => {
-                inv.last_output.clone_from(values);
-            }
+            UopKind::Compute => eval_op(uop.op, &values.words, &values.lanes, out_values)?,
+            UopKind::Fused => eval_fused(&ct.fused_plans[uop.a as usize], values, out_values)?,
+            UopKind::Output => inv.last_output.copy_from(values),
             UopKind::Load => {
-                if active(values.last())? {
+                if active(values.words.last())? {
                     let obj = MemObjId(uop.a);
-                    let idx = index(&values[0], "load")?;
+                    let idx = index(values.words[0], "load")?;
                     let ty = df.nodes[node].ty;
                     let base = self.mem.flat_addr(obj, idx);
-                    out_values.push(
-                        self.mem
-                            .load(obj, idx, ty)
-                            .map_err(|e| SimError::eval(e.to_string()))?,
-                    );
-                    self.issue_mem(site, uop.b as usize, base, u64::from(ty.elems()), false);
+                    let n = u64::from(ty.elems());
+                    let (elem, words) = self.mem.words(obj, idx, n).map_err(interp_err)?;
+                    match ty {
+                        Type::Scalar(_) => out_values.words.push(Word::scalar(elem, words[0])),
+                        Type::Vector { lanes, .. } => {
+                            out_values.push_lanes(elem, Form::Vector(lanes.into()), words);
+                        }
+                        Type::Tensor { shape, .. } => {
+                            out_values.push_lanes(elem, Form::Tile(shape), words);
+                        }
+                    }
+                    self.issue_mem(site, uop.b as usize, base, n, false);
                     completion_at = None; // completes on the memory response
                 } else {
-                    out_values.push(Value::Poison);
+                    out_values.words.push(Word::POISON);
                 }
             }
             UopKind::Store => {
-                if active(values.last())? {
+                if active(values.words.last())? {
                     let obj = MemObjId(uop.a);
-                    let idx = index(&values[0], "store")?;
-                    if values[1].is_poison() {
-                        return Err(SimError::eval(format!("poison stored to {obj:?}")));
-                    }
+                    let idx = index(values.words[0], "store")?;
+                    let v = values.words[1];
+                    let (elem, words) = match (v.as_elem(), v.as_lanes()) {
+                        (Some(elem), _) => (elem, std::slice::from_ref(&v.bits)),
+                        (None, Some(l)) => (l.elem, &values.lanes[l.range()]),
+                        (None, None) => {
+                            return Err(SimError::eval(format!("poison stored to {obj:?}")))
+                        }
+                    };
                     let base = self.mem.flat_addr(obj, idx);
-                    let n = self
-                        .mem
-                        .store(obj, idx, &values[1])
-                        .map_err(|e| SimError::eval(e.to_string()))?;
-                    self.issue_mem(site, uop.b as usize, base, n, true);
+                    self.mem
+                        .store_words(obj, idx, elem, words)
+                        .map_err(interp_err)?;
+                    self.issue_mem(site, uop.b as usize, base, words.len() as u64, true);
                     completion_at = None; // completes on the memory response
                 }
             }
@@ -1915,52 +2103,48 @@ impl<'a> Engine<'a> {
                 let child = uop.a as usize;
                 let nargs = (uop.b >> 16) as usize;
                 let nres = (uop.b & 0xffff) as usize;
-                let mut result = Value::Poison; // squashed, or patched by the reply
-                if active(values.get(nargs))? {
+                let mut result = Word::POISON; // squashed, or patched by the reply
+                if active(values.words.get(nargs))? {
                     let spawn = uop.flags & UOP_SPAWN != 0;
                     self.issue_call(site, child, nargs, spawn, values);
                     if spawn {
                         inv.spawns_outstanding += 1;
-                        result = Value::Int(0);
+                        result = Word::int(0);
                     } else {
                         completion_at = None;
                     }
                 }
-                out_values.resize(nres.max(1), result);
+                out_values.words.resize(nres.max(1), result);
             }
             UopKind::Static => unreachable!("static"),
         }
 
-        // Push pending tokens on out edges. Ready/valid faults inject here:
-        // a drop loses the valid pulse, a dup holds it one transfer too
-        // long, a bit-flip corrupts the data lines.
-        let outs = &erefs[uop.nord as usize..];
-        for (i, &er) in outs.iter().enumerate() {
+        // Push pending tokens on out edges, one copy each. Ready/valid
+        // faults inject here: a drop loses the valid pulse, a dup holds it
+        // one transfer too long, a bit-flip corrupts the data lines.
+        for &er in &erefs[uop.nord as usize..] {
             let ei = er as usize;
             let m = ct.edge_meta[ei];
-            let mut value = if m.is_order {
-                Value::Bool(true)
-            } else {
-                match out_values.get_mut(m.src_port as usize) {
-                    // The last edge takes the value itself.
-                    Some(v) if i + 1 == outs.len() => std::mem::replace(v, Value::Poison),
-                    Some(v) => v.clone(),
-                    None => Value::Bool(true),
-                }
+            let mut value = match out_values.words.get(m.src_port as usize) {
+                Some(&w) if !m.is_order => w,
+                _ => Word::bool(true),
             };
+            let mut copies = 1;
             if self.faults_on {
                 if self.faults.roll(FaultClass::TokenDrop) {
                     continue; // token lost on the wire
                 }
                 if self.faults.roll(FaultClass::TokenBitFlip) {
                     let bit = self.faults.below(32) as u32;
-                    value = flip_bit(&value, bit);
+                    value = flip_bit(value, bit, &mut out_values.lanes);
                 }
                 if self.faults.roll(FaultClass::TokenDup) {
-                    inv.arena.push(ei, k, value.clone());
+                    copies = 2;
                 }
             }
-            inv.arena.push(ei, k, value);
+            for _ in 0..copies {
+                inv.arena.push(ei, k, value, &out_values.lanes);
+            }
             if let Some(obs) = self.obs.as_mut() {
                 obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), true);
             }
@@ -2034,7 +2218,7 @@ impl<'a> Engine<'a> {
 
     /// A node's firing completed: make its tokens visible (patching values
     /// for call replies) and advance instance/invocation completion.
-    fn node_done(&mut self, site: Site, reply_values: Option<Vec<Value>>) -> Result<(), SimError> {
+    fn node_done(&mut self, site: Site, reply_values: Option<Box<Vals>>) -> Result<(), SimError> {
         let cycle = self.cycle;
         let (ti, tk, node) = (site.task as usize, site.tile as usize, site.node as usize);
         let df = &self.acc.tasks[ti].dataflow;
@@ -2051,12 +2235,9 @@ impl<'a> Engine<'a> {
             // an injected duplicate shares the completion pulse),
             // patching call-reply values onto data edges.
             let m = &et.edge_meta[ei as usize];
-            let patch = reply_values.as_ref().and_then(|rv| {
-                if m.is_order {
-                    None
-                } else {
-                    rv.get(m.src_port as usize)
-                }
+            let patch = reply_values.as_deref().and_then(|rv| {
+                let w = rv.words.get(m.src_port as usize).filter(|_| !m.is_order)?;
+                Some((*w, rv.lanes.as_slice()))
             });
             inv.arena.reveal(ei as usize, site.instance, cycle, patch);
         }
@@ -2129,17 +2310,16 @@ impl<'a> Engine<'a> {
         // Results: the last Output firing's values, or zero-trip fallbacks.
         let mut results = self.spare.pop().unwrap_or_default();
         if inv.trip == 0 {
-            results.extend((0..task.num_results as usize).map(|r| {
-                match task.loop_result_inits.get(r).and_then(|x| *x) {
-                    Some(ResultInit::Arg(a)) => {
-                        inv.args.get(a as usize).cloned().unwrap_or(Value::Poison)
-                    }
-                    Some(ResultInit::Const(c)) => c.to_value(),
-                    None => Value::Poison,
-                }
-            }));
+            for r in 0..task.num_results as usize {
+                let w = match task.loop_result_inits.get(r).and_then(|x| *x) {
+                    Some(ResultInit::Arg(a)) => inv.args.words.get(a as usize).copied(),
+                    Some(ResultInit::Const(c)) => Some(c.into()),
+                    None => None,
+                };
+                results.push(w.unwrap_or(Word::POISON), &inv.args.lanes);
+            }
         } else {
-            results.clone_from(&inv.last_output);
+            results.copy_from(&inv.last_output);
         }
         if let Some((ptask, puid)) = inv.spawn_parent {
             self.recycle(results);
@@ -2221,96 +2401,109 @@ fn find_wait_cycle(vertices: &[V], waits: &HashMap<V, Vec<W>>) -> Vec<WaitEdge> 
     Vec::new()
 }
 
-/// Evaluate a compute op on runtime values.
-fn eval_op(op: OpKind, values: &[Value]) -> Result<Value, SimError> {
+fn interp_err(e: InterpError) -> SimError {
+    SimError::eval(e.to_string())
+}
+
+/// Evaluate a compute op on `ins`, whose lanes live in `lanes`; the one
+/// result is appended to `out`.
+fn eval_op(op: OpKind, ins: &[Word], lanes: &[u64], out: &mut Vals) -> Result<(), SimError> {
     let r = match op {
-        OpKind::Bin(b) => {
-            // Hardware on a predicated-off path may divide by zero; the
-            // result is squashed, so produce poison rather than fault.
-            if matches!(b, BinOp::Div | BinOp::Rem) && values[1].as_int_checked() == Some(0) {
-                return Ok(Value::Poison);
-            }
-            eval_bin(b, &values[0], &values[1]).map_err(|e| SimError::eval(e.to_string()))?
-        }
-        OpKind::Un(u) => eval_un(u, &values[0]),
-        OpKind::Cmp(p) => eval_cmp(p, &values[0], &values[1]),
-        OpKind::Select => match values[0].truth("select condition")? {
-            None => Value::Poison,
-            Some(true) => values[1].clone(),
-            Some(false) => values[2].clone(),
+        // Hardware on a predicated-off path may divide by zero; the
+        // result is squashed, so produce poison rather than fault.
+        OpKind::Bin(BinOp::Div | BinOp::Rem) if ins[1].as_int() == Some(0) => Word::POISON,
+        OpKind::Bin(b) => flat::bin(b, ins[0], ins[1]).map_err(interp_err)?,
+        OpKind::Un(u) => flat::un(u, ins[0]).map_err(interp_err)?,
+        OpKind::Cmp(p) => flat::cmp(p, ins[0], ins[1]).map_err(interp_err)?,
+        OpKind::Select => match truth(ins[0], "select condition")? {
+            None => Word::POISON,
+            Some(true) => ins[1],
+            Some(false) => ins[2],
         },
-        OpKind::Cast(c) => match (c, &values[0]) {
-            (_, Value::Poison) => Value::Poison,
-            (CastOp::SiToFp, v) => Value::F32(
-                v.as_int_checked()
+        OpKind::Cast(c) => match (c, ins[0]) {
+            (_, v) if v.is_poison() => v,
+            (CastOp::SiToFp, v) => Word::f32(
+                v.as_int()
                     .ok_or_else(|| SimError::eval("non-integer cast operand"))?
                     as f32,
             ),
-            (CastOp::FpToSi, Value::F32(f)) => Value::Int(*f as i64),
-            (CastOp::FpToSi, _) => return Err(SimError::eval("non-float cast operand")),
-            (CastOp::IntResize, v) => v.clone(),
+            (CastOp::FpToSi, v) => Word::int(
+                v.as_f32()
+                    .ok_or_else(|| SimError::eval("non-float cast operand"))?
+                    as i64,
+            ),
+            (CastOp::IntResize, v) => v,
         },
+        OpKind::Tensor(_, _) if ins.iter().any(|w| w.is_poison()) => Word::POISON,
         OpKind::Tensor(t, _) => {
-            if values.iter().any(Value::is_poison) {
-                Value::Poison
-            } else {
-                eval_tensor(t, &values[0], values.get(1))
-                    .map_err(|e| SimError::eval(e.to_string()))?
-            }
+            // The result's lanes (if it is a tile) land in `out` directly.
+            let r = flat::tensor(t, ins[0], ins.get(1).copied(), lanes, &mut out.lanes);
+            out.words.push(r.map_err(interp_err)?);
+            return Ok(());
         }
     };
-    Ok(r)
+    out.push(r, lanes);
+    Ok(())
 }
 
-/// Evaluate a fused plan.
-fn eval_fused(plan: &muir_core::node::FusedPlan, values: &[Value]) -> Result<Value, SimError> {
-    let mut step_vals: Vec<Value> = Vec::with_capacity(plan.steps.len());
+/// Evaluate a fused plan over `values` into `out`. Step results join
+/// `values` behind the external inputs, so a later step reads either from
+/// one list.
+fn eval_fused(
+    plan: &muir_core::node::FusedPlan,
+    values: &mut Vals,
+    out: &mut Vals,
+) -> Result<(), SimError> {
+    let ext = values.words.len();
     for step in &plan.steps {
-        let ins: Vec<Value> = step
-            .inputs
-            .iter()
-            .map(|i| match i {
-                FusedInput::External(p) => values[*p as usize].clone(),
-                FusedInput::Step(s) => step_vals[*s as usize].clone(),
-            })
-            .collect();
-        step_vals.push(eval_op(step.op, &ins)?);
+        let ins = values.words.len();
+        for i in &step.inputs {
+            let w = match i {
+                FusedInput::External(p) => values.words[*p as usize],
+                FusedInput::Step(s) => values.words[ext + *s as usize],
+            };
+            values.words.push(w);
+        }
+        out.clear();
+        eval_op(step.op, &values.words[ins..], &values.lanes, out)?;
+        values.words.truncate(ins);
+        values.push(out.words[0], &out.lanes);
     }
-    step_vals
-        .pop()
-        .ok_or_else(|| SimError::eval("empty fused plan"))
+    if out.words.is_empty() {
+        return Err(SimError::eval("empty fused plan"));
+    }
+    Ok(())
 }
 
-/// Flip one bit of a scalar token value (the data-line corruption of the
-/// token-bit-flip fault class). Aggregates corrupt their first scalar lane.
-fn flip_bit(v: &Value, bit: u32) -> Value {
-    match v {
-        Value::Bool(b) => Value::Bool(!b),
-        Value::Int(x) => Value::Int(x ^ (1i64 << (bit % 63))),
-        Value::F32(f) => Value::F32(f32::from_bits(f.to_bits() ^ (1u32 << (bit % 32)))),
-        Value::Vector(vs) => {
-            let mut vs = vs.clone();
-            if let Some(first) = vs.first_mut() {
-                *first = flip_bit(first, bit);
-            }
-            Value::Vector(vs)
-        }
-        Value::Tensor { shape, data } => {
-            let mut data = data.clone();
-            if let Some(first) = data.first_mut() {
-                *first = flip_bit(first, bit);
-            }
-            Value::Tensor {
-                shape: *shape,
-                data,
-            }
-        }
-        other => other.clone(),
+/// Flip one bit of a scalar (the data-line corruption of the
+/// token-bit-flip fault class): a boolean is negated, an integer loses bit
+/// `bit % 63`, a float bit `bit % 32`.
+fn flip_scalar(elem: ElemKind, bits: u64, bit: u32) -> u64 {
+    bits ^ match elem {
+        ElemKind::Bool => 1,
+        ElemKind::Int => 1 << (bit % 63),
+        ElemKind::F32 => 1 << (bit % 32),
     }
 }
 
-/// Non-panicking scalar views: a token's dynamic type is input-reachable
-/// (root arguments are untyped), so a mismatch is an error, not a bug.
+/// [`flip_scalar`] on a token value. A composite is first copied within
+/// `lanes` — other edges still read the original — and the copy's first
+/// lane is the one corrupted. Poison has no data lines to corrupt.
+fn flip_bit(v: Word, bit: u32, lanes: &mut Vec<u64>) -> Word {
+    match (v.as_elem(), v.as_lanes()) {
+        (Some(elem), _) => Word::scalar(elem, flip_scalar(elem, v.bits, bit)),
+        (None, Some(l)) => {
+            let off = lanes.len();
+            lanes.extend_from_within(l.range());
+            if let Some(first) = lanes.get_mut(off) {
+                *first = flip_scalar(l.elem, *first, bit);
+            }
+            l.at(off)
+        }
+        (None, None) => v,
+    }
+}
+
 /// Whether `v` is a value an edge of type `ty` can carry: poison always,
 /// booleans and integers on any integer scalar (the evaluators read either
 /// as the other), floats on `f32`, vectors and tiles of the declared extent
@@ -2331,28 +2524,12 @@ fn value_fits(v: &Value, ty: Type) -> bool {
     }
 }
 
-trait ValueExt {
-    fn as_int_checked(&self) -> Option<i64>;
-    /// The truth value of a predicate-like input: `None` for poison, an
-    /// evaluation error naming `what` for anything not boolean or integer.
-    fn truth(&self, what: &str) -> Result<Option<bool>, SimError>;
-}
-
-impl ValueExt for Value {
-    fn as_int_checked(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            Value::Bool(b) => Some(*b as i64),
-            _ => None,
-        }
-    }
-
-    fn truth(&self, what: &str) -> Result<Option<bool>, SimError> {
-        match self {
-            Value::Poison => Ok(None),
-            Value::Bool(b) => Ok(Some(*b)),
-            Value::Int(v) => Ok(Some(*v != 0)),
-            _ => Err(SimError::eval(format!("non-boolean {what}"))),
-        }
+/// The truth value of a predicate-like input: `None` for poison, an
+/// evaluation error naming `what` for anything not boolean or integer.
+fn truth(v: Word, what: &str) -> Result<Option<bool>, SimError> {
+    match v.as_int() {
+        Some(i) => Ok(Some(i != 0)),
+        None if v.is_poison() => Ok(None),
+        None => Err(SimError::eval(format!("non-boolean {what}"))),
     }
 }

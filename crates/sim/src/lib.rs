@@ -336,7 +336,7 @@ pub fn simulate_compiled(
     args: &[Value],
     cfg: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    let engine = engine::Engine::new(comp, mem, cfg);
+    let mut engine = engine::Engine::new(comp, mem, cfg);
     let (cycles, results, stats, observed) = engine.run(args)?;
     let (profile, trace) = match observed {
         Some((p, t)) => (Some(p), Some(t)),

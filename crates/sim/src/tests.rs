@@ -267,6 +267,62 @@ fn tensor_tiles_match_interp() {
     assert_mem_eq(&m, &r, &s);
 }
 
+/// A token owns its lanes and gives them back when it is popped, so the
+/// lane slab of an invocation grows to the tiles *in flight* — at most one
+/// per ring slot — and stops: 10 000 trips that each load two tiles, add
+/// them into a carried one and store the sum leave it where a few dozen
+/// trips would.
+#[test]
+fn the_lane_slab_is_bounded_by_tokens_in_flight_not_by_trip_count() {
+    const TRIPS: i64 = 10_000;
+    let shape = TensorShape::new(2, 2);
+    let ty = Type::Tensor {
+        elem: ScalarType::I32,
+        shape,
+    };
+    let mut m = Module::new("slab");
+    let a = m.add_ro_mem_object("a", ScalarType::I32, 4 * TRIPS as u64);
+    let c = m.add_mem_object("c", ScalarType::I32, 4 * TRIPS as u64);
+    let mut b = FunctionBuilder::new("main", &[]).with_mem(&m);
+    let first = b.load_tile(a, ValueRef::int(0), shape);
+    b.for_loop_acc(
+        ValueRef::int(0),
+        ValueRef::int(TRIPS),
+        1,
+        &[(first, ty)],
+        |b, i, carried| {
+            let idx = b.mul(i, ValueRef::int(4));
+            let t = b.load_tile(a, idx, shape);
+            let twice = b.tensor2(TensorOp::Add, shape, t, t);
+            let sum = b.tensor2(TensorOp::Add, shape, twice, carried[0]);
+            b.store(c, idx, sum);
+            vec![sum]
+        },
+    );
+    b.ret(None);
+    m.add_function(b.finish());
+    let acc = translate(&m, &FrontendConfig::default()).expect("translate");
+    let comp = CompiledAccel::compile(&acc).expect("seal");
+    let init: Vec<i64> = (0..4 * TRIPS).map(|x| x % 11 - 5).collect();
+    let mut want = Memory::from_module(&m);
+    want.init_i64(a, &init);
+    Interp::new(&m).run_main(&mut want, &[]).expect("interp");
+    for sched in [SchedulerKind::Dense, SchedulerKind::Ready] {
+        let cfg = SimConfig::default().with_scheduler(sched);
+        let mut mem = Memory::from_module(&m);
+        mem.init_i64(a, &init);
+        let mut engine = crate::engine::Engine::new(&comp, &mut mem, &cfg);
+        engine.run(&[]).expect("simulate");
+        let (slab_words, ring_slots) = engine.slab_high_water();
+        assert!(slab_words >= 4, "{sched:?}: tiles went through the slab");
+        assert!(
+            slab_words <= 4 * ring_slots && ring_slots < 1000,
+            "{sched:?}: {slab_words} slab words over {ring_slots} ring slots"
+        );
+        assert_eq!(mem, want, "{sched:?}");
+    }
+}
+
 #[test]
 fn function_call_matches_interp() {
     let mut m = Module::new("fn");
@@ -1440,6 +1496,17 @@ fn root_arguments_are_typed_at_the_door() {
         simulate_compiled(&comp, &mut mem, &[ok], &SimConfig::default()).expect("admitted");
     }
     expect_eval_error(&m, &acc, &[Value::Poison], "poison stored to");
+    // Inside, a composite is lanes of one scalar kind. A boolean and an
+    // integer lane each fit a `<2 x i32>` input, but not side by side.
+    let mut acc = acc;
+    let lanes = Type::Vector {
+        elem: ScalarType::I32,
+        lanes: 2,
+    };
+    retype_root_inputs(&mut acc, lanes);
+    let mixed = Value::Vector(vec![Value::Int(1), Value::Bool(true)]);
+    let what = "argument 0 is <1, true>: lanes must be scalars of one kind";
+    expect_eval_error(&m, &acc, &[mixed], what);
 }
 
 /// Behind the door a token's dynamic type is the graph's word, so a graph
@@ -1498,6 +1565,32 @@ fn mistyped_arguments_are_typed_errors_not_panics() {
         b.for_loop(0, n, 1, |b, i| b.store(a, i, ValueRef::f32(0.0)));
     });
     expect_eval_error(&m, &acc, &bad, "non-integer loop bound argument");
+}
+
+/// The scalar evaluators are total: a branch condition that arrives as a
+/// float reaches the `not` the frontend derives from every condition
+/// (`xor c, true`), whose evaluator used to panic in `Value::as_int`; the
+/// interpreter's own branch used to panic in `Value::as_bool`. Both now
+/// report the one message of `flat::Word::want_int`.
+#[test]
+fn a_float_branch_condition_is_the_same_typed_error_everywhere() {
+    let mut m = Module::new("fcond");
+    let a = m.add_mem_object("a", ScalarType::F32, 8);
+    let mut b = FunctionBuilder::new("main", &[Type::BOOL]).with_mem(&m);
+    let c = b.arg(0);
+    b.for_loop(0, ValueRef::int(2), 1, |b, i| {
+        b.if_then(c, |b| b.store(a, i, ValueRef::f32(1.0)));
+    });
+    b.ret(None);
+    m.add_function(b.finish());
+    let mut acc = translate(&m, &FrontendConfig::default()).expect("translate");
+    retype_root_inputs(&mut acc, Type::F32);
+    let what = "expected integer value, found 1.5";
+    let err = Interp::new(&m)
+        .run_main(&mut Memory::from_module(&m), &[Value::F32(1.5)])
+        .expect_err(what);
+    assert_eq!(err.message, what);
+    expect_eval_error(&m, &acc, &[Value::F32(1.5)], what);
 }
 
 /// A memory object holds scalars of its declared kind and nothing else:

@@ -504,7 +504,8 @@ pub fn decode_eval(payload: &[u8]) -> Result<StoredEval, DecodeError> {
             .ok_or("structs line missing count")?,
         "structs",
     )? as usize;
-    let mut struct_stats = Vec::with_capacity(nstructs);
+    // Every structure takes a line of the text, which bounds the count.
+    let mut struct_stats = Vec::with_capacity(nstructs.min(text.len()));
     for _ in 0..nstructs {
         let nums = parse_u64s(&lines.fields("struct")?, "struct")?;
         if nums.len() != 7 {

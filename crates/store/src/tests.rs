@@ -184,6 +184,27 @@ fn untyped_memory_objects_are_decode_errors_and_quarantined() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// A `structs` count the text cannot back — `Vec::with_capacity` of it
+/// used to panic with a capacity overflow — is a decode failure like a
+/// miscounted `obj` line.
+#[test]
+fn an_unbounded_struct_count_is_a_decode_error_and_quarantined() {
+    let root = test_root("structs");
+    let (comp, cfg, eval) = sample_eval();
+    let key = ResultKey::new(&comp, &cfg, &[], &eval.mem);
+    let mut store = Store::open(&root);
+    let good = String::from_utf8(codec::encode_eval(&eval)).unwrap();
+    let line = good.lines().find(|l| l.starts_with("structs ")).unwrap();
+    let payload = good.replacen(line, &format!("structs {}", u64::MAX), 1);
+    let sealed = envelope::seal(PayloadKind::SimResult, payload.as_bytes());
+    fs::write(store.result_path(key), sealed).unwrap();
+    let err = store.get_result(key).unwrap_err();
+    assert_eq!(err.code(), "E-STORE-DECODE", "{err}");
+    assert_eq!(store.quarantine_len(), 1, "evidence kept");
+    assert!(store.get_result(key).unwrap().is_none(), "slot empty");
+    let _ = fs::remove_dir_all(&root);
+}
+
 #[test]
 fn torn_write_is_quarantined_and_recoverable() {
     let root = test_root("torn");

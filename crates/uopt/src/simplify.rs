@@ -74,22 +74,21 @@ pub fn simplify_dataflow(df: &mut Dataflow) -> PassDelta {
             if vals.len() != op.arity() {
                 continue;
             }
+            // A fold the evaluator refuses — division by zero, an operand
+            // of the wrong kind — is left for the run to report.
             let result = match op {
-                OpKind::Bin(b) => match eval_bin(b, &vals[0], &vals[1]) {
-                    Ok(v) => v,
-                    Err(_) => continue, // division by zero: leave it alone
-                },
+                OpKind::Bin(b) => eval_bin(b, &vals[0], &vals[1]),
                 OpKind::Un(u) => eval_un(u, &vals[0]),
                 OpKind::Cmp(p) => eval_cmp(p, &vals[0], &vals[1]),
                 OpKind::Select => {
-                    if vals[0].as_bool() {
-                        vals[1].clone()
-                    } else {
-                        vals[2].clone()
-                    }
+                    let (Value::Bool(_) | Value::Int(_)) = vals[0] else {
+                        continue;
+                    };
+                    Ok(vals[if vals[0].as_bool() { 1 } else { 2 }].clone())
                 }
                 OpKind::Cast(_) | OpKind::Tensor(..) => continue,
             };
+            let Ok(result) = result else { continue };
             let Some(c) = value_to_const(&result) else {
                 continue;
             };
@@ -226,6 +225,35 @@ mod tests {
             .nodes
             .iter()
             .any(|n| matches!(n.kind, NodeKind::Compute(OpKind::Bin(BinOp::Div)))));
+    }
+
+    /// A fold over constants of the wrong kind — `add` of a float, `relu`
+    /// or a comparison's integer side fed a boolean or float, `select` on
+    /// a float — used to panic in `Value::as_int`/`as_f32`/`as_bool`
+    /// inside the pass. The node is left for the run to report.
+    #[test]
+    fn mistyped_constants_are_not_folded() {
+        use muir_mir::instr::{CmpPred, UnOp};
+        let f = ConstVal::F32(1.5);
+        let cases = [
+            (OpKind::Bin(BinOp::Add), vec![f, ConstVal::Int(1)]),
+            (OpKind::Un(UnOp::Relu), vec![ConstVal::Bool(true)]),
+            (OpKind::Cmp(CmpPred::Lt), vec![ConstVal::Int(1), f]),
+            (OpKind::Select, vec![f, ConstVal::Int(1), ConstVal::Int(2)]),
+        ];
+        for (op, ins) in cases {
+            let mut df = Dataflow::new();
+            let node = df.add_node(Node::new("op", NodeKind::Compute(op), Type::I64));
+            for (port, c) in ins.into_iter().enumerate() {
+                let c = df.add_node(Node::new("c", NodeKind::Const(c), Type::I64));
+                df.connect(c, 0, node, port as u16);
+            }
+            let out = df.add_node(Node::new("out", NodeKind::Output, Type::I64));
+            df.connect(node, 0, out, 0);
+            let before = df.nodes.len();
+            simplify_dataflow(&mut df);
+            assert_eq!(df.nodes.len(), before, "{op:?}");
+        }
     }
 
     #[test]

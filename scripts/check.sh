@@ -24,8 +24,12 @@
 # artifacts only: no exec-mode switch, no uncompiled simulate wrappers and
 # no process-local compile cache under crates/ src/ tests/ examples/), the
 # one-memory-image gate (no `Vec<Vec<Value>>` image under crates/ src/ tests/
-# examples/, and the store codec's `obj` path parses straight into words
-# without the `Value`-token helpers), the one-JSON-module gate (under crates/: string escaping and the `json_*`
+# examples/, the store codec's `obj` path parses straight into words
+# without the `Value`-token helpers, and the engine moves words —
+# `Memory::words`/`store_words` — never the `Value`-building `load`/`store`),
+# the one-token-payload gate (in crates/sim/src/engine.rs a `Value` list or
+# field exists only between the door's two marker comments: root arguments
+# in, results out), the one-JSON-module gate (under crates/: string escaping and the `json_*`
 # helpers live in crates/core/src/json.rs only, and the retired second
 # scoreboard is named by no source, script or manifest), the telemetry
 # zero-perturbation guard (metrics on vs off bit-identical on every
@@ -126,9 +130,13 @@ if grep -rnE 'ExecMode|with_exec|compile_cached|cache_stats|CacheStats|MUIR_COMP
 fi
 
 echo "== one memory image (typed words; obj lines decode straight into them) =="
-# The engine's pool of recycled argument vectors is not an image.
-if grep -rn 'Vec<Vec<Value>>' crates src tests examples | grep -v '^crates/sim/src/engine.rs:.* spare: '; then
+if grep -rn 'Vec<Vec<Value>>' crates src tests examples; then
     echo "check.sh: a memory image is one ObjectImage (kind + Vec<u64>) per object, never a Vec<Value> (lines above)" >&2
+    exit 1
+fi
+# A firing copies words between the image and its tokens.
+if grep -nE '\.(load|store)\(' crates/sim/src/engine.rs; then
+    echo "check.sh: engine.rs reads Memory::words and writes Memory::store_words; load/store build a Value per element (lines above)" >&2
     exit 1
 fi
 # decode_eval's obj path is take_obj and the two parsers under it; the
@@ -137,6 +145,21 @@ if ! grep -q 'objects.push(take_obj(' crates/store/src/codec.rs ||
     sed -n '/^fn parse_i64/,/^\/\/\/ Encode a \[`StoredEval`\]/p' crates/store/src/codec.rs |
     grep -nE 'parse_values?|counted|Value::'; then
     echo "check.sh: decode_eval must parse obj lines straight into words (take_obj), building no Value (lines above)" >&2
+    exit 1
+fi
+
+echo "== one token payload (engine.rs: Value lists at the door only) =="
+# A token is a `flat::Word`; what a firing touches follows it. `Value`
+# comes in with the root arguments and goes out with the results.
+door_in='// ---- the door: root arguments in'
+door_out='// ---- the door: results out'
+if [ "$(grep -cF -e "$door_in" -e "$door_out" crates/sim/src/engine.rs)" != 2 ]; then
+    echo "check.sh: engine.rs must keep its two door markers (\`$door_in\`, \`$door_out\`)" >&2
+    exit 1
+fi
+if sed "\\|$door_in|,\\|$door_out|d" crates/sim/src/engine.rs |
+    grep -nE 'val: Value|Vec<Value>|Option<Value>|Vec<Vec<Value>>'; then
+    echo "check.sh: engine.rs holds a Value outside the door; tokens, scratch, arguments and results are flat::Word (lines above; numbered without the door)" >&2
     exit 1
 fi
 
