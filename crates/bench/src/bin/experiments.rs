@@ -10,7 +10,7 @@
 //!     dse [--workload W]...|--all [--seed S] [--budget N] [--threads T]
 //!         [--out PATH] [--store DIR]|
 //!     serve [store-root]|store-stats [store-root]|store-campaign [root]|
-//!     metrics <workload> [outdir]|stats]
+//!     metrics <workload> [outdir]|stats|outcomes]
 //! ```
 //!
 //! `faults` runs the differential fault-injection campaign (see
@@ -150,6 +150,12 @@ fn main() {
     }
     if which == "compile-stats" {
         compile_stats();
+        return;
+    }
+    if which == "outcomes" {
+        for line in muir_bench::sched::outcome_lines() {
+            println!("{line}");
+        }
         return;
     }
     if which == "metrics" {

@@ -13,7 +13,7 @@
 //! scheduler buys in host time is the benchmark's question (`benchmark/`,
 //! `sim.<W>.ns_per_fire`), not this module's.
 
-use crate::{baseline, sealed};
+use crate::{baseline, best_stack, optimized, sealed};
 use muir_core::compiled::CompiledAccel;
 use muir_sim::reference::check_lowering;
 use muir_sim::{
@@ -175,4 +175,52 @@ pub fn check_workload(w: &Workload, i: usize) -> Result<(), String> {
         diff_outcomes(w, &dense, &ready, faults, tracing)?;
     }
     Ok(())
+}
+
+/// What every registry workload does, one line per workload × {baseline,
+/// `best_stack`} × {`Dense`, `Ready`} × {plain, traced, seeded fault
+/// plan}: cycles and the hashes of the results, the stats fingerprint and
+/// the Chrome-trace bytes, or the error's full text. Two builds that print
+/// the same lines simulate alike; `scripts/outcomes.golden` holds the
+/// lines the parent of the last engine change printed.
+pub fn outcome_lines() -> Vec<String> {
+    let hash = |s: &str| {
+        let mut h = muir_core::compiled::ContentHasher::new();
+        h.push_str(s);
+        h.finish()
+    };
+    let none = FaultPlan::none();
+    let mut lines = Vec::new();
+    for (i, w) in muir_workloads::all().iter().enumerate() {
+        let fault_plan = diff_fault_plan(w, i);
+        let (best, _) = optimized(w, &best_stack(w.class));
+        for (config, acc) in [("baseline", baseline(w)), ("best_stack", best)] {
+            let comp = sealed(w, &acc);
+            for scheduler in [SchedulerKind::Dense, SchedulerKind::Ready] {
+                let modes = [
+                    ("plain", &none, false),
+                    ("traced", &none, true),
+                    ("faulted", &fault_plan, false),
+                ];
+                for (mode, faults, tracing) in modes {
+                    let shown = match run_under(w, &comp, scheduler, faults, tracing) {
+                        RunOutcome::Ok {
+                            cycles,
+                            results,
+                            stats,
+                            trace,
+                        } => format!(
+                            "ok cycles={cycles} res={:016x} stats={:016x} trace={:016x}",
+                            hash(&results),
+                            hash(&stats),
+                            trace.map_or(0, |t| hash(&t))
+                        ),
+                        RunOutcome::Err(e) => format!("err {}", e.replace('\n', "\\n")),
+                    };
+                    lines.push(format!("{} {config} {scheduler:?} {mode}: {shown}", w.name));
+                }
+            }
+        }
+    }
+    lines
 }

@@ -19,6 +19,12 @@
 //! beside it — and [`Value`] exists at the door only: root arguments in,
 //! results out, and the text of an error.
 //!
+//! A function unit is a fixed-latency pipeline, so the cycle its result is
+//! valid is known when it fires: such a firing *stamps* that cycle into
+//! the tokens it pushes and into its instance's record and schedules no
+//! event ([`NodeInfo::stamps`]). Only a `Load`, a `Store` and a `TaskCall`
+//! complete by event, and an instance retires on one (DESIGN.md §9).
+//!
 //! The firing rules are written once: [`Engine::try_fire`] is the gate and
 //! [`Engine::fire`] the body, both reading the sealed [`CompiledTask`]'s
 //! micro-op stream and pools directly. [`crate::reference`] re-derives
@@ -175,8 +181,14 @@ impl LaneSlab {
 /// Token storage for one invocation: one power-of-two ring per edge over
 /// a shared token array (DESIGN.md §14). A visit reads one [`Ring`] record
 /// and one [`Token`] per edge it tests, and the visibility test is a
-/// single `u64` compare (`u64::MAX` = still in the producer's pipeline,
-/// anything else = the delivery cycle).
+/// single `u64` compare against the token's delivery cycle.
+///
+/// A ring is *stamped* when its producer's completion cycle is known as it
+/// fires ([`NodeInfo::stamps`]): the token carries that cycle from the push
+/// on and nothing touches it again. The other rings — out of a `Load`, a
+/// `Store` or a `TaskCall`, whose completions arrive out of order — take
+/// their tokens at `u64::MAX` (still in the producer's pipeline) and
+/// [`TokenArena::reveal`] them when the completion event comes.
 ///
 /// Rings are sized once from the resolved capacity table
 /// (`ElabTask::cap`): capacity plus slack for the in-flight push of the
@@ -199,9 +211,13 @@ struct Ring {
     mask: u32,
     head: u32,
     len: u32,
-    /// Visible (delivered, unconsumed) tokens, kept in lockstep so the
-    /// output-space gate is an O(1) read.
+    /// Queued tokens whose delivery cycle is set (`vis != u64::MAX`), kept
+    /// in lockstep so the output-space gate is an O(1) read: the delivered
+    /// ones on a revealed ring, every token on a stamped one.
     visible: u32,
+    /// Delivery cycles are written at the push and ascend along the ring
+    /// (one producer, firing in instance order at one latency).
+    stamped: bool,
 }
 
 impl Ring {
@@ -218,7 +234,7 @@ impl Ring {
 #[derive(Debug, Clone, Copy)]
 struct Token {
     inst: u64,
-    /// Visibility cycle; `u64::MAX` while the token is in flight.
+    /// Delivery cycle; `u64::MAX` while an unstamped token is in flight.
     vis: u64,
     /// The payload; a composite's lanes are a region of the arena's slab.
     val: Word,
@@ -243,11 +259,13 @@ impl TokenArena {
         cap.saturating_add(2).next_power_of_two().min(64)
     }
 
-    fn with_caps(caps: &[u32]) -> TokenArena {
+    /// One ring per edge, from its resolved capacity and whether its
+    /// producer stamps.
+    fn with_caps(caps: &[u32], stamped: &[bool]) -> TokenArena {
         let mut a = TokenArena::default();
         let total: usize = caps.iter().map(|&c| Self::ring_cap(c) as usize).sum();
         a.toks.reserve_exact(total);
-        for &c in caps {
+        for (&c, &stamped) in caps.iter().zip(stamped) {
             let rc = Self::ring_cap(c);
             a.rings.push(Ring {
                 base: a.toks.len() as u32,
@@ -255,6 +273,7 @@ impl TokenArena {
                 head: 0,
                 len: 0,
                 visible: 0,
+                stamped,
             });
             a.toks.extend((0..rc).map(|_| Token::EMPTY));
         }
@@ -278,10 +297,15 @@ impl TokenArena {
         self.rings[e].len
     }
 
-    /// Visible (delivered, unconsumed) tokens on edge `e`.
+    /// Whether edge `e`, of capacity `cap`, holds `cap` delivered tokens at
+    /// `cycle` — the output-space gate. Only delivered tokens occupy the
+    /// edge register; in-flight results live in the producer's pipeline.
+    /// On a stamped ring delivery cycles ascend, so the `cap`-th token's
+    /// decides; such an edge fills by the clock alone and frees on a pop.
     #[inline]
-    fn visible(&self, e: usize) -> u32 {
-        self.rings[e].visible
+    fn full(&self, e: usize, cap: u32, cycle: u64) -> bool {
+        let r = &self.rings[e];
+        r.visible >= cap && (!r.stamped || cap == 0 || self.toks[r.slot(cap - 1)].vis <= cycle)
     }
 
     /// The front token's (instance, visibility cycle), if any.
@@ -295,21 +319,19 @@ impl TokenArena {
         Some((t.inst, t.vis))
     }
 
-    /// Push a copy of `val` (lanes in `from`), invisible until its
-    /// producer's completion event.
+    /// Push a copy of `val` (lanes in `from`) to be delivered at `vis`:
+    /// the stamp, or `u64::MAX` until the producer's completion event.
     #[inline]
-    fn push(&mut self, e: usize, inst: u64, val: Word, from: &[u64]) {
+    fn push(&mut self, e: usize, inst: u64, vis: u64, val: Word, from: &[u64]) {
         if self.rings[e].len > self.rings[e].mask {
             self.grow(e);
         }
         let val = self.slab.adopt(val, from);
         let r = &mut self.rings[e];
-        self.toks[r.slot(r.len)] = Token {
-            inst,
-            vis: u64::MAX,
-            val,
-        };
+        debug_assert_eq!(r.stamped, vis != u64::MAX, "edge e{e}");
+        self.toks[r.slot(r.len)] = Token { inst, vis, val };
         r.len += 1;
+        r.visible += u32::from(vis != u64::MAX);
     }
 
     /// Pop the front token, appending its value to `into` (an order token
@@ -331,11 +353,11 @@ impl TokenArena {
         self.slab.release(t.val);
     }
 
-    /// Reverse-scan edge `e` marking instance `instance`'s in-flight
-    /// tokens visible at `cycle`, replacing their value with a copy of
-    /// `patch` (a word and the buffer its lanes live in) when given: call
-    /// replies. Tokens are pushed in instance order, so the scan stops at
-    /// the first older instance.
+    /// Reverse-scan the unstamped edge `e` marking instance `instance`'s
+    /// in-flight tokens delivered at `cycle`, replacing their value with a
+    /// copy of `patch` (a word and the buffer its lanes live in) when
+    /// given: call replies. Tokens are pushed in instance order, so the
+    /// scan stops at the first older instance.
     fn reveal(&mut self, e: usize, instance: u64, cycle: u64, patch: Option<(Word, &[u64])>) {
         let r = &mut self.rings[e];
         for i in (0..r.len).rev() {
@@ -402,13 +424,6 @@ struct Invocation {
     spawn_parent: Option<(usize, u64)>,
 }
 
-/// [`NodeState::queued`] bit: the node sits in [`ReadySet::next`].
-const IN_NEXT: u8 = 1;
-/// [`NodeState::queued`] bit: the node sits in [`ReadySet::future`].
-const IN_FUTURE: u8 = 2;
-/// [`NodeState::queued`] bit: the node sits in [`ReadySet::adm`].
-const IN_ADM: u8 = 4;
-
 /// Everything a visit reads or writes about one node of one invocation,
 /// in one record (one cache line per visit instead of six vectors).
 #[derive(Debug, Clone, Copy, Default)]
@@ -417,13 +432,15 @@ struct NodeState {
     fired: u64,
     /// Earliest cycle of the next firing (initiation interval).
     ready_at: u64,
-    /// In-flight (issued, not yet completed) firings — the databox entries
-    /// of §3.4 for memory nodes, pipeline occupancy for function units.
+    /// In-flight (issued, not yet completed) firings of a node whose
+    /// completions are events — the databox entries of §3.4 for memory
+    /// nodes, outstanding calls for a `TaskCall`. A stamping node's stay 0.
     pending: u32,
-    /// Ready-set membership (`IN_NEXT | IN_FUTURE | IN_ADM`), so each node
-    /// appears at most once per container.
-    queued: u8,
+    /// The node sits in [`ReadySet::adm`], which lists it at most once.
+    parked: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<NodeState>() == 24);
 
 /// The per-run constants of one node: timing and databox bound depend on
 /// the `SimConfig`, scan position on the sealed graph.
@@ -436,22 +453,42 @@ struct NodeInfo {
     max_pending: u32,
     /// Position in the consumers-first scan order.
     pos: u32,
+    /// A fixed-latency unit whose in-flight firings nothing bounds: the
+    /// cycle its result is valid is known as it fires, so the firing
+    /// writes that cycle into the tokens it pushes and into its instance's
+    /// record and schedules no completion event. Not so a `Load`, `Store`
+    /// or `TaskCall` — the memory system or the callee decides, replies
+    /// overtake squashed firings, and `max_pending` binds.
+    stamps: bool,
 }
 
+/// Wake-calendar horizon in cycles: a visit due sooner than this is a bit
+/// in the cycle's slot, anything later waits in [`ReadySet::far`]. Node
+/// latencies and initiation intervals are ≤ 17 at the default period, so
+/// only a fused chain at a very short clock period reaches past it.
+const CAL_HORIZON: u64 = 32;
+const _: () = assert!(CAL_HORIZON == u32::BITS as u64, "ReadySet::occupied");
+
 /// Ready-set state of one invocation for [`SchedulerKind::Ready`]
-/// (unused under `Dense`).
+/// (unused under `Dense`): which nodes to visit in which cycle.
 #[derive(Debug)]
 struct ReadySet {
-    /// Candidates for the current cycle as a bitset over *scan positions*
-    /// (not node ids), drained lowest-position-first so visitation mirrors
-    /// the dense order. Same-cycle wakes always land at positions ahead of
-    /// the drain point (`scan`), so the forward word walk never misses one.
-    cur_bits: Vec<u64>,
-    /// Candidates for the next cycle.
-    next: Vec<u32>,
-    /// Nodes asleep until a known later cycle (`ready_at` after a firing
-    /// with II > 1): (wake cycle, scan position, node).
-    future: BinaryHeap<Reverse<(u64, u32, u32)>>,
+    /// The calendar: [`CAL_HORIZON`] slots of `words` words, slot
+    /// `t % CAL_HORIZON` holding cycle `t`'s candidates as a bitset over
+    /// *scan positions* (not node ids). Marking is an idempotent OR. The
+    /// current cycle's slot is drained lowest-position-first, so visitation
+    /// mirrors the dense order; same-cycle wakes always land at positions
+    /// ahead of the drain point (`scan`), so the forward word walk never
+    /// misses one.
+    cal: Vec<u64>,
+    /// Words per slot.
+    words: usize,
+    /// Bit `t % CAL_HORIZON` is set while cycle `t`'s slot may hold a mark,
+    /// so the next cycle with one is a rotate and a count, not a scan.
+    occupied: u32,
+    /// Visits due [`CAL_HORIZON`] or more cycles after they were asked
+    /// for: (cycle, scan position).
+    far: BinaryHeap<Reverse<(u64, u32)>>,
     /// Nodes blocked on the instance gate (`fired == admitted`), woken by
     /// the next admission. Registered at gate failure and when a firing
     /// exhausts the admitted window, so admission wakes are O(waiters)
@@ -466,29 +503,83 @@ struct ReadySet {
 
 impl ReadySet {
     fn sized(n: usize) -> ReadySet {
+        let words = n.div_ceil(64).max(1);
         ReadySet {
-            cur_bits: vec![0; n.div_ceil(64).max(1)],
-            next: Vec::new(),
-            future: BinaryHeap::new(),
+            cal: vec![0; CAL_HORIZON as usize * words],
+            words,
+            occupied: 0,
+            far: BinaryHeap::new(),
             adm: Vec::new(),
             scan: -1,
         }
     }
 
     /// Drop all membership (stale candidates of a retired invocation must
-    /// not leak into the next one; the `queued` bits reset with the nodes).
+    /// not leak into the next one; the `parked` flags reset with the nodes).
     fn clear(&mut self) {
-        self.cur_bits.fill(0);
-        self.next.clear();
-        self.future.clear();
+        self.cal.fill(0);
+        self.occupied = 0;
+        self.far.clear();
         self.adm.clear();
         self.scan = -1;
     }
 
-    /// Insert scan position `pos` into the current-cycle set.
-    fn mark_cur(&mut self, pos: u32) {
-        self.cur_bits[(pos / 64) as usize] |= 1u64 << (pos % 64);
+    /// Index in `cal` of the first word of cycle `t`'s slot.
+    #[inline]
+    fn slot(&self, t: u64) -> usize {
+        (t % CAL_HORIZON) as usize * self.words
     }
+
+    /// Ask for a visit of scan position `pos` in cycle `t >= cycle`.
+    #[inline]
+    fn mark(&mut self, pos: u32, t: u64, cycle: u64) {
+        if t - cycle < CAL_HORIZON {
+            let w = self.slot(t) + (pos / 64) as usize;
+            self.cal[w] |= 1u64 << (pos % 64);
+            self.occupied |= 1 << (t % CAL_HORIZON);
+        } else {
+            self.far.push(Reverse((t, pos)));
+        }
+    }
+
+    /// Start cycle `cycle`'s pass: the visits that waited in `far` for it
+    /// join its slot.
+    fn promote(&mut self, cycle: u64) {
+        while let Some(&Reverse((t, pos))) = self.far.peek() {
+            if t > cycle {
+                break;
+            }
+            self.far.pop();
+            self.mark(pos, cycle, cycle);
+        }
+    }
+
+    /// The first cycle after `cycle`, whose slot is drained, for which a
+    /// visit is marked.
+    fn next_marked(&self, cycle: u64) -> u64 {
+        let far = self.far.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
+        // Bit 0 of the rotated set is cycle + 1's slot.
+        let ahead = self
+            .occupied
+            .rotate_right(((cycle + 1) % CAL_HORIZON) as u32);
+        if ahead == 0 {
+            far
+        } else {
+            far.min(cycle + 1 + u64::from(ahead.trailing_zeros()))
+        }
+    }
+}
+
+/// One admitted, unretired instance of an invocation.
+#[derive(Debug, Clone, Copy)]
+struct Instance {
+    /// Dynamic nodes whose firing for this instance has not been counted
+    /// yet: a stamping node's is counted as it fires, an event node's when
+    /// its completion arrives.
+    remaining: u32,
+    /// The latest completion cycle counted so far. The instance is done
+    /// at this cycle once `remaining` is 0.
+    done_at: u64,
 }
 
 /// Per-invocation runtime state on one execution tile.
@@ -509,10 +600,10 @@ struct ActiveInv {
     nodes: Vec<NodeState>,
     /// Token rings, one per edge.
     arena: TokenArena,
-    /// Remaining completions per in-flight instance, front = instance
-    /// `completed`. Instances are admitted and retired strictly in order,
-    /// so a ring indexed by `instance - completed` needs no hashing.
-    outstanding: VecDeque<u32>,
+    /// The in-flight instances, front = instance `completed`. Instances
+    /// are admitted and retired strictly in order, so a ring indexed by
+    /// `instance - completed` needs no hashing.
+    outstanding: VecDeque<Instance>,
     spawns_outstanding: u32,
     last_output: Vals,
     /// Internal accumulator registers of `FusedAcc` units; a composite's
@@ -538,7 +629,7 @@ enum InputGate {
 }
 
 impl ActiveInv {
-    fn new(nnodes: usize, caps: &[u32]) -> ActiveInv {
+    fn new(nnodes: usize, caps: &[u32], stamped: &[bool]) -> ActiveInv {
         ActiveInv {
             uid: 0,
             args: Box::default(),
@@ -552,7 +643,7 @@ impl ActiveInv {
             completed: 0,
             since: 0,
             nodes: vec![NodeState::default(); nnodes],
-            arena: TokenArena::with_caps(caps),
+            arena: TokenArena::with_caps(caps, stamped),
             outstanding: VecDeque::new(),
             spawns_outstanding: 0,
             last_output: Vals::default(),
@@ -595,41 +686,49 @@ impl ActiveInv {
             && self.spawns_outstanding == 0
     }
 
-    /// Ready-scheduler wake: (re)insert `node` as a firing candidate and
-    /// return the cycle in which the tile must be ticked for it. A wake is
-    /// a *hint* — `try_fire` re-checks every gate — so a spurious wake
-    /// costs a visit, never correctness; a *missed* wake is the only bug
-    /// class. Placement keeps dense-order semantics: a node the current
-    /// scan can still reach this cycle goes in `cur`, anything else in
-    /// `next`; nodes throttled by `ready_at` (II) sleep in `future`.
-    ///
-    /// A visit that fails the II gate is not repeated, so no container may
-    /// deliver a node before its `ready_at`. `next` is emptied by the
-    /// tile's next pass, which is next cycle's only once this cycle's has
-    /// begun draining (`scan >= 0`); before that it is this cycle's.
-    fn wake(&mut self, info: &[NodeInfo], node: usize, cycle: u64) -> u64 {
-        let ns = &mut self.nodes[node];
-        let rs = &mut self.ready;
-        let pos = info[node].pos;
-        let draining = rs.scan >= 0;
-        if ns.ready_at > cycle + u64::from(draining) {
-            if ns.queued & IN_FUTURE == 0 {
-                ns.queued |= IN_FUTURE;
-                rs.future.push(Reverse((ns.ready_at, pos, node as u32)));
+    /// Count one completion of instance `k`, at cycle `at`, and return the
+    /// instance's record. `None` for an instance that is not in flight,
+    /// which no caller should name.
+    fn complete_one(&mut self, k: u64, at: u64) -> Option<Instance> {
+        let d = usize::try_from(k.checked_sub(self.completed)?).ok()?;
+        let inst = self.outstanding.get_mut(d)?;
+        inst.remaining = inst.remaining.saturating_sub(1);
+        inst.done_at = inst.done_at.max(at);
+        Some(*inst)
+    }
+
+    /// In-order instance retirement: the front instances that are done by
+    /// `cycle`.
+    fn retire_done(&mut self, cycle: u64) {
+        while let Some(front) = self.outstanding.front() {
+            if front.remaining != 0 || front.done_at > cycle {
+                break;
             }
-            return ns.ready_at;
+            self.outstanding.pop_front();
+            self.completed += 1;
         }
-        if ns.ready_at <= cycle && i64::from(pos) > rs.scan {
-            rs.mark_cur(pos);
-            return cycle;
+    }
+
+    /// Ready-scheduler wake: ask for a visit of `node` in cycle `at` — now,
+    /// or the cycle a token just pushed is stamped for — and return the
+    /// cycle the tile must be ticked in for it. A wake is a *hint* —
+    /// `try_fire` re-checks every gate — so a spurious wake costs a visit,
+    /// never correctness; a *missed* wake is the only bug class.
+    ///
+    /// The visit is put off to the node's `ready_at` (II) when that is
+    /// later, and to next cycle when the current scan is already past the
+    /// node, which keeps dense-order semantics. `ready_at` is read now; if
+    /// the node fires before the visit comes due, the drain puts the visit
+    /// off again (`ready_pass`), so no node is visited before its
+    /// `ready_at`.
+    fn wake(&mut self, info: &[NodeInfo], node: usize, at: u64, cycle: u64) -> u64 {
+        let pos = info[node].pos;
+        let mut t = at.max(self.nodes[node].ready_at);
+        if t == cycle && i64::from(pos) <= self.ready.scan {
+            t += 1;
         }
-        // Mid-drain and behind the scan, or due exactly next cycle (II = 1
-        // after a firing): `next` spares the heap a push/pop pair.
-        if ns.queued & IN_NEXT == 0 {
-            ns.queued |= IN_NEXT;
-            rs.next.push(node as u32);
-        }
-        cycle + 1
+        self.ready.mark(pos, t, cycle);
+        t
     }
 
     /// The input gate of `uop` for instance `k`: every token input must
@@ -673,22 +772,19 @@ impl ActiveInv {
     /// Park `node` until the next admission opens its instance.
     fn park_adm(&mut self, node: usize) {
         let ns = &mut self.nodes[node];
-        if ns.queued & IN_ADM == 0 {
-            ns.queued |= IN_ADM;
+        if !ns.parked {
+            ns.parked = true;
             self.ready.adm.push(node as u32);
         }
     }
 
-    /// After this tile's pass at `cycle` (the current set is drained): the
-    /// next cycle in which ticking the tile is not a dense no-op.
+    /// After this tile's pass at `cycle` (its slot is drained): the next
+    /// cycle in which ticking the tile is not a dense no-op.
     fn due_after_pass(&self, cycle: u64, window: u64) -> u64 {
-        if self.can_admit(window) || !self.ready.next.is_empty() {
+        if self.can_admit(window) {
             cycle + 1
         } else {
-            self.ready
-                .future
-                .peek()
-                .map_or(u64::MAX, |&Reverse((at, _, _))| at)
+            self.ready.next_marked(cycle)
         }
     }
 }
@@ -719,6 +815,8 @@ struct ElabTask<'a> {
     /// blocks forever and the deadlock diagnosis names the edge and the
     /// buffer bump that fixes it.
     cap: Vec<u32>,
+    /// Per edge: its producer stamps, so its ring is a stamped one.
+    stamped: Vec<bool>,
     /// The sealed constant pool, decoded once per run.
     consts: Vals,
 }
@@ -753,13 +851,16 @@ struct TaskState {
 
 #[derive(Debug)]
 enum Ev {
+    /// A firing of a node that does not stamp completed after its fixed
+    /// latency: a squashed `Load` or `Store`, a spawn, a squashed call.
     NodeDone(Site),
+    /// Every node of an instance has fired and the last of their stamps
+    /// falls in this cycle: the invocation `uid` on (task, tile) may retire
+    /// instances. At most one per instance.
+    InstanceDone { task: u32, tile: u32, uid: u64 },
     /// Boxed: one pointer beside the site keeps the common `NodeDone`
     /// event small, and the box is recycled through `Engine::spare`.
-    Reply {
-        to: Site,
-        results: Box<Vals>,
-    },
+    Reply { to: Site, results: Box<Vals> },
 }
 
 /// Calendar-queue horizon: events due within this many cycles of *now* go
@@ -895,19 +996,26 @@ impl<'a> Engine<'a> {
                     .enumerate()
                     .map(|(n, nd)| {
                         let timing = hw::node_timing(&nd.kind, nd.ty, cfg.period_ns);
+                        let max_pending = match nd.kind {
+                            NodeKind::Load { .. } | NodeKind::Store { .. } => {
+                                Some(cfg.databox_entries)
+                            }
+                            NodeKind::TaskCall { .. } => Some(16),
+                            _ => None,
+                        };
                         NodeInfo {
                             latency: timing.latency,
                             ii: timing.ii,
-                            max_pending: match nd.kind {
-                                NodeKind::Load { .. } | NodeKind::Store { .. } => {
-                                    cfg.databox_entries
-                                }
-                                NodeKind::TaskCall { .. } => 16,
-                                _ => u32::MAX,
-                            },
+                            max_pending: max_pending.unwrap_or(u32::MAX),
                             pos: ct.pos[n],
+                            stamps: max_pending.is_none(),
                         }
                     })
+                    .collect();
+                let stamped = ct
+                    .edge_meta
+                    .iter()
+                    .map(|m| info[m.src as usize].stamps)
                     .collect();
                 let cap: Vec<u32> = ct
                     .edge_meta
@@ -931,6 +1039,7 @@ impl<'a> Engine<'a> {
                     ct,
                     info,
                     cap,
+                    stamped,
                     consts,
                 }
             })
@@ -1079,7 +1188,9 @@ impl<'a> Engine<'a> {
                     limit: self.cfg.max_cycles,
                 });
             }
-            if self.cycle - self.last_progress > self.cfg.deadlock_cycles {
+            // `last_progress` runs ahead of the clock while a stamped
+            // completion is still to come.
+            if self.cycle.saturating_sub(self.last_progress) > self.cfg.deadlock_cycles {
                 return Err(SimError::Deadlock {
                     cycle: self.cycle,
                     report: Box::new(self.diagnose_deadlock()),
@@ -1272,11 +1383,18 @@ impl<'a> Engine<'a> {
         site
     }
 
+    /// The watchdog's clock: something moved, or is known to complete, at
+    /// cycle `at`. A stamped completion is booked when its firing is, so
+    /// the latest cycle wins.
+    fn progress(&mut self, at: u64) {
+        self.last_progress = self.last_progress.max(at);
+    }
+
     /// Wake `node` on another tile (dispatch freeing a queue slot is the
     /// one cross-tile wake; it runs in phase 3, before any tile's pass).
     fn wake_tile(&mut self, ti: usize, tk: usize, node: usize) {
         if let Some(inv) = self.tasks[ti].tiles[tk].as_deref_mut() {
-            let due = inv.wake(&self.elab[ti].info, node, self.cycle);
+            let due = inv.wake(&self.elab[ti].info, node, self.cycle, self.cycle);
             let g = self.tile_base[ti] + tk;
             self.tile_due[g] = self.tile_due[g].min(due);
         }
@@ -1405,7 +1523,7 @@ impl<'a> Engine<'a> {
                     // Full output channels: waiting on the consumer.
                     for &ei in out_edges(ct, uop) {
                         let ei = ei as usize;
-                        if inv.arena.visible(ei) >= et.cap[ei] {
+                        if inv.arena.full(ei, et.cap[ei], cycle) {
                             out.push(wait(ei, df.edges[ei].dst.0, ChannelState::Full));
                         }
                     }
@@ -1616,6 +1734,9 @@ impl<'a> Engine<'a> {
         match ev {
             Ev::NodeDone(site) => self.node_done(site, None),
             Ev::Reply { to, results } => self.node_done(to, Some(results)),
+            Ev::InstanceDone { task, tile, uid } => {
+                self.instance_done(task as usize, tile as usize, uid)
+            }
         }
     }
 
@@ -1656,10 +1777,10 @@ impl<'a> Engine<'a> {
                 a.reset();
                 a
             }
-            None => Box::new(ActiveInv::new(
-                task.dataflow.nodes.len(),
-                &self.elab[ti].cap,
-            )),
+            None => {
+                let et = &self.elab[ti];
+                Box::new(ActiveInv::new(et.info.len(), &et.cap, &et.stamped))
+            }
         };
         let old_args = std::mem::replace(&mut a.args, inv.args);
         self.recycle(old_args);
@@ -1675,7 +1796,7 @@ impl<'a> Engine<'a> {
         // Due at once: to admit instance 0, or — a zero-trip loop admits
         // nothing — for the completion check that follows the tile's pass.
         self.tile_due[self.tile_base[ti] + tile] = self.cycle;
-        self.last_progress = self.cycle;
+        self.progress(self.cycle);
         Ok(())
     }
 
@@ -1709,8 +1830,11 @@ impl<'a> Engine<'a> {
         let k = inv.admitted;
         inv.admitted += 1;
         debug_assert_eq!(k, inv.completed + inv.outstanding.len() as u64);
-        inv.outstanding.push_back(self.elab[ti].dynamic_count);
-        self.last_progress = self.cycle;
+        inv.outstanding.push_back(Instance {
+            remaining: self.elab[ti].dynamic_count,
+            done_at: 0,
+        });
+        self.progress(self.cycle);
         Some(k)
     }
 
@@ -1748,7 +1872,7 @@ impl<'a> Engine<'a> {
             Some(0) => {
                 for (node, uop) in self.elab[ti].ct.uops.iter().enumerate() {
                     if uop.kind != UopKind::Static {
-                        inv.wake(info, node, cycle);
+                        inv.wake(info, node, cycle, cycle);
                     }
                 }
             }
@@ -1759,45 +1883,41 @@ impl<'a> Engine<'a> {
             Some(_) => {
                 let mut adm = std::mem::take(&mut inv.ready.adm);
                 for node in adm.drain(..) {
-                    inv.nodes[node as usize].queued &= !IN_ADM;
-                    inv.wake(info, node as usize, cycle);
+                    inv.nodes[node as usize].parked = false;
+                    inv.wake(info, node as usize, cycle, cycle);
                 }
                 inv.ready.adm = adm;
             }
             None => {}
         }
-        // Promote due sleepers and deferred candidates into this cycle's
-        // set. (`next` entries were deferred from an earlier point of the
-        // scan; `future` entries reached their `ready_at`.)
-        while let Some(&Reverse((at, pos, node))) = inv.ready.future.peek() {
-            if at > cycle {
-                break;
-            }
-            inv.ready.future.pop();
-            inv.nodes[node as usize].queued &= !IN_FUTURE;
-            inv.ready.mark_cur(pos);
-        }
-        while let Some(node) = inv.ready.next.pop() {
-            inv.nodes[node as usize].queued &= !IN_NEXT;
-            inv.ready.mark_cur(info[node as usize].pos);
-        }
-        // Drain the bitset lowest-position-first. The word is re-read after
-        // every visit: a same-cycle wake from inside `try_fire` can only
-        // set a bit ahead of the drain point, which this forward walk will
-        // still reach.
+        // Drain this cycle's slot lowest-position-first. The word is
+        // re-read after every visit: a same-cycle wake from inside
+        // `try_fire` can only set a bit ahead of the drain point, which
+        // this forward walk will still reach.
+        inv.ready.promote(cycle);
         let order: &[u32] = &self.elab[ti].ct.order;
+        let slot = inv.ready.slot(cycle);
         let mut wi = 0;
-        while wi < inv.ready.cur_bits.len() {
-            let word = inv.ready.cur_bits[wi];
+        while wi < inv.ready.words {
+            let word = inv.ready.cal[slot + wi];
             if word == 0 {
                 wi += 1;
                 continue;
             }
-            inv.ready.cur_bits[wi] = word & (word - 1);
+            inv.ready.cal[slot + wi] = word & (word - 1);
             let pos = wi * 64 + word.trailing_zeros() as usize;
+            let node = order[pos] as usize;
+            // A mark made for a token's stamp reads `ready_at` at the push;
+            // a firing since may have moved it past this cycle.
+            let ready_at = inv.nodes[node].ready_at;
+            if ready_at > cycle {
+                inv.ready.mark(pos as u32, ready_at, cycle);
+                continue;
+            }
             inv.ready.scan = pos as i64;
-            self.try_fire(ti, tk, inv, order[pos] as usize, scratch)?;
+            self.try_fire(ti, tk, inv, node, scratch)?;
         }
+        inv.ready.occupied &= !(1 << (cycle % CAL_HORIZON));
         inv.ready.scan = -1;
         Ok(())
     }
@@ -1871,7 +1991,8 @@ impl<'a> Engine<'a> {
         // memory transit points a full databox means every entry is
         // waiting on the structure behind the junction.
         let et = &self.elab[ti];
-        if ns.pending >= et.info[node].max_pending {
+        let ni = et.info[node];
+        if ns.pending >= ni.max_pending {
             let (reason, sid) = match uop.kind {
                 UopKind::Load | UopKind::Store => (
                     StallReason::MemoryWait,
@@ -1881,13 +2002,12 @@ impl<'a> Engine<'a> {
             };
             return self.note_stall(site, reason, None, sid);
         }
-        // Output space: only *visible* (delivered, unconsumed) tokens
-        // occupy the edge register; in-flight results live in the
-        // producer's internal pipeline.
+        // Output space: an edge register holding its capacity in delivered
+        // tokens.
         let full = out_edges(ct, uop)
             .iter()
             .map(|&e| e as usize)
-            .find(|&ei| inv.arena.visible(ei) >= et.cap[ei]);
+            .find(|&ei| inv.arena.full(ei, et.cap[ei], cycle));
         if let Some(ei) = full {
             return self.note_stall(site, StallReason::OutputFull, Some(ei), None);
         }
@@ -1905,7 +2025,7 @@ impl<'a> Engine<'a> {
                 if lost {
                     // Port budgets refresh every cycle: retry next cycle.
                     if self.use_ready {
-                        inv.wake(&self.elab[ti].info, node, cycle);
+                        inv.wake(&self.elab[ti].info, node, cycle, cycle);
                     }
                     let sid = jn.structure.0 as usize;
                     return self.note_stall(site, StallReason::ArbitrationLoss, None, Some(sid));
@@ -1935,7 +2055,7 @@ impl<'a> Engine<'a> {
         }
 
         // The body's evaluation errors are context-free; locate them here.
-        let r = self.fire(ti, tk, inv, node, uop, k, scratch);
+        let r = self.fire(ti, tk, inv, node, uop, ni, k, scratch);
         r.map_err(|e| {
             let name = &self.acc.tasks[ti].name;
             e.at_site(cycle, ti as u32, name, Some(node as u32), Some(inv.uid))
@@ -1953,6 +2073,7 @@ impl<'a> Engine<'a> {
         inv: &mut ActiveInv,
         node: usize,
         uop: &MicroOp,
+        ni: NodeInfo,
         k: u64,
         scratch: &mut Scratch,
     ) -> Result<(), SimError> {
@@ -1969,17 +2090,17 @@ impl<'a> Engine<'a> {
         let erefs = &ct.edge_refs[uop.ebase as usize..][..uop.nord as usize + uop.nout as usize];
         // Consume the front token of an input edge. That frees a slot on the
         // edge — which only unblocks the producer if the edge was *full*
-        // before the pop (the visible count is the producer's output-space
-        // gate; no other firing gate reads this edge). Post-pop, "was full"
-        // means `visible + 1 >= capacity`.
+        // before the pop (fullness is the producer's output-space gate; no
+        // other firing gate reads this edge).
         let (et, obs, use_ready) = (&self.elab[ti], &mut self.obs, self.use_ready);
         let mut pop = |inv: &mut ActiveInv, ei: usize, into: Option<&mut Vals>| {
+            let was_full = use_ready && inv.arena.full(ei, et.cap[ei], cycle);
             inv.arena.pop(ei, into);
             if let Some(obs) = obs.as_mut() {
                 obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), false);
             }
-            if use_ready && inv.arena.visible(ei) + 1 >= et.cap[ei] {
-                inv.wake(&et.info, ct.edge_meta[ei].src as usize, cycle);
+            if was_full {
+                inv.wake(&et.info, ct.edge_meta[ei].src as usize, cycle, cycle);
             }
         };
         // Collect input values straight into `values` — each slot is
@@ -2004,7 +2125,6 @@ impl<'a> Engine<'a> {
             pop(inv, er as usize, None);
         }
 
-        let ni = self.elab[ti].info[node];
         let site = Site {
             task: ti as u32,
             tile: tk as u32,
@@ -2012,7 +2132,9 @@ impl<'a> Engine<'a> {
             uid: inv.uid,
             instance: k,
         };
-        let mut completion_at = Some(cycle + ni.latency as u64);
+        // The cycle the result is valid, unless memory or a callee decides.
+        let due = cycle + u64::from(ni.latency.max(1));
+        let mut completion_at = Some(due);
         // A predicated op is active unless its predicate input is false
         // or poison.
         let active = |pred: Option<&Word>| match pred {
@@ -2119,9 +2241,12 @@ impl<'a> Engine<'a> {
             UopKind::Static => unreachable!("static"),
         }
 
-        // Push pending tokens on out edges, one copy each. Ready/valid
-        // faults inject here: a drop loses the valid pulse, a dup holds it
-        // one transfer too long, a bit-flip corrupts the data lines.
+        // Push tokens on out edges, one copy each: stamped with the cycle
+        // they are delivered in and their consumer woken for it, or in
+        // flight until this firing's completion event. Ready/valid faults
+        // inject here: a drop loses the valid pulse, a dup holds it one
+        // transfer too long, a bit-flip corrupts the data lines.
+        let vis = if ni.stamps { due } else { u64::MAX };
         for &er in &erefs[uop.nord as usize..] {
             let ei = er as usize;
             let m = ct.edge_meta[ei];
@@ -2143,14 +2268,17 @@ impl<'a> Engine<'a> {
                 }
             }
             for _ in 0..copies {
-                inv.arena.push(ei, k, value, &out_values.lanes);
+                inv.arena.push(ei, k, vis, value, &out_values.lanes);
             }
             if let Some(obs) = self.obs.as_mut() {
                 obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), true);
             }
+            if ni.stamps && self.use_ready {
+                let info = &self.elab[ti].info;
+                inv.wake(info, df.edges[ei].dst.0 as usize, due, cycle);
+            }
         }
-        self.book_firing(inv, site, ni, completion_at);
-        Ok(())
+        self.book_firing(inv, site, ni, completion_at)
     }
 
     /// Send the typed access of the firing at `site` — `n` elements from
@@ -2178,31 +2306,33 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Book the firing at `site`: advance the node, count the firing,
-    /// queue the node's next visit and its completion event.
+    /// Book the firing at `site`: advance the node, count the firing, queue
+    /// the node's next visit, and account for its completion — a stamping
+    /// node's folds into the instance's record here and now, any other
+    /// fixed-latency one is an event at `completion_at`.
     fn book_firing(
         &mut self,
         inv: &mut ActiveInv,
         site: Site,
         ni: NodeInfo,
         completion_at: Option<u64>,
-    ) {
+    ) -> Result<(), SimError> {
         let cycle = self.cycle;
         let (ti, node, k) = (site.task as usize, site.node as usize, site.instance);
         let ns = &mut inv.nodes[node];
         ns.fired = k + 1;
         ns.ready_at = cycle + u64::from(ni.ii);
-        ns.pending += 1;
+        ns.pending += u32::from(!ni.stamps);
         self.fires += 1;
         if let Some(obs) = self.obs.as_mut() {
             obs.fire(cycle, (ti, site.tile as usize, node), k);
         }
-        self.last_progress = cycle;
+        self.progress(cycle);
         if self.use_ready {
             if k + 1 < inv.admitted {
                 // More instances to fire: sleep until the initiation
                 // interval elapses.
-                inv.wake(&self.elab[ti].info, node, cycle);
+                inv.wake(&self.elab[ti].info, node, cycle, cycle);
             } else {
                 // Window exhausted: only the next admission opens instance
                 // `k + 1`. Nodes with all-static inputs (IndVar, Const
@@ -2211,13 +2341,24 @@ impl<'a> Engine<'a> {
                 inv.park_adm(node);
             }
         }
-        if let Some(at) = completion_at {
-            self.schedule(at.max(cycle + 1), Ev::NodeDone(site));
+        match completion_at {
+            Some(at) if ni.stamps => {
+                let inst = inv.complete_one(k, at).ok_or_else(|| unknown_instance(k))?;
+                self.progress(at);
+                if inst.remaining == 0 {
+                    let (task, tile, uid) = (site.task, site.tile, site.uid);
+                    self.schedule(inst.done_at, Ev::InstanceDone { task, tile, uid });
+                }
+            }
+            Some(at) => self.schedule(at, Ev::NodeDone(site)),
+            None => {} // completes on a memory response or a reply
         }
+        Ok(())
     }
 
-    /// A node's firing completed: make its tokens visible (patching values
-    /// for call replies) and advance instance/invocation completion.
+    /// A node's firing completed by event: make its tokens visible
+    /// (patching values for call replies) and count it against its
+    /// instance, which may retire here if nothing stamped outlasts it.
     fn node_done(&mut self, site: Site, reply_values: Option<Box<Vals>>) -> Result<(), SimError> {
         let cycle = self.cycle;
         let (ti, tk, node) = (site.task as usize, site.tile as usize, site.node as usize);
@@ -2244,48 +2385,63 @@ impl<'a> Engine<'a> {
         let ns = &mut inv.nodes[node];
         let was_at_cap = ns.pending >= et.info[node].max_pending;
         ns.pending = ns.pending.saturating_sub(1);
-        let slot = site
-            .instance
-            .checked_sub(inv.completed)
-            .and_then(|d| usize::try_from(d).ok())
-            .and_then(|d| inv.outstanding.get_mut(d))
-            .ok_or_else(|| SimError::EvalError {
-                cycle,
-                task: Some(site.task),
-                task_name: self.acc.tasks[ti].name.clone(),
-                node: Some(site.node),
-                invocation: Some(site.uid),
-                detail: format!("completion for unknown instance {}", site.instance),
-            })?;
-        *slot = slot.saturating_sub(1);
-        // In-order instance retirement.
-        while inv.outstanding.front() == Some(&0) {
-            inv.outstanding.pop_front();
-            inv.completed += 1;
-        }
-        self.last_progress = cycle;
+        let inst = inv.complete_one(site.instance, cycle).ok_or_else(|| {
+            let name = &self.acc.tasks[ti].name;
+            let e = unknown_instance(site.instance);
+            e.at_site(cycle, site.task, name, Some(site.node), Some(site.uid))
+        })?;
+        // The last completion to arrive need not be the last to happen: a
+        // stamp may still be ahead.
+        let stamp_ahead = inst.remaining == 0 && inst.done_at > cycle;
+        inv.retire_done(cycle);
         if self.use_ready {
             // Tokens just became visible: their consumers may fire. The
             // node itself needs a wake only when this retirement freed a
-            // *saturated* pipeline/databox slot — that is the one firing
-            // gate a completion changes. A retired instance can also open
-            // the admission window, which makes the tile due by itself.
+            // *saturated* databox slot — that is the one firing gate a
+            // completion changes. A retired instance can also open the
+            // admission window, which makes the tile due by itself.
             let mut due = if inv.can_admit(self.cfg.window) {
                 cycle
             } else {
                 u64::MAX
             };
             for &ei in outs {
-                due = due.min(inv.wake(&et.info, df.edges[ei as usize].dst.0 as usize, cycle));
+                let dst = df.edges[ei as usize].dst.0 as usize;
+                due = due.min(inv.wake(&et.info, dst, cycle, cycle));
             }
             if was_at_cap {
-                due = due.min(inv.wake(&et.info, node, cycle));
+                due = due.min(inv.wake(&et.info, node, cycle, cycle));
             }
             let g = self.tile_base[ti] + tk;
             self.tile_due[g] = self.tile_due[g].min(due);
         }
         if let Some(rv) = reply_values {
             self.recycle(rv);
+        }
+        if stamp_ahead {
+            let (task, tile, uid) = (site.task, site.tile, site.uid);
+            self.schedule(inst.done_at, Ev::InstanceDone { task, tile, uid });
+        }
+        self.progress(cycle);
+        self.check_invocation_complete(ti, tk)
+    }
+
+    /// The last stamp of an instance of invocation `uid` falls in this
+    /// cycle: retire what is done, in order. The event is stale, and
+    /// nothing to do, when an earlier one this cycle already retired the
+    /// invocation.
+    fn instance_done(&mut self, ti: usize, tk: usize, uid: u64) -> Result<(), SimError> {
+        let Some(inv) = self.tasks[ti].tiles[tk].as_deref_mut() else {
+            return Ok(());
+        };
+        if inv.uid != uid {
+            return Ok(());
+        }
+        inv.retire_done(self.cycle);
+        if self.use_ready && inv.can_admit(self.cfg.window) {
+            // A retired instance opened the admission window.
+            let g = self.tile_base[ti] + tk;
+            self.tile_due[g] = self.tile_due[g].min(self.cycle);
         }
         self.check_invocation_complete(ti, tk)
     }
@@ -2341,7 +2497,7 @@ impl<'a> Engine<'a> {
         } else {
             self.root_result = Some(results);
         }
-        self.last_progress = self.cycle;
+        self.progress(self.cycle);
         // Return the shell to the pool: its vectors keep their (task-
         // constant) shapes for the next activation.
         self.tasks[ti].pool.push(inv);
@@ -2399,6 +2555,11 @@ fn find_wait_cycle(vertices: &[V], waits: &HashMap<V, Vec<W>>) -> Vec<WaitEdge> 
         }
     }
     Vec::new()
+}
+
+/// A completion names an instance its invocation does not have in flight.
+fn unknown_instance(k: u64) -> SimError {
+    SimError::eval(format!("completion for unknown instance {k}"))
 }
 
 fn interp_err(e: InterpError) -> SimError {
@@ -2531,5 +2692,105 @@ fn truth(v: Word, what: &str) -> Result<Option<bool>, SimError> {
         Some(i) => Ok(Some(i != 0)),
         None if v.is_poison() => Ok(None),
         None => Err(SimError::eval(format!("non-boolean {what}"))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use muir_frontend::{translate, FrontendConfig};
+    use muir_mir::builder::FunctionBuilder;
+    use muir_mir::instr::ValueRef;
+    use muir_mir::module::Module;
+
+    /// A shell goes back to the pool with whatever visits its invocation
+    /// still had marked; a slot or a far entry that survived `reset` would
+    /// wake a node of the next invocation on that shell.
+    #[test]
+    fn reset_clears_the_calendar_and_the_far_heap() {
+        let info = [3, 1, 0, 2].map(|pos| NodeInfo {
+            latency: 1,
+            ii: 1,
+            max_pending: u32::MAX,
+            pos,
+            stamps: true,
+        });
+        let mut inv = ActiveInv::new(info.len(), &[8], &[true]);
+        let cycle = 70;
+        assert_eq!(inv.wake(&info, 0, cycle, cycle), cycle);
+        assert_eq!(inv.wake(&info, 1, cycle + 5, cycle), cycle + 5);
+        assert_eq!(inv.wake(&info, 2, cycle + CAL_HORIZON + 9, cycle), 111);
+        inv.park_adm(3);
+        inv.ready.scan = 2;
+        assert_eq!(inv.ready.far.len(), 1);
+        assert_eq!(inv.ready.next_marked(cycle), cycle + 5);
+        inv.reset();
+        assert!(inv.ready.cal.iter().all(|&w| w == 0));
+        assert!(inv.ready.far.is_empty() && inv.ready.adm.is_empty());
+        assert_eq!(inv.ready.scan, -1);
+        assert_eq!(inv.ready.next_marked(cycle), u64::MAX);
+        assert!(!inv.nodes[3].parked);
+    }
+
+    /// An `InstanceDone` that finds its tile free, or running a later
+    /// invocation, changes nothing and is not an error.
+    #[test]
+    fn a_stale_instance_done_is_a_no_op() {
+        // A loop nest that touches no memory: the inner loop's tile is
+        // reused by four invocations.
+        let mut m = Module::new("stale");
+        let mut b = FunctionBuilder::new("main", &[]).returns(Type::I64);
+        let zero = (ValueRef::int(0), Type::I64);
+        let total = b.for_loop_acc(zero.0, ValueRef::int(4), 1, &[zero], |b, i, outer| {
+            let carried = [(outer[0], Type::I64)];
+            b.for_loop_acc(zero.0, ValueRef::int(8), 1, &carried, |b, j, inner| {
+                let term = b.mul(i, j);
+                vec![b.add(inner[0], term)]
+            })
+        });
+        b.ret(Some(total[0]));
+        m.add_function(b.finish());
+        let acc = translate(&m, &FrontendConfig::default()).expect("translate");
+        let comp = CompiledAccel::compile(&acc).expect("seal");
+        // Run to the end, then again to two thirds of the way there, which
+        // finds the inner loop's tile on its second invocation or later.
+        let mut end = 0;
+        for midway in [false, true] {
+            let cfg = SimConfig {
+                max_cycles: if midway { end / 3 * 2 } else { u64::MAX },
+                ..SimConfig::default()
+            };
+            let mut mem = Memory::from_module(&m);
+            let mut engine = Engine::new(&comp, &mut mem, &cfg);
+            assert_eq!(engine.run(&[]).is_err(), midway);
+            end = engine.cycle;
+            let shown = |e: &Engine| {
+                let tiles: Vec<_> = e
+                    .tasks
+                    .iter()
+                    .flat_map(|t| &t.tiles)
+                    .map(|t| {
+                        t.as_deref()
+                            .map(|inv| (inv.uid, inv.completed, inv.outstanding.len()))
+                    })
+                    .collect();
+                (tiles, e.tile_due.clone(), e.ev_count, e.last_progress)
+            };
+            let before = shown(&engine);
+            let live: Vec<u64> = before.0.iter().flatten().map(|t| t.0).collect();
+            if midway {
+                assert!(live.iter().any(|&uid| uid > 2), "a reused tile: {live:?}");
+            } else {
+                assert!(live.is_empty(), "every invocation retired");
+            }
+            for (g, &(task, tile)) in engine.tile_ids.clone().iter().enumerate() {
+                // No invocation gets uid 0; `next_uid` is not out yet.
+                for uid in [0, engine.next_uid] {
+                    let ev = Ev::InstanceDone { task, tile, uid };
+                    engine.dispatch_event(ev).expect("stale, not an error");
+                }
+                assert_eq!(shown(&engine), before, "tile {g}");
+            }
+        }
     }
 }

@@ -101,7 +101,15 @@ pub struct SimConfig {
     pub window: u64,
     /// Clock period (ns) used for fused-node re-timing.
     pub period_ns: f64,
-    /// Cycles without progress before a deadlock is reported.
+    /// Cycles without progress before a deadlock is reported. Progress is
+    /// an admission, a firing, a completion or a retirement; a fixed-latency
+    /// unit's completion is booked when it fires, so the watchdog counts
+    /// from the cycle the result is valid. The deadlock is reported at the
+    /// same cycle, with the same report, as if that completion had been
+    /// observed when it happened, whenever this is at least the longest
+    /// node latency (17 cycles at the default `period_ns`; more only for a
+    /// fused chain at a shorter period). Below that, a stall can be
+    /// diagnosed while a result already counted is still on its way.
     pub deadlock_cycles: u64,
     /// Databox entries per memory node: outstanding typed accesses a
     /// load/store transit point may have in flight (§3.4, Figure 7).

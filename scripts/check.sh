@@ -29,7 +29,14 @@
 # `Memory::words`/`store_words` — never the `Value`-building `load`/`store`),
 # the one-token-payload gate (in crates/sim/src/engine.rs a `Value` list or
 # field exists only between the door's two marker comments: root arguments
-# in, results out), the one-JSON-module gate (under crates/: string escaping and the `json_*`
+# in, results out), the one-wake-clock gate (engine.rs keeps one wake
+# calendar keyed by cycle — no `next` list, no `future` heap, no membership
+# bits — schedules `Ev::NodeDone` from one site and pushes an in-flight token
+# from one branch: every other firing stamps), the cross-commit outcomes gate
+# (`experiments outcomes` — every registry workload x baseline/best_stack x
+# Dense/Ready x plain/traced/faulted, cycles and hashes or the error's text —
+# against scripts/outcomes.golden, which the parent of the last engine
+# change wrote), the one-JSON-module gate (under crates/: string escaping and the `json_*`
 # helpers live in crates/core/src/json.rs only, and the retired second
 # scoreboard is named by no source, script or manifest), the telemetry
 # zero-perturbation guard (metrics on vs off bit-identical on every
@@ -162,6 +169,31 @@ if sed "\\|$door_in|,\\|$door_out|d" crates/sim/src/engine.rs |
     echo "check.sh: engine.rs holds a Value outside the door; tokens, scratch, arguments and results are flat::Word (lines above; numbered without the door)" >&2
     exit 1
 fi
+
+echo "== one wake clock (engine.rs: one calendar, one NodeDone site, one in-flight push) =="
+# A fixed-latency firing stamps its tokens and wakes their consumers for
+# the stamp's cycle; only a Load, Store or TaskCall completes by event.
+if grep -nE 'IN_NEXT|IN_FUTURE|next: Vec' crates/sim/src/engine.rs; then
+    echo "check.sh: engine.rs keeps its wakes in the calendar (ReadySet::cal, far), not in per-container lists and bits (lines above)" >&2
+    exit 1
+fi
+# Every mention but the pattern of dispatch_event's match arm.
+n=$(grep -F 'Ev::NodeDone(' crates/sim/src/engine.rs | grep -cvE '^ *Ev::NodeDone\([a-z_]+\) =>' || true)
+if [ "$n" != 1 ]; then
+    echo "check.sh: engine.rs must construct Ev::NodeDone at exactly one site, book_firing's event path (found $n)" >&2
+    exit 1
+fi
+n=$(grep -cE 'let vis = .*u64::MAX' crates/sim/src/engine.rs || true)
+m=$(grep -cE 'vis: u64::MAX' crates/sim/src/engine.rs || true)
+if [ "$n" != 1 ] || [ "$m" != 1 ]; then
+    echo "check.sh: engine.rs pushes a token in flight (vis = u64::MAX) from one branch of fire, and names that visibility otherwise only in Token::EMPTY (found $n, $m)" >&2
+    exit 1
+fi
+
+echo "== outcomes vs scripts/outcomes.golden (24 workloads x baseline/best_stack x Dense/Ready x plain/traced/faulted) =="
+cargo run --release -q -p muir-bench --bin experiments -- outcomes >target/outcomes.txt
+cmp target/outcomes.txt scripts/outcomes.golden
+echo "288 outcomes identical to the parent-written golden file"
 
 echo "== check_lowering + Dense/Ready differential (24 registry workloads, plain/traced/faulted) =="
 cargo test --release -q -p muir-bench --test scheduler_diff every_scheduler_matches_dense_on_every_workload

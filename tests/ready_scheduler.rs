@@ -10,7 +10,7 @@
 //! * `sched_visits / fires` under `Ready` is an exact count, so a change
 //!   that makes wakes less precise fails here without any timing.
 
-use muir::bench::baseline;
+use muir::bench::{baseline, best_stack, optimized};
 use muir::core::accel::{Accelerator, TaskKind};
 use muir::core::CompiledAccel;
 use muir::frontend::{translate, FrontendConfig};
@@ -164,9 +164,10 @@ fn full_child_queue() {
 
 /// The ten generated tensor graphs of the `sim-tensor` benchmark. Their
 /// softmax and exp units have II = 2 and get their next token the cycle
-/// before they may fire again — the case where a wake that arrives before
-/// the tile's pass must wait in `future`, not in `next`. A lost wake here
-/// (graph 11 hung) got past the registry workloads and the fuzz corpora.
+/// before they may fire again — the case where a wake for a sleeping unit
+/// must come due at its `ready_at`, not at the token's cycle. A lost wake
+/// here (graph 11 hung) got past the registry workloads and the fuzz
+/// corpora.
 #[test]
 fn generated_tensor_graphs() {
     for k in 0..10 {
@@ -179,18 +180,20 @@ fn generated_tensor_graphs() {
     }
 }
 
-/// `try_fire` visits per firing under `Ready` on three baseline programs:
-/// a pipelined loop nest, a recursive spawn tree and a tensor graph. The
-/// counts repeat exactly; the bounds are what this engine records.
+/// `try_fire` visits per firing under `Ready` on the benchmark's eight
+/// scalar baseline programs and a tensor graph, and on GEMM under
+/// `best_stack`, whose accumulator registers (II = latency = 4) fire
+/// between a token's push and its delivery — the case where a mark made
+/// at the push stands before the unit's `ready_at`. The counts repeat
+/// exactly; the bounds are what the engine recorded when every firing
+/// still had its own completion event and its consumers were woken by it,
+/// so a wake calendar that visits a node in a cycle that engine did not
+/// fails here.
 #[test]
 fn ready_scheduler_effort_stays_bounded() {
-    for (name, visits, fires) in [
-        ("GEMM", 578_374, 333_922),
-        ("FIB", 39_455, 21_705),
-        ("ATTN", 5_645, 3_478),
-    ] {
+    let bounded = |name: &str, acc: &Accelerator, visits: u64, fires: u64| {
         let w = workloads::by_name(name).expect("registry workload");
-        let comp = CompiledAccel::compile(&baseline(&w)).expect("seal");
+        let comp = CompiledAccel::compile(acc).expect("seal");
         let mut mem = w.fresh_memory();
         let r = simulate_compiled(&comp, &mut mem, &[], &SimConfig::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -200,5 +203,22 @@ fn ready_scheduler_effort_stays_bounded() {
             "{name}: {} visits for {fires} firings, was {visits}",
             r.stats.sched_visits
         );
+    };
+    for (name, visits, fires) in [
+        ("GEMM", 578_374, 333_922),
+        ("FIB", 39_455, 21_705),
+        ("ATTN", 5_645, 3_478),
+        ("COVAR", 248_258, 151_180),
+        ("FFT", 427_104, 155_701),
+        ("SPMV", 33_119, 18_178),
+        ("M-SORT", 145_627, 67_379),
+        ("SAXPY", 65_531, 36_866),
+        ("STENCIL", 113_901, 61_602),
+    ] {
+        let w = workloads::by_name(name).expect("registry workload");
+        bounded(name, &baseline(&w), visits, fires);
     }
+    let w = workloads::by_name("GEMM").expect("registry workload");
+    let (best, _) = optimized(&w, &best_stack(w.class));
+    bounded("GEMM", &best, 365_549, 268_386);
 }
