@@ -121,14 +121,14 @@ impl HlsModel {
     fn schedule_module(&self, module: &Module) -> HashMap<(String, u32), BlockSched> {
         let mut out = HashMap::new();
         for f in &module.functions {
-            let loops = analysis::natural_loops(f);
+            let loops = analysis::natural_loops(f, &f.predecessors());
             for b in f.block_ids() {
                 let latency = self.block_latency(f, b);
                 // A block is pipelined if it belongs to exactly one loop
                 // and that loop is innermost and not serialized.
                 let owner = loops
                     .iter()
-                    .filter(|l| l.blocks.contains(&b))
+                    .filter(|l| l.blocks.contains(b))
                     .min_by_key(|l| l.blocks.len());
                 let pipelined = owner.and_then(|l| {
                     let is_innermost = !loops
@@ -141,7 +141,7 @@ impl HlsModel {
                     if !dep.parallel {
                         return None; // carried memory dependence: serialized
                     }
-                    let fill: u64 = l.blocks.iter().map(|&lb| self.block_latency(f, lb)).sum();
+                    let fill: u64 = l.blocks.iter().map(|lb| self.block_latency(f, lb)).sum();
                     Some(PipelinedLoop {
                         header: l.header.0,
                         ii: self.loop_ii(f, l),
@@ -184,7 +184,7 @@ impl HlsModel {
     fn loop_ii(&self, f: &Function, l: &NaturalLoop) -> u64 {
         let mut counts = ClassCounts::default();
         let mut has_fp_reduction = false;
-        for &b in &l.blocks {
+        for b in l.blocks.iter() {
             for (_iid, instr) in f.block_instrs(b) {
                 counts.count(&instr.op, self.streaming_buffers);
                 // An accumulator φ feeding a float add/sub is the classic

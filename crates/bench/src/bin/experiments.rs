@@ -4,7 +4,7 @@
 //! cargo run --release -p muir-bench --bin experiments [all|fig1|table2|fig9|
 //!     table3|fig11|fig12|fig15|fig16|fig17|fig18|table4|faults|--selftest|
 //!     profile <workload> [outdir]|trace-schema [schema.json]|
-//!     fuzz [--tensor] [--graphs N] [--seed S]|
+//!     fuzz [--tensor] [--graphs N] [--seed S]|fuzz --mir N [--seed S]|
 //!     tensor <file>|--builtin <name>|--gate|
 //!     soak <workload> [reps]|
 //!     dse [--workload W]...|--all [--seed S] [--budget N] [--threads T]
@@ -44,7 +44,8 @@ use muir_uopt::PassManager;
 use muir_workloads as workloads;
 use muir_workloads::by_name;
 
-const FUZZ_USAGE: &str = "usage: experiments fuzz [--tensor] [--graphs N] [--seed S]";
+const FUZZ_USAGE: &str =
+    "usage: experiments fuzz [--tensor] [--graphs N] [--seed S] | --mir N [--seed S]";
 const DSE_USAGE: &str = "usage: experiments dse [--workload W]... | --all [--seed S] \
                          [--budget N] [--threads T] [--out PATH] [--store DIR]";
 
@@ -85,6 +86,10 @@ fn main() {
     if which == "fuzz" {
         let rest: Vec<String> = std::env::args().skip(2).collect();
         let arg_after = |flag: &str| num_after(&rest, flag, FUZZ_USAGE);
+        if let Some(cases) = arg_after("--mir") {
+            fuzz_mir(arg_after("--seed").unwrap_or(0x6d69), cases);
+            return;
+        }
         let tensor = rest.iter().any(|a| a == "--tensor");
         let graphs = arg_after("--graphs").unwrap_or(if tensor { 50 } else { 200 });
         let seed = arg_after("--seed").unwrap_or(if tensor { 0x7e50 } else { 0xf022 });
@@ -895,6 +900,25 @@ fn fuzz(seed: u64, graphs: u64, tensor: bool) {
     ));
     match muir_bench::testgen::run_seeds(seed, graphs) {
         Ok(()) => println!("fuzz: {graphs} graphs bit-identical across schedulers"),
+        Err(e) => {
+            eprintln!("fuzz failure: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `fuzz --mir N [--seed S]`: N seeded line mutations of the printed
+/// registry modules through parse -> verify -> translate. Every stage may
+/// refuse a case with its typed error; a panic fails the run.
+fn fuzz_mir(seed: u64, cases: u64) {
+    hdr(&format!(
+        "mir fuzz: {cases} line mutations (seed 0x{seed:x}) through parse -> verify -> translate"
+    ));
+    match muir_bench::testgen::run_mir_mutations(seed, cases) {
+        Ok(c) => println!(
+            "fuzz --mir: {} cases, {} parsed, {} verified, {} translated, none panicked",
+            c.cases, c.parsed, c.verified, c.translated
+        ),
         Err(e) => {
             eprintln!("fuzz failure: {e}");
             std::process::exit(1);

@@ -605,9 +605,135 @@ pub fn run_tensor_seeds(seed0: u64, count: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// The 24 registry modules as `print_module` text: the corpus the mir
+/// line-mutation fuzzer mutates.
+pub fn registry_texts() -> Vec<String> {
+    muir_workloads::REGISTRY
+        .iter()
+        .map(|e| muir_mir::printer::print_module(&(e.build)().module))
+        .collect()
+}
+
+/// Mutation case `i` of seed `seed0`: one seeded line-level edit of one
+/// corpus text — delete, swap or duplicate a line, rewrite one digit, or
+/// swap two whitespace-separated tokens within a line. Returns the mutated
+/// text and a one-line description of the edit.
+pub fn mutate_mir_text(texts: &[String], seed0: u64, i: u64) -> (String, String) {
+    let mut rng = SplitMix64::salted(seed0 ^ 0x006d_6972, i);
+    let k = rng.below(texts.len() as u64) as usize;
+    let mut lines: Vec<String> = texts[k].lines().map(str::to_string).collect();
+    let n = lines.len() as u64;
+    let j = rng.below(n) as usize;
+    let edit = match rng.below(5) {
+        0 => format!("delete line {}: `{}`", j + 1, lines.remove(j)),
+        1 => {
+            let j2 = rng.below(n) as usize;
+            lines.swap(j, j2);
+            format!("swap lines {} and {}", j + 1, j2 + 1)
+        }
+        2 => {
+            lines.insert(j, lines[j].clone());
+            format!("duplicate line {}: `{}`", j + 1, lines[j])
+        }
+        3 => {
+            let digits: Vec<usize> = lines[j]
+                .char_indices()
+                .filter(|(_, c)| c.is_ascii_digit())
+                .map(|(p, _)| p)
+                .collect();
+            if let Some(&p) = digits.get(rng.below(digits.len() as u64) as usize) {
+                lines[j].replace_range(p..=p, &rng.below(10).to_string());
+            }
+            format!("rewrite a digit of line {}: `{}`", j + 1, lines[j])
+        }
+        _ => {
+            let mut toks: Vec<&str> = lines[j].split_whitespace().collect();
+            let t = toks.len() as u64;
+            if t > 0 {
+                toks.swap(rng.below(t) as usize, rng.below(t) as usize);
+                lines[j] = toks.join(" ");
+            }
+            format!("swap two tokens of line {}: `{}`", j + 1, lines[j])
+        }
+    };
+    (
+        lines.join("\n") + "\n",
+        format!("registry module {k}, {edit}"),
+    )
+}
+
+/// How far the cases of a [`run_mir_mutations`] run got.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MirFuzzCounts {
+    /// Cases run.
+    pub cases: u64,
+    /// Cases the parser accepted.
+    pub parsed: u64,
+    /// Parsed cases `verify_module` accepted.
+    pub verified: u64,
+    /// Verified cases `translate` accepted.
+    pub translated: u64,
+}
+
+/// Run `count` line-mutation cases of seed `seed0` through parse → verify
+/// → translate. Each stage may refuse a case with its typed error; none
+/// may panic, and a case that panics fails the run (a stack overflow
+/// aborts the process, which fails it too).
+///
+/// # Errors
+/// The first case that panicked, with its reproduction line.
+pub fn run_mir_mutations(seed0: u64, count: u64) -> Result<MirFuzzCounts, String> {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let texts = registry_texts();
+    let mut counts = MirFuzzCounts::default();
+    for i in 0..count {
+        let (text, desc) = mutate_mir_text(&texts, seed0, i);
+        let stage = catch_unwind(AssertUnwindSafe(|| {
+            let Ok(m) = muir_mir::parser::parse_module(&text) else {
+                return 0;
+            };
+            if muir_mir::verify::verify_module(&m).is_err() {
+                return 1;
+            }
+            if translate(&m, &FrontendConfig::default()).is_err() {
+                return 2;
+            }
+            3
+        }))
+        .map_err(|_| {
+            format!(
+                "mir fuzz case {i} panicked: {desc}\n  \
+                 reproduce with: mutate_mir_text(&registry_texts(), 0x{seed0:x}, {i})"
+            )
+        })?;
+        counts.cases += 1;
+        counts.parsed += u64::from(stage >= 1);
+        counts.verified += u64::from(stage >= 2);
+        counts.translated += u64::from(stage >= 3);
+    }
+    Ok(counts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mir_mutations_are_reproducible() {
+        let texts = registry_texts();
+        for i in 0..32 {
+            assert_eq!(mutate_mir_text(&texts, 7, i), mutate_mir_text(&texts, 7, i));
+        }
+        assert_ne!(mutate_mir_text(&texts, 7, 0), mutate_mir_text(&texts, 8, 0));
+    }
+
+    #[test]
+    fn mir_mutation_smoke_small() {
+        let c = run_mir_mutations(0x6d69, 200).unwrap();
+        assert_eq!(c.cases, 200);
+        assert!(c.parsed >= c.verified && c.verified >= c.translated);
+        assert!(c.translated > 0 && c.parsed < 200, "{c:?}");
+    }
 
     #[test]
     fn generated_cases_are_reproducible() {

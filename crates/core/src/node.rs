@@ -43,24 +43,26 @@ impl OpKind {
         }
     }
 
-    /// Mnemonic for printing and RTL emission.
+    /// Mnemonic for printing and RTL emission (the [`fmt::Display`] text).
     pub fn mnemonic(self) -> String {
-        match self {
-            OpKind::Bin(b) => b.mnemonic().to_string(),
-            OpKind::Un(u) => u.mnemonic().to_string(),
-            OpKind::Cmp(p) => format!("cmp.{p}"),
-            OpKind::Select => "select".to_string(),
-            OpKind::Cast(CastOp::SiToFp) => "sitofp".to_string(),
-            OpKind::Cast(CastOp::FpToSi) => "fptosi".to_string(),
-            OpKind::Cast(CastOp::IntResize) => "resize".to_string(),
-            OpKind::Tensor(t, s) => format!("{}<{s}>", t.mnemonic()),
-        }
+        self.to_string()
     }
 }
 
+/// The mnemonic, written piecewise so a caller formatting into its own
+/// buffer allocates nothing here.
 impl fmt::Display for OpKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.mnemonic())
+        match self {
+            OpKind::Bin(b) => f.write_str(b.mnemonic()),
+            OpKind::Un(u) => f.write_str(u.mnemonic()),
+            OpKind::Cmp(p) => write!(f, "cmp.{p}"),
+            OpKind::Select => f.write_str("select"),
+            OpKind::Cast(CastOp::SiToFp) => f.write_str("sitofp"),
+            OpKind::Cast(CastOp::FpToSi) => f.write_str("fptosi"),
+            OpKind::Cast(CastOp::IntResize) => f.write_str("resize"),
+            OpKind::Tensor(t, s) => write!(f, "{}<{s}>", t.mnemonic()),
+        }
     }
 }
 

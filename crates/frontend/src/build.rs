@@ -3,6 +3,20 @@
 //! Stage 1 (Algorithm 1) and Stage 2 are fused into one recursive walk:
 //! `build_scope` extracts child tasks (loops, detach regions, calls) first,
 //! then lowers the remaining forward-CFG hyperblock to predicated dataflow.
+//!
+//! Each function's CFG facts — its predecessor table, natural loops, the
+//! detach-expanded extent of each loop and the use index live-outs come
+//! from — are computed once ([`FuncFacts`]) and read by every scope built
+//! from it. A scope holds its own membership as dense per-block tables and
+//! its lowered values, block predicates and edge predicates as tables
+//! indexed by id. Every walk that decides an output order goes by
+//! ascending block or instruction id — the order the ordered sets these
+//! tables replaced walked in — and no output order depends on a hash.
+//!
+//! Translation terminates on every verified module: a scope is never
+//! entered while it is being built (a call cycle, or a detach whose region
+//! holds the detach itself, is an error), and a pure value is marked while
+//! it is being translated, so one that depends on itself is an error too.
 
 use crate::{FrontendConfig, FrontendError};
 use muir_core::accel::{Accelerator, ArgExpr, LoopSpec, ResultInit, TaskBlock, TaskId, TaskKind};
@@ -10,14 +24,16 @@ use muir_core::dataflow::{Dataflow, Junction, JunctionId, NodeId};
 use muir_core::node::{Node, NodeKind, OpKind};
 use muir_core::structure::{Structure, StructureId};
 use muir_mir::analysis::{
-    self, detach_region, expand_with_detach, loop_dependence_in, natural_loops, region_values,
-    Affine, NaturalLoop,
+    self, detach_region, expand_with_detach, live_outs, loop_dependence_in, natural_loops, Affine,
+    BlockSet, NaturalLoop, Uses,
 };
-use muir_mir::instr::{BlockId, CmpPred, ConstVal, FuncId, InstrId, MemObjId, Op, ValueRef};
-use muir_mir::module::{Function, Module};
+use muir_mir::instr::{
+    BinOp, BlockId, CmpPred, ConstVal, FuncId, Instr, InstrId, MemObjId, Op, ValueRef,
+};
+use muir_mir::module::{Function, Module, Preds};
 use muir_mir::types::{ScalarType, Type};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::rc::Rc;
+use std::collections::BTreeSet;
+use std::fmt::Write;
 
 fn ferr(msg: impl Into<String>) -> FrontendError {
     FrontendError {
@@ -25,8 +41,11 @@ fn ferr(msg: impl Into<String>) -> FrontendError {
     }
 }
 
+/// "No entry" in a per-block `u32` table.
+const NONE: u32 = u32::MAX;
+
 /// A value captured from the enclosing scope (a task-closure argument).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Capture {
     /// An instruction result of the enclosing function.
     Val(InstrId),
@@ -35,7 +54,7 @@ enum Capture {
 }
 
 /// The call interface of a built child task.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ChildIface {
     task: TaskId,
     /// Parent-scope values to pass, in argument order (loop/detach tasks).
@@ -44,8 +63,19 @@ struct ChildIface {
     results: Vec<InstrId>,
 }
 
+impl ChildIface {
+    /// Move the lists out for the one call site that connects them.
+    fn take(&mut self) -> ChildIface {
+        ChildIface {
+            task: self.task,
+            captures: std::mem::take(&mut self.captures),
+            results: std::mem::take(&mut self.results),
+        }
+    }
+}
+
 /// What kind of scope is being built.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ScopeKind {
     /// A whole function body (the root, or a called function).
     Function,
@@ -103,108 +133,131 @@ fn conflicts(earlier: &Footprint, later: &Footprint) -> bool {
         || pair(&earlier.reads, &later.writes)
 }
 
-/// Translation driver.
-pub(crate) struct Frontend<'m> {
+/// One function's CFG facts, computed once per translation.
+struct FuncFacts {
+    preds: Preds,
+    loops: Vec<NaturalLoop>,
+    /// Each loop's blocks plus the detach regions they spawn: the extent
+    /// of its child task, index-aligned with `loops`.
+    extents: Vec<BlockSet>,
+    uses: Uses,
+}
+
+impl FuncFacts {
+    fn new(f: &Function) -> FuncFacts {
+        let preds = f.predecessors();
+        let loops = natural_loops(f, &preds);
+        let extents = loops
+            .iter()
+            .map(|l| expand_with_detach(f, l.blocks.clone()))
+            .collect();
+        FuncFacts {
+            preds,
+            loops,
+            extents,
+            uses: Uses::new(f),
+        }
+    }
+}
+
+/// What translation reads and never writes.
+struct Tables<'m> {
     module: &'m Module,
     config: &'m FrontendConfig,
-    acc: Accelerator,
+    /// Per function.
+    facts: Vec<FuncFacts>,
     /// Structure homing each memory object.
     placement: Vec<StructureId>,
-    /// Natural loops per function.
-    loops: Vec<Rc<Vec<NaturalLoop>>>,
-    /// CFG predecessor map per function, computed once: every block of
-    /// every scope consults it for its predicate.
-    preds: Vec<Rc<Vec<Vec<BlockId>>>>,
     /// Whole-function memory footprints (reads, writes).
     func_fps: Vec<(BTreeSet<MemObjId>, BTreeSet<MemObjId>)>,
 }
 
-impl<'m> Frontend<'m> {
-    pub(crate) fn new(
-        module: &'m Module,
-        config: &'m FrontendConfig,
-    ) -> Result<Frontend<'m>, FrontendError> {
-        muir_mir::verify::verify_module(module).map_err(|e| ferr(e.to_string()))?;
-        if module.functions.is_empty() {
-            return Err(ferr("module has no functions"));
-        }
-        let mut acc = Accelerator::new(module.name.clone());
-        acc.object_info = module
-            .mem_objects
-            .iter()
-            .map(|o| (o.len, o.read_only))
-            .collect();
+/// Translation driver: the accelerator being built and the scopes open on
+/// the recursion stack.
+struct Frontend<'a> {
+    t: &'a Tables<'a>,
+    acc: Accelerator,
+    open: Vec<(FuncId, ScopeKind)>,
+}
 
-        // Baseline memory system (§6.4): shared scratchpad for small/local
-        // objects, one L1 cache (64 KB) for large/global objects, an AXI
-        // DRAM port behind everything.
-        let mut spad = Structure::scratchpad("shared_spad", 0);
-        let mut cache = Structure::l1_cache("l1");
-        let mut spad_cap = 0u64;
-        let mut spad_objs = Vec::new();
-        let mut cache_objs = Vec::new();
-        for (i, obj) in module.mem_objects.iter().enumerate() {
-            if obj.len <= config.spad_threshold {
-                spad_cap += obj.len;
-                spad_objs.push(MemObjId(i as u32));
-            } else {
-                cache_objs.push(MemObjId(i as u32));
-            }
+/// Translate a verified module: the baseline memory system, then the
+/// root scope and, recursively, every task under it.
+pub(crate) fn translate(
+    module: &Module,
+    config: &FrontendConfig,
+) -> Result<Accelerator, FrontendError> {
+    muir_mir::verify::verify_module(module).map_err(|e| ferr(e.to_string()))?;
+    if module.functions.is_empty() {
+        return Err(ferr("module has no functions"));
+    }
+    let mut acc = Accelerator::new(module.name.clone());
+    acc.object_info = module
+        .mem_objects
+        .iter()
+        .map(|o| (o.len, o.read_only))
+        .collect();
+
+    // Baseline memory system (§6.4): shared scratchpad for small/local
+    // objects, one L1 cache (64 KB) for large/global objects, an AXI
+    // DRAM port behind everything.
+    let mut spad = Structure::scratchpad("shared_spad", 0);
+    let mut cache = Structure::l1_cache("l1");
+    let mut spad_cap = 0u64;
+    let mut spad_objs = Vec::new();
+    let mut cache_objs = Vec::new();
+    for (i, obj) in module.mem_objects.iter().enumerate() {
+        if obj.len <= config.spad_threshold {
+            spad_cap += obj.len;
+            spad_objs.push(MemObjId(i as u32));
+        } else {
+            cache_objs.push(MemObjId(i as u32));
         }
-        if let muir_core::structure::StructureKind::Scratchpad { capacity, .. } = &mut spad.kind {
-            *capacity = spad_cap;
-        }
+    }
+    if let muir_core::structure::StructureKind::Scratchpad { capacity, .. } = &mut spad.kind {
+        *capacity = spad_cap;
+    }
+    for &o in &spad_objs {
+        spad.serve(o);
+    }
+    for &o in &cache_objs {
+        cache.serve(o);
+    }
+    let mut placement = vec![StructureId(0); module.mem_objects.len()];
+    if !spad_objs.is_empty() {
+        let sid = acc.add_structure(spad);
         for &o in &spad_objs {
-            spad.serve(o);
+            placement[o.0 as usize] = sid;
         }
+    }
+    if !cache_objs.is_empty() {
+        let cid = acc.add_structure(cache);
         for &o in &cache_objs {
-            cache.serve(o);
+            placement[o.0 as usize] = cid;
         }
-        let mut placement = vec![StructureId(0); module.mem_objects.len()];
-        if !spad_objs.is_empty() {
-            let sid = acc.add_structure(spad);
-            for &o in &spad_objs {
-                placement[o.0 as usize] = sid;
-            }
-        }
-        if !cache_objs.is_empty() {
-            let cid = acc.add_structure(cache);
-            for &o in &cache_objs {
-                placement[o.0 as usize] = cid;
-            }
-        }
-        acc.add_structure(Structure::dram("axi"));
-
-        let loops = module
-            .functions
-            .iter()
-            .map(|f| Rc::new(natural_loops(f)))
-            .collect::<Vec<_>>();
-        let preds = module
-            .functions
-            .iter()
-            .map(|f| Rc::new(f.predecessors()))
-            .collect();
-        let func_fps = compute_function_footprints(module);
-        Ok(Frontend {
-            module,
-            config,
-            acc,
-            placement,
-            loops,
-            preds,
-            func_fps,
-        })
     }
+    acc.add_structure(Structure::dram("axi"));
 
-    pub(crate) fn run(mut self) -> Result<Accelerator, FrontendError> {
-        let iface = self.build_scope(FuncId(0), ScopeKind::Function, "main".to_string(), None)?;
-        self.acc.root = iface.task;
-        muir_core::verify::verify_accelerator(&self.acc).map_err(|e| ferr(e.to_string()))?;
-        Ok(self.acc)
-    }
+    let t = Tables {
+        module,
+        config,
+        facts: module.functions.iter().map(FuncFacts::new).collect(),
+        placement,
+        func_fps: compute_function_footprints(module),
+    };
+    let mut fe = Frontend {
+        t: &t,
+        acc,
+        open: Vec::new(),
+    };
+    let iface = fe.build_scope(FuncId(0), ScopeKind::Function, "main".to_string(), None)?;
+    fe.acc.root = iface.task;
+    muir_core::verify::verify_accelerator(&fe.acc).map_err(|e| ferr(e.to_string()))?;
+    Ok(fe.acc)
+}
 
+impl<'a> Frontend<'a> {
     /// Build one task from a scope of `fid`'s CFG; returns its interface.
+    /// A scope already open on the recursion stack is refused.
     fn build_scope(
         &mut self,
         fid: FuncId,
@@ -212,121 +265,141 @@ impl<'m> Frontend<'m> {
         name: String,
         parent: Option<TaskId>,
     ) -> Result<ChildIface, FrontendError> {
-        let module = self.module;
-        let f = module.function(fid);
-        let loops = Rc::clone(&self.loops[fid.0 as usize]);
-        let preds = Rc::clone(&self.preds[fid.0 as usize]);
+        if self.open.contains(&(fid, kind)) {
+            let fname = &self.t.module.function(fid).name;
+            return Err(ferr(match kind {
+                ScopeKind::Function => {
+                    format!("call cycle: `{fname}` is called while it is being built")
+                }
+                ScopeKind::Loop(li) => format!(
+                    "loop at {} in `{fname}` is re-entered while it is being built",
+                    self.t.facts[fid.0 as usize].loops[li].header
+                ),
+                ScopeKind::Detach(body) => format!(
+                    "detach region at {body} in `{fname}` is re-entered while it is being built"
+                ),
+            }));
+        }
+        self.open.push((fid, kind));
+        let built = self.build_open_scope(fid, kind, name, parent);
+        self.open.pop();
+        built
+    }
+
+    fn build_open_scope(
+        &mut self,
+        fid: FuncId,
+        kind: ScopeKind,
+        name: String,
+        parent: Option<TaskId>,
+    ) -> Result<ChildIface, FrontendError> {
+        let t = self.t;
+        let f = t.module.function(fid);
+        let facts = &t.facts[fid.0 as usize];
+        let loops = &facts.loops;
+        let n = f.blocks.len();
 
         // Reserve the task id so children can connect to it.
         let tid = self
             .acc
             .add_task(TaskBlock::new(name.clone(), TaskKind::Region));
         if let Some(p) = parent {
-            self.acc
-                .connect_tasks(p, tid, self.config.child_queue_depth);
+            self.acc.connect_tasks(p, tid, t.config.child_queue_depth);
         }
 
         // --- Scope block set -------------------------------------------------
-        let scope_blocks: BTreeSet<BlockId> = match &kind {
-            ScopeKind::Function => f.block_ids().collect(),
-            ScopeKind::Loop(li) => loops[*li].blocks.clone(),
-            ScopeKind::Detach(body) => detach_region(f, *body),
-        };
-        let entry = match &kind {
-            ScopeKind::Function => f.entry,
-            ScopeKind::Loop(li) => loops[*li].header,
-            ScopeKind::Detach(body) => *body,
-        };
-        let self_loop = match &kind {
-            ScopeKind::Loop(li) => Some(*li),
-            _ => None,
+        let (scope, entry, self_loop) = match kind {
+            ScopeKind::Function => (BlockSet::full(n), f.entry, None),
+            ScopeKind::Loop(li) => (loops[li].blocks.clone(), loops[li].header, Some(li)),
+            ScopeKind::Detach(body) => (detach_region(f, body), body, None),
         };
 
         // --- Stage 1: extract direct child loops -----------------------------
         // Candidates: loops headquartered in this scope other than the scope
         // itself; direct ones have no candidate ancestor.
-        let candidates: Vec<usize> = (0..loops.len())
-            .filter(|&i| Some(i) != self_loop && scope_blocks.contains(&loops[i].header))
-            .collect();
-        let is_candidate = |i: usize| candidates.contains(&i);
-        let direct_loops: Vec<usize> = candidates
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let mut p = loops[i].parent;
-                loop {
-                    match p {
-                        Some(j) if Some(j) == self_loop => return true,
-                        Some(j) if is_candidate(j) => return false,
-                        Some(j) => p = loops[j].parent,
-                        None => return true,
-                    }
+        let is_candidate = |i: usize| Some(i) != self_loop && scope.contains(loops[i].header);
+        let is_direct = |i: usize| {
+            let mut p = loops[i].parent;
+            loop {
+                match p {
+                    Some(j) if Some(j) == self_loop => return true,
+                    Some(j) if is_candidate(j) => return false,
+                    Some(j) => p = loops[j].parent,
+                    None => return true,
                 }
-            })
-            .collect();
-
-        let mut excluded: BTreeSet<BlockId> = BTreeSet::new();
-        let mut loop_children: HashMap<usize, (ChildIface, BTreeSet<BlockId>)> = HashMap::new();
-        for &li in &direct_loops {
-            let subtree = expand_with_detach(f, loops[li].blocks.clone());
+            }
+        };
+        let mut excluded = BlockSet::empty(n);
+        let mut loop_children = Vec::new();
+        for li in (0..loops.len()).filter(|&i| is_candidate(i) && is_direct(i)) {
             let child_name = format!("{}_loop{}", name, loops[li].header.0);
             let iface = self.build_scope(fid, ScopeKind::Loop(li), child_name, Some(tid))?;
-            excluded.extend(subtree.iter().copied());
-            loop_children.insert(li, (iface, subtree));
+            excluded.union_with(&facts.extents[li]);
+            loop_children.push(LoopChild {
+                li,
+                iface,
+                call_pred: None,
+            });
         }
 
         // --- Stage 1: extract detach regions directly in this scope ----------
-        let mut detach_children: HashMap<BlockId, (ChildIface, BTreeSet<BlockId>)> = HashMap::new();
-        let t_candidate: Vec<BlockId> = scope_blocks
-            .iter()
-            .copied()
-            .filter(|b| !excluded.contains(b))
-            .collect();
-        for &b in &t_candidate {
-            if let Some(t) = f.terminator(b) {
-                if let Op::Detach { body, .. } = t.op {
-                    let region = expand_with_detach(f, detach_region(f, body));
-                    let child_name = format!("{}_task{}", name, body.0);
-                    let iface =
-                        self.build_scope(fid, ScopeKind::Detach(body), child_name, Some(tid))?;
-                    excluded.extend(region.iter().copied());
-                    detach_children.insert(b, (iface, region));
-                }
+        let mut detach_children = Vec::new();
+        for b in scope.difference(&excluded).iter() {
+            if let Some(Op::Detach { body, .. }) = f.terminator(b).map(|t| &t.op) {
+                let region = expand_with_detach(f, detach_region(f, *body));
+                let child_name = format!("{}_task{}", name, body.0);
+                let iface =
+                    self.build_scope(fid, ScopeKind::Detach(*body), child_name, Some(tid))?;
+                excluded.union_with(&region);
+                detach_children.push(DetachChild {
+                    block: b,
+                    iface,
+                    region,
+                });
             }
         }
 
-        let t_blocks: BTreeSet<BlockId> = scope_blocks
-            .iter()
-            .copied()
-            .filter(|b| !excluded.contains(b))
-            .collect();
-        if !t_blocks.contains(&entry) {
+        let t_blocks = scope.difference(&excluded);
+        if !t_blocks.contains(entry) {
             return Err(ferr(format!(
                 "scope entry {entry} swallowed by a child region"
             )));
+        }
+        // Each block's owning child loop (the first by loop index whose
+        // extent holds it), and the child loop each header heads.
+        let mut child_of = vec![NONE; n];
+        let mut child_at = vec![NONE; n];
+        for (k, c) in loop_children.iter().enumerate() {
+            for b in facts.extents[c.li].iter() {
+                if child_of[b.0 as usize] == NONE {
+                    child_of[b.0 as usize] = k as u32;
+                }
+            }
+            child_at[loops[c.li].header.0 as usize] = k as u32;
         }
 
         // --- Stage 2: lower the hyperblock ----------------------------------
         let sb = ScopeBuilder {
             fe: self,
             f,
+            facts,
             tid,
-            kind: kind.clone(),
-            loops: Rc::clone(&loops),
-            preds,
+            kind,
             entry,
             t_blocks,
-            scope_blocks: scope_blocks.clone(),
+            scope,
             loop_children,
+            child_of,
+            child_at,
             detach_children,
             df: Dataflow::new(),
             captures: Vec::new(),
             capture_nodes: Vec::new(),
-            value_map: HashMap::new(),
-            const_map: HashMap::new(),
-            edge_pred: HashMap::new(),
-            block_pred_cache: HashMap::new(),
-            junction_map: BTreeMap::new(),
+            values: vec![Slot::Unset; f.instrs.len()],
+            consts: Vec::new(),
+            out_preds: vec![[None; 2]; n],
+            block_preds: vec![None; n],
+            junctions: Vec::new(),
             effects: Vec::new(),
             ret_value: None,
             iv_phi: None,
@@ -354,9 +427,9 @@ fn compute_function_footprints(m: &Module) -> Vec<(BTreeSet<MemObjId>, BTreeSet<
                         writes.insert(*obj);
                     }
                     Op::Call { callee } => {
-                        let (r, w) = fps[callee.0 as usize].clone();
-                        reads.extend(r);
-                        writes.extend(w);
+                        let (r, w) = &fps[callee.0 as usize];
+                        reads.extend(r.iter().copied());
+                        writes.extend(w.iter().copied());
                     }
                     _ => {}
                 }
@@ -370,12 +443,12 @@ fn compute_function_footprints(m: &Module) -> Vec<(BTreeSet<MemObjId>, BTreeSet<
 /// Read/write object sets of a block region (plus called functions).
 fn region_footprint(
     f: &Function,
-    blocks: &BTreeSet<BlockId>,
+    blocks: &BlockSet,
     func_fps: &[(BTreeSet<MemObjId>, BTreeSet<MemObjId>)],
-) -> (BTreeSet<MemObjId>, BTreeSet<MemObjId>) {
+) -> Footprint {
     let mut reads = BTreeSet::new();
     let mut writes = BTreeSet::new();
-    for &b in blocks {
+    for b in blocks.iter() {
         for (_id, instr) in f.block_instrs(b) {
             match &instr.op {
                 Op::Load { obj } => {
@@ -393,32 +466,70 @@ fn region_footprint(
             }
         }
     }
-    (reads, writes)
+    Footprint::whole(&reads, &writes)
+}
+
+/// A direct child loop of a scope.
+struct LoopChild {
+    /// Index into the function's loop list.
+    li: usize,
+    iface: ChildIface,
+    /// The call's predicate once emitted: every edge leaving the loop's
+    /// extent carries it.
+    call_pred: Option<Pred>,
+}
+
+/// A detach region spawned directly from a scope.
+struct DetachChild {
+    /// The block whose terminator is the `detach`.
+    block: BlockId,
+    iface: ChildIface,
+    region: BlockSet,
+}
+
+/// An instruction's place in a scope's value table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Slot {
+    /// Not lowered yet.
+    Unset,
+    /// A pure value being translated: met again, it depends on itself.
+    Busy,
+    /// Lowered to a node's output port.
+    Node(NodeId, u16),
 }
 
 /// Per-scope lowering state.
-struct ScopeBuilder<'a, 'm> {
-    fe: &'a mut Frontend<'m>,
-    f: &'m Function,
+struct ScopeBuilder<'b, 'a> {
+    fe: &'b mut Frontend<'a>,
+    f: &'a Function,
+    facts: &'a FuncFacts,
     tid: TaskId,
     kind: ScopeKind,
-    loops: Rc<Vec<NaturalLoop>>,
-    preds: Rc<Vec<Vec<BlockId>>>,
     entry: BlockId,
     /// Blocks lowered inline in this task.
-    t_blocks: BTreeSet<BlockId>,
+    t_blocks: BlockSet,
     /// Full scope (inline + child subtrees), for liveness/affine analysis.
-    scope_blocks: BTreeSet<BlockId>,
-    loop_children: HashMap<usize, (ChildIface, BTreeSet<BlockId>)>,
-    detach_children: HashMap<BlockId, (ChildIface, BTreeSet<BlockId>)>,
+    scope: BlockSet,
+    /// Direct child loops, ascending by loop index.
+    loop_children: Vec<LoopChild>,
+    /// Per block: the `loop_children` entry whose extent holds it.
+    child_of: Vec<u32>,
+    /// Per block: the `loop_children` entry it heads.
+    child_at: Vec<u32>,
+    /// Direct detach children, ascending by detach block.
+    detach_children: Vec<DetachChild>,
     df: Dataflow,
     captures: Vec<Capture>,
     capture_nodes: Vec<NodeId>,
-    value_map: HashMap<InstrId, (NodeId, u16)>,
-    const_map: HashMap<ConstKey, NodeId>,
-    edge_pred: HashMap<(BlockId, BlockId), Pred>,
-    block_pred_cache: HashMap<BlockId, Pred>,
-    junction_map: BTreeMap<StructureId, JunctionId>,
+    /// Per instruction of `f`.
+    values: Vec<Slot>,
+    consts: Vec<(ConstKey, NodeId)>,
+    /// Per block: the predicate of each out-edge of its terminator, by
+    /// successor position, once set.
+    out_preds: Vec<[Option<Pred>; 2]>,
+    /// Per block: its predicate, once computed.
+    block_preds: Vec<Option<Pred>>,
+    junctions: Vec<(StructureId, JunctionId)>,
     effects: Vec<(NodeId, Footprint, bool)>, // (node, footprint, is_spawn)
     ret_value: Option<ValueRef>,
     iv_phi: Option<InstrId>,
@@ -427,25 +538,37 @@ struct ScopeBuilder<'a, 'm> {
 
 type Pred = Option<NodeId>;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConstKey {
     I(i64),
     F(u32),
     B(bool),
 }
 
+/// Writes through to a `String` with `<`, `>` and `.` as `_`.
+struct Underscored<'s>(&'s mut String);
+
+impl Write for Underscored<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.extend(
+            s.chars()
+                .map(|c| if matches!(c, '<' | '>' | '.') { '_' } else { c }),
+        );
+        Ok(())
+    }
+}
+
 impl ScopeBuilder<'_, '_> {
     fn lower(mut self) -> Result<ChildIface, FrontendError> {
         // Loop scopes: pre-register the induction variable and carried
         // accumulators before anything resolves them.
-        if let ScopeKind::Loop(li) = self.kind.clone() {
+        if let ScopeKind::Loop(li) = self.kind {
             self.prepare_loop_header(li)?;
         }
-        let order = self.topo_units()?;
-        for unit in order {
+        for unit in self.topo_units() {
             match unit {
                 Unit::Block(b) => self.lower_block(b)?,
-                Unit::Loop(li) => self.emit_loop_call(li)?,
+                Unit::Loop(k) => self.emit_loop_call(k)?,
             }
         }
         self.finish()
@@ -454,29 +577,28 @@ impl ScopeBuilder<'_, '_> {
     // --- Loop header handling -------------------------------------------
 
     fn prepare_loop_header(&mut self, li: usize) -> Result<(), FrontendError> {
-        let header = self.loops[li].header;
-        let phis: Vec<InstrId> = self
-            .f
+        let f = self.f;
+        let header = self.facts.loops[li].header;
+        let mut phis = f
             .block(header)
             .instrs
             .iter()
             .copied()
-            .filter(|&i| matches!(self.f.instr(i).op, Op::Phi { .. }))
-            .collect();
-        let Some(&iv) = phis.first() else {
+            .filter(|&i| matches!(f.instr(i).op, Op::Phi { .. }));
+        let Some(iv) = phis.next() else {
             return Err(ferr(format!("loop at {header} has no induction phi")));
         };
         self.iv_phi = Some(iv);
         let ivn = self
             .df
             .add_node(Node::new("i", NodeKind::IndVar, Type::I64));
-        self.value_map.insert(iv, (ivn, 0));
-        for &p in &phis[1..] {
-            let ty = self.f.instr(p).ty.ok_or_else(|| ferr("untyped phi"))?;
+        self.values[iv.0 as usize] = Slot::Node(ivn, 0);
+        for p in phis {
+            let ty = f.instr(p).ty.ok_or_else(|| ferr("untyped phi"))?;
             let m = self
                 .df
                 .add_node(Node::new(format!("acc_{}", p.0), NodeKind::Merge, ty));
-            self.value_map.insert(p, (m, 0));
+            self.values[p.0 as usize] = Slot::Node(m, 0);
             self.acc_phis.push(p);
         }
         Ok(())
@@ -489,11 +611,11 @@ impl ScopeBuilder<'_, '_> {
         let Op::Phi { preds } = &instr.op else {
             return Err(ferr("not a phi"));
         };
-        let lp = &self.loops[li];
+        let lp = &self.facts.loops[li];
         let mut init = None;
         let mut update = None;
         for (v, p) in instr.operands.iter().zip(preds) {
-            if lp.blocks.contains(p) {
+            if lp.blocks.contains(*p) {
                 update = Some(*v);
             } else {
                 init = Some(*v);
@@ -507,35 +629,53 @@ impl ScopeBuilder<'_, '_> {
 
     // --- Unit graph --------------------------------------------------------
 
-    fn topo_units(&self) -> Result<Vec<Unit>, FrontendError> {
-        // Unit ids: blocks then child loops.
-        let mut units: Vec<Unit> = self.t_blocks.iter().map(|&b| Unit::Block(b)).collect();
-        let loop_indices: Vec<usize> = self.loop_children.keys().copied().collect();
-        units.extend(loop_indices.iter().map(|&li| Unit::Loop(li)));
-        let index_of = |u: &Unit| units.iter().position(|x| x == u).expect("unit exists");
+    /// The scope's units — inline blocks, then child-loop call sites — in
+    /// the order they are lowered: a topological walk from the entry.
+    fn topo_units(&self) -> Vec<Unit> {
+        let nblocks = self.t_blocks.len();
+        let units: Vec<Unit> = self
+            .t_blocks
+            .iter()
+            .map(Unit::Block)
+            .chain((0..self.loop_children.len()).map(Unit::Loop))
+            .collect();
+        let mut block_unit = vec![NONE; self.f.blocks.len()];
+        for (i, b) in self.t_blocks.iter().enumerate() {
+            block_unit[b.0 as usize] = i as u32;
+        }
+        let index_of = |u: Unit| match u {
+            Unit::Block(b) => block_unit[b.0 as usize] as usize,
+            Unit::Loop(k) => nblocks + k,
+        };
 
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); units.len()];
-        for (ui, u) in units.iter().enumerate() {
-            for t in self.unit_successors(u) {
-                if t != Unit::Block(self.entry) {
-                    succs[ui].push(index_of(&t));
-                }
-            }
+        // Unit successors as one flat list with per-unit offsets.
+        let mut offsets = Vec::with_capacity(units.len() + 1);
+        let mut succs = Vec::new();
+        let mut targets = Vec::new();
+        offsets.push(0);
+        for &u in &units {
+            targets.clear();
+            self.unit_successors(u, &mut targets);
+            succs.extend(
+                targets
+                    .iter()
+                    .filter(|&&t| t != Unit::Block(self.entry))
+                    .map(|&t| index_of(t)),
+            );
+            offsets.push(succs.len());
         }
         let mut indeg = vec![0usize; units.len()];
-        for ss in &succs {
-            for &s in ss {
-                indeg[s] += 1;
-            }
+        for &s in &succs {
+            indeg[s] += 1;
         }
-        let entry_idx = index_of(&Unit::Block(self.entry));
-        let mut order = Vec::new();
+        let entry_idx = index_of(Unit::Block(self.entry));
+        let mut order = Vec::with_capacity(units.len());
         let mut work = vec![entry_idx];
         let mut seen = vec![false; units.len()];
         seen[entry_idx] = true;
         while let Some(u) = work.pop() {
-            order.push(units[u].clone());
-            for &s in &succs[u] {
+            order.push(units[u]);
+            for &s in &succs[offsets[u]..offsets[u + 1]] {
                 indeg[s] -= 1;
                 if indeg[s] == 0 && !seen[s] {
                     seen[s] = true;
@@ -543,38 +683,40 @@ impl ScopeBuilder<'_, '_> {
                 }
             }
         }
-        Ok(order)
+        order
     }
 
-    fn unit_successors(&self, u: &Unit) -> Vec<Unit> {
-        let map_target = |t: BlockId| -> Option<Unit> {
-            if self.t_blocks.contains(&t) {
-                Some(Unit::Block(t))
-            } else {
-                self.loop_children
-                    .iter()
-                    .find(|(li, _)| self.loops[**li].header == t)
-                    .map(|(li, _)| Unit::Loop(*li))
-            }
-        };
+    /// The unit a branch to `t` enters, if `t` is in the unit graph.
+    fn unit_at(&self, t: BlockId) -> Option<Unit> {
+        if self.t_blocks.contains(t) {
+            return Some(Unit::Block(t));
+        }
+        match self.child_at[t.0 as usize] {
+            NONE => None,
+            k => Some(Unit::Loop(k as usize)),
+        }
+    }
+
+    /// Append `u`'s successor units to `out`: a block's in terminator
+    /// order, a child loop's once each in ascending order of its extent.
+    fn unit_successors(&self, u: Unit, out: &mut Vec<Unit>) {
         match u {
             Unit::Block(b) => {
-                let Some(t) = self.f.terminator(*b) else {
-                    return vec![];
+                let Some(t) = self.f.terminator(b) else {
+                    return;
                 };
-                let targets = match &t.op {
-                    Op::Detach { cont, .. } => vec![*cont],
-                    other => other.successors(),
-                };
-                targets.into_iter().filter_map(map_target).collect()
+                // A detach continues at `cont` (its second successor); the
+                // body is a child task.
+                let succs = t.op.successors();
+                let skip = usize::from(matches!(t.op, Op::Detach { .. }));
+                out.extend(succs[skip..].iter().filter_map(|&t| self.unit_at(t)));
             }
-            Unit::Loop(li) => {
-                let subtree = &self.loop_children[li].1;
-                let mut out = Vec::new();
-                for &b in subtree {
+            Unit::Loop(k) => {
+                let extent = &self.facts.extents[self.loop_children[k].li];
+                for b in extent.iter() {
                     for s in self.f.successors(b) {
-                        if !subtree.contains(&s) {
-                            if let Some(u) = map_target(s) {
+                        if !extent.contains(s) {
+                            if let Some(u) = self.unit_at(s) {
                                 if !out.contains(&u) {
                                     out.push(u);
                                 }
@@ -582,56 +724,91 @@ impl ScopeBuilder<'_, '_> {
                         }
                     }
                 }
-                out
             }
         }
     }
 
     // --- Predicates ---------------------------------------------------------
 
+    /// The predicate set for edge `(src, b)`, or `None` while unset. An
+    /// inline block's out-edges are set when it is lowered; a child loop
+    /// header stands for every edge leaving the loop's extent, set when
+    /// the loop's call is emitted.
+    fn edge_pred(&self, src: BlockId, b: BlockId) -> Option<Pred> {
+        if self.t_blocks.contains(src) {
+            let i = self.f.successors(src).iter().position(|&s| s == b)?;
+            return self.out_preds[src.0 as usize][i];
+        }
+        let k = *self.child_at.get(src.0 as usize)?;
+        let c = self.loop_children.get(k as usize)?;
+        if self.facts.extents[c.li].contains(b) {
+            None
+        } else {
+            c.call_pred
+        }
+    }
+
+    /// Set the predicate of `b`'s out-edges to `s`.
+    fn set_edge_pred(&mut self, b: BlockId, s: BlockId, pred: Pred) {
+        for (i, &t) in self.f.successors(b).iter().enumerate() {
+            if t == s {
+                self.out_preds[b.0 as usize][i] = Some(pred);
+            }
+        }
+    }
+
+    /// The predicate an edge from `p` into `b` contributes: `p`'s own edge
+    /// for an inline block, its child loop's call for a block inside one,
+    /// nothing (`None`) from anywhere else or while unset.
+    fn incoming_pred(&self, p: BlockId, b: BlockId) -> Option<Pred> {
+        if self.t_blocks.contains(p) {
+            return self.edge_pred(p, b);
+        }
+        match self.child_of[p.0 as usize] {
+            NONE => None,
+            k => {
+                let header = self.facts.loops[self.loop_children[k as usize].li].header;
+                self.edge_pred(header, b)
+            }
+        }
+    }
+
     fn block_pred(&mut self, b: BlockId) -> Pred {
         if b == self.entry {
             return None;
         }
-        if let Some(p) = self.block_pred_cache.get(&b) {
-            return *p;
+        if let Some(p) = self.block_preds[b.0 as usize] {
+            return p;
         }
-        let mut contributions: Vec<Pred> = Vec::new();
-        for &p in &self.preds[b.0 as usize] {
-            let key = if self.t_blocks.contains(&p) {
-                (p, b)
-            } else if let Some((li, _)) = self
-                .loop_children
-                .iter()
-                .find(|(_, (_, subtree))| subtree.contains(&p))
-                .map(|(li, c)| (*li, c))
-            {
-                (self.loops[li].header, b)
-            } else {
-                continue;
-            };
-            if let Some(ep) = self.edge_pred.get(&key) {
-                contributions.push(*ep);
-            }
-        }
+        let preds = self.facts.preds.of(b);
         // No incoming edges, or any edge with an unknown predicate, means
         // the block's own predicate is unknown.
-        let result = if contributions.is_empty() || contributions.iter().any(|c| c.is_none()) {
+        let contributions = preds.iter().filter_map(|&p| self.incoming_pred(p, b));
+        let (mut known, mut unknown) = (0, false);
+        for c in contributions {
+            known += 1;
+            unknown |= c.is_none();
+        }
+        let result = if known == 0 || unknown {
             None
         } else {
-            // OR-fold the predicate nodes.
-            let mut it = contributions.into_iter().map(|c| c.expect("some"));
-            let first = it.next().expect("nonempty");
-            let folded = it.fold(first, |acc, n| {
-                self.emit_bool_bin(muir_mir::instr::BinOp::Or, acc, n)
-            });
-            Some(folded)
+            // OR-fold the predicate nodes, in predecessor order.
+            let mut folded: Option<NodeId> = None;
+            for &p in preds {
+                if let Some(Some(n)) = self.incoming_pred(p, b) {
+                    folded = Some(match folded {
+                        None => n,
+                        Some(acc) => self.emit_bool_bin(BinOp::Or, acc, n),
+                    });
+                }
+            }
+            folded
         };
-        self.block_pred_cache.insert(b, result);
+        self.block_preds[b.0 as usize] = Some(result);
         result
     }
 
-    fn emit_bool_bin(&mut self, op: muir_mir::instr::BinOp, a: NodeId, b: NodeId) -> NodeId {
+    fn emit_bool_bin(&mut self, op: BinOp, a: NodeId, b: NodeId) -> NodeId {
         let n = self.df.add_node(Node::new(
             format!("p_{}", op.mnemonic()),
             NodeKind::Compute(OpKind::Bin(op)),
@@ -645,13 +822,13 @@ impl ScopeBuilder<'_, '_> {
     fn and_pred(&mut self, a: Pred, b: NodeId) -> NodeId {
         match a {
             None => b,
-            Some(an) => self.emit_bool_bin(muir_mir::instr::BinOp::And, an, b),
+            Some(an) => self.emit_bool_bin(BinOp::And, an, b),
         }
     }
 
     fn not_node(&mut self, c: NodeId) -> NodeId {
         let t = self.const_node(ConstVal::Bool(true));
-        self.emit_bool_bin(muir_mir::instr::BinOp::Xor, c, t)
+        self.emit_bool_bin(BinOp::Xor, c, t)
     }
 
     // --- Value resolution ----------------------------------------------------
@@ -662,7 +839,7 @@ impl ScopeBuilder<'_, '_> {
             ConstVal::F32(f) => ConstKey::F(f.to_bits()),
             ConstVal::Bool(b) => ConstKey::B(b),
         };
-        if let Some(&n) = self.const_map.get(&key) {
+        if let Some(&(_, n)) = self.consts.iter().find(|(k, _)| *k == key) {
             return n;
         }
         let ty = match c {
@@ -673,7 +850,7 @@ impl ScopeBuilder<'_, '_> {
         let n = self
             .df
             .add_node(Node::new(format!("c_{c}"), NodeKind::Const(c), ty));
-        self.const_map.insert(key, n);
+        self.consts.push((key, n));
         n
     }
 
@@ -697,20 +874,31 @@ impl ScopeBuilder<'_, '_> {
         node
     }
 
+    /// The capture argument index of `c`, capturing it first if needed.
+    fn capture_index(&mut self, c: Capture) -> u32 {
+        let node = self.capture(c);
+        self.capture_nodes
+            .iter()
+            .position(|&x| x == node)
+            .expect("capture exists") as u32
+    }
+
     fn resolve(&mut self, v: ValueRef) -> Result<(NodeId, u16), FrontendError> {
         match v {
             ValueRef::Const(c) => Ok((self.const_node(c), 0)),
             ValueRef::Arg(n) => Ok((self.capture(Capture::Arg(n)), 0)),
             ValueRef::Instr(d) => {
-                if let Some(&m) = self.value_map.get(&d) {
-                    return Ok(m);
+                match self.values[d.0 as usize] {
+                    Slot::Node(n, p) => return Ok((n, p)),
+                    Slot::Busy => return Err(ferr(format!("value {d} depends on itself"))),
+                    Slot::Unset => {}
                 }
                 let instr = self.f.instr(d);
-                let in_t = self.t_blocks.contains(&instr.block);
+                let in_t = self.t_blocks.contains(instr.block);
                 if in_t && is_pure(&instr.op) {
                     return self.translate_pure(d);
                 }
-                if self.scope_blocks.contains(&instr.block) {
+                if self.scope.contains(instr.block) {
                     return Err(ferr(format!(
                         "use of {d} ({}) from an unlowered child region — missing live-out?",
                         instr.op.mnemonic()
@@ -722,15 +910,16 @@ impl ScopeBuilder<'_, '_> {
     }
 
     fn translate_pure(&mut self, d: InstrId) -> Result<(NodeId, u16), FrontendError> {
-        let instr = self.f.instr(d).clone();
+        self.values[d.0 as usize] = Slot::Busy;
+        let instr = self.f.instr(d);
         let node = match &instr.op {
-            Op::Bin(b) => self.emit_compute(d, OpKind::Bin(*b), &instr)?,
-            Op::Un(u) => self.emit_compute(d, OpKind::Un(*u), &instr)?,
-            Op::Cmp(p) => self.emit_compute(d, OpKind::Cmp(*p), &instr)?,
-            Op::Select => self.emit_compute(d, OpKind::Select, &instr)?,
-            Op::Cast(c) => self.emit_compute(d, OpKind::Cast(*c), &instr)?,
-            Op::Tensor(t, s) => self.emit_compute(d, OpKind::Tensor(*t, *s), &instr)?,
-            Op::Phi { preds } => self.translate_phi(d, &instr, preds)?,
+            Op::Bin(b) => self.emit_compute(d, OpKind::Bin(*b), instr)?,
+            Op::Un(u) => self.emit_compute(d, OpKind::Un(*u), instr)?,
+            Op::Cmp(p) => self.emit_compute(d, OpKind::Cmp(*p), instr)?,
+            Op::Select => self.emit_compute(d, OpKind::Select, instr)?,
+            Op::Cast(c) => self.emit_compute(d, OpKind::Cast(*c), instr)?,
+            Op::Tensor(t, s) => self.emit_compute(d, OpKind::Tensor(*t, *s), instr)?,
+            Op::Phi { preds } => self.translate_phi(d, instr, preds)?,
             other => {
                 return Err(ferr(format!(
                     "internal: lazy translation of non-pure op {}",
@@ -738,7 +927,7 @@ impl ScopeBuilder<'_, '_> {
                 )))
             }
         };
-        self.value_map.insert(d, (node, 0));
+        self.values[d.0 as usize] = Slot::Node(node, 0);
         Ok((node, 0))
     }
 
@@ -746,14 +935,14 @@ impl ScopeBuilder<'_, '_> {
         &mut self,
         d: InstrId,
         op: OpKind,
-        instr: &muir_mir::instr::Instr,
+        instr: &Instr,
     ) -> Result<NodeId, FrontendError> {
         let ty = instr.ty.ok_or_else(|| ferr("untyped compute op"))?;
-        let n = self.df.add_node(Node::new(
-            format!("{}_{}", op.mnemonic().replace(['<', '>', '.'], "_"), d.0),
-            NodeKind::Compute(op),
-            ty,
-        ));
+        // `{mnemonic with <>. as _}_{id}`, written into one buffer.
+        let mut name = String::with_capacity(32);
+        let _ = write!(Underscored(&mut name), "{op}");
+        let _ = write!(name, "_{}", d.0);
+        let n = self.df.add_node(Node::new(name, NodeKind::Compute(op), ty));
         for (i, v) in instr.operands.iter().enumerate() {
             let (src, port) = self.resolve(*v)?;
             self.df.connect(src, port, n, i as u16);
@@ -765,26 +954,28 @@ impl ScopeBuilder<'_, '_> {
     fn translate_phi(
         &mut self,
         d: InstrId,
-        instr: &muir_mir::instr::Instr,
+        instr: &Instr,
         preds: &[BlockId],
     ) -> Result<NodeId, FrontendError> {
         let ty = instr.ty.ok_or_else(|| ferr("untyped phi"))?;
         let b = instr.block;
-        let mut incoming: Vec<(ValueRef, Pred)> = Vec::new();
-        for (v, p) in instr.operands.iter().zip(preds) {
-            let ep = self.edge_pred.get(&(*p, b)).copied().unwrap_or(None);
-            incoming.push((*v, ep));
-        }
+        let incoming = |p: BlockId| self.edge_pred(p, b).unwrap_or(None);
         // Start from an always-true incoming if one exists, otherwise the
         // first; select the others in on their predicates.
-        let default_idx = incoming.iter().position(|(_, p)| p.is_none()).unwrap_or(0);
-        let (dv, _) = incoming[default_idx];
+        let default_idx = preds
+            .iter()
+            .position(|&p| incoming(p).is_none())
+            .unwrap_or(0);
+        let dv = *instr
+            .operands
+            .get(default_idx)
+            .ok_or_else(|| ferr(format!("phi {d} has no incoming value")))?;
         let (mut acc, mut accp) = self.resolve(dv)?;
-        for (i, (v, p)) in incoming.iter().enumerate() {
+        for (i, (v, &p)) in instr.operands.iter().zip(preds).enumerate() {
             if i == default_idx {
                 continue;
             }
-            let Some(pn) = *p else {
+            let Some(pn) = self.edge_pred(p, b).unwrap_or(None) else {
                 // Two always-true incomings: CFG would be ill-formed; take
                 // the default.
                 continue;
@@ -807,55 +998,70 @@ impl ScopeBuilder<'_, '_> {
     // --- Effectful lowering ---------------------------------------------------
 
     fn junction_for(&mut self, obj: MemObjId) -> JunctionId {
-        let sid = self.fe.placement[obj.0 as usize];
-        if let Some(&j) = self.junction_map.get(&sid) {
+        let sid = self.fe.t.placement[obj.0 as usize];
+        if let Some(&(_, j)) = self.junctions.iter().find(|(s, _)| *s == sid) {
             return j;
         }
         let j = self.df.add_junction(Junction::new(sid, 2, 1));
-        self.junction_map.insert(sid, j);
+        self.junctions.push((sid, j));
         self.fe.acc.connect_mem(self.tid, j, sid);
         j
     }
 
     fn addr_affine(&self, addr: ValueRef) -> Option<Affine> {
         let iv = self.iv_phi.unwrap_or(InstrId(u32::MAX));
-        let lp = NaturalLoop {
-            header: self.entry,
-            blocks: self.scope_blocks.clone(),
-            latches: vec![],
-            depth: 1,
-            parent: None,
-        };
-        match analysis::affine_of(self.f, addr, iv, &lp) {
+        match analysis::affine_of(self.f, addr, iv, &self.scope) {
             Affine::Opaque => None,
             a => Some(a),
         }
     }
 
-    fn add_order_edges(&mut self, node: NodeId, fp: &Footprint, is_spawn: bool) {
-        let mut edges = Vec::new();
+    fn add_order_edges(&mut self, node: NodeId, fp: Footprint, is_spawn: bool) {
         for (prior, pfp, pspawn) in &self.effects {
             if *pspawn && is_spawn {
                 continue; // Cilk spawns are unordered among themselves.
             }
-            if conflicts(pfp, fp) {
-                edges.push(*prior);
+            if conflicts(pfp, &fp) {
+                self.df.connect_order(*prior, node);
             }
         }
-        for e in edges {
-            self.df.connect_order(e, node);
+        self.effects.push((node, fp, is_spawn));
+    }
+
+    /// Connect a child task's call node: each capture resolved in this
+    /// scope, then the predicate, and map the child's results to the
+    /// node's output ports.
+    fn connect_child_call(
+        &mut self,
+        n: NodeId,
+        iface: &ChildIface,
+        pred: Pred,
+    ) -> Result<(), FrontendError> {
+        for (i, c) in iface.captures.iter().enumerate() {
+            let v = match c {
+                Capture::Val(d) => ValueRef::Instr(*d),
+                Capture::Arg(a) => ValueRef::Arg(*a),
+            };
+            let (src, sp) = self.resolve(v)?;
+            self.df.connect(src, sp, n, i as u16);
         }
-        self.effects.push((node, fp.clone(), is_spawn));
+        if let Some(pn) = pred {
+            self.df.connect(pn, 0, n, iface.captures.len() as u16);
+        }
+        for (k, r) in iface.results.iter().enumerate() {
+            self.values[r.0 as usize] = Slot::Node(n, k as u16);
+        }
+        Ok(())
     }
 
     fn lower_block(&mut self, b: BlockId) -> Result<(), FrontendError> {
         let pred = self.block_pred(b);
-        let instr_ids: Vec<InstrId> = self.f.block(b).instrs.clone();
-        for iid in instr_ids {
-            if self.value_map.contains_key(&iid) {
+        let f = self.f;
+        for &iid in &f.block(b).instrs {
+            if self.values[iid.0 as usize] != Slot::Unset {
                 continue; // pre-registered loop header φ
             }
-            let instr = self.f.instr(iid).clone();
+            let instr = f.instr(iid);
             match &instr.op {
                 Op::Load { obj } => {
                     let ty = instr.ty.ok_or_else(|| ferr("untyped load"))?;
@@ -876,12 +1082,12 @@ impl ScopeBuilder<'_, '_> {
                         self.df.connect(pn, 0, n, 1);
                     }
                     self.df.register_reader(j, n);
-                    self.value_map.insert(iid, (n, 0));
+                    self.values[iid.0 as usize] = Slot::Node(n, 0);
                     let fp = Footprint {
                         reads: vec![(*obj, self.addr_affine(instr.operands[0]))],
                         writes: vec![],
                     };
-                    self.add_order_edges(n, &fp, false);
+                    self.add_order_edges(n, fp, false);
                 }
                 Op::Store { obj } => {
                     let vty = self
@@ -910,12 +1116,13 @@ impl ScopeBuilder<'_, '_> {
                         reads: vec![],
                         writes: vec![(*obj, self.addr_affine(instr.operands[0]))],
                     };
-                    self.add_order_edges(n, &fp, false);
+                    self.add_order_edges(n, fp, false);
                 }
                 Op::Call { callee } => {
                     // Function call: build a dedicated child task per call
                     // site (each call site is a hardware instance).
-                    let fname = self.fe.module.function(*callee).name.clone();
+                    let t = self.fe.t;
+                    let fname = &t.module.function(*callee).name;
                     let iface = self.fe.build_scope(
                         *callee,
                         ScopeKind::Function,
@@ -941,14 +1148,13 @@ impl ScopeBuilder<'_, '_> {
                         self.df.connect(pn, 0, n, instr.operands.len() as u16);
                     }
                     if instr.ty.is_some() {
-                        self.value_map.insert(iid, (n, 0));
+                        self.values[iid.0 as usize] = Slot::Node(n, 0);
                     }
-                    let (r, w) = self.fe.func_fps[callee.0 as usize].clone();
-                    let fp = Footprint::whole(&r, &w);
-                    self.add_order_edges(n, &fp, false);
+                    let (r, w) = &t.func_fps[callee.0 as usize];
+                    self.add_order_edges(n, Footprint::whole(r, w), false);
                 }
                 Op::Br { target } => {
-                    self.edge_pred.insert((b, *target), pred);
+                    self.set_edge_pred(b, *target, pred);
                 }
                 Op::CondBr { t, f: fb } => {
                     // Loop-scope header check: the in-scope direction is
@@ -957,60 +1163,46 @@ impl ScopeBuilder<'_, '_> {
                     let is_header_check =
                         matches!(self.kind, ScopeKind::Loop(_)) && b == self.entry;
                     if is_header_check {
-                        let in_scope = if self.in_unit_graph(*t) { *t } else { *fb };
-                        self.edge_pred.insert((b, in_scope), pred);
+                        let in_scope = if self.unit_at(*t).is_some() { *t } else { *fb };
+                        self.set_edge_pred(b, in_scope, pred);
                     } else {
                         let (c, cp) = self.resolve(instr.operands[0])?;
                         debug_assert_eq!(cp, 0);
                         let tp = self.and_pred(pred, c);
                         let nc = self.not_node(c);
                         let fp_ = self.and_pred(pred, nc);
-                        self.edge_pred.insert((b, *t), Some(tp));
-                        self.edge_pred.insert((b, *fb), Some(fp_));
+                        self.set_edge_pred(b, *t, Some(tp));
+                        self.set_edge_pred(b, *fb, Some(fp_));
                     }
                 }
-                Op::Detach { body, cont } => {
-                    let (iface, _region) = self
+                Op::Detach { cont, .. } => {
+                    let di = self
                         .detach_children
-                        .get(&b)
-                        .cloned()
-                        .ok_or_else(|| ferr(format!("detach at {b} has no child task")))?;
-                    let _ = body;
-                    let callee = iface.task;
-                    let nargs = iface.captures.len();
+                        .binary_search_by_key(&b, |c| c.block)
+                        .map_err(|_| ferr(format!("detach at {b} has no child task")))?;
+                    let iface = self.detach_children[di].iface.take();
                     let predicated = pred.is_some();
                     let n = self.df.add_node(Node::new(
                         format!("spawn_{}", b.0),
                         NodeKind::TaskCall {
-                            callee,
+                            callee: iface.task,
                             predicated,
                             spawn: true,
                         },
                         Type::I64,
                     ));
-                    for (i, c) in iface.captures.iter().enumerate() {
-                        let v = match c {
-                            Capture::Val(d) => ValueRef::Instr(*d),
-                            Capture::Arg(a) => ValueRef::Arg(*a),
-                        };
-                        let (src, sp) = self.resolve(v)?;
-                        self.df.connect(src, sp, n, i as u16);
-                    }
-                    if let Some(pn) = pred {
-                        self.df.connect(pn, 0, n, nargs as u16);
-                    }
-                    for (k, r) in iface.results.iter().enumerate() {
-                        self.value_map.insert(*r, (n, k as u16));
-                    }
-                    let (r, w) =
-                        region_footprint(self.f, &self.detach_children[&b].1, &self.fe.func_fps);
-                    let fp = Footprint::whole(&r, &w);
-                    self.add_order_edges(n, &fp, true);
-                    self.edge_pred.insert((b, *cont), pred);
+                    self.connect_child_call(n, &iface, pred)?;
+                    let fp = region_footprint(
+                        self.f,
+                        &self.detach_children[di].region,
+                        &self.fe.t.func_fps,
+                    );
+                    self.add_order_edges(n, fp, true);
+                    self.set_edge_pred(b, *cont, pred);
                 }
                 Op::Reattach { .. } => {}
                 Op::Sync { cont } => {
-                    self.edge_pred.insert((b, *cont), pred);
+                    self.set_edge_pred(b, *cont, pred);
                 }
                 Op::Ret => {
                     if pred.is_some() {
@@ -1028,14 +1220,6 @@ impl ScopeBuilder<'_, '_> {
         Ok(())
     }
 
-    fn in_unit_graph(&self, b: BlockId) -> bool {
-        self.t_blocks.contains(&b)
-            || self
-                .loop_children
-                .iter()
-                .any(|(li, _)| self.loops[*li].header == b)
-    }
-
     fn value_type(&self, v: ValueRef) -> Option<Type> {
         match v {
             ValueRef::Instr(d) => self.f.instr(d).ty,
@@ -1046,67 +1230,41 @@ impl ScopeBuilder<'_, '_> {
         }
     }
 
-    fn emit_loop_call(&mut self, li: usize) -> Result<(), FrontendError> {
-        let header = self.loops[li].header;
+    fn emit_loop_call(&mut self, k: usize) -> Result<(), FrontendError> {
+        let li = self.loop_children[k].li;
+        let header = self.facts.loops[li].header;
         let pred = self.block_pred(header);
-        let (iface, subtree) = self.loop_children[&li].clone();
-        let callee = iface.task;
-        let nargs = iface.captures.len();
-        let predicated = pred.is_some();
+        let iface = self.loop_children[k].iface.take();
         let n = self.df.add_node(Node::new(
             format!("loop_call_{}", header.0),
             NodeKind::TaskCall {
-                callee,
-                predicated,
+                callee: iface.task,
+                predicated: pred.is_some(),
                 spawn: false,
             },
             Type::I64,
         ));
-        for (i, c) in iface.captures.iter().enumerate() {
-            let v = match c {
-                Capture::Val(d) => ValueRef::Instr(*d),
-                Capture::Arg(a) => ValueRef::Arg(*a),
-            };
-            let (src, sp) = self.resolve(v)?;
-            self.df.connect(src, sp, n, i as u16);
-        }
-        if let Some(pn) = pred {
-            self.df.connect(pn, 0, n, nargs as u16);
-        }
-        for (k, r) in iface.results.iter().enumerate() {
-            self.value_map.insert(*r, (n, k as u16));
-        }
+        self.connect_child_call(n, &iface, pred)?;
         // Successor blocks of the loop inherit the call predicate.
-        for &b in &subtree {
-            for s in self.f.successors(b) {
-                if !subtree.contains(&s) {
-                    self.edge_pred.insert((header, s), pred);
-                }
-            }
-        }
-        let (r, w) = region_footprint(self.f, &subtree, &self.fe.func_fps);
-        let fp = Footprint::whole(&r, &w);
-        self.add_order_edges(n, &fp, false);
+        self.loop_children[k].call_pred = Some(pred);
+        let fp = region_footprint(self.f, &self.facts.extents[li], &self.fe.t.func_fps);
+        self.add_order_edges(n, fp, false);
         Ok(())
     }
 
     // --- Finalization -----------------------------------------------------
 
     fn finish(mut self) -> Result<ChildIface, FrontendError> {
-        let (results, kind, inits) = match self.kind.clone() {
+        let (results, kind, inits) = match self.kind {
             ScopeKind::Loop(li) => {
-                let rv = region_values(
-                    self.f,
-                    &expand_with_detach(self.f, self.loops[li].blocks.clone()),
-                );
-                let results: Vec<InstrId> = rv.out_values.iter().copied().collect();
+                let results = live_outs(&self.facts.uses, &self.facts.extents[li]);
                 // Wire Output: the per-iteration value of each result.
                 let out_ty = results
                     .first()
                     .and_then(|r| self.f.instr(*r).ty)
                     .unwrap_or(Type::BOOL);
                 let out = self.df.add_node(Node::new("out", NodeKind::Output, out_ty));
-                let mut inits: Vec<Option<ResultInit>> = Vec::new();
+                let mut inits: Vec<Option<ResultInit>> = Vec::with_capacity(results.len());
                 for (k, r) in results.iter().enumerate() {
                     let (src, sp) = if self.acc_phis.contains(r) {
                         let (_, update) = self.phi_incoming(*r, li)?;
@@ -1121,22 +1279,10 @@ impl ScopeBuilder<'_, '_> {
                         inits.push(Some(match init {
                             ValueRef::Const(c) => ResultInit::Const(c),
                             ValueRef::Instr(d) => {
-                                let node = self.capture(Capture::Val(d));
-                                let idx = self
-                                    .capture_nodes
-                                    .iter()
-                                    .position(|&x| x == node)
-                                    .expect("capture exists");
-                                ResultInit::Arg(idx as u32)
+                                ResultInit::Arg(self.capture_index(Capture::Val(d)))
                             }
                             ValueRef::Arg(a) => {
-                                let node = self.capture(Capture::Arg(a));
-                                let idx = self
-                                    .capture_nodes
-                                    .iter()
-                                    .position(|&x| x == node)
-                                    .expect("capture exists");
-                                ResultInit::Arg(idx as u32)
+                                ResultInit::Arg(self.capture_index(Capture::Arg(a)))
                             }
                         }));
                     } else {
@@ -1144,9 +1290,12 @@ impl ScopeBuilder<'_, '_> {
                     }
                 }
                 // Patch feedback edges for carried accumulators.
-                for p in self.acc_phis.clone() {
+                for i in 0..self.acc_phis.len() {
+                    let p = self.acc_phis[i];
                     let (init, update) = self.phi_incoming(p, li)?;
-                    let merge = self.value_map[&p].0;
+                    let Slot::Node(merge, _) = self.values[p.0 as usize] else {
+                        return Err(ferr(format!("accumulator {p} was never registered")));
+                    };
                     let (in_, ip) = self.resolve(init)?;
                     self.df.connect(in_, ip, merge, 0);
                     let (up, upp) = self.resolve(update)?;
@@ -1154,7 +1303,7 @@ impl ScopeBuilder<'_, '_> {
                 }
                 // Canonical loop bounds.
                 let spec = self.extract_loop_spec(li)?;
-                let dep = loop_dependence_in(self.fe.module, self.f, &self.loops[li]);
+                let dep = loop_dependence_in(self.fe.t.module, self.f, &self.facts.loops[li]);
                 (
                     results,
                     TaskKind::Loop {
@@ -1194,12 +1343,13 @@ impl ScopeBuilder<'_, '_> {
             TaskKind::Region => u32::from(self.ret_value.is_some()),
             TaskKind::Loop { .. } => results.len() as u32,
         };
-        let mut task = TaskBlock::new(self.fe.acc.task(self.tid).name.clone(), kind);
+        let slot = &mut self.fe.acc.tasks[self.tid.0 as usize];
+        let mut task = TaskBlock::new(std::mem::take(&mut slot.name), kind);
         task.dataflow = self.df;
         task.num_args = self.captures.len() as u32;
         task.num_results = num_results;
         task.loop_result_inits = inits;
-        self.fe.acc.tasks[self.tid.0 as usize] = task;
+        *slot = task;
         Ok(ChildIface {
             task: self.tid,
             captures: self.captures,
@@ -1217,7 +1367,7 @@ impl ScopeBuilder<'_, '_> {
             ValueRef::Instr(d) => {
                 let instr = self.f.instr(d);
                 match (&instr.op, instr.operands.as_slice()) {
-                    (Op::Bin(muir_mir::instr::BinOp::Add), [a, b]) => {
+                    (Op::Bin(BinOp::Add), [a, b]) => {
                         let k = match (a, b) {
                             (ValueRef::Instr(x), ValueRef::Const(ConstVal::Int(k))) if *x == iv => {
                                 Some(*k)
@@ -1238,7 +1388,7 @@ impl ScopeBuilder<'_, '_> {
             return Err(ferr("loop step must be positive"));
         }
         // Bound from the header's `icmp lt iv, hi` condbr.
-        let header = self.loops[li].header;
+        let header = self.facts.loops[li].header;
         let term = self
             .f
             .terminator(header)
@@ -1266,24 +1416,8 @@ impl ScopeBuilder<'_, '_> {
         match v {
             ValueRef::Const(ConstVal::Int(k)) => Ok(ArgExpr::Const(k)),
             ValueRef::Const(_) => Err(ferr("non-integer loop bound")),
-            ValueRef::Instr(d) => {
-                let node = self.capture(Capture::Val(d));
-                let idx = self
-                    .capture_nodes
-                    .iter()
-                    .position(|&x| x == node)
-                    .expect("capture exists");
-                Ok(ArgExpr::Arg(idx as u32))
-            }
-            ValueRef::Arg(a) => {
-                let node = self.capture(Capture::Arg(a));
-                let idx = self
-                    .capture_nodes
-                    .iter()
-                    .position(|&x| x == node)
-                    .expect("capture exists");
-                Ok(ArgExpr::Arg(idx as u32))
-            }
+            ValueRef::Instr(d) => Ok(ArgExpr::Arg(self.capture_index(Capture::Val(d)))),
+            ValueRef::Arg(a) => Ok(ArgExpr::Arg(self.capture_index(Capture::Arg(a)))),
         }
     }
 }
@@ -1301,8 +1435,9 @@ fn is_pure(op: &Op) -> bool {
     )
 }
 
-/// A topological-ordering unit: an inline block or a child-loop call site.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A topological-ordering unit: an inline block or a child-loop call site
+/// (an index into the scope's `loop_children`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Unit {
     Block(BlockId),
     Loop(usize),

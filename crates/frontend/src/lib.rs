@@ -94,5 +94,5 @@ pub fn translate(
     module: &muir_mir::module::Module,
     config: &FrontendConfig,
 ) -> Result<Accelerator, FrontendError> {
-    build::Frontend::new(module, config)?.run()
+    build::translate(module, config)
 }

@@ -1,29 +1,122 @@
 //! Control-flow and memory analyses used by the μIR front-end and by μopt.
 //!
-//! * reverse post-order, dominators, natural loops;
+//! * reverse post-order, dominators, natural loops — over the function's
+//!   flat predecessor table ([`Preds`]), with block sets as one bit per
+//!   block ([`BlockSet`]);
 //! * detach-region discovery (Tapir task extents);
-//! * region live-ins/live-outs (task closure capture, §3.6);
+//! * loop live-outs (task results, §3.6) from one per-function use index
+//!   ([`Uses`]);
 //! * affine address forms and a conservative loop-carried memory dependence
 //!   test (drives pipeline initiation intervals in the simulator);
 //! * memory-group analysis (the paper's `LLVMPointsto` of Algorithm 2).
+//!
+//! A block id outside the function is never an index panic here: the
+//! tables leave out-of-range branch targets out, and a [`BlockSet`]
+//! neither holds nor inserts one.
 
 use crate::instr::{BinOp, BlockId, InstrId, MemObjId, Op, ValueRef};
-use crate::module::Function;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use crate::module::{Function, Groups, Preds};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// A set of one function's blocks, one bit per block id. It iterates in
+/// ascending id order — the order a `BTreeSet<BlockId>` walk takes — and
+/// ids at or past the function's block count are never members.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockSet {
+    words: Vec<u64>,
+    blocks: usize,
+}
+
+impl BlockSet {
+    /// The empty set over a function of `blocks` blocks.
+    pub fn empty(blocks: usize) -> BlockSet {
+        BlockSet {
+            words: vec![0; blocks.div_ceil(64)],
+            blocks,
+        }
+    }
+
+    /// Every block of a function of `blocks` blocks.
+    pub fn full(blocks: usize) -> BlockSet {
+        let mut s = BlockSet::empty(blocks);
+        for (i, w) in s.words.iter_mut().enumerate() {
+            *w = u64::MAX >> (64 - (blocks - i * 64).min(64));
+        }
+        s
+    }
+
+    /// Whether `b` is a member.
+    pub fn contains(&self, b: BlockId) -> bool {
+        let i = b.0 as usize;
+        i < self.blocks && self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Add `b`; whether it was newly added (never for an id out of range).
+    pub fn insert(&mut self, b: BlockId) -> bool {
+        let i = b.0 as usize;
+        if i >= self.blocks {
+            return false;
+        }
+        let (w, bit) = (&mut self.words[i / 64], 1 << (i % 64));
+        let new = *w & bit == 0;
+        *w |= bit;
+        new
+    }
+
+    /// Add every member of `other`.
+    pub fn union_with(&mut self, other: &BlockSet) {
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+
+    /// The members not in `other`.
+    pub fn difference(&self, other: &BlockSet) -> BlockSet {
+        let mut out = self.clone();
+        for (w, o) in out.words.iter_mut().zip(&other.words) {
+            *w &= !o;
+        }
+        out
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The members, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &w)| {
+            let mut w = w;
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let bit = w.trailing_zeros();
+                    w &= w - 1;
+                    BlockId(i as u32 * 64 + bit)
+                })
+            })
+        })
+    }
+}
 
 /// Reverse post-order of the CFG from the entry block. Unreachable blocks
 /// are omitted.
 pub fn reverse_post_order(f: &Function) -> Vec<BlockId> {
-    let mut visited = HashSet::new();
+    let mut visited = BlockSet::empty(f.blocks.len());
     let mut post = Vec::new();
+    if !visited.insert(f.entry) {
+        return post;
+    }
     // Iterative DFS with an explicit stack carrying (block, next-succ-index).
     let mut stack = vec![(f.entry, 0usize)];
-    visited.insert(f.entry);
     while let Some((b, i)) = stack.pop() {
-        let succs = f.successors(b);
-        if i < succs.len() {
+        if let Some(&s) = f.successors(b).get(i) {
             stack.push((b, i + 1));
-            let s = succs[i];
             if visited.insert(s) {
                 stack.push((s, 0));
             }
@@ -35,23 +128,26 @@ pub fn reverse_post_order(f: &Function) -> Vec<BlockId> {
     post
 }
 
-/// Immediate dominators, indexed by block. `idoms[entry] == entry`;
-/// unreachable blocks map to `None`.
-pub fn dominators(f: &Function) -> Vec<Option<BlockId>> {
+/// Immediate dominators, indexed by block, from the function's
+/// predecessor table. `idoms[entry] == entry`; unreachable blocks map to
+/// `None`.
+pub fn dominators(f: &Function, preds: &Preds) -> Vec<Option<BlockId>> {
+    let mut idom: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
     let rpo = reverse_post_order(f);
+    let Some(&entry) = rpo.first() else {
+        return idom;
+    };
     let mut order = vec![usize::MAX; f.blocks.len()];
     for (i, b) in rpo.iter().enumerate() {
         order[b.0 as usize] = i;
     }
-    let preds = f.predecessors();
-    let mut idom: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
-    idom[f.entry.0 as usize] = Some(f.entry);
+    idom[entry.0 as usize] = Some(entry);
     let mut changed = true;
     while changed {
         changed = false;
         for &b in rpo.iter().skip(1) {
             let mut new_idom: Option<BlockId> = None;
-            for &p in &preds[b.0 as usize] {
+            for &p in preds.of(b) {
                 if idom[p.0 as usize].is_none() {
                     continue;
                 }
@@ -90,7 +186,7 @@ pub fn dominates(idom: &[Option<BlockId>], a: BlockId, b: BlockId) -> bool {
         if cur == a {
             return true;
         }
-        match idom[cur.0 as usize] {
+        match idom.get(cur.0 as usize).copied().flatten() {
             Some(d) if d != cur => cur = d,
             _ => return false,
         }
@@ -103,7 +199,7 @@ pub struct NaturalLoop {
     /// Loop header (target of the back edges).
     pub header: BlockId,
     /// Blocks strictly inside the loop (header included).
-    pub blocks: BTreeSet<BlockId>,
+    pub blocks: BlockSet,
     /// Source blocks of back edges.
     pub latches: Vec<BlockId>,
     /// Nesting depth (outermost = 1).
@@ -112,75 +208,79 @@ pub struct NaturalLoop {
     pub parent: Option<usize>,
 }
 
-/// Discover all natural loops and their nesting.
-pub fn natural_loops(f: &Function) -> Vec<NaturalLoop> {
-    let idom = dominators(f);
-    let preds = f.predecessors();
+/// Discover all natural loops and their nesting, sorted by header, from
+/// the function's predecessor table.
+pub fn natural_loops(f: &Function, preds: &Preds) -> Vec<NaturalLoop> {
+    let n = f.blocks.len();
+    let idom = dominators(f, preds);
     // Back edge: b -> h where h dominates b.
-    let mut loops: HashMap<BlockId, NaturalLoop> = HashMap::new();
+    let mut list: Vec<NaturalLoop> = Vec::new();
+    let mut at_header: Vec<Option<usize>> = vec![None; n];
     for b in f.block_ids() {
         for h in f.successors(b) {
-            if dominates(&idom, h, b) {
-                let lp = loops.entry(h).or_insert_with(|| NaturalLoop {
+            if h.0 as usize >= n || !dominates(&idom, h, b) {
+                continue;
+            }
+            let li = *at_header[h.0 as usize].get_or_insert_with(|| {
+                list.push(NaturalLoop {
                     header: h,
-                    blocks: BTreeSet::new(),
+                    blocks: BlockSet::empty(n),
                     latches: Vec::new(),
                     depth: 1,
                     parent: None,
                 });
-                lp.latches.push(b);
-                // Collect the loop body: backwards reachability from the
-                // latch without passing through the header.
-                let mut work = vec![b];
-                lp.blocks.insert(h);
-                while let Some(x) = work.pop() {
-                    if lp.blocks.insert(x) {
-                        for &p in &preds[x.0 as usize] {
-                            work.push(p);
-                        }
-                    } else if x == h {
-                        continue;
-                    }
+                list.len() - 1
+            });
+            let lp = &mut list[li];
+            lp.latches.push(b);
+            // Collect the loop body: backwards reachability from the
+            // latch without passing through the header.
+            lp.blocks.insert(h);
+            let mut work = vec![b];
+            while let Some(x) = work.pop() {
+                if lp.blocks.insert(x) {
+                    work.extend_from_slice(preds.of(x));
                 }
             }
         }
     }
-    let mut list: Vec<NaturalLoop> = loops.into_values().collect();
     list.sort_by_key(|l| l.header);
     // Nesting: loop i is nested in loop j if its header is inside j's blocks
     // (and they differ). Parent = smallest enclosing loop.
-    let snapshot: Vec<(BlockId, BTreeSet<BlockId>)> =
-        list.iter().map(|l| (l.header, l.blocks.clone())).collect();
-    for (i, lp) in list.iter_mut().enumerate() {
-        let mut best: Option<(usize, usize)> = None; // (index, size)
-        for (j, (hj, bj)) in snapshot.iter().enumerate() {
-            if i != j && bj.contains(&lp.header) && *hj != lp.header {
-                let size = bj.len();
-                if best.is_none_or(|(_, s)| size < s) {
-                    best = Some((j, size));
+    let parents: Vec<Option<usize>> = list
+        .iter()
+        .enumerate()
+        .map(|(i, lp)| {
+            let mut best: Option<(usize, usize)> = None; // (index, size)
+            for (j, other) in list.iter().enumerate() {
+                if i != j && other.blocks.contains(lp.header) {
+                    let size = other.blocks.len();
+                    if best.is_none_or(|(_, s)| size < s) {
+                        best = Some((j, size));
+                    }
                 }
             }
-        }
-        lp.parent = best.map(|(j, _)| j);
-    }
+            best.map(|(j, _)| j)
+        })
+        .collect();
     // Depths.
-    let parents: Vec<Option<usize>> = list.iter().map(|l| l.parent).collect();
-    for i in 0..list.len() {
+    for (i, lp) in list.iter_mut().enumerate() {
+        lp.parent = parents[i];
         let mut d = 1;
         let mut p = parents[i];
         while let Some(j) = p {
             d += 1;
             p = parents[j];
         }
-        list[i].depth = d;
+        lp.depth = d;
     }
     list
 }
 
 /// The extent of a Tapir detach region: blocks reachable from `body` without
 /// passing a `reattach` terminator (the reattach block is included).
-pub fn detach_region(f: &Function, body: BlockId) -> BTreeSet<BlockId> {
-    let mut region = BTreeSet::new();
+pub fn detach_region(f: &Function, body: BlockId) -> BlockSet {
+    let mut region = BlockSet::empty(f.blocks.len());
     let mut work = vec![body];
     while let Some(b) = work.pop() {
         if !region.insert(b) {
@@ -188,57 +288,69 @@ pub fn detach_region(f: &Function, body: BlockId) -> BTreeSet<BlockId> {
         }
         let is_reattach = f
             .terminator(b)
-            .map(|t| matches!(t.op, Op::Reattach { .. }))
-            .unwrap_or(false);
+            .is_some_and(|t| matches!(t.op, Op::Reattach { .. }));
         if !is_reattach {
-            for s in f.successors(b) {
-                work.push(s);
-            }
+            work.extend(f.successors(b));
         }
     }
     region
 }
 
-/// Values flowing into / out of a block region.
-#[derive(Debug, Clone, Default)]
-pub struct RegionValues {
-    /// Instruction results defined outside, used inside (live-ins).
-    pub in_values: BTreeSet<InstrId>,
-    /// Function arguments used inside.
-    pub in_args: BTreeSet<u32>,
-    /// Instruction results defined inside, used outside (live-outs).
-    pub out_values: BTreeSet<InstrId>,
+/// Per-function def-use index: the instructions each block defines (by
+/// their `block` field, ascending) and, for each instruction, the block of
+/// every instruction that reads its result (one entry per use, in block
+/// order).
+#[derive(Debug, Clone)]
+pub struct Uses {
+    defs: Groups<InstrId>,
+    uses: Groups<BlockId>,
 }
 
-/// Compute the live-ins and live-outs of a region (the paper's task-closure
-/// capture in §3.6).
-pub fn region_values(f: &Function, region: &BTreeSet<BlockId>) -> RegionValues {
-    let mut rv = RegionValues::default();
-    let in_region = |iid: InstrId| -> bool { region.contains(&f.instr(iid).block) };
-    for b in f.block_ids() {
-        let inside = region.contains(&b);
-        for (_iid, instr) in f.block_instrs(b) {
-            for opnd in &instr.operands {
-                match opnd {
-                    ValueRef::Instr(d) => {
-                        let def_inside = in_region(*d);
-                        if inside && !def_inside {
-                            rv.in_values.insert(*d);
-                        } else if !inside && def_inside {
-                            rv.out_values.insert(*d);
-                        }
-                    }
-                    ValueRef::Arg(n) => {
-                        if inside {
-                            rv.in_args.insert(*n);
-                        }
-                    }
-                    ValueRef::Const(_) => {}
-                }
-            }
-        }
+impl Uses {
+    /// Index `f`: its definitions by block, and every operand use of an
+    /// instruction result, walking each block's instruction list.
+    pub fn new(f: &Function) -> Uses {
+        let (nb, n) = (f.blocks.len(), f.instrs.len());
+        let defs = Groups::new(nb, || {
+            f.instrs
+                .iter()
+                .enumerate()
+                .filter(move |(_, instr)| (instr.block.0 as usize) < nb)
+                .map(|(i, instr)| (instr.block.0 as usize, InstrId(i as u32)))
+        });
+        let uses = Groups::new(n, || {
+            f.blocks.iter().enumerate().flat_map(move |(b, block)| {
+                block
+                    .instrs
+                    .iter()
+                    .filter_map(|&i| f.instrs.get(i.0 as usize))
+                    .flat_map(|instr| &instr.operands)
+                    .filter_map(ValueRef::as_instr)
+                    .filter(move |d| (d.0 as usize) < n)
+                    .map(move |d| (d.0 as usize, BlockId(b as u32)))
+            })
+        });
+        Uses { defs, uses }
     }
-    rv
+
+    /// The blocks reading `d`'s result; empty for an id out of range.
+    pub fn of(&self, d: InstrId) -> &[BlockId] {
+        self.uses.of(d.0 as usize)
+    }
+}
+
+/// The live-outs of a block region (a loop task's results, §3.6):
+/// instructions defined inside `region` whose result is read outside it,
+/// ascending by id.
+pub fn live_outs(uses: &Uses, region: &BlockSet) -> Vec<InstrId> {
+    let mut outs: Vec<InstrId> = region
+        .iter()
+        .flat_map(|b| uses.defs.of(b.0 as usize))
+        .copied()
+        .filter(|&d| uses.of(d).iter().any(|&b| !region.contains(b)))
+        .collect();
+    outs.sort_unstable();
+    outs
 }
 
 /// Symbol appearing in an affine address form: a loop-invariant value.
@@ -358,13 +470,13 @@ impl Affine {
 }
 
 /// Compute the affine form of `v` with respect to induction variable `iv`
-/// (a φ at the header of `lp`). Values defined outside the loop are treated
-/// as loop-invariant symbols.
-pub fn affine_of(f: &Function, v: ValueRef, iv: InstrId, lp: &NaturalLoop) -> Affine {
-    affine_rec(f, v, iv, lp, 0)
+/// (a φ at the header of the loop whose blocks are `scope`). Values
+/// defined outside `scope` are treated as loop-invariant symbols.
+pub fn affine_of(f: &Function, v: ValueRef, iv: InstrId, scope: &BlockSet) -> Affine {
+    affine_rec(f, v, iv, scope, 0)
 }
 
-fn affine_rec(f: &Function, v: ValueRef, iv: InstrId, lp: &NaturalLoop, depth: u32) -> Affine {
+fn affine_rec(f: &Function, v: ValueRef, iv: InstrId, scope: &BlockSet, depth: u32) -> Affine {
     if depth > 32 {
         return Affine::Opaque;
     }
@@ -379,25 +491,22 @@ fn affine_rec(f: &Function, v: ValueRef, iv: InstrId, lp: &NaturalLoop, depth: u
             if id == iv {
                 return Affine::iv();
             }
-            let instr = f.instr(id);
-            if !lp.blocks.contains(&instr.block) {
+            let Some(instr) = f.instrs.get(id.0 as usize) else {
+                return Affine::Opaque;
+            };
+            if !scope.contains(instr.block) {
                 // Loop-invariant: opaque but stable symbol.
                 return Affine::sym(Sym::Instr(id));
             }
+            let operand = |k: usize| match instr.operands.get(k) {
+                Some(&o) => affine_rec(f, o, iv, scope, depth + 1),
+                None => Affine::Opaque,
+            };
             match &instr.op {
-                Op::Bin(BinOp::Add) => {
-                    let a = affine_rec(f, instr.operands[0], iv, lp, depth + 1);
-                    let b = affine_rec(f, instr.operands[1], iv, lp, depth + 1);
-                    a.add(b, 1)
-                }
-                Op::Bin(BinOp::Sub) => {
-                    let a = affine_rec(f, instr.operands[0], iv, lp, depth + 1);
-                    let b = affine_rec(f, instr.operands[1], iv, lp, depth + 1);
-                    a.add(b, -1)
-                }
+                Op::Bin(BinOp::Add) => operand(0).add(operand(1), 1),
+                Op::Bin(BinOp::Sub) => operand(0).add(operand(1), -1),
                 Op::Bin(BinOp::Mul) => {
-                    let a = affine_rec(f, instr.operands[0], iv, lp, depth + 1);
-                    let b = affine_rec(f, instr.operands[1], iv, lp, depth + 1);
+                    let (a, b) = (operand(0), operand(1));
                     match (a.as_const(), b.as_const()) {
                         (Some(k), _) => b.scale_by(k),
                         (_, Some(k)) => a.scale_by(k),
@@ -405,14 +514,13 @@ fn affine_rec(f: &Function, v: ValueRef, iv: InstrId, lp: &NaturalLoop, depth: u
                     }
                 }
                 Op::Bin(BinOp::Shl) => {
-                    let a = affine_rec(f, instr.operands[0], iv, lp, depth + 1);
-                    let b = affine_rec(f, instr.operands[1], iv, lp, depth + 1);
+                    let (a, b) = (operand(0), operand(1));
                     match b.as_const() {
                         Some(k) if (0..32).contains(&k) => a.scale_by(1 << k),
                         _ => Affine::Opaque,
                     }
                 }
-                Op::Cast(_) => affine_rec(f, instr.operands[0], iv, lp, depth + 1),
+                Op::Cast(_) => operand(0),
                 _ => Affine::Opaque,
             }
         }
@@ -441,24 +549,19 @@ pub fn induction_var(f: &Function, lp: &NaturalLoop) -> Option<InstrId> {
 
 /// Blocks of `base` plus every detach region spawned (transitively) from a
 /// block in the set — the full extent of code a loop iteration may execute.
-pub fn expand_with_detach(f: &Function, base: BTreeSet<BlockId>) -> BTreeSet<BlockId> {
+pub fn expand_with_detach(f: &Function, base: BlockSet) -> BlockSet {
     let mut set = base;
-    loop {
-        let mut grew = false;
-        let snapshot: Vec<BlockId> = set.iter().copied().collect();
-        for b in snapshot {
-            if let Some(t) = f.terminator(b) {
-                if let Op::Detach { body, .. } = t.op {
-                    for r in detach_region(f, body) {
-                        grew |= set.insert(r);
-                    }
+    let mut work: Vec<BlockId> = set.iter().collect();
+    while let Some(b) = work.pop() {
+        if let Some(Op::Detach { body, .. }) = f.terminator(b).map(|t| &t.op) {
+            for r in detach_region(f, *body).iter() {
+                if set.insert(r) {
+                    work.push(r);
                 }
             }
         }
-        if !grew {
-            return set;
-        }
     }
+    set
 }
 
 /// Conservative loop-carried memory dependence test.
@@ -533,28 +636,23 @@ fn loop_dependence_impl(
             carried_objects: Vec::new(),
         };
     };
-    let blocks = expand_with_detach(f, lp.blocks.clone());
     // Affine forms must treat everything the iteration executes as
     // in-scope, so defs inside detach regions do not look loop-invariant.
-    let scan_lp = NaturalLoop {
-        header: lp.header,
-        blocks: blocks.clone(),
-        latches: lp.latches.clone(),
-        depth: lp.depth,
-        parent: lp.parent,
+    let blocks = expand_with_detach(f, lp.blocks.clone());
+    let addr = |instr: &crate::instr::Instr| match instr.operands.first() {
+        Some(&a) => affine_of(f, a, iv, &blocks),
+        None => Affine::Opaque,
     };
-    let lp = &scan_lp;
     let mut stores: Vec<(MemObjId, Affine)> = Vec::new();
     let mut accesses: Vec<(MemObjId, Affine, bool)> = Vec::new(); // (obj, addr, is_store)
-    for &b in &blocks {
+    for b in blocks.iter() {
         for (_iid, instr) in f.block_instrs(b) {
             match &instr.op {
                 Op::Load { obj } => {
-                    let a = affine_of(f, instr.operands[0], iv, lp);
-                    accesses.push((*obj, a, false));
+                    accesses.push((*obj, addr(instr), false));
                 }
                 Op::Store { obj } => {
-                    let a = affine_of(f, instr.operands[0], iv, lp);
+                    let a = addr(instr);
                     stores.push((*obj, a.clone()));
                     accesses.push((*obj, a, true));
                 }
@@ -669,7 +767,7 @@ mod tests {
     #[test]
     fn dominators_of_loop() {
         let f = loop_func();
-        let idom = dominators(&f);
+        let idom = dominators(&f, &f.predecessors());
         // Every reachable block has an idom.
         for b in f.block_ids() {
             assert!(idom[b.0 as usize].is_some(), "{b} unreachable?");
@@ -683,12 +781,12 @@ mod tests {
     #[test]
     fn finds_natural_loop() {
         let f = loop_func();
-        let loops = natural_loops(&f);
+        let loops = natural_loops(&f, &f.predecessors());
         assert_eq!(loops.len(), 1);
         let lp = &loops[0];
         assert_eq!(lp.depth, 1);
         assert_eq!(lp.latches.len(), 1);
-        assert!(lp.blocks.contains(&lp.header));
+        assert!(lp.blocks.contains(lp.header));
         assert!(induction_var(&f, lp).is_some());
     }
 
@@ -702,7 +800,7 @@ mod tests {
         });
         b.ret(None);
         let f = b.finish();
-        let loops = natural_loops(&f);
+        let loops = natural_loops(&f, &f.predecessors());
         assert_eq!(loops.len(), 2);
         let depths: BTreeSet<u32> = loops.iter().map(|l| l.depth).collect();
         assert_eq!(depths, BTreeSet::from([1, 2]));
@@ -730,31 +828,97 @@ mod tests {
         let region = detach_region(&f, det);
         // Region contains the task body and stops at reattach.
         assert!(!region.is_empty());
-        for b_ in &region {
-            let t = f.terminator(*b_).unwrap();
+        for b_ in region.iter() {
+            let t = f.terminator(b_).unwrap();
             // No region block branches back to the pfor header except via
             // reattach semantics; the continuation is outside.
             if let Op::Reattach { cont } = t.op {
-                assert!(!region.contains(&cont));
+                assert!(!region.contains(cont));
             }
         }
     }
 
     #[test]
-    fn region_live_values() {
+    fn loop_live_outs() {
         let mut m = Module::new("t");
         let a = m.add_mem_object("a", ScalarType::I32, 8);
         let mut b = FunctionBuilder::new("f", &[Type::I64]).with_mem(&m);
         let outside = b.add(b.arg(0), ValueRef::int(1));
-        b.for_loop(0, ValueRef::int(8), 1, |b, i| {
-            let s = b.add(i, outside);
-            b.store(a, i, s);
-        });
+        let sums = b.for_loop_acc(
+            ValueRef::int(0),
+            ValueRef::int(8),
+            1,
+            &[(ValueRef::int(0), Type::I64)],
+            |b, i, accs| {
+                let s = b.add(i, outside);
+                b.store(a, i, s);
+                vec![b.add(accs[0], s)]
+            },
+        );
+        b.store(a, ValueRef::int(0), sums[0]);
         b.ret(None);
         let f = b.finish();
-        let loops = natural_loops(&f);
-        let rv = region_values(&f, &loops[0].blocks);
-        assert!(rv.in_values.contains(&outside.as_instr().unwrap()));
+        let loops = natural_loops(&f, &f.predecessors());
+        let region = expand_with_detach(&f, loops[0].blocks.clone());
+        let uses = Uses::new(&f);
+        // The accumulator φ is read after the loop; `outside` is a live-in
+        // and the per-iteration `s` never leaves it.
+        let outs = live_outs(&uses, &region);
+        assert_eq!(outs, vec![sums[0].as_instr().unwrap()]);
+        assert!(uses
+            .of(outside.as_instr().unwrap())
+            .iter()
+            .all(|&u| region.contains(u)));
+        assert!(uses.of(InstrId(u32::MAX)).is_empty());
+        // The whole function has no live-outs; an empty region none either.
+        assert!(live_outs(&uses, &BlockSet::full(f.blocks.len())).is_empty());
+        assert!(live_outs(&uses, &BlockSet::empty(f.blocks.len())).is_empty());
+    }
+
+    #[test]
+    fn block_sets_walk_ascending_and_refuse_out_of_range_ids() {
+        let mut s = BlockSet::empty(130);
+        for b in [129, 3, 64, 3, 0, 63] {
+            s.insert(BlockId(b));
+        }
+        assert!(!s.insert(BlockId(130)) && !s.contains(BlockId(130)));
+        assert!(!s.contains(BlockId(u32::MAX)));
+        let walk: Vec<u32> = s.iter().map(|b| b.0).collect();
+        assert_eq!(walk, [0, 3, 63, 64, 129]);
+        assert_eq!(s.len(), 5);
+        assert_eq!(BlockSet::full(130).len(), 130);
+        assert_eq!(BlockSet::full(128).iter().last(), Some(BlockId(127)));
+        let rest = BlockSet::full(130).difference(&s);
+        assert_eq!(rest.len(), 125);
+        let mut all = rest.clone();
+        all.union_with(&s);
+        assert_eq!(all, BlockSet::full(130));
+        assert!(BlockSet::empty(0).is_empty() && BlockSet::full(0).is_empty());
+    }
+
+    #[test]
+    fn analyses_tolerate_out_of_range_block_ids() {
+        let mut b = FunctionBuilder::new("bad", &[]);
+        b.push(
+            Op::Detach {
+                body: BlockId(50),
+                cont: BlockId(60),
+            },
+            None,
+            vec![],
+        );
+        let mut f = b.finish();
+        assert_eq!(reverse_post_order(&f), vec![f.entry]);
+        let preds = f.predecessors();
+        assert!(natural_loops(&f, &preds).is_empty());
+        assert!(detach_region(&f, BlockId(9)).is_empty());
+        assert_eq!(expand_with_detach(&f, detach_region(&f, f.entry)).len(), 1);
+        assert!(!dominates(&dominators(&f, &preds), BlockId(3), BlockId(7)));
+        f.entry = BlockId(5);
+        assert!(reverse_post_order(&f).is_empty());
+        assert!(dominators(&f, &f.predecessors())
+            .iter()
+            .all(Option::is_none));
     }
 
     #[test]
@@ -770,7 +934,7 @@ mod tests {
         });
         b.ret(None);
         let f = b.finish();
-        let loops = natural_loops(&f);
+        let loops = natural_loops(&f, &f.predecessors());
         let lp = &loops[0];
         let iv = induction_var(&f, lp).unwrap();
         // Find the load's address.
@@ -782,7 +946,7 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        match affine_of(&f, addr, iv, lp) {
+        match affine_of(&f, addr, iv, &lp.blocks) {
             Affine::Affine { scale, konst, syms } => {
                 assert_eq!(scale, 4);
                 assert_eq!(konst, 3);
@@ -804,7 +968,7 @@ mod tests {
         });
         b.ret(None);
         let f = b.finish();
-        let loops = natural_loops(&f);
+        let loops = natural_loops(&f, &f.predecessors());
         let dep = loop_dependence(&f, &loops[0]);
         assert!(dep.parallel, "{dep:?}");
     }
@@ -822,7 +986,7 @@ mod tests {
         });
         b.ret(None);
         let f = b.finish();
-        let loops = natural_loops(&f);
+        let loops = natural_loops(&f, &f.predecessors());
         let dep = loop_dependence(&f, &loops[0]);
         assert!(!dep.parallel);
         assert_eq!(dep.carried_objects, vec![a]);
@@ -841,7 +1005,7 @@ mod tests {
         });
         b.ret(None);
         let f = b.finish();
-        let loops = natural_loops(&f);
+        let loops = natural_loops(&f, &f.predecessors());
         let dep = loop_dependence(&f, &loops[0]);
         assert!(!dep.parallel);
     }
@@ -858,7 +1022,7 @@ mod tests {
         });
         b.ret(None);
         let f = b.finish();
-        let loops = natural_loops(&f);
+        let loops = natural_loops(&f, &f.predecessors());
         let dep = loop_dependence(&f, &loops[0]);
         assert!(dep.parallel);
     }

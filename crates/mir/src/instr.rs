@@ -411,15 +411,14 @@ impl Op {
         matches!(self, Op::Load { .. } | Op::Store { .. })
     }
 
-    /// Successor blocks of a terminator (empty for non-terminators and `Ret`).
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Op::Br { target } => vec![*target],
-            Op::CondBr { t, f } => vec![*t, *f],
-            Op::Detach { body, cont } => vec![*body, *cont],
-            Op::Reattach { .. } => vec![],
-            Op::Sync { cont } => vec![*cont],
-            _ => vec![],
+    /// Successor blocks of a terminator (empty for non-terminators,
+    /// `Ret` and `Reattach`), held inline.
+    pub fn successors(&self) -> Succs {
+        match *self {
+            Op::Br { target } | Op::Sync { cont: target } => Succs::new([target, target], 1),
+            Op::CondBr { t, f } => Succs::new([t, f], 2),
+            Op::Detach { body, cont } => Succs::new([body, cont], 2),
+            _ => Succs::new([BlockId(0); 2], 0),
         }
     }
 
@@ -445,6 +444,37 @@ impl Op {
             Op::Reattach { .. } => "reattach".to_string(),
             Op::Sync { .. } => "sync".to_string(),
         }
+    }
+}
+
+/// A terminator's successor blocks, at most two, without a heap list:
+/// dereferences to a slice in branch order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Succs {
+    blocks: [BlockId; 2],
+    len: u8,
+}
+
+impl Succs {
+    fn new(blocks: [BlockId; 2], len: u8) -> Succs {
+        Succs { blocks, len }
+    }
+}
+
+impl std::ops::Deref for Succs {
+    type Target = [BlockId];
+
+    fn deref(&self) -> &[BlockId] {
+        &self.blocks[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Succs {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.blocks.into_iter().take(usize::from(self.len))
     }
 }
 
@@ -491,9 +521,18 @@ mod tests {
             t: BlockId(1),
             f: BlockId(2),
         };
-        assert_eq!(op.successors(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(*op.successors(), [BlockId(1), BlockId(2)]);
         assert!(Op::Ret.successors().is_empty());
-        assert_eq!(Op::Sync { cont: BlockId(3) }.successors(), vec![BlockId(3)]);
+        assert!(Op::Reattach { cont: BlockId(3) }.successors().is_empty());
+        assert_eq!(*Op::Sync { cont: BlockId(3) }.successors(), [BlockId(3)]);
+        let order: Vec<BlockId> = Op::Detach {
+            body: BlockId(4),
+            cont: BlockId(5),
+        }
+        .successors()
+        .into_iter()
+        .collect();
+        assert_eq!(order, [BlockId(4), BlockId(5)]);
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! * [`flat`] values — a kind byte and a 64-bit word, composites as lanes
 //!   in a buffer — with the one table of scalar and tile semantics that
 //!   the interpreter's evaluators and the simulator's firings share,
-//! * [`analysis`] passes: dominators, natural loops, live-ins, affine
-//!   address and loop-carried dependence analysis.
+//! * [`analysis`] passes over flat per-function tables (predecessors,
+//!   block sets, a use index): dominators, natural loops, loop live-outs,
+//!   affine address and loop-carried dependence analysis.
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
 //! Functions, basic blocks, memory objects, and modules.
 
-use crate::instr::{BlockId, FuncId, Instr, InstrId, MemObjId, Op, ValueRef};
+use crate::instr::{BlockId, FuncId, Instr, InstrId, MemObjId, Op, Succs, ValueRef};
 use crate::types::{ScalarType, Type};
 
 /// A basic block: a straight-line instruction list ending in a terminator.
@@ -69,26 +69,25 @@ impl Function {
     }
 
     /// Successor blocks of `id` in the CFG.
-    pub fn successors(&self, id: BlockId) -> Vec<BlockId> {
+    pub fn successors(&self, id: BlockId) -> Succs {
         self.terminator(id)
-            .map(|t| t.op.successors())
-            .unwrap_or_default()
+            .map_or(Op::Ret.successors(), |t| t.op.successors())
     }
 
-    /// Predecessor map: for each block, the blocks that branch to it.
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for b in 0..self.blocks.len() {
-            let id = BlockId(b as u32);
-            for s in self.successors(id) {
-                // Out-of-range targets are reported by the verifier; don't
-                // panic while computing predecessors for it.
-                if let Some(p) = preds.get_mut(s.0 as usize) {
-                    p.push(id);
-                }
-            }
-        }
-        preds
+    /// The predecessor table: for each block, the blocks that branch to
+    /// it, in ascending source order (once per branching edge).
+    pub fn predecessors(&self) -> Preds {
+        let n = self.blocks.len();
+        // Out-of-range targets are reported by the verifier; they are
+        // left out here rather than panicking.
+        Preds(Groups::new(n, || {
+            self.block_ids().flat_map(move |b| {
+                self.successors(b)
+                    .into_iter()
+                    .filter(move |s| (s.0 as usize) < n)
+                    .map(move |s| (s.0 as usize, b))
+            })
+        }))
     }
 
     /// All block ids in arena order.
@@ -116,6 +115,66 @@ impl Function {
     /// Number of memory operations in the function.
     pub fn mem_op_count(&self) -> usize {
         self.instrs.iter().filter(|i| i.op.is_mem()).count()
+    }
+}
+
+/// Values grouped by a dense key in one flat table: group `k` is
+/// `values[offsets[k]..offsets[k + 1]]`, in the order the pairs came.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Groups<V> {
+    offsets: Vec<u32>,
+    values: Vec<V>,
+}
+
+impl<V: Copy> Groups<V> {
+    /// Group the `(key, value)` pairs `pairs` yields, every key below `n`:
+    /// one pass counts, a second places.
+    pub(crate) fn new<I: Iterator<Item = (usize, V)>>(
+        n: usize,
+        pairs: impl Fn() -> I,
+    ) -> Groups<V> {
+        let mut offsets = vec![0u32; n + 1];
+        let mut first = None;
+        for (k, v) in pairs() {
+            offsets[k + 1] += 1;
+            first.get_or_insert(v);
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let Some(fill) = first else {
+            return Groups {
+                offsets,
+                values: Vec::new(),
+            };
+        };
+        let mut next = offsets.clone();
+        let mut values = vec![fill; offsets[n] as usize];
+        for (k, v) in pairs() {
+            values[next[k] as usize] = v;
+            next[k] += 1;
+        }
+        Groups { offsets, values }
+    }
+
+    /// Group `k`; empty for a key out of range.
+    pub(crate) fn of(&self, k: usize) -> &[V] {
+        match (self.offsets.get(k), self.offsets.get(k + 1)) {
+            (Some(&lo), Some(&hi)) => &self.values[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
+/// A function's CFG predecessor lists in one flat table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Preds(Groups<BlockId>);
+
+impl Preds {
+    /// The predecessors of `b`, in ascending source order; empty for a
+    /// block id out of range.
+    pub fn of(&self, b: BlockId) -> &[BlockId] {
+        self.0.of(b.0 as usize)
     }
 }
 
@@ -264,10 +323,30 @@ mod tests {
     fn cfg_queries() {
         let m = tiny_module();
         let f = m.main().unwrap();
-        assert_eq!(f.successors(f.entry), vec![]);
+        assert!(f.successors(f.entry).is_empty());
         assert!(f.terminator(f.entry).is_some());
         let preds = f.predecessors();
-        assert!(preds[f.entry.0 as usize].is_empty());
+        assert!(preds.of(f.entry).is_empty());
+        assert!(preds.of(BlockId(99)).is_empty());
+    }
+
+    #[test]
+    fn predecessor_table_lists_every_edge_in_source_order() {
+        let mut b = FunctionBuilder::new("p", &[]);
+        let (x, y, d) = (b.block("x"), b.block("y"), b.block("dangling"));
+        b.cond_br(ValueRef::Const(crate::instr::ConstVal::Bool(true)), y, y);
+        b.switch_to(x);
+        b.br(y);
+        b.switch_to(y);
+        b.ret(None);
+        // A branch past the last block is the verifier's to report.
+        b.switch_to(d);
+        b.br(BlockId(77));
+        let f = b.finish();
+        let preds = f.predecessors();
+        assert_eq!(preds.of(y), [f.entry, f.entry, x]);
+        assert!(preds.of(x).is_empty());
+        assert!(preds.of(d).is_empty());
     }
 
     #[test]

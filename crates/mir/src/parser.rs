@@ -39,6 +39,39 @@ fn perr(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
+/// Split `s` around its first `open` and the first `close` after it:
+/// `(before, inside, after)`.
+fn bracketed(
+    s: &str,
+    open: char,
+    close: char,
+    line: usize,
+) -> Result<(&str, &str, &str), ParseError> {
+    let (before, rest) = s
+        .split_once(open)
+        .ok_or_else(|| perr(line, format!("missing {open}")))?;
+    let (inside, after) = rest
+        .split_once(close)
+        .ok_or_else(|| perr(line, format!("missing {close} after {open}")))?;
+    Ok((before, inside, after))
+}
+
+/// A `RxC` tile shape; both dimensions must be nonzero.
+fn parse_shape(r: &str, c: &str, line: usize) -> Result<TensorShape, ParseError> {
+    let rows: u8 = r
+        .trim()
+        .parse()
+        .map_err(|_| perr(line, "bad tensor rows"))?;
+    let cols: u8 = c
+        .trim()
+        .parse()
+        .map_err(|_| perr(line, "bad tensor cols"))?;
+    if rows == 0 || cols == 0 {
+        return Err(perr(line, "tensor shape dimensions must be nonzero"));
+    }
+    Ok(TensorShape::new(rows, cols))
+}
+
 fn parse_scalar_type(s: &str, line: usize) -> Result<ScalarType, ParseError> {
     match s {
         "i1" => Ok(ScalarType::I1),
@@ -62,17 +95,9 @@ fn parse_type(s: &str, line: usize) -> Result<Type, ParseError> {
         let (r, c) = shape
             .split_once('x')
             .ok_or_else(|| perr(line, "malformed tensor shape"))?;
-        let rows: u8 = r
-            .trim()
-            .parse()
-            .map_err(|_| perr(line, "bad tensor rows"))?;
-        let cols: u8 = c
-            .trim()
-            .parse()
-            .map_err(|_| perr(line, "bad tensor cols"))?;
         return Ok(Type::Tensor {
             elem: parse_scalar_type(elem.trim(), line)?,
-            shape: TensorShape::new(rows, cols),
+            shape: parse_shape(r, c, line)?,
         });
     }
     if let Some(rest) = s.strip_prefix('<') {
@@ -301,9 +326,7 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
                 .strip_prefix("global")
                 .map(str::trim)
                 .unwrap_or(rest);
-            let open = rest.find('[').ok_or_else(|| perr(lineno, "missing ["))?;
-            let close = rest.find(']').ok_or_else(|| perr(lineno, "missing ]"))?;
-            let inner = &rest[open + 1..close];
+            let (_, inner, meta) = bracketed(rest, '[', ']', lineno)?;
             let (len_s, elem_s) = inner
                 .split_once(" x ")
                 .ok_or_else(|| perr(lineno, "malformed array type"))?;
@@ -312,7 +335,7 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
                 .parse()
                 .map_err(|_| perr(lineno, "bad length"))?;
             let elem = parse_scalar_type(elem_s.trim(), lineno)?;
-            let meta = rest[close + 1..].trim().trim_start_matches(';').trim();
+            let meta = meta.trim().trim_start_matches(';').trim();
             let read_only = meta.ends_with("readonly");
             let name = meta.trim_end_matches("readonly").trim();
             let id = module.add_mem_object(name, elem, len);
@@ -331,11 +354,9 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
             } else {
                 Some(parse_type(ret_s, lineno)?)
             };
-            let open = rest.find('(').ok_or_else(|| perr(lineno, "missing ("))?;
-            let close = rest.rfind(')').ok_or_else(|| perr(lineno, "missing )"))?;
-            let name = rest[..open].trim().to_string();
+            let (name, plist, _) = bracketed(rest, '(', ')', lineno)?;
+            let name = name.trim().to_string();
             let mut params = Vec::new();
-            let plist = &rest[open + 1..close];
             if !plist.trim().is_empty() {
                 for p in split_operands(plist) {
                     let ty_s = p
@@ -432,14 +453,13 @@ fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> 
     }
     if mnemonic == "load" || mnemonic == "store" {
         // load @memN[idx]   |   store @memN[idx], value
-        let open = rest.find('[').ok_or_else(|| perr(line, "missing ["))?;
-        let close = rest.find(']').ok_or_else(|| perr(line, "missing ]"))?;
-        let obj = parse_mem_ref(&rest[..open], line)?;
-        let idx = parse_value(&rest[open + 1..close], line)?;
+        let (obj, idx, val_s) = bracketed(rest, '[', ']', line)?;
+        let obj = parse_mem_ref(obj, line)?;
+        let idx = parse_value(idx, line)?;
         if mnemonic == "load" {
             return Ok((Op::Load { obj }, vec![idx]));
         }
-        let val_s = rest[close + 1..].trim_start_matches(',').trim();
+        let val_s = val_s.trim_start_matches(',').trim();
         let val = parse_value(val_s, line)?;
         return Ok((Op::Store { obj }, vec![idx, val]));
     }
@@ -503,15 +523,14 @@ fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> 
     }
     if mnemonic == "call" {
         // call @fnK(args)
-        let open = rest.find('(').ok_or_else(|| perr(line, "missing ("))?;
-        let close = rest.rfind(')').ok_or_else(|| perr(line, "missing )"))?;
-        let callee = rest[..open]
+        let (callee, args, _) = bracketed(rest, '(', ')', line)?;
+        let callee = callee
             .trim()
             .strip_prefix("@fn")
             .and_then(|n| n.parse().ok())
             .map(FuncId)
             .ok_or_else(|| perr(line, "bad callee"))?;
-        let args = split_operands(&rest[open + 1..close])
+        let args = split_operands(args)
             .iter()
             .map(|a| parse_value(a, line))
             .collect::<Result<Vec<_>, _>>()?;
@@ -557,10 +576,7 @@ fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> 
             let (r, c) = shape_s
                 .split_once('x')
                 .ok_or_else(|| perr(line, "malformed shape"))?;
-            let shape = TensorShape::new(
-                r.parse().map_err(|_| perr(line, "bad rows"))?,
-                c.parse().map_err(|_| perr(line, "bad cols"))?,
-            );
+            let shape = parse_shape(r, c, line)?;
             let ops = split_operands(rest)
                 .iter()
                 .map(|a| parse_value(a, line))

@@ -2,7 +2,6 @@
 
 use crate::instr::{BlockId, Op, ValueRef};
 use crate::module::{Function, MemObject, Module};
-use std::collections::HashSet;
 use std::fmt;
 
 /// A structural verification failure.
@@ -33,13 +32,31 @@ fn err(function: &str, message: impl Into<String>) -> VerifyError {
     }
 }
 
+/// The operand counts `op` accepts, inclusive; `None` where another check
+/// fixes the count (a φ against its incoming blocks, a call against its
+/// callee) or any count goes (a detach's forwarded live-ins).
+fn operand_counts(op: &Op) -> Option<(usize, usize)> {
+    Some(match op {
+        Op::Un(_) | Op::Cast(_) | Op::Load { .. } | Op::CondBr { .. } => (1, 1),
+        Op::Bin(_) | Op::Cmp(_) | Op::Store { .. } => (2, 2),
+        Op::Select => (3, 3),
+        Op::Tensor(t, _) if t.is_unary() => (1, 1),
+        Op::Tensor(..) => (2, 2),
+        Op::Ret => (0, 1),
+        Op::Br { .. } | Op::Reattach { .. } | Op::Sync { .. } => (0, 0),
+        Op::Phi { .. } | Op::Call { .. } | Op::Detach { .. } => return None,
+    })
+}
+
 /// Verify one function against the module's memory objects.
 ///
 /// Checks: every block ends in exactly one terminator (and only the last
-/// instruction is a terminator); branch targets are in range; operand
-/// references are in range; φ nodes have matching pred/operand arity and
-/// only reference CFG predecessors; loads/stores reference existing memory
-/// objects; stores never write read-only objects.
+/// instruction is a terminator); branch targets are in range; every op has
+/// the operand count it takes; operand references are in range; φ nodes
+/// have at least one incoming value, matching pred/operand arity, and only
+/// reference CFG predecessors; loads/stores reference existing memory
+/// objects (a module without objects has none to reference); stores never
+/// write read-only objects.
 ///
 /// # Errors
 /// Returns the first problem found.
@@ -74,6 +91,18 @@ pub fn verify_function(f: &Function, mem_objects: &[MemObject]) -> Result<(), Ve
                     return Err(err(&f.name, format!("{iid} branches to missing {s}")));
                 }
             }
+            if let Some((lo, hi)) = operand_counts(&instr.op) {
+                let n = instr.operands.len();
+                if n < lo || n > hi {
+                    return Err(err(
+                        &f.name,
+                        format!(
+                            "{iid}: {} takes {lo}..={hi} operands, has {n}",
+                            instr.op.mnemonic()
+                        ),
+                    ));
+                }
+            }
             for opnd in &instr.operands {
                 match opnd {
                     ValueRef::Instr(i) => {
@@ -100,9 +129,11 @@ pub fn verify_function(f: &Function, mem_objects: &[MemObject]) -> Result<(), Ve
                     if phi_preds.len() != instr.operands.len() {
                         return Err(err(&f.name, format!("{iid}: phi arity mismatch")));
                     }
-                    let actual: HashSet<BlockId> = preds[bi].iter().copied().collect();
+                    if phi_preds.is_empty() {
+                        return Err(err(&f.name, format!("{iid}: phi has no incoming values")));
+                    }
                     for p in phi_preds {
-                        if !actual.contains(p) {
+                        if !preds.of(bid).contains(p) {
                             return Err(err(
                                 &f.name,
                                 format!("{iid}: phi incoming {p} is not a predecessor of {bid}"),
@@ -111,7 +142,7 @@ pub fn verify_function(f: &Function, mem_objects: &[MemObject]) -> Result<(), Ve
                     }
                 }
                 Op::Load { obj } | Op::Store { obj } => {
-                    if obj.0 as usize >= mem_objects.len() && !mem_objects.is_empty() {
+                    if obj.0 as usize >= mem_objects.len() {
                         return Err(err(&f.name, format!("{iid}: missing memory object {obj}")));
                     }
                     if let Op::Store { obj } = &instr.op {
@@ -222,6 +253,38 @@ mod tests {
         m.add_function(b.finish());
         let e = verify_module(&m).unwrap_err();
         assert!(e.message.contains("read-only"), "{e}");
+    }
+
+    #[test]
+    fn memory_reference_checked_without_objects() {
+        let mut b = FunctionBuilder::new("main", &[]);
+        b.push(
+            Op::Load {
+                obj: crate::instr::MemObjId(0),
+            },
+            Some(Type::F32),
+            vec![ValueRef::int(0)],
+        );
+        b.ret(None);
+        let e = verify_function(&b.finish(), &[]).unwrap_err();
+        assert!(e.message.contains("missing memory object @mem0"), "{e}");
+    }
+
+    #[test]
+    fn operand_counts_checked() {
+        let mut b = FunctionBuilder::new("bad", &[]);
+        b.push(Op::Bin(BinOp::Add), Some(Type::I64), vec![ValueRef::int(1)]);
+        b.ret(None);
+        let e = verify_function(&b.finish(), &[]).unwrap_err();
+        assert!(e.message.contains("add takes 2..=2 operands, has 1"), "{e}");
+        let mut b = FunctionBuilder::new("bad", &[]);
+        b.push(Op::Ret, None, vec![ValueRef::int(1), ValueRef::int(2)]);
+        assert!(verify_function(&b.finish(), &[]).is_err());
+        let mut b = FunctionBuilder::new("bad", &[]);
+        b.push(Op::Phi { preds: vec![] }, Some(Type::I64), vec![]);
+        b.ret(None);
+        let e = verify_function(&b.finish(), &[]).unwrap_err();
+        assert!(e.message.contains("no incoming"), "{e}");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 # GEMM/CONV-shaped graphs bit-identical in cycles and end-state hash,
 # numerics matching the hand-built workloads), the
 # tensor-graph fuzz smoke (seeded frontend graphs through parse ->
-# lower -> seal -> sim), the scheduler differential (sealed tables held
+# lower -> seal -> sim), the mir line-mutation fuzz (20 000 seeded edits of
+# the printed registry modules through parse -> verify -> translate: each
+# stage may refuse a case with its typed error, none may panic), the scheduler differential (sealed tables held
 # to the reference lowering, then Ready vs the Dense oracle over the same
 # artifact, plain, traced and faulted: a tiled workload in muir-sim, then
 # all 24 registry workloads), the one-hot-path gate (under crates/sim/src:
@@ -96,6 +98,9 @@ cargo run --release -q -p muir-bench --bin experiments -- tensor --gate
 
 echo "== tensor-graph fuzz smoke (10 seeded graphs through the frontend) =="
 cargo run --release -q -p muir-bench --bin experiments -- fuzz --tensor --graphs 10 --seed 0x7e50
+
+echo "== mir line-mutation fuzz (20 000 cases through parse -> verify -> translate, no panic) =="
+cargo run --release -q -p muir-bench --bin experiments -- fuzz --mir 20000 --seed 0x6d69
 
 echo "== check_lowering + Dense/Ready differential (tiled workload, plain/traced/faulted) =="
 cargo test --release -q -p muir-sim --lib ready_

@@ -294,7 +294,7 @@ fn affine_analysis_matches_concrete() {
         let f = b.finish();
         m.add_function(f);
         let f = m.main().unwrap();
-        let loops = natural_loops(f);
+        let loops = natural_loops(f, &f.predecessors());
         let iv = induction_var(f, &loops[0]).unwrap();
         let addr = f
             .instrs
@@ -304,7 +304,7 @@ fn affine_analysis_matches_concrete() {
                 _ => None,
             })
             .unwrap();
-        match affine_of(f, addr, iv, &loops[0]) {
+        match affine_of(f, addr, iv, &loops[0].blocks) {
             Affine::Affine {
                 scale: s,
                 konst,
