@@ -2,16 +2,18 @@
 //!
 //! ```text
 //! cargo run --release -p muir-bench --bin experiments [all|fig1|table2|fig9|
-//!     table3|fig11|fig12|fig15|fig16|fig17|fig18|table4|faults|--selftest|
-//!     profile <workload> [outdir]|trace-schema [schema.json]|
-//!     fuzz [--tensor] [--graphs N] [--seed S]|fuzz --mir N [--seed S]|
+//!     table3|fig11|fig12|fig15|fig16|fig17|fig18|table4|ablations|faults|
+//!     --selftest|profile <workload> [outdir]|trace-schema [schema.json]|
+//!     fuzz <graphs|tensor|mir> [N] [--seed S]|
 //!     tensor <file>|--builtin <name>|--gate|
-//!     soak <workload> [reps]|
 //!     dse [--workload W]...|--all [--seed S] [--budget N] [--threads T]
 //!         [--out PATH] [--store DIR]|
 //!     serve [store-root]|store-stats [store-root]|store-campaign [root]|
-//!     metrics <workload> [outdir]|stats|outcomes]
+//!     metrics <workload> [outdir]|stats|compile-stats|outcomes]
 //! ```
+//!
+//! A number is hex after `0x`, decimal when it is all digits, and hex
+//! otherwise. An unknown subcommand prints the usage line and exits 2.
 //!
 //! `faults` runs the differential fault-injection campaign (see
 //! `muir_bench::campaign`); `--selftest` checks the campaign's determinism
@@ -44,237 +46,200 @@ use muir_uopt::PassManager;
 use muir_workloads as workloads;
 use muir_workloads::by_name;
 
-const FUZZ_USAGE: &str =
-    "usage: experiments fuzz [--tensor] [--graphs N] [--seed S] | --mir N [--seed S]";
+const USAGE: &str = "usage: experiments [all|fig1|table2|fig9|table3|fig11|fig12|fig15|\
+                     fig16|fig17|fig18|table4|ablations|faults|--selftest|profile|\
+                     trace-schema|fuzz|tensor|dse|serve|store-stats|store-campaign|\
+                     metrics|stats|compile-stats|outcomes]";
+const FUZZ_USAGE: &str = "usage: experiments fuzz <graphs|tensor|mir> [N] [--seed S]";
 const DSE_USAGE: &str = "usage: experiments dse [--workload W]... | --all [--seed S] \
                          [--budget N] [--threads T] [--out PATH] [--store DIR]";
 
-/// The number after `flag` in `rest`, if the flag and a value are there:
-/// decimal when all digits, otherwise hex (with or without `0x`). A value
-/// that is neither prints `usage` and exits 2.
+/// A number on the command line: hex after `0x`, otherwise decimal when it
+/// is all digits and hex when it is not.
+fn parse_num(v: &str) -> Result<u64, std::num::ParseIntError> {
+    match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None if v.chars().all(|c| c.is_ascii_digit()) => v.parse(),
+        None => u64::from_str_radix(v, 16),
+    }
+}
+
+/// [`parse_num`] of `v`; a value that is not a number prints `usage` and
+/// exits 2.
+fn num_or_exit(v: &str, what: &str, usage: &str) -> u64 {
+    parse_num(v).unwrap_or_else(|e| {
+        eprintln!("bad {what} value `{v}`: {e}\n{usage}");
+        std::process::exit(2);
+    })
+}
+
+/// The number after `flag` in `rest`, if the flag and a value are there.
 fn num_after(rest: &[String], flag: &str, usage: &str) -> Option<u64> {
     let v = rest.get(rest.iter().position(|a| a == flag)? + 1)?;
-    let digits = v.trim_start_matches("0x");
-    let radix = if digits.chars().all(|c| c.is_ascii_digit()) {
-        10
-    } else {
-        16
-    };
-    Some(u64::from_str_radix(digits, radix).unwrap_or_else(|e| {
-        eprintln!("bad {flag} value `{v}`: {e}\n{usage}");
-        std::process::exit(2);
-    }))
+    Some(num_or_exit(v, flag, usage))
 }
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    if which == "--selftest" {
-        selftest();
-        return;
-    }
-    if which == "profile" {
-        let name = std::env::args().nth(2).unwrap_or_else(|| {
-            eprintln!("usage: experiments profile <workload> [outdir]");
-            std::process::exit(2);
-        });
-        let outdir = std::env::args()
-            .nth(3)
-            .unwrap_or_else(|| format!("target/profile/{}", name.to_lowercase()));
-        profile(&name, &outdir);
-        return;
-    }
-    if which == "fuzz" {
-        let rest: Vec<String> = std::env::args().skip(2).collect();
-        let arg_after = |flag: &str| num_after(&rest, flag, FUZZ_USAGE);
-        if let Some(cases) = arg_after("--mir") {
-            fuzz_mir(arg_after("--seed").unwrap_or(0x6d69), cases);
-            return;
-        }
-        let tensor = rest.iter().any(|a| a == "--tensor");
-        let graphs = arg_after("--graphs").unwrap_or(if tensor { 50 } else { 200 });
-        let seed = arg_after("--seed").unwrap_or(if tensor { 0x7e50 } else { 0xf022 });
-        fuzz(seed, graphs, tensor);
-        return;
-    }
-    if which == "tensor" {
-        let rest: Vec<String> = std::env::args().skip(2).collect();
-        if rest.iter().any(|a| a == "--gate") {
-            tensor_gate();
-            return;
-        }
-        let text = if let Some(p) = rest.iter().position(|a| a == "--builtin") {
-            let name = rest.get(p + 1).unwrap_or_else(|| {
-                eprintln!("usage: experiments tensor --builtin <attn|convnet|mt_infer>");
+    let rest: Vec<String> = std::env::args().skip(2).collect();
+    let arg = |i: usize| rest.get(i).cloned();
+    match which.as_str() {
+        "--selftest" => selftest(),
+        "profile" => {
+            let name = arg(0).unwrap_or_else(|| {
+                eprintln!("usage: experiments profile <workload> [outdir]");
                 std::process::exit(2);
             });
-            workloads::tensorgraph::builtin_graph(name)
-                .unwrap_or_else(|| {
-                    eprintln!("unknown builtin graph `{name}` (attn, convnet, mt_infer)");
+            let outdir =
+                arg(1).unwrap_or_else(|| format!("target/profile/{}", name.to_lowercase()));
+            profile(&name, &outdir);
+        }
+        "fuzz" => {
+            let name = arg(0).unwrap_or_default();
+            let (count, seed) = match name.as_str() {
+                "graphs" => (200, 0xf022),
+                "tensor" => (50, 0x7e50),
+                "mir" => (20_000, 0x6d69),
+                _ => {
+                    eprintln!("{FUZZ_USAGE}");
                     std::process::exit(2);
-                })
-                .to_string()
-        } else if let Some(f) = rest.iter().find(|a| !a.starts_with("--")) {
-            std::fs::read_to_string(f).unwrap_or_else(|e| {
-                eprintln!("cannot read `{f}`: {e}");
+                }
+            };
+            let count = match arg(1) {
+                Some(n) if !n.starts_with("--") => num_or_exit(&n, "N", FUZZ_USAGE),
+                _ => count,
+            };
+            fuzz(
+                &name,
+                num_after(&rest, "--seed", FUZZ_USAGE).unwrap_or(seed),
+                count,
+            );
+        }
+        "tensor" => tensor(&rest),
+        "trace-schema" => {
+            trace_schema(&arg(0).unwrap_or_else(|| "scripts/trace_schema.json".to_string()))
+        }
+        "compile-stats" => compile_stats(),
+        "outcomes" => {
+            for line in muir_bench::sched::outcome_lines() {
+                println!("{line}");
+            }
+        }
+        "metrics" => {
+            let name = arg(0).unwrap_or_else(|| {
+                eprintln!("usage: experiments metrics <workload> [outdir]");
                 std::process::exit(2);
-            })
-        } else {
-            eprintln!("usage: experiments tensor <file> | --builtin <name> | --gate");
+            });
+            let outdir =
+                arg(1).unwrap_or_else(|| format!("target/metrics/{}", name.to_lowercase()));
+            metrics(&name, &outdir);
+        }
+        "stats" => stats_report(),
+        "dse" => dse_args(&rest),
+        "serve" => serve(&arg(0).unwrap_or_else(|| "target/store-serve".to_string())),
+        "store-stats" => store_stats(&arg(0).unwrap_or_else(|| "target/store-serve".to_string())),
+        "store-campaign" => {
+            store_campaign(&arg(0).unwrap_or_else(|| "target/store-campaign".to_string()))
+        }
+        "all" => {
+            table2();
+            fig9();
+            fig11();
+            fig12();
+            fig15();
+            fig16();
+            fig17();
+            fig18();
+            table4();
+            fig1_table3();
+            faults();
+        }
+        "table2" => table2(),
+        "fig9" => fig9(),
+        "fig11" => fig11(),
+        "fig12" => fig12(),
+        "fig15" => fig15(),
+        "fig16" => fig16(),
+        "fig17" => fig17(),
+        "fig18" => fig18(),
+        "table4" => table4(),
+        "fig1" | "table3" => fig1_table3(),
+        "ablations" => ablations(),
+        "faults" => faults(),
+        _ => {
+            eprintln!("{USAGE}");
             std::process::exit(2);
-        };
-        tensor_run(&text);
-        return;
-    }
-    if which == "soak" {
-        // Profiling aid: run one workload's default-config simulation in a
-        // hot loop (deterministic, so the printed cycle total doubles as a
-        // quick bit-identity check across engine changes).
-        let name = std::env::args().nth(2).unwrap_or_else(|| "GEMM".into());
-        let reps: u32 = std::env::args()
-            .nth(3)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(50);
-        let w = by_name(&name).expect("workload");
-        let comp = muir_bench::sealed(&w, &baseline(&w));
-        let cfg = muir_sim::SimConfig::default();
-        let mut total = 0u64;
-        for _ in 0..reps {
-            let mut mem = w.fresh_memory();
-            let r = muir_sim::simulate_compiled(&comp, &mut mem, &[], &cfg).unwrap();
-            total += r.cycles;
         }
-        println!("soak {name} x{reps}: {total} cycles");
+    }
+}
+
+/// `tensor <file>|--builtin <name>|--gate`.
+fn tensor(rest: &[String]) {
+    if rest.iter().any(|a| a == "--gate") {
+        tensor_gate();
         return;
     }
-    if which == "trace-schema" {
-        let schema_path = std::env::args()
-            .nth(2)
-            .unwrap_or_else(|| "scripts/trace_schema.json".to_string());
-        trace_schema(&schema_path);
-        return;
-    }
-    if which == "compile-stats" {
-        compile_stats();
-        return;
-    }
-    if which == "outcomes" {
-        for line in muir_bench::sched::outcome_lines() {
-            println!("{line}");
-        }
-        return;
-    }
-    if which == "metrics" {
-        let name = std::env::args().nth(2).unwrap_or_else(|| {
-            eprintln!("usage: experiments metrics <workload> [outdir]");
+    let text = if let Some(p) = rest.iter().position(|a| a == "--builtin") {
+        let name = rest.get(p + 1).unwrap_or_else(|| {
+            eprintln!("usage: experiments tensor --builtin <attn|convnet|mt_infer>");
             std::process::exit(2);
         });
-        let outdir = std::env::args()
-            .nth(3)
-            .unwrap_or_else(|| format!("target/metrics/{}", name.to_lowercase()));
-        metrics(&name, &outdir);
-        return;
-    }
-    if which == "stats" {
-        stats_report();
-        return;
-    }
-    if which == "dse" {
-        let rest: Vec<String> = std::env::args().skip(2).collect();
-        let arg_after = |flag: &str| num_after(&rest, flag, DSE_USAGE);
-        let str_after = |flag: &str| {
-            rest.iter()
-                .position(|a| a == flag)
-                .and_then(|p| rest.get(p + 1))
-                .cloned()
-        };
-        let mut names: Vec<String> = Vec::new();
-        let mut i = 0;
-        while i < rest.len() {
-            if rest[i] == "--workload" {
-                if let Some(n) = rest.get(i + 1) {
-                    names.push(n.clone());
-                }
-                i += 1;
+        workloads::tensorgraph::builtin_graph(name)
+            .unwrap_or_else(|| {
+                eprintln!("unknown builtin graph `{name}` (attn, convnet, mt_infer)");
+                std::process::exit(2);
+            })
+            .to_string()
+    } else if let Some(f) = rest.iter().find(|a| !a.starts_with("--")) {
+        std::fs::read_to_string(f).unwrap_or_else(|e| {
+            eprintln!("cannot read `{f}`: {e}");
+            std::process::exit(2);
+        })
+    } else {
+        eprintln!("usage: experiments tensor <file> | --builtin <name> | --gate");
+        std::process::exit(2);
+    };
+    tensor_run(&text);
+}
+
+/// `dse [--workload W]...|--all [--seed S] [--budget N] [--threads T]
+/// [--out PATH] [--store DIR]`.
+fn dse_args(rest: &[String]) {
+    let arg_after = |flag: &str| num_after(rest, flag, DSE_USAGE);
+    let str_after = |flag: &str| {
+        rest.iter()
+            .position(|a| a == flag)
+            .and_then(|p| rest.get(p + 1))
+            .cloned()
+    };
+    let mut names: Vec<String> = Vec::new();
+    let mut i = 0;
+    while i < rest.len() {
+        if rest[i] == "--workload" {
+            if let Some(n) = rest.get(i + 1) {
+                names.push(n.clone());
             }
             i += 1;
         }
-        if rest.iter().any(|a| a == "--all") {
-            names = workloads::all()
-                .iter()
-                .map(|w| w.name.to_string())
-                .collect();
-        }
-        if names.is_empty() {
-            eprintln!("{DSE_USAGE}");
-            std::process::exit(2);
-        }
-        let params = muir_bench::dse::DseParams {
-            seed: arg_after("--seed").unwrap_or(0xd5e),
-            budget: arg_after("--budget").unwrap_or(24),
-            threads: arg_after("--threads").unwrap_or(1) as usize,
-        };
-        let out = str_after("--out").unwrap_or_else(|| "DSE_report.json".to_string());
-        dse(&names, &params, str_after("--store").as_deref(), &out);
-        return;
+        i += 1;
     }
-    if which == "serve" {
-        let root = std::env::args()
-            .nth(2)
-            .unwrap_or_else(|| "target/store-serve".to_string());
-        serve(&root);
-        return;
+    if rest.iter().any(|a| a == "--all") {
+        names = workloads::all()
+            .iter()
+            .map(|w| w.name.to_string())
+            .collect();
     }
-    if which == "store-stats" {
-        let root = std::env::args()
-            .nth(2)
-            .unwrap_or_else(|| "target/store-serve".to_string());
-        store_stats(&root);
-        return;
+    if names.is_empty() {
+        eprintln!("{DSE_USAGE}");
+        std::process::exit(2);
     }
-    if which == "store-campaign" {
-        let root = std::env::args()
-            .nth(2)
-            .unwrap_or_else(|| "target/store-campaign".to_string());
-        store_campaign(&root);
-        return;
-    }
-    let all = which == "all";
-    if all || which == "table2" {
-        table2();
-    }
-    if all || which == "fig9" {
-        fig9();
-    }
-    if all || which == "fig11" {
-        fig11();
-    }
-    if all || which == "fig12" {
-        fig12();
-    }
-    if all || which == "fig15" {
-        fig15();
-    }
-    if all || which == "fig16" {
-        fig16();
-    }
-    if all || which == "fig17" {
-        fig17();
-    }
-    if all || which == "fig18" {
-        fig18();
-    }
-    if all || which == "table4" {
-        table4();
-    }
-    if all || which == "fig1" || which == "table3" {
-        fig1_table3();
-    }
-    if which == "ablations" {
-        ablations();
-    }
-    if all || which == "faults" {
-        faults();
-    }
+    let params = muir_bench::dse::DseParams {
+        seed: arg_after("--seed").unwrap_or(0xd5e),
+        budget: arg_after("--budget").unwrap_or(24),
+        threads: arg_after("--threads").unwrap_or(1) as usize,
+    };
+    let out = str_after("--out").unwrap_or_else(|| "DSE_report.json".to_string());
+    dse(&names, &params, str_after("--store").as_deref(), &out);
 }
 
 /// Per-workload sealing report plus the artifact-determinism gate:
@@ -873,52 +838,27 @@ fn profile(name: &str, outdir: &str) {
     println!("open trace.json in ui.perfetto.dev or chrome://tracing; trace.vcd in gtkwave");
 }
 
-/// `fuzz [--tensor] [--graphs N] [--seed S]`: the seeded fuzzer gates.
-/// Without `--tensor`, every generated μIR graph is sealed once, its
-/// tables held to the reference lowering, and run under Dense and Ready
-/// in plain, traced, and seeded-fault modes; any divergence (or
-/// disagreement with the reference interpreter) fails with a shrunk
-/// `(seed, size)` reproduction line. With `--tensor`, seeded tensor-op
-/// graphs are lowered through the frontend and checked the same way
-/// (graph eval vs mir interp vs both schedulers).
-fn fuzz(seed: u64, graphs: u64, tensor: bool) {
-    if tensor {
-        hdr(&format!(
-            "Tensor-graph fuzz: {graphs} seeded graphs (seed 0x{seed:x}) through parse -> lower -> seal -> sim"
-        ));
-        match muir_bench::testgen::run_tensor_seeds(seed, graphs) {
-            Ok(()) => println!("fuzz: {graphs} tensor graphs bit-identical across schedulers"),
-            Err(e) => {
-                eprintln!("fuzz failure: {e}");
-                std::process::exit(1);
-            }
+/// `fuzz <graphs|tensor|mir> [N] [--seed S]`: N cases of one
+/// `muir_bench::testgen` target. `graphs` and `tensor` hold every seeded
+/// graph's sealed tables to the reference lowering, then Ready to the
+/// Dense oracle in plain, traced and faulted legs, and the fault-free legs
+/// to the interpreter (`tensor` also to the graph evaluator). `mir` runs
+/// line mutations of the printed registry through parse -> verify ->
+/// translate, where each stage may refuse a case with its typed error.
+/// A failure or a panic prints the shrunk case's repro line and exits 1.
+fn fuzz(name: &str, seed: u64, count: u64) {
+    let target = muir_bench::testgen::target(name).expect("a fuzz target");
+    hdr(&format!("Fuzz {name}: {count} cases (seed 0x{seed:x})"));
+    match muir_bench::testgen::fuzz(target, seed, count) {
+        Ok(reached) => {
+            let tally: String = target
+                .stages
+                .iter()
+                .zip(&reached)
+                .map(|(stage, n)| format!(", {n} {stage}"))
+                .collect();
+            println!("fuzz {name}: {count} cases{tally}");
         }
-        return;
-    }
-    hdr(&format!(
-        "Scheduler fuzz: {graphs} seeded graphs (seed 0x{seed:x}) x check_lowering + 2 schedulers x 3 modes"
-    ));
-    match muir_bench::testgen::run_seeds(seed, graphs) {
-        Ok(()) => println!("fuzz: {graphs} graphs bit-identical across schedulers"),
-        Err(e) => {
-            eprintln!("fuzz failure: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `fuzz --mir N [--seed S]`: N seeded line mutations of the printed
-/// registry modules through parse -> verify -> translate. Every stage may
-/// refuse a case with its typed error; a panic fails the run.
-fn fuzz_mir(seed: u64, cases: u64) {
-    hdr(&format!(
-        "mir fuzz: {cases} line mutations (seed 0x{seed:x}) through parse -> verify -> translate"
-    ));
-    match muir_bench::testgen::run_mir_mutations(seed, cases) {
-        Ok(c) => println!(
-            "fuzz --mir: {} cases, {} parsed, {} verified, {} translated, none panicked",
-            c.cases, c.parsed, c.verified, c.translated
-        ),
         Err(e) => {
             eprintln!("fuzz failure: {e}");
             std::process::exit(1);
@@ -1539,5 +1479,21 @@ fn ablations() {
             print!("  d{d}e{e}={c}");
         }
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_num;
+
+    #[test]
+    fn a_0x_prefix_always_means_hex() {
+        assert_eq!(parse_num("0x1234"), Ok(0x1234));
+        assert_eq!(parse_num("0x10"), Ok(16));
+        assert_eq!(parse_num("ff"), Ok(255));
+        assert_eq!(parse_num("16"), Ok(16));
+        assert!(parse_num("0xfg").is_err());
+        assert!(parse_num("12g").is_err());
+        assert!(parse_num("").is_err());
     }
 }

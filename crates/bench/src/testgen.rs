@@ -1,21 +1,30 @@
-//! Seeded random well-formed μIR graph generator and its differential
-//! checker.
+//! Seeded case generators, their checks, and the one fuzz loop that runs
+//! them.
 //!
-//! `gen_case` derives a complete test case — a verifier-clean module, its
-//! input data, the μopt passes to apply, and the simulation dimensions —
-//! from a single `splitmix64` seed, so every case is reproducible from
-//! two integers (`seed`, `size`). `check_case` seals the case once, holds
-//! the sealed tables to the reference lowering, and runs the artifact
-//! under both schedulers (`Dense`, `Ready`) in plain, traced, and
-//! seeded-fault modes, demanding bit-identical observables and — on
-//! fault-free completions — word-for-word agreement with the `muir-mir`
-//! reference interpreter.
+//! A [`Target`] is a name, a largest size, and a function that generates
+//! case `i` of a run seed at a size and checks it. [`fuzz`] runs `count`
+//! cases of a target: it tallies the stages each case reached, catches a
+//! panic, shrinks a failure by size, and prints one reproduction line,
+//! `testgen::replay("<target>", 0x<seed0>, <i>, <size>)`. The targets:
 //!
-//! Shrinking is by seed: the generator's `size` knob bounds trip counts,
-//! op-chain depth, and structural features, so a failure at the default
-//! size is re-checked at smaller sizes and reported as the smallest
-//! failing `(seed, size)` reproduction line.
+//! * `graphs` — `gen_case` derives a verifier-clean module, its input
+//!   data, the μopt passes to apply and the simulation dimensions from one
+//!   `splitmix64` seed. `check_case` seals it once, holds the sealed
+//!   tables to the reference lowering, runs `sched::dense_vs_ready` in
+//!   plain, traced and seeded-fault legs, and requires the fault-free legs
+//!   to complete with the `muir-mir` interpreter's memory.
+//! * `tensor` — `gen_tensor_case` lowers a seeded tensor-op graph; its
+//!   check adds the graph evaluator in front of the same differential.
+//! * `mir` — `mutate_mir_text` edits one line of a printed registry
+//!   module; parse → verify → translate may refuse it with a typed error
+//!   but must not panic.
+//!
+//! The size knob bounds trip counts, op-chain depth and structural
+//! features, so a failure at the largest size is re-checked at the
+//! smaller ones and reported at the smallest that fails.
 
+use crate::sched::{completes_like, dense_vs_ready};
+use muir_core::compiled::CompiledAccel;
 use muir_core::rng::SplitMix64;
 use muir_frontend::{translate, FrontendConfig};
 use muir_mir::builder::FunctionBuilder;
@@ -23,11 +32,13 @@ use muir_mir::instr::{CmpPred, MemObjId, ValueRef};
 use muir_mir::interp::{Interp, Memory};
 use muir_mir::module::Module;
 use muir_mir::types::{ScalarType, Type};
-use muir_sim::{FaultClass, FaultPlan, SchedulerKind, SimConfig, TraceConfig};
+use muir_sim::{FaultClass, FaultPlan, SimConfig};
 use muir_uopt::passes::{
     ExecutionTiling, MemoryLocalization, OpFusion, ScratchpadBanking, TaskFilter,
 };
 use muir_uopt::PassManager;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
 /// The binary integer ops the generator chains (all total on `i64`, so
 /// the interpreter reference is always defined).
@@ -88,8 +99,6 @@ pub struct GenCase {
     pub module: Module,
     /// Input memory object and its initial contents.
     pub init: (MemObjId, Vec<i64>),
-    /// Output memory object (compared against the reference).
-    pub out: MemObjId,
     /// Simulation dimensions shared by every scheduler run of the case.
     pub cfg: SimConfig,
     /// Seed for the case's fault-mode plan.
@@ -259,7 +268,6 @@ pub fn gen_case(seed: u64, size: u8) -> GenCase {
         size,
         module: m,
         init: (a, data),
-        out,
         cfg,
         fault_seed,
         fault_class,
@@ -271,135 +279,38 @@ pub fn gen_case(seed: u64, size: u8) -> GenCase {
     }
 }
 
-/// Everything observable about one run, flattened for exact comparison.
-#[derive(Debug, Clone, PartialEq)]
-enum Obs {
-    Ok {
-        cycles: u64,
-        results: String,
-        stats: String,
-        trace: Option<String>,
-        mem: Memory,
-    },
-    Err(String),
-}
-
-fn run_case(
-    case: &GenCase,
-    comp: &muir_core::compiled::CompiledAccel,
-    scheduler: SchedulerKind,
+/// Seal `acc` and run [`dense_vs_ready`] with `faults`; the fault-free legs
+/// must complete with the memory the interpreter left in `want` (a hang
+/// there is a generator or engine bug, where the faulted leg may hang or
+/// raise a typed fault, as long as both schedulers fail alike).
+fn check_sealed(
+    desc: &str,
+    acc: &muir_core::accel::Accelerator,
+    fresh: &dyn Fn() -> Memory,
+    cfg: &SimConfig,
     faults: &FaultPlan,
-    tracing: bool,
-) -> Obs {
-    let cfg = SimConfig {
-        faults: faults.clone(),
-        trace: if tracing {
-            TraceConfig::on()
-        } else {
-            TraceConfig::default()
-        },
-        ..case.cfg.clone()
-    }
-    .with_scheduler(scheduler);
-    let mut mem = case.fresh_memory();
-    match muir_sim::simulate_compiled(comp, &mut mem, &[], &cfg) {
-        Ok(r) => Obs::Ok {
-            cycles: r.cycles,
-            results: format!("{:?}", r.results),
-            stats: crate::sched::stats_fingerprint(&r.stats),
-            trace: r.trace.map(|t| t.to_chrome_json()),
-            mem,
-        },
-        Err(e) => Obs::Err(e.to_string()),
-    }
+    want: &Memory,
+) -> Result<(), String> {
+    // A graph the verifier rejects is a generator bug.
+    let comp = CompiledAccel::compile(acc).map_err(|e| format!("{desc}: seal: {e}"))?;
+    dense_vs_ready(&comp, &[], fresh, cfg, Some(faults))
+        .and_then(|dense| completes_like(&dense, want))
+        .map_err(|e| format!("{desc}: {e}"))
 }
 
-/// Differentially check one generated case under both schedulers and every
-/// stress mode.
+/// Differentially check one generated case: the interpreter's memory,
+/// then [`check_sealed`] with the case's μopt passes and fault plan.
 ///
 /// # Errors
-/// The first divergence (or reference mismatch), naming the failing
-/// configuration and the case's reproduction line.
+/// The first divergence, naming the case and the leg.
 pub fn check_case(case: &GenCase) -> Result<(), String> {
-    let acc = case.build();
-    // Seal once for all six scheduler/mode runs below. A graph the
-    // verifier rejects is a generator bug.
-    let comp = muir_core::compiled::CompiledAccel::compile(&acc)
-        .map_err(|e| format!("{}: seal: {e}", case.desc))?;
-    // The seal-time lowering of this seed's μopt mix, checked table by
-    // table before any simulation.
-    muir_sim::reference::check_lowering(&comp)
-        .map_err(|e| format!("{}: lowering: {e}", case.desc))?;
-    let mut ref_mem = case.fresh_memory();
+    let mut want = case.fresh_memory();
     Interp::new(&case.module)
-        .run_main(&mut ref_mem, &[])
+        .run_main(&mut want, &[])
         .map_err(|e| format!("{}: reference interpreter: {e}", case.desc))?;
-
-    let none = FaultPlan::none();
-    let fault_plan = FaultPlan::single(case.fault_class, case.fault_seed);
-    let modes: [(&str, &FaultPlan, bool); 3] = [
-        ("plain", &none, false),
-        ("traced", &none, true),
-        ("faulted", &fault_plan, false),
-    ];
-    for (mode, faults, tracing) in modes {
-        // The oracle: the dense scheduler.
-        let dense = run_case(case, &comp, SchedulerKind::Dense, faults, tracing);
-        // Fault-free completions must match the interpreter word for word.
-        if let Obs::Ok { mem, .. } = &dense {
-            if faults.specs.is_empty() && mem.read_i64(case.out) != ref_mem.read_i64(case.out) {
-                return Err(format!(
-                    "{} [{mode}]: dense run diverged from the reference interpreter",
-                    case.desc
-                ));
-            }
-        }
-        // A fault-free generated case must complete: a hang here is a
-        // generator or engine bug, not an acceptable outcome. (Fault modes
-        // may legitimately hang or raise a typed fault — the only demand
-        // there is that every scheduler fails identically.)
-        if faults.specs.is_empty() {
-            if let Obs::Err(e) = &dense {
-                return Err(format!("{} [{mode}]: dense run failed: {e}", case.desc));
-            }
-        }
-        // The ready scheduler must match the oracle bit for bit.
-        if dense != run_case(case, &comp, SchedulerKind::Ready, faults, tracing) {
-            return Err(format!("{} [{mode}]: ready diverged from dense", case.desc));
-        }
-    }
-    Ok(())
-}
-
-/// Fuzz `count` cases derived from `seed0`, with shrink-by-seed reporting:
-/// a failing case is re-checked at smaller sizes and the smallest failing
-/// `(seed, size)` is reported first.
-///
-/// # Errors
-/// The first failing case, with its reproduction line and shrink result.
-pub fn run_seeds(seed0: u64, count: u64) -> Result<(), String> {
-    for i in 0..count {
-        let seed = SplitMix64::salted(seed0, i).next_u64();
-        let case = gen_case(seed, 2);
-        let Err(full) = check_case(&case) else {
-            continue;
-        };
-        // Shrink by seed: the same seed at smaller size knobs.
-        for size in 0..2u8 {
-            let small = gen_case(seed, size);
-            if let Err(e) = check_case(&small) {
-                return Err(format!(
-                    "fuzz case {i} failed; shrunk to size {size}: {e}\n  \
-                     reproduce with: check_case(&gen_case(0x{seed:016x}, {size}))"
-                ));
-            }
-        }
-        return Err(format!(
-            "fuzz case {i} failed (did not shrink): {full}\n  \
-             reproduce with: check_case(&gen_case(0x{seed:016x}, 2))"
-        ));
-    }
-    Ok(())
+    let faults = FaultPlan::single(case.fault_class, case.fault_seed);
+    let fresh = || case.fresh_memory();
+    check_sealed(&case.desc, &case.build(), &fresh, &case.cfg, &faults, &want)
 }
 
 /// One tensor-graph fuzz case: a constructively valid graph from
@@ -419,6 +330,8 @@ pub struct TensorCase {
     pub inits: Vec<(MemObjId, Vec<f32>)>,
     /// Simulation dimensions shared by every run of the case.
     pub cfg: SimConfig,
+    /// The case's fault-leg plan.
+    pub faults: FaultPlan,
     /// Human-readable summary for failure reports.
     pub desc: String,
 }
@@ -461,6 +374,8 @@ pub fn gen_tensor_case(seed: u64, size: u8) -> TensorCase {
         window: 2 + rng.below(63),
         ..SimConfig::default()
     };
+    let class = FaultClass::ALL[rng.below(FaultClass::ALL.len() as u64) as usize];
+    let faults = FaultPlan::single(class, rng.next_u64());
     let desc = format!(
         "gen_tensor_case(0x{seed:016x}, {size}): {} inputs, {} nodes, {} fused",
         graph.inputs.len(),
@@ -474,68 +389,39 @@ pub fn gen_tensor_case(seed: u64, size: u8) -> TensorCase {
         lowered,
         inits,
         cfg,
+        faults,
         desc,
     }
 }
 
-fn run_tensor(
-    case: &TensorCase,
-    comp: &muir_core::compiled::CompiledAccel,
-    scheduler: SchedulerKind,
-    tracing: bool,
-) -> Obs {
-    let cfg = SimConfig {
-        trace: if tracing {
-            TraceConfig::on()
-        } else {
-            TraceConfig::default()
-        },
-        ..case.cfg.clone()
-    }
-    .with_scheduler(scheduler);
-    let mut mem = case.fresh_memory();
-    match muir_sim::simulate_compiled(comp, &mut mem, &[], &cfg) {
-        Ok(r) => Obs::Ok {
-            cycles: r.cycles,
-            results: format!("{:?}", r.results),
-            stats: crate::sched::stats_fingerprint(&r.stats),
-            trace: r.trace.map(|t| t.to_chrome_json()),
-            mem,
-        },
-        Err(e) => Obs::Err(e.to_string()),
-    }
-}
-
-/// Differentially check one tensor-graph case: the graph-level
-/// evaluator, the `muir-mir` interpreter over the lowered module, and
-/// the sealed artifact under both schedulers must agree (the two
-/// simulator runs bit for bit, the two reference layers to float
-/// tolerance — chunked dot products reassociate).
+/// Differentially check one tensor-graph case: the graph-level evaluator
+/// against the `muir-mir` interpreter over the lowered module (to float
+/// tolerance — chunked dot products reassociate), then [`check_sealed`]
+/// on its translation, bit for bit.
 ///
 /// # Errors
-/// The first divergence, naming the failing configuration and the
-/// case's reproduction line.
+/// The first divergence, naming the case and the leg.
 pub fn check_tensor_case(case: &TensorCase) -> Result<(), String> {
     // Layer 1: graph evaluator vs lowered-module interpreter.
     let inputs: Vec<Vec<f32>> = case.inits.iter().map(|(_, d)| d.clone()).collect();
-    let want = case
+    let evaluated = case
         .graph
         .eval(&inputs)
         .map_err(|e| format!("{}: graph eval: {e}", case.desc))?;
-    let mut ref_mem = case.fresh_memory();
+    let mut want = case.fresh_memory();
     Interp::new(&case.lowered.module)
-        .run_main(&mut ref_mem, &[])
+        .run_main(&mut want, &[])
         .map_err(|e| format!("{}: reference interpreter: {e}", case.desc))?;
-    let got = ref_mem.read_f32(case.lowered.output);
-    if want.len() != got.len() {
+    let got = want.read_f32(case.lowered.output);
+    if evaluated.len() != got.len() {
         return Err(format!(
             "{}: output length {} vs {}",
             case.desc,
-            want.len(),
+            evaluated.len(),
             got.len()
         ));
     }
-    for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+    for (i, (x, y)) in evaluated.iter().zip(&got).enumerate() {
         let scale = x.abs().max(y.abs()).max(1.0);
         if (x - y).abs() > 1e-4 * scale {
             return Err(format!(
@@ -544,74 +430,23 @@ pub fn check_tensor_case(case: &TensorCase) -> Result<(), String> {
             ));
         }
     }
-    // Layer 2: the sealed artifact — tables held to the reference
-    // lowering, then Ready bit-identical to the dense oracle.
+    // Layer 2: the sealed artifact.
     let acc = translate(&case.lowered.module, &FrontendConfig::default())
         .map_err(|e| format!("{}: translate: {e}", case.desc))?;
-    let comp = muir_core::compiled::CompiledAccel::compile(&acc)
-        .map_err(|e| format!("{}: seal: {e}", case.desc))?;
-    muir_sim::reference::check_lowering(&comp)
-        .map_err(|e| format!("{}: lowering: {e}", case.desc))?;
-    for tracing in [false, true] {
-        let mode = if tracing { "traced" } else { "plain" };
-        let dense = run_tensor(case, &comp, SchedulerKind::Dense, tracing);
-        if let Obs::Err(e) = &dense {
-            return Err(format!("{} [{mode}]: dense run failed: {e}", case.desc));
-        }
-        if let Obs::Ok { mem, .. } = &dense {
-            let sim = mem.read_f32(case.lowered.output);
-            for (i, (x, y)) in got.iter().zip(&sim).enumerate() {
-                if x.to_bits() != y.to_bits() {
-                    return Err(format!(
-                        "{} [{mode}]: sim diverged from interpreter at [{i}]: {x} vs {y}",
-                        case.desc
-                    ));
-                }
-            }
-        }
-        if dense != run_tensor(case, &comp, SchedulerKind::Ready, tracing) {
-            return Err(format!("{} [{mode}]: ready diverged from dense", case.desc));
-        }
-    }
-    Ok(())
-}
-
-/// Fuzz `count` tensor-graph cases derived from `seed0`, with the same
-/// shrink-by-seed reporting as [`run_seeds`].
-///
-/// # Errors
-/// The first failing case, with its reproduction line and shrink result.
-pub fn run_tensor_seeds(seed0: u64, count: u64) -> Result<(), String> {
-    for i in 0..count {
-        let seed = SplitMix64::salted(seed0 ^ 0x7e50, i).next_u64();
-        let case = gen_tensor_case(seed, 2);
-        let Err(full) = check_tensor_case(&case) else {
-            continue;
-        };
-        for size in 0..2u8 {
-            let small = gen_tensor_case(seed, size);
-            if let Err(e) = check_tensor_case(&small) {
-                return Err(format!(
-                    "tensor fuzz case {i} failed; shrunk to size {size}: {e}\n  \
-                     reproduce with: check_tensor_case(&gen_tensor_case(0x{seed:016x}, {size}))"
-                ));
-            }
-        }
-        return Err(format!(
-            "tensor fuzz case {i} failed (did not shrink): {full}\n  \
-             reproduce with: check_tensor_case(&gen_tensor_case(0x{seed:016x}, 2))"
-        ));
-    }
-    Ok(())
+    let fresh = || case.fresh_memory();
+    check_sealed(&case.desc, &acc, &fresh, &case.cfg, &case.faults, &want)
 }
 
 /// The 24 registry modules as `print_module` text: the corpus the mir
-/// line-mutation fuzzer mutates.
-pub fn registry_texts() -> Vec<String> {
-    muir_workloads::REGISTRY
-        .iter()
-        .map(|e| muir_mir::printer::print_module(&(e.build)().module))
-        .collect()
+/// line-mutation fuzzer mutates, printed once per process.
+pub fn registry_texts() -> &'static [String] {
+    static TEXTS: OnceLock<Vec<String>> = OnceLock::new();
+    TEXTS.get_or_init(|| {
+        muir_workloads::REGISTRY
+            .iter()
+            .map(|e| muir_mir::printer::print_module(&(e.build)().module))
+            .collect()
+    })
 }
 
 /// Mutation case `i` of seed `seed0`: one seeded line-level edit of one
@@ -662,77 +497,216 @@ pub fn mutate_mir_text(texts: &[String], seed0: u64, i: u64) -> (String, String)
     )
 }
 
-/// How far the cases of a [`run_mir_mutations`] run got.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MirFuzzCounts {
-    /// Cases run.
-    pub cases: u64,
-    /// Cases the parser accepted.
-    pub parsed: u64,
-    /// Parsed cases `verify_module` accepted.
-    pub verified: u64,
-    /// Verified cases `translate` accepted.
-    pub translated: u64,
+/// A fuzz target: named cases generated from `(seed0, i, size)`, each
+/// with a check.
+pub struct Target {
+    /// `experiments fuzz <name>`, and the first argument of a repro line.
+    pub name: &'static str,
+    /// The size [`fuzz`] generates cases at; a failure is shrunk through
+    /// the smaller ones.
+    pub max_size: u8,
+    /// The stages a case can reach, in order.
+    pub stages: &'static [&'static str],
+    /// Generate case `i` of run seed `seed0` at `size` and check it: how
+    /// many of `stages` it reached, or why it failed.
+    pub run: fn(seed0: u64, i: u64, size: u8) -> Result<usize, String>,
 }
 
-/// Run `count` line-mutation cases of seed `seed0` through parse → verify
-/// → translate. Each stage may refuse a case with its typed error; none
-/// may panic, and a case that panics fails the run (a stack overflow
-/// aborts the process, which fails it too).
+/// Case `i` of a `graphs` run.
+fn graph_case(seed0: u64, i: u64, size: u8) -> GenCase {
+    gen_case(SplitMix64::salted(seed0, i).next_u64(), size)
+}
+
+/// Case `i` of a `tensor` run.
+fn tensor_case(seed0: u64, i: u64, size: u8) -> TensorCase {
+    gen_tensor_case(SplitMix64::salted(seed0 ^ 0x7e50, i).next_u64(), size)
+}
+
+/// Case `i` of a `mir` run through parse → verify → translate: each stage
+/// may refuse it with its typed error.
+fn mir_stages(seed0: u64, i: u64, _size: u8) -> Result<usize, String> {
+    let (text, _) = mutate_mir_text(registry_texts(), seed0, i);
+    let Ok(m) = muir_mir::parser::parse_module(&text) else {
+        return Ok(0);
+    };
+    if muir_mir::verify::verify_module(&m).is_err() {
+        return Ok(1);
+    }
+    Ok(if translate(&m, &FrontendConfig::default()).is_ok() {
+        3
+    } else {
+        2
+    })
+}
+
+/// Every fuzz target. Each derives its cases from `(seed0, i, size)`
+/// alone, so a run seed names one corpus.
+const TARGETS: &[Target] = &[
+    Target {
+        name: "graphs",
+        max_size: 2,
+        stages: &["passed"],
+        run: |seed0, i, size| check_case(&graph_case(seed0, i, size)).map(|()| 1),
+    },
+    Target {
+        name: "tensor",
+        max_size: 2,
+        stages: &["passed"],
+        run: |seed0, i, size| check_tensor_case(&tensor_case(seed0, i, size)).map(|()| 1),
+    },
+    Target {
+        name: "mir",
+        max_size: 0,
+        stages: &["parsed", "verified", "translated"],
+        run: mir_stages,
+    },
+    #[cfg(test)]
+    tests::PANICS_ON_3,
+];
+
+/// The target called `name`.
+pub fn target(name: &str) -> Option<&'static Target> {
+    TARGETS.iter().find(|t| t.name == name)
+}
+
+/// Run cases `0..count` of `target` from run seed `seed0` at its largest
+/// size, and count the cases that reached each of its stages.
 ///
 /// # Errors
-/// The first case that panicked, with its reproduction line.
-pub fn run_mir_mutations(seed0: u64, count: u64) -> Result<MirFuzzCounts, String> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    let texts = registry_texts();
-    let mut counts = MirFuzzCounts::default();
+/// The first case that failed or panicked, re-checked at each smaller size
+/// and reported at the smallest that still fails, with its repro line. (A
+/// stack overflow aborts the process; that fails the run too.)
+pub fn fuzz(target: &Target, seed0: u64, count: u64) -> Result<Vec<u64>, String> {
+    let mut reached = vec![0; target.stages.len()];
     for i in 0..count {
-        let (text, desc) = mutate_mir_text(&texts, seed0, i);
-        let stage = catch_unwind(AssertUnwindSafe(|| {
-            let Ok(m) = muir_mir::parser::parse_module(&text) else {
-                return 0;
-            };
-            if muir_mir::verify::verify_module(&m).is_err() {
-                return 1;
+        let full = match attempt(target, seed0, i, target.max_size) {
+            Ok(n) => {
+                reached[..n].iter_mut().for_each(|r| *r += 1);
+                continue;
             }
-            if translate(&m, &FrontendConfig::default()).is_err() {
-                return 2;
-            }
-            3
-        }))
-        .map_err(|_| {
-            format!(
-                "mir fuzz case {i} panicked: {desc}\n  \
-                 reproduce with: mutate_mir_text(&registry_texts(), 0x{seed0:x}, {i})"
-            )
-        })?;
-        counts.cases += 1;
-        counts.parsed += u64::from(stage >= 1);
-        counts.verified += u64::from(stage >= 2);
-        counts.translated += u64::from(stage >= 3);
+            Err(e) => e,
+        };
+        let (size, e) = (0..target.max_size)
+            .find_map(|size| attempt(target, seed0, i, size).err().map(|e| (size, e)))
+            .unwrap_or((target.max_size, full));
+        let name = target.name;
+        return Err(format!(
+            "fuzz {name} case {i} failed at size {size}: {e}\n  \
+             reproduce with: testgen::replay(\"{name}\", 0x{seed0:x}, {i}, {size})"
+        ));
     }
-    Ok(counts)
+    Ok(reached)
+}
+
+/// One case, a panic turned into an `Err` carrying its message.
+fn attempt(target: &Target, seed0: u64, i: u64, size: u8) -> Result<usize, String> {
+    catch_unwind(AssertUnwindSafe(|| (target.run)(seed0, i, size)))
+        .unwrap_or_else(|p| Err(format!("panicked: {}", panic_text(p.as_ref()))))
+}
+
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default()
+}
+
+/// Re-run one case as [`fuzz`] ran it, without catching a panic: what a
+/// repro line calls.
+///
+/// # Errors
+/// The case's failure, or an unknown target.
+pub fn replay(target: &str, seed0: u64, i: u64, size: u8) -> Result<usize, String> {
+    let t = self::target(target).ok_or_else(|| format!("unknown fuzz target `{target}`"))?;
+    (t.run)(seed0, i, size)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Panics on case 3, at every size.
+    pub(super) const PANICS_ON_3: Target = Target {
+        name: "panics-on-3",
+        max_size: 1,
+        stages: &[],
+        run: |_, i, _| {
+            if i == 3 {
+                panic!("case 3 panics");
+            }
+            Ok(0)
+        },
+    };
+
     #[test]
     fn mir_mutations_are_reproducible() {
         let texts = registry_texts();
         for i in 0..32 {
-            assert_eq!(mutate_mir_text(&texts, 7, i), mutate_mir_text(&texts, 7, i));
+            assert_eq!(mutate_mir_text(texts, 7, i), mutate_mir_text(texts, 7, i));
         }
-        assert_ne!(mutate_mir_text(&texts, 7, 0), mutate_mir_text(&texts, 8, 0));
+        assert_ne!(mutate_mir_text(texts, 7, 0), mutate_mir_text(texts, 8, 0));
+    }
+
+    /// The first cases of each target at its default seed: a change to a
+    /// target's seed derivation moves its corpus and fails here.
+    #[test]
+    fn corpora_are_pinned() {
+        let graphs: Vec<String> = (0..3).map(|i| graph_case(0xf022, i, 2).desc).collect();
+        assert_eq!(
+            graphs,
+            [
+                "gen_case(0xb49773d23ffede78, 2): Predicated n=27 ops=2 class=mem-ecc",
+                "gen_case(0xd133e33560ef4c49, 2): Spawn n=19 ops=1 class=token-dup",
+                "gen_case(0xafe5586386487076, 2): Reduce n=28 ops=2 class=token-drop",
+            ]
+        );
+        let tensor: Vec<String> = (0..3).map(|i| tensor_case(0x7e50, i, 2).desc).collect();
+        assert_eq!(
+            tensor,
+            [
+                "gen_tensor_case(0xe220a8397b1dcdaf, 2): 4 inputs, 5 nodes, 0 fused",
+                "gen_tensor_case(0x6e789e6aa1b965f4, 2): 3 inputs, 3 nodes, 0 fused",
+                "gen_tensor_case(0x06c45d188009454f, 2): 4 inputs, 5 nodes, 1 fused",
+            ]
+        );
+        let mir: Vec<String> = (0..3)
+            .map(|i| mutate_mir_text(registry_texts(), 0x6d69, i).1)
+            .collect();
+        assert_eq!(
+            mir,
+            [
+                "registry module 6, rewrite a digit of line 11: `  condbr %2, bb2, bb5`",
+                "registry module 13, duplicate line 12: `  %1 = phi [0, bb0], [%30, bb6] : i64`",
+                "registry module 10, swap lines 41 and 19",
+            ]
+        );
     }
 
     #[test]
-    fn mir_mutation_smoke_small() {
-        let c = run_mir_mutations(0x6d69, 200).unwrap();
-        assert_eq!(c.cases, 200);
-        assert!(c.parsed >= c.verified && c.verified >= c.translated);
-        assert!(c.translated > 0 && c.parsed < 200, "{c:?}");
+    fn a_panicking_case_ends_the_run_with_its_repro_line() {
+        let e = fuzz(&PANICS_ON_3, 0x5eed, 10).unwrap_err();
+        let repro = "reproduce with: testgen::replay(\"panics-on-3\", 0x5eed, 3, 0)";
+        assert!(
+            e.starts_with("fuzz panics-on-3 case 3 failed at size 0: panicked: case 3 panics"),
+            "{e}"
+        );
+        assert!(e.ends_with(repro), "{e}");
+        let replayed = catch_unwind(|| replay("panics-on-3", 0x5eed, 3, 0)).unwrap_err();
+        assert_eq!(panic_text(replayed.as_ref()), "case 3 panics");
+        assert_eq!(replay("panics-on-3", 0x5eed, 2, 0), Ok(0));
+    }
+
+    #[test]
+    fn every_target_smoke_small() {
+        for (name, seed0, count, want) in [
+            ("graphs", 0x0ace, 6, &[6][..]),
+            ("tensor", 0x7e50, 3, &[3]),
+            ("mir", 0x6d69, 200, &[135, 75, 68]),
+        ] {
+            let t = target(name).unwrap();
+            assert_eq!(fuzz(t, seed0, count), Ok(want.to_vec()), "{name}");
+        }
     }
 
     #[test]
@@ -761,13 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn fuzz_smoke_small() {
-        // A handful of full differential cases; the big corpus lives in
-        // `tests/scheduler_diff.rs` and the `experiments fuzz` gate.
-        run_seeds(0x0ace, 6).unwrap();
-    }
-
-    #[test]
     fn tensor_cases_are_reproducible() {
         for seed in [1u64, 0xdead_beef, 0x7e50_7e50] {
             let a = gen_tensor_case(seed, 2);
@@ -776,11 +743,7 @@ mod tests {
             assert_eq!(a.graph.content_hash(), b.graph.content_hash());
             assert_eq!(a.inits, b.inits);
             assert_eq!(a.cfg.window, b.cfg.window);
+            assert_eq!(a.faults, b.faults);
         }
-    }
-
-    #[test]
-    fn tensor_fuzz_smoke_small() {
-        run_tensor_seeds(0x7e50, 3).unwrap();
     }
 }

@@ -3,6 +3,8 @@
 //! observables to the disabled run — cycle counts, end-state hashes
 //! (results + final memory image) under both schedulers, and the
 //! exact Chrome-trace bytes of a traced run. Telemetry may only observe.
+//! Tier-1 checks the first workload of each `Class`; `scripts/check.sh`
+//! runs the ignored full sweep in release.
 //!
 //! This lives in its own integration-test binary on purpose: it toggles
 //! the process-global `muir_core::telemetry` flag, which would race with
@@ -12,7 +14,7 @@ use muir_bench::baseline;
 use muir_core::compiled::CompiledAccel;
 use muir_core::telemetry;
 use muir_sim::{end_state_hash, simulate_compiled, SchedulerKind, SimConfig, TraceConfig};
-use muir_workloads::all;
+use muir_workloads::REGISTRY;
 
 /// The per-workload observable fingerprint a telemetry toggle must not
 /// move: `(cycles, end-state hash)` per scheduler plus the traced run's
@@ -49,9 +51,22 @@ fn fingerprint(comp: &CompiledAccel, w: &muir_workloads::Workload) -> Fingerprin
 }
 
 #[test]
+fn metrics_on_and_off_are_bit_identical_on_the_first_workload_of_each_class() {
+    sweep(&|i| REGISTRY[..i].iter().all(|e| e.class != REGISTRY[i].class));
+}
+
+#[test]
+#[ignore = "full sweep: scripts/check.sh, release"]
 fn metrics_on_and_off_are_bit_identical_on_every_workload() {
+    sweep(&|_| true);
+}
+
+/// The telemetry toggle on every registry workload `keep` selects by
+/// index.
+fn sweep(keep: &dyn Fn(usize) -> bool) {
     let mut failures = Vec::new();
-    for w in all() {
+    for (_, e) in REGISTRY.iter().enumerate().filter(|&(i, _)| keep(i)) {
+        let w = (e.build)();
         let acc = baseline(&w);
         let comp =
             CompiledAccel::compile(&acc).unwrap_or_else(|e| panic!("{}: compile: {e}", w.name));

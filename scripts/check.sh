@@ -1,22 +1,27 @@
 #!/bin/sh
 # Repo hygiene gate: formatting, lints on every workspace crate, the
-# tier-1 test suite, the trace-exporter schema gate, the sealed-artifact
+# tier-1 test suite (`cargo test -q`: every workspace crate, its full
+# registry sweeps left to the release stages below), the trace-exporter
+# schema gate, the sealed-artifact
 # determinism gate (compile twice -> identical content hash; no-op pass
 # pipeline -> hash unchanged), the store determinism gate (cold/warm/
-# post-fault over the full workload suite, then muir-store's own tests with
-# the entry a pre-flat-image build wrote), the storage fault campaign
-# (4 injected fault classes x plain/sim-faulted differential), the
-# seeded graph-fuzz smoke (30 graphs, check_lowering + Dense/Ready),
-# the tensor-lowering differential gate (text-parsed vs API-built
+# post-fault over the full workload suite), the storage fault campaign
+# (4 injected fault classes x plain/sim-faulted differential), three
+# `experiments fuzz <target>` stages over the one fuzz driver in
+# crates/bench/src/testgen.rs — `graphs` (30 seeded graphs:
+# check_lowering, Dense/Ready plain/traced/faulted, the interpreter),
+# then the tensor-lowering differential gate (text-parsed vs API-built
 # GEMM/CONV-shaped graphs bit-identical in cycles and end-state hash,
-# numerics matching the hand-built workloads), the
-# tensor-graph fuzz smoke (seeded frontend graphs through parse ->
-# lower -> seal -> sim), the mir line-mutation fuzz (20 000 seeded edits of
-# the printed registry modules through parse -> verify -> translate: each
-# stage may refuse a case with its typed error, none may panic), the scheduler differential (sealed tables held
-# to the reference lowering, then Ready vs the Dense oracle over the same
-# artifact, plain, traced and faulted: a tiled workload in muir-sim, then
-# all 24 registry workloads), the one-hot-path gate (under crates/sim/src:
+# numerics matching the hand-built workloads), `tensor` (10 seeded
+# frontend graphs through lower -> seal -> sim, plain/traced/faulted) and
+# `mir` (20 000 seeded edits of the printed registry modules through
+# parse -> verify -> translate: each stage may refuse a case with its
+# typed error, none may panic), the scheduler differential (sealed tables
+# held to the reference lowering, then Ready vs the Dense oracle over the
+# same artifact, plain, traced and faulted: a tiled workload in muir-sim,
+# then all 24 registry workloads), the one-differential gate (under
+# crates/bench/src and tests/, only crates/bench/src/sched.rs names
+# `SchedulerKind::Dense`), the one-hot-path gate (under crates/sim/src:
 # no `unsafe`, no `SchedulerKind::Parallel`, no second firing body — one
 # `fn try_fire` and one `fn fire` in engine.rs — and a reference lowering
 # that names no `CompiledTask` outside `check_lowering`), the one-adjacency
@@ -42,7 +47,7 @@
 # helpers live in crates/core/src/json.rs only, and the retired second
 # scoreboard is named by no source, script or manifest), the telemetry
 # zero-perturbation guard (metrics on vs off bit-identical on every
-# workload), the metrics gate (one instrumented GEMM capture whose
+# workload, the ignored full sweep), the metrics gate (one instrumented GEMM capture whose
 # merged trace and registry snapshot must validate against
 # scripts/trace_schema.json and scripts/metrics_schema.json), the
 # DSE smoke gate (a 2-workload seeded sweep through the eval service,
@@ -83,24 +88,23 @@ cargo run -q -p muir-bench --bin experiments -- trace-schema scripts/trace_schem
 echo "== artifact determinism (compile twice + no-op pipeline, all workloads) =="
 cargo run -q -p muir-bench --bin experiments -- compile-stats
 
-echo "== store determinism gate (cold/warm/post-fault, all workloads; the parent-written fixture entry) =="
+echo "== store determinism gate (cold/warm/post-fault, all workloads) =="
 cargo run --release -q -p muir-bench --bin experiments -- serve target/store-check
-cargo test -q -p muir-store --lib
 
 echo "== storage fault campaign (4 classes x plain/sim-faulted) =="
 cargo run --release -q -p muir-bench --bin experiments -- store-campaign target/store-campaign-check
 
-echo "== graph-fuzz smoke (30 seeded graphs, check_lowering + Dense/Ready x plain/traced/faulted) =="
-cargo run --release -q -p muir-bench --bin experiments -- fuzz --graphs 30 --seed 0xc1
+echo "== fuzz graphs (30 seeded graphs, check_lowering + Dense/Ready x plain/traced/faulted + interpreter) =="
+cargo run --release -q -p muir-bench --bin experiments -- fuzz graphs 30 --seed 0xc1
 
 echo "== tensor-lowering differential gate (frontend vs hand-built GEMM/CONV) =="
 cargo run --release -q -p muir-bench --bin experiments -- tensor --gate
 
-echo "== tensor-graph fuzz smoke (10 seeded graphs through the frontend) =="
-cargo run --release -q -p muir-bench --bin experiments -- fuzz --tensor --graphs 10 --seed 0x7e50
+echo "== fuzz tensor (10 seeded graphs through the frontend, Dense/Ready x plain/traced/faulted) =="
+cargo run --release -q -p muir-bench --bin experiments -- fuzz tensor 10 --seed 0x7e50
 
-echo "== mir line-mutation fuzz (20 000 cases through parse -> verify -> translate, no panic) =="
-cargo run --release -q -p muir-bench --bin experiments -- fuzz --mir 20000 --seed 0x6d69
+echo "== fuzz mir (20 000 line mutations through parse -> verify -> translate, no panic) =="
+cargo run --release -q -p muir-bench --bin experiments -- fuzz mir 20000 --seed 0x6d69
 
 echo "== check_lowering + Dense/Ready differential (tiled workload, plain/traced/faulted) =="
 cargo test --release -q -p muir-sim --lib ready_
@@ -200,8 +204,14 @@ cargo run --release -q -p muir-bench --bin experiments -- outcomes >target/outco
 cmp target/outcomes.txt scripts/outcomes.golden
 echo "288 outcomes identical to the parent-written golden file"
 
-echo "== check_lowering + Dense/Ready differential (24 registry workloads, plain/traced/faulted) =="
-cargo test --release -q -p muir-bench --test scheduler_diff every_scheduler_matches_dense_on_every_workload
+echo "== check_lowering + Dense/Ready differential (24 registry workloads, plain/traced/faulted; full sweep) =="
+cargo test --release -q -p muir-bench --test scheduler_diff -- --include-ignored
+
+echo "== one differential (crates/bench/src, tests/: Dense is run in sched.rs only) =="
+if grep -rn 'SchedulerKind::Dense' crates/bench/src tests | grep -v '^crates/bench/src/sched\.rs:'; then
+    echo "check.sh: Ready is compared with the Dense oracle by muir_bench::sched::dense_vs_ready alone (lines above)" >&2
+    exit 1
+fi
 
 echo "== one JSON module (crates/: one escaper, no second scoreboard) =="
 if grep -rnE 'fn (esc|json_)' crates --include='*.rs' | grep -v '^crates/core/src/json\.rs:'; then
@@ -214,8 +224,8 @@ if grep -rn 'BENCH''_sim' crates scripts Cargo.toml benchmark/Cargo.toml; then
     exit 1
 fi
 
-echo "== telemetry zero-perturbation guard (metrics on == off, all workloads) =="
-cargo test --release -q -p muir-bench --test telemetry
+echo "== telemetry zero-perturbation guard (metrics on == off, all workloads; full sweep) =="
+cargo test --release -q -p muir-bench --test telemetry -- --include-ignored
 
 echo "== metrics gate (merged trace + snapshot vs scripts/*_schema.json) =="
 cargo run --release -q -p muir-bench --bin experiments -- metrics GEMM target/metrics-check

@@ -14,6 +14,7 @@
 //! feedback edge, an accumulator register, a call's arguments and its
 //! reply, a fault's data lines.
 
+use muir::bench::sched::{dense_vs_ready, Outcome};
 use muir::core::accel::Accelerator;
 use muir::core::node::NodeKind;
 use muir::core::CompiledAccel;
@@ -25,56 +26,42 @@ use muir::mir::memory::{ElemKind, ObjectImage};
 use muir::mir::module::Module;
 use muir::mir::types::{ScalarType, TensorShape, Type};
 use muir::mir::value::Value;
-use muir::sim::reference::check_lowering;
-use muir::sim::{
-    end_state_hash, result_hash, simulate_compiled, FaultClass, FaultPlan, FaultSpec,
-    SchedulerKind, SimConfig,
-};
+use muir::sim::{end_state_hash, result_hash, FaultClass, FaultPlan, FaultSpec, SimConfig};
 use muir::uopt::passes::{OpFusion, Simplify};
 use muir::uopt::PassManager;
 
-/// One run, as text: what the parent build printed for it.
-fn shown(r: Result<muir::sim::SimResult, muir::sim::SimError>, mem: &Memory) -> String {
-    match r {
-        Ok(r) => format!(
-            "ok cycles={} res={:016x} end={:016x}",
-            r.cycles,
-            result_hash(&r),
-            end_state_hash(&r, mem)
-        ),
-        Err(e) => format!("err {e}"),
-    }
-}
-
-/// Seal `acc`, hold its tables to the reference lowering, run it under
-/// both schedulers from the memory `init` prepares, require `Ready` ≡
-/// `Dense`, and return the outcome with the results and the final memory.
+/// Seal `acc`, run `sched::dense_vs_ready` from the memory `init`
+/// prepares, and return the plain `Dense` outcome as the parent build
+/// printed it, with the results and, when the run completed, the final
+/// memory.
 fn run(
     m: &Module,
     acc: &Accelerator,
     args: &[Value],
     cfg: &SimConfig,
     init: &dyn Fn(&mut Memory),
-) -> (String, Vec<Value>, Memory) {
+) -> (String, Vec<Value>, Option<Memory>) {
     let comp = CompiledAccel::compile(acc).expect("seal");
-    check_lowering(&comp).expect("lowering");
-    let under = |scheduler| {
+    let fresh = || {
         let mut mem = Memory::from_module(m);
         init(&mut mem);
-        let r = simulate_compiled(
-            &comp,
-            &mut mem,
-            args,
-            &cfg.clone().with_scheduler(scheduler),
-        );
-        let results = r.as_ref().map_or(Vec::new(), |r| r.results.clone());
-        (shown(r, &mem), results, mem)
+        mem
     };
-    let dense = under(SchedulerKind::Dense);
-    let ready = under(SchedulerKind::Ready);
-    assert_eq!(dense.0, ready.0, "{}: ready vs dense", m.name);
-    assert_eq!(dense.2, ready.2, "{}: ready vs dense memory", m.name);
-    dense
+    let dense = dense_vs_ready(&comp, args, &fresh, cfg, None)
+        .unwrap_or_else(|e| panic!("{}: {e}", m.name));
+    match dense.into_iter().next().expect("the plain leg") {
+        Outcome::Ok { run, mem, .. } => (
+            format!(
+                "ok cycles={} res={:016x} end={:016x}",
+                run.cycles,
+                result_hash(&run),
+                end_state_hash(&run, &mem)
+            ),
+            run.results,
+            Some(mem),
+        ),
+        Outcome::Err(e) => (format!("err {e}"), Vec::new(), None),
+    }
 }
 
 /// [`run`] on the frontend's translation of `m`, fault-free, with the
@@ -85,14 +72,19 @@ fn run_like_the_interpreter(
     init: &dyn Fn(&mut Memory),
 ) -> (String, Vec<Value>, Memory) {
     let acc = translate(m, &FrontendConfig::default()).expect("translate");
-    let out = run(m, &acc, args, &SimConfig::default(), init);
+    let (got, results, mem) = run(m, &acc, args, &SimConfig::default(), init);
     let mut want = Memory::from_module(m);
     init(&mut want);
     Interp::new(m)
         .run_main(&mut want, args)
         .unwrap_or_else(|e| panic!("{}: interpreter: {e}", m.name));
-    assert_eq!(out.2, want, "{}: dense vs the interpreter", m.name);
-    out
+    assert_eq!(
+        mem.as_ref(),
+        Some(&want),
+        "{}: dense vs the interpreter",
+        m.name
+    );
+    (got, results, want)
 }
 
 /// The error both the interpreter and the engine end in.
@@ -257,7 +249,7 @@ fn poison_passes_through_select_merge_fused_and_a_squashed_load() {
     );
     let (got, results, fused_mem) = run(&m, &acc, &[Value::Poison], &SimConfig::default(), &init);
     assert_eq!(results, [Value::Poison]);
-    assert_eq!(fused_mem, mem);
+    assert_eq!(fused_mem, Some(mem));
     assert_eq!(
         got,
         "ok cycles=97 res=7591b6f4e7ee0dc2 end=47f470ade7532e71"
@@ -396,7 +388,7 @@ fn a_tile_is_carried_by_a_loop_passed_to_a_call_and_returned_from_it() {
         .iter()
         .any(|t| t.dataflow.nodes.iter().any(|n| fused(&n.kind))));
     let (got, _, fused_mem) = run(&m, &acc, &[], &SimConfig::default(), &ramp);
-    assert_eq!(fused_mem, mem);
+    assert_eq!(fused_mem, Some(mem));
     assert_eq!(
         got,
         "ok cycles=110 res=a287969c68dcccf2 end=847ac5c31da6c356"
@@ -489,6 +481,7 @@ fn a_bit_flip_corrupts_the_first_lane_of_a_tile() {
         };
         let cfg = certain(FaultClass::TokenBitFlip, 0xf11b);
         let (got, _, mem) = run(&m, &acc, &[], &cfg, &init);
+        let mem = mem.expect("the run completes");
         let stored = words(&mem, MemObjId(1));
         let flipped = stored[0] ^ input[0];
         assert_eq!(flipped.count_ones(), 1, "{elem}: one bit of lane 0");
@@ -529,6 +522,7 @@ fn a_duplicated_tile_token_is_a_copy() {
     let cfg = certain(FaultClass::TokenDup, 0xd0b1);
     let init = |mem: &mut Memory| mem.init_i64(MemObjId(0), &[5, -6, 7, 8]);
     let (got, _, mem) = run(&m, &acc, &[], &cfg, &init);
+    let mem = mem.expect("the run completes");
     assert_eq!(words(&mem, MemObjId(1)), words(&mem, MemObjId(0)));
     assert_eq!(
         got,

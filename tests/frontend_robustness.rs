@@ -1,9 +1,9 @@
 //! `translate` terminates without panicking on every module `verify_module`
 //! accepts, and the mir text parser never panics: the reproducers the
-//! line-mutation fuzzer (`experiments fuzz --mir`) found, each now a typed
+//! line-mutation fuzzer (`experiments fuzz mir`) found, each now a typed
 //! `ParseError`, `VerifyError` or `FrontendError`.
 
-use muir::bench::testgen::run_mir_mutations;
+use muir::bench::testgen::{fuzz, target};
 use muir::frontend::{translate, FrontendConfig};
 use muir::mir::parser::parse_module;
 use muir::mir::printer::print_module;
@@ -101,7 +101,11 @@ fn parser_lines_that_panicked_are_parse_errors() {
 
 #[test]
 fn line_mutations_never_panic() {
-    let c = run_mir_mutations(0x7e57, 1000).unwrap();
-    assert_eq!(c.cases, 1000);
-    assert!(c.translated > 0 && c.translated < c.parsed, "{c:?}");
+    let [parsed, _, translated] = fuzz(target("mir").unwrap(), 0x7e57, 1000).unwrap()[..] else {
+        panic!("parsed, verified, translated");
+    };
+    assert!(
+        translated > 0 && translated < parsed,
+        "{parsed} {translated}"
+    );
 }

@@ -16,7 +16,6 @@ use muir::mir::interp::{Interp, Memory};
 use muir::mir::module::Module;
 use muir::mir::types::{ScalarType, Type};
 use muir::mir::value::Value;
-use muir::sim::reference::check_lowering;
 use muir::sim::{simulate_compiled, SimConfig, SimError, SimResult};
 use muir::uopt::passes::{MemoryLocalization, OpFusion, ScratchpadBanking};
 use muir::uopt::PassManager;
@@ -402,35 +401,28 @@ fn single_token_drop_is_never_silent() {
 }
 
 /// Both schedulers compute the same thing: random loop programs, sealed
-/// once and held to the reference lowering, run under Dense and Ready must
-/// agree on cycles, results, and memory — and match the interpreter.
+/// once, through `sched::dense_vs_ready` — and the oracle's memory matches
+/// the interpreter's.
 #[test]
 fn schedulers_agree_on_random_programs() {
-    use muir::sim::SchedulerKind;
+    use muir::bench::sched::{completes_like, dense_vs_ready};
     for case in 0..12u64 {
         let mut g = Gen::new(0x3a11 + case);
         let ops = random_ops(&mut g);
         let data = g.vec_i64(16, -100, 100);
         let n = data.len() as i64;
-        let (m, a, out) = random_loop_module(&ops, n);
+        let (m, a, _) = random_loop_module(&ops, n);
         let acc = translate(&m, &FrontendConfig::default()).unwrap();
         let comp = CompiledAccel::compile(&acc).unwrap();
-        check_lowering(&comp).unwrap_or_else(|e| panic!("case {case}: lowering: {e}"));
-
-        let mut ref_mem = Memory::from_module(&m);
-        ref_mem.init_i64(a, &data);
-        Interp::new(&m).run_main(&mut ref_mem, &[]).unwrap();
-        let expect = ref_mem.read_i64(out);
-
-        let run = |scheduler: SchedulerKind| {
+        let fresh = || {
             let mut mem = Memory::from_module(&m);
             mem.init_i64(a, &data);
-            let cfg = SimConfig::default().with_scheduler(scheduler);
-            let r = simulate_compiled(&comp, &mut mem, &[], &cfg).unwrap();
-            (r.cycles, r.stats.fires, mem.read_i64(out))
+            mem
         };
-        let dense = run(SchedulerKind::Dense);
-        assert_eq!(dense.2, expect, "case {case}: dense vs interpreter");
-        assert_eq!(dense, run(SchedulerKind::Ready), "case {case}: ready");
+        let mut want = fresh();
+        Interp::new(&m).run_main(&mut want, &[]).unwrap();
+        dense_vs_ready(&comp, &[], &fresh, &SimConfig::default(), None)
+            .and_then(|dense| completes_like(&dense, &want))
+            .unwrap_or_else(|e| panic!("case {case}: ops {ops:?}: {e}"));
     }
 }

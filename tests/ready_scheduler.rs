@@ -10,6 +10,7 @@
 //! * `sched_visits / fires` under `Ready` is an exact count, so a change
 //!   that makes wakes less precise fails here without any timing.
 
+use muir::bench::sched::{completes_like, dense_vs_ready};
 use muir::bench::{baseline, best_stack, optimized};
 use muir::core::accel::{Accelerator, TaskKind};
 use muir::core::CompiledAccel;
@@ -19,59 +20,25 @@ use muir::mir::instr::ValueRef;
 use muir::mir::interp::{Interp, Memory};
 use muir::mir::module::Module;
 use muir::mir::types::ScalarType;
-use muir::sim::reference::check_lowering;
-use muir::sim::{
-    end_state_hash, simulate_compiled, SchedulerKind, SimConfig, SimResult, TraceConfig,
-};
+use muir::sim::{simulate_compiled, SimConfig};
 use muir::workloads;
 
-/// What one run shows of itself: cycles, per-task busy cycles, end-state
-/// hash (results, stats, final memory), and the trace bytes when traced.
-type Shown = (u64, Vec<u64>, u64, Option<String>);
-
-fn shown(r: SimResult, mem: &Memory) -> Shown {
-    let hash = end_state_hash(&r, mem);
-    (
-        r.cycles,
-        r.stats.task_busy_cycles,
-        hash,
-        r.trace.map(|t| t.to_chrome_json()),
-    )
-}
-
-/// `Ready` against the `Dense` oracle over one sealed artifact (its tables
-/// held to the reference lowering first), plain and traced, and the
-/// oracle's memory against the interpreter's.
-fn ready_matches_dense(name: &str, m: &Module, acc: &Accelerator, init: &dyn Fn(&mut Memory)) {
+/// `sched::dense_vs_ready` over one sealed artifact, and the oracle's
+/// memory against the interpreter's.
+fn check(name: &str, m: &Module, acc: &Accelerator, init: &dyn Fn(&mut Memory)) {
     let comp = CompiledAccel::compile(acc).unwrap_or_else(|e| panic!("{name}: seal: {e}"));
-    check_lowering(&comp).unwrap_or_else(|e| panic!("{name}: lowering: {e}"));
-    let mut want = Memory::from_module(m);
-    init(&mut want);
+    let fresh = || {
+        let mut mem = Memory::from_module(m);
+        init(&mut mem);
+        mem
+    };
+    let mut want = fresh();
     Interp::new(m)
         .run_main(&mut want, &[])
         .expect("interpreter");
-    for traced in [false, true] {
-        let run = |scheduler: SchedulerKind| {
-            let cfg = SimConfig {
-                trace: if traced {
-                    TraceConfig::on()
-                } else {
-                    TraceConfig::default()
-                },
-                ..SimConfig::default()
-            }
-            .with_scheduler(scheduler);
-            let mut mem = Memory::from_module(m);
-            init(&mut mem);
-            let r = simulate_compiled(&comp, &mut mem, &[], &cfg)
-                .unwrap_or_else(|e| panic!("{name}: {scheduler:?}: {e}"));
-            (shown(r, &mem), mem)
-        };
-        let (dense, mem) = run(SchedulerKind::Dense);
-        assert_eq!(mem, want, "{name}: dense vs the interpreter");
-        let (ready, _) = run(SchedulerKind::Ready);
-        assert_eq!(dense, ready, "{name}: ready (traced: {traced})");
-    }
+    dense_vs_ready(&comp, &[], &fresh, &SimConfig::default(), None)
+        .and_then(|dense| completes_like(&dense, &want))
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
 }
 
 /// A serial outer loop whose body calls an inner loop: the parent tile has
@@ -93,7 +60,7 @@ fn parent_blocked_on_a_child_call() {
     b.ret(None);
     m.add_function(b.finish());
     let acc = translate(&m, &FrontendConfig::default()).unwrap();
-    ready_matches_dense("blocked-parent", &m, &acc, &|mem| {
+    check("blocked-parent", &m, &acc, &|mem| {
         mem.init_i64(a, &(0..64).collect::<Vec<i64>>());
     });
 }
@@ -115,7 +82,7 @@ fn zero_trip_loop_still_retires() {
     b.ret(None);
     m.add_function(b.finish());
     let acc = translate(&m, &FrontendConfig::default()).unwrap();
-    ready_matches_dense("zero-trip", &m, &acc, &|_| {});
+    check("zero-trip", &m, &acc, &|_| {});
 }
 
 /// A divider (initiation interval 8) in a pipelined loop: the node sleeps
@@ -133,7 +100,7 @@ fn long_initiation_interval_sleeper() {
     b.ret(None);
     m.add_function(b.finish());
     let acc = translate(&m, &FrontendConfig::default()).unwrap();
-    ready_matches_dense("sleeper", &m, &acc, &|mem| {
+    check("sleeper", &m, &acc, &|mem| {
         mem.init_i64(a, &(0..32).map(|x| 100 + 9 * x).collect::<Vec<i64>>());
     });
 }
@@ -159,7 +126,7 @@ fn full_child_queue() {
             acc.task_mut(t).queue_depth = 2;
         }
     }
-    ready_matches_dense("full-queue", &m, &acc, &|_| {});
+    check("full-queue", &m, &acc, &|_| {});
 }
 
 /// The ten generated tensor graphs of the `sim-tensor` benchmark. Their
@@ -174,7 +141,7 @@ fn generated_tensor_graphs() {
         let text = muir::frontend::tensor::gen_graph(11 + k, 8).print();
         let w = workloads::tensorgraph::from_text("GEN", &text, 301 + k).expect("graph builds");
         let acc = baseline(&w);
-        ready_matches_dense(&format!("gen_graph({})", 11 + k), &w.module, &acc, &|mem| {
+        check(&format!("gen_graph({})", 11 + k), &w.module, &acc, &|mem| {
             *mem = w.fresh_memory();
         });
     }

@@ -16,6 +16,7 @@
 //! feeding one that is stamped, a latency past the wake calendar's horizon,
 //! faults on stamped edges, and the watchdog.
 
+use muir::bench::sched::{dense_vs_ready, Outcome};
 use muir::core::accel::{Accelerator, TaskKind};
 use muir::core::dataflow::{Buffering, EdgeKind};
 use muir::core::hw;
@@ -27,45 +28,39 @@ use muir::mir::instr::{CmpPred, MemObjId, ValueRef};
 use muir::mir::interp::{Interp, Memory};
 use muir::mir::module::Module;
 use muir::mir::types::{ScalarType, Type};
-use muir::sim::reference::check_lowering;
-use muir::sim::{
-    end_state_hash, result_hash, simulate_compiled, FaultClass, FaultPlan, FaultSpec,
-    SchedulerKind, SimConfig,
-};
+use muir::sim::{end_state_hash, result_hash, FaultClass, FaultPlan, FaultSpec, SimConfig};
 use muir::uopt::passes::OpFusion;
 use muir::uopt::PassManager;
 
-/// Seal `acc`, hold its tables to the reference lowering, run it under
-/// both schedulers from the memory `init` prepares, require `Ready` ≡
-/// `Dense`, and return the outcome as the parent build printed it, with
-/// the final memory.
+/// Seal `acc`, run `sched::dense_vs_ready` from the memory `init`
+/// prepares, and return the plain `Dense` outcome as the parent build
+/// printed it, with the final memory when the run completed.
 fn run(
     m: &Module,
     acc: &Accelerator,
     cfg: &SimConfig,
     init: &dyn Fn(&mut Memory),
-) -> (String, Memory) {
+) -> (String, Option<Memory>) {
     let comp = CompiledAccel::compile(acc).expect("seal");
-    check_lowering(&comp).expect("lowering");
-    let under = |scheduler| {
+    let fresh = || {
         let mut mem = Memory::from_module(m);
         init(&mut mem);
-        let cfg = cfg.clone().with_scheduler(scheduler);
-        let shown = match simulate_compiled(&comp, &mut mem, &[], &cfg) {
-            Ok(r) => format!(
-                "ok cycles={} res={:016x} end={:016x}",
-                r.cycles,
-                result_hash(&r),
-                end_state_hash(&r, &mem)
-            ),
-            Err(e) => format!("err {e}"),
-        };
-        (shown, mem)
+        mem
     };
-    let dense = under(SchedulerKind::Dense);
-    let ready = under(SchedulerKind::Ready);
-    assert_eq!(dense, ready, "{}: ready vs dense", m.name);
-    dense
+    let dense =
+        dense_vs_ready(&comp, &[], &fresh, cfg, None).unwrap_or_else(|e| panic!("{}: {e}", m.name));
+    match dense.into_iter().next().expect("the plain leg") {
+        Outcome::Ok { run, mem, .. } => (
+            format!(
+                "ok cycles={} res={:016x} end={:016x}",
+                run.cycles,
+                result_hash(&run),
+                end_state_hash(&run, &mem)
+            ),
+            Some(mem),
+        ),
+        Outcome::Err(e) => (format!("err {e}"), None),
+    }
 }
 
 fn baseline(m: &Module) -> Accelerator {
@@ -149,7 +144,7 @@ fn a_token_arrives_while_its_consumer_sleeps_and_a_consumer_wakes_before_its_tok
     let (m, a) = fp_chain_module();
     let init = fp_init(a);
     let (got, mem) = run(&m, &baseline(&m), &SimConfig::default(), &init);
-    assert_eq!(mem, interpreted(&m, &init));
+    assert_eq!(mem, Some(interpreted(&m, &init)));
     assert_eq!(
         got,
         "ok cycles=269 res=0ef2f766c52e8fc0 end=38403a52b8a01a3b"
@@ -169,7 +164,7 @@ fn an_edge_fills_by_the_clock_and_frees_on_a_pop() {
         |k: &NodeKind| matches!(k, NodeKind::Compute(op) if hw::op_timing(*op, Type::F32).ii == 6);
     assert_eq!(buffer_edges_into(&mut acc, &fdiv, Buffering::Fifo(1)), 2);
     let (got, mem) = run(&m, &acc, &SimConfig::default(), &init);
-    assert_eq!(mem, want);
+    assert_eq!(mem.as_ref(), Some(&want));
     assert_eq!(
         got,
         "ok cycles=269 res=0ef2f766c52e8fc0 end=38403a52b8a01a3b"
@@ -179,7 +174,7 @@ fn an_edge_fills_by_the_clock_and_frees_on_a_pop() {
         ..SimConfig::default()
     };
     let (got, mem) = run(&m, &baseline(&m), &cfg, &init);
-    assert_eq!(mem, want);
+    assert_eq!(mem.as_ref(), Some(&want));
     assert_eq!(
         got,
         "ok cycles=1028 res=46b9a72d64ef6289 end=2d5c04c738cc3639"
@@ -198,7 +193,7 @@ fn admission_waits_on_an_instance_retiring() {
         ..SimConfig::default()
     };
     let (got, mem) = run(&m, &baseline(&m), &cfg, &init);
-    assert_eq!(mem, want);
+    assert_eq!(mem.as_ref(), Some(&want));
     assert_eq!(
         got,
         "ok cycles=1074 res=489c4a039971d99d end=ac21d82b8cbbd9b7"
@@ -211,7 +206,7 @@ fn admission_waits_on_an_instance_retiring() {
         }
     }
     let (got, mem) = run(&m, &acc, &SimConfig::default(), &init);
-    assert_eq!(mem, want);
+    assert_eq!(mem.as_ref(), Some(&want));
     assert_eq!(
         got,
         "ok cycles=1074 res=489c4a039971d99d end=ac21d82b8cbbd9b7"
@@ -262,7 +257,7 @@ fn a_merge_takes_its_feedback_and_an_accumulator_keeps_its_own() {
     let acc = baseline(&m);
     assert!(has_node(&acc, &|k| matches!(k, NodeKind::Merge)));
     let (got, mem) = run(&m, &acc, &SimConfig::default(), &init);
-    assert_eq!(mem, want);
+    assert_eq!(mem.as_ref(), Some(&want));
     assert_eq!(
         got,
         "ok cycles=174 res=ae316fcc5eb95aaa end=cf50314e0b504b0a"
@@ -274,7 +269,7 @@ fn a_merge_takes_its_feedback_and_an_accumulator_keeps_its_own() {
         .expect("fusion");
     assert!(has_node(&acc, &|k| matches!(k, NodeKind::FusedAcc { .. })));
     let (got, mem) = run(&m, &acc, &SimConfig::default(), &init);
-    assert_eq!(mem, want);
+    assert_eq!(mem.as_ref(), Some(&want));
     assert_eq!(
         got,
         "ok cycles=159 res=1e57d14a6aaa1b6b end=4fbfc83ea2c987b9"
@@ -316,7 +311,7 @@ fn a_zero_trip_loop_retires_and_a_reply_hands_an_instance_to_its_last_stamp() {
     let m = nested_module();
     let want = interpreted(&m, &|_| {});
     let (got, mem) = run(&m, &baseline(&m), &SimConfig::default(), &|_| {});
-    assert_eq!(mem, want);
+    assert_eq!(mem.as_ref(), Some(&want));
     assert_eq!(
         got,
         "ok cycles=291 res=4798c931f95383c0 end=429753c02384a30c"
@@ -348,7 +343,7 @@ fn a_squashed_load_feeds_a_stamping_unit() {
     m.add_function(b.finish());
     let init = |mem: &mut Memory| mem.init_i64(a, &(3..19).collect::<Vec<_>>());
     let (got, mem) = run(&m, &baseline(&m), &SimConfig::default(), &init);
-    assert_eq!(mem, interpreted(&m, &init));
+    assert_eq!(mem, Some(interpreted(&m, &init)));
     assert_eq!(
         got,
         "ok cycles=112 res=9cae89ebfe4da91d end=945cb433ddb59d70"
@@ -390,7 +385,7 @@ fn a_latency_past_the_calendar_horizon() {
         matches!(k, NodeKind::Fused(plan) if hw::fused_timing(plan, cfg.period_ns).latency > 32)
     }));
     let (got, mem) = run(&m, &acc, &cfg, &init);
-    assert_eq!(mem, interpreted(&m, &init));
+    assert_eq!(mem, Some(interpreted(&m, &init)));
     assert_eq!(
         got,
         "ok cycles=228 res=83aaf17c4edbb938 end=0484eb016b59b1d2"
