@@ -9,7 +9,7 @@
 //!     dse [--workload W]...|--all [--seed S] [--budget N] [--threads T]
 //!         [--out PATH] [--store DIR]|
 //!     serve [store-root]|store-stats [store-root]|store-campaign [root]|
-//!     metrics <workload> [outdir]|stats|compile-stats|outcomes]
+//!     metrics <workload> [outdir]|compile-stats|outcomes]
 //! ```
 //!
 //! A number is hex after `0x`, decimal when it is all digits, and hex
@@ -29,8 +29,8 @@
 //! service — cold (dedup + compile + simulate + writeback), traced, warm
 //! (store hit), and deadline-clipped (retry) — then writes a merged
 //! service+sim Perfetto trace and a schema-validated metrics snapshot
-//! (the telemetry CI gate); `stats` prints the unified
-//! cache/store/service/sim report from the registry.
+//! (the telemetry CI gate), and prints each service's store and service
+//! stats beside the snapshot's sim counters.
 
 use muir_bench::{
     baseline, fig11_point, fig12_sweep, fig15_point, fig16_sweep, fig18_point, fig9_point,
@@ -49,7 +49,7 @@ use muir_workloads::by_name;
 const USAGE: &str = "usage: experiments [all|fig1|table2|fig9|table3|fig11|fig12|fig15|\
                      fig16|fig17|fig18|table4|ablations|faults|--selftest|profile|\
                      trace-schema|fuzz|tensor|dse|serve|store-stats|store-campaign|\
-                     metrics|stats|compile-stats|outcomes]";
+                     metrics|compile-stats|outcomes]";
 const FUZZ_USAGE: &str = "usage: experiments fuzz <graphs|tensor|mir> [N] [--seed S]";
 const DSE_USAGE: &str = "usage: experiments dse [--workload W]... | --all [--seed S] \
                          [--budget N] [--threads T] [--out PATH] [--store DIR]";
@@ -134,7 +134,6 @@ fn main() {
                 arg(1).unwrap_or_else(|| format!("target/metrics/{}", name.to_lowercase()));
             metrics(&name, &outdir);
         }
-        "stats" => stats_report(),
         "dse" => dse_args(&rest),
         "serve" => serve(&arg(0).unwrap_or_else(|| "target/store-serve".to_string())),
         "store-stats" => store_stats(&arg(0).unwrap_or_else(|| "target/store-serve".to_string())),
@@ -314,8 +313,6 @@ fn dse(names: &[String], params: &muir_bench::dse::DseParams, store: Option<&str
         params.threads,
         store.map(|s| format!(", store {s}")).unwrap_or_default()
     ));
-    muir_core::telemetry::set_enabled(true);
-    muir_core::telemetry::reset();
     let store_root = store.map(std::path::Path::new);
     let mut results = Vec::new();
     let mut totals = DseStats::default();
@@ -358,7 +355,6 @@ fn dse(names: &[String], params: &muir_bench::dse::DseParams, store: Option<&str
         totals.coalesced,
         totals.store_warnings
     );
-    muir_core::telemetry::set_enabled(false);
     match std::fs::read_to_string("scripts/dse_schema.json") {
         Ok(schema) => match validate_dse_json(&report, &schema) {
             Ok(s) => println!(
@@ -389,8 +385,6 @@ fn serve(root: &str) {
     use muir_store::{Store, StoreFaultClass, StoreFaultPlan};
 
     hdr("Eval service: cold / warm / post-fault determinism over the workload suite");
-    muir_core::telemetry::set_enabled(true);
-    muir_core::telemetry::reset();
     let root = std::path::Path::new(root);
     let _ = std::fs::remove_dir_all(root);
     let open = || Store::open(root);
@@ -478,19 +472,6 @@ fn serve(root: &str) {
         cold_ms / warm_ms.max(1e-9)
     );
     store_stats(&root.display().to_string());
-    {
-        use muir_core::telemetry;
-        telemetry::set_enabled(false);
-        let snap = telemetry::snapshot();
-        hdr("Registry metrics (service / store / compile, whole run)");
-        for c in snap
-            .counters
-            .iter()
-            .filter(|c| !c.0.starts_with("sim.") && !c.0.starts_with("stats."))
-        {
-            println!("  {:<28} {}", c.0, c.1);
-        }
-    }
     if fail || warm_hits != jobs || fault_codes != jobs {
         eprintln!("FAIL: store determinism gate (see rows above)");
         std::process::exit(1);
@@ -522,26 +503,15 @@ fn store_stats(root: &str) {
             bytes as f64 / 1024.0
         );
     }
-    let snap = muir_core::telemetry::snapshot();
-    let io: Vec<_> = snap
-        .counters
-        .iter()
-        .filter(|c| c.0.starts_with("store."))
-        .collect();
-    if !io.is_empty() {
-        println!("live store counters (this process):");
-        for c in io {
-            println!("  {:<28} {}", c.0, c.1);
-        }
-    }
 }
 
 /// `metrics <workload> [outdir]`: one instrumented end-to-end capture
 /// through the eval service. Writes `trace.json` (merged service+sim
 /// Perfetto timeline) and `metrics.json` (registry snapshot), validates
 /// both against the checked-in schemas (exits non-zero on violation),
-/// prints the unified report and Prometheus exposition, and measures the
-/// telemetry-disabled vs -enabled drain overhead.
+/// prints each service's stats, the sim counters and the Prometheus
+/// exposition, and measures the telemetry-disabled vs -enabled drain
+/// overhead.
 fn metrics(name: &str, outdir: &str) {
     use muir_bench::service::{EvalJob, EvalService, RetryPolicy, ServiceConfig};
     use muir_bench::telemetry_gate as gate;
@@ -643,9 +613,12 @@ fn metrics(name: &str, outdir: &str) {
         );
     }
 
-    // Snapshot: mirror the authoritative structs into `stats.*` gauges,
-    // write the JSON exposition, and gate it on the schema.
-    gate::mirror_stats(Some(&warm_svc.store_stats()), Some(&svc.stats()));
+    // Snapshot: add each drained service's stats structs into the
+    // registry, write the JSON exposition, and gate it on the schema.
+    let services = [("cold", &svc), ("warm", &warm_svc), ("clipped", &clip_svc)];
+    for (_, s) in services {
+        gate::record_stats(Some(&s.store_stats()), Some(&s.stats()));
+    }
     let snap = telemetry::snapshot();
     let json = snap.to_json();
     let metrics_path = outroot.join("metrics.json");
@@ -670,8 +643,22 @@ fn metrics(name: &str, outdir: &str) {
         ),
     }
 
-    hdr("Unified stats (from the registry)");
-    print!("{}", gate::render_unified(&snap));
+    hdr("Stats (per service; the snapshot's counters are their sums)");
+    for (tag, s) in services {
+        println!("[{tag}]\n{}\n{}", s.store_stats(), s.stats());
+    }
+    let c = |name: &str| snap.counter(name);
+    println!(
+        "sim: {} runs, {} cycles, {} fires, {} cache hits / {} misses, \
+         {} bank conflicts, {} dram fills",
+        c("sim.runs"),
+        c("sim.cycles"),
+        c("sim.fires"),
+        c("sim.cache_hits"),
+        c("sim.cache_misses"),
+        c("sim.bank_conflicts"),
+        c("sim.dram_fills"),
+    );
 
     hdr("Prometheus exposition");
     print!("{}", snap.to_prometheus());
@@ -698,40 +685,6 @@ fn metrics(name: &str, outdir: &str) {
         "disabled {off_ms:.2} ms / enabled {on_ms:.2} ms per cold drain ({:+.1}%)",
         100.0 * (on_ms - off_ms) / off_ms.max(1e-9)
     );
-}
-
-/// `stats`: the unified store/service/sim report — one printer
-/// reading the telemetry registry, fed by the authoritative stats
-/// structs after a short instrumented workload run.
-fn stats_report() {
-    use muir_bench::service::{EvalJob, EvalService, ServiceConfig};
-    use muir_bench::telemetry_gate as gate;
-    use muir_core::telemetry;
-    use muir_store::Store;
-
-    hdr("Unified stats: GEMM through the eval service");
-    telemetry::set_enabled(true);
-    telemetry::reset();
-    let root = std::path::Path::new("target/stats-store");
-    let _ = std::fs::remove_dir_all(root);
-
-    let w = by_name("GEMM").expect("GEMM in suite");
-    let comp = std::sync::Arc::new(muir_bench::sealed(&w, &baseline(&w)));
-
-    let job = EvalJob {
-        cfg: muir_sim::SimConfig::default(),
-        args: vec![],
-        mem: w.fresh_memory(),
-    };
-    let mut svc = EvalService::new(comp, Some(Store::open(root)), ServiceConfig::default());
-    svc.submit(job.clone());
-    svc.submit(job.clone());
-    svc.drain(); // cold: dedup + simulate + writeback
-    svc.submit(job);
-    svc.drain(); // warm: served from the store
-    gate::mirror_stats(Some(&svc.store_stats()), Some(&svc.stats()));
-    telemetry::set_enabled(false);
-    print!("{}", gate::render_unified(&telemetry::snapshot()));
 }
 
 /// `store-campaign [root]`: the storage fault-injection campaign (see

@@ -191,7 +191,6 @@ pub fn explore(
         let _s = telemetry::span("dse", "dse.sample");
         space.sample_indices(params.seed ^ workload_salt(w.name), params.budget)
     };
-    telemetry::count("dse.candidates", indices.len() as u64);
 
     // Run every sampled config's pipeline on a copy of the one baseline
     // translation and group the candidates by content hash (BTreeMap:
@@ -273,7 +272,6 @@ pub fn explore(
             }
         }
     }
-    telemetry::count("dse.store_hits", stats.store_hits);
 
     // Rank: the front over all (cycles, area_score) pairs.
     let points: Vec<(u64, u64)> = evaluated

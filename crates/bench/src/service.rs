@@ -147,14 +147,6 @@ pub struct ServiceStats {
     pub deadline_clipped: u64,
     /// Typed store errors degraded into warnings.
     pub store_warnings: u64,
-    /// Jobs with a recorded end-to-end wall time (drained submissions).
-    pub jobs_timed: u64,
-    /// Median per-job end-to-end wall time, microseconds.
-    pub p50_wall_us: u64,
-    /// 95th-percentile per-job end-to-end wall time, microseconds.
-    pub p95_wall_us: u64,
-    /// Maximum per-job end-to-end wall time, microseconds.
-    pub max_wall_us: u64,
 }
 
 impl fmt::Display for ServiceStats {
@@ -173,25 +165,8 @@ impl fmt::Display for ServiceStats {
             f,
             "  retries {}, deadline-clipped {}",
             self.retries, self.deadline_clipped
-        )?;
-        if self.jobs_timed > 0 {
-            write!(
-                f,
-                "\n  job wall us: p50 {} / p95 {} / max {} ({} timed)",
-                self.p50_wall_us, self.p95_wall_us, self.max_wall_us, self.jobs_timed
-            )?;
-        }
-        Ok(())
+        )
     }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice (0 when empty).
-fn percentile(sorted: &[u64], p: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (p * sorted.len() as u64).div_ceil(100).max(1) as usize;
-    sorted[rank - 1]
 }
 
 /// How one pending group will be served.
@@ -213,8 +188,6 @@ pub struct EvalService {
     config: ServiceConfig,
     pending: Vec<EvalJob>,
     stats: ServiceStats,
-    /// Per-job end-to-end wall times (µs) across every drain so far.
-    wall_us: Vec<u64>,
     /// Whether the artifact record has been persisted (it is written at
     /// most once per service — with the first successful result
     /// writeback, so a store that is never useful is never written to).
@@ -231,7 +204,6 @@ impl EvalService {
             config,
             pending: Vec::new(),
             stats: ServiceStats::default(),
-            wall_us: Vec::new(),
             artifact_recorded: false,
         }
     }
@@ -241,24 +213,12 @@ impl EvalService {
     pub fn submit(&mut self, job: EvalJob) -> usize {
         self.stats.submitted += 1;
         self.pending.push(job);
-        telemetry::count("service.submitted", 1);
-        telemetry::gauge_set("service.queue_depth", self.pending.len() as u64);
         self.pending.len() - 1
     }
 
-    /// Counters so far, with the per-job wall-time percentiles computed
-    /// over every drained submission.
+    /// Counters so far.
     pub fn stats(&self) -> ServiceStats {
-        let mut s = self.stats;
-        if !self.wall_us.is_empty() {
-            let mut v = self.wall_us.clone();
-            v.sort_unstable();
-            s.jobs_timed = v.len() as u64;
-            s.p50_wall_us = percentile(&v, 50);
-            s.p95_wall_us = percentile(&v, 95);
-            s.max_wall_us = *v.last().expect("non-empty");
-        }
-        s
+        self.stats
     }
 
     /// Store counters (zeroed default when the service has no store).
@@ -287,15 +247,12 @@ impl EvalService {
                 String::new()
             },
         );
-        telemetry::gauge_set("service.queue_depth", 0);
         let mut groups = {
             let _s = telemetry::span("service", "service.group");
             self.group(&jobs)
         };
         self.stats.executed_groups += groups.len() as u64;
         self.stats.coalesced += (jobs.len() - groups.len()) as u64;
-        telemetry::count("service.executed_groups", groups.len() as u64);
-        telemetry::count("service.coalesced", (jobs.len() - groups.len()) as u64);
         // Only a group's representative is ever read again (dispatch and
         // retry): give the other members' input images back now rather
         // than holding every duplicate until the drain returns.
@@ -318,10 +275,8 @@ impl EvalService {
             if let Some(hit) = probed {
                 self.stats.store_hits += 1;
                 self.stats.store_warnings += g.warnings.len() as u64;
-                telemetry::count("service.store_hits", 1);
-                telemetry::count("service.store_warnings", g.warnings.len() as u64);
                 let wall = drain_t0.elapsed().as_micros() as u64;
-                self.record_job_wall(wall, g.members.len());
+                observe_job_wall(wall, g.members.len());
                 // Served: the submitted image is dead, and the decoded
                 // entry moves into the outcome.
                 release_input(&mut jobs[g.rep]);
@@ -337,7 +292,6 @@ impl EvalService {
                 fill_group(&mut outcomes, &g, served);
             } else {
                 self.stats.recomputed += 1;
-                telemetry::count("service.recomputed", 1);
                 to_run.push(g);
             }
         }
@@ -388,9 +342,8 @@ impl EvalService {
                     self.writeback(g.key, result, &mem, &mut g.warnings);
                 }
                 self.stats.store_warnings += g.warnings.len() as u64;
-                telemetry::count("service.store_warnings", g.warnings.len() as u64);
                 let wall = drain_t0.elapsed().as_micros() as u64;
-                self.record_job_wall(wall, g.members.len());
+                observe_job_wall(wall, g.members.len());
                 let ran = EvalOutcome {
                     outcome,
                     mem,
@@ -407,16 +360,6 @@ impl EvalService {
             .into_iter()
             .map(|o| o.expect("every submission received an outcome"))
             .collect()
-    }
-
-    /// Record one group's end-to-end wall time for each of its members
-    /// (the per-job latency distribution behind `ServiceStats`'s
-    /// p50/p95/max and the `service.job_wall_us` histogram).
-    fn record_job_wall(&mut self, wall: u64, members: usize) {
-        for _ in 0..members {
-            self.wall_us.push(wall);
-            telemetry::observe("service.job_wall_us", &telemetry::US_BUCKETS, wall);
-        }
     }
 
     /// Group identical pending jobs. Keys are content hashes, so a
@@ -454,7 +397,6 @@ impl EvalService {
             c.max_cycles = self.config.deadline_cycles;
             if count {
                 self.stats.deadline_clipped += 1;
-                telemetry::count("service.deadline_clipped", 1);
             }
         }
         c
@@ -495,7 +437,6 @@ impl EvalService {
             mem = m;
             attempts += 1;
             self.stats.retries += 1;
-            telemetry::count("service.retries", 1);
         }
         (outcome, mem, attempts)
     }
@@ -561,6 +502,14 @@ impl EvalService {
                 Err(e) => warnings.push(e.to_string()),
             }
         }
+    }
+}
+
+/// Record one group's end-to-end wall time once per member in the
+/// `service.job_wall_us` histogram (the per-job latency distribution).
+fn observe_job_wall(wall: u64, members: usize) {
+    for _ in 0..members {
+        telemetry::observe("service.job_wall_us", &telemetry::US_BUCKETS, wall);
     }
 }
 

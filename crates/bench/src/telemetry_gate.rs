@@ -1,13 +1,13 @@
 //! Telemetry surfacing: the merged service+sim Perfetto export, the
 //! dependency-free metrics-snapshot validator behind the CI gate, and
-//! the unified stats report (one printer for `StoreStats` +
-//! `ServiceStats`, rendered from the registry).
+//! the one bridge that adds `StoreStats` and `ServiceStats` into the
+//! registry at capture time.
 
 use crate::service::ServiceStats;
 use muir_core::json::{self, check_fields, Json, Writer};
-use muir_core::telemetry::{self, Snapshot, SpanRec};
+use muir_core::telemetry::{self, SpanRec};
 use muir_sim::Trace;
-use muir_store::StoreStats;
+use muir_store::{StoreFaultCounts, StoreStats};
 
 /// Chrome-trace process id of the service span track (task tracks use
 /// the task index, memory tracks `MEM_PID_BASE +`, so 2000 is clear).
@@ -143,121 +143,69 @@ pub fn validate_metrics_json(snapshot: &str, schema: &str) -> Result<MetricsSumm
     Ok(summary)
 }
 
-/// Mirror the store's and the service's authoritative stats structs into
-/// the registry as `stats.*` gauges, so the unified report (and any metrics
-/// consumer) reads one source. Telemetry must be enabled — gauge writes
-/// are no-ops otherwise.
-pub fn mirror_stats(store: Option<&StoreStats>, svc: Option<&ServiceStats>) {
-    let g = telemetry::gauge_set;
-    if let Some(s) = store {
-        g("stats.store.artifact_puts", s.artifact_puts);
-        g("stats.store.result_puts", s.result_puts);
-        g("stats.store.result_hits", s.result_hits);
-        g("stats.store.result_misses", s.result_misses);
-        g("stats.store.corrupt_entries", s.corrupt_entries);
-        g("stats.store.quarantined", s.quarantined);
-        g("stats.store.put_errors", s.put_errors);
-        g("stats.store.disabled", u64::from(s.disabled));
-        g("stats.store.fault.truncate-write", s.faults.truncate_write);
-        g("stats.store.fault.bit-flip-read", s.faults.bit_flip_read);
-        g("stats.store.fault.rename-fail", s.faults.rename_fail);
-        g("stats.store.fault.stale-version", s.faults.stale_version);
+/// Add one store's and one service's stats structs into the registry as
+/// counters named for their fields (`store.result_hits`,
+/// `store.fault.bit-flip-read`, `service.coalesced`, …). The structs are
+/// the only place a store or service fact is counted; this is the one
+/// bridge from them to the registry, read once at capture time. Call it
+/// once per instance after its last drain: the registry sums instances.
+/// No-op while telemetry is disabled.
+///
+/// Both structs are destructured in full, so a field added to either
+/// fails to compile here until it is bridged.
+pub fn record_stats(store: Option<&StoreStats>, svc: Option<&ServiceStats>) {
+    let c = telemetry::count;
+    if let Some(&StoreStats {
+        artifact_puts,
+        result_puts,
+        result_hits,
+        result_misses,
+        corrupt_entries,
+        quarantined,
+        put_errors,
+        faults,
+        // A mode, not a count: `StoreStats`' `Display` shows it.
+        disabled: _,
+    }) = store
+    {
+        let StoreFaultCounts {
+            truncate_write,
+            bit_flip_read,
+            rename_fail,
+            stale_version,
+        } = faults;
+        c("store.artifact_puts", artifact_puts);
+        c("store.result_puts", result_puts);
+        c("store.result_hits", result_hits);
+        c("store.result_misses", result_misses);
+        c("store.corrupt_entries", corrupt_entries);
+        c("store.quarantined", quarantined);
+        c("store.put_errors", put_errors);
+        c("store.fault.truncate-write", truncate_write);
+        c("store.fault.bit-flip-read", bit_flip_read);
+        c("store.fault.rename-fail", rename_fail);
+        c("store.fault.stale-version", stale_version);
     }
-    if let Some(s) = svc {
-        g("stats.service.submitted", s.submitted);
-        g("stats.service.executed_groups", s.executed_groups);
-        g("stats.service.coalesced", s.coalesced);
-        g("stats.service.store_hits", s.store_hits);
-        g("stats.service.recomputed", s.recomputed);
-        g("stats.service.retries", s.retries);
-        g("stats.service.deadline_clipped", s.deadline_clipped);
-        g("stats.service.store_warnings", s.store_warnings);
-        g("stats.service.jobs_timed", s.jobs_timed);
-        g("stats.service.p50_wall_us", s.p50_wall_us);
-        g("stats.service.p95_wall_us", s.p95_wall_us);
-        g("stats.service.max_wall_us", s.max_wall_us);
-    }
-}
-
-/// The combined stats report: store + service + sim in
-/// one rendering, read back from the registry snapshot (the `stats.*`
-/// gauges written by [`mirror_stats`] plus the live `sim.*` counters).
-pub fn render_unified(snap: &Snapshot) -> String {
-    let g = |name: &str| snap.gauge(name);
-    let c = |name: &str| snap.counter(name);
-    let mut out = String::from("== unified stats ==\n");
-    out.push_str(&format!(
-        "store: {} result hits / {} misses, {} result puts, {} artifact puts, \
-         {} put errors, {} corrupt, {} quarantined{}\n",
-        g("stats.store.result_hits"),
-        g("stats.store.result_misses"),
-        g("stats.store.result_puts"),
-        g("stats.store.artifact_puts"),
-        g("stats.store.put_errors"),
-        g("stats.store.corrupt_entries"),
-        g("stats.store.quarantined"),
-        if g("stats.store.disabled") > 0 {
-            " [DISABLED]"
-        } else {
-            ""
-        },
-    ));
-    let faults: u64 = [
-        "stats.store.fault.truncate-write",
-        "stats.store.fault.bit-flip-read",
-        "stats.store.fault.rename-fail",
-        "stats.store.fault.stale-version",
-    ]
-    .iter()
-    .map(|n| g(n))
-    .sum();
-    if faults > 0 {
-        out.push_str(&format!(
-            "  injected faults: {} truncate-write, {} bit-flip-read, {} rename-fail, {} stale-version\n",
-            g("stats.store.fault.truncate-write"),
-            g("stats.store.fault.bit-flip-read"),
-            g("stats.store.fault.rename-fail"),
-            g("stats.store.fault.stale-version"),
-        ));
-    }
-    let submitted = g("stats.service.submitted");
-    out.push_str(&format!(
-        "service: {} submitted, {} executed groups, {} coalesced ({:.1}% dedup), \
-         {} store hits, {} recomputed\n",
+    if let Some(&ServiceStats {
         submitted,
-        g("stats.service.executed_groups"),
-        g("stats.service.coalesced"),
-        if submitted == 0 {
-            0.0
-        } else {
-            100.0 * g("stats.service.coalesced") as f64 / submitted as f64
-        },
-        g("stats.service.store_hits"),
-        g("stats.service.recomputed"),
-    ));
-    out.push_str(&format!(
-        "  retries {}, deadline-clipped {}, store warnings {}; \
-         job wall us p50 {} / p95 {} / max {} ({} timed)\n",
-        g("stats.service.retries"),
-        g("stats.service.deadline_clipped"),
-        g("stats.service.store_warnings"),
-        g("stats.service.p50_wall_us"),
-        g("stats.service.p95_wall_us"),
-        g("stats.service.max_wall_us"),
-        g("stats.service.jobs_timed"),
-    ));
-    out.push_str(&format!(
-        "sim: {} runs, {} cycles, {} fires, {} cache hits / {} misses, \
-         {} bank conflicts, {} dram fills\n",
-        c("sim.runs"),
-        c("sim.cycles"),
-        c("sim.fires"),
-        c("sim.cache_hits"),
-        c("sim.cache_misses"),
-        c("sim.bank_conflicts"),
-        c("sim.dram_fills"),
-    ));
-    out
+        executed_groups,
+        coalesced,
+        store_hits,
+        recomputed,
+        retries,
+        deadline_clipped,
+        store_warnings,
+    }) = svc
+    {
+        c("service.submitted", submitted);
+        c("service.executed_groups", executed_groups);
+        c("service.coalesced", coalesced);
+        c("service.store_hits", store_hits);
+        c("service.recomputed", recomputed);
+        c("service.retries", retries);
+        c("service.deadline_clipped", deadline_clipped);
+        c("service.store_warnings", store_warnings);
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,11 @@
 //! Every layer of the stack — sealing, persistent store, eval
 //! service, simulator — records into one registry of named **counters**,
 //! **gauges**, and fixed-bucket **histograms**, and wraps its phases in
-//! RAII **spans**. The registry renders two expositions:
+//! RAII **spans**. A fact some layer already counts in a stats struct is
+//! added here once, at capture time, by that layer's bridge
+//! (`muir_sim::record_stats_telemetry`, `telemetry_gate::record_stats` in
+//! `muir-bench`), never counted a second time live. The registry renders
+//! two expositions:
 //!
 //! * a Prometheus-style text format ([`Snapshot::to_prometheus`]), and
 //! * a JSON snapshot ([`Snapshot::to_json`]) validated against
@@ -18,13 +22,13 @@
 //! must never change cycle counts, end-state hashes, or trace bytes
 //! (pinned by the determinism guard in `muir-bench`). The master switch
 //! is a single relaxed [`AtomicBool`], default **off**; every recording
-//! call checks it first, so a disabled registry costs one predictable
-//! branch on the hot path and allocates nothing.
+//! call checks it first, so a disabled registry costs one relaxed load
+//! and allocates nothing. While on, a record takes the registry mutex.
 
 use crate::json::Writer;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread::ThreadId;
 use std::time::Instant;
 
@@ -43,7 +47,7 @@ pub fn enabled() -> bool {
 pub fn set_enabled(on: bool) {
     if on {
         // Pin t0 before any span can read it.
-        let mut r = registry().lock().expect("telemetry registry");
+        let mut r = lock();
         if r.t0.is_none() {
             r.t0 = Some(Instant::now());
         }
@@ -61,16 +65,8 @@ pub const US_BUCKETS: [u64; 13] = [
 pub const COUNT_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
 // ---------------------------------------------------------------------------
-// Registry internals
+// Registry
 // ---------------------------------------------------------------------------
-
-struct HistInner {
-    bounds: Vec<u64>,
-    /// One count per bound plus the overflow bucket.
-    counts: Vec<AtomicU64>,
-    sum: AtomicU64,
-    count: AtomicU64,
-}
 
 /// One completed span: a named wall-clock interval with its category,
 /// free-form detail, nesting depth, and the recording thread's ordinal.
@@ -92,19 +88,23 @@ pub struct SpanRec {
     pub depth: u32,
 }
 
+/// Every metric as a plain value behind one mutex, name-ordered so a
+/// snapshot is a copy.
 #[derive(Default)]
 struct Registry {
-    counters: Vec<(String, Arc<AtomicU64>)>,
-    gauges: Vec<(String, Arc<AtomicU64>)>,
-    hists: Vec<(String, Arc<HistInner>)>,
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, u64>,
+    hists: BTreeMap<String, HistSnapshot>,
     spans: Vec<SpanRec>,
     threads: HashMap<ThreadId, u32>,
     t0: Option<Instant>,
 }
 
-fn registry() -> &'static Mutex<Registry> {
+fn lock() -> MutexGuard<'static, Registry> {
     static REG: OnceLock<Mutex<Registry>> = OnceLock::new();
     REG.get_or_init(|| Mutex::new(Registry::default()))
+        .lock()
+        .expect("telemetry registry")
 }
 
 impl Registry {
@@ -114,168 +114,62 @@ impl Registry {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Handles
-// ---------------------------------------------------------------------------
-
-/// A monotonically increasing counter handle. Cheap to clone; recording
-/// is one relaxed atomic add (after the enabled check).
-#[derive(Clone)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Add `delta` (no-op while telemetry is disabled).
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        if enabled() {
-            self.0.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value gauge handle.
-#[derive(Clone)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Set the gauge (no-op while telemetry is disabled).
-    #[inline]
-    pub fn set(&self, value: u64) {
-        if enabled() {
-            self.0.store(value, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A fixed-bucket histogram handle. A value lands in the first bucket
-/// whose upper bound is `>= value`; values above every bound land in the
-/// overflow bucket (rendered `le="+Inf"`).
-#[derive(Clone)]
-pub struct Histogram(Arc<HistInner>);
-
-impl Histogram {
-    /// Record one observation (no-op while telemetry is disabled).
-    pub fn observe(&self, value: u64) {
-        if !enabled() {
-            return;
-        }
-        let h = &self.0;
-        let idx = h
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(h.bounds.len());
-        h.counts[idx].fetch_add(1, Ordering::Relaxed);
-        h.sum.fetch_add(value, Ordering::Relaxed);
-        h.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total observations so far.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-}
-
-/// Register (or fetch) the counter named `name`.
-pub fn counter(name: &str) -> Counter {
-    let mut r = registry().lock().expect("telemetry registry");
-    if let Some((_, c)) = r.counters.iter().find(|(n, _)| n == name) {
-        return Counter(Arc::clone(c));
-    }
-    let c = Arc::new(AtomicU64::new(0));
-    r.counters.push((name.to_string(), Arc::clone(&c)));
-    Counter(c)
-}
-
-/// Register (or fetch) the gauge named `name`.
-pub fn gauge(name: &str) -> Gauge {
-    let mut r = registry().lock().expect("telemetry registry");
-    if let Some((_, g)) = r.gauges.iter().find(|(n, _)| n == name) {
-        return Gauge(Arc::clone(g));
-    }
-    let g = Arc::new(AtomicU64::new(0));
-    r.gauges.push((name.to_string(), Arc::clone(&g)));
-    Gauge(g)
-}
-
-/// Register (or fetch) the histogram named `name` with the given upper
-/// bounds (must be non-empty and strictly increasing; an existing
-/// registration keeps its original bounds).
-pub fn histogram(name: &str, bounds: &[u64]) -> Histogram {
-    debug_assert!(!bounds.is_empty() && bounds.windows(2).all(|w| w[0] < w[1]));
-    let mut r = registry().lock().expect("telemetry registry");
-    if let Some((_, h)) = r.hists.iter().find(|(n, _)| n == name) {
-        return Histogram(Arc::clone(h));
-    }
-    let h = Arc::new(HistInner {
-        bounds: bounds.to_vec(),
-        counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-        sum: AtomicU64::new(0),
-        count: AtomicU64::new(0),
-    });
-    r.hists.push((name.to_string(), Arc::clone(&h)));
-    Histogram(h)
-}
-
-/// One-shot counter add. Convenience for cold paths; hot paths should
-/// hold a [`Counter`] handle. No-op (and no registration) when disabled.
+/// Add `delta` to the counter `name` (no-op, and no registration, while
+/// telemetry is disabled).
 #[inline]
 pub fn count(name: &str, delta: u64) {
     if enabled() {
-        counter(name).add(delta);
+        *lock().counters.entry(name.to_string()).or_default() += delta;
     }
 }
 
-/// One-shot gauge set (see [`count`] for the cost note).
+/// Set the last-value gauge `name` (see [`count`] for the disabled case).
 #[inline]
 pub fn gauge_set(name: &str, value: u64) {
     if enabled() {
-        gauge(name).set(value);
+        lock().gauges.insert(name.to_string(), value);
     }
 }
 
-/// One-shot histogram observation (see [`count`] for the cost note).
-#[inline]
+/// Record one observation in the fixed-bucket histogram `name`. `bounds`
+/// are its upper bounds (non-empty, strictly increasing; the first
+/// observation fixes them). A value lands in the first bucket whose bound
+/// is `>= value`; values above every bound land in the overflow bucket
+/// (rendered `le="+Inf"`). See [`count`] for the disabled case.
 pub fn observe(name: &str, bounds: &[u64], value: u64) {
-    if enabled() {
-        histogram(name, bounds).observe(value);
+    if !enabled() {
+        return;
     }
+    debug_assert!(!bounds.is_empty() && bounds.windows(2).all(|w| w[0] < w[1]));
+    let mut r = lock();
+    let h = r
+        .hists
+        .entry(name.to_string())
+        .or_insert_with(|| HistSnapshot {
+            name: name.to_string(),
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len() + 1],
+            sum: 0,
+            count: 0,
+        });
+    let idx = h
+        .bounds
+        .iter()
+        .position(|&b| value <= b)
+        .unwrap_or(h.bounds.len());
+    h.counts[idx] += 1;
+    h.sum += value;
+    h.count += 1;
 }
 
-/// Zero every counter/gauge/histogram and clear the span log. Intended
-/// for tests and for the `experiments metrics` command's fresh capture;
-/// registrations (names, bounds) survive.
+/// Drop every counter, gauge and histogram and clear the span log.
+/// Intended for tests and for the `experiments metrics` command's fresh
+/// capture.
 pub fn reset() {
-    let mut r = registry().lock().expect("telemetry registry");
-    for (_, c) in &r.counters {
-        c.store(0, Ordering::Relaxed);
-    }
-    for (_, g) in &r.gauges {
-        g.store(0, Ordering::Relaxed);
-    }
-    for (_, h) in &r.hists {
-        for c in &h.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-        h.sum.store(0, Ordering::Relaxed);
-        h.count.store(0, Ordering::Relaxed);
-    }
+    let mut r = lock();
+    r.counters.clear();
+    r.gauges.clear();
+    r.hists.clear();
     r.spans.clear();
     r.t0 = Some(Instant::now());
 }
@@ -316,10 +210,7 @@ pub fn span_with(cat: &'static str, name: &'static str, detail: String) -> SpanG
         return SpanGuard(None);
     }
     let start = Instant::now();
-    let t0 = {
-        let mut r = registry().lock().expect("telemetry registry");
-        *r.t0.get_or_insert(start)
-    };
+    let t0 = *lock().t0.get_or_insert(start);
     let depth = DEPTH.with(|d| {
         let v = d.get() + 1;
         d.set(v);
@@ -342,7 +233,7 @@ impl Drop for SpanGuard {
         };
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         let dur_us = a.start.elapsed().as_micros() as u64;
-        let mut r = registry().lock().expect("telemetry registry");
+        let mut r = lock();
         let tid = r.thread_ordinal(std::thread::current().id());
         r.spans.push(SpanRec {
             name: a.name,
@@ -358,7 +249,7 @@ impl Drop for SpanGuard {
 
 /// The recorded spans so far, in completion order.
 pub fn spans() -> Vec<SpanRec> {
-    registry().lock().expect("telemetry registry").spans.clone()
+    lock().spans.clone()
 }
 
 /// Write spans as Chrome/Perfetto `ph:"X"` complete-duration events
@@ -398,7 +289,7 @@ pub struct HistSnapshot {
     pub count: u64,
 }
 
-/// A point-in-time copy of every registered metric, name-sorted.
+/// A point-in-time copy of every recorded metric, name-sorted.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counters as `(name, value)`.
@@ -414,35 +305,12 @@ pub const SNAPSHOT_VERSION: u64 = 1;
 
 /// Freeze the registry into a [`Snapshot`].
 pub fn snapshot() -> Snapshot {
-    let r = registry().lock().expect("telemetry registry");
-    let mut counters: Vec<(String, u64)> = r
-        .counters
-        .iter()
-        .map(|(n, c)| (n.clone(), c.load(Ordering::Relaxed)))
-        .collect();
-    counters.sort();
-    let mut gauges: Vec<(String, u64)> = r
-        .gauges
-        .iter()
-        .map(|(n, g)| (n.clone(), g.load(Ordering::Relaxed)))
-        .collect();
-    gauges.sort();
-    let mut histograms: Vec<HistSnapshot> = r
-        .hists
-        .iter()
-        .map(|(n, h)| HistSnapshot {
-            name: n.clone(),
-            bounds: h.bounds.clone(),
-            counts: h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            sum: h.sum.load(Ordering::Relaxed),
-            count: h.count.load(Ordering::Relaxed),
-        })
-        .collect();
-    histograms.sort_by(|a, b| a.name.cmp(&b.name));
+    let r = lock();
+    let values = |m: &BTreeMap<String, u64>| m.iter().map(|(n, v)| (n.clone(), *v)).collect();
     Snapshot {
-        counters,
-        gauges,
-        histograms,
+        counters: values(&r.counters),
+        gauges: values(&r.gauges),
+        histograms: r.hists.values().cloned().collect(),
     }
 }
 
@@ -450,14 +318,6 @@ impl Snapshot {
     /// Look up a counter value (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// Look up a gauge value (0 when absent).
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges
             .iter()
             .find(|(n, _)| n == name)
             .map_or(0, |(_, v)| *v)
@@ -543,16 +403,21 @@ mod tests {
     fn disabled_registry_records_nothing() {
         let _g = guard();
         set_enabled(false);
-        let c = counter("test.disabled.counter");
-        let before = c.get();
-        c.inc();
-        c.add(41);
-        assert_eq!(c.get(), before);
-        let h = histogram("test.disabled.hist", &US_BUCKETS);
-        h.observe(7);
-        assert_eq!(h.count(), 0);
+        count("test.disabled.counter", 41);
+        gauge_set("test.disabled.gauge", 9);
+        observe("test.disabled.hist", &US_BUCKETS, 7);
         let s = span("service", "test.disabled.span");
         drop(s);
+        let snap = snapshot();
+        assert!(!snap
+            .counters
+            .iter()
+            .any(|c| c.0.starts_with("test.disabled")));
+        assert!(!snap.gauges.iter().any(|g| g.0.starts_with("test.disabled")));
+        assert!(!snap
+            .histograms
+            .iter()
+            .any(|h| h.name.starts_with("test.disabled")));
         assert!(!spans().iter().any(|s| s.name == "test.disabled.span"));
     }
 
@@ -560,14 +425,11 @@ mod tests {
     fn bucket_boundaries_are_inclusive_upper_bounds() {
         let _g = guard();
         set_enabled(true);
-        let h = histogram("test.boundary.hist", &[10, 100]);
         // A value equal to a bound lands in that bound's bucket; one past
         // it lands in the next; past every bound → overflow.
-        h.observe(0);
-        h.observe(10);
-        h.observe(11);
-        h.observe(100);
-        h.observe(101);
+        for v in [0, 10, 11, 100, 101] {
+            observe("test.boundary.hist", &[10, 100], v);
+        }
         set_enabled(false);
         let snap = snapshot();
         let hs = snap
@@ -585,11 +447,11 @@ mod tests {
     fn prometheus_exposition_is_cumulative() {
         let _g = guard();
         set_enabled(true);
-        let h = histogram("test.prom.hist", &[10, 100]);
-        h.observe(5);
-        h.observe(50);
-        h.observe(500);
-        counter("test.prom.counter").add(3);
+        for v in [5, 50, 500] {
+            observe("test.prom.hist", &[10, 100], v);
+        }
+        count("test.prom.counter", 1);
+        count("test.prom.counter", 2);
         set_enabled(false);
         let text = snapshot().to_prometheus();
         assert!(text.contains("muir_test_prom_counter 3"));
@@ -628,9 +490,9 @@ mod tests {
     fn snapshot_json_shape_is_stable() {
         let _g = guard();
         set_enabled(true);
-        counter("test.json.counter").inc();
-        gauge("test.json.gauge").set(9);
-        histogram("test.json.hist", &[1, 2]).observe(2);
+        count("test.json.counter", 1);
+        gauge_set("test.json.gauge", 9);
+        observe("test.json.hist", &[1, 2], 2);
         set_enabled(false);
         let j = snapshot().to_json();
         assert!(j.contains("\"version\": 1"));

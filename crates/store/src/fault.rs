@@ -195,9 +195,6 @@ impl Injector {
             self.left[i] -= 1;
         }
         self.counts.record(class);
-        if muir_core::telemetry::enabled() {
-            muir_core::telemetry::count(&format!("store.fault.{}", class.name()), 1);
-        }
         true
     }
 

@@ -47,6 +47,7 @@ use muir_core::CompiledAccel;
 use muir_mir::interp::Memory;
 use muir_mir::value::Value;
 use muir_sim::SimConfig;
+use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -103,6 +104,34 @@ pub struct StoreStats {
     /// Whether the store is running disabled (everything degrades to
     /// recompute).
     pub disabled: bool,
+}
+
+impl fmt::Display for StoreStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "store: {} result hits / {} misses, {} result puts, {} artifact puts, \
+             {} put errors, {} corrupt, {} quarantined{}",
+            self.result_hits,
+            self.result_misses,
+            self.result_puts,
+            self.artifact_puts,
+            self.put_errors,
+            self.corrupt_entries,
+            self.quarantined,
+            if self.disabled { " [DISABLED]" } else { "" },
+        )?;
+        let x = &self.faults;
+        if x.total() > 0 {
+            write!(
+                f,
+                "\n  injected faults: {} truncate-write, {} bit-flip-read, {} rename-fail, \
+                 {} stale-version",
+                x.truncate_write, x.bit_flip_read, x.rename_fail, x.stale_version
+            )?;
+        }
+        Ok(())
+    }
 }
 
 /// A validated entry as read: the file's bytes and where the payload sits
@@ -213,7 +242,6 @@ impl Store {
         kind: PayloadKind,
         payload: &[u8],
     ) -> Result<(), StoreError> {
-        telemetry::count("store.writes", 1);
         let io_t0 = telemetry::enabled().then(std::time::Instant::now);
         let out = self.write_atomic_inner(dest, kind, payload);
         if let Some(t0) = io_t0 {
@@ -292,7 +320,6 @@ impl Store {
         path: &Path,
         expect: PayloadKind,
     ) -> Result<Option<Entry>, StoreError> {
-        telemetry::count("store.reads", 1);
         let io_t0 = telemetry::enabled().then(std::time::Instant::now);
         let out = self.read_validated_inner(path, expect);
         if let Some(t0) = io_t0 {
@@ -375,12 +402,10 @@ impl Store {
     /// expression.
     fn quarantine(&mut self, path: &Path, err: StoreError) -> StoreError {
         self.stats.corrupt_entries += 1;
-        telemetry::count("store.corrupt_entries", 1);
         if let Some(name) = path.file_name() {
             let dest = self.root.join("quarantine").join(name);
             if fs::rename(path, &dest).is_ok() {
                 self.stats.quarantined += 1;
-                telemetry::count("store.quarantined", 1);
                 return err;
             }
         }
@@ -416,12 +441,10 @@ impl Store {
         match self.write_atomic(&path, PayloadKind::Artifact, record.as_bytes()) {
             Ok(()) => {
                 self.stats.artifact_puts += 1;
-                telemetry::count("store.artifact_puts", 1);
                 Ok(true)
             }
             Err(e) => {
                 self.stats.put_errors += 1;
-                telemetry::count("store.put_errors", 1);
                 Err(e)
             }
         }
@@ -481,12 +504,10 @@ impl Store {
         match self.write_atomic(&path, PayloadKind::SimResult, &payload) {
             Ok(()) => {
                 self.stats.result_puts += 1;
-                telemetry::count("store.result_puts", 1);
                 Ok(())
             }
             Err(e) => {
                 self.stats.put_errors += 1;
-                telemetry::count("store.put_errors", 1);
                 Err(e)
             }
         }
@@ -504,13 +525,11 @@ impl Store {
         let path = self.result_path(key);
         let Some(entry) = self.read_validated(&path, PayloadKind::SimResult)? else {
             self.stats.result_misses += 1;
-            telemetry::count("store.result_misses", 1);
             return Ok(None);
         };
         match codec::decode_eval(entry.payload()) {
             Ok(eval) => {
                 self.stats.result_hits += 1;
-                telemetry::count("store.result_hits", 1);
                 Ok(Some(eval))
             }
             Err(detail) => {

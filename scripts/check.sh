@@ -45,9 +45,14 @@
 # against scripts/outcomes.golden, which the parent of the last engine
 # change wrote), the one-JSON-module gate (under crates/: string escaping and the `json_*`
 # helpers live in crates/core/src/json.rs only, and the retired second
-# scoreboard is named by no source, script or manifest), the telemetry
-# zero-perturbation guard (metrics on vs off bit-identical on every
-# workload, the ignored full sweep), the metrics gate (one instrumented GEMM capture whose
+# scoreboard is named by no source, script or manifest), the one-count-
+# per-fact gate (under crates/, a `service.*`, `store.*` or `dse.*` fact
+# reaches the registry only through crates/bench/src/telemetry_gate.rs,
+# which reads the stats structs at capture time, and the registry in
+# crates/core/src/telemetry.rs holds plain values: no `AtomicU64`, no
+# `Arc`), the telemetry zero-perturbation guard (seal + cold/warm
+# service drains with metrics on vs off bit-identical on every workload,
+# and the "on" leg must record; the ignored full sweep), the metrics gate (one instrumented GEMM capture whose
 # merged trace and registry snapshot must validate against
 # scripts/trace_schema.json and scripts/metrics_schema.json), the
 # DSE smoke gate (a 2-workload seeded sweep through the eval service,
@@ -221,6 +226,17 @@ fi
 # The pattern is split so that this script does not match itself.
 if grep -rn 'BENCH''_sim' crates scripts Cargo.toml benchmark/Cargo.toml; then
     echo "check.sh: the retired second scoreboard is still named (lines above); host time is benchmark/'s" >&2
+    exit 1
+fi
+
+echo "== one count per fact (crates/: service/store/dse facts reach the registry through telemetry_gate.rs only) =="
+if grep -rnE '(count|gauge_set)\((&format!\()?"(service|store|dse)\.' crates --include='*.rs' |
+    grep -v '^crates/bench/src/telemetry_gate\.rs:'; then
+    echo "check.sh: a service/store/dse fact is counted in its stats struct and bridged by telemetry_gate::record_stats, never counted live (lines above)" >&2
+    exit 1
+fi
+if grep -nwE 'AtomicU64|Arc' crates/core/src/telemetry.rs; then
+    echo "check.sh: the telemetry registry holds plain values behind its mutex; no per-metric atomics or handles (lines above)" >&2
     exit 1
 fi
 
