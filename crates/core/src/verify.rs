@@ -6,10 +6,11 @@
 //! consistent junction bookkeeping, well-formed task hierarchy, and memory
 //! objects homed on exactly one structure.
 
-use crate::accel::{Accelerator, TaskBlock, TaskId, TaskKind};
-use crate::dataflow::{EdgeKind, NodeId};
-use crate::node::{Node, NodeKind};
-use std::collections::HashMap;
+use crate::accel::{Accelerator, TaskId, TaskKind};
+use crate::dataflow::{Dataflow, EdgeKind, JunctionId, NodeId};
+use crate::node::NodeKind;
+use crate::structure::StructureId;
+use muir_mir::instr::MemObjId;
 use std::fmt;
 
 /// A μIR graph verification failure.
@@ -46,6 +47,11 @@ fn gerr(at: impl Into<String>, message: impl Into<String>) -> GraphError {
 
 /// Verify the whole accelerator graph.
 ///
+/// The checks run in a fixed order — hierarchy, homing, memory
+/// connections, then each task in id order — and the violation reported
+/// is the first in that order, the same one on every run. The verifier is
+/// total: every input, however malformed, gets `Ok` or a [`GraphError`].
+///
 /// # Errors
 /// Returns the first structural violation found.
 pub fn verify_accelerator(acc: &Accelerator) -> Result<(), GraphError> {
@@ -56,11 +62,14 @@ pub fn verify_accelerator(acc: &Accelerator) -> Result<(), GraphError> {
         return Err(gerr(&acc.name, "root task out of range"));
     }
     // Task hierarchy: every non-root task has exactly one parent; no self
-    // connections; referenced ids valid.
-    let ntasks = acc.tasks.len() as u32;
-    let mut parent_count: HashMap<TaskId, u32> = HashMap::new();
+    // connections; referenced ids valid. `parent[t]` is the parent of the
+    // first connection naming `t` as child (`NONE` if there is none), which
+    // the task-call check below reads once every count is one.
+    let ntasks = acc.tasks.len();
+    let mut parent = vec![NONE; ntasks];
+    let mut parents = vec![0u32; ntasks];
     for c in &acc.task_conns {
-        if c.parent.0 >= ntasks || c.child.0 >= ntasks {
+        if c.parent.0 as usize >= ntasks || c.child.0 as usize >= ntasks {
             return Err(gerr(&acc.name, "task connection references missing task"));
         }
         if c.parent == c.child {
@@ -69,10 +78,13 @@ pub fn verify_accelerator(acc: &Accelerator) -> Result<(), GraphError> {
                 format!("task {} connected to itself", c.parent),
             ));
         }
-        *parent_count.entry(c.child).or_insert(0) += 1;
+        let child = c.child.0 as usize;
+        if parents[child] == 0 {
+            parent[child] = c.parent.0;
+        }
+        parents[child] += 1;
     }
-    for t in acc.task_ids() {
-        let n = parent_count.get(&t).copied().unwrap_or(0);
+    for (t, &n) in acc.task_ids().zip(&parents) {
         if t == acc.root && n != 0 {
             return Err(gerr(&acc.name, "root task has a parent"));
         }
@@ -87,21 +99,10 @@ pub fn verify_accelerator(acc: &Accelerator) -> Result<(), GraphError> {
             ));
         }
     }
-    // Memory objects homed on at most one structure.
-    let mut homed: HashMap<u32, usize> = HashMap::new();
-    for (si, s) in acc.structures.iter().enumerate() {
-        for o in &s.objects {
-            if let Some(prev) = homed.insert(o.0, si) {
-                return Err(gerr(
-                    &acc.name,
-                    format!("object {o} homed on structures s{prev} and s{si}"),
-                ));
-            }
-        }
-    }
+    let homes = homes(acc)?;
     // Memory connections reference valid pieces.
     for mc in &acc.mem_conns {
-        if mc.task.0 >= ntasks {
+        if mc.task.0 as usize >= ntasks {
             return Err(gerr(&acc.name, "mem connection references missing task"));
         }
         let df = &acc.task(mc.task).dataflow;
@@ -127,188 +128,288 @@ pub fn verify_accelerator(acc: &Accelerator) -> Result<(), GraphError> {
             ));
         }
     }
-    // Per-task dataflow checks; the location string is built only for a
-    // task that fails them.
+    // Per-task dataflow checks over tables reused from task to task; the
+    // location string is built only for a task that fails them.
+    let graph = Graph {
+        acc,
+        parent: &parent,
+        homes: &homes,
+    };
+    let mut tables = Tables::default();
     for t in acc.task_ids() {
-        verify_task(acc, t)
+        tables
+            .verify_task(&graph, t)
             .map_err(|message| gerr(format!("{} ({})", t, acc.task(t).name), message))?;
     }
     Ok(())
 }
 
-/// The first violation in task `tid`, as its message.
-fn verify_task(acc: &Accelerator, tid: TaskId) -> Result<(), String> {
-    let task = acc.task(tid);
-    let df = &task.dataflow;
-    verify_dataflow_ports(acc, task)?;
+/// The parent of a task that no connection names as child.
+const NONE: u32 = u32::MAX;
 
-    // Loop tasks need an IndVar; region tasks must not have one.
-    let has_iv = df.indvar_node().is_some();
-    match (&task.kind, has_iv) {
-        (TaskKind::Loop { .. }, false) => {
-            return Err("loop task without IndVar node".to_string());
-        }
-        (TaskKind::Region, true) => {
-            return Err("region task with IndVar node".to_string());
-        }
-        _ => {}
+/// The object→home table: `(object, registration, structure)` for every
+/// object a structure lists, sorted by object, one row per object.
+///
+/// # Errors
+/// An object homed twice. Registrations are ordered by structure and then
+/// by position in its object list; the one reported is the earliest that
+/// names an object already registered.
+fn homes(acc: &Accelerator) -> Result<Vec<(u32, u32, u32)>, GraphError> {
+    let mut rows: Vec<(u32, u32, u32)> = acc
+        .structures
+        .iter()
+        .enumerate()
+        .flat_map(|(si, s)| s.objects.iter().map(move |o| (o.0, si as u32)))
+        .enumerate()
+        .map(|(k, (o, si))| (o, k as u32, si))
+        .collect();
+    rows.sort_unstable();
+    let twice = rows
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .min_by_key(|w| w[1].1);
+    if let Some(w) = twice {
+        return Err(gerr(
+            &acc.name,
+            format!(
+                "object {} homed on structures s{} and s{}",
+                MemObjId(w[0].0),
+                w[0].2,
+                w[1].2
+            ),
+        ));
     }
-    // Exactly one Output node.
-    let outputs = df
-        .node_ids()
-        .filter(|&n| matches!(df.node(n).kind, NodeKind::Output))
-        .count();
-    if outputs != 1 {
-        return Err(format!("expected exactly one Output node, found {outputs}"));
+    Ok(rows)
+}
+
+/// What the per-task checks read of the whole accelerator.
+struct Graph<'a> {
+    acc: &'a Accelerator,
+    /// Parent task id per task (see `verify_accelerator`).
+    parent: &'a [u32],
+    /// See [`homes`].
+    homes: &'a [(u32, u32, u32)],
+}
+
+impl Graph<'_> {
+    /// Whether structure `s` serves `obj`: it is the object's one home.
+    fn serves(&self, s: StructureId, obj: MemObjId) -> bool {
+        self.homes
+            .binary_search_by_key(&obj.0, |row| row.0)
+            .is_ok_and(|i| self.homes[i].2 == s.0)
     }
-    // Junction bookkeeping matches node registrations, and every mem node's
-    // junction serves its object.
-    for n in df.node_ids() {
-        match &df.node(n).kind {
-            NodeKind::Load { obj, junction, .. } => {
-                let j = df
-                    .junctions
-                    .get(junction.0 as usize)
-                    .ok_or_else(|| format!("{n}: missing junction {junction}"))?;
-                if !j.readers.contains(&n) {
-                    return Err(format!("{n} not registered as reader on {junction}"));
+
+    /// The memory-node check: registered on its junction, and the
+    /// junction's structure exists and serves the node's object.
+    fn check_access(
+        &self,
+        df: &Dataflow,
+        n: NodeId,
+        obj: MemObjId,
+        junction: JunctionId,
+        writes: bool,
+    ) -> Result<(), String> {
+        let j = df
+            .junctions
+            .get(junction.0 as usize)
+            .ok_or_else(|| format!("{n}: missing junction {junction}"))?;
+        let (registered, role) = if writes {
+            (&j.writers, "writer")
+        } else {
+            (&j.readers, "reader")
+        };
+        if !registered.contains(&n) {
+            return Err(format!("{n} not registered as {role} on {junction}"));
+        }
+        if j.structure.0 as usize >= self.acc.structures.len() {
+            return Err(format!(
+                "{n}: junction {junction} targets missing structure {}",
+                j.structure
+            ));
+        }
+        if !self.serves(j.structure, obj) {
+            return Err(format!(
+                "{n}: structure {} does not serve {obj}",
+                j.structure
+            ));
+        }
+        Ok(())
+    }
+
+    /// The task-call check: the callee exists and is a `<||>` child of
+    /// the calling task `tid`.
+    fn check_call(&self, n: NodeId, callee: TaskId, tid: TaskId) -> Result<(), String> {
+        match self.parent.get(callee.0 as usize) {
+            None => Err(format!("{n}: call to missing task {callee}")),
+            Some(&p) if p != tid.0 => Err(format!(
+                "{n}: task call to {callee} without <||> connection"
+            )),
+            Some(_) => Ok(()),
+        }
+    }
+}
+
+/// Per-node working tables of the task checks, grown to the largest task seen and
+/// reused for every task of one verification.
+#[derive(Default)]
+struct Tables {
+    /// Input arity per node.
+    arity: Vec<usize>,
+    /// Node `n` owns the ports `first[n]..first[n + 1]` of `drivers`: as
+    /// many as its arity, or as the highest port an edge names.
+    first: Vec<usize>,
+    /// Data and feedback edges driving each port.
+    drivers: Vec<u32>,
+    /// Whether a feedback edge enters the node.
+    feedback_in: Vec<bool>,
+    /// The last junction each node was seen registered on.
+    seen_on: Vec<usize>,
+}
+
+impl Tables {
+    /// The first violation in task `tid`, as its message, in this order:
+    /// misplaced edges (edge order), a doubly-driven port and then an
+    /// unconnected one ((node, port) order), a Merge without feedback,
+    /// duplicate junction registrations, the IndVar and Output counts, and
+    /// last the memory and task-call checks (node order). One walk over
+    /// the nodes runs every per-node check; a memory or call violation
+    /// found on it is held until the checks ordered before it have passed.
+    fn verify_task(&mut self, g: &Graph<'_>, tid: TaskId) -> Result<(), String> {
+        let task = g.acc.task(tid);
+        let df = &task.dataflow;
+        let nnodes = df.nodes.len();
+        self.arity.clear();
+        self.arity
+            .extend(df.nodes.iter().map(|node| match &node.kind {
+                NodeKind::Output => task.num_results as usize,
+                // A missing callee is the call check's to report.
+                NodeKind::TaskCall { callee, .. } => {
+                    let callee = g.acc.tasks.get(callee.0 as usize);
+                    node.input_arity(callee.map_or(0, |t| t.num_args as usize))
                 }
-                if !acc.structure(j.structure).serves(*obj) {
-                    return Err(format!(
-                        "{n}: structure {} does not serve {obj}",
-                        j.structure
-                    ));
-                }
+                _ => node.input_arity(0),
+            }));
+        // Widths first, then offsets.
+        self.first.clear();
+        self.first.extend_from_slice(&self.arity);
+        self.feedback_in.clear();
+        self.feedback_in.resize(nnodes, false);
+        for e in &df.edges {
+            let dst = e.dst.0 as usize;
+            if e.src.0 as usize >= nnodes || dst >= nnodes {
+                return Err("edge references missing node".to_string());
             }
-            NodeKind::Store { obj, junction, .. } => {
-                let j = df
-                    .junctions
-                    .get(junction.0 as usize)
-                    .ok_or_else(|| format!("{n}: missing junction {junction}"))?;
-                if !j.writers.contains(&n) {
-                    return Err(format!("{n} not registered as writer on {junction}"));
-                }
-                if !acc.structure(j.structure).serves(*obj) {
-                    return Err(format!(
-                        "{n}: structure {} does not serve {obj}",
-                        j.structure
-                    ));
-                }
+            if e.kind == EdgeKind::Order {
+                // Token-only ordering edges are exempt from port accounting.
+                continue;
             }
-            NodeKind::TaskCall { callee, .. } => {
-                if callee.0 as usize >= acc.tasks.len() {
-                    return Err(format!("{n}: call to missing task {callee}"));
-                }
-                // Calls must follow the task hierarchy.
-                if acc.parent(*callee) != Some(tid) {
+            self.first[dst] = self.first[dst].max(e.dst_port as usize + 1);
+            if e.kind == EdgeKind::Feedback {
+                // Feedback edges only enter Merge port 1.
+                if !(matches!(df.nodes[dst].kind, NodeKind::Merge) && e.dst_port == 1) {
                     return Err(format!(
-                        "{n}: task call to {callee} without <||> connection"
+                        "feedback edge must enter a Merge port 1, enters {}",
+                        e.dst
                     ));
                 }
+                self.feedback_in[dst] = true;
+            }
+        }
+        let mut total = 0;
+        for f in &mut self.first {
+            let width = *f;
+            *f = total;
+            total += width;
+        }
+        self.first.push(total);
+        self.drivers.clear();
+        self.drivers.resize(total, 0);
+        // The lowest port that a second edge reaches, found while counting.
+        let mut twice = usize::MAX;
+        for e in df.edges.iter().filter(|e| e.kind != EdgeKind::Order) {
+            let i = self.first[e.dst.0 as usize] + e.dst_port as usize;
+            self.drivers[i] += 1;
+            if self.drivers[i] == 2 {
+                twice = twice.min(i);
+            }
+        }
+        if twice != usize::MAX {
+            // The owner is the last node whose ports start at or before it.
+            let n = self.first.partition_point(|&f| f <= twice) - 1;
+            return Err(format!(
+                "{} input port {} driven by {} edges",
+                NodeId(n as u32),
+                twice - self.first[n],
+                self.drivers[twice]
+            ));
+        }
+        let mut has_indvar = false;
+        let mut outputs = 0;
+        let mut held = Ok(());
+        for (i, node) in df.nodes.iter().enumerate() {
+            let id = NodeId(i as u32);
+            let ports = &self.drivers[self.first[i]..][..self.arity[i]];
+            if let Some(p) = ports.iter().position(|&count| count == 0) {
+                return Err(format!("{id} ({}) input port {p} unconnected", node.name));
+            }
+            match &node.kind {
+                // Merge nodes: port 1 must be a feedback edge.
+                NodeKind::Merge if !self.feedback_in[i] => {
+                    return Err(format!("{id}: merge port 1 is not a feedback edge"));
+                }
+                NodeKind::IndVar => has_indvar = true,
+                NodeKind::Output => outputs += 1,
+                NodeKind::Load { obj, junction, .. } if held.is_ok() => {
+                    held = g.check_access(df, id, *obj, *junction, false);
+                }
+                NodeKind::Store { obj, junction, .. } if held.is_ok() => {
+                    held = g.check_access(df, id, *obj, *junction, true);
+                }
+                NodeKind::TaskCall { callee, .. } if held.is_ok() => {
+                    held = g.check_call(id, *callee, tid);
+                }
+                _ => {}
+            }
+        }
+        // No duplicate junction registrations.
+        self.seen_on.clear();
+        self.seen_on.resize(nnodes, usize::MAX);
+        for (ji, j) in df.junctions.iter().enumerate() {
+            for n in j.readers.iter().chain(&j.writers) {
+                let seen = self
+                    .seen_on
+                    .get_mut(n.0 as usize)
+                    .ok_or_else(|| format!("junction j{ji} references missing node"))?;
+                if *seen == ji {
+                    return Err(format!("node {n} registered twice on junction j{ji}"));
+                }
+                *seen = ji;
+            }
+        }
+        // Loop tasks need an IndVar; region tasks must not have one.
+        match (&task.kind, has_indvar) {
+            (TaskKind::Loop { .. }, false) => {
+                return Err("loop task without IndVar node".to_string());
+            }
+            (TaskKind::Region, true) => {
+                return Err("region task with IndVar node".to_string());
             }
             _ => {}
         }
-    }
-    Ok(())
-}
-
-/// Port wiring of one task's dataflow: every data input port driven by
-/// exactly one edge, feedback edges entering Merge port 1 and only there,
-/// no node registered twice on a junction. Dense tables indexed by node,
-/// so the first violation reported is the first in edge order for a
-/// misplaced edge and in (node, port) order for a port — the same one on
-/// every run.
-fn verify_dataflow_ports(acc: &Accelerator, task: &TaskBlock) -> Result<(), String> {
-    let df = &task.dataflow;
-    let nnodes = df.nodes.len();
-    let arity = |node: &Node| match &node.kind {
-        NodeKind::Output => task.num_results as usize,
-        // A missing callee is `verify_task`'s to report.
-        NodeKind::TaskCall { callee, .. } => {
-            let callee = acc.tasks.get(callee.0 as usize);
-            node.input_arity(callee.map_or(0, |t| t.num_args as usize))
+        // Exactly one Output node.
+        if outputs != 1 {
+            return Err(format!("expected exactly one Output node, found {outputs}"));
         }
-        _ => node.input_arity(0),
-    };
-    // Node `n` owns the ports `first[n]..first[n + 1]` of one flat table:
-    // as many as its arity, or as the highest port an edge names.
-    let mut width: Vec<usize> = df.nodes.iter().map(arity).collect();
-    let mut feedback_in = vec![false; nnodes];
-    for e in &df.edges {
-        let dst = e.dst.0 as usize;
-        if e.src.0 as usize >= nnodes || dst >= nnodes {
-            return Err("edge references missing node".to_string());
-        }
-        if e.kind == EdgeKind::Order {
-            // Token-only ordering edges are exempt from port accounting.
-            continue;
-        }
-        width[dst] = width[dst].max(e.dst_port as usize + 1);
-        if e.kind == EdgeKind::Feedback {
-            // Feedback edges only enter Merge port 1.
-            if !(matches!(df.nodes[dst].kind, NodeKind::Merge) && e.dst_port == 1) {
-                return Err(format!(
-                    "feedback edge must enter a Merge port 1, enters {}",
-                    e.dst
-                ));
-            }
-            feedback_in[dst] = true;
-        }
+        held
     }
-    let mut first = Vec::with_capacity(nnodes + 1);
-    let mut total = 0;
-    for w in width {
-        first.push(total);
-        total += w;
-    }
-    first.push(total);
-    let mut drivers = vec![0u32; total];
-    for e in df.edges.iter().filter(|e| e.kind != EdgeKind::Order) {
-        drivers[first[e.dst.0 as usize] + e.dst_port as usize] += 1;
-    }
-    if let Some(i) = drivers.iter().position(|&count| count > 1) {
-        // The owner is the last node whose ports start at or before `i`.
-        let n = first.partition_point(|&f| f <= i) - 1;
-        return Err(format!(
-            "{} input port {} driven by {} edges",
-            NodeId(n as u32),
-            i - first[n],
-            drivers[i]
-        ));
-    }
-    for (n, node) in df.nodes.iter().enumerate() {
-        let id = NodeId(n as u32);
-        let ports = &drivers[first[n]..][..arity(node)];
-        if let Some(p) = ports.iter().position(|&count| count == 0) {
-            return Err(format!("{id} ({}) input port {p} unconnected", node.name));
-        }
-        // Merge nodes: port 1 must be a feedback edge.
-        if matches!(node.kind, NodeKind::Merge) && !feedback_in[n] {
-            return Err(format!("{id}: merge port 1 is not a feedback edge"));
-        }
-    }
-    // No duplicate junction registrations: the last junction each node
-    // was seen on.
-    let mut seen_on = vec![usize::MAX; nnodes];
-    for (ji, j) in df.junctions.iter().enumerate() {
-        for n in j.readers.iter().chain(&j.writers) {
-            let seen = seen_on
-                .get_mut(n.0 as usize)
-                .ok_or_else(|| format!("junction j{ji} references missing node"))?;
-            if *seen == ji {
-                return Err(format!("node {n} registered twice on junction j{ji}"));
-            }
-            *seen = ji;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accel::TaskBlock;
     use crate::dataflow::Junction;
-    use crate::node::OpKind;
+    use crate::node::{Node, OpKind};
     use crate::structure::Structure;
     use muir_mir::instr::{BinOp, ConstVal, MemObjId};
     use muir_mir::types::Type;
@@ -446,6 +547,22 @@ mod tests {
         acc.tasks[0].dataflow.junctions[0].writers.clear();
         let e = verify_accelerator(&acc).unwrap_err();
         assert!(e.message.contains("not registered"), "{e}");
+    }
+
+    /// A junction naming a structure that does not exist, with no
+    /// `<==>` connection to catch it first, is reported at the memory node
+    /// that uses it instead of indexing past the structure list.
+    #[test]
+    fn junction_targeting_missing_structure_caught() {
+        let mut acc = valid_accel();
+        acc.mem_conns.clear();
+        acc.tasks[0].dataflow.junctions[0].structure = StructureId(999);
+        let e = verify_accelerator(&acc).unwrap_err();
+        assert_eq!(
+            e.message,
+            format!("{}: junction j0 targets missing structure s999", NodeId(3))
+        );
+        assert_eq!(e.code(), "E-GRAPH");
     }
 
     #[test]

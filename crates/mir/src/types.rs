@@ -43,18 +43,22 @@ impl ScalarType {
     pub fn is_float(self) -> bool {
         matches!(self, ScalarType::F32)
     }
-}
 
-impl fmt::Display for ScalarType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The type's name in IR text (the [`fmt::Display`] text).
+    pub fn name(self) -> &'static str {
+        match self {
             ScalarType::I1 => "i1",
             ScalarType::I8 => "i8",
             ScalarType::I32 => "i32",
             ScalarType::I64 => "i64",
             ScalarType::F32 => "f32",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for ScalarType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -7,177 +7,294 @@
 use muir_core::accel::{Accelerator, TaskKind};
 use muir_core::compiled::CompiledAccel;
 use muir_core::dataflow::EdgeKind;
-use muir_core::node::NodeKind;
+use muir_core::node::{NodeKind, OpKind};
 use muir_core::structure::StructureKind;
+use muir_mir::instr::ConstVal;
+use muir_mir::types::Type;
 use std::fmt::Write;
 
 /// Emit the full Chisel-like source for a sealed accelerator artifact.
 ///
-/// RTL emission consumes the same verified-once [`CompiledAccel`] the
-/// simulator and cost model use, so emitted RTL always corresponds to a
-/// graph that passed verification, and the header records the artifact's
-/// content hash for provenance.
+/// RTL emission consumes the same verified [`CompiledAccel`] the simulator
+/// and cost model use, so emitted RTL always corresponds to a graph that
+/// passed verification, and the header records the artifact's content
+/// hash for provenance.
+///
+/// The text is written straight into the one returned `String`: fixed
+/// text, mnemonics, names and integers are appended as they are, and only
+/// values whose text is a `Display`/`Debug` rendering (float constants,
+/// vector and tensor types, comparison and tensor ops, loop bounds, the
+/// header hash) go through the formatter.
 pub fn emit_chisel(comp: &CompiledAccel) -> String {
     let acc = comp.accel();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "// Auto-generated from muIR graph `{}` (artifact {:016x}) — do not edit.",
-        acc.name,
-        comp.content_hash()
-    );
-    let _ = writeln!(out, "package accel\n");
-    for (ti, task) in acc.tasks.iter().enumerate() {
+    let mut out = String::with_capacity(size_hint(acc));
+    out.push_str("// Auto-generated from muIR graph `");
+    out.push_str(&acc.name);
+    let _ = write!(out, "` (artifact {:016x})", comp.content_hash());
+    out.push_str(" — do not edit.\npackage accel\n\n");
+    for ti in 0..acc.tasks.len() {
         emit_task_module(&mut out, acc, ti);
-        let _ = ti;
-        let _ = task;
     }
     emit_top(&mut out, acc);
     out
 }
 
-fn class_name(acc: &Accelerator, ti: usize) -> String {
-    let raw = &acc.tasks[ti].name;
-    let mut s = String::new();
+/// A little over the emitted length of a typical design, so the buffer
+/// rarely regrows: bytes per node, edge, registration and task.
+fn size_hint(acc: &Accelerator) -> usize {
+    let per_task: usize = acc
+        .tasks
+        .iter()
+        .map(|t| {
+            let df = &t.dataflow;
+            let regs: usize = df
+                .junctions
+                .iter()
+                .map(|j| j.readers.len() + j.writers.len())
+                .sum();
+            320 + 56 * df.nodes.len() + 40 * df.edges.len() + 40 * regs
+        })
+        .sum();
+    per_task + 64 * (acc.structures.len() + acc.task_conns.len() + acc.mem_conns.len()) + 512
+}
+
+/// Append the decimal digits of `v`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
+
+/// Append `v` in decimal, with a sign when negative.
+fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// Append the task's class name: its name with every run of
+/// non-alphanumeric characters dropped and the character after it
+/// capitalised, or `Task{ti}` when nothing is left.
+fn push_class_name(out: &mut String, acc: &Accelerator, ti: usize) {
+    let start = out.len();
     let mut cap = true;
-    for c in raw.chars() {
+    for c in acc.tasks[ti].name.chars() {
         if c.is_alphanumeric() {
-            s.push(if cap { c.to_ascii_uppercase() } else { c });
+            out.push(if cap { c.to_ascii_uppercase() } else { c });
             cap = false;
         } else {
             cap = true;
         }
     }
-    if s.is_empty() {
-        format!("Task{ti}")
-    } else {
-        s
+    if out.len() == start {
+        out.push_str("Task");
+        push_u64(out, ti as u64);
+    }
+}
+
+/// Append an op's mnemonic.
+fn push_op(out: &mut String, op: OpKind) {
+    match op {
+        OpKind::Bin(b) => out.push_str(b.mnemonic()),
+        OpKind::Un(u) => out.push_str(u.mnemonic()),
+        _ => {
+            let _ = write!(out, "{op}");
+        }
+    }
+}
+
+/// Append a value type.
+fn push_type(out: &mut String, ty: Type) {
+    match ty {
+        Type::Scalar(s) => out.push_str(s.name()),
+        _ => {
+            let _ = write!(out, "{ty}");
+        }
     }
 }
 
 fn emit_task_module(out: &mut String, acc: &Accelerator, ti: usize) {
     let task = &acc.tasks[ti];
     let df = &task.dataflow;
-    let cname = class_name(acc, ti);
-    let _ = writeln!(
-        out,
-        "class {cname}(val p: Parameters) extends TaskModule {{"
-    );
+    out.push_str("class ");
+    push_class_name(out, acc, ti);
+    out.push_str("(val p: Parameters) extends TaskModule {\n");
     match &task.kind {
         TaskKind::Loop { spec, serial } => {
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "  // loop task: for (i = {:?}; i < {:?}; i += {}){}",
-                spec.lo,
-                spec.hi,
-                spec.step,
-                if *serial {
-                    "  [serial]"
-                } else {
-                    "  [pipelined]"
-                }
+                "  // loop task: for (i = {:?}; i < {:?}; i += ",
+                spec.lo, spec.hi
             );
+            push_i64(out, spec.step);
+            out.push_str(if *serial {
+                ")  [serial]\n"
+            } else {
+                ")  [pipelined]\n"
+            });
         }
-        TaskKind::Region => {
-            let _ = writeln!(out, "  // region task");
-        }
+        TaskKind::Region => out.push_str("  // region task\n"),
     }
-    let _ = writeln!(
-        out,
-        "  // tiles = {}, issueQueue = {}",
-        task.tiles, task.queue_depth
-    );
-    let _ = writeln!(out, "\n  /*------- Dataflow specification -------*/");
+    out.push_str("  // tiles = ");
+    push_u64(out, task.tiles.into());
+    out.push_str(", issueQueue = ");
+    push_u64(out, task.queue_depth.into());
+    out.push_str("\n\n  /*------- Dataflow specification -------*/\n");
     for (ni, node) in df.nodes.iter().enumerate() {
-        let decl = match &node.kind {
-            NodeKind::Input { index } => format!("new LiveIn(idx = {index})"),
-            NodeKind::IndVar => "new IterationSequencer()".to_string(),
-            NodeKind::Const(c) => format!("new ConstNode(value = {c})"),
-            NodeKind::Compute(op) => format!("new ComputeNode(opCode = \"{op}\")"),
-            NodeKind::Fused(plan) => format!("new FusedNode(ops = {})", plan.op_count()),
-            NodeKind::Merge => "new LoopCarryMerge()".to_string(),
+        out.push_str("  val n");
+        push_u64(out, ni as u64);
+        out.push_str(" = ");
+        match &node.kind {
+            NodeKind::Input { index } => {
+                out.push_str("new LiveIn(idx = ");
+                push_u64(out, (*index).into());
+                out.push(')');
+            }
+            NodeKind::IndVar => out.push_str("new IterationSequencer()"),
+            NodeKind::Const(c) => {
+                out.push_str("new ConstNode(value = ");
+                match c {
+                    ConstVal::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                    ConstVal::Int(v) => push_i64(out, *v),
+                    ConstVal::F32(_) => {
+                        let _ = write!(out, "{c}");
+                    }
+                }
+                out.push(')');
+            }
+            NodeKind::Compute(op) => {
+                out.push_str("new ComputeNode(opCode = \"");
+                push_op(out, *op);
+                out.push_str("\")");
+            }
+            NodeKind::Fused(plan) => {
+                out.push_str("new FusedNode(ops = ");
+                push_u64(out, plan.op_count() as u64);
+                out.push(')');
+            }
+            NodeKind::Merge => out.push_str("new LoopCarryMerge()"),
             NodeKind::FusedAcc { op } => {
-                format!("new AccumulatorUnit(opCode = \"{}\")", op.mnemonic())
+                out.push_str("new AccumulatorUnit(opCode = \"");
+                push_op(out, *op);
+                out.push_str("\")");
             }
-            NodeKind::Load { obj, .. } => format!("new Load(space = {obj})"),
-            NodeKind::Store { obj, .. } => format!("new Store(space = {obj})"),
+            NodeKind::Load { obj, .. } => {
+                out.push_str("new Load(space = @mem");
+                push_u64(out, obj.0.into());
+                out.push(')');
+            }
+            NodeKind::Store { obj, .. } => {
+                out.push_str("new Store(space = @mem");
+                push_u64(out, obj.0.into());
+                out.push(')');
+            }
             NodeKind::TaskCall { callee, spawn, .. } => {
-                let how = if *spawn { "Spawn" } else { "Call" };
-                format!(
-                    "new Task{how}(callee = \"{}\")",
-                    class_name(acc, callee.0 as usize)
-                )
+                out.push_str(if *spawn {
+                    "new TaskSpawn(callee = \""
+                } else {
+                    "new TaskCall(callee = \""
+                });
+                push_class_name(out, acc, callee.0 as usize);
+                out.push_str("\")");
             }
-            NodeKind::Output => "new LiveOut()".to_string(),
-        };
-        let _ = writeln!(out, "  val n{ni} = {decl} ({})", node.ty);
+            NodeKind::Output => out.push_str("new LiveOut()"),
+        }
+        out.push_str(" (");
+        push_type(out, node.ty);
+        out.push_str(")\n");
     }
-    let _ = writeln!(out, "\n  /*------------ Connections ------------*/");
+    out.push_str("\n  /*------------ Connections ------------*/\n");
     for e in &df.edges {
+        out.push_str("  n");
+        push_u64(out, e.dst.0.into());
         match e.kind {
             EdgeKind::Data => {
-                let _ = writeln!(
-                    out,
-                    "  n{}.io.In({}) <> n{}.io.Out({})",
-                    e.dst.0, e.dst_port, e.src.0, e.src_port
-                );
+                out.push_str(".io.In(");
+                push_u64(out, e.dst_port.into());
+                out.push_str(") <> n");
             }
-            EdgeKind::Feedback => {
-                let _ = writeln!(
-                    out,
-                    "  n{}.io.Feedback <> n{}.io.Out({})  // loop-carried",
-                    e.dst.0, e.src.0, e.src_port
-                );
-            }
-            EdgeKind::Order => {
-                let _ = writeln!(out, "  n{}.io.OrderIn <> n{}.io.Done", e.dst.0, e.src.0);
-            }
+            EdgeKind::Feedback => out.push_str(".io.Feedback <> n"),
+            EdgeKind::Order => out.push_str(".io.OrderIn <> n"),
         }
+        push_u64(out, e.src.0.into());
+        if e.kind == EdgeKind::Order {
+            out.push_str(".io.Done\n");
+            continue;
+        }
+        out.push_str(".io.Out(");
+        push_u64(out, e.src_port.into());
+        out.push_str(if e.kind == EdgeKind::Feedback {
+            ")  // loop-carried\n"
+        } else {
+            ")\n"
+        });
     }
-    let _ = writeln!(out, "\n  /*------------ Junctions --------------*/");
+    out.push_str("\n  /*------------ Junctions --------------*/\n");
     for (ji, j) in df.junctions.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  val junc{ji} = new Junction(R = {}, W = {})",
-            j.read_ports, j.write_ports
-        );
-        for (k, r) in j.readers.iter().enumerate() {
-            let _ = writeln!(out, "  junc{ji}.io.Read({k}) <==> n{}.io.Mem", r.0);
-        }
-        for (k, w) in j.writers.iter().enumerate() {
-            let _ = writeln!(out, "  junc{ji}.io.Write({k}) <==> n{}.io.Mem", w.0);
+        out.push_str("  val junc");
+        push_u64(out, ji as u64);
+        out.push_str(" = new Junction(R = ");
+        push_u64(out, j.read_ports.into());
+        out.push_str(", W = ");
+        push_u64(out, j.write_ports.into());
+        out.push_str(")\n");
+        for (port, registered) in [(".io.Read(", &j.readers), (".io.Write(", &j.writers)] {
+            for (k, n) in registered.iter().enumerate() {
+                out.push_str("  junc");
+                push_u64(out, ji as u64);
+                out.push_str(port);
+                push_u64(out, k as u64);
+                out.push_str(") <==> n");
+                push_u64(out, n.0.into());
+                out.push_str(".io.Mem\n");
+            }
         }
     }
-    let _ = writeln!(out, "}}\n");
+    out.push_str("}\n\n");
 }
 
 fn emit_top(out: &mut String, acc: &Accelerator) {
-    let _ = writeln!(
-        out,
-        "class Accelerator(val p: Parameters) extends architecture {{"
-    );
-    let _ = writeln!(out, "  /*------------ Task Blocks -------------*/");
-    for ti in 0..acc.tasks.len() {
-        let _ = writeln!(
-            out,
-            "  val task_{ti} = new {}()  // tiles = {}",
-            class_name(acc, ti),
-            acc.tasks[ti].tiles
-        );
+    out.push_str("class Accelerator(val p: Parameters) extends architecture {\n");
+    out.push_str("  /*------------ Task Blocks -------------*/\n");
+    for (ti, task) in acc.tasks.iter().enumerate() {
+        out.push_str("  val task_");
+        push_u64(out, ti as u64);
+        out.push_str(" = new ");
+        push_class_name(out, acc, ti);
+        out.push_str("()  // tiles = ");
+        push_u64(out, task.tiles.into());
+        out.push('\n');
     }
-    let _ = writeln!(out, "\n  /*------------ Structures -------------*/");
+    out.push_str("\n  /*------------ Structures -------------*/\n");
     for (si, s) in acc.structures.iter().enumerate() {
-        let decl = match &s.kind {
+        out.push_str("  val hw_mem_");
+        push_u64(out, si as u64);
+        match &s.kind {
             StructureKind::Scratchpad {
                 banks,
                 capacity,
                 shape,
                 ..
             } => {
-                let ty = shape
-                    .map(|sh| format!("Tensor2D({sh})"))
-                    .unwrap_or_else(|| "Scalar".to_string());
-                format!("new Scratchpad(banks = {banks}, depth = {capacity}, t = {ty})")
+                out.push_str(" = new Scratchpad(banks = ");
+                push_u64(out, (*banks).into());
+                out.push_str(", depth = ");
+                push_u64(out, *capacity);
+                match shape {
+                    Some(sh) => {
+                        let _ = write!(out, ", t = Tensor2D({sh}))");
+                    }
+                    None => out.push_str(", t = Scalar)"),
+                }
             }
             StructureKind::Cache {
                 capacity,
@@ -185,32 +302,43 @@ fn emit_top(out: &mut String, acc: &Accelerator) {
                 banks,
                 ..
             } => {
-                format!(
-                    "new Cache(sets = {}, ways = {assoc}, banks = {banks})",
-                    capacity / 16
-                )
+                out.push_str(" = new Cache(sets = ");
+                push_u64(out, capacity / 16);
+                out.push_str(", ways = ");
+                push_u64(out, (*assoc).into());
+                out.push_str(", banks = ");
+                push_u64(out, (*banks).into());
+                out.push(')');
             }
-            StructureKind::Dram { .. } => "new AXIPort()".to_string(),
-        };
-        let _ = writeln!(out, "  val hw_mem_{si} = {decl}  // {}", s.name);
+            StructureKind::Dram { .. } => out.push_str(" = new AXIPort()"),
+        }
+        out.push_str("  // ");
+        out.push_str(&s.name);
+        out.push('\n');
     }
-    let _ = writeln!(out, "\n  /*---------- <||> connections ---------*/");
+    out.push_str("\n  /*---------- <||> connections ---------*/\n");
     for c in &acc.task_conns {
-        let _ = writeln!(
-            out,
-            "  task_{}.io.task <||> task_{}.io.spawn({})  // q = {}",
-            c.child.0, c.parent.0, c.child.0, c.queue_depth
-        );
+        out.push_str("  task_");
+        push_u64(out, c.child.0.into());
+        out.push_str(".io.task <||> task_");
+        push_u64(out, c.parent.0.into());
+        out.push_str(".io.spawn(");
+        push_u64(out, c.child.0.into());
+        out.push_str(")  // q = ");
+        push_u64(out, c.queue_depth.into());
+        out.push('\n');
     }
-    let _ = writeln!(out, "\n  /*---------- <==> connections ---------*/");
+    out.push_str("\n  /*---------- <==> connections ---------*/\n");
     for mc in &acc.mem_conns {
-        let _ = writeln!(
-            out,
-            "  hw_mem_{}.io.Mem <==> task_{}.io.junc({})",
-            mc.structure.0, mc.task.0, mc.junction.0
-        );
+        out.push_str("  hw_mem_");
+        push_u64(out, mc.structure.0.into());
+        out.push_str(".io.Mem <==> task_");
+        push_u64(out, mc.task.0.into());
+        out.push_str(".io.junc(");
+        push_u64(out, mc.junction.0.into());
+        out.push_str(")\n");
     }
-    let _ = writeln!(out, "}}");
+    out.push_str("}\n");
 }
 
 #[cfg(test)]

@@ -176,6 +176,17 @@ pub fn fuse_accumulators(df: &mut Dataflow) -> PassDelta {
     delta
 }
 
+/// The number of steps in a node's plan, if the node is fusable: what
+/// [`plan_of`] would build, without building it.
+fn fusable_steps(node: &Node) -> Option<usize> {
+    match &node.kind {
+        NodeKind::Compute(OpKind::Tensor(..)) => None,
+        NodeKind::Compute(_) => Some(1),
+        NodeKind::Fused(plan) => Some(plan.steps.len()),
+        _ => None,
+    }
+}
+
 /// A node's evaluation plan viewed as a (possibly singleton) fused plan.
 fn plan_of(node: &Node) -> Option<FusedPlan> {
     match &node.kind {
@@ -284,10 +295,11 @@ fn find_candidate(
     max_delay_ns: f64,
     max_ops: usize,
 ) -> Option<(NodeId, NodeId, u16)> {
-    // One CSR build per round replaces a per-node O(E) rescan.
+    // One CSR build per round replaces a per-node O(E) rescan. Plans are
+    // built only for a pair whose path delay is tested.
     let idx = df.edge_index();
     for u in df.node_ids() {
-        let Some(u_plan) = plan_of(df.node(u)) else {
+        let Some(u_steps) = fusable_steps(df.node(u)) else {
             continue;
         };
         // u must have exactly one outgoing edge, a Data edge.
@@ -300,12 +312,14 @@ fn find_candidate(
             continue;
         }
         let v = e.dst;
-        let Some(v_plan) = plan_of(df.node(v)) else {
+        let Some(v_steps) = fusable_steps(df.node(v)) else {
             continue;
         };
-        if u_plan.steps.len() + v_plan.steps.len() > max_ops {
+        if u_steps + v_steps > max_ops {
             continue;
         }
+        let u_plan = plan_of(df.node(u)).expect("fusable node has a plan");
+        let v_plan = plan_of(df.node(v)).expect("fusable node has a plan");
         let fused = combine(&u_plan, &v_plan, e.dst_port);
         if hw::fused_path_delay(&fused) <= max_delay_ns {
             return Some((u, v, e.dst_port));

@@ -214,12 +214,16 @@ impl PassManager {
         Ok(report)
     }
 
-    /// Run all passes, then **seal** the result: verify and lower the
-    /// transformed graph exactly once into an immutable, content-addressed
-    /// [`CompiledAccel`] shared by the simulator, RTL emission, and cost
-    /// layers. This is the intended terminal stage of a μopt pipeline —
-    /// everything downstream consumes the sealed artifact, never the
-    /// mutable graph.
+    /// Run all passes, then **seal** the result: lower the transformed
+    /// graph once into an immutable, content-addressed [`CompiledAccel`]
+    /// shared by the simulator, RTL emission, and cost layers. This is the
+    /// intended terminal stage of a μopt pipeline — everything downstream
+    /// consumes the sealed artifact, never the mutable graph.
+    ///
+    /// The final graph is verified twice: by [`PassManager::run`]'s check
+    /// after the last pass (or its exit check when there are no passes),
+    /// and again by [`CompiledAccel::compile`], which verifies every graph
+    /// it lowers.
     ///
     /// # Errors
     /// The first pass failure, or a verification failure (reported under

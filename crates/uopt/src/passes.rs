@@ -43,13 +43,14 @@ impl Pass for TaskQueueing {
 
     fn run(&self, acc: &mut Accelerator) -> Result<PassDelta, PassError> {
         let mut delta = PassDelta::default();
-        let depths: Vec<u32> = acc
-            .tasks
-            .iter()
-            .map(|t| muir_core::stats::pipeline_depth(&t.dataflow))
-            .collect();
+        // A child's pipeline depth is computed only for a connection the
+        // pass would change, and never under a threshold of 0.
         for c in &mut acc.task_conns {
-            if depths[c.child.0 as usize] >= self.min_child_depth && c.queue_depth != self.depth {
+            if c.queue_depth != self.depth
+                && (self.min_child_depth == 0
+                    || muir_core::stats::pipeline_depth(&acc.tasks[c.child.0 as usize].dataflow)
+                        >= self.min_child_depth)
+            {
                 c.queue_depth = self.depth;
                 delta.edges += 1;
             }
@@ -429,6 +430,33 @@ mod tests {
             .unwrap();
         assert!(r.total().edges >= 2);
         assert!(acc.task_conns.iter().all(|c| c.queue_depth == 8));
+    }
+
+    #[test]
+    fn queueing_threshold_selects_deep_children() {
+        let m = cilk_module();
+        let mut acc = translate(&m, &FrontendConfig::default()).unwrap();
+        let depths: Vec<u32> = acc
+            .task_conns
+            .iter()
+            .map(|c| muir_core::stats::pipeline_depth(&acc.task(c.child).dataflow))
+            .collect();
+        assert!(acc.task_conns.iter().all(|c| c.queue_depth != 8));
+        let deepest = *depths.iter().max().unwrap();
+        let r = PassManager::new()
+            .with(TaskQueueing {
+                depth: 8,
+                min_child_depth: deepest,
+            })
+            .run(&mut acc)
+            .unwrap();
+        for (c, &d) in acc.task_conns.iter().zip(&depths) {
+            assert_eq!(c.queue_depth == 8, d >= deepest, "{c:?}");
+        }
+        assert_eq!(
+            r.total().edges,
+            depths.iter().filter(|&&d| d >= deepest).count()
+        );
     }
 
     #[test]

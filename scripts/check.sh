@@ -50,7 +50,11 @@
 # reaches the registry only through crates/bench/src/telemetry_gate.rs,
 # which reads the stats structs at capture time, and the registry in
 # crates/core/src/telemetry.rs holds plain values: no `AtomicU64`, no
-# `Arc`), the telemetry zero-perturbation guard (seal + cold/warm
+# `Arc`), the one-verifier / one-emitter-buffer gate (`fn
+# verify_accelerator` is defined once, in crates/core/src/verify.rs, whose
+# non-test part names no `HashMap`, `HashSet` or `BTreeMap`; the non-test
+# part of crates/rtl/src/chisel.rs writes into its one buffer and has no
+# `format!(`), the telemetry zero-perturbation guard (seal + cold/warm
 # service drains with metrics on vs off bit-identical on every workload,
 # and the "on" leg must record; the ignored full sweep), the metrics gate (one instrumented GEMM capture whose
 # merged trace and registry snapshot must validate against
@@ -237,6 +241,22 @@ if grep -rnE '(count|gauge_set)\((&format!\()?"(service|store|dse)\.' crates --i
 fi
 if grep -nwE 'AtomicU64|Arc' crates/core/src/telemetry.rs; then
     echo "check.sh: the telemetry registry holds plain values behind its mutex; no per-metric atomics or handles (lines above)" >&2
+    exit 1
+fi
+
+echo "== one graph verifier, one emitter buffer (verify.rs: no hash maps; chisel.rs: no format!) =="
+defs=$(grep -rnE 'fn verify_accelerator\b' crates src tests examples --include='*.rs' || true)
+if [ "$(printf '%s\n' "$defs" | grep -c .)" != 1 ] || ! printf '%s\n' "$defs" | grep -q '^crates/core/src/verify\.rs:'; then
+    printf '%s\n' "$defs" >&2
+    echo "check.sh: verify_accelerator must be defined exactly once, in crates/core/src/verify.rs (definitions above)" >&2
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/verify.rs | grep -nwE 'HashMap|HashSet|BTreeMap'; then
+    echo "check.sh: the verifier works over dense per-task tables and sorted vectors, not hash or tree maps (lines above)" >&2
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/rtl/src/chisel.rs | grep -nF 'format!('; then
+    echo "check.sh: emit_chisel appends into its one String; a format! allocates a second one (lines above)" >&2
     exit 1
 fi
 
