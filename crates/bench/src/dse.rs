@@ -29,9 +29,10 @@
 //!
 //! Candidates dedup at two levels: distinct configs that lower to the
 //! same artifact share one [`EvalService`] (artifact-level dedup), and
-//! their identical jobs coalesce inside the service (job-level dedup) —
-//! a `budget`-point sweep typically simulates far fewer than `budget`
-//! designs.
+//! their identical jobs coalesce inside the service (job-level dedup). A
+//! sweep simulates one design per distinct artifact, and distinct configs
+//! often lower to distinct artifacts: the `dse-cold` benchmark's 48
+//! candidates lower to 48 artifacts, with nothing coalesced.
 
 use crate::service::{EvalJob, EvalOutcome, EvalService, ServiceConfig};
 use muir_core::compiled::CompiledAccel;
@@ -56,12 +57,19 @@ pub struct DseParams {
     /// all-baseline config is always candidate 0).
     pub budget: u64,
     /// Worker threads handed to each artifact group's `EvalService`.
-    /// Inert today: `explore` drains one service per group, every member
-    /// of a group submits the same job, and identical jobs coalesce into
-    /// one simulation — so no two simulations ever run side by side
-    /// (ROADMAP follow-ups has the measured cost of evaluating groups
-    /// concurrently instead). Never affects report bytes (determinism
-    /// contract rule 2).
+    /// Inert: `explore` drains one service per group, every member of a
+    /// group submits the same job, and identical jobs coalesce into one
+    /// simulation — so no two simulations ever run side by side. Never
+    /// affects report bytes (determinism contract rule 2).
+    ///
+    /// Evaluating artifact groups concurrently instead was measured and
+    /// rejected (ROADMAP item 8(b)). On 2 workers, with every check kept
+    /// (`outputs_match`, determinism, `BTreeMap` merge order), `dse-cold`
+    /// items/s rose 38–75 % over 3 alternated pairs, but CPU per item rose
+    /// 29–32 % in 2 of them (4 % in the third) and peak RSS rose from 4.9
+    /// to 5.6–6.0 MB — past the benchmark's 0.25 CPU and 0.10 RSS bounds.
+    /// Two single-threaded processes side by side slowed each other by
+    /// only about 8 %, so the cost is in-process.
     pub threads: usize,
 }
 

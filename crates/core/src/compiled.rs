@@ -29,7 +29,7 @@
 //! well-formedness without re-checking.
 
 use crate::accel::{Accelerator, TaskId};
-use crate::dataflow::{Buffering, Dataflow, EdgeKind, NodeId};
+use crate::dataflow::{Buffering, Dataflow, EdgeKind, NodeId, TopoIndex};
 use crate::node::{FusedPlan, NodeKind, OpKind};
 use crate::telemetry;
 use crate::verify::{verify_accelerator, GraphError};
@@ -180,11 +180,13 @@ pub struct CompiledTask {
 }
 
 impl CompiledTask {
-    /// Lower one task: one walk over a local CSR index of the graph emits
-    /// a [`MicroOp`] per node with its inputs resolved to packed slots,
-    /// its edge lists to index ranges, and its operands decoded out of
-    /// `NodeKind`.
-    fn lower(acc: &Accelerator, tid: TaskId) -> CompiledTask {
+    /// Lower one task: one walk over a CSR index of the graph emits a
+    /// [`MicroOp`] per node with its inputs resolved to packed slots, its
+    /// edge lists to index ranges, and its operands decoded out of
+    /// `NodeKind`. Every kept table is allocated once at its final length;
+    /// the index and the topological-sort tables are `scratch`, reused
+    /// across the tasks of one [`CompiledAccel::compile`].
+    fn lower(acc: &Accelerator, tid: TaskId, scratch: &mut TopoIndex) -> CompiledTask {
         let task = acc.task(tid);
         let df = &task.dataflow;
         let n = df.nodes.len();
@@ -194,15 +196,37 @@ impl CompiledTask {
                 NodeKind::Input { .. } | NodeKind::Const(_)
             )
         };
-        let order: Vec<u32> = forward_topo(df)
-            .into_iter()
-            .rev()
-            .map(|x| x as u32)
-            .collect();
+        // Incoming rows are sorted by `(dst_port, edge)` — the port order
+        // the slots need, with every order edge (`dst_port == u16::MAX`)
+        // behind the operands in edge order; outgoing rows are in edge
+        // order.
+        let mut order = Vec::with_capacity(n);
+        scratch.order(df, &mut order);
+        order.reverse();
+        let idx = &scratch.idx;
         let mut pos = vec![0u32; n];
         for (p, &node) in order.iter().enumerate() {
             pos[node as usize] = p as u32;
         }
+        // Exact table lengths: every non-order edge is one input slot (a
+        // constant one also one `consts` entry); an edge out of a dynamic
+        // node is one out reference, and an order edge one order-in
+        // reference as well.
+        let (mut nslots, mut nrefs, mut nconsts) = (0, 0, 0);
+        for e in &df.edges {
+            if e.kind != EdgeKind::Order {
+                nslots += 1;
+                nconsts += usize::from(matches!(df.node(e.src).kind, NodeKind::Const(_)));
+            }
+            if !is_static(e.src.0) {
+                nrefs += 1 + usize::from(e.kind == EdgeKind::Order);
+            }
+        }
+        let nplans = df
+            .nodes
+            .iter()
+            .filter(|nd| matches!(nd.kind, NodeKind::Fused(_)))
+            .count();
         // The `<||>` FIFO feeding this task, if a parent connects to it.
         let feeding = acc.task_conns.iter().find(|c| c.child == tid);
         let mut ct = CompiledTask {
@@ -212,10 +236,10 @@ impl CompiledTask {
             queue_cap: (task.queue_depth + feeding.map_or(1, |c| c.queue_depth)) as usize,
             njunctions: df.junctions.len(),
             uops: Vec::with_capacity(n),
-            in_slots: Vec::new(),
-            edge_refs: Vec::new(),
-            consts: Vec::new(),
-            fused_plans: Vec::new(),
+            in_slots: Vec::with_capacity(nslots),
+            edge_refs: Vec::with_capacity(nrefs),
+            consts: Vec::with_capacity(nconsts),
+            fused_plans: Vec::with_capacity(nplans),
             edge_meta: df
                 .edges
                 .iter()
@@ -230,11 +254,6 @@ impl CompiledTask {
                 })
                 .collect(),
         };
-        // Incoming rows are sorted by `(dst_port, edge)` — the port order
-        // the slots need, with every order edge (`dst_port == u16::MAX`)
-        // behind the operands in edge order; outgoing rows are in edge
-        // order.
-        let idx = df.edge_index();
         // A placeholder op keeps `MicroOp` `Copy`-able and fixed-size for
         // the opcodes that carry no inline operation.
         let nop = OpKind::Bin(BinOp::Add);
@@ -389,12 +408,13 @@ impl CompiledAccel {
     pub fn compile(acc: &Accelerator) -> Result<CompiledAccel, GraphError> {
         let _span = telemetry::span("compile", "compile.lower");
         verify_accelerator(acc)?;
+        let mut scratch = TopoIndex::default();
         Ok(CompiledAccel {
             accel: acc.clone(),
             hash: content_hash(acc),
             tasks: acc
                 .task_ids()
-                .map(|tid| CompiledTask::lower(acc, tid))
+                .map(|tid| CompiledTask::lower(acc, tid, &mut scratch))
                 .collect(),
         })
     }
@@ -619,37 +639,16 @@ pub fn content_hash(acc: &Accelerator) -> u64 {
 /// consumer drains its input edge before the producer refills it, so
 /// single-token edges sustain II=1.
 pub fn forward_topo(df: &Dataflow) -> Vec<usize> {
-    let n = df.nodes.len();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg = vec![0usize; n];
-    for e in &df.edges {
-        if e.kind == EdgeKind::Feedback {
-            continue;
-        }
-        succs[e.src.0 as usize].push(e.dst.0 as usize);
-        indeg[e.dst.0 as usize] += 1;
-    }
-    let mut work: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(x) = work.pop() {
-        order.push(x);
-        for &s in &succs[x] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                work.push(s);
-            }
-        }
-    }
-    // Any leftover (forward cycle — should not happen) appended for safety.
-    order.extend((0..n).filter(|&i| indeg[i] != 0));
-    order
+    let mut order = Vec::with_capacity(df.nodes.len());
+    TopoIndex::default().order(df, &mut order);
+    order.into_iter().map(|x| x as usize).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::accel::{TaskBlock, TaskKind};
-    use crate::node::{Node, OpKind};
+    use crate::node::{Name, Node, OpKind};
     use crate::Type;
     use muir_mir::instr::{BinOp, ConstVal};
 
@@ -858,7 +857,10 @@ mod tests {
             ("task.loop_result_inits", |a| {
                 a.tasks[1].loop_result_inits[0] = Some(ResultInit::Const(ConstVal::F32(-0.5)));
             }),
-            ("node.name", |a| a.tasks[1].dataflow.nodes[1].name.push('x')),
+            ("node.name", |a| {
+                let n = &mut a.tasks[1].dataflow.nodes[1];
+                n.name = Name::format(format_args!("{}x", n.name));
+            }),
             ("node.kind", |a| {
                 a.tasks[0].dataflow.nodes[2].kind = NodeKind::Compute(OpKind::Bin(BinOp::Sub));
             }),

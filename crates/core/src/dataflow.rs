@@ -269,38 +269,49 @@ pub struct EdgeIndex {
 impl EdgeIndex {
     /// Build the CSR tables for `df`.
     pub fn build(df: &Dataflow) -> EdgeIndex {
+        let mut idx = EdgeIndex::default();
+        idx.rebuild(df);
+        idx
+    }
+
+    /// Rebuild the tables for `df` in place, reusing their buffers: a
+    /// caller that indexes many graphs, or one graph after each rewrite,
+    /// allocates only when a graph is larger than any before it.
+    pub fn rebuild(&mut self, df: &Dataflow) {
         let n = df.nodes.len();
-        let mut in_off = vec![0u32; n + 1];
-        let mut out_off = vec![0u32; n + 1];
+        let m = df.edges.len();
+        for off in [&mut self.in_off, &mut self.out_off] {
+            off.clear();
+            off.resize(n + 1, 0);
+        }
         for e in &df.edges {
-            in_off[e.dst.0 as usize + 1] += 1;
-            out_off[e.src.0 as usize + 1] += 1;
+            self.in_off[e.dst.0 as usize + 1] += 1;
+            self.out_off[e.src.0 as usize + 1] += 1;
         }
         for i in 0..n {
-            in_off[i + 1] += in_off[i];
-            out_off[i + 1] += out_off[i];
+            self.in_off[i + 1] += self.in_off[i];
+            self.out_off[i + 1] += self.out_off[i];
         }
-        let mut in_idx = vec![0u32; df.edges.len()];
-        let mut out_idx = vec![0u32; df.edges.len()];
-        let mut in_cur = in_off.clone();
-        let mut out_cur = out_off.clone();
+        // Place each edge at its row's cursor `off[row]`, which walks to
+        // the row's end (the next row's start); shifting the offsets up
+        // one slot afterwards restores the starts.
+        self.in_idx.resize(m, 0);
+        self.out_idx.resize(m, 0);
         for (ei, e) in df.edges.iter().enumerate() {
             let d = e.dst.0 as usize;
-            in_idx[in_cur[d] as usize] = ei as u32;
-            in_cur[d] += 1;
+            self.in_idx[self.in_off[d] as usize] = ei as u32;
+            self.in_off[d] += 1;
             let s = e.src.0 as usize;
-            out_idx[out_cur[s] as usize] = ei as u32;
-            out_cur[s] += 1;
+            self.out_idx[self.out_off[s] as usize] = ei as u32;
+            self.out_off[s] += 1;
+        }
+        for off in [&mut self.in_off, &mut self.out_off] {
+            off.copy_within(0..n, 1);
+            off[0] = 0;
         }
         for i in 0..n {
-            let row = &mut in_idx[in_off[i] as usize..in_off[i + 1] as usize];
+            let row = &mut self.in_idx[self.in_off[i] as usize..self.in_off[i + 1] as usize];
             row.sort_unstable_by_key(|&ei| (df.edges[ei as usize].dst_port, ei));
-        }
-        EdgeIndex {
-            in_off,
-            in_idx,
-            out_off,
-            out_idx,
         }
     }
 
@@ -341,6 +352,54 @@ impl EdgeIndex {
     pub fn size_bytes(&self) -> usize {
         (self.in_off.len() + self.in_idx.len() + self.out_off.len() + self.out_idx.len())
             * size_of::<u32>()
+    }
+}
+
+/// An [`EdgeIndex`] and the tables of a forward topological sort, kept by
+/// a caller that orders many graphs — sealing orders every task — so that
+/// each graph reuses the buffers of the last.
+#[derive(Default)]
+pub(crate) struct TopoIndex {
+    /// The index of the graph last ordered.
+    pub(crate) idx: EdgeIndex,
+    indeg: Vec<u32>,
+    work: Vec<u32>,
+}
+
+impl TopoIndex {
+    /// Index `df` and append its forward topological order over forward
+    /// (non-feedback) edges to `order` (see
+    /// [`crate::compiled::forward_topo`]).
+    pub(crate) fn order(&mut self, df: &Dataflow, order: &mut Vec<u32>) {
+        self.idx.rebuild(df);
+        let n = df.nodes.len();
+        let indeg = &mut self.indeg;
+        indeg.clear();
+        indeg.resize(n, 0);
+        for e in &df.edges {
+            if e.kind != EdgeKind::Feedback {
+                indeg[e.dst.0 as usize] += 1;
+            }
+        }
+        self.work.clear();
+        self.work
+            .extend((0..n as u32).filter(|&i| indeg[i as usize] == 0));
+        while let Some(x) = self.work.pop() {
+            order.push(x);
+            for e in self.idx.out_edges(df, NodeId(x)) {
+                if e.kind == EdgeKind::Feedback {
+                    continue;
+                }
+                let d = e.dst.0 as usize;
+                indeg[d] -= 1;
+                if indeg[d] == 0 {
+                    self.work.push(d as u32);
+                }
+            }
+        }
+        // Any leftover (forward cycle — should not happen) appended for
+        // safety.
+        order.extend((0..n as u32).filter(|&i| indeg[i as usize] != 0));
     }
 }
 

@@ -128,19 +128,31 @@ pub fn node_timing(kind: &NodeKind, ty: Type, period_ns: f64) -> Timing {
 
 /// Critical combinational path (ns) through a fused plan.
 pub fn fused_path_delay(plan: &FusedPlan) -> f64 {
-    let mut step_delay = vec![0.0f64; plan.steps.len()];
-    for (i, step) in plan.steps.iter().enumerate() {
-        let in_max = step
-            .inputs
-            .iter()
-            .map(|inp| match inp {
-                FusedInput::External(_) => 0.0,
-                FusedInput::Step(s) => step_delay[*s as usize],
-            })
-            .fold(0.0, f64::max);
-        step_delay[i] = in_max + op_delay_ns(step.op, step.ty);
+    let mut arrivals = Vec::with_capacity(plan.steps.len());
+    for step in &plan.steps {
+        push_arrival(&mut arrivals, step.op, step.ty, step.inputs.iter().copied());
     }
-    step_delay.iter().copied().fold(0.0, f64::max)
+    arrivals.iter().copied().fold(0.0, f64::max)
+}
+
+/// Append the arrival time (ns) of a plan's next step to `arrivals`, the
+/// arrival times of its earlier steps: its latest input plus its own
+/// delay. The critical path is the largest arrival; a caller that builds
+/// a plan's arrivals from its steps gets [`fused_path_delay`]'s value
+/// without building the plan.
+pub fn push_arrival(
+    arrivals: &mut Vec<f64>,
+    op: OpKind,
+    ty: Type,
+    inputs: impl Iterator<Item = FusedInput>,
+) {
+    let in_max = inputs
+        .map(|inp| match inp {
+            FusedInput::External(_) => 0.0,
+            FusedInput::Step(s) => arrivals[s as usize],
+        })
+        .fold(0.0, f64::max);
+    arrivals.push(in_max + op_delay_ns(op, ty));
 }
 
 /// Timing of a fused node: ops are chained combinationally and re-timed

@@ -42,7 +42,7 @@ pub use accel::{
 };
 pub use compiled::{content_hash, CompiledAccel, CompiledTask, ContentHasher};
 pub use dataflow::{Buffering, Dataflow, Edge, EdgeIndex, EdgeKind, Junction, JunctionId, NodeId};
-pub use node::{FusedInput, FusedPlan, FusedStep, Node, NodeKind, OpKind};
+pub use node::{FusedInput, FusedPlan, FusedStep, Name, Node, NodeKind, OpKind};
 pub use structure::{Structure, StructureId, StructureKind};
 
 // The type system is shared with the compiler IR.

@@ -204,11 +204,120 @@ impl NodeKind {
     }
 }
 
+/// Longest name held inline: with the tag and the length byte, a [`Name`]
+/// is as large as a `String`.
+const INLINE: usize = 22;
+
+/// A node's debug name. It hashes, compares, prints and dereferences
+/// exactly as the `str` it holds (so content hashes and every text output
+/// are those of a `String` name), and a name of at most 22 bytes — all the
+/// frontend makes and most fused names — lives inline, so naming,
+/// cloning and dropping a node allocate nothing.
+#[derive(Clone)]
+pub struct Name(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline(Inline),
+    Heap(Box<str>),
+}
+
+/// An inline name: `bytes[..len]` is always valid UTF-8, because it is
+/// only ever written whole `str`s.
+#[derive(Clone, Copy)]
+struct Inline {
+    len: u8,
+    bytes: [u8; INLINE],
+}
+
+/// Appends whole `str`s; fails (leaving a valid prefix) when one does not
+/// fit.
+impl fmt::Write for Inline {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let at = usize::from(self.len);
+        let end = at + s.len();
+        let dst = self.bytes.get_mut(at..end).ok_or(fmt::Error)?;
+        dst.copy_from_slice(s.as_bytes());
+        self.len = end as u8;
+        Ok(())
+    }
+}
+
+impl Name {
+    /// The formatted text of `args`, formatted in place: a name that fits
+    /// inline allocates nothing.
+    pub fn format(args: fmt::Arguments<'_>) -> Name {
+        let mut inline = Inline {
+            len: 0,
+            bytes: [0; INLINE],
+        };
+        match fmt::Write::write_fmt(&mut inline, args) {
+            Ok(()) => Name(Repr::Inline(inline)),
+            Err(_) => Name(Repr::Heap(fmt::format(args).into_boxed_str())),
+        }
+    }
+
+    /// The name as a `str`.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline(i) => {
+                std::str::from_utf8(&i.bytes[..usize::from(i.len)]).expect("whole strs only")
+            }
+            Repr::Heap(s) => s,
+        }
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Name {
+        Name::format(format_args!("{s}"))
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Name {
+        Name::from(s.as_str())
+    }
+}
+
+impl std::ops::Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl std::hash::Hash for Name {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Name {}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// A node in a task's dataflow.
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Node {
     /// Debug name.
-    pub name: String,
+    pub name: Name,
     /// What the node is.
     pub kind: NodeKind,
     /// Output value type (for `Store`/`Output`, the consumed value type).
@@ -217,7 +326,7 @@ pub struct Node {
 
 impl Node {
     /// Construct a node.
-    pub fn new(name: impl Into<String>, kind: NodeKind, ty: Type) -> Node {
+    pub fn new(name: impl Into<Name>, kind: NodeKind, ty: Type) -> Node {
         Node {
             name: name.into(),
             kind,

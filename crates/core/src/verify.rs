@@ -55,114 +55,143 @@ fn gerr(at: impl Into<String>, message: impl Into<String>) -> GraphError {
 /// # Errors
 /// Returns the first structural violation found.
 pub fn verify_accelerator(acc: &Accelerator) -> Result<(), GraphError> {
-    if acc.tasks.is_empty() {
-        return Err(gerr(&acc.name, "accelerator has no tasks"));
+    Verifier::default().verify(acc)
+}
+
+/// [`verify_accelerator`] with its working tables kept between calls: a
+/// caller that verifies after every pass of a pipeline holds one and
+/// allocates only when a graph outgrows every graph before it.
+#[derive(Default)]
+pub struct Verifier {
+    /// Parent task id per task (`NONE` when no connection names it).
+    parent: Vec<u32>,
+    /// Connections naming each task as child.
+    parents: Vec<u32>,
+    /// See [`fill_homes`].
+    homes: Vec<(u32, u32, u32)>,
+    tables: Tables,
+}
+
+impl Verifier {
+    /// Verify the whole accelerator graph, exactly as
+    /// [`verify_accelerator`] does.
+    ///
+    /// # Errors
+    /// Returns the first structural violation found.
+    pub fn verify(&mut self, acc: &Accelerator) -> Result<(), GraphError> {
+        if acc.tasks.is_empty() {
+            return Err(gerr(&acc.name, "accelerator has no tasks"));
+        }
+        if acc.root.0 as usize >= acc.tasks.len() {
+            return Err(gerr(&acc.name, "root task out of range"));
+        }
+        // Task hierarchy: every non-root task has exactly one parent; no self
+        // connections; referenced ids valid. `parent[t]` is the parent of the
+        // first connection naming `t` as child (`NONE` if there is none), which
+        // the task-call check below reads once every count is one.
+        let ntasks = acc.tasks.len();
+        let (parent, parents) = (&mut self.parent, &mut self.parents);
+        parent.clear();
+        parent.resize(ntasks, NONE);
+        parents.clear();
+        parents.resize(ntasks, 0);
+        for c in &acc.task_conns {
+            if c.parent.0 as usize >= ntasks || c.child.0 as usize >= ntasks {
+                return Err(gerr(&acc.name, "task connection references missing task"));
+            }
+            if c.parent == c.child {
+                return Err(gerr(
+                    &acc.name,
+                    format!("task {} connected to itself", c.parent),
+                ));
+            }
+            let child = c.child.0 as usize;
+            if parents[child] == 0 {
+                parent[child] = c.parent.0;
+            }
+            parents[child] += 1;
+        }
+        for (t, &n) in acc.task_ids().zip(parents.iter()) {
+            if t == acc.root && n != 0 {
+                return Err(gerr(&acc.name, "root task has a parent"));
+            }
+            if t != acc.root && n != 1 {
+                return Err(gerr(
+                    &acc.name,
+                    format!(
+                        "task {} ({}) has {n} parents, expected 1",
+                        t,
+                        acc.task(t).name
+                    ),
+                ));
+            }
+        }
+        fill_homes(acc, &mut self.homes)?;
+        // Memory connections reference valid pieces.
+        for mc in &acc.mem_conns {
+            if mc.task.0 as usize >= ntasks {
+                return Err(gerr(&acc.name, "mem connection references missing task"));
+            }
+            let df = &acc.task(mc.task).dataflow;
+            if mc.junction.0 as usize >= df.junctions.len() {
+                return Err(gerr(
+                    &acc.name,
+                    "mem connection references missing junction",
+                ));
+            }
+            if mc.structure.0 as usize >= acc.structures.len() {
+                return Err(gerr(
+                    &acc.name,
+                    "mem connection references missing structure",
+                ));
+            }
+            if df.junctions[mc.junction.0 as usize].structure != mc.structure {
+                return Err(gerr(
+                    &acc.name,
+                    format!(
+                        "junction {} disagrees with its mem connection target",
+                        mc.junction
+                    ),
+                ));
+            }
+        }
+        // Per-task dataflow checks over tables reused from task to task; the
+        // location string is built only for a task that fails them.
+        let graph = Graph {
+            acc,
+            parent: &self.parent,
+            homes: &self.homes,
+        };
+        for t in acc.task_ids() {
+            self.tables
+                .verify_task(&graph, t)
+                .map_err(|message| gerr(format!("{} ({})", t, acc.task(t).name), message))?;
+        }
+        Ok(())
     }
-    if acc.root.0 as usize >= acc.tasks.len() {
-        return Err(gerr(&acc.name, "root task out of range"));
-    }
-    // Task hierarchy: every non-root task has exactly one parent; no self
-    // connections; referenced ids valid. `parent[t]` is the parent of the
-    // first connection naming `t` as child (`NONE` if there is none), which
-    // the task-call check below reads once every count is one.
-    let ntasks = acc.tasks.len();
-    let mut parent = vec![NONE; ntasks];
-    let mut parents = vec![0u32; ntasks];
-    for c in &acc.task_conns {
-        if c.parent.0 as usize >= ntasks || c.child.0 as usize >= ntasks {
-            return Err(gerr(&acc.name, "task connection references missing task"));
-        }
-        if c.parent == c.child {
-            return Err(gerr(
-                &acc.name,
-                format!("task {} connected to itself", c.parent),
-            ));
-        }
-        let child = c.child.0 as usize;
-        if parents[child] == 0 {
-            parent[child] = c.parent.0;
-        }
-        parents[child] += 1;
-    }
-    for (t, &n) in acc.task_ids().zip(&parents) {
-        if t == acc.root && n != 0 {
-            return Err(gerr(&acc.name, "root task has a parent"));
-        }
-        if t != acc.root && n != 1 {
-            return Err(gerr(
-                &acc.name,
-                format!(
-                    "task {} ({}) has {n} parents, expected 1",
-                    t,
-                    acc.task(t).name
-                ),
-            ));
-        }
-    }
-    let homes = homes(acc)?;
-    // Memory connections reference valid pieces.
-    for mc in &acc.mem_conns {
-        if mc.task.0 as usize >= ntasks {
-            return Err(gerr(&acc.name, "mem connection references missing task"));
-        }
-        let df = &acc.task(mc.task).dataflow;
-        if mc.junction.0 as usize >= df.junctions.len() {
-            return Err(gerr(
-                &acc.name,
-                "mem connection references missing junction",
-            ));
-        }
-        if mc.structure.0 as usize >= acc.structures.len() {
-            return Err(gerr(
-                &acc.name,
-                "mem connection references missing structure",
-            ));
-        }
-        if df.junctions[mc.junction.0 as usize].structure != mc.structure {
-            return Err(gerr(
-                &acc.name,
-                format!(
-                    "junction {} disagrees with its mem connection target",
-                    mc.junction
-                ),
-            ));
-        }
-    }
-    // Per-task dataflow checks over tables reused from task to task; the
-    // location string is built only for a task that fails them.
-    let graph = Graph {
-        acc,
-        parent: &parent,
-        homes: &homes,
-    };
-    let mut tables = Tables::default();
-    for t in acc.task_ids() {
-        tables
-            .verify_task(&graph, t)
-            .map_err(|message| gerr(format!("{} ({})", t, acc.task(t).name), message))?;
-    }
-    Ok(())
 }
 
 /// The parent of a task that no connection names as child.
 const NONE: u32 = u32::MAX;
 
-/// The object→home table: `(object, registration, structure)` for every
-/// object a structure lists, sorted by object, one row per object.
+/// The object→home table, into `rows`: `(object, registration,
+/// structure)` for every object a structure lists, sorted by object, one
+/// row per object.
 ///
 /// # Errors
 /// An object homed twice. Registrations are ordered by structure and then
 /// by position in its object list; the one reported is the earliest that
 /// names an object already registered.
-fn homes(acc: &Accelerator) -> Result<Vec<(u32, u32, u32)>, GraphError> {
-    let mut rows: Vec<(u32, u32, u32)> = acc
-        .structures
-        .iter()
-        .enumerate()
-        .flat_map(|(si, s)| s.objects.iter().map(move |o| (o.0, si as u32)))
-        .enumerate()
-        .map(|(k, (o, si))| (o, k as u32, si))
-        .collect();
+fn fill_homes(acc: &Accelerator, rows: &mut Vec<(u32, u32, u32)>) -> Result<(), GraphError> {
+    rows.clear();
+    rows.extend(
+        acc.structures
+            .iter()
+            .enumerate()
+            .flat_map(|(si, s)| s.objects.iter().map(move |o| (o.0, si as u32)))
+            .enumerate()
+            .map(|(k, (o, si))| (o, k as u32, si)),
+    );
     rows.sort_unstable();
     let twice = rows
         .windows(2)
@@ -179,15 +208,15 @@ fn homes(acc: &Accelerator) -> Result<Vec<(u32, u32, u32)>, GraphError> {
             ),
         ));
     }
-    Ok(rows)
+    Ok(())
 }
 
 /// What the per-task checks read of the whole accelerator.
 struct Graph<'a> {
     acc: &'a Accelerator,
-    /// Parent task id per task (see `verify_accelerator`).
+    /// Parent task id per task (see [`Verifier::verify`]).
     parent: &'a [u32],
-    /// See [`homes`].
+    /// See [`fill_homes`].
     homes: &'a [(u32, u32, u32)],
 }
 
@@ -291,6 +320,7 @@ impl Tables {
             }));
         // Widths first, then offsets.
         self.first.clear();
+        self.first.reserve(nnodes + 1);
         self.first.extend_from_slice(&self.arity);
         self.feedback_in.clear();
         self.feedback_in.resize(nnodes, false);

@@ -21,7 +21,7 @@
 use crate::{FrontendConfig, FrontendError};
 use muir_core::accel::{Accelerator, ArgExpr, LoopSpec, ResultInit, TaskBlock, TaskId, TaskKind};
 use muir_core::dataflow::{Dataflow, Junction, JunctionId, NodeId};
-use muir_core::node::{Node, NodeKind, OpKind};
+use muir_core::node::{Name, Node, NodeKind, OpKind};
 use muir_core::structure::{Structure, StructureId};
 use muir_mir::analysis::{
     self, detach_region, expand_with_detach, live_outs, loop_dependence_in, natural_loops, Affine,
@@ -85,20 +85,20 @@ enum ScopeKind {
     Detach(BlockId),
 }
 
-/// Memory footprint used for program-order edges.
-#[derive(Debug, Clone, Default)]
-struct Footprint {
-    reads: Vec<(MemObjId, Option<Affine>)>,
-    writes: Vec<(MemObjId, Option<Affine>)>,
-}
+/// One memory access of an effectful node's footprint: the object and,
+/// when known, the same-iteration affine address (`None` is the whole
+/// object).
+type Access = (MemObjId, Option<Affine>);
 
-impl Footprint {
-    fn whole(reads: &BTreeSet<MemObjId>, writes: &BTreeSet<MemObjId>) -> Footprint {
-        Footprint {
-            reads: reads.iter().map(|&o| (o, None)).collect(),
-            writes: writes.iter().map(|&o| (o, None)).collect(),
-        }
-    }
+/// An effectful node lowered in a scope, with its footprint in the scope's
+/// access table: `accesses[start..mid]` read, `accesses[mid..end]`
+/// written.
+struct Effect {
+    node: NodeId,
+    spawn: bool,
+    start: usize,
+    mid: usize,
+    end: usize,
 }
 
 /// Two same-iteration affine addresses provably never alias only when they
@@ -121,16 +121,16 @@ fn same_iter_disjoint(a: &Option<Affine>, b: &Option<Affine>) -> bool {
     }
 }
 
-fn conflicts(earlier: &Footprint, later: &Footprint) -> bool {
-    let pair = |ws: &[(MemObjId, Option<Affine>)], rs: &[(MemObjId, Option<Affine>)]| {
+/// Whether a later footprint (`reads`, `writes`) must wait for an earlier
+/// one (`e_reads`, `e_writes`).
+fn conflicts(e_reads: &[Access], e_writes: &[Access], reads: &[Access], writes: &[Access]) -> bool {
+    let pair = |ws: &[Access], rs: &[Access]| {
         ws.iter().any(|(wo, wa)| {
             rs.iter()
                 .any(|(ro, ra)| wo == ro && !same_iter_disjoint(wa, ra))
         })
     };
-    pair(&earlier.writes, &later.reads)
-        || pair(&earlier.writes, &later.writes)
-        || pair(&earlier.reads, &later.writes)
+    pair(e_writes, reads) || pair(e_writes, writes) || pair(e_reads, writes)
 }
 
 /// One function's CFG facts, computed once per translation.
@@ -178,6 +178,8 @@ struct Frontend<'a> {
     t: &'a Tables<'a>,
     acc: Accelerator,
     open: Vec<(FuncId, ScopeKind)>,
+    /// Tables of the scopes built and finished so far, cleared for reuse.
+    pool: Vec<ScopeTables>,
 }
 
 /// Translate a verified module: the baseline memory system, then the
@@ -248,6 +250,7 @@ pub(crate) fn translate(
         t: &t,
         acc,
         open: Vec::new(),
+        pool: Vec::new(),
     };
     let iface = fe.build_scope(FuncId(0), ScopeKind::Function, "main".to_string(), None)?;
     fe.acc.root = iface.task;
@@ -300,12 +303,11 @@ impl<'a> Frontend<'a> {
         let n = f.blocks.len();
 
         // Reserve the task id so children can connect to it.
-        let tid = self
-            .acc
-            .add_task(TaskBlock::new(name.clone(), TaskKind::Region));
+        let tid = self.acc.add_task(TaskBlock::new(name, TaskKind::Region));
         if let Some(p) = parent {
             self.acc.connect_tasks(p, tid, t.config.child_queue_depth);
         }
+        let mut tabs = self.pool.pop().unwrap_or_default();
 
         // --- Scope block set -------------------------------------------------
         let (scope, entry, self_loop) = match kind {
@@ -330,12 +332,14 @@ impl<'a> Frontend<'a> {
             }
         };
         let mut excluded = BlockSet::empty(n);
-        let mut loop_children = Vec::new();
         for li in (0..loops.len()).filter(|&i| is_candidate(i) && is_direct(i)) {
-            let child_name = format!("{}_loop{}", name, loops[li].header.0);
+            let child_name = format!(
+                "{}_loop{}",
+                self.acc.tasks[tid.0 as usize].name, loops[li].header.0
+            );
             let iface = self.build_scope(fid, ScopeKind::Loop(li), child_name, Some(tid))?;
             excluded.union_with(&facts.extents[li]);
-            loop_children.push(LoopChild {
+            tabs.loop_children.push(LoopChild {
                 li,
                 iface,
                 call_pred: None,
@@ -343,15 +347,14 @@ impl<'a> Frontend<'a> {
         }
 
         // --- Stage 1: extract detach regions directly in this scope ----------
-        let mut detach_children = Vec::new();
         for b in scope.difference(&excluded).iter() {
             if let Some(Op::Detach { body, .. }) = f.terminator(b).map(|t| &t.op) {
                 let region = expand_with_detach(f, detach_region(f, *body));
-                let child_name = format!("{}_task{}", name, body.0);
+                let child_name = format!("{}_task{}", self.acc.tasks[tid.0 as usize].name, body.0);
                 let iface =
                     self.build_scope(fid, ScopeKind::Detach(*body), child_name, Some(tid))?;
                 excluded.union_with(&region);
-                detach_children.push(DetachChild {
+                tabs.detach_children.push(DetachChild {
                     block: b,
                     iface,
                     region,
@@ -367,18 +370,22 @@ impl<'a> Frontend<'a> {
         }
         // Each block's owning child loop (the first by loop index whose
         // extent holds it), and the child loop each header heads.
-        let mut child_of = vec![NONE; n];
-        let mut child_at = vec![NONE; n];
-        for (k, c) in loop_children.iter().enumerate() {
+        refill(&mut tabs.child_of, n, NONE);
+        refill(&mut tabs.child_at, n, NONE);
+        for (k, c) in tabs.loop_children.iter().enumerate() {
             for b in facts.extents[c.li].iter() {
-                if child_of[b.0 as usize] == NONE {
-                    child_of[b.0 as usize] = k as u32;
+                if tabs.child_of[b.0 as usize] == NONE {
+                    tabs.child_of[b.0 as usize] = k as u32;
                 }
             }
-            child_at[loops[c.li].header.0 as usize] = k as u32;
+            tabs.child_at[loops[c.li].header.0 as usize] = k as u32;
         }
+        refill(&mut tabs.values, f.instrs.len(), Slot::Unset);
+        refill(&mut tabs.out_preds, n, [None; 2]);
+        refill(&mut tabs.block_preds, n, None);
 
         // --- Stage 2: lower the hyperblock ----------------------------------
+        let df = std::mem::take(&mut tabs.df);
         let sb = ScopeBuilder {
             fe: self,
             f,
@@ -388,22 +395,11 @@ impl<'a> Frontend<'a> {
             entry,
             t_blocks,
             scope,
-            loop_children,
-            child_of,
-            child_at,
-            detach_children,
-            df: Dataflow::new(),
+            df,
             captures: Vec::new(),
-            capture_nodes: Vec::new(),
-            values: vec![Slot::Unset; f.instrs.len()],
-            consts: Vec::new(),
-            out_preds: vec![[None; 2]; n],
-            block_preds: vec![None; n],
-            junctions: Vec::new(),
-            effects: Vec::new(),
+            tabs,
             ret_value: None,
             iv_phi: None,
-            acc_phis: Vec::new(),
         };
         sb.lower()
     }
@@ -440,33 +436,37 @@ fn compute_function_footprints(m: &Module) -> Vec<(BTreeSet<MemObjId>, BTreeSet<
     fps
 }
 
-/// Read/write object sets of a block region (plus called functions).
-fn region_footprint(
+/// Append to `out` each object the block region reads (`write == false`)
+/// or writes, called functions included, once each and as a whole-object
+/// access.
+fn push_region_objects(
     f: &Function,
     blocks: &BlockSet,
     func_fps: &[(BTreeSet<MemObjId>, BTreeSet<MemObjId>)],
-) -> Footprint {
-    let mut reads = BTreeSet::new();
-    let mut writes = BTreeSet::new();
+    write: bool,
+    out: &mut Vec<Access>,
+) {
+    let start = out.len();
+    let push = |o: MemObjId, out: &mut Vec<Access>| {
+        if !out[start..].iter().any(|&(x, _)| x == o) {
+            out.push((o, None));
+        }
+    };
     for b in blocks.iter() {
         for (_id, instr) in f.block_instrs(b) {
             match &instr.op {
-                Op::Load { obj } => {
-                    reads.insert(*obj);
-                }
-                Op::Store { obj } => {
-                    writes.insert(*obj);
-                }
+                Op::Load { obj } if !write => push(*obj, out),
+                Op::Store { obj } if write => push(*obj, out),
                 Op::Call { callee } => {
                     let (r, w) = &func_fps[callee.0 as usize];
-                    reads.extend(r.iter().copied());
-                    writes.extend(w.iter().copied());
+                    for &o in if write { w } else { r } {
+                        push(o, out);
+                    }
                 }
                 _ => {}
             }
         }
     }
-    Footprint::whole(&reads, &writes)
 }
 
 /// A direct child loop of a scope.
@@ -510,16 +510,29 @@ struct ScopeBuilder<'b, 'a> {
     t_blocks: BlockSet,
     /// Full scope (inline + child subtrees), for liveness/affine analysis.
     scope: BlockSet,
+    /// The task's dataflow, built in a pooled buffer and copied out at its
+    /// final size.
+    df: Dataflow,
+    captures: Vec<Capture>,
+    tabs: ScopeTables,
+    ret_value: Option<ValueRef>,
+    iv_phi: Option<InstrId>,
+}
+
+/// A scope's working tables. Translation keeps a pool of them: a scope
+/// takes a set when it starts and returns it when its task is built, so
+/// the scopes of one `translate` call reuse the same buffers (a scope
+/// built while another lowers — a called function — holds its own set).
+#[derive(Default)]
+struct ScopeTables {
     /// Direct child loops, ascending by loop index.
     loop_children: Vec<LoopChild>,
+    /// Direct detach children, ascending by detach block.
+    detach_children: Vec<DetachChild>,
     /// Per block: the `loop_children` entry whose extent holds it.
     child_of: Vec<u32>,
     /// Per block: the `loop_children` entry it heads.
     child_at: Vec<u32>,
-    /// Direct detach children, ascending by detach block.
-    detach_children: Vec<DetachChild>,
-    df: Dataflow,
-    captures: Vec<Capture>,
     capture_nodes: Vec<NodeId>,
     /// Per instruction of `f`.
     values: Vec<Slot>,
@@ -530,10 +543,50 @@ struct ScopeBuilder<'b, 'a> {
     /// Per block: its predicate, once computed.
     block_preds: Vec<Option<Pred>>,
     junctions: Vec<(StructureId, JunctionId)>,
-    effects: Vec<(NodeId, Footprint, bool)>, // (node, footprint, is_spawn)
-    ret_value: Option<ValueRef>,
-    iv_phi: Option<InstrId>,
+    /// Every effect's footprint, back to back (see [`Effect`]).
+    accesses: Vec<Access>,
+    effects: Vec<Effect>,
     acc_phis: Vec<InstrId>,
+    /// The scope's units in lowering order.
+    units: Vec<Unit>,
+    topo: TopoScratch,
+    /// Empty buffers for the scope's dataflow.
+    df: Dataflow,
+}
+
+impl ScopeTables {
+    /// Empty every list for the next scope; the per-block and
+    /// per-instruction tables are refilled when it starts.
+    fn clear(&mut self) {
+        self.loop_children.clear();
+        self.detach_children.clear();
+        self.capture_nodes.clear();
+        self.consts.clear();
+        self.junctions.clear();
+        self.accesses.clear();
+        self.effects.clear();
+        self.acc_phis.clear();
+    }
+}
+
+/// [`ScopeBuilder::topo_units`]'s working tables.
+#[derive(Default)]
+struct TopoScratch {
+    /// Every unit: the inline blocks ascending, then the child loops.
+    all: Vec<Unit>,
+    block_unit: Vec<u32>,
+    offsets: Vec<usize>,
+    succs: Vec<usize>,
+    targets: Vec<Unit>,
+    indeg: Vec<usize>,
+    work: Vec<usize>,
+    seen: Vec<bool>,
+}
+
+/// Clear `v` and fill it with `n` copies of `x`, keeping its buffer.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
 }
 
 type Pred = Option<NodeId>;
@@ -545,16 +598,21 @@ enum ConstKey {
     B(bool),
 }
 
-/// Writes through to a `String` with `<`, `>` and `.` as `_`.
-struct Underscored<'s>(&'s mut String);
+/// Displays an op's mnemonic with `<`, `>` and `.` as `_`.
+struct Underscored(OpKind);
 
-impl Write for Underscored<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0.extend(
-            s.chars()
-                .map(|c| if matches!(c, '<' | '>' | '.') { '_' } else { c }),
-        );
-        Ok(())
+impl std::fmt::Display for Underscored {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Map<'a, 'b>(&'a mut std::fmt::Formatter<'b>);
+        impl Write for Map<'_, '_> {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                s.chars().try_for_each(|c| {
+                    self.0
+                        .write_char(if matches!(c, '<' | '>' | '.') { '_' } else { c })
+                })
+            }
+        }
+        write!(Map(f), "{}", self.0)
     }
 }
 
@@ -565,8 +623,9 @@ impl ScopeBuilder<'_, '_> {
         if let ScopeKind::Loop(li) = self.kind {
             self.prepare_loop_header(li)?;
         }
-        for unit in self.topo_units() {
-            match unit {
+        self.topo_units();
+        for i in 0..self.tabs.units.len() {
+            match self.tabs.units[i] {
                 Unit::Block(b) => self.lower_block(b)?,
                 Unit::Loop(k) => self.emit_loop_call(k)?,
             }
@@ -592,14 +651,16 @@ impl ScopeBuilder<'_, '_> {
         let ivn = self
             .df
             .add_node(Node::new("i", NodeKind::IndVar, Type::I64));
-        self.values[iv.0 as usize] = Slot::Node(ivn, 0);
+        self.tabs.values[iv.0 as usize] = Slot::Node(ivn, 0);
         for p in phis {
             let ty = f.instr(p).ty.ok_or_else(|| ferr("untyped phi"))?;
-            let m = self
-                .df
-                .add_node(Node::new(format!("acc_{}", p.0), NodeKind::Merge, ty));
-            self.values[p.0 as usize] = Slot::Node(m, 0);
-            self.acc_phis.push(p);
+            let m = self.df.add_node(Node::new(
+                Name::format(format_args!("acc_{}", p.0)),
+                NodeKind::Merge,
+                ty,
+            ));
+            self.tabs.values[p.0 as usize] = Slot::Node(m, 0);
+            self.tabs.acc_phis.push(p);
         }
         Ok(())
     }
@@ -630,60 +691,63 @@ impl ScopeBuilder<'_, '_> {
     // --- Unit graph --------------------------------------------------------
 
     /// The scope's units — inline blocks, then child-loop call sites — in
-    /// the order they are lowered: a topological walk from the entry.
-    fn topo_units(&self) -> Vec<Unit> {
+    /// the order they are lowered, into `tabs.units`: a topological walk
+    /// from the entry.
+    fn topo_units(&mut self) {
+        let mut s = std::mem::take(&mut self.tabs.topo);
         let nblocks = self.t_blocks.len();
-        let units: Vec<Unit> = self
-            .t_blocks
-            .iter()
-            .map(Unit::Block)
-            .chain((0..self.loop_children.len()).map(Unit::Loop))
-            .collect();
-        let mut block_unit = vec![NONE; self.f.blocks.len()];
+        refill(&mut s.block_unit, self.f.blocks.len(), NONE);
         for (i, b) in self.t_blocks.iter().enumerate() {
-            block_unit[b.0 as usize] = i as u32;
+            s.block_unit[b.0 as usize] = i as u32;
         }
+        s.all.clear();
+        s.all.extend(self.t_blocks.iter().map(Unit::Block));
+        s.all
+            .extend((0..self.tabs.loop_children.len()).map(Unit::Loop));
+        let block_unit = &s.block_unit;
         let index_of = |u: Unit| match u {
             Unit::Block(b) => block_unit[b.0 as usize] as usize,
             Unit::Loop(k) => nblocks + k,
         };
 
         // Unit successors as one flat list with per-unit offsets.
-        let mut offsets = Vec::with_capacity(units.len() + 1);
-        let mut succs = Vec::new();
-        let mut targets = Vec::new();
-        offsets.push(0);
-        for &u in &units {
-            targets.clear();
-            self.unit_successors(u, &mut targets);
-            succs.extend(
-                targets
+        s.offsets.clear();
+        s.succs.clear();
+        s.offsets.push(0);
+        for &u in &s.all {
+            s.targets.clear();
+            self.unit_successors(u, &mut s.targets);
+            s.succs.extend(
+                s.targets
                     .iter()
                     .filter(|&&t| t != Unit::Block(self.entry))
                     .map(|&t| index_of(t)),
             );
-            offsets.push(succs.len());
+            s.offsets.push(s.succs.len());
         }
-        let mut indeg = vec![0usize; units.len()];
-        for &s in &succs {
-            indeg[s] += 1;
+        let nunits = s.all.len();
+        refill(&mut s.indeg, nunits, 0);
+        for &x in &s.succs {
+            s.indeg[x] += 1;
         }
         let entry_idx = index_of(Unit::Block(self.entry));
-        let mut order = Vec::with_capacity(units.len());
-        let mut work = vec![entry_idx];
-        let mut seen = vec![false; units.len()];
-        seen[entry_idx] = true;
-        while let Some(u) = work.pop() {
-            order.push(units[u]);
-            for &s in &succs[offsets[u]..offsets[u + 1]] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 && !seen[s] {
-                    seen[s] = true;
-                    work.push(s);
+        let order = &mut self.tabs.units;
+        order.clear();
+        s.work.clear();
+        s.work.push(entry_idx);
+        refill(&mut s.seen, nunits, false);
+        s.seen[entry_idx] = true;
+        while let Some(u) = s.work.pop() {
+            order.push(s.all[u]);
+            for &x in &s.succs[s.offsets[u]..s.offsets[u + 1]] {
+                s.indeg[x] -= 1;
+                if s.indeg[x] == 0 && !s.seen[x] {
+                    s.seen[x] = true;
+                    s.work.push(x);
                 }
             }
         }
-        order
+        self.tabs.topo = s;
     }
 
     /// The unit a branch to `t` enters, if `t` is in the unit graph.
@@ -691,7 +755,7 @@ impl ScopeBuilder<'_, '_> {
         if self.t_blocks.contains(t) {
             return Some(Unit::Block(t));
         }
-        match self.child_at[t.0 as usize] {
+        match self.tabs.child_at[t.0 as usize] {
             NONE => None,
             k => Some(Unit::Loop(k as usize)),
         }
@@ -712,7 +776,7 @@ impl ScopeBuilder<'_, '_> {
                 out.extend(succs[skip..].iter().filter_map(|&t| self.unit_at(t)));
             }
             Unit::Loop(k) => {
-                let extent = &self.facts.extents[self.loop_children[k].li];
+                let extent = &self.facts.extents[self.tabs.loop_children[k].li];
                 for b in extent.iter() {
                     for s in self.f.successors(b) {
                         if !extent.contains(s) {
@@ -737,10 +801,10 @@ impl ScopeBuilder<'_, '_> {
     fn edge_pred(&self, src: BlockId, b: BlockId) -> Option<Pred> {
         if self.t_blocks.contains(src) {
             let i = self.f.successors(src).iter().position(|&s| s == b)?;
-            return self.out_preds[src.0 as usize][i];
+            return self.tabs.out_preds[src.0 as usize][i];
         }
-        let k = *self.child_at.get(src.0 as usize)?;
-        let c = self.loop_children.get(k as usize)?;
+        let k = *self.tabs.child_at.get(src.0 as usize)?;
+        let c = self.tabs.loop_children.get(k as usize)?;
         if self.facts.extents[c.li].contains(b) {
             None
         } else {
@@ -752,7 +816,7 @@ impl ScopeBuilder<'_, '_> {
     fn set_edge_pred(&mut self, b: BlockId, s: BlockId, pred: Pred) {
         for (i, &t) in self.f.successors(b).iter().enumerate() {
             if t == s {
-                self.out_preds[b.0 as usize][i] = Some(pred);
+                self.tabs.out_preds[b.0 as usize][i] = Some(pred);
             }
         }
     }
@@ -764,10 +828,10 @@ impl ScopeBuilder<'_, '_> {
         if self.t_blocks.contains(p) {
             return self.edge_pred(p, b);
         }
-        match self.child_of[p.0 as usize] {
+        match self.tabs.child_of[p.0 as usize] {
             NONE => None,
             k => {
-                let header = self.facts.loops[self.loop_children[k as usize].li].header;
+                let header = self.facts.loops[self.tabs.loop_children[k as usize].li].header;
                 self.edge_pred(header, b)
             }
         }
@@ -777,7 +841,7 @@ impl ScopeBuilder<'_, '_> {
         if b == self.entry {
             return None;
         }
-        if let Some(p) = self.block_preds[b.0 as usize] {
+        if let Some(p) = self.tabs.block_preds[b.0 as usize] {
             return p;
         }
         let preds = self.facts.preds.of(b);
@@ -804,13 +868,13 @@ impl ScopeBuilder<'_, '_> {
             }
             folded
         };
-        self.block_preds[b.0 as usize] = Some(result);
+        self.tabs.block_preds[b.0 as usize] = Some(result);
         result
     }
 
     fn emit_bool_bin(&mut self, op: BinOp, a: NodeId, b: NodeId) -> NodeId {
         let n = self.df.add_node(Node::new(
-            format!("p_{}", op.mnemonic()),
+            Name::format(format_args!("p_{}", op.mnemonic())),
             NodeKind::Compute(OpKind::Bin(op)),
             Type::BOOL,
         ));
@@ -839,7 +903,7 @@ impl ScopeBuilder<'_, '_> {
             ConstVal::F32(f) => ConstKey::F(f.to_bits()),
             ConstVal::Bool(b) => ConstKey::B(b),
         };
-        if let Some(&(_, n)) = self.consts.iter().find(|(k, _)| *k == key) {
+        if let Some(&(_, n)) = self.tabs.consts.iter().find(|(k, _)| *k == key) {
             return n;
         }
         let ty = match c {
@@ -847,37 +911,43 @@ impl ScopeBuilder<'_, '_> {
             ConstVal::F32(_) => Type::F32,
             ConstVal::Bool(_) => Type::BOOL,
         };
-        let n = self
-            .df
-            .add_node(Node::new(format!("c_{c}"), NodeKind::Const(c), ty));
-        self.consts.push((key, n));
+        let n = self.df.add_node(Node::new(
+            Name::format(format_args!("c_{c}")),
+            NodeKind::Const(c),
+            ty,
+        ));
+        self.tabs.consts.push((key, n));
         n
     }
 
     fn capture(&mut self, c: Capture) -> NodeId {
         if let Some(pos) = self.captures.iter().position(|&x| x == c) {
-            return self.capture_nodes[pos];
+            return self.tabs.capture_nodes[pos];
         }
         let (ty, label) = match c {
             Capture::Val(d) => (
                 self.f.instr(d).ty.unwrap_or(Type::I64),
-                format!("in_v{}", d.0),
+                Name::format(format_args!("in_v{}", d.0)),
             ),
-            Capture::Arg(n) => (self.f.params[n as usize], format!("in_arg{n}")),
+            Capture::Arg(n) => (
+                self.f.params[n as usize],
+                Name::format(format_args!("in_arg{n}")),
+            ),
         };
         let idx = self.captures.len() as u32;
         let node = self
             .df
             .add_node(Node::new(label, NodeKind::Input { index: idx }, ty));
         self.captures.push(c);
-        self.capture_nodes.push(node);
+        self.tabs.capture_nodes.push(node);
         node
     }
 
     /// The capture argument index of `c`, capturing it first if needed.
     fn capture_index(&mut self, c: Capture) -> u32 {
         let node = self.capture(c);
-        self.capture_nodes
+        self.tabs
+            .capture_nodes
             .iter()
             .position(|&x| x == node)
             .expect("capture exists") as u32
@@ -888,7 +958,7 @@ impl ScopeBuilder<'_, '_> {
             ValueRef::Const(c) => Ok((self.const_node(c), 0)),
             ValueRef::Arg(n) => Ok((self.capture(Capture::Arg(n)), 0)),
             ValueRef::Instr(d) => {
-                match self.values[d.0 as usize] {
+                match self.tabs.values[d.0 as usize] {
                     Slot::Node(n, p) => return Ok((n, p)),
                     Slot::Busy => return Err(ferr(format!("value {d} depends on itself"))),
                     Slot::Unset => {}
@@ -910,7 +980,7 @@ impl ScopeBuilder<'_, '_> {
     }
 
     fn translate_pure(&mut self, d: InstrId) -> Result<(NodeId, u16), FrontendError> {
-        self.values[d.0 as usize] = Slot::Busy;
+        self.tabs.values[d.0 as usize] = Slot::Busy;
         let instr = self.f.instr(d);
         let node = match &instr.op {
             Op::Bin(b) => self.emit_compute(d, OpKind::Bin(*b), instr)?,
@@ -927,7 +997,7 @@ impl ScopeBuilder<'_, '_> {
                 )))
             }
         };
-        self.values[d.0 as usize] = Slot::Node(node, 0);
+        self.tabs.values[d.0 as usize] = Slot::Node(node, 0);
         Ok((node, 0))
     }
 
@@ -938,10 +1008,7 @@ impl ScopeBuilder<'_, '_> {
         instr: &Instr,
     ) -> Result<NodeId, FrontendError> {
         let ty = instr.ty.ok_or_else(|| ferr("untyped compute op"))?;
-        // `{mnemonic with <>. as _}_{id}`, written into one buffer.
-        let mut name = String::with_capacity(32);
-        let _ = write!(Underscored(&mut name), "{op}");
-        let _ = write!(name, "_{}", d.0);
+        let name = Name::format(format_args!("{}_{}", Underscored(op), d.0));
         let n = self.df.add_node(Node::new(name, NodeKind::Compute(op), ty));
         for (i, v) in instr.operands.iter().enumerate() {
             let (src, port) = self.resolve(*v)?;
@@ -982,7 +1049,7 @@ impl ScopeBuilder<'_, '_> {
             };
             let (vn, vp) = self.resolve(*v)?;
             let sel = self.df.add_node(Node::new(
-                format!("phi_{}", d.0),
+                Name::format(format_args!("phi_{}", d.0)),
                 NodeKind::Compute(OpKind::Select),
                 ty,
             ));
@@ -999,11 +1066,11 @@ impl ScopeBuilder<'_, '_> {
 
     fn junction_for(&mut self, obj: MemObjId) -> JunctionId {
         let sid = self.fe.t.placement[obj.0 as usize];
-        if let Some(&(_, j)) = self.junctions.iter().find(|(s, _)| *s == sid) {
+        if let Some(&(_, j)) = self.tabs.junctions.iter().find(|(s, _)| *s == sid) {
             return j;
         }
         let j = self.df.add_junction(Junction::new(sid, 2, 1));
-        self.junctions.push((sid, j));
+        self.tabs.junctions.push((sid, j));
         self.fe.acc.connect_mem(self.tid, j, sid);
         j
     }
@@ -1016,16 +1083,39 @@ impl ScopeBuilder<'_, '_> {
         }
     }
 
-    fn add_order_edges(&mut self, node: NodeId, fp: Footprint, is_spawn: bool) {
-        for (prior, pfp, pspawn) in &self.effects {
-            if *pspawn && is_spawn {
+    /// Order `node` after every earlier effect it conflicts with. Its
+    /// footprint is the tail of the access table from `start`: reads up
+    /// to `mid`, writes after.
+    fn add_order_edges(&mut self, node: NodeId, start: usize, mid: usize, spawn: bool) {
+        let acc = &self.tabs.accesses;
+        let end = acc.len();
+        let (reads, writes) = (&acc[start..mid], &acc[mid..end]);
+        for e in &self.tabs.effects {
+            if e.spawn && spawn {
                 continue; // Cilk spawns are unordered among themselves.
             }
-            if conflicts(pfp, &fp) {
-                self.df.connect_order(*prior, node);
+            if conflicts(&acc[e.start..e.mid], &acc[e.mid..e.end], reads, writes) {
+                self.df.connect_order(e.node, node);
             }
         }
-        self.effects.push((node, fp, is_spawn));
+        self.tabs.effects.push(Effect {
+            node,
+            spawn,
+            start,
+            mid,
+            end,
+        });
+    }
+
+    /// [`Self::add_order_edges`] for a node whose footprint is every
+    /// object `blocks` reads and writes.
+    fn add_region_order_edges(&mut self, node: NodeId, blocks: &BlockSet, spawn: bool) {
+        let fps = &self.fe.t.func_fps;
+        let start = self.tabs.accesses.len();
+        push_region_objects(self.f, blocks, fps, false, &mut self.tabs.accesses);
+        let mid = self.tabs.accesses.len();
+        push_region_objects(self.f, blocks, fps, true, &mut self.tabs.accesses);
+        self.add_order_edges(node, start, mid, spawn);
     }
 
     /// Connect a child task's call node: each capture resolved in this
@@ -1049,7 +1139,7 @@ impl ScopeBuilder<'_, '_> {
             self.df.connect(pn, 0, n, iface.captures.len() as u16);
         }
         for (k, r) in iface.results.iter().enumerate() {
-            self.values[r.0 as usize] = Slot::Node(n, k as u16);
+            self.tabs.values[r.0 as usize] = Slot::Node(n, k as u16);
         }
         Ok(())
     }
@@ -1058,7 +1148,7 @@ impl ScopeBuilder<'_, '_> {
         let pred = self.block_pred(b);
         let f = self.f;
         for &iid in &f.block(b).instrs {
-            if self.values[iid.0 as usize] != Slot::Unset {
+            if self.tabs.values[iid.0 as usize] != Slot::Unset {
                 continue; // pre-registered loop header φ
             }
             let instr = f.instr(iid);
@@ -1068,7 +1158,7 @@ impl ScopeBuilder<'_, '_> {
                     let j = self.junction_for(*obj);
                     let predicated = pred.is_some();
                     let n = self.df.add_node(Node::new(
-                        format!("ld_{}", iid.0),
+                        Name::format(format_args!("ld_{}", iid.0)),
                         NodeKind::Load {
                             obj: *obj,
                             junction: j,
@@ -1082,12 +1172,11 @@ impl ScopeBuilder<'_, '_> {
                         self.df.connect(pn, 0, n, 1);
                     }
                     self.df.register_reader(j, n);
-                    self.values[iid.0 as usize] = Slot::Node(n, 0);
-                    let fp = Footprint {
-                        reads: vec![(*obj, self.addr_affine(instr.operands[0]))],
-                        writes: vec![],
-                    };
-                    self.add_order_edges(n, fp, false);
+                    self.tabs.values[iid.0 as usize] = Slot::Node(n, 0);
+                    let start = self.tabs.accesses.len();
+                    let addr = self.addr_affine(instr.operands[0]);
+                    self.tabs.accesses.push((*obj, addr));
+                    self.add_order_edges(n, start, start + 1, false);
                 }
                 Op::Store { obj } => {
                     let vty = self
@@ -1096,7 +1185,7 @@ impl ScopeBuilder<'_, '_> {
                     let j = self.junction_for(*obj);
                     let predicated = pred.is_some();
                     let n = self.df.add_node(Node::new(
-                        format!("st_{}", iid.0),
+                        Name::format(format_args!("st_{}", iid.0)),
                         NodeKind::Store {
                             obj: *obj,
                             junction: j,
@@ -1112,11 +1201,10 @@ impl ScopeBuilder<'_, '_> {
                         self.df.connect(pn, 0, n, 2);
                     }
                     self.df.register_writer(j, n);
-                    let fp = Footprint {
-                        reads: vec![],
-                        writes: vec![(*obj, self.addr_affine(instr.operands[0]))],
-                    };
-                    self.add_order_edges(n, fp, false);
+                    let start = self.tabs.accesses.len();
+                    let addr = self.addr_affine(instr.operands[0]);
+                    self.tabs.accesses.push((*obj, addr));
+                    self.add_order_edges(n, start, start, false);
                 }
                 Op::Call { callee } => {
                     // Function call: build a dedicated child task per call
@@ -1132,7 +1220,7 @@ impl ScopeBuilder<'_, '_> {
                     let callee_task = iface.task;
                     let predicated = pred.is_some();
                     let n = self.df.add_node(Node::new(
-                        format!("call_{fname}"),
+                        Name::format(format_args!("call_{fname}")),
                         NodeKind::TaskCall {
                             callee: callee_task,
                             predicated,
@@ -1148,10 +1236,14 @@ impl ScopeBuilder<'_, '_> {
                         self.df.connect(pn, 0, n, instr.operands.len() as u16);
                     }
                     if instr.ty.is_some() {
-                        self.values[iid.0 as usize] = Slot::Node(n, 0);
+                        self.tabs.values[iid.0 as usize] = Slot::Node(n, 0);
                     }
                     let (r, w) = &t.func_fps[callee.0 as usize];
-                    self.add_order_edges(n, Footprint::whole(r, w), false);
+                    let start = self.tabs.accesses.len();
+                    self.tabs.accesses.extend(r.iter().map(|&o| (o, None)));
+                    let mid = self.tabs.accesses.len();
+                    self.tabs.accesses.extend(w.iter().map(|&o| (o, None)));
+                    self.add_order_edges(n, start, mid, false);
                 }
                 Op::Br { target } => {
                     self.set_edge_pred(b, *target, pred);
@@ -1177,13 +1269,14 @@ impl ScopeBuilder<'_, '_> {
                 }
                 Op::Detach { cont, .. } => {
                     let di = self
+                        .tabs
                         .detach_children
                         .binary_search_by_key(&b, |c| c.block)
                         .map_err(|_| ferr(format!("detach at {b} has no child task")))?;
-                    let iface = self.detach_children[di].iface.take();
+                    let iface = self.tabs.detach_children[di].iface.take();
                     let predicated = pred.is_some();
                     let n = self.df.add_node(Node::new(
-                        format!("spawn_{}", b.0),
+                        Name::format(format_args!("spawn_{}", b.0)),
                         NodeKind::TaskCall {
                             callee: iface.task,
                             predicated,
@@ -1192,12 +1285,8 @@ impl ScopeBuilder<'_, '_> {
                         Type::I64,
                     ));
                     self.connect_child_call(n, &iface, pred)?;
-                    let fp = region_footprint(
-                        self.f,
-                        &self.detach_children[di].region,
-                        &self.fe.t.func_fps,
-                    );
-                    self.add_order_edges(n, fp, true);
+                    let region = self.tabs.detach_children[di].region.clone();
+                    self.add_region_order_edges(n, &region, true);
                     self.set_edge_pred(b, *cont, pred);
                 }
                 Op::Reattach { .. } => {}
@@ -1231,12 +1320,12 @@ impl ScopeBuilder<'_, '_> {
     }
 
     fn emit_loop_call(&mut self, k: usize) -> Result<(), FrontendError> {
-        let li = self.loop_children[k].li;
+        let li = self.tabs.loop_children[k].li;
         let header = self.facts.loops[li].header;
         let pred = self.block_pred(header);
-        let iface = self.loop_children[k].iface.take();
+        let iface = self.tabs.loop_children[k].iface.take();
         let n = self.df.add_node(Node::new(
-            format!("loop_call_{}", header.0),
+            Name::format(format_args!("loop_call_{}", header.0)),
             NodeKind::TaskCall {
                 callee: iface.task,
                 predicated: pred.is_some(),
@@ -1246,9 +1335,9 @@ impl ScopeBuilder<'_, '_> {
         ));
         self.connect_child_call(n, &iface, pred)?;
         // Successor blocks of the loop inherit the call predicate.
-        self.loop_children[k].call_pred = Some(pred);
-        let fp = region_footprint(self.f, &self.facts.extents[li], &self.fe.t.func_fps);
-        self.add_order_edges(n, fp, false);
+        self.tabs.loop_children[k].call_pred = Some(pred);
+        let facts = self.facts;
+        self.add_region_order_edges(n, &facts.extents[li], false);
         Ok(())
     }
 
@@ -1266,7 +1355,7 @@ impl ScopeBuilder<'_, '_> {
                 let out = self.df.add_node(Node::new("out", NodeKind::Output, out_ty));
                 let mut inits: Vec<Option<ResultInit>> = Vec::with_capacity(results.len());
                 for (k, r) in results.iter().enumerate() {
-                    let (src, sp) = if self.acc_phis.contains(r) {
+                    let (src, sp) = if self.tabs.acc_phis.contains(r) {
                         let (_, update) = self.phi_incoming(*r, li)?;
                         self.resolve(update)?
                     } else {
@@ -1274,7 +1363,7 @@ impl ScopeBuilder<'_, '_> {
                     };
                     self.df.connect(src, sp, out, k as u16);
                     // Zero-trip fallback.
-                    if self.acc_phis.contains(r) {
+                    if self.tabs.acc_phis.contains(r) {
                         let (init, _) = self.phi_incoming(*r, li)?;
                         inits.push(Some(match init {
                             ValueRef::Const(c) => ResultInit::Const(c),
@@ -1290,10 +1379,10 @@ impl ScopeBuilder<'_, '_> {
                     }
                 }
                 // Patch feedback edges for carried accumulators.
-                for i in 0..self.acc_phis.len() {
-                    let p = self.acc_phis[i];
+                for i in 0..self.tabs.acc_phis.len() {
+                    let p = self.tabs.acc_phis[i];
                     let (init, update) = self.phi_incoming(p, li)?;
-                    let Slot::Node(merge, _) = self.values[p.0 as usize] else {
+                    let Slot::Node(merge, _) = self.tabs.values[p.0 as usize] else {
                         return Err(ferr(format!("accumulator {p} was never registered")));
                     };
                     let (in_, ip) = self.resolve(init)?;
@@ -1345,11 +1434,20 @@ impl ScopeBuilder<'_, '_> {
         };
         let slot = &mut self.fe.acc.tasks[self.tid.0 as usize];
         let mut task = TaskBlock::new(std::mem::take(&mut slot.name), kind);
-        task.dataflow = self.df;
+        // The kept graph at its final size; the buffers go back to the pool.
+        let df = &mut self.df;
+        task.dataflow = Dataflow {
+            nodes: df.nodes.drain(..).collect(),
+            edges: df.edges.drain(..).collect(),
+            junctions: df.junctions.drain(..).collect(),
+        };
         task.num_args = self.captures.len() as u32;
         task.num_results = num_results;
         task.loop_result_inits = inits;
         *slot = task;
+        self.tabs.df = self.df;
+        self.tabs.clear();
+        self.fe.pool.push(self.tabs);
         Ok(ChildIface {
             task: self.tid,
             captures: self.captures,

@@ -485,8 +485,8 @@ impl TensorGraph {
         let mut name: Option<String> = None;
         let mut inputs: Vec<GraphInput> = Vec::new();
         // (name, op, raw args, line)
-        let mut raw_nodes: Vec<(String, GraphOp, Vec<String>, usize)> = Vec::new();
-        let mut output: Option<(String, usize)> = None;
+        let mut raw_nodes: Vec<(&str, GraphOp, Vec<&str>, usize)> = Vec::new();
+        let mut output: Option<(&str, usize)> = None;
         for (ln, raw) in text.lines().enumerate() {
             let ln = ln + 1;
             let line = raw.split(';').next().unwrap_or("").trim();
@@ -547,7 +547,7 @@ impl TensorGraph {
                         format!("line {ln}: output must name a %node"),
                     )
                 })?;
-                output = Some((nm.to_string(), ln));
+                output = Some((nm, ln));
             } else if let Some(rest) = line.strip_prefix('%') {
                 let (nm, def) = rest.split_once('=').ok_or_else(|| {
                     terr(
@@ -562,7 +562,7 @@ impl TensorGraph {
                         format!("line {ln}: bad node name `%{nm}`"),
                     ));
                 }
-                if raw_nodes.iter().any(|(n, ..)| n == nm) {
+                if raw_nodes.iter().any(|(n, ..)| *n == nm) {
                     return Err(terr(
                         TensorCode::Parse,
                         format!("line {ln}: duplicate node `%{nm}`"),
@@ -576,13 +576,12 @@ impl TensorGraph {
                         format!("line {ln}: unknown op `{opname}`"),
                     )
                 })?;
-                let args: Vec<String> = args
+                let args: Vec<&str> = args
                     .split(',')
                     .map(str::trim)
                     .filter(|s| !s.is_empty())
-                    .map(str::to_string)
                     .collect();
-                raw_nodes.push((nm.to_string(), op, args, ln));
+                raw_nodes.push((nm, op, args, ln));
             } else {
                 return Err(terr(
                     TensorCode::Parse,
@@ -597,7 +596,7 @@ impl TensorGraph {
         let node_idx: BTreeMap<&str, usize> = raw_nodes
             .iter()
             .enumerate()
-            .map(|(i, (n, ..))| (n.as_str(), i))
+            .map(|(i, (n, ..))| (*n, i))
             .collect();
         let input_idx: BTreeMap<&str, usize> = inputs
             .iter()
@@ -613,20 +612,20 @@ impl TensorGraph {
                         terr(TensorCode::Undef, format!("line {ln}: unknown node `%{n}`"))
                     })?)
                 } else {
-                    GraphRef::Input(*input_idx.get(a.as_str()).ok_or_else(|| {
+                    GraphRef::Input(*input_idx.get(a).ok_or_else(|| {
                         terr(TensorCode::Undef, format!("line {ln}: unknown input `{a}`"))
                     })?)
                 };
                 args.push(r);
             }
             nodes.push(GraphNode {
-                name: nm.clone(),
+                name: nm.to_string(),
                 op: *op,
                 args,
                 dims: Dims::new(1, 1), // inferred by build()
             });
         }
-        let out = *node_idx.get(out_name.as_str()).ok_or_else(|| {
+        let out = *node_idx.get(out_name).ok_or_else(|| {
             terr(
                 TensorCode::Undef,
                 format!("line {out_ln}: unknown output node `%{out_name}`"),

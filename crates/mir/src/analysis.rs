@@ -20,35 +20,65 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// A set of one function's blocks, one bit per block id. It iterates in
 /// ascending id order — the order a `BTreeSet<BlockId>` walk takes — and
-/// ids at or past the function's block count are never members.
+/// ids at or past the function's block count are never members. A set
+/// over at most 128 blocks keeps its bits inline and allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockSet {
-    words: Vec<u64>,
+    words: Words,
     blocks: usize,
+}
+
+/// Words a [`BlockSet`] holds without allocating.
+const INLINE_WORDS: usize = 2;
+
+/// The bit words; which variant a set uses depends only on its block
+/// count, and inline words past that count stay zero, so the derived
+/// equality is set equality.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Words {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Vec<u64>),
 }
 
 impl BlockSet {
     /// The empty set over a function of `blocks` blocks.
     pub fn empty(blocks: usize) -> BlockSet {
-        BlockSet {
-            words: vec![0; blocks.div_ceil(64)],
-            blocks,
-        }
+        let n = blocks.div_ceil(64);
+        let words = if n <= INLINE_WORDS {
+            Words::Inline([0; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![0; n])
+        };
+        BlockSet { words, blocks }
     }
 
     /// Every block of a function of `blocks` blocks.
     pub fn full(blocks: usize) -> BlockSet {
         let mut s = BlockSet::empty(blocks);
-        for (i, w) in s.words.iter_mut().enumerate() {
+        for (i, w) in s.words_mut().iter_mut().enumerate() {
             *w = u64::MAX >> (64 - (blocks - i * 64).min(64));
         }
         s
     }
 
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => &w[..self.blocks.div_ceil(64)],
+            Words::Heap(w) => w,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(w) => &mut w[..self.blocks.div_ceil(64)],
+            Words::Heap(w) => w,
+        }
+    }
+
     /// Whether `b` is a member.
     pub fn contains(&self, b: BlockId) -> bool {
         let i = b.0 as usize;
-        i < self.blocks && self.words[i / 64] & (1 << (i % 64)) != 0
+        i < self.blocks && self.words()[i / 64] & (1 << (i % 64)) != 0
     }
 
     /// Add `b`; whether it was newly added (never for an id out of range).
@@ -57,7 +87,7 @@ impl BlockSet {
         if i >= self.blocks {
             return false;
         }
-        let (w, bit) = (&mut self.words[i / 64], 1 << (i % 64));
+        let (w, bit) = (&mut self.words_mut()[i / 64], 1 << (i % 64));
         let new = *w & bit == 0;
         *w |= bit;
         new
@@ -65,7 +95,7 @@ impl BlockSet {
 
     /// Add every member of `other`.
     pub fn union_with(&mut self, other: &BlockSet) {
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
+        for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
             *w |= o;
         }
     }
@@ -73,7 +103,7 @@ impl BlockSet {
     /// The members not in `other`.
     pub fn difference(&self, other: &BlockSet) -> BlockSet {
         let mut out = self.clone();
-        for (w, o) in out.words.iter_mut().zip(&other.words) {
+        for (w, o) in out.words_mut().iter_mut().zip(other.words()) {
             *w &= !o;
         }
         out
@@ -81,17 +111,17 @@ impl BlockSet {
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether the set has no members.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// The members, ascending.
     pub fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &w)| {
+        self.words().iter().enumerate().flat_map(|(i, &w)| {
             let mut w = w;
             std::iter::from_fn(move || {
                 (w != 0).then(|| {
@@ -216,6 +246,7 @@ pub fn natural_loops(f: &Function, preds: &Preds) -> Vec<NaturalLoop> {
     // Back edge: b -> h where h dominates b.
     let mut list: Vec<NaturalLoop> = Vec::new();
     let mut at_header: Vec<Option<usize>> = vec![None; n];
+    let mut work = Vec::new();
     for b in f.block_ids() {
         for h in f.successors(b) {
             if h.0 as usize >= n || !dominates(&idom, h, b) {
@@ -236,7 +267,7 @@ pub fn natural_loops(f: &Function, preds: &Preds) -> Vec<NaturalLoop> {
             // Collect the loop body: backwards reachability from the
             // latch without passing through the header.
             lp.blocks.insert(h);
-            let mut work = vec![b];
+            work.push(b);
             while let Some(x) = work.pop() {
                 if lp.blocks.insert(x) {
                     work.extend_from_slice(preds.of(x));
@@ -551,13 +582,16 @@ pub fn induction_var(f: &Function, lp: &NaturalLoop) -> Option<InstrId> {
 /// block in the set — the full extent of code a loop iteration may execute.
 pub fn expand_with_detach(f: &Function, base: BlockSet) -> BlockSet {
     let mut set = base;
-    let mut work: Vec<BlockId> = set.iter().collect();
-    while let Some(b) = work.pop() {
-        if let Some(Op::Detach { body, .. }) = f.terminator(b).map(|t| &t.op) {
-            for r in detach_region(f, *body).iter() {
-                if set.insert(r) {
-                    work.push(r);
-                }
+    let detach_body = |b: BlockId| match f.terminator(b).map(|t| &t.op) {
+        Some(Op::Detach { body, .. }) => Some(*body),
+        _ => None,
+    };
+    // Only a detach adds blocks, so only detach bodies are worked.
+    let mut work: Vec<BlockId> = set.iter().filter_map(detach_body).collect();
+    while let Some(body) = work.pop() {
+        for r in detach_region(f, body).iter() {
+            if set.insert(r) {
+                work.extend(detach_body(r));
             }
         }
     }

@@ -10,6 +10,7 @@ use crate::instr::{
 };
 use crate::module::{Block, Function, Module};
 use crate::types::{ScalarType, TensorShape, Type};
+use std::borrow::Cow;
 
 /// Builder for a single [`Function`].
 #[derive(Debug)]
@@ -71,7 +72,7 @@ impl FunctionBuilder {
     }
 
     /// Create a new (unselected) block.
-    pub fn block(&mut self, name: impl Into<String>) -> BlockId {
+    pub fn block(&mut self, name: impl Into<Cow<'static, str>>) -> BlockId {
         let id = BlockId(self.func.blocks.len() as u32);
         self.func.blocks.push(Block::new(name));
         id

@@ -2,19 +2,21 @@
 
 use crate::instr::{BlockId, FuncId, Instr, InstrId, MemObjId, Op, Succs, ValueRef};
 use crate::types::{ScalarType, Type};
+use std::borrow::Cow;
 
 /// A basic block: a straight-line instruction list ending in a terminator.
 #[derive(Debug, Clone)]
 pub struct Block {
-    /// Human-readable label.
-    pub name: String,
+    /// Human-readable label: a builder's fixed labels are borrowed, so
+    /// naming a block allocates only for a label made at run time.
+    pub name: Cow<'static, str>,
     /// Instructions in order; the last one must be a terminator.
     pub instrs: Vec<InstrId>,
 }
 
 impl Block {
     /// New empty block.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
         Block {
             name: name.into(),
             instrs: Vec::new(),

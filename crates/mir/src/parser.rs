@@ -165,32 +165,30 @@ fn parse_mem_ref(s: &str, line: usize) -> Result<MemObjId, ParseError> {
 }
 
 /// Split a comma-separated operand list, respecting `[...]` groups (φ
-/// incoming pairs).
-fn split_operands(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0;
-    let mut cur = String::new();
-    for ch in s.chars() {
-        match ch {
-            '[' | '(' => {
-                depth += 1;
-                cur.push(ch);
+/// incoming pairs) and `(...)` groups, into trimmed operands; an empty
+/// last operand is dropped.
+fn split_operands(s: &str) -> impl Iterator<Item = &str> {
+    let mut depth = 0i32;
+    let mut parts = s
+        .split(move |ch: char| {
+            match ch {
+                '[' | '(' => depth += 1,
+                ']' | ')' => depth -= 1,
+                _ => {}
             }
-            ']' | ')' => {
-                depth -= 1;
-                cur.push(ch);
-            }
-            ',' if depth == 0 => {
-                out.push(cur.trim().to_string());
-                cur.clear();
-            }
-            _ => cur.push(ch),
-        }
-    }
-    if !cur.trim().is_empty() {
-        out.push(cur.trim().to_string());
-    }
-    out
+            ch == ',' && depth == 0
+        })
+        .map(str::trim)
+        .peekable();
+    std::iter::from_fn(move || {
+        let part = parts.next()?;
+        (!part.is_empty() || parts.peek().is_some()).then_some(part)
+    })
+}
+
+/// Parse every operand of `s`.
+fn parse_values(s: &str, line: usize) -> Result<Vec<ValueRef>, ParseError> {
+    split_operands(s).map(|a| parse_value(a, line)).collect()
 }
 
 fn bin_op(m: &str) -> Option<BinOp> {
@@ -251,7 +249,7 @@ impl FnBuilder {
     /// Normalise ids: printed `%N` ids map to fresh arena slots in order of
     /// first definition; valueless instructions slot in where they appear.
     fn finish(mut self, line: usize) -> Result<Function, ParseError> {
-        let mut id_map: HashMap<u32, InstrId> = HashMap::new();
+        let mut id_map: HashMap<u32, InstrId> = HashMap::with_capacity(self.pending.len());
         // First pass: assign arena ids in textual order.
         for (i, (printed, ..)) in self.pending.iter().enumerate() {
             if let Some(p) = printed {
@@ -267,13 +265,16 @@ impl FnBuilder {
                 other => Ok(*other),
             }
         };
-        for (i, (_printed, op, ty, operands, block)) in self.pending.iter().enumerate() {
-            let operands = operands.iter().map(&remap).collect::<Result<Vec<_>, _>>()?;
+        self.func.instrs.reserve_exact(self.pending.len());
+        for (i, (_printed, op, ty, mut operands, block)) in self.pending.into_iter().enumerate() {
+            for v in &mut operands {
+                *v = remap(v)?;
+            }
             self.func.instrs.push(Instr {
-                op: op.clone(),
-                ty: *ty,
+                op,
+                ty,
                 operands,
-                block: *block,
+                block,
             });
             self.func.blocks[block.0 as usize]
                 .instrs
@@ -411,15 +412,11 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
             let (rhs, ty_s) = rest
                 .rsplit_once(" : ")
                 .ok_or_else(|| perr(lineno, "missing result type"))?;
-            (
-                Some(id),
-                rhs.trim().to_string(),
-                Some(parse_type(ty_s, lineno)?),
-            )
+            (Some(id), rhs.trim(), Some(parse_type(ty_s, lineno)?))
         } else {
-            (None, line.to_string(), None)
+            (None, line, None)
         };
-        let (op, operands) = parse_rhs(&rhs, lineno)?;
+        let (op, operands) = parse_rhs(rhs, lineno)?;
         f.pending.push((printed_id, op, ty, operands, block));
     }
     if cur_fn.is_some() {
@@ -472,27 +469,29 @@ fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> 
         ));
     }
     if mnemonic == "condbr" {
-        let parts = split_operands(rest);
-        if parts.len() != 3 {
+        let mut parts = split_operands(rest);
+        let (Some(c), Some(t), Some(f), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
             return Err(perr(line, "condbr needs cond, then, else"));
-        }
+        };
         return Ok((
             Op::CondBr {
-                t: parse_block_ref(&parts[1], line)?,
-                f: parse_block_ref(&parts[2], line)?,
+                t: parse_block_ref(t, line)?,
+                f: parse_block_ref(f, line)?,
             },
-            vec![parse_value(&parts[0], line)?],
+            vec![parse_value(c, line)?],
         ));
     }
     if mnemonic == "detach" {
-        let parts = split_operands(rest);
-        if parts.len() != 2 {
+        let mut parts = split_operands(rest);
+        let (Some(body), Some(cont), None) = (parts.next(), parts.next(), parts.next()) else {
             return Err(perr(line, "detach needs body, cont"));
-        }
+        };
         return Ok((
             Op::Detach {
-                body: parse_block_ref(&parts[0], line)?,
-                cont: parse_block_ref(&parts[1], line)?,
+                body: parse_block_ref(body, line)?,
+                cont: parse_block_ref(cont, line)?,
             },
             vec![],
         ));
@@ -530,17 +529,11 @@ fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> 
             .and_then(|n| n.parse().ok())
             .map(FuncId)
             .ok_or_else(|| perr(line, "bad callee"))?;
-        let args = split_operands(args)
-            .iter()
-            .map(|a| parse_value(a, line))
-            .collect::<Result<Vec<_>, _>>()?;
+        let args = parse_values(args, line)?;
         return Ok((Op::Call { callee }, args));
     }
     if mnemonic == "select" {
-        let ops = split_operands(rest)
-            .iter()
-            .map(|a| parse_value(a, line))
-            .collect::<Result<Vec<_>, _>>()?;
+        let ops = parse_values(rest, line)?;
         return Ok((Op::Select, ops));
     }
     if let Some(pred) = mnemonic.strip_prefix("icmp.") {
@@ -553,10 +546,7 @@ fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> 
             "ge" => CmpPred::Ge,
             other => return Err(perr(line, format!("unknown predicate `{other}`"))),
         };
-        let ops = split_operands(rest)
-            .iter()
-            .map(|a| parse_value(a, line))
-            .collect::<Result<Vec<_>, _>>()?;
+        let ops = parse_values(rest, line)?;
         return Ok((Op::Cmp(p), ops));
     }
     if mnemonic == "sitofp" || mnemonic == "fptosi" || mnemonic == "resize" {
@@ -577,18 +567,12 @@ fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> 
                 .split_once('x')
                 .ok_or_else(|| perr(line, "malformed shape"))?;
             let shape = parse_shape(r, c, line)?;
-            let ops = split_operands(rest)
-                .iter()
-                .map(|a| parse_value(a, line))
-                .collect::<Result<Vec<_>, _>>()?;
+            let ops = parse_values(rest, line)?;
             return Ok((Op::Tensor(t, shape), ops));
         }
     }
     if let Some(b) = bin_op(mnemonic) {
-        let ops = split_operands(rest)
-            .iter()
-            .map(|a| parse_value(a, line))
-            .collect::<Result<Vec<_>, _>>()?;
+        let ops = parse_values(rest, line)?;
         return Ok((Op::Bin(b), ops));
     }
     if let Some(u) = un_op(mnemonic) {

@@ -1496,9 +1496,9 @@ impl<'a> Engine<'a> {
                             task_name: task.name.clone(),
                             edge: ei as u32,
                             src: node as u32,
-                            src_name: df.nodes[node].name.clone(),
+                            src_name: df.nodes[node].name.to_string(),
                             dst: on,
-                            dst_name: df.nodes[on as usize].name.clone(),
+                            dst_name: df.nodes[on as usize].name.to_string(),
                             capacity: et.cap[ei],
                             state,
                         },

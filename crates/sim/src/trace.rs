@@ -219,8 +219,13 @@ impl TraceMeta {
         let mut m = TraceMeta::default();
         for t in &acc.tasks {
             m.task_names.push(t.name.clone());
-            m.node_names
-                .push(t.dataflow.nodes.iter().map(|n| n.name.clone()).collect());
+            m.node_names.push(
+                t.dataflow
+                    .nodes
+                    .iter()
+                    .map(|n| n.name.to_string())
+                    .collect(),
+            );
             m.node_latency.push(
                 t.dataflow
                     .nodes

@@ -51,6 +51,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The key of one memoized result: which artifact, which job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -158,8 +159,12 @@ pub struct Store {
     disabled: Option<String>,
     injector: Injector,
     stats: StoreStats,
-    tmp_counter: u64,
 }
+
+/// Temp-file sequence number, process-wide: every `Store` instance in the
+/// process — several may share one root — draws from it, so no two writes
+/// in flight ever name the same temp file.
+static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl Store {
     /// Open (creating if needed) a store rooted at `root`. Never fails:
@@ -189,7 +194,6 @@ impl Store {
             disabled,
             injector: Injector::new(&faults),
             stats,
-            tmp_counter: 0,
         }
     }
 
@@ -273,12 +277,11 @@ impl Store {
             let cut = 8 + self.injector.below(sealed.len() as u64 - 8) as usize;
             sealed.truncate(cut);
         }
-        self.tmp_counter += 1;
-        let tmp = self.root.join("tmp").join(format!(
-            "{}-{:x}.tmp",
-            std::process::id(),
-            self.tmp_counter
-        ));
+        let seq = TMP_COUNTER.fetch_add(1, Ordering::Relaxed) + 1;
+        let tmp = self
+            .root
+            .join("tmp")
+            .join(format!("{}-{seq:x}.tmp", std::process::id()));
         let io_err = |op: &'static str, path: &Path, e: std::io::Error| StoreError::Io {
             op,
             path: path.display().to_string(),

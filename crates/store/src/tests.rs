@@ -394,3 +394,58 @@ fn traced_configs_are_not_memoizable() {
     cfg.trace.enabled = true;
     assert!(!memoizable(&cfg));
 }
+
+/// Two `Store`s opened on one root in one process write at the same time:
+/// each temp file name is unique process-wide, so no write publishes
+/// another's bytes under its own key, and every temp file is renamed
+/// away.
+#[test]
+fn two_stores_on_one_root_write_concurrently_without_collisions() {
+    const KEYS: u64 = 64;
+    let root = test_root("two-writers");
+    let (_, _, eval) = sample_eval();
+    // Entry `k` of writer `w` carries its own cycle count, so a swapped
+    // or torn entry reads back different from what was put.
+    let entry = |w: u64, k: u64| {
+        let mut e = eval.clone();
+        e.result.cycles = w * KEYS + k;
+        (
+            ResultKey {
+                artifact: w,
+                job: k,
+            },
+            e,
+        )
+    };
+    // Both stores are open before either writes, so the writes overlap.
+    let start = std::sync::Barrier::new(2);
+    let stats: Vec<StoreStats> = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..2u64)
+            .map(|w| {
+                let (root, entry, start) = (&root, &entry, &start);
+                s.spawn(move || {
+                    let mut store = Store::open(root);
+                    start.wait();
+                    for k in 0..KEYS {
+                        let (key, e) = entry(w, k);
+                        store.put_result(key, &e).unwrap();
+                    }
+                    store.stats()
+                })
+            })
+            .collect();
+        writers.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let mut store = Store::open(&root);
+    for w in 0..2 {
+        for k in 0..KEYS {
+            let (key, e) = entry(w, k);
+            assert_eq!(store.get_result(key).unwrap().as_ref(), Some(&e), "{w}/{k}");
+        }
+    }
+    for s in stats.iter().chain([&store.stats()]) {
+        assert_eq!((s.put_errors, s.corrupt_entries, s.quarantined), (0, 0, 0));
+    }
+    assert_eq!(fs::read_dir(root.join("tmp")).unwrap().count(), 0);
+    let _ = fs::remove_dir_all(&root);
+}

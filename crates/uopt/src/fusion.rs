@@ -11,9 +11,10 @@
 
 use crate::{Pass, PassDelta, PassError};
 use muir_core::accel::Accelerator;
-use muir_core::dataflow::{Dataflow, EdgeKind, NodeId};
+use muir_core::dataflow::{Dataflow, EdgeIndex, EdgeKind, NodeId};
 use muir_core::hw;
-use muir_core::node::{FusedInput, FusedPlan, FusedStep, Node, NodeKind, OpKind};
+use muir_core::node::{FusedInput, FusedPlan, FusedStep, Name, Node, NodeKind, OpKind};
+use muir_core::Type;
 
 /// The op-fusion pass.
 #[derive(Debug, Clone)]
@@ -51,13 +52,11 @@ impl Pass for OpFusion {
 
     fn run(&self, acc: &mut Accelerator) -> Result<PassDelta, PassError> {
         let mut delta = PassDelta::default();
+        let mut scratch = Scratch::default();
         for t in 0..acc.tasks.len() {
-            delta = delta.merge(fuse_accumulators(&mut acc.tasks[t].dataflow));
-            delta = delta.merge(fuse_dataflow(
-                &mut acc.tasks[t].dataflow,
-                self.max_delay_ns,
-                self.max_ops,
-            ));
+            let df = &mut acc.tasks[t].dataflow;
+            delta = delta.merge(fuse_accumulators(df));
+            delta = delta.merge(fuse_with(df, self.max_delay_ns, self.max_ops, &mut scratch));
         }
         Ok(delta)
     }
@@ -99,13 +98,13 @@ pub fn fuse_accumulators(df: &mut Dataflow) -> PassDelta {
             }
             // The merge's only data consumer must be `u`, and `u` must
             // consume the merge on exactly one port.
-            let m_consumers: Vec<_> = df
+            let mut m_consumers = df
                 .edges
                 .iter()
-                .filter(|e| e.src == m && e.kind == EdgeKind::Data)
-                .collect();
-            if m_consumers.len() != 1 || m_consumers[0].dst != u {
-                continue;
+                .filter(|e| e.src == m && e.kind == EdgeKind::Data);
+            match (m_consumers.next(), m_consumers.next()) {
+                (Some(c), None) if c.dst == u => {}
+                _ => continue,
             }
             // Init must come from a static source (per-invocation constant).
             let init_static = df.edges.iter().any(|e| {
@@ -128,7 +127,7 @@ pub fn fuse_accumulators(df: &mut Dataflow) -> PassDelta {
             _ => unreachable!(),
         };
         let ty = df.node(u).ty;
-        let name = format!("acc_{}", df.node(u).name);
+        let name = Name::format(format_args!("acc_{}", df.node(u).name));
         let a = df.add_node(Node::new(name, NodeKind::FusedAcc { op }, ty));
         // Wire init (merge port 0 source) to acc port 0.
         let init = df
@@ -176,95 +175,165 @@ pub fn fuse_accumulators(df: &mut Dataflow) -> PassDelta {
     delta
 }
 
-/// The number of steps in a node's plan, if the node is fusable: what
-/// [`plan_of`] would build, without building it.
-fn fusable_steps(node: &Node) -> Option<usize> {
-    match &node.kind {
-        NodeKind::Compute(OpKind::Tensor(..)) => None,
-        NodeKind::Compute(_) => Some(1),
-        NodeKind::Fused(plan) => Some(plan.steps.len()),
-        _ => None,
-    }
+/// Operand inputs of a one-step plan, by arity (a non-tensor op has at
+/// most three operands).
+const EXTERNALS: [FusedInput; 3] = [
+    FusedInput::External(0),
+    FusedInput::External(1),
+    FusedInput::External(2),
+];
+
+/// A fusable node's evaluation plan, borrowed: a `Compute` node is the
+/// one-step plan over its operands in port order, so testing a pair
+/// builds nothing.
+#[derive(Clone, Copy)]
+enum PlanView<'a> {
+    Single(OpKind, Type),
+    Plan(&'a FusedPlan),
 }
 
-/// A node's evaluation plan viewed as a (possibly singleton) fused plan.
-fn plan_of(node: &Node) -> Option<FusedPlan> {
-    match &node.kind {
-        NodeKind::Compute(op) => {
-            if matches!(op, OpKind::Tensor(..)) {
-                return None; // tensor FUs are library macros, not fusable LUT logic
+impl<'a> PlanView<'a> {
+    /// The node's plan, if it is fusable. Tensor FUs are library macros,
+    /// not fusable LUT logic.
+    fn of(node: &'a Node) -> Option<PlanView<'a>> {
+        match &node.kind {
+            NodeKind::Compute(OpKind::Tensor(..)) => None,
+            NodeKind::Compute(op) => Some(PlanView::Single(*op, node.ty)),
+            NodeKind::Fused(plan) => Some(PlanView::Plan(plan)),
+            _ => None,
+        }
+    }
+
+    fn arity(self) -> u16 {
+        match self {
+            PlanView::Single(op, _) => op.arity() as u16,
+            PlanView::Plan(p) => p.arity,
+        }
+    }
+
+    fn len(self) -> usize {
+        match self {
+            PlanView::Single(..) => 1,
+            PlanView::Plan(p) => p.steps.len(),
+        }
+    }
+
+    /// Step `i`: its op, result type and inputs.
+    fn step(self, i: usize) -> (OpKind, Type, &'a [FusedInput]) {
+        match self {
+            PlanView::Single(op, ty) => (op, ty, &EXTERNALS[..op.arity()]),
+            PlanView::Plan(p) => {
+                let s = &p.steps[i];
+                (s.op, s.ty, &s.inputs)
             }
-            let arity = op.arity() as u16;
-            Some(FusedPlan {
-                arity,
-                steps: vec![FusedStep {
-                    op: *op,
-                    ty: node.ty,
-                    inputs: (0..arity).map(FusedInput::External).collect(),
-                }],
-            })
         }
-        NodeKind::Fused(plan) => Some(plan.clone()),
-        _ => None,
     }
 }
 
-/// Fuse producer `u` (single consumer) into consumer `v` at `v_port`.
-fn combine(u: &FusedPlan, v: &FusedPlan, v_port: u16) -> FusedPlan {
-    let u_arity = u.arity;
-    let u_steps = u.steps.len() as u16;
-    // New externals: u's externals, then v's externals except `v_port`.
-    // Map v-external j to its new index.
-    let mut v_ext_map = Vec::with_capacity(v.arity as usize);
-    let mut next = u_arity;
-    for j in 0..v.arity {
-        if j == v_port {
-            v_ext_map.push(u16::MAX); // replaced by u's result
-        } else {
-            v_ext_map.push(next);
-            next += 1;
-        }
+/// Where an input of consumer `v`'s plan comes from once producer `u`'s
+/// `u_steps` steps (over `u_arity` externals) are fused in ahead of it at
+/// `v_port`: that port becomes `u`'s last step, `v`'s other externals
+/// follow `u`'s, and `v`'s steps shift behind `u`'s.
+fn remap_v_input(i: FusedInput, u_arity: u16, u_steps: u16, v_port: u16) -> FusedInput {
+    match i {
+        FusedInput::External(j) if j == v_port => FusedInput::Step(u_steps - 1),
+        FusedInput::External(j) if j < v_port => FusedInput::External(u_arity + j),
+        FusedInput::External(j) => FusedInput::External(u_arity + j - 1),
+        FusedInput::Step(k) => FusedInput::Step(k + u_steps),
     }
-    let mut steps = u.steps.clone();
-    for s in &v.steps {
-        let inputs = s
-            .inputs
+}
+
+/// Critical path (ns) of `u` fused into `v` at `v_port`, from the two
+/// borrowed plans; `arrivals` is scratch.
+fn fused_delay(u: PlanView, v: PlanView, v_port: u16, arrivals: &mut Vec<f64>) -> f64 {
+    arrivals.clear();
+    for i in 0..u.len() {
+        let (op, ty, inputs) = u.step(i);
+        hw::push_arrival(arrivals, op, ty, inputs.iter().copied());
+    }
+    let (u_arity, u_steps) = (u.arity(), u.len() as u16);
+    for i in 0..v.len() {
+        let (op, ty, inputs) = v.step(i);
+        let inputs = inputs
             .iter()
-            .map(|i| match i {
-                FusedInput::External(j) if *j == v_port => FusedInput::Step(u_steps - 1),
-                FusedInput::External(j) => FusedInput::External(v_ext_map[*j as usize]),
-                FusedInput::Step(k) => FusedInput::Step(k + u_steps),
-            })
-            .collect();
-        steps.push(FusedStep {
-            op: s.op,
-            ty: s.ty,
-            inputs,
-        });
+            .map(|&x| remap_v_input(x, u_arity, u_steps, v_port));
+        hw::push_arrival(arrivals, op, ty, inputs);
     }
-    FusedPlan { arity: next, steps }
+    arrivals.iter().copied().fold(0.0, f64::max)
+}
+
+/// Move a fusable node's plan steps onto `steps`, each input mapped
+/// through `remap`. A `Compute` node gives its one step; a fused node is
+/// left with an empty plan.
+fn move_steps(
+    node: &mut Node,
+    steps: &mut Vec<FusedStep>,
+    remap: impl Fn(FusedInput) -> FusedInput,
+) {
+    match &mut node.kind {
+        NodeKind::Compute(op) => steps.push(FusedStep {
+            op: *op,
+            ty: node.ty,
+            inputs: EXTERNALS[..op.arity()].iter().map(|&x| remap(x)).collect(),
+        }),
+        NodeKind::Fused(plan) => steps.extend(plan.steps.drain(..).map(|mut s| {
+            for x in &mut s.inputs {
+                *x = remap(*x);
+            }
+            s
+        })),
+        _ => unreachable!("candidate is fusable"),
+    }
 }
 
 /// One fusion round over a dataflow; returns the touched-element delta.
 pub fn fuse_dataflow(df: &mut Dataflow, max_delay_ns: f64, max_ops: usize) -> PassDelta {
+    fuse_with(df, max_delay_ns, max_ops, &mut Scratch::default())
+}
+
+/// The tables a fusion round rebuilds before each fusion, kept across
+/// the rounds and tasks of one pass run.
+#[derive(Default)]
+struct Scratch {
+    idx: EdgeIndex,
+    arrivals: Vec<f64>,
+}
+
+/// [`fuse_dataflow`] over `scratch`'s tables.
+fn fuse_with(
+    df: &mut Dataflow,
+    max_delay_ns: f64,
+    max_ops: usize,
+    scratch: &mut Scratch,
+) -> PassDelta {
     let mut delta = PassDelta::default();
-    while let Some((u, v, v_port)) = find_candidate(df, max_delay_ns, max_ops) {
-        // Build the fused node in v's slot.
-        let u_plan = plan_of(df.node(u)).expect("candidate is fusable");
-        let v_plan = plan_of(df.node(v)).expect("candidate is fusable");
-        let fused = combine(&u_plan, &v_plan, v_port);
-        let name = format!("{}+{}", df.node(u).name, df.node(v).name);
+    let Scratch { idx, arrivals } = scratch;
+    loop {
+        idx.rebuild(df);
+        let Some((u, v, v_port)) = find_candidate(df, idx, arrivals, max_delay_ns, max_ops) else {
+            break;
+        };
+        // Build the fused node in v's slot, moving both plans' steps.
+        let (u_view, v_view) = (PlanView::of(df.node(u)), PlanView::of(df.node(v)));
+        let (u_view, v_view) = (u_view.expect("fusable"), v_view.expect("fusable"));
+        let (u_arity, u_steps) = (u_view.arity(), u_view.len() as u16);
+        let arity = u_arity + v_view.arity() - 1;
+        let mut steps = Vec::with_capacity(u_view.len() + v_view.len());
+        move_steps(&mut df.nodes[u.0 as usize], &mut steps, |x| x);
+        move_steps(&mut df.nodes[v.0 as usize], &mut steps, |x| {
+            remap_v_input(x, u_arity, u_steps, v_port)
+        });
+        let name = Name::format(format_args!("{}+{}", df.node(u).name, df.node(v).name));
         let out_ty = df.node(v).ty;
+        let fused = FusedPlan { arity, steps };
         df.nodes[v.0 as usize] = Node::new(name, NodeKind::Fused(fused), out_ty);
 
-        // Rewire: u's inputs become v's ports 0..u_arity; v's other inputs
-        // shift; the u→v edge disappears; u dies.
-        let mut new_edges = Vec::with_capacity(df.edges.len());
-        for e in df.edges.iter().copied() {
-            let mut e = e;
+        // Rewire in place: u's inputs become v's ports 0..u_arity; v's
+        // other inputs shift; the u→v edge disappears; u dies.
+        df.edges.retain_mut(|e| {
             if e.src == u && e.dst == v && e.dst_port == v_port && e.kind == EdgeKind::Data {
                 delta.edges += 1; // removed handshake connection
-                continue;
+                return false;
             }
             if e.dst == u {
                 // u input port i → v port i.
@@ -273,33 +342,33 @@ pub fn fuse_dataflow(df: &mut Dataflow, max_delay_ns: f64, max_ops: usize) -> Pa
             } else if e.dst == v && e.kind != EdgeKind::Order {
                 // Remap v's surviving input ports.
                 let j = e.dst_port;
-                let new_port = if j < v_port {
-                    u_plan.arity + j
+                e.dst_port = if j < v_port {
+                    u_arity + j
                 } else {
-                    u_plan.arity + j - 1
+                    u_arity + j - 1
                 };
-                e.dst_port = new_port;
                 delta.edges += 1;
             }
-            new_edges.push(e);
-        }
-        df.edges = new_edges;
+            true
+        });
         delta.nodes += 2; // producer and consumer replaced by one unit
         remove_node(df, u);
     }
     delta
 }
 
+/// The first fusable pair in node order whose fused path fits the
+/// period, over `idx`, the index of `df`. Plans are only viewed, never
+/// built.
 fn find_candidate(
     df: &Dataflow,
+    idx: &EdgeIndex,
+    arrivals: &mut Vec<f64>,
     max_delay_ns: f64,
     max_ops: usize,
 ) -> Option<(NodeId, NodeId, u16)> {
-    // One CSR build per round replaces a per-node O(E) rescan. Plans are
-    // built only for a pair whose path delay is tested.
-    let idx = df.edge_index();
     for u in df.node_ids() {
-        let Some(u_steps) = fusable_steps(df.node(u)) else {
+        let Some(u_plan) = PlanView::of(df.node(u)) else {
             continue;
         };
         // u must have exactly one outgoing edge, a Data edge.
@@ -312,16 +381,13 @@ fn find_candidate(
             continue;
         }
         let v = e.dst;
-        let Some(v_steps) = fusable_steps(df.node(v)) else {
+        let Some(v_plan) = PlanView::of(df.node(v)) else {
             continue;
         };
-        if u_steps + v_steps > max_ops {
+        if u_plan.len() + v_plan.len() > max_ops {
             continue;
         }
-        let u_plan = plan_of(df.node(u)).expect("fusable node has a plan");
-        let v_plan = plan_of(df.node(v)).expect("fusable node has a plan");
-        let fused = combine(&u_plan, &v_plan, e.dst_port);
-        if hw::fused_path_delay(&fused) <= max_delay_ns {
+        if fused_delay(u_plan, v_plan, e.dst_port, arrivals) <= max_delay_ns {
             return Some((u, v, e.dst_port));
         }
     }

@@ -31,7 +31,7 @@ pub mod simplify;
 
 use muir_core::accel::Accelerator;
 use muir_core::compiled::CompiledAccel;
-use muir_core::verify::verify_accelerator;
+use muir_core::verify::Verifier;
 use std::fmt;
 
 /// The graph elements a pass touched — Table 4's ΔNode/ΔEdge.
@@ -88,7 +88,7 @@ pub trait Pass {
 #[derive(Debug, Clone, Default)]
 pub struct PassRecord {
     /// Pass name.
-    pub name: String,
+    pub name: &'static str,
     /// Elements touched (Table 4's ΔNode/ΔEdge).
     pub delta: PassDelta,
     /// Host wall time of the pass itself (excludes the manager's post-pass
@@ -106,7 +106,7 @@ pub struct PassRecord {
 #[derive(Debug, Clone, Default)]
 pub struct PassReport {
     /// `(pass name, delta)` in execution order.
-    pub deltas: Vec<(String, PassDelta)>,
+    pub deltas: Vec<(&'static str, PassDelta)>,
     /// Full per-pass instrumentation (same order as `deltas`), including
     /// wall time and post-pass graph sizes.
     pub records: Vec<PassRecord>,
@@ -185,19 +185,24 @@ impl PassManager {
     /// # Errors
     /// The first pass failure or verification failure.
     pub fn run(&self, acc: &mut Accelerator) -> Result<PassReport, PassError> {
-        let mut report = PassReport::default();
+        let mut report = PassReport {
+            deltas: Vec::with_capacity(self.passes.len()),
+            records: Vec::with_capacity(self.passes.len()),
+        };
+        // One set of verifier tables for every check of the run.
+        let mut verifier = Verifier::default();
         for pass in &self.passes {
             let started = std::time::Instant::now();
             let delta = pass.run(acc)?;
             let wall = started.elapsed();
-            verify_accelerator(acc).map_err(|e| PassError {
+            verifier.verify(acc).map_err(|e| PassError {
                 pass: pass.name().to_string(),
                 message: format!("graph invalid after pass: {e}"),
             })?;
             let dataflows = || acc.tasks.iter().map(|t| &t.dataflow);
-            report.deltas.push((pass.name().to_string(), delta));
+            report.deltas.push((pass.name(), delta));
             report.records.push(PassRecord {
-                name: pass.name().to_string(),
+                name: pass.name(),
                 delta,
                 wall,
                 nodes_after: dataflows().map(|df| df.nodes.len()).sum(),
@@ -206,7 +211,7 @@ impl PassManager {
         }
         if self.passes.is_empty() {
             // No per-pass check ran: the input is the output.
-            verify_accelerator(acc).map_err(|e| PassError {
+            verifier.verify(acc).map_err(|e| PassError {
                 pass: "<final-verify>".to_string(),
                 message: format!("graph invalid after pipeline: {e}"),
             })?;

@@ -3,12 +3,11 @@
 
 use crate::{Pass, PassDelta, PassError};
 use muir_core::accel::{Accelerator, TaskId};
-use muir_core::dataflow::JunctionId;
+use muir_core::dataflow::{JunctionId, NodeId};
 use muir_core::node::NodeKind;
 use muir_core::structure::{Structure, StructureId, StructureKind};
 use muir_mir::instr::MemObjId;
 use muir_mir::types::TensorShape;
-use std::collections::BTreeMap;
 
 pub use crate::fusion::OpFusion;
 pub use crate::lower_tensors::LowerTensors;
@@ -99,7 +98,9 @@ impl TaskFilter {
                 }
                 false
             }
-            TaskFilter::LeafLoops => acc.task(t).kind.is_loop() && acc.children(t).is_empty(),
+            TaskFilter::LeafLoops => {
+                acc.task(t).kind.is_loop() && !acc.task_conns.iter().any(|c| c.parent == t)
+            }
             TaskFilter::AllChildren => t != acc.root,
             TaskFilter::Named(s) => acc.task(t).name.contains(s.as_str()),
         }
@@ -189,11 +190,10 @@ impl Pass for MemoryLocalization {
     #[allow(clippy::too_many_lines)]
     fn run(&self, acc: &mut Accelerator) -> Result<PassDelta, PassError> {
         let mut delta = PassDelta::default();
-        // Analysis: memory groups (object -> accessing (task, node) pairs),
-        // plus the access shape per object.
-        let mut groups: BTreeMap<MemObjId, Vec<(TaskId, muir_core::dataflow::NodeId)>> =
-            BTreeMap::new();
-        let mut shapes: BTreeMap<MemObjId, Option<TensorShape>> = BTreeMap::new();
+        // Analysis: memory groups — every (object, task, node) access with
+        // its tile shape, sorted by object; within an object the accesses
+        // keep task-then-node order, so each task's run is contiguous.
+        let mut groups: Vec<(MemObjId, TaskId, NodeId, Option<TensorShape>)> = Vec::new();
         for t in acc.task_ids() {
             let df = &acc.task(t).dataflow;
             for n in df.node_ids() {
@@ -202,23 +202,17 @@ impl Pass for MemoryLocalization {
                     NodeKind::Load { obj, .. } | NodeKind::Store { obj, .. } => obj,
                     _ => continue,
                 };
-                groups.entry(obj).or_default().push((t, n));
                 let shape = match node.ty {
                     muir_core::Type::Tensor { shape, .. } => Some(shape),
                     _ => None,
                 };
-                shapes
-                    .entry(obj)
-                    .and_modify(|s| {
-                        if *s != shape {
-                            *s = None;
-                        }
-                    })
-                    .or_insert(shape);
+                groups.push((obj, t, n, shape));
             }
         }
+        groups.sort_unstable_by_key(|g| (g.0, g.1, g.2));
 
-        for (obj, accessors) in groups {
+        for accessors in groups.chunk_by(|a, b| a.0 == b.0) {
+            let obj = accessors[0].0;
             let Some(home) = acc.structure_for(obj) else {
                 continue;
             };
@@ -231,6 +225,12 @@ impl Pass for MemoryLocalization {
             if len > self.max_elems {
                 continue;
             }
+            // The group's tile shape, if every access agrees on one.
+            let group_shape = accessors
+                .iter()
+                .map(|a| a.3)
+                .reduce(|s, shape| if s == shape { s } else { None })
+                .flatten();
             // Transformation: new RAM with parameters from the group.
             let name = format!("spad_{}", obj.0);
             let mut spad = Structure::scratchpad(name, len);
@@ -240,7 +240,7 @@ impl Pass for MemoryLocalization {
                 ..
             } = &mut spad.kind
             {
-                *shape = shapes.get(&obj).copied().flatten();
+                *shape = group_shape;
                 // A typed scratchpad supplies a whole tile per access.
                 if shape.is_some() {
                     *ports_per_bank = shape.map(|s| s.elems()).unwrap_or(2);
@@ -251,24 +251,25 @@ impl Pass for MemoryLocalization {
             // Re-home.
             acc.structure_mut(home).objects.retain(|o| *o != obj);
             acc.structure_mut(sid).serve(obj);
-            // Reroute: per task, one junction to the new scratchpad.
-            let mut task_junction: BTreeMap<TaskId, JunctionId> = BTreeMap::new();
             // §6.3: for typed scratchpads the operand network is widened to
             // transfer all tile elements at once.
-            let (jr, jw) = match shapes.get(&obj).copied().flatten() {
+            let (jr, jw) = match group_shape {
                 Some(sh) => (sh.elems(), sh.elems().div_ceil(2)),
                 None => (2, 1),
             };
-            for (t, n) in accessors {
-                let j = if let Some(&j) = task_junction.get(&t) {
-                    j
-                } else {
-                    let df = &mut acc.task_mut(t).dataflow;
-                    let j = df.add_junction(muir_core::dataflow::Junction::new(sid, jr, jw));
-                    acc.connect_mem(t, j, sid);
-                    task_junction.insert(t, j);
-                    delta.edges += 1; // the <==> connection
-                    j
+            // Reroute: per task, one junction to the new scratchpad.
+            let mut task_junction: Option<(TaskId, JunctionId)> = None;
+            for &(_, t, n, _) in accessors {
+                let j = match task_junction {
+                    Some((jt, j)) if jt == t => j,
+                    _ => {
+                        let df = &mut acc.task_mut(t).dataflow;
+                        let j = df.add_junction(muir_core::dataflow::Junction::new(sid, jr, jw));
+                        acc.connect_mem(t, j, sid);
+                        task_junction = Some((t, j));
+                        delta.edges += 1; // the <==> connection
+                        j
+                    }
                 };
                 let df = &mut acc.task_mut(t).dataflow;
                 // Move the node's registration.

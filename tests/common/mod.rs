@@ -2,6 +2,7 @@
 //! tests: the 24 registry modules parsed back from their printed text, then
 //! `gen_graph(11 + k, 8)` for k < 40 through the tensor-graph text and the
 //! default `TensorLowerConfig`.
+#![allow(dead_code)] // each test binary uses part of this module
 
 use muir::frontend::tensor::{gen_graph, TensorGraph, TensorLowerConfig};
 use muir::mir::module::Module;
@@ -9,22 +10,48 @@ use muir::mir::parser::parse_module;
 use muir::mir::printer::print_module;
 use muir::workloads::{Class, REGISTRY};
 
-/// `(name, class, module)` for each unit, in pin-table order.
-pub fn units() -> Vec<(String, Class, Module)> {
+/// The text a unit starts from.
+pub enum Text {
+    /// `print_module` text.
+    Mir(String),
+    /// `TensorGraph::print` text.
+    Tensor(String),
+}
+
+/// `(name, class, text)` for each unit, in pin-table order.
+pub fn texts() -> Vec<(String, Class, Text)> {
     let mut out = Vec::new();
     for e in REGISTRY {
         let w = (e.build)();
-        let m =
-            parse_module(&print_module(&w.module)).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        out.push((w.name.to_string(), w.class, m));
+        out.push((
+            w.name.to_string(),
+            w.class,
+            Text::Mir(print_module(&w.module)),
+        ));
     }
     for k in 0..40u64 {
         let text = gen_graph(11 + k, 8).print();
-        let g = TensorGraph::parse(&text).unwrap_or_else(|e| panic!("GEN#{k}: {e}"));
-        let low = g
-            .lower(&TensorLowerConfig::default())
-            .unwrap_or_else(|e| panic!("GEN#{k}: {e}"));
-        out.push((format!("GEN#{k}"), Class::TensorGraph, low.module));
+        out.push((format!("GEN#{k}"), Class::TensorGraph, Text::Tensor(text)));
     }
     out
+}
+
+/// `(name, class, module)` for each unit, in pin-table order.
+pub fn units() -> Vec<(String, Class, Module)> {
+    texts()
+        .into_iter()
+        .map(|(name, class, text)| {
+            let m = match text {
+                Text::Mir(t) => parse_module(&t).unwrap_or_else(|e| panic!("{name}: {e}")),
+                Text::Tensor(t) => {
+                    TensorGraph::parse(&t)
+                        .unwrap_or_else(|e| panic!("{name}: {e}"))
+                        .lower(&TensorLowerConfig::default())
+                        .unwrap_or_else(|e| panic!("{name}: {e}"))
+                        .module
+                }
+            };
+            (name, class, m)
+        })
+        .collect()
 }
