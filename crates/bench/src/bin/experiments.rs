@@ -8,8 +8,7 @@
 //!     tensor <file>|--builtin <name>|--gate|
 //!     dse [--workload W]...|--all [--seed S] [--budget N] [--threads T]
 //!         [--out PATH] [--store DIR]|
-//!     serve [store-root]|store-stats [store-root]|store-campaign [root]|
-//!     metrics <workload> [outdir]|compile-stats|outcomes]
+//!     store-campaign [root]|metrics <workload> [outdir]|outcomes]
 //! ```
 //!
 //! A number is hex after `0x`, decimal when it is all digits, and hex
@@ -48,8 +47,7 @@ use muir_workloads::by_name;
 
 const USAGE: &str = "usage: experiments [all|fig1|table2|fig9|table3|fig11|fig12|fig15|\
                      fig16|fig17|fig18|table4|ablations|faults|--selftest|profile|\
-                     trace-schema|fuzz|tensor|dse|serve|store-stats|store-campaign|\
-                     metrics|compile-stats|outcomes]";
+                     trace-schema|fuzz|tensor|dse|store-campaign|metrics|outcomes]";
 const FUZZ_USAGE: &str = "usage: experiments fuzz <graphs|tensor|mir> [N] [--seed S]";
 const DSE_USAGE: &str = "usage: experiments dse [--workload W]... | --all [--seed S] \
                          [--budget N] [--threads T] [--out PATH] [--store DIR]";
@@ -119,7 +117,6 @@ fn main() {
         "trace-schema" => {
             trace_schema(&arg(0).unwrap_or_else(|| "scripts/trace_schema.json".to_string()))
         }
-        "compile-stats" => compile_stats(),
         "outcomes" => {
             for line in muir_bench::sched::outcome_lines() {
                 println!("{line}");
@@ -135,8 +132,6 @@ fn main() {
             metrics(&name, &outdir);
         }
         "dse" => dse_args(&rest),
-        "serve" => serve(&arg(0).unwrap_or_else(|| "target/store-serve".to_string())),
-        "store-stats" => store_stats(&arg(0).unwrap_or_else(|| "target/store-serve".to_string())),
         "store-campaign" => {
             store_campaign(&arg(0).unwrap_or_else(|| "target/store-campaign".to_string()))
         }
@@ -241,58 +236,6 @@ fn dse_args(rest: &[String]) {
     dse(&names, &params, str_after("--store").as_deref(), &out);
 }
 
-/// Per-workload sealing report plus the artifact-determinism gate:
-/// compile every workload twice (identical hash and artifact size), run
-/// a no-op pass pipeline (hash unchanged), and report lowering time,
-/// artifact size and micro-op stream footprint. `scripts/check.sh` runs
-/// this as a hard gate.
-fn compile_stats() {
-    use muir_core::compiled::CompiledAccel;
-    hdr("Compile stats: sealed-artifact lowering time / size / determinism");
-    println!(
-        "{:>10} | {:>12} {:>10} {:>9} {:>6} {:>9} | determinism",
-        "Bench", "hash", "lower_us", "size_KiB", "uops", "uop_KiB"
-    );
-    for w in workloads::all() {
-        let mut acc = baseline(&w);
-        let t0 = std::time::Instant::now();
-        let first = CompiledAccel::compile(&acc).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let lower_us = t0.elapsed().as_secs_f64() * 1e6;
-        // Gate 1: compile twice -> identical content hash and size.
-        let second = CompiledAccel::compile(&acc).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        assert_eq!(
-            (first.content_hash(), first.size_bytes()),
-            (second.content_hash(), second.size_bytes()),
-            "{}: recompile changed the artifact",
-            w.name
-        );
-        // Gate 2: a no-op pass pipeline leaves the hash unchanged.
-        PassManager::new()
-            .run(&mut acc)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        assert_eq!(
-            first.content_hash(),
-            muir_core::content_hash(&acc),
-            "{}: empty pipeline changed the content hash",
-            w.name
-        );
-        // The micro-op stream footprint: what the flat-dispatch engine
-        // actually walks per cycle, summed over every task in the artifact.
-        let uops: usize = first.tasks().iter().map(|t| t.uop_count()).sum();
-        let uop_bytes: usize = first.tasks().iter().map(|t| t.uop_bytes()).sum();
-        println!(
-            "{:>10} | {:012x} {:>10.1} {:>9.1} {:>6} {:>9.1} | ok",
-            w.name,
-            first.content_hash() & 0xffff_ffff_ffff,
-            lower_us,
-            first.size_bytes() as f64 / 1024.0,
-            uops,
-            uop_bytes as f64 / 1024.0
-        );
-    }
-    println!("\ndeterminism gates: OK (2x compile + no-op pipeline on all workloads)");
-}
-
 /// `dse [--workload W]...|--all [--seed S] [--budget N] [--threads T]
 /// [--out PATH] [--store DIR]`: the seeded design-space-exploration
 /// driver (ROADMAP item 3). Samples `budget` μopt configurations per
@@ -370,138 +313,6 @@ fn dse(names: &[String], params: &muir_bench::dse::DseParams, store: Option<&str
         Err(_) => {
             println!("report -> {out} (scripts/dse_schema.json not found; validation skipped)")
         }
-    }
-}
-
-/// `serve [store-root]`: the persistent-store determinism gate. Every
-/// workload is evaluated through a fresh [`muir_bench::service::EvalService`]
-/// three ways over the same on-disk store — cold (populate), warm (every
-/// job must be a store hit with zero simulation work), and post-fault (a
-/// seeded read-side bit flip: the corruption must surface typed, the job
-/// recompute, and the repaired slot serve warm again). Any end-state
-/// divergence or missed hit exits non-zero.
-fn serve(root: &str) {
-    use muir_bench::service::{EvalJob, EvalService, ServiceConfig};
-    use muir_store::{Store, StoreFaultClass, StoreFaultPlan};
-
-    hdr("Eval service: cold / warm / post-fault determinism over the workload suite");
-    let root = std::path::Path::new(root);
-    let _ = std::fs::remove_dir_all(root);
-    let open = || Store::open(root);
-
-    let mut jobs = 0u64;
-    let mut warm_hits = 0u64;
-    let mut fault_codes = 0u64;
-    let mut fail = false;
-    let mut cold_ms = 0.0f64;
-    let mut warm_ms = 0.0f64;
-    println!(
-        "{:>10} | {:>9} {:>9} {:>9} | warm  post-fault",
-        "Bench", "cycles", "cold_ms", "warm_ms"
-    );
-    for w in workloads::all() {
-        let acc = baseline(&w);
-        let comp = std::sync::Arc::new(muir_bench::sealed(&w, &acc));
-        let job = EvalJob {
-            cfg: muir_sim::SimConfig::default(),
-            args: vec![],
-            mem: w.fresh_memory(),
-        };
-        jobs += 1;
-
-        // Cold: populate the store.
-        let mut svc = EvalService::new(comp.clone(), Some(open()), ServiceConfig::default());
-        svc.submit(job.clone());
-        let t0 = std::time::Instant::now();
-        let cold = &svc.drain()[0];
-        let c_ms = t0.elapsed().as_secs_f64() * 1e3;
-        cold_ms += c_ms;
-        let truth = cold.end_state();
-        let cycles = cold.outcome.as_ref().map(|r| r.cycles).unwrap_or(0);
-
-        // Warm: a fresh service over the same store must not simulate.
-        let mut svc = EvalService::new(comp.clone(), Some(open()), ServiceConfig::default());
-        svc.submit(job.clone());
-        let t0 = std::time::Instant::now();
-        let warm = &svc.drain()[0];
-        let w_ms = t0.elapsed().as_secs_f64() * 1e3;
-        warm_ms += w_ms;
-        let warm_ok = warm.from_store && warm.attempts == 0 && warm.end_state() == truth;
-        warm_hits += u64::from(warm.from_store);
-
-        // Post-fault: a seeded read-side bit flip. The entry is detected
-        // corrupt (typed), quarantined, recomputed bit-identically, and
-        // re-published.
-        let plan = StoreFaultPlan::single(StoreFaultClass::BitFlipRead, 0x5e2e ^ jobs);
-        let mut svc = EvalService::new(
-            comp.clone(),
-            Some(Store::open_with_faults(root, plan)),
-            ServiceConfig::default(),
-        );
-        svc.submit(job.clone());
-        let post = &svc.drain()[0];
-        let typed = post.store_warnings.iter().any(|m| m.contains("E-STORE-"));
-        fault_codes += u64::from(typed);
-        let post_ok = !post.from_store && typed && post.end_state() == truth;
-
-        // Re-warm: the slot repaired by the post-fault recompute serves.
-        let mut svc = EvalService::new(comp, Some(open()), ServiceConfig::default());
-        svc.submit(job);
-        let rewarm = &svc.drain()[0];
-        let rewarm_ok = rewarm.from_store && rewarm.end_state() == truth;
-
-        let ok = warm_ok && post_ok && rewarm_ok;
-        fail |= !ok;
-        println!(
-            "{:>10} | {:>9} {:>9.2} {:>9.2} | {:>4}  {}",
-            w.name,
-            cycles,
-            c_ms,
-            w_ms,
-            if warm_ok { "hit" } else { "MISS" },
-            if post_ok && rewarm_ok {
-                "detected+recovered"
-            } else {
-                "FAILED"
-            }
-        );
-    }
-    println!(
-        "\n{jobs} jobs: warm hits {warm_hits}/{jobs}, post-fault typed errors {fault_codes}/{jobs}, \
-         cold {cold_ms:.1} ms -> warm {warm_ms:.1} ms ({:.1}x)",
-        cold_ms / warm_ms.max(1e-9)
-    );
-    store_stats(&root.display().to_string());
-    if fail || warm_hits != jobs || fault_codes != jobs {
-        eprintln!("FAIL: store determinism gate (see rows above)");
-        std::process::exit(1);
-    }
-    println!("store determinism gate: OK (cold == warm == post-fault on every workload)");
-}
-
-/// `store-stats [store-root]`: on-disk inventory of a persistent store.
-fn store_stats(root: &str) {
-    hdr(&format!("Store inventory: {root}"));
-    let root = std::path::Path::new(root);
-    if !root.exists() {
-        println!("(no store at this root)");
-        return;
-    }
-    let count = |sub: &str| -> (u64, u64) {
-        std::fs::read_dir(root.join(sub))
-            .map(|d| {
-                d.flatten()
-                    .filter_map(|e| e.metadata().ok().map(|m| m.len()))
-                    .fold((0, 0), |(n, b), len| (n + 1, b + len))
-            })
-            .unwrap_or((0, 0))
-    };
-    for sub in ["objects", "results", "quarantine", "tmp"] {
-        let (n, bytes) = count(sub);
-        println!(
-            "{sub:>11}: {n:>4} entries, {:>8.1} KiB",
-            bytes as f64 / 1024.0
-        );
     }
 }
 

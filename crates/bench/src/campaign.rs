@@ -38,17 +38,7 @@ pub enum Outcome {
     SilentCorruption,
 }
 
-impl Outcome {
-    /// Stable column label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Outcome::Masked => "masked",
-            Outcome::Detected => "detected",
-            Outcome::Hung => "hung",
-            Outcome::SilentCorruption => "silent-corruption",
-        }
-    }
-}
+impl Outcome {}
 
 /// One (workload, class, replica) cell of the campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,7 +72,7 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     /// Count of cases with `outcome` for `class`.
-    pub fn count(&self, class: FaultClass, outcome: Outcome) -> usize {
+    pub(crate) fn count(&self, class: FaultClass, outcome: Outcome) -> usize {
         self.cases
             .iter()
             .filter(|c| c.class == class && c.outcome == outcome)
@@ -91,7 +81,7 @@ impl CampaignReport {
 
     /// Cases where an injection happened at all (the denominator for
     /// coverage: a zero-injection run says nothing about detection).
-    pub fn injected_cases(&self, class: FaultClass) -> usize {
+    pub(crate) fn injected_cases(&self, class: FaultClass) -> usize {
         self.cases
             .iter()
             .filter(|c| c.class == class && c.injected > 0)

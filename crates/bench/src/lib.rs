@@ -128,12 +128,12 @@ pub fn best_stack(class: Class) -> PassManager {
 }
 
 /// Execution time in microseconds at the estimated FPGA clock.
-pub fn exec_time_us(cycles: u64, cost: &CostEstimate) -> f64 {
+pub(crate) fn exec_time_us(cycles: u64, cost: &CostEstimate) -> f64 {
     cycles as f64 / cost.fmax_mhz
 }
 
 /// μIR execution time (µs) of a sealed accelerator on the FPGA clock.
-pub fn uir_time_us(comp: &CompiledAccel, cycles: u64) -> f64 {
+pub(crate) fn uir_time_us(comp: &CompiledAccel, cycles: u64) -> f64 {
     exec_time_us(cycles, &estimate(comp, Tech::FpgaArria10))
 }
 

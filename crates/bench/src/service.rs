@@ -226,11 +226,6 @@ impl EvalService {
         self.store.as_ref().map(Store::stats).unwrap_or_default()
     }
 
-    /// The artifact this service evaluates.
-    pub fn artifact(&self) -> &CompiledAccel {
-        &self.comp
-    }
-
     /// Evaluate every pending job and return outcomes in submission
     /// order. Identical jobs coalesce; results come from the store when
     /// possible, from one batched simulation otherwise; completed

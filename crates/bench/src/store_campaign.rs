@@ -52,7 +52,7 @@ pub struct StoreCampaignRow {
 
 impl StoreCampaignRow {
     /// Whether this cell met the full contract.
-    pub fn pass(&self) -> bool {
+    pub(crate) fn pass(&self) -> bool {
         self.code_ok && self.end_state_ok && self.warm_ok
     }
 }

@@ -11,7 +11,7 @@ use muir_store::{StoreFaultCounts, StoreStats};
 
 /// Chrome-trace process id of the service span track (task tracks use
 /// the task index, memory tracks `MEM_PID_BASE +`, so 2000 is clear).
-pub const SERVICE_PID: u32 = 2000;
+pub(crate) const SERVICE_PID: u32 = 2000;
 
 /// Merge the telemetry span log with one simulated workload's PR-2 trace
 /// into a single Chrome/Perfetto JSON document: service-level spans

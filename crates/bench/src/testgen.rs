@@ -150,7 +150,7 @@ impl GenCase {
     }
 
     /// A fresh memory image with the case's inputs applied.
-    pub fn fresh_memory(&self) -> Memory {
+    pub(crate) fn fresh_memory(&self) -> Memory {
         let mut mem = Memory::from_module(&self.module);
         mem.init_i64(self.init.0, &self.init.1);
         mem
@@ -303,7 +303,7 @@ fn check_sealed(
 ///
 /// # Errors
 /// The first divergence, naming the case and the leg.
-pub fn check_case(case: &GenCase) -> Result<(), String> {
+pub(crate) fn check_case(case: &GenCase) -> Result<(), String> {
     let mut want = case.fresh_memory();
     Interp::new(&case.module)
         .run_main(&mut want, &[])
@@ -338,7 +338,7 @@ pub struct TensorCase {
 
 impl TensorCase {
     /// Fresh memory with the case's inputs loaded.
-    pub fn fresh_memory(&self) -> Memory {
+    pub(crate) fn fresh_memory(&self) -> Memory {
         let mut mem = Memory::from_module(&self.lowered.module);
         for (obj, data) in &self.inits {
             mem.init_f32(*obj, data);
@@ -401,7 +401,7 @@ pub fn gen_tensor_case(seed: u64, size: u8) -> TensorCase {
 ///
 /// # Errors
 /// The first divergence, naming the case and the leg.
-pub fn check_tensor_case(case: &TensorCase) -> Result<(), String> {
+pub(crate) fn check_tensor_case(case: &TensorCase) -> Result<(), String> {
     // Layer 1: graph evaluator vs lowered-module interpreter.
     let inputs: Vec<Vec<f32>> = case.inits.iter().map(|(_, d)| d.clone()).collect();
     let evaluated = case
@@ -439,7 +439,7 @@ pub fn check_tensor_case(case: &TensorCase) -> Result<(), String> {
 
 /// The 24 registry modules as `print_module` text: the corpus the mir
 /// line-mutation fuzzer mutates, printed once per process.
-pub fn registry_texts() -> &'static [String] {
+pub(crate) fn registry_texts() -> &'static [String] {
     static TEXTS: OnceLock<Vec<String>> = OnceLock::new();
     TEXTS.get_or_init(|| {
         muir_workloads::REGISTRY
@@ -453,7 +453,7 @@ pub fn registry_texts() -> &'static [String] {
 /// corpus text — delete, swap or duplicate a line, rewrite one digit, or
 /// swap two whitespace-separated tokens within a line. Returns the mutated
 /// text and a one-line description of the edit.
-pub fn mutate_mir_text(texts: &[String], seed0: u64, i: u64) -> (String, String) {
+pub(crate) fn mutate_mir_text(texts: &[String], seed0: u64, i: u64) -> (String, String) {
     let mut rng = SplitMix64::salted(seed0 ^ 0x006d_6972, i);
     let k = rng.below(texts.len() as u64) as usize;
     let mut lines: Vec<String> = texts[k].lines().map(str::to_string).collect();

@@ -40,7 +40,8 @@ fn temp_root(tag: &str) -> PathBuf {
 
 /// What a telemetry toggle must not move, for one workload.
 struct Fingerprint {
-    /// `(cycles, end-state hash)` of every cold, then every warm outcome.
+    /// `(cycles, end-state hash)` of every cold, then every warm outcome,
+    /// then the post-fault and re-warm ones.
     runs: Vec<(u64, u64)>,
     /// The traced runs' serialized Chrome JSON.
     traces: Vec<String>,
@@ -51,8 +52,12 @@ struct Fingerprint {
 /// One leg of the guard: seal `w`'s baseline, drain a fresh store at
 /// `root` cold with a Dense, a Ready and a traced job, then drain a second
 /// service over the same store warm with the two memoizable ones (a
-/// traced job never reads the store). Each service's stats go through
-/// the bridge (a no-op while telemetry is off).
+/// traced job never reads the store): each must be a store hit with no
+/// simulation attempt. Then the Ready job goes through a store that flips
+/// a bit on read, which must surface an `E-STORE-*` warning and recompute
+/// the same end state, and through a plain store again, which must hit.
+/// Each service's stats go through the bridge (a no-op while telemetry
+/// is off).
 fn leg(w: &Workload, root: &Path) -> Fingerprint {
     let _ = std::fs::remove_dir_all(root);
     let comp =
@@ -85,11 +90,50 @@ fn leg(w: &Workload, root: &Path) -> Fingerprint {
                 .outcome
                 .as_ref()
                 .unwrap_or_else(|e| panic!("{} {temperature}: {e}", w.name));
+            assert!(
+                temperature == "cold" || (out.from_store && out.attempts == 0),
+                "{}: a warm job simulated (from_store {}, attempts {})",
+                w.name,
+                out.from_store,
+                out.attempts
+            );
             runs.push((r.cycles, out.end_state()));
             if let Some(t) = &r.trace {
                 traces.push(t.to_chrome_json());
             }
         }
+        record_stats(Some(&svc.store_stats()), Some(&svc.stats()));
+    }
+    assert_eq!(runs[3..], runs[..2], "{}: warm differs from cold", w.name);
+    let faulted = StoreFaultPlan::single(StoreFaultClass::BitFlipRead, 0x5e2e);
+    for pass in ["post-fault", "re-warm"] {
+        let store = match pass {
+            "post-fault" => Store::open_with_faults(root, faulted.clone()),
+            _ => Store::open(root),
+        };
+        let mut svc = EvalService::new(comp.clone(), Some(store), ServiceConfig::default());
+        svc.submit(jobs[1].clone());
+        let out = &svc.drain()[0];
+        let r = out
+            .outcome
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{} {pass}: {e}", w.name));
+        let typed = out.store_warnings.iter().any(|m| m.contains("E-STORE-"));
+        let (want_hit, want_warning) = (pass == "re-warm", pass == "post-fault");
+        assert!(
+            out.from_store == want_hit && typed == want_warning,
+            "{} {pass}: from_store {}, warnings {:?}",
+            w.name,
+            out.from_store,
+            out.store_warnings
+        );
+        assert_eq!(
+            (r.cycles, out.end_state()),
+            runs[1],
+            "{} {pass}: end state differs from cold",
+            w.name
+        );
+        runs.push((r.cycles, out.end_state()));
         record_stats(Some(&svc.store_stats()), Some(&svc.stats()));
     }
     let mut entries: Vec<(String, Vec<u8>)> = std::fs::read_dir(root.join("results"))

@@ -253,13 +253,6 @@ impl Accelerator {
         self.structure_ids()
             .find(|&s| self.structure(s).serves(obj))
     }
-
-    /// The `<||>` connection between `parent` and `child`, mutably.
-    pub fn task_conn_mut(&mut self, parent: TaskId, child: TaskId) -> Option<&mut TaskConnection> {
-        self.task_conns
-            .iter_mut()
-            .find(|c| c.parent == parent && c.child == child)
-    }
 }
 
 #[cfg(test)]
@@ -308,9 +301,11 @@ mod tests {
         let a = acc.add_task(TaskBlock::new("a", TaskKind::Region));
         let b = acc.add_task(TaskBlock::new("b", TaskKind::Region));
         acc.connect_tasks(a, b, 1);
-        acc.task_conn_mut(a, b).unwrap().queue_depth = 8;
+        let conn = acc.task_conns.iter_mut().find(|c| c.child == b).unwrap();
+        conn.queue_depth = 8;
         assert_eq!(acc.task_conns[0].queue_depth, 8);
-        assert!(acc.task_conn_mut(b, a).is_none());
+        assert_eq!(acc.parent(b), Some(a));
+        assert_eq!(acc.parent(a), None);
     }
 
     #[test]

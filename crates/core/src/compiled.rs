@@ -368,8 +368,8 @@ impl CompiledTask {
     }
 
     /// Heap footprint of the micro-op stream and its side tables, in
-    /// bytes (the `compile-stats` per-task column).
-    pub fn uop_bytes(&self) -> usize {
+    /// bytes.
+    pub(crate) fn uop_bytes(&self) -> usize {
         self.uops.len() * size_of::<MicroOp>()
             + self.in_slots.len() * size_of::<u32>()
             + self.edge_refs.len() * size_of::<u32>()

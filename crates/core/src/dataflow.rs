@@ -223,12 +223,6 @@ impl Dataflow {
             .collect()
     }
 
-    /// The single `Output` node, if present.
-    pub fn output_node(&self) -> Option<NodeId> {
-        self.node_ids()
-            .find(|&id| matches!(self.node(id).kind, NodeKind::Output))
-    }
-
     /// The `IndVar` node, if present (loop tasks).
     pub fn indvar_node(&self) -> Option<NodeId> {
         self.node_ids()
@@ -248,11 +242,9 @@ impl Dataflow {
 
 /// CSR (compressed sparse row) adjacency over a [`Dataflow`]'s edges.
 ///
-/// Replaces the old `Vec<&Edge>`-allocating `in_edges`/`out_edges`/
-/// `fanout` linear scans: one O(nodes + edges) build, then every
-/// adjacency query is an O(1) slice and every edge visit an index
-/// lookup. Incoming rows are sorted by `(dst_port, edge index)` —
-/// the input-port order the old accessor guaranteed (order edges carry
+/// One O(nodes + edges) build, then every adjacency query is an O(1)
+/// slice and every edge visit an index lookup. Incoming rows are sorted
+/// by `(dst_port, edge index)`, input-port order (order edges carry
 /// `dst_port == u16::MAX`, so they sort last); outgoing rows are in
 /// edge-arena order.
 ///
@@ -268,7 +260,7 @@ pub struct EdgeIndex {
 
 impl EdgeIndex {
     /// Build the CSR tables for `df`.
-    pub fn build(df: &Dataflow) -> EdgeIndex {
+    pub(crate) fn build(df: &Dataflow) -> EdgeIndex {
         let mut idx = EdgeIndex::default();
         idx.rebuild(df);
         idx
@@ -317,7 +309,7 @@ impl EdgeIndex {
 
     /// Indices (into `Dataflow::edges`) of `id`'s incoming edges, sorted
     /// by destination port.
-    pub fn ins(&self, id: NodeId) -> &[u32] {
+    pub(crate) fn ins(&self, id: NodeId) -> &[u32] {
         let i = id.0 as usize;
         &self.in_idx[self.in_off[i] as usize..self.in_off[i + 1] as usize]
     }
@@ -328,30 +320,18 @@ impl EdgeIndex {
         &self.out_idx[self.out_off[i] as usize..self.out_off[i + 1] as usize]
     }
 
-    /// Incoming edges of `id` in input-port order, without allocating.
-    pub fn in_edges<'d>(&'d self, df: &'d Dataflow, id: NodeId) -> impl Iterator<Item = &'d Edge> {
-        self.ins(id).iter().map(move |&ei| &df.edges[ei as usize])
-    }
-
     /// Outgoing edges of `id`, without allocating.
-    pub fn out_edges<'d>(&'d self, df: &'d Dataflow, id: NodeId) -> impl Iterator<Item = &'d Edge> {
+    pub(crate) fn out_edges<'d>(
+        &'d self,
+        df: &'d Dataflow,
+        id: NodeId,
+    ) -> impl Iterator<Item = &'d Edge> {
         self.outs(id).iter().map(move |&ei| &df.edges[ei as usize])
     }
 
     /// Number of consumers of `id`'s outputs — O(1) from the offsets.
     pub fn fanout(&self, id: NodeId) -> usize {
         self.outs(id).len()
-    }
-
-    /// Number of edges feeding `id` — O(1) from the offsets.
-    pub fn fanin(&self, id: NodeId) -> usize {
-        self.ins(id).len()
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn size_bytes(&self) -> usize {
-        (self.in_off.len() + self.in_idx.len() + self.out_off.len() + self.out_idx.len())
-            * size_of::<u32>()
     }
 }
 
@@ -435,9 +415,8 @@ mod tests {
         assert_eq!(df.nodes.len(), 4);
         assert_eq!(df.edges.len(), 3);
         let idx = df.edge_index();
-        assert_eq!(idx.fanin(add), 2);
+        assert_eq!(idx.ins(add).len(), 2);
         assert_eq!(idx.fanout(add), 1);
-        assert_eq!(df.output_node(), Some(out));
         assert!(df.indvar_node().is_none());
         assert!(df.mem_nodes().is_empty());
     }
@@ -456,7 +435,11 @@ mod tests {
         df.connect(b, 0, add, 1);
         df.connect(a, 0, add, 0);
         let idx = df.edge_index();
-        let ins: Vec<&Edge> = idx.in_edges(&df, add).collect();
+        let ins: Vec<&Edge> = idx
+            .ins(add)
+            .iter()
+            .map(|&e| &df.edges[e as usize])
+            .collect();
         assert_eq!(ins[0].dst_port, 0);
         assert_eq!(ins[1].dst_port, 1);
         // The CSR rows point at the right arena slots.

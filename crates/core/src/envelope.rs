@@ -33,7 +33,7 @@ use crate::compiled::ContentHasher;
 use std::fmt;
 
 /// The eight magic bytes opening every envelope.
-pub const MAGIC: [u8; 8] = *b"MUIRSTOR";
+pub(crate) const MAGIC: [u8; 8] = *b"MUIRSTOR";
 
 /// The current envelope format revision. Bump on any layout or payload
 /// codec change; readers reject other versions typed, not by crashing.
@@ -53,7 +53,7 @@ pub enum PayloadKind {
 
 impl PayloadKind {
     /// The on-disk tag.
-    pub fn tag(self) -> u32 {
+    pub(crate) fn tag(self) -> u32 {
         match self {
             PayloadKind::Artifact => 1,
             PayloadKind::SimResult => 2,
@@ -61,7 +61,7 @@ impl PayloadKind {
     }
 
     /// Decode a tag.
-    pub fn from_tag(tag: u32) -> Option<PayloadKind> {
+    pub(crate) fn from_tag(tag: u32) -> Option<PayloadKind> {
         match tag {
             1 => Some(PayloadKind::Artifact),
             2 => Some(PayloadKind::SimResult),
@@ -92,7 +92,7 @@ pub enum EnvelopeError {
         /// Bytes actually present.
         found: usize,
     },
-    /// The first eight bytes are not [`MAGIC`] — not an envelope at all.
+    /// The first eight bytes are not `MAGIC` — not an envelope at all.
     BadMagic {
         /// The bytes found (zero-padded if the file was shorter).
         found: [u8; 8],
@@ -148,7 +148,7 @@ impl std::error::Error for EnvelopeError {}
 /// splitmix64 fold checksum of a payload (the same primitive as the
 /// artifact content hash, so "same bytes" means the same thing
 /// everywhere).
-pub fn checksum(payload: &[u8]) -> u64 {
+pub(crate) fn checksum(payload: &[u8]) -> u64 {
     let mut h = ContentHasher::new();
     h.push(payload);
     h.finish()

@@ -21,7 +21,7 @@ pub struct Timing {
 
 impl Timing {
     /// A fully pipelined unit of the given depth.
-    pub fn pipelined(latency: u32) -> Timing {
+    pub(crate) fn pipelined(latency: u32) -> Timing {
         Timing {
             latency: latency.max(1),
             ii: 1,

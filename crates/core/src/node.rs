@@ -44,7 +44,7 @@ impl OpKind {
     }
 
     /// Mnemonic for printing and RTL emission (the [`fmt::Display`] text).
-    pub fn mnemonic(self) -> String {
+    pub(crate) fn mnemonic(self) -> String {
         self.to_string()
     }
 }
@@ -182,7 +182,7 @@ pub enum NodeKind {
 
 impl NodeKind {
     /// Short kind tag (used by dot dumps and stats).
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             NodeKind::Input { .. } => "input",
             NodeKind::IndVar => "indvar",
@@ -199,7 +199,7 @@ impl NodeKind {
     }
 
     /// Whether this node is a memory transit point.
-    pub fn is_mem(&self) -> bool {
+    pub(crate) fn is_mem(&self) -> bool {
         matches!(self, NodeKind::Load { .. } | NodeKind::Store { .. })
     }
 }
@@ -258,7 +258,7 @@ impl Name {
     }
 
     /// The name as a `str`.
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         match &self.0 {
             Repr::Inline(i) => {
                 std::str::from_utf8(&i.bytes[..usize::from(i.len)]).expect("whole strs only")
@@ -336,7 +336,7 @@ impl Node {
 
     /// Number of input ports this node exposes, given `task_arity` lookup
     /// for task calls (pass 0 if unknown).
-    pub fn input_arity(&self, callee_args: usize) -> usize {
+    pub(crate) fn input_arity(&self, callee_args: usize) -> usize {
         match &self.kind {
             NodeKind::Input { .. } | NodeKind::IndVar | NodeKind::Const(_) => 0,
             NodeKind::Compute(op) => op.arity(),

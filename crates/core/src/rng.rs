@@ -1,6 +1,6 @@
 //! Deterministic pseudo-randomness shared across the workspace.
 //!
-//! Both the simulator's fault injection and the tracer's event sampling
+//! The simulator's and the store's fault injection and the DSE sampler
 //! need the same properties: a tiny, seedable generator whose streams are
 //! reproducible run-to-run and cheaply decorrelated per domain via a salt.
 //! splitmix64 (Steele et al., "Fast splittable pseudorandom number

@@ -6,7 +6,6 @@
 use crate::accel::Accelerator;
 use crate::dataflow::{Dataflow, EdgeKind};
 use crate::hw::{self, BASELINE_PERIOD_NS};
-use crate::node::NodeKind;
 
 /// Size statistics of a μIR graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,53 +101,55 @@ fn depth_of(
     d
 }
 
-/// Count of μIR nodes whose values feed an `Output` node transitively —
-/// used by simplification sanity checks.
-pub fn live_node_count(df: &Dataflow) -> usize {
-    let Some(out) = df.output_node() else {
-        return 0;
-    };
-    let idx = df.edge_index();
-    let mut seen = vec![false; df.nodes.len()];
-    let mut work = vec![out];
-    while let Some(n) = work.pop() {
-        if seen[n.0 as usize] {
-            continue;
-        }
-        seen[n.0 as usize] = true;
-        for e in idx.in_edges(df, n) {
-            work.push(e.src);
-        }
-    }
-    // Stores and task calls are live by side effect.
-    for id in df.node_ids() {
-        if matches!(
-            df.node(id).kind,
-            NodeKind::Store { .. } | NodeKind::TaskCall { .. }
-        ) && !seen[id.0 as usize]
-        {
-            seen[id.0 as usize] = true;
-            let mut work = vec![id];
-            while let Some(n) = work.pop() {
-                for e in idx.in_edges(df, n) {
-                    if !seen[e.src.0 as usize] {
-                        seen[e.src.0 as usize] = true;
-                        work.push(e.src);
-                    }
-                }
-            }
-        }
-    }
-    seen.iter().filter(|&&s| s).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::accel::{TaskBlock, TaskKind};
-    use crate::node::{Node, OpKind};
+    use crate::node::{Node, NodeKind, OpKind};
     use muir_mir::instr::{BinOp, ConstVal};
     use muir_mir::types::Type;
+
+    /// Count of μIR nodes whose values feed an `Output` node transitively.
+    fn live_node_count(df: &Dataflow) -> usize {
+        let out = df
+            .node_ids()
+            .find(|&id| matches!(df.node(id).kind, NodeKind::Output));
+        let Some(out) = out else {
+            return 0;
+        };
+        let idx = df.edge_index();
+        let mut seen = vec![false; df.nodes.len()];
+        let mut work = vec![out];
+        while let Some(n) = work.pop() {
+            if seen[n.0 as usize] {
+                continue;
+            }
+            seen[n.0 as usize] = true;
+            for e in idx.ins(n).iter().map(|&e| &df.edges[e as usize]) {
+                work.push(e.src);
+            }
+        }
+        // Stores and task calls are live by side effect.
+        for id in df.node_ids() {
+            if matches!(
+                df.node(id).kind,
+                NodeKind::Store { .. } | NodeKind::TaskCall { .. }
+            ) && !seen[id.0 as usize]
+            {
+                seen[id.0 as usize] = true;
+                let mut work = vec![id];
+                while let Some(n) = work.pop() {
+                    for e in idx.ins(n).iter().map(|&e| &df.edges[e as usize]) {
+                        if !seen[e.src.0 as usize] {
+                            seen[e.src.0 as usize] = true;
+                            work.push(e.src);
+                        }
+                    }
+                }
+            }
+        }
+        seen.iter().filter(|&&s| s).count()
+    }
 
     fn chain_df(len: usize) -> Dataflow {
         let mut df = Dataflow::new();

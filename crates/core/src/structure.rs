@@ -58,23 +58,8 @@ pub enum StructureKind {
 }
 
 impl StructureKind {
-    /// Total element-access throughput per cycle (port bound).
-    pub fn ports_per_cycle(&self) -> u32 {
-        match self {
-            StructureKind::Scratchpad {
-                banks,
-                ports_per_bank,
-                ..
-            } => banks * ports_per_bank,
-            StructureKind::Cache { banks, .. } => *banks,
-            StructureKind::Dram {
-                elems_per_cycle, ..
-            } => *elems_per_cycle,
-        }
-    }
-
     /// Short tag for printing.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             StructureKind::Scratchpad { .. } => "scratchpad",
             StructureKind::Cache { .. } => "cache",
@@ -147,7 +132,7 @@ impl Structure {
     }
 
     /// Whether this structure serves `obj`.
-    pub fn serves(&self, obj: MemObjId) -> bool {
+    pub(crate) fn serves(&self, obj: MemObjId) -> bool {
         self.objects.contains(&obj)
     }
 }
@@ -160,7 +145,14 @@ mod tests {
     fn scratchpad_defaults() {
         let s = Structure::scratchpad("spad", 1024);
         assert_eq!(s.kind.tag(), "scratchpad");
-        assert_eq!(s.kind.ports_per_cycle(), 2);
+        assert!(matches!(
+            s.kind,
+            StructureKind::Scratchpad {
+                banks: 1,
+                ports_per_bank: 2,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -179,7 +171,6 @@ mod tests {
             }
             _ => panic!("not a cache"),
         }
-        assert_eq!(c.kind.ports_per_cycle(), 1);
     }
 
     #[test]
@@ -196,7 +187,13 @@ mod tests {
     #[test]
     fn dram_port_throughput() {
         let d = Structure::dram("axi");
-        assert_eq!(d.kind.ports_per_cycle(), 8);
+        assert!(matches!(
+            d.kind,
+            StructureKind::Dram {
+                elems_per_cycle: 8,
+                ..
+            }
+        ));
         assert_eq!(d.kind.tag(), "dram");
     }
 }

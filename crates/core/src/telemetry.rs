@@ -301,7 +301,7 @@ pub struct Snapshot {
 }
 
 /// Schema version of the JSON snapshot exposition.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub(crate) const SNAPSHOT_VERSION: u64 = 1;
 
 /// Freeze the registry into a [`Snapshot`].
 pub fn snapshot() -> Snapshot {

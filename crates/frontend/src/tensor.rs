@@ -50,8 +50,6 @@
 //! buffer entirely (the tile- or scalar-level ReLU rides the producer's
 //! store).
 
-use crate::{translate, FrontendConfig, FrontendError};
-use muir_core::accel::Accelerator;
 use muir_core::ContentHasher;
 use muir_mir::builder::FunctionBuilder;
 use muir_mir::instr::{MemObjId, TensorOp, ValueRef};
@@ -61,11 +59,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Widest row strip the databox fetches in one request (elements).
-pub const MAX_TILE: usize = 8;
+pub(crate) const MAX_TILE: usize = 8;
 
 /// Largest tensor dimension the front door accepts. Keeps lowered
 /// memory objects within the simulator's comfortable range.
-pub const MAX_DIM: usize = 64;
+pub(crate) const MAX_DIM: usize = 64;
 
 /// Typed failure codes, stable for tooling (`E-TENSOR-*`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +86,7 @@ pub enum TensorCode {
 
 impl TensorCode {
     /// The stable error-code string.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             TensorCode::Parse => "E-TENSOR-PARSE",
             TensorCode::Undef => "E-TENSOR-UNDEF",
@@ -199,7 +197,7 @@ impl GraphOp {
     }
 
     /// Operand count.
-    pub fn arity(self) -> usize {
+    pub(crate) fn arity(self) -> usize {
         match self {
             GraphOp::MatMul | GraphOp::Conv | GraphOp::Add | GraphOp::Mul => 2,
             GraphOp::Relu | GraphOp::Reduce | GraphOp::Softmax => 1,
@@ -667,11 +665,6 @@ impl TensorGraph {
         h.finish()
     }
 
-    /// Node indices in dependency order (inputs-first schedule).
-    pub fn topo_order(&self) -> &[usize] {
-        &self.topo
-    }
-
     /// Evaluate the graph on f32 inputs (row-major, one slice per
     /// declared input) and return the output tensor, row-major.
     ///
@@ -819,7 +812,7 @@ impl TensorGraph {
     /// single-consumer `relu` folded into it (if any). A `relu` is
     /// foldable when its operand is a non-relu *node* (not an input, not
     /// the graph output) with exactly one use.
-    pub fn fusion_plan(&self) -> BTreeMap<usize, usize> {
+    pub(crate) fn fusion_plan(&self) -> BTreeMap<usize, usize> {
         let mut uses = vec![0usize; self.nodes.len()];
         for n in &self.nodes {
             for a in &n.args {
@@ -962,53 +955,6 @@ impl TensorGraph {
             GraphRef::Input(i) => self.inputs[i].dims,
             GraphRef::Node(j) => self.nodes[j].dims,
         }
-    }
-
-    /// Lower, translate, and verify into an [`Accelerator`] in one step
-    /// (the tensor front door's equivalent of `translate`).
-    ///
-    /// # Errors
-    /// Lowering or frontend failures.
-    pub fn to_accelerator(
-        &self,
-        lcfg: &TensorLowerConfig,
-        fcfg: &FrontendConfig,
-    ) -> Result<(Accelerator, LoweredGraph), TensorGraphError> {
-        let lowered = self.lower(lcfg)?;
-        let acc = translate(&lowered.module, fcfg)?;
-        Ok((acc, lowered))
-    }
-}
-
-/// Either layer's failure, for the combined [`TensorGraph::to_accelerator`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TensorGraphError {
-    /// Graph-level failure.
-    Tensor(TensorError),
-    /// μIR frontend failure on the lowered module.
-    Frontend(FrontendError),
-}
-
-impl fmt::Display for TensorGraphError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TensorGraphError::Tensor(e) => e.fmt(f),
-            TensorGraphError::Frontend(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for TensorGraphError {}
-
-impl From<TensorError> for TensorGraphError {
-    fn from(e: TensorError) -> Self {
-        TensorGraphError::Tensor(e)
-    }
-}
-
-impl From<FrontendError> for TensorGraphError {
-    fn from(e: FrontendError) -> Self {
-        TensorGraphError::Frontend(e)
     }
 }
 
@@ -1342,6 +1288,7 @@ pub fn gen_graph(seed: u64, size: usize) -> TensorGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{translate, FrontendConfig};
     use muir_mir::interp::{Interp, Memory};
 
     const ATTN: &str = "\
@@ -1577,9 +1524,8 @@ output %r
     #[test]
     fn lowered_graphs_translate_to_accelerators() {
         let g = TensorGraph::parse(ATTN).unwrap();
-        let (acc, low) = g
-            .to_accelerator(&TensorLowerConfig::default(), &FrontendConfig::default())
-            .unwrap();
+        let low = g.lower(&TensorLowerConfig::default()).unwrap();
+        let acc = translate(&low.module, &FrontendConfig::default()).unwrap();
         assert!(acc.tasks.len() > 1, "loop nests should cut tasks");
         assert_eq!(low.module.name, "attn");
     }

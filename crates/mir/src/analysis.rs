@@ -8,7 +8,6 @@
 //!   ([`Uses`]);
 //! * affine address forms and a conservative loop-carried memory dependence
 //!   test (drives pipeline initiation intervals in the simulator);
-//! * memory-group analysis (the paper's `LLVMPointsto` of Algorithm 2).
 //!
 //! A block id outside the function is never an index panic here: the
 //! tables leave out-of-range branch targets out, and a [`BlockSet`]
@@ -82,7 +81,7 @@ impl BlockSet {
     }
 
     /// Add `b`; whether it was newly added (never for an id out of range).
-    pub fn insert(&mut self, b: BlockId) -> bool {
+    pub(crate) fn insert(&mut self, b: BlockId) -> bool {
         let i = b.0 as usize;
         if i >= self.blocks {
             return false;
@@ -136,7 +135,7 @@ impl BlockSet {
 
 /// Reverse post-order of the CFG from the entry block. Unreachable blocks
 /// are omitted.
-pub fn reverse_post_order(f: &Function) -> Vec<BlockId> {
+pub(crate) fn reverse_post_order(f: &Function) -> Vec<BlockId> {
     let mut visited = BlockSet::empty(f.blocks.len());
     let mut post = Vec::new();
     if !visited.insert(f.entry) {
@@ -161,7 +160,7 @@ pub fn reverse_post_order(f: &Function) -> Vec<BlockId> {
 /// Immediate dominators, indexed by block, from the function's
 /// predecessor table. `idoms[entry] == entry`; unreachable blocks map to
 /// `None`.
-pub fn dominators(f: &Function, preds: &Preds) -> Vec<Option<BlockId>> {
+pub(crate) fn dominators(f: &Function, preds: &Preds) -> Vec<Option<BlockId>> {
     let mut idom: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
     let rpo = reverse_post_order(f);
     let Some(&entry) = rpo.first() else {
@@ -210,7 +209,7 @@ fn intersect(idom: &[Option<BlockId>], order: &[usize], mut a: BlockId, mut b: B
 }
 
 /// Whether `a` dominates `b`.
-pub fn dominates(idom: &[Option<BlockId>], a: BlockId, b: BlockId) -> bool {
+pub(crate) fn dominates(idom: &[Option<BlockId>], a: BlockId, b: BlockId) -> bool {
     let mut cur = b;
     loop {
         if cur == a {
@@ -365,7 +364,7 @@ impl Uses {
     }
 
     /// The blocks reading `d`'s result; empty for an id out of range.
-    pub fn of(&self, d: InstrId) -> &[BlockId] {
+    pub(crate) fn of(&self, d: InstrId) -> &[BlockId] {
         self.uses.of(d.0 as usize)
     }
 }
@@ -488,7 +487,7 @@ impl Affine {
     }
 
     /// The pure-constant value, if this form is a constant.
-    pub fn as_const(&self) -> Option<i64> {
+    pub(crate) fn as_const(&self) -> Option<i64> {
         match self {
             Affine::Affine {
                 scale: 0,
@@ -607,16 +606,9 @@ pub fn expand_with_detach(f: &Function, base: BlockSet) -> BlockSet {
 /// is zero or not a multiple of the scale (accesses in different iterations
 /// never collide). The scan covers the loop's detach regions (spawned
 /// bodies execute on the iteration's behalf); function calls inside the
-/// loop are handled by [`loop_dependence_in`], which knows the module. A
-/// `parallel_hints` entry on the header overrides the test, as does a loop
-/// with no stores.
-pub fn loop_dependence(f: &Function, lp: &NaturalLoop) -> LoopDep {
-    loop_dependence_impl(f, lp, None)
-}
-
-/// [`loop_dependence`] with module context: calls inside the loop
-/// contribute their callee's (transitive) memory footprint as opaque
-/// accesses.
+/// loop contribute their callee's (transitive) memory footprint, looked up
+/// in `m`, as opaque accesses. A `parallel_hints` entry on the header
+/// overrides the test, as does a loop with no stores.
 pub fn loop_dependence_in(m: &crate::module::Module, f: &Function, lp: &NaturalLoop) -> LoopDep {
     loop_dependence_impl(f, lp, Some(m))
 }
@@ -757,21 +749,6 @@ fn may_collide_across_iterations(a: &Affine, b: &Affine) -> bool {
         }
         _ => true,
     }
-}
-
-/// Group every memory operation in a function by the object (address space)
-/// it accesses — the paper's Algorithm 2 *Analysis* step (`LLVMPointsto`).
-pub fn memory_groups(f: &Function) -> BTreeMap<MemObjId, Vec<InstrId>> {
-    let mut groups: BTreeMap<MemObjId, Vec<InstrId>> = BTreeMap::new();
-    for (i, instr) in f.instrs.iter().enumerate() {
-        match instr.op {
-            Op::Load { obj } | Op::Store { obj } => {
-                groups.entry(obj).or_default().push(InstrId(i as u32));
-            }
-            _ => {}
-        }
-    }
-    groups
 }
 
 #[cfg(test)]
@@ -1003,7 +980,7 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let loops = natural_loops(&f, &f.predecessors());
-        let dep = loop_dependence(&f, &loops[0]);
+        let dep = loop_dependence_in(&m, &f, &loops[0]);
         assert!(dep.parallel, "{dep:?}");
     }
 
@@ -1021,7 +998,7 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let loops = natural_loops(&f, &f.predecessors());
-        let dep = loop_dependence(&f, &loops[0]);
+        let dep = loop_dependence_in(&m, &f, &loops[0]);
         assert!(!dep.parallel);
         assert_eq!(dep.carried_objects, vec![a]);
     }
@@ -1040,7 +1017,7 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let loops = natural_loops(&f, &f.predecessors());
-        let dep = loop_dependence(&f, &loops[0]);
+        let dep = loop_dependence_in(&m, &f, &loops[0]);
         assert!(!dep.parallel);
     }
 
@@ -1057,8 +1034,21 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let loops = natural_loops(&f, &f.predecessors());
-        let dep = loop_dependence(&f, &loops[0]);
+        let dep = loop_dependence_in(&m, &f, &loops[0]);
         assert!(dep.parallel);
+    }
+
+    /// Every memory operation of `f` grouped by the object (address space)
+    /// it accesses: the paper's `LLVMPointsto` (Algorithm 2), a field
+    /// lookup here because each object is its own address space.
+    fn memory_groups(f: &Function) -> BTreeMap<MemObjId, Vec<InstrId>> {
+        let mut groups: BTreeMap<MemObjId, Vec<InstrId>> = BTreeMap::new();
+        for (i, instr) in f.instrs.iter().enumerate() {
+            if let Op::Load { obj } | Op::Store { obj } = instr.op {
+                groups.entry(obj).or_default().push(InstrId(i as u32));
+            }
+        }
+        groups
     }
 
     #[test]

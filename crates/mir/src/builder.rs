@@ -83,11 +83,6 @@ impl FunctionBuilder {
         self.cur = b;
     }
 
-    /// The currently selected block.
-    pub fn current(&self) -> BlockId {
-        self.cur
-    }
-
     /// Append a raw instruction to the current block and return a reference
     /// to its result.
     pub fn push(&mut self, op: Op, ty: Option<Type>, operands: Vec<ValueRef>) -> ValueRef {
@@ -117,7 +112,7 @@ impl FunctionBuilder {
     }
 
     /// Emit a binary op; the result type is inferred from the operands.
-    pub fn bin(&mut self, op: BinOp, a: ValueRef, b: ValueRef) -> ValueRef {
+    pub(crate) fn bin(&mut self, op: BinOp, a: ValueRef, b: ValueRef) -> ValueRef {
         let ty = self.bin_ty(op, a, b);
         self.push(Op::Bin(op), Some(ty), vec![a, b])
     }
@@ -158,10 +153,6 @@ impl FunctionBuilder {
     pub fn shl(&mut self, a: ValueRef, b: ValueRef) -> ValueRef {
         self.bin(BinOp::Shl, a, b)
     }
-    /// Logical shift right.
-    pub fn lshr(&mut self, a: ValueRef, b: ValueRef) -> ValueRef {
-        self.bin(BinOp::LShr, a, b)
-    }
     /// Arithmetic shift right.
     pub fn ashr(&mut self, a: ValueRef, b: ValueRef) -> ValueRef {
         self.bin(BinOp::AShr, a, b)
@@ -184,21 +175,13 @@ impl FunctionBuilder {
     }
 
     /// Unary math op.
-    pub fn un(&mut self, op: UnOp, a: ValueRef) -> ValueRef {
+    pub(crate) fn un(&mut self, op: UnOp, a: ValueRef) -> ValueRef {
         let ty = self.infer(a).unwrap_or(Type::F32);
         self.push(Op::Un(op), Some(ty), vec![a])
-    }
-    /// Float negation.
-    pub fn fneg(&mut self, a: ValueRef) -> ValueRef {
-        self.un(UnOp::FNeg, a)
     }
     /// e^x.
     pub fn exp(&mut self, a: ValueRef) -> ValueRef {
         self.un(UnOp::Exp, a)
-    }
-    /// Square root.
-    pub fn sqrt(&mut self, a: ValueRef) -> ValueRef {
-        self.un(UnOp::Sqrt, a)
     }
     /// Scalar ReLU.
     pub fn relu(&mut self, a: ValueRef) -> ValueRef {
@@ -331,17 +314,17 @@ impl FunctionBuilder {
     }
 
     /// Tapir detach terminator.
-    pub fn detach(&mut self, body: BlockId, cont: BlockId) {
+    pub(crate) fn detach(&mut self, body: BlockId, cont: BlockId) {
         self.push(Op::Detach { body, cont }, None, vec![]);
     }
 
     /// Tapir reattach terminator.
-    pub fn reattach(&mut self, cont: BlockId) {
+    pub(crate) fn reattach(&mut self, cont: BlockId) {
         self.push(Op::Reattach { cont }, None, vec![]);
     }
 
     /// Tapir sync terminator.
-    pub fn sync(&mut self, cont: BlockId) {
+    pub(crate) fn sync(&mut self, cont: BlockId) {
         self.push(Op::Sync { cont }, None, vec![]);
     }
 

@@ -243,7 +243,7 @@ impl Word {
     /// # Errors
     /// The value is poison, a float or a composite.
     #[inline]
-    pub fn want_int(self) -> Result<i64, InterpError> {
+    pub(crate) fn want_int(self) -> Result<i64, InterpError> {
         self.as_int().ok_or_else(|| mistyped("integer", self))
     }
 
@@ -258,7 +258,7 @@ impl Word {
     /// # Errors
     /// The value is anything but a float.
     #[inline]
-    pub fn want_f32(self) -> Result<f32, InterpError> {
+    pub(crate) fn want_f32(self) -> Result<f32, InterpError> {
         self.as_f32().ok_or_else(|| mistyped("f32", self))
     }
 

@@ -206,7 +206,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Whether the op operates on floats.
-    pub fn is_float(self) -> bool {
+    pub(crate) fn is_float(self) -> bool {
         matches!(self, BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv)
     }
 
@@ -304,7 +304,7 @@ impl TensorOp {
     }
 
     /// Whether the op reduces its tile to a single scalar.
-    pub fn reduces_to_scalar(self) -> bool {
+    pub(crate) fn reduces_to_scalar(self) -> bool {
         matches!(self, TensorOp::Conv | TensorOp::Reduce)
     }
 }
@@ -394,7 +394,7 @@ pub enum Op {
 
 impl Op {
     /// Whether this op terminates a basic block.
-    pub fn is_terminator(&self) -> bool {
+    pub(crate) fn is_terminator(&self) -> bool {
         matches!(
             self,
             Op::Br { .. }
@@ -493,7 +493,7 @@ pub struct Instr {
 
 impl Instr {
     /// Whether this instruction terminates its block.
-    pub fn is_terminator(&self) -> bool {
+    pub(crate) fn is_terminator(&self) -> bool {
         self.op.is_terminator()
     }
 }

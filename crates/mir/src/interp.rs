@@ -84,7 +84,11 @@ pub fn eval_cmp(pred: CmpPred, a: &Value, b: &Value) -> Result<Value, InterpErro
 ///
 /// # Errors
 /// Shape mismatches; lanes of the wrong kind, or not all of one kind.
-pub fn eval_tensor(op: TensorOp, a: &Value, b: Option<&Value>) -> Result<Value, InterpError> {
+pub(crate) fn eval_tensor(
+    op: TensorOp,
+    a: &Value,
+    b: Option<&Value>,
+) -> Result<Value, InterpError> {
     let (mut buf, mut out) = (Vec::new(), Vec::new());
     let a = flat_word(a, &mut buf)?;
     let b = b.map(|b| flat_word(b, &mut buf)).transpose()?;
@@ -147,12 +151,6 @@ impl<'m, S: TraceSink> Interp<'m, S> {
         }
     }
 
-    /// Override the dynamic-operation budget.
-    pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.fuel = fuel;
-        self
-    }
-
     /// Recover the sink after execution.
     pub fn into_sink(self) -> S {
         self.sink
@@ -179,7 +177,7 @@ impl<'m, S: TraceSink> Interp<'m, S> {
     ///
     /// # Errors
     /// Same failure modes as [`Interp::run_main`].
-    pub fn run_function(
+    pub(crate) fn run_function(
         &mut self,
         f: &Function,
         memory: &mut Memory,
@@ -429,7 +427,7 @@ fn classify_bin(op: BinOp) -> OpClass {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::trace::CountingSink;
+    use crate::trace::tests::CountingSink;
     use crate::types::{ScalarType, TensorShape, Type};
 
     #[test]
@@ -530,8 +528,7 @@ mod tests {
         let r = eval_tensor(TensorOp::MatMul, &a, Some(&b)).unwrap();
         match r {
             Value::Tensor { data, .. } => {
-                let got: Vec<f32> = data.iter().map(Value::as_f32).collect();
-                assert_eq!(got, vec![19.0, 22.0, 43.0, 50.0]);
+                assert_eq!(data, [19.0, 22.0, 43.0, 50.0].map(Value::F32));
             }
             other => panic!("{other:?}"),
         }
@@ -565,7 +562,11 @@ mod tests {
         let got = match r {
             Value::Tensor { shape, data } => {
                 assert_eq!(shape, TensorShape::new(1, 3));
-                data.iter().map(Value::as_f32).collect::<Vec<_>>()
+                let f32_of = |v: &Value| match v {
+                    Value::F32(x) => *x,
+                    other => panic!("{other:?}"),
+                };
+                data.iter().map(f32_of).collect::<Vec<_>>()
             }
             other => panic!("{other:?}"),
         };
@@ -626,10 +627,9 @@ mod tests {
         b.br(hdr);
         m.add_function(b.finish());
         let mut mem = Memory::from_module(&m);
-        let e = Interp::new(&m)
-            .with_fuel(1000)
-            .run_main(&mut mem, &[])
-            .unwrap_err();
+        let mut it = Interp::new(&m);
+        it.fuel = 1000;
+        let e = it.run_main(&mut mem, &[]).unwrap_err();
         assert!(e.message.contains("fuel"));
     }
 

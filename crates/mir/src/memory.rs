@@ -6,8 +6,8 @@
 //! `0`/`1`, integers sign-extended, floats by bit pattern. Cloning,
 //! comparing and dropping an image are `memcpy`/`memcmp`/one `free`;
 //! [`Value`] is built only for a caller that holds one: in
-//! [`Memory::read`], [`Memory::load`] and their `write`/`store`
-//! counterparts. A caller whose values are flat already (the simulator)
+//! `Memory::load` and its [`Memory::write`]/`store` counterparts (the
+//! interpreter). A caller whose values are flat already (the simulator)
 //! reads [`Memory::words`] and writes with [`Memory::store_words`].
 //!
 //! The kind tag is exactly what [`Value`]'s hash tag byte and the store
@@ -39,7 +39,7 @@ pub enum ElemKind {
 
 impl ElemKind {
     /// The kind that holds elements of type `elem`.
-    pub fn of(elem: ScalarType) -> ElemKind {
+    pub(crate) fn of(elem: ScalarType) -> ElemKind {
         match elem {
             ScalarType::I1 => ElemKind::Bool,
             ScalarType::F32 => ElemKind::F32,
@@ -49,7 +49,7 @@ impl ElemKind {
 
     /// The word that stores scalar `v`; `None` if `v` is poison, a
     /// composite, or a scalar of another kind.
-    pub fn word(self, v: &Value) -> Option<u64> {
+    pub(crate) fn word(self, v: &Value) -> Option<u64> {
         match (self, v) {
             (ElemKind::Bool, Value::Bool(b)) => Some(u64::from(*b)),
             (ElemKind::Int, Value::Int(i)) => Some(*i as u64),
@@ -59,7 +59,7 @@ impl ElemKind {
     }
 
     /// The scalar stored as word `w`.
-    pub fn value(self, w: u64) -> Value {
+    pub(crate) fn value(self, w: u64) -> Value {
         match self {
             ElemKind::Bool => Value::Bool(w != 0),
             ElemKind::Int => Value::Int(w as i64),
@@ -218,19 +218,11 @@ impl Memory {
             .ok_or_else(|| out_of_bounds("load", obj, idx, o))
     }
 
-    /// Read one element slot.
-    ///
-    /// # Errors
-    /// Out-of-bounds access.
-    pub fn read(&self, obj: MemObjId, idx: u64) -> Result<Value, InterpError> {
-        self.words(obj, idx, 1).map(|(kind, w)| kind.value(w[0]))
-    }
-
     /// Load a value of type `ty` from the `ty.elems()` slots at `obj[idx..]`.
     ///
     /// # Errors
     /// Out-of-bounds access.
-    pub fn load(&self, obj: MemObjId, idx: u64, ty: Type) -> Result<Value, InterpError> {
+    pub(crate) fn load(&self, obj: MemObjId, idx: u64, ty: Type) -> Result<Value, InterpError> {
         let (kind, words) = self.words(obj, idx, u64::from(ty.elems()))?;
         let mut lanes = words.iter().map(|&w| kind.value(w));
         Ok(match ty {
@@ -258,7 +250,7 @@ impl Memory {
     /// # Errors
     /// Out-of-bounds access (nothing is written); a lane the object
     /// cannot hold (poison, a nested composite, a scalar of another kind).
-    pub fn store(&mut self, obj: MemObjId, idx: u64, v: &Value) -> Result<u64, InterpError> {
+    pub(crate) fn store(&mut self, obj: MemObjId, idx: u64, v: &Value) -> Result<u64, InterpError> {
         let lanes = match v {
             Value::Vector(lanes) | Value::Tensor { data: lanes, .. } => lanes.as_slice(),
             scalar => std::slice::from_ref(scalar),
@@ -277,7 +269,7 @@ impl Memory {
         Ok(())
     }
 
-    /// [`Memory::store`] for a value that is already flat: `words`, each
+    /// `Memory::store` for a value that is already flat: `words`, each
     /// read as `kind`, go into the slots at `obj[idx..]`.
     ///
     /// # Errors
@@ -585,7 +577,10 @@ mod tests {
         let e = mem.load(obj, 3, ty).unwrap_err();
         assert_eq!(e.message, "load out of bounds: @mem0[6]");
         assert!(mem.load(obj, u64::MAX, ty).is_err(), "no overflow");
-        assert!(mem.read(MemObjId(7), 0).is_err(), "unknown object");
+        assert!(
+            mem.load(MemObjId(7), 0, Type::F32).is_err(),
+            "unknown object"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Functions, basic blocks, memory objects, and modules.
 
-use crate::instr::{BlockId, FuncId, Instr, InstrId, MemObjId, Op, Succs, ValueRef};
+use crate::instr::{BlockId, FuncId, Instr, InstrId, MemObjId, Op, Succs};
 use crate::types::{ScalarType, Type};
 use std::borrow::Cow;
 
@@ -16,7 +16,7 @@ pub struct Block {
 
 impl Block {
     /// New empty block.
-    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
+    pub(crate) fn new(name: impl Into<Cow<'static, str>>) -> Self {
         Block {
             name: name.into(),
             instrs: Vec::new(),
@@ -52,7 +52,7 @@ impl Function {
     }
 
     /// Mutable access to the instruction behind `id`.
-    pub fn instr_mut(&mut self, id: InstrId) -> &mut Instr {
+    pub(crate) fn instr_mut(&mut self, id: InstrId) -> &mut Instr {
         &mut self.instrs[id.0 as usize]
     }
 
@@ -103,20 +103,6 @@ impl Function {
             .instrs
             .iter()
             .map(move |&i| (i, self.instr(i)))
-    }
-
-    /// Count of dynamic operand uses of instruction results (SSA edges).
-    pub fn ssa_edge_count(&self) -> usize {
-        self.instrs
-            .iter()
-            .flat_map(|i| i.operands.iter())
-            .filter(|o| matches!(o, ValueRef::Instr(_)))
-            .count()
-    }
-
-    /// Number of memory operations in the function.
-    pub fn mem_op_count(&self) -> usize {
-        self.instrs.iter().filter(|i| i.op.is_mem()).count()
     }
 }
 
@@ -258,36 +244,9 @@ impl Module {
         &self.functions[id.0 as usize]
     }
 
-    /// The memory object behind `id`.
-    pub fn mem_object(&self, id: MemObjId) -> &MemObject {
-        &self.mem_objects[id.0 as usize]
-    }
-
     /// The root function (first added), if present.
     pub fn main(&self) -> Option<&Function> {
         self.functions.first()
-    }
-
-    /// Look up a function by name.
-    pub fn function_by_name(&self, name: &str) -> Option<(FuncId, &Function)> {
-        self.functions
-            .iter()
-            .enumerate()
-            .find(|(_, f)| f.name == name)
-            .map(|(i, f)| (FuncId(i as u32), f))
-    }
-
-    /// Total static instruction count across all functions.
-    pub fn instr_count(&self) -> usize {
-        self.functions.iter().map(|f| f.instrs.len()).sum()
-    }
-
-    /// Whether any function contains Tapir parallel terminators.
-    pub fn has_parallelism(&self) -> bool {
-        self.functions
-            .iter()
-            .flat_map(|f| f.instrs.iter())
-            .any(|i| matches!(i.op, Op::Detach { .. }))
     }
 }
 
@@ -295,6 +254,7 @@ impl Module {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
+    use crate::instr::ValueRef;
 
     fn tiny_module() -> Module {
         let mut m = Module::new("tiny");
@@ -313,12 +273,9 @@ mod tests {
         let m = tiny_module();
         assert_eq!(m.functions.len(), 1);
         assert_eq!(m.mem_objects.len(), 1);
-        assert_eq!(m.mem_object(MemObjId(0)).name, "a");
-        assert!(m.main().is_some());
-        assert!(m.function_by_name("main").is_some());
-        assert!(m.function_by_name("nope").is_none());
-        assert!(!m.has_parallelism());
-        assert!(m.instr_count() >= 4);
+        assert_eq!(m.mem_objects[0].name, "a");
+        assert_eq!(m.main().unwrap().name, "main");
+        assert!(m.function(FuncId(0)).instrs.len() >= 4);
     }
 
     #[test]
@@ -355,15 +312,17 @@ mod tests {
     fn counts() {
         let m = tiny_module();
         let f = m.main().unwrap();
-        assert_eq!(f.mem_op_count(), 2);
+        assert_eq!(f.instrs.iter().filter(|i| i.op.is_mem()).count(), 2);
         // add uses load result; store uses add result.
-        assert_eq!(f.ssa_edge_count(), 2);
+        let operands = f.instrs.iter().flat_map(|i| &i.operands);
+        let ssa_edges = operands.filter(|o| matches!(o, ValueRef::Instr(_)));
+        assert_eq!(ssa_edges.count(), 2);
     }
 
     #[test]
     fn read_only_objects() {
         let mut m = Module::new("ro");
         let id = m.add_ro_mem_object("w", ScalarType::F32, 8);
-        assert!(m.mem_object(id).read_only);
+        assert!(m.mem_objects[id.0 as usize].read_only);
     }
 }

@@ -5,7 +5,7 @@ use crate::module::{Function, Module};
 use std::fmt::Write;
 
 /// Render one function as text.
-pub fn print_function(f: &Function) -> String {
+pub(crate) fn print_function(f: &Function) -> String {
     let mut out = String::new();
     let params: Vec<String> = f
         .params

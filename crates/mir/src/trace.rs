@@ -46,7 +46,7 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// A compute event of the given class.
-    pub fn compute(class: OpClass) -> Self {
+    pub(crate) fn compute(class: OpClass) -> Self {
         TraceEvent {
             class,
             addr: None,
@@ -55,7 +55,7 @@ impl TraceEvent {
     }
 
     /// A memory event.
-    pub fn mem(class: OpClass, obj: MemObjId, addr: u64) -> Self {
+    pub(crate) fn mem(class: OpClass, obj: MemObjId, addr: u64) -> Self {
         TraceEvent {
             class,
             addr: Some(addr),
@@ -75,47 +75,6 @@ pub trait TraceSink {
     fn block(&mut self, _func: &str, _block: crate::instr::BlockId) {}
 }
 
-/// A sink that simply counts events by class (useful in tests and for
-/// instruction-mix statistics).
-#[derive(Debug, Default, Clone)]
-pub struct CountingSink {
-    /// Total events seen.
-    pub total: u64,
-    /// Dynamic loads.
-    pub loads: u64,
-    /// Dynamic stores.
-    pub stores: u64,
-    /// Dynamic branches.
-    pub branches: u64,
-    /// Dynamic float ops.
-    pub float_ops: u64,
-    /// Dynamic integer ALU/mul/div ops.
-    pub int_ops: u64,
-}
-
-impl CountingSink {
-    /// New zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TraceSink for CountingSink {
-    fn event(&mut self, ev: TraceEvent) {
-        self.total += 1;
-        match ev.class {
-            OpClass::Load => self.loads += 1,
-            OpClass::Store => self.stores += 1,
-            OpClass::Branch => self.branches += 1,
-            OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv | OpClass::FpSpecial => {
-                self.float_ops += 1
-            }
-            OpClass::IntAlu | OpClass::IntMul | OpClass::IntDiv => self.int_ops += 1,
-            OpClass::Call => {}
-        }
-    }
-}
-
 /// A sink that discards everything (tracing disabled).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
@@ -125,8 +84,48 @@ impl TraceSink for NullSink {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A sink that counts events by class.
+    #[derive(Debug, Default, Clone)]
+    pub(crate) struct CountingSink {
+        /// Total events seen.
+        pub total: u64,
+        /// Dynamic loads.
+        pub loads: u64,
+        /// Dynamic stores.
+        pub stores: u64,
+        /// Dynamic branches.
+        pub branches: u64,
+        /// Dynamic float ops.
+        pub float_ops: u64,
+        /// Dynamic integer ALU/mul/div ops.
+        pub int_ops: u64,
+    }
+
+    impl CountingSink {
+        /// New zeroed counter.
+        pub(crate) fn new() -> Self {
+            Self::default()
+        }
+    }
+
+    impl TraceSink for CountingSink {
+        fn event(&mut self, ev: TraceEvent) {
+            self.total += 1;
+            match ev.class {
+                OpClass::Load => self.loads += 1,
+                OpClass::Store => self.stores += 1,
+                OpClass::Branch => self.branches += 1,
+                OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv | OpClass::FpSpecial => {
+                    self.float_ops += 1
+                }
+                OpClass::IntAlu | OpClass::IntMul | OpClass::IntDiv => self.int_ops += 1,
+                OpClass::Call => {}
+            }
+        }
+    }
 
     #[test]
     fn counting_sink_classifies() {

@@ -29,7 +29,7 @@ pub enum ScalarType {
 
 impl ScalarType {
     /// Bit width of the scalar.
-    pub fn bits(self) -> u32 {
+    pub(crate) fn bits(self) -> u32 {
         match self {
             ScalarType::I1 => 1,
             ScalarType::I8 => 8,

@@ -59,17 +59,6 @@ impl Value {
         }
     }
 
-    /// Interpret as a float.
-    ///
-    /// # Panics
-    /// Panics if the value is not a float.
-    pub fn as_f32(&self) -> f32 {
-        match self {
-            Value::F32(v) => *v,
-            other => panic!("expected f32 value, found {other:?}"),
-        }
-    }
-
     /// Interpret as a boolean.
     ///
     /// # Panics
@@ -80,11 +69,6 @@ impl Value {
             Value::Int(v) => *v != 0,
             other => panic!("expected boolean value, found {other:?}"),
         }
-    }
-
-    /// Whether this is the poison value.
-    pub fn is_poison(&self) -> bool {
-        matches!(self, Value::Poison)
     }
 }
 
@@ -174,10 +158,8 @@ mod tests {
     fn accessors() {
         assert_eq!(Value::Int(7).as_int(), 7);
         assert_eq!(Value::Bool(true).as_int(), 1);
-        assert!((Value::F32(1.5).as_f32() - 1.5).abs() < 1e-9);
         assert!(Value::Int(3).as_bool());
         assert!(!Value::Bool(false).as_bool());
-        assert!(Value::Poison.is_poison());
     }
 
     #[test]

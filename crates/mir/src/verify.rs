@@ -60,7 +60,7 @@ fn operand_counts(op: &Op) -> Option<(usize, usize)> {
 ///
 /// # Errors
 /// Returns the first problem found.
-pub fn verify_function(f: &Function, mem_objects: &[MemObject]) -> Result<(), VerifyError> {
+pub(crate) fn verify_function(f: &Function, mem_objects: &[MemObject]) -> Result<(), VerifyError> {
     let nblocks = f.blocks.len() as u32;
     if f.entry.0 >= nblocks {
         return Err(err(&f.name, "entry block out of range"));

@@ -139,7 +139,7 @@ fn lower_node(node: &Node) -> CircuitGraph {
 }
 
 /// Cells/wires of one task's dataflow (a single execution tile).
-pub fn lower_dataflow(df: &Dataflow) -> CircuitGraph {
+pub(crate) fn lower_dataflow(df: &Dataflow) -> CircuitGraph {
     let mut g = CircuitGraph::default();
     for n in &df.nodes {
         g.merge(&lower_node(n));

@@ -902,7 +902,7 @@ impl Ord for EvAt {
 }
 
 /// The simulator.
-pub struct Engine<'a> {
+pub(crate) struct Engine<'a> {
     acc: &'a Accelerator,
     cfg: &'a SimConfig,
     mem: &'a mut Memory,
@@ -982,7 +982,11 @@ impl<'a> Engine<'a> {
     /// once per graph); only the configuration-dependent vectors —
     /// node timing and databox bounds — are computed here, so a batch
     /// of N runs pays one compile instead of N elaborations.
-    pub fn new(comp: &'a CompiledAccel, mem: &'a mut Memory, cfg: &'a SimConfig) -> Engine<'a> {
+    pub(crate) fn new(
+        comp: &'a CompiledAccel,
+        mem: &'a mut Memory,
+        cfg: &'a SimConfig,
+    ) -> Engine<'a> {
         let acc = comp.accel();
         let elab: Vec<ElabTask<'a>> = comp
             .tasks()
@@ -1136,7 +1140,7 @@ impl<'a> Engine<'a> {
     /// Deadlock (no progress), cycle-limit exhaustion, or a functional
     /// fault (out-of-bounds access on a live path).
     #[allow(clippy::type_complexity)]
-    pub fn run(
+    pub(crate) fn run(
         &mut self,
         args: &[Value],
     ) -> Result<(u64, Vec<Value>, SimStats, Option<(SimProfile, Trace)>), SimError> {

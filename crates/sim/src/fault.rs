@@ -94,7 +94,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A fault-free plan (the `SimConfig` default).
-    pub fn none() -> FaultPlan {
+    pub(crate) fn none() -> FaultPlan {
         FaultPlan::default()
     }
 
@@ -109,11 +109,6 @@ impl FaultPlan {
                 max_events: 1,
             }],
         }
-    }
-
-    /// Whether the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.specs.iter().all(|s| s.rate_ppm == 0)
     }
 }
 
@@ -138,7 +133,7 @@ pub struct FaultCounts {
 
 impl FaultCounts {
     /// Total injections across all classes.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.token_bit_flip
             + self.token_drop
             + self.token_dup
@@ -186,7 +181,8 @@ pub(crate) const DELAY_MINOR: u64 = 1_000;
 /// watchdog, so the run hangs and the watchdog reports it.
 pub(crate) const DELAY_TIMEOUT: u64 = 1_000_000_000;
 
-/// splitmix64, shared with the tracer's sampling (`muir_core::rng`).
+/// splitmix64, shared with the store's fault injection and the DSE
+/// sampler (`muir_core::rng`).
 pub(crate) type Rng = muir_core::rng::SplitMix64;
 
 /// One domain's injection state: a private RNG stream plus per-class rate,

@@ -182,17 +182,17 @@ pub struct SimStats {
 
 impl SimStats {
     /// Total cache hits across structures.
-    pub fn cache_hits(&self) -> u64 {
+    pub(crate) fn cache_hits(&self) -> u64 {
         self.struct_stats.iter().map(|s| s.hits).sum()
     }
 
     /// Total cache misses across structures.
-    pub fn cache_misses(&self) -> u64 {
+    pub(crate) fn cache_misses(&self) -> u64 {
         self.struct_stats.iter().map(|s| s.misses).sum()
     }
 
     /// Total bank-conflict stall events.
-    pub fn bank_conflicts(&self) -> u64 {
+    pub(crate) fn bank_conflicts(&self) -> u64 {
         self.struct_stats.iter().map(|s| s.conflict_stalls).sum()
     }
 
@@ -202,28 +202,8 @@ impl SimStats {
     }
 
     /// ECC events corrected in flight across structures.
-    pub fn ecc_corrected(&self) -> u64 {
+    pub(crate) fn ecc_corrected(&self) -> u64 {
         self.struct_stats.iter().map(|s| s.ecc_corrected).sum()
-    }
-
-    /// Per-structure miss rates, index-aligned with `struct_stats`. Each
-    /// rate is guarded: a structure with no cacheable traffic reports 0.
-    pub fn miss_rates(&self) -> Vec<f64> {
-        self.struct_stats
-            .iter()
-            .map(StructStats::miss_rate)
-            .collect()
-    }
-
-    /// Overall miss rate across every structure (guarded like the
-    /// per-struct rates).
-    pub fn overall_miss_rate(&self) -> f64 {
-        let total = self.cache_hits() + self.cache_misses();
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_misses() as f64 / total as f64
-        }
     }
 }
 

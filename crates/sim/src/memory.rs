@@ -15,7 +15,7 @@ use muir_core::structure::{Structure, StructureKind};
 const MEM_FAULTS: [FaultClass; 2] = [FaultClass::MemEcc, FaultClass::DramTimeout];
 
 /// Identifier handed back on completion of a memory request.
-pub type ReqId = u64;
+pub(crate) type ReqId = u64;
 
 /// One element-granularity transaction.
 #[derive(Debug, Clone)]
@@ -77,24 +77,12 @@ impl StructStats {
     /// Miss rate over `hits + misses`. Scratchpads, DRAM, and idle caches
     /// have no cacheable traffic; they report 0 rather than dividing by
     /// zero.
-    pub fn miss_rate(&self) -> f64 {
+    pub(crate) fn miss_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
         } else {
             self.misses as f64 / total as f64
-        }
-    }
-
-    /// Hit rate over `hits + misses` (0 when the structure saw no
-    /// cacheable traffic — deliberately *not* 1.0, so an idle cache never
-    /// reads as perfectly warm).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
         }
     }
 }
@@ -427,7 +415,7 @@ impl StructModel {
 
     /// Reconfigure bank count (used when μopt transformed the graph between
     /// simulations — models are rebuilt, so this is mostly for tests).
-    pub fn bank_count(&self) -> usize {
+    pub(crate) fn bank_count(&self) -> usize {
         self.banks.len()
     }
 
@@ -444,7 +432,7 @@ impl StructModel {
     /// banks pin activity to *this* cycle — they must be ticked every
     /// cycle, both to serve transactions and to accrue conflict stalls
     /// exactly as the dense scheduler would.
-    pub fn next_activity(&self, cycle: u64) -> Option<u64> {
+    pub(crate) fn next_activity(&self, cycle: u64) -> Option<u64> {
         if self.banks.iter().any(|b| !b.is_empty()) {
             return Some(cycle);
         }
@@ -479,7 +467,7 @@ pub struct DramModel {
 
 impl DramModel {
     /// Build from the accelerator's DRAM structure (or defaults).
-    pub fn new(kind: Option<&StructureKind>) -> DramModel {
+    pub(crate) fn new(kind: Option<&StructureKind>) -> DramModel {
         match kind {
             Some(StructureKind::Dram {
                 latency,
@@ -516,7 +504,7 @@ impl DramModel {
 
     /// Schedule a line fill starting no earlier than `cycle`; returns the
     /// ready cycle (latency + channel occupancy).
-    pub fn fetch_line(&mut self, cycle: u64, line_elems: u32) -> u64 {
+    pub(crate) fn fetch_line(&mut self, cycle: u64, line_elems: u32) -> u64 {
         let start = self.busy_until.max(cycle);
         let occupancy = (line_elems as u64)
             .div_ceil(self.elems_per_cycle as u64)

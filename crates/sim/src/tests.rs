@@ -1185,7 +1185,7 @@ fn stall_attribution_blames_the_channel_deadlock_diagnosis_would_bump() {
 #[test]
 fn tracing_never_perturbs_the_simulation() {
     // The observer only reads engine facts; enabling it — at any ring
-    // capacity or sampling rate — must leave cycles, firings, statistics
+    // capacity — must leave cycles, firings, statistics
     // and results bit-identical to the untraced run.
     let mut m = Module::new("perturb");
     let a = m.add_mem_object("a", ScalarType::I32, 64);
@@ -1227,12 +1227,6 @@ fn tracing_never_perturbs_the_simulation() {
         // Tiny ring: forces the drop path.
         crate::TraceConfig {
             capacity: 64,
-            ..crate::TraceConfig::on()
-        },
-        // Sub-sampled ring events.
-        crate::TraceConfig {
-            sample_ppm: 1_000,
-            seed: 7,
             ..crate::TraceConfig::on()
         },
     ];

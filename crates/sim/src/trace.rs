@@ -24,7 +24,6 @@
 use crate::memory::StructStats;
 use muir_core::accel::Accelerator;
 use muir_core::json::Writer;
-use muir_core::rng::SplitMix64;
 use muir_core::structure::StructureKind;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -55,7 +54,7 @@ pub enum StallReason {
 
 impl StallReason {
     /// All reasons, in stable report order.
-    pub const ALL: [StallReason; 5] = [
+    pub(crate) const ALL: [StallReason; 5] = [
         StallReason::InputEmpty,
         StallReason::OutputFull,
         StallReason::MemoryWait,
@@ -64,7 +63,7 @@ impl StallReason {
     ];
 
     /// Stable short name (used in reports, traces, and waveforms).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             StallReason::InputEmpty => "input-empty",
             StallReason::OutputFull => "output-full",
@@ -101,12 +100,6 @@ pub struct TraceConfig {
     /// events are dropped (and counted) — aggregation counters are exact
     /// regardless.
     pub capacity: usize,
-    /// Sampling rate for the high-volume token enqueue/dequeue events in
-    /// the ring buffer, in parts per million (1_000_000 = keep all).
-    /// Sampling only thins the event stream; profile counters stay exact.
-    pub sample_ppm: u32,
-    /// Seed of the sampling stream (deterministic run-to-run).
-    pub seed: u64,
 }
 
 impl Default for TraceConfig {
@@ -114,8 +107,6 @@ impl Default for TraceConfig {
         TraceConfig {
             enabled: false,
             capacity: 1 << 16,
-            sample_ppm: 1_000_000,
-            seed: 0,
         }
     }
 }
@@ -299,7 +290,7 @@ pub struct Trace {
 }
 
 /// Occupancy histogram buckets: 0, 1, …, 7, and 8+ tokens.
-pub const OCC_BUCKETS: usize = 9;
+pub(crate) const OCC_BUCKETS: usize = 9;
 
 /// Per-node profile entry.
 #[derive(Debug, Clone, Default)]
@@ -320,7 +311,7 @@ pub struct NodeProfile {
 
 impl NodeProfile {
     /// Total stall cycles across reasons.
-    pub fn stall_cycles(&self) -> u64 {
+    pub(crate) fn stall_cycles(&self) -> u64 {
         self.stalls.iter().sum()
     }
 }
@@ -368,13 +359,13 @@ pub struct StructProfile {
 
 impl StructProfile {
     /// Total stall pressure this structure exerts.
-    pub fn stall_cycles(&self) -> u64 {
+    pub(crate) fn stall_cycles(&self) -> u64 {
         self.mem_wait_stalls + self.arb_stalls + self.conflict_stalls
     }
 
     /// Miss rate over `hits + misses`, 0 when the structure saw no
     /// cacheable traffic.
-    pub fn miss_rate(&self) -> f64 {
+    pub(crate) fn miss_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -384,7 +375,8 @@ impl StructProfile {
     }
 }
 
-/// Aggregated observability counters for one run. Exact (never sampled).
+/// Aggregated observability counters for one run. Exact: the ring may
+/// drop events, the counters never.
 #[derive(Debug, Clone, Default)]
 pub struct SimProfile {
     /// Total cycles of the run (denominator for utilizations).
@@ -402,13 +394,8 @@ pub struct SimProfile {
 }
 
 impl SimProfile {
-    /// Total node stall cycles across all reasons.
-    pub fn total_stall_cycles(&self) -> u64 {
-        self.nodes.iter().map(NodeProfile::stall_cycles).sum()
-    }
-
     /// Stall cycles of one reason summed across nodes.
-    pub fn stalls_by_reason(&self, reason: StallReason) -> u64 {
+    pub(crate) fn stalls_by_reason(&self, reason: StallReason) -> u64 {
         self.nodes.iter().map(|n| n.stalls[reason.index()]).sum()
     }
 
@@ -645,12 +632,10 @@ impl fmt::Display for BottleneckReport {
 #[derive(Debug)]
 pub(crate) struct Observer {
     capacity: usize,
-    sample_ppm: u32,
-    rng: SplitMix64,
     meta: TraceMeta,
     ring: VecDeque<TraceEvent>,
     dropped: u64,
-    // Exact aggregation counters (never sampled).
+    // Exact aggregation counters (kept when the ring drops events).
     node_fires: Vec<Vec<u64>>,
     node_stalls: Vec<Vec<[u64; 5]>>,
     edge_full: Vec<Vec<u64>>,
@@ -686,8 +671,6 @@ impl Observer {
         let nstructs = meta.struct_names.len();
         Observer {
             capacity: cfg.trace.capacity.max(1),
-            sample_ppm: cfg.trace.sample_ppm,
-            rng: SplitMix64::salted(cfg.trace.seed, 0x0b5e_0001),
             meta,
             ring: VecDeque::new(),
             dropped: 0,
@@ -765,24 +748,22 @@ impl Observer {
         let bucket = (prev as usize).min(OCC_BUCKETS - 1);
         self.edge_occ_hist[ti][ei][bucket] += cycle.saturating_sub(last);
         self.edge_occ_state[ti][ei] = (cycle, occ);
-        if self.sample_ppm >= 1_000_000 || self.rng.chance_ppm(self.sample_ppm) {
-            let ev = if enq {
-                TraceEvent::Enq {
-                    cycle,
-                    task: ti as u32,
-                    edge: ei as u32,
-                    occ,
-                }
-            } else {
-                TraceEvent::Deq {
-                    cycle,
-                    task: ti as u32,
-                    edge: ei as u32,
-                    occ,
-                }
-            };
-            self.push(ev);
-        }
+        let ev = if enq {
+            TraceEvent::Enq {
+                cycle,
+                task: ti as u32,
+                edge: ei as u32,
+                occ,
+            }
+        } else {
+            TraceEvent::Deq {
+                cycle,
+                task: ti as u32,
+                edge: ei as u32,
+                occ,
+            }
+        };
+        self.push(ev);
     }
 
     /// A memory request entered structure `si`.
@@ -902,7 +883,7 @@ impl Observer {
 
 /// Process id offset used for memory-structure tracks in the Chrome trace
 /// (task tracks use the plain task index).
-pub const MEM_PID_BASE: u32 = 1000;
+pub(crate) const MEM_PID_BASE: u32 = 1000;
 
 impl Trace {
     /// Export as Chrome/Perfetto `trace.json` (JSON object format).

@@ -424,7 +424,7 @@ fn take_obj(line: &str, lineno: usize) -> Result<ObjectImage, DecodeError> {
 }
 
 /// Encode a [`StoredEval`] into the store's result payload.
-pub fn encode_eval(eval: &StoredEval) -> Vec<u8> {
+pub(crate) fn encode_eval(eval: &StoredEval) -> Vec<u8> {
     let mut out = String::new();
     out.push_str("stored-eval-v1\n");
     let r = &eval.result;
@@ -471,7 +471,7 @@ pub fn encode_eval(eval: &StoredEval) -> Vec<u8> {
 /// # Errors
 /// A human-readable description of the first mismatch; the store maps it
 /// to `E-STORE-DECODE` and quarantines the entry.
-pub fn decode_eval(payload: &[u8]) -> Result<StoredEval, DecodeError> {
+pub(crate) fn decode_eval(payload: &[u8]) -> Result<StoredEval, DecodeError> {
     let text = std::str::from_utf8(payload).map_err(|e| format!("payload is not utf8: {e}"))?;
     let mut lines = Lines {
         inner: text.lines(),

@@ -82,7 +82,7 @@ pub enum StoreError {
 
 impl StoreError {
     /// Stable machine-readable error code (`E-STORE-*`).
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             StoreError::Io { .. } => "E-STORE-IO",
             StoreError::Truncated { .. } => "E-STORE-TRUNC",

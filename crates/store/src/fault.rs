@@ -95,7 +95,7 @@ pub struct StoreFaultPlan {
 
 impl StoreFaultPlan {
     /// A fault-free plan (the default).
-    pub fn none() -> StoreFaultPlan {
+    pub(crate) fn none() -> StoreFaultPlan {
         StoreFaultPlan::default()
     }
 
@@ -110,11 +110,6 @@ impl StoreFaultPlan {
                 max_events: 1,
             }],
         }
-    }
-
-    /// Whether the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.specs.iter().all(|s| s.rate_ppm == 0)
     }
 }
 
@@ -135,7 +130,7 @@ pub struct StoreFaultCounts {
 
 impl StoreFaultCounts {
     /// Total injections across all classes.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.truncate_write + self.bit_flip_read + self.rename_fail + self.stale_version
     }
 

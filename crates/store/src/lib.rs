@@ -31,7 +31,7 @@
 //! end state after any injected fault is bit-identical to a fault-free
 //! cold run.
 
-pub mod codec;
+pub(crate) mod codec;
 pub mod error;
 pub mod fault;
 
@@ -195,11 +195,6 @@ impl Store {
             injector: Injector::new(&faults),
             stats,
         }
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// Whether the store is degraded to recompute-only.
@@ -543,14 +538,6 @@ impl Store {
                 })
             }
         }
-    }
-
-    /// Number of entries currently in `quarantine/` (0 for a disabled
-    /// store).
-    pub fn quarantine_len(&self) -> usize {
-        fs::read_dir(self.root.join("quarantine"))
-            .map(|d| d.count())
-            .unwrap_or(0)
     }
 }
 

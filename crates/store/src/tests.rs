@@ -9,6 +9,13 @@ use muir_mir::{FunctionBuilder, Module};
 use muir_sim::{result_hash, simulate_compiled, SimConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Number of entries in the store's `quarantine/` directory.
+fn quarantine_len(store: &Store) -> usize {
+    fs::read_dir(store.root.join("quarantine"))
+        .map(|d| d.count())
+        .unwrap_or(0)
+}
+
 /// A unique per-test store root under the system temp dir (no tempfile
 /// dependency; the process id + a counter keep parallel tests apart).
 fn test_root(tag: &str) -> PathBuf {
@@ -172,7 +179,7 @@ fn untyped_memory_objects_are_decode_errors_and_quarantined() {
         fs::write(store.result_path(key), sealed).unwrap();
         let err = store.get_result(key).unwrap_err();
         assert_eq!(err.code(), "E-STORE-DECODE", "{bad:?}: {err}");
-        assert_eq!(store.quarantine_len(), 1, "{bad:?}: evidence kept");
+        assert_eq!(quarantine_len(&store), 1, "{bad:?}: evidence kept");
         assert_eq!(store.stats().corrupt_entries, n as u64 + 1);
         assert!(
             store.get_result(key).unwrap().is_none(),
@@ -200,7 +207,7 @@ fn an_unbounded_struct_count_is_a_decode_error_and_quarantined() {
     fs::write(store.result_path(key), sealed).unwrap();
     let err = store.get_result(key).unwrap_err();
     assert_eq!(err.code(), "E-STORE-DECODE", "{err}");
-    assert_eq!(store.quarantine_len(), 1, "evidence kept");
+    assert_eq!(quarantine_len(&store), 1, "evidence kept");
     assert!(store.get_result(key).unwrap().is_none(), "slot empty");
     let _ = fs::remove_dir_all(&root);
 }
@@ -220,7 +227,7 @@ fn torn_write_is_quarantined_and_recoverable() {
     let err = store.get_result(key).unwrap_err();
     assert_eq!(err.code(), "E-STORE-TRUNC", "{err}");
     assert!(!err.is_transient());
-    assert_eq!(store.quarantine_len(), 1, "evidence kept");
+    assert_eq!(quarantine_len(&store), 1, "evidence kept");
     // The slot is now empty: clean miss, recompute, re-put, warm hit.
     assert!(store.get_result(key).unwrap().is_none());
     store.put_result(key, &eval).unwrap();
@@ -247,7 +254,7 @@ fn checksum_mismatch_is_quarantined_and_recoverable() {
     fs::write(&path, &bytes).unwrap();
     let err = store.get_result(key).unwrap_err();
     assert_eq!(err.code(), "E-STORE-CHECKSUM", "{err}");
-    assert_eq!(store.quarantine_len(), 1);
+    assert_eq!(quarantine_len(&store), 1);
     assert!(store.get_result(key).unwrap().is_none(), "clean miss after");
     store.put_result(key, &eval).unwrap();
     assert_eq!(store.get_result(key).unwrap().unwrap(), eval);
@@ -269,7 +276,7 @@ fn injected_stale_version_surfaces_version_skew() {
     assert_eq!(store.stats().faults.stale_version, 1);
     let err = store.get_result(key).unwrap_err();
     assert_eq!(err.code(), "E-STORE-VERSION", "{err}");
-    assert_eq!(store.quarantine_len(), 1);
+    assert_eq!(quarantine_len(&store), 1);
     assert!(store.get_result(key).unwrap().is_none());
     let _ = fs::remove_dir_all(&root);
 }
@@ -287,7 +294,7 @@ fn injected_truncate_write_surfaces_torn_write() {
     assert_eq!(store.stats().faults.truncate_write, 1);
     let err = store.get_result(key).unwrap_err();
     assert_eq!(err.code(), "E-STORE-TRUNC", "{err}");
-    assert_eq!(store.quarantine_len(), 1);
+    assert_eq!(quarantine_len(&store), 1);
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -340,7 +347,7 @@ fn injected_bit_flip_on_read_is_detected_typed() {
         "{err}"
     );
     assert_eq!(store.stats().faults.bit_flip_read, 1);
-    assert_eq!(store.quarantine_len(), 1);
+    assert_eq!(quarantine_len(&store), 1);
     let _ = fs::remove_dir_all(&root);
 }
 

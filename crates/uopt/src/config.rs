@@ -31,16 +31,16 @@ use muir_core::ContentHasher;
 use std::fmt;
 
 /// Task-queue FIFO depths (Pass 1). `0` keeps the frontend's baseline.
-pub const QUEUE_DEPTHS: [u32; 4] = [0, 2, 8, 16];
+pub(crate) const QUEUE_DEPTHS: [u32; 4] = [0, 2, 8, 16];
 /// Execution-tile counts (Pass 2). `1` disables tiling.
-pub const TILE_COUNTS: [u32; 4] = [1, 2, 4, 8];
+pub(crate) const TILE_COUNTS: [u32; 4] = [1, 2, 4, 8];
 /// Scratchpad bank counts (Pass 4). `1` keeps single-banked RAMs.
-pub const SPAD_BANKS: [u32; 4] = [1, 2, 4, 8];
+pub(crate) const SPAD_BANKS: [u32; 4] = [1, 2, 4, 8];
 /// Cache bank counts (§6.4). `1` keeps the unified L1.
-pub const CACHE_BANKS: [u32; 3] = [1, 2, 4];
+pub(crate) const CACHE_BANKS: [u32; 3] = [1, 2, 4];
 /// Op-fusion clock-period budgets in ns (Pass 5): where pipeline
 /// registers land after re-timing. `0.0` disables fusion entirely.
-pub const FUSION_PERIODS_NS: [f64; 4] = [0.0, 1.5, muir_core::hw::BASELINE_PERIOD_NS, 8.0];
+pub(crate) const FUSION_PERIODS_NS: [f64; 4] = [0.0, 1.5, muir_core::hw::BASELINE_PERIOD_NS, 8.0];
 
 /// Which tasks execution tiling replicates (the enumerable subset of
 /// [`TaskFilter`] — the name-matching variant is not a closed knob).
@@ -104,7 +104,7 @@ impl PassConfig {
     }
 
     /// Whether this config applies no transformation at all.
-    pub fn is_baseline(&self) -> bool {
+    pub(crate) fn is_baseline(&self) -> bool {
         self.queue_depth == 0
             && self.tiles == 1
             && !self.localize

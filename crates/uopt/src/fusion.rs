@@ -68,7 +68,7 @@ impl Pass for OpFusion {
 /// function unit, removing the handshake hops from the recurrence path —
 /// the initiation interval drops from `op latency + merge + registers`
 /// to the op's own latency.
-pub fn fuse_accumulators(df: &mut Dataflow) -> PassDelta {
+pub(crate) fn fuse_accumulators(df: &mut Dataflow) -> PassDelta {
     use muir_mir::instr::BinOp;
     let mut delta = PassDelta::default();
     'outer: loop {
@@ -286,11 +286,6 @@ fn move_steps(
     }
 }
 
-/// One fusion round over a dataflow; returns the touched-element delta.
-pub fn fuse_dataflow(df: &mut Dataflow, max_delay_ns: f64, max_ops: usize) -> PassDelta {
-    fuse_with(df, max_delay_ns, max_ops, &mut Scratch::default())
-}
-
 /// The tables a fusion round rebuilds before each fusion, kept across
 /// the rounds and tasks of one pass run.
 #[derive(Default)]
@@ -299,7 +294,8 @@ struct Scratch {
     arrivals: Vec<f64>,
 }
 
-/// [`fuse_dataflow`] over `scratch`'s tables.
+/// One fusion round over a dataflow, over `scratch`'s tables; returns the
+/// touched-element delta.
 fn fuse_with(
     df: &mut Dataflow,
     max_delay_ns: f64,
@@ -396,7 +392,7 @@ fn find_candidate(
 
 /// Remove one node from a dataflow, remapping every id that follows it.
 /// The node must have no remaining edges.
-pub fn remove_node(df: &mut Dataflow, dead: NodeId) {
+pub(crate) fn remove_node(df: &mut Dataflow, dead: NodeId) {
     debug_assert!(
         df.edges.iter().all(|e| e.src != dead && e.dst != dead),
         "removing a connected node"
@@ -422,7 +418,7 @@ pub fn remove_node(df: &mut Dataflow, dead: NodeId) {
 
 /// Dead-node elimination: remove pure nodes whose results nobody consumes
 /// (exposed for use after other transformations).
-pub fn eliminate_dead(df: &mut Dataflow) -> usize {
+pub(crate) fn eliminate_dead(df: &mut Dataflow) -> usize {
     let mut removed = 0;
     loop {
         let idx = df.edge_index();
@@ -480,7 +476,7 @@ mod tests {
         // and → xor → or: 3 × 0.9 ns = 2.7 ns... over 2.5; use 2 ops.
         let (mut df, _) = chain_df(&[BinOp::And, BinOp::Xor]);
         let before = df.nodes.len();
-        let delta = fuse_dataflow(&mut df, hw::BASELINE_PERIOD_NS, 16);
+        let delta = fuse_with(&mut df, hw::BASELINE_PERIOD_NS, 16, &mut Scratch::default());
         assert!(delta.nodes >= 2);
         assert_eq!(df.nodes.len(), before - 1);
         let fused: Vec<&Node> = df
@@ -498,11 +494,11 @@ mod tests {
     fn period_budget_limits_fusion() {
         // Two integer multiplies: 5.6 ns — cannot fuse under 2.5 ns.
         let (mut df, _) = chain_df(&[BinOp::Mul, BinOp::Mul]);
-        let delta = fuse_dataflow(&mut df, hw::BASELINE_PERIOD_NS, 16);
+        let delta = fuse_with(&mut df, hw::BASELINE_PERIOD_NS, 16, &mut Scratch::default());
         assert_eq!(delta, PassDelta::default());
         // A relaxed budget fuses them.
         let (mut df2, _) = chain_df(&[BinOp::Mul, BinOp::Mul]);
-        let delta2 = fuse_dataflow(&mut df2, 10.0, 16);
+        let delta2 = fuse_with(&mut df2, 10.0, 16, &mut Scratch::default());
         assert!(delta2.nodes > 0);
     }
 
@@ -537,7 +533,7 @@ mod tests {
         // z dangles deliberately; y→out keeps y's fanout at 1 but out is
         // not fusable.
         let n_before = df.nodes.len();
-        fuse_dataflow(&mut df, hw::BASELINE_PERIOD_NS, 16);
+        fuse_with(&mut df, hw::BASELINE_PERIOD_NS, 16, &mut Scratch::default());
         // x cannot fuse (fanout 2); z and y have no fusable consumers.
         assert_eq!(df.nodes.len(), n_before);
     }
@@ -546,7 +542,7 @@ mod tests {
     fn fused_plan_evaluates_like_chain() {
         // (a + 3) << 3 = 3.2 ns: fits a relaxed 4 ns budget.
         let (mut df, _) = chain_df(&[BinOp::Add, BinOp::Shl]);
-        fuse_dataflow(&mut df, 4.0, 16);
+        fuse_with(&mut df, 4.0, 16, &mut Scratch::default());
         let plan = df
             .nodes
             .iter()

@@ -45,7 +45,7 @@ pub struct PassDelta {
 
 impl PassDelta {
     /// Element-wise sum.
-    pub fn merge(self, other: PassDelta) -> PassDelta {
+    pub(crate) fn merge(self, other: PassDelta) -> PassDelta {
         PassDelta {
             nodes: self.nodes + other.nodes,
             edges: self.edges + other.edges,
@@ -121,7 +121,7 @@ impl PassReport {
     }
 
     /// Total host wall time across all passes.
-    pub fn total_wall(&self) -> std::time::Duration {
+    pub(crate) fn total_wall(&self) -> std::time::Duration {
         self.records.iter().map(|r| r.wall).sum()
     }
 

@@ -53,7 +53,7 @@ fn value_to_const(v: &Value) -> Option<ConstVal> {
 
 /// Fold every compute node whose inputs are all constants, then eliminate
 /// dead pure nodes. Returns the touched-element delta.
-pub fn simplify_dataflow(df: &mut Dataflow) -> PassDelta {
+pub(crate) fn simplify_dataflow(df: &mut Dataflow) -> PassDelta {
     let mut delta = PassDelta::default();
     loop {
         let mut folded = false;
@@ -298,7 +298,7 @@ impl Pass for Cse {
 }
 
 /// Merge duplicate pure compute nodes; returns the touched-element delta.
-pub fn cse_dataflow(df: &mut Dataflow) -> PassDelta {
+pub(crate) fn cse_dataflow(df: &mut Dataflow) -> PassDelta {
     let mut delta = PassDelta::default();
     loop {
         let mut victim: Option<(NodeId, NodeId)> = None; // (kept, removed)

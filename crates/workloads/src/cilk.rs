@@ -17,7 +17,7 @@ use muir_mir::module::Module;
 use muir_mir::types::{ScalarType, Type};
 
 /// Number of calls in the recursion tree of `fib(n)`.
-pub fn fib_call_count(n: u64) -> u64 {
+pub(crate) fn fib_call_count(n: u64) -> u64 {
     // calls(n) = calls(n-1) + calls(n-2) + 1; calls(0) = calls(1) = 1.
     let (mut a, mut b) = (1u64, 1u64);
     if n == 0 || n == 1 {
@@ -35,7 +35,7 @@ pub fn fib_call_count(n: u64) -> u64 {
 /// fib(n-2)` recursion — one parallel task per call node. Each task
 /// computes its node's depth-local contribution; results accumulate per
 /// node and the per-node values are the verified output.
-pub fn fib() -> Workload {
+pub(crate) fn fib() -> Workload {
     const N: u64 = 15;
     let calls = fib_call_count(N) as i64; // 1973
     let mut m = Module::new("fib");
@@ -80,7 +80,7 @@ pub fn fib() -> Workload {
 /// Bottom-up MERGESORT over 256 integers: stage loop doubles the run
 /// width; runs within a stage merge in parallel (Cilk spawns); a copy-back
 /// loop ping-pongs the buffers.
-pub fn mergesort() -> Workload {
+pub(crate) fn mergesort() -> Workload {
     const N: i64 = 256;
     const STAGES: i64 = 8; // log2(N)
     let mut m = Module::new("msort");
@@ -155,7 +155,7 @@ pub fn mergesort() -> Workload {
 }
 
 /// SAXPY: `y = a·x + y` over 4096 floats, one Cilk task per element chunk.
-pub fn saxpy() -> Workload {
+pub(crate) fn saxpy() -> Workload {
     const N: i64 = 4096;
     let mut m = Module::new("saxpy");
     let x = m.add_ro_mem_object("x", ScalarType::F32, N as u64);
@@ -186,7 +186,7 @@ pub fn saxpy() -> Workload {
 
 /// STENCIL: 3×3 mean filter over a 34×34 grid producing the 32×32
 /// interior, one Cilk task per output row.
-pub fn stencil() -> Workload {
+pub(crate) fn stencil() -> Workload {
     const W: i64 = 34;
     const OW: i64 = 32;
     let mut m = Module::new("stencil");
@@ -233,7 +233,7 @@ pub fn stencil() -> Workload {
 
 /// IMG-SCALE: 2× box downscale of a 64×64 image to 32×32, one Cilk task
 /// per output row.
-pub fn img_scale() -> Workload {
+pub(crate) fn img_scale() -> Workload {
     const IW: i64 = 64;
     const OW: i64 = 32;
     let mut m = Module::new("imgscale");

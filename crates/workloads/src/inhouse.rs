@@ -18,7 +18,7 @@ use muir_mir::types::{ScalarType, TensorShape, Type};
 const SHAPE: TensorShape = TensorShape { rows: 2, cols: 2 };
 
 /// RELU\[T\]: element-wise ReLU over 256 2×2 tiles (1024 floats).
-pub fn relu_tensor() -> Workload {
+pub(crate) fn relu_tensor() -> Workload {
     const TILES: i64 = 256;
     let mut m = Module::new("relu_t");
     let input = m.add_ro_mem_object("in", ScalarType::F32, (TILES * 4) as u64);
@@ -48,7 +48,7 @@ pub fn relu_tensor() -> Workload {
 /// 2MM\[T\]: tiled matrix multiply `C = A×B` over 8×8 grids of 2×2 tiles
 /// (16×16 matrices), exactly Figure 13: loadTile / mulTile / addTile /
 /// storeTile.
-pub fn mm2_tensor() -> Workload {
+pub(crate) fn mm2_tensor() -> Workload {
     const NT: i64 = 8;
     let mut m = Module::new("mm2_t");
     let a = m.add_ro_mem_object("A", ScalarType::F32, (NT * NT * 4) as u64);
@@ -102,39 +102,10 @@ pub fn mm2_tensor() -> Workload {
     }
 }
 
-/// Plain-Rust tiled matmul on tile-major data (used by tests).
-pub fn mm2_tensor_reference(a: &[f32], b: &[f32], nt: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; nt * nt * 4];
-    let tile = |m: &[f32], ti: usize, tj: usize, r: usize, q: usize| -> f32 {
-        m[(ti * nt + tj) * 4 + r * 2 + q]
-    };
-    for i in 0..nt {
-        for j in 0..nt {
-            let mut acc = [0.0f32; 4];
-            for k in 0..nt {
-                // 2×2 tile product.
-                for r in 0..2 {
-                    for q in 0..2 {
-                        let mut s = 0.0f32;
-                        for t in 0..2 {
-                            s += tile(a, i, k, r, t) * tile(b, k, j, t, q);
-                        }
-                        acc[r * 2 + q] += s;
-                    }
-                }
-            }
-            for (e, v) in acc.iter().enumerate() {
-                c[(i * nt + j) * 4 + e] = *v;
-            }
-        }
-    }
-    c
-}
-
 /// CONV\[T\]: stride-2 tiled convolution: each non-overlapping 2×2 input
 /// tile dot-multiplied with a 2×2 weight tile (the `Conv` higher-order op,
 /// a window dot-product unit). 12×12 tile grid (24×24 image).
-pub fn conv_tensor() -> Workload {
+pub(crate) fn conv_tensor() -> Workload {
     const NT: i64 = 12;
     let mut m = Module::new("conv_t");
     let input = m.add_ro_mem_object("in", ScalarType::F32, (NT * NT * 4) as u64);
@@ -175,7 +146,7 @@ pub fn conv_tensor() -> Workload {
 /// RGB2YUV: fixed-point colour-space conversion over 1024 pixels — long
 /// chains of cheap integer ops, the op-fusion pass's favourite shape
 /// (§6.1) and a cache-banking workload (§6.4).
-pub fn rgb2yuv() -> Workload {
+pub(crate) fn rgb2yuv() -> Workload {
     const N: i64 = 1024;
     let mut m = Module::new("rgb2yuv");
     let r = m.add_ro_mem_object("r", ScalarType::I64, N as u64);
@@ -243,7 +214,7 @@ pub fn rgb2yuv() -> Workload {
 }
 
 /// Scalar RELU over 2048 floats (the Figure 18 `RELU` entry).
-pub fn relu_scalar() -> Workload {
+pub(crate) fn relu_scalar() -> Workload {
     const N: i64 = 2048;
     let mut m = Module::new("relu");
     let input = m.add_ro_mem_object("in", ScalarType::F32, N as u64);
@@ -272,6 +243,35 @@ pub fn relu_scalar() -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Plain-Rust tiled matmul on tile-major data (used by tests).
+    fn mm2_tensor_reference(a: &[f32], b: &[f32], nt: usize) -> Vec<f32> {
+        let mut c = vec![0.0f32; nt * nt * 4];
+        let tile = |m: &[f32], ti: usize, tj: usize, r: usize, q: usize| -> f32 {
+            m[(ti * nt + tj) * 4 + r * 2 + q]
+        };
+        for i in 0..nt {
+            for j in 0..nt {
+                let mut acc = [0.0f32; 4];
+                for k in 0..nt {
+                    // 2×2 tile product.
+                    for r in 0..2 {
+                        for q in 0..2 {
+                            let mut s = 0.0f32;
+                            for t in 0..2 {
+                                s += tile(a, i, k, r, t) * tile(b, k, j, t, q);
+                            }
+                            acc[r * 2 + q] += s;
+                        }
+                    }
+                }
+                for (e, v) in acc.iter().enumerate() {
+                    c[(i * nt + j) * 4 + e] = *v;
+                }
+            }
+        }
+        c
+    }
 
     fn f32_close(a: &[f32], b: &[f32]) {
         assert_eq!(a.len(), b.len());
@@ -372,7 +372,7 @@ mod tests {
 /// Scalar-source baseline of [`relu_tensor`]: the same computation written
 /// without tensor intrinsics ("implements the operation through the
 /// pipeline", §6.3). One element per loop iteration.
-pub fn relu_tensor_scalar() -> Workload {
+pub(crate) fn relu_tensor_scalar() -> Workload {
     const N: i64 = 1024;
     let mut m = Module::new("relu_t_scalar");
     let input = m.add_ro_mem_object("in", ScalarType::F32, N as u64);
@@ -400,7 +400,7 @@ pub fn relu_tensor_scalar() -> Workload {
 
 /// Scalar-source baseline of [`mm2_tensor`]: scalar loops over the same
 /// tile-major data (per-element dot products walking tiles).
-pub fn mm2_tensor_scalar() -> Workload {
+pub(crate) fn mm2_tensor_scalar() -> Workload {
     const NT: i64 = 8;
     let mut m = Module::new("mm2_t_scalar");
     let a = m.add_ro_mem_object("A", ScalarType::F32, (NT * NT * 4) as u64);
@@ -462,7 +462,7 @@ pub fn mm2_tensor_scalar() -> Workload {
 
 /// Scalar-source baseline of [`conv_tensor`]: the stride-2 window dot
 /// product written as four scalar MACs per output.
-pub fn conv_tensor_scalar() -> Workload {
+pub(crate) fn conv_tensor_scalar() -> Workload {
     const NT: i64 = 12;
     let mut m = Module::new("conv_t_scalar");
     let input = m.add_ro_mem_object("in", ScalarType::F32, (NT * NT * 4) as u64);

@@ -126,7 +126,7 @@ impl Prng {
     }
 
     /// Next raw value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x << 13;
         x ^= x >> 7;
@@ -136,12 +136,12 @@ impl Prng {
     }
 
     /// Uniform float in [0, 1).
-    pub fn next_f32(&mut self) -> f32 {
+    pub(crate) fn next_f32(&mut self) -> f32 {
         (self.next_u64() >> 40) as f32 / (1u64 << 24) as f32
     }
 
     /// Uniform integer in [0, bound).
-    pub fn next_below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn next_below(&mut self, bound: u64) -> u64 {
         self.next_u64() % bound.max(1)
     }
 
@@ -151,7 +151,7 @@ impl Prng {
     }
 
     /// A vector of small integers in [0, bound).
-    pub fn i64_vec(&mut self, n: usize, bound: u64) -> Vec<i64> {
+    pub(crate) fn i64_vec(&mut self, n: usize, bound: u64) -> Vec<i64> {
         (0..n).map(|_| self.next_below(bound) as i64).collect()
     }
 }
@@ -313,26 +313,12 @@ pub fn all() -> Vec<Workload> {
     REGISTRY.iter().map(|e| (e.build)()).collect()
 }
 
-/// All registered paper names, in registry order.
-pub fn names() -> Vec<&'static str> {
-    REGISTRY.iter().map(|e| e.name).collect()
-}
-
 /// Look up a benchmark by its paper name (builds only that workload).
 pub fn by_name(name: &str) -> Option<Workload> {
     REGISTRY
         .iter()
         .find(|e| e.name == name)
         .map(|e| (e.build)())
-}
-
-/// All benchmarks of one family.
-pub fn by_class(class: Class) -> Vec<Workload> {
-    REGISTRY
-        .iter()
-        .filter(|e| e.class == class)
-        .map(|e| (e.build)())
-        .collect()
 }
 
 #[cfg(test)]
@@ -383,7 +369,7 @@ mod tests {
             assert_eq!(w.class, e.class, "{}: family tag drifted", e.name);
         }
         // Names are unique.
-        let mut ns = names();
+        let mut ns: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
         ns.sort_unstable();
         ns.dedup();
         assert_eq!(ns.len(), REGISTRY.len());
@@ -391,8 +377,9 @@ mod tests {
 
     #[test]
     fn lookup_by_class() {
-        assert_eq!(by_class(Class::TensorGraph).len(), 3);
-        assert_eq!(by_class(Class::Polybench).len(), 6);
+        let by_class = |c: Class| REGISTRY.iter().filter(|e| e.class == c).count();
+        assert_eq!(by_class(Class::TensorGraph), 3);
+        assert_eq!(by_class(Class::Polybench), 6);
     }
 
     #[test]

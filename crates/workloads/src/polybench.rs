@@ -10,7 +10,7 @@ use muir_mir::module::Module;
 use muir_mir::types::{ScalarType, Type};
 
 /// GEMM: `C[N][N] = A × B`, N = 32, single-precision.
-pub fn gemm() -> Workload {
+pub(crate) fn gemm() -> Workload {
     const N: i64 = 32;
     let mut m = Module::new("gemm");
     let a = m.add_ro_mem_object("A", ScalarType::F32, (N * N) as u64);
@@ -72,7 +72,7 @@ pub fn gemm_reference(a: &[f32], b: &[f32], n: usize) -> Vec<f32> {
 
 /// COVAR: covariance matrix of `data[N][M]`, N = M = 24 (Polybench shape:
 /// column means, centering, then `cov[M][M]`).
-pub fn covar() -> Workload {
+pub(crate) fn covar() -> Workload {
     const N: i64 = 24;
     const M: i64 = 24;
     let mut m = Module::new("covar");
@@ -147,39 +147,10 @@ pub fn covar() -> Workload {
     }
 }
 
-/// Plain-Rust COVAR used by the tests.
-pub fn covar_reference(data_in: &[f32], n: usize, m: usize) -> Vec<f32> {
-    let mut data = data_in.to_vec();
-    let mut mean = vec![0.0f32; m];
-    for j in 0..m {
-        let mut acc = 0.0f32;
-        for i in 0..n {
-            acc += data[i * m + j];
-        }
-        mean[j] = acc / n as f32;
-    }
-    for i in 0..n {
-        for j in 0..m {
-            data[i * m + j] -= mean[j];
-        }
-    }
-    let mut cov = vec![0.0f32; m * m];
-    for j1 in 0..m {
-        for j2 in 0..m {
-            let mut acc = 0.0f32;
-            for i in 0..n {
-                acc += data[i * m + j1] * data[i * m + j2];
-            }
-            cov[j1 * m + j2] = acc / (n - 1) as f32;
-        }
-    }
-    cov
-}
-
 /// FFT: iterative radix-2 DIT on N = 1024 complex points (separate
 /// real/imag arrays, MachSuite style). The bit-reversal table and twiddle
 /// factors are precomputed inputs, as in MachSuite's `fft/strided`.
-pub fn fft() -> Workload {
+pub(crate) fn fft() -> Workload {
     const N: i64 = 1024;
     const STAGES: i64 = 10;
     let mut m = Module::new("fft");
@@ -268,47 +239,8 @@ pub fn fft() -> Workload {
     }
 }
 
-/// Plain-Rust FFT used by the tests (same algorithm and operation order).
-pub fn fft_reference(in_re: &[f32], in_im: &[f32]) -> (Vec<f32>, Vec<f32>) {
-    let n = in_re.len();
-    let stages = n.trailing_zeros();
-    let mut re = vec![0.0f32; n];
-    let mut im = vec![0.0f32; n];
-    for i in 0..n {
-        let r = (i as u64).reverse_bits().wrapping_shr(64 - stages) as usize;
-        re[i] = in_re[r];
-        im[i] = in_im[r];
-    }
-    let mut tw_re = vec![0.0f32; n / 2];
-    let mut tw_im = vec![0.0f32; n / 2];
-    for t in 0..n / 2 {
-        let ang = -2.0 * std::f64::consts::PI * t as f64 / n as f64;
-        tw_re[t] = ang.cos() as f32;
-        tw_im[t] = ang.sin() as f32;
-    }
-    for s in 0..stages {
-        let half = 1usize << s;
-        for k in 0..n / 2 {
-            let j = k & (half - 1);
-            let base = 2 * (k - j);
-            let i1 = base + j;
-            let i2 = i1 + half;
-            let twi = j << (stages - 1 - s);
-            let (wr, wi) = (tw_re[twi], tw_im[twi]);
-            let tr = wr * re[i2] - wi * im[i2];
-            let ti = wr * im[i2] + wi * re[i2];
-            let (r1, i1v) = (re[i1], im[i1]);
-            re[i2] = r1 - tr;
-            im[i2] = i1v - ti;
-            re[i1] = r1 + tr;
-            im[i1] = i1v + ti;
-        }
-    }
-    (re, im)
-}
-
 /// SPMV: CSR sparse matrix-vector product, 256 rows, 8 nnz/row.
-pub fn spmv() -> Workload {
+pub(crate) fn spmv() -> Workload {
     const ROWS: i64 = 256;
     const NNZ_PER_ROW: i64 = 8;
     const NNZ: i64 = ROWS * NNZ_PER_ROW;
@@ -363,20 +295,6 @@ pub fn spmv() -> Workload {
     }
 }
 
-/// Plain-Rust SPMV used by the tests.
-pub fn spmv_reference(vals: &[f32], cols: &[i64], rowptr: &[i64], x: &[f32]) -> Vec<f32> {
-    let rows = rowptr.len() - 1;
-    let mut y = vec![0.0f32; rows];
-    for i in 0..rows {
-        let mut acc = 0.0f32;
-        for e in rowptr[i]..rowptr[i + 1] {
-            acc += vals[e as usize] * x[cols[e as usize] as usize];
-        }
-        y[i] = acc;
-    }
-    y
-}
-
 fn matmul_loops(
     b: &mut FunctionBuilder,
     n: i64,
@@ -409,7 +327,7 @@ fn matmul_loops(
 }
 
 /// 2MM: `D = (A×B)×C`, N = 24.
-pub fn mm2() -> Workload {
+pub(crate) fn mm2() -> Workload {
     const N: i64 = 24;
     let mut m = Module::new("mm2");
     let a = m.add_ro_mem_object("A", ScalarType::F32, (N * N) as u64);
@@ -442,7 +360,7 @@ pub fn mm2() -> Workload {
 }
 
 /// 3MM: `G = (A×B)×(C×D)`, N = 20.
-pub fn mm3() -> Workload {
+pub(crate) fn mm3() -> Workload {
     const N: i64 = 20;
     let mut m = Module::new("mm3");
     let a = m.add_ro_mem_object("A", ScalarType::F32, (N * N) as u64);
@@ -482,6 +400,88 @@ pub fn mm3() -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Plain-Rust COVAR used by the tests.
+    fn covar_reference(data_in: &[f32], n: usize, m: usize) -> Vec<f32> {
+        let mut data = data_in.to_vec();
+        let mut mean = vec![0.0f32; m];
+        for j in 0..m {
+            let mut acc = 0.0f32;
+            for i in 0..n {
+                acc += data[i * m + j];
+            }
+            mean[j] = acc / n as f32;
+        }
+        for i in 0..n {
+            for j in 0..m {
+                data[i * m + j] -= mean[j];
+            }
+        }
+        let mut cov = vec![0.0f32; m * m];
+        for j1 in 0..m {
+            for j2 in 0..m {
+                let mut acc = 0.0f32;
+                for i in 0..n {
+                    acc += data[i * m + j1] * data[i * m + j2];
+                }
+                cov[j1 * m + j2] = acc / (n - 1) as f32;
+            }
+        }
+        cov
+    }
+
+    /// Plain-Rust FFT used by the tests (same algorithm and operation order).
+    fn fft_reference(in_re: &[f32], in_im: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let n = in_re.len();
+        let stages = n.trailing_zeros();
+        let mut re = vec![0.0f32; n];
+        let mut im = vec![0.0f32; n];
+        for i in 0..n {
+            let r = (i as u64).reverse_bits().wrapping_shr(64 - stages) as usize;
+            re[i] = in_re[r];
+            im[i] = in_im[r];
+        }
+        let mut tw_re = vec![0.0f32; n / 2];
+        let mut tw_im = vec![0.0f32; n / 2];
+        for t in 0..n / 2 {
+            let ang = -2.0 * std::f64::consts::PI * t as f64 / n as f64;
+            tw_re[t] = ang.cos() as f32;
+            tw_im[t] = ang.sin() as f32;
+        }
+        for s in 0..stages {
+            let half = 1usize << s;
+            for k in 0..n / 2 {
+                let j = k & (half - 1);
+                let base = 2 * (k - j);
+                let i1 = base + j;
+                let i2 = i1 + half;
+                let twi = j << (stages - 1 - s);
+                let (wr, wi) = (tw_re[twi], tw_im[twi]);
+                let tr = wr * re[i2] - wi * im[i2];
+                let ti = wr * im[i2] + wi * re[i2];
+                let (r1, i1v) = (re[i1], im[i1]);
+                re[i2] = r1 - tr;
+                im[i2] = i1v - ti;
+                re[i1] = r1 + tr;
+                im[i1] = i1v + ti;
+            }
+        }
+        (re, im)
+    }
+
+    /// Plain-Rust SPMV used by the tests.
+    fn spmv_reference(vals: &[f32], cols: &[i64], rowptr: &[i64], x: &[f32]) -> Vec<f32> {
+        let rows = rowptr.len() - 1;
+        let mut y = vec![0.0f32; rows];
+        for i in 0..rows {
+            let mut acc = 0.0f32;
+            for e in rowptr[i]..rowptr[i + 1] {
+                acc += vals[e as usize] * x[cols[e as usize] as usize];
+            }
+            y[i] = acc;
+        }
+        y
+    }
 
     fn f32_close(a: &[f32], b: &[f32]) {
         assert_eq!(a.len(), b.len());

@@ -10,7 +10,7 @@ use muir_mir::types::{ScalarType, Type};
 /// CONV: 2-D valid convolution, 28×28 input, 3×3 kernel, 26×26 output
 /// (scalar MACs; the kernel loops are fully unrolled, as XLA does for
 /// constant-trip-3 loops).
-pub fn conv() -> Workload {
+pub(crate) fn conv() -> Workload {
     const IW: i64 = 28;
     const OW: i64 = 26;
     let mut m = Module::new("conv");
@@ -73,7 +73,7 @@ pub fn conv_reference(input: &[f32], kernel: &[f32], iw: usize, ow: usize) -> Ve
 
 /// DENSE layer: `out[b][u] = Σ_k w[u][k]·in[b][k] + bias[u]`, batch 32,
 /// 64 inputs, `units` outputs (the paper's DENSE8 / DENSE16).
-pub fn dense(units: i64) -> Workload {
+pub(crate) fn dense(units: i64) -> Workload {
     const BATCH: i64 = 32;
     const IN: i64 = 64;
     let mut m = Module::new(if units == 8 { "dense8" } else { "dense16" });
@@ -128,31 +128,9 @@ pub fn dense(units: i64) -> Workload {
     }
 }
 
-/// Plain-Rust DENSE used by tests.
-pub fn dense_reference(
-    input: &[f32],
-    w: &[f32],
-    bias: &[f32],
-    batch: usize,
-    inputs: usize,
-    units: usize,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; batch * units];
-    for b in 0..batch {
-        for u in 0..units {
-            let mut acc = 0.0f32;
-            for k in 0..inputs {
-                acc += w[u * inputs + k] * input[b * inputs + k];
-            }
-            out[b * units + u] = acc + bias[u];
-        }
-    }
-    out
-}
-
 /// SOFTMAX over `width`-wide rows, batch 64 (the paper's SOFTM8 /
 /// SOFTM16): per row, `exp` each logit, reduce, divide.
-pub fn softmax(width: i64) -> Workload {
+pub(crate) fn softmax(width: i64) -> Workload {
     const BATCH: i64 = 64;
     let mut m = Module::new(if width == 8 { "softm8" } else { "softm16" });
     let input = m.add_ro_mem_object("in", ScalarType::F32, (BATCH * width) as u64);
@@ -195,24 +173,46 @@ pub fn softmax(width: i64) -> Workload {
     }
 }
 
-/// Plain-Rust SOFTMAX used by tests.
-pub fn softmax_reference(input: &[f32], batch: usize, width: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; batch * width];
-    for r in 0..batch {
-        let mut sum = 0.0f32;
-        for k in 0..width {
-            sum += input[r * width + k].exp();
-        }
-        for k in 0..width {
-            out[r * width + k] = input[r * width + k].exp() / sum;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Plain-Rust DENSE used by tests.
+    fn dense_reference(
+        input: &[f32],
+        w: &[f32],
+        bias: &[f32],
+        batch: usize,
+        inputs: usize,
+        units: usize,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; batch * units];
+        for b in 0..batch {
+            for u in 0..units {
+                let mut acc = 0.0f32;
+                for k in 0..inputs {
+                    acc += w[u * inputs + k] * input[b * inputs + k];
+                }
+                out[b * units + u] = acc + bias[u];
+            }
+        }
+        out
+    }
+
+    /// Plain-Rust SOFTMAX used by tests.
+    fn softmax_reference(input: &[f32], batch: usize, width: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; batch * width];
+        for r in 0..batch {
+            let mut sum = 0.0f32;
+            for k in 0..width {
+                sum += input[r * width + k].exp();
+            }
+            for k in 0..width {
+                out[r * width + k] = input[r * width + k].exp() / sum;
+            }
+        }
+        out
+    }
 
     fn f32_close(a: &[f32], b: &[f32]) {
         assert_eq!(a.len(), b.len());

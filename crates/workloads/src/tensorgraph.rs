@@ -24,7 +24,7 @@ use crate::{Class, InitData, Prng, Workload};
 use muir_frontend::tensor::{TensorGraph, TensorLowerConfig};
 
 /// Canonical ATTN graph text.
-pub const ATTN_TEXT: &str = "\
+pub(crate) const ATTN_TEXT: &str = "\
 graph attn
 input q : f32[8,8]
 input kt : f32[8,8]
@@ -36,7 +36,7 @@ output %o
 ";
 
 /// Canonical CONVNET graph text.
-pub const CONVNET_TEXT: &str = "\
+pub(crate) const CONVNET_TEXT: &str = "\
 graph convnet
 input img : f32[12,12]
 input k : f32[3,3]
@@ -47,7 +47,7 @@ output %l
 ";
 
 /// Canonical MT-INFER graph text.
-pub const MT_INFER_TEXT: &str = "\
+pub(crate) const MT_INFER_TEXT: &str = "\
 graph mt_infer
 input x : f32[8,8]
 input w : f32[8,8]
@@ -102,12 +102,12 @@ fn from_graph(name: &'static str, text: &str, seed: u64) -> Workload {
 }
 
 /// ATTN: one attention block over 8×8 tiles.
-pub fn attn() -> Workload {
+pub(crate) fn attn() -> Workload {
     from_graph("ATTN", ATTN_TEXT, 101)
 }
 
 /// CONVNET: conv → relu → reduce to one logit.
-pub fn convnet() -> Workload {
+pub(crate) fn convnet() -> Workload {
     from_graph("CONVNET", CONVNET_TEXT, 103)
 }
 

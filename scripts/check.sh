@@ -1,11 +1,10 @@
 #!/bin/sh
 # Repo hygiene gate: formatting, lints on every workspace crate, the
 # tier-1 test suite (`cargo test -q`: every workspace crate, its full
-# registry sweeps left to the release stages below), the trace-exporter
-# schema gate, the sealed-artifact
-# determinism gate (compile twice -> identical content hash; no-op pass
-# pipeline -> hash unchanged), the store determinism gate (cold/warm/
-# post-fault over the full workload suite), the storage fault campaign
+# registry sweeps left to the release stages below; the sealed-artifact
+# determinism check — translate and seal twice, identical hash and size;
+# no-op pass pipeline, hash unchanged — is tests/frontend_pins.rs), the
+# trace-exporter schema gate, the storage fault campaign
 # (4 injected fault classes x plain/sim-faulted differential), three
 # `experiments fuzz <target>` stages over the one fuzz driver in
 # crates/bench/src/testgen.rs — `graphs` (30 seeded graphs:
@@ -54,9 +53,13 @@
 # verify_accelerator` is defined once, in crates/core/src/verify.rs, whose
 # non-test part names no `HashMap`, `HashSet` or `BTreeMap`; the non-test
 # part of crates/rtl/src/chisel.rs writes into its one buffer and has no
-# `format!(`), the telemetry zero-perturbation guard (seal + cold/warm
-# service drains with metrics on vs off bit-identical on every workload,
-# and the "on" leg must record; the ignored full sweep), the metrics gate (one instrumented GEMM capture whose
+# `format!(`), the telemetry zero-perturbation guard and store
+# determinism gate (seal + cold/warm service drains with metrics on vs
+# off bit-identical on every workload, and the "on" leg must record;
+# every warm job a store hit with no simulation attempt, a read-side bit
+# flip surfacing an `E-STORE-*` warning and recomputing the same end
+# state, the repaired entry hitting again; the ignored full sweep), the
+# metrics gate (one instrumented GEMM capture whose
 # merged trace and registry snapshot must validate against
 # scripts/trace_schema.json and scripts/metrics_schema.json), the
 # DSE smoke gate (a 2-workload seeded sweep through the eval service,
@@ -80,7 +83,7 @@ else
 fi
 
 if command -v cargo >/dev/null 2>&1 && cargo clippy --version >/dev/null 2>&1; then
-    for crate in muir-core muir-mir muir-frontend muir-sim muir-uopt muir-rtl muir-workloads muir-store muir-bench; do
+    for crate in muir-core muir-mir muir-frontend muir-sim muir-uopt muir-rtl muir-workloads muir-store muir-baselines muir-bench muir; do
         echo "== cargo clippy -p $crate (warnings are errors) =="
         cargo clippy -p "$crate" --all-targets -- -D warnings
     done
@@ -93,12 +96,6 @@ cargo test -q
 
 echo "== trace exporter vs scripts/trace_schema.json =="
 cargo run -q -p muir-bench --bin experiments -- trace-schema scripts/trace_schema.json
-
-echo "== artifact determinism (compile twice + no-op pipeline, all workloads) =="
-cargo run -q -p muir-bench --bin experiments -- compile-stats
-
-echo "== store determinism gate (cold/warm/post-fault, all workloads) =="
-cargo run --release -q -p muir-bench --bin experiments -- serve target/store-check
 
 echo "== storage fault campaign (4 classes x plain/sim-faulted) =="
 cargo run --release -q -p muir-bench --bin experiments -- store-campaign target/store-campaign-check
@@ -260,7 +257,7 @@ if sed '/^#\[cfg(test)\]/,$d' crates/rtl/src/chisel.rs | grep -nF 'format!('; th
     exit 1
 fi
 
-echo "== telemetry zero-perturbation guard (metrics on == off, all workloads; full sweep) =="
+echo "== telemetry zero-perturbation guard + store determinism (metrics on == off, cold/warm/post-fault, all workloads; full sweep) =="
 cargo test --release -q -p muir-bench --test telemetry -- --include-ignored
 
 echo "== metrics gate (merged trace + snapshot vs scripts/*_schema.json) =="

@@ -102,10 +102,14 @@ fn words(mem: &Memory, obj: MemObjId) -> &[u64] {
     mem.objects[obj.0 as usize].words()
 }
 
+/// The caller's stores, given the builder, the `[ints, flags]` objects and
+/// the `[lt, both, wide]` values.
+type StoreKinds = dyn Fn(&mut FunctionBuilder, [MemObjId; 2], [ValueRef; 3]);
+
 /// `and`/`or`/`xor` of two booleans is an integer; `icmp` is a boolean; a
 /// resize is whatever it was given. Each lands in an object of its kind
 /// and would be refused by one of the other.
-fn kinds_module(store: &dyn Fn(&mut FunctionBuilder, [MemObjId; 2], [ValueRef; 3])) -> Module {
+fn kinds_module(store: &StoreKinds) -> Module {
     let mut m = Module::new("kinds");
     let a = m.add_ro_mem_object("a", ScalarType::I32, 4);
     let ints = m.add_mem_object("ints", ScalarType::I32, 8);

@@ -10,10 +10,11 @@ mod common;
 
 use common::units;
 use muir::bench::best_stack;
-use muir::core::{content_hash, CompiledAccel, ContentHasher};
+use muir::core::{content_hash, Accelerator, CompiledAccel, ContentHasher};
 use muir::frontend::{translate, FrontendConfig};
 use muir::mir::module::Module;
 use muir::rtl::emit_chisel;
+use muir::uopt::PassManager;
 use muir::workloads::Class;
 
 /// `(unit, content_hash(translate(m)), sealed best_stack hash, (hash,
@@ -445,11 +446,22 @@ fn translate_and_sealed_hashes_are_pinned_for_the_compile_units() {
     }
 }
 
+/// Translating twice gives the same hash, sealing twice the same
+/// `(content_hash, size_bytes)`, and an empty pass pipeline leaves the
+/// hash where sealing found it.
 #[test]
 fn translating_twice_gives_the_same_hash() {
+    let seal = |acc: &Accelerator| {
+        let c = CompiledAccel::compile(acc).unwrap();
+        (c.content_hash(), c.size_bytes())
+    };
     for (name, _, m) in units() {
-        let a = content_hash(&translate(&m, &FrontendConfig::default()).unwrap());
+        let mut acc = translate(&m, &FrontendConfig::default()).unwrap();
         let b = content_hash(&translate(&m, &FrontendConfig::default()).unwrap());
-        assert_eq!(a, b, "{name}");
+        assert_eq!(content_hash(&acc), b, "{name}");
+        let sealed = seal(&acc);
+        assert_eq!(seal(&acc), sealed, "{name}: sealing twice");
+        PassManager::new().run(&mut acc).unwrap();
+        assert_eq!(content_hash(&acc), sealed.0, "{name}: empty pipeline");
     }
 }
