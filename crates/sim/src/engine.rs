@@ -462,33 +462,154 @@ struct NodeInfo {
     stamps: bool,
 }
 
-/// Wake-calendar horizon in cycles: a visit due sooner than this is a bit
-/// in the cycle's slot, anything later waits in [`ReadySet::far`]. Node
+/// Wake-calendar horizon in cycles: a mark due sooner than this is a bit
+/// in the cycle's slot, anything later waits in [`Calendar::far`]. Node
 /// latencies and initiation intervals are ≤ 17 at the default period, so
 /// only a fused chain at a very short clock period reaches past it.
 const CAL_HORIZON: u64 = 32;
-const _: () = assert!(CAL_HORIZON == u32::BITS as u64, "ReadySet::occupied");
+const _: () = assert!(CAL_HORIZON == u32::BITS as u64, "Calendar::occupied");
 
-/// Ready-set state of one invocation for [`SchedulerKind::Ready`]
-/// (unused under `Dense`): which nodes to visit in which cycle.
+/// A calendar of marks over the ids `0..n`, by cycle. It serves twice:
+/// each invocation's [`ReadySet`] marks scan positions for node visits,
+/// and the engine marks global tile ids for phase-4 tile ticks
+/// ([`Engine::set_due`]). A mark asks for a look at an id in a cycle;
+/// whoever drains it re-checks its own gate, so a mark left behind by a
+/// later change of mind costs one test and nothing else.
 #[derive(Debug)]
-struct ReadySet {
-    /// The calendar: [`CAL_HORIZON`] slots of `words` words, slot
-    /// `t % CAL_HORIZON` holding cycle `t`'s candidates as a bitset over
-    /// *scan positions* (not node ids). Marking is an idempotent OR. The
-    /// current cycle's slot is drained lowest-position-first, so visitation
-    /// mirrors the dense order; same-cycle wakes always land at positions
-    /// ahead of the drain point (`scan`), so the forward word walk never
-    /// misses one.
+struct Calendar {
+    /// [`CAL_HORIZON`] slots of `words` words, slot `t % CAL_HORIZON`
+    /// holding cycle `t`'s marks as a bitset over the ids. Marking is an
+    /// idempotent OR. The current cycle's slot is drained lowest-id-first
+    /// ([`Calendar::take`]), re-reading the word after every id, so a mark
+    /// set ahead of the drain point during the drain is still reached.
     cal: Vec<u64>,
     /// Words per slot.
     words: usize,
     /// Bit `t % CAL_HORIZON` is set while cycle `t`'s slot may hold a mark,
     /// so the next cycle with one is a rotate and a count, not a scan.
     occupied: u32,
-    /// Visits due [`CAL_HORIZON`] or more cycles after they were asked
-    /// for: (cycle, scan position).
+    /// Marks due [`CAL_HORIZON`] or more cycles after they were made:
+    /// (cycle, id).
     far: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl Calendar {
+    fn sized(n: usize) -> Calendar {
+        let words = n.div_ceil(64).max(1);
+        Calendar {
+            cal: vec![0; CAL_HORIZON as usize * words],
+            words,
+            occupied: 0,
+            far: BinaryHeap::new(),
+        }
+    }
+
+    /// Drop every mark.
+    fn clear(&mut self) {
+        self.cal.fill(0);
+        self.occupied = 0;
+        self.far.clear();
+    }
+
+    /// Index in `cal` of the first word of cycle `t`'s slot.
+    #[inline]
+    fn slot(&self, t: u64) -> usize {
+        (t % CAL_HORIZON) as usize * self.words
+    }
+
+    /// Mark `id` for cycle `t >= cycle`.
+    #[inline]
+    fn mark(&mut self, id: u32, t: u64, cycle: u64) {
+        if t - cycle < CAL_HORIZON {
+            let w = self.slot(t) + (id / 64) as usize;
+            self.cal[w] |= 1u64 << (id % 64);
+            self.occupied |= 1 << (t % CAL_HORIZON);
+        } else {
+            self.mark_far(id, t);
+        }
+    }
+
+    /// The rare mark a horizon or more ahead, kept out of `mark`'s inline
+    /// body.
+    #[cold]
+    #[inline(never)]
+    fn mark_far(&mut self, id: u32, t: u64) {
+        self.far.push(Reverse((t, id)));
+    }
+
+    /// Start draining cycle `cycle`: the marks that waited in `far` for it
+    /// join its slot.
+    #[inline]
+    fn promote(&mut self, cycle: u64) {
+        if self.far.peek().is_some_and(|&Reverse((t, _))| t <= cycle) {
+            self.promote_far(cycle);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn promote_far(&mut self, cycle: u64) {
+        while let Some(&Reverse((t, id))) = self.far.peek() {
+            if t > cycle {
+                break;
+            }
+            self.far.pop();
+            self.mark(id, cycle, cycle);
+        }
+    }
+
+    /// Take the lowest id still marked in the slot at `slot`, searching
+    /// from word `*wi` on; `None` once the slot is empty.
+    #[inline]
+    fn take(&mut self, slot: usize, wi: &mut usize) -> Option<usize> {
+        while *wi < self.words {
+            let word = self.cal[slot + *wi];
+            if word != 0 {
+                self.cal[slot + *wi] = word & (word - 1);
+                return Some(*wi * 64 + word.trailing_zeros() as usize);
+            }
+            *wi += 1;
+        }
+        None
+    }
+
+    /// Cycle `cycle`'s slot has been drained.
+    #[inline]
+    fn drained(&mut self, cycle: u64) {
+        self.occupied &= !(1 << (cycle % CAL_HORIZON));
+    }
+
+    /// Whether a mark for cycle `cycle` waits, in its slot or in `far`.
+    #[inline]
+    fn marked(&self, cycle: u64) -> bool {
+        self.occupied & (1 << (cycle % CAL_HORIZON)) != 0
+            || self.far.peek().is_some_and(|&Reverse((t, _))| t <= cycle)
+    }
+
+    /// The first cycle after `cycle`, whose slot is drained, with a mark.
+    fn next_marked(&self, cycle: u64) -> u64 {
+        let far = self.far.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
+        // Bit 0 of the rotated set is cycle + 1's slot.
+        let ahead = self
+            .occupied
+            .rotate_right(((cycle + 1) % CAL_HORIZON) as u32);
+        if ahead == 0 {
+            far
+        } else {
+            far.min(cycle + 1 + u64::from(ahead.trailing_zeros()))
+        }
+    }
+}
+
+/// Ready-set state of one invocation for [`SchedulerKind::Ready`]
+/// (unused under `Dense`): which nodes to visit in which cycle.
+#[derive(Debug)]
+struct ReadySet {
+    /// Node visits, marked by *scan position* (not node id), so draining a
+    /// slot lowest-first mirrors the dense order. Same-cycle wakes always
+    /// land at positions ahead of the drain point (`scan`), so the forward
+    /// word walk never misses one.
+    wakes: Calendar,
     /// Nodes blocked on the instance gate (`fired == admitted`), woken by
     /// the next admission. Registered at gate failure and when a firing
     /// exhausts the admitted window, so admission wakes are O(waiters)
@@ -503,12 +624,8 @@ struct ReadySet {
 
 impl ReadySet {
     fn sized(n: usize) -> ReadySet {
-        let words = n.div_ceil(64).max(1);
         ReadySet {
-            cal: vec![0; CAL_HORIZON as usize * words],
-            words,
-            occupied: 0,
-            far: BinaryHeap::new(),
+            wakes: Calendar::sized(n),
             adm: Vec::new(),
             scan: -1,
         }
@@ -517,56 +634,9 @@ impl ReadySet {
     /// Drop all membership (stale candidates of a retired invocation must
     /// not leak into the next one; the `parked` flags reset with the nodes).
     fn clear(&mut self) {
-        self.cal.fill(0);
-        self.occupied = 0;
-        self.far.clear();
+        self.wakes.clear();
         self.adm.clear();
         self.scan = -1;
-    }
-
-    /// Index in `cal` of the first word of cycle `t`'s slot.
-    #[inline]
-    fn slot(&self, t: u64) -> usize {
-        (t % CAL_HORIZON) as usize * self.words
-    }
-
-    /// Ask for a visit of scan position `pos` in cycle `t >= cycle`.
-    #[inline]
-    fn mark(&mut self, pos: u32, t: u64, cycle: u64) {
-        if t - cycle < CAL_HORIZON {
-            let w = self.slot(t) + (pos / 64) as usize;
-            self.cal[w] |= 1u64 << (pos % 64);
-            self.occupied |= 1 << (t % CAL_HORIZON);
-        } else {
-            self.far.push(Reverse((t, pos)));
-        }
-    }
-
-    /// Start cycle `cycle`'s pass: the visits that waited in `far` for it
-    /// join its slot.
-    fn promote(&mut self, cycle: u64) {
-        while let Some(&Reverse((t, pos))) = self.far.peek() {
-            if t > cycle {
-                break;
-            }
-            self.far.pop();
-            self.mark(pos, cycle, cycle);
-        }
-    }
-
-    /// The first cycle after `cycle`, whose slot is drained, for which a
-    /// visit is marked.
-    fn next_marked(&self, cycle: u64) -> u64 {
-        let far = self.far.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
-        // Bit 0 of the rotated set is cycle + 1's slot.
-        let ahead = self
-            .occupied
-            .rotate_right(((cycle + 1) % CAL_HORIZON) as u32);
-        if ahead == 0 {
-            far
-        } else {
-            far.min(cycle + 1 + u64::from(ahead.trailing_zeros()))
-        }
     }
 }
 
@@ -727,7 +797,7 @@ impl ActiveInv {
         if t == cycle && i64::from(pos) <= self.ready.scan {
             t += 1;
         }
-        self.ready.mark(pos, t, cycle);
+        self.ready.wakes.mark(pos, t, cycle);
         t
     }
 
@@ -784,7 +854,7 @@ impl ActiveInv {
         if self.can_admit(window) {
             cycle + 1
         } else {
-            self.ready.next_marked(cycle)
+            self.ready.wakes.next_marked(cycle)
         }
     }
 }
@@ -865,11 +935,15 @@ enum Ev {
 
 /// Calendar-queue horizon: events due within this many cycles of *now* go
 /// into a per-cycle FIFO ring bucket (O(1) push/pop, no comparisons); the
-/// rare event further out falls back to the `(cycle, seq)` min-heap. Node
-/// latencies and memory response delays are tens of cycles, so in practice
-/// virtually every event is "near". Must exceed the largest single-hop
-/// event latency for the ring to pay off; correctness never depends on it.
-const EV_HORIZON: u64 = 256;
+/// rare event further out falls back to the `(cycle, seq)` min-heap. An
+/// event is a non-stamping firing's fixed-latency completion, an
+/// instance's last stamp or a reply one cycle on — at most 17 cycles out at
+/// the default period — so in practice every event is "near". Must exceed
+/// the largest single-hop event latency for the ring to pay off;
+/// correctness never depends on it. The run touches every bucket in
+/// turn, so a ring no longer than it must be keeps the buckets in the
+/// first-level cache; a 256-bucket ring was measurably slower.
+const EV_HORIZON: u64 = 32;
 
 /// A scheduled event in the *far* min-heap, ordered by (cycle, insertion
 /// seq). Replay order across both queues is identical to a pure-heap
@@ -946,10 +1020,15 @@ pub(crate) struct Engine<'a> {
     /// admission, no candidate, no due sleeper. `u64::MAX` for a free tile
     /// and for an occupied one that only an event can give work. Every
     /// wake and every admission-relevant retirement lowers it; the tile's
-    /// own pass recomputes it.
+    /// own pass recomputes it. All writes go through [`Engine::set_due`].
     tile_due: Vec<u64>,
-    /// `min(tile_due)` as of the end of the last phase 4.
-    next_due: u64,
+    /// Phase 4's work list (`Ready` only): tile `g` is marked for every
+    /// cycle `tile_due[g]` was set to. A mark whose entry has moved on
+    /// since is stale and ticks nothing.
+    tile_cal: Calendar,
+    /// Tasks whose issue queue holds an invocation, one bit per task: set
+    /// by every push, cleared by the dispatch that empties the queue.
+    queued: Vec<u64>,
     /// Tiles with a global id below this have had their phase-4 slot in
     /// the current cycle (0 during phases 1–3).
     scan_g: usize,
@@ -1116,8 +1195,9 @@ impl<'a> Engine<'a> {
             junction_base,
             tile_base,
             tile_due: vec![u64::MAX; tile_ids.len()],
+            tile_cal: Calendar::sized(tile_ids.len()),
             tile_ids,
-            next_due: u64::MAX,
+            queued: vec![0; ntasks.div_ceil(64)],
             scan_g: 0,
             dispatch_hint: false,
             use_ready: cfg.scheduler == SchedulerKind::Ready && obs.is_none(),
@@ -1173,13 +1253,15 @@ impl<'a> Engine<'a> {
         let root = self.acc.root.0 as usize;
         let args = self.admit_root_args(root, args)?;
         let uid = self.fresh_uid();
-        self.tasks[root].queue.push_back(Invocation {
-            uid,
-            args,
-            reply: None,
-            spawn_parent: None,
-        });
-        self.dispatch_hint = true;
+        self.enqueue(
+            root,
+            Invocation {
+                uid,
+                args,
+                reply: None,
+                spawn_parent: None,
+            },
+        );
         self.cycle = fill_delay;
         self.last_progress = fill_delay;
         let mut scratch = Scratch::default();
@@ -1400,7 +1482,20 @@ impl<'a> Engine<'a> {
         if let Some(inv) = self.tasks[ti].tiles[tk].as_deref_mut() {
             let due = inv.wake(&self.elab[ti].info, node, self.cycle, self.cycle);
             let g = self.tile_base[ti] + tk;
-            self.tile_due[g] = self.tile_due[g].min(due);
+            self.set_due(g, self.tile_due[g].min(due));
+        }
+    }
+
+    /// Set tile `g`'s `tile_due` entry to `t` and, under `Ready`, mark the
+    /// tile for cycle `t` in phase 4's calendar. The one writer of both.
+    #[inline]
+    fn set_due(&mut self, g: usize, t: u64) {
+        if self.tile_due[g] == t {
+            return; // marked when it was set, and not yet drained
+        }
+        self.tile_due[g] = t;
+        if self.use_ready && t != u64::MAX {
+            self.tile_cal.mark(g as u32, t, self.cycle);
         }
     }
 
@@ -1413,10 +1508,14 @@ impl<'a> Engine<'a> {
     /// nothing, every `try_fire` would gate out).
     fn maybe_skip_idle(&mut self) {
         let cycle = self.cycle;
-        if self.next_due <= cycle || self.dispatch_hint {
+        if self.dispatch_hint || self.tile_cal.marked(cycle) {
             return;
         }
-        let mut earliest = self.next_due;
+        // The last step was at `cycle - 1`. The first tile to come due is
+        // the calendar's next mark: no later than `min(tile_due)`, earlier
+        // only by a stale mark, which costs a stepped cycle that does
+        // nothing.
+        let mut earliest = self.tile_cal.next_marked(cycle.saturating_sub(1));
         for s in &self.structs {
             match s.next_activity(cycle) {
                 Some(at) if at <= cycle => return, // must tick now
@@ -1603,12 +1702,21 @@ impl<'a> Engine<'a> {
             (Some(site), None)
         };
         let uid = self.fresh_uid();
-        self.tasks[child].queue.push_back(Invocation {
-            uid,
-            args,
-            reply,
-            spawn_parent,
-        });
+        self.enqueue(
+            child,
+            Invocation {
+                uid,
+                args,
+                reply,
+                spawn_parent,
+            },
+        );
+    }
+
+    /// Push `inv` onto task `ti`'s issue queue.
+    fn enqueue(&mut self, ti: usize, inv: Invocation) {
+        self.tasks[ti].queue.push_back(inv);
+        self.queued[ti / 64] |= 1 << (ti % 64);
         self.dispatch_hint = true;
     }
 
@@ -1650,9 +1758,13 @@ impl<'a> Engine<'a> {
             // swap the emptied Vec back to keep its capacity.
             self.ev_near[slot] = bucket;
         }
-        // Phase 2: memory responses.
+        // Phase 2: memory responses. `Ready` passes over a quiet structure,
+        // whose tick would return at once; the dense oracle ticks them all.
         let mut responses = std::mem::take(&mut self.mem_resp);
         for si in 0..self.structs.len() {
+            if self.use_ready && self.structs[si].is_quiet() {
+                continue;
+            }
             let dram = (Some(si) != self.dram_idx).then_some(&mut self.dram);
             self.structs[si].tick(cycle, dram, &mut responses);
             for r in responses.drain(..) {
@@ -1677,48 +1789,45 @@ impl<'a> Engine<'a> {
             }
         }
         self.mem_resp = responses;
-        // Phase 3: dispatch queued invocations onto free tiles (min-index
-        // first, matching a linear `is_none()` scan). Only a queue push or
-        // a retirement can make a dispatch possible, so `Ready` looks only
-        // after one; the dense oracle looks every cycle.
-        if self.dispatch_hint || !self.use_ready {
-            self.dispatch_hint = false;
+        // Phase 3: dispatch queued invocations onto free tiles, tasks in
+        // index order. Only a queue push or a retirement can make a
+        // dispatch possible, so `Ready` looks only after one, and only at
+        // the tasks with a queued invocation; the dense oracle looks at
+        // every task every cycle.
+        if !self.use_ready {
             for ti in 0..self.tasks.len() {
-                while !self.tasks[ti].queue.is_empty() {
-                    let Some(Reverse(free)) = self.tasks[ti].free_tiles.pop() else {
-                        break;
-                    };
-                    let invq = self.tasks[ti].queue.pop_front().expect("checked");
-                    if self.use_ready && !self.tasks[ti].queue_waiters.is_empty() {
-                        // A queue slot freed: blocked TaskCall sites may retry.
-                        let mut waiters = std::mem::take(&mut self.tasks[ti].queue_waiters);
-                        for (wti, wtk, wnode) in waiters.drain(..) {
-                            self.wake_tile(wti as usize, wtk as usize, wnode as usize);
-                        }
-                        self.tasks[ti].queue_waiters = waiters;
-                    }
-                    let uid = invq.uid;
-                    self.activate(ti, free, invq).map_err(|e| {
-                        e.at_site(cycle, ti as u32, &self.acc.tasks[ti].name, None, Some(uid))
-                    })?;
+                self.dispatch(ti)?;
+            }
+        } else if self.dispatch_hint {
+            self.dispatch_hint = false;
+            // No push happens in phase 3, so a word read once stays true
+            // but for the bits its own dispatches clear.
+            for w in 0..self.queued.len() {
+                let mut word = self.queued[w];
+                while word != 0 {
+                    self.dispatch(w * 64 + word.trailing_zeros() as usize)?;
+                    word &= word - 1;
                 }
             }
         }
         // Phase 4: admissions + node firing (consumers-first order), tiles
-        // in dense order. `Ready` ticks only the tiles that are due; for
-        // every other tile the tick would admit nothing, promote nothing
-        // and visit nothing (the tile-work invariant on `tile_due`).
+        // in dense order. `Ready` ticks only the tiles that are due, taking
+        // them from this cycle's calendar slot lowest-id-first; every
+        // other tile's tick would admit nothing, promote nothing and visit
+        // nothing (the tile-work invariant on `tile_due`). A stale mark
+        // fails the `tile_due` test and ticks nothing.
         if self.use_ready {
-            let mut next_due = u64::MAX;
-            for g in 0..self.tile_due.len() {
+            self.tile_cal.promote(cycle);
+            let slot = self.tile_cal.slot(cycle);
+            let mut wi = 0;
+            while let Some(g) = self.tile_cal.take(slot, &mut wi) {
                 if self.tile_due[g] <= cycle {
                     self.scan_g = g + 1;
                     let (ti, tk) = self.tile_ids[g];
                     self.tile_tick(ti as usize, tk as usize, scratch)?;
                 }
-                next_due = next_due.min(self.tile_due[g]);
             }
-            self.next_due = next_due;
+            self.tile_cal.drained(cycle);
         } else {
             for ti in 0..self.tasks.len() {
                 for tk in 0..self.tasks[ti].tiles.len() {
@@ -1730,6 +1839,34 @@ impl<'a> Engine<'a> {
             }
         }
         self.cycle += 1;
+        Ok(())
+    }
+
+    /// Dispatch task `ti`'s queued invocations onto its free tiles,
+    /// lowest tile first (a linear `is_none()` scan's choice).
+    fn dispatch(&mut self, ti: usize) -> Result<(), SimError> {
+        while !self.tasks[ti].queue.is_empty() {
+            let Some(Reverse(free)) = self.tasks[ti].free_tiles.pop() else {
+                break;
+            };
+            let invq = self.tasks[ti].queue.pop_front().expect("checked");
+            if self.tasks[ti].queue.is_empty() {
+                self.queued[ti / 64] &= !(1 << (ti % 64));
+            }
+            if self.use_ready && !self.tasks[ti].queue_waiters.is_empty() {
+                // A queue slot freed: blocked TaskCall sites may retry.
+                let mut waiters = std::mem::take(&mut self.tasks[ti].queue_waiters);
+                for (wti, wtk, wnode) in waiters.drain(..) {
+                    self.wake_tile(wti as usize, wtk as usize, wnode as usize);
+                }
+                self.tasks[ti].queue_waiters = waiters;
+            }
+            let uid = invq.uid;
+            self.activate(ti, free, invq).map_err(|e| {
+                let name = &self.acc.tasks[ti].name;
+                e.at_site(self.cycle, ti as u32, name, None, Some(uid))
+            })?;
+        }
         Ok(())
     }
 
@@ -1799,7 +1936,7 @@ impl<'a> Engine<'a> {
         self.tasks[ti].tiles[tile] = Some(a);
         // Due at once: to admit instance 0, or — a zero-trip loop admits
         // nothing — for the completion check that follows the tile's pass.
-        self.tile_due[self.tile_base[ti] + tile] = self.cycle;
+        self.set_due(self.tile_base[ti] + tile, self.cycle);
         self.progress(self.cycle);
         Ok(())
     }
@@ -1814,8 +1951,8 @@ impl<'a> Engine<'a> {
         };
         let walked = if self.use_ready {
             let r = self.ready_pass(ti, tk, &mut inv, scratch);
-            self.tile_due[self.tile_base[ti] + tk] =
-                inv.due_after_pass(self.cycle, self.cfg.window);
+            let due = inv.due_after_pass(self.cycle, self.cfg.window);
+            self.set_due(self.tile_base[ti] + tk, due);
             r
         } else {
             self.dense_pass(ti, tk, &mut inv, scratch)
@@ -1898,30 +2035,23 @@ impl<'a> Engine<'a> {
         // re-read after every visit: a same-cycle wake from inside
         // `try_fire` can only set a bit ahead of the drain point, which
         // this forward walk will still reach.
-        inv.ready.promote(cycle);
+        inv.ready.wakes.promote(cycle);
         let order: &[u32] = &self.elab[ti].ct.order;
-        let slot = inv.ready.slot(cycle);
+        let slot = inv.ready.wakes.slot(cycle);
         let mut wi = 0;
-        while wi < inv.ready.words {
-            let word = inv.ready.cal[slot + wi];
-            if word == 0 {
-                wi += 1;
-                continue;
-            }
-            inv.ready.cal[slot + wi] = word & (word - 1);
-            let pos = wi * 64 + word.trailing_zeros() as usize;
+        while let Some(pos) = inv.ready.wakes.take(slot, &mut wi) {
             let node = order[pos] as usize;
             // A mark made for a token's stamp reads `ready_at` at the push;
             // a firing since may have moved it past this cycle.
             let ready_at = inv.nodes[node].ready_at;
             if ready_at > cycle {
-                inv.ready.mark(pos as u32, ready_at, cycle);
+                inv.ready.wakes.mark(pos as u32, ready_at, cycle);
                 continue;
             }
             inv.ready.scan = pos as i64;
             self.try_fire(ti, tk, inv, node, scratch)?;
         }
-        inv.ready.occupied &= !(1 << (cycle % CAL_HORIZON));
+        inv.ready.wakes.drained(cycle);
         inv.ready.scan = -1;
         Ok(())
     }
@@ -2417,7 +2547,7 @@ impl<'a> Engine<'a> {
                 due = due.min(inv.wake(&et.info, node, cycle, cycle));
             }
             let g = self.tile_base[ti] + tk;
-            self.tile_due[g] = self.tile_due[g].min(due);
+            self.set_due(g, self.tile_due[g].min(due));
         }
         if let Some(rv) = reply_values {
             self.recycle(rv);
@@ -2445,7 +2575,7 @@ impl<'a> Engine<'a> {
         if self.use_ready && inv.can_admit(self.cfg.window) {
             // A retired instance opened the admission window.
             let g = self.tile_base[ti] + tk;
-            self.tile_due[g] = self.tile_due[g].min(self.cycle);
+            self.set_due(g, self.tile_due[g].min(self.cycle));
         }
         self.check_invocation_complete(ti, tk)
     }
@@ -2457,7 +2587,7 @@ impl<'a> Engine<'a> {
         }
         let inv = slot.take().expect("checked");
         let g = self.tile_base[ti] + tk;
-        self.tile_due[g] = u64::MAX;
+        self.set_due(g, u64::MAX);
         if self.use_ready {
             // Busy since activation, this cycle included iff the dense scan
             // has already been past this tile's slot (it counts a tile when
@@ -2726,22 +2856,19 @@ mod tests {
         assert_eq!(inv.wake(&info, 2, cycle + CAL_HORIZON + 9, cycle), 111);
         inv.park_adm(3);
         inv.ready.scan = 2;
-        assert_eq!(inv.ready.far.len(), 1);
-        assert_eq!(inv.ready.next_marked(cycle), cycle + 5);
+        assert_eq!(inv.ready.wakes.far.len(), 1);
+        assert_eq!(inv.ready.wakes.next_marked(cycle), cycle + 5);
         inv.reset();
-        assert!(inv.ready.cal.iter().all(|&w| w == 0));
-        assert!(inv.ready.far.is_empty() && inv.ready.adm.is_empty());
+        assert!(inv.ready.wakes.cal.iter().all(|&w| w == 0));
+        assert!(inv.ready.wakes.far.is_empty() && inv.ready.adm.is_empty());
         assert_eq!(inv.ready.scan, -1);
-        assert_eq!(inv.ready.next_marked(cycle), u64::MAX);
+        assert_eq!(inv.ready.wakes.next_marked(cycle), u64::MAX);
         assert!(!inv.nodes[3].parked);
     }
 
-    /// An `InstanceDone` that finds its tile free, or running a later
-    /// invocation, changes nothing and is not an error.
-    #[test]
-    fn a_stale_instance_done_is_a_no_op() {
-        // A loop nest that touches no memory: the inner loop's tile is
-        // reused by four invocations.
+    /// A loop nest that touches no memory: the inner loop's tile is reused
+    /// by four invocations.
+    fn loop_nest() -> (Module, CompiledAccel) {
         let mut m = Module::new("stale");
         let mut b = FunctionBuilder::new("main", &[]).returns(Type::I64);
         let zero = (ValueRef::int(0), Type::I64);
@@ -2756,6 +2883,79 @@ mod tests {
         m.add_function(b.finish());
         let acc = translate(&m, &FrontendConfig::default()).expect("translate");
         let comp = CompiledAccel::compile(&acc).expect("seal");
+        (m, comp)
+    }
+
+    /// Step `e` up to cycle `to` (idle cycles are stepped, not skipped) and
+    /// list the cycles in which phase 4 ticked a tile, with the last tile
+    /// it ticked in each.
+    fn ticks(e: &mut Engine, to: u64) -> Vec<(u64, usize)> {
+        let mut scratch = Scratch::default();
+        let mut out = Vec::new();
+        while e.cycle < to {
+            let cycle = e.cycle;
+            e.step(&mut scratch).expect("an idle step");
+            if e.scan_g > 0 {
+                out.push((cycle, e.scan_g - 1));
+            }
+        }
+        out
+    }
+
+    /// Phase 4 ticks a tile in exactly the cycle its `tile_due` entry
+    /// names, also when that is a calendar horizon or more ahead and the
+    /// mark waits in `far`. The tiles here hold no invocation, so a tick
+    /// changes nothing but `scan_g`, which is what the test reads.
+    #[test]
+    fn a_tile_due_past_the_horizon_ticks_in_exactly_its_cycle() {
+        let (m, comp) = loop_nest();
+        let cfg = SimConfig::default();
+        let mut mem = Memory::from_module(&m);
+        let mut e = Engine::new(&comp, &mut mem, &cfg);
+        assert!(e.use_ready && e.tile_due.len() > 1);
+        let g = e.tile_due.len() - 1;
+        e.cycle = 50;
+        let due = e.cycle + CAL_HORIZON + 7;
+        e.set_due(g, due);
+        assert_eq!(
+            e.tile_cal.far.len(),
+            1,
+            "a mark past the horizon waits in far"
+        );
+        assert_eq!(e.tile_cal.next_marked(e.cycle), due);
+        assert_eq!(ticks(&mut e, due + 40), [(due, g)]);
+        assert!(e.tile_cal.far.is_empty());
+        assert_eq!(e.tile_cal.next_marked(e.cycle - 1), u64::MAX, "all drained");
+    }
+
+    /// A wake marks a tile for cycle 10; the tile retires, is reactivated
+    /// for cycle 3 and, after its pass there, sleeps until cycle 20. The
+    /// mark for cycle 10 is stale by then: draining it ticks nothing, and
+    /// it only ever makes the calendar's next marked cycle early, never
+    /// late.
+    #[test]
+    fn a_stale_tile_mark_ticks_nothing() {
+        let (m, comp) = loop_nest();
+        let cfg = SimConfig::default();
+        let mut mem = Memory::from_module(&m);
+        let mut e = Engine::new(&comp, &mut mem, &cfg);
+        let g = 0;
+        e.set_due(g, 10); // a wake
+        e.set_due(g, u64::MAX); // retired
+        e.set_due(g, 3); // reactivated
+        assert_eq!(ticks(&mut e, 4), [(3, g)]);
+        assert_eq!(e.tile_cal.next_marked(3), 10, "the stale mark first");
+        e.set_due(g, 20); // what the pass at cycle 3 left behind
+        assert_eq!(ticks(&mut e, 11), []);
+        assert_eq!(e.tile_cal.next_marked(10), 20, "after its drain");
+        assert_eq!(ticks(&mut e, 30), [(20, g)]);
+    }
+
+    /// An `InstanceDone` that finds its tile free, or running a later
+    /// invocation, changes nothing and is not an error.
+    #[test]
+    fn a_stale_instance_done_is_a_no_op() {
+        let (m, comp) = loop_nest();
         // Run to the end, then again to two thirds of the way there, which
         // finds the inner loop's tile on its second invocation or later.
         let mut end = 0;

@@ -110,6 +110,9 @@ pub struct StructModel {
     lines: Vec<Vec<Line>>,
     /// In-flight DRAM line fills: (ready_cycle, req, remaining-elems-tag).
     dram_fills: VecDeque<(u64, ElemTxn)>,
+    /// This cycle's cache misses, between probing the banks and asking
+    /// DRAM for their lines; empty outside `tick_cache`.
+    victims: Vec<ElemTxn>,
     /// DRAM bandwidth accounting for the current cycle.
     lru_clock: u64,
     /// Statistics.
@@ -146,6 +149,7 @@ impl StructModel {
             done: Vec::new(),
             lines,
             dram_fills: VecDeque::new(),
+            victims: Vec::new(),
             lru_clock: 0,
             stats: StructStats::default(),
             injector: None,
@@ -240,13 +244,7 @@ impl StructModel {
     /// valid *now*, oldest first. The buffer is the caller's, so a tick
     /// allocates nothing.
     pub fn tick(&mut self, cycle: u64, dram: Option<&mut DramModel>, out: &mut Vec<MemResponse>) {
-        // Idle fast path. `submit` records the `outstanding` entry before it
-        // queues any bank/fill transaction, so an empty `outstanding` implies
-        // the banks and fill queue are empty too; with `done` also empty the
-        // whole tick body is a no-op (no stalls accrue, no responses mature,
-        // no ECC draws). Structures spend most cycles idle, and the engine
-        // ticks every structure every cycle, so this is the common case.
-        if self.outstanding.is_empty() && self.done.is_empty() {
+        if self.is_quiet() {
             return;
         }
         match self.kind {
@@ -329,7 +327,7 @@ impl StructModel {
         }
         // Service one txn per bank per cycle.
         let nbanks = self.banks.len();
-        let mut victims: Vec<ElemTxn> = Vec::new();
+        let mut victims = std::mem::take(&mut self.victims);
         for b in 0..nbanks {
             if let Some(txn) = self.banks[b].pop_front() {
                 if self.probe(txn.addr, line_elems, txn.is_write) {
@@ -343,7 +341,7 @@ impl StructModel {
             self.stats.conflict_stalls += self.banks[b].len() as u64;
         }
         if let Some(dram) = dram {
-            for txn in victims {
+            for txn in victims.drain(..) {
                 let ready = dram.fetch_line(cycle, line_elems);
                 // Behind every fill due no later: the queue stays ordered by
                 // readiness, ties in arrival order, even when a DRAM-timeout
@@ -353,10 +351,11 @@ impl StructModel {
             }
         } else {
             // No DRAM behind this cache: treat as hit after a long latency.
-            for txn in victims {
+            for txn in victims.drain(..) {
                 self.retire_elem(txn.req, cycle + 40);
             }
         }
+        self.victims = victims;
     }
 
     fn tick_raw_dram(&mut self, cycle: u64, latency: u32, elems_per_cycle: u32) {
@@ -417,6 +416,18 @@ impl StructModel {
     /// simulations — models are rebuilt, so this is mostly for tests).
     pub(crate) fn bank_count(&self) -> usize {
         self.banks.len()
+    }
+
+    /// Whether a tick would do nothing at any cycle: no request is
+    /// outstanding and no response waits to mature. `submit` records the
+    /// `outstanding` entry before it queues any bank or fill transaction,
+    /// so an empty `outstanding` implies empty banks and fill queue too —
+    /// no stalls accrue, no response matures, no ECC draw is made.
+    /// Structures spend most cycles quiet, so the engine tests this before
+    /// it calls `tick`, and `tick` tests it first.
+    #[inline]
+    pub(crate) fn is_quiet(&self) -> bool {
+        self.outstanding.is_empty() && self.done.is_empty()
     }
 
     /// Outstanding transactions (for idle detection).

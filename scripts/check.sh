@@ -37,8 +37,11 @@
 # field exists only between the door's two marker comments: root arguments
 # in, results out), the one-wake-clock gate (engine.rs keeps one wake
 # calendar keyed by cycle — no `next` list, no `future` heap, no membership
-# bits — schedules `Ev::NodeDone` from one site and pushes an in-flight token
-# from one branch: every other firing stamps), the cross-commit outcomes gate
+# bits; its `cal`/`occupied`/`far` fields are defined once, in the one
+# calendar type node visits and tile ticks share, and no loop walks
+# `0..self.tile_due.len()` — schedules `Ev::NodeDone` from one site and
+# pushes an in-flight token from one branch: every other firing stamps),
+# the cross-commit outcomes gate
 # (`experiments outcomes` — every registry workload x baseline/best_stack x
 # Dense/Ready x plain/traced/faulted, cycles and hashes or the error's text —
 # against scripts/outcomes.golden, which the parent of the last engine
@@ -189,7 +192,21 @@ echo "== one wake clock (engine.rs: one calendar, one NodeDone site, one in-flig
 # A fixed-latency firing stamps its tokens and wakes their consumers for
 # the stamp's cycle; only a Load, Store or TaskCall completes by event.
 if grep -nE 'IN_NEXT|IN_FUTURE|next: Vec' crates/sim/src/engine.rs; then
-    echo "check.sh: engine.rs keeps its wakes in the calendar (ReadySet::cal, far), not in per-container lists and bits (lines above)" >&2
+    echo "check.sh: engine.rs keeps its wakes in the calendar (Calendar::cal, far), not in per-container lists and bits (lines above)" >&2
+    exit 1
+fi
+# Node visits and tile ticks are marked in one calendar type: its three
+# fields are declared once, and phase 4 drains it instead of reading every
+# tile's `tile_due` entry.
+for field in 'cal: Vec<' 'occupied: u32,' 'far: BinaryHeap<'; do
+    n=$(grep -cE "^ *$field" crates/sim/src/engine.rs || true)
+    if [ "$n" != 1 ]; then
+        echo "check.sh: engine.rs must declare the calendar field \`$field\` exactly once, in \`struct Calendar\` (found $n)" >&2
+        exit 1
+    fi
+done
+if grep -nF '0..self.tile_due.len()' crates/sim/src/engine.rs; then
+    echo "check.sh: phase 4 takes its tiles from the tile calendar (tile_cal), not from a walk over tile_due (lines above)" >&2
     exit 1
 fi
 # Every mention but the pattern of dispatch_event's match arm.

@@ -5,8 +5,8 @@
 //! * programs built so that tiles sit idle for long stretches — a parent
 //!   blocked on a child call, a zero-trip loop, a divider asleep for its
 //!   initiation interval, a full child queue, the benchmark's generated
-//!   tensor graphs — must come out of `Ready` exactly as they come out
-//!   of the `Dense` oracle;
+//!   tensor graphs, a graph of more than 64 tasks and 128 tiles — must
+//!   come out of `Ready` exactly as they come out of the `Dense` oracle;
 //! * `sched_visits / fires` under `Ready` is an exact count, so a change
 //!   that makes wakes less precise fails here without any timing.
 
@@ -21,6 +21,8 @@ use muir::mir::interp::{Interp, Memory};
 use muir::mir::module::Module;
 use muir::mir::types::ScalarType;
 use muir::sim::{simulate_compiled, SimConfig};
+use muir::uopt::passes::{ExecutionTiling, TaskFilter};
+use muir::uopt::PassManager;
 use muir::workloads;
 
 /// `sched::dense_vs_ready` over one sealed artifact, and the oracle's
@@ -145,6 +147,39 @@ fn generated_tensor_graphs() {
             *mem = w.fresh_memory();
         });
     }
+}
+
+/// A chain of 100 tensor ops lowers to more than 64 tasks; tiled two ways,
+/// they have more than 128 tiles. Phase 3's queued-task set and phase 4's
+/// tile calendar are bitsets of 64 per word, so this runs their
+/// multi-word paths — a task or tile past the first word queued, marked,
+/// drained — against the oracle.
+#[test]
+fn more_than_64_tasks_and_128_tiles() {
+    let mut text = String::from("graph wide\ninput in0 : f32[2,4]\ninput in1 : f32[2,4]\n");
+    let mut prev = "in0".to_string();
+    for i in 0..100 {
+        text += &match i % 3 {
+            0 => format!("%n{i} = softmax {prev}\n"),
+            1 => format!("%n{i} = add {prev}, in1\n"),
+            _ => format!("%n{i} = relu {prev}\n"),
+        };
+        prev = format!("%n{i}");
+    }
+    text += &format!("output {prev}\n");
+    let w = workloads::tensorgraph::from_text("WIDE", &text, 7).expect("graph builds");
+    let tiling = PassManager::new().with(ExecutionTiling {
+        tiles: 2,
+        filter: TaskFilter::AllChildren,
+    });
+    let (acc, _) = optimized(&w, &tiling);
+    let tiles: u32 = acc.tasks.iter().map(|t| t.tiles.max(1)).sum();
+    assert!(
+        acc.tasks.len() > 64 && tiles > 128,
+        "{} tasks, {tiles} tiles",
+        acc.tasks.len()
+    );
+    check("wide", &w.module, &acc, &|mem| *mem = w.fresh_memory());
 }
 
 /// `try_fire` visits per firing under `Ready` on the benchmark's eight
