@@ -120,6 +120,7 @@ impl HlsModel {
 
     fn schedule_module(&self, module: &Module) -> HashMap<(String, u32), BlockSched> {
         let mut out = HashMap::new();
+        let fps = analysis::footprints(module);
         for f in &module.functions {
             let loops = analysis::natural_loops(f, &f.predecessors());
             for b in f.block_ids() {
@@ -137,7 +138,7 @@ impl HlsModel {
                     if !is_innermost {
                         return None;
                     }
-                    let dep = analysis::loop_dependence_in(module, f, l);
+                    let dep = analysis::loop_dependence_in(&fps, f, l);
                     if !dep.parallel {
                         return None; // carried memory dependence: serialized
                     }

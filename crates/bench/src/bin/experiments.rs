@@ -281,7 +281,6 @@ fn dse(names: &[String], params: &muir_bench::dse::DseParams, store: Option<&str
         totals.candidates += stats.candidates;
         totals.artifacts += stats.artifacts;
         totals.store_hits += stats.store_hits;
-        totals.coalesced += stats.coalesced;
         totals.recomputed += stats.recomputed;
         totals.store_warnings += stats.store_warnings;
         results.push(front);
@@ -290,12 +289,11 @@ fn dse(names: &[String], params: &muir_bench::dse::DseParams, store: Option<&str
     std::fs::write(out, &report).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!(
         "\ntotals: {} candidates -> {} artifacts, {} store hits / {} simulated, \
-         {} coalesced, {} store warnings",
+         {} store warnings",
         totals.candidates,
         totals.artifacts,
         totals.store_hits,
         totals.recomputed,
-        totals.coalesced,
         totals.store_warnings
     );
     match std::fs::read_to_string("scripts/dse_schema.json") {
@@ -324,7 +322,7 @@ fn dse(names: &[String], params: &muir_bench::dse::DseParams, store: Option<&str
 /// exposition, and measures the telemetry-disabled vs -enabled drain
 /// overhead.
 fn metrics(name: &str, outdir: &str) {
-    use muir_bench::service::{EvalJob, EvalService, RetryPolicy, ServiceConfig};
+    use muir_bench::service::{EvalJob, EvalService, ServiceConfig};
     use muir_bench::telemetry_gate as gate;
     use muir_core::telemetry;
     use muir_store::Store;
@@ -386,7 +384,6 @@ fn metrics(name: &str, outdir: &str) {
     // `E-SIM-LIMIT` and the doubling retry recovers — retry spans.
     let tight = ServiceConfig {
         deadline_cycles: 4,
-        retry: RetryPolicy { max_attempts: 32 },
         ..ServiceConfig::default()
     };
     let mut clip_svc = EvalService::new(comp, None, tight);

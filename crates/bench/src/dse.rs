@@ -23,16 +23,16 @@
 //!    contract (DESIGN.md §9–§10) makes every candidate's cycles and end
 //!    state identical across thread counts, and the store returns exactly
 //!    what a fresh simulation would compute (DESIGN.md §13);
-//! 3. **the report carries no timing** — wall-clock, store temperature
-//!    (`from_store`), and retry counts live in [`DseStats`] (printed to
-//!    stdout, never serialized into the report).
+//! 3. **the report carries no timing** — store temperature (store hits
+//!    against simulations) lives in [`DseStats`] (printed to stdout,
+//!    never serialized into the report).
 //!
-//! Candidates dedup at two levels: distinct configs that lower to the
-//! same artifact share one [`EvalService`] (artifact-level dedup), and
-//! their identical jobs coalesce inside the service (job-level dedup). A
-//! sweep simulates one design per distinct artifact, and distinct configs
-//! often lower to distinct artifacts: the `dse-cold` benchmark's 48
-//! candidates lower to 48 artifacts, with nothing coalesced.
+//! Candidates dedup once, by artifact: distinct configs that lower to the
+//! same artifact form one group, the group submits one [`EvalJob`] and
+//! checks its outputs once, and every member's row copies the group's
+//! cycles, end state and cost. A sweep simulates each distinct design
+//! once. Distinct configs often lower to distinct artifacts: the
+//! `dse-cold` benchmark's 48 candidates lower to 48 artifacts.
 
 use crate::service::{EvalJob, EvalOutcome, EvalService, ServiceConfig};
 use muir_core::compiled::CompiledAccel;
@@ -57,10 +57,9 @@ pub struct DseParams {
     /// all-baseline config is always candidate 0).
     pub budget: u64,
     /// Worker threads handed to each artifact group's `EvalService`.
-    /// Inert: `explore` drains one service per group, every member of a
-    /// group submits the same job, and identical jobs coalesce into one
-    /// simulation — so no two simulations ever run side by side. Never
-    /// affects report bytes (determinism contract rule 2).
+    /// Inert: `explore` drains one service per group and each group
+    /// submits one job — so no two simulations ever run side by side.
+    /// Never affects report bytes (determinism contract rule 2).
     ///
     /// Evaluating artifact groups concurrently instead was measured and
     /// rejected (ROADMAP item 8(b)). On 2 workers, with every check kept
@@ -131,8 +130,6 @@ pub struct DseStats {
     pub artifacts: u64,
     /// Evaluations served by the persistent store.
     pub store_hits: u64,
-    /// Submissions coalesced onto an identical pending job.
-    pub coalesced: u64,
     /// Evaluations actually simulated.
     pub recomputed: u64,
     /// Typed store errors degraded to warnings.
@@ -230,9 +227,8 @@ pub fn explore(
         }
     }
 
-    // Evaluate one artifact group at a time through the service: one
-    // identical job per member, so job-level coalescing and the store
-    // probe both see real traffic.
+    // Evaluate one artifact group at a time through the service: one job
+    // per group, and its measurement copied into every member's slot.
     let ref_mem = w
         .run_reference()
         .unwrap_or_else(|e| panic!("{}: {e}", w.name));
@@ -255,28 +251,26 @@ pub fn explore(
                     ..ServiceConfig::default()
                 },
             );
-            for _ in members {
-                svc.submit(EvalJob {
-                    cfg: SimConfig::default(),
-                    args: Vec::new(),
-                    mem: w.fresh_memory(),
-                });
-            }
-            let outcomes = svc.drain();
+            svc.submit(EvalJob {
+                cfg: SimConfig::default(),
+                args: Vec::new(),
+                mem: w.fresh_memory(),
+            });
+            let out = svc.drain().pop().expect("one outcome per job");
             let s = svc.stats();
             stats.store_hits += s.store_hits;
-            stats.coalesced += s.coalesced;
             stats.recomputed += s.recomputed;
             stats.store_warnings += s.store_warnings;
-            for (&slot, out) in members.iter().zip(&outcomes) {
-                let (cycles, end_state) = record(w, *art, out, &ref_mem);
-                evaluated[slot] = Some(Measured {
-                    cycles,
-                    area_score: cost.area_score(),
-                    end_state,
-                    fmax_mhz: cost.fmax_mhz,
-                    power_mw: cost.power_mw,
-                });
+            let (cycles, end_state) = record(w, *art, &out, &ref_mem);
+            let measured = Measured {
+                cycles,
+                area_score: cost.area_score(),
+                end_state,
+                fmax_mhz: cost.fmax_mhz,
+                power_mw: cost.power_mw,
+            };
+            for &slot in members {
+                evaluated[slot] = Some(measured);
             }
         }
     }

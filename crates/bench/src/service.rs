@@ -14,12 +14,13 @@
 //!    the simulator's own cycle-limit watchdog (the engine checks its
 //!    budget every cycle, so a runaway job stops at the deadline and
 //!    surfaces as the *transient* `E-SIM-LIMIT`);
-//! 4. **bounded retry** — transient failures
-//!    ([`SimError::is_transient`]) are retried up to a bounded attempt
-//!    count; each retry doubles the cycle budget up to the job's own
-//!    `max_cycles`, so a deadline-clipped job gets a real second chance
-//!    (the simulator is deterministic and in-process: there is nothing to
-//!    back off from);
+//! 4. **retry on a larger budget only** — a transient failure
+//!    ([`SimError::is_transient`]) is retried with its cycle budget
+//!    doubled, up to the job's own `max_cycles`, so a deadline-clipped
+//!    job gets a real second chance. A run that failed on the job's own
+//!    budget is final: the simulator is deterministic and in-process, so
+//!    the same budget fails the same way. The budget ladder bounds the
+//!    attempts by itself, at ⌈log2(`max_cycles` / `deadline_cycles`)⌉ + 1;
 //! 5. **degradation** — any store failure is recorded as a typed warning
 //!    (`E-STORE-*`) and the evaluation recomputes in memory; the store
 //!    can never fail a job, only fail to accelerate it.
@@ -36,19 +37,6 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Retry policy for transient failures.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts per job, including the first (≥ 1).
-    pub max_attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 3 }
-    }
-}
-
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -58,8 +46,6 @@ pub struct ServiceConfig {
     /// cooperatively: the job's `max_cycles` is clamped to this budget,
     /// so the simulator's watchdog stops the run at the deadline.
     pub deadline_cycles: u64,
-    /// Transient-failure retry policy.
-    pub retry: RetryPolicy,
 }
 
 impl Default for ServiceConfig {
@@ -67,7 +53,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             threads: 1,
             deadline_cycles: 0,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -306,7 +291,7 @@ impl EvalService {
                     BatchJob {
                         args: job.args.clone(),
                         mem: job.mem.clone(),
-                        cfg: self.clamp_deadline(&job.cfg, true),
+                        cfg: self.clamp_deadline(&job.cfg),
                     }
                 })
                 .collect();
@@ -383,22 +368,20 @@ impl EvalService {
         groups
     }
 
-    /// The job's config with the service deadline applied. `count`
-    /// tallies the clip (true only on the initial dispatch, not on
-    /// retries).
-    fn clamp_deadline(&mut self, cfg: &SimConfig, count: bool) -> SimConfig {
+    /// The job's config with the service deadline applied, tallying the
+    /// clip.
+    fn clamp_deadline(&mut self, cfg: &SimConfig) -> SimConfig {
         let mut c = cfg.clone();
         if self.config.deadline_cycles > 0 && c.max_cycles > self.config.deadline_cycles {
             c.max_cycles = self.config.deadline_cycles;
-            if count {
-                self.stats.deadline_clipped += 1;
-            }
+            self.stats.deadline_clipped += 1;
         }
         c
     }
 
-    /// Bounded retry for transient failures, with a doubling cycle budget
-    /// (never past the job's own `max_cycles`).
+    /// Retry a transient failure while its budget is below the job's own
+    /// `max_cycles`, doubling the budget each time (never past
+    /// `max_cycles`). A failure on the job's own budget is final.
     fn retry_transient(
         &mut self,
         job: &EvalJob,
@@ -408,12 +391,13 @@ impl EvalService {
         let mut outcome = first;
         let mut mem = first_mem;
         let mut attempts = 1u32;
-        let mut budget = self.clamp_deadline(&job.cfg, false).max_cycles.max(1);
-        while attempts < self.config.retry.max_attempts.max(1) {
-            if !matches!(&outcome, Err(e) if e.is_transient()) {
-                break;
-            }
-            budget = budget.saturating_mul(2).min(job.cfg.max_cycles.max(1));
+        let limit = job.cfg.max_cycles;
+        let mut budget = match self.config.deadline_cycles {
+            0 => limit,
+            d => d.min(limit),
+        };
+        while budget < limit && matches!(&outcome, Err(e) if e.is_transient()) {
+            budget = budget.saturating_mul(2).min(limit);
             let mut cfg = job.cfg.clone();
             cfg.max_cycles = budget;
             let mut m = job.mem.clone();
@@ -604,11 +588,10 @@ mod tests {
         let truth = probe.drain()[0].end_state();
 
         // An absurdly tight deadline: the first attempt must hit the
-        // watchdog; the doubling retry budget recovers within the
-        // attempt bound.
+        // watchdog; the doubling retry budget recovers before it reaches
+        // the job's own `max_cycles`.
         let cfg = ServiceConfig {
             deadline_cycles: 4,
-            retry: RetryPolicy { max_attempts: 16 },
             ..ServiceConfig::default()
         };
         let mut svc = EvalService::new(comp, None, cfg);
@@ -624,6 +607,28 @@ mod tests {
         let s = svc.stats();
         assert_eq!(s.deadline_clipped, 1);
         assert_eq!(u64::from(out[0].attempts) - 1, s.retries);
+    }
+
+    /// A job that runs out of its own `max_cycles` would fail the same
+    /// way on every rerun: it is not retried.
+    #[test]
+    fn exhausting_the_jobs_own_budget_is_not_retried() {
+        let (comp, mut job) = sample(0x33);
+        let mut probe = EvalService::new(comp.clone(), None, ServiceConfig::default());
+        probe.submit(job.clone());
+        let run = probe.drain()[0].outcome.as_ref().unwrap().cycles;
+        assert!(run > 2, "the case must run a few cycles, ran {run}");
+        job.cfg.max_cycles = run / 2;
+        let mut svc = EvalService::new(comp, None, ServiceConfig::default());
+        svc.submit(job);
+        let out = svc.drain();
+        assert!(
+            matches!(out[0].outcome, Err(SimError::CycleLimitExhausted { .. })),
+            "{:?}",
+            out[0].outcome
+        );
+        assert_eq!(out[0].attempts, 1);
+        assert_eq!(svc.stats().retries, 0);
     }
 
     #[test]

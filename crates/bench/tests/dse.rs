@@ -12,7 +12,10 @@
 //!    service matches a cold `simulate_compiled` re-run of the same
 //!    config, cycle for cycle and end-state hash for end-state hash;
 //! 4. **the conv1d example's pinned sweep** recovers its known 10-point
-//!    front exactly.
+//!    front exactly;
+//! 5. **one simulation per artifact** — configs that lower to one
+//!    artifact share one submitted job, and every member's row carries
+//!    the group's measurement.
 
 use muir_bench::dse::{
     conv1d_sweep, dominates, explore, pareto_front, report_json, validate_dse_json, Candidate,
@@ -189,6 +192,100 @@ fn conv1d_sweep_recovers_known_ten_point_front() {
         *front.front.last().expect("non-empty"),
         "the unoptimized design anchors the cheap end of this front"
     );
+}
+
+// ---------------------------------------------------------------------------
+// 5. One simulation per artifact group
+// ---------------------------------------------------------------------------
+
+/// In this sweep candidates 817 and 2349 lower to one artifact, so 8
+/// candidates make 7 groups. The service's drain spans on this thread
+/// must count 7 submitted jobs, and every row must hold the measurement
+/// pinned below (both members of the shared group alike).
+#[test]
+fn each_artifact_group_is_simulated_once() {
+    use muir_core::telemetry;
+    const MARKER: &str = "one-job-per-artifact";
+    let w = by_name("RELU[T]").expect("suite workload");
+    let params = DseParams {
+        seed: 0xd5e,
+        budget: 8,
+        threads: 1,
+    };
+    // Other tests of this binary may record spans while the flag is on;
+    // spans carry their thread's ordinal, and this marker names ours.
+    telemetry::set_enabled(true);
+    drop(telemetry::span_with("dse", "dse.test", MARKER.to_string()));
+    let (front, stats) = explore(&w, &params, None);
+    telemetry::set_enabled(false);
+    let spans = telemetry::spans();
+    let tid = spans
+        .iter()
+        .find(|s| s.detail == MARKER)
+        .expect("marker span")
+        .tid;
+    let jobs: u64 = spans
+        .iter()
+        .filter(|s| s.tid == tid && s.name == "service.drain")
+        .map(|s| {
+            s.detail
+                .trim_end_matches(" jobs")
+                .parse::<u64>()
+                .expect("job count")
+        })
+        .sum();
+    assert_eq!(
+        (stats.candidates, stats.artifacts, stats.recomputed, jobs),
+        (8, 7, 7, 7),
+        "candidates, artifacts, simulated, submitted jobs"
+    );
+
+    const ROWS: [(u64, u64, u64, u64, u64, bool); 8] = [
+        (0, 0xe1ef02b3dfe1533a, 4144, 1486, 0xa8e993ad3187e3b3, false),
+        (24, 0x0f90ac5d9e74d595, 4144, 3757, 0xa8e993ad3187e3b3, true),
+        (496, 0xa9f686639fe15ad9, 424, 2533, 0x72e8a76364a227ad, true),
+        (693, 0xf0552745443e7264, 424, 3485, 0x72e8a76364a227ad, true),
+        (
+            817,
+            0x2f2997ceb8359c23,
+            424,
+            1581,
+            0x72e8a76364a227ad,
+            false,
+        ),
+        (937, 0xbdfef6ed786ff3b5, 424, 1866, 0x72e8a76364a227ad, true),
+        (
+            1363,
+            0x9a7a0d603e8c461a,
+            4144,
+            2348,
+            0xe29de54d44f0a51d,
+            true,
+        ),
+        (
+            2349,
+            0x2f2997ceb8359c23,
+            424,
+            1581,
+            0x72e8a76364a227ad,
+            false,
+        ),
+    ];
+    let rows: Vec<_> = front
+        .candidates
+        .iter()
+        .map(|c| {
+            (
+                c.index,
+                c.artifact,
+                c.cycles,
+                c.area_score,
+                c.end_state,
+                c.dominated,
+            )
+        })
+        .collect();
+    assert_eq!(rows, ROWS);
 }
 
 // ---------------------------------------------------------------------------

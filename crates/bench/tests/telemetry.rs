@@ -18,7 +18,7 @@
 //! Its own tests take [`serial`] for the same reason.
 
 use muir_bench::baseline;
-use muir_bench::service::{EvalJob, EvalService, RetryPolicy, ServiceConfig};
+use muir_bench::service::{EvalJob, EvalService, ServiceConfig};
 use muir_bench::telemetry_gate::record_stats;
 use muir_core::compiled::CompiledAccel;
 use muir_core::telemetry;
@@ -271,7 +271,6 @@ fn record_stats_bridges_every_counted_field_once() {
     // A deadline tight enough to clip and retry every simulation.
     let config = ServiceConfig {
         deadline_cycles: 4,
-        retry: RetryPolicy { max_attempts: 32 },
         ..ServiceConfig::default()
     };
     let job = EvalJob {

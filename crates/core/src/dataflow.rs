@@ -38,16 +38,6 @@ pub enum Buffering {
     Fifo(u32),
 }
 
-impl Buffering {
-    /// Token capacity of the edge.
-    pub fn capacity(self) -> u32 {
-        match self {
-            Buffering::Handshake => 1,
-            Buffering::Fifo(d) => d.max(1),
-        }
-    }
-}
-
 /// Data vs feedback classification of an edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
@@ -469,13 +459,6 @@ mod tests {
             .collect();
         assert_eq!(fb.len(), 1);
         assert_eq!(fb[0].dst_port, 1);
-    }
-
-    #[test]
-    fn buffering_capacity() {
-        assert_eq!(Buffering::Handshake.capacity(), 1);
-        assert_eq!(Buffering::Fifo(8).capacity(), 8);
-        assert_eq!(Buffering::Fifo(0).capacity(), 1);
     }
 
     #[test]

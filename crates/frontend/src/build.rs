@@ -24,15 +24,14 @@ use muir_core::dataflow::{Dataflow, Junction, JunctionId, NodeId};
 use muir_core::node::{Name, Node, NodeKind, OpKind};
 use muir_core::structure::{Structure, StructureId};
 use muir_mir::analysis::{
-    self, detach_region, expand_with_detach, live_outs, loop_dependence_in, natural_loops, Affine,
-    BlockSet, NaturalLoop, Uses,
+    self, detach_region, expand_with_detach, footprints, live_outs, loop_dependence_in,
+    natural_loops, Affine, BlockSet, Footprint, NaturalLoop, Uses,
 };
 use muir_mir::instr::{
     BinOp, BlockId, CmpPred, ConstVal, FuncId, Instr, InstrId, MemObjId, Op, ValueRef,
 };
 use muir_mir::module::{Function, Module, Preds};
 use muir_mir::types::{ScalarType, Type};
-use std::collections::BTreeSet;
 use std::fmt::Write;
 
 fn ferr(msg: impl Into<String>) -> FrontendError {
@@ -168,8 +167,8 @@ struct Tables<'m> {
     facts: Vec<FuncFacts>,
     /// Structure homing each memory object.
     placement: Vec<StructureId>,
-    /// Whole-function memory footprints (reads, writes).
-    func_fps: Vec<(BTreeSet<MemObjId>, BTreeSet<MemObjId>)>,
+    /// Whole-function memory footprints, callees included.
+    func_fps: Vec<Footprint>,
 }
 
 /// Translation driver: the accelerator being built and the scopes open on
@@ -244,7 +243,7 @@ pub(crate) fn translate(
         config,
         facts: module.functions.iter().map(FuncFacts::new).collect(),
         placement,
-        func_fps: compute_function_footprints(module),
+        func_fps: footprints(module),
     };
     let mut fe = Frontend {
         t: &t,
@@ -405,44 +404,13 @@ impl<'a> Frontend<'a> {
     }
 }
 
-/// Whole-function read/write object sets (including callees).
-fn compute_function_footprints(m: &Module) -> Vec<(BTreeSet<MemObjId>, BTreeSet<MemObjId>)> {
-    let n = m.functions.len();
-    let mut fps = vec![(BTreeSet::new(), BTreeSet::new()); n];
-    // Iterate to a fixpoint (handles call chains; recursion is not used).
-    for _ in 0..n.max(1) {
-        for (i, f) in m.functions.iter().enumerate() {
-            let mut reads = BTreeSet::new();
-            let mut writes = BTreeSet::new();
-            for instr in &f.instrs {
-                match &instr.op {
-                    Op::Load { obj } => {
-                        reads.insert(*obj);
-                    }
-                    Op::Store { obj } => {
-                        writes.insert(*obj);
-                    }
-                    Op::Call { callee } => {
-                        let (r, w) = &fps[callee.0 as usize];
-                        reads.extend(r.iter().copied());
-                        writes.extend(w.iter().copied());
-                    }
-                    _ => {}
-                }
-            }
-            fps[i] = (reads, writes);
-        }
-    }
-    fps
-}
-
 /// Append to `out` each object the block region reads (`write == false`)
 /// or writes, called functions included, once each and as a whole-object
 /// access.
 fn push_region_objects(
     f: &Function,
     blocks: &BlockSet,
-    func_fps: &[(BTreeSet<MemObjId>, BTreeSet<MemObjId>)],
+    func_fps: &[Footprint],
     write: bool,
     out: &mut Vec<Access>,
 ) {
@@ -458,8 +426,8 @@ fn push_region_objects(
                 Op::Load { obj } if !write => push(*obj, out),
                 Op::Store { obj } if write => push(*obj, out),
                 Op::Call { callee } => {
-                    let (r, w) = &func_fps[callee.0 as usize];
-                    for &o in if write { w } else { r } {
+                    let fp = &func_fps[callee.0 as usize];
+                    for &o in if write { &fp.writes } else { &fp.reads } {
                         push(o, out);
                     }
                 }
@@ -1238,11 +1206,15 @@ impl ScopeBuilder<'_, '_> {
                     if instr.ty.is_some() {
                         self.tabs.values[iid.0 as usize] = Slot::Node(n, 0);
                     }
-                    let (r, w) = &t.func_fps[callee.0 as usize];
+                    let fp = &t.func_fps[callee.0 as usize];
                     let start = self.tabs.accesses.len();
-                    self.tabs.accesses.extend(r.iter().map(|&o| (o, None)));
+                    self.tabs
+                        .accesses
+                        .extend(fp.reads.iter().map(|&o| (o, None)));
                     let mid = self.tabs.accesses.len();
-                    self.tabs.accesses.extend(w.iter().map(|&o| (o, None)));
+                    self.tabs
+                        .accesses
+                        .extend(fp.writes.iter().map(|&o| (o, None)));
                     self.add_order_edges(n, start, mid, false);
                 }
                 Op::Br { target } => {
@@ -1392,7 +1364,7 @@ impl ScopeBuilder<'_, '_> {
                 }
                 // Canonical loop bounds.
                 let spec = self.extract_loop_spec(li)?;
-                let dep = loop_dependence_in(self.fe.t.module, self.f, &self.facts.loops[li]);
+                let dep = loop_dependence_in(&self.fe.t.func_fps, self.f, &self.facts.loops[li]);
                 (
                     results,
                     TaskKind::Loop {

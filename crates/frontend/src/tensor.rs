@@ -1231,7 +1231,7 @@ pub fn gen_graph(seed: u64, size: usize) -> TensorGraph {
     // Pool of available values with their dims.
     let mut pool: Vec<(GraphRef, Dims)> = vec![(first, d0)];
     let mut nodes: Vec<GraphNode> = Vec::new();
-    let n_ops = 1 + size.min(8) + rng.below(3);
+    let n_ops = 1 + size + rng.below(3);
     for i in 0..n_ops {
         let (vref, vd) = pool[rng.below(pool.len())];
         const OPS: [GraphOp; 7] = [
@@ -1378,6 +1378,22 @@ output %o
         assert_eq!(a.print(), b.print());
         assert_eq!(a.content_hash(), b.content_hash());
         assert_ne!(a.content_hash(), gen_graph(0xbee0, 2).content_hash());
+    }
+
+    /// `size` keeps scaling the op count past 8, and a large graph still
+    /// verifies and round-trips through its text.
+    #[test]
+    fn generator_size_scales_past_eight() {
+        for seed in 1..=8u64 {
+            let big = gen_graph(seed, 32);
+            assert!(
+                big.nodes.len() > gen_graph(seed, 8).nodes.len(),
+                "seed {seed}"
+            );
+            let text = big.print();
+            let again = TensorGraph::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+            assert_eq!(again.content_hash(), big.content_hash(), "seed {seed}");
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! * detach-region discovery (Tapir task extents);
 //! * loop live-outs (task results, §3.6) from one per-function use index
 //!   ([`Uses`]);
+//! * each function's transitive memory footprint ([`footprints`]), computed
+//!   once per module;
 //! * affine address forms and a conservative loop-carried memory dependence
 //!   test (drives pipeline initiation intervals in the simulator);
 //!
@@ -14,7 +16,7 @@
 //! neither holds nor inserts one.
 
 use crate::instr::{BinOp, BlockId, InstrId, MemObjId, Op, ValueRef};
-use crate::module::{Function, Groups, Preds};
+use crate::module::{Function, Groups, Module, Preds};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A set of one function's blocks, one bit per block id. It iterates in
@@ -597,6 +599,62 @@ pub fn expand_with_detach(f: &Function, base: BlockSet) -> BlockSet {
     set
 }
 
+/// The memory objects a function reads and writes, its callees' included.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Objects loaded.
+    pub reads: BTreeSet<MemObjId>,
+    /// Objects stored.
+    pub writes: BTreeSet<MemObjId>,
+}
+
+/// Every function's transitive [`Footprint`], indexed by function id: a
+/// fixpoint over the call graph, so any call depth and recursion are
+/// covered. A call to a function id outside the module contributes
+/// nothing.
+pub fn footprints(m: &Module) -> Vec<Footprint> {
+    let n = m.functions.len();
+    let mut callees: Vec<Vec<usize>> = Vec::with_capacity(n);
+    let mut fps: Vec<Footprint> = m
+        .functions
+        .iter()
+        .map(|f| {
+            let mut fp = Footprint::default();
+            let mut calls = Vec::new();
+            for instr in &f.instrs {
+                match &instr.op {
+                    Op::Load { obj } => {
+                        fp.reads.insert(*obj);
+                    }
+                    Op::Store { obj } => {
+                        fp.writes.insert(*obj);
+                    }
+                    Op::Call { callee } if (callee.0 as usize) < n => calls.push(callee.0 as usize),
+                    _ => {}
+                }
+            }
+            callees.push(calls);
+            fp
+        })
+        .collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (i, calls) in callees.iter().enumerate() {
+            for &c in calls.iter().filter(|&&c| c != i) {
+                let callee = std::mem::take(&mut fps[c]);
+                let fp = &mut fps[i];
+                let before = fp.reads.len() + fp.writes.len();
+                fp.reads.extend(&callee.reads);
+                fp.writes.extend(&callee.writes);
+                changed |= fp.reads.len() + fp.writes.len() != before;
+                fps[c] = callee;
+            }
+        }
+    }
+    fps
+}
+
 /// Conservative loop-carried memory dependence test.
 ///
 /// For every store `S` to object `X` in the loop and every other memory
@@ -606,50 +664,10 @@ pub fn expand_with_detach(f: &Function, base: BlockSet) -> BlockSet {
 /// is zero or not a multiple of the scale (accesses in different iterations
 /// never collide). The scan covers the loop's detach regions (spawned
 /// bodies execute on the iteration's behalf); function calls inside the
-/// loop contribute their callee's (transitive) memory footprint, looked up
-/// in `m`, as opaque accesses. A `parallel_hints` entry on the header
-/// overrides the test, as does a loop with no stores.
-pub fn loop_dependence_in(m: &crate::module::Module, f: &Function, lp: &NaturalLoop) -> LoopDep {
-    loop_dependence_impl(f, lp, Some(m))
-}
-
-fn callee_footprint(
-    m: &crate::module::Module,
-    callee: crate::instr::FuncId,
-    depth: u32,
-) -> (BTreeSet<MemObjId>, BTreeSet<MemObjId>) {
-    let mut reads = BTreeSet::new();
-    let mut writes = BTreeSet::new();
-    if depth > 16 {
-        return (reads, writes);
-    }
-    let Some(func) = m.functions.get(callee.0 as usize) else {
-        return (reads, writes);
-    };
-    for instr in &func.instrs {
-        match &instr.op {
-            Op::Load { obj } => {
-                reads.insert(*obj);
-            }
-            Op::Store { obj } => {
-                writes.insert(*obj);
-            }
-            Op::Call { callee: c2 } => {
-                let (r, w) = callee_footprint(m, *c2, depth + 1);
-                reads.extend(r);
-                writes.extend(w);
-            }
-            _ => {}
-        }
-    }
-    (reads, writes)
-}
-
-fn loop_dependence_impl(
-    f: &Function,
-    lp: &NaturalLoop,
-    module: Option<&crate::module::Module>,
-) -> LoopDep {
+/// loop contribute their callee's transitive footprint (`fps`, from
+/// [`footprints`] of the module) as opaque accesses. A `parallel_hints`
+/// entry on the header overrides the test, as does a loop with no stores.
+pub fn loop_dependence_in(fps: &[Footprint], f: &Function, lp: &NaturalLoop) -> LoopDep {
     if f.parallel_hints.contains(&lp.header) {
         return LoopDep {
             parallel: true,
@@ -683,12 +701,11 @@ fn loop_dependence_impl(
                     accesses.push((*obj, a, true));
                 }
                 Op::Call { callee } => {
-                    if let Some(m) = module {
-                        let (r, w) = callee_footprint(m, *callee, 0);
-                        for obj in r {
+                    if let Some(fp) = fps.get(callee.0 as usize) {
+                        for &obj in &fp.reads {
                             accesses.push((obj, Affine::Opaque, false));
                         }
-                        for obj in w {
+                        for &obj in &fp.writes {
                             stores.push((obj, Affine::Opaque));
                             accesses.push((obj, Affine::Opaque, true));
                         }
@@ -980,7 +997,7 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let loops = natural_loops(&f, &f.predecessors());
-        let dep = loop_dependence_in(&m, &f, &loops[0]);
+        let dep = loop_dependence_in(&footprints(&m), &f, &loops[0]);
         assert!(dep.parallel, "{dep:?}");
     }
 
@@ -998,7 +1015,7 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let loops = natural_loops(&f, &f.predecessors());
-        let dep = loop_dependence_in(&m, &f, &loops[0]);
+        let dep = loop_dependence_in(&footprints(&m), &f, &loops[0]);
         assert!(!dep.parallel);
         assert_eq!(dep.carried_objects, vec![a]);
     }
@@ -1017,8 +1034,44 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let loops = natural_loops(&f, &f.predecessors());
-        let dep = loop_dependence_in(&m, &f, &loops[0]);
+        let dep = loop_dependence_in(&footprints(&m), &f, &loops[0]);
         assert!(!dep.parallel);
+    }
+
+    /// A store at the leaf of a 20-deep call chain is a store of the loop
+    /// that makes the outermost call; a call to a function id outside the
+    /// module adds nothing.
+    #[test]
+    fn store_at_the_end_of_a_deep_call_chain_is_carried() {
+        use crate::instr::FuncId;
+        const DEPTH: u32 = 20;
+        let mut m = Module::new("t");
+        let a = m.add_mem_object("a", ScalarType::I32, 64);
+        let mut b = FunctionBuilder::new("main", &[]).with_mem(&m);
+        b.for_loop(0, ValueRef::int(8), 1, |b, i| {
+            b.load(a, i);
+            b.call(FuncId(1), &[], None);
+        });
+        b.ret(None);
+        let main = b.finish();
+        m.add_function(main.clone());
+        for k in 1..=DEPTH {
+            let mut b = FunctionBuilder::new(format!("g{k}"), &[]).with_mem(&m);
+            if k < DEPTH {
+                b.call(FuncId(k + 1), &[], None);
+            } else {
+                b.call(FuncId(99), &[], None);
+                b.store(a, ValueRef::int(0), ValueRef::int(1));
+            }
+            b.ret(None);
+            m.add_function(b.finish());
+        }
+        let fps = footprints(&m);
+        assert!(fps.iter().all(|fp| fp.writes.contains(&a)), "{fps:?}");
+        let loops = natural_loops(&main, &main.predecessors());
+        let dep = loop_dependence_in(&fps, &main, &loops[0]);
+        assert!(!dep.parallel, "{dep:?}");
+        assert_eq!(dep.carried_objects, vec![a]);
     }
 
     #[test]
@@ -1034,7 +1087,7 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let loops = natural_loops(&f, &f.predecessors());
-        let dep = loop_dependence_in(&m, &f, &loops[0]);
+        let dep = loop_dependence_in(&footprints(&m), &f, &loops[0]);
         assert!(dep.parallel);
     }
 

@@ -406,11 +406,6 @@ impl Op {
         )
     }
 
-    /// Whether this op accesses memory.
-    pub fn is_mem(&self) -> bool {
-        matches!(self, Op::Load { .. } | Op::Store { .. })
-    }
-
     /// Successor blocks of a terminator (empty for non-terminators,
     /// `Ret` and `Reattach`), held inline.
     pub fn successors(&self) -> Succs {
@@ -533,13 +528,6 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(order, [BlockId(4), BlockId(5)]);
-    }
-
-    #[test]
-    fn mem_classification() {
-        assert!(Op::Load { obj: MemObjId(0) }.is_mem());
-        assert!(Op::Store { obj: MemObjId(0) }.is_mem());
-        assert!(!Op::Bin(BinOp::Mul).is_mem());
     }
 
     #[test]

@@ -312,7 +312,8 @@ mod tests {
     fn counts() {
         let m = tiny_module();
         let f = m.main().unwrap();
-        assert_eq!(f.instrs.iter().filter(|i| i.op.is_mem()).count(), 2);
+        let mem = |i: &&Instr| matches!(i.op, Op::Load { .. } | Op::Store { .. });
+        assert_eq!(f.instrs.iter().filter(mem).count(), 2);
         // add uses load result; store uses add result.
         let operands = f.instrs.iter().flat_map(|i| &i.operands);
         let ssa_edges = operands.filter(|o| matches!(o, ValueRef::Instr(_)));

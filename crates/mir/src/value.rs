@@ -1,6 +1,6 @@
 //! Runtime values used by the interpreter and the cycle-level simulator.
 
-use crate::types::{ScalarType, TensorShape, Type};
+use crate::types::TensorShape;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -31,22 +31,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Zero value of the given type.
-    pub fn zero(ty: Type) -> Value {
-        match ty {
-            Type::Scalar(ScalarType::I1) => Value::Bool(false),
-            Type::Scalar(ScalarType::F32) => Value::F32(0.0),
-            Type::Scalar(_) => Value::Int(0),
-            Type::Vector { elem, lanes } => {
-                Value::Vector(vec![Value::zero(Type::Scalar(elem)); lanes as usize])
-            }
-            Type::Tensor { elem, shape } => Value::Tensor {
-                shape,
-                data: vec![Value::zero(Type::Scalar(elem)); shape.elems() as usize],
-            },
-        }
-    }
-
     /// Interpret as an integer.
     ///
     /// # Panics
@@ -141,18 +125,6 @@ impl fmt::Display for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zero_values() {
-        assert_eq!(Value::zero(Type::I32), Value::Int(0));
-        assert_eq!(Value::zero(Type::F32), Value::F32(0.0));
-        assert_eq!(Value::zero(Type::BOOL), Value::Bool(false));
-        let t = Value::zero(Type::Tensor {
-            elem: ScalarType::F32,
-            shape: TensorShape::new(2, 2),
-        });
-        assert!(matches!(t, Value::Tensor { data, .. } if data == vec![Value::F32(0.0); 4]));
-    }
 
     #[test]
     fn accessors() {

@@ -39,11 +39,9 @@ fn main() {
         );
     }
     println!(
-        "\n{} candidates -> {} distinct artifacts ({} coalesced); \
-         Pareto front ({} points):",
+        "\n{} candidates -> {} distinct artifacts; Pareto front ({} points):",
         stats.candidates,
         stats.artifacts,
-        stats.coalesced,
         front.front.len()
     );
     for (cycles, area) in &front.front {

@@ -47,7 +47,10 @@
 # against scripts/outcomes.golden, which the parent of the last engine
 # change wrote), the one-JSON-module gate (under crates/: string escaping and the `json_*`
 # helpers live in crates/core/src/json.rs only, and the retired second
-# scoreboard is named by no source, script or manifest), the one-count-
+# scoreboard is named by no source, script or manifest), the
+# retired-names gate (no `RetryPolicy` or `max_attempts` under crates/
+# src/ tests/ examples/: the doubling budget alone bounds retries; no
+# `coalesced` in crates/bench/src/dse.rs: one job per artifact), the one-count-
 # per-fact gate (under crates/, a `service.*`, `store.*` or `dse.*` fact
 # reaches the registry only through crates/bench/src/telemetry_gate.rs,
 # which reads the stats structs at capture time, and the registry in
@@ -244,6 +247,15 @@ fi
 # The pattern is split so that this script does not match itself.
 if grep -rn 'BENCH''_sim' crates scripts Cargo.toml benchmark/Cargo.toml; then
     echo "check.sh: the retired second scoreboard is still named (lines above); host time is benchmark/'s" >&2
+    exit 1
+fi
+
+echo "== retired names (no retry cap, no DSE coalesced count) =="
+# The budget ladder bounds retries, and a DSE group submits one job, so
+# nothing is left to cap or to coalesce.
+if grep -rnwE 'RetryPolicy|max_attempts' crates src tests examples ||
+    grep -nw 'coalesced' crates/bench/src/dse.rs; then
+    echo "check.sh: retries are bounded by the doubling budget alone and dse::explore submits one job per artifact; the retired names are back (lines above)" >&2
     exit 1
 fi
 
