@@ -4,6 +4,8 @@
 use crate::dataflow::{Dataflow, JunctionId};
 use crate::structure::{Structure, StructureId};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// Index of a task block within the accelerator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -134,9 +136,10 @@ pub struct MemConnection {
 }
 
 /// The whole accelerator: a structural, concurrent graph of task blocks,
-/// hardware structures, and connections.
+/// hardware structures, and connections. Held through an [`Accelerator`]
+/// handle.
 #[derive(Debug, Clone, PartialEq, Hash)]
-pub struct Accelerator {
+pub struct AccelGraph {
     /// Accelerator (workload) name.
     pub name: String,
     /// Task-block arena; [`TaskId`] indexes into this.
@@ -155,10 +158,18 @@ pub struct Accelerator {
     pub object_info: Vec<(u64, bool)>,
 }
 
+/// A copy-on-write handle over one shared [`AccelGraph`]. Reads go
+/// through `Deref`; the first write through `DerefMut` copies the graph
+/// if another handle (a sealed [`crate::CompiledAccel`], a DSE base)
+/// still shares it, so `clone` and sealing never copy a graph nobody
+/// writes. `Hash`, `PartialEq` and `Debug` are the graph's own.
+#[derive(Clone, PartialEq, Hash)]
+pub struct Accelerator(Arc<AccelGraph>);
+
 impl Accelerator {
     /// An empty accelerator (root is fixed up once tasks exist).
     pub fn new(name: impl Into<String>) -> Accelerator {
-        Accelerator {
+        Accelerator(Arc::new(AccelGraph {
             name: name.into(),
             tasks: Vec::new(),
             structures: Vec::new(),
@@ -166,9 +177,31 @@ impl Accelerator {
             mem_conns: Vec::new(),
             root: TaskId(0),
             object_info: Vec::new(),
-        }
+        }))
     }
+}
 
+impl Deref for Accelerator {
+    type Target = AccelGraph;
+
+    fn deref(&self) -> &AccelGraph {
+        &self.0
+    }
+}
+
+impl DerefMut for Accelerator {
+    fn deref_mut(&mut self) -> &mut AccelGraph {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl fmt::Debug for Accelerator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl AccelGraph {
     /// Add a task block, returning its id.
     pub fn add_task(&mut self, task: TaskBlock) -> TaskId {
         let id = TaskId(self.tasks.len() as u32);

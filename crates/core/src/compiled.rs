@@ -11,13 +11,15 @@
 //! §11): an immutable, index-dense lowering of a *verified* accelerator,
 //! carrying
 //!
-//! * the owned, frozen graph itself — what the Chisel emitter, the cost
-//!   model and every analysis read, through [`CompiledAccel::accel`];
-//! * per-task tables ([`CompiledTask`]), read by `muir-sim` alone: the
-//!   micro-op stream with each edge listed once (as an input slot of its
-//!   consumer or an order-in reference, and as an out reference of its
-//!   producer), the reverse-topological scan order and its inverse, the
-//!   dynamic-node count and the resolved issue-queue capacity;
+//! * the frozen graph itself, shared copy-on-write with the handle it was
+//!   sealed from — what the Chisel emitter, the cost model and every
+//!   analysis read, through [`CompiledAccel::accel`];
+//! * per-task tables ([`CompiledTask`]: one run per task in each of the
+//!   artifact's tables), read by `muir-sim` alone: the micro-op stream
+//!   with each edge listed once (as an input slot of its consumer or an
+//!   order-in reference, and as an out reference of its producer), the
+//!   reverse-topological scan order and its inverse, the dynamic-node
+//!   count and the resolved issue-queue capacity;
 //! * a stable splitmix64-based content hash over the graph's derived
 //!   structural `Hash` (every field, in arena order; floats by bits),
 //!   which addresses the artifact in the persistent store and backs the
@@ -135,21 +137,24 @@ pub struct EdgeMeta {
 
 /// Pre-elaborated, immutable tables for one task's dataflow: exactly the
 /// graph-derived (configuration-independent) state the simulator would
-/// otherwise rebuild per run, each edge held once. `muir-sim` is the only
+/// otherwise rebuild per run, each edge held once. A borrowed view: every
+/// slice is this task's run of one table the [`CompiledAccel`] holds for
+/// all its tasks, and every index inside it (`slot0`, `ebase`, an edge, a
+/// constant or a plan) is relative to that run. `muir-sim` is the only
 /// reader — its gate, firing body, completion walk and deadlock diagnosis
 /// all walk the same `in_slots`/`edge_refs` ranges — and
 /// `muir_sim::reference::check_lowering` holds every field to the graph.
 /// RTL, cost and analysis consumers read [`CompiledAccel::accel`].
-#[derive(Debug)]
-pub struct CompiledTask {
+#[derive(Debug, Clone, Copy)]
+pub struct CompiledTask<'a> {
     /// Count of dynamic (non-[`UopKind::Static`]) nodes; each fires once
     /// per instance.
     pub dynamic_count: u32,
     /// Node processing order: consumers before producers (reverse topo
     /// over forward edges) so single-token edges sustain II=1.
-    pub order: Vec<u32>,
+    pub order: &'a [u32],
     /// Inverse of `order`: `pos[node]` is the node's scan position.
-    pub pos: Vec<u32>,
+    pub pos: &'a [u32],
     /// Total invocation queue capacity: the task's own issue queue plus
     /// the `<||>` FIFO feeding it (1 when the task has no parent
     /// connection).
@@ -158,123 +163,196 @@ pub struct CompiledTask {
     pub njunctions: usize,
     /// The flat micro-op stream, indexed by node id. One fixed-size
     /// record per node; `Static` records are never dispatched.
-    pub uops: Vec<MicroOp>,
+    pub uops: &'a [MicroOp],
     /// Packed input slots ([`SLOT_TOKEN`]/[`SLOT_ARG`]/[`SLOT_CONST`]/
     /// [`SLOT_FEEDBACK`] + payload), one run per node in port order
     /// (equal ports keep edge order).
-    pub in_slots: Vec<u32>,
+    pub in_slots: &'a [u32],
     /// Per node at [`MicroOp::ebase`]: `nord` dynamic order-in edges
     /// followed by `nout` out edges, each run in edge order. Edges out of
     /// a `Static` node are not listed (their consumers read a slot).
-    pub edge_refs: Vec<u32>,
+    pub edge_refs: &'a [u32],
     /// Pre-evaluated `Const` node values, referenced by [`SLOT_CONST`]
     /// slots.
-    pub consts: Vec<Value>,
+    pub consts: &'a [Value],
     /// Fused-group plans hoisted out of `NodeKind::Fused` (which is not
     /// `Copy`), referenced by [`UopKind::Fused`] records via
     /// [`MicroOp::a`].
-    pub fused_plans: Vec<FusedPlan>,
+    pub fused_plans: &'a [FusedPlan],
     /// Per-edge pre-resolved producer/kind/buffering facts, indexed by
     /// edge id.
-    pub edge_meta: Vec<EdgeMeta>,
+    pub edge_meta: &'a [EdgeMeta],
 }
 
-impl CompiledTask {
-    /// Lower one task: one walk over a CSR index of the graph emits a
-    /// [`MicroOp`] per node with its inputs resolved to packed slots, its
-    /// edge lists to index ranges, and its operands decoded out of
-    /// `NodeKind`. Every kept table is allocated once at its final length;
-    /// the index and the topological-sort tables are `scratch`, reused
-    /// across the tasks of one [`CompiledAccel::compile`].
-    fn lower(acc: &Accelerator, tid: TaskId, scratch: &mut TopoIndex) -> CompiledTask {
+impl CompiledTask<'_> {
+    /// Number of micro-ops in this task's stream (== node count).
+    pub fn uop_count(&self) -> usize {
+        self.uops.len()
+    }
+
+    /// Heap footprint of the micro-op stream and its side tables, in
+    /// bytes.
+    pub(crate) fn uop_bytes(&self) -> usize {
+        size_of_val(self.uops)
+            + size_of_val(self.in_slots)
+            + size_of_val(self.edge_refs)
+            + size_of_val(self.consts)
+            + size_of_val(self.fused_plans)
+            + self
+                .fused_plans
+                .iter()
+                .map(|p| p.steps.len() * size_of::<crate::node::FusedStep>())
+                .sum::<usize>()
+            + size_of_val(self.edge_meta)
+    }
+
+    /// Approximate heap footprint of this task's tables, in bytes.
+    fn size_bytes(&self) -> usize {
+        (self.order.len() + self.pos.len()) * size_of::<u32>() + self.uop_bytes()
+    }
+}
+
+/// Where one task's runs start in the artifact's tables, plus its
+/// scalars. Each run ends where the next task's starts ([`Tables::end`]
+/// for the last task).
+#[derive(Debug, Clone, Copy, Default)]
+struct TaskRuns {
+    dynamic_count: u32,
+    queue_cap: usize,
+    njunctions: usize,
+    /// Start of the task's run in `order`, `pos` and `uops`.
+    nodes: u32,
+    slots: u32,
+    refs: u32,
+    consts: u32,
+    plans: u32,
+    edges: u32,
+}
+
+/// The artifact's one set of tables: every task's runs, back to back in
+/// task order, each table allocated once at its final length.
+#[derive(Debug, Default)]
+struct Tables {
+    order: Vec<u32>,
+    pos: Vec<u32>,
+    uops: Vec<MicroOp>,
+    in_slots: Vec<u32>,
+    edge_refs: Vec<u32>,
+    consts: Vec<Value>,
+    fused_plans: Vec<FusedPlan>,
+    edge_meta: Vec<EdgeMeta>,
+}
+
+impl Tables {
+    /// Empty tables with the exact capacity `acc`'s tasks need: every
+    /// node is one micro-op and one scan position, every edge one
+    /// `EdgeMeta`; every non-order edge is one input slot (a constant one
+    /// also one `consts` entry); an edge out of a dynamic node is one out
+    /// reference, and an order edge one order-in reference as well.
+    fn with_capacity_for(acc: &Accelerator) -> Tables {
+        let (mut nodes, mut edges, mut slots, mut refs, mut consts, mut plans) = (0, 0, 0, 0, 0, 0);
+        for task in &acc.tasks {
+            let df = &task.dataflow;
+            nodes += df.nodes.len();
+            edges += df.edges.len();
+            plans += df
+                .nodes
+                .iter()
+                .filter(|nd| matches!(nd.kind, NodeKind::Fused(_)))
+                .count();
+            for e in &df.edges {
+                let src = &df.node(e.src).kind;
+                if e.kind != EdgeKind::Order {
+                    slots += 1;
+                    consts += usize::from(matches!(src, NodeKind::Const(_)));
+                }
+                if !is_static(src) {
+                    refs += 1 + usize::from(e.kind == EdgeKind::Order);
+                }
+            }
+        }
+        Tables {
+            order: Vec::with_capacity(nodes),
+            pos: Vec::with_capacity(nodes),
+            uops: Vec::with_capacity(nodes),
+            in_slots: Vec::with_capacity(slots),
+            edge_refs: Vec::with_capacity(refs),
+            consts: Vec::with_capacity(consts),
+            fused_plans: Vec::with_capacity(plans),
+            edge_meta: Vec::with_capacity(edges),
+        }
+    }
+
+    /// Where a task appended now would start.
+    fn end(&self) -> TaskRuns {
+        TaskRuns {
+            nodes: self.uops.len() as u32,
+            slots: self.in_slots.len() as u32,
+            refs: self.edge_refs.len() as u32,
+            consts: self.consts.len() as u32,
+            plans: self.fused_plans.len() as u32,
+            edges: self.edge_meta.len() as u32,
+            ..TaskRuns::default()
+        }
+    }
+
+    /// Lower one task onto the end of the tables: one walk over a CSR
+    /// index of the graph emits a [`MicroOp`] per node with its inputs
+    /// resolved to packed slots, its edge lists to index ranges, and its
+    /// operands decoded out of `NodeKind`. Every index is relative to the
+    /// task's own runs. The index and the topological-sort tables are
+    /// `scratch`, reused across the tasks of one [`CompiledAccel::compile`].
+    fn lower(&mut self, acc: &Accelerator, tid: TaskId, scratch: &mut TopoIndex) -> TaskRuns {
         let task = acc.task(tid);
         let df = &task.dataflow;
-        let n = df.nodes.len();
-        let is_static = |node: u32| {
-            matches!(
-                df.nodes[node as usize].kind,
-                NodeKind::Input { .. } | NodeKind::Const(_)
-            )
-        };
+        let mut runs = self.end();
         // Incoming rows are sorted by `(dst_port, edge)` — the port order
         // the slots need, with every order edge (`dst_port == u16::MAX`)
         // behind the operands in edge order; outgoing rows are in edge
         // order.
-        let mut order = Vec::with_capacity(n);
-        scratch.order(df, &mut order);
-        order.reverse();
+        let node0 = runs.nodes as usize;
+        scratch.order(df, &mut self.order);
+        self.order[node0..].reverse();
         let idx = &scratch.idx;
-        let mut pos = vec![0u32; n];
-        for (p, &node) in order.iter().enumerate() {
+        self.pos.resize(node0 + df.nodes.len(), 0);
+        let pos = &mut self.pos[node0..];
+        for (p, &node) in self.order[node0..].iter().enumerate() {
             pos[node as usize] = p as u32;
         }
-        // Exact table lengths: every non-order edge is one input slot (a
-        // constant one also one `consts` entry); an edge out of a dynamic
-        // node is one out reference, and an order edge one order-in
-        // reference as well.
-        let (mut nslots, mut nrefs, mut nconsts) = (0, 0, 0);
-        for e in &df.edges {
-            if e.kind != EdgeKind::Order {
-                nslots += 1;
-                nconsts += usize::from(matches!(df.node(e.src).kind, NodeKind::Const(_)));
-            }
-            if !is_static(e.src.0) {
-                nrefs += 1 + usize::from(e.kind == EdgeKind::Order);
-            }
-        }
-        let nplans = df
-            .nodes
-            .iter()
-            .filter(|nd| matches!(nd.kind, NodeKind::Fused(_)))
-            .count();
         // The `<||>` FIFO feeding this task, if a parent connects to it.
         let feeding = acc.task_conns.iter().find(|c| c.child == tid);
-        let mut ct = CompiledTask {
-            dynamic_count: 0,
-            order,
-            pos,
-            queue_cap: (task.queue_depth + feeding.map_or(1, |c| c.queue_depth)) as usize,
-            njunctions: df.junctions.len(),
-            uops: Vec::with_capacity(n),
-            in_slots: Vec::with_capacity(nslots),
-            edge_refs: Vec::with_capacity(nrefs),
-            consts: Vec::with_capacity(nconsts),
-            fused_plans: Vec::with_capacity(nplans),
-            edge_meta: df
-                .edges
-                .iter()
-                .map(|e| EdgeMeta {
-                    src: e.src.0,
-                    src_port: e.src_port,
-                    is_order: e.kind == EdgeKind::Order,
-                    fifo: match e.buffering {
-                        Buffering::Handshake => u32::MAX,
-                        Buffering::Fifo(d) => d,
-                    },
-                })
-                .collect(),
-        };
+        runs.queue_cap = (task.queue_depth + feeding.map_or(1, |c| c.queue_depth)) as usize;
+        runs.njunctions = df.junctions.len();
+        self.edge_meta.extend(df.edges.iter().map(|e| EdgeMeta {
+            src: e.src.0,
+            src_port: e.src_port,
+            is_order: e.kind == EdgeKind::Order,
+            fifo: match e.buffering {
+                Buffering::Handshake => u32::MAX,
+                Buffering::Fifo(d) => d,
+            },
+        }));
         // A placeholder op keeps `MicroOp` `Copy`-able and fixed-size for
         // the opcodes that carry no inline operation.
         let nop = OpKind::Bin(BinOp::Add);
         for (node, nd) in df.nodes.iter().enumerate() {
             let id = NodeId(node as u32);
-            let slot0 = ct.in_slots.len() as u32;
-            let ebase = ct.edge_refs.len() as u32;
+            let slot0 = self.in_slots.len() as u32 - runs.slots;
+            let ebase = self.edge_refs.len() as u32 - runs.refs;
             for &ei in idx.ins(id) {
                 let e = &df.edges[ei as usize];
                 if e.kind == EdgeKind::Order {
                     // Only a dynamic producer ever sends the pulse.
-                    if !is_static(e.src.0) {
-                        ct.edge_refs.push(ei);
+                    if !is_static(&df.node(e.src).kind) {
+                        self.edge_refs.push(ei);
                     }
                     continue;
                 }
                 let slot = match &df.node(e.src).kind {
                     NodeKind::Input { index } => SLOT_ARG | index,
                     NodeKind::Const(c) => {
-                        let ci = ct.consts.len() as u32;
-                        ct.consts.push(c.to_value());
+                        let ci = self.consts.len() as u32 - runs.consts;
+                        self.consts.push(c.to_value());
                         SLOT_CONST | ci
                     }
                     _ if matches!(nd.kind, NodeKind::Merge) && e.dst_port == 1 => {
@@ -282,14 +360,14 @@ impl CompiledTask {
                     }
                     _ => SLOT_TOKEN | ei,
                 };
-                ct.in_slots.push(slot);
+                self.in_slots.push(slot);
             }
-            let nin = (ct.in_slots.len() as u32 - slot0) as u16;
-            let nord = (ct.edge_refs.len() as u32 - ebase) as u16;
-            let dynamic = !is_static(id.0);
+            let nin = (self.in_slots.len() as u32 - runs.slots - slot0) as u16;
+            let nord = (self.edge_refs.len() as u32 - runs.refs - ebase) as u16;
+            let dynamic = !is_static(&nd.kind);
             let outs: &[u32] = if dynamic { idx.outs(id) } else { &[] };
-            ct.edge_refs.extend_from_slice(outs);
-            ct.dynamic_count += u32::from(dynamic);
+            self.edge_refs.extend_from_slice(outs);
+            runs.dynamic_count += u32::from(dynamic);
             let (kind, flags, a, b, op) = match &nd.kind {
                 NodeKind::Input { .. } | NodeKind::Const(_) => (UopKind::Static, 0, 0, 0, nop),
                 NodeKind::IndVar => (UopKind::IndVar, 0, 0, 0, nop),
@@ -297,8 +375,8 @@ impl CompiledTask {
                 NodeKind::FusedAcc { op } => (UopKind::FusedAcc, 0, 0, 0, *op),
                 NodeKind::Compute(op) => (UopKind::Compute, 0, 0, 0, *op),
                 NodeKind::Fused(plan) => {
-                    let pi = ct.fused_plans.len() as u32;
-                    ct.fused_plans.push(plan.clone());
+                    let pi = self.fused_plans.len() as u32 - runs.plans;
+                    self.fused_plans.push(plan.clone());
                     (UopKind::Fused, 0, pi, 0, nop)
                 }
                 NodeKind::Output => (UopKind::Output, 0, 0, 0, nop),
@@ -346,7 +424,7 @@ impl CompiledTask {
                     )
                 }
             };
-            ct.uops.push(MicroOp {
+            self.uops.push(MicroOp {
                 kind,
                 flags,
                 nin,
@@ -359,34 +437,13 @@ impl CompiledTask {
                 op,
             });
         }
-        ct
+        runs
     }
+}
 
-    /// Number of micro-ops in this task's stream (== node count).
-    pub fn uop_count(&self) -> usize {
-        self.uops.len()
-    }
-
-    /// Heap footprint of the micro-op stream and its side tables, in
-    /// bytes.
-    pub(crate) fn uop_bytes(&self) -> usize {
-        self.uops.len() * size_of::<MicroOp>()
-            + self.in_slots.len() * size_of::<u32>()
-            + self.edge_refs.len() * size_of::<u32>()
-            + self.consts.len() * size_of::<Value>()
-            + self.fused_plans.len() * size_of::<FusedPlan>()
-            + self
-                .fused_plans
-                .iter()
-                .map(|p| p.steps.len() * size_of::<crate::node::FusedStep>())
-                .sum::<usize>()
-            + self.edge_meta.len() * size_of::<EdgeMeta>()
-    }
-
-    /// Approximate heap footprint of this task's tables, in bytes.
-    fn size_bytes(&self) -> usize {
-        (self.order.len() + self.pos.len()) * size_of::<u32>() + self.uop_bytes()
-    }
+/// Whether a node of this kind is invocation-constant (never fired).
+fn is_static(kind: &NodeKind) -> bool {
+    matches!(kind, NodeKind::Input { .. } | NodeKind::Const(_))
 }
 
 /// A sealed, immutable, index-dense lowering of a verified
@@ -395,13 +452,15 @@ impl CompiledTask {
 pub struct CompiledAccel {
     accel: Accelerator,
     hash: u64,
-    tasks: Vec<CompiledTask>,
+    tasks: Vec<TaskRuns>,
+    tables: Tables,
 }
 
 impl CompiledAccel {
     /// Verify `acc` and lower it into a sealed artifact. This is the only
     /// construction path, so holding a `CompiledAccel` *is* the proof the
-    /// graph is well-formed.
+    /// graph is well-formed. The artifact shares `acc`'s graph: nothing is
+    /// copied unless the caller later writes through its own handle.
     ///
     /// # Errors
     /// The graph's first structural violation, if any.
@@ -409,13 +468,16 @@ impl CompiledAccel {
         let _span = telemetry::span("compile", "compile.lower");
         verify_accelerator(acc)?;
         let mut scratch = TopoIndex::default();
+        let mut tables = Tables::with_capacity_for(acc);
+        let tasks = acc
+            .task_ids()
+            .map(|tid| tables.lower(acc, tid, &mut scratch))
+            .collect();
         Ok(CompiledAccel {
             accel: acc.clone(),
             hash: content_hash(acc),
-            tasks: acc
-                .task_ids()
-                .map(|tid| CompiledTask::lower(acc, tid, &mut scratch))
-                .collect(),
+            tasks,
+            tables,
         })
     }
 
@@ -432,19 +494,50 @@ impl CompiledAccel {
     }
 
     /// Per-task lowered tables, index-aligned with `accel().tasks`.
-    pub fn tasks(&self) -> &[CompiledTask] {
-        &self.tasks
+    pub fn tasks(&self) -> Tasks<'_> {
+        Tasks(self)
     }
 
     /// The lowered tables of one task.
-    pub fn task(&self, ti: usize) -> &CompiledTask {
-        &self.tasks[ti]
+    pub fn task(&self, ti: usize) -> CompiledTask<'_> {
+        let r = &self.tasks[ti];
+        let t = &self.tables;
+        let next = self.tasks.get(ti + 1).copied().unwrap_or_else(|| t.end());
+        let run = |start: u32, end: u32| start as usize..end as usize;
+        let nodes = run(r.nodes, next.nodes);
+        CompiledTask {
+            dynamic_count: r.dynamic_count,
+            order: &t.order[nodes.clone()],
+            pos: &t.pos[nodes.clone()],
+            queue_cap: r.queue_cap,
+            njunctions: r.njunctions,
+            uops: &t.uops[nodes],
+            in_slots: &t.in_slots[run(r.slots, next.slots)],
+            edge_refs: &t.edge_refs[run(r.refs, next.refs)],
+            consts: &t.consts[run(r.consts, next.consts)],
+            fused_plans: &t.fused_plans[run(r.plans, next.plans)],
+            edge_meta: &t.edge_meta[run(r.edges, next.edges)],
+        }
     }
 
     /// Approximate heap footprint of the artifact's index tables (the
     /// lowering overhead beyond the graph itself), in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.tasks.iter().map(CompiledTask::size_bytes).sum()
+        self.tasks().iter().map(|ct| ct.size_bytes()).sum()
+    }
+}
+
+/// An artifact's sealed tasks, index-aligned with `accel().tasks`: a
+/// borrowed handle, so walking them builds each view on the fly and
+/// allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Tasks<'a>(&'a CompiledAccel);
+
+impl<'a> Tasks<'a> {
+    /// Each task's tables, in task order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = CompiledTask<'a>> {
+        let comp = self.0;
+        (0..comp.tasks.len()).map(|ti| comp.task(ti))
     }
 }
 
@@ -647,7 +740,7 @@ pub fn forward_topo(df: &Dataflow) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accel::{TaskBlock, TaskKind};
+    use crate::accel::{AccelGraph, TaskBlock, TaskKind};
     use crate::node::{Name, Node, OpKind};
     use crate::Type;
     use muir_mir::instr::{BinOp, ConstVal};
@@ -808,7 +901,8 @@ mod tests {
         df.connect(ld, 0, out, 0);
         df.register_reader(j, ld);
         let child = acc.add_task(body);
-        acc.connect_tasks(acc.root, child, 2);
+        let root = acc.root;
+        acc.connect_tasks(root, child, 2);
         acc.connect_mem(child, j, sid);
         acc.object_info = vec![(64, true)];
         acc
@@ -996,6 +1090,32 @@ mod tests {
         assert!((0..4).all(|p| ct.pos[ct.order[p] as usize] == p as u32));
         // No `<||>` connection feeds the root: its own queue plus one.
         assert_eq!(ct.queue_cap, acc.tasks[0].queue_depth as usize + 1);
+    }
+
+    /// The artifact shares the graph it was sealed from; a write through
+    /// the caller's handle copies the graph for the caller and leaves the
+    /// artifact's graph, hash and tables as sealed.
+    #[test]
+    fn a_write_after_sealing_leaves_the_artifact_as_sealed() {
+        let mut acc = field_acc();
+        let comp = CompiledAccel::compile(&acc).unwrap();
+        let shared = |a: &Accelerator, b: &Accelerator| std::ptr::eq::<AccelGraph>(&**a, &**b);
+        assert!(shared(comp.accel(), &acc));
+        let hash = comp.content_hash();
+        let tables: Vec<String> = comp.tasks().iter().map(|t| format!("{t:?}")).collect();
+        acc.tasks[1].tiles = 4;
+        acc.tasks[1].dataflow.edges[0].buffering = Buffering::Fifo(4);
+        assert!(!shared(comp.accel(), &acc));
+        assert_ne!(content_hash(&acc), hash, "the graph's own hash moves");
+        assert_eq!(comp.content_hash(), hash);
+        assert_eq!(content_hash(comp.accel()), hash);
+        assert_eq!(comp.accel(), &field_acc());
+        let after: Vec<String> = comp.tasks().iter().map(|t| format!("{t:?}")).collect();
+        assert_eq!(after, tables, "the sealed tables moved");
+        // A fresh seal of the written graph does see the new FIFO depth.
+        let resealed = CompiledAccel::compile(&acc).unwrap();
+        assert_eq!(resealed.task(1).edge_meta[0].fifo, 4);
+        assert_eq!(comp.task(1).edge_meta[0].fifo, u32::MAX);
     }
 
     /// Sealing has no hidden state: two seals of one graph agree (their

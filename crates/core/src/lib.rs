@@ -37,8 +37,8 @@ pub mod telemetry;
 pub mod verify;
 
 pub use accel::{
-    Accelerator, ArgExpr, LoopSpec, MemConnection, ResultInit, TaskBlock, TaskConnection, TaskId,
-    TaskKind,
+    AccelGraph, Accelerator, ArgExpr, LoopSpec, MemConnection, ResultInit, TaskBlock,
+    TaskConnection, TaskId, TaskKind,
 };
 pub use compiled::{content_hash, CompiledAccel, CompiledTask, ContentHasher};
 pub use dataflow::{Buffering, Dataflow, Edge, EdgeIndex, EdgeKind, Junction, JunctionId, NodeId};

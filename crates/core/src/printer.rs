@@ -203,7 +203,8 @@ mod tests {
         lp.dataflow
             .add_node(Node::new("out", NodeKind::Output, Type::I64));
         let child = acc.add_task(lp);
-        acc.connect_tasks(acc.root, child, 4);
+        let root = acc.root;
+        acc.connect_tasks(root, child, 4);
         let text = print_accelerator(&acc);
         assert!(text.contains("loop(0..arg1 step 2, serial)"), "{text}");
         assert!(text.contains("t0 <||> t1 (q=4)"));

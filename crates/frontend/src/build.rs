@@ -1436,7 +1436,7 @@ impl ScopeBuilder<'_, '_> {
         let step = match update {
             ValueRef::Instr(d) => {
                 let instr = self.f.instr(d);
-                match (&instr.op, instr.operands.as_slice()) {
+                match (&instr.op, &instr.operands[..]) {
                     (Op::Bin(BinOp::Add), [a, b]) => {
                         let k = match (a, b) {
                             (ValueRef::Instr(x), ValueRef::Const(ConstVal::Int(k))) if *x == iv => {
@@ -1470,7 +1470,7 @@ impl ScopeBuilder<'_, '_> {
         let hi_v = match cond {
             ValueRef::Instr(c) => {
                 let ci = self.f.instr(c);
-                match (&ci.op, ci.operands.as_slice()) {
+                match (&ci.op, &ci.operands[..]) {
                     (Op::Cmp(CmpPred::Lt), [a, b]) if *a == ValueRef::Instr(iv) => *b,
                     _ => return Err(ferr("loop bound is not `icmp lt iv, hi`")),
                 }

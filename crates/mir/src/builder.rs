@@ -6,7 +6,8 @@
 //! extraction recognises (natural loops, Tapir detach regions).
 
 use crate::instr::{
-    BinOp, BlockId, CastOp, CmpPred, FuncId, Instr, InstrId, MemObjId, Op, TensorOp, UnOp, ValueRef,
+    BinOp, BlockId, CastOp, CmpPred, FuncId, Instr, InstrId, MemObjId, Op, Operands, TensorOp,
+    UnOp, ValueRef,
 };
 use crate::module::{Block, Function, Module};
 use crate::types::{ScalarType, TensorShape, Type};
@@ -85,12 +86,12 @@ impl FunctionBuilder {
 
     /// Append a raw instruction to the current block and return a reference
     /// to its result.
-    pub fn push(&mut self, op: Op, ty: Option<Type>, operands: Vec<ValueRef>) -> ValueRef {
+    pub fn push(&mut self, op: Op, ty: Option<Type>, operands: impl Into<Operands>) -> ValueRef {
         let id = InstrId(self.func.instrs.len() as u32);
         self.func.instrs.push(Instr {
             op,
             ty,
-            operands,
+            operands: operands.into(),
             block: self.cur,
         });
         self.func.blocks[self.cur.0 as usize].instrs.push(id);
@@ -114,7 +115,7 @@ impl FunctionBuilder {
     /// Emit a binary op; the result type is inferred from the operands.
     pub(crate) fn bin(&mut self, op: BinOp, a: ValueRef, b: ValueRef) -> ValueRef {
         let ty = self.bin_ty(op, a, b);
-        self.push(Op::Bin(op), Some(ty), vec![a, b])
+        self.push(Op::Bin(op), Some(ty), [a, b])
     }
 
     /// Integer add.
@@ -177,7 +178,7 @@ impl FunctionBuilder {
     /// Unary math op.
     pub(crate) fn un(&mut self, op: UnOp, a: ValueRef) -> ValueRef {
         let ty = self.infer(a).unwrap_or(Type::F32);
-        self.push(Op::Un(op), Some(ty), vec![a])
+        self.push(Op::Un(op), Some(ty), [a])
     }
     /// e^x.
     pub fn exp(&mut self, a: ValueRef) -> ValueRef {
@@ -190,23 +191,23 @@ impl FunctionBuilder {
 
     /// Comparison producing an `i1`.
     pub fn icmp(&mut self, pred: CmpPred, a: ValueRef, b: ValueRef) -> ValueRef {
-        self.push(Op::Cmp(pred), Some(Type::BOOL), vec![a, b])
+        self.push(Op::Cmp(pred), Some(Type::BOOL), [a, b])
     }
 
     /// `select cond, a, b`.
     pub fn select(&mut self, cond: ValueRef, a: ValueRef, b: ValueRef) -> ValueRef {
         let ty = self.infer(a).or_else(|| self.infer(b)).unwrap_or(Type::I64);
-        self.push(Op::Select, Some(ty), vec![cond, a, b])
+        self.push(Op::Select, Some(ty), [cond, a, b])
     }
 
     /// Signed int → float cast.
     pub fn sitofp(&mut self, a: ValueRef) -> ValueRef {
-        self.push(Op::Cast(CastOp::SiToFp), Some(Type::F32), vec![a])
+        self.push(Op::Cast(CastOp::SiToFp), Some(Type::F32), [a])
     }
 
     /// Float → signed int cast.
     pub fn fptosi(&mut self, a: ValueRef) -> ValueRef {
-        self.push(Op::Cast(CastOp::FpToSi), Some(Type::I64), vec![a])
+        self.push(Op::Cast(CastOp::FpToSi), Some(Type::I64), [a])
     }
 
     fn mem_elem(&self, obj: MemObjId) -> ScalarType {
@@ -223,7 +224,7 @@ impl FunctionBuilder {
     /// [`FunctionBuilder::with_mem`].
     pub fn load(&mut self, obj: MemObjId, idx: ValueRef) -> ValueRef {
         let ty = Type::Scalar(self.mem_elem(obj));
-        self.push(Op::Load { obj }, Some(ty), vec![idx])
+        self.push(Op::Load { obj }, Some(ty), [idx])
     }
 
     /// Vector load of `lanes` consecutive elements.
@@ -232,7 +233,7 @@ impl FunctionBuilder {
             elem: self.mem_elem(obj),
             lanes,
         };
-        self.push(Op::Load { obj }, Some(ty), vec![idx])
+        self.push(Op::Load { obj }, Some(ty), [idx])
     }
 
     /// Tensor-tile load of `shape` consecutive elements (row-major).
@@ -241,12 +242,12 @@ impl FunctionBuilder {
             elem: self.mem_elem(obj),
             shape,
         };
-        self.push(Op::Load { obj }, Some(ty), vec![idx])
+        self.push(Op::Load { obj }, Some(ty), [idx])
     }
 
     /// Store `value` (scalar, vector, or tensor) at element index `idx`.
     pub fn store(&mut self, obj: MemObjId, idx: ValueRef, value: ValueRef) {
-        self.push(Op::Store { obj }, None, vec![idx, value]);
+        self.push(Op::Store { obj }, None, [idx, value]);
     }
 
     /// Tensor binary op over two tile values. `TensorOp::Conv` reduces the
@@ -265,7 +266,7 @@ impl FunctionBuilder {
         } else {
             Type::Tensor { elem, shape }
         };
-        self.push(Op::Tensor(op, shape), Some(ty), vec![a, b])
+        self.push(Op::Tensor(op, shape), Some(ty), [a, b])
     }
 
     /// Tensor unary op over one tile value. `Reduce` yields a scalar;
@@ -282,50 +283,53 @@ impl FunctionBuilder {
         } else {
             Type::Tensor { elem, shape }
         };
-        self.push(Op::Tensor(op, shape), Some(ty), vec![a])
+        self.push(Op::Tensor(op, shape), Some(ty), [a])
     }
 
     /// Call another function.
     pub fn call(&mut self, callee: FuncId, args: &[ValueRef], ret: Option<Type>) -> ValueRef {
-        self.push(Op::Call { callee }, ret, args.to_vec())
+        self.push(
+            Op::Call { callee },
+            ret,
+            args.iter().copied().collect::<Operands>(),
+        )
     }
 
     /// SSA φ over `(value, predecessor)` pairs.
     pub fn phi(&mut self, ty: Type, incoming: &[(ValueRef, BlockId)]) -> ValueRef {
         let preds = incoming.iter().map(|(_, b)| *b).collect();
-        let operands = incoming.iter().map(|(v, _)| *v).collect();
+        let operands: Operands = incoming.iter().map(|(v, _)| *v).collect();
         self.push(Op::Phi { preds }, Some(ty), operands)
     }
 
     /// Unconditional branch terminator.
     pub fn br(&mut self, target: BlockId) {
-        self.push(Op::Br { target }, None, vec![]);
+        self.push(Op::Br { target }, None, Operands::new());
     }
 
     /// Conditional branch terminator.
     pub fn cond_br(&mut self, cond: ValueRef, t: BlockId, f: BlockId) {
-        self.push(Op::CondBr { t, f }, None, vec![cond]);
+        self.push(Op::CondBr { t, f }, None, [cond]);
     }
 
     /// Return terminator.
     pub fn ret(&mut self, value: Option<ValueRef>) {
-        let operands = value.into_iter().collect();
-        self.push(Op::Ret, None, operands);
+        self.push(Op::Ret, None, value.into_iter().collect::<Operands>());
     }
 
     /// Tapir detach terminator.
     pub(crate) fn detach(&mut self, body: BlockId, cont: BlockId) {
-        self.push(Op::Detach { body, cont }, None, vec![]);
+        self.push(Op::Detach { body, cont }, None, Operands::new());
     }
 
     /// Tapir reattach terminator.
     pub(crate) fn reattach(&mut self, cont: BlockId) {
-        self.push(Op::Reattach { cont }, None, vec![]);
+        self.push(Op::Reattach { cont }, None, Operands::new());
     }
 
     /// Tapir sync terminator.
     pub(crate) fn sync(&mut self, cont: BlockId) {
-        self.push(Op::Sync { cont }, None, vec![]);
+        self.push(Op::Sync { cont }, None, Operands::new());
     }
 
     /// Structured sequential counted loop: `for (i = lo; i < hi; i += step)`.

@@ -336,7 +336,7 @@ pub enum Op {
     /// SSA φ; operands parallel to `preds` (incoming block per operand).
     Phi {
         /// Incoming blocks, parallel to the operand list.
-        preds: Vec<BlockId>,
+        preds: PhiPreds,
     },
     /// Load from a memory object; operands: `[element_index]`. The loaded
     /// type is the instruction's result type (scalar, vector or tensor).
@@ -473,6 +473,140 @@ impl IntoIterator for Succs {
     }
 }
 
+/// A list that holds up to `N` items inline and moves to the heap past
+/// that: an instruction has at most three operands in every program the
+/// registry and the tensor lowering produce, so parsing or building one
+/// allocates nothing for them. Dereferences to a slice; compares, prints
+/// and clones as one.
+#[derive(Clone)]
+pub struct InlineList<T: Copy, const N: usize>(Repr<T, N>);
+
+#[derive(Clone)]
+enum Repr<T: Copy, const N: usize> {
+    /// `1..=N` items; the slots past `len` repeat the first.
+    Inline { len: u8, items: [T; N] },
+    /// No items (an empty `Vec` holds no allocation), or more than `N`.
+    Heap(Vec<T>),
+}
+
+/// An instruction's operand list.
+pub type Operands = InlineList<ValueRef, 3>;
+
+/// A φ's incoming blocks, parallel to its operands.
+pub type PhiPreds = InlineList<BlockId, 3>;
+
+impl<T: Copy, const N: usize> InlineList<T, N> {
+    /// An empty list (no allocation).
+    pub const fn new() -> Self {
+        InlineList(Repr::Heap(Vec::new()))
+    }
+
+    /// Append `x`, moving to the heap when the inline slots are full.
+    pub fn push(&mut self, x: T) {
+        match &mut self.0 {
+            Repr::Heap(v) if v.is_empty() && N > 0 => {
+                self.0 = Repr::Inline {
+                    len: 1,
+                    items: [x; N],
+                };
+            }
+            Repr::Heap(v) => v.push(x),
+            Repr::Inline { len, items } if usize::from(*len) < N => {
+                items[usize::from(*len)] = x;
+                *len += 1;
+            }
+            Repr::Inline { items, .. } => {
+                let mut v = Vec::with_capacity(2 * N);
+                v.extend_from_slice(items);
+                v.push(x);
+                self.0 = Repr::Heap(v);
+            }
+        }
+    }
+}
+
+impl<T: Copy, const N: usize> Default for InlineList<T, N> {
+    fn default() -> Self {
+        InlineList::new()
+    }
+}
+
+impl<T: Copy, const N: usize> std::ops::Deref for InlineList<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Repr::Inline { len, items } => &items[..usize::from(*len)],
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+impl<T: Copy, const N: usize> std::ops::DerefMut for InlineList<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match &mut self.0 {
+            Repr::Inline { len, items } => &mut items[..usize::from(*len)],
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+impl<T: Copy, const N: usize> FromIterator<T> for InlineList<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut list = InlineList::new();
+        for x in iter {
+            list.push(x);
+        }
+        list
+    }
+}
+
+impl<T: Copy, const N: usize, const K: usize> From<[T; K]> for InlineList<T, N> {
+    fn from(items: [T; K]) -> Self {
+        items.into_iter().collect()
+    }
+}
+
+impl<T: Copy, const N: usize> From<Vec<T>> for InlineList<T, N> {
+    fn from(v: Vec<T>) -> Self {
+        if v.len() > N {
+            InlineList(Repr::Heap(v))
+        } else {
+            v.into_iter().collect()
+        }
+    }
+}
+
+impl<'a, T: Copy, const N: usize> IntoIterator for &'a InlineList<T, N> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a, T: Copy, const N: usize> IntoIterator for &'a mut InlineList<T, N> {
+    type Item = &'a mut T;
+    type IntoIter = std::slice::IterMut<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
+
+impl<T: Copy + PartialEq, const N: usize> PartialEq for InlineList<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Copy + fmt::Debug, const N: usize> fmt::Debug for InlineList<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One SSA instruction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instr {
@@ -481,7 +615,7 @@ pub struct Instr {
     /// Result type (`None` for stores and terminators).
     pub ty: Option<Type>,
     /// Operand list; meaning depends on [`Op`].
-    pub operands: Vec<ValueRef>,
+    pub operands: Operands,
     /// The block this instruction belongs to (maintained by the builder).
     pub block: BlockId,
 }
@@ -538,6 +672,35 @@ mod tests {
             Op::Tensor(TensorOp::MatMul, TensorShape::new(2, 2)).mnemonic(),
             "tensor.matmul"
         );
+    }
+
+    /// Past its inline slots a list moves to the heap and still reads,
+    /// writes, compares, clones and prints as the slice it holds.
+    #[test]
+    fn inline_list_spills_to_the_heap_past_its_slots() {
+        let mut list = InlineList::<u32, 3>::new();
+        assert!(list.is_empty());
+        for x in 0..5 {
+            list.push(x);
+            assert_eq!(*list, (0..=x).collect::<Vec<_>>()[..]);
+        }
+        assert_eq!(list, InlineList::from(vec![0, 1, 2, 3, 4]));
+        assert_eq!(list, (0..5).collect());
+        assert_ne!(list, InlineList::from([0, 1, 2]));
+        assert_ne!(list, InlineList::from(vec![0, 1, 2, 3, 5]));
+        list[4] = 9;
+        for x in &mut list {
+            *x += 1;
+        }
+        assert_eq!(*list, [1, 2, 3, 4, 10]);
+        assert_eq!(list.clone(), list);
+        assert_eq!(format!("{list:?}"), "[1, 2, 3, 4, 10]");
+        // A short `Vec` goes inline and equals the same items pushed.
+        let mut pushed = InlineList::<u32, 3>::new();
+        pushed.push(7);
+        pushed.push(8);
+        assert_eq!(InlineList::from(vec![7, 8]), pushed);
+        assert_eq!(InlineList::<u32, 3>::from(Vec::new()), InlineList::new());
     }
 
     #[test]

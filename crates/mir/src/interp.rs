@@ -104,6 +104,9 @@ struct Frame<'f> {
     func: &'f Function,
     values: Vec<Option<Value>>,
     args: Vec<Value>,
+    /// The entered block's φ results, read before any is written; reused
+    /// across block entries.
+    phis: Vec<(InstrId, Value)>,
 }
 
 impl<'f> Frame<'f> {
@@ -187,6 +190,7 @@ impl<'m, S: TraceSink> Interp<'m, S> {
             func: f,
             values: vec![None; f.instrs.len()],
             args,
+            phis: Vec::new(),
         };
         match self.exec_from(&mut frame, f.entry, memory)? {
             ExecEnd::Ret(v) => Ok(v),
@@ -209,36 +213,39 @@ impl<'m, S: TraceSink> Interp<'m, S> {
         start: BlockId,
         memory: &mut Memory,
     ) -> Result<ExecEnd, InterpError> {
+        // The function outlives the frame's borrow: blocks and
+        // instructions are read in place while the frame is written.
+        let func = frame.func;
         let mut cur = start;
         let mut prev: Option<BlockId> = None;
         'blocks: loop {
-            self.sink.block(&frame.func.name, cur);
+            self.sink.block(&func.name, cur);
             // φ nodes read their incoming values as-of block entry, in
             // parallel, before any instruction of the block executes.
-            let block = frame.func.block(cur);
-            let mut phi_updates: Vec<(InstrId, Value)> = Vec::new();
+            let block = func.block(cur);
+            frame.phis.clear();
             for &iid in &block.instrs {
-                let instr = frame.func.instr(iid);
+                let instr = func.instr(iid);
                 if let Op::Phi { preds } = &instr.op {
                     let p = prev.ok_or_else(|| ierr(format!("{iid}: phi in entry block")))?;
                     let slot = preds
                         .iter()
                         .position(|&b| b == p)
                         .ok_or_else(|| ierr(format!("{iid}: no phi incoming for {p}")))?;
-                    phi_updates.push((iid, frame.get(&instr.operands[slot])?));
+                    let v = frame.get(&instr.operands[slot])?;
+                    frame.phis.push((iid, v));
                 } else {
                     break;
                 }
             }
-            for (iid, v) in phi_updates {
+            for (iid, v) in frame.phis.drain(..) {
                 frame.values[iid.0 as usize] = Some(v);
                 self.burn(1)?;
                 self.sink.event(TraceEvent::compute(OpClass::IntAlu));
             }
 
-            let instrs: Vec<InstrId> = block.instrs.clone();
-            for &iid in &instrs {
-                let instr = frame.func.instr(iid).clone();
+            for &iid in &block.instrs {
+                let instr = func.instr(iid);
                 if matches!(instr.op, Op::Phi { .. }) {
                     continue;
                 }

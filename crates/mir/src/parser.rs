@@ -7,8 +7,8 @@
 //! round trip — see the round-trip tests in `tests/ir_roundtrip.rs`.
 
 use crate::instr::{
-    BinOp, BlockId, CastOp, CmpPred, ConstVal, FuncId, Instr, InstrId, MemObjId, Op, TensorOp,
-    UnOp, ValueRef,
+    BinOp, BlockId, CastOp, CmpPred, ConstVal, FuncId, Instr, InstrId, MemObjId, Op, Operands,
+    PhiPreds, TensorOp, UnOp, ValueRef,
 };
 use crate::module::{Block, Function, Module};
 use crate::types::{ScalarType, TensorShape, Type};
@@ -187,7 +187,7 @@ fn split_operands(s: &str) -> impl Iterator<Item = &str> {
 }
 
 /// Parse every operand of `s`.
-fn parse_values(s: &str, line: usize) -> Result<Vec<ValueRef>, ParseError> {
+fn parse_values(s: &str, line: usize) -> Result<Operands, ParseError> {
     split_operands(s).map(|a| parse_value(a, line)).collect()
 }
 
@@ -237,7 +237,7 @@ fn tensor_op(m: &str) -> Option<TensorOp> {
 
 /// A parsed-but-unresolved instruction: printed id (None = valueless),
 /// opcode, result type, operands, and owning block.
-type PendingInstr = (Option<u32>, Op, Option<Type>, Vec<ValueRef>, BlockId);
+type PendingInstr = (Option<u32>, Op, Option<Type>, Operands, BlockId);
 
 struct FnBuilder {
     func: Function,
@@ -426,15 +426,15 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
 }
 
 #[allow(clippy::too_many_lines)]
-fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> {
+fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Operands), ParseError> {
     let (mnemonic, rest) = match rhs.split_once(' ') {
         Some((m, r)) => (m, r.trim()),
         None => (rhs, ""),
     };
     // φ: `phi [v, bbK], [v, bbK]`
     if mnemonic == "phi" {
-        let mut preds = Vec::new();
-        let mut operands = Vec::new();
+        let mut preds = PhiPreds::new();
+        let mut operands = Operands::new();
         for pair in split_operands(rest) {
             let inner = pair
                 .strip_prefix('[')
@@ -454,18 +454,18 @@ fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> 
         let obj = parse_mem_ref(obj, line)?;
         let idx = parse_value(idx, line)?;
         if mnemonic == "load" {
-            return Ok((Op::Load { obj }, vec![idx]));
+            return Ok((Op::Load { obj }, [idx].into()));
         }
         let val_s = val_s.trim_start_matches(',').trim();
         let val = parse_value(val_s, line)?;
-        return Ok((Op::Store { obj }, vec![idx, val]));
+        return Ok((Op::Store { obj }, [idx, val].into()));
     }
     if mnemonic == "br" {
         return Ok((
             Op::Br {
                 target: parse_block_ref(rest, line)?,
             },
-            vec![],
+            Operands::new(),
         ));
     }
     if mnemonic == "condbr" {
@@ -480,7 +480,7 @@ fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> 
                 t: parse_block_ref(t, line)?,
                 f: parse_block_ref(f, line)?,
             },
-            vec![parse_value(c, line)?],
+            [parse_value(c, line)?].into(),
         ));
     }
     if mnemonic == "detach" {
@@ -493,7 +493,7 @@ fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> 
                 body: parse_block_ref(body, line)?,
                 cont: parse_block_ref(cont, line)?,
             },
-            vec![],
+            Operands::new(),
         ));
     }
     if mnemonic == "reattach" {
@@ -501,7 +501,7 @@ fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> 
             Op::Reattach {
                 cont: parse_block_ref(rest, line)?,
             },
-            vec![],
+            Operands::new(),
         ));
     }
     if mnemonic == "sync" {
@@ -509,14 +509,14 @@ fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> 
             Op::Sync {
                 cont: parse_block_ref(rest, line)?,
             },
-            vec![],
+            Operands::new(),
         ));
     }
     if mnemonic == "ret" {
         let operands = if rest.is_empty() {
-            vec![]
+            Operands::new()
         } else {
-            vec![parse_value(rest, line)?]
+            [parse_value(rest, line)?].into()
         };
         return Ok((Op::Ret, operands));
     }
@@ -555,7 +555,7 @@ fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> 
             "fptosi" => CastOp::FpToSi,
             _ => CastOp::IntResize,
         };
-        return Ok((Op::Cast(c), vec![parse_value(rest, line)?]));
+        return Ok((Op::Cast(c), [parse_value(rest, line)?].into()));
     }
     // tensor.X<RxC> a, b
     if let Some((tm, shape_rest)) = mnemonic.split_once('<') {
@@ -576,7 +576,7 @@ fn parse_rhs(rhs: &str, line: usize) -> Result<(Op, Vec<ValueRef>), ParseError> 
         return Ok((Op::Bin(b), ops));
     }
     if let Some(u) = un_op(mnemonic) {
-        return Ok((Op::Un(u), vec![parse_value(rest, line)?]));
+        return Ok((Op::Un(u), [parse_value(rest, line)?].into()));
     }
     Err(perr(line, format!("unknown mnemonic `{mnemonic}`")))
 }
@@ -650,6 +650,69 @@ bb0: ; entry
         let mut mem2 = Memory::from_module(&m2);
         Interp::new(&m2).run_main(&mut mem2, &[]).unwrap();
         assert_eq!(mem1.objects, mem2.objects);
+    }
+
+    /// A call with five arguments and a φ with four incomings hold their
+    /// lists on the heap; both print, parse back and run as built.
+    #[test]
+    fn long_operand_lists_roundtrip_and_run() {
+        use crate::instr::{CmpPred, FuncId};
+        use crate::interp::{Interp, Memory};
+        let mut m = Module::new("wide");
+        let o = m.add_mem_object("o", ScalarType::I64, 4);
+        let mut b = FunctionBuilder::new("main", &[]).with_mem(&m);
+        b.for_loop(0, ValueRef::int(4), 1, |b, i| {
+            let args = [10, 20, 30, 40].map(ValueRef::int);
+            let v = b.call(
+                FuncId(1),
+                &[args[0], args[1], args[2], args[3], i],
+                Some(Type::I64),
+            );
+            b.store(o, i, v);
+        });
+        b.ret(None);
+        m.add_function(b.finish());
+        // pick(a, b, c, d, sel): the `sel`-th of a..d, through a 4-way φ.
+        let mut b = FunctionBuilder::new("pick", &[Type::I64; 5]).returns(Type::I64);
+        let arms: Vec<BlockId> = (0..4).map(|k| b.block(format!("arm{k}"))).collect();
+        let join = b.block("join");
+        for k in 0..3 {
+            let c = b.icmp(CmpPred::Lt, b.arg(4), ValueRef::int(k as i64 + 1));
+            let next = if k < 2 {
+                b.block(format!("test{k}"))
+            } else {
+                arms[3]
+            };
+            b.cond_br(c, arms[k], next);
+            b.switch_to(next);
+        }
+        for &arm in &arms {
+            b.switch_to(arm);
+            b.br(join);
+        }
+        b.switch_to(join);
+        let incoming: Vec<_> = (0..4).map(|k| (b.arg(k as u32), arms[k])).collect();
+        let v = b.phi(Type::I64, &incoming);
+        b.ret(Some(v));
+        m.add_function(b.finish());
+        crate::verify::verify_module(&m).unwrap();
+
+        let m2 = parse_module(&print_module(&m)).unwrap();
+        crate::verify::verify_module(&m2).unwrap();
+        let p2 = print_module(&m2);
+        assert_eq!(p2, print_module(&parse_module(&p2).unwrap()));
+        let widest = |m: &Module| {
+            let ops = m.functions.iter().flat_map(|f| &f.instrs);
+            ops.map(|i| i.operands.len()).max()
+        };
+        assert_eq!(widest(&m2), Some(5));
+        let run = |m: &Module| {
+            let mut mem = Memory::from_module(m);
+            Interp::new(m).run_main(&mut mem, &[]).unwrap();
+            mem.read_i64(o)
+        };
+        assert_eq!(run(&m), [10, 20, 30, 40]);
+        assert_eq!(run(&m2), [10, 20, 30, 40]);
     }
 
     #[test]

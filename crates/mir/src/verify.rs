@@ -197,7 +197,7 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::instr::{BinOp, Instr};
+    use crate::instr::{BinOp, Instr, PhiPreds};
     use crate::types::{ScalarType, Type};
 
     #[test]
@@ -281,7 +281,13 @@ mod tests {
         b.push(Op::Ret, None, vec![ValueRef::int(1), ValueRef::int(2)]);
         assert!(verify_function(&b.finish(), &[]).is_err());
         let mut b = FunctionBuilder::new("bad", &[]);
-        b.push(Op::Phi { preds: vec![] }, Some(Type::I64), vec![]);
+        b.push(
+            Op::Phi {
+                preds: PhiPreds::new(),
+            },
+            Some(Type::I64),
+            vec![],
+        );
         b.ret(None);
         let e = verify_function(&b.finish(), &[]).unwrap_err();
         assert!(e.message.contains("no incoming"), "{e}");
@@ -310,7 +316,7 @@ mod tests {
         b.switch_to(bb);
         // φ claiming an incoming edge from bb itself, which is not a pred.
         b.push(
-            Op::Phi { preds: vec![bb] },
+            Op::Phi { preds: [bb].into() },
             Some(Type::I64),
             vec![ValueRef::int(0)],
         );

@@ -38,7 +38,7 @@ use crate::fault::{Ecc, FaultClass, Injector};
 use crate::memory::{DramModel, MemRequest, MemResponse, StructModel};
 use crate::trace::{Observer, SimProfile, StallReason, Trace};
 use crate::{SchedulerKind, SimConfig, SimError, SimStats};
-use muir_core::accel::{Accelerator, ArgExpr, ResultInit, TaskKind};
+use muir_core::accel::{AccelGraph, ArgExpr, ResultInit, TaskKind};
 use muir_core::compiled::{
     CompiledAccel, CompiledTask, MicroOp, UopKind, SLOT_ARG, SLOT_CONST, SLOT_FEEDBACK,
     SLOT_PAYLOAD, SLOT_TAG, UOP_PREDICATED, UOP_SPAWN,
@@ -504,9 +504,16 @@ impl Calendar {
         }
     }
 
-    /// Drop every mark.
+    /// Drop every mark. Only the slots `occupied` names are zeroed: a
+    /// slot whose bit is clear holds no mark, since `drained` clears the
+    /// bit only after `take` has emptied the slot.
     fn clear(&mut self) {
-        self.cal.fill(0);
+        let mut occupied = self.occupied;
+        while occupied != 0 {
+            let slot = occupied.trailing_zeros() as usize * self.words;
+            self.cal[slot..slot + self.words].fill(0);
+            occupied &= occupied - 1;
+        }
         self.occupied = 0;
         self.far.clear();
     }
@@ -860,7 +867,7 @@ impl ActiveInv {
 }
 
 /// The out edges of `uop`'s node.
-fn out_edges<'a>(ct: &'a CompiledTask, uop: &MicroOp) -> &'a [u32] {
+fn out_edges<'a>(ct: &CompiledTask<'a>, uop: &MicroOp) -> &'a [u32] {
     &ct.edge_refs[(uop.ebase + u32::from(uop.nord)) as usize..][..uop.nout as usize]
 }
 
@@ -873,7 +880,7 @@ fn out_edges<'a>(ct: &'a CompiledTask, uop: &MicroOp) -> &'a [u32] {
 struct ElabTask<'a> {
     /// The sealed per-task tables: scan order and the micro-op stream
     /// firings execute from.
-    ct: &'a CompiledTask,
+    ct: CompiledTask<'a>,
     info: Vec<NodeInfo>,
     /// Per edge resolved token capacity: explicit FIFO depth, or
     /// `cfg.elastic_depth` for handshake connections (they act as elastic
@@ -891,11 +898,11 @@ struct ElabTask<'a> {
     consts: Vals,
 }
 
-impl std::ops::Deref for ElabTask<'_> {
-    type Target = CompiledTask;
+impl<'a> std::ops::Deref for ElabTask<'a> {
+    type Target = CompiledTask<'a>;
 
-    fn deref(&self) -> &CompiledTask {
-        self.ct
+    fn deref(&self) -> &CompiledTask<'a> {
+        &self.ct
     }
 }
 
@@ -939,11 +946,13 @@ enum Ev {
 /// event is a non-stamping firing's fixed-latency completion, an
 /// instance's last stamp or a reply one cycle on — at most 17 cycles out at
 /// the default period — so in practice every event is "near". Must exceed
-/// the largest single-hop event latency for the ring to pay off;
-/// correctness never depends on it. The run touches every bucket in
-/// turn, so a ring no longer than it must be keeps the buckets in the
-/// first-level cache; a 256-bucket ring was measurably slower.
+/// the largest single-hop event latency for the ring to pay off. The
+/// ring's occupancy mask ([`Engine::ev_occupied`]) is a `u32`, which ties
+/// the horizon to 32. The run touches every bucket in turn, so a ring no
+/// longer than it must be keeps the buckets in the first-level cache; a
+/// 256-bucket ring was measurably slower.
 const EV_HORIZON: u64 = 32;
+const _: () = assert!(EV_HORIZON == u32::BITS as u64, "Engine::ev_occupied");
 
 /// A scheduled event in the *far* min-heap, ordered by (cycle, insertion
 /// seq). Replay order across both queues is identical to a pure-heap
@@ -977,7 +986,8 @@ impl Ord for EvAt {
 
 /// The simulator.
 pub(crate) struct Engine<'a> {
-    acc: &'a Accelerator,
+    /// The sealed graph, read through the handle once.
+    acc: &'a AccelGraph,
     cfg: &'a SimConfig,
     mem: &'a mut Memory,
     elab: Vec<ElabTask<'a>>,
@@ -987,10 +997,11 @@ pub(crate) struct Engine<'a> {
     dram_idx: Option<usize>,
     /// Near events: ring of per-cycle FIFO buckets indexed by `at % EV_HORIZON`.
     ev_near: Vec<Vec<Ev>>,
+    /// Bit `at % EV_HORIZON` is set while that `ev_near` bucket holds an
+    /// event, so the next due bucket is a rotate and a count.
+    ev_occupied: u32,
     /// Far events (due ≥ [`EV_HORIZON`] cycles out): (cycle, seq) min-heap.
     ev_far: BinaryHeap<Reverse<EvAt>>,
-    /// Total events pending across both queues.
-    ev_count: usize,
     ev_seq: u64,
     /// In-flight memory requests. Ids are handed out densely, so the slot
     /// of request `id` is `id - req_base`; answered requests at the front
@@ -1066,7 +1077,7 @@ impl<'a> Engine<'a> {
         mem: &'a mut Memory,
         cfg: &'a SimConfig,
     ) -> Engine<'a> {
-        let acc = comp.accel();
+        let acc: &AccelGraph = comp.accel();
         let elab: Vec<ElabTask<'a>> = comp
             .tasks()
             .iter()
@@ -1112,7 +1123,7 @@ impl<'a> Engine<'a> {
                     })
                     .collect();
                 let mut consts = Vals::default();
-                for c in &ct.consts {
+                for c in ct.consts {
                     let w = Word::from_value(c, &mut consts.lanes);
                     consts
                         .words
@@ -1154,7 +1165,10 @@ impl<'a> Engine<'a> {
         dram.arm_faults(&cfg.faults);
         let faults = Injector::new(&cfg.faults, 0x0e5e_0001, &ENGINE_FAULTS);
         let faults_on = faults.active();
-        let obs = cfg.trace.enabled.then(|| Box::new(Observer::new(acc, cfg)));
+        let obs = cfg
+            .trace
+            .enabled
+            .then(|| Box::new(Observer::new(comp.accel(), cfg)));
         let ntasks = acc.tasks.len();
         // Junction-budget slab: one (epoch, reads, writes) slot per
         // (task, tile, junction), laid out contiguously per task.
@@ -1178,8 +1192,8 @@ impl<'a> Engine<'a> {
             dram,
             dram_idx,
             ev_near: (0..EV_HORIZON).map(|_| Vec::new()).collect(),
+            ev_occupied: 0,
             ev_far: BinaryHeap::new(),
-            ev_count: 0,
             ev_seq: 0,
             reqs: VecDeque::new(),
             req_base: 1,
@@ -1409,9 +1423,9 @@ impl<'a> Engine<'a> {
     /// bucket; far events take the (cycle, seq) heap.
     fn schedule(&mut self, at: u64, ev: Ev) {
         debug_assert!(at > self.cycle, "events are always strictly future");
-        self.ev_count += 1;
         if at - self.cycle < EV_HORIZON {
             self.ev_near[(at % EV_HORIZON) as usize].push(ev);
+            self.ev_occupied |= 1 << (at % EV_HORIZON);
         } else {
             self.ev_seq += 1;
             self.ev_far.push(Reverse(EvAt {
@@ -1422,22 +1436,20 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Cycle of the earliest scheduled event. O(1) for the far heap plus a
-    /// bounded ring scan; only the idle-skip path calls this, never the
+    /// Cycle of the earliest scheduled event: the far heap's top, and the
+    /// first occupied ring bucket from the current cycle's on (bit 0 of
+    /// the rotated mask). Only the idle-skip path calls this, never the
     /// per-cycle hot loop.
     fn next_event_cycle(&self) -> Option<u64> {
-        if self.ev_count == 0 {
-            return None;
+        let far = self.ev_far.peek().map(|Reverse(e)| e.at);
+        if self.ev_occupied == 0 {
+            return far;
         }
-        let mut earliest = self.ev_far.peek().map(|Reverse(e)| e.at);
-        for off in 0..EV_HORIZON {
-            let at = self.cycle + off;
-            if !self.ev_near[(at % EV_HORIZON) as usize].is_empty() {
-                earliest = Some(earliest.map_or(at, |f| f.min(at)));
-                break;
-            }
-        }
-        earliest
+        let ahead = self
+            .ev_occupied
+            .rotate_right((self.cycle % EV_HORIZON) as u32);
+        let near = self.cycle + u64::from(ahead.trailing_zeros());
+        Some(far.map_or(near, |f| f.min(near)))
     }
 
     /// Arbitration budget slot for junction `j` on (task, tile), reset
@@ -1624,7 +1636,7 @@ impl<'a> Engine<'a> {
                         }
                     }
                     // Full output channels: waiting on the consumer.
-                    for &ei in out_edges(ct, uop) {
+                    for &ei in out_edges(&ct, uop) {
                         let ei = ei as usize;
                         if inv.arena.full(ei, et.cap[ei], cycle) {
                             out.push(wait(ei, df.edges[ei].dst.0, ChannelState::Full));
@@ -1743,13 +1755,12 @@ impl<'a> Engine<'a> {
         // it precedes every near event due this cycle in push order.
         while self.ev_far.peek().is_some_and(|Reverse(e)| e.at <= cycle) {
             let Reverse(EvAt { ev, .. }) = self.ev_far.pop().expect("peeked");
-            self.ev_count -= 1;
             self.dispatch_event(ev)?;
         }
         let slot = (cycle % EV_HORIZON) as usize;
         if !self.ev_near[slot].is_empty() {
             let mut bucket = std::mem::take(&mut self.ev_near[slot]);
-            self.ev_count -= bucket.len();
+            self.ev_occupied &= !(1 << slot);
             for ev in bucket.drain(..) {
                 self.dispatch_event(ev)?;
             }
@@ -1988,7 +1999,7 @@ impl<'a> Engine<'a> {
         scratch: &mut Scratch,
     ) -> Result<(), SimError> {
         self.admit(ti, inv);
-        let order: &[u32] = &self.elab[ti].ct.order;
+        let order: &[u32] = self.elab[ti].ct.order;
         for &node in order {
             self.try_fire(ti, tk, inv, node as usize, scratch)?;
         }
@@ -2036,7 +2047,7 @@ impl<'a> Engine<'a> {
         // `try_fire` can only set a bit ahead of the drain point, which
         // this forward walk will still reach.
         inv.ready.wakes.promote(cycle);
-        let order: &[u32] = &self.elab[ti].ct.order;
+        let order: &[u32] = self.elab[ti].ct.order;
         let slot = inv.ready.wakes.slot(cycle);
         let mut wi = 0;
         while let Some(pos) = inv.ready.wakes.take(slot, &mut wi) {
@@ -2072,7 +2083,7 @@ impl<'a> Engine<'a> {
         let cycle = self.cycle;
         let df = &self.acc.tasks[ti].dataflow;
         self.sched_visits += 1;
-        let ct = self.elab[ti].ct;
+        let ct = &self.elab[ti].ct;
         let uop = &ct.uops[node];
         if matches!(uop.kind, UopKind::Static) {
             return Ok(());
@@ -2498,7 +2509,7 @@ impl<'a> Engine<'a> {
         let (ti, tk, node) = (site.task as usize, site.tile as usize, site.node as usize);
         let df = &self.acc.tasks[ti].dataflow;
         let et = &self.elab[ti];
-        let outs = out_edges(et.ct, &et.uops[node]);
+        let outs = out_edges(&et.ct, &et.uops[node]);
         let Some(inv) = self.tasks[ti].tiles[tk].as_deref_mut() else {
             return Ok(()); // stale
         };
@@ -2854,6 +2865,9 @@ mod tests {
         assert_eq!(inv.wake(&info, 0, cycle, cycle), cycle);
         assert_eq!(inv.wake(&info, 1, cycle + 5, cycle), cycle + 5);
         assert_eq!(inv.wake(&info, 2, cycle + CAL_HORIZON + 9, cycle), 111);
+        // Cycle 100's slot (4) wraps below the current one (6).
+        assert_eq!(inv.wake(&info, 3, cycle + 30, cycle), 100);
+        assert!((100 % CAL_HORIZON) < (cycle % CAL_HORIZON));
         inv.park_adm(3);
         inv.ready.scan = 2;
         assert_eq!(inv.ready.wakes.far.len(), 1);
@@ -2951,6 +2965,45 @@ mod tests {
         assert_eq!(ticks(&mut e, 30), [(20, g)]);
     }
 
+    /// `next_event_cycle` answers from the ring's occupancy mask what a
+    /// scan of every bucket from the current cycle on, and the far heap,
+    /// would answer, over random schedules that wrap the ring and spill
+    /// past its horizon. The events are stale `InstanceDone`s (the tiles
+    /// hold no invocation), so stepping drains them and changes nothing
+    /// else.
+    #[test]
+    fn next_event_cycle_matches_a_scan_of_the_ring() {
+        let (m, comp) = loop_nest();
+        let cfg = SimConfig::default();
+        let mut mem = Memory::from_module(&m);
+        let mut e = Engine::new(&comp, &mut mem, &cfg);
+        let (task, tile) = e.tile_ids[0];
+        let scan = |e: &Engine| {
+            let near = (e.cycle..e.cycle + EV_HORIZON)
+                .find(|&at| !e.ev_near[(at % EV_HORIZON) as usize].is_empty());
+            let far = e.ev_far.peek().map(|Reverse(ev)| ev.at);
+            near.into_iter().chain(far).min()
+        };
+        let mut rng = muir_core::rng::SplitMix64::new(0x0e1e);
+        let mut scratch = Scratch::default();
+        let (mut seen_near, mut seen_far) = (0, 0);
+        for _ in 0..4_000 {
+            if rng.below(8) == 0 {
+                let at = e.cycle + 1 + rng.below(2 * EV_HORIZON);
+                e.schedule(at, Ev::InstanceDone { task, tile, uid: 0 });
+            }
+            let want = scan(&e);
+            assert_eq!(e.next_event_cycle(), want, "cycle {}", e.cycle);
+            match want {
+                Some(at) if at - e.cycle < EV_HORIZON => seen_near += 1,
+                Some(_) => seen_far += 1,
+                None => {}
+            }
+            e.step(&mut scratch).expect("a stale event is a no-op");
+        }
+        assert!(seen_near > 100 && seen_far > 100, "{seen_near} {seen_far}");
+    }
+
     /// An `InstanceDone` that finds its tile free, or running a later
     /// invocation, changes nothing and is not an error.
     #[test]
@@ -2978,7 +3031,9 @@ mod tests {
                             .map(|inv| (inv.uid, inv.completed, inv.outstanding.len()))
                     })
                     .collect();
-                (tiles, e.tile_due.clone(), e.ev_count, e.last_progress)
+                let near: usize = e.ev_near.iter().map(Vec::len).sum();
+                let events = (e.ev_occupied, near, e.ev_far.len());
+                (tiles, e.tile_due.clone(), events, e.last_progress)
             };
             let before = shown(&engine);
             let live: Vec<u64> = before.0.iter().flatten().map(|t| t.0).collect();

@@ -189,17 +189,17 @@ pub fn check_lowering(comp: &CompiledAccel) -> Result<(), String> {
     let derived = lower(acc);
     for (ti, (ct, re)) in comp.tasks().iter().zip(&derived).enumerate() {
         let sealed = Code {
-            uops: &ct.uops,
-            in_slots: &ct.in_slots,
-            edge_refs: &ct.edge_refs,
-            consts: &ct.consts,
-            fused_plans: &ct.fused_plans,
-            edge_meta: &ct.edge_meta,
+            uops: ct.uops,
+            in_slots: ct.in_slots,
+            edge_refs: ct.edge_refs,
+            consts: ct.consts,
+            fused_plans: ct.fused_plans,
+            edge_meta: ct.edge_meta,
         };
         same_tables(sealed, re.view())
             .and_then(|()| {
                 let (dynamic, queue, junctions) = (ct.dynamic_count, ct.queue_cap, ct.njunctions);
-                check_schedule(acc, ti, dynamic, queue, junctions, &ct.order, &ct.pos)
+                check_schedule(acc, ti, dynamic, queue, junctions, ct.order, ct.pos)
             })
             .map_err(|e| format!("task {ti} ({}) {e}", acc.tasks[ti].name))?;
     }

@@ -1828,8 +1828,8 @@ fn lowering_comparator_sees_every_field() {
         ct.dynamic_count,
         ct.queue_cap,
         ct.njunctions,
-        ct.order.clone(),
-        ct.pos.clone(),
+        ct.order.to_vec(),
+        ct.pos.to_vec(),
     );
     let verdict =
         |s: &Sealed| crate::reference::check_schedule(&acc, ti, s.0, s.1, s.2, &s.3, &s.4);
@@ -1849,17 +1849,17 @@ fn two_compiles_of_one_graph_agree_in_tables() {
     let (_, _, acc) = tiled_workload();
     let a = CompiledAccel::compile(&acc).expect("seal");
     let b = CompiledAccel::compile(&acc.clone()).expect("seal");
-    fn view(t: &muir_core::compiled::CompiledTask) -> crate::reference::Code<'_> {
+    fn view(t: muir_core::compiled::CompiledTask<'_>) -> crate::reference::Code<'_> {
         crate::reference::Code {
-            uops: &t.uops,
-            in_slots: &t.in_slots,
-            edge_refs: &t.edge_refs,
-            consts: &t.consts,
-            fused_plans: &t.fused_plans,
-            edge_meta: &t.edge_meta,
+            uops: t.uops,
+            in_slots: t.in_slots,
+            edge_refs: t.edge_refs,
+            consts: t.consts,
+            fused_plans: t.fused_plans,
+            edge_meta: t.edge_meta,
         }
     }
-    for (x, y) in a.tasks().iter().zip(b.tasks()) {
+    for (x, y) in a.tasks().iter().zip(b.tasks().iter()) {
         crate::reference::same_tables(view(x), view(y)).expect("same tables");
     }
 }

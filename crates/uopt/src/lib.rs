@@ -346,6 +346,43 @@ mod tests {
         assert_eq!(comp.accel(), &acc);
     }
 
+    /// A DSE candidate starts as a clone of its base: the two share one
+    /// graph until a pass first writes, which copies it once; later writes
+    /// copy nothing and the base never changes.
+    #[test]
+    fn a_shared_base_is_copied_on_a_pass_first_write_only() {
+        use crate::passes::{ExecutionTiling, TaskFilter, TaskQueueing};
+        use muir_core::AccelGraph;
+        let mut base = tiny_acc();
+        let child = base.add_task(TaskBlock::new("child", TaskKind::Region));
+        let root = base.root;
+        base.connect_tasks(root, child, 2);
+        let hash = muir_core::content_hash(&base);
+        let mut cand = base.clone();
+        let shared = |a: &Accelerator, b: &Accelerator| std::ptr::eq::<AccelGraph>(&**a, &**b);
+        assert!(shared(&cand, &base));
+        let tile = |tiles| ExecutionTiling {
+            tiles,
+            filter: TaskFilter::AllChildren,
+        };
+        // Nothing to change: each pass only reads.
+        tile(1).run(&mut cand).unwrap();
+        assert!(shared(&cand, &base), "a tiling that changes nothing copies");
+        TaskQueueing::all(2).run(&mut cand).unwrap();
+        assert!(
+            shared(&cand, &base),
+            "a queueing that changes nothing copies"
+        );
+        tile(4).run(&mut cand).unwrap();
+        assert!(!shared(&cand, &base), "the first write copies");
+        let graph: *const AccelGraph = &*cand;
+        TaskQueueing::all(8).run(&mut cand).unwrap();
+        assert!(std::ptr::eq(&*cand, graph), "a second write copies again");
+        assert_eq!(cand.task_conns[0].queue_depth, 8);
+        assert_eq!(muir_core::content_hash(&base), hash, "the base changed");
+        assert_eq!(base.task(child).tiles, 1);
+    }
+
     #[test]
     fn seal_rejects_invalid_graph() {
         let mut acc = tiny_acc();

@@ -2,7 +2,7 @@
 //! [`crate::fusion`]) and tensor lowering (see [`crate::lower_tensors`]).
 
 use crate::{Pass, PassDelta, PassError};
-use muir_core::accel::{Accelerator, TaskId};
+use muir_core::accel::{AccelGraph, Accelerator, TaskConnection, TaskId};
 use muir_core::dataflow::{JunctionId, NodeId};
 use muir_core::node::NodeKind;
 use muir_core::structure::{Structure, StructureId, StructureKind};
@@ -44,13 +44,20 @@ impl Pass for TaskQueueing {
         let mut delta = PassDelta::default();
         // A child's pipeline depth is computed only for a connection the
         // pass would change, and never under a threshold of 0.
-        for c in &mut acc.task_conns {
-            if c.queue_depth != self.depth
+        let wants = |g: &AccelGraph, c: &TaskConnection| {
+            c.queue_depth != self.depth
                 && (self.min_child_depth == 0
-                    || muir_core::stats::pipeline_depth(&acc.tasks[c.child.0 as usize].dataflow)
+                    || muir_core::stats::pipeline_depth(&g.tasks[c.child.0 as usize].dataflow)
                         >= self.min_child_depth)
-            {
-                c.queue_depth = self.depth;
+        };
+        // Read first: a write would copy a graph this handle shares.
+        let Some(first) = acc.task_conns.iter().position(|c| wants(acc, c)) else {
+            return Ok(delta);
+        };
+        let g = &mut **acc;
+        for i in first..g.task_conns.len() {
+            if i == first || wants(g, &g.task_conns[i]) {
+                g.task_conns[i].queue_depth = self.depth;
                 delta.edges += 1;
             }
         }
@@ -140,10 +147,11 @@ impl Pass for ExecutionTiling {
             .filter(|&t| self.filter.matches(acc, t))
             .collect();
         for t in targets {
-            let task = acc.task_mut(t);
-            if task.tiles == self.tiles {
+            // Read first: a write would copy a graph this handle shares.
+            if acc.task(t).tiles == self.tiles {
                 continue;
             }
+            let task = acc.task_mut(t);
             task.tiles = self.tiles;
             // The issue queue must be able to feed the tiles.
             task.queue_depth = task.queue_depth.max(2 * self.tiles);

@@ -50,9 +50,11 @@
 # scoreboard is named by no source, script or manifest), the
 # retired-names gate (no `RetryPolicy` or `max_attempts` under crates/
 # src/ tests/ examples/: the doubling budget alone bounds retries; no
-# `coalesced` in crates/bench/src/dse.rs: one job per artifact), the one-count-
-# per-fact gate (under crates/, a `service.*`, `store.*` or `dse.*` fact
-# reaches the registry only through crates/bench/src/telemetry_gate.rs,
+# `coalesced` in crates/bench/src/dse.rs: one job per artifact), the
+# interpreter gate (crates/mir/src/interp.rs clones neither a block's
+# instruction list nor an instruction), the one-count-per-fact gate
+# (under crates/, a `service.*`, `store.*` or `dse.*` fact reaches the
+# registry only through crates/bench/src/telemetry_gate.rs,
 # which reads the stats structs at capture time, and the registry in
 # crates/core/src/telemetry.rs holds plain values: no `AtomicU64`, no
 # `Arc`), the one-verifier / one-emitter-buffer gate (`fn
@@ -256,6 +258,15 @@ echo "== retired names (no retry cap, no DSE coalesced count) =="
 if grep -rnwE 'RetryPolicy|max_attempts' crates src tests examples ||
     grep -nw 'coalesced' crates/bench/src/dse.rs; then
     echo "check.sh: retries are bounded by the doubling budget alone and dse::explore submits one job per artifact; the retired names are back (lines above)" >&2
+    exit 1
+fi
+
+echo "== interpreter reads in place (crates/mir/src/interp.rs: no block or instruction clones) =="
+# exec_from borrows blocks and instructions through the frame's function
+# and reuses one phi buffer; a clone per block entry or per executed
+# instruction is what made a reference run allocate per step.
+if grep -nE 'instrs\.clone\(\)|\.instr\([^)]*\)\.clone\(\)' crates/mir/src/interp.rs; then
+    echo "check.sh: the reference interpreter clones a block's instruction list or an instruction (lines above)" >&2
     exit 1
 fi
 

@@ -92,3 +92,17 @@ fn simulation_allocations_stay_within_budget() {
         "over budget or other firings: {wrong:?}\n{table}"
     );
 }
+
+/// The reference interpreter reads blocks and instructions in place and
+/// reuses one φ buffer: GEMM's reference run allocates its frame and its
+/// memory image, not once per block entry or executed instruction.
+#[test]
+fn reference_run_of_gemm_allocates_under_a_thousand() {
+    let w = workloads::by_name("GEMM").expect("registry workload");
+    let before = events();
+    let mem = w.run_reference().expect("reference run");
+    let count = events() - before;
+    std::hint::black_box(mem);
+    println!("GEMM reference run: {count} allocations + reallocations");
+    assert!(count < 1_000, "{count} allocations + reallocations");
+}

@@ -99,9 +99,10 @@ fn mutate(acc: &mut Accelerator, rng: &mut SplitMix64) {
         }
         13 if !acc.mem_conns.is_empty() => {
             let c = below(rng, acc.mem_conns.len());
-            let mc = &mut acc.mem_conns[c];
+            let g = &mut **acc;
+            let mc = &mut g.mem_conns[c];
             if rng.below(2) == 0 {
-                let n = acc.tasks[mc.task.0 as usize].dataflow.junctions.len();
+                let n = g.tasks[mc.task.0 as usize].dataflow.junctions.len();
                 mc.junction = JunctionId(below(rng, n + 1) as u32);
             } else {
                 mc.structure = StructureId(below(rng, nstructures) as u32);
