@@ -13,41 +13,29 @@ use muir_mir::interp::{Interp, InterpError, Memory};
 use muir_mir::module::Module;
 use muir_mir::trace::{OpClass, TraceEvent, TraceSink};
 
-/// CPU model parameters (A9-flavoured defaults, 1 GHz).
-#[derive(Debug, Clone)]
-pub struct CpuModel {
-    /// Issue width.
-    pub issue_width: u32,
-    /// L1 data cache size in elements (32 KB of 4-byte words).
-    pub l1_elems: u64,
-    /// L1 line size in elements.
-    pub line_elems: u64,
-    /// L1 associativity.
-    pub assoc: u64,
-    /// Miss penalty (cycles to L2/DRAM).
-    pub miss_penalty: u64,
-    /// Branch misprediction rate and penalty.
-    pub mispredict_rate: f64,
-    /// Pipeline refill cost on a mispredict.
-    pub mispredict_penalty: u64,
-    /// Clock (MHz).
-    pub freq_mhz: f64,
-}
+/// Issue width (dual issue).
+const ISSUE_WIDTH: u64 = 2;
+/// L1 data cache size in elements (32 KB of 4-byte words).
+const L1_ELEMS: u64 = 8192;
+/// L1 line size in elements.
+const LINE_ELEMS: u64 = 8;
+/// L1 associativity.
+const ASSOC: usize = 4;
+/// L1 sets.
+const SETS: u64 = L1_ELEMS / LINE_ELEMS / ASSOC as u64;
+/// Miss penalty (cycles to L2/DRAM).
+const MISS_PENALTY: u64 = 24;
+/// Share of branches mispredicted.
+const MISPREDICT_RATE: f64 = 0.06;
+/// Pipeline refill cost on a mispredict.
+const MISPREDICT_PENALTY: u64 = 9;
+/// Clock (MHz).
+const FREQ_MHZ: f64 = 1000.0;
 
-impl Default for CpuModel {
-    fn default() -> Self {
-        CpuModel {
-            issue_width: 2,
-            l1_elems: 8192,
-            line_elems: 8,
-            assoc: 4,
-            miss_penalty: 24,
-            mispredict_rate: 0.06,
-            mispredict_penalty: 9,
-            freq_mhz: 1000.0,
-        }
-    }
-}
+/// The CPU model: A9-flavoured and clocked at 1 GHz, with its parameters
+/// fixed as the consts above.
+#[derive(Debug, Clone, Copy)]
+pub struct CpuModel;
 
 /// Result of a CPU-model run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,7 +46,7 @@ pub struct CpuResult {
     pub instructions: u64,
     /// L1 misses.
     pub l1_misses: u64,
-    /// Wall time in microseconds at `freq_mhz`.
+    /// Wall time in microseconds at the model clock.
     pub time_us: f64,
 }
 
@@ -68,7 +56,7 @@ impl CpuModel {
     /// # Errors
     /// Propagates interpreter faults.
     pub fn run(&self, module: &Module, mem: &mut Memory) -> Result<CpuResult, InterpError> {
-        let sink = CpuSink::new(self.clone());
+        let sink = CpuSink::new();
         let mut interp = Interp::with_sink(module, sink);
         interp.run_main(mem, &[])?;
         let sink = interp.into_sink();
@@ -77,35 +65,30 @@ impl CpuModel {
             cycles,
             instructions: sink.instructions,
             l1_misses: sink.misses,
-            time_us: cycles as f64 / self.freq_mhz,
+            time_us: cycles as f64 / FREQ_MHZ,
         })
     }
 }
 
 struct CpuSink {
-    cfg: CpuModel,
     instructions: u64,
-    int_ops: u64,
     fp_ops: u64,
     mem_ops: u64,
     branches: u64,
     serial_stall: u64, // div/exp/sqrt serialization
     misses: u64,
     /// L1 tag store: sets × ways of line tags.
-    tags: Vec<Vec<u64>>,
-    lru: Vec<Vec<u64>>,
+    tags: Vec<[u64; ASSOC]>,
+    lru: Vec<[u64; ASSOC]>,
     clock: u64,
 }
 
 impl CpuSink {
-    fn new(cfg: CpuModel) -> CpuSink {
-        let sets = (cfg.l1_elems / cfg.line_elems / cfg.assoc).max(1) as usize;
+    fn new() -> CpuSink {
         CpuSink {
-            tags: vec![vec![u64::MAX; cfg.assoc as usize]; sets],
-            lru: vec![vec![0; cfg.assoc as usize]; sets],
-            cfg,
+            tags: vec![[u64::MAX; ASSOC]; SETS as usize],
+            lru: vec![[0; ASSOC]; SETS as usize],
             instructions: 0,
-            int_ops: 0,
             fp_ops: 0,
             mem_ops: 0,
             branches: 0,
@@ -117,10 +100,9 @@ impl CpuSink {
 
     fn access(&mut self, addr: u64) {
         self.clock += 1;
-        let line = addr / self.cfg.line_elems;
-        let sets = self.tags.len() as u64;
-        let set = (line % sets) as usize;
-        let tag = line / sets;
+        let line = addr / LINE_ELEMS;
+        let set = (line % SETS) as usize;
+        let tag = line / SETS;
         let clock = self.clock;
         if let Some(w) = self.tags[set].iter().position(|&t| t == tag) {
             self.lru[set][w] = clock;
@@ -139,13 +121,12 @@ impl CpuSink {
 
     fn cycles(&self) -> u64 {
         // Structural bounds: dual-issue front end, one FP pipe, one LSU.
-        let slots = self.instructions.div_ceil(self.cfg.issue_width as u64);
+        let slots = self.instructions.div_ceil(ISSUE_WIDTH);
         let fp = self.fp_ops; // FP pipe accepts 1/cycle
         let mem = self.mem_ops;
         let structural = slots.max(fp).max(mem);
-        let mispredicts =
-            (self.branches as f64 * self.cfg.mispredict_rate) as u64 * self.cfg.mispredict_penalty;
-        structural + self.serial_stall + self.misses * self.cfg.miss_penalty + mispredicts
+        let mispredicts = (self.branches as f64 * MISPREDICT_RATE) as u64 * MISPREDICT_PENALTY;
+        structural + self.serial_stall + self.misses * MISS_PENALTY + mispredicts
     }
 }
 
@@ -153,15 +134,11 @@ impl TraceSink for CpuSink {
     fn event(&mut self, ev: TraceEvent) {
         self.instructions += 1;
         match ev.class {
-            OpClass::IntAlu => self.int_ops += 1,
-            OpClass::IntMul => {
-                self.int_ops += 1;
-                self.serial_stall += 2;
-            }
-            OpClass::IntDiv => {
-                self.int_ops += 1;
-                self.serial_stall += 12;
-            }
+            // Integer ops only take issue slots; a multiply or divide
+            // also stalls the pipe behind it.
+            OpClass::IntAlu => {}
+            OpClass::IntMul => self.serial_stall += 2,
+            OpClass::IntDiv => self.serial_stall += 12,
             OpClass::FpAdd | OpClass::FpMul => self.fp_ops += 1,
             OpClass::FpDiv => {
                 self.fp_ops += 1;
@@ -212,8 +189,8 @@ mod tests {
         let big = scale_loop(512);
         let mut ms = Memory::from_module(&small);
         let mut mb = Memory::from_module(&big);
-        let rs = CpuModel::default().run(&small, &mut ms).unwrap();
-        let rb = CpuModel::default().run(&big, &mut mb).unwrap();
+        let rs = CpuModel.run(&small, &mut ms).unwrap();
+        let rb = CpuModel.run(&big, &mut mb).unwrap();
         assert!(rb.cycles > 5 * rs.cycles, "{rs:?} vs {rb:?}");
         assert!(rb.instructions > rs.instructions);
     }
@@ -222,7 +199,7 @@ mod tests {
     fn dual_issue_bounds_ipc_at_two(/* IPC ≤ 2 */) {
         let m = scale_loop(256);
         let mut mem = Memory::from_module(&m);
-        let r = CpuModel::default().run(&m, &mut mem).unwrap();
+        let r = CpuModel.run(&m, &mut mem).unwrap();
         let ipc = r.instructions as f64 / r.cycles as f64;
         assert!(ipc <= 2.0, "ipc {ipc}");
         assert!(ipc > 0.2, "ipc {ipc}");
@@ -232,7 +209,7 @@ mod tests {
     fn strided_loop_misses_then_hits() {
         let m = scale_loop(512);
         let mut mem = Memory::from_module(&m);
-        let r = CpuModel::default().run(&m, &mut mem).unwrap();
+        let r = CpuModel.run(&m, &mut mem).unwrap();
         // One miss per 8-element line on the read stream (write allocates
         // hit the same line).
         assert!(r.l1_misses >= 512 / 8, "{r:?}");
@@ -243,7 +220,7 @@ mod tests {
     fn time_reflects_frequency() {
         let m = scale_loop(128);
         let mut mem = Memory::from_module(&m);
-        let r = CpuModel::default().run(&m, &mut mem).unwrap();
+        let r = CpuModel.run(&m, &mut mem).unwrap();
         assert!((r.time_us - r.cycles as f64 / 1000.0).abs() < 1e-9);
     }
 }
@@ -281,8 +258,8 @@ mod penalty_tests {
         });
         let mut m1 = Memory::from_module(&add);
         let mut m2 = Memory::from_module(&div);
-        let r_add = CpuModel::default().run(&add, &mut m1).unwrap();
-        let r_div = CpuModel::default().run(&div, &mut m2).unwrap();
+        let r_add = CpuModel.run(&add, &mut m1).unwrap();
+        let r_div = CpuModel.run(&div, &mut m2).unwrap();
         assert!(
             r_div.cycles > r_add.cycles + 128 * 8,
             "{r_add:?} vs {r_div:?}"
@@ -305,8 +282,8 @@ mod penalty_tests {
         });
         let mut m1 = Memory::from_module(&mul);
         let mut m2 = Memory::from_module(&exp);
-        let r_mul = CpuModel::default().run(&mul, &mut m1).unwrap();
-        let r_exp = CpuModel::default().run(&exp, &mut m2).unwrap();
+        let r_mul = CpuModel.run(&mul, &mut m1).unwrap();
+        let r_exp = CpuModel.run(&exp, &mut m2).unwrap();
         assert!(
             r_exp.cycles > r_mul.cycles + 128 * 10,
             "{r_mul:?} vs {r_exp:?}"

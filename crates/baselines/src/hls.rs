@@ -3,56 +3,47 @@
 //! Commercial HLS lowers loops to statically scheduled circuits driven by a
 //! central FSM (§2.1): each basic block becomes a fixed schedule, innermost
 //! loops may be pipelined, nested loops serialize, and every memory access
-//! competes for a fixed port budget. We reproduce that model analytically:
+//! competes for a fixed port budget. We reproduce that model analytically,
+//! on μIR's function units: a compute op's latency is [`hw::op_timing`]'s,
+//! the table μIR's seal and simulator read.
 //!
 //! 1. **Schedule** every basic block: length = max(dependence-critical
-//!    path with unit op latencies, resource bound per op class).
+//!    path over per-op latencies, resource bound per op class).
 //! 2. **Pipeline** innermost loops: II = max(resource II, recurrence II —
-//!    a floating-point reduction recurs at the FP-adder latency; a carried
-//!    memory dependence serializes the loop).
+//!    the longest latency chain from a header φ to its value from the
+//!    loop; a carried memory dependence serializes the loop).
 //! 3. **Account** cycles along the dynamic block trace of the reference
 //!    interpreter: a pipelined loop pays its full latency once and II per
 //!    subsequent iteration; everything else pays its schedule length.
 
+use muir_core::{hw, OpKind};
 use muir_mir::analysis::{self, NaturalLoop};
-use muir_mir::instr::{BinOp, BlockId, InstrId, Op, UnOp, ValueRef};
+use muir_mir::instr::{BinOp, BlockId, Instr, InstrId, Op, ValueRef};
 use muir_mir::interp::{Interp, InterpError, Memory};
 use muir_mir::module::{Function, Module};
 use muir_mir::trace::{TraceEvent, TraceSink};
+use muir_mir::types::Type;
 use std::collections::HashMap;
 
-/// FSM resource budget per state (Vivado/LegUp-style defaults).
-#[derive(Debug, Clone)]
-pub struct HlsResources {
-    /// Integer ALU ops per cycle.
-    pub int_alu: u32,
-    /// FP adders.
-    pub fp_add: u32,
-    /// FP multipliers.
-    pub fp_mul: u32,
-    /// Memory read ports.
-    pub mem_read: u32,
-    /// Memory write ports.
-    pub mem_write: u32,
-}
+/// A memory access registers its address, then its data.
+const MEM_LATENCY: u64 = 2;
+/// A vendor streaming buffer hands the data over in the access's cycle.
+const STREAMED_MEM_LATENCY: u64 = 1;
+/// HLS has no tensor units: a tensor op is an expanded scalar macro.
+const TENSOR_MACRO_LATENCY: u64 = 8;
+/// A call, detach or sync hands control to another FSM and back.
+const HANDOFF_LATENCY: u64 = 2;
 
-impl Default for HlsResources {
-    fn default() -> Self {
-        HlsResources {
-            int_alu: 4,
-            fp_add: 1,
-            fp_mul: 1,
-            mem_read: 2,
-            mem_write: 1,
-        }
-    }
-}
+/// FSM resource budget per state (Vivado/LegUp-style).
+const INT_ALUS: u64 = 4;
+const FP_ADDERS: u64 = 1;
+const FP_MULTIPLIERS: u64 = 1;
+const READ_PORTS: u64 = 2;
+const WRITE_PORTS: u64 = 1;
 
 /// HLS model configuration.
 #[derive(Debug, Clone, Default)]
 pub struct HlsModel {
-    /// Resource budget.
-    pub resources: HlsResources,
     /// Vendor streaming buffers: memory accesses cost nothing extra and do
     /// not compete for ports (the FFT/DENSE advantage of §5.2 the authors
     /// "were unable to turn off").
@@ -68,23 +59,21 @@ pub struct HlsResult {
     pub blocks: u64,
 }
 
-/// Per-block static schedule.
+/// How one block executes: as an FSM state sequence of so many cycles, or
+/// as part of pipelined loop `lp` (an index into `HlsSink::loops`), whose
+/// header starts each iteration.
 #[derive(Debug, Clone, Copy)]
-struct BlockSched {
-    /// Schedule length (cycles) when executed as an FSM sequence.
-    latency: u64,
-    /// When this block belongs to a pipelined innermost loop: the loop's
-    /// identity (header id), its initiation interval, the loop's total
-    /// fill latency, and whether this block is the header.
-    pipelined: Option<PipelinedLoop>,
+enum BlockSched {
+    Fsm(u64),
+    Pipelined { lp: usize, is_header: bool },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// An innermost loop without a carried memory dependence: it pays `fill`
+/// (its blocks' summed schedules) on entry and `ii` per later iteration.
+#[derive(Debug, Clone, Copy)]
 struct PipelinedLoop {
-    header: u32,
-    ii: u64,
     fill: u64,
-    is_header: bool,
+    ii: u64,
 }
 
 impl HlsModel {
@@ -92,7 +81,6 @@ impl HlsModel {
     pub fn with_streaming() -> HlsModel {
         HlsModel {
             streaming_buffers: true,
-            ..HlsModel::default()
         }
     }
 
@@ -102,14 +90,7 @@ impl HlsModel {
     /// # Errors
     /// Propagates interpreter faults.
     pub fn run(&self, module: &Module, mem: &mut Memory) -> Result<HlsResult, InterpError> {
-        let schedules = self.schedule_module(module);
-        let sink = HlsSink {
-            schedules,
-            cycles: 0,
-            blocks: 0,
-            current_loop: None,
-        };
-        let mut interp = Interp::with_sink(module, sink);
+        let mut interp = Interp::with_sink(module, self.schedule(module));
         interp.run_main(mem, &[])?;
         let sink = interp.into_sink();
         Ok(HlsResult {
@@ -118,42 +99,50 @@ impl HlsModel {
         })
     }
 
-    fn schedule_module(&self, module: &Module) -> HashMap<(String, u32), BlockSched> {
-        let mut out = HashMap::new();
+    /// Schedule every block and every pipelined loop of `module` once.
+    fn schedule<'m>(&self, module: &'m Module) -> HlsSink<'m> {
         let fps = analysis::footprints(module);
+        let mut sink = HlsSink {
+            scheds: HashMap::with_capacity(module.functions.len()),
+            loops: Vec::new(),
+            cycles: 0,
+            blocks: 0,
+            current_loop: None,
+        };
         for f in &module.functions {
+            let latency: Vec<u64> = f.block_ids().map(|b| self.block_latency(f, b)).collect();
             let loops = analysis::natural_loops(f, &f.predecessors());
-            for b in f.block_ids() {
-                let latency = self.block_latency(f, b);
-                // A block is pipelined if it belongs to exactly one loop
-                // and that loop is innermost and not serialized.
-                let owner = loops
-                    .iter()
-                    .filter(|l| l.blocks.contains(b))
-                    .min_by_key(|l| l.blocks.len());
-                let pipelined = owner.and_then(|l| {
-                    let is_innermost = !loops
-                        .iter()
-                        .any(|o| o.parent.is_some_and(|p| std::ptr::eq(&loops[p], l)));
-                    if !is_innermost {
-                        return None;
-                    }
-                    let dep = analysis::loop_dependence_in(&fps, f, l);
-                    if !dep.parallel {
-                        return None; // carried memory dependence: serialized
-                    }
-                    let fill: u64 = l.blocks.iter().map(|lb| self.block_latency(f, lb)).sum();
-                    Some(PipelinedLoop {
-                        header: l.header.0,
-                        ii: self.loop_ii(f, l),
+            // Each loop's index in `sink.loops` if it is pipelined: an
+            // innermost loop whose memory accesses carry no dependence.
+            let mut pipelined = Vec::with_capacity(loops.len());
+            for (i, l) in loops.iter().enumerate() {
+                let innermost = !loops.iter().any(|o| o.parent == Some(i));
+                let lp = innermost && analysis::loop_dependence_in(&fps, f, l).parallel;
+                pipelined.push(lp.then(|| {
+                    let fill = l.blocks.iter().map(|b| latency[b.0 as usize]).sum();
+                    sink.loops.push(PipelinedLoop {
                         fill,
-                        is_header: b == l.header,
-                    })
-                });
-                out.insert((f.name.clone(), b.0), BlockSched { latency, pipelined });
+                        ii: self.loop_ii(f, l),
+                    });
+                    sink.loops.len() - 1
+                }));
             }
+            let scheds = f.block_ids().map(|b| {
+                // A block executes as part of its smallest enclosing loop.
+                let owner = (0..loops.len())
+                    .filter(|&i| loops[i].blocks.contains(b))
+                    .min_by_key(|&i| loops[i].blocks.len());
+                match owner.and_then(|i| Some((pipelined[i]?, loops[i].header))) {
+                    Some((lp, header)) => BlockSched::Pipelined {
+                        lp,
+                        is_header: b == header,
+                    },
+                    None => BlockSched::Fsm(latency[b.0 as usize]),
+                }
+            });
+            sink.scheds.insert(f.name.as_str(), scheds.collect());
         }
-        out
+        sink
     }
 
     /// Dependence-critical-path + resource-bound schedule length of one
@@ -163,7 +152,6 @@ impl HlsModel {
         let mut counts = ClassCounts::default();
         let mut depth = 1u64;
         for (iid, instr) in f.block_instrs(b) {
-            let op_lat = self.op_latency(&instr.op);
             counts.count(&instr.op, self.streaming_buffers);
             let in_level = instr
                 .operands
@@ -174,59 +162,86 @@ impl HlsModel {
                 })
                 .max()
                 .unwrap_or(0);
-            let lvl = in_level + op_lat;
+            let lvl = in_level + self.op_latency(instr);
             level.insert(iid, lvl);
             depth = depth.max(lvl);
         }
-        depth.max(counts.resource_bound(&self.resources))
+        depth.max(counts.resource_bound())
     }
 
-    /// Initiation interval of a pipelined innermost loop.
+    /// Initiation interval of a pipelined innermost loop: the larger of
+    /// its resource bound and its recurrence bound, the longest chain from
+    /// a header φ to a value it takes from the loop (at least 1).
     fn loop_ii(&self, f: &Function, l: &NaturalLoop) -> u64 {
         let mut counts = ClassCounts::default();
-        let mut has_fp_reduction = false;
         for b in l.blocks.iter() {
-            for (_iid, instr) in f.block_instrs(b) {
+            for (_, instr) in f.block_instrs(b) {
                 counts.count(&instr.op, self.streaming_buffers);
-                // An accumulator φ feeding a float add/sub is the classic
-                // reduction recurrence.
-                if let Op::Bin(BinOp::FAdd | BinOp::FSub) = instr.op {
-                    for o in &instr.operands {
-                        if let ValueRef::Instr(d) = o {
-                            if matches!(f.instr(*d).op, Op::Phi { .. }) {
-                                has_fp_reduction = true;
-                            }
-                        }
-                    }
+            }
+        }
+        let mut rec = 1;
+        for (phi, instr) in f.block_instrs(l.header) {
+            if let Op::Phi { .. } = instr.op {
+                let mut memo = vec![None; f.instrs.len()];
+                for v in instr.operands.iter().filter_map(ValueRef::as_instr) {
+                    rec = rec.max(self.chain(f, l, phi, v, &mut memo).unwrap_or(0));
                 }
             }
         }
-        let res_ii = counts.resource_bound(&self.resources);
-        let rec_ii = if has_fp_reduction { 4 } else { 1 };
-        res_ii.max(rec_ii)
+        counts.resource_bound().max(rec)
     }
 
-    fn op_latency(&self, op: &Op) -> u64 {
-        match op {
-            Op::Bin(b) => match b {
-                BinOp::Mul => 3,
-                BinOp::Div | BinOp::Rem => 16,
-                BinOp::FAdd | BinOp::FSub | BinOp::FMul => 4,
-                BinOp::FDiv => 14,
-                _ => 1,
-            },
-            Op::Un(UnOp::Exp | UnOp::Sqrt) => 12,
-            Op::Load { .. } | Op::Store { .. } => {
-                if self.streaming_buffers {
-                    1
-                } else {
-                    2
-                }
-            }
-            Op::Tensor(..) => 8, // HLS has no tensor units: expanded macro
-            Op::Call { .. } | Op::Detach { .. } | Op::Sync { .. } => 2,
-            _ => 1,
+    /// The longest latency sum along def-use paths from `phi` to `v` (`v`
+    /// counted, the φ not) that stay in `l` and pass through no other φ,
+    /// or `None` if there is none; `memo` caches it per instruction.
+    fn chain(
+        &self,
+        f: &Function,
+        l: &NaturalLoop,
+        phi: InstrId,
+        v: InstrId,
+        memo: &mut [Option<Option<u64>>],
+    ) -> Option<u64> {
+        let instr = f.instr(v);
+        if v == phi {
+            return Some(0);
+        } else if !l.blocks.contains(instr.block) {
+            return None;
+        } else if let Some(known) = memo[v.0 as usize] {
+            return known;
         }
+        let longest = instr
+            .operands
+            .iter()
+            .filter_map(ValueRef::as_instr)
+            .filter(|&d| d == phi || !matches!(f.instr(d).op, Op::Phi { .. }))
+            .filter_map(|d| self.chain(f, l, phi, d, memo))
+            .max();
+        let found = longest.map(|d| d + self.op_latency(instr));
+        memo[v.0 as usize] = Some(found);
+        found
+    }
+
+    /// Cycles of one op: a compute op reads [`hw::op_timing`] at its
+    /// result type, the costs only HLS has are the consts above, and a φ
+    /// or a branch takes one FSM state.
+    fn op_latency(&self, instr: &Instr) -> u64 {
+        let kind = match instr.op {
+            Op::Bin(b) => OpKind::Bin(b),
+            Op::Un(u) => OpKind::Un(u),
+            Op::Cmp(p) => OpKind::Cmp(p),
+            Op::Select => OpKind::Select,
+            Op::Cast(c) => OpKind::Cast(c),
+            Op::Load { .. } | Op::Store { .. } if self.streaming_buffers => {
+                return STREAMED_MEM_LATENCY
+            }
+            Op::Load { .. } | Op::Store { .. } => return MEM_LATENCY,
+            Op::Tensor(..) => return TENSOR_MACRO_LATENCY,
+            Op::Call { .. } | Op::Detach { .. } | Op::Sync { .. } => return HANDOFF_LATENCY,
+            _ => return 1,
+        };
+        // An untyped compute op fails the verifier; it reads the scalar row.
+        u64::from(hw::op_timing(kind, instr.ty.unwrap_or(Type::I64)).latency)
     }
 }
 
@@ -255,53 +270,52 @@ impl ClassCounts {
         }
     }
 
-    fn resource_bound(&self, r: &HlsResources) -> u64 {
+    fn resource_bound(&self) -> u64 {
         let b = [
-            self.int_alu.div_ceil(r.int_alu as u64),
-            self.fp_add.div_ceil(r.fp_add as u64),
-            self.fp_mul.div_ceil(r.fp_mul as u64),
-            self.mem_read.div_ceil(r.mem_read as u64),
-            self.mem_write.div_ceil(r.mem_write as u64),
+            self.int_alu.div_ceil(INT_ALUS),
+            self.fp_add.div_ceil(FP_ADDERS),
+            self.fp_mul.div_ceil(FP_MULTIPLIERS),
+            self.mem_read.div_ceil(READ_PORTS),
+            self.mem_write.div_ceil(WRITE_PORTS),
         ];
         b.into_iter().max().unwrap_or(1).max(1)
     }
 }
 
-struct HlsSink {
-    schedules: HashMap<(String, u32), BlockSched>,
+struct HlsSink<'m> {
+    /// Each function's block schedules by block id, keyed by the name the
+    /// block trace passes.
+    scheds: HashMap<&'m str, Vec<BlockSched>>,
+    /// Every pipelined loop of the module, once.
+    loops: Vec<PipelinedLoop>,
     cycles: u64,
     blocks: u64,
-    /// The pipelined loop currently in steady state: (function, header).
-    current_loop: Option<(String, u32)>,
+    /// The pipelined loop currently in steady state.
+    current_loop: Option<usize>,
 }
 
-impl TraceSink for HlsSink {
+impl TraceSink for HlsSink<'_> {
     fn event(&mut self, _ev: TraceEvent) {}
 
     fn block(&mut self, func: &str, block: BlockId) {
         self.blocks += 1;
-        let key = (func.to_string(), block.0);
-        let sched = self.schedules.get(&key).copied().unwrap_or(BlockSched {
-            latency: 1,
-            pipelined: None,
-        });
-        match sched.pipelined {
-            Some(pl) => {
-                let loop_key = (key.0.clone(), pl.header);
-                if self.current_loop.as_ref() == Some(&loop_key) {
+        let sched = self.scheds.get(func).and_then(|s| s.get(block.0 as usize));
+        match sched.copied().unwrap_or(BlockSched::Fsm(1)) {
+            BlockSched::Pipelined { lp, is_header } => {
+                if self.current_loop == Some(lp) {
                     // Steady state: one II per new iteration, overlapped
                     // body blocks are free.
-                    if pl.is_header {
-                        self.cycles += pl.ii;
+                    if is_header {
+                        self.cycles += self.loops[lp].ii;
                     }
                 } else {
                     // Entering the loop: pay the pipeline fill once.
-                    self.cycles += pl.fill;
-                    self.current_loop = Some(loop_key);
+                    self.cycles += self.loops[lp].fill;
+                    self.current_loop = Some(lp);
                 }
             }
-            None => {
-                self.cycles += sched.latency;
+            BlockSched::Fsm(latency) => {
+                self.cycles += latency;
                 self.current_loop = None;
             }
         }
@@ -340,29 +354,62 @@ mod tests {
         assert!(r.blocks > 64);
     }
 
+    /// A loop recurs at the summed latency of its chain from a header φ
+    /// back to the φ: the FAdd accumulator, and two chains the FAdd-only
+    /// rule missed (it gave both II = 1).
     #[test]
     fn fp_reduction_recurs_at_adder_latency() {
-        let mut m = Module::new("red");
-        let a = m.add_mem_object("a", ScalarType::F32, 64);
-        let out = m.add_mem_object("out", ScalarType::F32, 1);
-        let mut b = FunctionBuilder::new("main", &[]).with_mem(&m);
-        let acc = b.for_loop_acc(
-            ValueRef::int(0),
-            ValueRef::int(64),
-            1,
-            &[(ValueRef::f32(0.0), Type::F32)],
-            |b, i, accs| {
-                let v = b.load(a, i);
-                vec![b.fadd(accs[0], v)]
-            },
-        );
-        b.store(out, ValueRef::int(0), acc[0]);
-        b.ret(None);
-        m.add_function(b.finish());
-        let mut mem = Memory::from_module(&m);
-        let r = HlsModel::default().run(&m, &mut mem).unwrap();
-        // II = 4 → at least 64 × 4 cycles in the loop.
-        assert!(r.cycles >= 64 * 4, "{r:?}");
+        type Step = fn(&mut FunctionBuilder, ValueRef, ValueRef) -> ValueRef;
+        // (case, element type, accumulator init, next accumulator from
+        // (a[i], acc), lower bound of the loop's II)
+        let cases: [(&str, ScalarType, ValueRef, Step, u64); 3] = [
+            (
+                "acc + a[i]",
+                ScalarType::F32,
+                ValueRef::f32(0.0),
+                |b, v, acc| b.fadd(acc, v),
+                4,
+            ),
+            (
+                "x * 3",
+                ScalarType::I64,
+                ValueRef::int(1),
+                |b, _, x| b.mul(x, ValueRef::int(3)),
+                3,
+            ),
+            (
+                "acc * a[i] + 1",
+                ScalarType::F32,
+                ValueRef::f32(0.0),
+                |b, v, acc| {
+                    let p = b.fmul(acc, v);
+                    b.fadd(p, ValueRef::f32(1.0))
+                },
+                4 + 4,
+            ),
+        ];
+        for (case, ty, init, step, ii) in cases {
+            let mut m = Module::new("red");
+            let a = m.add_mem_object("a", ty, 64);
+            let out = m.add_mem_object("out", ty, 1);
+            let mut b = FunctionBuilder::new("main", &[]).with_mem(&m);
+            let acc = b.for_loop_acc(
+                ValueRef::int(0),
+                ValueRef::int(64),
+                1,
+                &[(init, Type::Scalar(ty))],
+                |b, i, accs| {
+                    let v = b.load(a, i);
+                    vec![step(b, v, accs[0])]
+                },
+            );
+            b.store(out, ValueRef::int(0), acc[0]);
+            b.ret(None);
+            m.add_function(b.finish());
+            let mut mem = Memory::from_module(&m);
+            let r = HlsModel::default().run(&m, &mut mem).unwrap();
+            assert!(r.cycles >= 64 * ii, "{case}: II >= {ii} -> {r:?}");
+        }
     }
 
     #[test]

@@ -175,7 +175,7 @@ pub fn fig18_point(w: &Workload) -> (f64, f64) {
     let comp = sealed(w, &acc);
     let t_acc = uir_time_us(&comp, run_verified(w, &comp).cycles);
     let mut mem = w.fresh_memory();
-    let cpu = CpuModel::default()
+    let cpu = CpuModel
         .run(&w.module, &mut mem)
         .unwrap_or_else(|e| panic!("{}: {e}", w.name));
     (t_acc, cpu.time_us)

@@ -52,7 +52,10 @@
 # src/ tests/ examples/: the doubling budget alone bounds retries; no
 # `coalesced` in crates/bench/src/dse.rs: one job per artifact), the
 # interpreter gate (crates/mir/src/interp.rs clones neither a block's
-# instruction list nor an instruction), the one-count-per-fact gate
+# instruction list nor an instruction), the one-timing-table gate (no
+# `BinOp::…`/`UnOp::…` arm mapped to a latency literal under
+# crates/baselines/src: the HLS model reads hw::op_timing), the
+# one-count-per-fact gate
 # (under crates/, a `service.*`, `store.*` or `dse.*` fact reaches the
 # registry only through crates/bench/src/telemetry_gate.rs,
 # which reads the stats structs at capture time, and the registry in
@@ -267,6 +270,14 @@ echo "== interpreter reads in place (crates/mir/src/interp.rs: no block or instr
 # instruction is what made a reference run allocate per step.
 if grep -nE 'instrs\.clone\(\)|\.instr\([^)]*\)\.clone\(\)' crates/mir/src/interp.rs; then
     echo "check.sh: the reference interpreter clones a block's instruction list or an instruction (lines above)" >&2
+    exit 1
+fi
+
+echo "== one timing table (crates/baselines/src: no per-op latency arm) =="
+# The HLS baseline reads every compute op's latency from hw::op_timing;
+# only the costs HLS alone has (memory, tensor macro, hand-off) are its own.
+if grep -rnE '(BinOp|UnOp)::[A-Za-z]+\)* *=> *[0-9]' crates/baselines/src; then
+    echo "check.sh: a baseline copies a latency of muir_core::hw::op_timing (lines above)" >&2
     exit 1
 fi
 

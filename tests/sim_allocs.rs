@@ -4,8 +4,10 @@
 //! invocation shells, rings, calendars, queues — and then reuses them, so
 //! the count follows the graph and the run's concurrency, not its cycles
 //! or firings; a change that brings back a per-cycle or per-firing
-//! temporary fails here with the table.
+//! temporary fails here with the table. The reference interpreter's run
+//! of GEMM and the HLS model's run over it get one budget each.
 
+use muir::baselines::HlsModel;
 use muir::bench::baseline;
 use muir::core::CompiledAccel;
 use muir::sim::{simulate_compiled, SimConfig};
@@ -104,5 +106,24 @@ fn reference_run_of_gemm_allocates_under_a_thousand() {
     let count = events() - before;
     std::hint::black_box(mem);
     println!("GEMM reference run: {count} allocations + reallocations");
+    assert!(count < 1_000, "{count} allocations + reallocations");
+}
+
+/// The HLS model schedules each block and each pipelined loop once, then
+/// looks a dynamic block up by the `&str` the interpreter passes: GEMM's
+/// HLS run allocates its schedules and the interpreter's frame, not a key
+/// per block entry.
+#[test]
+fn hls_run_of_gemm_allocates_under_a_thousand() {
+    let w = workloads::by_name("GEMM").expect("registry workload");
+    let mut mem = w.fresh_memory();
+    let before = events();
+    let r = HlsModel::default().run(&w.module, &mut mem);
+    let count = events() - before;
+    let r = r.expect("HLS run");
+    println!(
+        "GEMM HLS run: {count} allocations + reallocations over {} blocks",
+        r.blocks
+    );
     assert!(count < 1_000, "{count} allocations + reallocations");
 }
