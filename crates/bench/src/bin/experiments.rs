@@ -25,11 +25,11 @@
 //! checked-in `scripts/trace_schema.json` (the CI exporter gate).
 //!
 //! `metrics <workload>` runs one instrumented capture through the eval
-//! service — cold (dedup + compile + simulate + writeback), traced, warm
-//! (store hit), and deadline-clipped (retry) — then writes a merged
-//! service+sim Perfetto trace and a schema-validated metrics snapshot
-//! (the telemetry CI gate), and prints each service's store and service
-//! stats beside the snapshot's sim counters.
+//! service — cold (dedup + compile + simulate + writeback), traced, and
+//! warm (store hit) — then writes a merged service+sim Perfetto trace
+//! and a schema-validated metrics snapshot (the telemetry CI gate), and
+//! prints each service's store and service stats beside the snapshot's
+//! sim counters.
 
 use muir_bench::{
     baseline, fig11_point, fig12_sweep, fig15_point, fig16_sweep, fig18_point, fig9_point,
@@ -372,24 +372,13 @@ fn metrics(name: &str, outdir: &str) {
 
     // Warm drain: a fresh service over the same store serves from disk.
     let mut warm_svc = EvalService::new(
-        comp.clone(),
+        comp,
         Some(Store::open(&store_root)),
         ServiceConfig::default(),
     );
     warm_svc.submit(plain());
     let warm = warm_svc.drain();
     assert!(warm[0].from_store, "{name}: warm drain must hit the store");
-
-    // Deadline-clipped service: the tight budget forces a transient
-    // `E-SIM-LIMIT` and the doubling retry recovers — retry spans.
-    let tight = ServiceConfig {
-        deadline_cycles: 4,
-        ..ServiceConfig::default()
-    };
-    let mut clip_svc = EvalService::new(comp, None, tight);
-    clip_svc.submit(plain());
-    let clipped = clip_svc.drain();
-    assert!(clipped[0].outcome.is_ok(), "{name}: retry must recover");
 
     // Merged Perfetto export: service spans above the sim's event tracks.
     let spans = telemetry::spans();
@@ -423,7 +412,7 @@ fn metrics(name: &str, outdir: &str) {
 
     // Snapshot: add each drained service's stats structs into the
     // registry, write the JSON exposition, and gate it on the schema.
-    let services = [("cold", &svc), ("warm", &warm_svc), ("clipped", &clip_svc)];
+    let services = [("cold", &svc), ("warm", &warm_svc)];
     for (_, s) in services {
         gate::record_stats(Some(&s.store_stats()), Some(&s.stats()));
     }
@@ -1087,7 +1076,7 @@ fn table4() {
 
         let mut l_acc = acc.clone();
         let sram_rep = PassManager::new()
-            .with(MemoryLocalization::default())
+            .with(MemoryLocalization)
             .run(&mut l_acc)
             .unwrap();
         // Per-SRAM cost: divide by the number of scratchpads created.

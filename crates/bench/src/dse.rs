@@ -248,7 +248,6 @@ pub fn explore(
                 store,
                 ServiceConfig {
                     threads: params.threads,
-                    ..ServiceConfig::default()
                 },
             );
             svc.submit(EvalJob {

@@ -95,13 +95,13 @@ pub fn full_stack(class: Class) -> PassManager {
         Class::Cilk => PassManager::new()
             .with(TaskQueueing::all(8))
             .with(ExecutionTiling::spawned(8))
-            .with(MemoryLocalization::default())
+            .with(MemoryLocalization)
             .with(ScratchpadBanking { banks: 4 })
             .with(CacheBanking { banks: 4 })
             .with(OpFusion::default()),
         _ => PassManager::new()
             .with(TaskQueueing::all(8))
-            .with(MemoryLocalization::default())
+            .with(MemoryLocalization)
             .with(ScratchpadBanking { banks: 4 })
             .with(CacheBanking { banks: 4 })
             .with(OpFusion::default()),
@@ -120,7 +120,7 @@ pub fn best_stack(class: Class) -> PassManager {
                 tiles: 4,
                 filter: TaskFilter::LeafLoops,
             })
-            .with(MemoryLocalization::default())
+            .with(MemoryLocalization)
             .with(ScratchpadBanking { banks: 4 })
             .with(CacheBanking { banks: 4 })
             .with(OpFusion::default()),
@@ -193,7 +193,7 @@ pub fn fig12_sweep(w: &Workload) -> Vec<(u32, u64)> {
         .into_iter()
         .map(|t| {
             let pm = PassManager::new()
-                .with(MemoryLocalization::default())
+                .with(MemoryLocalization)
                 .with(ScratchpadBanking { banks: 4 })
                 .with(TaskQueueing::all(2 * t))
                 .with(ExecutionTiling {
@@ -245,7 +245,7 @@ pub fn fig11_point(w: &Workload) -> (u64, u64) {
 /// Panics on simulation failure.
 pub fn fig15_point(pair: &(Workload, Workload)) -> (u64, u64) {
     let pm = PassManager::new()
-        .with(MemoryLocalization::default())
+        .with(MemoryLocalization)
         .with(OpFusion::default());
     let (tensor_acc, _) = optimized(&pair.0, &pm);
     let t = verified_cycles(&pair.0, &tensor_acc);
@@ -261,12 +261,12 @@ pub fn fig15_point(pair: &(Workload, Workload)) -> (u64, u64) {
 /// # Panics
 /// Panics on simulation failure.
 pub fn fig15_lowering_ablation(w: &Workload) -> (u64, u64) {
-    let native_pm = PassManager::new().with(MemoryLocalization::default());
+    let native_pm = PassManager::new().with(MemoryLocalization);
     let (native, _) = optimized(w, &native_pm);
     let n = verified_cycles(w, &native);
     let lowered_pm = PassManager::new()
         .with(LowerTensors)
-        .with(MemoryLocalization::default());
+        .with(MemoryLocalization);
     let (lowered, _) = optimized(w, &lowered_pm);
     let l = verified_cycles(w, &lowered);
     (n, l)
@@ -278,7 +278,7 @@ pub fn fig15_lowering_ablation(w: &Workload) -> (u64, u64) {
 /// Panics on simulation failure.
 pub fn localization_point(w: &Workload) -> (u64, u64) {
     let base = verified_cycles(w, &baseline(w));
-    let (local, _) = optimized(w, &PassManager::new().with(MemoryLocalization::default()));
+    let (local, _) = optimized(w, &PassManager::new().with(MemoryLocalization));
     let opt = verified_cycles(w, &local);
     (base, opt)
 }
@@ -331,7 +331,7 @@ pub fn ablation_spad_banking(w: &Workload, banks: &[u32]) -> Vec<(u32, u64)> {
         .iter()
         .map(|&b| {
             let pm = PassManager::new()
-                .with(MemoryLocalization::default())
+                .with(MemoryLocalization)
                 .with(ScratchpadBanking { banks: b });
             let (acc, _) = optimized(w, &pm);
             (b, verified_cycles(w, &acc))

@@ -10,28 +10,17 @@
 //!    execution; every submitter gets the shared outcome;
 //! 2. **memoization** — results are looked up in the [`Store`] before any
 //!    simulation work; a warm hit skips the engine entirely;
-//! 3. **deadlines** — a per-job cycle budget is enforced cooperatively by
-//!    the simulator's own cycle-limit watchdog (the engine checks its
-//!    budget every cycle, so a runaway job stops at the deadline and
-//!    surfaces as the *transient* `E-SIM-LIMIT`);
-//! 4. **retry on a larger budget only** — a transient failure
-//!    ([`SimError::is_transient`]) is retried with its cycle budget
-//!    doubled, up to the job's own `max_cycles`, so a deadline-clipped
-//!    job gets a real second chance. A run that failed on the job's own
-//!    budget is final: the simulator is deterministic and in-process, so
-//!    the same budget fails the same way. The budget ladder bounds the
-//!    attempts by itself, at ⌈log2(`max_cycles` / `deadline_cycles`)⌉ + 1;
-//! 5. **degradation** — any store failure is recorded as a typed warning
+//! 3. **one run per job** — a job runs on its own `max_cycles`, and a run
+//!    that fails is final: the simulator is deterministic and in-process,
+//!    so the same inputs fail the same way;
+//! 4. **degradation** — any store failure is recorded as a typed warning
 //!    (`E-STORE-*`) and the evaluation recomputes in memory; the store
 //!    can never fail a job, only fail to accelerate it.
 
 use muir_core::{telemetry, CompiledAccel};
 use muir_mir::interp::Memory;
 use muir_mir::value::Value;
-use muir_sim::{
-    end_state_hash, simulate_batch_compiled, simulate_compiled, BatchJob, SimConfig, SimError,
-    SimResult,
-};
+use muir_sim::{end_state_hash, simulate_batch_compiled, BatchJob, SimConfig, SimError, SimResult};
 use muir_store::{memoizable, ResultKey, Store, StoredEval};
 use std::fmt;
 use std::sync::Arc;
@@ -42,18 +31,11 @@ use std::time::Instant;
 pub struct ServiceConfig {
     /// Worker threads per batch dispatch.
     pub threads: usize,
-    /// Per-job deadline as a cycle budget (0 = no deadline). Enforced
-    /// cooperatively: the job's `max_cycles` is clamped to this budget,
-    /// so the simulator's watchdog stops the run at the deadline.
-    pub deadline_cycles: u64,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            threads: 1,
-            deadline_cycles: 0,
-        }
+        ServiceConfig { threads: 1 }
     }
 }
 
@@ -79,11 +61,8 @@ pub struct EvalOutcome {
     /// when the run failed before completing).
     pub mem: Memory,
     /// Whether the result came from the persistent store (no simulation
-    /// work was done for this submission).
+    /// work was done for this submission; otherwise it ran once).
     pub from_store: bool,
-    /// Simulation attempts spent (0 for a store hit, 1 for a clean
-    /// first-try run, more after retries).
-    pub attempts: u32,
     /// Whether this submission was deduplicated onto another identical
     /// pending job's execution.
     pub coalesced: bool,
@@ -93,8 +72,8 @@ pub struct EvalOutcome {
     pub store_warnings: Vec<String>,
     /// End-to-end wall time of this submission through the service, in
     /// microseconds: from the start of the drain that served it until
-    /// its outcome (queueing, store probe, simulation, and retries
-    /// included). Members of a coalesced group share their group's time.
+    /// its outcome (queueing, store probe and simulation included).
+    /// Members of a coalesced group share their group's time.
     pub wall_us: u64,
 }
 
@@ -126,10 +105,6 @@ pub struct ServiceStats {
     pub store_hits: u64,
     /// Groups that missed the store (or had no store) and simulated.
     pub recomputed: u64,
-    /// Retry attempts spent on transient failures.
-    pub retries: u64,
-    /// Jobs whose cycle budget was clipped by the service deadline.
-    pub deadline_clipped: u64,
     /// Typed store errors degraded into warnings.
     pub store_warnings: u64,
 }
@@ -141,15 +116,10 @@ impl fmt::Display for ServiceStats {
             "service: {} submitted, {} executed groups, {} coalesced",
             self.submitted, self.executed_groups, self.coalesced
         )?;
-        writeln!(
+        write!(
             f,
             "  store hits {} / recomputed {} / warnings {}",
             self.store_hits, self.recomputed, self.store_warnings
-        )?;
-        write!(
-            f,
-            "  retries {}, deadline-clipped {}",
-            self.retries, self.deadline_clipped
         )
     }
 }
@@ -233,9 +203,9 @@ impl EvalService {
         };
         self.stats.executed_groups += groups.len() as u64;
         self.stats.coalesced += (jobs.len() - groups.len()) as u64;
-        // Only a group's representative is ever read again (dispatch and
-        // retry): give the other members' input images back now rather
-        // than holding every duplicate until the drain returns.
+        // Only a group's representative is ever read again (dispatch):
+        // give the other members' input images back now rather than
+        // holding every duplicate until the drain returns.
         for g in &groups {
             for &m in g.members.iter().filter(|&&m| m != g.rep) {
                 release_input(&mut jobs[m]);
@@ -264,7 +234,6 @@ impl EvalService {
                     outcome: Ok(hit.result),
                     mem: hit.mem,
                     from_store: true,
-                    attempts: 0,
                     coalesced: false,
                     store_warnings: std::mem::take(&mut g.warnings),
                     wall_us: wall,
@@ -287,11 +256,13 @@ impl EvalService {
             let batch: Vec<BatchJob> = to_run
                 .iter()
                 .map(|g| {
-                    let job = &jobs[g.rep];
+                    // Nothing reads the representative after dispatch: its
+                    // inputs move into the batch.
+                    let job = &mut jobs[g.rep];
                     BatchJob {
-                        args: job.args.clone(),
-                        mem: job.mem.clone(),
-                        cfg: self.clamp_deadline(&job.cfg),
+                        args: std::mem::take(&mut job.args),
+                        mem: std::mem::take(&mut job.mem),
+                        cfg: job.cfg.clone(),
                     }
                 })
                 .collect();
@@ -310,8 +281,7 @@ impl EvalService {
             };
             let per_run_wall_s = sim_t0.elapsed().as_secs_f64() / to_run.len() as f64;
             for (mut g, run) in to_run.into_iter().zip(runs) {
-                let (outcome, mem, attempts) =
-                    self.retry_transient(&jobs[g.rep], run.outcome, run.mem);
+                let (outcome, mem) = (run.outcome, run.mem);
                 if let Ok(result) = &outcome {
                     if telemetry::enabled() {
                         muir_sim::record_stats_telemetry(&result.stats, per_run_wall_s);
@@ -328,7 +298,6 @@ impl EvalService {
                     outcome,
                     mem,
                     from_store: false,
-                    attempts,
                     coalesced: false,
                     store_warnings: std::mem::take(&mut g.warnings),
                     wall_us: wall,
@@ -366,58 +335,6 @@ impl EvalService {
             }
         }
         groups
-    }
-
-    /// The job's config with the service deadline applied, tallying the
-    /// clip.
-    fn clamp_deadline(&mut self, cfg: &SimConfig) -> SimConfig {
-        let mut c = cfg.clone();
-        if self.config.deadline_cycles > 0 && c.max_cycles > self.config.deadline_cycles {
-            c.max_cycles = self.config.deadline_cycles;
-            self.stats.deadline_clipped += 1;
-        }
-        c
-    }
-
-    /// Retry a transient failure while its budget is below the job's own
-    /// `max_cycles`, doubling the budget each time (never past
-    /// `max_cycles`). A failure on the job's own budget is final.
-    fn retry_transient(
-        &mut self,
-        job: &EvalJob,
-        first: Result<SimResult, SimError>,
-        first_mem: Memory,
-    ) -> (Result<SimResult, SimError>, Memory, u32) {
-        let mut outcome = first;
-        let mut mem = first_mem;
-        let mut attempts = 1u32;
-        let limit = job.cfg.max_cycles;
-        let mut budget = match self.config.deadline_cycles {
-            0 => limit,
-            d => d.min(limit),
-        };
-        while budget < limit && matches!(&outcome, Err(e) if e.is_transient()) {
-            budget = budget.saturating_mul(2).min(limit);
-            let mut cfg = job.cfg.clone();
-            cfg.max_cycles = budget;
-            let mut m = job.mem.clone();
-            {
-                let _s = telemetry::span_with(
-                    "service",
-                    "service.retry",
-                    if telemetry::enabled() {
-                        format!("attempt {} (budget {budget})", attempts + 1)
-                    } else {
-                        String::new()
-                    },
-                );
-                outcome = simulate_compiled(&self.comp, &mut m, &job.args, &cfg);
-            }
-            mem = m;
-            attempts += 1;
-            self.stats.retries += 1;
-        }
-        (outcome, mem, attempts)
     }
 
     /// Look up a group's memoized result; failures degrade to `None`
@@ -567,11 +484,10 @@ mod tests {
         let mut svc = EvalService::new(comp, Some(store), ServiceConfig::default());
         svc.submit(job.clone());
         let cold = svc.drain();
-        assert!(!cold[0].from_store && cold[0].attempts == 1);
+        assert!(!cold[0].from_store);
         svc.submit(job);
         let warm = svc.drain();
         assert!(warm[0].from_store, "second drain must hit the store");
-        assert_eq!(warm[0].attempts, 0, "no simulation work on a hit");
         assert_eq!(cold[0].end_state(), warm[0].end_state(), "bit-identical");
         let ss = svc.store_stats();
         assert_eq!((ss.result_puts, ss.result_hits), (1, 1));
@@ -579,38 +495,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    #[test]
-    fn deadline_clip_surfaces_transient_and_retry_recovers() {
-        let (comp, job) = sample(0x33);
-        // The unconstrained truth, for comparison.
-        let mut probe = EvalService::new(comp.clone(), None, ServiceConfig::default());
-        probe.submit(job.clone());
-        let truth = probe.drain()[0].end_state();
-
-        // An absurdly tight deadline: the first attempt must hit the
-        // watchdog; the doubling retry budget recovers before it reaches
-        // the job's own `max_cycles`.
-        let cfg = ServiceConfig {
-            deadline_cycles: 4,
-            ..ServiceConfig::default()
-        };
-        let mut svc = EvalService::new(comp, None, cfg);
-        svc.submit(job);
-        let out = svc.drain();
-        assert!(
-            out[0].outcome.is_ok(),
-            "retry must recover: {:?}",
-            out[0].outcome
-        );
-        assert_eq!(out[0].end_state(), truth, "recovered run is the true run");
-        assert!(out[0].attempts >= 2, "the clipped attempt must have failed");
-        let s = svc.stats();
-        assert_eq!(s.deadline_clipped, 1);
-        assert_eq!(u64::from(out[0].attempts) - 1, s.retries);
-    }
-
     /// A job that runs out of its own `max_cycles` would fail the same
-    /// way on every rerun: it is not retried.
+    /// way on every rerun: its one run's error is its outcome.
     #[test]
     fn exhausting_the_jobs_own_budget_is_not_retried() {
         let (comp, mut job) = sample(0x33);
@@ -627,8 +513,7 @@ mod tests {
             "{:?}",
             out[0].outcome
         );
-        assert_eq!(out[0].attempts, 1);
-        assert_eq!(svc.stats().retries, 0);
+        assert_eq!(svc.stats().recomputed, 1);
     }
 
     #[test]
@@ -685,14 +570,7 @@ mod tests {
             mem: mem.clone(),
         };
 
-        let mut svc = EvalService::new(
-            comp.clone(),
-            None,
-            ServiceConfig {
-                threads: 4,
-                ..ServiceConfig::default()
-            },
-        );
+        let mut svc = EvalService::new(comp.clone(), None, ServiceConfig { threads: 4 });
         for mem in &mems {
             svc.submit(job(mem));
         }

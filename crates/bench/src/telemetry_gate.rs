@@ -15,7 +15,7 @@ pub(crate) const SERVICE_PID: u32 = 2000;
 
 /// Merge the telemetry span log with one simulated workload's PR-2 trace
 /// into a single Chrome/Perfetto JSON document: service-level spans
-/// (drain / group / store-probe / compile / simulate / retry) on the
+/// (drain / group / store-probe / compile / simulate) on the
 /// `service` process, sim-level events (fires, stalls, channel depths,
 /// memory lifetimes) on their usual task/memory tracks, time-shifted so
 /// the sim timeline starts under its enclosing `service.simulate` span.
@@ -192,8 +192,6 @@ pub fn record_stats(store: Option<&StoreStats>, svc: Option<&ServiceStats>) {
         coalesced,
         store_hits,
         recomputed,
-        retries,
-        deadline_clipped,
         store_warnings,
     }) = svc
     {
@@ -202,8 +200,6 @@ pub fn record_stats(store: Option<&StoreStats>, svc: Option<&ServiceStats>) {
         c("service.coalesced", coalesced);
         c("service.store_hits", store_hits);
         c("service.recomputed", recomputed);
-        c("service.retries", retries);
-        c("service.deadline_clipped", deadline_clipped);
         c("service.store_warnings", store_warnings);
     }
 }

@@ -123,7 +123,7 @@ impl GenCase {
         let mut pm = PassManager::new();
         let mut any = false;
         if rng.chance_ppm(400_000) {
-            pm = pm.with(MemoryLocalization::default());
+            pm = pm.with(MemoryLocalization);
             any = true;
             if rng.chance_ppm(500_000) {
                 let banks = 1 + rng.below(4) as u32;

@@ -31,7 +31,7 @@ fn pass_suite() -> Vec<(&'static str, Box<dyn Pass>)> {
                 filter: TaskFilter::LeafLoops,
             }),
         ),
-        ("mem-localization", Box::new(MemoryLocalization::default())),
+        ("mem-localization", Box::new(MemoryLocalization)),
         ("spad-banking", Box::new(ScratchpadBanking { banks: 4 })),
         ("cache-banking", Box::new(CacheBanking { banks: 4 })),
         ("op-fusion", Box::new(OpFusion::default())),

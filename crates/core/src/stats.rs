@@ -5,7 +5,7 @@
 
 use crate::accel::Accelerator;
 use crate::dataflow::{Dataflow, EdgeKind};
-use crate::hw::{self, BASELINE_PERIOD_NS};
+use crate::hw;
 
 /// Size statistics of a μIR graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -88,7 +88,7 @@ fn depth_of(
         return 0;
     }
     let node = &df.nodes[i];
-    let own = hw::node_timing(&node.kind, node.ty, BASELINE_PERIOD_NS).latency;
+    let own = hw::node_timing(&node.kind, node.ty).latency;
     let mut in_depth = 0;
     for &ei in idx.ins(crate::dataflow::NodeId(i as u32)) {
         let e = &df.edges[ei as usize];

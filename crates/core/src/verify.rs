@@ -3,12 +3,14 @@
 //! Composability (§1, novelty iv) rests on every edge being governed by a
 //! latency-agnostic interface; the verifier enforces the structural
 //! invariants that make stacked μopt passes safe: complete port wiring,
-//! consistent junction bookkeeping, well-formed task hierarchy, and memory
-//! objects homed on exactly one structure.
+//! consistent junction bookkeeping, well-formed task hierarchy, memory
+//! objects homed on exactly one structure, and every fused unit inside the
+//! simulator's [`hw::HORIZON_CYCLES`].
 
 use crate::accel::{Accelerator, TaskId, TaskKind};
 use crate::dataflow::{Dataflow, EdgeKind, JunctionId, NodeId};
-use crate::node::NodeKind;
+use crate::hw::{self, HORIZON_CYCLES};
+use crate::node::{FusedPlan, NodeKind};
 use crate::structure::StructureId;
 use muir_mir::instr::MemObjId;
 use std::fmt;
@@ -278,6 +280,19 @@ impl Graph<'_> {
     }
 }
 
+/// The fused-unit check: its latency and II stay below the horizon
+/// the simulator schedules within.
+fn check_fused(n: NodeId, name: &str, plan: &FusedPlan) -> Result<(), String> {
+    let t = hw::fused_timing(plan);
+    if t.latency < HORIZON_CYCLES && t.ii < HORIZON_CYCLES {
+        return Ok(());
+    }
+    Err(format!(
+        "{n} ({name}): fused unit of latency {} and II {} cycles reaches the {HORIZON_CYCLES}-cycle horizon",
+        t.latency, t.ii
+    ))
+}
+
 /// Per-node working tables of the task checks, grown to the largest task seen and
 /// reused for every task of one verification.
 #[derive(Default)]
@@ -300,9 +315,10 @@ impl Tables {
     /// misplaced edges (edge order), a doubly-driven port and then an
     /// unconnected one ((node, port) order), a Merge without feedback,
     /// duplicate junction registrations, the IndVar and Output counts, and
-    /// last the memory and task-call checks (node order). One walk over
-    /// the nodes runs every per-node check; a memory or call violation
-    /// found on it is held until the checks ordered before it have passed.
+    /// last the memory, task-call and fused-unit checks (node order). One
+    /// walk over the nodes runs every per-node check; a memory, call or
+    /// fused-unit violation found on it is held until the checks ordered
+    /// before it have passed.
     fn verify_task(&mut self, g: &Graph<'_>, tid: TaskId) -> Result<(), String> {
         let task = g.acc.task(tid);
         let df = &task.dataflow;
@@ -397,6 +413,9 @@ impl Tables {
                 }
                 NodeKind::TaskCall { callee, .. } if held.is_ok() => {
                     held = g.check_call(id, *callee, tid);
+                }
+                NodeKind::Fused(plan) if held.is_ok() => {
+                    held = check_fused(id, &node.name, plan);
                 }
                 _ => {}
             }
@@ -591,6 +610,44 @@ mod tests {
         assert_eq!(
             e.message,
             format!("{}: junction j0 targets missing structure s999", NodeId(3))
+        );
+        assert_eq!(e.code(), "E-GRAPH");
+    }
+
+    /// A fused unit is held below the simulator's horizon: 22 chained
+    /// divides (77 ns, 31 cycles) pass, one more add (78 ns, 32 cycles)
+    /// is refused, at the node, with its cycles.
+    #[test]
+    fn fused_unit_at_the_horizon_caught() {
+        use crate::node::{FusedInput, FusedPlan, FusedStep};
+        let chain = |ops: &[BinOp]| {
+            let steps = ops.iter().enumerate().map(|(i, &op)| FusedStep {
+                op: OpKind::Bin(op),
+                ty: Type::I64,
+                inputs: vec![
+                    i.checked_sub(1)
+                        .map_or(FusedInput::External(0), |s| FusedInput::Step(s as u16)),
+                    FusedInput::External(1),
+                ],
+            });
+            let mut acc = valid_accel();
+            let plan = FusedPlan {
+                arity: 2,
+                steps: steps.collect(),
+            };
+            acc.tasks[0].dataflow.nodes[2].kind = NodeKind::Fused(plan);
+            acc
+        };
+        let mut ops = vec![BinOp::Div; 22];
+        verify_accelerator(&chain(&ops)).unwrap();
+        ops.push(BinOp::Add);
+        let e = verify_accelerator(&chain(&ops)).unwrap_err();
+        assert_eq!(
+            e.message,
+            format!(
+                "{} (add): fused unit of latency 32 and II 8 cycles reaches the 32-cycle horizon",
+                NodeId(2)
+            )
         );
         assert_eq!(e.code(), "E-GRAPH");
     }

@@ -32,7 +32,7 @@
 //! graph input and per materialized node (the graph output's object is
 //! always named `out`). Because `load_tile` fetches *consecutive*
 //! elements, every tile the lowering issues is a `1×T` row strip with
-//! `T` the largest divisor of the row width ≤ `max_tile` (8, the databox
+//! `T` the largest divisor of the row width ≤ `MAX_TILE` (8, the databox
 //! width):
 //!
 //! * `matmul` transposes its right operand into an internal `*_bt`
@@ -769,18 +769,13 @@ impl TensorGraph {
 /// Lowering configuration.
 #[derive(Debug, Clone)]
 pub struct TensorLowerConfig {
-    /// Widest row strip to issue as one tile (elements, ≤ 8).
-    pub max_tile: usize,
     /// Fold single-consumer `relu` into its producer's store loop.
     pub fuse: bool,
 }
 
 impl Default for TensorLowerConfig {
     fn default() -> Self {
-        TensorLowerConfig {
-            max_tile: MAX_TILE,
-            fuse: true,
-        }
+        TensorLowerConfig { fuse: true }
     }
 }
 
@@ -798,10 +793,9 @@ pub struct LoweredGraph {
     pub fused_relus: usize,
 }
 
-/// Largest divisor of `w` that is ≤ `max` (tile width planning).
-fn chunk_width(w: usize, max: usize) -> usize {
-    let max = max.clamp(1, MAX_TILE);
-    (1..=max.min(w))
+/// Largest divisor of `w` that is ≤ [`MAX_TILE`] (tile width planning).
+fn chunk_width(w: usize) -> usize {
+    (1..=MAX_TILE.min(w))
         .rev()
         .find(|t| w.is_multiple_of(*t))
         .unwrap_or(1)
@@ -909,12 +903,12 @@ impl TensorGraph {
                     let (ao, ad) = src(self, n.args[0]);
                     let (bo, bd) = src(self, n.args[1]);
                     let bt = bt_objs[&i];
-                    emit_matmul(&mut b, ao, ad, bo, bd, bt, dst, fused, cfg);
+                    emit_matmul(&mut b, ao, ad, bo, bd, bt, dst, fused);
                 }
                 GraphOp::Conv => {
                     let (ao, ad) = src(self, n.args[0]);
                     let (ko, kd) = src(self, n.args[1]);
-                    emit_conv(&mut b, ao, ad, ko, kd, dst, n.dims, fused, cfg);
+                    emit_conv(&mut b, ao, ad, ko, kd, dst, n.dims, fused);
                 }
                 GraphOp::Add | GraphOp::Mul => {
                     let (xo, xd) = src(self, n.args[0]);
@@ -924,19 +918,19 @@ impl TensorGraph {
                     } else {
                         TensorOp::Mul
                     };
-                    emit_elementwise2(&mut b, top, xo, yo, dst, xd, fused, cfg);
+                    emit_elementwise2(&mut b, top, xo, yo, dst, xd, fused);
                 }
                 GraphOp::Relu => {
                     let (xo, xd) = src(self, n.args[0]);
-                    emit_relu(&mut b, xo, dst, xd, cfg);
+                    emit_relu(&mut b, xo, dst, xd);
                 }
                 GraphOp::Reduce => {
                     let (xo, xd) = src(self, n.args[0]);
-                    emit_reduce(&mut b, xo, dst, xd, fused, cfg);
+                    emit_reduce(&mut b, xo, dst, xd, fused);
                 }
                 GraphOp::Softmax => {
                     let (xo, xd) = src(self, n.args[0]);
-                    emit_softmax(&mut b, xo, dst, xd, fused, cfg);
+                    emit_softmax(&mut b, xo, dst, xd, fused);
                 }
             }
         }
@@ -974,7 +968,6 @@ fn emit_matmul(
     bt: MemObjId,
     dst: MemObjId,
     fused_relu: bool,
-    cfg: &TensorLowerConfig,
 ) {
     let (m, k, n) = (ad.rows as i64, ad.cols as i64, bd.cols as i64);
     // Transpose B into bt (row-major [n,k]) so each dot product reads two
@@ -989,7 +982,7 @@ fn emit_matmul(
             b.store(bt, didx, v);
         });
     });
-    let t = chunk_width(k as usize, cfg.max_tile) as i64;
+    let t = chunk_width(k as usize) as i64;
     let sh = row_shape(t as usize);
     b.for_loop_par(0, ValueRef::int(m), 1, |b, i| {
         b.for_loop_par(0, ValueRef::int(n), 1, |b, j| {
@@ -1028,11 +1021,10 @@ fn emit_conv(
     dst: MemObjId,
     od: Dims,
     fused_relu: bool,
-    cfg: &TensorLowerConfig,
 ) {
     let (w, kh, kw) = (ad.cols as i64, kd.rows as i64, kd.cols as i64);
     let (oh, ow) = (od.rows as i64, od.cols as i64);
-    let t = chunk_width(kw as usize, cfg.max_tile) as i64;
+    let t = chunk_width(kw as usize) as i64;
     let sh = row_shape(t as usize);
     b.for_loop_par(0, ValueRef::int(oh), 1, |b, oi| {
         b.for_loop_par(0, ValueRef::int(ow), 1, |b, oj| {
@@ -1072,7 +1064,6 @@ fn emit_conv(
     });
 }
 
-#[allow(clippy::too_many_arguments)]
 fn emit_elementwise2(
     b: &mut FunctionBuilder,
     op: TensorOp,
@@ -1081,10 +1072,9 @@ fn emit_elementwise2(
     dst: MemObjId,
     d: Dims,
     fused_relu: bool,
-    cfg: &TensorLowerConfig,
 ) {
     let total = d.elems() as i64;
-    let t = chunk_width(d.elems(), cfg.max_tile) as i64;
+    let t = chunk_width(d.elems()) as i64;
     let sh = row_shape(t as usize);
     b.for_loop_par(0, ValueRef::int(total / t), 1, |b, p| {
         let off = b.mul(p, ValueRef::int(t));
@@ -1098,15 +1088,9 @@ fn emit_elementwise2(
     });
 }
 
-fn emit_relu(
-    b: &mut FunctionBuilder,
-    xo: MemObjId,
-    dst: MemObjId,
-    d: Dims,
-    cfg: &TensorLowerConfig,
-) {
+fn emit_relu(b: &mut FunctionBuilder, xo: MemObjId, dst: MemObjId, d: Dims) {
     let total = d.elems() as i64;
-    let t = chunk_width(d.elems(), cfg.max_tile) as i64;
+    let t = chunk_width(d.elems()) as i64;
     let sh = row_shape(t as usize);
     b.for_loop_par(0, ValueRef::int(total / t), 1, |b, p| {
         let off = b.mul(p, ValueRef::int(t));
@@ -1116,16 +1100,9 @@ fn emit_relu(
     });
 }
 
-fn emit_reduce(
-    b: &mut FunctionBuilder,
-    xo: MemObjId,
-    dst: MemObjId,
-    d: Dims,
-    fused_relu: bool,
-    cfg: &TensorLowerConfig,
-) {
+fn emit_reduce(b: &mut FunctionBuilder, xo: MemObjId, dst: MemObjId, d: Dims, fused_relu: bool) {
     let total = d.elems() as i64;
-    let t = chunk_width(d.elems(), cfg.max_tile) as i64;
+    let t = chunk_width(d.elems()) as i64;
     let sh = row_shape(t as usize);
     let acc = b.for_loop_acc(
         ValueRef::int(0),
@@ -1143,16 +1120,9 @@ fn emit_reduce(
     b.store(dst, ValueRef::int(0), v);
 }
 
-fn emit_softmax(
-    b: &mut FunctionBuilder,
-    xo: MemObjId,
-    dst: MemObjId,
-    d: Dims,
-    fused_relu: bool,
-    cfg: &TensorLowerConfig,
-) {
+fn emit_softmax(b: &mut FunctionBuilder, xo: MemObjId, dst: MemObjId, d: Dims, fused_relu: bool) {
     let (h, w) = (d.rows as i64, d.cols as i64);
-    if d.cols <= cfg.max_tile.clamp(1, MAX_TILE) {
+    if d.cols <= MAX_TILE {
         // Whole row in one tile: the softmax functional unit handles it.
         let sh = row_shape(d.cols);
         b.for_loop_par(0, ValueRef::int(h), 1, |b, i| {
@@ -1495,12 +1465,7 @@ output %r
         let g = TensorGraph::parse(t).unwrap();
         let fused = g.lower(&TensorLowerConfig::default()).unwrap();
         assert_eq!(fused.fused_relus, 1);
-        let unfused = g
-            .lower(&TensorLowerConfig {
-                fuse: false,
-                ..TensorLowerConfig::default()
-            })
-            .unwrap();
+        let unfused = g.lower(&TensorLowerConfig { fuse: false }).unwrap();
         assert_eq!(unfused.fused_relus, 0);
         // Fusion removes the intermediate buffer.
         assert_eq!(
@@ -1509,14 +1474,7 @@ output %r
         );
         // And preserves semantics.
         let a = run_lowered(&g, &TensorLowerConfig::default(), 99);
-        let b = run_lowered(
-            &g,
-            &TensorLowerConfig {
-                fuse: false,
-                ..TensorLowerConfig::default()
-            },
-            99,
-        );
+        let b = run_lowered(&g, &TensorLowerConfig { fuse: false }, 99);
         assert!(close(&a, &b), "\nfused   {a:?}\nunfused {b:?}");
         assert!(
             a.iter().all(|x| *x >= 0.0),

@@ -83,7 +83,7 @@ impl CircuitGraph {
 /// Cells/wires one dataflow node expands to.
 fn lower_node(node: &Node) -> CircuitGraph {
     let mut g = CircuitGraph::default();
-    let t = hw::node_timing(&node.kind, node.ty, hw::BASELINE_PERIOD_NS);
+    let t = hw::node_timing(&node.kind, node.ty);
     match &node.kind {
         NodeKind::Compute(_) => {
             g.add(CellKind::Alu, 1);

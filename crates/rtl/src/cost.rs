@@ -146,7 +146,7 @@ fn critical_stage_delay(acc: &Accelerator) -> f64 {
                     }
                 }
                 NodeKind::Fused(plan) => {
-                    let t = hw::fused_timing(plan, hw::BASELINE_PERIOD_NS);
+                    let t = hw::fused_timing(plan);
                     hw::fused_path_delay(plan) / t.latency as f64
                 }
                 _ => 1.6,

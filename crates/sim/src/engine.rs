@@ -462,12 +462,16 @@ struct NodeInfo {
     stamps: bool,
 }
 
-/// Wake-calendar horizon in cycles: a mark due sooner than this is a bit
-/// in the cycle's slot, anything later waits in [`Calendar::far`]. Node
-/// latencies and initiation intervals are ≤ 17 at the default period, so
-/// only a fused chain at a very short clock period reaches past it.
+/// Wake-calendar horizon in cycles: every mark is due sooner than this,
+/// a bit in its cycle's slot. A mark is made at most a node latency or
+/// initiation interval ahead, and the verifier holds both below
+/// [`hw::HORIZON_CYCLES`] at seal.
 const CAL_HORIZON: u64 = 32;
 const _: () = assert!(CAL_HORIZON == u32::BITS as u64, "Calendar::occupied");
+const _: () = assert!(
+    CAL_HORIZON == hw::HORIZON_CYCLES as u64,
+    "hw::HORIZON_CYCLES"
+);
 
 /// A calendar of marks over the ids `0..n`, by cycle. It serves twice:
 /// each invocation's [`ReadySet`] marks scan positions for node visits,
@@ -488,9 +492,6 @@ struct Calendar {
     /// Bit `t % CAL_HORIZON` is set while cycle `t`'s slot may hold a mark,
     /// so the next cycle with one is a rotate and a count, not a scan.
     occupied: u32,
-    /// Marks due [`CAL_HORIZON`] or more cycles after they were made:
-    /// (cycle, id).
-    far: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 impl Calendar {
@@ -500,7 +501,6 @@ impl Calendar {
             cal: vec![0; CAL_HORIZON as usize * words],
             words,
             occupied: 0,
-            far: BinaryHeap::new(),
         }
     }
 
@@ -515,7 +515,6 @@ impl Calendar {
             occupied &= occupied - 1;
         }
         self.occupied = 0;
-        self.far.clear();
     }
 
     /// Index in `cal` of the first word of cycle `t`'s slot.
@@ -524,45 +523,13 @@ impl Calendar {
         (t % CAL_HORIZON) as usize * self.words
     }
 
-    /// Mark `id` for cycle `t >= cycle`.
+    /// Mark `id` for cycle `t`, inside the horizon from `cycle`.
     #[inline]
     fn mark(&mut self, id: u32, t: u64, cycle: u64) {
-        if t - cycle < CAL_HORIZON {
-            let w = self.slot(t) + (id / 64) as usize;
-            self.cal[w] |= 1u64 << (id % 64);
-            self.occupied |= 1 << (t % CAL_HORIZON);
-        } else {
-            self.mark_far(id, t);
-        }
-    }
-
-    /// The rare mark a horizon or more ahead, kept out of `mark`'s inline
-    /// body.
-    #[cold]
-    #[inline(never)]
-    fn mark_far(&mut self, id: u32, t: u64) {
-        self.far.push(Reverse((t, id)));
-    }
-
-    /// Start draining cycle `cycle`: the marks that waited in `far` for it
-    /// join its slot.
-    #[inline]
-    fn promote(&mut self, cycle: u64) {
-        if self.far.peek().is_some_and(|&Reverse((t, _))| t <= cycle) {
-            self.promote_far(cycle);
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn promote_far(&mut self, cycle: u64) {
-        while let Some(&Reverse((t, id))) = self.far.peek() {
-            if t > cycle {
-                break;
-            }
-            self.far.pop();
-            self.mark(id, cycle, cycle);
-        }
+        debug_assert!(t - cycle < CAL_HORIZON, "a mark for {t} made at {cycle}");
+        let w = self.slot(t) + (id / 64) as usize;
+        self.cal[w] |= 1u64 << (id % 64);
+        self.occupied |= 1 << (t % CAL_HORIZON);
     }
 
     /// Take the lowest id still marked in the slot at `slot`, searching
@@ -586,24 +553,23 @@ impl Calendar {
         self.occupied &= !(1 << (cycle % CAL_HORIZON));
     }
 
-    /// Whether a mark for cycle `cycle` waits, in its slot or in `far`.
+    /// Whether a mark for cycle `cycle` waits in its slot.
     #[inline]
     fn marked(&self, cycle: u64) -> bool {
         self.occupied & (1 << (cycle % CAL_HORIZON)) != 0
-            || self.far.peek().is_some_and(|&Reverse((t, _))| t <= cycle)
     }
 
-    /// The first cycle after `cycle`, whose slot is drained, with a mark.
+    /// The first cycle after `cycle`, whose slot is drained, with a mark
+    /// (`u64::MAX` for none).
     fn next_marked(&self, cycle: u64) -> u64 {
-        let far = self.far.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
         // Bit 0 of the rotated set is cycle + 1's slot.
         let ahead = self
             .occupied
             .rotate_right(((cycle + 1) % CAL_HORIZON) as u32);
         if ahead == 0 {
-            far
+            u64::MAX
         } else {
-            far.min(cycle + 1 + u64::from(ahead.trailing_zeros()))
+            cycle + 1 + u64::from(ahead.trailing_zeros())
         }
     }
 }
@@ -940,49 +906,22 @@ enum Ev {
     Reply { to: Site, results: Box<Vals> },
 }
 
-/// Calendar-queue horizon: events due within this many cycles of *now* go
-/// into a per-cycle FIFO ring bucket (O(1) push/pop, no comparisons); the
-/// rare event further out falls back to the `(cycle, seq)` min-heap. An
-/// event is a non-stamping firing's fixed-latency completion, an
-/// instance's last stamp or a reply one cycle on — at most 17 cycles out at
-/// the default period — so in practice every event is "near". Must exceed
-/// the largest single-hop event latency for the ring to pay off. The
-/// ring's occupancy mask ([`Engine::ev_occupied`]) is a `u32`, which ties
-/// the horizon to 32. The run touches every bucket in turn, so a ring no
-/// longer than it must be keeps the buckets in the first-level cache; a
-/// 256-bucket ring was measurably slower.
+/// Event-ring horizon: every event is due within this many cycles of
+/// *now* and goes into a per-cycle FIFO ring bucket (O(1) push/pop, no
+/// comparisons). An event is a non-stamping firing's fixed-latency
+/// completion, an instance's last stamp or a reply one cycle on, so it is
+/// at most a node latency out, and the verifier holds every latency below
+/// [`hw::HORIZON_CYCLES`] at seal. The ring's occupancy mask
+/// ([`Engine::ev_occupied`]) is a `u32`, which ties the horizon to 32.
+/// The run touches every bucket in turn, so a ring no longer than it must
+/// be keeps the buckets in the first-level cache; a 256-bucket ring was
+/// measurably slower.
 const EV_HORIZON: u64 = 32;
 const _: () = assert!(EV_HORIZON == u32::BITS as u64, "Engine::ev_occupied");
-
-/// A scheduled event in the *far* min-heap, ordered by (cycle, insertion
-/// seq). Replay order across both queues is identical to a pure-heap
-/// design: a far event is by definition pushed at least [`EV_HORIZON`]
-/// cycles before it is due, while a near event with the same due cycle is
-/// pushed strictly later — so draining due far events before the ring
-/// bucket reproduces global (cycle, push-order) order exactly.
-#[derive(Debug)]
-struct EvAt {
-    at: u64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for EvAt {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for EvAt {}
-impl PartialOrd for EvAt {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EvAt {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
+const _: () = assert!(
+    EV_HORIZON == hw::HORIZON_CYCLES as u64,
+    "hw::HORIZON_CYCLES"
+);
 
 /// The simulator.
 pub(crate) struct Engine<'a> {
@@ -995,14 +934,11 @@ pub(crate) struct Engine<'a> {
     structs: Vec<StructModel>,
     dram: DramModel,
     dram_idx: Option<usize>,
-    /// Near events: ring of per-cycle FIFO buckets indexed by `at % EV_HORIZON`.
+    /// Events: ring of per-cycle FIFO buckets indexed by `at % EV_HORIZON`.
     ev_near: Vec<Vec<Ev>>,
     /// Bit `at % EV_HORIZON` is set while that `ev_near` bucket holds an
     /// event, so the next due bucket is a rotate and a count.
     ev_occupied: u32,
-    /// Far events (due ≥ [`EV_HORIZON`] cycles out): (cycle, seq) min-heap.
-    ev_far: BinaryHeap<Reverse<EvAt>>,
-    ev_seq: u64,
     /// In-flight memory requests. Ids are handed out densely, so the slot
     /// of request `id` is `id - req_base`; answered requests at the front
     /// are popped, which keeps the ring as long as the oldest one pending.
@@ -1089,7 +1025,7 @@ impl<'a> Engine<'a> {
                     .iter()
                     .enumerate()
                     .map(|(n, nd)| {
-                        let timing = hw::node_timing(&nd.kind, nd.ty, cfg.period_ns);
+                        let timing = hw::node_timing(&nd.kind, nd.ty);
                         let max_pending = match nd.kind {
                             NodeKind::Load { .. } | NodeKind::Store { .. } => {
                                 Some(cfg.databox_entries)
@@ -1193,8 +1129,6 @@ impl<'a> Engine<'a> {
             dram_idx,
             ev_near: (0..EV_HORIZON).map(|_| Vec::new()).collect(),
             ev_occupied: 0,
-            ev_far: BinaryHeap::new(),
-            ev_seq: 0,
             reqs: VecDeque::new(),
             req_base: 1,
             mem_resp: Vec::new(),
@@ -1418,38 +1352,30 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Schedule `ev` at cycle `at`; within a cycle events replay in push
-    /// order. Near events (due inside [`EV_HORIZON`]) take the O(1) ring
-    /// bucket; far events take the (cycle, seq) heap.
+    /// Schedule `ev` at cycle `at`, inside the horizon; within a cycle
+    /// events replay in push order.
     fn schedule(&mut self, at: u64, ev: Ev) {
         debug_assert!(at > self.cycle, "events are always strictly future");
-        if at - self.cycle < EV_HORIZON {
-            self.ev_near[(at % EV_HORIZON) as usize].push(ev);
-            self.ev_occupied |= 1 << (at % EV_HORIZON);
-        } else {
-            self.ev_seq += 1;
-            self.ev_far.push(Reverse(EvAt {
-                at,
-                seq: self.ev_seq,
-                ev,
-            }));
-        }
+        debug_assert!(
+            at - self.cycle < EV_HORIZON,
+            "an event for {at} made at {}",
+            self.cycle
+        );
+        self.ev_near[(at % EV_HORIZON) as usize].push(ev);
+        self.ev_occupied |= 1 << (at % EV_HORIZON);
     }
 
-    /// Cycle of the earliest scheduled event: the far heap's top, and the
-    /// first occupied ring bucket from the current cycle's on (bit 0 of
-    /// the rotated mask). Only the idle-skip path calls this, never the
-    /// per-cycle hot loop.
+    /// Cycle of the earliest scheduled event: the first occupied ring
+    /// bucket from the current cycle's on (bit 0 of the rotated mask).
+    /// Only the idle-skip path calls this, never the per-cycle hot loop.
     fn next_event_cycle(&self) -> Option<u64> {
-        let far = self.ev_far.peek().map(|Reverse(e)| e.at);
         if self.ev_occupied == 0 {
-            return far;
+            return None;
         }
         let ahead = self
             .ev_occupied
             .rotate_right((self.cycle % EV_HORIZON) as u32);
-        let near = self.cycle + u64::from(ahead.trailing_zeros());
-        Some(far.map_or(near, |f| f.min(near)))
+        Some(self.cycle + u64::from(ahead.trailing_zeros()))
     }
 
     /// Arbitration budget slot for junction `j` on (task, tile), reset
@@ -1750,13 +1676,7 @@ impl<'a> Engine<'a> {
     fn step(&mut self, scratch: &mut Scratch) -> Result<(), SimError> {
         let cycle = self.cycle;
         self.scan_g = 0;
-        // Phase 1: scheduled events, in (cycle, push-order) order. Due far
-        // events drain first — each was pushed ≥ EV_HORIZON cycles ago, so
-        // it precedes every near event due this cycle in push order.
-        while self.ev_far.peek().is_some_and(|Reverse(e)| e.at <= cycle) {
-            let Reverse(EvAt { ev, .. }) = self.ev_far.pop().expect("peeked");
-            self.dispatch_event(ev)?;
-        }
+        // Phase 1: this cycle's scheduled events, in push order.
         let slot = (cycle % EV_HORIZON) as usize;
         if !self.ev_near[slot].is_empty() {
             let mut bucket = std::mem::take(&mut self.ev_near[slot]);
@@ -1765,8 +1685,8 @@ impl<'a> Engine<'a> {
                 self.dispatch_event(ev)?;
             }
             // Nothing can land in this slot mid-drain (that would need
-            // `at == cycle + EV_HORIZON`, which goes to the far heap), so
-            // swap the emptied Vec back to keep its capacity.
+            // `at == cycle + EV_HORIZON`, past the horizon), so swap the
+            // emptied Vec back to keep its capacity.
             self.ev_near[slot] = bucket;
         }
         // Phase 2: memory responses. `Ready` passes over a quiet structure,
@@ -1824,11 +1744,9 @@ impl<'a> Engine<'a> {
         // Phase 4: admissions + node firing (consumers-first order), tiles
         // in dense order. `Ready` ticks only the tiles that are due, taking
         // them from this cycle's calendar slot lowest-id-first; every
-        // other tile's tick would admit nothing, promote nothing and visit
-        // nothing (the tile-work invariant on `tile_due`). A stale mark
+        // other tile's tick would admit nothing and visit nothing (the tile-work invariant on `tile_due`). A stale mark
         // fails the `tile_due` test and ticks nothing.
         if self.use_ready {
-            self.tile_cal.promote(cycle);
             let slot = self.tile_cal.slot(cycle);
             let mut wi = 0;
             while let Some(g) = self.tile_cal.take(slot, &mut wi) {
@@ -1962,8 +1880,12 @@ impl<'a> Engine<'a> {
         };
         let walked = if self.use_ready {
             let r = self.ready_pass(ti, tk, &mut inv, scratch);
-            let due = inv.due_after_pass(self.cycle, self.cfg.window);
-            self.set_due(self.tile_base[ti] + tk, due);
+            // A failed pass leaves its slot undrained, which would name a
+            // due cycle a horizon ahead; the run ends on the error anyway.
+            if r.is_ok() {
+                let due = inv.due_after_pass(self.cycle, self.cfg.window);
+                self.set_due(self.tile_base[ti] + tk, due);
+            }
             r
         } else {
             self.dense_pass(ti, tk, &mut inv, scratch)
@@ -2046,7 +1968,6 @@ impl<'a> Engine<'a> {
         // re-read after every visit: a same-cycle wake from inside
         // `try_fire` can only set a bit ahead of the drain point, which
         // this forward walk will still reach.
-        inv.ready.wakes.promote(cycle);
         let order: &[u32] = self.elab[ti].ct.order;
         let slot = inv.ready.wakes.slot(cycle);
         let mut wi = 0;
@@ -2849,10 +2770,10 @@ mod tests {
     use muir_mir::module::Module;
 
     /// A shell goes back to the pool with whatever visits its invocation
-    /// still had marked; a slot or a far entry that survived `reset` would
-    /// wake a node of the next invocation on that shell.
+    /// still had marked; a slot that survived `reset` would wake a node of
+    /// the next invocation on that shell.
     #[test]
-    fn reset_clears_the_calendar_and_the_far_heap() {
+    fn reset_clears_the_calendar() {
         let info = [3, 1, 0, 2].map(|pos| NodeInfo {
             latency: 1,
             ii: 1,
@@ -2864,17 +2785,17 @@ mod tests {
         let cycle = 70;
         assert_eq!(inv.wake(&info, 0, cycle, cycle), cycle);
         assert_eq!(inv.wake(&info, 1, cycle + 5, cycle), cycle + 5);
-        assert_eq!(inv.wake(&info, 2, cycle + CAL_HORIZON + 9, cycle), 111);
-        // Cycle 100's slot (4) wraps below the current one (6).
+        // Cycle 100's slot (4) wraps below the current one (6), and 101's
+        // is the last before the ring comes round.
         assert_eq!(inv.wake(&info, 3, cycle + 30, cycle), 100);
-        assert!((100 % CAL_HORIZON) < (cycle % CAL_HORIZON));
+        assert_eq!(inv.wake(&info, 2, cycle + CAL_HORIZON - 1, cycle), 101);
+        assert!((101 % CAL_HORIZON) < (cycle % CAL_HORIZON));
         inv.park_adm(3);
         inv.ready.scan = 2;
-        assert_eq!(inv.ready.wakes.far.len(), 1);
         assert_eq!(inv.ready.wakes.next_marked(cycle), cycle + 5);
         inv.reset();
         assert!(inv.ready.wakes.cal.iter().all(|&w| w == 0));
-        assert!(inv.ready.wakes.far.is_empty() && inv.ready.adm.is_empty());
+        assert!(inv.ready.adm.is_empty());
         assert_eq!(inv.ready.scan, -1);
         assert_eq!(inv.ready.wakes.next_marked(cycle), u64::MAX);
         assert!(!inv.nodes[3].parked);
@@ -2917,11 +2838,11 @@ mod tests {
     }
 
     /// Phase 4 ticks a tile in exactly the cycle its `tile_due` entry
-    /// names, also when that is a calendar horizon or more ahead and the
-    /// mark waits in `far`. The tiles here hold no invocation, so a tick
-    /// changes nothing but `scan_g`, which is what the test reads.
+    /// names, also when that is the last slot before the calendar wraps.
+    /// The tiles here hold no invocation, so a tick changes nothing but
+    /// `scan_g`, which is what the test reads.
     #[test]
-    fn a_tile_due_past_the_horizon_ticks_in_exactly_its_cycle() {
+    fn a_tile_due_in_the_last_slot_ticks_in_exactly_its_cycle() {
         let (m, comp) = loop_nest();
         let cfg = SimConfig::default();
         let mut mem = Memory::from_module(&m);
@@ -2929,16 +2850,10 @@ mod tests {
         assert!(e.use_ready && e.tile_due.len() > 1);
         let g = e.tile_due.len() - 1;
         e.cycle = 50;
-        let due = e.cycle + CAL_HORIZON + 7;
+        let due = e.cycle + CAL_HORIZON - 1;
         e.set_due(g, due);
-        assert_eq!(
-            e.tile_cal.far.len(),
-            1,
-            "a mark past the horizon waits in far"
-        );
         assert_eq!(e.tile_cal.next_marked(e.cycle), due);
         assert_eq!(ticks(&mut e, due + 40), [(due, g)]);
-        assert!(e.tile_cal.far.is_empty());
         assert_eq!(e.tile_cal.next_marked(e.cycle - 1), u64::MAX, "all drained");
     }
 
@@ -2966,9 +2881,8 @@ mod tests {
     }
 
     /// `next_event_cycle` answers from the ring's occupancy mask what a
-    /// scan of every bucket from the current cycle on, and the far heap,
-    /// would answer, over random schedules that wrap the ring and spill
-    /// past its horizon. The events are stale `InstanceDone`s (the tiles
+    /// scan of every bucket from the current cycle on would answer, over
+    /// random schedules that wrap the ring. The events are stale `InstanceDone`s (the tiles
     /// hold no invocation), so stepping drains them and changes nothing
     /// else.
     #[test]
@@ -2979,29 +2893,27 @@ mod tests {
         let mut e = Engine::new(&comp, &mut mem, &cfg);
         let (task, tile) = e.tile_ids[0];
         let scan = |e: &Engine| {
-            let near = (e.cycle..e.cycle + EV_HORIZON)
-                .find(|&at| !e.ev_near[(at % EV_HORIZON) as usize].is_empty());
-            let far = e.ev_far.peek().map(|Reverse(ev)| ev.at);
-            near.into_iter().chain(far).min()
+            (e.cycle..e.cycle + EV_HORIZON)
+                .find(|&at| !e.ev_near[(at % EV_HORIZON) as usize].is_empty())
         };
         let mut rng = muir_core::rng::SplitMix64::new(0x0e1e);
         let mut scratch = Scratch::default();
-        let (mut seen_near, mut seen_far) = (0, 0);
+        let (mut seen, mut wrapped) = (0, 0);
         for _ in 0..4_000 {
             if rng.below(8) == 0 {
-                let at = e.cycle + 1 + rng.below(2 * EV_HORIZON);
+                let at = e.cycle + 1 + rng.below(EV_HORIZON - 1);
                 e.schedule(at, Ev::InstanceDone { task, tile, uid: 0 });
             }
             let want = scan(&e);
             assert_eq!(e.next_event_cycle(), want, "cycle {}", e.cycle);
-            match want {
-                Some(at) if at - e.cycle < EV_HORIZON => seen_near += 1,
-                Some(_) => seen_far += 1,
-                None => {}
+            if let Some(at) = want {
+                seen += 1;
+                // The next event's bucket lies below the current one's.
+                wrapped += u32::from(at % EV_HORIZON < e.cycle % EV_HORIZON);
             }
             e.step(&mut scratch).expect("a stale event is a no-op");
         }
-        assert!(seen_near > 100 && seen_far > 100, "{seen_near} {seen_far}");
+        assert!(seen > 100 && wrapped > 100, "{seen} {wrapped}");
     }
 
     /// An `InstanceDone` that finds its tile free, or running a later
@@ -3032,7 +2944,7 @@ mod tests {
                     })
                     .collect();
                 let near: usize = e.ev_near.iter().map(Vec::len).sum();
-                let events = (e.ev_occupied, near, e.ev_far.len());
+                let events = (e.ev_occupied, near);
                 (tiles, e.tile_due.clone(), events, e.last_progress)
             };
             let before = shown(&engine);

@@ -255,22 +255,6 @@ impl SimError {
         }
     }
 
-    /// Whether retrying the same job with a larger budget could plausibly
-    /// succeed.
-    ///
-    /// The simulator is deterministic, so almost every failure is
-    /// *permanent*: a rejected graph, a deadlock, a detected fault, or an
-    /// evaluation error reproduces identically on retry, and a retry
-    /// policy that re-runs them only burns budget. The one
-    /// budget-shaped failure is [`SimError::CycleLimitExhausted`] — the
-    /// run was cut off by a configured ceiling (a service deadline, a
-    /// conservative `max_cycles`), not by the program, so a retry with a
-    /// doubled budget can complete. Service retry loops key off this
-    /// split; `StoreError::is_transient` is its storage-layer mirror.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, SimError::CycleLimitExhausted { .. })
-    }
-
     /// An [`SimError::EvalError`] with no site attached yet; the engine
     /// fills in cycle/task/node via [`SimError::at_site`].
     pub(crate) fn eval(detail: impl Into<String>) -> SimError {
@@ -391,31 +375,6 @@ mod tests {
         assert_eq!(uniq.len(), codes.len(), "codes must be distinct: {codes:?}");
         for c in codes {
             assert!(c.starts_with("E-SIM-"), "{c}");
-        }
-    }
-
-    #[test]
-    fn only_cycle_limit_is_transient() {
-        assert!(SimError::CycleLimitExhausted { limit: 10 }.is_transient());
-        let permanent = [
-            SimError::Deadlock {
-                cycle: 1,
-                report: Box::new(DeadlockReport::default()),
-            },
-            SimError::Fault {
-                cycle: 1,
-                task: 0,
-                task_name: "main".into(),
-                node: 2,
-                invocation: 1,
-                instance: 0,
-                kind: FaultKind::TokenMisorder,
-                detail: "d".into(),
-            },
-            SimError::eval("boom"),
-        ];
-        for e in permanent {
-            assert!(!e.is_transient(), "{e}");
         }
     }
 

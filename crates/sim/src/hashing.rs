@@ -46,7 +46,8 @@ pub fn config_hash(cfg: &SimConfig) -> u64 {
     h.push_str("cfg-v1");
     h.push_u64(cfg.max_cycles);
     h.push_u64(cfg.window);
-    h.push_f64_bits(cfg.period_ns);
+    // The retired clock-period field's slot, at the one clock there is.
+    h.push_f64_bits(muir_core::hw::BASELINE_PERIOD_NS);
     h.push_u64(cfg.deadlock_cycles);
     h.push_u64(u64::from(cfg.databox_entries));
     h.push_u64(u64::from(cfg.elastic_depth));
@@ -162,6 +163,21 @@ mod tests {
         let mut c = base.clone();
         c.faults = crate::FaultPlan::single(crate::FaultClass::TokenDrop, 1);
         assert_ne!(config_hash(&c), h);
+    }
+
+    /// The default configuration's key, and one job's, are the ones every
+    /// store already holds: a knob that leaves `SimConfig` keeps its slot
+    /// in the hash at the value it always had.
+    #[test]
+    fn default_config_and_job_hashes_are_pinned() {
+        let cfg = SimConfig::default();
+        assert_eq!(config_hash(&cfg), 972_659_647_925_057_905, "config_hash");
+        let mem = mem_of(vec![int_image(&[7, -1]), f32_image(&[0.5])]);
+        assert_eq!(
+            job_hash(&cfg, &[Value::Int(3)], &mem),
+            2_889_094_136_455_872_219,
+            "job_hash"
+        );
     }
 
     #[test]

@@ -99,16 +99,14 @@ pub struct SimConfig {
     pub max_cycles: u64,
     /// Per-tile maximum in-flight instances (pipeline window).
     pub window: u64,
-    /// Clock period (ns) used for fused-node re-timing.
-    pub period_ns: f64,
     /// Cycles without progress before a deadlock is reported. Progress is
     /// an admission, a firing, a completion or a retirement; a fixed-latency
     /// unit's completion is booked when it fires, so the watchdog counts
     /// from the cycle the result is valid. The deadlock is reported at the
     /// same cycle, with the same report, as if that completion had been
     /// observed when it happened, whenever this is at least the longest
-    /// node latency (17 cycles at the default `period_ns`; more only for a
-    /// fused chain at a shorter period). Below that, a stall can be
+    /// node latency (below [`muir_core::hw::HORIZON_CYCLES`], which the
+    /// verifier holds every unit to at seal). Below that, a stall can be
     /// diagnosed while a result already counted is still on its way.
     pub deadlock_cycles: u64,
     /// Databox entries per memory node: outstanding typed accesses a
@@ -134,7 +132,6 @@ impl Default for SimConfig {
         SimConfig {
             max_cycles: 500_000_000,
             window: 64,
-            period_ns: muir_core::hw::BASELINE_PERIOD_NS,
             deadlock_cycles: 100_000,
             databox_entries: 8,
             elastic_depth: 8,

@@ -221,7 +221,7 @@ impl TraceMeta {
                 t.dataflow
                     .nodes
                     .iter()
-                    .map(|n| muir_core::hw::node_timing(&n.kind, n.ty, cfg.period_ns).latency)
+                    .map(|n| muir_core::hw::node_timing(&n.kind, n.ty).latency)
                     .collect(),
             );
             m.edge_ends.push(

@@ -97,7 +97,6 @@ impl StoreError {
     /// Whether a retry could plausibly succeed. Only raw I/O failures
     /// are transient — a corrupt entry stays corrupt (and is already
     /// quarantined), a disabled store stays disabled for the process.
-    /// Mirror of `SimError::is_transient`.
     pub fn is_transient(&self) -> bool {
         matches!(self, StoreError::Io { .. })
     }

@@ -129,7 +129,7 @@ impl PassConfig {
             }));
         }
         if self.localize {
-            pm.push(Box::new(MemoryLocalization::default()));
+            pm.push(Box::new(MemoryLocalization));
         }
         if self.spad_banks > 1 {
             pm.push(Box::new(ScratchpadBanking {

@@ -19,17 +19,16 @@ use muir_core::Type;
 /// The op-fusion pass.
 #[derive(Debug, Clone)]
 pub struct OpFusion {
-    /// Clock-period budget (ns): a fused node's combinational path must fit.
+    /// Clock-period budget (ns): a fused node's combinational path must
+    /// fit. A unit holds at most [`hw::MAX_FUSED_OPS`] ops whatever the
+    /// budget, which keeps it under the simulator's horizon.
     pub max_delay_ns: f64,
-    /// Upper bound on primitive ops per fused node.
-    pub max_ops: usize,
 }
 
 impl Default for OpFusion {
     fn default() -> Self {
         OpFusion {
             max_delay_ns: hw::BASELINE_PERIOD_NS,
-            max_ops: 16,
         }
     }
 }
@@ -38,10 +37,7 @@ impl OpFusion {
     /// Fusion with a custom period budget (frequency/cycle-count tradeoff
     /// ablation).
     pub fn with_period(max_delay_ns: f64) -> OpFusion {
-        OpFusion {
-            max_delay_ns,
-            ..OpFusion::default()
-        }
+        OpFusion { max_delay_ns }
     }
 }
 
@@ -56,7 +52,7 @@ impl Pass for OpFusion {
         for t in 0..acc.tasks.len() {
             let df = &mut acc.tasks[t].dataflow;
             delta = delta.merge(fuse_accumulators(df));
-            delta = delta.merge(fuse_with(df, self.max_delay_ns, self.max_ops, &mut scratch));
+            delta = delta.merge(fuse_with(df, self.max_delay_ns, &mut scratch));
         }
         Ok(delta)
     }
@@ -296,17 +292,12 @@ struct Scratch {
 
 /// One fusion round over a dataflow, over `scratch`'s tables; returns the
 /// touched-element delta.
-fn fuse_with(
-    df: &mut Dataflow,
-    max_delay_ns: f64,
-    max_ops: usize,
-    scratch: &mut Scratch,
-) -> PassDelta {
+fn fuse_with(df: &mut Dataflow, max_delay_ns: f64, scratch: &mut Scratch) -> PassDelta {
     let mut delta = PassDelta::default();
     let Scratch { idx, arrivals } = scratch;
     loop {
         idx.rebuild(df);
-        let Some((u, v, v_port)) = find_candidate(df, idx, arrivals, max_delay_ns, max_ops) else {
+        let Some((u, v, v_port)) = find_candidate(df, idx, arrivals, max_delay_ns) else {
             break;
         };
         // Build the fused node in v's slot, moving both plans' steps.
@@ -361,7 +352,6 @@ fn find_candidate(
     idx: &EdgeIndex,
     arrivals: &mut Vec<f64>,
     max_delay_ns: f64,
-    max_ops: usize,
 ) -> Option<(NodeId, NodeId, u16)> {
     for u in df.node_ids() {
         let Some(u_plan) = PlanView::of(df.node(u)) else {
@@ -380,7 +370,7 @@ fn find_candidate(
         let Some(v_plan) = PlanView::of(df.node(v)) else {
             continue;
         };
-        if u_plan.len() + v_plan.len() > max_ops {
+        if u_plan.len() + v_plan.len() > hw::MAX_FUSED_OPS {
             continue;
         }
         if fused_delay(u_plan, v_plan, e.dst_port, arrivals) <= max_delay_ns {
@@ -476,7 +466,7 @@ mod tests {
         // and → xor → or: 3 × 0.9 ns = 2.7 ns... over 2.5; use 2 ops.
         let (mut df, _) = chain_df(&[BinOp::And, BinOp::Xor]);
         let before = df.nodes.len();
-        let delta = fuse_with(&mut df, hw::BASELINE_PERIOD_NS, 16, &mut Scratch::default());
+        let delta = fuse_with(&mut df, hw::BASELINE_PERIOD_NS, &mut Scratch::default());
         assert!(delta.nodes >= 2);
         assert_eq!(df.nodes.len(), before - 1);
         let fused: Vec<&Node> = df
@@ -494,12 +484,37 @@ mod tests {
     fn period_budget_limits_fusion() {
         // Two integer multiplies: 5.6 ns — cannot fuse under 2.5 ns.
         let (mut df, _) = chain_df(&[BinOp::Mul, BinOp::Mul]);
-        let delta = fuse_with(&mut df, hw::BASELINE_PERIOD_NS, 16, &mut Scratch::default());
+        let delta = fuse_with(&mut df, hw::BASELINE_PERIOD_NS, &mut Scratch::default());
         assert_eq!(delta, PassDelta::default());
         // A relaxed budget fuses them.
         let (mut df2, _) = chain_df(&[BinOp::Mul, BinOp::Mul]);
-        let delta2 = fuse_with(&mut df2, 10.0, 16, &mut Scratch::default());
+        let delta2 = fuse_with(&mut df2, 10.0, &mut Scratch::default());
         assert!(delta2.nodes > 0);
+    }
+
+    /// However loose the period budget, a unit holds at most
+    /// `MAX_FUSED_OPS` ops: a 17-long divide chain fuses into units of at
+    /// most 23 cycles, under the simulator's horizon.
+    #[test]
+    fn op_count_bounds_a_unit_under_any_period() {
+        let (df, _) = chain_df(&[BinOp::Div; 17]);
+        let mut acc = Accelerator::new("divs");
+        let mut task = muir_core::accel::TaskBlock::new("main", muir_core::accel::TaskKind::Region);
+        task.dataflow = df;
+        acc.root = acc.add_task(task);
+        OpFusion::with_period(1000.0).run(&mut acc).unwrap();
+        let fused: Vec<(usize, u32)> = acc.tasks[0]
+            .dataflow
+            .nodes
+            .iter()
+            .filter_map(|n| match &n.kind {
+                NodeKind::Fused(plan) => {
+                    Some((plan.op_count(), hw::node_timing(&n.kind, n.ty).latency))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fused, [(16, 23)]);
     }
 
     #[test]
@@ -533,7 +548,7 @@ mod tests {
         // z dangles deliberately; y→out keeps y's fanout at 1 but out is
         // not fusable.
         let n_before = df.nodes.len();
-        fuse_with(&mut df, hw::BASELINE_PERIOD_NS, 16, &mut Scratch::default());
+        fuse_with(&mut df, hw::BASELINE_PERIOD_NS, &mut Scratch::default());
         // x cannot fuse (fanout 2); z and y have no fusable consumers.
         assert_eq!(df.nodes.len(), n_before);
     }
@@ -542,7 +557,7 @@ mod tests {
     fn fused_plan_evaluates_like_chain() {
         // (a + 3) << 3 = 3.2 ns: fits a relaxed 4 ns budget.
         let (mut df, _) = chain_df(&[BinOp::Add, BinOp::Shl]);
-        fuse_with(&mut df, 4.0, 16, &mut Scratch::default());
+        fuse_with(&mut df, 4.0, &mut Scratch::default());
         let plan = df
             .nodes
             .iter()

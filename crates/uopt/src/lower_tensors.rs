@@ -716,7 +716,7 @@ mod tests {
             .with(LowerTensors)
             .run(&mut lowered)
             .unwrap();
-        let localize = PassManager::new().with(crate::passes::MemoryLocalization::default());
+        let localize = PassManager::new().with(crate::passes::MemoryLocalization);
         let (native_comp, _) = localize.seal(&mut acc).unwrap();
         let (lowered_comp, _) = localize.seal(&mut lowered).unwrap();
         assert!(report.total().nodes > 0, "{name}: nothing lowered?");

@@ -2,7 +2,7 @@
 //! [`crate::fusion`]) and tensor lowering (see [`crate::lower_tensors`]).
 
 use crate::{Pass, PassDelta, PassError};
-use muir_core::accel::{AccelGraph, Accelerator, TaskConnection, TaskId};
+use muir_core::accel::{Accelerator, TaskConnection, TaskId};
 use muir_core::dataflow::{JunctionId, NodeId};
 use muir_core::node::NodeKind;
 use muir_core::structure::{Structure, StructureId, StructureKind};
@@ -13,25 +13,18 @@ pub use crate::fusion::OpFusion;
 pub use crate::lower_tensors::LowerTensors;
 pub use crate::simplify::{Cse, Simplify};
 
-/// **Pass 1 — Task-block queueing** (§4): widen the `<||>` FIFO between
-/// parents and selected children so task blocks proceed at different rates.
-/// Deep children (long pipelines) benefit most; `min_child_depth = 0`
-/// decouples every connection.
+/// **Pass 1 — Task-block queueing** (§4): widen every `<||>` FIFO between
+/// parents and children so task blocks proceed at different rates.
 #[derive(Debug, Clone)]
 pub struct TaskQueueing {
     /// New queue depth.
     pub depth: u32,
-    /// Only decouple children whose pipeline depth is at least this.
-    pub min_child_depth: u32,
 }
 
 impl TaskQueueing {
     /// Decouple all connections with the given depth.
     pub fn all(depth: u32) -> TaskQueueing {
-        TaskQueueing {
-            depth,
-            min_child_depth: 0,
-        }
+        TaskQueueing { depth }
     }
 }
 
@@ -42,22 +35,14 @@ impl Pass for TaskQueueing {
 
     fn run(&self, acc: &mut Accelerator) -> Result<PassDelta, PassError> {
         let mut delta = PassDelta::default();
-        // A child's pipeline depth is computed only for a connection the
-        // pass would change, and never under a threshold of 0.
-        let wants = |g: &AccelGraph, c: &TaskConnection| {
-            c.queue_depth != self.depth
-                && (self.min_child_depth == 0
-                    || muir_core::stats::pipeline_depth(&g.tasks[c.child.0 as usize].dataflow)
-                        >= self.min_child_depth)
-        };
+        let wants = |c: &TaskConnection| c.queue_depth != self.depth;
         // Read first: a write would copy a graph this handle shares.
-        let Some(first) = acc.task_conns.iter().position(|c| wants(acc, c)) else {
+        let Some(first) = acc.task_conns.iter().position(wants) else {
             return Ok(delta);
         };
-        let g = &mut **acc;
-        for i in first..g.task_conns.len() {
-            if i == first || wants(g, &g.task_conns[i]) {
-                g.task_conns[i].queue_depth = self.depth;
+        for c in &mut acc.task_conns[first..] {
+            if wants(c) {
+                c.queue_depth = self.depth;
                 delta.edges += 1;
             }
         }
@@ -177,17 +162,13 @@ impl Pass for ExecutionTiling {
 /// shared structure, create a per-object scratchpad (typed with the tile
 /// shape when all accesses are tensor-shaped, §4 Pass 3) and reroute every
 /// junction.
-#[derive(Debug, Clone)]
-pub struct MemoryLocalization {
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MemoryLocalization;
+
+impl MemoryLocalization {
     /// Objects larger than this stay on the cache (localizing a huge array
     /// into SRAM is not realisable).
-    pub max_elems: u64,
-}
-
-impl Default for MemoryLocalization {
-    fn default() -> Self {
-        MemoryLocalization { max_elems: 8192 }
-    }
+    pub const MAX_ELEMS: u64 = 8192;
 }
 
 impl Pass for MemoryLocalization {
@@ -230,7 +211,7 @@ impl Pass for MemoryLocalization {
                 continue;
             }
             let len = acc.object_len(obj);
-            if len > self.max_elems {
+            if len > Self::MAX_ELEMS {
                 continue;
             }
             // The group's tile shape, if every access agrees on one.
@@ -442,33 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn queueing_threshold_selects_deep_children() {
-        let m = cilk_module();
-        let mut acc = translate(&m, &FrontendConfig::default()).unwrap();
-        let depths: Vec<u32> = acc
-            .task_conns
-            .iter()
-            .map(|c| muir_core::stats::pipeline_depth(&acc.task(c.child).dataflow))
-            .collect();
-        assert!(acc.task_conns.iter().all(|c| c.queue_depth != 8));
-        let deepest = *depths.iter().max().unwrap();
-        let r = PassManager::new()
-            .with(TaskQueueing {
-                depth: 8,
-                min_child_depth: deepest,
-            })
-            .run(&mut acc)
-            .unwrap();
-        for (c, &d) in acc.task_conns.iter().zip(&depths) {
-            assert_eq!(c.queue_depth == 8, d >= deepest, "{c:?}");
-        }
-        assert_eq!(
-            r.total().edges,
-            depths.iter().filter(|&&d| d >= deepest).count()
-        );
-    }
-
-    #[test]
     fn tiling_targets_spawned_tasks() {
         let m = cilk_module();
         let mut acc = translate(&m, &FrontendConfig::default()).unwrap();
@@ -489,7 +443,7 @@ mod tests {
         let mut acc = translate(&m, &FrontendConfig::default()).unwrap();
         let before = acc.structures.len();
         PassManager::new()
-            .with(MemoryLocalization::default())
+            .with(MemoryLocalization)
             .run(&mut acc)
             .unwrap();
         // `big` (cache-homed) gets its own scratchpad; `a` already owns the

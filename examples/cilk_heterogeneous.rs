@@ -114,10 +114,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "pass 2: execution tiling x4",
             Box::new(ExecutionTiling::spawned(4)),
         ),
-        (
-            "pass 3: local scratchpads",
-            Box::new(MemoryLocalization::default()),
-        ),
+        ("pass 3: local scratchpads", Box::new(MemoryLocalization)),
         (
             "pass 4: scratchpad banking",
             Box::new(ScratchpadBanking { banks: 4 }),

@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    seal the result into an immutable content-addressed artifact the
     //    simulator, cost model, and RTL emitter all share.
     let (comp, report) = PassManager::new()
-        .with(MemoryLocalization::default())
+        .with(MemoryLocalization)
         .with(OpFusion::default())
         .seal(&mut acc)?;
     for (name, delta) in &report.deltas {

@@ -37,10 +37,12 @@
 # field exists only between the door's two marker comments: root arguments
 # in, results out), the one-wake-clock gate (engine.rs keeps one wake
 # calendar keyed by cycle — no `next` list, no `future` heap, no membership
-# bits; its `cal`/`occupied`/`far` fields are defined once, in the one
-# calendar type node visits and tile ticks share, and no loop walks
-# `0..self.tile_due.len()` — schedules `Ev::NodeDone` from one site and
-# pushes an in-flight token from one branch: every other firing stamps),
+# bits; its `cal`/`occupied` fields are defined once, in the one calendar
+# type node visits and tile ticks share, and no loop walks
+# `0..self.tile_due.len()`; no far heap beside the calendar or the event
+# ring, since the verifier holds every unit inside their horizon —
+# schedules `Ev::NodeDone` from one site and pushes an in-flight token
+# from one branch: every other firing stamps),
 # the cross-commit outcomes gate
 # (`experiments outcomes` — every registry workload x baseline/best_stack x
 # Dense/Ready x plain/traced/faulted, cycles and hashes or the error's text —
@@ -48,9 +50,11 @@
 # change wrote), the one-JSON-module gate (under crates/: string escaping and the `json_*`
 # helpers live in crates/core/src/json.rs only, and the retired second
 # scoreboard is named by no source, script or manifest), the
-# retired-names gate (no `RetryPolicy` or `max_attempts` under crates/
-# src/ tests/ examples/: the doubling budget alone bounds retries; no
-# `coalesced` in crates/bench/src/dse.rs: one job per artifact), the
+# retired-names gate (no `RetryPolicy`, `max_attempts`, `period_ns`,
+# `deadline_cycles`, `min_child_depth` or `max_elems` under crates/ src/
+# tests/ examples/ and no `is_transient` under crates/sim: one clock, no
+# service deadline or retry, no knob no caller sets; no `coalesced` in
+# crates/bench/src/dse.rs: one job per artifact), the
 # interpreter gate (crates/mir/src/interp.rs clones neither a block's
 # instruction list nor an instruction), the one-timing-table gate (no
 # `BinOp::…`/`UnOp::…` arm mapped to a latency literal under
@@ -200,19 +204,27 @@ echo "== one wake clock (engine.rs: one calendar, one NodeDone site, one in-flig
 # A fixed-latency firing stamps its tokens and wakes their consumers for
 # the stamp's cycle; only a Load, Store or TaskCall completes by event.
 if grep -nE 'IN_NEXT|IN_FUTURE|next: Vec' crates/sim/src/engine.rs; then
-    echo "check.sh: engine.rs keeps its wakes in the calendar (Calendar::cal, far), not in per-container lists and bits (lines above)" >&2
+    echo "check.sh: engine.rs keeps its wakes in the calendar (Calendar::cal), not in per-container lists and bits (lines above)" >&2
     exit 1
 fi
-# Node visits and tile ticks are marked in one calendar type: its three
+# Node visits and tile ticks are marked in one calendar type: its two
 # fields are declared once, and phase 4 drains it instead of reading every
 # tile's `tile_due` entry.
-for field in 'cal: Vec<' 'occupied: u32,' 'far: BinaryHeap<'; do
+for field in 'cal: Vec<' 'occupied: u32,'; do
     n=$(grep -cE "^ *$field" crates/sim/src/engine.rs || true)
     if [ "$n" != 1 ]; then
         echo "check.sh: engine.rs must declare the calendar field \`$field\` exactly once, in \`struct Calendar\` (found $n)" >&2
         exit 1
     fi
 done
+# Every mark and every event is due inside the horizon (the verifier
+# refuses a unit that reaches it), so neither the calendar nor the event
+# ring keeps a far heap.
+n=$(grep -cE '^ *far: BinaryHeap<' crates/sim/src/engine.rs || true)
+if [ "$n" != 0 ] || grep -nE 'EvAt|ev_far|ev_seq|mark_far|promote_far' crates/sim/src/engine.rs; then
+    echo "check.sh: engine.rs keeps no far heap beside its calendar or event ring (found $n \`far: BinaryHeap<\` fields; other lines above)" >&2
+    exit 1
+fi
 if grep -nF '0..self.tile_due.len()' crates/sim/src/engine.rs; then
     echo "check.sh: phase 4 takes its tiles from the tile calendar (tile_cal), not from a walk over tile_due (lines above)" >&2
     exit 1
@@ -255,12 +267,14 @@ if grep -rn 'BENCH''_sim' crates scripts Cargo.toml benchmark/Cargo.toml; then
     exit 1
 fi
 
-echo "== retired names (no retry cap, no DSE coalesced count) =="
-# The budget ladder bounds retries, and a DSE group submits one job, so
-# nothing is left to cap or to coalesce.
-if grep -rnwE 'RetryPolicy|max_attempts' crates src tests examples ||
+echo "== retired names (no retry, no second clock, no unset knob, no DSE coalesced count) =="
+# A job runs once on its own budget, every unit is timed at the one
+# clock, the passes' fixed limits are constants, and a DSE group submits
+# one job, so nothing is left to retry, clock, set or coalesce.
+if grep -rnwE 'RetryPolicy|max_attempts|period_ns|deadline_cycles|min_child_depth|max_elems' crates src tests examples ||
+    grep -rnw 'is_transient' crates/sim ||
     grep -nw 'coalesced' crates/bench/src/dse.rs; then
-    echo "check.sh: retries are bounded by the doubling budget alone and dse::explore submits one job per artifact; the retired names are back (lines above)" >&2
+    echo "check.sh: a job runs once on its own budget, the clock is hw::BASELINE_PERIOD_NS, the passes' limits are constants and dse::explore submits one job per artifact; the retired names are back (lines above)" >&2
     exit 1
 fi
 

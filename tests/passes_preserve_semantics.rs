@@ -18,7 +18,7 @@ fn full_stack() -> PassManager {
         .with(Cse)
         .with(TaskQueueing::all(8))
         .with(ExecutionTiling::spawned(4))
-        .with(MemoryLocalization::default())
+        .with(MemoryLocalization)
         .with(ScratchpadBanking { banks: 2 })
         .with(CacheBanking { banks: 2 })
         .with(OpFusion::default())
@@ -97,10 +97,7 @@ fn individual_passes_preserve_a_representative_mix() {
             "STENCIL",
             PassManager::new().with(ExecutionTiling::spawned(8)),
         ),
-        (
-            "SPMV",
-            PassManager::new().with(MemoryLocalization::default()),
-        ),
+        ("SPMV", PassManager::new().with(MemoryLocalization)),
         ("GEMM", PassManager::new().with(CacheBanking { banks: 4 })),
         ("FFT", PassManager::new().with(OpFusion::default())),
         ("RGB2YUV", PassManager::new().with(OpFusion::default())),

@@ -167,7 +167,7 @@ fn passes_preserve_random_programs() {
         let (m, a, out) = random_loop_module(&ops, n);
         let mut acc = translate(&m, &FrontendConfig::default()).unwrap();
         PassManager::new()
-            .with(MemoryLocalization::default())
+            .with(MemoryLocalization)
             .with(ScratchpadBanking { banks })
             .with(OpFusion::default())
             .run(&mut acc)

@@ -13,18 +13,18 @@
 //! accumulator register, an edge that fills by the clock alone, admission
 //! that waits on an instance's retirement, an instance whose last
 //! completion to arrive is not its last to happen, a ring that is revealed
-//! feeding one that is stamped, a latency past the wake calendar's horizon,
-//! faults on stamped edges, and the watchdog.
+//! feeding one that is stamped, faults on stamped edges, and the watchdog;
+//! and a latency past the wake calendar's horizon, which seal refuses.
 
 use muir::bench::sched::{dense_vs_ready, Outcome};
 use muir::core::accel::{Accelerator, TaskKind};
 use muir::core::dataflow::{Buffering, EdgeKind};
 use muir::core::hw;
-use muir::core::node::NodeKind;
+use muir::core::node::{FusedInput, FusedStep, NodeKind, OpKind};
 use muir::core::CompiledAccel;
 use muir::frontend::{translate, FrontendConfig};
 use muir::mir::builder::FunctionBuilder;
-use muir::mir::instr::{CmpPred, MemObjId, ValueRef};
+use muir::mir::instr::{BinOp, CmpPred, MemObjId, ValueRef};
 use muir::mir::interp::{Interp, Memory};
 use muir::mir::module::Module;
 use muir::mir::types::{ScalarType, Type};
@@ -351,9 +351,10 @@ fn a_squashed_load_feeds_a_stamping_unit() {
 }
 
 /// `((a[i] * 3 + 1) * 5 + 2) * 7` fused into one unit under a generous
-/// period budget, then clocked at 0.1 ns: the unit's latency is 62 cycles,
-/// past the 32-cycle wake calendar, so its consumer's wake waits in the
-/// far heap.
+/// period budget (6.2 ns, 3 cycles), then lengthened by hand with a chain
+/// of divides. Twenty more (76.2 ns, 31 cycles) still seal; twenty-one
+/// (79.7 ns, 32 cycles) reach the simulator's 32-cycle horizon, and seal
+/// refuses the unit with a typed `E-GRAPH` error naming it and its cycles.
 #[test]
 fn a_latency_past_the_calendar_horizon() {
     let mut m = Module::new("far");
@@ -371,24 +372,43 @@ fn a_latency_past_the_calendar_horizon() {
     });
     b.ret(None);
     m.add_function(b.finish());
-    let init = |mem: &mut Memory| mem.init_i64(a, &(0..16).map(|x| x - 5).collect::<Vec<_>>());
     let mut acc = baseline(&m);
     PassManager::new()
         .with(OpFusion::with_period(8.0))
         .run(&mut acc)
         .expect("fusion");
-    let cfg = SimConfig {
-        period_ns: 0.1,
-        ..SimConfig::default()
+    let lengthened = |divides: usize| {
+        let mut acc = acc.clone();
+        let node = acc
+            .tasks
+            .iter_mut()
+            .flat_map(|t| &mut t.dataflow.nodes)
+            .find(|n| matches!(&n.kind, NodeKind::Fused(p) if p.op_count() == 5))
+            .expect("the five ops fuse into one unit");
+        let NodeKind::Fused(plan) = &mut node.kind else {
+            unreachable!()
+        };
+        for _ in 0..divides {
+            let last = plan.steps.len() as u16 - 1;
+            plan.steps.push(FusedStep {
+                op: OpKind::Bin(BinOp::Div),
+                ty: node.ty,
+                inputs: vec![FusedInput::Step(last), FusedInput::External(0)],
+            });
+        }
+        let t = hw::node_timing(&node.kind, node.ty);
+        (CompiledAccel::compile(&acc), t.latency)
     };
-    assert!(has_node(&acc, &|k| {
-        matches!(k, NodeKind::Fused(plan) if hw::fused_timing(plan, cfg.period_ns).latency > 32)
-    }));
-    let (got, mem) = run(&m, &acc, &cfg, &init);
-    assert_eq!(mem, Some(interpreted(&m, &init)));
+    let (sealed, latency) = lengthened(20);
+    assert_eq!(latency, 31);
+    sealed.expect("a 31-cycle unit seals");
+    let (refused, latency) = lengthened(21);
+    assert_eq!(latency, 32);
+    let e = refused.expect_err("a 32-cycle unit is refused");
     assert_eq!(
-        got,
-        "ok cycles=228 res=83aaf17c4edbb938 end=0484eb016b59b1d2"
+        format!("[{}] {e}", e.code()),
+        "[E-GRAPH] muIR graph error at t1 (main_loop1): n3 (mul_5+add_6+mul_7+add_8+mul_9): \
+         fused unit of latency 32 and II 8 cycles reaches the 32-cycle horizon"
     );
 }
 
