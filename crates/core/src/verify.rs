@@ -10,7 +10,7 @@
 use crate::accel::{Accelerator, TaskId, TaskKind};
 use crate::dataflow::{Dataflow, EdgeKind, JunctionId, NodeId};
 use crate::hw::{self, HORIZON_CYCLES};
-use crate::node::{FusedPlan, NodeKind};
+use crate::node::{FusedInput, FusedPlan, NodeKind, OpKind};
 use crate::structure::StructureId;
 use muir_mir::instr::MemObjId;
 use std::fmt;
@@ -280,9 +280,43 @@ impl Graph<'_> {
     }
 }
 
-/// The fused-unit check: its latency and II stay below the horizon
-/// the simulator schedules within.
-fn check_fused(n: NodeId, name: &str, plan: &FusedPlan) -> Result<(), String> {
+/// The fused-unit check: a plan the simulator can evaluate — at least one
+/// step, each with as many operands as its op takes, each read from an
+/// external port below the arity or from an earlier step, and an arity
+/// equal to the node's `inputs` data edges — whose latency and II stay
+/// below the horizon the simulator schedules within.
+fn check_fused(n: NodeId, name: &str, plan: &FusedPlan, inputs: usize) -> Result<(), String> {
+    let refuse = |what: String| Err(format!("{n} ({name}): fused plan {what}"));
+    if plan.steps.is_empty() {
+        return refuse("has no steps".to_string());
+    }
+    if usize::from(plan.arity) != inputs {
+        return refuse(format!("of arity {} on {inputs} data inputs", plan.arity));
+    }
+    for (i, step) in plan.steps.iter().enumerate() {
+        let k = step.inputs.len();
+        let fits = match step.op {
+            OpKind::Tensor(..) => (1..=2).contains(&k),
+            op => k == op.arity(),
+        };
+        if !fits {
+            return refuse(format!("step {i} gives {} {k} operands", step.op));
+        }
+        for input in &step.inputs {
+            match *input {
+                FusedInput::External(p) if p >= plan.arity => {
+                    return refuse(format!(
+                        "step {i} reads external input {p} of {}",
+                        plan.arity
+                    ));
+                }
+                FusedInput::Step(s) if usize::from(s) >= i => {
+                    return refuse(format!("step {i} reads step {s}, not computed before it"));
+                }
+                _ => {}
+            }
+        }
+    }
     let t = hw::fused_timing(plan);
     if t.latency < HORIZON_CYCLES && t.ii < HORIZON_CYCLES {
         return Ok(());
@@ -415,7 +449,10 @@ impl Tables {
                     held = g.check_call(id, *callee, tid);
                 }
                 NodeKind::Fused(plan) if held.is_ok() => {
-                    held = check_fused(id, &node.name, plan);
+                    let inputs = self.drivers[self.first[i]..self.first[i + 1]]
+                        .iter()
+                        .sum::<u32>();
+                    held = check_fused(id, &node.name, plan, inputs as usize);
                 }
                 _ => {}
             }
@@ -650,6 +687,38 @@ mod tests {
             )
         );
         assert_eq!(e.code(), "E-GRAPH");
+    }
+
+    /// A plan the simulator could not evaluate is refused at its node: no
+    /// steps, a step with the wrong operand count, or an arity below the
+    /// node's two data inputs (one above leaves a port unconnected).
+    #[test]
+    fn malformed_fused_plans_caught() {
+        use crate::node::{FusedInput, FusedPlan, FusedStep};
+        let add = |inputs: Vec<FusedInput>| FusedStep {
+            op: OpKind::Bin(BinOp::Add),
+            ty: Type::I64,
+            inputs,
+        };
+        for (arity, steps, want) in [
+            (2, vec![], "has no steps"),
+            (
+                2,
+                vec![add(vec![FusedInput::External(0)])],
+                "step 0 gives add 1 operands",
+            ),
+            (
+                1,
+                vec![add(vec![FusedInput::External(0); 2])],
+                "of arity 1 on 2 data inputs",
+            ),
+        ] {
+            let mut acc = valid_accel();
+            let plan = FusedPlan { arity, steps };
+            acc.tasks[0].dataflow.nodes[2].kind = NodeKind::Fused(plan);
+            let e = verify_accelerator(&acc).unwrap_err();
+            assert_eq!(e.message, format!("{} (add): fused plan {want}", NodeId(2)));
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! evaluators) and loads/stores access a real memory image, so every run is
 //! checked against the reference interpreter. Inside, a value is flat — a
 //! [`Word`]: a kind byte and 64 bits, a tile's lanes in a word buffer
-//! beside it — and [`Value`] exists at the door only: root arguments in,
-//! results out, and the text of an error.
+//! beside it — and the caller's typed values exist at the [`door`] only:
+//! root arguments in, results out.
 //!
 //! A function unit is a fixed-latency pipeline, so the cycle its result is
 //! valid is known when it fires: such a firing *stamps* that cycle into
@@ -30,14 +30,23 @@
 //! micro-op stream and pools directly. [`crate::reference`] re-derives
 //! those tables from the graph and compares them with the sealed ones; it
 //! is a test oracle, not a second way to run.
+//!
+//! The containers live in child modules, behind their methods: [`arena`]
+//! holds value lists and the token arena, [`ready`] the event ring, the
+//! wake calendar and their one horizon, [`door`] the conversions at the
+//! door, and [`deadlock`] the diagnosis of a stalled run.
 
-use crate::error::{
-    BufferSuggestion, ChannelState, DeadlockReport, FaultKind, StuckTile, WaitEdge,
-};
+mod arena;
+mod deadlock;
+mod door;
+mod ready;
+
+use crate::error::FaultKind;
 use crate::fault::{Ecc, FaultClass, Injector};
 use crate::memory::{DramModel, MemRequest, MemResponse, StructModel};
-use crate::trace::{Observer, SimProfile, StallReason, Trace};
+use crate::trace::{Observer, StallReason};
 use crate::{SchedulerKind, SimConfig, SimError, SimStats};
+use arena::{Scratch, TokenArena, Vals};
 use muir_core::accel::{AccelGraph, ArgExpr, ResultInit, TaskKind};
 use muir_core::compiled::{
     CompiledAccel, CompiledTask, MicroOp, UopKind, SLOT_ARG, SLOT_CONST, SLOT_FEEDBACK,
@@ -46,14 +55,14 @@ use muir_core::compiled::{
 use muir_core::hw;
 use muir_core::node::{FusedInput, NodeKind, OpKind};
 use muir_core::structure::StructureKind;
-use muir_mir::flat::{self, Form, Kind, Lanes, Word};
+use muir_mir::flat::{self, Form, Word};
 use muir_mir::instr::{BinOp, CastOp, MemObjId};
 use muir_mir::interp::{InterpError, Memory};
 use muir_mir::memory::ElemKind;
 use muir_mir::types::Type;
-use muir_mir::value::Value;
+use ready::{Calendar, EventRing, ReadySet};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 /// Fault classes injected at the engine's ready/valid edges (the rest are
 /// owned by the memory models).
@@ -63,346 +72,6 @@ const ENGINE_FAULTS: [FaultClass; 4] = [
     FaultClass::TokenDup,
     FaultClass::StuckHandshake,
 ];
-
-/// Values outside a ring — a firing's inputs and outputs, an invocation's
-/// arguments and results, a task's constants. A composite's lanes live in
-/// the list's own buffer, so moving a list moves its values whole, copying
-/// a value in is a `memcpy`, and `clear` drops everything at once.
-#[derive(Debug, Default)]
-struct Vals {
-    words: Vec<Word>,
-    lanes: Vec<u64>,
-}
-
-impl Vals {
-    fn clear(&mut self) {
-        self.words.clear();
-        self.lanes.clear();
-    }
-
-    /// Append a copy of `w`, whose lanes (if it has any) live in `from`.
-    #[inline]
-    fn push(&mut self, w: Word, from: &[u64]) {
-        // The kind test stays in the caller's loop; the lane copy is a call.
-        let w = match w.kind {
-            Kind::Lanes => w.copy_into(from, &mut self.lanes),
-            _ => w,
-        };
-        self.words.push(w);
-    }
-
-    /// Append the composite whose lanes are `words`, each read as `elem`.
-    fn push_lanes(&mut self, elem: ElemKind, form: Form, words: &[u64]) {
-        let off = self.lanes.len();
-        self.lanes.extend_from_slice(words);
-        self.words.push(Lanes { off: 0, elem, form }.at(off));
-    }
-
-    /// Become a copy of `other`, keeping both allocations.
-    fn copy_from(&mut self, other: &Vals) {
-        self.words.clone_from(&other.words);
-        self.lanes.clone_from(&other.lanes);
-    }
-}
-
-/// The input and output values of the firing under way. One pair serves
-/// the whole run: [`Engine::run`] owns it and lends it down to
-/// [`Engine::fire`], which clears it on the way in.
-#[derive(Debug, Default)]
-struct Scratch {
-    values: Vals,
-    out: Vals,
-}
-
-/// Lane storage for the composite values one invocation holds in its
-/// rings and accumulator registers. The ownership rule: a [`Word`] of kind
-/// `Lanes` stored there owns its region and nobody shares it — fan-out
-/// copies ([`LaneSlab::adopt`]), and whoever removes the word gives the
-/// region back ([`LaneSlab::release`]) for the next value of that length,
-/// so the slab grows to the tokens in flight and stops.
-#[derive(Debug, Default)]
-struct LaneSlab {
-    words: Vec<u64>,
-    /// Released regions, `(length, offsets)`. A task moves tiles of a
-    /// handful of shapes, so the list is short and searched linearly.
-    free: Vec<(u32, Vec<u32>)>,
-}
-
-impl LaneSlab {
-    /// A copy of `w` that this slab owns, its lanes read from `from`. A
-    /// scalar is itself.
-    #[inline]
-    fn adopt(&mut self, w: Word, from: &[u64]) -> Word {
-        match w.as_lanes() {
-            None => w,
-            Some(l) => self.adopt_lanes(l, from),
-        }
-    }
-
-    fn adopt_lanes(&mut self, l: Lanes, from: &[u64]) -> Word {
-        let len = l.len();
-        let reused = self.free.iter_mut().find(|(n, _)| *n as usize == len);
-        let off = match reused.and_then(|(_, offs)| offs.pop()) {
-            Some(off) => off as usize,
-            None => {
-                let off = self.words.len();
-                self.words.resize(off + len, 0);
-                off
-            }
-        };
-        self.words[off..off + len].copy_from_slice(&from[l.range()]);
-        l.at(off)
-    }
-
-    /// Take back the region `w` owns. A scalar owns none.
-    #[inline]
-    fn release(&mut self, w: Word) {
-        if let Some(l) = w.as_lanes() {
-            self.release_lanes(l);
-        }
-    }
-
-    fn release_lanes(&mut self, l: Lanes) {
-        let len = l.len() as u32;
-        match self.free.iter_mut().find(|(n, _)| *n == len) {
-            Some((_, offs)) => offs.push(l.off),
-            None => self.free.push((len, vec![l.off])),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.words.clear();
-        for (_, offs) in &mut self.free {
-            offs.clear();
-        }
-    }
-}
-
-/// Token storage for one invocation: one power-of-two ring per edge over
-/// a shared token array (DESIGN.md §14). A visit reads one [`Ring`] record
-/// and one [`Token`] per edge it tests, and the visibility test is a
-/// single `u64` compare against the token's delivery cycle.
-///
-/// A ring is *stamped* when its producer's completion cycle is known as it
-/// fires ([`NodeInfo::stamps`]): the token carries that cycle from the push
-/// on and nothing touches it again. The other rings — out of a `Load`, a
-/// `Store` or a `TaskCall`, whose completions arrive out of order — take
-/// their tokens at `u64::MAX` (still in the producer's pipeline) and
-/// [`TokenArena::reveal`] them when the completion event comes.
-///
-/// Rings are sized once from the resolved capacity table
-/// (`ElabTask::cap`): capacity plus slack for the in-flight push of the
-/// current firing, rounded up to a power of two so wraparound is a mask.
-/// Fault injection can duplicate tokens past any static bound, so
-/// overfull rings relocate to a doubled slice at the end of the arena
-/// (`grow`, cold by construction).
-#[derive(Debug, Default)]
-struct TokenArena {
-    rings: Vec<Ring>,
-    toks: Vec<Token>,
-    /// The lanes of the composite tokens in `toks`.
-    slab: LaneSlab,
-}
-
-/// One edge's ring over `TokenArena::toks[base..=base + mask]`.
-#[derive(Debug, Clone, Copy)]
-struct Ring {
-    base: u32,
-    mask: u32,
-    head: u32,
-    len: u32,
-    /// Queued tokens whose delivery cycle is set (`vis != u64::MAX`), kept
-    /// in lockstep so the output-space gate is an O(1) read: the delivered
-    /// ones on a revealed ring, every token on a stamped one.
-    visible: u32,
-    /// Delivery cycles are written at the push and ascend along the ring
-    /// (one producer, firing in instance order at one latency).
-    stamped: bool,
-}
-
-impl Ring {
-    /// Index into the token array of the `i`-th queued token.
-    #[inline]
-    fn slot(&self, i: u32) -> usize {
-        (self.base + (self.head.wrapping_add(i) & self.mask)) as usize
-    }
-}
-
-/// 32 bytes, `Copy`, no drop glue: the kind is dynamic (`and` of two
-/// booleans is an integer, a loop call is typed `i64` whatever it returns),
-/// so it travels with the word instead of being read off the edge.
-#[derive(Debug, Clone, Copy)]
-struct Token {
-    inst: u64,
-    /// Delivery cycle; `u64::MAX` while an unstamped token is in flight.
-    vis: u64,
-    /// The payload; a composite's lanes are a region of the arena's slab.
-    val: Word,
-}
-
-const _: () = assert!(std::mem::size_of::<Token>() == 32);
-
-impl Token {
-    const EMPTY: Token = Token {
-        inst: 0,
-        vis: u64::MAX,
-        val: Word::POISON,
-    };
-}
-
-impl TokenArena {
-    /// Ring size for a resolved edge capacity: the capacity itself plus
-    /// slack for the producer's in-flight push, next power of two. Deep
-    /// FIFOs cap the *initial* ring (growth stays demand-driven) so a
-    /// pathological `Fifo(1 << 20)` does not reserve megabytes up front.
-    fn ring_cap(cap: u32) -> u32 {
-        cap.saturating_add(2).next_power_of_two().min(64)
-    }
-
-    /// One ring per edge, from its resolved capacity and whether its
-    /// producer stamps.
-    fn with_caps(caps: &[u32], stamped: &[bool]) -> TokenArena {
-        let mut a = TokenArena::default();
-        let total: usize = caps.iter().map(|&c| Self::ring_cap(c) as usize).sum();
-        a.toks.reserve_exact(total);
-        for (&c, &stamped) in caps.iter().zip(stamped) {
-            let rc = Self::ring_cap(c);
-            a.rings.push(Ring {
-                base: a.toks.len() as u32,
-                mask: rc - 1,
-                head: 0,
-                len: 0,
-                visible: 0,
-                stamped,
-            });
-            a.toks.extend((0..rc).map(|_| Token::EMPTY));
-        }
-        a
-    }
-
-    /// Reset for reuse by the next invocation: every ring empty, every
-    /// lane region back with the slab. Ring geometry is task-constant, so
-    /// no reallocation.
-    fn clear(&mut self) {
-        for r in &mut self.rings {
-            r.head = 0;
-            r.len = 0;
-            r.visible = 0;
-        }
-        self.slab.clear();
-    }
-
-    #[inline]
-    fn len(&self, e: usize) -> u32 {
-        self.rings[e].len
-    }
-
-    /// Whether edge `e`, of capacity `cap`, holds `cap` delivered tokens at
-    /// `cycle` — the output-space gate. Only delivered tokens occupy the
-    /// edge register; in-flight results live in the producer's pipeline.
-    /// On a stamped ring delivery cycles ascend, so the `cap`-th token's
-    /// decides; such an edge fills by the clock alone and frees on a pop.
-    #[inline]
-    fn full(&self, e: usize, cap: u32, cycle: u64) -> bool {
-        let r = &self.rings[e];
-        r.visible >= cap && (!r.stamped || cap == 0 || self.toks[r.slot(cap - 1)].vis <= cycle)
-    }
-
-    /// The front token's (instance, visibility cycle), if any.
-    #[inline]
-    fn front(&self, e: usize) -> Option<(u64, u64)> {
-        let r = &self.rings[e];
-        if r.len == 0 {
-            return None;
-        }
-        let t = &self.toks[r.slot(0)];
-        Some((t.inst, t.vis))
-    }
-
-    /// Push a copy of `val` (lanes in `from`) to be delivered at `vis`:
-    /// the stamp, or `u64::MAX` until the producer's completion event.
-    #[inline]
-    fn push(&mut self, e: usize, inst: u64, vis: u64, val: Word, from: &[u64]) {
-        if self.rings[e].len > self.rings[e].mask {
-            self.grow(e);
-        }
-        let val = self.slab.adopt(val, from);
-        let r = &mut self.rings[e];
-        debug_assert_eq!(r.stamped, vis != u64::MAX, "edge e{e}");
-        self.toks[r.slot(r.len)] = Token { inst, vis, val };
-        r.len += 1;
-        r.visible += u32::from(vis != u64::MAX);
-    }
-
-    /// Pop the front token, appending its value to `into` (an order token
-    /// carries none worth keeping). Callers guarantee non-empty: the input
-    /// gate ran first.
-    #[inline]
-    fn pop(&mut self, e: usize, into: Option<&mut Vals>) {
-        let r = &mut self.rings[e];
-        debug_assert!(r.len > 0, "pop on empty edge e{e}");
-        let t = self.toks[r.slot(0)];
-        if t.vis != u64::MAX {
-            r.visible -= 1;
-        }
-        r.head = (r.head + 1) & r.mask;
-        r.len -= 1;
-        if let Some(into) = into {
-            into.push(t.val, &self.slab.words);
-        }
-        self.slab.release(t.val);
-    }
-
-    /// Reverse-scan the unstamped edge `e` marking instance `instance`'s
-    /// in-flight tokens delivered at `cycle`, replacing their value with a
-    /// copy of `patch` (a word and the buffer its lanes live in) when
-    /// given: call replies. Tokens are pushed in instance order, so the
-    /// scan stops at the first older instance.
-    fn reveal(&mut self, e: usize, instance: u64, cycle: u64, patch: Option<(Word, &[u64])>) {
-        let r = &mut self.rings[e];
-        for i in (0..r.len).rev() {
-            let t = &mut self.toks[r.slot(i)];
-            if t.inst > instance {
-                continue;
-            }
-            if t.inst < instance {
-                break;
-            }
-            if t.vis == u64::MAX {
-                if let Some((p, from)) = patch {
-                    self.slab.release(t.val);
-                    t.val = self.slab.adopt(p, from);
-                }
-                t.vis = cycle;
-                r.visible += 1;
-            }
-        }
-    }
-
-    /// Relocate edge `e`'s ring to a doubled slice appended to the arena
-    /// (the old slice goes dead — acceptable, because this is reachable
-    /// only when fault injection overfills a ring past its slack). Tokens
-    /// move as they are: their lane regions stay where they were.
-    #[cold]
-    fn grow(&mut self, e: usize) {
-        let old = self.rings[e];
-        let new_base = self.toks.len() as u32;
-        for i in 0..2 * (old.mask + 1) {
-            let t = if i < old.len {
-                self.toks[old.slot(i)]
-            } else {
-                Token::EMPTY
-            };
-            self.toks.push(t);
-        }
-        self.rings[e] = Ring {
-            base: new_base,
-            mask: 2 * (old.mask + 1) - 1,
-            head: 0,
-            ..old
-        };
-    }
-}
 
 /// Which firing a completion belongs to. One record serves completion
 /// events, in-flight memory requests and blocking-call replies alike.
@@ -416,7 +85,7 @@ struct Site {
 }
 
 /// A queued task invocation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Invocation {
     uid: u64,
     args: Box<Vals>,
@@ -436,7 +105,7 @@ struct NodeState {
     /// completions are events — the databox entries of §3.4 for memory
     /// nodes, outstanding calls for a `TaskCall`. A stamping node's stay 0.
     pending: u32,
-    /// The node sits in [`ReadySet::adm`], which lists it at most once.
+    /// The node is parked in its [`ReadySet`], at most once.
     parked: bool,
 }
 
@@ -462,157 +131,6 @@ struct NodeInfo {
     stamps: bool,
 }
 
-/// Wake-calendar horizon in cycles: every mark is due sooner than this,
-/// a bit in its cycle's slot. A mark is made at most a node latency or
-/// initiation interval ahead, and the verifier holds both below
-/// [`hw::HORIZON_CYCLES`] at seal.
-const CAL_HORIZON: u64 = 32;
-const _: () = assert!(CAL_HORIZON == u32::BITS as u64, "Calendar::occupied");
-const _: () = assert!(
-    CAL_HORIZON == hw::HORIZON_CYCLES as u64,
-    "hw::HORIZON_CYCLES"
-);
-
-/// A calendar of marks over the ids `0..n`, by cycle. It serves twice:
-/// each invocation's [`ReadySet`] marks scan positions for node visits,
-/// and the engine marks global tile ids for phase-4 tile ticks
-/// ([`Engine::set_due`]). A mark asks for a look at an id in a cycle;
-/// whoever drains it re-checks its own gate, so a mark left behind by a
-/// later change of mind costs one test and nothing else.
-#[derive(Debug)]
-struct Calendar {
-    /// [`CAL_HORIZON`] slots of `words` words, slot `t % CAL_HORIZON`
-    /// holding cycle `t`'s marks as a bitset over the ids. Marking is an
-    /// idempotent OR. The current cycle's slot is drained lowest-id-first
-    /// ([`Calendar::take`]), re-reading the word after every id, so a mark
-    /// set ahead of the drain point during the drain is still reached.
-    cal: Vec<u64>,
-    /// Words per slot.
-    words: usize,
-    /// Bit `t % CAL_HORIZON` is set while cycle `t`'s slot may hold a mark,
-    /// so the next cycle with one is a rotate and a count, not a scan.
-    occupied: u32,
-}
-
-impl Calendar {
-    fn sized(n: usize) -> Calendar {
-        let words = n.div_ceil(64).max(1);
-        Calendar {
-            cal: vec![0; CAL_HORIZON as usize * words],
-            words,
-            occupied: 0,
-        }
-    }
-
-    /// Drop every mark. Only the slots `occupied` names are zeroed: a
-    /// slot whose bit is clear holds no mark, since `drained` clears the
-    /// bit only after `take` has emptied the slot.
-    fn clear(&mut self) {
-        let mut occupied = self.occupied;
-        while occupied != 0 {
-            let slot = occupied.trailing_zeros() as usize * self.words;
-            self.cal[slot..slot + self.words].fill(0);
-            occupied &= occupied - 1;
-        }
-        self.occupied = 0;
-    }
-
-    /// Index in `cal` of the first word of cycle `t`'s slot.
-    #[inline]
-    fn slot(&self, t: u64) -> usize {
-        (t % CAL_HORIZON) as usize * self.words
-    }
-
-    /// Mark `id` for cycle `t`, inside the horizon from `cycle`.
-    #[inline]
-    fn mark(&mut self, id: u32, t: u64, cycle: u64) {
-        debug_assert!(t - cycle < CAL_HORIZON, "a mark for {t} made at {cycle}");
-        let w = self.slot(t) + (id / 64) as usize;
-        self.cal[w] |= 1u64 << (id % 64);
-        self.occupied |= 1 << (t % CAL_HORIZON);
-    }
-
-    /// Take the lowest id still marked in the slot at `slot`, searching
-    /// from word `*wi` on; `None` once the slot is empty.
-    #[inline]
-    fn take(&mut self, slot: usize, wi: &mut usize) -> Option<usize> {
-        while *wi < self.words {
-            let word = self.cal[slot + *wi];
-            if word != 0 {
-                self.cal[slot + *wi] = word & (word - 1);
-                return Some(*wi * 64 + word.trailing_zeros() as usize);
-            }
-            *wi += 1;
-        }
-        None
-    }
-
-    /// Cycle `cycle`'s slot has been drained.
-    #[inline]
-    fn drained(&mut self, cycle: u64) {
-        self.occupied &= !(1 << (cycle % CAL_HORIZON));
-    }
-
-    /// Whether a mark for cycle `cycle` waits in its slot.
-    #[inline]
-    fn marked(&self, cycle: u64) -> bool {
-        self.occupied & (1 << (cycle % CAL_HORIZON)) != 0
-    }
-
-    /// The first cycle after `cycle`, whose slot is drained, with a mark
-    /// (`u64::MAX` for none).
-    fn next_marked(&self, cycle: u64) -> u64 {
-        // Bit 0 of the rotated set is cycle + 1's slot.
-        let ahead = self
-            .occupied
-            .rotate_right(((cycle + 1) % CAL_HORIZON) as u32);
-        if ahead == 0 {
-            u64::MAX
-        } else {
-            cycle + 1 + u64::from(ahead.trailing_zeros())
-        }
-    }
-}
-
-/// Ready-set state of one invocation for [`SchedulerKind::Ready`]
-/// (unused under `Dense`): which nodes to visit in which cycle.
-#[derive(Debug)]
-struct ReadySet {
-    /// Node visits, marked by *scan position* (not node id), so draining a
-    /// slot lowest-first mirrors the dense order. Same-cycle wakes always
-    /// land at positions ahead of the drain point (`scan`), so the forward
-    /// word walk never misses one.
-    wakes: Calendar,
-    /// Nodes blocked on the instance gate (`fired == admitted`), woken by
-    /// the next admission. Registered at gate failure and when a firing
-    /// exhausts the admitted window, so admission wakes are O(waiters)
-    /// instead of a scan over every node.
-    adm: Vec<u32>,
-    /// Scan position this tile's pass has reached in the current cycle;
-    /// -1 outside the pass. Phases 1–3 run before any tile is scanned and
-    /// no firing wakes a node of another tile, so this one number decides
-    /// whether a wake can still be served this cycle.
-    scan: i64,
-}
-
-impl ReadySet {
-    fn sized(n: usize) -> ReadySet {
-        ReadySet {
-            wakes: Calendar::sized(n),
-            adm: Vec::new(),
-            scan: -1,
-        }
-    }
-
-    /// Drop all membership (stale candidates of a retired invocation must
-    /// not leak into the next one; the `parked` flags reset with the nodes).
-    fn clear(&mut self) {
-        self.wakes.clear();
-        self.adm.clear();
-        self.scan = -1;
-    }
-}
-
 /// One admitted, unretired instance of an invocation.
 #[derive(Debug, Clone, Copy)]
 struct Instance {
@@ -628,10 +146,8 @@ struct Instance {
 /// Per-invocation runtime state on one execution tile.
 #[derive(Debug)]
 struct ActiveInv {
-    uid: u64,
-    args: Box<Vals>,
-    reply: Option<Site>,
-    spawn_parent: Option<(usize, u64)>,
+    /// The invocation this tile runs.
+    inv: Invocation,
     trip: u64,
     lo: i64,
     step: i64,
@@ -641,7 +157,7 @@ struct ActiveInv {
     /// Activation cycle (`Ready` accounts tile-busy cycles at retirement).
     since: u64,
     nodes: Vec<NodeState>,
-    /// Token rings, one per edge.
+    /// Token rings, one per edge, and accumulator registers.
     arena: TokenArena,
     /// The in-flight instances, front = instance `completed`. Instances
     /// are admitted and retired strictly in order, so a ring indexed by
@@ -649,9 +165,6 @@ struct ActiveInv {
     outstanding: VecDeque<Instance>,
     spawns_outstanding: u32,
     last_output: Vals,
-    /// Internal accumulator registers of `FusedAcc` units; a composite's
-    /// lanes are a region of the arena's slab.
-    acc_state: Vec<Option<Word>>,
     ready: ReadySet,
 }
 
@@ -674,10 +187,7 @@ enum InputGate {
 impl ActiveInv {
     fn new(nnodes: usize, caps: &[u32], stamped: &[bool]) -> ActiveInv {
         ActiveInv {
-            uid: 0,
-            args: Box::default(),
-            reply: None,
-            spawn_parent: None,
+            inv: Invocation::default(),
             trip: 0,
             lo: 0,
             step: 1,
@@ -686,11 +196,10 @@ impl ActiveInv {
             completed: 0,
             since: 0,
             nodes: vec![NodeState::default(); nnodes],
-            arena: TokenArena::with_caps(caps, stamped),
+            arena: TokenArena::with_caps(caps, stamped, nnodes),
             outstanding: VecDeque::new(),
             spawns_outstanding: 0,
             last_output: Vals::default(),
-            acc_state: vec![None; nnodes],
             ready: ReadySet::sized(nnodes),
         }
     }
@@ -706,7 +215,6 @@ impl ActiveInv {
         self.outstanding.clear();
         self.spawns_outstanding = 0;
         self.last_output.clear();
-        self.acc_state.fill(None);
         self.ready.clear();
     }
 
@@ -764,14 +272,10 @@ impl ActiveInv {
     /// the node fires before the visit comes due, the drain puts the visit
     /// off again (`ready_pass`), so no node is visited before its
     /// `ready_at`.
+    #[inline]
     fn wake(&mut self, info: &[NodeInfo], node: usize, at: u64, cycle: u64) -> u64 {
-        let pos = info[node].pos;
-        let mut t = at.max(self.nodes[node].ready_at);
-        if t == cycle && i64::from(pos) <= self.ready.scan {
-            t += 1;
-        }
-        self.ready.wakes.mark(pos, t, cycle);
-        t
+        let t = at.max(self.nodes[node].ready_at);
+        self.ready.wake(info[node].pos, t, cycle)
     }
 
     /// The input gate of `uop` for instance `k`: every token input must
@@ -817,7 +321,7 @@ impl ActiveInv {
         let ns = &mut self.nodes[node];
         if !ns.parked {
             ns.parked = true;
-            self.ready.adm.push(node as u32);
+            self.ready.park(node as u32);
         }
     }
 
@@ -827,7 +331,7 @@ impl ActiveInv {
         if self.can_admit(window) {
             cycle + 1
         } else {
-            self.ready.wakes.next_marked(cycle)
+            self.ready.first_from(cycle + 1).unwrap_or(u64::MAX)
         }
     }
 }
@@ -906,23 +410,6 @@ enum Ev {
     Reply { to: Site, results: Box<Vals> },
 }
 
-/// Event-ring horizon: every event is due within this many cycles of
-/// *now* and goes into a per-cycle FIFO ring bucket (O(1) push/pop, no
-/// comparisons). An event is a non-stamping firing's fixed-latency
-/// completion, an instance's last stamp or a reply one cycle on, so it is
-/// at most a node latency out, and the verifier holds every latency below
-/// [`hw::HORIZON_CYCLES`] at seal. The ring's occupancy mask
-/// ([`Engine::ev_occupied`]) is a `u32`, which ties the horizon to 32.
-/// The run touches every bucket in turn, so a ring no longer than it must
-/// be keeps the buckets in the first-level cache; a 256-bucket ring was
-/// measurably slower.
-const EV_HORIZON: u64 = 32;
-const _: () = assert!(EV_HORIZON == u32::BITS as u64, "Engine::ev_occupied");
-const _: () = assert!(
-    EV_HORIZON == hw::HORIZON_CYCLES as u64,
-    "hw::HORIZON_CYCLES"
-);
-
 /// The simulator.
 pub(crate) struct Engine<'a> {
     /// The sealed graph, read through the handle once.
@@ -934,11 +421,8 @@ pub(crate) struct Engine<'a> {
     structs: Vec<StructModel>,
     dram: DramModel,
     dram_idx: Option<usize>,
-    /// Events: ring of per-cycle FIFO buckets indexed by `at % EV_HORIZON`.
-    ev_near: Vec<Vec<Ev>>,
-    /// Bit `at % EV_HORIZON` is set while that `ev_near` bucket holds an
-    /// event, so the next due bucket is a rotate and a count.
-    ev_occupied: u32,
+    /// Scheduled events, in one FIFO bucket per cycle of the horizon.
+    events: EventRing<Ev>,
     /// In-flight memory requests. Ids are handed out densely, so the slot
     /// of request `id` is `id - req_base`; answered requests at the front
     /// are popped, which keeps the ring as long as the oldest one pending.
@@ -1058,19 +542,12 @@ impl<'a> Engine<'a> {
                         }
                     })
                     .collect();
-                let mut consts = Vals::default();
-                for c in ct.consts {
-                    let w = Word::from_value(c, &mut consts.lanes);
-                    consts
-                        .words
-                        .push(w.expect("a sealed constant has a flat form"));
-                }
                 ElabTask {
                     ct,
                     info,
                     cap,
                     stamped,
-                    consts,
+                    consts: door::flat_consts(ct.consts),
                 }
             })
             .collect();
@@ -1127,8 +604,7 @@ impl<'a> Engine<'a> {
             structs,
             dram,
             dram_idx,
-            ev_near: (0..EV_HORIZON).map(|_| Vec::new()).collect(),
-            ev_occupied: 0,
+            events: EventRing::new(),
             reqs: VecDeque::new(),
             req_base: 1,
             mem_resp: Vec::new(),
@@ -1157,21 +633,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    // ---- the door: root arguments in -----------------------------------
-    // `Value` lists exist between this marker and the next one only
-    // (scripts/check.sh, "one token payload").
-
-    /// Run the root task once with `args`; returns (cycles, results, stats,
-    /// observability artifacts when tracing was enabled).
+    /// Run the root task once with `args`, which came in through the door,
+    /// and leave its results in `root_result`; returns the cycle count.
     ///
     /// # Errors
     /// Deadlock (no progress), cycle-limit exhaustion, or a functional
     /// fault (out-of-bounds access on a live path).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn run(
-        &mut self,
-        args: &[Value],
-    ) -> Result<(u64, Vec<Value>, SimStats, Option<(SimProfile, Trace)>), SimError> {
+    fn run_flat(&mut self, args: Box<Vals>) -> Result<u64, SimError> {
         // DMA model (§3.2: scratchpads are DMA-managed): streaming the
         // read-only inputs into scratchpads costs DRAM bandwidth up front;
         // draining written scratchpad objects costs bandwidth at the end.
@@ -1198,18 +666,13 @@ impl<'a> Engine<'a> {
             0
         };
 
-        let root = self.acc.root.0 as usize;
-        let args = self.admit_root_args(root, args)?;
         let uid = self.fresh_uid();
-        self.enqueue(
-            root,
-            Invocation {
-                uid,
-                args,
-                reply: None,
-                spawn_parent: None,
-            },
-        );
+        let root = Invocation {
+            uid,
+            args,
+            ..Invocation::default()
+        };
+        self.enqueue(self.acc.root.0 as usize, root);
         self.cycle = fill_delay;
         self.last_progress = fill_delay;
         let mut scratch = Scratch::default();
@@ -1235,64 +698,7 @@ impl<'a> Engine<'a> {
         // Whatever the dataflow achieved, the run can never beat the AXI
         // channel: all scratchpad streams must cross it once.
         let stream_floor = lat + (fill + drain).div_ceil(bw);
-        let cycles = (self.cycle + drain_delay).max(stream_floor);
-        let results = self.root_result.take().map_or_else(Vec::new, |r| {
-            r.words.iter().map(|w| w.to_value(&r.lanes)).collect()
-        });
-        let stats = self.collect_stats(cycles);
-        let observed = self
-            .obs
-            .take()
-            .map(|o| o.finish(cycles, &stats.struct_stats));
-        Ok((cycles, results, stats, observed))
-    }
-
-    /// The door check on the root invocation: every `Input` node of the
-    /// root task must find an argument of its declared type, and every
-    /// argument must have a flat form. Inside the graph a token's kind
-    /// follows from the graph; here it is the caller's.
-    fn admit_root_args(&self, root: usize, args: &[Value]) -> Result<Box<Vals>, SimError> {
-        let task = &self.acc.tasks[root];
-        let at_door = |detail: String, node: Option<u32>| {
-            SimError::eval(detail).at_site(0, root as u32, &task.name, node, None)
-        };
-        for (n, nd) in task.dataflow.nodes.iter().enumerate() {
-            let NodeKind::Input { index } = nd.kind else {
-                continue;
-            };
-            let detail = match args.get(index as usize) {
-                None => format!("missing argument {index}"),
-                Some(v) if !value_fits(v, nd.ty) => {
-                    format!("argument {index} is {v}, but {} takes {}", nd.name, nd.ty)
-                }
-                Some(_) => continue,
-            };
-            return Err(at_door(detail, Some(n as u32)));
-        }
-        let mut flat = Box::<Vals>::default();
-        for (i, v) in args.iter().enumerate() {
-            let w = Word::from_value(v, &mut flat.lanes).ok_or_else(|| {
-                let detail = format!("argument {i} is {v}: lanes must be scalars of one kind");
-                at_door(detail, None)
-            })?;
-            flat.words.push(w);
-        }
-        Ok(flat)
-    }
-
-    // ---- the door: results out ------------------------------------------
-
-    /// The largest lane slab and the largest token array among this run's
-    /// invocation shells, live or pooled: `(slab words, ring slots)`.
-    #[cfg(test)]
-    pub(crate) fn slab_high_water(&self) -> (usize, usize) {
-        let shells = self.tasks.iter().flat_map(|t| {
-            let live = t.tiles.iter().flatten();
-            live.chain(&t.pool).map(|inv| &inv.arena)
-        });
-        shells.fold((0, 0), |(words, slots), a| {
-            (words.max(a.slab.words.len()), slots.max(a.toks.len()))
-        })
+        Ok((self.cycle + drain_delay).max(stream_floor))
     }
 
     /// Elements DMA'd into scratchpads before launch (read-only inputs) and
@@ -1350,32 +756,6 @@ impl<'a> Engine<'a> {
             faults,
             sched_visits: self.sched_visits,
         }
-    }
-
-    /// Schedule `ev` at cycle `at`, inside the horizon; within a cycle
-    /// events replay in push order.
-    fn schedule(&mut self, at: u64, ev: Ev) {
-        debug_assert!(at > self.cycle, "events are always strictly future");
-        debug_assert!(
-            at - self.cycle < EV_HORIZON,
-            "an event for {at} made at {}",
-            self.cycle
-        );
-        self.ev_near[(at % EV_HORIZON) as usize].push(ev);
-        self.ev_occupied |= 1 << (at % EV_HORIZON);
-    }
-
-    /// Cycle of the earliest scheduled event: the first occupied ring
-    /// bucket from the current cycle's on (bit 0 of the rotated mask).
-    /// Only the idle-skip path calls this, never the per-cycle hot loop.
-    fn next_event_cycle(&self) -> Option<u64> {
-        if self.ev_occupied == 0 {
-            return None;
-        }
-        let ahead = self
-            .ev_occupied
-            .rotate_right((self.cycle % EV_HORIZON) as u32);
-        Some(self.cycle + u64::from(ahead.trailing_zeros()))
     }
 
     /// Arbitration budget slot for junction `j` on (task, tile), reset
@@ -1445,15 +825,14 @@ impl<'a> Engine<'a> {
     /// cycle is a no-op under dense semantics (empty banks tick to
     /// nothing, every `try_fire` would gate out).
     fn maybe_skip_idle(&mut self) {
+        // The first tile to come due is the calendar's next mark: no later
+        // than `min(tile_due)`, earlier only by a stale mark, which costs a
+        // stepped cycle that does nothing.
         let cycle = self.cycle;
-        if self.dispatch_hint || self.tile_cal.marked(cycle) {
+        let mut earliest = self.tile_cal.first_from(cycle).unwrap_or(u64::MAX);
+        if self.dispatch_hint || earliest == cycle {
             return;
         }
-        // The last step was at `cycle - 1`. The first tile to come due is
-        // the calendar's next mark: no later than `min(tile_due)`, earlier
-        // only by a stale mark, which costs a stepped cycle that does
-        // nothing.
-        let mut earliest = self.tile_cal.next_marked(cycle.saturating_sub(1));
         for s in &self.structs {
             match s.next_activity(cycle) {
                 Some(at) if at <= cycle => return, // must tick now
@@ -1461,7 +840,7 @@ impl<'a> Engine<'a> {
                 None => {}
             }
         }
-        if let Some(at) = self.next_event_cycle() {
+        if let Some(at) = self.events.first_from(cycle) {
             if at <= cycle {
                 return;
             }
@@ -1474,120 +853,6 @@ impl<'a> Engine<'a> {
         if target > cycle {
             self.cycle = target;
         }
-    }
-
-    /// Walk the blocked-channel wait-for graph and diagnose the stall.
-    ///
-    /// Every node that still has instances to fire contributes wait-for
-    /// edges: an *empty* input channel makes it wait on its producer; a
-    /// *full* output channel makes it wait on its consumer. A cycle over
-    /// these edges is the deadlock's root cause; if one of the cycle's
-    /// channels is full, growing that buffer breaks the cycle, and the
-    /// report says exactly which edge and to what depth.
-    fn diagnose_deadlock(&self) -> DeadlockReport {
-        let cycle = self.cycle;
-        let mut vertices: Vec<V> = Vec::new();
-        let mut waits: HashMap<V, Vec<W>> = HashMap::new();
-        let mut report = DeadlockReport {
-            mem_outstanding: self.reqs.iter().flatten().count() as u32,
-            stuck_nodes: {
-                let mut sn: Vec<(u32, u32)> = self
-                    .stuck
-                    .iter()
-                    .map(|&(ti, _, n)| (ti as u32, n as u32))
-                    .collect();
-                sn.sort_unstable();
-                sn.dedup();
-                sn
-            },
-            ..DeadlockReport::default()
-        };
-        for (ti, t) in self.tasks.iter().enumerate() {
-            let task = &self.acc.tasks[ti];
-            let df = &task.dataflow;
-            let et = &self.elab[ti];
-            let ct = et.ct;
-            if !t.queue.is_empty() {
-                report.queued.push((ti as u32, t.queue.len()));
-            }
-            for (tk, tile) in t.tiles.iter().enumerate() {
-                let Some(inv) = tile else { continue };
-                report.stuck_tiles.push(StuckTile {
-                    task: ti as u32,
-                    task_name: task.name.clone(),
-                    tile: tk as u32,
-                    trip: inv.trip,
-                    admitted: inv.admitted,
-                    completed: inv.completed,
-                    spawns_outstanding: inv.spawns_outstanding,
-                });
-                for (node, uop) in ct.uops.iter().enumerate() {
-                    if uop.kind == UopKind::Static || self.stuck.contains(&(ti, tk, node)) {
-                        continue;
-                    }
-                    let k = inv.nodes[node].fired;
-                    if k >= inv.admitted {
-                        continue; // waiting for admission, not a channel
-                    }
-                    // `node` waits on node `on` through channel `ei`.
-                    let wait = |ei: usize, on: u32, state: ChannelState| W {
-                        to: (ti, tk, on as usize),
-                        edge: WaitEdge {
-                            task: ti as u32,
-                            task_name: task.name.clone(),
-                            edge: ei as u32,
-                            src: node as u32,
-                            src_name: df.nodes[node].name.to_string(),
-                            dst: on,
-                            dst_name: df.nodes[on as usize].name.to_string(),
-                            capacity: et.cap[ei],
-                            state,
-                        },
-                    };
-                    // Empty input channels: waiting on the producer. The
-                    // edges are the input gate's, in its order — token
-                    // slots by port, then the dynamic order-in edges.
-                    let slots = &ct.in_slots[uop.slot0 as usize..][..uop.nin as usize];
-                    let tokens = slots.iter().filter_map(|&s| match s & SLOT_TAG {
-                        SLOT_ARG | SLOT_CONST => None,
-                        SLOT_FEEDBACK if k == 0 => None,
-                        _ => Some(s & SLOT_PAYLOAD),
-                    });
-                    let order_in = &ct.edge_refs[uop.ebase as usize..][..uop.nord as usize];
-                    let mut out: Vec<W> = Vec::new();
-                    for ei in tokens.chain(order_in.iter().copied()) {
-                        let ei = ei as usize;
-                        if inv.arena.front(ei).is_none_or(|(_, vis)| vis > cycle) {
-                            out.push(wait(ei, ct.edge_meta[ei].src, ChannelState::Empty));
-                        }
-                    }
-                    // Full output channels: waiting on the consumer.
-                    for &ei in out_edges(&ct, uop) {
-                        let ei = ei as usize;
-                        if inv.arena.full(ei, et.cap[ei], cycle) {
-                            out.push(wait(ei, df.edges[ei].dst.0, ChannelState::Full));
-                        }
-                    }
-                    if !out.is_empty() {
-                        let me: V = (ti, tk, node);
-                        vertices.push(me);
-                        waits.insert(me, out);
-                    }
-                }
-            }
-        }
-        report.wait_cycle = find_wait_cycle(&vertices, &waits);
-        report.suggestion = report
-            .wait_cycle
-            .iter()
-            .filter(|w| w.state == ChannelState::Full)
-            .min_by_key(|w| w.capacity)
-            .map(|w| BufferSuggestion {
-                task: w.task,
-                edge: w.edge,
-                depth: w.capacity + 1,
-            });
-        report
     }
 
     /// A typed `Fault` error located at a node interface of invocation
@@ -1631,8 +896,8 @@ impl<'a> Engine<'a> {
     /// names its parent.
     fn issue_call(&mut self, site: Site, child: usize, nargs: usize, spawn: bool, values: &Vals) {
         let mut args = self.spare.pop().unwrap_or_default();
-        for &w in &values.words[..nargs] {
-            args.push(w, &values.lanes);
+        for &w in &values.words()[..nargs] {
+            args.push(w, values.lanes());
         }
         let (reply, spawn_parent) = if spawn {
             (None, Some((site.task as usize, site.uid)))
@@ -1640,15 +905,13 @@ impl<'a> Engine<'a> {
             (Some(site), None)
         };
         let uid = self.fresh_uid();
-        self.enqueue(
-            child,
-            Invocation {
-                uid,
-                args,
-                reply,
-                spawn_parent,
-            },
-        );
+        let call = Invocation {
+            uid,
+            args,
+            reply,
+            spawn_parent,
+        };
+        self.enqueue(child, call);
     }
 
     /// Push `inv` onto task `ti`'s issue queue.
@@ -1677,17 +940,11 @@ impl<'a> Engine<'a> {
         let cycle = self.cycle;
         self.scan_g = 0;
         // Phase 1: this cycle's scheduled events, in push order.
-        let slot = (cycle % EV_HORIZON) as usize;
-        if !self.ev_near[slot].is_empty() {
-            let mut bucket = std::mem::take(&mut self.ev_near[slot]);
-            self.ev_occupied &= !(1 << slot);
+        if let Some(mut bucket) = self.events.take(cycle) {
             for ev in bucket.drain(..) {
                 self.dispatch_event(ev)?;
             }
-            // Nothing can land in this slot mid-drain (that would need
-            // `at == cycle + EV_HORIZON`, past the horizon), so swap the
-            // emptied Vec back to keep its capacity.
-            self.ev_near[slot] = bucket;
+            self.events.put_back(cycle, bucket);
         }
         // Phase 2: memory responses. `Ready` passes over a quiet structure,
         // whose tick would return at once; the dense oracle ticks them all.
@@ -1709,7 +966,7 @@ impl<'a> Engine<'a> {
                             p.node as usize,
                             self.tasks[p.task as usize].tiles[p.tile as usize]
                                 .as_ref()
-                                .map_or(0, |i| i.uid),
+                                .map_or(0, |i| i.inv.uid),
                             p.instance,
                             FaultKind::EccUncorrectable,
                             format!("memory response for request {} (structure {si})", r.id),
@@ -1744,12 +1001,12 @@ impl<'a> Engine<'a> {
         // Phase 4: admissions + node firing (consumers-first order), tiles
         // in dense order. `Ready` ticks only the tiles that are due, taking
         // them from this cycle's calendar slot lowest-id-first; every
-        // other tile's tick would admit nothing and visit nothing (the tile-work invariant on `tile_due`). A stale mark
-        // fails the `tile_due` test and ticks nothing.
+        // other tile's tick would admit nothing and visit nothing (the
+        // tile-work invariant on `tile_due`). A stale mark fails the
+        // `tile_due` test and ticks nothing.
         if self.use_ready {
-            let slot = self.tile_cal.slot(cycle);
-            let mut wi = 0;
-            while let Some(g) = self.tile_cal.take(slot, &mut wi) {
+            let mut due = self.tile_cal.due(cycle);
+            while let Some(g) = self.tile_cal.take(&mut due) {
                 if self.tile_due[g] <= cycle {
                     self.scan_g = g + 1;
                     let (ti, tk) = self.tile_ids[g];
@@ -1820,7 +1077,7 @@ impl<'a> Engine<'a> {
                         ArgExpr::Const(k) => Ok(*k),
                         ArgExpr::Arg(a) => inv
                             .args
-                            .words
+                            .words()
                             .get(*a as usize)
                             .ok_or_else(|| {
                                 SimError::eval(format!("loop bound argument {a} missing"))
@@ -1852,11 +1109,8 @@ impl<'a> Engine<'a> {
                 Box::new(ActiveInv::new(et.info.len(), &et.cap, &et.stamped))
             }
         };
-        let old_args = std::mem::replace(&mut a.args, inv.args);
-        self.recycle(old_args);
-        a.uid = inv.uid;
-        a.reply = inv.reply;
-        a.spawn_parent = inv.spawn_parent;
+        let old = std::mem::replace(&mut a.inv, inv);
+        self.recycle(old.args);
         a.trip = trip;
         a.lo = lo;
         a.step = step;
@@ -1955,12 +1209,12 @@ impl<'a> Engine<'a> {
             // carry their own wakes). Their tokens can predate admission —
             // elastic edges run ahead.
             Some(_) => {
-                let mut adm = std::mem::take(&mut inv.ready.adm);
+                let mut adm = inv.ready.take_parked();
                 for node in adm.drain(..) {
                     inv.nodes[node as usize].parked = false;
                     inv.wake(info, node as usize, cycle, cycle);
                 }
-                inv.ready.adm = adm;
+                inv.ready.unparked(adm);
             }
             None => {}
         }
@@ -1969,22 +1223,20 @@ impl<'a> Engine<'a> {
         // `try_fire` can only set a bit ahead of the drain point, which
         // this forward walk will still reach.
         let order: &[u32] = self.elab[ti].ct.order;
-        let slot = inv.ready.wakes.slot(cycle);
-        let mut wi = 0;
-        while let Some(pos) = inv.ready.wakes.take(slot, &mut wi) {
+        let mut due = inv.ready.due(cycle);
+        while let Some(pos) = inv.ready.take(&mut due) {
             let node = order[pos] as usize;
             // A mark made for a token's stamp reads `ready_at` at the push;
             // a firing since may have moved it past this cycle.
             let ready_at = inv.nodes[node].ready_at;
             if ready_at > cycle {
-                inv.ready.wakes.mark(pos as u32, ready_at, cycle);
+                inv.ready.wake(pos as u32, ready_at, cycle);
                 continue;
             }
-            inv.ready.scan = pos as i64;
+            inv.ready.visiting(pos);
             self.try_fire(ti, tk, inv, node, scratch)?;
         }
-        inv.ready.wakes.drained(cycle);
-        inv.ready.scan = -1;
+        inv.ready.passed(cycle);
         Ok(())
     }
 
@@ -2046,7 +1298,7 @@ impl<'a> Engine<'a> {
                 return Err(self.fault_err(
                     ti,
                     node,
-                    inv.uid,
+                    inv.inv.uid,
                     k,
                     FaultKind::TokenMisorder,
                     format!("{feedback}edge e{edge}: expected instance {want}, found {found}"),
@@ -2124,7 +1376,7 @@ impl<'a> Engine<'a> {
         let r = self.fire(ti, tk, inv, node, uop, ni, k, scratch);
         r.map_err(|e| {
             let name = &self.acc.tasks[ti].name;
-            e.at_site(cycle, ti as u32, name, Some(node as u32), Some(inv.uid))
+            e.at_site(cycle, ti as u32, name, Some(node as u32), Some(inv.inv.uid))
         })
     }
 
@@ -2143,12 +1395,7 @@ impl<'a> Engine<'a> {
         k: u64,
         scratch: &mut Scratch,
     ) -> Result<(), SimError> {
-        let Scratch {
-            values,
-            out: out_values,
-        } = scratch;
-        values.clear();
-        out_values.clear();
+        let (values, out_values) = scratch.begin();
         let cycle = self.cycle;
         let df = &self.acc.tasks[ti].dataflow;
         let ct = self.elab[ti].ct;
@@ -2175,12 +1422,13 @@ impl<'a> Engine<'a> {
             let p = (s & SLOT_PAYLOAD) as usize;
             match s & SLOT_TAG {
                 SLOT_ARG => {
-                    let arg = inv.args.words.get(p);
+                    let args = &inv.inv.args;
+                    let arg = args.words().get(p);
                     let arg = arg.ok_or_else(|| SimError::eval(format!("missing argument {p}")))?;
-                    values.push(*arg, &inv.args.lanes);
+                    values.push(*arg, args.lanes());
                 }
-                SLOT_CONST => values.push(et.consts.words[p], &et.consts.lanes),
-                SLOT_FEEDBACK if k == 0 => values.words.push(Word::POISON), // unused at instance 0
+                SLOT_CONST => values.push(et.consts.words()[p], et.consts.lanes()),
+                SLOT_FEEDBACK if k == 0 => values.push_word(Word::POISON), // unused at instance 0
                 _ if inv.arena.len(p) == 0 => {
                     return Err(SimError::eval(format!("missing token on edge e{p}")));
                 }
@@ -2195,7 +1443,7 @@ impl<'a> Engine<'a> {
             task: ti as u32,
             tile: tk as u32,
             node: node as u32,
-            uid: inv.uid,
+            uid: inv.inv.uid,
             instance: k,
         };
         // The cycle the result is valid, unless memory or a callee decides.
@@ -2218,42 +1466,34 @@ impl<'a> Engine<'a> {
         };
 
         match uop.kind {
-            UopKind::IndVar => {
-                out_values
-                    .words
-                    .push(Word::int(inv.lo + k as i64 * inv.step));
-            }
+            UopKind::IndVar => out_values.push_word(Word::int(inv.lo + k as i64 * inv.step)),
             UopKind::Merge => {
                 // Port 0 = init (instance 0), port 1 = feedback.
-                out_values.push(values.words[usize::from(k != 0)], &values.lanes);
+                out_values.push(values.words()[usize::from(k != 0)], values.lanes());
             }
             UopKind::FusedAcc => {
                 // Self-accumulating unit: port 0 = init, port 1 = operand.
-                let slab = &mut inv.arena.slab;
                 if k != 0 {
-                    let base = inv.acc_state[node]
-                        .ok_or_else(|| SimError::eval("accumulator state missing"))?;
-                    values.words[0] = base.copy_into(&slab.words, &mut values.lanes);
+                    let held = inv.arena.read_acc(node, values, 0);
+                    held.ok_or_else(|| SimError::eval("accumulator state missing"))?;
                 }
-                eval_op(uop.op, &values.words[..2], &values.lanes, out_values)?;
-                if let Some(old) = inv.acc_state[node].take() {
-                    slab.release(old);
-                }
-                inv.acc_state[node] = Some(slab.adopt(out_values.words[0], &out_values.lanes));
+                eval_op(uop.op, &values.words()[..2], values.lanes(), out_values)?;
+                inv.arena
+                    .write_acc(node, out_values.words()[0], out_values.lanes());
             }
-            UopKind::Compute => eval_op(uop.op, &values.words, &values.lanes, out_values)?,
+            UopKind::Compute => eval_op(uop.op, values.words(), values.lanes(), out_values)?,
             UopKind::Fused => eval_fused(&ct.fused_plans[uop.a as usize], values, out_values)?,
             UopKind::Output => inv.last_output.copy_from(values),
             UopKind::Load => {
-                if active(values.words.last())? {
+                if active(values.words().last())? {
                     let obj = MemObjId(uop.a);
-                    let idx = index(values.words[0], "load")?;
+                    let idx = index(values.words()[0], "load")?;
                     let ty = df.nodes[node].ty;
                     let base = self.mem.flat_addr(obj, idx);
                     let n = u64::from(ty.elems());
                     let (elem, words) = self.mem.words(obj, idx, n).map_err(interp_err)?;
                     match ty {
-                        Type::Scalar(_) => out_values.words.push(Word::scalar(elem, words[0])),
+                        Type::Scalar(_) => out_values.push_word(Word::scalar(elem, words[0])),
                         Type::Vector { lanes, .. } => {
                             out_values.push_lanes(elem, Form::Vector(lanes.into()), words);
                         }
@@ -2264,17 +1504,17 @@ impl<'a> Engine<'a> {
                     self.issue_mem(site, uop.b as usize, base, n, false);
                     completion_at = None; // completes on the memory response
                 } else {
-                    out_values.words.push(Word::POISON);
+                    out_values.push_word(Word::POISON);
                 }
             }
             UopKind::Store => {
-                if active(values.words.last())? {
+                if active(values.words().last())? {
                     let obj = MemObjId(uop.a);
-                    let idx = index(values.words[0], "store")?;
-                    let v = values.words[1];
+                    let idx = index(values.words()[0], "store")?;
+                    let v = values.words()[1];
                     let (elem, words) = match (v.as_elem(), v.as_lanes()) {
                         (Some(elem), _) => (elem, std::slice::from_ref(&v.bits)),
-                        (None, Some(l)) => (l.elem, &values.lanes[l.range()]),
+                        (None, Some(l)) => (l.elem, &values.lanes()[l.range()]),
                         (None, None) => {
                             return Err(SimError::eval(format!("poison stored to {obj:?}")))
                         }
@@ -2292,7 +1532,7 @@ impl<'a> Engine<'a> {
                 let nargs = (uop.b >> 16) as usize;
                 let nres = (uop.b & 0xffff) as usize;
                 let mut result = Word::POISON; // squashed, or patched by the reply
-                if active(values.words.get(nargs))? {
+                if active(values.words().get(nargs))? {
                     let spawn = uop.flags & UOP_SPAWN != 0;
                     self.issue_call(site, child, nargs, spawn, values);
                     if spawn {
@@ -2302,7 +1542,9 @@ impl<'a> Engine<'a> {
                         completion_at = None;
                     }
                 }
-                out_values.words.resize(nres.max(1), result);
+                for _ in 0..nres.max(1) {
+                    out_values.push_word(result);
+                }
             }
             UopKind::Static => unreachable!("static"),
         }
@@ -2316,7 +1558,7 @@ impl<'a> Engine<'a> {
         for &er in &erefs[uop.nord as usize..] {
             let ei = er as usize;
             let m = ct.edge_meta[ei];
-            let mut value = match out_values.words.get(m.src_port as usize) {
+            let mut value = match out_values.words().get(m.src_port as usize) {
                 Some(&w) if !m.is_order => w,
                 _ => Word::bool(true),
             };
@@ -2327,14 +1569,14 @@ impl<'a> Engine<'a> {
                 }
                 if self.faults.roll(FaultClass::TokenBitFlip) {
                     let bit = self.faults.below(32) as u32;
-                    value = flip_bit(value, bit, &mut out_values.lanes);
+                    value = flip_bit(value, bit, out_values.lanes_mut());
                 }
                 if self.faults.roll(FaultClass::TokenDup) {
                     copies = 2;
                 }
             }
             for _ in 0..copies {
-                inv.arena.push(ei, k, vis, value, &out_values.lanes);
+                inv.arena.push(ei, k, vis, value, out_values.lanes());
             }
             if let Some(obs) = self.obs.as_mut() {
                 obs.edge_delta(cycle, ti, ei, inv.arena.len(ei), true);
@@ -2413,10 +1655,11 @@ impl<'a> Engine<'a> {
                 self.progress(at);
                 if inst.remaining == 0 {
                     let (task, tile, uid) = (site.task, site.tile, site.uid);
-                    self.schedule(inst.done_at, Ev::InstanceDone { task, tile, uid });
+                    self.events
+                        .push(inst.done_at, cycle, Ev::InstanceDone { task, tile, uid });
                 }
             }
-            Some(at) => self.schedule(at, Ev::NodeDone(site)),
+            Some(at) => self.events.push(at, cycle, Ev::NodeDone(site)),
             None => {} // completes on a memory response or a reply
         }
         Ok(())
@@ -2434,7 +1677,7 @@ impl<'a> Engine<'a> {
         let Some(inv) = self.tasks[ti].tiles[tk].as_deref_mut() else {
             return Ok(()); // stale
         };
-        if inv.uid != site.uid {
+        if inv.inv.uid != site.uid {
             return Ok(()); // stale
         }
         for &ei in outs {
@@ -2443,8 +1686,11 @@ impl<'a> Engine<'a> {
             // patching call-reply values onto data edges.
             let m = &et.edge_meta[ei as usize];
             let patch = reply_values.as_deref().and_then(|rv| {
-                let w = rv.words.get(m.src_port as usize).filter(|_| !m.is_order)?;
-                Some((*w, rv.lanes.as_slice()))
+                let w = rv
+                    .words()
+                    .get(m.src_port as usize)
+                    .filter(|_| !m.is_order)?;
+                Some((*w, rv.lanes()))
             });
             inv.arena.reveal(ei as usize, site.instance, cycle, patch);
         }
@@ -2486,7 +1732,8 @@ impl<'a> Engine<'a> {
         }
         if stamp_ahead {
             let (task, tile, uid) = (site.task, site.tile, site.uid);
-            self.schedule(inst.done_at, Ev::InstanceDone { task, tile, uid });
+            self.events
+                .push(inst.done_at, cycle, Ev::InstanceDone { task, tile, uid });
         }
         self.progress(cycle);
         self.check_invocation_complete(ti, tk)
@@ -2500,7 +1747,7 @@ impl<'a> Engine<'a> {
         let Some(inv) = self.tasks[ti].tiles[tk].as_deref_mut() else {
             return Ok(());
         };
-        if inv.uid != uid {
+        if inv.inv.uid != uid {
             return Ok(());
         }
         inv.retire_done(self.cycle);
@@ -2534,20 +1781,20 @@ impl<'a> Engine<'a> {
         if inv.trip == 0 {
             for r in 0..task.num_results as usize {
                 let w = match task.loop_result_inits.get(r).and_then(|x| *x) {
-                    Some(ResultInit::Arg(a)) => inv.args.words.get(a as usize).copied(),
+                    Some(ResultInit::Arg(a)) => inv.inv.args.words().get(a as usize).copied(),
                     Some(ResultInit::Const(c)) => Some(c.into()),
                     None => None,
                 };
-                results.push(w.unwrap_or(Word::POISON), &inv.args.lanes);
+                results.push(w.unwrap_or(Word::POISON), inv.inv.args.lanes());
             }
         } else {
             results.copy_from(&inv.last_output);
         }
-        if let Some((ptask, puid)) = inv.spawn_parent {
+        if let Some((ptask, puid)) = inv.inv.spawn_parent {
             self.recycle(results);
             // Sync bookkeeping: find the parent invocation and release it.
             for pinv in self.tasks[ptask].tiles.iter_mut().flatten() {
-                if pinv.uid == puid {
+                if pinv.inv.uid == puid {
                     pinv.spawns_outstanding -= 1;
                     break;
                 }
@@ -2557,9 +1804,9 @@ impl<'a> Engine<'a> {
             for pt in 0..ptiles {
                 self.check_invocation_complete(ptask, pt)?;
             }
-        } else if let Some(to) = inv.reply {
+        } else if let Some(to) = inv.inv.reply {
             let at = self.cycle + 1;
-            self.schedule(at, Ev::Reply { to, results });
+            self.events.push(at, self.cycle, Ev::Reply { to, results });
         } else {
             self.root_result = Some(results);
         }
@@ -2569,58 +1816,6 @@ impl<'a> Engine<'a> {
         self.tasks[ti].pool.push(inv);
         Ok(())
     }
-}
-
-/// A wait-for-graph vertex: (task, tile, node).
-type V = (usize, usize, usize);
-
-/// One wait-for edge: the owning vertex waits on `to` through `edge`.
-struct W {
-    to: V,
-    edge: WaitEdge,
-}
-
-/// Find one cycle in the wait-for graph (iterative DFS with an explicit
-/// path stack) and return its wait edges in wait-for order. Empty if the
-/// stall has no channel cycle (e.g. progress is blocked on memory).
-fn find_wait_cycle(vertices: &[V], waits: &HashMap<V, Vec<W>>) -> Vec<WaitEdge> {
-    // 0 = unvisited, 1 = on the current path, 2 = finished.
-    let mut color: HashMap<V, u8> = HashMap::new();
-    for &start in vertices {
-        if color.get(&start).copied().unwrap_or(0) != 0 {
-            continue;
-        }
-        // Each entry: (vertex, next out-edge index, wait edge that led here).
-        let mut path: Vec<(V, usize, Option<WaitEdge>)> = vec![(start, 0, None)];
-        color.insert(start, 1);
-        while let Some(&(v, i, _)) = path.last() {
-            let Some(w) = waits.get(&v).and_then(|o| o.get(i)) else {
-                color.insert(v, 2);
-                path.pop();
-                continue;
-            };
-            if let Some(top) = path.last_mut() {
-                top.1 += 1;
-            }
-            match color.get(&w.to).copied().unwrap_or(0) {
-                1 => {
-                    // Back edge: the cycle runs from `w.to` along the path
-                    // back to `v`, closed by this edge.
-                    let p = path.iter().position(|e| e.0 == w.to).unwrap_or(0);
-                    let mut cycle: Vec<WaitEdge> =
-                        path[p + 1..].iter().filter_map(|e| e.2.clone()).collect();
-                    cycle.push(w.edge.clone());
-                    return cycle;
-                }
-                2 => {}
-                _ => {
-                    color.insert(w.to, 1);
-                    path.push((w.to, 0, Some(w.edge.clone())));
-                }
-            }
-        }
-    }
-    Vec::new()
 }
 
 /// A completion names an instance its invocation does not have in flight.
@@ -2664,8 +1859,8 @@ fn eval_op(op: OpKind, ins: &[Word], lanes: &[u64], out: &mut Vals) -> Result<()
         OpKind::Tensor(_, _) if ins.iter().any(|w| w.is_poison()) => Word::POISON,
         OpKind::Tensor(t, _) => {
             // The result's lanes (if it is a tile) land in `out` directly.
-            let r = flat::tensor(t, ins[0], ins.get(1).copied(), lanes, &mut out.lanes);
-            out.words.push(r.map_err(interp_err)?);
+            let r = flat::tensor(t, ins[0], ins.get(1).copied(), lanes, out.lanes_mut());
+            out.push_word(r.map_err(interp_err)?);
             return Ok(());
         }
     };
@@ -2681,22 +1876,22 @@ fn eval_fused(
     values: &mut Vals,
     out: &mut Vals,
 ) -> Result<(), SimError> {
-    let ext = values.words.len();
+    let ext = values.words().len();
     for step in &plan.steps {
-        let ins = values.words.len();
+        let ins = values.words().len();
         for i in &step.inputs {
             let w = match i {
-                FusedInput::External(p) => values.words[*p as usize],
-                FusedInput::Step(s) => values.words[ext + *s as usize],
+                FusedInput::External(p) => values.words()[*p as usize],
+                FusedInput::Step(s) => values.words()[ext + *s as usize],
             };
-            values.words.push(w);
+            values.push_word(w);
         }
         out.clear();
-        eval_op(step.op, &values.words[ins..], &values.lanes, out)?;
-        values.words.truncate(ins);
-        values.push(out.words[0], &out.lanes);
+        eval_op(step.op, &values.words()[ins..], values.lanes(), out)?;
+        values.truncate(ins);
+        values.push(out.words()[0], out.lanes());
     }
-    if out.words.is_empty() {
+    if out.words().is_empty() {
         return Err(SimError::eval("empty fused plan"));
     }
     Ok(())
@@ -2731,26 +1926,6 @@ fn flip_bit(v: Word, bit: u32, lanes: &mut Vec<u64>) -> Word {
     }
 }
 
-/// Whether `v` is a value an edge of type `ty` can carry: poison always,
-/// booleans and integers on any integer scalar (the evaluators read either
-/// as the other), floats on `f32`, vectors and tiles of the declared extent
-/// whose lanes fit the element type.
-fn value_fits(v: &Value, ty: Type) -> bool {
-    let lanes_fit = |lanes: &[Value], elem| lanes.iter().all(|l| value_fits(l, Type::Scalar(elem)));
-    match (v, ty) {
-        (Value::Poison, _) => true,
-        (Value::Bool(_) | Value::Int(_), Type::Scalar(s)) => !s.is_float(),
-        (Value::F32(_), Type::Scalar(s)) => s.is_float(),
-        (Value::Vector(l), Type::Vector { elem, lanes }) => {
-            l.len() == usize::from(lanes) && lanes_fit(l, elem)
-        }
-        (Value::Tensor { shape, data }, Type::Tensor { elem, shape: want }) => {
-            *shape == want && data.len() == want.elems() as usize && lanes_fit(data, elem)
-        }
-        _ => false,
-    }
-}
-
 /// The truth value of a predicate-like input: `None` for poison, an
 /// evaluation error naming `what` for anything not boolean or integer.
 fn truth(v: Word, what: &str) -> Result<Option<bool>, SimError> {
@@ -2763,7 +1938,24 @@ fn truth(v: Word, what: &str) -> Result<Option<bool>, SimError> {
 
 #[cfg(test)]
 mod tests {
+    use super::ready::HORIZON;
     use super::*;
+
+    impl Engine<'_> {
+        /// The largest lane slab and the largest token array among this
+        /// run's invocation shells, live or pooled: `(slab words, ring
+        /// slots)`.
+        pub(crate) fn slab_high_water(&self) -> (usize, usize) {
+            let shells = self.tasks.iter().flat_map(|t| {
+                let live = t.tiles.iter().flatten();
+                live.chain(&t.pool).map(|inv| &inv.arena)
+            });
+            shells.fold((0, 0), |(words, slots), a| {
+                let (w, s) = a.storage();
+                (words.max(w), slots.max(s))
+            })
+        }
+    }
     use muir_frontend::{translate, FrontendConfig};
     use muir_mir::builder::FunctionBuilder;
     use muir_mir::instr::ValueRef;
@@ -2788,16 +1980,15 @@ mod tests {
         // Cycle 100's slot (4) wraps below the current one (6), and 101's
         // is the last before the ring comes round.
         assert_eq!(inv.wake(&info, 3, cycle + 30, cycle), 100);
-        assert_eq!(inv.wake(&info, 2, cycle + CAL_HORIZON - 1, cycle), 101);
-        assert!((101 % CAL_HORIZON) < (cycle % CAL_HORIZON));
+        assert_eq!(inv.wake(&info, 2, cycle + HORIZON - 1, cycle), 101);
+        assert!((101 % HORIZON) < (cycle % HORIZON));
         inv.park_adm(3);
-        inv.ready.scan = 2;
-        assert_eq!(inv.ready.wakes.next_marked(cycle), cycle + 5);
+        inv.ready.visiting(2);
+        assert_eq!(inv.ready.first_from(cycle + 1), Some(cycle + 5));
+        assert!(!inv.ready.is_clear());
         inv.reset();
-        assert!(inv.ready.wakes.cal.iter().all(|&w| w == 0));
-        assert!(inv.ready.adm.is_empty());
-        assert_eq!(inv.ready.scan, -1);
-        assert_eq!(inv.ready.wakes.next_marked(cycle), u64::MAX);
+        assert!(inv.ready.is_clear());
+        assert_eq!(inv.ready.first_from(cycle), None);
         assert!(!inv.nodes[3].parked);
     }
 
@@ -2850,11 +2041,11 @@ mod tests {
         assert!(e.use_ready && e.tile_due.len() > 1);
         let g = e.tile_due.len() - 1;
         e.cycle = 50;
-        let due = e.cycle + CAL_HORIZON - 1;
+        let due = e.cycle + HORIZON - 1;
         e.set_due(g, due);
-        assert_eq!(e.tile_cal.next_marked(e.cycle), due);
+        assert_eq!(e.tile_cal.first_from(e.cycle + 1), Some(due));
         assert_eq!(ticks(&mut e, due + 40), [(due, g)]);
-        assert_eq!(e.tile_cal.next_marked(e.cycle - 1), u64::MAX, "all drained");
+        assert_eq!(e.tile_cal.first_from(e.cycle), None, "all drained");
     }
 
     /// A wake marks a tile for cycle 10; the tile retires, is reactivated
@@ -2873,47 +2064,11 @@ mod tests {
         e.set_due(g, u64::MAX); // retired
         e.set_due(g, 3); // reactivated
         assert_eq!(ticks(&mut e, 4), [(3, g)]);
-        assert_eq!(e.tile_cal.next_marked(3), 10, "the stale mark first");
+        assert_eq!(e.tile_cal.first_from(4), Some(10), "the stale mark first");
         e.set_due(g, 20); // what the pass at cycle 3 left behind
         assert_eq!(ticks(&mut e, 11), []);
-        assert_eq!(e.tile_cal.next_marked(10), 20, "after its drain");
+        assert_eq!(e.tile_cal.first_from(11), Some(20), "after its drain");
         assert_eq!(ticks(&mut e, 30), [(20, g)]);
-    }
-
-    /// `next_event_cycle` answers from the ring's occupancy mask what a
-    /// scan of every bucket from the current cycle on would answer, over
-    /// random schedules that wrap the ring. The events are stale `InstanceDone`s (the tiles
-    /// hold no invocation), so stepping drains them and changes nothing
-    /// else.
-    #[test]
-    fn next_event_cycle_matches_a_scan_of_the_ring() {
-        let (m, comp) = loop_nest();
-        let cfg = SimConfig::default();
-        let mut mem = Memory::from_module(&m);
-        let mut e = Engine::new(&comp, &mut mem, &cfg);
-        let (task, tile) = e.tile_ids[0];
-        let scan = |e: &Engine| {
-            (e.cycle..e.cycle + EV_HORIZON)
-                .find(|&at| !e.ev_near[(at % EV_HORIZON) as usize].is_empty())
-        };
-        let mut rng = muir_core::rng::SplitMix64::new(0x0e1e);
-        let mut scratch = Scratch::default();
-        let (mut seen, mut wrapped) = (0, 0);
-        for _ in 0..4_000 {
-            if rng.below(8) == 0 {
-                let at = e.cycle + 1 + rng.below(EV_HORIZON - 1);
-                e.schedule(at, Ev::InstanceDone { task, tile, uid: 0 });
-            }
-            let want = scan(&e);
-            assert_eq!(e.next_event_cycle(), want, "cycle {}", e.cycle);
-            if let Some(at) = want {
-                seen += 1;
-                // The next event's bucket lies below the current one's.
-                wrapped += u32::from(at % EV_HORIZON < e.cycle % EV_HORIZON);
-            }
-            e.step(&mut scratch).expect("a stale event is a no-op");
-        }
-        assert!(seen > 100 && wrapped > 100, "{seen} {wrapped}");
     }
 
     /// An `InstanceDone` that finds its tile free, or running a later
@@ -2940,11 +2095,10 @@ mod tests {
                     .flat_map(|t| &t.tiles)
                     .map(|t| {
                         t.as_deref()
-                            .map(|inv| (inv.uid, inv.completed, inv.outstanding.len()))
+                            .map(|inv| (inv.inv.uid, inv.completed, inv.outstanding.len()))
                     })
                     .collect();
-                let near: usize = e.ev_near.iter().map(Vec::len).sum();
-                let events = (e.ev_occupied, near);
+                let events = format!("{:?}", e.events);
                 (tiles, e.tile_due.clone(), events, e.last_progress)
             };
             let before = shown(&engine);

@@ -22,7 +22,7 @@
 # crates/bench/src and tests/, only crates/bench/src/sched.rs names
 # `SchedulerKind::Dense`), the one-hot-path gate (under crates/sim/src:
 # no `unsafe`, no `SchedulerKind::Parallel`, no second firing body — one
-# `fn try_fire` and one `fn fire` in engine.rs — and a reference lowering
+# `fn try_fire` and one `fn fire` in engine.rs and engine/ — and a reference lowering
 # that names no `CompiledTask` outside `check_lowering`), the one-adjacency
 # gate (the sealed artifact holds each edge once: the per-node edge lists,
 # the CSR index and the memory-client map stay out of
@@ -33,12 +33,12 @@
 # examples/, the store codec's `obj` path parses straight into words
 # without the `Value`-token helpers, and the engine moves words —
 # `Memory::words`/`store_words` — never the `Value`-building `load`/`store`),
-# the one-token-payload gate (in crates/sim/src/engine.rs a `Value` list or
-# field exists only between the door's two marker comments: root arguments
-# in, results out), the one-wake-clock gate (engine.rs keeps one wake
+# the one-token-payload gate (under crates/sim/src/engine.rs and engine/,
+# `Value` is named in engine/door.rs only: root arguments in, results
+# out), the one-wake-clock gate (engine.rs and engine/ keep one wake
 # calendar keyed by cycle — no `next` list, no `future` heap, no membership
-# bits; its `cal`/`occupied` fields are defined once, in the one calendar
-# type node visits and tile ticks share, and no loop walks
+# bits; its `cal` field and the one occupancy mask beside it and the event
+# ring are each defined once, and no loop walks
 # `0..self.tile_due.len()`; no far heap beside the calendar or the event
 # ring, since the verifier holds every unit inside their horizon —
 # schedules `Ev::NodeDone` from one site and pushes an in-flight token
@@ -137,10 +137,12 @@ if grep -rnE 'unsafe|SchedulerKind::Parallel|try_fire_interp|fire_interp|use_uop
     echo "check.sh: crates/sim/src must stay free of unsafe code, of a Parallel scheduler and of a second firing body (lines above)" >&2
     exit 1
 fi
+# The engine is engine.rs and its child modules under engine/.
+engine="crates/sim/src/engine.rs crates/sim/src/engine"
 for f in try_fire fire; do
-    n=$(grep -cE "^ *fn $f" crates/sim/src/engine.rs || true)
+    n=$(grep -rhE "^ *fn $f" $engine | grep -c . || true)
     if [ "$n" != 1 ]; then
-        echo "check.sh: engine.rs must define exactly one \`fn $f…\` (found $n)" >&2
+        echo "check.sh: engine.rs and engine/ must define exactly one \`fn $f…\` (found $n)" >&2
         exit 1
     fi
 done
@@ -172,8 +174,8 @@ if grep -rn 'Vec<Vec<Value>>' crates src tests examples; then
     exit 1
 fi
 # A firing copies words between the image and its tokens.
-if grep -nE '\.(load|store)\(' crates/sim/src/engine.rs; then
-    echo "check.sh: engine.rs reads Memory::words and writes Memory::store_words; load/store build a Value per element (lines above)" >&2
+if grep -rnE '\.(load|store)\(' $engine; then
+    echo "check.sh: engine.rs and engine/ read Memory::words and write Memory::store_words; load/store build a Value per element (lines above)" >&2
     exit 1
 fi
 # decode_eval's obj path is take_obj and the two parsers under it; the
@@ -185,60 +187,55 @@ if ! grep -q 'objects.push(take_obj(' crates/store/src/codec.rs ||
     exit 1
 fi
 
-echo "== one token payload (engine.rs: Value lists at the door only) =="
+echo "== one token payload (engine.rs and engine/: Value at the door only) =="
 # A token is a `flat::Word`; what a firing touches follows it. `Value`
-# comes in with the root arguments and goes out with the results.
-door_in='// ---- the door: root arguments in'
-door_out='// ---- the door: results out'
-if [ "$(grep -cF -e "$door_in" -e "$door_out" crates/sim/src/engine.rs)" != 2 ]; then
-    echo "check.sh: engine.rs must keep its two door markers (\`$door_in\`, \`$door_out\`)" >&2
-    exit 1
-fi
-if sed "\\|$door_in|,\\|$door_out|d" crates/sim/src/engine.rs |
-    grep -nE 'val: Value|Vec<Value>|Option<Value>|Vec<Vec<Value>>'; then
-    echo "check.sh: engine.rs holds a Value outside the door; tokens, scratch, arguments and results are flat::Word (lines above; numbered without the door)" >&2
+# comes in with the root arguments and goes out with the results, in
+# engine/door.rs.
+if grep -rnw 'Value' $engine | grep -v '^crates/sim/src/engine/door\.rs:'; then
+    echo "check.sh: the engine names a Value outside engine/door.rs; tokens, scratch, arguments and results are flat::Word (lines above)" >&2
     exit 1
 fi
 
-echo "== one wake clock (engine.rs: one calendar, one NodeDone site, one in-flight push) =="
+echo "== one wake clock (engine.rs and engine/: one calendar, one NodeDone site, one in-flight push) =="
 # A fixed-latency firing stamps its tokens and wakes their consumers for
 # the stamp's cycle; only a Load, Store or TaskCall completes by event.
-if grep -nE 'IN_NEXT|IN_FUTURE|next: Vec' crates/sim/src/engine.rs; then
-    echo "check.sh: engine.rs keeps its wakes in the calendar (Calendar::cal), not in per-container lists and bits (lines above)" >&2
+if grep -rnE 'IN_NEXT|IN_FUTURE|next: Vec' $engine; then
+    echo "check.sh: the engine keeps its wakes in the calendar (Calendar::cal), not in per-container lists and bits (lines above)" >&2
     exit 1
 fi
-# Node visits and tile ticks are marked in one calendar type: its two
-# fields are declared once, and phase 4 drains it instead of reading every
-# tile's `tile_due` entry.
+# Node visits and tile ticks are marked in one calendar type, and it and
+# the event ring share one occupancy mask over one horizon: the calendar's
+# slots and the mask are declared once, and phase 4 drains the calendar
+# instead of reading every tile's `tile_due` entry.
 for field in 'cal: Vec<' 'occupied: u32,'; do
-    n=$(grep -cE "^ *$field" crates/sim/src/engine.rs || true)
+    n=$(grep -rhE "^ *$field" $engine | grep -c . || true)
     if [ "$n" != 1 ]; then
-        echo "check.sh: engine.rs must declare the calendar field \`$field\` exactly once, in \`struct Calendar\` (found $n)" >&2
+        echo "check.sh: engine.rs and engine/ must declare \`$field\` exactly once, in \`struct Calendar\` or \`struct Occupancy\` (found $n)" >&2
         exit 1
     fi
 done
 # Every mark and every event is due inside the horizon (the verifier
 # refuses a unit that reaches it), so neither the calendar nor the event
 # ring keeps a far heap.
-n=$(grep -cE '^ *far: BinaryHeap<' crates/sim/src/engine.rs || true)
-if [ "$n" != 0 ] || grep -nE 'EvAt|ev_far|ev_seq|mark_far|promote_far' crates/sim/src/engine.rs; then
-    echo "check.sh: engine.rs keeps no far heap beside its calendar or event ring (found $n \`far: BinaryHeap<\` fields; other lines above)" >&2
+n=$(grep -rhE '^ *far: BinaryHeap<' $engine | grep -c . || true)
+if [ "$n" != 0 ] || grep -rnE 'EvAt|ev_far|ev_seq|mark_far|promote_far|EV_HORIZON|CAL_HORIZON' $engine; then
+    echo "check.sh: the engine keeps no far heap beside its calendar or event ring (found $n \`far: BinaryHeap<\` fields; other lines above)" >&2
     exit 1
 fi
-if grep -nF '0..self.tile_due.len()' crates/sim/src/engine.rs; then
+if grep -rnF '0..self.tile_due.len()' $engine; then
     echo "check.sh: phase 4 takes its tiles from the tile calendar (tile_cal), not from a walk over tile_due (lines above)" >&2
     exit 1
 fi
 # Every mention but the pattern of dispatch_event's match arm.
-n=$(grep -F 'Ev::NodeDone(' crates/sim/src/engine.rs | grep -cvE '^ *Ev::NodeDone\([a-z_]+\) =>' || true)
+n=$(grep -rhF 'Ev::NodeDone(' $engine | grep -cvE '^ *Ev::NodeDone\([a-z_]+\) =>' || true)
 if [ "$n" != 1 ]; then
-    echo "check.sh: engine.rs must construct Ev::NodeDone at exactly one site, book_firing's event path (found $n)" >&2
+    echo "check.sh: the engine must construct Ev::NodeDone at exactly one site, book_firing's event path (found $n)" >&2
     exit 1
 fi
-n=$(grep -cE 'let vis = .*u64::MAX' crates/sim/src/engine.rs || true)
-m=$(grep -cE 'vis: u64::MAX' crates/sim/src/engine.rs || true)
+n=$(grep -rhE 'let vis = .*u64::MAX' $engine | grep -c . || true)
+m=$(grep -rhE 'vis: u64::MAX' $engine | grep -c . || true)
 if [ "$n" != 1 ] || [ "$m" != 1 ]; then
-    echo "check.sh: engine.rs pushes a token in flight (vis = u64::MAX) from one branch of fire, and names that visibility otherwise only in Token::EMPTY (found $n, $m)" >&2
+    echo "check.sh: the engine pushes a token in flight (vis = u64::MAX) from one branch of fire, and names that visibility otherwise only in Token::EMPTY (found $n, $m)" >&2
     exit 1
 fi
 

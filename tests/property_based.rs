@@ -8,6 +8,7 @@
 //! * affine address analysis is consistent with concrete evaluation;
 //! * the memory models never lose or duplicate transactions.
 
+use muir::core::rng::SplitMix64;
 use muir::core::{Accelerator, CompiledAccel};
 use muir::frontend::{translate, FrontendConfig};
 use muir::mir::builder::FunctionBuilder;
@@ -32,32 +33,20 @@ fn seal_and_run(
     simulate_compiled(&comp, mem, args, cfg)
 }
 
-/// Deterministic splitmix64 stream: the test-local stand-in for a property
-/// testing framework's generator.
-struct Gen(u64);
+/// The case generator for `seed`: a splitmix64 stream, the test-local
+/// stand-in for a property testing framework's generator.
+fn gen(seed: u64) -> SplitMix64 {
+    SplitMix64::new(seed.wrapping_add(0x9e37_79b9_7f4a_7c15))
+}
 
-impl Gen {
-    fn new(seed: u64) -> Gen {
-        Gen(seed.wrapping_add(0x9e37_79b9_7f4a_7c15))
-    }
+/// Uniform in `[lo, hi)`.
+fn range(g: &mut SplitMix64, lo: i64, hi: i64) -> i64 {
+    assert!(hi > lo);
+    lo + g.below((hi - lo) as u64) as i64
+}
 
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[lo, hi)`.
-    fn range(&mut self, lo: i64, hi: i64) -> i64 {
-        assert!(hi > lo);
-        lo + (self.next_u64() % (hi - lo) as u64) as i64
-    }
-
-    fn vec_i64(&mut self, n: usize, lo: i64, hi: i64) -> Vec<i64> {
-        (0..n).map(|_| self.range(lo, hi)).collect()
-    }
+fn vec_i64(g: &mut SplitMix64, n: usize, lo: i64, hi: i64) -> Vec<i64> {
+    (0..n).map(|_| range(g, lo, hi)).collect()
 }
 
 /// A small random integer expression over two operands.
@@ -80,10 +69,10 @@ const OPS: [ExprOp; 6] = [
     ExprOp::Shl3,
 ];
 
-fn random_ops(g: &mut Gen) -> Vec<ExprOp> {
-    let len = g.range(1, 6) as usize;
+fn random_ops(g: &mut SplitMix64) -> Vec<ExprOp> {
+    let len = range(g, 1, 6) as usize;
     (0..len)
-        .map(|_| OPS[g.range(0, OPS.len() as i64) as usize])
+        .map(|_| OPS[range(g, 0, OPS.len() as i64) as usize])
         .collect()
 }
 
@@ -133,9 +122,9 @@ fn random_loop_module(
 #[test]
 fn simulated_accelerator_matches_interpreter() {
     for case in 0..24u64 {
-        let mut g = Gen::new(0x51a0 + case);
+        let mut g = gen(0x51a0 + case);
         let ops = random_ops(&mut g);
-        let data = g.vec_i64(16, -100, 100);
+        let data = vec_i64(&mut g, 16, -100, 100);
         let n = data.len() as i64;
         let (m, a, out) = random_loop_module(&ops, n);
         let acc = translate(&m, &FrontendConfig::default()).unwrap();
@@ -159,10 +148,10 @@ fn simulated_accelerator_matches_interpreter() {
 #[test]
 fn passes_preserve_random_programs() {
     for case in 0..24u64 {
-        let mut g = Gen::new(0xbeef + case);
+        let mut g = gen(0xbeef + case);
         let ops = random_ops(&mut g);
-        let data = g.vec_i64(16, -50, 50);
-        let banks = g.range(1, 5) as u32;
+        let data = vec_i64(&mut g, 16, -50, 50);
+        let banks = range(&mut g, 1, 5) as u32;
         let n = data.len() as i64;
         let (m, a, out) = random_loop_module(&ops, n);
         let mut acc = translate(&m, &FrontendConfig::default()).unwrap();
@@ -192,9 +181,9 @@ fn passes_preserve_random_programs() {
 #[test]
 fn predication_matches_interpreter() {
     for case in 0..16u64 {
-        let mut g = Gen::new(0x97ed + case);
-        let threshold = g.range(-20, 20);
-        let data = g.vec_i64(16, -30, 30);
+        let mut g = gen(0x97ed + case);
+        let threshold = range(&mut g, -20, 20);
+        let data = vec_i64(&mut g, 16, -30, 30);
         let n = data.len() as i64;
         let mut m = Module::new("pred");
         let a = m.add_ro_mem_object("a", ScalarType::I32, n as u64);
@@ -229,9 +218,9 @@ fn predication_matches_interpreter() {
 #[test]
 fn reductions_match_interpreter() {
     for case in 0..12u64 {
-        let mut g = Gen::new(0xacc0 + case);
-        let data = g.vec_i64(24, -40, 40);
-        let init = g.range(-10, 10);
+        let mut g = gen(0xacc0 + case);
+        let data = vec_i64(&mut g, 24, -40, 40);
+        let init = range(&mut g, -10, 10);
         let n = data.len() as i64;
         let mut m = Module::new("red");
         let a = m.add_ro_mem_object("a", ScalarType::I32, n as u64);
@@ -278,9 +267,9 @@ fn reductions_match_interpreter() {
 fn affine_analysis_matches_concrete() {
     use muir::mir::analysis::{affine_of, induction_var, natural_loops, Affine};
     for case in 0..16u64 {
-        let mut g = Gen::new(0xaff1 + case);
-        let scale = g.range(1, 8);
-        let offset = g.range(0, 16);
+        let mut g = gen(0xaff1 + case);
+        let scale = range(&mut g, 1, 8);
+        let offset = range(&mut g, 0, 16);
         let mut m = Module::new("aff");
         let a = m.add_mem_object("a", ScalarType::I32, 256);
         let mut b = FunctionBuilder::new("main", &[]).with_mem(&m);
@@ -325,10 +314,10 @@ fn scratchpad_conserves_transactions() {
     use muir::core::structure::{Structure, StructureKind};
     use muir::sim::memory::{MemRequest, StructModel};
     for case in 0..16u64 {
-        let mut g = Gen::new(0x5bad + case);
-        let naddrs = g.range(1, 24) as usize;
-        let addrs: Vec<u64> = (0..naddrs).map(|_| g.range(0, 64) as u64).collect();
-        let banks = g.range(1, 5) as u32;
+        let mut g = gen(0x5bad + case);
+        let naddrs = range(&mut g, 1, 24) as usize;
+        let addrs: Vec<u64> = (0..naddrs).map(|_| range(&mut g, 0, 64) as u64).collect();
+        let banks = range(&mut g, 1, 5) as u32;
         let mut s = Structure::scratchpad("s", 64);
         if let StructureKind::Scratchpad { banks: b, .. } = &mut s.kind {
             *b = banks;
@@ -365,9 +354,9 @@ fn scratchpad_conserves_transactions() {
 fn single_token_drop_is_never_silent() {
     use muir::sim::{FaultClass, FaultPlan, SimError};
     for case in 0..16u64 {
-        let mut g = Gen::new(0xd509 + case);
+        let mut g = gen(0xd509 + case);
         let ops = random_ops(&mut g);
-        let data = g.vec_i64(16, -100, 100);
+        let data = vec_i64(&mut g, 16, -100, 100);
         let n = data.len() as i64;
         let (m, a, out) = random_loop_module(&ops, n);
         let acc = translate(&m, &FrontendConfig::default()).unwrap();
@@ -407,9 +396,9 @@ fn single_token_drop_is_never_silent() {
 fn schedulers_agree_on_random_programs() {
     use muir::bench::sched::{completes_like, dense_vs_ready};
     for case in 0..12u64 {
-        let mut g = Gen::new(0x3a11 + case);
+        let mut g = gen(0x3a11 + case);
         let ops = random_ops(&mut g);
-        let data = g.vec_i64(16, -100, 100);
+        let data = vec_i64(&mut g, 16, -100, 100);
         let n = data.len() as i64;
         let (m, a, _) = random_loop_module(&ops, n);
         let acc = translate(&m, &FrontendConfig::default()).unwrap();

@@ -162,3 +162,61 @@ fn junction_targeting_a_missing_structure_is_an_error() {
         "{e}"
     );
 }
+
+/// `v * 3 + 1` after op fusion: one root task holding one fused node.
+fn fused_mul_add() -> Accelerator {
+    use muir::mir::builder::FunctionBuilder;
+    use muir::mir::instr::ValueRef;
+    use muir::mir::module::Module;
+    use muir::uopt::passes::OpFusion;
+    use muir::uopt::PassManager;
+    let mut m = Module::new("fused");
+    let mut b = FunctionBuilder::new("main", &[Type::I64]).returns(Type::I64);
+    let v = b.arg(0);
+    let t = b.mul(v, ValueRef::int(3));
+    let r = b.add(t, ValueRef::int(1));
+    b.ret(Some(r));
+    m.add_function(b.finish());
+    let mut acc = translate(&m, &FrontendConfig::default()).unwrap();
+    PassManager::new()
+        .with(OpFusion::default())
+        .run(&mut acc)
+        .unwrap();
+    acc
+}
+
+/// A fused plan that reads past its external ports, or a step that is not
+/// computed yet, is refused at seal and named at its node; it used to seal
+/// and then panic in the simulator.
+#[test]
+fn a_fused_plan_reading_what_it_does_not_have_is_refused_at_seal() {
+    use muir::core::node::FusedInput;
+    for (input, want) in [
+        (FusedInput::External(9), "step 0 reads external input 9 of "),
+        (
+            FusedInput::Step(5),
+            "step 0 reads step 5, not computed before it",
+        ),
+    ] {
+        let mut acc = fused_mul_add();
+        muir::core::CompiledAccel::compile(&acc).expect("the fused unit seals");
+        let df = &mut acc.tasks[0].dataflow;
+        let (id, node) = df
+            .nodes
+            .iter_mut()
+            .enumerate()
+            .find(|(_, n)| matches!(n.kind, NodeKind::Fused(_)))
+            .expect("a fused node");
+        let NodeKind::Fused(plan) = &mut node.kind else {
+            unreachable!()
+        };
+        plan.steps[0].inputs[0] = input;
+        let at = format!("{} ({}): fused plan ", NodeId(id as u32), node.name);
+        let e = muir::core::CompiledAccel::compile(&acc).unwrap_err();
+        assert_eq!(e.code(), "E-GRAPH");
+        assert!(
+            e.message.starts_with(&at) && e.message.contains(want),
+            "{e}"
+        );
+    }
+}
