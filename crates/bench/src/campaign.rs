@@ -22,8 +22,8 @@
 
 use std::fmt;
 
+use crate::Lab;
 use muir_sim::{simulate_batch_compiled, FaultClass, FaultPlan, FaultSpec, SimConfig, SimError};
-use muir_workloads::by_name;
 
 /// How a single injected-fault run ended, relative to the reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,16 +134,12 @@ impl fmt::Display for CampaignReport {
 /// FNV-1a over the case coordinates: deterministic, platform-independent
 /// per-case seeds without any global RNG.
 fn case_seed(workload: &str, class: FaultClass, replica: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in workload
-        .bytes()
-        .chain(class.name().bytes())
-        .chain(replica.to_le_bytes())
-    {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    crate::fnv1a(
+        workload
+            .bytes()
+            .chain(class.name().bytes())
+            .chain(replica.to_le_bytes()),
+    )
 }
 
 /// The per-case simulation configuration: one seeded single-event fault.
@@ -213,9 +209,9 @@ fn classify(
 }
 
 /// Run the full campaign: `replicas` seeded runs of every fault class on
-/// every named workload, each workload sealed and its reference computed
-/// once, its cases run as one [`simulate_batch_compiled`] batch on
-/// `threads` worker threads. Each case is an independent simulation with
+/// every named workload, each workload sealed once and checked against
+/// its bench in `lab`, its cases run as one [`simulate_batch_compiled`]
+/// batch on `threads` worker threads. Each case is an independent simulation with
 /// its own seed, memory image, and configuration, so the same arguments
 /// give a byte-identical report at any thread count — only wall time
 /// changes.
@@ -225,6 +221,7 @@ fn classify(
 /// the fault-free reference itself fails (campaign preconditions, not
 /// fault outcomes).
 pub fn run_campaign(
+    lab: &mut Lab,
     workloads: &[&str],
     classes: &[FaultClass],
     replicas: u32,
@@ -232,11 +229,8 @@ pub fn run_campaign(
 ) -> CampaignReport {
     let mut report = CampaignReport::default();
     for &name in workloads {
-        let w = by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
-        let ref_mem = w
-            .run_reference()
-            .unwrap_or_else(|e| panic!("{name}: reference: {e}"));
-        let comp = crate::sealed(&w, &crate::baseline(&w));
+        let b = lab.named(name);
+        let (w, comp) = (&b.w, crate::sealed(&b.w, &b.base));
         // Deterministic (class, replica) order.
         let coords: Vec<(FaultClass, u64)> = classes
             .iter()
@@ -256,8 +250,8 @@ pub fn run_campaign(
                 name,
                 class,
                 seed,
-                &w,
-                &ref_mem,
+                w,
+                &b.reference,
                 run.outcome.map(|r| r.stats.faults_injected()),
                 &run.mem,
             );
@@ -276,9 +270,15 @@ pub fn run_campaign(
 /// the scratchpad (SAXPY), cache (GEMM), and stencil-halo (STENCIL)
 /// memory systems, all six fault classes, three replicas each — batched
 /// across the host's cores.
-pub fn default_campaign() -> CampaignReport {
+pub fn default_campaign(lab: &mut Lab) -> CampaignReport {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    run_campaign(&["SAXPY", "GEMM", "STENCIL"], &FaultClass::ALL, 3, threads)
+    run_campaign(
+        lab,
+        &["SAXPY", "GEMM", "STENCIL"],
+        &FaultClass::ALL,
+        3,
+        threads,
+    )
 }
 
 #[cfg(test)]
@@ -289,8 +289,8 @@ mod tests {
     fn campaign_is_deterministic() {
         let wl = ["SAXPY"];
         let classes = [FaultClass::TokenDrop, FaultClass::MemEcc];
-        let a = run_campaign(&wl, &classes, 2, 1);
-        let b = run_campaign(&wl, &classes, 2, 1);
+        let a = run_campaign(&mut Lab::default(), &wl, &classes, 2, 1);
+        let b = run_campaign(&mut Lab::default(), &wl, &classes, 2, 1);
         assert_eq!(a, b, "same arguments must reproduce the same report");
         assert_eq!(a.cases.len(), 4);
     }
@@ -311,7 +311,13 @@ mod tests {
 
     #[test]
     fn corrupted_completions_are_always_flagged() {
-        let r = run_campaign(&["SAXPY"], &[FaultClass::TokenBitFlip], 4, 1);
+        let r = run_campaign(
+            &mut Lab::default(),
+            &["SAXPY"],
+            &[FaultClass::TokenBitFlip],
+            4,
+            1,
+        );
         assert_eq!(r.unflagged_corruptions(), 0);
     }
 
@@ -319,8 +325,8 @@ mod tests {
     fn thread_count_never_changes_the_report() {
         let wl = ["SAXPY", "GEMM"];
         let classes = [FaultClass::TokenDrop, FaultClass::MemEcc];
-        let one = run_campaign(&wl, &classes, 2, 1);
-        let four = run_campaign(&wl, &classes, 2, 4);
+        let one = run_campaign(&mut Lab::default(), &wl, &classes, 2, 1);
+        let four = run_campaign(&mut Lab::default(), &wl, &classes, 2, 4);
         assert_eq!(one, four, "cases, error texts included");
         assert_eq!(one.to_string(), four.to_string(), "report bytes");
     }

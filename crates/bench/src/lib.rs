@@ -18,14 +18,17 @@ use muir_baselines::{CpuModel, HlsModel};
 use muir_core::accel::Accelerator;
 use muir_core::compiled::CompiledAccel;
 use muir_frontend::{translate, FrontendConfig};
-use muir_rtl::cost::{estimate, CostEstimate, Tech};
+use muir_mir::interp::Memory;
+use muir_rtl::cost::{estimate, Tech};
 use muir_sim::{simulate_compiled, SimConfig, SimResult};
 use muir_uopt::passes::{
     CacheBanking, ExecutionTiling, LowerTensors, MemoryLocalization, OpFusion, ScratchpadBanking,
     TaskFilter, TaskQueueing,
 };
 use muir_uopt::{PassManager, PassReport};
-use muir_workloads::{Class, Workload};
+use muir_workloads::{by_name, Class, Workload};
+use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Translate a workload to its baseline accelerator.
 ///
@@ -35,44 +38,15 @@ pub fn baseline(w: &Workload) -> Accelerator {
     translate(&w.module, &FrontendConfig::default()).unwrap_or_else(|e| panic!("{}: {e}", w.name))
 }
 
-/// Seal a workload's accelerator: verify and lower it once. Every figure
-/// helper below seals once and hands the same artifact to the simulator
-/// and to the cost model.
+/// Seal a workload's accelerator: verify and lower it once. A figure
+/// seals once and hands the same artifact to the simulator and to the
+/// cost model.
 ///
 /// # Panics
 /// Panics if the graph fails verification (workloads and the pass stacks
 /// applied to them are all known-good).
 pub fn sealed(w: &Workload, acc: &Accelerator) -> CompiledAccel {
     CompiledAccel::compile(acc).unwrap_or_else(|e| panic!("{}: {e}", w.name))
-}
-
-/// Simulate the sealed accelerator on the workload's inputs and verify
-/// outputs against the reference interpreter.
-///
-/// # Panics
-/// Panics on simulation failure or output mismatch.
-pub fn run_verified(w: &Workload, comp: &CompiledAccel) -> SimResult {
-    let ref_mem = w
-        .run_reference()
-        .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    let mut mem = w.fresh_memory();
-    let r = simulate_compiled(comp, &mut mem, &[], &SimConfig::default())
-        .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    assert!(
-        w.outputs_match(&ref_mem, &mem),
-        "{}: accelerator outputs diverge from reference",
-        w.name
-    );
-    r
-}
-
-/// Cycles of `acc` on the workload's inputs, verified against the
-/// reference interpreter: seal, then [`run_verified`].
-///
-/// # Panics
-/// Panics on verification or simulation failure, or output mismatch.
-pub fn verified_cycles(w: &Workload, acc: &Accelerator) -> u64 {
-    run_verified(w, &sealed(w, acc)).cycles
 }
 
 /// Apply a pass pipeline to a fresh baseline of `w`.
@@ -127,14 +101,156 @@ pub fn best_stack(class: Class) -> PassManager {
     }
 }
 
-/// Execution time in microseconds at the estimated FPGA clock.
-pub(crate) fn exec_time_us(cycles: u64, cost: &CostEstimate) -> f64 {
-    cycles as f64 / cost.fmax_mhz
+/// Figure 11's pipeline: op fusion alone.
+pub fn fusion() -> PassManager {
+    PassManager::new().with(OpFusion::default())
 }
 
-/// μIR execution time (µs) of a sealed accelerator on the FPGA clock.
-pub(crate) fn uir_time_us(comp: &CompiledAccel, cycles: u64) -> f64 {
-    exec_time_us(cycles, &estimate(comp, Tech::FpgaArria10))
+/// Figure 12's pipeline at `t` execution tiles. The memory system is held
+/// constant across the sweep (localized, 4 banks), so the tiling factor is
+/// the only variable: the Cilk accelerators stream through scratchpads
+/// (Figure 4).
+pub fn tiling(t: u32) -> PassManager {
+    PassManager::new()
+        .with(MemoryLocalization)
+        .with(ScratchpadBanking { banks: 4 })
+        .with(TaskQueueing::all(2 * t))
+        .with(ExecutionTiling::spawned(t))
+}
+
+/// Figure 15's pipeline, for the tensor variant and its scalar twin alike:
+/// localized scratchpads (type-specific for the tensor side) and op fusion.
+pub fn tensor_units() -> PassManager {
+    PassManager::new()
+        .with(MemoryLocalization)
+        .with(OpFusion::default())
+}
+
+/// Figure 15's lane-lowering ablation (§6.3): a tensor graph on localized
+/// scratchpads, with every tile value lane-expanded by `LowerTensors` when
+/// `lowered`. It isolates the tensor function units from the source-level
+/// loop structure.
+pub fn lane_lowering(lowered: bool) -> PassManager {
+    let pm = PassManager::new();
+    let pm = if lowered { pm.with(LowerTensors) } else { pm };
+    pm.with(MemoryLocalization)
+}
+
+/// Figure 16's pipeline at `banks` cache banks.
+pub fn cache_banking(banks: u32) -> PassManager {
+    PassManager::new().with(CacheBanking { banks })
+}
+
+/// A workload ready to measure: its baseline accelerator, translated once,
+/// and the end memory of its reference interpreter, run once. Every
+/// pipeline measured on it starts from a copy of that baseline, is sealed
+/// and simulated, and has its outputs checked against that memory.
+pub struct Bench {
+    /// The workload.
+    pub w: Workload,
+    /// Its baseline accelerator ([`baseline`]).
+    pub base: Accelerator,
+    /// The reference interpreter's end memory.
+    pub reference: Memory,
+}
+
+impl Bench {
+    /// Translate `w`'s baseline and run its reference interpreter.
+    ///
+    /// # Panics
+    /// Panics on translation or interpretation failure (workloads are all
+    /// known-good).
+    pub fn new(w: Workload) -> Bench {
+        let reference = w
+            .run_reference()
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        Bench {
+            base: baseline(&w),
+            reference,
+            w,
+        }
+    }
+
+    /// `pm` applied to a copy of the baseline, then sealed.
+    ///
+    /// # Panics
+    /// Panics on pass or verification failure.
+    pub fn seal(&self, pm: &PassManager) -> CompiledAccel {
+        let mut acc = self.base.clone();
+        pm.run(&mut acc)
+            .unwrap_or_else(|e| panic!("{}: {e}", self.w.name));
+        sealed(&self.w, &acc)
+    }
+
+    /// Simulate `comp` on fresh inputs under `cfg` and check its outputs
+    /// against the reference.
+    ///
+    /// # Panics
+    /// Panics on simulation failure or output mismatch.
+    pub fn check(&self, comp: &CompiledAccel, cfg: &SimConfig) -> SimResult {
+        let mut mem = self.w.fresh_memory();
+        let r = simulate_compiled(comp, &mut mem, &[], cfg)
+            .unwrap_or_else(|e| panic!("{}: {e}", self.w.name));
+        assert!(
+            self.w.outputs_match(&self.reference, &mem),
+            "{}: accelerator outputs diverge from reference",
+            self.w.name
+        );
+        r
+    }
+
+    /// Cycles of `pm`'s accelerator under the default configuration,
+    /// output-checked: [`Bench::seal`], then [`Bench::check`].
+    ///
+    /// # Panics
+    /// As those two.
+    pub fn cycles(&self, pm: &PassManager) -> u64 {
+        self.check(&self.seal(pm), &SimConfig::default()).cycles
+    }
+}
+
+/// The benches of one run, each built once: a workload's reference
+/// interpreter runs once however many figures measure it.
+#[derive(Default)]
+pub struct Lab {
+    benches: HashMap<&'static str, Rc<Bench>>,
+}
+
+impl Lab {
+    /// The bench of registry workload `name`.
+    ///
+    /// # Panics
+    /// Panics if `name` is not in the registry.
+    pub fn named(&mut self, name: &str) -> Rc<Bench> {
+        match self.benches.get(name) {
+            Some(b) => b.clone(),
+            None => {
+                self.bench(by_name(name).unwrap_or_else(|| panic!("unknown workload `{name}`")))
+            }
+        }
+    }
+
+    /// The bench of `w`, keyed by its name.
+    pub fn bench(&mut self, w: Workload) -> Rc<Bench> {
+        self.benches
+            .entry(w.name)
+            .or_insert_with(|| Rc::new(Bench::new(w)))
+            .clone()
+    }
+}
+
+/// μIR execution time (µs) of `comp` at its estimated FPGA clock, and
+/// that clock in MHz.
+fn fpga_time_us(comp: &CompiledAccel, cycles: u64) -> (f64, f64) {
+    let fmax_mhz = estimate(comp, Tech::FpgaArria10).fmax_mhz;
+    (cycles as f64 / fmax_mhz, fmax_mhz)
+}
+
+/// FNV-1a over `bytes`: a deterministic, platform-independent seed.
+pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// The HLS comparison result for Figure 9: `(uir_time, hls_time)` in µs.
@@ -145,12 +261,10 @@ pub(crate) fn uir_time_us(comp: &CompiledAccel, cycles: u64) -> f64 {
 ///
 /// # Panics
 /// Panics on simulation/interpretation failure.
-pub fn fig9_point(w: &Workload) -> (f64, f64) {
-    let comp = sealed(w, &baseline(w));
-    let r = run_verified(w, &comp);
-    let uir_cost = estimate(&comp, Tech::FpgaArria10);
-    let uir_time = exec_time_us(r.cycles, &uir_cost);
-
+pub fn fig9_point(b: &Bench) -> (f64, f64) {
+    let w = &b.w;
+    let comp = b.seal(&PassManager::new());
+    let (uir_time, uir_fmax) = fpga_time_us(&comp, b.check(&comp, &SimConfig::default()).cycles);
     let streaming = matches!(w.name, "FFT" | "DENSE8" | "DENSE16");
     let hls = if streaming {
         HlsModel::with_streaming()
@@ -161,7 +275,7 @@ pub fn fig9_point(w: &Workload) -> (f64, f64) {
     let hls_r = hls
         .run(&w.module, &mut mem)
         .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    let hls_fmax = uir_cost.fmax_mhz / 1.2; // §5.2 observation 1
+    let hls_fmax = uir_fmax / 1.2; // §5.2 observation 1
     let hls_time = hls_r.cycles as f64 / hls_fmax;
     (uir_time, hls_time)
 }
@@ -170,224 +284,50 @@ pub fn fig9_point(w: &Workload) -> (f64, f64) {
 ///
 /// # Panics
 /// Panics on simulation failure.
-pub fn fig18_point(w: &Workload) -> (f64, f64) {
-    let (acc, _) = optimized(w, &best_stack(w.class));
-    let comp = sealed(w, &acc);
-    let t_acc = uir_time_us(&comp, run_verified(w, &comp).cycles);
-    let mut mem = w.fresh_memory();
+pub fn fig18_point(b: &Bench) -> (f64, f64) {
+    let comp = b.seal(&best_stack(b.w.class));
+    let (t_acc, _) = fpga_time_us(&comp, b.check(&comp, &SimConfig::default()).cycles);
+    let mut mem = b.w.fresh_memory();
     let cpu = CpuModel
-        .run(&w.module, &mut mem)
-        .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        .run(&b.w.module, &mut mem)
+        .unwrap_or_else(|e| panic!("{}: {e}", b.w.name));
     (t_acc, cpu.time_us)
-}
-
-/// Tiling sweep (Figure 12): cycles at 1, 2, 4, 8 tiles.
-///
-/// # Panics
-/// Panics on simulation failure.
-pub fn fig12_sweep(w: &Workload) -> Vec<(u32, u64)> {
-    // The Cilk accelerators stream through scratchpads (Figure 4); the
-    // memory system is held constant across the sweep (localized, 4 banks)
-    // so the tiling factor is the only variable.
-    [1u32, 2, 4, 8]
-        .into_iter()
-        .map(|t| {
-            let pm = PassManager::new()
-                .with(MemoryLocalization)
-                .with(ScratchpadBanking { banks: 4 })
-                .with(TaskQueueing::all(2 * t))
-                .with(ExecutionTiling {
-                    tiles: t,
-                    filter: TaskFilter::Spawned,
-                });
-            let (acc, _) = optimized(w, &pm);
-            (t, verified_cycles(w, &acc))
-        })
-        .collect()
-}
-
-/// Cache-banking sweep (Figure 16): cycles at 1, 2, 4 banks.
-///
-/// # Panics
-/// Panics on simulation failure.
-pub fn fig16_sweep(w: &Workload) -> Vec<(u32, u64)> {
-    [1u32, 2, 4]
-        .into_iter()
-        .map(|banks| {
-            let pm = PassManager::new().with(CacheBanking { banks });
-            let (acc, _) = optimized(w, &pm);
-            (banks, verified_cycles(w, &acc))
-        })
-        .collect()
-}
-
-/// Op-fusion point (Figure 11): `(baseline_cycles, fused_cycles)`.
-///
-/// # Panics
-/// Panics on simulation failure.
-pub fn fig11_point(w: &Workload) -> (u64, u64) {
-    let base = verified_cycles(w, &baseline(w));
-    let (fused, _) = optimized(w, &PassManager::new().with(OpFusion::default()));
-    let opt = verified_cycles(w, &fused);
-    (base, opt)
-}
-
-/// Tensor higher-order op point (Figure 15): `(tensor, scalar)` cycles.
-///
-/// The baseline is the paper's: the same computation written without
-/// tensor intrinsics ("implements the operation through the pipeline"),
-/// so the tensor variant's wins come from compute density, the widened
-/// operand network, and the fused higher-order pipeline (§6.3). Both
-/// variants run on localized scratchpads (type-specific for the tensor
-/// side).
-///
-/// # Panics
-/// Panics on simulation failure.
-pub fn fig15_point(pair: &(Workload, Workload)) -> (u64, u64) {
-    let pm = PassManager::new()
-        .with(MemoryLocalization)
-        .with(OpFusion::default());
-    let (tensor_acc, _) = optimized(&pair.0, &pm);
-    let t = verified_cycles(&pair.0, &tensor_acc);
-    let (scalar_acc, _) = optimized(&pair.1, &pm);
-    let s = verified_cycles(&pair.1, &scalar_acc);
-    (t, s)
-}
-
-/// Lane-lowering ablation (§6.3): the same tensor graph with every tile
-/// value lane-expanded by the `LowerTensors` pass — isolates the benefit
-/// of the tensor function units from the source-level loop structure.
-///
-/// # Panics
-/// Panics on simulation failure.
-pub fn fig15_lowering_ablation(w: &Workload) -> (u64, u64) {
-    let native_pm = PassManager::new().with(MemoryLocalization);
-    let (native, _) = optimized(w, &native_pm);
-    let n = verified_cycles(w, &native);
-    let lowered_pm = PassManager::new()
-        .with(LowerTensors)
-        .with(MemoryLocalization);
-    let (lowered, _) = optimized(w, &lowered_pm);
-    let l = verified_cycles(w, &lowered);
-    (n, l)
-}
-
-/// Memory-localization point (§6.4): `(baseline, localized)` cycles.
-///
-/// # Panics
-/// Panics on simulation failure.
-pub fn localization_point(w: &Workload) -> (u64, u64) {
-    let base = verified_cycles(w, &baseline(w));
-    let (local, _) = optimized(w, &PassManager::new().with(MemoryLocalization));
-    let opt = verified_cycles(w, &local);
-    (base, opt)
-}
-
-/// Ablation: task-queue depth sweep (Pass 1) on a Cilk workload.
-///
-/// # Panics
-/// Panics on simulation failure.
-pub fn ablation_queue_depth(w: &Workload, depths: &[u32]) -> Vec<(u32, u64)> {
-    // Queue depth matters once the consumer is replicated: hold tiling
-    // fixed at 4 and vary only the `<||>` FIFO.
-    depths
-        .iter()
-        .map(|&d| {
-            let pm = PassManager::new()
-                .with(ExecutionTiling::spawned(4))
-                .with(TaskQueueing::all(d));
-            let (acc, _) = optimized(w, &pm);
-            (d, verified_cycles(w, &acc))
-        })
-        .collect()
-}
-
-/// Ablation: fusion clock-period budget sweep — cycles and resulting FPGA
-/// fmax per budget (the frequency/cycle-count tradeoff of §6.1).
-///
-/// # Panics
-/// Panics on simulation failure.
-pub fn ablation_fusion_period(w: &Workload, periods_ns: &[f64]) -> Vec<(f64, u64, f64)> {
-    periods_ns
-        .iter()
-        .map(|&p| {
-            let pm = PassManager::new().with(OpFusion::with_period(p));
-            let (acc, _) = optimized(w, &pm);
-            let comp = sealed(w, &acc);
-            let cycles = run_verified(w, &comp).cycles;
-            let fmax = estimate(&comp, Tech::FpgaArria10).fmax_mhz;
-            (p, cycles, fmax)
-        })
-        .collect()
-}
-
-/// Ablation: scratchpad banking sweep after localization (Algorithm 2's
-/// tunables, separate from Figure 16's cache banking).
-///
-/// # Panics
-/// Panics on simulation failure.
-pub fn ablation_spad_banking(w: &Workload, banks: &[u32]) -> Vec<(u32, u64)> {
-    banks
-        .iter()
-        .map(|&b| {
-            let pm = PassManager::new()
-                .with(MemoryLocalization)
-                .with(ScratchpadBanking { banks: b });
-            let (acc, _) = optimized(w, &pm);
-            (b, verified_cycles(w, &acc))
-        })
-        .collect()
-}
-
-/// Ablation: simulator sensitivity to databox entries and elastic channel
-/// depth (§3.4's `#Entries` parameter and the pipelined-connection
-/// buffering). Returns `(databox, elastic, cycles)` triples.
-///
-/// # Panics
-/// Panics on simulation failure.
-pub fn ablation_sim_buffers(w: &Workload, points: &[(u32, u32)]) -> Vec<(u32, u32, u64)> {
-    let comp = sealed(w, &baseline(w));
-    let ref_mem = w.run_reference().expect("reference");
-    points
-        .iter()
-        .map(|&(databox, elastic)| {
-            let cfg = SimConfig {
-                databox_entries: databox,
-                elastic_depth: elastic,
-                ..SimConfig::default()
-            };
-            let mut mem = w.fresh_memory();
-            let r = simulate_compiled(&comp, &mut mem, &[], &cfg).expect("simulate");
-            assert!(
-                w.outputs_match(&ref_mem, &mem),
-                "{}: buffering changed results",
-                w.name
-            );
-            (databox, elastic, r.cycles)
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muir_workloads::by_name;
+
+    fn bench(name: &str) -> Bench {
+        Bench::new(by_name(name).unwrap())
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(*b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(*b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn fig11_improves_rgb2yuv() {
         // RGB2YUV's integer chains are the canonical fusion target.
-        let w = by_name("RGB2YUV").unwrap();
-        let (base, opt) = fig11_point(&w);
+        let b = bench("RGB2YUV");
+        let base = b.cycles(&PassManager::new());
+        let opt = b.cycles(&fusion());
         assert!(opt < base, "fusion should help: {base} → {opt}");
     }
 
     #[test]
     fn fig12_saxpy_scales_then_bounds() {
-        let w = by_name("SAXPY").unwrap();
-        let sweep = fig12_sweep(&w);
-        let c1 = sweep[0].1 as f64;
-        let c2 = sweep[1].1 as f64;
-        let c8 = sweep[3].1 as f64;
+        let b = bench("SAXPY");
+        let sweep: Vec<u64> = [1u32, 2, 4, 8]
+            .into_iter()
+            .map(|t| b.cycles(&tiling(t)))
+            .collect();
+        let c1 = sweep[0] as f64;
+        let c2 = sweep[1] as f64;
+        let c8 = sweep[3] as f64;
         assert!(c2 < c1, "{sweep:?}");
         assert!(c8 < c2, "{sweep:?}");
         // Bounded below by the parent's spawn rate (one task per cycle):
@@ -397,32 +337,40 @@ mod tests {
 
     #[test]
     fn fig16_banking_helps_gemm() {
-        let w = by_name("GEMM").unwrap();
-        let sweep = fig16_sweep(&w);
-        assert!(sweep[2].1 <= sweep[0].1, "{sweep:?}");
+        let b = bench("GEMM");
+        let sweep = [1u32, 2, 4].map(|banks| b.cycles(&cache_banking(banks)));
+        assert!(sweep[2] <= sweep[0], "{sweep:?}");
     }
 
     #[test]
     fn fig15_tensor_units_win() {
-        let pair = muir_workloads::inhouse::tensor_pairs().remove(0);
-        let (tensor, scalar) = fig15_point(&pair);
+        let (t, s) = muir_workloads::inhouse::tensor_pairs().remove(0);
+        let pm = tensor_units();
+        let (tensor, scalar) = (Bench::new(t).cycles(&pm), Bench::new(s).cycles(&pm));
         assert!(scalar > tensor, "{tensor} vs {scalar}");
-        let w = by_name("RELU[T]").unwrap();
-        let (native, lowered) = fig15_lowering_ablation(&w);
+        let b = bench("RELU[T]");
+        let native = b.cycles(&lane_lowering(false));
+        let lowered = b.cycles(&lane_lowering(true));
         assert!(lowered > native, "{native} vs {lowered}");
     }
 
     #[test]
     fn fig9_uir_beats_hls_on_gemm() {
-        let w = by_name("GEMM").unwrap();
-        let (uir, hls) = fig9_point(&w);
+        let (uir, hls) = fig9_point(&bench("GEMM"));
         assert!(uir < hls, "uir {uir} vs hls {hls}");
     }
 
     #[test]
     fn fig18_accelerator_beats_cpu() {
-        let w = by_name("IMG-SCALE").unwrap();
-        let (acc, cpu) = fig18_point(&w);
+        let (acc, cpu) = fig18_point(&bench("IMG-SCALE"));
         assert!(acc < cpu, "acc {acc} vs cpu {cpu}");
+    }
+
+    #[test]
+    fn a_lab_builds_each_bench_once() {
+        let mut lab = Lab::default();
+        let a = lab.named("SAXPY");
+        let b = lab.named("SAXPY");
+        assert!(Rc::ptr_eq(&a, &b));
     }
 }

@@ -13,12 +13,12 @@ use crate::{baseline, full_stack, optimized, sealed};
 use muir_core::compiled::CompiledAccel;
 use muir_core::json::{self, check_fields, Json};
 use muir_sim::{simulate_compiled, BottleneckReport, SimConfig, SimProfile, Trace, TraceConfig};
-use muir_workloads::by_name;
+use muir_workloads::Workload;
 
 /// Everything `bench profile` produced for one workload.
 pub struct ProfileArtifacts {
-    /// Workload name (canonical, upper-case).
-    pub workload: String,
+    /// Workload name.
+    pub workload: &'static str,
     /// Cycles with tracing off.
     pub cycles_untraced: u64,
     /// Cycles with tracing on — must equal `cycles_untraced` exactly.
@@ -36,45 +36,43 @@ pub struct ProfileArtifacts {
     pub cycles_optimized: u64,
 }
 
-/// Profile `name`'s baseline accelerator: one untraced run (the timing
+/// Profile `w`'s baseline accelerator: one untraced run (the timing
 /// reference), one traced run (must match cycle-for-cycle), plus an
 /// instrumented μopt dry-run for the "what next" comparison.
 ///
 /// # Panics
-/// Panics on an unknown workload, simulation failure, or — the
-/// observability contract — if tracing perturbed the cycle count.
-pub fn profile_workload(name: &str) -> ProfileArtifacts {
-    let canonical = name.to_uppercase();
-    let w = by_name(&canonical)
-        .unwrap_or_else(|| panic!("unknown workload `{name}` (try e.g. GEMM, SAXPY, FFT)"));
-    let comp = sealed(&w, &baseline(&w));
+/// Panics on simulation failure, or — the observability contract — if
+/// tracing perturbed the cycle count.
+pub fn profile_workload(w: &Workload) -> ProfileArtifacts {
+    let name = w.name;
+    let comp = sealed(w, &baseline(w));
 
     let mut mem = w.fresh_memory();
     let untraced = simulate_compiled(&comp, &mut mem, &[], &SimConfig::default())
-        .unwrap_or_else(|e| panic!("{canonical}: {e}"));
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
 
     let cfg = SimConfig {
         trace: TraceConfig::on(),
         ..SimConfig::default()
     };
     let mut mem = w.fresh_memory();
-    let traced = simulate_compiled(&comp, &mut mem, &[], &cfg)
-        .unwrap_or_else(|e| panic!("{canonical}: {e}"));
+    let traced =
+        simulate_compiled(&comp, &mut mem, &[], &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(
         untraced.cycles, traced.cycles,
-        "{canonical}: tracing perturbed the simulation"
+        "{name}: tracing perturbed the simulation"
     );
     let profile = traced.profile.expect("tracing was enabled");
     let trace = traced.trace.expect("tracing was enabled");
     let report = profile.bottlenecks(5);
 
-    let (opt_acc, pass_report) = optimized(&w, &full_stack(w.class));
+    let (opt_acc, pass_report) = optimized(w, &full_stack(w.class));
     let mut mem = w.fresh_memory();
-    let opt = simulate_compiled(&sealed(&w, &opt_acc), &mut mem, &[], &SimConfig::default())
-        .unwrap_or_else(|e| panic!("{canonical}: {e}"));
+    let opt = simulate_compiled(&sealed(w, &opt_acc), &mut mem, &[], &SimConfig::default())
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
 
     ProfileArtifacts {
-        workload: canonical,
+        workload: name,
         cycles_untraced: untraced.cycles,
         cycles_traced: traced.cycles,
         profile,
@@ -214,7 +212,7 @@ mod tests {
         // single-banked cache, so the bottleneck report must rank that
         // structure first and point at the banking pass — and tracing must
         // not move the cycle count at all.
-        let art = profile_workload("GEMM");
+        let art = profile_workload(&muir_workloads::by_name("GEMM").unwrap());
         assert_eq!(art.cycles_traced, art.cycles_untraced);
         let top = art.report.entries.first().expect("a bottleneck is found");
         assert_eq!(top.kind, muir_sim::BottleneckKind::Structure, "{top:?}");

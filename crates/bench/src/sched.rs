@@ -201,11 +201,8 @@ pub fn completes_like(dense: &[Outcome], want: &Memory) -> Result<(), String> {
 /// (including the deadlock-shaped ones, which must deadlock at the same
 /// cycle under both schedulers).
 fn diff_fault_plan(w: &Workload, i: usize) -> FaultPlan {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in w.name.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-    }
-    FaultPlan::single(FaultClass::ALL[i % FaultClass::ALL.len()], h)
+    let seed = crate::fnv1a(w.name.bytes());
+    FaultPlan::single(FaultClass::ALL[i % FaultClass::ALL.len()], seed)
 }
 
 /// Differentially check registry workload `i`: [`dense_vs_ready`] over its

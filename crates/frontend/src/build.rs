@@ -18,7 +18,7 @@
 //! holds the detach itself, is an error), and a pure value is marked while
 //! it is being translated, so one that depends on itself is an error too.
 
-use crate::{FrontendConfig, FrontendError};
+use crate::FrontendError;
 use muir_core::accel::{Accelerator, ArgExpr, LoopSpec, ResultInit, TaskBlock, TaskId, TaskKind};
 use muir_core::dataflow::{Dataflow, Junction, JunctionId, NodeId};
 use muir_core::node::{Name, Node, NodeKind, OpKind};
@@ -33,6 +33,14 @@ use muir_mir::instr::{
 use muir_mir::module::{Function, Module, Preds};
 use muir_mir::types::{ScalarType, Type};
 use std::fmt::Write;
+
+/// Objects with at most this many element slots are homed on the shared
+/// scratchpad; larger objects go to the L1 cache (§6.4 baseline).
+const SPAD_THRESHOLD: u64 = 512;
+
+/// The `<||>` queue depth between a parent and a child task: 1 is the
+/// tightly coupled baseline, and Pass 1 (task queueing) widens it.
+const CHILD_QUEUE_DEPTH: u32 = 1;
 
 fn ferr(msg: impl Into<String>) -> FrontendError {
     FrontendError {
@@ -162,7 +170,6 @@ impl FuncFacts {
 /// What translation reads and never writes.
 struct Tables<'m> {
     module: &'m Module,
-    config: &'m FrontendConfig,
     /// Per function.
     facts: Vec<FuncFacts>,
     /// Structure homing each memory object.
@@ -183,10 +190,7 @@ struct Frontend<'a> {
 
 /// Translate a verified module: the baseline memory system, then the
 /// root scope and, recursively, every task under it.
-pub(crate) fn translate(
-    module: &Module,
-    config: &FrontendConfig,
-) -> Result<Accelerator, FrontendError> {
+pub(crate) fn translate(module: &Module) -> Result<Accelerator, FrontendError> {
     muir_mir::verify::verify_module(module).map_err(|e| ferr(e.to_string()))?;
     if module.functions.is_empty() {
         return Err(ferr("module has no functions"));
@@ -207,7 +211,7 @@ pub(crate) fn translate(
     let mut spad_objs = Vec::new();
     let mut cache_objs = Vec::new();
     for (i, obj) in module.mem_objects.iter().enumerate() {
-        if obj.len <= config.spad_threshold {
+        if obj.len <= SPAD_THRESHOLD {
             spad_cap += obj.len;
             spad_objs.push(MemObjId(i as u32));
         } else {
@@ -240,7 +244,6 @@ pub(crate) fn translate(
 
     let t = Tables {
         module,
-        config,
         facts: module.functions.iter().map(FuncFacts::new).collect(),
         placement,
         func_fps: footprints(module),
@@ -304,7 +307,7 @@ impl<'a> Frontend<'a> {
         // Reserve the task id so children can connect to it.
         let tid = self.acc.add_task(TaskBlock::new(name, TaskKind::Region));
         if let Some(p) = parent {
-            self.acc.connect_tasks(p, tid, t.config.child_queue_depth);
+            self.acc.connect_tasks(p, tid, CHILD_QUEUE_DEPTH);
         }
         let mut tabs = self.pool.pop().unwrap_or_default();
 

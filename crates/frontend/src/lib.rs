@@ -49,25 +49,11 @@ mod tests;
 use muir_core::accel::Accelerator;
 use std::fmt;
 
-/// Front-end configuration.
-#[derive(Debug, Clone)]
-pub struct FrontendConfig {
-    /// Objects with at most this many element slots are homed on the shared
-    /// scratchpad; larger objects go to the L1 cache (§6.4 baseline).
-    pub spad_threshold: u64,
-    /// Default `<||>` queue depth between parent and child tasks (1 =
-    /// tightly coupled baseline; Pass 1 widens it).
-    pub child_queue_depth: u32,
-}
-
-impl Default for FrontendConfig {
-    fn default() -> Self {
-        FrontendConfig {
-            spad_threshold: 512,
-            child_queue_depth: 1,
-        }
-    }
-}
+/// Front-end configuration. It has no fields: the baseline's scratchpad
+/// threshold and child queue depth are constants of the translation
+/// (`build::SPAD_THRESHOLD`, `build::CHILD_QUEUE_DEPTH`).
+#[derive(Debug, Clone, Default)]
+pub struct FrontendConfig {}
 
 /// Translation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,7 +78,7 @@ impl std::error::Error for FrontendError {}
 /// constructs (multiple returns in one region).
 pub fn translate(
     module: &muir_mir::module::Module,
-    config: &FrontendConfig,
+    _config: &FrontendConfig,
 ) -> Result<Accelerator, FrontendError> {
-    build::translate(module, config)
+    build::translate(module)
 }

@@ -398,43 +398,10 @@ impl TensorGraph {
                 "output references no node".to_string(),
             ));
         }
-        // Topological sort (Kahn) over node→node edges; a leftover node
-        // means a cycle.
+        // The canonical order: repeated passes in declaration order, each
+        // placing every node whose operands are placed. A pass that places
+        // nothing leaves exactly the nodes on or downstream of a cycle.
         let nn = nodes.len();
-        let mut indeg = vec![0usize; nn];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nn];
-        for (i, n) in nodes.iter().enumerate() {
-            for a in &n.args {
-                if let GraphRef::Node(j) = a {
-                    indeg[i] += 1;
-                    succs[*j].push(i);
-                }
-            }
-        }
-        let mut work: Vec<usize> = (0..nn).filter(|&i| indeg[i] == 0).collect();
-        let mut topo = Vec::with_capacity(nn);
-        while let Some(i) = work.pop() {
-            topo.push(i);
-            for &s in &succs[i] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    work.push(s);
-                }
-            }
-        }
-        if topo.len() != nn {
-            let stuck: Vec<&str> = (0..nn)
-                .filter(|&i| indeg[i] > 0)
-                .map(|i| nodes[i].name.as_str())
-                .collect();
-            return Err(terr(
-                TensorCode::Cycle,
-                format!("nodes form a cycle through %{}", stuck.join(", %")),
-            ));
-        }
-        // Kahn proved acyclicity; derive the *canonical* topo order by
-        // repeated passes in declaration order until fixpoint (stable
-        // regardless of worklist pop order, cheap at these sizes).
         let mut placed = vec![false; nn];
         let mut order = Vec::with_capacity(nn);
         while order.len() < nn {
@@ -452,7 +419,16 @@ impl TensorGraph {
                     order.push(i);
                 }
             }
-            debug_assert!(order.len() > before, "cycle slipped past Kahn");
+            if order.len() == before {
+                let stuck: Vec<&str> = (0..nn)
+                    .filter(|&i| !placed[i])
+                    .map(|i| nodes[i].name.as_str())
+                    .collect();
+                return Err(terr(
+                    TensorCode::Cycle,
+                    format!("nodes form a cycle through %{}", stuck.join(", %")),
+                ));
+            }
         }
         // Shape inference in dependency order.
         for &i in &order {
@@ -1397,6 +1373,19 @@ output %o
         // Self-loop.
         let t = "graph g\ninput x : f32[2,2]\n%a = relu %a\noutput %a\n";
         assert_eq!(TensorGraph::parse(t).unwrap_err().code, TensorCode::Cycle);
+    }
+
+    #[test]
+    fn a_cycle_names_every_node_it_blocks_in_declaration_order() {
+        // %c sits downstream of the %a/%b cycle and is declared before it;
+        // %d is independent of it and is not named.
+        let t = "graph g\ninput x : f32[2,2]\n%c = relu %b\n%a = relu %b\n%b = relu %a\n\
+                 %d = relu x\noutput %c\n";
+        let e = TensorGraph::parse(t).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "E-TENSOR-CYCLE: nodes form a cycle through %c, %a, %b"
+        );
     }
 
     #[test]

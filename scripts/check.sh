@@ -217,7 +217,7 @@ done
 # Every mark and every event is due inside the horizon (the verifier
 # refuses a unit that reaches it), so neither the calendar nor the event
 # ring keeps a far heap.
-n=$(grep -rhE '^ *far: BinaryHeap<' $engine | grep -c . || true)
+n=$(grep -rhE 'far:[[:space:]]*BinaryHeap<' $engine | grep -c . || true)
 if [ "$n" != 0 ] || grep -rnE 'EvAt|ev_far|ev_seq|mark_far|promote_far|EV_HORIZON|CAL_HORIZON' $engine; then
     echo "check.sh: the engine keeps no far heap beside its calendar or event ring (found $n \`far: BinaryHeap<\` fields; other lines above)" >&2
     exit 1
