@@ -406,7 +406,13 @@ pub fn un(op: UnOp, a: Word) -> Result<Word, InterpError> {
         UnOp::Exp => Word::f32(a.want_f32()?.exp()),
         UnOp::Sqrt => Word::f32(a.want_f32()?.sqrt()),
         UnOp::Relu => match a.kind {
-            Kind::F32 => Word::f32(a.want_f32()?.max(0.0)),
+            // Zero for every lane not above it, -0.0 and NaN included:
+            // `f32::max` leaves the sign of a zero result to the build, and
+            // a debug build kept -0.0 where a release build gave 0.0.
+            Kind::F32 => {
+                let x = a.want_f32()?;
+                Word::f32(if x > 0.0 { x } else { 0.0 })
+            }
             Kind::Int => Word::int((a.bits as i64).max(0)),
             _ => return Err(ierr(format!("relu on {a}"))),
         },
@@ -644,6 +650,10 @@ mod tests {
         // ... and relu keeps the kind it is given.
         assert_eq!(un(UnOp::Relu, Word::int(-3)), Ok(Word::int(0)));
         assert_eq!(un(UnOp::Relu, Word::f32(-3.0)), Ok(Word::f32(0.0)));
+        // A zero result is +0.0 whatever the build: -0.0 and NaN map to it.
+        for x in [-0.0, f32::NAN] {
+            assert_eq!(un(UnOp::Relu, Word::f32(x)), Ok(Word::f32(0.0)), "{x}");
+        }
     }
 
     #[test]
