@@ -171,11 +171,15 @@ impl Bench {
         }
     }
 
-    /// `pm` applied to a copy of the baseline, then sealed.
+    /// `pm` applied to a copy of the baseline, then sealed. An empty
+    /// pipeline seals the baseline itself, verified once, by the seal.
     ///
     /// # Panics
     /// Panics on pass or verification failure.
     pub fn seal(&self, pm: &PassManager) -> CompiledAccel {
+        if pm.is_empty() {
+            return sealed(&self.w, &self.base);
+        }
         let mut acc = self.base.clone();
         pm.run(&mut acc)
             .unwrap_or_else(|e| panic!("{}: {e}", self.w.name));

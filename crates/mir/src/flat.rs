@@ -6,15 +6,15 @@
 //! are a packed [`Lanes`] descriptor — where its lanes start in a word
 //! buffer that lives beside the value, how many there are and how each is
 //! read — so copying a composite is a `memcpy` and dropping one is nothing.
-//! The simulator's tokens are `Word`s; [`Value`] is what a caller hands in
-//! and gets back.
+//! The simulator's tokens and the interpreter's values are `Word`s;
+//! [`Value`] is what a caller hands in and gets back.
 //!
 //! The kind is dynamic because behaviour depends on it: `and` of two
 //! booleans is an *integer*, a comparison is a *boolean*, an integer resize
 //! passes its operand's kind through, and a memory object refuses a scalar
 //! of another kind. The scalar semantics live here once — [`bin`], [`un`],
-//! [`cmp`] — and [`tensor`] applies them lane by lane; the interpreter's
-//! `eval_*` functions are wrappers that convert at the edge.
+//! [`cmp`] — and [`tensor`] applies them lane by lane. The interpreter,
+//! the simulator and `Simplify`'s constant folding all call them directly.
 
 use crate::instr::{BinOp, CmpPred, ConstVal, TensorOp, UnOp};
 use crate::interp::{ierr, InterpError};

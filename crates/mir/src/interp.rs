@@ -5,14 +5,19 @@
 //! memories word-for-word. The interpreter executes Tapir parallelism
 //! serially (Cilk semantics guarantee a valid serial elision), and can emit
 //! a dynamic trace for the CPU timing baseline.
+//!
+//! It evaluates on [`flat::Word`]s, through the same [`flat::bin`],
+//! [`flat::un`], [`flat::cmp`] and [`flat::tensor`] rules as the simulator,
+//! and moves them through [`Memory::words`] and [`Memory::store_words`].
+//! A `Value` is met only at [`Interp::run_main`]: arguments in, result out.
 
-use crate::flat::{self, Word};
-use crate::instr::{
-    BinOp, BlockId, CastOp, CmpPred, ConstVal, InstrId, Op, TensorOp, UnOp, ValueRef,
-};
+use crate::flat::{self, Form, Lanes, Word};
+use crate::instr::{BinOp, BlockId, CastOp, InstrId, Op, TensorOp, UnOp, ValueRef};
+use crate::memory::ElemKind;
 pub use crate::memory::Memory;
 use crate::module::{Function, Module};
 use crate::trace::{NullSink, OpClass, TraceEvent, TraceSink};
+use crate::types::Type;
 use crate::value::Value;
 use std::fmt;
 
@@ -37,92 +42,96 @@ pub(crate) fn ierr(msg: impl Into<String>) -> InterpError {
     }
 }
 
-/// `v` as a flat value, a composite's lanes appended to `buf`. (The scalar
-/// evaluators read no lanes: for them `buf` is scratch that stays empty
-/// unless the operand is mistyped.)
-fn flat_word(v: &Value, buf: &mut Vec<u64>) -> Result<Word, InterpError> {
-    Word::from_value(v, buf)
-        .ok_or_else(|| ierr(format!("the lanes of {v} do not share one scalar kind")))
-}
-
-/// `v` read as a branch, select or index operand: an integer, or a boolean
-/// as `0`/`1`.
-fn want_int(v: &Value) -> Result<i64, InterpError> {
-    flat_word(v, &mut Vec::new())?.want_int()
-}
-
-/// Evaluate a binary op on scalar values ([`flat::bin`] at the edge).
-///
-/// # Errors
-/// Division by zero and type mismatches.
-pub fn eval_bin(op: BinOp, a: &Value, b: &Value) -> Result<Value, InterpError> {
-    let buf = &mut Vec::new();
-    flat::bin(op, flat_word(a, buf)?, flat_word(b, buf)?).map(|w| w.to_value(&[]))
-}
-
-/// Evaluate a unary op on a scalar value ([`flat::un`] at the edge).
-///
-/// # Errors
-/// Type mismatches.
-pub fn eval_un(op: UnOp, a: &Value) -> Result<Value, InterpError> {
-    flat::un(op, flat_word(a, &mut Vec::new())?).map(|w| w.to_value(&[]))
-}
-
-/// Evaluate a comparison on scalar values ([`flat::cmp`] at the edge).
-///
-/// # Errors
-/// Type mismatches.
-pub fn eval_cmp(pred: CmpPred, a: &Value, b: &Value) -> Result<Value, InterpError> {
-    let buf = &mut Vec::new();
-    flat::cmp(pred, flat_word(a, buf)?, flat_word(b, buf)?).map(|w| w.to_value(&[]))
-}
-
-/// Evaluate a tensor op ([`flat::tensor`] at the edge, so the simulator's
-/// lane arithmetic is this one's). `Conv` and `Reduce` reduce to a scalar;
-/// `Softmax` keeps the shape but always yields F32 lanes (it routes
-/// through the `exp` unit); others keep shape and element type.
-///
-/// # Errors
-/// Shape mismatches; lanes of the wrong kind, or not all of one kind.
-pub(crate) fn eval_tensor(
-    op: TensorOp,
-    a: &Value,
-    b: Option<&Value>,
-) -> Result<Value, InterpError> {
-    let (mut buf, mut out) = (Vec::new(), Vec::new());
-    let a = flat_word(a, &mut buf)?;
-    let b = b.map(|b| flat_word(b, &mut buf)).transpose()?;
-    flat::tensor(op, a, b, &buf, &mut out).map(|w| w.to_value(&out))
-}
-
 enum ExecEnd {
-    Ret(Option<Value>),
+    Ret(Option<Word>),
     Reattach,
 }
 
+/// One call's state. A composite's lanes live in `lanes`: the arguments'
+/// first, then one region per instruction, claimed on its first
+/// evaluation and overwritten by every later one of the same extent.
 struct Frame<'f> {
     func: &'f Function,
-    values: Vec<Option<Value>>,
-    args: Vec<Value>,
+    values: Vec<Option<Word>>,
+    args: Vec<Word>,
+    lanes: Vec<u64>,
+    /// `(offset, length)` of each instruction's region in `lanes`.
+    regions: Vec<(u32, u32)>,
     /// The entered block's φ results, read before any is written; reused
     /// across block entries.
-    phis: Vec<(InstrId, Value)>,
+    phis: Vec<(InstrId, Word)>,
+    /// Lanes on their way into a region: read φ composites, a tensor op's
+    /// or a callee's result.
+    staged: Vec<u64>,
 }
 
 impl<'f> Frame<'f> {
-    fn get(&self, r: &ValueRef) -> Result<Value, InterpError> {
-        match r {
-            ValueRef::Instr(id) => self.values[id.0 as usize]
-                .clone()
-                .ok_or_else(|| ierr(format!("use of unevaluated {id}"))),
-            ValueRef::Arg(n) => Ok(self.args[*n as usize].clone()),
-            ValueRef::Const(c) => Ok(const_value(*c)),
+    /// A frame for `f` with `args`, whose lanes are read from `from`.
+    fn new(f: &'f Function, args: &[Word], from: &[u64]) -> Frame<'f> {
+        let mut lanes = Vec::new();
+        let args = args.iter().map(|a| a.copy_into(from, &mut lanes)).collect();
+        Frame {
+            func: f,
+            values: vec![None; f.instrs.len()],
+            args,
+            lanes,
+            regions: vec![(0, 0); f.instrs.len()],
+            phis: Vec::new(),
+            staged: Vec::new(),
         }
     }
-}
 
-fn const_value(c: ConstVal) -> Value {
-    c.to_value()
+    fn get(&self, r: &ValueRef) -> Result<Word, InterpError> {
+        match r {
+            ValueRef::Instr(id) => {
+                self.values[id.0 as usize].ok_or_else(|| ierr(format!("use of unevaluated {id}")))
+            }
+            ValueRef::Arg(n) => Ok(self.args[*n as usize]),
+            ValueRef::Const(c) => Ok(Word::from(*c)),
+        }
+    }
+
+    /// Where `iid`'s composite of `n` lanes goes: its region, or a new one
+    /// at the end of `lanes` if it has none of that length yet.
+    fn region(&mut self, iid: InstrId, n: usize) -> usize {
+        let r = &mut self.regions[iid.0 as usize];
+        if r.1 as usize != n {
+            let off = self.lanes.len();
+            self.lanes.resize(off + n, 0);
+            *r = (
+                u32::try_from(off).expect("a lane buffer stays under 2^32 words"),
+                n as u32,
+            );
+        }
+        r.0 as usize
+    }
+
+    /// Make `w`, whose lanes are in `lanes`, the value of `iid`: a
+    /// composite is copied into `iid`'s region.
+    fn set(&mut self, iid: InstrId, w: Word) {
+        let v = match w.as_lanes() {
+            None => w,
+            Some(l) => {
+                let off = self.region(iid, l.len());
+                self.lanes.copy_within(l.range(), off);
+                l.at(off)
+            }
+        };
+        self.values[iid.0 as usize] = Some(v);
+    }
+
+    /// [`Frame::set`] for a `w` whose lanes are in `staged`.
+    fn set_staged(&mut self, iid: InstrId, w: Word) {
+        let v = match w.as_lanes() {
+            None => w,
+            Some(l) => {
+                let off = self.region(iid, l.len());
+                self.lanes[off..off + l.len()].copy_from_slice(&self.staged[l.range()]);
+                l.at(off)
+            }
+        };
+        self.values[iid.0 as usize] = Some(v);
+    }
 }
 
 /// The interpreter. Holds the module, a fuel budget (dynamic-op limit), and
@@ -163,7 +172,8 @@ impl<'m, S: TraceSink> Interp<'m, S> {
     ///
     /// # Errors
     /// Propagates out-of-bounds accesses, division by zero, malformed IR,
-    /// and fuel exhaustion.
+    /// and fuel exhaustion; an argument with no flat form (lanes of more
+    /// than one kind, a poison or composite lane).
     pub fn run_main(
         &mut self,
         memory: &mut Memory,
@@ -173,27 +183,32 @@ impl<'m, S: TraceSink> Interp<'m, S> {
             .module
             .main()
             .ok_or_else(|| ierr("module has no functions"))?;
-        self.run_function(f, memory, args.to_vec())
+        let mut lanes = Vec::new();
+        let words = args
+            .iter()
+            .map(|v| {
+                Word::from_value(v, &mut lanes)
+                    .ok_or_else(|| ierr(format!("the lanes of {v} do not share one scalar kind")))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut out = Vec::new();
+        let r = self.run_function(f, memory, &words, &lanes, &mut out)?;
+        Ok(r.map(|w| w.to_value(&out)))
     }
 
-    /// Run an arbitrary function.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Interp::run_main`].
-    pub(crate) fn run_function(
+    /// Run `f` on `args`, whose lanes are read from `from`; a composite
+    /// result's lanes are appended to `out`.
+    fn run_function(
         &mut self,
         f: &Function,
         memory: &mut Memory,
-        args: Vec<Value>,
-    ) -> Result<Option<Value>, InterpError> {
-        let mut frame = Frame {
-            func: f,
-            values: vec![None; f.instrs.len()],
-            args,
-            phis: Vec::new(),
-        };
+        args: &[Word],
+        from: &[u64],
+        out: &mut Vec<u64>,
+    ) -> Result<Option<Word>, InterpError> {
+        let mut frame = Frame::new(f, args, from);
         match self.exec_from(&mut frame, f.entry, memory)? {
-            ExecEnd::Ret(v) => Ok(v),
+            ExecEnd::Ret(v) => Ok(v.map(|w| w.copy_into(&frame.lanes, out))),
             ExecEnd::Reattach => Err(ierr("reattach escaped its detach region")),
         }
     }
@@ -224,6 +239,7 @@ impl<'m, S: TraceSink> Interp<'m, S> {
             // parallel, before any instruction of the block executes.
             let block = func.block(cur);
             frame.phis.clear();
+            frame.staged.clear();
             for &iid in &block.instrs {
                 let instr = func.instr(iid);
                 if let Op::Phi { preds } = &instr.op {
@@ -233,13 +249,15 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                         .position(|&b| b == p)
                         .ok_or_else(|| ierr(format!("{iid}: no phi incoming for {p}")))?;
                     let v = frame.get(&instr.operands[slot])?;
+                    let v = v.copy_into(&frame.lanes, &mut frame.staged);
                     frame.phis.push((iid, v));
                 } else {
                     break;
                 }
             }
-            for (iid, v) in frame.phis.drain(..) {
-                frame.values[iid.0 as usize] = Some(v);
+            for k in 0..frame.phis.len() {
+                let (iid, v) = frame.phis[k];
+                frame.set_staged(iid, v);
                 self.burn(1)?;
                 self.sink.event(TraceEvent::compute(OpClass::IntAlu));
             }
@@ -255,7 +273,7 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                         let a = frame.get(&instr.operands[0])?;
                         let b = frame.get(&instr.operands[1])?;
                         self.sink.event(TraceEvent::compute(classify_bin(*op)));
-                        frame.values[iid.0 as usize] = Some(eval_bin(*op, &a, &b)?);
+                        frame.set(iid, flat::bin(*op, a, b)?);
                     }
                     Op::Un(op) => {
                         let a = frame.get(&instr.operands[0])?;
@@ -265,57 +283,77 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                             _ => OpClass::FpSpecial,
                         };
                         self.sink.event(TraceEvent::compute(class));
-                        frame.values[iid.0 as usize] = Some(eval_un(*op, &a)?);
+                        frame.set(iid, flat::un(*op, a)?);
                     }
                     Op::Cmp(pred) => {
                         let a = frame.get(&instr.operands[0])?;
                         let b = frame.get(&instr.operands[1])?;
                         self.sink.event(TraceEvent::compute(OpClass::IntAlu));
-                        frame.values[iid.0 as usize] = Some(eval_cmp(*pred, &a, &b)?);
+                        frame.set(iid, flat::cmp(*pred, a, b)?);
                     }
                     Op::Select => {
                         let c = frame.get(&instr.operands[0])?;
                         let a = frame.get(&instr.operands[1])?;
                         let b = frame.get(&instr.operands[2])?;
                         self.sink.event(TraceEvent::compute(OpClass::IntAlu));
-                        frame.values[iid.0 as usize] = Some(if want_int(&c)? != 0 { a } else { b });
+                        frame.set(iid, if c.want_int()? != 0 { a } else { b });
                     }
                     Op::Cast(op) => {
                         let a = frame.get(&instr.operands[0])?;
                         self.sink.event(TraceEvent::compute(OpClass::IntAlu));
                         let v = match op {
-                            CastOp::SiToFp => Value::F32(want_int(&a)? as f32),
-                            CastOp::FpToSi => {
-                                Value::Int(flat_word(&a, &mut Vec::new())?.want_f32()? as i64)
-                            }
+                            CastOp::SiToFp => Word::f32(a.want_int()? as f32),
+                            CastOp::FpToSi => Word::int(a.want_f32()? as i64),
                             CastOp::IntResize => a,
                         };
-                        frame.values[iid.0 as usize] = Some(v);
+                        frame.set(iid, v);
                     }
                     Op::Load { obj } => {
-                        let idx = want_int(&frame.get(&instr.operands[0])?)?;
+                        let idx = frame.get(&instr.operands[0])?.want_int()?;
                         if idx < 0 {
                             return Err(ierr(format!("{iid}: negative load index")));
                         }
                         let ty = instr.ty.ok_or_else(|| ierr("untyped load"))?;
-                        let v = memory.load(*obj, idx as u64, ty)?;
-                        for a in (idx as u64..).take(ty.elems() as usize) {
+                        let n = ty.elems() as usize;
+                        let (elem, words) = memory.words(*obj, idx as u64, n as u64)?;
+                        let form = match ty {
+                            Type::Scalar(_) => None,
+                            Type::Vector { lanes, .. } => Some(Form::Vector(lanes.into())),
+                            Type::Tensor { shape, .. } => Some(Form::Tile(shape)),
+                        };
+                        let v = match form {
+                            None => Word::scalar(elem, words[0]),
+                            Some(form) => {
+                                let off = frame.region(iid, n);
+                                frame.lanes[off..off + n].copy_from_slice(words);
+                                // An empty composite's lanes read as
+                                // integers, as `Word::from_value` has them.
+                                let elem = if n == 0 { ElemKind::Int } else { elem };
+                                Lanes { off: 0, elem, form }.at(off)
+                            }
+                        };
+                        frame.values[iid.0 as usize] = Some(v);
+                        for a in (idx as u64..).take(n) {
                             self.sink.event(TraceEvent::mem(
                                 OpClass::Load,
                                 *obj,
                                 memory.flat_addr(*obj, a),
                             ));
                         }
-                        frame.values[iid.0 as usize] = Some(v);
                     }
                     Op::Store { obj } => {
-                        let idx = want_int(&frame.get(&instr.operands[0])?)?;
+                        let idx = frame.get(&instr.operands[0])?.want_int()?;
                         if idx < 0 {
                             return Err(ierr(format!("{iid}: negative store index")));
                         }
                         let v = frame.get(&instr.operands[1])?;
-                        let n = memory.store(*obj, idx as u64, &v)?;
-                        for a in (idx as u64..).take(n as usize) {
+                        let (elem, words) = match (v.as_elem(), v.as_lanes()) {
+                            (Some(elem), _) => (elem, std::slice::from_ref(&v.bits)),
+                            (None, Some(l)) => (l.elem, &frame.lanes[l.range()]),
+                            (None, None) => return Err(memory.poison_store(*obj, idx as u64)),
+                        };
+                        memory.store_words(*obj, idx as u64, elem, words)?;
+                        for a in (idx as u64..).take(words.len()) {
                             self.sink.event(TraceEvent::mem(
                                 OpClass::Store,
                                 *obj,
@@ -328,14 +366,18 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                         let b = instr.operands.get(1).map(|o| frame.get(o)).transpose()?;
                         // The CPU has no tensor unit: a tile op costs its
                         // scalar-equivalent mix (§6.6 "compute density").
-                        let n = match &a {
-                            Value::Tensor { shape, .. } => shape.elems() as u64,
-                            _ => 1,
+                        let (n, is_float) = match a.as_lanes() {
+                            Some(
+                                l @ Lanes {
+                                    form: Form::Tile(shape),
+                                    ..
+                                },
+                            ) => (
+                                u64::from(shape.elems()),
+                                l.elem == ElemKind::F32 && !l.is_empty(),
+                            ),
+                            _ => (1, false),
                         };
-                        let is_float = matches!(
-                            &a,
-                            Value::Tensor { data, .. } if matches!(data.first(), Some(Value::F32(_)))
-                        );
                         let per = match op {
                             TensorOp::MatMul => 2 * n * (n as f64).sqrt() as u64,
                             TensorOp::Conv => 2 * n,
@@ -351,7 +393,9 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                             }));
                         }
                         self.burn(per)?;
-                        frame.values[iid.0 as usize] = Some(eval_tensor(*op, &a, b.as_ref())?);
+                        frame.staged.clear();
+                        let v = flat::tensor(*op, a, b, &frame.lanes, &mut frame.staged)?;
+                        frame.set_staged(iid, v);
                     }
                     Op::Call { callee } => {
                         let target = self
@@ -365,10 +409,17 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                             .map(|o| frame.get(o))
                             .collect::<Result<Vec<_>, _>>()?;
                         self.sink.event(TraceEvent::compute(OpClass::Call));
-                        let r = self.run_function(target, memory, args)?;
+                        frame.staged.clear();
+                        let r = self.run_function(
+                            target,
+                            memory,
+                            &args,
+                            &frame.lanes,
+                            &mut frame.staged,
+                        )?;
                         if instr.ty.is_some() {
-                            frame.values[iid.0 as usize] =
-                                Some(r.ok_or_else(|| ierr("void call used as value"))?);
+                            let r = r.ok_or_else(|| ierr("void call used as value"))?;
+                            frame.set_staged(iid, r);
                         }
                     }
                     Op::Br { target } => {
@@ -381,7 +432,7 @@ impl<'m, S: TraceSink> Interp<'m, S> {
                         let c = frame.get(&instr.operands[0])?;
                         self.sink.event(TraceEvent::compute(OpClass::Branch));
                         prev = Some(cur);
-                        cur = if want_int(&c)? != 0 { *t } else { *f };
+                        cur = if c.want_int()? != 0 { *t } else { *f };
                         continue 'blocks;
                     }
                     Op::Ret => {
@@ -434,8 +485,18 @@ fn classify_bin(op: BinOp) -> OpClass {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
+    use crate::instr::CmpPred;
     use crate::trace::tests::CountingSink;
-    use crate::types::{ScalarType, TensorShape, Type};
+    use crate::types::{ScalarType, TensorShape};
+
+    /// A tensor op on `Value` tiles, through the words the interpreter
+    /// evaluates on.
+    fn eval_tensor(op: TensorOp, a: &Value, b: Option<&Value>) -> Result<Value, InterpError> {
+        let (mut buf, mut out) = (Vec::new(), Vec::new());
+        let a = Word::from_value(a, &mut buf).expect("a flat tile");
+        let b = b.map(|b| Word::from_value(b, &mut buf).expect("a flat tile"));
+        flat::tensor(op, a, b, &buf, &mut out).map(|w| w.to_value(&out))
+    }
 
     #[test]
     fn straight_line_arithmetic() {

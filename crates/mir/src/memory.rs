@@ -4,11 +4,11 @@
 //! once, so the image does not repeat it per element: an [`ObjectImage`]
 //! is a kind tag plus one 64-bit word per element slot — booleans as
 //! `0`/`1`, integers sign-extended, floats by bit pattern. Cloning,
-//! comparing and dropping an image are `memcpy`/`memcmp`/one `free`;
-//! [`Value`] is built only for a caller that holds one: in
-//! `Memory::load` and its [`Memory::write`]/`store` counterparts (the
-//! interpreter). A caller whose values are flat already (the simulator)
-//! reads [`Memory::words`] and writes with [`Memory::store_words`].
+//! comparing and dropping an image are `memcpy`/`memcmp`/one `free`.
+//! The interpreter and the simulator, whose values are flat, read
+//! [`Memory::words`] and write with [`Memory::store_words`]; [`Value`] is
+//! built only for a caller that holds one ([`Memory::write`],
+//! [`ObjectImage::values`]).
 //!
 //! The kind tag is exactly what [`Value`]'s hash tag byte and the store
 //! codec's `b`/`i`/`f` tokens distinguish (the integer *width* lives in
@@ -21,7 +21,7 @@
 use crate::instr::MemObjId;
 use crate::interp::{ierr, InterpError};
 use crate::module::Module;
-use crate::types::{ScalarType, Type};
+use crate::types::ScalarType;
 use crate::value::Value;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -218,59 +218,21 @@ impl Memory {
             .ok_or_else(|| out_of_bounds("load", obj, idx, o))
     }
 
-    /// Load a value of type `ty` from the `ty.elems()` slots at `obj[idx..]`.
-    ///
-    /// # Errors
-    /// Out-of-bounds access.
-    pub(crate) fn load(&self, obj: MemObjId, idx: u64, ty: Type) -> Result<Value, InterpError> {
-        let (kind, words) = self.words(obj, idx, u64::from(ty.elems()))?;
-        let mut lanes = words.iter().map(|&w| kind.value(w));
-        Ok(match ty {
-            Type::Scalar(_) => lanes.next().expect("a scalar is one slot"),
-            Type::Vector { .. } => Value::Vector(lanes.collect()),
-            Type::Tensor { shape, .. } => Value::Tensor {
-                shape,
-                data: lanes.collect(),
-            },
-        })
-    }
-
     /// Write one element slot.
     ///
     /// # Errors
     /// Out-of-bounds access; a value the object cannot hold (poison, a
     /// composite, a scalar of another kind).
     pub fn write(&mut self, obj: MemObjId, idx: u64, v: Value) -> Result<(), InterpError> {
-        self.put(obj, idx, std::slice::from_ref(&v))
-    }
-
-    /// Store `v` — a scalar, or every lane of a vector or tensor tile —
-    /// into the slots at `obj[idx..]`; returns how many it occupies.
-    ///
-    /// # Errors
-    /// Out-of-bounds access (nothing is written); a lane the object
-    /// cannot hold (poison, a nested composite, a scalar of another kind).
-    pub(crate) fn store(&mut self, obj: MemObjId, idx: u64, v: &Value) -> Result<u64, InterpError> {
-        let lanes = match v {
-            Value::Vector(lanes) | Value::Tensor { data: lanes, .. } => lanes.as_slice(),
-            scalar => std::slice::from_ref(scalar),
-        };
-        self.put(obj, idx, lanes)?;
-        Ok(lanes.len() as u64)
-    }
-
-    fn put(&mut self, obj: MemObjId, idx: u64, lanes: &[Value]) -> Result<(), InterpError> {
-        let (kind, slots) = self.slots_mut(obj, idx, lanes.len() as u64)?;
-        for (slot, lane) in slots.iter_mut().zip(lanes) {
-            *slot = kind
-                .word(lane)
-                .ok_or_else(|| ierr(format!("store of {lane} to {obj}, which holds {kind}")))?;
-        }
+        let (kind, slots) = self.slots_mut(obj, idx, 1)?;
+        slots[0] = kind
+            .word(&v)
+            .ok_or_else(|| ierr(format!("store of {v} to {obj}, which holds {kind}")))?;
         Ok(())
     }
 
-    /// `Memory::store` for a value that is already flat: `words`, each
-    /// read as `kind`, go into the slots at `obj[idx..]`.
+    /// A flat value's store: `words`, each read as `kind`, go into the
+    /// slots at `obj[idx..]`.
     ///
     /// # Errors
     /// Out-of-bounds access; an object of another kind. Nothing is written.
@@ -293,6 +255,15 @@ impl Memory {
                 slots.copy_from_slice(words);
                 Ok(())
             }
+        }
+    }
+
+    /// The error of storing poison at `obj[idx]`: the slot does not
+    /// exist, or it holds a scalar kind, which poison is not.
+    pub(crate) fn poison_store(&mut self, obj: MemObjId, idx: u64) -> InterpError {
+        match self.slots_mut(obj, idx, 1) {
+            Ok((kind, _)) => ierr(format!("store of poison to {obj}, which holds {kind}")),
+            Err(e) => e,
         }
     }
 
@@ -535,30 +506,29 @@ mod tests {
     fn a_value_that_does_not_fit_is_a_typed_error() {
         let (mut mem, obj) = mem_with(ScalarType::I32, 4);
         let before = mem.clone();
-        let lanes = vec![Value::Int(1), Value::Int(2)];
         for bad in [
             Value::Poison,
             Value::F32(1.0),
             Value::Bool(true),
-            Value::Vector(lanes.clone()),
+            Value::Vector(vec![Value::Int(1), Value::Int(2)]),
         ] {
             let e = mem.write(obj, 0, bad.clone()).unwrap_err();
             assert!(e.message.contains("which holds int"), "{bad}: {e}");
         }
-        // A composite's lanes are checked the same way.
-        let nested = Value::Vector(vec![Value::Vector(lanes.clone())]);
-        assert!(mem.store(obj, 0, &nested).is_err());
-        assert!(mem
-            .store(obj, 0, &Value::Vector(vec![Value::Poison]))
-            .is_err());
+        // Flat lanes are checked by their one kind, and poison by name.
+        let e = mem
+            .store_words(obj, 0, ElemKind::F32, &[0x3f80_0000, 0])
+            .unwrap_err();
+        assert_eq!(e.message, "store of 1 to @mem0, which holds int");
+        let e = mem.poison_store(obj, 1);
+        assert_eq!(e.message, "store of poison to @mem0, which holds int");
         assert_eq!(mem, before, "a rejected value stores nothing");
         // An access that leaves the object writes none of its lanes.
-        let e = mem
-            .store(obj, 3, &Value::Vector(lanes.clone()))
-            .unwrap_err();
+        let e = mem.store_words(obj, 3, ElemKind::Int, &[1, 2]).unwrap_err();
         assert_eq!(e.message, "store out of bounds: @mem0[4]");
+        assert_eq!(mem.poison_store(obj, 4).message, e.message);
         assert_eq!(mem, before);
-        assert_eq!(mem.store(obj, 2, &Value::Vector(lanes)).unwrap(), 2);
+        mem.store_words(obj, 2, ElemKind::Int, &[1, 2]).unwrap();
         assert_eq!(mem.read_i64(obj), vec![0, 0, 1, 2]);
     }
 
@@ -566,21 +536,19 @@ mod tests {
     fn typed_loads_take_one_slice() {
         let (mut mem, obj) = mem_with(ScalarType::F32, 6);
         mem.init_f32(obj, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let shape = TensorShape::new(2, 2);
-        let ty = Type::Tensor {
-            elem: ScalarType::F32,
-            shape,
-        };
-        let data = [3.0, 4.0, 5.0, 6.0].map(Value::F32).to_vec();
-        assert_eq!(mem.load(obj, 2, ty).unwrap(), Value::Tensor { shape, data });
-        assert_eq!(mem.load(obj, 5, Type::F32).unwrap(), Value::F32(6.0));
-        let e = mem.load(obj, 3, ty).unwrap_err();
-        assert_eq!(e.message, "load out of bounds: @mem0[6]");
-        assert!(mem.load(obj, u64::MAX, ty).is_err(), "no overflow");
-        assert!(
-            mem.load(MemObjId(7), 0, Type::F32).is_err(),
-            "unknown object"
+        let n = u64::from(TensorShape::new(2, 2).elems());
+        let (kind, words) = mem.words(obj, 2, n).unwrap();
+        assert_eq!(kind, ElemKind::F32);
+        let lanes: Vec<f32> = words.iter().map(|&w| f32::from_bits(w as u32)).collect();
+        assert_eq!(lanes, [3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(
+            mem.words(obj, 5, 1).unwrap().1,
+            [u64::from(6.0f32.to_bits())]
         );
+        let e = mem.words(obj, 3, n).unwrap_err();
+        assert_eq!(e.message, "load out of bounds: @mem0[6]");
+        assert!(mem.words(obj, u64::MAX, n).is_err(), "no overflow");
+        assert!(mem.words(MemObjId(7), 0, 1).is_err(), "unknown object");
     }
 
     #[test]

@@ -174,6 +174,11 @@ impl PassManager {
         self.passes.push(pass);
     }
 
+    /// Whether the pipeline has no pass: running it only verifies.
+    pub fn is_empty(&self) -> bool {
+        self.passes.is_empty()
+    }
+
     /// Run all passes on `acc`.
     ///
     /// The graph is verified after every pass, and an empty pipeline
@@ -209,7 +214,7 @@ impl PassManager {
                 edges_after: dataflows().map(|df| df.edges.len()).sum(),
             });
         }
-        if self.passes.is_empty() {
+        if self.is_empty() {
             // No per-pass check ran: the input is the output.
             verifier.verify(acc).map_err(|e| PassError {
                 pass: "<final-verify>".to_string(),
@@ -334,6 +339,12 @@ mod tests {
         let mut ok = tiny_acc();
         let report = PassManager::new().run(&mut ok).unwrap();
         assert!(report.deltas.is_empty());
+    }
+
+    #[test]
+    fn a_pipeline_without_passes_is_empty() {
+        assert!(PassManager::new().is_empty());
+        assert!(!PassManager::new().with(Nop).is_empty());
     }
 
     #[test]

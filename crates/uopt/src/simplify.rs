@@ -13,9 +13,8 @@ use crate::{Pass, PassDelta, PassError};
 use muir_core::accel::Accelerator;
 use muir_core::dataflow::{Dataflow, EdgeKind, NodeId};
 use muir_core::node::{Node, NodeKind, OpKind};
+use muir_mir::flat::{self, Kind, Word};
 use muir_mir::instr::ConstVal;
-use muir_mir::interp::{eval_bin, eval_cmp, eval_un};
-use muir_mir::value::Value;
 
 /// The simplification pass (constant folding + DCE).
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,19 +34,19 @@ impl Pass for Simplify {
     }
 }
 
-fn const_of(node: &Node) -> Option<Value> {
+fn const_of(node: &Node) -> Option<Word> {
     match &node.kind {
-        NodeKind::Const(c) => Some(c.to_value()),
+        NodeKind::Const(c) => Some(Word::from(*c)),
         _ => None,
     }
 }
 
-fn value_to_const(v: &Value) -> Option<ConstVal> {
-    match v {
-        Value::Bool(b) => Some(ConstVal::Bool(*b)),
-        Value::Int(i) => Some(ConstVal::Int(*i)),
-        Value::F32(f) => Some(ConstVal::F32(*f)),
-        _ => None,
+fn word_to_const(w: Word) -> Option<ConstVal> {
+    match w.kind {
+        Kind::Bool => Some(ConstVal::Bool(w.bits != 0)),
+        Kind::Int => w.as_int().map(ConstVal::Int),
+        Kind::F32 => w.as_f32().map(ConstVal::F32),
+        Kind::Poison | Kind::Lanes => None,
     }
 }
 
@@ -69,7 +68,7 @@ pub(crate) fn simplify_dataflow(df: &mut Dataflow) -> PassDelta {
                 .filter(|e| e.dst == n && e.kind == EdgeKind::Data)
                 .collect::<Vec<_>>();
             ins.sort_by_key(|e| e.dst_port);
-            let vals: Option<Vec<Value>> = ins.iter().map(|e| const_of(df.node(e.src))).collect();
+            let vals: Option<Vec<Word>> = ins.iter().map(|e| const_of(df.node(e.src))).collect();
             let Some(vals) = vals else { continue };
             if vals.len() != op.arity() {
                 continue;
@@ -77,19 +76,19 @@ pub(crate) fn simplify_dataflow(df: &mut Dataflow) -> PassDelta {
             // A fold the evaluator refuses — division by zero, an operand
             // of the wrong kind — is left for the run to report.
             let result = match op {
-                OpKind::Bin(b) => eval_bin(b, &vals[0], &vals[1]),
-                OpKind::Un(u) => eval_un(u, &vals[0]),
-                OpKind::Cmp(p) => eval_cmp(p, &vals[0], &vals[1]),
+                OpKind::Bin(b) => flat::bin(b, vals[0], vals[1]),
+                OpKind::Un(u) => flat::un(u, vals[0]),
+                OpKind::Cmp(p) => flat::cmp(p, vals[0], vals[1]),
                 OpKind::Select => {
-                    let (Value::Bool(_) | Value::Int(_)) = vals[0] else {
+                    let Some(c) = vals[0].as_int() else {
                         continue;
                     };
-                    Ok(vals[if vals[0].as_bool() { 1 } else { 2 }].clone())
+                    Ok(vals[if c != 0 { 1 } else { 2 }])
                 }
                 OpKind::Cast(_) | OpKind::Tensor(..) => continue,
             };
             let Ok(result) = result else { continue };
-            let Some(c) = value_to_const(&result) else {
+            let Some(c) = word_to_const(result) else {
                 continue;
             };
             // Replace the node with a constant; its input edges die.

@@ -55,8 +55,9 @@
 # tests/ examples/ and no `is_transient` under crates/sim: one clock, no
 # service deadline or retry, no knob no caller sets; no `coalesced` in
 # crates/bench/src/dse.rs: one job per artifact), the
-# interpreter gate (crates/mir/src/interp.rs clones neither a block's
-# instruction list nor an instruction), the one-timing-table gate (no
+# interpreter gates (crates/mir/src/interp.rs clones neither a block's
+# instruction list nor an instruction, and names `Value` only in
+# `run_main`: arguments in, result out), the one-timing-table gate (no
 # `BinOp::…`/`UnOp::…` arm mapped to a latency literal under
 # crates/baselines/src: the HLS model reads hw::op_timing), the
 # one-count-per-fact gate
@@ -281,6 +282,22 @@ echo "== interpreter reads in place (crates/mir/src/interp.rs: no block or instr
 # instruction is what made a reference run allocate per step.
 if grep -nE 'instrs\.clone\(\)|\.instr\([^)]*\)\.clone\(\)' crates/mir/src/interp.rs; then
     echo "check.sh: the reference interpreter clones a block's instruction list or an instruction (lines above)" >&2
+    exit 1
+fi
+
+echo "== reference interpreter is flat (crates/mir/src/interp.rs: Value at run_main's door only) =="
+# An instruction's value is a flat::Word and a composite's lanes live in
+# its frame; ops run through flat::{bin,un,cmp,tensor} and memory moves
+# words. Only run_main, up to its closing brace, takes Value arguments and
+# returns a Value result. Comments and the import are not code.
+if awk '/^#\[cfg\(test\)\]/ { exit }
+        /^    pub fn run_main\(/ { door = 1 }
+        !door && !/^ *\/\// && !/^use crate::value::Value;$/ && /(^|[^A-Za-z0-9_])Value([^A-Za-z0-9_]|$)/ {
+            print FILENAME ":" FNR ": " $0; bad = 1
+        }
+        door && /^    }$/ { door = 0 }
+        END { exit !bad }' crates/mir/src/interp.rs; then
+    echo "check.sh: the reference interpreter names a Value outside run_main; its values, lanes and memory accesses are flat words (lines above)" >&2
     exit 1
 fi
 

@@ -4,8 +4,9 @@
 //! invocation shells, rings, calendars, queues — and then reuses them, so
 //! the count follows the graph and the run's concurrency, not its cycles
 //! or firings; a change that brings back a per-cycle or per-firing
-//! temporary fails here with the table. The reference interpreter's run
-//! of GEMM and the HLS model's run over it get one budget each.
+//! temporary fails here with the table. The reference interpreter's runs
+//! of GEMM and 2MM[T] and the HLS model's run over GEMM get one budget
+//! each.
 
 use muir::baselines::HlsModel;
 use muir::bench::baseline;
@@ -107,6 +108,21 @@ fn reference_run_of_gemm_allocates_under_a_thousand() {
     std::hint::black_box(mem);
     println!("GEMM reference run: {count} allocations + reallocations");
     assert!(count < 1_000, "{count} allocations + reallocations");
+}
+
+/// A tile lives in words its instruction's region reuses, not in a
+/// `Vec` per tile op: 2MM[T]'s reference run allocates its frame and
+/// memory image whatever the number of tile ops it executes (a tile of
+/// `Value`s made it 7 874).
+#[test]
+fn reference_run_of_2mm_t_allocates_under_sixty_four() {
+    let w = workloads::by_name("2MM[T]").expect("registry workload");
+    let before = events();
+    let mem = w.run_reference().expect("reference run");
+    let count = events() - before;
+    std::hint::black_box(mem);
+    println!("2MM[T] reference run: {count} allocations + reallocations");
+    assert!(count < 64, "{count} allocations + reallocations");
 }
 
 /// The HLS model schedules each block and each pipelined loop once, then
